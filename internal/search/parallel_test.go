@@ -92,6 +92,15 @@ func TestShardCutsDedupesSnappedBoundaries(t *testing.T) {
 // workers.
 func variantFixture(t testing.TB, nTables, rowsPerTable int) (*searchidx.Index, Query) {
 	t.Helper()
+	c, tables, anns, q := variantCorpus(t, nTables, rowsPerTable)
+	return searchidx.New(c, tables, anns), q
+}
+
+// variantCorpus is variantFixture's raw material — catalog, tables and
+// annotations — for callers that index contiguous table ranges
+// separately.
+func variantCorpus(t testing.TB, nTables, rowsPerTable int) (*catalog.Catalog, []*table.Table, []*core.Annotation, Query) {
+	t.Helper()
 	c := catalog.New()
 	film, err := c.AddType("Film", "movie")
 	if err != nil {
@@ -145,7 +154,7 @@ func variantFixture(t testing.TB, nTables, rowsPerTable int) (*searchidx.Index, 
 		tables = append(tables, tab)
 		anns = append(anns, ann)
 	}
-	return searchidx.New(c, tables, anns), Query{
+	return c, tables, anns, Query{
 		Relation: directed, T1: film, T2: director, E2: d1,
 		RelationText: "directed", T1Text: "Film movie", T2Text: "Director person",
 		E2Text: "Solo Auteur",
