@@ -6,6 +6,7 @@
 package webtable_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/factorgraph"
 	"repro/internal/feature"
 	"repro/internal/lemmaindex"
+	"repro/internal/snapshot"
 	"repro/internal/table"
 	"repro/internal/worldgen"
 )
@@ -401,9 +403,11 @@ func BenchmarkSearchBatch(b *testing.B) {
 
 // searchScaleFixture hand-builds an annotated one-relation corpus with
 // nAnswers distinct subjects related to a single probe entity, so the
-// ranking stage sees exactly nAnswers answer clusters. The index is built
-// outside the timer; only query execution is measured.
-func searchScaleFixture(b *testing.B, nAnswers int) (*webtable.SearchEngine, webtable.SearchRequest) {
+// ranking stage sees exactly nAnswers answer clusters. The corpus reaches
+// the Service as a flat snapshot of the hand-built annotations (no
+// annotator runs) and is indexed outside the timer; only query
+// execution, at search parallelism 1, is measured.
+func searchScaleFixture(b *testing.B, nAnswers int) (*webtable.Service, webtable.SearchRequest) {
 	b.Helper()
 	cat := webtable.NewCatalog()
 	film, err := cat.AddType("Film", "movie")
@@ -460,7 +464,15 @@ func searchScaleFixture(b *testing.B, nAnswers int) (*webtable.SearchEngine, web
 	if err := cat.Freeze(); err != nil {
 		b.Fatal(err)
 	}
-	eng := webtable.NewSearchEngine(webtable.NewSearchIndex(cat, tables, anns))
+	var snap bytes.Buffer
+	if err := snapshot.Save(&snap, &snapshot.Snapshot{Catalog: cat.Snapshot(), Tables: tables, Anns: anns}); err != nil {
+		b.Fatal(err)
+	}
+	svc, err := webtable.LoadService(context.Background(), &snap, webtable.WithSearchParallelism(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(svc.Close)
 	req := webtable.SearchRequest{
 		Query: webtable.SearchQuery{
 			Relation: directed, T1: film, T2: director, E2: d1,
@@ -469,7 +481,7 @@ func searchScaleFixture(b *testing.B, nAnswers int) (*webtable.SearchEngine, web
 		},
 		Mode: webtable.SearchTypeRel,
 	}
-	return eng, req
+	return svc, req
 }
 
 // BenchmarkSearchTopK contrasts bounded top-k page selection (the
@@ -479,7 +491,7 @@ func searchScaleFixture(b *testing.B, nAnswers int) (*webtable.SearchEngine, web
 func BenchmarkSearchTopK(b *testing.B) {
 	ctx := context.Background()
 	for _, n := range []int{1000, 10000} {
-		eng, req := searchScaleFixture(b, n)
+		svc, req := searchScaleFixture(b, n)
 		for _, bench := range []struct {
 			name     string
 			pageSize int
@@ -489,7 +501,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 			b.Run(fmt.Sprintf("answers=%d/%s", n, bench.name), func(b *testing.B) {
 				var total int
 				for i := 0; i < b.N; i++ {
-					res, err := eng.Execute(ctx, req)
+					res, err := svc.Search(ctx, req)
 					if err != nil {
 						b.Fatal(err)
 					}

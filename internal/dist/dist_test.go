@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -310,7 +311,9 @@ func TestClusterMetricsAndTraces(t *testing.T) {
 	if len(workload) == 0 {
 		t.Fatal("empty workload")
 	}
-	body := wireBody(t, w, workload[0], nil)
+	// Type mode: its plan walks one posting list per subject type, which
+	// the shard path once timed nowhere (plan stage 0, no search.plan span).
+	body := wireBody(t, w, workload[0], map[string]any{"mode": "type", "debug": true})
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -319,6 +322,18 @@ func TestClusterMetricsAndTraces(t *testing.T) {
 	c.router.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("routed search = %d: %s", rec.Code, rec.Body.String())
+	}
+	var routed server.SearchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &routed); err != nil {
+		t.Fatal(err)
+	}
+	if routed.Debug == nil || len(routed.Debug.Shards) != 2 {
+		t.Fatalf("routed debug block = %+v, want stats for 2 shards", routed.Debug)
+	}
+	for i, ss := range routed.Debug.Shards {
+		if ss.StageNanos.Plan <= 0 {
+			t.Fatalf("shard %d reports plan stage %dns, want > 0", i, ss.StageNanos.Plan)
+		}
 	}
 
 	// Router scrape: per-shard counters and RTT histograms moved onto
@@ -380,7 +395,10 @@ func TestClusterMetricsAndTraces(t *testing.T) {
 			}
 		}
 	}
-	if stages["router.fanout"] != 1 || stages["router.merge"] != 1 {
+	// The routed trace is exactly fan-out then merge: the gather stages
+	// are spans in the shards' own traces (below), and the merge's fold
+	// runs untraced under router.merge (MergePartials takes no context).
+	if len(stages) != 2 || stages["router.fanout"] != 1 || stages["router.merge"] != 1 {
 		t.Fatalf("router span stages = %v, want one fanout and one merge", stages)
 	}
 	if childSum > rootTrace.Root.DurationMs {
@@ -413,14 +431,15 @@ func TestClusterMetricsAndTraces(t *testing.T) {
 		if !strings.HasPrefix(parent, "dist-trace-1/") {
 			t.Fatalf("shard %d root span parent = %q, want dist-trace-1/<span>", i, parent)
 		}
-		var scans int
+		// A shard runs the pipeline up to gather: validate, plan and scan,
+		// one span each in every mode, and none of the fold stages.
+		shardStages := map[string]int{}
 		for _, cs := range found.Root.Children {
-			if cs.Name == "search.scan" {
-				scans++
-			}
+			shardStages[cs.Name]++
 		}
-		if scans != 1 {
-			t.Fatalf("shard %d trace has %d search.scan spans, want 1: %+v", i, scans, found.Root)
+		want := map[string]int{"search.validate": 1, "search.plan": 1, "search.scan": 1}
+		if !reflect.DeepEqual(shardStages, want) {
+			t.Fatalf("shard %d /v1/partial stage spans = %v, want %v", i, shardStages, want)
 		}
 	}
 }

@@ -251,7 +251,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.execStats.Record(res.Stats)
-	out := toWireResult(res)
+	out := server.ToSearchResponse(nil, res)
 	if wireReq.Debug {
 		dbg := &server.SearchDebug{
 			Stats:  server.ToExecStatsWire(res.Stats),
@@ -324,37 +324,6 @@ func (rt *Router) scatter(ctx context.Context, body []byte) ([]*Partial, error) 
 		}
 	}
 	return partials, nil
-}
-
-// toWireResult converts a merged result to the wire shape. A shard
-// cluster needs no catalog here: the engine's answer text for an
-// entity-backed answer IS the catalog's canonical entity name, so the
-// wire Entity field can be filled from the answer itself —
-// byte-identical to the single-node ToSearchResponse.
-func toWireResult(res *webtable.SearchResult) server.SearchResponse {
-	out := server.SearchResponse{
-		Answers:    make([]server.Answer, len(res.Answers)),
-		Total:      res.Total,
-		NextCursor: res.NextCursor,
-	}
-	for i, a := range res.Answers {
-		wa := server.Answer{Text: a.Text, Score: a.Score, Support: a.Support}
-		if a.Entity != webtable.None {
-			wa.Entity = a.Text
-		}
-		if a.Explanation != nil {
-			ex := &server.Explanation{
-				Sources:   make([]server.Source, len(a.Explanation.Sources)),
-				Truncated: a.Explanation.Truncated,
-			}
-			for j, s := range a.Explanation.Sources {
-				ex.Sources[j] = server.Source{Table: s.Table, Row: s.Row, Col: s.Col, Score: s.Score}
-			}
-			wa.Explanation = ex
-		}
-		out.Answers[i] = wa
-	}
-	return out
 }
 
 // handleHealthz fans a health probe out to every shard: the router is

@@ -3,7 +3,6 @@ package search
 import (
 	"context"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/catalog"
@@ -18,7 +17,7 @@ import (
 // Power of two so the poll is a mask, not a division.
 const rowCheckInterval = 1024
 
-// cluster accumulates the evidence of one answer while a query executes.
+// cluster accumulates the evidence of one answer while fold aggregates.
 type cluster struct {
 	key     string // unique aggregation key ("e:<id>" or "t:<norm>")
 	entity  catalog.EntityID
@@ -29,20 +28,26 @@ type cluster struct {
 	canonical string
 	// variants counts raw surface forms; bestText/bestN maintain the
 	// dominant (highest-count, ties broken lexicographically) form
-	// incrementally, so presentation never rescans the whole map.
-	variants map[string]int
+	// incrementally, so presentation never rescans the whole list.
+	variants []Variant
 	bestText string
 	bestN    int
+	// parts lists the hit lists folded into this cluster, in fold order
+	// (recorded only when the request asked for explanations).
+	parts []*ClusterPartial
 }
 
-// noteRaw counts one occurrence of a raw surface form, keeping the
+// noteRawN counts n occurrences of a raw surface form, keeping the
 // dominant-form fields current. The invariant — bestText is the
 // highest-count variant, ties broken by the lexicographically smaller
-// string — depends only on the final counts, so any accumulation order
-// (serial scan or parallel replay) lands on the same dominant form.
-func (c *cluster) noteRaw(raw string) {
-	total := c.variants[raw] + 1
-	c.variants[raw] = total
+// string — depends only on the final counts, so folding shard-wise
+// variant counts in any order lands on the same dominant form.
+func (c *cluster) noteRawN(raw string, n int) {
+	if n <= 0 {
+		return
+	}
+	var total int
+	c.variants, total = noteVariant(c.variants, raw, n)
 	if total > c.bestN || (total == c.bestN && raw < c.bestText) {
 		c.bestText, c.bestN = raw, total
 	}
@@ -60,109 +65,27 @@ func (c *cluster) text() string {
 
 // hit is one matching answer cell: its location, its entity annotation
 // (None for text clusters) and the evidence it contributes. A hit is
-// pointer-free on purpose — the parallel scan logs hits by the million,
-// and records without pointers are invisible to the garbage collector's
-// scan phase. Everything presentational (cluster key, canonical name,
-// raw text) is derived from the hit on demand.
+// pointer-free on purpose — a sliced scan logs hits by the million, and
+// records without pointers are invisible to the garbage collector's
+// scan phase. Everything presentational (cluster identity, canonical
+// name, raw text) is derived from the hit on demand.
 type hit struct {
 	loc      searchidx.CellLoc
 	entity   catalog.EntityID
 	evidence float64
 }
 
-// src converts a hit into its provenance record.
-func (h hit) src() SourceRef {
-	return SourceRef{Table: h.loc.Table, Row: h.loc.Row, Col: h.loc.Col, Score: h.evidence}
-}
-
-// resolveKey derives a hit's cluster aggregation key ("e:<id>" or
-// "t:<norm>"). ok is false for an unannotated cell whose normalized text
-// is empty: such cells have no cluster identity and contribute nothing.
-func (e *Engine) resolveKey(h hit) (key string, ok bool) {
-	if h.entity != catalog.None {
-		return "e:" + strconv.Itoa(int(h.entity)), true
-	}
-	norm := e.c.NormCell(h.loc)
-	if norm == "" {
-		return "", false
-	}
-	return "t:" + norm, true
-}
-
-// evidenceSink receives every matching hit as a scan walks the
-// candidate column pairs. Implementations: cluster aggregation for
-// ranking, the shard-local hit log of the parallel scan, and provenance
-// recording for the page winners only.
+// evidenceSink receives every matching hit as a scan walks a slice of
+// the candidate column pairs. Two implementations: partialCollector
+// groups hits per answer cluster directly (a slice that is a whole
+// replay group), shardLog records them for an in-order replay into one
+// (a group scanned as several concurrent slices).
 type evidenceSink interface {
 	add(h hit)
 }
 
-// clusterSink aggregates score, support and surface-form counts per
-// answer cluster.
+// clusterSink holds the answer clusters of one fold, by aggregation key.
 type clusterSink map[string]*cluster
-
-// insert folds one resolved hit into its cluster.
-func (cs clusterSink) insert(key string, h hit, canonical, raw string) {
-	a, ok := cs[key]
-	if !ok {
-		a = &cluster{key: key, entity: h.entity, canonical: canonical}
-		if canonical == "" {
-			a.variants = make(map[string]int)
-		}
-		cs[key] = a
-	}
-	a.score += h.evidence
-	a.support++
-	if a.variants != nil {
-		a.noteRaw(raw)
-	}
-}
-
-// clusterCollector is the ranking evidenceSink: it resolves each hit's
-// cluster identity and folds it into cs. Used by the serial scan
-// directly and by the parallel aggregation workers replaying hit logs.
-type clusterCollector struct {
-	e  *Engine
-	cs clusterSink
-}
-
-func (cc *clusterCollector) add(h hit) {
-	key, ok := cc.e.resolveKey(h)
-	if !ok {
-		return
-	}
-	canonical, raw := "", ""
-	if h.entity != catalog.None {
-		canonical = cc.e.cat.EntityName(h.entity)
-	} else {
-		raw = cc.e.c.RawCell(h.loc)
-	}
-	cc.cs.insert(key, h, canonical, raw)
-}
-
-// explainSink records provenance for a fixed set of clusters (the page
-// winners), so explanation state stays O(page size), not O(answers).
-// Evidence for other clusters is discarded.
-type explainSink struct {
-	e *Engine
-	m map[string]*Explanation
-}
-
-func (es *explainSink) add(h hit) {
-	key, ok := es.e.resolveKey(h)
-	if !ok {
-		return
-	}
-	ex, ok := es.m[key]
-	if !ok {
-		return
-	}
-	if len(ex.Sources) < MaxExplainSources {
-		ex.Sources = append(ex.Sources, h.src())
-	} else {
-		ex.Truncated++
-	}
-}
 
 // queryMatcher matches the probe entity's surface form against
 // precomputed normalized cells: the query is normalized and tokenized
@@ -195,94 +118,95 @@ func (m queryMatcher) match(cellNorm string, cellToks map[string]struct{}) float
 	return 0
 }
 
-// Execute runs one request: gather candidate column pairs from the
-// index's posting lists, aggregate evidence per answer cluster, then
-// select the requested page with a bounded min-heap (O(n log k), no
-// full-corpus sort). Aggregation state is necessarily O(distinct
-// answers) — scores sum across rows before any answer can be ranked —
-// but selection, the returned page, and (with Explain set, via a second
-// winners-only scan) provenance state are all bounded by the page size.
+// Execute runs one request through the pipeline every query takes
+// (see the package doc): validate, plan the candidate column pairs from
+// the index's posting lists, gather each answer cluster's ordered hit
+// list, then fold — sum the evidence per cluster, select the requested
+// page with a bounded min-heap (O(n log k), no full-corpus sort) and,
+// with Explain set, read the winners' provenance off the hit lists
+// already in memory. Query state is O(matching rows); the returned page
+// and its explanations are bounded by the page size.
 //
 // With parallelism above one (WithParallelism) the candidate pairs are
-// partitioned into contiguous shards scanned by a bounded worker pool;
-// results are byte-identical to the serial scan (see parallel.go).
+// scanned as contiguous slices on a bounded worker pool; results are
+// byte-identical at every level (see parallel.go).
 //
 // A context cancellation is detected between candidate pairs and every
 // rowCheckInterval rows within a pair, and returns the context's error.
 //
-// Each stage opens a trace span (search.validate, search.plan,
-// search.scan, search.aggregate, search.select, search.explain) on the
-// context's trace, if it carries one; untraced executions pay one
-// context lookup per stage. Spans only time the stages — they never
-// reorder any work, so the byte-identical-results contract is
-// untouched. The same holds for Result.Stats: counters and stage
-// timings ride alongside the page and never influence it.
+// Each stage opens one trace span (search.validate, search.plan,
+// search.scan, search.aggregate, search.select and, when asked,
+// search.explain) on the context's trace, if it carries one; untraced
+// executions pay one context lookup per stage. Spans only time the
+// stages — they never reorder any work, so the byte-identical-results
+// contract is untouched. The same holds for Result.Stats: counters and
+// stage timings ride alongside the page and never influence it.
 func (e *Engine) Execute(ctx context.Context, req Request) (*Result, error) {
-	st := &ExecStats{Parallelism: 1}
-	e.viewCounts(st)
+	st := e.newStats()
+	if err := validate(ctx, req, st); err != nil {
+		return nil, err
+	}
+	after, err := decodeCursor(req.Cursor)
+	if err != nil {
+		return nil, err
+	}
+	p := e.plan(ctx, req, st)
+	groups, err := e.gather(ctx, &p, 0, st)
+	if err != nil {
+		return nil, err
+	}
+	return fold(ctx, [][]PartialGroup{groups}, st, req.PageSize, after, req.Explain)
+}
+
+// stage opens one pipeline stage: its trace span and its wall-clock
+// timer. The returned func ends the span and adds the elapsed time to
+// *nanos.
+func stage(ctx context.Context, name string, nanos *int64) func() {
 	t0 := time.Now()
-	vsp := obs.Begin(ctx, "search.validate")
-	err := req.Validate()
-	vsp.End()
-	st.Stage.Validate = int64(time.Since(t0))
-	if err != nil {
-		return nil, err
+	sp := obs.Begin(ctx, name)
+	return func() {
+		sp.End()
+		*nanos += int64(time.Since(t0))
 	}
-	var after *rankKey
-	if req.Cursor != "" {
-		k, err := decodeCursor(req.Cursor)
-		if err != nil {
-			return nil, err
-		}
-		after = &k
-	}
-	t0 = time.Now()
-	psp := obs.Begin(ctx, "search.plan")
-	p := e.plan(req)
-	cuts := e.cuts(&p)
-	psp.End()
-	st.Stage.Plan = int64(time.Since(t0))
-	clusters, err := e.collect(ctx, &p, cuts, st)
-	if err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	ssp := obs.Begin(ctx, "search.select")
-	res, keys, eligible := selectPage(clusters, req.PageSize, after)
-	ssp.End()
-	st.Stage.Select = int64(time.Since(t0))
-	st.AnswersBeforeTopK = eligible
-	if req.Explain && len(res.Answers) > 0 {
-		t0 = time.Now()
-		esp := obs.Begin(ctx, "search.explain")
-		expl, err := e.explain(ctx, &p, cuts, keys)
-		esp.End()
-		st.Stage.Explain = int64(time.Since(t0))
-		if err != nil {
-			return nil, err
-		}
-		for i, key := range keys {
-			res.Answers[i].Explanation = expl[key]
-		}
-	}
-	res.Stats = st
-	return res, nil
+}
+
+// validate is the pipeline's first stage: the request's execution
+// controls, checked by Request.Validate.
+func validate(ctx context.Context, req Request, st *ExecStats) error {
+	defer stage(ctx, "search.validate", &st.Stage.Validate)()
+	return req.Validate()
 }
 
 // basePair is one baseline candidate: a header-matched answer column and
 // a same-table probe column.
 type basePair struct{ c1, c2 searchidx.ColRef }
 
+// planGroup is one replay group of a plan: the candidate pairs from
+// start up to the next group's start, whose evidence replays as a unit
+// under key (PartialGroup.Key).
+type planGroup struct {
+	key   uint32
+	start int
+}
+
 // scanPlan is one execution's candidate schedule: the mode's ordered
-// candidate column pairs plus the prepared query matcher. The pair list
-// is built once per Execute and scanned either whole (serial) or in
-// contiguous shards (parallel); both walk it in the same order.
+// candidate column pairs, their replay groups, and the prepared query
+// matcher. The pair list is built once per execution and scanned whole
+// or in contiguous slices; every layout walks it in the same order.
 type scanPlan struct {
 	mode Mode
 	q    Query
 	m    queryMatcher
 	base []basePair             // Baseline candidates
 	ann  []searchidx.ColumnPair // Type / TypeRel candidates
+	// groups partitions the pair list, ascending by key and by start:
+	// one group with key 0 in Baseline and TypeRel, where pairs ascend
+	// by table; one per matching subject type (keyed by its TypeID) in
+	// Type mode, where the list concatenates one corpus-ordered run per
+	// type. Within a group, table ranges owned by different shards
+	// concatenate in shard order into the single-node scan order; across
+	// groups they do not, which is why evidence travels grouped.
+	groups []planGroup
 }
 
 // len returns the number of candidate pairs.
@@ -293,12 +217,11 @@ func (p *scanPlan) len() int {
 	return len(p.ann)
 }
 
-// tableOf returns the (global) table number of candidate pair i. In
-// Baseline and TypeRel modes pairs ascend by table; in Type mode the
-// list concatenates one corpus-ordered run per subject type, so the
-// sequence is only piecewise ascending — segment-edge snapping treats
-// any segment transition between adjacent pairs as a boundary
-// candidate, which is still where locality changes.
+// tableOf returns the (global) table number of candidate pair i. It
+// ascends within a replay group, so over a whole Type-mode plan it is
+// only piecewise ascending — segment-edge snapping treats any segment
+// transition between adjacent pairs as a boundary candidate, which is
+// still where locality changes.
 func (p *scanPlan) tableOf(i int) int {
 	if p.mode == Baseline {
 		return p.base[i].c1.Table
@@ -306,19 +229,21 @@ func (p *scanPlan) tableOf(i int) int {
 	return p.ann[i].Table
 }
 
-// plan gathers the mode's candidate pairs and prepares the matcher.
-func (e *Engine) plan(req Request) scanPlan {
+// plan is the pipeline's second stage: it gathers the mode's candidate
+// pairs with their replay groups and prepares the matcher.
+func (e *Engine) plan(ctx context.Context, req Request, st *ExecStats) scanPlan {
+	defer stage(ctx, "search.plan", &st.Stage.Plan)()
 	p := scanPlan{mode: req.Mode, q: req.Query, m: newQueryMatcher(req.Query.E2Text)}
 	if req.Mode == Baseline {
-		p.base = e.baselinePairs(req.Query)
+		p.base, p.groups = e.baselinePairs(req.Query), []planGroup{{}}
 	} else {
-		p.ann = e.annotatedPairs(req.Query, req.Mode == TypeRel)
+		p.ann, p.groups = e.annotatedPairs(req.Query, req.Mode == TypeRel)
 	}
 	return p
 }
 
 // scanRange scans candidate pairs [lo, hi) of the plan into sink,
-// accumulating pair/row counters into sc (per-worker instances; the
+// accumulating pair/row counters into sc (one instance per slice; the
 // caller sums them afterwards).
 func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink evidenceSink, sc *scanCounters) error {
 	if p.mode == Baseline {
@@ -328,54 +253,37 @@ func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink ev
 }
 
 // selectPage picks the PageSize best-ranked clusters strictly after the
-// cursor, iterating the disjoint cluster maps the collect phase
-// produced (one per aggregation partition; one total on the serial
-// path — a cluster's rank is a total order, so the iteration layout
+// cursor (a cluster's rank is a total order, so map iteration order
 // never shows in the page). With k > 0 it never sorts more than the k
-// retained entries. The second return value carries the cluster key of
-// each answer, for provenance attachment.
-// The third return value is the eligible count itself, for
-// ExecStats.AnswersBeforeTopK.
-func selectPage(parts []clusterSink, pageSize int, after *rankKey) (*Result, []string, int) {
-	res := &Result{}
-	for _, clusters := range parts {
-		res.Total += len(clusters)
-	}
+// retained entries. The second return value carries the cluster behind
+// each answer, for provenance attachment; the third is the eligible
+// count itself, for ExecStats.AnswersBeforeTopK.
+func selectPage(clusters clusterSink, pageSize int, after *rankKey) (*Result, []*cluster, int) {
+	res := &Result{Total: len(clusters)}
 	eligible := 0
-	keyOf := func(c *cluster) rankKey {
-		return rankKey{score: c.score, support: c.support, text: c.text(), key: c.key}
-	}
 	var page []pageEntry
-	if pageSize == 0 {
-		for _, clusters := range parts {
-			for _, c := range clusters {
-				k := keyOf(c)
-				if after != nil && !after.before(k) {
-					continue
-				}
-				eligible++
-				page = append(page, pageEntry{c: c, key: k})
-			}
+	heap := newTopK(pageSize)
+	for _, c := range clusters {
+		k := rankKey{score: c.score, support: c.support, text: c.text(), key: c.key}
+		if after != nil && !after.before(k) {
+			continue
 		}
+		eligible++
+		if pageSize == 0 {
+			page = append(page, pageEntry{c: c, key: k})
+		} else {
+			heap.offer(pageEntry{c: c, key: k})
+		}
+	}
+	if pageSize == 0 {
 		sort.Slice(page, func(i, j int) bool { return page[i].key.before(page[j].key) })
 	} else {
-		heap := newTopK(pageSize)
-		for _, clusters := range parts {
-			for _, c := range clusters {
-				k := keyOf(c)
-				if after != nil && !after.before(k) {
-					continue
-				}
-				eligible++
-				heap.offer(pageEntry{c: c, key: k})
-			}
-		}
 		page = heap.ranked()
 	}
 	res.Answers = make([]Answer, len(page))
-	keys := make([]string, len(page))
+	winners := make([]*cluster, len(page))
 	for i, pe := range page {
-		keys[i] = pe.c.key
+		winners[i] = pe.c
 		res.Answers[i] = Answer{
 			Text:    pe.key.text,
 			Entity:  pe.c.entity,
@@ -386,7 +294,7 @@ func selectPage(parts []clusterSink, pageSize int, after *rankKey) (*Result, []s
 	if eligible > len(page) && len(page) > 0 {
 		res.NextCursor = encodeCursor(page[len(page)-1].key)
 	}
-	return res, keys, eligible
+	return res, winners, eligible
 }
 
 // baselinePairs implements the candidate retrieval of Figure 3:
@@ -467,8 +375,9 @@ func (e *Engine) scanBaselineRange(ctx context.Context, pl *scanPlan, lo, hi int
 // annotatedPairs implements the candidate retrieval of Figure 4 over the
 // precomputed posting lists: pairs come from the per-relation list
 // (TypeRel) or the subject-type-keyed typed-pair list (Type), filtered
-// by subtype compatibility with the query types.
-func (e *Engine) annotatedPairs(q Query, requireRel bool) []searchidx.ColumnPair {
+// by subtype compatibility with the query types. The second return
+// value is the list's replay groups (see scanPlan.groups).
+func (e *Engine) annotatedPairs(q Query, requireRel bool) ([]searchidx.ColumnPair, []planGroup) {
 	var pairs []searchidx.ColumnPair
 	if requireRel {
 		for _, p := range e.c.RelationPairs(q.Relation) {
@@ -477,22 +386,27 @@ func (e *Engine) annotatedPairs(q Query, requireRel bool) []searchidx.ColumnPair
 				pairs = append(pairs, p)
 			}
 		}
-	} else {
-		// Type mode: subject types in ID order, each type's pairs in
-		// corpus order — the same candidate sequence whether the corpus
-		// is one index or many segments.
-		for _, T := range e.c.SubjectTypes() {
-			if !e.cat.IsSubtype(T, q.T1) {
-				continue
-			}
-			for _, p := range e.c.TypedPairsOf(T) {
-				if p.ObjType != catalog.None && e.cat.IsSubtype(p.ObjType, q.T2) {
-					pairs = append(pairs, p)
-				}
+		return pairs, []planGroup{{}}
+	}
+	// Type mode: subject types in ID order, each type's pairs in corpus
+	// order — the same candidate sequence whether the corpus is one
+	// index or many segments. Each type with candidates is one group.
+	var groups []planGroup
+	for _, T := range e.c.SubjectTypes() {
+		if !e.cat.IsSubtype(T, q.T1) {
+			continue
+		}
+		start := len(pairs)
+		for _, p := range e.c.TypedPairsOf(T) {
+			if p.ObjType != catalog.None && e.cat.IsSubtype(p.ObjType, q.T2) {
+				pairs = append(pairs, p)
 			}
 		}
+		if len(pairs) > start {
+			groups = append(groups, planGroup{key: uint32(T), start: start})
+		}
 	}
-	return pairs
+	return pairs, groups
 }
 
 // scanAnnotatedRange runs the matching stage of Figure 4 over annotated

@@ -28,8 +28,9 @@ type pageRunner struct {
 // TestPagesGolden freezes the ranked pages of the partialFixture,
 // variantFixture and fractionCorpus corpora — every mode × page size
 // {0, 1, 7} × explain {off, on}, cursors walked to exhaustion, scores
-// as IEEE bit patterns — in testdata/pages.golden. The file was written by the fused serial
-// scan before the execution paths were collapsed into one pipeline, and
+// as IEEE bit patterns — in testdata/pages.golden. The file was written
+// by the fused serial scan (aggregate while scanning, no intermediate
+// form) before the execution paths were collapsed into one pipeline, and
 // every route a query can take must keep reproducing it bit for bit:
 // Execute at parallelism 1, 2 and 8, and 1-, 2- and 3-way
 // ExecutePartial + MergePartials splits with serial and parallel shards.

@@ -1,89 +1,90 @@
-// Parallel sharded query execution.
+// Gathering evidence: the scan stage of the pipeline.
 //
-// Execute's candidate ColumnPair list is partitioned into contiguous
-// shards and processed in two parallel phases:
+// gather turns a plan into each answer cluster's ordered hit list, one
+// PartialGroup per replay group. The plan's candidate pairs are cut
+// into contiguous slices — every replay-group start is a cut, and with
+// parallelism above one each group is cut further for load balance —
+// and a bounded worker pool scans the slices concurrently:
 //
-//  1. Scan: a bounded worker pool walks each shard's pairs and rows,
-//     appending every matching (answer cell, evidence) pair to a
-//     shard-local log, bucketed by cluster partition (a hash of the
-//     cluster key). The hot scan path does no map work at all.
-//  2. Aggregate: one worker per partition replays, for every shard in
-//     fixed shard order, the log entries of its own partition through
-//     the ordinary clusterSink — exactly the add sequence the serial
-//     scan would have produced for those clusters.
+//   - When no group was cut further (always at parallelism 1), each
+//     slice is a whole group and scans straight into that group's
+//     partialCollector.
+//   - Otherwise each slice scans into its own shardLog — appending a
+//     packed 24-byte record is the only work on the hot path, no map
+//     work at all — and the logs then replay, in slice order, into
+//     their group's collector: exactly the add sequence one serial scan
+//     of the group would have produced.
 //
 // The load-bearing property is byte-identical results: scores,
 // rankings, cursors and explanations must not depend on the parallelism
 // level, because pagination cursors compare scores bit-exactly across
 // separate executions (the same ULP discipline exec.go documents for
 // pair ordering). Floating-point addition is not associative, so
-// shard-local *partial sums* merged later would NOT reproduce the
+// slice-local *partial sums* merged later would NOT reproduce the
 // serial left fold (((a+b)+c)+d differs from (a+b)+(c+d) by an ULP).
-// Replaying the logged evidence values per cluster — shards in order,
-// entries in scan order — reproduces the serial addition sequence
-// bit-for-bit, because a cluster's score only sums its own evidence and
-// every entry of one cluster lands in one partition. Partitioning is
-// therefore free parallelism for the aggregation stage: clusters are
-// independent of each other, and page selection consumes the partition
-// maps directly (a cluster's rank never depends on iteration order —
-// the rank key is a total order). The cost is O(matching rows) of log
-// memory during the scan; the rows were all visited anyway, and the
-// logs are dropped at aggregation time.
+// Logging the evidence values and replaying them in slice order does:
+// every cluster's hit list comes out in serial scan order whatever the
+// slicing, and fold sums each list left to right. The cost is
+// O(matching rows) of query state — the rows were all visited anyway.
 //
-// Shard boundaries are a pure load-balancing choice — they never affect
-// results. The plan is over-partitioned (shardsPerWorker shards per
-// worker) and workers pull shards from a shared counter, so a shard
-// with unusually large tables does not stall the pool. When the corpus
-// is segmented (segment.View implements SegmentedCorpus), interior
-// boundaries snap to the nearest segment edge within half an ideal
-// shard, so a shard's cells resolve against one segment's postings
-// where possible.
+// Slice boundaries inside a group are a pure load-balancing choice —
+// they never affect results. The plan is over-partitioned
+// (shardsPerWorker slices per worker) and workers pull slices from a
+// shared counter, so a slice with unusually large tables does not stall
+// the pool. When the corpus is segmented (segment.View implements
+// SegmentedCorpus), interior boundaries snap to the nearest segment
+// edge within half an ideal slice, so a slice's cells resolve against
+// one segment's postings where possible.
 //
-// The explain pass parallelizes over the same shards with per-shard
-// provenance sinks pre-keyed by the page winners; concatenating them in
-// shard order preserves the serial SourceRef order and the exact
-// Truncated count.
+// (The identifiers below still call an in-process slice a shard —
+// shardCuts, scanShards, shardLog; the prose says slice to keep it apart
+// from the shard servers of a cluster.)
 package search
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/obs"
 	"repro/internal/searchidx"
 )
 
 // shardsPerWorker over-partitions the candidate list so the worker pool
-// can rebalance when shards carry unequal row counts.
+// can rebalance when slices carry unequal row counts.
 const shardsPerWorker = 4
 
 // SegmentedCorpus is an optional Corpus extension for corpora assembled
 // from ordered segments. ShardStarts returns the ascending global table
 // number at which each segment begins (the first is always 0); the
-// engine uses it to align parallel shard boundaries with segment edges.
+// engine uses it to align slice boundaries with segment edges.
 type SegmentedCorpus interface {
 	Corpus
 	ShardStarts() []int
 }
 
-// cuts returns the shard boundaries of a plan for this engine's
-// parallelism: [0, n] (one shard — the serial path) when parallelism is
-// 1 or there is nothing to split, else up to parallelism*shardsPerWorker
-// contiguous ranges.
+// cuts returns the slice boundaries of a non-empty plan: every replay
+// group start, plus — when parallelism is above 1 and there is something
+// to split — up to parallelism*shardsPerWorker balanced interior
+// boundaries. No slice spans two groups, so one scanShards call covers
+// the whole plan and each slice's evidence belongs to exactly one group.
 func (e *Engine) cuts(p *scanPlan) []int {
 	n := p.len()
-	if e.par <= 1 || n < 2 {
-		return []int{0, n}
+	cuts := []int{0, n}
+	if e.par > 1 && n >= 2 {
+		var starts []int
+		if sc, ok := e.c.(SegmentedCorpus); ok {
+			starts = sc.ShardStarts()
+		}
+		cuts = shardCuts(n, e.par*shardsPerWorker, p.tableOf, starts)
 	}
-	var starts []int
-	if sc, ok := e.c.(SegmentedCorpus); ok {
-		starts = sc.ShardStarts()
+	for _, g := range p.groups[1:] {
+		cuts = append(cuts, g.start)
 	}
-	return shardCuts(n, e.par*shardsPerWorker, p.tableOf, starts)
+	slices.Sort(cuts)
+	return slices.Compact(cuts)
 }
 
 // shardCuts partitions n ordered candidate pairs into at most shards
@@ -165,127 +166,106 @@ func abs(x int) int {
 	return x
 }
 
-// scanShards scans each shard [cuts[i], cuts[i+1]) into sinks[i] on a
-// pool of at most e.par workers. Workers pull shard indices from a
-// shared counter; which worker scans which shard never matters because
-// sinks are per-shard and consumed in index order. scs is parallel to
-// sinks: each shard's counters accumulate contention-free and the
-// caller sums them (integer addition — the totals are independent of
-// shard layout). The first scan error (in practice: the context's) is
-// returned after all workers stop.
+// scanShards scans each slice [cuts[i], cuts[i+1]) into sinks[i] on a
+// pool of at most e.par workers — on the calling goroutine when that is
+// one worker, so a serial scan starts no goroutine. Workers pull slice
+// indices from a shared counter; which worker scans which slice never
+// matters because sinks are per-slice and consumed in index order. scs
+// is parallel to sinks: each slice's counters accumulate contention-free
+// and the caller sums them (integer addition — the totals are
+// independent of slice layout). The first scan error (in practice: the
+// context's) is returned after all workers stop.
 func (e *Engine) scanShards(ctx context.Context, p *scanPlan, cuts []int, sinks []evidenceSink, scs []scanCounters) error {
 	nShards := len(cuts) - 1
-	workers := e.par
-	if workers > nShards {
-		workers = nShards
-	}
+	workers := min(e.par, nShards)
 	var (
 		next    atomic.Int64
 		wg      sync.WaitGroup
 		errOnce sync.Once
 		scanErr error
 	)
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= nShards {
+				return
+			}
+			if err := e.scanRange(ctx, p, cuts[i], cuts[i+1], sinks[i], &scs[i]); err != nil {
+				errOnce.Do(func() { scanErr = err })
+				return
+			}
+		}
+	}
+	if workers == 1 {
+		work()
+		return scanErr
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nShards {
-					return
-				}
-				if err := e.scanRange(ctx, p, cuts[i], cuts[i+1], sinks[i], &scs[i]); err != nil {
-					errOnce.Do(func() { scanErr = err })
-					return
-				}
-			}
+			work()
 		}()
 	}
 	wg.Wait()
 	return scanErr
 }
 
-// collect aggregates the plan's evidence into answer clusters, serially
-// or via the two parallel phases; both produce identical clusters. cuts
-// comes from Engine.cuts, computed once per Execute and shared with the
-// explain pass. The result is a list of disjoint cluster maps (one per
-// partition; a single map on the serial path) whose union is the answer
-// set. Scan counters, stage times and the parallelism actually used
-// accumulate into st.
-func (e *Engine) collect(ctx context.Context, p *scanPlan, cuts []int, st *ExecStats) ([]clusterSink, error) {
-	if len(cuts) <= 2 {
-		// Serial path: scan and aggregation are one fused pass, so one
-		// span covers both stages.
-		t0 := time.Now()
-		sp := obs.Begin(ctx, "search.scan")
-		cc := clusterCollector{e: e, cs: clusterSink{}}
-		var sc scanCounters
-		err := e.scanRange(ctx, p, 0, p.len(), &cc, &sc)
-		sp.End()
-		st.Stage.Scan = int64(time.Since(t0))
-		st.add(&sc)
-		if err != nil {
-			return nil, err
+// gather is the pipeline's scan stage: it scans the plan's slices and
+// returns each replay group's cluster hit lists in serial scan order
+// (groups without hits omitted), hit tables shifted by tableOffset into
+// the corpus-global numbering. Scan counters, the stage time and the
+// parallelism actually used go to st.
+func (e *Engine) gather(ctx context.Context, p *scanPlan, tableOffset int, st *ExecStats) ([]PartialGroup, error) {
+	defer stage(ctx, "search.scan", &st.Stage.Scan)()
+	if p.len() == 0 {
+		return nil, nil
+	}
+	cuts := e.cuts(p)
+	collectors := make([]*partialCollector, len(p.groups))
+	for g := range collectors {
+		collectors[g] = newPartialCollector(e, tableOffset)
+	}
+	// Slices outnumber groups only when some group was cut further; then
+	// every slice logs, and the logs replay into the collectors below.
+	sinks := make([]evidenceSink, len(cuts)-1)
+	var logs []*shardLog
+	if len(sinks) > len(collectors) {
+		logs = make([]*shardLog, len(sinks))
+	}
+	for i := range sinks {
+		if logs != nil {
+			logs[i] = &shardLog{}
+			sinks[i] = logs[i]
+		} else {
+			sinks[i] = collectors[i]
 		}
-		return []clusterSink{cc.cs}, nil
 	}
-	nParts := e.par
-	logs := make([]*shardLog, len(cuts)-1)
-	sinks := make([]evidenceSink, len(logs))
-	for i := range logs {
-		logs[i] = &shardLog{e: e, parts: make([][]*hitChunk, nParts)}
-		sinks[i] = logs[i]
-	}
-	scs := make([]scanCounters, len(logs))
-	st.Parallelism = e.par
-	if st.Parallelism > len(logs) {
-		st.Parallelism = len(logs)
-	}
-	t0 := time.Now()
-	scanSp := obs.Begin(ctx, "search.scan")
+	scs := make([]scanCounters, len(sinks))
+	st.Parallelism = min(e.par, len(sinks))
 	err := e.scanShards(ctx, p, cuts, sinks, scs)
-	scanSp.End()
-	st.Stage.Scan = int64(time.Since(t0))
 	for i := range scs {
 		st.add(&scs[i])
 	}
 	if err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
-	defer func() { st.Stage.Aggregate = int64(time.Since(t0)) }()
-	aggSp := obs.Begin(ctx, "search.aggregate")
-	defer aggSp.End()
-	// Phase 2: aggregate each partition's hits — shards in fixed order,
-	// entries in scan order — on its own worker. Every cluster lives in
-	// exactly one partition, so per-cluster this replays the serial add
-	// sequence bit-for-bit. Cancellation is polled per chunk, so the
-	// replay honors the same latency bound as the row loops.
-	parts := make([]clusterSink, nParts)
-	var wg sync.WaitGroup
-	for w := 0; w < nParts; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cc := clusterCollector{e: e, cs: clusterSink{}}
-			for _, lg := range logs {
-				for _, ch := range lg.parts[w] {
-					if ctx.Err() != nil {
-						return
-					}
-					for i := 0; i < ch.n; i++ {
-						cc.add(ch.recs[i].unpack())
-					}
-				}
-			}
-			parts[w] = cc.cs
-		}(w)
+	g := 0
+	for i, lg := range logs {
+		for g+1 < len(p.groups) && p.groups[g+1].start <= cuts[i] {
+			g++
+		}
+		if err := lg.replay(ctx, collectors[g]); err != nil {
+			return nil, err
+		}
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	var groups []PartialGroup
+	for g, pc := range collectors {
+		if clusters := pc.finish(); len(clusters) > 0 {
+			groups = append(groups, PartialGroup{Key: p.groups[g].key, Clusters: clusters})
+		}
 	}
-	return parts, nil
+	return groups, nil
 }
 
 // hitRec is a hit packed to 24 bytes for the scan logs (corpora are
@@ -324,151 +304,37 @@ type hitChunk struct {
 	recs [logChunkSize]hitRec
 }
 
-// shardLog is the per-shard scan sink: the hit stream in scan order,
-// chunked and bucketed by cluster partition so aggregation can fan out.
-// Appending a packed record is the only work on the scan's hot path —
-// cluster keys, canonical names and raw texts are derived later by the
-// aggregation workers.
+// shardLog is the per-slice scan sink: the slice's hit stream in scan
+// order, chunked. Appending a packed record is the only work on the
+// scan's hot path — cluster identities and raw texts are derived when
+// the log replays.
 type shardLog struct {
-	e     *Engine
-	parts [][]*hitChunk
+	chunks []*hitChunk
 }
 
 func (sl *shardLog) add(h hit) {
-	w := sl.e.partitionOf(h, len(sl.parts))
-	chunks := sl.parts[w]
 	var c *hitChunk
-	if len(chunks) == 0 || chunks[len(chunks)-1].n == logChunkSize {
+	if n := len(sl.chunks); n == 0 || sl.chunks[n-1].n == logChunkSize {
 		c = &hitChunk{}
-		sl.parts[w] = append(sl.parts[w], c)
+		sl.chunks = append(sl.chunks, c)
 	} else {
-		c = chunks[len(chunks)-1]
+		c = sl.chunks[n-1]
 	}
 	c.recs[c.n] = packHit(h)
 	c.n++
 }
 
-// partitionOf assigns a hit's cluster to one of w aggregation
-// partitions: entity clusters hash their ID, text clusters their
-// precomputed normalized cell text (FNV-1a) — the same values resolveKey
-// derives keys from, so all hits of one cluster land in one partition.
-// Any deterministic function of the cluster identity works: results do
-// not depend on the partition layout, only aggregation balance does.
-func (e *Engine) partitionOf(h hit, w int) int {
-	if h.entity != catalog.None {
-		// Knuth's multiplicative hash spreads dense entity IDs.
-		return int((uint32(h.entity) * 2654435761) % uint32(w))
-	}
-	norm := e.c.NormCell(h.loc)
-	f := uint32(2166136261)
-	for i := 0; i < len(norm); i++ {
-		f = (f ^ uint32(norm[i])) * 16777619
-	}
-	return int(f % uint32(w))
-}
-
-// explain runs the winners-only provenance pass, serially or sharded
-// (over the same cuts the collect pass used); SourceRefs concatenate in
-// shard order, so provenance ordering matches the serial scan. The
-// re-scan's counters go to a scratch accumulator: ExecStats counts the
-// evidence scan once, so a merged result's totals stay exact sums of
-// the shards' (only the explain stage's duration is recorded, by the
-// caller).
-func (e *Engine) explain(ctx context.Context, p *scanPlan, cuts []int, keys []string) (map[string]*Explanation, error) {
-	if len(cuts) <= 2 {
-		es := explainSink{e: e, m: make(map[string]*Explanation, len(keys))}
-		for _, k := range keys {
-			es.m[k] = &Explanation{}
+// replay feeds the logged hits to sink in scan order. Cancellation is
+// polled per chunk, so the replay honors the same latency bound as the
+// row loops.
+func (sl *shardLog) replay(ctx context.Context, sink evidenceSink) error {
+	for _, ch := range sl.chunks {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if err := e.scanRange(ctx, p, 0, p.len(), &es, &scanCounters{}); err != nil {
-			return nil, err
-		}
-		return es.m, nil
-	}
-	// The winner set is shared read-only across shard sinks; each sink
-	// materializes a winner's entry only when the shard actually hits
-	// it, so total explain state stays proportional to the provenance
-	// recorded, not to shards × winners.
-	winners := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		winners[k] = struct{}{}
-	}
-	shards := make([]*shardExplainSink, len(cuts)-1)
-	sinks := make([]evidenceSink, len(shards))
-	for i := range shards {
-		s := &shardExplainSink{e: e, winners: winners, m: make(map[string]*shardExplain)}
-		shards[i] = s
-		sinks[i] = s
-	}
-	if err := e.scanShards(ctx, p, cuts, sinks, make([]scanCounters, len(shards))); err != nil {
-		return nil, err
-	}
-	return mergeExplainShards(keys, shards), nil
-}
-
-// shardExplain is one winner's shard-local provenance: at most
-// MaxExplainSources sources (the merge takes a prefix in shard order, so
-// deeper entries could never be presented anyway) plus the overflow
-// count, which keeps Truncated exact.
-type shardExplain struct {
-	sources  []SourceRef
-	overflow int
-}
-
-// shardExplainSink is the per-shard provenance sink: it records only
-// the page winners (the shared winner set filters everything else) and
-// creates a winner's entry lazily on its first hit in this shard.
-type shardExplainSink struct {
-	e       *Engine
-	winners map[string]struct{} // shared across shards; never written
-	m       map[string]*shardExplain
-}
-
-func (es *shardExplainSink) add(h hit) {
-	key, ok := es.e.resolveKey(h)
-	if !ok {
-		return
-	}
-	if _, win := es.winners[key]; !win {
-		return
-	}
-	ex := es.m[key]
-	if ex == nil {
-		ex = &shardExplain{}
-		es.m[key] = ex
-	}
-	if len(ex.sources) < MaxExplainSources {
-		ex.sources = append(ex.sources, h.src())
-	} else {
-		ex.overflow++
-	}
-}
-
-// mergeExplainShards concatenates per-shard provenance in shard order —
-// the serial scan order — capping Sources at MaxExplainSources and
-// counting the rest as Truncated, exactly as the serial explainSink
-// does.
-func mergeExplainShards(keys []string, shards []*shardExplainSink) map[string]*Explanation {
-	out := make(map[string]*Explanation, len(keys))
-	for _, k := range keys {
-		out[k] = &Explanation{}
-	}
-	for _, ss := range shards {
-		for _, k := range keys {
-			sx := ss.m[k]
-			if sx == nil { // no hits for this winner in this shard
-				continue
-			}
-			ex := out[k]
-			for _, src := range sx.sources {
-				if len(ex.Sources) < MaxExplainSources {
-					ex.Sources = append(ex.Sources, src)
-				} else {
-					ex.Truncated++
-				}
-			}
-			ex.Truncated += sx.overflow
+		for i := 0; i < ch.n; i++ {
+			sink.add(ch.recs[i].unpack())
 		}
 	}
-	return out
+	return nil
 }

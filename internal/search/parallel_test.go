@@ -474,14 +474,17 @@ func BenchmarkSelectPageDominantForm(b *testing.B) {
 	const clusters, variants = 5000, 40
 	cs := clusterSink{}
 	for i := 0; i < clusters; i++ {
-		key := fmt.Sprintf("t:answer %d", i)
+		c := &cluster{key: fmt.Sprintf("t:answer %d", i), entity: catalog.None}
 		for v := 0; v < variants; v++ {
-			cs.insert(key, hit{entity: catalog.None, evidence: 0.5}, "", fmt.Sprintf("Answer %d v%d", i, v))
+			c.score += 0.5
+			c.support++
+			c.noteRawN(fmt.Sprintf("Answer %d v%d", i, v), 1)
 		}
+		cs[c.key] = c
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, _ := selectPage([]clusterSink{cs}, 10, nil)
+		res, _, _ := selectPage(cs, 10, nil)
 		if res.Total != clusters {
 			b.Fatal("bad total")
 		}

@@ -1,29 +1,32 @@
-// Partial-evidence execution for distributed serving.
+// Partial evidence: the pipeline's intermediate form, and its fold.
 //
-// A shard server owns a contiguous run of corpus segments and therefore
-// a contiguous range of global table numbers. ExecutePartial runs the
-// ordinary candidate scan over the shard's subset view but, instead of
-// folding evidence into scores, exports each answer cluster's ordered
-// hit list — the same pointer-free (table, row, col, evidence) records
-// the in-process parallel scan logs (parallel.go), grouped the way the
-// serial scan orders its candidate pairs. MergePartials replays those
-// lists — groups in key order, shards in shard order, hits in scan
-// order — through the ordinary cluster aggregation, reproducing the
-// single-node serial left fold bit-for-bit. Per-cluster *partial sums*
-// would not: floating-point addition is not associative, and pagination
-// cursors compare scores bit-exactly across separate executions.
+// Every query, on every path, passes through one representation: per
+// replay group, each answer cluster's ordered hit list ([]PartialGroup)
+// — pointer-free (table, row, col, evidence) records, grouped the way
+// the serial scan orders its candidate pairs. gather (parallel.go)
+// produces it; fold consumes it: it sums each cluster's evidence in
+// list order, selects the page, and reads the winners' explanations off
+// the same lists. Execute is gather + fold over one shard in one call.
+// A shard server stops after gather (ExecutePartial) and ships the
+// groups over the WTPART wire format; the router folds every shard's
+// groups (MergePartials) — groups in key order, shards in shard order,
+// hits in scan order — reproducing the single-node serial left fold
+// bit-for-bit. Per-cluster *partial sums* would not: floating-point
+// addition is not associative, and pagination cursors compare scores
+// bit-exactly across separate executions.
 //
 // Grouping is what makes the shard-major concatenation correct in every
-// mode. Baseline and TypeRel scan candidate pairs in ascending global
-// table order, so one group per request suffices: shard hit lists
-// concatenated in shard order are already in corpus order. Type mode is
-// type-major — subject types ascending, each type's pairs in corpus
-// order — so a cluster fed by two subject types interleaves across the
-// type runs, not across tables. One group per subject type restores the
-// serial order: replay group keys ascending, and within each group the
-// shards in order.
+// mode. A shard owns a contiguous run of corpus segments and therefore
+// a contiguous range of global table numbers. Baseline and TypeRel scan
+// candidate pairs in ascending global table order, so one group per
+// request suffices: shard hit lists concatenated in shard order are
+// already in corpus order. Type mode is type-major — subject types
+// ascending, each type's pairs in corpus order — so a cluster fed by
+// two subject types interleaves across the type runs, not across
+// tables. One group per subject type restores the serial order: replay
+// group keys ascending, and within each group the shards in order.
 //
-// Cluster identity travels on the wire so the merger needs no catalog:
+// Cluster identity travels with the hit lists so fold needs no catalog:
 // entity clusters carry their ID and canonical name (identical on every
 // shard — all shards load the same frozen catalog), text clusters carry
 // their normalized key and raw-form counts (merged additively; the
@@ -32,21 +35,20 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"time"
+	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/obs"
-	"repro/internal/searchidx"
 )
 
-// PartialHit is one matching answer cell a shard exports: the
-// corpus-global table number (the shard applies its table offset), the
-// cell address, and the evidence the row contributed. 24 bytes,
-// pointer-free — the same record shape as the in-process scan logs.
+// PartialHit is one matching answer cell: the corpus-global table
+// number (a shard applies its table offset), the cell address, and the
+// evidence the row contributed. 24 bytes, pointer-free — the same record
+// shape as the slice logs of a parallel scan.
 type PartialHit struct {
 	Table, Row, Col int32
 	Evidence        float64
@@ -103,363 +105,266 @@ type PartialGroup struct {
 // as Execute would report it. An empty cursor is valid (start at the
 // top). Routers use it to reject bad cursors before fanning out.
 func ValidateCursor(s string) error {
-	if s == "" {
-		return nil
-	}
 	_, err := decodeCursor(s)
 	return err
 }
 
-// ExecutePartial runs req's candidate scan over this engine's corpus —
-// a shard's subset view — and exports the evidence as partial groups
-// instead of a ranked page. tableOffset is the number of live tables
-// owned by preceding shards; it shifts hit table numbers into the
-// cluster-global numbering so merged explanations match a single node.
-// PageSize, Cursor and Explain are ignored (they are merge-time
+// ExecutePartial runs the pipeline up to and including gather over this
+// engine's corpus — a shard's subset view — and returns the partial
+// groups instead of a ranked page. tableOffset is the number of live
+// tables owned by preceding shards; it shifts hit table numbers into
+// the cluster-global numbering so merged explanations match a single
+// node. PageSize, Cursor and Explain are ignored (they are merge-time
 // concerns); the request is otherwise validated as Execute validates
 // it. Groups with no hits are omitted.
 //
-// The returned ExecStats carries the shard-local scan cost (pairs,
-// rows, segments, scan/plan/validate time); the merge-side stages
-// (aggregate, select, explain) happen in MergePartials, which sums the
-// shard stats and adds its own.
+// The returned ExecStats carries the shard-local cost (pairs, rows,
+// segments, validate/plan/scan time); the fold stages (aggregate,
+// select, explain) happen in MergePartials, which sums the shard stats
+// and adds its own.
 func (e *Engine) ExecutePartial(ctx context.Context, req Request, tableOffset int) ([]PartialGroup, *ExecStats, error) {
-	st := &ExecStats{Parallelism: 1}
-	e.viewCounts(st)
-	t0 := time.Now()
-	vsp := obs.Begin(ctx, "search.validate")
-	err := req.Validate()
-	vsp.End()
-	st.Stage.Validate = int64(time.Since(t0))
-	if err != nil {
+	st := e.newStats()
+	if err := validate(ctx, req, st); err != nil {
 		return nil, nil, err
 	}
-	// One scan span covers the whole partial-evidence pass (including
-	// the per-type loop in Type mode): the shard has no aggregate or
-	// page-select stage — those happen at the router's merge.
-	sp := obs.Begin(ctx, "search.scan")
-	defer sp.End()
-	if req.Mode != Type {
-		t0 = time.Now()
-		p := e.plan(req)
-		st.Stage.Plan = int64(time.Since(t0))
-		clusters, err := e.collectPartial(ctx, &p, tableOffset, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(clusters) == 0 {
-			return nil, st, nil
-		}
-		return []PartialGroup{{Key: 0, Clusters: clusters}}, st, nil
-	}
-	// Type mode: one group per matching subject type, types ascending —
-	// the serial scan's type-major pair order, reified so the merger can
-	// interleave shards within a type run instead of across runs. The
-	// per-type planning time folds into the scan stage, like the fused
-	// span above.
-	q := req.Query
-	m := newQueryMatcher(q.E2Text)
-	var groups []PartialGroup
-	for _, T := range e.c.SubjectTypes() {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if !e.cat.IsSubtype(T, q.T1) {
-			continue
-		}
-		var pairs []searchidx.ColumnPair
-		for _, p := range e.c.TypedPairsOf(T) {
-			if p.ObjType != catalog.None && e.cat.IsSubtype(p.ObjType, q.T2) {
-				pairs = append(pairs, p)
-			}
-		}
-		if len(pairs) == 0 {
-			continue
-		}
-		p := scanPlan{mode: Type, q: q, m: m, ann: pairs}
-		clusters, err := e.collectPartial(ctx, &p, tableOffset, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(clusters) > 0 {
-			groups = append(groups, PartialGroup{Key: uint32(T), Clusters: clusters})
-		}
+	p := e.plan(ctx, req, st)
+	groups, err := e.gather(ctx, &p, tableOffset, st)
+	if err != nil {
+		return nil, nil, err
 	}
 	return groups, st, nil
 }
 
-// partialAccum accumulates one cluster's partial evidence while a scan
-// runs.
-type partialAccum struct {
-	entity   catalog.EntityID
-	norm     string
-	hits     []PartialHit
-	variants map[string]int
+// partialCollector is the evidenceSink that builds ClusterPartials: it
+// resolves each hit's cluster identity — the answer cell's entity, else
+// its normalized text — and appends the hit, shifted to cluster-global
+// table numbers, to that cluster's list, preserving add order (the scan
+// order of whatever feeds it).
+type partialCollector struct {
+	e        *Engine
+	offset   int32
+	clusters []ClusterPartial
+	// entities and texts index clusters by identity (texts by
+	// normalized cell text).
+	entities map[catalog.EntityID]int
+	texts    map[string]int
 }
 
-// partialCollector is the evidenceSink that builds ClusterPartials: it
-// resolves each hit's cluster identity and appends the hit — shifted to
-// cluster-global table numbers — to that cluster's list, preserving add
-// order (the scan order of whatever range feeds it).
-type partialCollector struct {
-	e      *Engine
-	offset int32
-	m      map[string]*partialAccum
-	order  []string // first-appearance key order (iteration determinism)
+func newPartialCollector(e *Engine, tableOffset int) *partialCollector {
+	return &partialCollector{
+		e:        e,
+		offset:   int32(tableOffset),
+		entities: make(map[catalog.EntityID]int),
+		texts:    make(map[string]int),
+	}
 }
 
 func (pc *partialCollector) add(h hit) {
-	key, ok := pc.e.resolveKey(h)
-	if !ok {
-		return
-	}
-	a := pc.m[key]
-	if a == nil {
-		a = &partialAccum{entity: h.entity}
-		if h.entity == catalog.None {
-			a.norm = pc.e.c.NormCell(h.loc)
-			a.variants = make(map[string]int)
+	var cp *ClusterPartial
+	if h.entity != catalog.None {
+		i, ok := pc.entities[h.entity]
+		if !ok {
+			i = len(pc.clusters)
+			pc.entities[h.entity] = i
+			pc.clusters = append(pc.clusters, ClusterPartial{Entity: h.entity, Canonical: pc.e.cat.EntityName(h.entity)})
 		}
-		pc.m[key] = a
-		pc.order = append(pc.order, key)
+		cp = &pc.clusters[i]
+	} else {
+		// An unannotated cell whose normalized text is empty has no
+		// cluster identity and contributes nothing.
+		norm := pc.e.c.NormCell(h.loc)
+		if norm == "" {
+			return
+		}
+		i, ok := pc.texts[norm]
+		if !ok {
+			i = len(pc.clusters)
+			pc.texts[norm] = i
+			pc.clusters = append(pc.clusters, ClusterPartial{Entity: catalog.None, Norm: norm})
+		}
+		cp = &pc.clusters[i]
+		cp.Variants, _ = noteVariant(cp.Variants, pc.e.c.RawCell(h.loc), 1)
 	}
-	a.hits = append(a.hits, PartialHit{
+	cp.Hits = append(cp.Hits, PartialHit{
 		Table:    int32(h.loc.Table) + pc.offset,
 		Row:      int32(h.loc.Row),
 		Col:      int32(h.loc.Col),
 		Evidence: h.evidence,
 	})
-	if a.variants != nil {
-		a.variants[pc.e.c.RawCell(h.loc)]++
-	}
 }
 
-// collectPartial scans one plan into ClusterPartials, serially or via
-// the same two-phase shard/replay machinery the in-process parallel
-// scan uses — each cluster's partition replays shards in order, so its
-// hit list comes out in serial scan order either way. Counters, scan
-// time and parallelism accumulate into st (Type mode calls this once
-// per subject type, so everything adds rather than assigns).
-func (e *Engine) collectPartial(ctx context.Context, p *scanPlan, tableOffset int, st *ExecStats) ([]ClusterPartial, error) {
-	pc := &partialCollector{e: e, offset: int32(tableOffset), m: make(map[string]*partialAccum)}
-	cuts := e.cuts(p)
-	if len(cuts) <= 2 {
-		var sc scanCounters
-		t0 := time.Now()
-		err := e.scanRange(ctx, p, 0, p.len(), pc, &sc)
-		st.Stage.Scan += int64(time.Since(t0))
-		st.add(&sc)
-		if err != nil {
-			return nil, err
-		}
-		return pc.finish(), nil
-	}
-	logs := make([]*shardLog, len(cuts)-1)
-	sinks := make([]evidenceSink, len(logs))
-	for i := range logs {
-		logs[i] = &shardLog{e: e, parts: make([][]*hitChunk, e.par)}
-		sinks[i] = logs[i]
-	}
-	if used := min(e.par, len(logs)); used > st.Parallelism {
-		st.Parallelism = used
-	}
-	scs := make([]scanCounters, len(logs))
-	t0 := time.Now()
-	err := e.scanShards(ctx, p, cuts, sinks, scs)
-	st.Stage.Scan += int64(time.Since(t0))
-	for i := range scs {
-		st.add(&scs[i])
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Replay partitions into one collector: every cluster lives in
-	// exactly one partition, and within it the chunks replay shards in
-	// order, entries in scan order — so each cluster's hit list is the
-	// serial order regardless of partition layout.
-	t0 = time.Now()
-	for w := 0; w < e.par; w++ {
-		for _, lg := range logs {
-			for _, ch := range lg.parts[w] {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				for i := 0; i < ch.n; i++ {
-					pc.add(ch.recs[i].unpack())
-				}
-			}
+// noteVariant adds n occurrences of raw to a variant list, returning
+// the list and raw's new count. The list is searched linearly: the
+// distinct raw spellings of one normalized text are a handful (case,
+// spacing and punctuation variants), far below where a map would pay
+// for itself.
+func noteVariant(vs []Variant, raw string, n int) ([]Variant, int) {
+	for i := range vs {
+		if vs[i].Raw == raw {
+			vs[i].Count += n
+			return vs, vs[i].Count
 		}
 	}
-	st.Stage.Aggregate += int64(time.Since(t0))
-	return pc.finish(), nil
+	return append(vs, Variant{Raw: raw, Count: n}), n
 }
 
-// finish materializes the collected clusters in the wire order: entity
+// finish returns the collected clusters in the wire order: entity
 // clusters ascending by ID, then text clusters ascending by norm, with
 // each cluster's variants ascending by raw form. The order is purely a
-// determinism contract for the encoded bytes — merged results never
+// determinism contract for the encoded bytes — folded results never
 // depend on it (cluster rank is a total order).
 func (pc *partialCollector) finish() []ClusterPartial {
-	out := make([]ClusterPartial, 0, len(pc.order))
-	for _, key := range pc.order {
-		a := pc.m[key]
-		cp := ClusterPartial{Entity: a.entity, Norm: a.norm, Hits: a.hits}
-		if a.entity != catalog.None {
-			cp.Canonical = pc.e.cat.EntityName(a.entity)
-		} else {
-			cp.Variants = make([]Variant, 0, len(a.variants))
-			for raw, n := range a.variants {
-				cp.Variants = append(cp.Variants, Variant{Raw: raw, Count: n})
-			}
-			sort.Slice(cp.Variants, func(i, j int) bool { return cp.Variants[i].Raw < cp.Variants[j].Raw })
-		}
-		out = append(out, cp)
+	for i := range pc.clusters {
+		slices.SortFunc(pc.clusters[i].Variants, func(a, b Variant) int { return strings.Compare(a.Raw, b.Raw) })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
+	slices.SortFunc(pc.clusters, func(a, b ClusterPartial) int {
 		aText, bText := a.Entity == catalog.None, b.Entity == catalog.None
-		if aText != bText {
-			return !aText
+		switch {
+		case aText != bText:
+			if bText {
+				return -1
+			}
+			return 1
+		case aText:
+			return strings.Compare(a.Norm, b.Norm)
+		default:
+			return cmp.Compare(a.Entity, b.Entity)
 		}
-		if !aText {
-			return a.Entity < b.Entity
-		}
-		return a.Norm < b.Norm
 	})
-	return out
+	return pc.clusters
 }
 
-// noteRawN merges n occurrences of a raw surface form at once,
-// preserving noteRaw's dominant-form invariant (which depends only on
-// final counts, so shard-wise merging is order-independent).
-func (c *cluster) noteRawN(raw string, n int) {
-	if n <= 0 {
-		return
-	}
-	total := c.variants[raw] + n
-	c.variants[raw] = total
-	if total > c.bestN || (total == c.bestN && raw < c.bestText) {
-		c.bestText, c.bestN = raw, total
-	}
-}
-
-// MergePartials merges per-shard partial evidence into one result page,
-// byte-identical to a single-node Execute over the concatenated corpus:
-// for each group key ascending (union across shards), each shard's
-// cluster partials replay in shard order, so every cluster's score sums
-// its evidence in exactly the serial scan order. Page selection,
-// cursors and totals then run on the merged clusters through the same
-// machinery Execute uses. With explain set, a winners-only second pass
-// over the (in-memory) partials assembles provenance in the same order,
-// capped at MaxExplainSources with an exact Truncated count.
+// MergePartials folds per-shard partial evidence into one result page,
+// byte-identical to a single-node Execute over the concatenated corpus
+// (it is the same fold Execute runs over its one shard).
 //
 // shards must be ordered by shard index (ascending table ranges); a
 // shard with no matching evidence contributes an empty group list.
 // shardStats carries each shard's ExecStats in the same order (entries
 // may be zero-valued when a shard reported none, e.g. a WTPART v1
-// payload); the merged Result.Stats sums them and adds the merge's own
+// payload); the merged Result.Stats sums them and adds the fold's own
 // aggregate/select/explain time.
 func MergePartials(shards [][]PartialGroup, shardStats []ExecStats, pageSize int, cursor string, explain bool) (*Result, error) {
 	if pageSize < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrInvalidPageSize, pageSize)
 	}
-	var after *rankKey
-	if cursor != "" {
-		k, err := decodeCursor(cursor)
-		if err != nil {
-			return nil, err
-		}
-		after = &k
+	after, err := decodeCursor(cursor)
+	if err != nil {
+		return nil, err
 	}
 	st := MergeExecStats(shardStats)
-	t0 := time.Now()
-	groupKeys := mergedGroupKeys(shards)
-	cs := clusterSink{}
-	replayPartials(shards, groupKeys, func(cp *ClusterPartial) {
-		key := cp.Key()
-		c := cs[key]
-		if c == nil {
-			c = &cluster{key: key, entity: cp.Entity, canonical: cp.Canonical}
-			if cp.Entity == catalog.None {
-				c.variants = make(map[string]int)
-			}
-			cs[key] = c
-		}
-		for _, h := range cp.Hits {
-			c.score += h.Evidence
-		}
-		c.support += len(cp.Hits)
-		for _, v := range cp.Variants {
-			c.noteRawN(v.Raw, v.Count)
-		}
-	})
-	st.Stage.Aggregate += int64(time.Since(t0))
-	t0 = time.Now()
-	res, keys, eligible := selectPage([]clusterSink{cs}, pageSize, after)
-	st.Stage.Select += int64(time.Since(t0))
+	// The signature carries no context; fold only uses one to open trace
+	// spans, so a merge is simply untraced below the caller's own span.
+	return fold(context.TODO(), shards, &st, pageSize, after, explain)
+}
+
+// fold is the pipeline's second half: aggregate, select, explain. The
+// cluster partials fold into clusters in the serial scan order; page
+// selection, cursors and totals then run on the folded clusters, and
+// with explain set the winners' provenance is read off their hit lists
+// in the same order, capped at MaxExplainSources with an exact Truncated
+// count. Stage times add to st, which becomes the result's Stats. The
+// only error is the context's.
+func fold(ctx context.Context, shards [][]PartialGroup, st *ExecStats, pageSize int, after *rankKey, explain bool) (*Result, error) {
+	cs, err := aggregate(ctx, shards, st, explain)
+	if err != nil {
+		return nil, err
+	}
+	done := stage(ctx, "search.select", &st.Stage.Select)
+	res, winners, eligible := selectPage(cs, pageSize, after)
+	done()
 	st.AnswersBeforeTopK = eligible
-	t0 = time.Now()
-	if explain && len(res.Answers) > 0 {
-		expl := make(map[string]*Explanation, len(keys))
-		for _, k := range keys {
-			expl[k] = &Explanation{}
-		}
-		replayPartials(shards, groupKeys, func(cp *ClusterPartial) {
-			ex := expl[cp.Key()]
-			if ex == nil {
-				return
+	res.Stats = st
+	if explain && len(winners) > 0 {
+		defer stage(ctx, "search.explain", &st.Stage.Explain)()
+		for i, c := range winners {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			for _, h := range cp.Hits {
-				if len(ex.Sources) < MaxExplainSources {
-					ex.Sources = append(ex.Sources, SourceRef{
-						Table: int(h.Table), Row: int(h.Row), Col: int(h.Col), Score: h.Evidence,
-					})
-				} else {
-					ex.Truncated++
-				}
-			}
-		})
-		for i, key := range keys {
-			res.Answers[i].Explanation = expl[key]
+			res.Answers[i].Explanation = c.explanation()
 		}
 	}
-	st.Stage.Explain += int64(time.Since(t0))
-	res.Stats = &st
 	return res, nil
 }
 
-// mergedGroupKeys returns the ascending union of every shard's group
-// keys — the replay schedule's outer order.
-func mergedGroupKeys(shards [][]PartialGroup) []uint32 {
-	seen := make(map[uint32]struct{})
-	var keys []uint32
-	for _, groups := range shards {
-		for i := range groups {
-			k := groups[i].Key
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
-			}
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// replayPartials visits every cluster partial in the serial-equivalent
-// order: group keys ascending, shards in index order within a group,
-// clusters in their shard's encoded order.
-func replayPartials(shards [][]PartialGroup, groupKeys []uint32, visit func(*ClusterPartial)) {
-	for _, gk := range groupKeys {
+// aggregate is fold's first stage. For each group key ascending (union
+// across shards), each shard's cluster partials replay in shard order,
+// so every cluster's score sums its evidence in exactly the serial scan
+// order. The context is polled about every rowCheckInterval hits.
+func aggregate(ctx context.Context, shards [][]PartialGroup, st *ExecStats, explain bool) (clusterSink, error) {
+	defer stage(ctx, "search.aggregate", &st.Stage.Aggregate)()
+	cs := clusterSink{}
+	sincePoll := 0
+	for _, gk := range mergedGroupKeys(shards) {
 		for _, groups := range shards {
 			for i := range groups {
 				if groups[i].Key != gk {
 					continue
 				}
 				for ci := range groups[i].Clusters {
-					visit(&groups[i].Clusters[ci])
+					cp := &groups[i].Clusters[ci]
+					if sincePoll += len(cp.Hits); sincePoll >= rowCheckInterval {
+						sincePoll = 0
+						if err := ctx.Err(); err != nil {
+							return nil, err
+						}
+					}
+					cs.add(cp, explain)
 				}
 			}
 		}
 	}
+	return cs, nil
+}
+
+// explanation reads a cluster's provenance off the hit lists folded
+// into it: the first MaxExplainSources hits in fold order — the serial
+// scan order — and a count of the rest.
+func (c *cluster) explanation() *Explanation {
+	ex := &Explanation{}
+	for _, cp := range c.parts {
+		take := min(MaxExplainSources-len(ex.Sources), len(cp.Hits))
+		for _, h := range cp.Hits[:take] {
+			ex.Sources = append(ex.Sources, SourceRef{
+				Table: int(h.Table), Row: int(h.Row), Col: int(h.Col), Score: h.Evidence,
+			})
+		}
+		ex.Truncated += len(cp.Hits) - take
+	}
+	return ex
+}
+
+// add folds one cluster partial into its cluster: evidence summed in
+// list order, variant counts merged, and — for explanations — the
+// partial itself remembered in fold order.
+func (cs clusterSink) add(cp *ClusterPartial, explain bool) {
+	key := cp.Key()
+	c := cs[key]
+	if c == nil {
+		c = &cluster{key: key, entity: cp.Entity, canonical: cp.Canonical}
+		cs[key] = c
+	}
+	for _, h := range cp.Hits {
+		c.score += h.Evidence
+	}
+	c.support += len(cp.Hits)
+	for _, v := range cp.Variants {
+		c.noteRawN(v.Raw, v.Count)
+	}
+	if explain {
+		c.parts = append(c.parts, cp)
+	}
+}
+
+// mergedGroupKeys returns the ascending union of every shard's group
+// keys — the replay schedule's outer order.
+func mergedGroupKeys(shards [][]PartialGroup) []uint32 {
+	var keys []uint32
+	for _, groups := range shards {
+		for i := range groups {
+			keys = append(keys, groups[i].Key)
+		}
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Sentinel errors of the request surface; test with errors.Is.
@@ -139,14 +140,33 @@ func encodeCursor(k rankKey) string {
 	return base64.RawURLEncoding.EncodeToString(raw)
 }
 
-func decodeCursor(s string) (rankKey, error) {
+// decodeCursor decodes an optional cursor into the rank key to resume
+// strictly after; nil for the empty cursor (start at the top). Beyond
+// the encoding it rejects payloads no encodeCursor call can have
+// produced — a NaN score (which compares false against every rank key
+// both ways, so it would filter out the whole ranking), a negative
+// support, a key that is not a cluster key — so a forged cursor is an
+// error, never a silently empty page.
+func decodeCursor(s string) (*rankKey, error) {
+	if s == "" {
+		return nil, nil
+	}
 	raw, err := base64.RawURLEncoding.DecodeString(s)
 	if err != nil {
-		return rankKey{}, fmt.Errorf("%w: %v", ErrInvalidCursor, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalidCursor, err)
 	}
 	var p cursorPayload
 	if err := json.Unmarshal(raw, &p); err != nil {
-		return rankKey{}, fmt.Errorf("%w: %v", ErrInvalidCursor, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalidCursor, err)
 	}
-	return rankKey{score: math.Float64frombits(p.S), support: p.U, text: p.T, key: p.K}, nil
+	k := rankKey{score: math.Float64frombits(p.S), support: p.U, text: p.T, key: p.K}
+	switch {
+	case math.IsNaN(k.score):
+		return nil, fmt.Errorf("%w: score is not a number", ErrInvalidCursor)
+	case k.support < 0:
+		return nil, fmt.Errorf("%w: negative support %d", ErrInvalidCursor, k.support)
+	case !strings.HasPrefix(k.key, "e:") && !strings.HasPrefix(k.key, "t:"):
+		return nil, fmt.Errorf("%w: key %q is not a cluster key", ErrInvalidCursor, k.key)
+	}
+	return &k, nil
 }

@@ -7,18 +7,35 @@
 // The primary entry point is Engine.Execute, a request/response query
 // API: a Request carries the query, mode, page size, pagination cursor
 // and explain flag; the Result carries one ranked page, the total answer
-// count and the cursor of the next page. Candidate retrieval runs over
-// posting lists the index materialized at build time, and page selection
-// uses a bounded min-heap so a top-k query never sorts the full answer
-// set. With WithParallelism the candidate scan fans out over contiguous
-// shards on a bounded worker pool while staying byte-identical to the
-// serial scan (parallel.go). Run / RunContext / Strings are thin
-// deprecated shims over Execute.
+// count and the cursor of the next page.
+//
+// Every query runs the paper's one algorithm — walk candidate column
+// pairs, sum evidence per answer, rank — as one pipeline:
+//
+//	validate → plan → gather → fold
+//
+// plan (exec.go) reads the mode's candidate column pairs off posting
+// lists the index materialized at build time, in a fixed corpus order,
+// with their replay groups. gather (parallel.go) scans them — whole, or
+// as concurrent contiguous slices under WithParallelism — into the
+// pipeline's only intermediate form: per group, each answer cluster's
+// hit list in serial scan order (partial.go). fold sums each list left
+// to right, selects the page with a bounded min-heap so a top-k query
+// never sorts the full answer set, and reads explanations off the same
+// lists. Execute is the whole pipeline over one corpus; a shard server
+// runs it up to gather (ExecutePartial) and a router folds the shards'
+// groups (MergePartials).
+//
+// The intermediate form is logged evidence, not partial sums, because
+// floating-point addition is not associative and pagination cursors
+// compare scores bit-exactly across separate executions: replaying each
+// cluster's evidence in the one serial order is what makes pages
+// byte-identical at every parallelism level and shard count. The price
+// is query state of O(matching rows) on every path; what it buys,
+// besides one code path, is that explanations cost no second scan.
 package search
 
 import (
-	"context"
-
 	"repro/internal/catalog"
 	"repro/internal/searchidx"
 )
@@ -128,11 +145,11 @@ type Engine struct {
 // EngineOption configures an Engine at construction time.
 type EngineOption func(*Engine)
 
-// WithParallelism sets how many worker goroutines one Execute call may
-// use to scan candidate column pairs (see parallel.go). 1 — the default
-// — is the serial scan; any level returns byte-identical results
-// (scores, rankings, cursors, explanations), so the knob is purely about
-// latency. Values below 1 are ignored.
+// WithParallelism sets how many worker goroutines one Execute or
+// ExecutePartial call may use to scan candidate column pairs (see
+// parallel.go). 1 — the default — is the serial scan; any level returns
+// byte-identical results (scores, rankings, cursors, explanations), so
+// the knob is purely about latency. Values below 1 are ignored.
 func WithParallelism(n int) EngineOption {
 	return func(e *Engine) {
 		if n > 0 {
@@ -157,46 +174,3 @@ func NewEngineOver(c Corpus, opts ...EngineOption) *Engine {
 
 // Parallelism reports the engine's configured scan parallelism.
 func (e *Engine) Parallelism() int { return e.par }
-
-// Run answers q in the given mode, returning the full ranking (best
-// first).
-//
-// Deprecated: use Execute, which pages, explains and propagates errors.
-// Run discards execution errors: with a background context cancellation
-// is unreachable, leaving only invalid inputs (an out-of-range mode),
-// which return no answers instead of the pre-Execute behavior of
-// silently running them as Type mode.
-func (e *Engine) Run(q Query, mode Mode) []Answer {
-	res, err := e.Execute(context.Background(), Request{Query: q, Mode: mode})
-	if err != nil {
-		return nil
-	}
-	return res.Answers
-}
-
-// RunContext is Run with cancellation: the context is checked between
-// candidate column pairs and every rowCheckInterval rows within one, so
-// long scans over large corpora — even a single huge table — abort
-// promptly. On cancellation it returns nil answers and the context's
-// error.
-//
-// Deprecated: use Execute with a Request for paging, explanations and
-// bounded top-k selection.
-func (e *Engine) RunContext(ctx context.Context, q Query, mode Mode) ([]Answer, error) {
-	res, err := e.Execute(ctx, Request{Query: q, Mode: mode})
-	if err != nil {
-		return nil, err
-	}
-	return res.Answers, nil
-}
-
-// Strings answers q and projects the ranked answer texts, the form the
-// MAP evaluation consumes.
-func (e *Engine) Strings(q Query, mode Mode) []string {
-	answers := e.Run(q, mode)
-	out := make([]string, len(answers))
-	for i, a := range answers {
-		out[i] = a.Text
-	}
-	return out
-}

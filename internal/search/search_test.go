@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/catalog"
@@ -133,10 +134,30 @@ func (f *fx) query() Query {
 	}
 }
 
+// run answers q in the given mode and returns the full ranking.
+func run(t testing.TB, e *Engine, q Query, mode Mode) []Answer {
+	t.Helper()
+	res, err := e.Execute(context.Background(), Request{Query: q, Mode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Answers
+}
+
+// texts projects the ranked answer texts, the form the MAP evaluation
+// consumes.
+func texts(answers []Answer) []string {
+	out := make([]string, len(answers))
+	for i, a := range answers {
+		out[i] = a.Text
+	}
+	return out
+}
+
 func TestTypeRelFindsOnlyDirectedTable(t *testing.T) {
 	f := build(t)
 	e := NewEngine(f.ix)
-	answers := e.Run(f.query(), TypeRel)
+	answers := run(t, e, f.query(), TypeRel)
 	if len(answers) != 2 {
 		t.Fatalf("answers = %v", answers)
 	}
@@ -158,8 +179,8 @@ func TestTypeModeIncludesConfusion(t *testing.T) {
 	// both tables in.
 	q := f.query()
 	q.T2 = f.person
-	typeAnswers := e.Run(q, Type)
-	relAnswers := e.Run(q, TypeRel)
+	typeAnswers := run(t, e, q, Type)
+	relAnswers := run(t, e, q, TypeRel)
 	if len(typeAnswers) < len(relAnswers) {
 		t.Errorf("type-only (%d) returned fewer than type+rel (%d)", len(typeAnswers), len(relAnswers))
 	}
@@ -168,7 +189,7 @@ func TestTypeModeIncludesConfusion(t *testing.T) {
 func TestBaselineStringMatching(t *testing.T) {
 	f := build(t)
 	e := NewEngine(f.ix)
-	answers := e.Run(f.query(), Baseline)
+	answers := run(t, e, f.query(), Baseline)
 	if len(answers) == 0 {
 		t.Fatal("baseline found nothing despite matching headers and context")
 	}
@@ -185,11 +206,11 @@ func TestBaselineMissesAliasedHeaders(t *testing.T) {
 	e := NewEngine(f.ix)
 	q := f.query()
 	q.T1Text = "Feature Presentation" // no header token overlap
-	if answers := e.Run(q, Baseline); len(answers) != 0 {
+	if answers := run(t, e, q, Baseline); len(answers) != 0 {
 		t.Errorf("baseline matched without header overlap: %v", answers)
 	}
 	// The annotated modes don't care about surface forms.
-	if answers := e.Run(q, TypeRel); len(answers) == 0 {
+	if answers := run(t, e, q, TypeRel); len(answers) == 0 {
 		t.Error("type+rel should be immune to header wording")
 	}
 }
@@ -199,7 +220,7 @@ func TestE2TextFallback(t *testing.T) {
 	e := NewEngine(f.ix)
 	q := f.query()
 	q.E2 = catalog.None // E2 not in catalog: fall back to text matching
-	answers := e.Run(q, TypeRel)
+	answers := run(t, e, q, TypeRel)
 	if len(answers) == 0 {
 		t.Fatal("text fallback found nothing")
 	}
@@ -208,7 +229,7 @@ func TestE2TextFallback(t *testing.T) {
 func TestStringsProjection(t *testing.T) {
 	f := build(t)
 	e := NewEngine(f.ix)
-	ranked := e.Strings(f.query(), TypeRel)
+	ranked := texts(run(t, e, f.query(), TypeRel))
 	if len(ranked) == 0 {
 		t.Fatal("no ranked strings")
 	}
@@ -227,8 +248,8 @@ func TestStringsProjection(t *testing.T) {
 func TestRankingDeterministic(t *testing.T) {
 	f := build(t)
 	e := NewEngine(f.ix)
-	a := e.Strings(f.query(), TypeRel)
-	b := e.Strings(f.query(), TypeRel)
+	a := texts(run(t, e, f.query(), TypeRel))
+	b := texts(run(t, e, f.query(), TypeRel))
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic count")
 	}
@@ -387,12 +408,26 @@ func TestExecuteTopKBounded(t *testing.T) {
 	}
 }
 
+// forgedCursors are well-encoded cursors no execution can have minted:
+// a NaN score (before this was rejected it compared false against every
+// rank key both ways and returned a silently empty page), a negative
+// support, and a key that is not a cluster key.
+func forgedCursors() map[string]string {
+	return map[string]string{
+		"NaN score":        encodeCursor(rankKey{score: math.NaN(), support: 1, text: "x", key: "t:x"}),
+		"negative support": encodeCursor(rankKey{score: 1, support: -1, text: "x", key: "t:x"}),
+		"foreign key":      encodeCursor(rankKey{score: 1, support: 1, text: "x", key: "x"}),
+	}
+}
+
 func TestExecuteInvalidCursor(t *testing.T) {
 	e, q := bigFixture(t, 5)
-	for _, cursor := range []string{"%%%", "bm90LWpzb24"} { // bad base64; not JSON
-		_, err := e.Execute(context.Background(), Request{Query: q, Mode: TypeRel, Cursor: cursor})
+	cursors := forgedCursors()
+	cursors["bad base64"], cursors["not JSON"] = "%%%", "bm90LWpzb24"
+	for name, cursor := range cursors {
+		res, err := e.Execute(context.Background(), Request{Query: q, Mode: TypeRel, Cursor: cursor})
 		if !errors.Is(err, ErrInvalidCursor) {
-			t.Errorf("cursor %q: err = %v, want ErrInvalidCursor", cursor, err)
+			t.Errorf("%s: (%+v, %v), want ErrInvalidCursor", name, res, err)
 		}
 	}
 }
@@ -522,7 +557,7 @@ func TestDominantSurfaceForm(t *testing.T) {
 		RelationText: "directed", T1Text: "Film", T2Text: "Director", E2Text: "Dana Helm",
 	}
 	for _, mode := range []Mode{Baseline, TypeRel} {
-		answers := eng.Run(q, mode)
+		answers := run(t, eng, q, mode)
 		if len(answers) != 1 {
 			t.Fatalf("%v: answers = %+v, want one cluster", mode, answers)
 		}
@@ -541,9 +576,6 @@ func TestExecuteCancelled(t *testing.T) {
 	cancel()
 	if _, err := e.Execute(ctx, Request{Query: q, Mode: TypeRel}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if answers, err := e.RunContext(ctx, q, TypeRel); err == nil || answers != nil {
-		t.Fatalf("RunContext = (%v, %v), want (nil, cancelled)", answers, err)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Execution statistics: what one query cost, measured on every path
-// (serial, parallel, partial) without touching what it returns.
+// Execution statistics: what one query cost, measured at every stage of
+// the pipeline without touching what it returns.
 //
 // The counters are pure functions of the corpus and the request —
 // candidate pairs, rows, segments are the same on every run and at
@@ -14,11 +14,14 @@
 package search
 
 // StageNanos is the wall-clock nanoseconds one execution spent in each
-// pipeline stage. On a shard, Aggregate/Select/Explain are zero (those
-// stages run at the router's merge); in a merged result,
-// Validate/Plan/Scan are the sums across shards (total cluster work,
-// not critical-path time) while Aggregate/Select/Explain are the
-// merge's own.
+// pipeline stage; each is also one trace span (search.<stage>).
+// Validate, Plan and Scan are the gather half — Scan covers turning the
+// plan into per-cluster hit lists: the candidate scan and, when slices
+// were logged, their in-order replay. Aggregate, Select and Explain are
+// the fold half. Execute fills all of them; ExecutePartial only the
+// gather half (a shard does not fold); in a merged result the gather
+// half is the sum across shards (total cluster work, not critical-path
+// time) and the fold half is the merge's own.
 type StageNanos struct {
 	Validate  int64
 	Plan      int64
@@ -43,9 +46,10 @@ type ExecStats struct {
 	PairsMatched   int64
 	// RowsScanned is the total rows walked across all candidate pairs
 	// (a pair visiting the same physical row as another pair counts it
-	// again: this measures work done, not distinct rows). The explain
-	// pass's winners-only re-scan is excluded, so a merged result's
-	// RowsScanned is exactly the sum of its shards'.
+	// again: this measures work done, not distinct rows). Every query
+	// scans its plan exactly once — explanations are read off the
+	// gathered hits — so a merged result's RowsScanned is exactly the
+	// sum of its shards'.
 	RowsScanned int64
 	// SegmentsVisited and TombstonesSkipped describe the corpus view
 	// the scan ran over: its live index segments and the removed tables
@@ -56,10 +60,9 @@ type ExecStats struct {
 	// AnswersBeforeTopK is how many answer clusters were eligible for
 	// the page (after the cursor filter, before top-k truncation).
 	AnswersBeforeTopK int
-	// Parallelism is the scan parallelism actually used — 1 on the
-	// serial path, the worker count when the candidate list was
-	// sharded. It can be lower than the configured parallelism when
-	// there were fewer shards than workers.
+	// Parallelism is the scan parallelism actually used: the worker
+	// count, which is lower than the configured parallelism when the
+	// plan had fewer slices than workers, and 1 for a serial scan.
 	Parallelism int
 	// Stage is the per-stage wall-clock time.
 	Stage StageNanos
@@ -82,27 +85,28 @@ func (st *ExecStats) add(sc *scanCounters) {
 	st.RowsScanned += sc.rows
 }
 
-// viewCounts records the segment shape of the corpus view the engine
-// scans. Segmented views (segment.View) report their live segment and
-// tombstone counts; anything else is one monolithic segment.
-func (e *Engine) viewCounts(st *ExecStats) {
+// newStats starts one execution's stats with the segment shape of the
+// corpus view the engine scans. Segmented views (segment.View) report
+// their live segment and tombstone counts; anything else is one
+// monolithic segment.
+func (e *Engine) newStats() *ExecStats {
+	st := &ExecStats{Parallelism: 1, SegmentsVisited: 1}
 	if v, ok := e.c.(interface {
 		Segments() int
 		Tombstones() int
 	}); ok {
 		st.SegmentsVisited = v.Segments()
 		st.TombstonesSkipped = v.Tombstones()
-		return
 	}
-	st.SegmentsVisited = 1
+	return st
 }
 
 // MergeExecStats folds per-shard execution stats into the cluster-wide
 // view a routed query reports: counters and shard-side stage times sum
 // (shards own disjoint table ranges, so sums are exact totals, not
-// estimates), Parallelism is the maximum any shard used, and the
-// merge-side stages (Aggregate, Select, Explain) are left for the
-// merge itself to fill in.
+// estimates), Parallelism is the maximum any shard used, and the fold
+// stages (Aggregate, Select, Explain) are left for the merge's own fold
+// to add to.
 func MergeExecStats(shards []ExecStats) ExecStats {
 	out := ExecStats{Parallelism: 1}
 	for i := range shards {

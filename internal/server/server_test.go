@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -197,6 +198,11 @@ func TestSearchErrorMapping(t *testing.T) {
 		wantField  string
 	}{
 		{"bad cursor", srv.Handler(), searchBody(t, w, map[string]any{"cursor": "!!!not-a-cursor"}),
+			http.StatusBadRequest, "invalid_cursor", ""},
+		// A well-encoded cursor with a NaN score: it used to decode, compare
+		// false against every answer and return 200 with an empty page.
+		{"forged cursor", srv.Handler(), searchBody(t, w, map[string]any{"cursor": base64.RawURLEncoding.EncodeToString(
+			[]byte(`{"s":9221120237041090561,"u":1,"t":"x","k":"t:x"}`))}),
 			http.StatusBadRequest, "invalid_cursor", ""},
 		{"negative page size", srv.Handler(), searchBody(t, w, map[string]any{"page_size": -3}),
 			http.StatusBadRequest, "invalid_page_size", "page_size"},
@@ -894,11 +900,11 @@ func TestMetricsEndpoint(t *testing.T) {
 // execution) and whose child durations fit inside the measured wall
 // time of the request.
 func TestTraceSpanTree(t *testing.T) {
-	svc, w := testService(t, 2) // workers=2: parallel path, so aggregate is a distinct stage
+	svc, w := testService(t, 2)
 	srv := New(svc, WithLogger(quietLogger()))
 	h := srv.Handler()
 
-	req := httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(searchBody(t, w, nil)))
+	req := httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(searchBody(t, w, map[string]any{"explain": true})))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Request-ID", "trace-accept-1")
 	rec := httptest.NewRecorder()
@@ -940,15 +946,16 @@ func TestTraceSpanTree(t *testing.T) {
 		if tr.Root.Name != "POST /v1/search" {
 			t.Fatalf("root span = %q, want route name", tr.Root.Name)
 		}
-		stages := map[string]bool{}
+		stages := map[string]int{}
 		var childSum float64
 		for _, c := range tr.Root.Children {
-			stages[c.Name] = true
+			stages[c.Name]++
 			childSum += c.DurationMs
 		}
-		for _, stage := range []string{"search.validate", "search.plan", "search.scan", "search.aggregate", "search.select"} {
-			if !stages[stage] {
-				t.Fatalf("span tree missing stage %q; have %v", stage, stages)
+		// Every pipeline stage is exactly one span, at any parallelism.
+		for _, stage := range []string{"search.validate", "search.plan", "search.scan", "search.aggregate", "search.select", "search.explain"} {
+			if stages[stage] != 1 {
+				t.Fatalf("span tree has %d %q spans, want 1; have %v", stages[stage], stage, stages)
 			}
 		}
 		if childSum > tr.Root.DurationMs {

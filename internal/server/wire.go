@@ -199,9 +199,13 @@ type Source struct {
 	Score float64 `json:"score"`
 }
 
-// ToSearchResponse converts an engine result to the wire shape,
-// resolving entity IDs to catalog names.
-func ToSearchResponse(cat *webtable.Catalog, res *webtable.SearchResult) SearchResponse {
+// ToSearchResponse converts an engine result to the wire shape. It
+// needs no catalog (the parameter remains for its callers' sake, and may
+// be nil): an entity-backed answer's Text is the catalog's canonical
+// entity name by construction, so the wire Entity field is filled from
+// the answer itself — which is what lets a router, holding no catalog,
+// emit the same bytes as a single node.
+func ToSearchResponse(_ *webtable.Catalog, res *webtable.SearchResult) SearchResponse {
 	out := SearchResponse{
 		Answers:    make([]Answer, len(res.Answers)),
 		Total:      res.Total,
@@ -210,7 +214,7 @@ func ToSearchResponse(cat *webtable.Catalog, res *webtable.SearchResult) SearchR
 	for i, a := range res.Answers {
 		wa := Answer{Text: a.Text, Score: a.Score, Support: a.Support}
 		if a.Entity != webtable.None {
-			wa.Entity = cat.EntityName(a.Entity)
+			wa.Entity = a.Text
 		}
 		if a.Explanation != nil {
 			ex := &Explanation{

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/feature"
-	"repro/internal/search"
 	"repro/internal/segment"
 )
 
@@ -83,12 +82,11 @@ func WithWorkers(n int) ServiceOption {
 // not depend on it — so the knob trades per-query latency against CPU.
 // These scan workers are internal to a query and do not consume
 // worker-pool slots, so a SearchBatch of b requests may run up to
-// b*parallelism scan goroutines. Memory: a parallel scan buffers every
-// matching row as a 24-byte log record before aggregation — O(matching
-// rows) per in-flight query instead of the serial scan's O(distinct
-// answers) — so prefer parallelism 1 for very broad queries on
-// memory-constrained servers. 0 keeps the default; negative is an
-// error.
+// b*parallelism scan goroutines. Memory: every query holds each
+// matching row as a 24-byte hit record until its page is selected —
+// O(matching rows) per in-flight query at any parallelism; a parallel
+// scan briefly holds a second copy (its slice logs) while it replays
+// them. 0 keeps the default; negative is an error.
 func WithSearchParallelism(n int) ServiceOption {
 	return func(o *serviceOptions) { o.searchPar = n }
 }
@@ -175,30 +173,4 @@ func WithTypeEntityMode(m TypeEntityMode) AnnotateOption {
 // ignore this option.
 func WithoutAnnotations() AnnotateOption {
 	return func(o *annotateOptions) { o.noAnns = true }
-}
-
-// SearchOption configures one SearchAnswers call.
-//
-// Deprecated: use Search with a SearchRequest; its Mode and PageSize
-// fields replace these options.
-type SearchOption func(*searchOptions)
-
-type searchOptions struct {
-	mode  search.Mode
-	limit int
-}
-
-// WithSearchMode selects the query processor (Baseline / Type / TypeRel,
-// Figure 9). The default is SearchTypeRel.
-//
-// Deprecated: set SearchRequest.Mode instead.
-func WithSearchMode(m SearchMode) SearchOption {
-	return func(o *searchOptions) { o.mode = m }
-}
-
-// WithLimit truncates the ranked answers to the top k (0 = no limit).
-//
-// Deprecated: set SearchRequest.PageSize instead.
-func WithLimit(k int) SearchOption {
-	return func(o *searchOptions) { o.limit = k }
 }

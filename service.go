@@ -310,9 +310,8 @@ func tableID(t *table.Table) string {
 // it for Search, replacing the service's whole live corpus with a fresh
 // one-segment store. The swap is atomic — searches in flight keep the
 // corpus view they started with — and the built index is also returned
-// for direct use with NewSearchEngine. For incremental growth of an
-// existing corpus use AddTables, which only annotates and indexes the
-// new tables.
+// for inspection. For incremental growth of an existing corpus use
+// AddTables, which only annotates and indexes the new tables.
 func (s *Service) BuildIndex(ctx context.Context, tables []*Table, opts ...AnnotateOption) (*SearchIndex, error) {
 	o := resolveAnnotateOptions(opts)
 	var anns []*Annotation
@@ -494,23 +493,6 @@ func corpusMutationError(err error) error {
 	return &CorpusError{Failures: fails}
 }
 
-// Index returns the monolithic search index when the live corpus is a
-// single untombstoned segment (the state right after BuildIndex or
-// loading a flat snapshot), and nil otherwise.
-//
-// Deprecated: a mutated corpus has no single index. Use CorpusStats for
-// counters and Search for queries.
-func (s *Service) Index() *SearchIndex {
-	st := s.store.Load()
-	if st == nil {
-		return nil
-	}
-	if v := st.View(); v.Segments() == 1 && v.Tombstones() == 0 {
-		return v.SegmentAt(0).Index()
-	}
-	return nil
-}
-
 // DefaultPageSize is the page size SearchAll uses when the request
 // leaves PageSize zero (a zero PageSize would make every "page" the full
 // ranking).
@@ -576,24 +558,6 @@ func (s *Service) engine() (*search.Engine, error) {
 		return nil, ErrNoIndex
 	}
 	return search.NewEngineOver(st.View(), search.WithParallelism(s.searchPar)), nil
-}
-
-// SearchAnswers is the PR-1 search surface: functional options select
-// the mode (default SearchTypeRel) and truncate the ranking.
-//
-// Deprecated: use Search with a SearchRequest, which adds pagination,
-// total counts, explanations and bounded top-k ranking. This shim maps
-// WithSearchMode to Request.Mode and WithLimit to Request.PageSize.
-func (s *Service) SearchAnswers(ctx context.Context, q SearchQuery, opts ...SearchOption) ([]SearchAnswer, error) {
-	so := searchOptions{mode: SearchTypeRel}
-	for _, opt := range opts {
-		opt(&so)
-	}
-	res, err := s.Search(ctx, SearchRequest{Query: q, Mode: so.mode, PageSize: so.limit})
-	if err != nil {
-		return nil, err
-	}
-	return res.Answers, nil
 }
 
 // SearchBatch answers many requests concurrently over the service's

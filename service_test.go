@@ -577,44 +577,6 @@ func TestServiceSearchBatch(t *testing.T) {
 	}
 }
 
-// TestSearchAnswersShim checks the deprecated option-based surface
-// returns exactly what the request/response API returns.
-func TestSearchAnswersShim(t *testing.T) {
-	w := testWorld(t)
-	tables := corpusTables(w, 20)
-	svc, err := webtable.NewService(w.Public, webtable.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := svc.BuildIndex(ctx, tables); err != nil {
-		t.Fatalf("build index: %v", err)
-	}
-	workload := w.SearchWorkload([]string{"directed"}, 1, 7)
-	if len(workload) == 0 {
-		t.Fatal("empty workload")
-	}
-	req := w.Request(workload[0], webtable.SearchTypeRel, 5)
-
-	old, err := svc.SearchAnswers(ctx, req.Query,
-		webtable.WithSearchMode(webtable.SearchTypeRel), webtable.WithLimit(5))
-	if err != nil {
-		t.Fatalf("shim: %v", err)
-	}
-	res, err := svc.Search(ctx, req)
-	if err != nil {
-		t.Fatalf("search: %v", err)
-	}
-	if len(old) != len(res.Answers) {
-		t.Fatalf("shim %d answers, request API %d", len(old), len(res.Answers))
-	}
-	for i := range old {
-		if old[i] != res.Answers[i] {
-			t.Fatalf("answer %d differs: %+v != %+v", i, old[i], res.Answers[i])
-		}
-	}
-}
-
 // TestServiceSearchEndToEnd runs annotate → index → search through the
 // Service and checks the ground-truth subject surfaces in TypeRel mode.
 func TestServiceSearchEndToEnd(t *testing.T) {
@@ -628,8 +590,8 @@ func TestServiceSearchEndToEnd(t *testing.T) {
 	if _, err := svc.BuildIndex(ctx, tables); err != nil {
 		t.Fatalf("build index: %v", err)
 	}
-	if svc.Index() == nil {
-		t.Fatal("index not retained")
+	if stats, ok := svc.CorpusStats(); !ok || stats.Tables != len(tables) {
+		t.Fatalf("index not retained: stats %+v ok=%v, want %d tables", stats, ok, len(tables))
 	}
 
 	workload := w.SearchWorkload([]string{"directed"}, 3, 7)

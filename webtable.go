@@ -43,10 +43,6 @@
 //
 // The cmd/tabserved daemon (internal/server) exposes a Service over JSON
 // HTTP; see the README's Serving section.
-//
-// The pre-Service construction path (NewAnnotator, NewSearchIndex,
-// NewSearchEngine) remains available for fine-grained control and for
-// backward compatibility.
 package webtable
 
 import (
@@ -147,15 +143,8 @@ const (
 	ModeIDF      = feature.ModeIDF
 )
 
-// Annotator constructors.
+// Annotator defaults.
 var (
-	// NewAnnotator builds an annotator (and its lemma index) over a
-	// frozen catalog.
-	//
-	// Deprecated: construct a Service with NewService and use
-	// AnnotateTable / AnnotateCorpus; it shares one lemma index across
-	// all calls, bounds concurrency, and honors context cancellation.
-	NewAnnotator = core.New
 	// DefaultConfig is the paper's operating point.
 	DefaultConfig = core.DefaultConfig
 	// DefaultWeights is the hand-tuned starting point; train to refine.
@@ -182,8 +171,6 @@ var (
 type (
 	// SearchIndex indexes an (optionally annotated) corpus.
 	SearchIndex = searchidx.Index
-	// SearchEngine answers relational queries over an index.
-	SearchEngine = search.Engine
 	// SearchQuery is the §5 select-project query form.
 	SearchQuery = search.Query
 	// SearchRequest is one search call: query + mode + page size +
@@ -261,19 +248,6 @@ type (
 // point (merge 4 adjacent same-tier segments, tier base 8, rewrite at
 // half-dead).
 var DefaultCompactionPolicy = segment.DefaultCompactionPolicy
-
-// Search constructors.
-var (
-	// NewSearchIndex indexes a corpus with optional annotations.
-	//
-	// Deprecated: use Service.BuildIndex, which annotates the corpus in
-	// parallel, validates inputs, and honors context cancellation.
-	NewSearchIndex = searchidx.New
-	// NewSearchEngine wraps an index.
-	//
-	// Deprecated: use Service.Search over the service's built index.
-	NewSearchEngine = search.NewEngine
-)
 
 // Synthetic world generation (the data substitution documented in
 // DESIGN.md §2).

@@ -1,6 +1,7 @@
 package webtable_test
 
 import (
+	"context"
 	"testing"
 
 	webtable "repro"
@@ -56,8 +57,16 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			{"Russell Stannard", "Uncle Albert and the Quantum Quest"},
 		},
 	}
-	ann := webtable.NewAnnotator(cat, webtable.DefaultWeights(), webtable.DefaultConfig())
-	res := ann.AnnotateCollective(tab)
+	ctx := context.Background()
+	svc, err := webtable.NewService(cat,
+		webtable.WithServiceWeights(webtable.DefaultWeights()), webtable.WithServiceConfig(webtable.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.AnnotateTable(ctx, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.CellEntities[0][0] != einstein {
 		t.Errorf("cell (0,0) = %v", res.CellEntities[0][0])
 	}
@@ -78,25 +87,33 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	cfg := webtable.DefaultTrainConfig()
 	cfg.Epochs = 1
-	if _, err := webtable.Train(ann, []webtable.TrainExample{{Table: tab, Gold: gold}}, cfg); err != nil {
+	if _, err := webtable.Train(svc.Annotator(), []webtable.TrainExample{{Table: tab, Gold: gold}}, cfg); err != nil {
 		t.Fatalf("train: %v", err)
 	}
 
 	// Search via the facade: "who wrote Relativity?" — the §5 query form
 	// R(E1 ∈ T1, E2 ∈ T2) with R's schema wrote(Writer, Book), so T1 is
 	// the subject (writer) type and E2 the probe book.
-	ix := webtable.NewSearchIndex(cat, []*webtable.Table{tab}, []*webtable.Annotation{res})
-	engine := webtable.NewSearchEngine(ix)
-	answers := engine.Run(webtable.SearchQuery{
-		Relation:     wrote,
-		T1:           writer,
-		T2:           book,
-		E2:           relativity,
-		RelationText: "wrote",
-		T1Text:       "Writer",
-		T2Text:       "Book",
-		E2Text:       "Relativity: The Special and the General Theory",
-	}, webtable.SearchTypeRel)
+	if _, err := svc.BuildIndex(ctx, []*webtable.Table{tab}); err != nil {
+		t.Fatal(err)
+	}
+	page, err := svc.Search(ctx, webtable.SearchRequest{
+		Query: webtable.SearchQuery{
+			Relation:     wrote,
+			T1:           writer,
+			T2:           book,
+			E2:           relativity,
+			RelationText: "wrote",
+			T1Text:       "Writer",
+			T2Text:       "Book",
+			E2Text:       "Relativity: The Special and the General Theory",
+		},
+		Mode: webtable.SearchTypeRel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := page.Answers
 	if len(answers) != 1 || answers[0].Entity != einstein {
 		t.Fatalf("search answers = %+v", answers)
 	}
