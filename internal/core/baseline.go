@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -51,7 +52,7 @@ func (a *Annotator) annotateVoting(t *table.Table, fraction float64, localCells 
 	ann.ColumnTypeSets = make([][]catalog.TypeID, t.Cols())
 
 	start := time.Now()
-	cs := a.buildCandidates(t)
+	cs, _ := a.buildCandidates(context.Background(), t)
 	candTime := time.Since(start)
 
 	start = time.Now()

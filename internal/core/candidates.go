@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/catalog"
@@ -28,8 +29,11 @@ type relPair struct {
 	rels []feature.RelDir
 }
 
-// buildCandidates runs candidate generation for one table.
-func (a *Annotator) buildCandidates(t *table.Table) *candidates {
+// buildCandidates runs candidate generation for one table. It is the
+// stage whose cost grows with the row count, so it polls ctx before every
+// row's probe (tens of µs) and before every column pair's relation scan,
+// and returns the context's error instead of a partial label space.
+func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table) (*candidates, error) {
 	cs := &candidates{tab: t}
 	// 1. Annotatable columns.
 	for c := 0; c < t.Cols(); c++ {
@@ -43,6 +47,9 @@ func (a *Annotator) buildCandidates(t *table.Table) *candidates {
 	for i, c := range cs.cols {
 		cs.cells[i] = make([][]lemmaindex.Candidate, t.Rows())
 		for r := 0; r < t.Rows(); r++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			cs.cells[i][r] = a.ix.CandidateEntities(t.Cell(r, c))
 		}
 	}
@@ -54,13 +61,16 @@ func (a *Annotator) buildCandidates(t *table.Table) *candidates {
 	// 4. Relation space per column pair.
 	for i := 0; i < len(cs.cols); i++ {
 		for j := i + 1; j < len(cs.cols); j++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			rels := a.relationSpace(cs, i, j)
 			if len(rels) > 0 {
 				cs.pairs = append(cs.pairs, relPair{i: i, j: j, rels: rels})
 			}
 		}
 	}
-	return cs
+	return cs, nil
 }
 
 // columnTypeSpace computes T_c = ∪_{E∈E_rc} T(E), optionally capped to

@@ -210,10 +210,10 @@ func (a *Annotator) AnnotateCollective(t *table.Table) *Annotation {
 }
 
 // AnnotateCollectiveContext is AnnotateCollective with cancellation: the
-// context is checked before candidate generation, before graph build, and
-// between BP sweeps. On cancellation it returns the all-na annotation
-// shaped like t together with the context's error; partial inference
-// results are never decoded.
+// context is checked before every row of candidate generation, before
+// graph build, and between BP sweeps. On cancellation it returns the
+// all-na annotation shaped like t together with the context's error;
+// partial inference results are never decoded.
 func (a *Annotator) AnnotateCollectiveContext(ctx context.Context, t *table.Table) (*Annotation, error) {
 	ann := newAnnotation(t)
 	if err := ctx.Err(); err != nil {
@@ -221,7 +221,10 @@ func (a *Annotator) AnnotateCollectiveContext(ctx context.Context, t *table.Tabl
 	}
 
 	start := time.Now()
-	cs := a.buildCandidates(t)
+	cs, err := a.buildCandidates(ctx, t)
+	if err != nil {
+		return ann, err
+	}
 	candTime := time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return ann, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -401,7 +402,7 @@ func TestScoreAnnotationConsistent(t *testing.T) {
 	w := buildFigure1World(t)
 	a := newTestAnnotator(t, w)
 	tab := figure1Table()
-	cs := a.buildCandidates(tab)
+	cs, _ := a.buildCandidates(context.Background(), tab)
 	ann := a.AnnotateCollective(tab)
 	naAnn := newAnnotation(tab)
 	if got, na := a.scoreAnnotation(cs, ann), a.scoreAnnotation(cs, naAnn); got < na {

@@ -26,9 +26,10 @@ func (a *Annotator) AnnotateSimple(t *table.Table) *Annotation {
 }
 
 // AnnotateSimpleContext is AnnotateSimple with cancellation: the context
-// is checked before candidate generation and between columns. On
-// cancellation it returns the annotation as labeled so far together with
-// the context's error.
+// is checked before every row of candidate generation and between column
+// type hypotheses. On cancellation it returns the annotation as labeled
+// so far (all-na while candidates were still being generated) together
+// with the context's error.
 func (a *Annotator) AnnotateSimpleContext(ctx context.Context, t *table.Table) (*Annotation, error) {
 	ann := newAnnotation(t)
 	if err := ctx.Err(); err != nil {
@@ -36,7 +37,10 @@ func (a *Annotator) AnnotateSimpleContext(ctx context.Context, t *table.Table) (
 	}
 
 	start := time.Now()
-	cs := a.buildCandidates(t)
+	cs, err := a.buildCandidates(ctx, t)
+	if err != nil {
+		return ann, err
+	}
 	candTime := time.Since(start)
 
 	start = time.Now()
@@ -55,6 +59,10 @@ func (a *Annotator) AnnotateSimpleContext(ctx context.Context, t *table.Table) (
 			bestScore += r.score
 		}
 		for _, T := range cs.colTypes[i] {
+			// Each hypothesis rescans every row of the column.
+			if err := ctx.Err(); err != nil {
+				return ann, err
+			}
 			header := t.Header(c)
 			aT := a.ext.LogPhi2(&a.w, header, T)
 			cells := a.bestCellsGivenType(cs, i, T)

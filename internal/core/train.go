@@ -28,7 +28,7 @@ type GoldLabels struct {
 // should not chase them). The returned annotation is suitable for
 // FeatureVector.
 func (a *Annotator) GoldAnnotation(t *table.Table, gold GoldLabels) *Annotation {
-	cs := a.buildCandidates(t)
+	cs, _ := a.buildCandidates(context.Background(), t)
 	return a.goldFromCandidates(cs, gold)
 }
 
@@ -84,7 +84,7 @@ func (cs *candidates) pairForCols(c1, c2 int) (relPair, bool) {
 // every feature vector fired by annotation y on table t. The model score
 // of y is exactly dot(weights, Φ) — the log of objective (1).
 func (a *Annotator) FeatureVector(t *table.Table, ann *Annotation) []float64 {
-	cs := a.buildCandidates(t)
+	cs, _ := a.buildCandidates(context.Background(), t)
 	return a.featureVector(cs, ann)
 }
 
@@ -149,7 +149,7 @@ func (a *Annotator) featureVector(cs *candidates, ann *Annotation) []float64 {
 // structured SVM training [Tsochantaridis et al. 2005].
 func (a *Annotator) AnnotateLossAugmented(t *table.Table, gold GoldLabels, lossWeight float64) *Annotation {
 	ann := newAnnotation(t)
-	cs := a.buildCandidates(t)
+	cs, _ := a.buildCandidates(context.Background(), t)
 	ag := a.buildGraph(cs)
 
 	// Add +lossWeight to every label except the gold one, per variable.

@@ -154,6 +154,12 @@ func (g *Graph) UpdateVarToFactor(v VarID, f FactorID) {
 
 // UpdateFactorToVar recomputes M(f→v): max over the other variables'
 // assignments of the factor's log-potential plus their incoming messages.
+//
+// The table is visited in flat (row-major) order with idx stepped like an
+// odometer beside it — last slot fastest, carrying leftward — so no entry
+// pays a div/mod to recover its index tuple, and idx lives on the stack.
+// The additions into score run in slot order, as they always have; max
+// is exact, so every message is reproducible to the last bit.
 func (g *Graph) UpdateFactorToVar(f FactorID, v VarID) {
 	fac := &g.factors[f]
 	k := g.slotOf(f, v)
@@ -161,19 +167,23 @@ func (g *Graph) UpdateFactorToVar(f FactorID, v VarID) {
 	for x := range out {
 		out[x] = math.Inf(-1)
 	}
-	// Enumerate the full table; arity <= 3 keeps this cheap.
-	idx := make([]int, len(fac.dims))
-	for flat, lp := range fac.logPot {
-		unflatten(flat, fac.dims, idx)
+	in := g.varToFac[f]
+	var idx [3]int // AddFactor caps arity at 3
+	for _, lp := range fac.logPot {
 		score := lp
-		for j := range fac.vars {
-			if j == k {
-				continue
+		for j := range fac.dims {
+			if j != k {
+				score += in[j][idx[j]]
 			}
-			score += g.varToFac[f][j][idx[j]]
 		}
 		if score > out[idx[k]] {
 			out[idx[k]] = score
+		}
+		for j := len(fac.dims) - 1; j >= 0; j-- {
+			if idx[j]++; idx[j] < fac.dims[j] {
+				break
+			}
+			idx[j] = 0
 		}
 	}
 	normalizeLog(out)
@@ -331,13 +341,6 @@ func flatten(idx, dims []int) int {
 		flat = flat*dims[i] + idx[i]
 	}
 	return flat
-}
-
-func unflatten(flat int, dims, out []int) {
-	for i := len(dims) - 1; i >= 0; i-- {
-		out[i] = flat % dims[i]
-		flat /= dims[i]
-	}
 }
 
 // normalizeLog shifts a log-vector so its max is 0; all -inf vectors are

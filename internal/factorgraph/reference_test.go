@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// unflatten recovers the index tuple of a flat row-major table offset.
+func unflatten(flat int, dims, out []int) {
+	for i := len(dims) - 1; i >= 0; i-- {
+		out[i] = flat % dims[i]
+		flat /= dims[i]
+	}
+}
+
 // referenceFactorToVar is the max-product factor→variable update spelled
 // the slow, obviously-right way: visit the table in flat order and
 // recover each entry's index tuple with unflatten. UpdateFactorToVar must

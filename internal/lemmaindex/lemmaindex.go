@@ -3,13 +3,30 @@
 // cell based on token overlap between the cell text and entity lemmas, and
 // to compute the similarity profiles consumed by features f1 and f2.
 //
-// The paper reports that ~80% of annotation time is spent probing this
-// index and computing textual similarities, which the Figure-7 experiment
-// reproduces.
+// Build compiles every entity and type lemma exactly once into a
+// text.Vector (canonical spelling, sorted distinct tokens with TF-IDF
+// weights and decoded runes, norm) and derives the postings from the
+// compiled tokens. A probe compiles its cell or header once and hands
+// the two compiled sides to one profile function, which only merge-joins
+// sorted token lists and compares pre-decoded runes: no lemma is
+// tokenised, normalised or vectorised after Build, and a probe's
+// allocations do not grow with the number of entities it pools. The
+// index is immutable after Build and everything a probe writes lives on
+// its own stack or in slices it allocates, so annotation workers share
+// one Index without synchronisation.
+//
+// The paper reports that ~80% of its annotation time went into probing
+// this index and computing textual similarities. This implementation
+// matched that while every comparison re-tokenised both strings
+// (`tabeval -exp fig7`: candidate generation 75% of a collective
+// annotation, potential construction 11%, inference 14%); with compiled
+// lemmas the split is about 44% / 35% / 21% of a total 3.7× smaller.
+// The Figure-7 experiment reports whatever split it measures.
 package lemmaindex
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/text"
@@ -70,10 +87,10 @@ type Index struct {
 
 	// entityPostings maps token -> entity ids (deduped, ascending).
 	entityPostings map[string][]catalog.EntityID
-	// entityLemmaVecs[i] holds the TF-IDF vectors of entity i's lemmas.
-	entityLemmaVecs [][]text.Vector
-	// typeLemmaVecs[i] holds the TF-IDF vectors of type i's lemmas.
-	typeLemmaVecs [][]text.Vector
+	// entityLemmas[i] holds entity i's lemmas, compiled.
+	entityLemmas [][]text.Vector
+	// typeLemmas[i] holds type i's lemmas, compiled.
+	typeLemmas [][]text.Vector
 }
 
 // Build indexes every entity and type lemma of a frozen catalog.
@@ -95,34 +112,34 @@ func Build(cat *catalog.Catalog, cfg Config) *Index {
 			ix.vs.Add(l)
 		}
 	}
-	// Pass 2: vectors and postings.
-	ix.entityLemmaVecs = make([][]text.Vector, cat.NumEntities())
+	// Pass 2: compile each lemma once; its tokens feed the postings.
+	ix.entityLemmas = make([][]text.Vector, cat.NumEntities())
 	for e := 0; e < cat.NumEntities(); e++ {
 		id := catalog.EntityID(e)
 		lemmas := cat.EntityLemmas(id)
 		vecs := make([]text.Vector, len(lemmas))
-		seen := make(map[string]struct{})
 		for i, l := range lemmas {
 			vecs[i] = ix.vs.Vectorize(l)
-			for tok := range text.TokenSet(l) {
-				if _, dup := seen[tok]; dup {
+			for _, tok := range vecs[i].Tokens {
+				// Entities arrive in ascending order, so a token an
+				// earlier lemma of this entity posted is the list's last.
+				post := ix.entityPostings[tok.Text]
+				if n := len(post); n > 0 && post[n-1] == id {
 					continue
 				}
-				seen[tok] = struct{}{}
-				ix.entityPostings[tok] = append(ix.entityPostings[tok], id)
+				ix.entityPostings[tok.Text] = append(post, id)
 			}
 		}
-		ix.entityLemmaVecs[e] = vecs
+		ix.entityLemmas[e] = vecs
 	}
-	ix.typeLemmaVecs = make([][]text.Vector, cat.NumTypes())
+	ix.typeLemmas = make([][]text.Vector, cat.NumTypes())
 	for t := 0; t < cat.NumTypes(); t++ {
-		id := catalog.TypeID(t)
-		lemmas := cat.TypeLemmas(id)
+		lemmas := cat.TypeLemmas(catalog.TypeID(t))
 		vecs := make([]text.Vector, len(lemmas))
 		for i, l := range lemmas {
 			vecs[i] = ix.vs.Vectorize(l)
 		}
-		ix.typeLemmaVecs[t] = vecs
+		ix.typeLemmas[t] = vecs
 	}
 	return ix
 }
@@ -135,32 +152,18 @@ func (ix *Index) VectorSpace() *text.VectorSpace { return ix.vs }
 func (ix *Index) Catalog() *catalog.Catalog { return ix.cat }
 
 // CandidateEntities returns the top candidates for a cell text, scored by
-// lemma similarity, descending. Empty or purely-numeric-looking cells
-// return nil.
+// lemma similarity, descending. A cell without tokens (empty, or only
+// punctuation) returns nil, as does one none of whose tokens is indexed;
+// digits are tokens like any other, so "1987" probes the index.
 func (ix *Index) CandidateEntities(cell string) []Candidate {
-	probe := ix.vs.TopTokens(cell, ix.cfg.MaxProbeTokens)
-	if len(probe) == 0 {
-		return nil
-	}
-	pool := make(map[catalog.EntityID]struct{})
-	for _, tok := range probe {
-		post := ix.entityPostings[tok]
-		if len(post) == 0 || len(post) > ix.cfg.MaxPostingLen {
-			continue
-		}
-		for _, e := range post {
-			pool[e] = struct{}{}
-		}
-	}
+	q := ix.vs.Vectorize(cell)
+	pool := ix.pool(ix.vs.TopTokens(q, ix.cfg.MaxProbeTokens))
 	if len(pool) == 0 {
 		return nil
 	}
-	cellVec := ix.vs.Vectorize(cell)
-	cellNorm := text.Normalize(cell)
-	cellSet := text.TokenSet(cell)
 	cands := make([]Candidate, 0, len(pool))
-	for e := range pool {
-		sim := ix.profile(e, cell, cellVec, cellNorm, cellSet)
+	for _, e := range pool {
+		sim := profile(q, ix.entityLemmas[e], ix.cfg.SoftThreshold)
 		score := sim.Cosine
 		if sim.SoftTFIDF > score {
 			score = sim.SoftTFIDF
@@ -170,11 +173,8 @@ func (ix *Index) CandidateEntities(cell string) []Candidate {
 		}
 		cands = append(cands, Candidate{Entity: e, Sim: sim, Score: score})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Entity < cands[j].Entity
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Entity, b.Entity))
 	})
 	if len(cands) > ix.cfg.MaxCandidates {
 		cands = cands[:ix.cfg.MaxCandidates]
@@ -182,24 +182,65 @@ func (ix *Index) CandidateEntities(cell string) []Candidate {
 	return cands
 }
 
+// postings returns the posting list a probe token contributes: none when
+// the token is unindexed or stop-word-like (longer than MaxPostingLen).
+func (ix *Index) postings(tok string) []catalog.EntityID {
+	post := ix.entityPostings[tok]
+	if len(post) > ix.cfg.MaxPostingLen {
+		return nil
+	}
+	return post
+}
+
+// pool returns the union of the probe tokens' posting lists, ascending.
+// The result may alias the index's own storage and must not be written.
+func (ix *Index) pool(probe []string) []catalog.EntityID {
+	var only []catalog.EntityID
+	lists, total := 0, 0
+	for _, tok := range probe {
+		if post := ix.postings(tok); len(post) > 0 {
+			only, lists, total = post, lists+1, total+len(post)
+		}
+	}
+	if lists <= 1 {
+		return only
+	}
+	union := make([]catalog.EntityID, 0, total)
+	for _, tok := range probe {
+		union = append(union, ix.postings(tok)...)
+	}
+	slices.Sort(union)
+	return slices.Compact(union)
+}
+
 // ProfileFor computes the similarity profile of an arbitrary entity
 // against a cell text, bypassing retrieval. Used when scoring ground-truth
 // labels during training even if retrieval missed them.
 func (ix *Index) ProfileFor(e catalog.EntityID, cell string) SimilarityProfile {
-	return ix.profile(e, cell, ix.vs.Vectorize(cell), text.Normalize(cell), text.TokenSet(cell))
+	return profile(ix.vs.Vectorize(cell), ix.entityLemmas[e], ix.cfg.SoftThreshold)
 }
 
-func (ix *Index) profile(e catalog.EntityID, cell string, cellVec text.Vector, cellNorm string, cellSet map[string]struct{}) SimilarityProfile {
+// TypeHeaderSim returns the max over L(T) of sim(header, lemma) as a
+// profile (feature f2, §4.2.2). A missing header yields the zero profile.
+func (ix *Index) TypeHeaderSim(t catalog.TypeID, header string) SimilarityProfile {
+	if header == "" {
+		return SimilarityProfile{}
+	}
+	return profile(ix.vs.Vectorize(header), ix.typeLemmas[t], ix.cfg.SoftThreshold)
+}
+
+// profile takes, per measure, the maximum over an item's compiled lemmas
+// of sim(q, lemma). Both sides arrive compiled; nothing here tokenises.
+func profile(q text.Vector, lemmas []text.Vector, softThreshold float64) SimilarityProfile {
 	var p SimilarityProfile
-	lemmas := ix.cat.EntityLemmas(e)
-	for i, l := range lemmas {
-		if cos := text.Cosine(cellVec, ix.entityLemmaVecs[e][i]); cos > p.Cosine {
+	for _, l := range lemmas {
+		if cos := text.Cosine(q, l); cos > p.Cosine {
 			p.Cosine = cos
 		}
-		if j := text.JaccardSets(cellSet, text.TokenSet(l)); j > p.Jaccard {
+		if j := text.JaccardVectors(q, l); j > p.Jaccard {
 			p.Jaccard = j
 		}
-		if text.Normalize(l) == cellNorm && cellNorm != "" {
+		if l.Text == q.Text && q.Text != "" {
 			p.Exact = 1
 		}
 	}
@@ -207,41 +248,7 @@ func (ix *Index) profile(e catalog.EntityID, cell string, cellVec text.Vector, c
 	// are weak enough for the typo-tolerant channel to matter.
 	if p.Exact == 0 && p.Cosine < 0.999 {
 		for _, l := range lemmas {
-			if s := ix.vs.SoftTFIDF(cell, l, ix.cfg.SoftThreshold); s > p.SoftTFIDF {
-				p.SoftTFIDF = s
-			}
-		}
-	} else {
-		p.SoftTFIDF = p.Cosine
-	}
-	return p
-}
-
-// TypeHeaderSim returns the max over L(T) of sim(header, lemma) as a
-// profile (feature f2, §4.2.2). A missing header yields the zero profile.
-func (ix *Index) TypeHeaderSim(t catalog.TypeID, header string) SimilarityProfile {
-	var p SimilarityProfile
-	if header == "" {
-		return p
-	}
-	headerVec := ix.vs.Vectorize(header)
-	headerNorm := text.Normalize(header)
-	headerSet := text.TokenSet(header)
-	lemmas := ix.cat.TypeLemmas(t)
-	for i, l := range lemmas {
-		if cos := text.Cosine(headerVec, ix.typeLemmaVecs[t][i]); cos > p.Cosine {
-			p.Cosine = cos
-		}
-		if j := text.JaccardSets(headerSet, text.TokenSet(l)); j > p.Jaccard {
-			p.Jaccard = j
-		}
-		if text.Normalize(l) == headerNorm {
-			p.Exact = 1
-		}
-	}
-	if p.Exact == 0 && p.Cosine < 0.999 {
-		for _, l := range lemmas {
-			if s := ix.vs.SoftTFIDF(header, l, ix.cfg.SoftThreshold); s > p.SoftTFIDF {
+			if s := text.SoftTFIDF(q, l, softThreshold); s > p.SoftTFIDF {
 				p.SoftTFIDF = s
 			}
 		}

@@ -1,0 +1,78 @@
+package lemmaindex_test
+
+import (
+	"testing"
+
+	"repro/internal/lemmaindex"
+	"repro/internal/text"
+)
+
+// pooled returns an upper bound on the number of entities a probe of cell
+// pools: the summed posting-list lengths of its distinct tokens.
+func pooled(ix *lemmaindex.Index, cell string) int {
+	n := 0
+	for tok := range text.TokenSet(cell) {
+		if l := ix.PostingLen(tok); l <= lemmaindex.DefaultConfig().MaxPostingLen {
+			n += l
+		}
+	}
+	return n
+}
+
+// TestProbeAllocationsIndependentOfPool: a probe compiles its cell, picks
+// its probe tokens, unions their postings and collects candidates — a
+// handful of allocations whatever the pool size. (Before lemmas were
+// compiled, every pooled lemma cost a tokenisation, two maps and a sort,
+// and every token pair four slices: ~2000 allocations per cell.)
+func TestProbeAllocationsIndependentOfPool(t *testing.T) {
+	w, cells, _ := goldenCells(t)
+	ix := lemmaindex.Build(w.Public, lemmaindex.DefaultConfig())
+	var smallest, largest string
+	minPool, maxPool := 0, 0
+	for _, cell := range cells {
+		n := pooled(ix, cell)
+		if n > 0 && (minPool == 0 || n < minPool) {
+			smallest, minPool = cell, n
+		}
+		if n > maxPool {
+			largest, maxPool = cell, n
+		}
+	}
+	if maxPool < 20*minPool {
+		t.Fatalf("golden cells no longer span pool sizes: %q pools %d, %q pools %d", smallest, minPool, largest, maxPool)
+	}
+	const maxAllocs = 8
+	for _, cell := range []string{smallest, largest} {
+		if len(ix.CandidateEntities(cell)) == 0 {
+			t.Fatalf("%q has no candidates", cell)
+		}
+		got := testing.AllocsPerRun(20, func() { ix.CandidateEntities(cell) })
+		t.Logf("CandidateEntities(%q), pool <= %d: %v allocations", cell, pooled(ix, cell), got)
+		if got > maxAllocs {
+			t.Errorf("want <= %d allocations", maxAllocs)
+		}
+	}
+}
+
+// BenchmarkProbe measures one CandidateEntities call, cycling through the
+// golden cells (clean and noisy, numeric cells included).
+func BenchmarkProbe(b *testing.B) {
+	w, cells, _ := goldenCells(b)
+	ix := lemmaindex.Build(w.Public, lemmaindex.DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.CandidateEntities(cells[i%len(cells)])
+	}
+}
+
+// BenchmarkBuild measures index construction over the default world's
+// public catalog: every lemma compiled once, postings derived from them.
+func BenchmarkBuild(b *testing.B) {
+	w, _, _ := goldenCells(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lemmaindex.Build(w.Public, lemmaindex.DefaultConfig())
+	}
+}

@@ -35,6 +35,7 @@ var Scope = []string{
 	"internal/search", // also matches internal/searchidx
 	"internal/segment",
 	"internal/dist", // partial encode/decode and scatter loops run per-hit work
+	"internal/core", // candidate generation probes the lemma index once per cell
 	"lint/ctxpoll",
 	"ctxpoll", // testdata package path
 }

@@ -1,6 +1,9 @@
 package text
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Jaccard returns |A∩B| / |A∪B| over the token sets of a and b.
 // Returns 0 when both are empty.
@@ -111,8 +114,21 @@ func EditSimilarity(a, b string) float64 {
 }
 
 // Jaro returns the Jaro similarity of a and b in [0,1].
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+func Jaro(a, b string) float64 { return jaro([]rune(a), []rune(b)) }
+
+// JaroWinkler boosts Jaro similarity for strings sharing a common prefix
+// (up to 4 runes) with the standard scaling factor 0.1.
+func JaroWinkler(a, b string) float64 { return jaroWinkler([]rune(a), []rune(b)) }
+
+// jaroStackRunes is the token length up to which jaro keeps its match
+// flags on the stack; longer tokens (no natural-language word is) fall
+// back to the heap.
+const jaroStackRunes = 64
+
+// jaro is Jaro over decoded runes. It allocates nothing for tokens of up
+// to jaroStackRunes runes, which is what lets SoftTFIDF compare a cell
+// with every lemma of every pooled entity without touching the heap.
+func jaro(ra, rb []rune) float64 {
 	if len(ra) == 0 && len(rb) == 0 {
 		return 1
 	}
@@ -127,8 +143,11 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, len(ra))
-	matchB := make([]bool, len(rb))
+	var stackA, stackB [jaroStackRunes]bool
+	matchA, matchB := stackA[:], stackB[:]
+	if len(ra) > jaroStackRunes || len(rb) > jaroStackRunes {
+		matchA, matchB = make([]bool, len(ra)), make([]bool, len(rb))
+	}
 	matches := 0
 	for i := range ra {
 		lo := i - window
@@ -170,11 +189,8 @@ func Jaro(a, b string) float64 {
 	return (m/float64(len(ra)) + m/float64(len(rb)) + (m-float64(transpositions)/2)/m) / 3
 }
 
-// JaroWinkler boosts Jaro similarity for strings sharing a common prefix
-// (up to 4 runes) with the standard scaling factor 0.1.
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	ra, rb := []rune(a), []rune(b)
+func jaroWinkler(ra, rb []rune) float64 {
+	j := jaro(ra, rb)
 	prefix := 0
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
@@ -188,7 +204,7 @@ func CosineCounts(a, b map[string]float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	// Sorted folds: see sortedKeys in tfidf.go.
+	// Sorted folds: map order would perturb the low bits.
 	var dot, na, nb float64
 	for _, t := range sortedKeys(a) {
 		wa := a[t]
@@ -213,4 +229,14 @@ func Counts(s string) map[string]float64 {
 		m[t]++
 	}
 	return m
+}
+
+// sortedKeys returns m's keys in sorted order.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -202,7 +202,7 @@ func TestSoftTFIDFToleratesTypos(t *testing.T) {
 		vs.Add(l)
 	}
 	hard := vs.CosineStrings("albert einstien", "albert einstein") // typo
-	soft := vs.SoftTFIDF("albert einstien", "albert einstein", 0.9)
+	soft := SoftTFIDF(vs.Vectorize("albert einstien"), vs.Vectorize("albert einstein"), 0.9)
 	if soft <= hard {
 		t.Errorf("soft (%v) should beat hard (%v) on typos", soft, hard)
 	}
@@ -217,11 +217,11 @@ func TestTopTokens(t *testing.T) {
 		vs.Add("the of and")
 	}
 	vs.Add("zanzibar the")
-	top := vs.TopTokens("the zanzibar of", 2)
+	top := vs.TopTokens(vs.Vectorize("the zanzibar of"), 2)
 	if len(top) != 2 || top[0] != "zanzibar" {
 		t.Fatalf("TopTokens = %v, want zanzibar first", top)
 	}
-	if got := vs.TopTokens("the", 5); len(got) != 1 {
+	if got := vs.TopTokens(vs.Vectorize("the"), 5); len(got) != 1 {
 		t.Fatalf("TopTokens cap = %v", got)
 	}
 }

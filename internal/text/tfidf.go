@@ -1,8 +1,11 @@
 package text
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
+	"unicode/utf8"
 )
 
 // VectorSpace accumulates document-frequency statistics over a corpus of
@@ -24,8 +27,9 @@ func NewVectorSpace() *VectorSpace {
 // Add registers one document (e.g. one lemma) with the corpus statistics.
 func (v *VectorSpace) Add(doc string) {
 	v.docs++
-	for t := range TokenSet(doc) {
-		v.df[t]++
+	_, toks := distinctTokens(doc)
+	for i := range toks {
+		v.df[toks[i].Text]++
 	}
 }
 
@@ -44,39 +48,92 @@ func (v *VectorSpace) IDF(token string) float64 {
 	return math.Log(1 + float64(v.docs)/float64(1+v.df[token]))
 }
 
-// Vector is a sparse TF-IDF vector with a precomputed L2 norm.
+// Token is one distinct token of a compiled string.
+type Token struct {
+	Text   string
+	Weight float64 // TF-IDF weight under the compiling VectorSpace
+	runes  []rune  // Text decoded, for the edit similarities
+}
+
+// Vector is a string compiled for comparison (see the package comment):
+// a sparse TF-IDF vector whose tokens are kept sorted, with a precomputed
+// L2 norm. The zero value is the compiled form of a string without
+// tokens.
 type Vector struct {
-	Weights map[string]float64
-	Norm    float64
+	// Text is the Normalize'd spelling of the source string.
+	Text string
+	// Tokens holds the distinct tokens in ascending order of Text.
+	Tokens []Token
+	// Norm is the L2 norm of the token weights, folded in token order.
+	Norm float64
 }
 
-// Vectorize converts s into a TF-IDF vector under the corpus statistics.
+// distinctTokens returns Normalize(s) and its distinct tokens in
+// ascending order, each Weight holding the token's occurrence count. The
+// tokens are substrings of the returned spelling.
+func distinctTokens(s string) (norm string, toks []Token) {
+	norm, n := normalize(s)
+	if n == 0 {
+		return "", nil
+	}
+	toks = make([]Token, 0, n)
+	for rest := norm; rest != ""; {
+		tok, tail, _ := strings.Cut(rest, " ")
+		toks = append(toks, Token{Text: tok, Weight: 1})
+		rest = tail
+	}
+	slices.SortFunc(toks, func(a, b Token) int { return strings.Compare(a.Text, b.Text) })
+	distinct := toks[:1]
+	for _, t := range toks[1:] {
+		if last := &distinct[len(distinct)-1]; last.Text == t.Text {
+			last.Weight++
+		} else {
+			distinct = append(distinct, t)
+		}
+	}
+	return norm, distinct
+}
+
+// Vectorize compiles s into a TF-IDF vector under the corpus statistics.
 func (v *VectorSpace) Vectorize(s string) Vector {
-	w := make(map[string]float64)
-	for _, t := range Tokenize(s) {
-		w[t]++
+	norm, toks := distinctTokens(s)
+	if len(toks) == 0 {
+		return Vector{}
 	}
-	var norm float64
-	for _, t := range sortedKeys(w) {
+	// One backing array holds the runes of every token.
+	runes := make([]rune, 0, utf8.RuneCountInString(norm)-(len(toks)-1))
+	var sq float64
+	for i := range toks {
+		t := &toks[i]
+		start := len(runes)
+		for _, r := range t.Text {
+			runes = append(runes, r)
+		}
+		t.runes = runes[start:len(runes):len(runes)]
 		// Sub-linear TF damping, standard in IR.
-		wt := (1 + math.Log(w[t])) * v.IDF(t)
-		w[t] = wt
-		norm += wt * wt
+		t.Weight = (1 + math.Log(t.Weight)) * v.IDF(t.Text)
+		sq += t.Weight * t.Weight
 	}
-	return Vector{Weights: w, Norm: math.Sqrt(norm)}
+	return Vector{Text: norm, Tokens: toks, Norm: math.Sqrt(sq)}
 }
 
-// sortedKeys returns m's keys in sorted order. Every float fold in
-// this package iterates sorted keys: map iteration order would perturb
-// the low bits of scores that pagination and the parallel-equivalence
-// contract compare bit-exactly.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// join merge-joins the sorted token lists of a and b: the dot product of
+// the shared tokens' weights, folded in token order, and their count.
+func join(a, b Vector) (dot float64, shared int) {
+	for i, j := 0, 0; i < len(a.Tokens) && j < len(b.Tokens); {
+		switch c := strings.Compare(a.Tokens[i].Text, b.Tokens[j].Text); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			dot += a.Tokens[i].Weight * b.Tokens[j].Weight
+			shared++
+			i++
+			j++
+		}
 	}
-	sort.Strings(keys)
-	return keys
+	return dot, shared
 }
 
 // Cosine returns the cosine similarity of two vectors in [0,1].
@@ -84,19 +141,19 @@ func Cosine(a, b Vector) float64 {
 	if a.Norm == 0 || b.Norm == 0 {
 		return 0
 	}
-	// Iterate the smaller map, over sorted tokens so the dot product
-	// folds in a reproducible order.
-	small, big := a.Weights, b.Weights
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	var dot float64
-	for _, t := range sortedKeys(small) {
-		if wb, ok := big[t]; ok {
-			dot += small[t] * wb
-		}
-	}
+	dot, _ := join(a, b)
 	return dot / (a.Norm * b.Norm)
+}
+
+// JaccardVectors returns |A∩B| / |A∪B| over the token sets of two
+// vectors; 0 when both are empty.
+func JaccardVectors(a, b Vector) float64 {
+	_, shared := join(a, b)
+	union := len(a.Tokens) + len(b.Tokens) - shared
+	if union == 0 {
+		return 0
+	}
+	return float64(shared) / float64(union)
 }
 
 // CosineStrings vectorizes both strings and returns their cosine.
@@ -105,52 +162,50 @@ func (v *VectorSpace) CosineStrings(a, b string) float64 {
 }
 
 // SoftTFIDF computes the soft-TFIDF similarity of Bilenko et al. between
-// two strings: like TF-IDF cosine, but tokens need not match exactly —
-// a pair of tokens whose JaroWinkler similarity exceeds threshold
+// two vectors: like TF-IDF cosine, but tokens need not match exactly —
+// a pair of tokens whose JaroWinkler similarity reaches threshold
 // contributes proportionally. This tolerates the spelling noise in web
 // table cells ("A. Einstein" vs "Albert Einstein").
-func (v *VectorSpace) SoftTFIDF(a, b string, threshold float64) float64 {
-	va, vb := v.Vectorize(a), v.Vectorize(b)
-	if va.Norm == 0 || vb.Norm == 0 {
+func SoftTFIDF(a, b Vector, threshold float64) float64 {
+	if a.Norm == 0 || b.Norm == 0 {
 		return 0
 	}
-	// Sorted iteration on both sides: the outer order fixes the fold,
+	// Both loops run in token order: the outer order fixes the fold,
 	// and the inner order fixes which token wins a best-similarity tie.
-	bToks := sortedKeys(vb.Weights)
 	var sum float64
-	for _, ta := range sortedKeys(va.Weights) {
+	for i := range a.Tokens {
+		ta := &a.Tokens[i]
 		best, bestSim := 0.0, 0.0
-		for _, tb := range bToks {
-			sim := JaroWinkler(ta, tb)
+		for j := range b.Tokens {
+			tb := &b.Tokens[j]
+			sim := jaroWinkler(ta.runes, tb.runes)
 			if sim >= threshold && sim > bestSim {
 				bestSim = sim
-				best = vb.Weights[tb]
+				best = tb.Weight
 			}
 		}
 		if bestSim > 0 {
-			sum += va.Weights[ta] * best * bestSim
+			sum += ta.Weight * best * bestSim
 		}
 	}
-	return sum / (va.Norm * vb.Norm)
+	return sum / (a.Norm * b.Norm)
 }
 
-// TopTokens returns the n highest-IDF (rarest) tokens of s under the
+// TopTokens returns the n highest-IDF (rarest) tokens of q under the
 // corpus statistics, most discriminative first. Candidate generation uses
 // this to probe the lemma index with informative tokens only.
-func (v *VectorSpace) TopTokens(s string, n int) []string {
+func (v *VectorSpace) TopTokens(q Vector, n int) []string {
 	type tw struct {
 		tok string
 		idf float64
 	}
-	var all []tw
-	for t := range TokenSet(s) {
-		all = append(all, tw{t, v.IDF(t)})
+	var stack [16]tw
+	all := stack[:0]
+	for i := range q.Tokens {
+		all = append(all, tw{q.Tokens[i].Text, v.IDF(q.Tokens[i].Text)})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].idf != all[j].idf {
-			return all[i].idf > all[j].idf
-		}
-		return all[i].tok < all[j].tok
+	slices.SortFunc(all, func(a, b tw) int {
+		return cmp.Or(cmp.Compare(b.idf, a.idf), strings.Compare(a.tok, b.tok))
 	})
 	if n > len(all) {
 		n = len(all)

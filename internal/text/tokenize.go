@@ -3,12 +3,45 @@
 // corpus, Jaccard and Dice set overlap, Levenshtein and Jaro-Winkler edit
 // similarity, and the soft-TFIDF hybrid of Bilenko et al. that the paper
 // cites for cell-text/lemma matching (§4.2.1).
+//
+// # The compiled form
+//
+// Matching one cell against the catalog compares one string with
+// hundreds of lemmas under four measures, so the similarity code never
+// works on raw strings. VectorSpace.Vectorize compiles a string once
+// into a Vector — its canonical spelling, its distinct tokens in
+// ascending order with their TF-IDF weights and decoded runes, and the
+// L2 norm — and Cosine, JaccardVectors and SoftTFIDF only read Vectors.
+// A lemma is compiled when its index is built, a cell when it is probed;
+// nothing is tokenised, lower-cased, sorted or decoded per comparison.
+//
+// Keeping the tokens sorted is also what keeps every score reproducible
+// to the last bit. Floating-point addition is not associative, so a dot
+// product or a norm is only well defined once the order of its terms is:
+// here that order is ascending token order, everywhere. A merge-join of
+// two sorted token lists meets the shared tokens in exactly that order,
+// so it folds the same sum a sorted walk over a hash map would, without
+// the map, the key sort or a lookup per token; SoftTFIDF's double loop
+// (outer: the first vector's tokens, inner: the second's, first strictly
+// better match wins) fixes both its fold and its tie-break the same way.
+// Rankings, pagination cursors and the golden files under testdata/
+// compare these bits exactly.
 package text
 
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
+
+// foldRune is the tokenization rule: letters and digits belong to tokens
+// and are lower-cased; every other rune separates tokens.
+func foldRune(r rune) (rune, bool) {
+	if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		return unicode.ToLower(r), true
+	}
+	return 0, false
+}
 
 // Tokenize lowercases s and splits it into maximal runs of letters or
 // digits. Punctuation, whitespace and symbols act as separators. A run that
@@ -27,8 +60,8 @@ func Tokenize(s string) []string {
 		}
 	}
 	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			b.WriteRune(unicode.ToLower(r))
+		if lr, ok := foldRune(r); ok {
+			b.WriteRune(lr)
 		} else {
 			flush()
 		}
@@ -44,7 +77,31 @@ func Tokenize(s string) []string {
 // joined by single spaces. Two strings with the same Normalize value are
 // considered lexically identical by the exact-match feature.
 func Normalize(s string) string {
-	return strings.Join(Tokenize(s), " ")
+	norm, _ := normalize(s)
+	return norm
+}
+
+// normalize is Normalize in one pass, also counting the tokens.
+func normalize(s string) (norm string, tokens int) {
+	var stack [64]byte
+	buf := stack[:0]
+	inToken := false
+	for _, r := range s {
+		lr, ok := foldRune(r)
+		if !ok {
+			inToken = false
+			continue
+		}
+		if !inToken {
+			if tokens > 0 {
+				buf = append(buf, ' ')
+			}
+			tokens++
+			inToken = true
+		}
+		buf = utf8.AppendRune(buf, lr)
+	}
+	return string(buf), tokens
 }
 
 // TokenSet returns the set of distinct tokens in s.
