@@ -369,6 +369,7 @@ func BenchmarkServiceSearch(b *testing.B) {
 		b.Fatal("empty workload")
 	}
 	req := env.World.Request(workload[0], webtable.SearchTypeRel, 10)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svc.Search(ctx, req); err != nil {
@@ -505,6 +506,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 			req.PageSize = bench.pageSize
 			b.Run(fmt.Sprintf("answers=%d/%s", n, bench.name), func(b *testing.B) {
 				var total int
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res, err := svc.Search(ctx, req)
 					if err != nil {

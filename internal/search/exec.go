@@ -2,13 +2,13 @@ package search
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/obs"
 	"repro/internal/searchidx"
-	"repro/internal/text"
 )
 
 // rowCheckInterval bounds cancellation latency inside a single candidate
@@ -63,14 +63,17 @@ func (c *cluster) text() string {
 	return c.bestText
 }
 
-// hit is one matching answer cell: its location, its entity annotation
-// (None for text clusters) and the evidence it contributes. A hit is
+// hit is one matching answer cell: the candidate pair that found it (an
+// index into the plan, which knows the segment, table and answer
+// column), the row, the answer cell's entity annotation (None for text
+// clusters) and the evidence the row contributes. A hit is 24 bytes and
 // pointer-free on purpose — a sliced scan logs hits by the million, and
 // records without pointers are invisible to the garbage collector's
 // scan phase. Everything presentational (cluster identity, canonical
 // name, raw text) is derived from the hit on demand.
 type hit struct {
-	loc      searchidx.CellLoc
+	pair     int32
+	row      int32
 	entity   catalog.EntityID
 	evidence float64
 }
@@ -86,37 +89,6 @@ type evidenceSink interface {
 
 // clusterSink holds the answer clusters of one fold, by aggregation key.
 type clusterSink map[string]*cluster
-
-// queryMatcher matches the probe entity's surface form against
-// precomputed normalized cells: the query is normalized and tokenized
-// once per execution, and cells are matched with their build-time token
-// sets — no raw-cell normalization on the query path.
-type queryMatcher struct {
-	norm string
-	toks map[string]struct{}
-}
-
-func newQueryMatcher(q string) queryMatcher {
-	if q == "" {
-		return queryMatcher{}
-	}
-	return queryMatcher{norm: text.Normalize(q), toks: text.TokenSet(q)}
-}
-
-// match scores a cell: 1 for normalized equality, Jaccard when above 0.5,
-// else 0.
-func (m queryMatcher) match(cellNorm string, cellToks map[string]struct{}) float64 {
-	if m.norm == "" || cellNorm == "" {
-		return 0
-	}
-	if m.norm == cellNorm {
-		return 1
-	}
-	if j := text.JaccardSets(m.toks, cellToks); j >= 0.5 {
-		return j
-	}
-	return 0
-}
 
 // Execute runs one request through the pipeline every query takes
 // (see the package doc): validate, plan the candidate column pairs from
@@ -177,10 +149,6 @@ func validate(ctx context.Context, req Request, st *ExecStats) error {
 	return req.Validate()
 }
 
-// basePair is one baseline candidate: a header-matched answer column and
-// a same-table probe column.
-type basePair struct{ c1, c2 searchidx.ColRef }
-
 // planGroup is one replay group of a plan: the candidate pairs from
 // start up to the next group's start, whose evidence replays as a unit
 // under key (PartialGroup.Key).
@@ -189,16 +157,21 @@ type planGroup struct {
 	start int
 }
 
+// candidate is one scheduled column pair: the segment and local table
+// its columns are read from, and the answer (subject) and probe (object)
+// columns.
+type candidate struct {
+	seg, local int32
+	subj, obj  int32
+}
+
 // scanPlan is one execution's candidate schedule: the mode's ordered
-// candidate column pairs, their replay groups, and the prepared query
-// matcher. The pair list is built once per execution and scanned whole
-// or in contiguous slices; every layout walks it in the same order.
+// candidate column pairs, their replay groups, and the E2 probe compiled
+// against every segment. The pair list is built once per execution and
+// scanned whole or in contiguous slices; every layout walks it in the
+// same order.
 type scanPlan struct {
-	mode Mode
-	q    Query
-	m    queryMatcher
-	base []basePair             // Baseline candidates
-	ann  []searchidx.ColumnPair // Type / TypeRel candidates
+	pairs []candidate
 	// groups partitions the pair list, ascending by key and by start:
 	// one group with key 0 in Baseline and TypeRel, where pairs ascend
 	// by table; one per matching subject type (keyed by its TypeID) in
@@ -207,14 +180,14 @@ type scanPlan struct {
 	// concatenate in shard order into the single-node scan order; across
 	// groups they do not, which is why evidence travels grouped.
 	groups []planGroup
-}
-
-// len returns the number of candidate pairs.
-func (p *scanPlan) len() int {
-	if p.mode == Baseline {
-		return len(p.base)
-	}
-	return len(p.ann)
+	// e2 is the probe entity the row loop compares annotations with;
+	// None — always, in Baseline — matches every cell by text alone.
+	e2 catalog.EntityID
+	// byEntity keys an answer by its cell's entity annotation when it
+	// has one (the annotated modes); Baseline keys by text only.
+	byEntity bool
+	// sets[i] is the E2 text probe compiled against corpus segment i.
+	sets []searchidx.MatchSet
 }
 
 // tableOf returns the (global) table number of candidate pair i. It
@@ -222,34 +195,31 @@ func (p *scanPlan) len() int {
 // only piecewise ascending — segment-edge snapping treats any segment
 // transition between adjacent pairs as a boundary candidate, which is
 // still where locality changes.
-func (p *scanPlan) tableOf(i int) int {
-	if p.mode == Baseline {
-		return p.base[i].c1.Table
-	}
-	return p.ann[i].Table
+func (e *Engine) tableOf(p *scanPlan, i int) int {
+	c := p.pairs[i]
+	return int(e.segs[c.seg].global[c.local])
 }
 
-// plan is the pipeline's second stage: it gathers the mode's candidate
-// pairs with their replay groups and prepares the matcher.
+// plan is the pipeline's second stage: it walks each segment's posting
+// lists for the mode's candidate pairs, with their replay groups, and
+// compiles the E2 probe against each segment.
 func (e *Engine) plan(ctx context.Context, req Request, st *ExecStats) scanPlan {
 	defer stage(ctx, "search.plan", &st.Stage.Plan)()
-	p := scanPlan{mode: req.Mode, q: req.Query, m: newQueryMatcher(req.Query.E2Text)}
-	if req.Mode == Baseline {
-		p.base, p.groups = e.baselinePairs(req.Query), []planGroup{{}}
-	} else {
-		p.ann, p.groups = e.annotatedPairs(req.Query, req.Mode == TypeRel)
+	p := scanPlan{groups: []planGroup{{}}, e2: req.Query.E2, byEntity: true}
+	switch req.Mode {
+	case Baseline:
+		p.pairs, p.e2, p.byEntity = e.baselinePairs(req.Query), catalog.None, false
+	case TypeRel:
+		p.pairs = e.relationPairs(req.Query)
+	default:
+		p.pairs, p.groups = e.typedPairs(req.Query)
+	}
+	probe := searchidx.NewProbe(req.Query.E2Text)
+	p.sets = make([]searchidx.MatchSet, len(e.segs))
+	for i := range e.segs {
+		p.sets[i] = e.segs[i].ix.Compile(&probe)
 	}
 	return p
-}
-
-// scanRange scans candidate pairs [lo, hi) of the plan into sink,
-// accumulating pair/row counters into sc (one instance per slice; the
-// caller sums them afterwards).
-func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink evidenceSink, sc *scanCounters) error {
-	if p.mode == Baseline {
-		return e.scanBaselineRange(ctx, p, lo, hi, sink, sc)
-	}
-	return e.scanAnnotatedRange(ctx, p, lo, hi, sink, sc)
 }
 
 // selectPage picks the PageSize best-ranked clusters strictly after the
@@ -300,107 +270,112 @@ func selectPage(clusters clusterSink, pageSize int, after *rankKey) (*Result, []
 // baselinePairs implements the candidate retrieval of Figure 3:
 // interpret all inputs as strings; find tables whose headers match T1
 // and T2 and context matches R; pair each T1 column with every other
-// column of the same table that matches T2.
-func (e *Engine) baselinePairs(q Query) []basePair {
-	t1Cols := e.c.HeaderMatches(q.T1Text)
-	t2Cols := e.c.HeaderMatches(q.T2Text)
-	ctxTables := e.c.ContextMatches(q.RelationText)
-
-	var pairs []basePair
-	t2ByTable := make(map[int][]searchidx.ColRef)
-	for _, ref := range t2Cols {
-		t2ByTable[ref.Table] = append(t2ByTable[ref.Table], ref)
-	}
-	for _, c1 := range t1Cols {
-		if _, ok := ctxTables[c1.Table]; !ok {
-			continue
-		}
-		for _, c2 := range t2ByTable[c1.Table] {
-			if c2.Col != c1.Col {
-				pairs = append(pairs, basePair{c1, c2})
+// column of the same table that matches T2. Per segment that is a
+// merge-join on the table number of two ascending header-posting unions,
+// filtered by the context postings, so pairs come out ordered by (table,
+// T1 column, T2 column) — a fixed order, as evidence must sum in the
+// same order on every execution.
+func (e *Engine) baselinePairs(q Query) []candidate {
+	t1, t2, rel := searchidx.NewProbe(q.T1Text), searchidx.NewProbe(q.T2Text), searchidx.NewProbe(q.RelationText)
+	var pairs []candidate
+	var buf1, buf2 []searchidx.ColKey
+	var ctxs searchidx.ContextCursor
+	for si, seg := range e.segs {
+		c1s := seg.ix.HeaderMatches(&t1, &buf1)
+		c2s := seg.ix.HeaderMatches(&t2, &buf2)
+		seg.ix.ContextMatches(&rel, &ctxs)
+		for len(c1s) > 0 {
+			t := c1s[0].Table()
+			n1 := 1
+			for n1 < len(c1s) && c1s[n1].Table() == t {
+				n1++
 			}
+			for len(c2s) > 0 && c2s[0].Table() < t {
+				c2s = c2s[1:]
+			}
+			if seg.global[t] >= 0 && len(c2s) > 0 && c2s[0].Table() == t && ctxs.Contains(t) {
+				for _, c1 := range c1s[:n1] {
+					for _, c2 := range c2s {
+						if c2.Table() != t {
+							break
+						}
+						if c2.Col() != c1.Col() {
+							pairs = append(pairs, candidate{seg: int32(si), local: t, subj: c1.Col(), obj: c2.Col()})
+						}
+					}
+				}
+			}
+			c1s = c1s[n1:]
 		}
 	}
-	// HeaderMatches order follows token-map iteration, so sort the pairs:
-	// float evidence must sum in the same order on every Execute call or
-	// per-cluster scores drift by an ULP between the separate executions
-	// cursor pagination compares bit-exactly.
-	sort.Slice(pairs, func(i, j int) bool {
-		a, b := pairs[i], pairs[j]
-		if a.c1.Table != b.c1.Table {
-			return a.c1.Table < b.c1.Table
-		}
-		if a.c1.Col != b.c1.Col {
-			return a.c1.Col < b.c1.Col
-		}
-		return a.c2.Col < b.c2.Col
-	})
 	return pairs
 }
 
-// scanBaselineRange runs the matching stage of Figure 3 over baseline
-// candidate pairs [lo, hi): look for E2 in the T2 column; report the
-// T1-column cells of qualifying rows keyed by normalized text.
-func (e *Engine) scanBaselineRange(ctx context.Context, pl *scanPlan, lo, hi int, sink evidenceSink, sc *scanCounters) error {
-	for _, p := range pl.base[lo:hi] {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rows := e.c.Rows(p.c1.Table)
-		matched := false
-		for r := 0; r < rows; r++ {
-			if r&(rowCheckInterval-1) == rowCheckInterval-1 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			loc2 := searchidx.CellLoc{Table: p.c2.Table, Row: r, Col: p.c2.Col}
-			sim := pl.m.match(e.c.NormCell(loc2), e.c.CellTokens(loc2))
-			if sim <= 0 {
-				continue
-			}
-			matched = true
-			loc1 := searchidx.CellLoc{Table: p.c1.Table, Row: r, Col: p.c1.Col}
-			sink.add(hit{loc: loc1, entity: catalog.None, evidence: sim})
-		}
-		sc.pairs++
-		sc.rows += int64(rows)
-		if matched {
-			sc.pairsMatched++
-		}
-	}
-	return nil
+// typeFilter decides whether a posted column pair's annotated types are
+// compatible with the query's: both present, subject ⊆* T1 and object
+// ⊆* T2. A posting list runs through long stretches of equally typed
+// pairs, so the verdict of the last distinct (subject, object) types is
+// kept and the subtype closure is consulted only when they change.
+type typeFilter struct {
+	cat       *catalog.Catalog
+	t1, t2    catalog.TypeID
+	subj, obj catalog.TypeID
+	ok        bool
 }
 
-// annotatedPairs implements the candidate retrieval of Figure 4 over the
-// precomputed posting lists: pairs come from the per-relation list
-// (TypeRel) or the subject-type-keyed typed-pair list (Type), filtered
-// by subtype compatibility with the query types. The second return
-// value is the list's replay groups (see scanPlan.groups).
-func (e *Engine) annotatedPairs(q Query, requireRel bool) ([]searchidx.ColumnPair, []planGroup) {
-	var pairs []searchidx.ColumnPair
-	if requireRel {
-		for _, p := range e.c.RelationPairs(q.Relation) {
-			if p.SubjType != catalog.None && e.cat.IsSubtype(p.SubjType, q.T1) &&
-				p.ObjType != catalog.None && e.cat.IsSubtype(p.ObjType, q.T2) {
-				pairs = append(pairs, p)
-			}
-		}
-		return pairs, []planGroup{{}}
+func (e *Engine) newTypeFilter(q Query) typeFilter {
+	// Untyped pairs are incompatible, which is the zero verdict.
+	return typeFilter{cat: e.cat, t1: q.T1, t2: q.T2, subj: catalog.None, obj: catalog.None}
+}
+
+func (f *typeFilter) compatible(p searchidx.ColumnPair) bool {
+	if p.SubjType != f.subj || p.ObjType != f.obj {
+		f.subj, f.obj = p.SubjType, p.ObjType
+		f.ok = p.SubjType != catalog.None && f.cat.IsSubtype(p.SubjType, f.t1) &&
+			p.ObjType != catalog.None && f.cat.IsSubtype(p.ObjType, f.t2)
 	}
-	// Type mode: subject types in ID order, each type's pairs in corpus
-	// order — the same candidate sequence whether the corpus is one
-	// index or many segments. Each type with candidates is one group.
+	return f.ok
+}
+
+// appendLive appends the compatible pairs of one segment's posting list
+// whose tables are live.
+func appendLive(pairs []candidate, si int, seg corpusSegment, posted []searchidx.ColumnPair, f *typeFilter) []candidate {
+	pairs = slices.Grow(pairs, len(posted))
+	for _, p := range posted {
+		if seg.global[p.Table] >= 0 && f.compatible(p) {
+			pairs = append(pairs, candidate{seg: int32(si), local: p.Table, subj: p.SubjCol, obj: p.ObjCol})
+		}
+	}
+	return pairs
+}
+
+// relationPairs implements the candidate retrieval of Figure 4 with
+// relation annotations: each segment's per-relation posting list,
+// filtered by subtype compatibility with the query types.
+func (e *Engine) relationPairs(q Query) []candidate {
+	var pairs []candidate
+	f := e.newTypeFilter(q)
+	for si, seg := range e.segs {
+		pairs = appendLive(pairs, si, seg, seg.ix.RelationPairs(q.Relation), &f)
+	}
+	return pairs
+}
+
+// typedPairs is the type-only retrieval of Figure 4: subject types in ID
+// order, each type's typed-pair lists segment after segment — the same
+// candidate sequence whether the corpus is one index or many segments.
+// Each type with candidates is one replay group (see scanPlan.groups).
+func (e *Engine) typedPairs(q Query) ([]candidate, []planGroup) {
+	var pairs []candidate
 	var groups []planGroup
+	f := e.newTypeFilter(q)
 	for _, T := range e.c.SubjectTypes() {
 		if !e.cat.IsSubtype(T, q.T1) {
 			continue
 		}
 		start := len(pairs)
-		for _, p := range e.c.TypedPairsOf(T) {
-			if p.ObjType != catalog.None && e.cat.IsSubtype(p.ObjType, q.T2) {
-				pairs = append(pairs, p)
-			}
+		for si, seg := range e.segs {
+			pairs = appendLive(pairs, si, seg, seg.ix.TypedPairsOf(T), &f)
 		}
 		if len(pairs) > start {
 			groups = append(groups, planGroup{key: uint32(T), start: start})
@@ -409,44 +384,46 @@ func (e *Engine) annotatedPairs(q Query, requireRel bool) ([]searchidx.ColumnPai
 	return pairs, groups
 }
 
-// scanAnnotatedRange runs the matching stage of Figure 4 over annotated
-// candidate pairs [lo, hi): E2 is matched by entity annotation with text
-// fallback; evidence is keyed per entity (or per normalized text for
-// unannotated answer cells).
-func (e *Engine) scanAnnotatedRange(ctx context.Context, pl *scanPlan, lo, hi int, sink evidenceSink, sc *scanCounters) error {
-	q := pl.q
-	for _, p := range pl.ann[lo:hi] {
+// scanRange runs the matching stage of Figures 3 and 4 over candidate
+// pairs [lo, hi) of the plan: look for E2 down the pair's object column
+// (searchidx.ScanColumn: by entity annotation with text fallback, or by
+// text alone) and report the answer-column cell of every qualifying row
+// to sink. Pair and row counters accumulate into sc (one instance per
+// slice; the caller sums them afterwards). The context is polled between
+// pairs and between rowCheckInterval-row stretches of a column.
+func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink evidenceSink, sc *scanCounters) error {
+	var rows []searchidx.RowHit
+	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		rows := e.c.Rows(p.Table)
+		c := &p.pairs[i]
+		ix := e.segs[c.seg].ix
+		texts, ents := ix.Column(int(c.local), int(c.obj))
+		var answers []catalog.EntityID
+		if p.byEntity {
+			_, answers = ix.Column(int(c.local), int(c.subj))
+		}
 		matched := false
-		for r := 0; r < rows; r++ {
-			if r&(rowCheckInterval-1) == rowCheckInterval-1 {
+		for r0 := 0; r0 < len(texts); r0 += rowCheckInterval {
+			if r0 > 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			loc2 := searchidx.CellLoc{Table: p.Table, Row: r, Col: p.ObjCol}
-			var evidence float64
-			if q.E2 != catalog.None {
-				if e.c.EntityAt(loc2) == q.E2 {
-					evidence = 1.5 // exact entity match beats text match
-				} else if e.c.EntityAt(loc2) == catalog.None {
-					evidence = pl.m.match(e.c.NormCell(loc2), e.c.CellTokens(loc2))
+			r1 := min(r0+rowCheckInterval, len(texts))
+			rows = searchidx.ScanColumn(rows[:0], r0, texts[r0:r1], ents[r0:r1], p.e2, &p.sets[c.seg])
+			for _, rh := range rows {
+				h := hit{pair: int32(i), row: rh.Row, entity: catalog.None, evidence: rh.Evidence}
+				if answers != nil {
+					h.entity = answers[rh.Row]
 				}
-			} else {
-				evidence = pl.m.match(e.c.NormCell(loc2), e.c.CellTokens(loc2))
+				sink.add(h)
 			}
-			if evidence <= 0 {
-				continue
-			}
-			matched = true
-			loc1 := searchidx.CellLoc{Table: p.Table, Row: r, Col: p.SubjCol}
-			sink.add(hit{loc: loc1, entity: e.c.EntityAt(loc1), evidence: evidence})
+			matched = matched || len(rows) > 0
 		}
 		sc.pairs++
-		sc.rows += int64(rows)
+		sc.rows += int64(len(texts))
 		if matched {
 			sc.pairsMatched++
 		}

@@ -10,8 +10,8 @@
 //     slice is a whole group and scans straight into that group's
 //     partialCollector.
 //   - Otherwise each slice scans into its own shardLog — appending a
-//     packed 24-byte record is the only work on the hot path, no map
-//     work at all — and the logs then replay, in slice order, into
+//     24-byte record is the only work on the hot path, no map work at
+//     all — and the logs then replay, in slice order, into
 //     their group's collector: exactly the add sequence one serial scan
 //     of the group would have produced.
 //
@@ -47,9 +47,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/catalog"
-	"repro/internal/searchidx"
 )
 
 // shardsPerWorker over-partitions the candidate list so the worker pool
@@ -71,14 +68,14 @@ type SegmentedCorpus interface {
 // boundaries. No slice spans two groups, so one scanShards call covers
 // the whole plan and each slice's evidence belongs to exactly one group.
 func (e *Engine) cuts(p *scanPlan) []int {
-	n := p.len()
+	n := len(p.pairs)
 	cuts := []int{0, n}
 	if e.par > 1 && n >= 2 {
 		var starts []int
 		if sc, ok := e.c.(SegmentedCorpus); ok {
 			starts = sc.ShardStarts()
 		}
-		cuts = shardCuts(n, e.par*shardsPerWorker, p.tableOf, starts)
+		cuts = shardCuts(n, e.par*shardsPerWorker, func(i int) int { return e.tableOf(p, i) }, starts)
 	}
 	for _, g := range p.groups[1:] {
 		cuts = append(cuts, g.start)
@@ -218,13 +215,13 @@ func (e *Engine) scanShards(ctx context.Context, p *scanPlan, cuts []int, sinks 
 // parallelism actually used go to st.
 func (e *Engine) gather(ctx context.Context, p *scanPlan, tableOffset int, st *ExecStats) ([]PartialGroup, error) {
 	defer stage(ctx, "search.scan", &st.Stage.Scan)()
-	if p.len() == 0 {
+	if len(p.pairs) == 0 {
 		return nil, nil
 	}
 	cuts := e.cuts(p)
 	collectors := make([]*partialCollector, len(p.groups))
 	for g := range collectors {
-		collectors[g] = newPartialCollector(e, tableOffset)
+		collectors[g] = newPartialCollector(e, p, tableOffset)
 	}
 	// Slices outnumber groups only when some group was cut further; then
 	// every slice logs, and the logs replay into the collectors below.
@@ -268,28 +265,6 @@ func (e *Engine) gather(ctx context.Context, p *scanPlan, tableOffset int, st *E
 	return groups, nil
 }
 
-// hitRec is a hit packed to 24 bytes for the scan logs (corpora are
-// bounded well below 2^31 tables, rows and columns).
-type hitRec struct {
-	table, row, col, entity int32
-	evidence                float64
-}
-
-func packHit(h hit) hitRec {
-	return hitRec{
-		table: int32(h.loc.Table), row: int32(h.loc.Row), col: int32(h.loc.Col),
-		entity: int32(h.entity), evidence: h.evidence,
-	}
-}
-
-func (r hitRec) unpack() hit {
-	return hit{
-		loc:      searchidx.CellLoc{Table: int(r.table), Row: int(r.row), Col: int(r.col)},
-		entity:   catalog.EntityID(r.entity),
-		evidence: r.evidence,
-	}
-}
-
 // logChunkSize is the records per log chunk: large enough to amortize
 // the chunk allocation, small enough that half-empty tail chunks waste
 // little.
@@ -301,7 +276,7 @@ const logChunkSize = 512
 // logged megabytes are invisible to the garbage collector's scan phase.
 type hitChunk struct {
 	n    int
-	recs [logChunkSize]hitRec
+	recs [logChunkSize]hit
 }
 
 // shardLog is the per-slice scan sink: the slice's hit stream in scan
@@ -320,7 +295,7 @@ func (sl *shardLog) add(h hit) {
 	} else {
 		c = sl.chunks[n-1]
 	}
-	c.recs[c.n] = packHit(h)
+	c.recs[c.n] = h
 	c.n++
 }
 
@@ -333,7 +308,7 @@ func (sl *shardLog) replay(ctx context.Context, sink evidenceSink) error {
 			return err
 		}
 		for i := 0; i < ch.n; i++ {
-			sink.add(ch.recs[i].unpack())
+			sink.add(ch.recs[i])
 		}
 	}
 	return nil

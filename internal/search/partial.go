@@ -137,11 +137,13 @@ func (e *Engine) ExecutePartial(ctx context.Context, req Request, tableOffset in
 
 // partialCollector is the evidenceSink that builds ClusterPartials: it
 // resolves each hit's cluster identity — the answer cell's entity, else
-// its normalized text — and appends the hit, shifted to cluster-global
-// table numbers, to that cluster's list, preserving add order (the scan
-// order of whatever feeds it).
+// its normalized text, read off the owning segment's dictionary — and
+// appends the hit, under its cluster-global table number, to that
+// cluster's list, preserving add order (the scan order of whatever
+// feeds it).
 type partialCollector struct {
 	e        *Engine
+	p        *scanPlan
 	offset   int32
 	clusters []ClusterPartial
 	// entities and texts index clusters by identity (texts by
@@ -150,9 +152,10 @@ type partialCollector struct {
 	texts    map[string]int
 }
 
-func newPartialCollector(e *Engine, tableOffset int) *partialCollector {
+func newPartialCollector(e *Engine, p *scanPlan, tableOffset int) *partialCollector {
 	return &partialCollector{
 		e:        e,
+		p:        p,
 		offset:   int32(tableOffset),
 		entities: make(map[catalog.EntityID]int),
 		texts:    make(map[string]int),
@@ -160,6 +163,7 @@ func newPartialCollector(e *Engine, tableOffset int) *partialCollector {
 }
 
 func (pc *partialCollector) add(h hit) {
+	c := &pc.p.pairs[h.pair]
 	var cp *ClusterPartial
 	if h.entity != catalog.None {
 		i, ok := pc.entities[h.entity]
@@ -172,7 +176,9 @@ func (pc *partialCollector) add(h hit) {
 	} else {
 		// An unannotated cell whose normalized text is empty has no
 		// cluster identity and contributes nothing.
-		norm := pc.e.c.NormCell(h.loc)
+		ix := pc.e.segs[c.seg].ix
+		texts, _ := ix.Column(int(c.local), int(c.subj))
+		norm := ix.Spelling(texts[h.row])
 		if norm == "" {
 			return
 		}
@@ -183,12 +189,12 @@ func (pc *partialCollector) add(h hit) {
 			pc.clusters = append(pc.clusters, ClusterPartial{Entity: catalog.None, Norm: norm})
 		}
 		cp = &pc.clusters[i]
-		cp.Variants, _ = noteVariant(cp.Variants, pc.e.c.RawCell(h.loc), 1)
+		cp.Variants, _ = noteVariant(cp.Variants, ix.Tables[c.local].Cell(int(h.row), int(c.subj)), 1)
 	}
 	cp.Hits = append(cp.Hits, PartialHit{
-		Table:    int32(h.loc.Table) + pc.offset,
-		Row:      int32(h.loc.Row),
-		Col:      int32(h.loc.Col),
+		Table:    pc.e.segs[c.seg].global[c.local] + pc.offset,
+		Row:      h.row,
+		Col:      c.subj,
 		Evidence: h.evidence,
 	})
 }

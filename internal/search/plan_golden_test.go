@@ -16,14 +16,10 @@ import (
 
 // planTriples lists a plan's candidate pairs in schedule order as
 // (corpus-global table, subject column, object column).
-func planTriples(p *scanPlan) [][3]int {
-	out := make([][3]int, p.len())
-	for i := range out {
-		if p.mode == Baseline {
-			out[i] = [3]int{p.base[i].c1.Table, p.base[i].c1.Col, p.base[i].c2.Col}
-		} else {
-			out[i] = [3]int{p.ann[i].Table, p.ann[i].SubjCol, p.ann[i].ObjCol}
-		}
+func planTriples(e *Engine, p *scanPlan) [][3]int {
+	out := make([][3]int, len(p.pairs))
+	for i, c := range p.pairs {
+		out[i] = [3]int{e.tableOf(p, i), int(c.subj), int(c.obj)}
 	}
 	return out
 }
@@ -204,12 +200,12 @@ func TestPlanGolden(t *testing.T) {
 	for _, qc := range queries {
 		for _, mode := range []Mode{Baseline, Type, TypeRel} {
 			p := e.plan(context.Background(), Request{Query: qc.q, Mode: mode}, e.newStats())
-			fmt.Fprintf(&buf, "== %s mode=%v pairs=%d groups", qc.name, mode, p.len())
+			fmt.Fprintf(&buf, "== %s mode=%v pairs=%d groups", qc.name, mode, len(p.pairs))
 			for _, g := range p.groups {
 				fmt.Fprintf(&buf, " %d@%d", g.key, g.start)
 			}
 			buf.WriteByte('\n')
-			for _, tr := range planTriples(&p) {
+			for _, tr := range planTriples(e, &p) {
 				fmt.Fprintf(&buf, "%d %d %d\n", tr[0], tr[1], tr[2])
 			}
 		}

@@ -14,9 +14,11 @@
 //
 //	validate → plan → gather → fold
 //
-// plan (exec.go) reads the mode's candidate column pairs off posting
-// lists the index materialized at build time, in a fixed corpus order,
-// with their replay groups. gather (parallel.go) scans them — whole, or
+// plan (exec.go) reads the mode's candidate column pairs off the posting
+// lists each corpus segment materialized at build time — in place,
+// segment after segment, which is ascending corpus order — with their
+// replay groups, and compiles the E2 probe once per segment into the
+// few text IDs it matches. gather (parallel.go) scans them — whole, or
 // as concurrent contiguous slices under WithParallelism — into the
 // pipeline's only intermediate form: per group, each answer cluster's
 // hit list in serial scan order (partial.go). fold sums each list left
@@ -94,52 +96,49 @@ type Answer struct {
 	Explanation *Explanation
 }
 
-// Corpus is the read surface query execution runs over: the posting
-// lists and per-cell precomputations of one logical corpus. A monolithic
-// *searchidx.Index satisfies it directly (table numbers are its own),
-// and internal/segment's View satisfies it over many immutable segments
-// by translating segment-local table numbers to corpus-global ones and
-// skipping tombstoned tables.
+// Corpus is what query execution runs over: a catalog and an ordered
+// list of compiled segments. Segment i is a *searchidx.Index — posting
+// lists, dictionaries and column-major cells, all in the segment's own
+// table numbers — plus the map from those local numbers to the
+// corpus-global ones (-1 for a table the corpus has removed). The engine
+// reads the segments' posting lists and column slices directly; the
+// corpus forwards nothing per cell. A monolithic *searchidx.Index is the
+// one-segment case (its tables numbered as they are); internal/segment's
+// View is the general one.
 //
-// Ordering contract (what makes segmented execution byte-identical to a
-// from-scratch rebuild): RelationPairs and TypedPairsOf must list pairs
-// in corpus order — ascending global table number, per-table annotation
-// order — because floating-point evidence sums in scan order, and
-// cursors compare scores bit-exactly across separate executions.
+// Ordering invariant (what makes segmented execution byte-identical to
+// a from-scratch rebuild over the surviving tables): the global numbers
+// of live tables ascend within a segment and from one segment to the
+// next, and every posting list of a segment ascends by local table. A
+// plan that walks the segments in order and each list front to back
+// therefore schedules candidate pairs in ascending global table order —
+// the one order floating-point evidence is summed in, and cursors
+// compare scores bit-exactly across separate executions.
 type Corpus interface {
 	// Catalog returns the catalog annotations refer to.
 	Catalog() *catalog.Catalog
-	// Rows returns the row count of a (global) table number.
-	Rows(table int) int
-	// RawCell returns the original cell text for presentation.
-	RawCell(loc searchidx.CellLoc) string
-	// NormCell returns the cell's precomputed normalized text.
-	NormCell(loc searchidx.CellLoc) string
-	// CellTokens returns the cell's precomputed token set (shared; do
-	// not mutate).
-	CellTokens(loc searchidx.CellLoc) map[string]struct{}
-	// EntityAt returns the entity annotation of a cell (None if absent).
-	EntityAt(loc searchidx.CellLoc) catalog.EntityID
-	// RelationPairs returns the oriented candidate column pairs carrying
-	// relation b, in corpus order.
-	RelationPairs(b catalog.RelationID) []searchidx.ColumnPair
-	// SubjectTypes returns every subject type with typed pairs, in
-	// ascending ID order.
+	// Segments returns the number of segments.
+	Segments() int
+	// Segment returns segment i's index and its local→global table map.
+	// Both are shared and immutable.
+	Segment(i int) (ix *searchidx.Index, global []int32)
+	// SubjectTypes returns the ascending union of the segments'
+	// typed-pair subject types (shared; do not mutate).
 	SubjectTypes() []catalog.TypeID
-	// TypedPairsOf returns the typed pairs of exactly subject type T, in
-	// corpus order.
-	TypedPairsOf(T catalog.TypeID) []searchidx.ColumnPair
-	// HeaderMatches returns columns whose header shares a token with q.
-	HeaderMatches(q string) []searchidx.ColRef
-	// ContextMatches returns tables whose context shares a token with q.
-	ContextMatches(q string) map[int]struct{}
+}
+
+// corpusSegment is one Corpus segment as the engine holds it.
+type corpusSegment struct {
+	ix     *searchidx.Index
+	global []int32
 }
 
 // Engine answers queries over one corpus.
 type Engine struct {
-	c   Corpus
-	cat *catalog.Catalog
-	par int
+	c    Corpus
+	cat  *catalog.Catalog
+	segs []corpusSegment
+	par  int
 }
 
 // EngineOption configures an Engine at construction time.
@@ -165,7 +164,10 @@ func NewEngine(ix *searchidx.Index) *Engine { return NewEngineOver(ix) }
 // view. Engines are stateless and cheap; construct one per corpus
 // snapshot rather than mutating a shared one.
 func NewEngineOver(c Corpus, opts ...EngineOption) *Engine {
-	e := &Engine{c: c, cat: c.Catalog(), par: 1}
+	e := &Engine{c: c, cat: c.Catalog(), segs: make([]corpusSegment, c.Segments()), par: 1}
+	for i := range e.segs {
+		e.segs[i].ix, e.segs[i].global = c.Segment(i)
+	}
 	for _, opt := range opts {
 		opt(e)
 	}

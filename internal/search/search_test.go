@@ -581,21 +581,29 @@ func TestExecuteCancelled(t *testing.T) {
 
 func TestIndexLookups(t *testing.T) {
 	f := build(t)
-	// ColumnsOfType on the supertype must include subtype-annotated cols.
-	cols := f.ix.ColumnsOfType(f.person)
-	if len(cols) != 2 {
-		t.Errorf("person columns = %v", cols)
-	}
-	if got := f.ix.CellsOfEntity(f.d1); len(got) != 3 {
-		t.Errorf("cells of d1 = %v", got)
-	}
-	if rr := f.ix.RelationInstances(f.directed); len(rr) != 1 {
+	// One oriented instance of the relation, its column types baked in.
+	rr := f.ix.RelationPairs(f.directed)
+	if len(rr) != 1 || rr[0].Table != 0 || rr[0].SubjType != f.film || rr[0].ObjType != f.director {
 		t.Errorf("directed instances = %v", rr)
 	}
-	if e := f.ix.EntityAt(searchidx.CellLoc{Table: 0, Row: 0, Col: 0}); e != f.f1 {
-		t.Errorf("EntityAt = %v", e)
+	// Both tables pair a film column with a person-subtype column.
+	if got := f.ix.TypedPairsOf(f.film); len(got) != 2 || got[1].ObjType != f.actor {
+		t.Errorf("typed pairs of Film = %v", got)
 	}
-	if T := f.ix.TypeAt(searchidx.ColRef{Table: 1, Col: 1}); T != f.actor {
-		t.Errorf("TypeAt = %v", T)
+	// d1 annotates three cells of the object columns.
+	n := 0
+	for ti := range f.ix.Tables {
+		_, ents := f.ix.Column(ti, 1)
+		for _, e := range ents {
+			if e == f.d1 {
+				n++
+			}
+		}
+	}
+	if n != 3 {
+		t.Errorf("cells of d1 = %d, want 3", n)
+	}
+	if _, ents := f.ix.Column(0, 0); ents[0] != f.f1 {
+		t.Errorf("entity of (0,0,0) = %v", ents[0])
 	}
 }

@@ -86,16 +86,11 @@ func (st *ExecStats) add(sc *scanCounters) {
 }
 
 // newStats starts one execution's stats with the segment shape of the
-// corpus view the engine scans. Segmented views (segment.View) report
-// their live segment and tombstone counts; anything else is one
-// monolithic segment.
+// corpus the engine scans: its segment count and, for a corpus that
+// reports one (segment.View), its tombstone count.
 func (e *Engine) newStats() *ExecStats {
-	st := &ExecStats{Parallelism: 1, SegmentsVisited: 1}
-	if v, ok := e.c.(interface {
-		Segments() int
-		Tombstones() int
-	}); ok {
-		st.SegmentsVisited = v.Segments()
+	st := &ExecStats{Parallelism: 1, SegmentsVisited: len(e.segs)}
+	if v, ok := e.c.(interface{ Tombstones() int }); ok {
 		st.TombstonesSkipped = v.Tombstones()
 	}
 	return st

@@ -76,3 +76,73 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMatchSet compiles a two-token probe against one 512-table
+// segment: two dictionary lookups, a merge of two posting lists and the
+// spelling lookup.
+func BenchmarkMatchSet(b *testing.B) {
+	c, tables, anns, _, name := benchCorpus(b, 512, 20)
+	ix := New(c, tables, anns)
+	p := NewProbe(name)
+	if m := ix.Compile(&p); len(m.texts) == 0 {
+		b.Fatalf("probe %q matches nothing", name)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkMatches = ix.Compile(&p)
+	}
+}
+
+var (
+	sinkMatches MatchSet
+	sinkHits    []RowHit
+)
+
+// scanFixture is one 64k-row table whose object column names a director
+// in every row (annotated in two rows of three), with director 7's
+// compiled probe.
+func scanFixture(tb testing.TB) (texts []uint32, ents []catalog.EntityID, e2 catalog.EntityID, m MatchSet) {
+	c, tables, anns, e2, name := benchCorpus(tb, 1, 1<<16)
+	ix := New(c, tables, anns)
+	p := NewProbe(name)
+	m = ix.Compile(&p)
+	texts, ents = ix.Column(0, 1)
+	return texts, ents, e2, m
+}
+
+// BenchmarkScanColumn walks one 64k-row column, by entity with text
+// fallback and by text alone; rows/s is the figure of merit.
+func BenchmarkScanColumn(b *testing.B) {
+	texts, ents, e2, m := scanFixture(b)
+	for _, bc := range []struct {
+		name string
+		e2   catalog.EntityID
+	}{{"entity", e2}, {"text", catalog.None}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dst := make([]RowHit, 0, len(texts))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(texts))) // "MB/s" reads as million rows per second
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkHits = ScanColumn(dst[:0], 0, texts, ents, bc.e2, &m)
+			}
+		})
+	}
+}
+
+// TestScanColumnDoesNotAllocate: given room in dst the kernel allocates
+// nothing, whichever way it matches — and it finds the rows the
+// reference matcher finds.
+func TestScanColumnDoesNotAllocate(t *testing.T) {
+	texts, ents, e2, m := scanFixture(t)
+	dst := make([]RowHit, 0, len(texts))
+	for _, probe := range []catalog.EntityID{e2, catalog.None} {
+		if n := testing.AllocsPerRun(10, func() { sinkHits = ScanColumn(dst[:0], 0, texts, ents, probe, &m) }); n != 0 {
+			t.Errorf("ScanColumn(e2=%v) allocates %v times per call", probe, n)
+		}
+		if len(sinkHits) == 0 {
+			t.Errorf("ScanColumn(e2=%v) found no rows", probe)
+		}
+	}
+}

@@ -43,21 +43,9 @@ func oneCellIndex(t testing.TB, cell string) *Index {
 }
 
 // cellVerdict is the index's answer for the only cell of a oneCellIndex:
-// the matcher applied to what the index precomputed for that cell.
-func cellVerdict(ix *Index, query string) float64 {
-	loc := CellLoc{}
-	qNorm, cNorm := text.Normalize(query), ix.NormCell(loc)
-	if qNorm == "" || cNorm == "" {
-		return 0
-	}
-	if qNorm == cNorm {
-		return 1
-	}
-	if j := text.JaccardSets(text.TokenSet(query), ix.CellTokens(loc)); j >= 0.5 {
-		return j
-	}
-	return 0
-}
+// the query compiled against the segment, looked up under the cell's
+// text ID.
+func cellVerdict(ix *Index, query string) float64 { return verdict(ix, query, 0, 0, 0) }
 
 // matchCases pins the matcher's verdicts as IEEE bit patterns: the
 // thresholds, both lookups (spelling, token overlap) and the inputs a
@@ -116,4 +104,38 @@ func TestMatchOracle(t *testing.T) {
 			t.Errorf("index verdict(%q, %q) = %v (%016x), want %016x", tc.query, tc.cell, got, math.Float64bits(got), tc.bits)
 		}
 	}
+}
+
+// FuzzCompiledMatch: for any query and cell, the compiled match set's
+// verdict equals the reference matcher's bit for bit — on a one-cell
+// segment, and on a segment where the cell shares its dictionaries with
+// a few fixed neighbours, each of which must keep its own verdict too.
+func FuzzCompiledMatch(f *testing.F) {
+	for _, tc := range matchCases {
+		f.Add(tc.query, tc.cell)
+	}
+	c := catalog.New()
+	if err := c.Freeze(); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, query, cell string) {
+		want := oracleMatch(query, cell)
+		if got := cellVerdict(oneCellIndex(t, cell), query); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("one-cell verdict(%q, %q) = %v, oracle %v", query, cell, got, want)
+		}
+		cells := []string{"Solo Auteur", cell, "", "auteur solo grand prix", cell + " solo", "!?"}
+		rows := make([][]string, len(cells))
+		for i, s := range cells {
+			rows[i] = []string{s}
+		}
+		ix := New(c, []*table.Table{{ID: "many", Cells: rows}}, nil)
+		p := NewProbe(query)
+		m := ix.Compile(&p)
+		texts, _ := ix.Column(0, 0)
+		for i, s := range cells {
+			if got, want := m.Lookup(texts[i]), oracleMatch(query, s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("verdict(%q, %q) beside %q = %v, oracle %v", query, s, cells, got, want)
+			}
+		}
+	})
 }

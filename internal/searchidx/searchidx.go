@@ -1,21 +1,50 @@
 // Package searchidx is the corpus index of the search application (§5):
-// the stand-in for the paper's Lucene index over 25M web tables. It
-// offers field-scoped text postings (cell / header / context) for the
-// un-annotated baseline of Figure 3, and annotation-aware indexes (columns
-// by type, column pairs by relation, cells by entity) for the Figure-4
-// query processor.
+// the stand-in for the paper's Lucene index over 25M web tables. One
+// Index is one immutable compiled segment — a batch of tables, with
+// their annotations when they have any, laid out for the one thing the
+// query processor of Figures 3 and 4 does: walk candidate column pairs
+// and look for E2 down the object column.
 //
-// Everything the query processor needs per candidate is materialized at
-// build time: oriented candidate column pairs per relation (with the
-// annotated column types baked in), ordered typed-column pairs for the
-// type-only mode, and per-cell normalized text, token sets and entity
-// IDs — so query execution never tokenizes or normalizes raw cell text.
+// # The compiled segment
+//
+// Cells are dictionary-encoded. The segment interns every distinct
+// normalized cell text once (its spelling and its number of distinct
+// tokens) and every distinct token once (the ascending IDs of the texts
+// that contain it). A table is then stored column-major: each column is
+// a contiguous run of text IDs and a parallel run of entity annotations
+// (catalog.None where the cell has none). Nothing per cell holds a
+// pointer, a string or a map.
+//
+// A query never compares strings against cells. Its E2 probe is compiled
+// once per segment into a MatchSet — the handful of text IDs it matches,
+// ascending, each with its evidence: 1 for the text spelled like the
+// probe, |Q∩C| / |Q∪C| over distinct tokens for every text where that
+// reaches 0.5, counted off the token postings with the same integers the
+// map-based matcher used (oracle_test.go keeps that matcher as the
+// reference). ScanColumn then walks a column slice at an entity compare
+// and a one-word bit test per row; only the few cells those do not
+// settle are looked up in the MatchSet.
+//
+// Candidate retrieval is posting lists, all in ascending table order so
+// a plan can walk them in place: oriented column pairs per relation
+// (annotated column types baked in), every ordered pair of distinct
+// type-annotated columns keyed by the subject column's type, and for
+// the string baseline header-token → (table, column) and context-token
+// → table.
+//
+// What is not indexed: there is no cell-token → cell posting list and
+// no entity → cell posting list. No query path ever probed a cell by
+// token or by entity — both modes reach cells through candidate columns
+// — and at web-table scale those two maps and the per-cell token sets
+// they came with were three quarters of the serving heap.
 package searchidx
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -24,63 +53,72 @@ import (
 	"repro/internal/text"
 )
 
-// ColRef addresses a column of an indexed table.
-type ColRef struct {
-	Table int // index into Tables
-	Col   int
-}
+// ColKey is one header posting: a segment-local table and a column,
+// packed table-major so postings order — and merge — as plain integers.
+type ColKey uint64
 
-// CellLoc addresses a data cell of an indexed table.
-type CellLoc struct {
-	Table, Row, Col int
-}
+// Table returns the posting's segment-local table number.
+func (k ColKey) Table() int32 { return int32(k >> 32) }
 
-// RelRef records one annotated relation instance.
-type RelRef struct {
-	Table      int
-	Col1, Col2 int
-	Forward    bool
-}
+// Col returns the posting's column.
+func (k ColKey) Col() int32 { return int32(uint32(k)) }
 
 // ColumnPair is one precomputed candidate column pair: an oriented
 // (subject, object) pairing of two distinct annotated columns of one
 // table, with their annotated types baked in so the query processor can
 // test type compatibility without further lookups.
 type ColumnPair struct {
-	Table             int
-	SubjCol, ObjCol   int
-	SubjType, ObjType catalog.TypeID
+	Table, SubjCol, ObjCol int32
+	SubjType, ObjType      catalog.TypeID
 }
 
-// Index holds the corpus plus optional annotations.
+// Index is one compiled segment: the tables, their optional annotations,
+// and everything derived from them at build time. It is immutable and
+// safe for concurrent use.
 type Index struct {
 	cat    *catalog.Catalog
 	Tables []*table.Table
 	// Anns[i] annotates Tables[i]; nil when the corpus is unannotated.
 	Anns []*core.Annotation
 
-	headerPost  map[string][]ColRef
-	contextPost map[string][]int
-	cellPost    map[string][]CellLoc
+	// Baseline posting lists, ascending.
+	headerPost  map[string][]ColKey
+	contextPost map[string][]int32
 
-	cellsByEntity map[catalog.EntityID][]CellLoc
-
-	// Query-time posting lists, materialized at build time. relPairs
-	// holds the oriented candidate pairs per relation; typedPairs holds
-	// every ordered pair of distinct type-annotated columns, keyed by
-	// the subject column's annotated type so type-scoped retrieval never
-	// scans pairs of unrelated types.
+	// relPairs holds the oriented candidate pairs per relation;
+	// typedPairs every ordered pair of distinct type-annotated columns,
+	// keyed by the subject column's annotated type, and subjTypes its keys
+	// in ascending order. Lists ascend by table, per-table in annotation
+	// order.
 	relPairs   map[catalog.RelationID][]ColumnPair
 	typedPairs map[catalog.TypeID][]ColumnPair
+	subjTypes  []catalog.TypeID
 
-	// Per-cell precomputed data, flattened row-major per table
-	// (index row*cols+col).
-	tableCols []int
-	normCells [][]string
-	cellToks  [][]map[string]struct{}
-	cellEnts  [][]catalog.EntityID // nil entry: table unannotated
-	colTypes  [][]catalog.TypeID   // nil entry: table unannotated
+	// The text dictionary: ID → normalized spelling and distinct-token
+	// count, and spelling → ID. The empty spelling (a blank or
+	// punctuation-only cell) has an ID like any other.
+	textIDs    map[string]uint32
+	texts      []string
+	textTokens []uint32
+	// The token dictionary: token → ID → ascending IDs of the texts
+	// containing it.
+	tokenIDs   map[string]uint32
+	tokenTexts [][]uint32
+
+	// Column-major cells: column c of table t is the spans[t].rows
+	// entries of cellText and cellEnts from spans[t].off+c*spans[t].rows.
+	spans    []tableSpan
+	cellText []uint32
+	cellEnts []catalog.EntityID
+
+	// identity maps every table to itself: the local→global table map of
+	// an index serving as a whole corpus.
+	identity []int32
 }
+
+// tableSpan locates one table's cells: where they start and how many
+// rows each column runs for.
+type tableSpan struct{ off, rows uint32 }
 
 // New builds an index over a corpus. anns may be nil (baseline mode) or
 // parallel to tables; a nil entry disables annotation lookups for that
@@ -102,65 +140,73 @@ func New(cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) *
 const rowCheckInterval = 1024
 
 // BuildContext is New with input validation and cancellation: a non-nil
-// anns slice must be parallel to tables (a length mismatch is reported as
-// an error instead of panicking later in EntityAt/TypeAt), and the context
-// is checked between tables — and every rowCheckInterval cells within a
+// anns slice must be parallel to tables, and a segment whose tables,
+// cells or distinct tokens outnumber what its 32-bit IDs can address is
+// refused (distinct texts cannot outnumber cells). The context is
+// checked between tables — and every rowCheckInterval cells within a
 // table — so indexing a corpus with one oversized table still aborts
 // promptly.
 func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
 	if anns != nil && len(anns) != len(tables) {
 		return nil, fmt.Errorf("searchidx: %d annotations for %d tables", len(anns), len(tables))
 	}
-	ix := &Index{
-		cat:           cat,
-		Tables:        tables,
-		Anns:          anns,
-		headerPost:    make(map[string][]ColRef),
-		contextPost:   make(map[string][]int),
-		cellPost:      make(map[string][]CellLoc),
-		cellsByEntity: make(map[catalog.EntityID][]CellLoc),
-		relPairs:      make(map[catalog.RelationID][]ColumnPair),
-		typedPairs:    make(map[catalog.TypeID][]ColumnPair),
-		tableCols:     make([]int, len(tables)),
-		normCells:     make([][]string, len(tables)),
-		cellToks:      make([][]map[string]struct{}, len(tables)),
-		cellEnts:      make([][]catalog.EntityID, len(tables)),
-		colTypes:      make([][]catalog.TypeID, len(tables)),
+	if len(tables) > math.MaxInt32 {
+		return nil, fmt.Errorf("searchidx: %d tables exceed one segment's 32-bit table numbers", len(tables))
 	}
+	ix := &Index{
+		cat:         cat,
+		Tables:      tables,
+		Anns:        anns,
+		headerPost:  make(map[string][]ColKey),
+		contextPost: make(map[string][]int32),
+		relPairs:    make(map[catalog.RelationID][]ColumnPair),
+		typedPairs:  make(map[catalog.TypeID][]ColumnPair),
+		textIDs:     make(map[string]uint32),
+		tokenIDs:    make(map[string]uint32),
+		spans:       make([]tableSpan, len(tables)),
+		identity:    make([]int32, len(tables)),
+	}
+	cells := uint64(0)
+	for ti, t := range tables {
+		ix.identity[ti] = int32(ti)
+		ix.spans[ti] = tableSpan{off: uint32(cells), rows: uint32(t.Rows())}
+		if cells += uint64(t.Rows()) * uint64(t.Cols()); cells > math.MaxUint32 {
+			return nil, fmt.Errorf("searchidx: more than %d cells in one segment (at table %d)", uint32(math.MaxUint32), ti)
+		}
+	}
+	ix.cellText = make([]uint32, cells)
+	ix.cellEnts = make([]catalog.EntityID, cells)
+	for i := range ix.cellEnts {
+		ix.cellEnts[i] = catalog.None
+	}
+
 	for ti, t := range tables {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cols := t.Cols()
-		ix.tableCols[ti] = cols
-		ix.normCells[ti] = make([]string, t.Rows()*cols)
-		ix.cellToks[ti] = make([]map[string]struct{}, t.Rows()*cols)
+		rows, cols := t.Rows(), t.Cols()
 		for tok := range text.TokenSet(t.Context) {
-			ix.contextPost[tok] = append(ix.contextPost[tok], ti)
+			ix.contextPost[tok] = append(ix.contextPost[tok], int32(ti))
 		}
 		//lint:allow ctxpoll -- bounded by column count × header tokens, not row-scale
 		for c := 0; c < cols; c++ {
 			for tok := range text.TokenSet(t.Header(c)) {
-				ix.headerPost[tok] = append(ix.headerPost[tok], ColRef{ti, c})
+				ix.headerPost[tok] = append(ix.headerPost[tok], ColKey(ti)<<32|ColKey(c))
 			}
 		}
-		for r := 0; r < t.Rows(); r++ {
+		col := ix.cellText[ix.spans[ti].off:]
+		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
 				if cell := r*cols + c; cell&(rowCheckInterval-1) == rowCheckInterval-1 {
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
 				}
-				toks := text.Tokenize(t.Cell(r, c))
-				set := make(map[string]struct{}, len(toks))
-				for _, tok := range toks {
-					set[tok] = struct{}{}
+				id, err := ix.internText(t.Cell(r, c))
+				if err != nil {
+					return nil, err
 				}
-				ix.normCells[ti][r*cols+c] = strings.Join(toks, " ")
-				ix.cellToks[ti][r*cols+c] = set
-				for tok := range set {
-					ix.cellPost[tok] = append(ix.cellPost[tok], CellLoc{ti, r, c})
-				}
+				col[c*rows+r] = id
 			}
 		}
 	}
@@ -172,54 +218,9 @@ func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Tab
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cols := ix.tableCols[ti]
-			colT := make([]catalog.TypeID, cols)
-			for c := range colT {
-				colT[c] = catalog.None
-			}
-			for c, T := range ann.ColumnTypes {
-				if c < cols {
-					colT[c] = T
-				}
-			}
-			ix.colTypes[ti] = colT
-
-			// Relation posting lists: one oriented pair per annotated
-			// relation instance, subject column first.
-			for _, ra := range ann.Relations {
-				sc, oc := ra.Col1, ra.Col2
-				if !ra.Forward {
-					sc, oc = oc, sc
-				}
-				ix.relPairs[ra.Relation] = append(ix.relPairs[ra.Relation], ColumnPair{
-					Table: ti, SubjCol: sc, ObjCol: oc,
-					SubjType: typeOf(colT, sc), ObjType: typeOf(colT, oc),
-				})
-			}
-
-			// Typed-pair posting list: every ordered pair of distinct
-			// type-annotated columns, the type-only mode's candidates.
-			//lint:allow ctxpoll -- bounded by column count squared, not row-scale
-			for c1 := 0; c1 < cols; c1++ {
-				if colT[c1] == catalog.None {
-					continue
-				}
-				for c2 := 0; c2 < cols; c2++ {
-					if c2 == c1 || colT[c2] == catalog.None {
-						continue
-					}
-					ix.typedPairs[colT[c1]] = append(ix.typedPairs[colT[c1]], ColumnPair{
-						Table: ti, SubjCol: c1, ObjCol: c2,
-						SubjType: colT[c1], ObjType: colT[c2],
-					})
-				}
-			}
-
-			rows := tables[ti].Rows()
-			ents := make([]catalog.EntityID, rows*cols)
-			for i := range ents {
-				ents[i] = catalog.None
-			}
+			ix.indexAnnotation(int32(ti), ann)
+			rows, cols := tables[ti].Rows(), tables[ti].Cols()
+			ents := ix.cellEnts[ix.spans[ti].off:]
 			for r, row := range ann.CellEntities {
 				if r >= rows {
 					break
@@ -230,198 +231,378 @@ func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Tab
 					}
 				}
 				for c, e := range row {
-					if c >= cols {
-						continue
-					}
-					ents[r*cols+c] = e
-					if e != catalog.None {
-						ix.cellsByEntity[e] = append(ix.cellsByEntity[e], CellLoc{ti, r, c})
+					if c < cols {
+						ents[c*rows+r] = e
 					}
 				}
 			}
-			ix.cellEnts[ti] = ents
 		}
 	}
+	ix.subjTypes = make([]catalog.TypeID, 0, len(ix.typedPairs))
+	for T := range ix.typedPairs {
+		ix.subjTypes = append(ix.subjTypes, T)
+	}
+	slices.Sort(ix.subjTypes)
 	return ix, nil
 }
 
-func typeOf(colT []catalog.TypeID, c int) catalog.TypeID {
-	if c < 0 || c >= len(colT) {
-		return catalog.None
+// internText returns the ID of a cell's normalized text, entering the
+// text — and any token it is the first to contain — into the
+// dictionaries on first sight.
+func (ix *Index) internText(cell string) (uint32, error) {
+	norm := text.Normalize(cell)
+	if id, ok := ix.textIDs[norm]; ok {
+		return id, nil
 	}
-	return colT[c]
+	id := uint32(len(ix.texts))
+	ix.textIDs[norm] = id
+	ix.texts = append(ix.texts, norm)
+	// A normalized spelling is its tokens joined by single spaces.
+	distinct := uint32(0)
+	for rest := norm; rest != ""; {
+		var tok string
+		tok, rest, _ = strings.Cut(rest, " ")
+		tid, ok := ix.tokenIDs[tok]
+		if !ok {
+			if uint64(len(ix.tokenTexts)) >= math.MaxUint32 {
+				return 0, fmt.Errorf("searchidx: more than %d distinct tokens in one segment", uint32(math.MaxUint32))
+			}
+			tid = uint32(len(ix.tokenTexts))
+			ix.tokenIDs[tok] = tid
+			ix.tokenTexts = append(ix.tokenTexts, nil)
+		}
+		// A token repeated within the text was posted a moment ago.
+		if post := ix.tokenTexts[tid]; len(post) == 0 || post[len(post)-1] != id {
+			ix.tokenTexts[tid] = append(post, id)
+			distinct++
+		}
+	}
+	ix.textTokens = append(ix.textTokens, distinct)
+	return id, nil
+}
+
+// indexAnnotation appends table ti's candidate column pairs to the
+// relation and typed-pair posting lists.
+func (ix *Index) indexAnnotation(ti int32, ann *core.Annotation) {
+	cols := ix.Tables[ti].Cols()
+	colT := make([]catalog.TypeID, cols)
+	for c := range colT {
+		colT[c] = catalog.None
+	}
+	for c, T := range ann.ColumnTypes {
+		if c < cols {
+			colT[c] = T
+		}
+	}
+	typeOf := func(c int) catalog.TypeID {
+		if c < 0 || c >= cols {
+			return catalog.None
+		}
+		return colT[c]
+	}
+	// Relation posting lists: one oriented pair per annotated relation
+	// instance, subject column first.
+	for _, ra := range ann.Relations {
+		sc, oc := ra.Col1, ra.Col2
+		if !ra.Forward {
+			sc, oc = oc, sc
+		}
+		ix.relPairs[ra.Relation] = append(ix.relPairs[ra.Relation], ColumnPair{
+			Table: ti, SubjCol: int32(sc), ObjCol: int32(oc),
+			SubjType: typeOf(sc), ObjType: typeOf(oc),
+		})
+	}
+	// Typed-pair posting list: every ordered pair of distinct
+	// type-annotated columns, the type-only mode's candidates.
+	for c1 := 0; c1 < cols; c1++ {
+		if colT[c1] == catalog.None {
+			continue
+		}
+		for c2 := 0; c2 < cols; c2++ {
+			if c2 == c1 || colT[c2] == catalog.None {
+				continue
+			}
+			ix.typedPairs[colT[c1]] = append(ix.typedPairs[colT[c1]], ColumnPair{
+				Table: ti, SubjCol: int32(c1), ObjCol: int32(c2),
+				SubjType: colT[c1], ObjType: colT[c2],
+			})
+		}
+	}
 }
 
 // Catalog returns the catalog the annotations refer to.
 func (ix *Index) Catalog() *catalog.Catalog { return ix.cat }
 
-// Rows returns the number of data rows of an indexed table.
-func (ix *Index) Rows(ti int) int { return ix.Tables[ti].Rows() }
+// Segments reports the one segment an index is when it serves as a whole
+// corpus (see search.Corpus).
+func (ix *Index) Segments() int { return 1 }
 
-// RawCell returns the original (un-normalized) cell text, for answer
-// presentation.
-func (ix *Index) RawCell(loc CellLoc) string {
-	return ix.Tables[loc.Table].Cell(loc.Row, loc.Col)
-}
+// Segment returns that segment: the index itself, every table numbered
+// as it is.
+func (ix *Index) Segment(int) (*Index, []int32) { return ix, ix.identity }
 
-// HeaderMatches returns columns whose header shares a token with q, in
-// sorted-token probe order: deterministic, so evidence replay sees the
-// same sequence every run.
-func (ix *Index) HeaderMatches(q string) []ColRef {
-	seen := make(map[ColRef]struct{})
-	var out []ColRef
-	for _, tok := range sortedTokens(text.TokenSet(q)) {
-		for _, ref := range ix.headerPost[tok] {
-			if _, dup := seen[ref]; !dup {
-				seen[ref] = struct{}{}
-				out = append(out, ref)
-			}
-		}
-	}
-	return out
-}
-
-// sortedTokens returns the set's tokens in sorted order, so index
-// probes concatenate posting lists deterministically.
-func sortedTokens(set map[string]struct{}) []string {
-	toks := make([]string, 0, len(set))
-	for t := range set {
-		toks = append(toks, t)
-	}
-	sort.Strings(toks)
-	return toks
-}
-
-// ContextMatches returns tables whose context shares a token with q.
-func (ix *Index) ContextMatches(q string) map[int]struct{} {
-	out := make(map[int]struct{})
-	for tok := range text.TokenSet(q) {
-		for _, ti := range ix.contextPost[tok] {
-			out[ti] = struct{}{}
-		}
-	}
-	return out
-}
-
-// CellMatches returns cells sharing a token with q, in sorted-token
-// probe order (see HeaderMatches).
-func (ix *Index) CellMatches(q string) []CellLoc {
-	seen := make(map[CellLoc]struct{})
-	var out []CellLoc
-	for _, tok := range sortedTokens(text.TokenSet(q)) {
-		for _, loc := range ix.cellPost[tok] {
-			if _, dup := seen[loc]; !dup {
-				seen[loc] = struct{}{}
-				out = append(out, loc)
-			}
-		}
-	}
-	return out
-}
-
-// ColumnsOfType returns columns annotated with a type T such that
-// T ⊆* want (subtype-or-equal), i.e. every column guaranteed to hold
-// entities of the query type. Derived from the per-table column types in
-// corpus order (the query path uses TypedPairs/RelationPairs instead).
-func (ix *Index) ColumnsOfType(want catalog.TypeID) []ColRef {
-	var out []ColRef
-	for ti, colT := range ix.colTypes {
-		for c, T := range colT {
-			if T != catalog.None && ix.cat.IsSubtype(T, want) {
-				out = append(out, ColRef{ti, c})
-			}
-		}
-	}
-	return out
-}
-
-// RelationInstances returns annotated column pairs carrying relation b,
-// derived from the relation posting list in subject-first orientation.
-func (ix *Index) RelationInstances(b catalog.RelationID) []RelRef {
-	pairs := ix.relPairs[b]
-	if pairs == nil {
-		return nil
-	}
-	out := make([]RelRef, len(pairs))
-	for i, p := range pairs {
-		out[i] = RelRef{Table: p.Table, Col1: p.SubjCol, Col2: p.ObjCol, Forward: true}
-	}
-	return out
-}
+// SubjectTypes returns every subject type the typed-pair posting list is
+// keyed by, in ascending ID order. The slice is shared; callers must not
+// mutate it.
+func (ix *Index) SubjectTypes() []catalog.TypeID { return ix.subjTypes }
 
 // RelationPairs returns the precomputed oriented candidate column pairs
 // carrying relation b, subject column first, with annotated types baked
-// in.
-func (ix *Index) RelationPairs(b catalog.RelationID) []ColumnPair {
-	return ix.relPairs[b]
-}
-
-// TypedPairs returns the ordered pairs of distinct type-annotated
-// columns whose subject column's type is subj or a subtype of it — the
-// candidate pairs of the type-only query mode, to be filtered further by
-// object-type compatibility. Matching subject types are visited in ID
-// order so the result is deterministic across calls.
-func (ix *Index) TypedPairs(subj catalog.TypeID) []ColumnPair {
-	var out []ColumnPair
-	for _, T := range ix.SubjectTypes() {
-		if ix.cat.IsSubtype(T, subj) {
-			out = append(out, ix.typedPairs[T]...)
-		}
-	}
-	return out
-}
-
-// SubjectTypes returns every subject type the typed-pair posting list is
-// keyed by, in ascending ID order. Together with TypedPairsOf it gives
-// callers (the query engine, the segmented corpus view) the primitive
-// pieces of TypedPairs so multi-segment retrieval can interleave
-// segments per type and keep the monolithic scan order.
-func (ix *Index) SubjectTypes() []catalog.TypeID {
-	out := make([]catalog.TypeID, 0, len(ix.typedPairs))
-	for T := range ix.typedPairs {
-		out = append(out, T)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// in, ascending by table. The slice is shared; callers must not mutate
+// it.
+func (ix *Index) RelationPairs(b catalog.RelationID) []ColumnPair { return ix.relPairs[b] }
 
 // TypedPairsOf returns the typed-pair posting list of exactly subject
-// type T (no subtype closure), in corpus order. The returned slice is
-// shared; callers must not mutate it.
-func (ix *Index) TypedPairsOf(T catalog.TypeID) []ColumnPair {
-	return ix.typedPairs[T]
+// type T (no subtype closure), ascending by table. The slice is shared;
+// callers must not mutate it.
+func (ix *Index) TypedPairsOf(T catalog.TypeID) []ColumnPair { return ix.typedPairs[T] }
+
+// HeaderMatches returns the columns whose header shares a token with p,
+// ascending by (table, column). The result is a posting list of the
+// index when only one of p's tokens has one — shared, not to be mutated
+// — and otherwise their union written over *buf.
+func (ix *Index) HeaderMatches(p *Probe, buf *[]ColKey) []ColKey {
+	return unionPostings(ix.headerPost, p.Tokens, buf)
 }
 
-// CellsOfEntity returns cells annotated with entity e.
-func (ix *Index) CellsOfEntity(e catalog.EntityID) []CellLoc {
-	return ix.cellsByEntity[e]
-}
-
-// EntityAt returns the entity annotation of a cell (None if absent).
-func (ix *Index) EntityAt(loc CellLoc) catalog.EntityID {
-	ents := ix.cellEnts[loc.Table]
-	if ents == nil {
-		return catalog.None
+// unionPostings returns the ascending union of the header posting lists
+// of toks: the list itself when only one is non-empty, else a k-way
+// merge into *buf (k is the handful of tokens of one query string).
+func unionPostings(post map[string][]ColKey, toks []string, buf *[]ColKey) []ColKey {
+	var few [4][]ColKey
+	lists := few[:0]
+	for _, tok := range toks {
+		if l := post[tok]; len(l) > 0 {
+			lists = append(lists, l)
+		}
 	}
-	return ents[loc.Row*ix.tableCols[loc.Table]+loc.Col]
-}
-
-// TypeAt returns the type annotation of a column (None if absent).
-func (ix *Index) TypeAt(ref ColRef) catalog.TypeID {
-	colT := ix.colTypes[ref.Table]
-	if colT == nil {
-		return catalog.None
+	switch len(lists) {
+	case 0:
+		return nil
+	case 1:
+		return lists[0]
 	}
-	return typeOf(colT, ref.Col)
+	out := (*buf)[:0]
+	for {
+		least, any := ColKey(0), false
+		for _, l := range lists {
+			if len(l) > 0 && (!any || l[0] < least) {
+				least, any = l[0], true
+			}
+		}
+		if !any {
+			*buf = out
+			return out
+		}
+		out = append(out, least)
+		for i, l := range lists {
+			if len(l) > 0 && l[0] == least {
+				lists[i] = l[1:]
+			}
+		}
+	}
 }
 
-// NormCell returns the cell's normalized text, precomputed at build time.
-func (ix *Index) NormCell(loc CellLoc) string {
-	return ix.normCells[loc.Table][loc.Row*ix.tableCols[loc.Table]+loc.Col]
+// ContextCursor answers, for ascending table numbers, whether a table's
+// context shares a token with a probe: one cursor per posted token of
+// the probe, each only ever moving forward, so a whole pass costs at
+// most the lists' combined length and writes nothing.
+type ContextCursor struct {
+	lists [][]int32
 }
 
-// CellTokens returns the cell's token set, precomputed at build time. The
-// returned map is shared; callers must not mutate it.
-func (ix *Index) CellTokens(loc CellLoc) map[string]struct{} {
-	return ix.cellToks[loc.Table][loc.Row*ix.tableCols[loc.Table]+loc.Col]
+// ContextMatches points cc at the start of the context postings of p's
+// tokens in this segment.
+func (ix *Index) ContextMatches(p *Probe, cc *ContextCursor) {
+	cc.lists = cc.lists[:0]
+	for _, tok := range p.Tokens {
+		if l := ix.contextPost[tok]; len(l) > 0 {
+			cc.lists = append(cc.lists, l)
+		}
+	}
+}
+
+// Contains reports whether table t's context matches. Successive calls
+// must pass ascending table numbers.
+func (cc *ContextCursor) Contains(t int32) bool {
+	found := false
+	for i, l := range cc.lists {
+		for len(l) > 0 && l[0] < t {
+			l = l[1:]
+		}
+		cc.lists[i] = l
+		found = found || (len(l) > 0 && l[0] == t)
+	}
+	return found
+}
+
+// Column returns one column of an indexed table, top to bottom: each
+// cell's text ID and its entity annotation (catalog.None if absent).
+// The slices are the index's own; callers must not mutate them.
+func (ix *Index) Column(table, col int) (texts []uint32, ents []catalog.EntityID) {
+	rows := int(ix.spans[table].rows)
+	lo := int(ix.spans[table].off) + col*rows
+	return ix.cellText[lo : lo+rows : lo+rows], ix.cellEnts[lo : lo+rows : lo+rows]
+}
+
+// Spelling returns the normalized text behind a text ID: the cell's
+// tokens joined by single spaces, empty for a cell without any.
+func (ix *Index) Spelling(id uint32) string { return ix.texts[id] }
+
+// Probe is one query string compiled once per request: its normalized
+// spelling and its distinct tokens in ascending order. A Probe also
+// carries the scratch space Compile merges in, so it is not safe for
+// concurrent use.
+type Probe struct {
+	Norm   string
+	Tokens []string
+
+	cur, next []tally
+}
+
+// tally counts, for one text, how many of the probe's tokens it holds.
+type tally struct{ text, shared uint32 }
+
+// NewProbe compiles a query string.
+func NewProbe(s string) Probe {
+	toks := text.Tokenize(s)
+	p := Probe{Norm: strings.Join(toks, " ")}
+	slices.Sort(toks)
+	p.Tokens = slices.Compact(toks)
+	return p
+}
+
+// MatchSet is a probe compiled against one segment: the texts it
+// matches, ascending by ID, each with the evidence a cell of that text
+// contributes. The zero MatchSet matches nothing.
+type MatchSet struct {
+	texts []textMatch
+	// mask has bit id%64 set for every matched ID: one word that tells
+	// a row loop, for all but a few cells in 64, that a cell cannot match.
+	mask uint64
+}
+
+type textMatch struct {
+	id       uint32
+	evidence float64
+}
+
+// Compile compiles p against the segment. A text matches with evidence
+// 1 when it is spelled like the probe, else with its token-set Jaccard
+// similarity to the probe when that reaches 0.5 — two separate lookups:
+// the spelling dictionary decides the first, the token postings count
+// the second. A probe without a spelling matches nothing.
+func (ix *Index) Compile(p *Probe) MatchSet {
+	if p.Norm == "" {
+		return MatchSet{}
+	}
+	// Merge the postings of the probe's tokens, counting per text how
+	// many of them list it.
+	cur, next := p.cur[:0], p.next[:0]
+	for _, tok := range p.Tokens {
+		tid, ok := ix.tokenIDs[tok]
+		if !ok {
+			continue
+		}
+		next = next[:0]
+		i := 0
+		for _, id := range ix.tokenTexts[tid] {
+			for ; i < len(cur) && cur[i].text < id; i++ {
+				next = append(next, cur[i])
+			}
+			if i < len(cur) && cur[i].text == id {
+				next = append(next, tally{id, cur[i].shared + 1})
+				i++
+			} else {
+				next = append(next, tally{id, 1})
+			}
+		}
+		next = append(next, cur[i:]...)
+		cur, next = next, cur
+	}
+	// The text spelled like the probe joins the tallies even if no token
+	// led to it, marked as sharing more tokens than the probe has.
+	if id, ok := ix.textIDs[p.Norm]; ok {
+		i, found := slices.BinarySearchFunc(cur, id, func(t tally, id uint32) int { return cmp.Compare(t.text, id) })
+		if !found {
+			cur = slices.Insert(cur, i, tally{text: id})
+		}
+		cur[i].shared = math.MaxUint32
+	}
+	p.cur, p.next = cur, next
+	var m MatchSet
+	for _, t := range cur {
+		ev := 1.0
+		if t.shared != math.MaxUint32 {
+			union := len(p.Tokens) + int(ix.textTokens[t.text]) - int(t.shared)
+			if ev = float64(t.shared) / float64(union); ev < 0.5 {
+				continue
+			}
+		}
+		m.texts = append(m.texts, textMatch{t.text, ev})
+		m.mask |= 1 << (t.text % 64)
+	}
+	return m
+}
+
+// Lookup returns the evidence a cell of the given text contributes, 0
+// when the probe does not match it. It runs once per unsettled row of a
+// scan, so it is a plain loop: halve the few matches down to a handful,
+// then compare.
+func (m *MatchSet) Lookup(id uint32) float64 {
+	ts := m.texts
+	for len(ts) > 4 {
+		if h := len(ts) / 2; ts[h].id <= id {
+			ts = ts[h:]
+		} else {
+			ts = ts[:h]
+		}
+	}
+	for _, t := range ts {
+		if t.id == id {
+			return t.evidence
+		}
+	}
+	return 0
+}
+
+// RowHit is one matching row of a scanned column.
+type RowHit struct {
+	Row      int32
+	Evidence float64
+}
+
+// ScanColumn is the query processor's row loop over one column slice,
+// texts and ents as Column returns them (or a sub-slice of both, base
+// being the row number of their first entry). It appends to dst every
+// row whose cell matches, and returns dst. With an E2 entity, a cell
+// annotated with it is evidence 1.5 — an exact entity match beats any
+// text match — a cell annotated with another entity is no evidence, and
+// an unannotated cell falls back to the text match m holds. With e2 =
+// catalog.None annotations are ignored and every cell is matched by
+// text. Per row that is an entity compare and, for the cells it does not
+// settle, a bit test against m's mask; only the survivors are looked up.
+func ScanColumn(dst []RowHit, base int, texts []uint32, ents []catalog.EntityID, e2 catalog.EntityID, m *MatchSet) []RowHit {
+	mask := m.mask
+	if e2 == catalog.None {
+		for r, id := range texts {
+			if mask>>(id%64)&1 != 0 {
+				if ev := m.Lookup(id); ev > 0 {
+					dst = append(dst, RowHit{Row: int32(base + r), Evidence: ev})
+				}
+			}
+		}
+		return dst
+	}
+	texts = texts[:len(ents)]
+	for r, e := range ents {
+		if e == e2 {
+			dst = append(dst, RowHit{Row: int32(base + r), Evidence: 1.5})
+		} else if e == catalog.None && mask>>(texts[r]%64)&1 != 0 {
+			if ev := m.Lookup(texts[r]); ev > 0 {
+				dst = append(dst, RowHit{Row: int32(base + r), Evidence: ev})
+			}
+		}
+	}
+	return dst
 }

@@ -1,11 +1,14 @@
 package searchidx
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/table"
+	"repro/internal/text"
 )
 
 func buildIndex(t testing.TB) (*Index, *catalog.Catalog) {
@@ -50,59 +53,103 @@ func buildIndex(t testing.TB) (*Index, *catalog.Catalog) {
 	return New(c, []*table.Table{tab}, []*core.Annotation{ann}), c
 }
 
+// headerCols and contextTables probe the baseline posting lists.
+func headerCols(ix *Index, q string) []ColKey {
+	p := NewProbe(q)
+	var buf []ColKey
+	return ix.HeaderMatches(&p, &buf)
+}
+
+func contextTables(ix *Index, q string) []int32 {
+	p := NewProbe(q)
+	var cc ContextCursor
+	ix.ContextMatches(&p, &cc)
+	var out []int32
+	for t := range ix.Tables {
+		if cc.Contains(int32(t)) {
+			out = append(out, int32(t))
+		}
+	}
+	return out
+}
+
+// verdict compiles q against the segment and looks up one cell.
+func verdict(ix *Index, q string, table, row, col int) float64 {
+	p := NewProbe(q)
+	m := ix.Compile(&p)
+	texts, _ := ix.Column(table, col)
+	return m.Lookup(texts[row])
+}
+
 func TestHeaderContextCellPostings(t *testing.T) {
 	ix, _ := buildIndex(t)
-	if refs := ix.HeaderMatches("movie titles"); len(refs) != 1 || refs[0].Col != 0 {
+	if refs := headerCols(ix, "movie titles"); len(refs) != 1 || refs[0].Table() != 0 || refs[0].Col() != 0 {
 		t.Errorf("HeaderMatches = %v", refs)
 	}
-	if refs := ix.HeaderMatches("nothing relevant"); len(refs) != 0 {
+	if refs := headerCols(ix, "nothing relevant"); len(refs) != 0 {
 		t.Errorf("spurious header match: %v", refs)
 	}
-	if tables := ix.ContextMatches("great films"); len(tables) != 1 {
+	if tables := contextTables(ix, "great films"); len(tables) != 1 {
 		t.Errorf("ContextMatches = %v", tables)
 	}
-	cells := ix.CellMatches("voyage")
-	if len(cells) != 1 || cells[0].Row != 0 || cells[0].Col != 0 {
-		t.Errorf("CellMatches = %v", cells)
+	// A token reaches the texts that contain it — and only those.
+	if got := verdict(ix, "voyage", 0, 0, 0); got != 0.5 {
+		t.Errorf(`"voyage" against "Star Voyage" = %v, want 0.5`, got)
+	}
+	if got := verdict(ix, "voyage", 0, 1, 0); got != 0 {
+		t.Errorf(`"voyage" against "Night Harbor" = %v, want 0`, got)
 	}
 	// Duplicate tokens must not duplicate postings.
-	if cells := ix.CellMatches("voyage voyage star"); len(cells) != 1 {
-		t.Errorf("deduped CellMatches = %v", cells)
+	if got := verdict(ix, "voyage voyage star", 0, 0, 0); got != 1 {
+		t.Errorf(`"voyage voyage star" against "Star Voyage" = %v, want 1`, got)
 	}
 }
 
-func TestColumnsOfTypeUsesSubtypeClosure(t *testing.T) {
-	ix, c := buildIndex(t)
-	film, _ := c.TypeByName("Film")
-	action, _ := c.TypeByName("ActionFilm")
-	// The column is annotated ActionFilm; querying the supertype Film
-	// must find it, querying ActionFilm must too.
-	if cols := ix.ColumnsOfType(film); len(cols) != 1 {
-		t.Errorf("ColumnsOfType(Film) = %v", cols)
+// TestUnionOfPostings: a probe with several posted tokens gets the
+// ascending, duplicate-free union of their lists; one posted token gets
+// its list as it is.
+func TestUnionOfPostings(t *testing.T) {
+	c := catalog.New()
+	if err := c.Freeze(); err != nil {
+		t.Fatal(err)
 	}
-	if cols := ix.ColumnsOfType(action); len(cols) != 1 {
-		t.Errorf("ColumnsOfType(ActionFilm) = %v", cols)
+	tabs := []*table.Table{
+		{ID: "a", Context: "films of note", Headers: []string{"Film title", "Year"}, Cells: [][]string{{"x", "y"}}},
+		{ID: "b", Context: "notable directors", Headers: []string{"Director", "Best film"}, Cells: [][]string{{"x", "y"}}},
+		{ID: "c", Context: "films and directors", Headers: []string{"Title", "Film"}, Cells: [][]string{{"x", "y"}}},
+	}
+	ix := New(c, tabs, nil)
+	key := func(table, col int) ColKey { return ColKey(table)<<32 | ColKey(col) }
+	if got, want := headerCols(ix, "film title"), []ColKey{key(0, 0), key(1, 1), key(2, 0), key(2, 1)}; !slices.Equal(got, want) {
+		t.Errorf("HeaderMatches(film title) = %v, want %v", got, want)
+	}
+	if got, want := headerCols(ix, "year of the director"), []ColKey{key(0, 1), key(1, 0)}; !slices.Equal(got, want) {
+		t.Errorf("HeaderMatches(year of the director) = %v, want %v", got, want)
+	}
+	if got, want := contextTables(ix, "directors films notable"), []int32{0, 1, 2}; !slices.Equal(got, want) {
+		t.Errorf("ContextMatches = %v, want %v", got, want)
+	}
+	if got, want := contextTables(ix, "notable zebra"), []int32{1}; !slices.Equal(got, want) {
+		t.Errorf("ContextMatches(single posted token) = %v, want %v", got, want)
 	}
 }
 
+// TestEntityAndTypeAt: a column reads back its cells' entity
+// annotations, None where a cell has none, and an untyped column takes
+// no part in the typed-pair posting lists.
 func TestEntityAndTypeAt(t *testing.T) {
 	ix, c := buildIndex(t)
 	e1, _ := c.EntityByName("Star Voyage")
-	if got := ix.EntityAt(CellLoc{Table: 0, Row: 0, Col: 0}); got != e1 {
-		t.Errorf("EntityAt = %v", got)
+	_, ents := ix.Column(0, 0)
+	if len(ents) != 2 || ents[0] != e1 || ents[1] != catalog.None {
+		t.Errorf("column 0 entities = %v, want [%v None]", ents, e1)
 	}
-	if got := ix.EntityAt(CellLoc{Table: 0, Row: 1, Col: 0}); got != catalog.None {
-		t.Errorf("unannotated EntityAt = %v", got)
+	if _, ents := ix.Column(0, 1); ents[0] != catalog.None || ents[1] != catalog.None {
+		t.Errorf("unannotated column entities = %v", ents)
 	}
-	action, _ := c.TypeByName("ActionFilm")
-	if got := ix.TypeAt(ColRef{Table: 0, Col: 0}); got != action {
-		t.Errorf("TypeAt = %v", got)
-	}
-	if got := ix.TypeAt(ColRef{Table: 0, Col: 1}); got != catalog.None {
-		t.Errorf("numeric column TypeAt = %v", got)
-	}
-	if locs := ix.CellsOfEntity(e1); len(locs) != 1 {
-		t.Errorf("CellsOfEntity = %v", locs)
+	// Only column 0 is typed, so no ordered pair of typed columns exists.
+	if got := ix.SubjectTypes(); len(got) != 0 {
+		t.Errorf("SubjectTypes = %v, want none", got)
 	}
 }
 
@@ -185,40 +232,43 @@ func TestTypedPairsEnumeratesOrderedPairs(t *testing.T) {
 	ix, c := buildRelIndex(t)
 	film, _ := c.TypeByName("Film")
 	director, _ := c.TypeByName("Director")
-	// Subject-type-scoped retrieval: each key sees only its orientation.
-	filmPairs := ix.TypedPairs(film)
-	if len(filmPairs) != 1 || filmPairs[0].SubjType != film || filmPairs[0].ObjType != director {
-		t.Fatalf("TypedPairs(Film) = %v", filmPairs)
+	if got, want := ix.SubjectTypes(), []catalog.TypeID{film, director}; !slices.Equal(got, want) {
+		t.Fatalf("SubjectTypes = %v, want %v", got, want)
 	}
-	dirPairs := ix.TypedPairs(director)
+	// Subject-type-scoped retrieval: each key sees only its orientation.
+	filmPairs := ix.TypedPairsOf(film)
+	if len(filmPairs) != 1 || filmPairs[0].SubjType != film || filmPairs[0].ObjType != director {
+		t.Fatalf("TypedPairsOf(Film) = %v", filmPairs)
+	}
+	dirPairs := ix.TypedPairsOf(director)
 	if len(dirPairs) != 1 || dirPairs[0].SubjType != director || dirPairs[0].ObjType != film {
-		t.Fatalf("TypedPairs(Director) = %v", dirPairs)
+		t.Fatalf("TypedPairsOf(Director) = %v", dirPairs)
 	}
 	for _, p := range append(filmPairs, dirPairs...) {
 		if p.SubjCol == p.ObjCol {
 			t.Errorf("self-pair: %+v", p)
 		}
 	}
-	if got := ix.TypedPairs(film + 99); got != nil {
-		t.Errorf("TypedPairs(unknown) = %v", got)
+	if got := ix.TypedPairsOf(film + 99); got != nil {
+		t.Errorf("TypedPairsOf(unknown) = %v", got)
 	}
 }
 
 func TestPrecomputedCells(t *testing.T) {
 	ix, c := buildRelIndex(t)
-	loc := CellLoc{Table: 0, Row: 0, Col: 1}
+	texts, ents := ix.Column(0, 1)
 	// "Star  Voyage!" normalizes with collapsed whitespace and stripped
 	// punctuation at build time.
-	if got := ix.NormCell(loc); got != "star voyage" {
-		t.Errorf("NormCell = %q", got)
+	if got := ix.Spelling(texts[0]); got != "star voyage" {
+		t.Errorf("Spelling = %q", got)
 	}
-	toks := ix.CellTokens(loc)
-	if _, ok := toks["star"]; !ok || len(toks) != 2 {
-		t.Errorf("CellTokens = %v", toks)
+	// Two distinct tokens: one shared of two is exactly the threshold.
+	if got := verdict(ix, "star", 0, 0, 1); got != 0.5 {
+		t.Errorf(`"star" against "Star  Voyage!" = %v, want 0.5`, got)
 	}
 	f1, _ := c.EntityByName("Star Voyage")
-	if got := ix.EntityAt(loc); got != f1 {
-		t.Errorf("EntityAt = %v", got)
+	if ents[0] != f1 {
+		t.Errorf("entity = %v", ents[0])
 	}
 }
 
@@ -232,24 +282,81 @@ func TestUnannotatedIndex(t *testing.T) {
 	}
 	tab := &table.Table{ID: "x", Cells: [][]string{{"a", "b"}}}
 	ix := New(c, []*table.Table{tab}, nil)
-	if got := ix.EntityAt(CellLoc{0, 0, 0}); got != catalog.None {
-		t.Errorf("EntityAt without annotations = %v", got)
-	}
-	if got := ix.TypeAt(ColRef{0, 0}); got != catalog.None {
-		t.Errorf("TypeAt without annotations = %v", got)
-	}
-	if cols := ix.ColumnsOfType(0); cols != nil {
-		t.Errorf("ColumnsOfType without annotations = %v", cols)
-	}
-	// Text postings still work.
-	if cells := ix.CellMatches("a"); len(cells) != 1 {
-		t.Errorf("CellMatches = %v", cells)
+	if _, ents := ix.Column(0, 0); ents[0] != catalog.None {
+		t.Errorf("entity without annotations = %v", ents[0])
 	}
 	// Annotation-derived posting lists are empty, precomputed text isn't.
-	if pairs := ix.TypedPairs(0); pairs != nil {
-		t.Errorf("TypedPairs without annotations = %v", pairs)
+	if got := ix.SubjectTypes(); len(got) != 0 {
+		t.Errorf("SubjectTypes without annotations = %v", got)
 	}
-	if got := ix.NormCell(CellLoc{0, 0, 1}); got != "b" {
-		t.Errorf("NormCell = %q", got)
+	if pairs := ix.TypedPairsOf(0); pairs != nil {
+		t.Errorf("TypedPairsOf without annotations = %v", pairs)
+	}
+	if got := verdict(ix, "a", 0, 0, 0); got != 1 {
+		t.Errorf(`"a" against "a" = %v, want 1`, got)
+	}
+	texts, _ := ix.Column(0, 1)
+	if got := ix.Spelling(texts[0]); got != "b" {
+		t.Errorf("Spelling = %q", got)
+	}
+}
+
+// TestColumnMajorLayout: every cell of every column reads back the text
+// and entity the row-major inputs gave it, across tables of different
+// shapes, an unannotated table in the middle and annotations narrower
+// and shorter than their table.
+func TestColumnMajorLayout(t *testing.T) {
+	c := catalog.New()
+	T, err := c.AddType("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var es []catalog.EntityID
+	for i := 0; i < 6; i++ {
+		e, err := c.AddEntity(fmt.Sprint("entity ", i), nil, T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es = append(es, e)
+	}
+	if err := c.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	tabs := []*table.Table{
+		{ID: "a", Cells: [][]string{{"A 0 0", "a 0 1", "a-0-2"}, {"a 1 0", "", "a 1 2"}}},
+		{ID: "b", Cells: [][]string{{"b 0 0"}, {"b 1 0"}, {"a 0 0"}}},
+		{ID: "c", Cells: [][]string{{"c 0 0", "!!"}}},
+	}
+	anns := []*core.Annotation{
+		{CellEntities: [][]catalog.EntityID{{es[0], es[1], es[2]}, {es[3], catalog.None}}}, // second row one short
+		nil,
+		{CellEntities: [][]catalog.EntityID{{catalog.None, es[4]}, {es[5], es[5]}}}, // one row too many
+	}
+	ix := New(c, tabs, anns)
+	for ti, tab := range tabs {
+		for col := 0; col < tab.Cols(); col++ {
+			texts, ents := ix.Column(ti, col)
+			if len(texts) != tab.Rows() || len(ents) != tab.Rows() {
+				t.Fatalf("table %d column %d: %d texts, %d entities for %d rows", ti, col, len(texts), len(ents), tab.Rows())
+			}
+			for r := range texts {
+				if got, want := ix.Spelling(texts[r]), text.Normalize(tab.Cell(r, col)); got != want {
+					t.Errorf("table %d cell (%d,%d): spelling %q, want %q", ti, r, col, got, want)
+				}
+				want := catalog.EntityID(catalog.None)
+				if ann := anns[ti]; ann != nil && r < len(ann.CellEntities) && col < len(ann.CellEntities[r]) {
+					want = ann.CellEntities[r][col]
+				}
+				if ents[r] != want {
+					t.Errorf("table %d cell (%d,%d): entity %v, want %v", ti, r, col, ents[r], want)
+				}
+			}
+		}
+	}
+	// Equal spellings share one text ID across tables.
+	a, _ := ix.Column(0, 0)
+	b, _ := ix.Column(1, 0)
+	if a[0] != b[2] {
+		t.Errorf(`"A 0 0" and "a 0 0" have text IDs %d and %d`, a[0], b[2])
 	}
 }

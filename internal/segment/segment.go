@@ -10,9 +10,10 @@
 //     batch of tables — once built it is never modified;
 //   - a View is an immutable manifest: the ordered live segments plus a
 //     tombstone set of removed tables. Views implement search.Corpus by
-//     translating segment-local table numbers to corpus-global ones and
-//     skipping tombstoned tables, so the query engine runs over many
-//     segments exactly as it runs over one monolithic index;
+//     handing the query engine each segment's compiled index with the
+//     map from its local table numbers to corpus-global ones (tombstoned
+//     tables map to -1), so the engine walks many segments' posting
+//     lists exactly as it walks one monolithic index's;
 //   - a Store serializes mutations (Add builds one new segment over just
 //     the new tables; Remove only marks tombstones) and swaps the
 //     current View atomically, so readers never block and in-flight
@@ -32,6 +33,7 @@
 package segment
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -66,9 +68,9 @@ type Loc struct {
 
 // View is one immutable point-in-time manifest of the corpus: the live
 // segments in order plus the tombstoned tables. It implements
-// search.Corpus with corpus-global table numbering (tombstones skipped),
-// so rankings and explanations are identical to a monolithic index over
-// the surviving tables. A View is safe for concurrent use and never
+// search.Corpus: each segment's index with its local→global table map,
+// the global numbers skipping tombstones, so rankings and explanations
+// are identical to a monolithic index over the surviving tables. A View is safe for concurrent use and never
 // changes; mutations produce a new View.
 type View struct {
 	cat *catalog.Catalog
@@ -82,10 +84,14 @@ type View struct {
 
 	// glob[i][local] is the corpus-global number of segment i's table
 	// local, or -1 when tombstoned; rev is the inverse.
-	glob  [][]int
+	glob  [][]int32
 	rev   []Loc
 	live  map[string]Loc // table ID → location, live tables only
 	nDead int
+	// subjTypes is the ascending union of the segments' typed-pair subject
+	// types. Like the numbering above it is derived in newView, before the
+	// view is published, so concurrent queries only ever read it.
+	subjTypes []catalog.TypeID
 }
 
 // newView derives the global numbering of a manifest. segs and dead must
@@ -93,11 +99,12 @@ type View struct {
 // assembled slices.
 func newView(cat *catalog.Catalog, gen uint64, segs []*Segment, dead []map[int]struct{}) *View {
 	v := &View{cat: cat, gen: gen, segs: segs, dead: dead}
-	v.glob = make([][]int, len(segs))
+	v.glob = make([][]int32, len(segs))
 	v.live = make(map[string]Loc)
-	g := 0
+	g := int32(0)
 	for i, seg := range segs {
-		gl := make([]int, seg.Len())
+		v.subjTypes = append(v.subjTypes, seg.ix.SubjectTypes()...)
+		gl := make([]int32, seg.Len())
 		for local := range gl {
 			if _, isDead := dead[i][local]; isDead {
 				gl[local] = -1
@@ -113,6 +120,8 @@ func newView(cat *catalog.Catalog, gen uint64, segs []*Segment, dead []map[int]s
 		}
 		v.glob[i] = gl
 	}
+	slices.Sort(v.subjTypes)
+	v.subjTypes = slices.Compact(v.subjTypes)
 	return v
 }
 
@@ -288,99 +297,21 @@ func (v *View) Manifests() []Manifest {
 	return out
 }
 
-// --- search.Corpus implementation (global table numbering) ---
+// --- search.Corpus implementation ---
 
 // Catalog returns the catalog the annotations refer to.
 func (v *View) Catalog() *catalog.Catalog { return v.cat }
 
-// Rows returns the row count of global table g.
-func (v *View) Rows(g int) int {
-	l := v.rev[g]
-	return v.segs[l.Seg].ix.Rows(l.Table)
-}
+// Segment returns live segment i as query execution sees it: its
+// compiled index and the map from its local table numbers to corpus-
+// global ones, -1 for a tombstoned table. Both are shared and
+// immutable.
+func (v *View) Segment(i int) (*searchidx.Index, []int32) { return v.segs[i].ix, v.glob[i] }
 
-// local translates a global cell address into its owning segment's
-// index and segment-local address.
-func (v *View) local(loc searchidx.CellLoc) (*searchidx.Index, searchidx.CellLoc) {
-	l := v.rev[loc.Table]
-	return v.segs[l.Seg].ix, searchidx.CellLoc{Table: l.Table, Row: loc.Row, Col: loc.Col}
-}
-
-// RawCell returns the original cell text at a global address.
-func (v *View) RawCell(loc searchidx.CellLoc) string {
-	ix, ll := v.local(loc)
-	return ix.RawCell(ll)
-}
-
-// NormCell returns the precomputed normalized cell text at a global
-// address.
-func (v *View) NormCell(loc searchidx.CellLoc) string {
-	ix, ll := v.local(loc)
-	return ix.NormCell(ll)
-}
-
-// CellTokens returns the precomputed token set at a global address
-// (shared; do not mutate).
-func (v *View) CellTokens(loc searchidx.CellLoc) map[string]struct{} {
-	ix, ll := v.local(loc)
-	return ix.CellTokens(ll)
-}
-
-// EntityAt returns the entity annotation at a global address (None if
-// absent).
-func (v *View) EntityAt(loc searchidx.CellLoc) catalog.EntityID {
-	ix, ll := v.local(loc)
-	return ix.EntityAt(ll)
-}
-
-// RelationPairs returns the oriented candidate pairs carrying relation
-// b across all live segments, tombstones skipped, renumbered to global
-// tables — in corpus order, because segments are ordered and each
-// segment's list is in its own table order.
-func (v *View) RelationPairs(b catalog.RelationID) []searchidx.ColumnPair {
-	var out []searchidx.ColumnPair
-	for i, seg := range v.segs {
-		for _, p := range seg.ix.RelationPairs(b) {
-			if g := v.glob[i][p.Table]; g >= 0 {
-				p.Table = g
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
-
-// SubjectTypes returns the ascending union of every live segment's
-// typed-pair subject types.
-func (v *View) SubjectTypes() []catalog.TypeID {
-	seen := make(map[catalog.TypeID]struct{})
-	var out []catalog.TypeID
-	for _, seg := range v.segs {
-		for _, T := range seg.ix.SubjectTypes() {
-			if _, dup := seen[T]; !dup {
-				seen[T] = struct{}{}
-				out = append(out, T)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TypedPairsOf returns the typed pairs of exactly subject type T across
-// all live segments, tombstones skipped, in corpus order.
-func (v *View) TypedPairsOf(T catalog.TypeID) []searchidx.ColumnPair {
-	var out []searchidx.ColumnPair
-	for i, seg := range v.segs {
-		for _, p := range seg.ix.TypedPairsOf(T) {
-			if g := v.glob[i][p.Table]; g >= 0 {
-				p.Table = g
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
+// SubjectTypes returns the ascending union of the live segments'
+// typed-pair subject types, derived once when the view was built. The
+// slice is shared; callers must not mutate it.
+func (v *View) SubjectTypes() []catalog.TypeID { return v.subjTypes }
 
 // ShardStarts returns the global table number at which each live
 // segment's surviving tables begin (the first is always 0). It
@@ -395,33 +326,4 @@ func (v *View) ShardStarts() []int {
 		g += seg.Len() - len(v.dead[i])
 	}
 	return starts
-}
-
-// HeaderMatches returns live columns whose header shares a token with q,
-// renumbered to global tables.
-func (v *View) HeaderMatches(q string) []searchidx.ColRef {
-	var out []searchidx.ColRef
-	for i, seg := range v.segs {
-		for _, ref := range seg.ix.HeaderMatches(q) {
-			if g := v.glob[i][ref.Table]; g >= 0 {
-				ref.Table = g
-				out = append(out, ref)
-			}
-		}
-	}
-	return out
-}
-
-// ContextMatches returns live tables whose context shares a token with
-// q, keyed by global table number.
-func (v *View) ContextMatches(q string) map[int]struct{} {
-	out := make(map[int]struct{})
-	for i, seg := range v.segs {
-		for local := range seg.ix.ContextMatches(q) {
-			if g := v.glob[i][local]; g >= 0 {
-				out[g] = struct{}{}
-			}
-		}
-	}
-	return out
 }
