@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/search"
 	"repro/internal/server"
 )
 
@@ -256,18 +259,29 @@ func TestRouterLocalValidation(t *testing.T) {
 }
 
 // TestRouterGarbledPartial: a shard answering 200 with a corrupt
-// payload is a shard fault (502), not a router crash.
+// payload — not WTPART at all, or well-framed WTPART carrying a NaN
+// evidence, which would otherwise surface as a NaN score and a cursor
+// the router itself rejects — is a shard fault (502), never a page and
+// not a router crash.
 func TestRouterGarbledPartial(t *testing.T) {
-	garbled := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("not a partial"))
-	})
-	c := newFakeCluster(t, emptyPartial(0, 2), garbled)
-	rec := post(t, c.router.Handler(), "/v1/search", searchReq())
-	if rec.Code != http.StatusBadGateway {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
-	}
-	if eb := routerErr(t, rec); eb.Code != "shard_unavailable" {
-		t.Fatalf("code = %q", eb.Code)
+	nan := emptyPartial(1, 2)
+	nan.partial.Groups = []search.PartialGroup{{Clusters: []search.ClusterPartial{{
+		Entity: catalog.None, Norm: "n", Hits: []search.PartialHit{{Evidence: math.NaN()}},
+	}}}}
+	for name, shard := range map[string]http.Handler{
+		"not a partial": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte("not a partial"))
+		}),
+		"NaN evidence": nan,
+	} {
+		c := newFakeCluster(t, emptyPartial(0, 2), shard)
+		rec := post(t, c.router.Handler(), "/v1/search", searchReq())
+		if rec.Code != http.StatusBadGateway {
+			t.Fatalf("%s: status = %d: %s", name, rec.Code, rec.Body.String())
+		}
+		if eb := routerErr(t, rec); eb.Code != "shard_unavailable" || !strings.Contains(eb.Message, ErrBadPartial.Error()) {
+			t.Fatalf("%s: error = %+v, want shard_unavailable naming %q", name, eb, ErrBadPartial)
+		}
 	}
 }
 

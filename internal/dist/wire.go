@@ -18,10 +18,10 @@
 // shards agree on who owns which global table numbers without any
 // coordination. The router holds no corpus state at all: it forwards
 // the client's request bytes to every shard, gathers partial evidence
-// (internal/search's replay-ordered hit logs), and folds it through
-// the same corpus-order aggregation a single node uses — scores,
-// totals, cursors, dominant surface forms and explanations come out
-// bit-for-bit identical because every cluster's floating-point
+// (internal/search's per-cluster hit lists in scan order), and folds it
+// through the same corpus-order aggregation a single node uses —
+// scores, totals, cursors, dominant surface forms and explanations come
+// out bit-for-bit identical because every cluster's floating-point
 // evidence is summed in exactly the single-node scan order.
 //
 // Failure semantics are structural, never silent: a shard that stays
@@ -52,7 +52,7 @@ const PartialVersion = 2
 
 // ErrBadPartial reports a partial-evidence payload that is not
 // well-formed: wrong magic, unknown version, truncation, trailing
-// garbage, or ordering violations.
+// garbage, ordering violations, or non-finite evidence.
 var ErrBadPartial = errors.New("dist: malformed partial payload")
 
 // Partial is one shard's response to a partial-evidence query: the
@@ -88,10 +88,9 @@ const partialStatsLen = 3*8 + 4*4 + 6*8
 //	i32, col i32, evidence f64 bits), variants u32 × (raw string, count
 //	u32).
 //
-// Strings are u32 length + bytes. The hit entries are the same
-// pointer-free 24-byte records the in-process parallel scan logs; the
-// evidence float crosses the wire as its exact bit pattern, because the
-// merge's byte-identity contract is bit-exact arithmetic.
+// Strings are u32 length + bytes. The evidence float crosses the wire
+// as its exact bit pattern, because the merge's byte-identity contract
+// is bit-exact arithmetic.
 func EncodePartial(p *Partial) []byte {
 	return encodePartial(p, PartialVersion)
 }
@@ -231,10 +230,11 @@ func (r *partialReader) count(min int) (int, error) {
 
 // DecodePartial deserializes one payload, validating structure
 // strictly: magic, version, bounds on every count, strictly ascending
-// group keys (the replay order the merge depends on), and no trailing
-// bytes. Version-1 payloads (pre-stats) decode with zero-value Stats;
-// versions above PartialVersion fail with ErrBadPartial before any
-// field is decoded.
+// group keys (the replay order the merge depends on), finite evidence (a
+// NaN would make the merged score NaN, which no rank order or cursor
+// survives), and no trailing bytes. Version-1 payloads (pre-stats)
+// decode with zero-value Stats; versions above PartialVersion fail with
+// ErrBadPartial before any field is decoded.
 func DecodePartial(data []byte) (*Partial, error) {
 	r := &partialReader{data: data}
 	head, err := r.take(len(partialMagic))
@@ -332,11 +332,15 @@ func DecodePartial(data []byte) (*Partial, error) {
 				if err != nil {
 					return nil, err
 				}
+				ev := math.Float64frombits(binary.BigEndian.Uint64(b[12:20]))
+				if math.IsNaN(ev) || math.IsInf(ev, 0) {
+					return nil, fmt.Errorf("%w: non-finite evidence %v in group %d", ErrBadPartial, ev, g.Key)
+				}
 				c.Hits[hi] = search.PartialHit{
 					Table:    int32(binary.BigEndian.Uint32(b[0:4])),
 					Row:      int32(binary.BigEndian.Uint32(b[4:8])),
 					Col:      int32(binary.BigEndian.Uint32(b[8:12])),
-					Evidence: math.Float64frombits(binary.BigEndian.Uint64(b[12:20])),
+					Evidence: ev,
 				}
 			}
 			nVars, err := r.count(8)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/search"
@@ -154,7 +155,9 @@ func TestDecodePartialFutureVersion(t *testing.T) {
 	}
 }
 
-func TestDecodePartialRejects(t *testing.T) {
+// rejectedPayloads lists malformed payloads DecodePartial must refuse;
+// they also seed FuzzDecodePartial.
+func rejectedPayloads() map[string][]byte {
 	valid := EncodePartial(samplePartial())
 
 	badMagic := append([]byte(nil), valid...)
@@ -176,16 +179,85 @@ func TestDecodePartialRejects(t *testing.T) {
 	// Two groups with descending keys violate replay order.
 	descending := EncodePartial(&Partial{Groups: []search.PartialGroup{{Key: 5}, {Key: 3}}})
 
-	for name, data := range map[string][]byte{
+	// Non-finite evidence: a NaN makes the merged score NaN, which ranks
+	// before and after nothing and yields a cursor no decoder accepts.
+	withEvidence := func(ev float64) []byte {
+		return EncodePartial(&Partial{Shards: 1, Groups: []search.PartialGroup{{Key: 0, Clusters: []search.ClusterPartial{{
+			Entity: catalog.None, Norm: "n",
+			Hits: []search.PartialHit{{Evidence: 1}, {Evidence: ev}},
+		}}}}})
+	}
+
+	return map[string][]byte{
 		"bad magic":       badMagic,
 		"bad version":     badVersion,
 		"trailing bytes":  trailing,
 		"huge count":      hugeCount,
 		"descending keys": descending,
 		"empty":           nil,
-	} {
+		"NaN evidence":    withEvidence(math.NaN()),
+		"+Inf evidence":   withEvidence(math.Inf(1)),
+		"-Inf evidence":   withEvidence(math.Inf(-1)),
+	}
+}
+
+func TestDecodePartialRejects(t *testing.T) {
+	for name, data := range rejectedPayloads() {
 		if _, err := DecodePartial(data); !errors.Is(err, ErrBadPartial) {
 			t.Errorf("%s: err = %v, want ErrBadPartial", name, err)
 		}
 	}
+}
+
+// partialFootprint is the memory a decoded partial's slices and strings
+// hold, in bytes.
+func partialFootprint(p *Partial) int {
+	n := len(p.Groups) * int(unsafe.Sizeof(search.PartialGroup{}))
+	for _, g := range p.Groups {
+		n += len(g.Clusters) * int(unsafe.Sizeof(search.ClusterPartial{}))
+		for _, c := range g.Clusters {
+			n += len(c.Norm) + len(c.Canonical)
+			n += len(c.Hits) * int(unsafe.Sizeof(search.PartialHit{}))
+			n += len(c.Variants) * int(unsafe.Sizeof(search.Variant{}))
+			for _, v := range c.Variants {
+				n += len(v.Raw)
+			}
+		}
+	}
+	return n
+}
+
+// FuzzDecodePartial: whatever bytes a shard (or something pretending to
+// be one) sends, DecodePartial either refuses them with ErrBadPartial
+// or returns a partial that survives encode → decode unchanged; it never
+// panics, and what it allocates stays within a small multiple of the
+// input (every count is checked against the bytes that remain — the
+// densest element, an empty cluster, is 88 bytes in memory for 20 on
+// the wire).
+func FuzzDecodePartial(f *testing.F) {
+	f.Add(EncodePartial(samplePartial()))
+	f.Add(encodePartial(samplePartial(), 1))
+	f.Add(EncodePartial(&Partial{}))
+	for _, data := range rejectedPayloads() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodePartial(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadPartial) {
+				t.Fatalf("err = %v, want ErrBadPartial", err)
+			}
+			return
+		}
+		if fp := partialFootprint(p); fp > 5*len(data) {
+			t.Fatalf("decoded %d bytes into %d", len(data), fp)
+		}
+		again, err := DecodePartial(EncodePartial(p))
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, p) {
+			t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", again, p)
+		}
+	})
 }

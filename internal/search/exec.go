@@ -63,30 +63,6 @@ func (c *cluster) text() string {
 	return c.bestText
 }
 
-// hit is one matching answer cell: the candidate pair that found it (an
-// index into the plan, which knows the segment, table and answer
-// column), the row, the answer cell's entity annotation (None for text
-// clusters) and the evidence the row contributes. A hit is 24 bytes and
-// pointer-free on purpose — a sliced scan logs hits by the million, and
-// records without pointers are invisible to the garbage collector's
-// scan phase. Everything presentational (cluster identity, canonical
-// name, raw text) is derived from the hit on demand.
-type hit struct {
-	pair     int32
-	row      int32
-	entity   catalog.EntityID
-	evidence float64
-}
-
-// evidenceSink receives every matching hit as a scan walks a slice of
-// the candidate column pairs. Two implementations: partialCollector
-// groups hits per answer cluster directly (a slice that is a whole
-// replay group), shardLog records them for an in-order replay into one
-// (a group scanned as several concurrent slices).
-type evidenceSink interface {
-	add(h hit)
-}
-
 // clusterSink holds the answer clusters of one fold, by aggregation key.
 type clusterSink map[string]*cluster
 
@@ -188,16 +164,6 @@ type scanPlan struct {
 	byEntity bool
 	// sets[i] is the E2 text probe compiled against corpus segment i.
 	sets []searchidx.MatchSet
-}
-
-// tableOf returns the (global) table number of candidate pair i. It
-// ascends within a replay group, so over a whole Type-mode plan it is
-// only piecewise ascending — segment-edge snapping treats any segment
-// transition between adjacent pairs as a boundary candidate, which is
-// still where locality changes.
-func (e *Engine) tableOf(p *scanPlan, i int) int {
-	c := p.pairs[i]
-	return int(e.segs[c.seg].global[c.local])
 }
 
 // plan is the pipeline's second stage: it walks each segment's posting
@@ -391,7 +357,7 @@ func (e *Engine) typedPairs(q Query) ([]candidate, []planGroup) {
 // to sink. Pair and row counters accumulate into sc (one instance per
 // slice; the caller sums them afterwards). The context is polled between
 // pairs and between rowCheckInterval-row stretches of a column.
-func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink evidenceSink, sc *scanCounters) error {
+func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *partialCollector, sc *scanCounters) error {
 	var rows []searchidx.RowHit
 	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
@@ -414,11 +380,11 @@ func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink ev
 			r1 := min(r0+rowCheckInterval, len(texts))
 			rows = searchidx.ScanColumn(rows[:0], r0, texts[r0:r1], ents[r0:r1], p.e2, &p.sets[c.seg])
 			for _, rh := range rows {
-				h := hit{pair: int32(i), row: rh.Row, entity: catalog.None, evidence: rh.Evidence}
+				entity := catalog.EntityID(catalog.None)
 				if answers != nil {
-					h.entity = answers[rh.Row]
+					entity = answers[rh.Row]
 				}
-				sink.add(h)
+				sink.add(c, rh, entity)
 			}
 			matched = matched || len(rows) > 0
 		}

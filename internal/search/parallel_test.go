@@ -18,7 +18,7 @@ import (
 // --- shardCuts unit tests ---
 
 func TestShardCutsEvenSplit(t *testing.T) {
-	got := shardCuts(100, 4, func(i int) int { return i }, nil)
+	got := shardCuts(100, 4)
 	want := []int{0, 25, 50, 75, 100}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cuts = %v, want %v", got, want)
@@ -26,61 +26,13 @@ func TestShardCutsEvenSplit(t *testing.T) {
 }
 
 func TestShardCutsClampsToPairs(t *testing.T) {
-	got := shardCuts(3, 8, func(i int) int { return i }, nil)
+	got := shardCuts(3, 8)
 	want := []int{0, 1, 2, 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cuts = %v, want %v", got, want)
 	}
-	if got := shardCuts(1, 8, func(i int) int { return 0 }, nil); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := shardCuts(1, 8); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("single pair: cuts = %v", got)
-	}
-}
-
-func TestShardCutsSnapToSegmentEdges(t *testing.T) {
-	// 90 pairs, 10 per table; segment 1 starts at table 3 → the only
-	// segment-edge pair index is 30. Window is 90/(2*3) = 15, so the cut
-	// at 30 snaps exactly and the cut at 60 (distance 30 from the edge)
-	// stays on the even split.
-	tableOf := func(i int) int { return i / 10 }
-	got := shardCuts(90, 3, tableOf, []int{0, 3})
-	want := []int{0, 30, 60, 90}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cuts = %v, want %v", got, want)
-	}
-
-	// With an edge just off the even split, the cut moves onto it.
-	got = shardCuts(90, 3, tableOf, []int{0, 4})
-	want = []int{0, 40, 60, 90}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapped cuts = %v, want %v", got, want)
-	}
-}
-
-func TestShardCutsDedupesSnappedBoundaries(t *testing.T) {
-	// One segment edge at pair 15 with shards of ideal width 10 and
-	// window 5: the ideal cuts at 10 and 20 both snap onto 15, so only
-	// one boundary survives and the cut list stays strictly increasing.
-	tableOf := func(i int) int {
-		if i < 15 {
-			return 0
-		}
-		return 1
-	}
-	got := shardCuts(100, 10, tableOf, []int{0, 1})
-	if got[0] != 0 || got[len(got)-1] != 100 {
-		t.Fatalf("cuts = %v", got)
-	}
-	snapped := 0
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("cuts not strictly increasing: %v", got)
-		}
-		if got[i] == 15 {
-			snapped++
-		}
-	}
-	if snapped != 1 {
-		t.Fatalf("edge boundary appears %d times in %v, want once", snapped, got)
 	}
 }
 
@@ -450,6 +402,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 	for _, par := range pars {
 		eng := NewEngineOver(ix, WithParallelism(par))
 		b.Run(fmt.Sprintf("answers=%d/par=%d", nAnswers, par), func(b *testing.B) {
+			b.ReportAllocs()
 			var total int
 			for i := 0; i < b.N; i++ {
 				res, err := eng.Execute(ctx, Request{Query: q, Mode: TypeRel, PageSize: 10})

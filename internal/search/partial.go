@@ -43,12 +43,12 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/searchidx"
 )
 
 // PartialHit is one matching answer cell: the corpus-global table
 // number (a shard applies its table offset), the cell address, and the
-// evidence the row contributed. 24 bytes, pointer-free — the same record
-// shape as the slice logs of a parallel scan.
+// evidence the row contributed. 24 bytes, pointer-free.
 type PartialHit struct {
 	Table, Row, Col int32
 	Evidence        float64
@@ -135,15 +135,14 @@ func (e *Engine) ExecutePartial(ctx context.Context, req Request, tableOffset in
 	return groups, st, nil
 }
 
-// partialCollector is the evidenceSink that builds ClusterPartials: it
-// resolves each hit's cluster identity — the answer cell's entity, else
-// its normalized text, read off the owning segment's dictionary — and
-// appends the hit, under its cluster-global table number, to that
-// cluster's list, preserving add order (the scan order of whatever
-// feeds it).
+// partialCollector is the scan's sink, one per slice, and builds
+// ClusterPartials: it resolves each hit's cluster identity — the answer
+// cell's entity, else its normalized text, read off the owning segment's
+// dictionary — and appends the hit, under its cluster-global table
+// number, to that cluster's list, preserving add order (the scan order
+// of its slice).
 type partialCollector struct {
 	e        *Engine
-	p        *scanPlan
 	offset   int32
 	clusters []ClusterPartial
 	// entities and texts index clusters by identity (texts by
@@ -152,51 +151,89 @@ type partialCollector struct {
 	texts    map[string]int
 }
 
-func newPartialCollector(e *Engine, p *scanPlan, tableOffset int) *partialCollector {
+func newPartialCollector(e *Engine, tableOffset int) *partialCollector {
 	return &partialCollector{
 		e:        e,
-		p:        p,
 		offset:   int32(tableOffset),
 		entities: make(map[catalog.EntityID]int),
 		texts:    make(map[string]int),
 	}
 }
 
-func (pc *partialCollector) add(h hit) {
-	c := &pc.p.pairs[h.pair]
-	var cp *ClusterPartial
-	if h.entity != catalog.None {
-		i, ok := pc.entities[h.entity]
-		if !ok {
+// cluster returns the collector's cluster for an identity — an entity,
+// else a normalized text — adding an empty one the first time it is seen.
+func (pc *partialCollector) cluster(entity catalog.EntityID, norm string) *ClusterPartial {
+	var i int
+	var ok bool
+	if entity != catalog.None {
+		if i, ok = pc.entities[entity]; !ok {
 			i = len(pc.clusters)
-			pc.entities[h.entity] = i
-			pc.clusters = append(pc.clusters, ClusterPartial{Entity: h.entity, Canonical: pc.e.cat.EntityName(h.entity)})
+			pc.entities[entity] = i
+			pc.clusters = append(pc.clusters, ClusterPartial{Entity: entity, Canonical: pc.e.cat.EntityName(entity)})
 		}
-		cp = &pc.clusters[i]
+	} else if i, ok = pc.texts[norm]; !ok {
+		i = len(pc.clusters)
+		pc.texts[norm] = i
+		pc.clusters = append(pc.clusters, ClusterPartial{Entity: catalog.None, Norm: norm})
+	}
+	return &pc.clusters[i]
+}
+
+// add records one matching row of candidate pair c: the row's answer
+// cell, annotated with entity (None keys the cluster by the cell's
+// text), receives the row's evidence.
+func (pc *partialCollector) add(c *candidate, rh searchidx.RowHit, entity catalog.EntityID) {
+	seg := &pc.e.segs[c.seg]
+	var cp *ClusterPartial
+	if entity != catalog.None {
+		cp = pc.cluster(entity, "")
 	} else {
 		// An unannotated cell whose normalized text is empty has no
 		// cluster identity and contributes nothing.
-		ix := pc.e.segs[c.seg].ix
-		texts, _ := ix.Column(int(c.local), int(c.subj))
-		norm := ix.Spelling(texts[h.row])
+		texts, _ := seg.ix.Column(int(c.local), int(c.subj))
+		norm := seg.ix.Spelling(texts[rh.Row])
 		if norm == "" {
 			return
 		}
-		i, ok := pc.texts[norm]
-		if !ok {
-			i = len(pc.clusters)
-			pc.texts[norm] = i
-			pc.clusters = append(pc.clusters, ClusterPartial{Entity: catalog.None, Norm: norm})
-		}
-		cp = &pc.clusters[i]
-		cp.Variants, _ = noteVariant(cp.Variants, ix.Tables[c.local].Cell(int(h.row), int(c.subj)), 1)
+		cp = pc.cluster(catalog.None, norm)
+		cp.Variants, _ = noteVariant(cp.Variants, seg.ix.Tables[c.local].Cell(int(rh.Row), int(c.subj)), 1)
 	}
 	cp.Hits = append(cp.Hits, PartialHit{
-		Table:    pc.e.segs[c.seg].global[c.local] + pc.offset,
-		Row:      h.row,
+		Table:    seg.global[c.local] + pc.offset,
+		Row:      rh.Row,
 		Col:      c.subj,
-		Evidence: h.evidence,
+		Evidence: rh.Evidence,
 	})
+}
+
+// absorb appends the clusters of next — the collector of the slice that
+// follows pc's in the same replay group — onto pc's, cluster by cluster:
+// hits after pc's hits, variant counts added. Slices are contiguous runs
+// of the serial scan, so absorbing a group's slices in order leaves
+// every cluster's hit list in serial scan order. next is consumed (a
+// cluster new to pc takes over its lists). The context is polled about
+// every rowCheckInterval hits, like aggregate.
+func (pc *partialCollector) absorb(ctx context.Context, next *partialCollector) error {
+	sincePoll := 0
+	for i := range next.clusters {
+		src := &next.clusters[i]
+		if sincePoll += len(src.Hits); sincePoll >= rowCheckInterval {
+			sincePoll = 0
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		dst := pc.cluster(src.Entity, src.Norm)
+		if dst.Hits == nil {
+			dst.Hits, dst.Variants = src.Hits, src.Variants
+			continue
+		}
+		dst.Hits = append(dst.Hits, src.Hits...)
+		for _, v := range src.Variants {
+			dst.Variants, _ = noteVariant(dst.Variants, v.Raw, v.Count)
+		}
+	}
+	return nil
 }
 
 // noteVariant adds n occurrences of raw to a variant list, returning

@@ -11,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/searchidx"
+	"repro/internal/segment"
 	"repro/internal/table"
 )
 
@@ -248,25 +249,76 @@ func TestExecutePartialTypeGroups(t *testing.T) {
 // TestExecutePartialDeterministic pins the wire-determinism contract: a
 // parallel shard engine exports byte-identical partial groups to a
 // serial one (cluster order, hit order, variant order), and repeated
-// calls are stable.
+// calls are stable — over a monolithic index and over a five-segment
+// view with tombstones that leave the Novel subject type one candidate
+// pair, so a Type plan has a group scanned as one slice beside a group
+// scanned as many, and every text cluster's hits and spelling variants
+// arrive from several slices.
 func TestExecutePartialDeterministic(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 16, 6)
-	serial := NewEngineOver(searchidx.New(c, tables, anns))
-	parallel := NewEngineOver(searchidx.New(c, tables, anns), WithParallelism(4))
 	ctx := context.Background()
-	for _, mode := range []Mode{Baseline, Type, TypeRel} {
-		req := Request{Query: q, Mode: mode}
-		want, _, err := serial.ExecutePartial(ctx, req, 5)
-		if err != nil {
+
+	vc, vtables, vanns, vq := partialFixture(t, 24, 6)
+	store, err := segment.New(vc, segment.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	lo := 0
+	for _, n := range []int{7, 6, 5, 4, 2} {
+		if _, err := store.Add(ctx, vtables[lo:lo+n], vanns[lo:lo+n]); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			got, _, err := parallel.ExecutePartial(ctx, req, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: parallel partials diverge from serial:\n got  %+v\n want %+v", mode, got, want)
+		lo += n
+	}
+	var dead []string
+	for ti := 1; ti < len(vtables); ti += 2 { // the Novel tables, all but t9
+		if ti != 9 {
+			dead = append(dead, vtables[ti].ID)
+		}
+	}
+	view, err := store.Remove(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Segments() != 5 || view.Tombstones() != 11 {
+		t.Fatalf("view has %d segments, %d tombstones; want 5 and 11", view.Segments(), view.Tombstones())
+	}
+
+	for _, tc := range []struct {
+		name   string
+		corpus Corpus
+		q      Query
+	}{
+		{"monolithic", searchidx.New(c, tables, anns), q},
+		{"segmented", view, vq},
+	} {
+		serial := NewEngineOver(tc.corpus)
+		for _, par := range []int{2, 4, 16} {
+			parallel := NewEngineOver(tc.corpus, WithParallelism(par))
+			for _, mode := range []Mode{Baseline, Type, TypeRel} {
+				req := Request{Query: tc.q, Mode: mode}
+				want, _, err := serial.ExecutePartial(ctx, req, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.corpus == Corpus(view) && mode == Type {
+					p := parallel.plan(ctx, req, parallel.newStats())
+					cuts := parallel.cuts(&p)
+					if len(p.groups) != 2 || p.groups[1].start != len(p.pairs)-1 || len(cuts) < 4 {
+						t.Fatalf("par=%d: Type plan has groups %+v over %d pairs cut at %v; want a many-slice group then a one-pair group",
+							par, p.groups, len(p.pairs), cuts)
+					}
+				}
+				for i := 0; i < 3; i++ {
+					got, _, err := parallel.ExecutePartial(ctx, req, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s par=%d %v: parallel partials diverge from serial:\n got  %+v\n want %+v", tc.name, par, mode, got, want)
+					}
+				}
 			}
 		}
 	}

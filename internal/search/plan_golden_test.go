@@ -19,7 +19,7 @@ import (
 func planTriples(e *Engine, p *scanPlan) [][3]int {
 	out := make([][3]int, len(p.pairs))
 	for i, c := range p.pairs {
-		out[i] = [3]int{e.tableOf(p, i), int(c.subj), int(c.obj)}
+		out[i] = [3]int{int(e.segs[c.seg].global[c.local]), int(c.subj), int(c.obj)}
 	}
 	return out
 }

@@ -19,19 +19,21 @@
 // segment after segment, which is ascending corpus order — with their
 // replay groups, and compiles the E2 probe once per segment into the
 // few text IDs it matches. gather (parallel.go) scans them — whole, or
-// as concurrent contiguous slices under WithParallelism — into the
-// pipeline's only intermediate form: per group, each answer cluster's
-// hit list in serial scan order (partial.go). fold sums each list left
-// to right, selects the page with a bounded min-heap so a top-k query
-// never sorts the full answer set, and reads explanations off the same
-// lists. Execute is the whole pipeline over one corpus; a shard server
-// runs it up to gather (ExecutePartial) and a router folds the shards'
-// groups (MergePartials).
+// under WithParallelism as concurrent contiguous slices that each
+// collect their own clusters and are then appended per cluster in slice
+// order, the way a router concatenates its shards — into the pipeline's
+// only intermediate form: per group, each answer cluster's hit list in
+// serial scan order (partial.go). fold sums each list left to right,
+// selects the page with a bounded min-heap so a top-k query never sorts
+// the full answer set, and reads explanations off the same lists.
+// Execute is the whole pipeline over one corpus; a shard server runs it
+// up to gather (ExecutePartial) and a router folds the shards' groups
+// (MergePartials).
 //
-// The intermediate form is logged evidence, not partial sums, because
-// floating-point addition is not associative and pagination cursors
-// compare scores bit-exactly across separate executions: replaying each
-// cluster's evidence in the one serial order is what makes pages
+// The intermediate form is every hit's evidence, not partial sums,
+// because floating-point addition is not associative and pagination
+// cursors compare scores bit-exactly across separate executions: summing
+// each cluster's evidence in the one serial order is what makes pages
 // byte-identical at every parallelism level and shard count. The price
 // is query state of O(matching rows) on every path; what it buys,
 // besides one code path, is that explanations cost no second scan.
@@ -125,6 +127,9 @@ type Corpus interface {
 	// SubjectTypes returns the ascending union of the segments'
 	// typed-pair subject types (shared; do not mutate).
 	SubjectTypes() []catalog.TypeID
+	// Tombstones returns how many removed tables (the -1 entries of the
+	// segments' table maps) plans skip.
+	Tombstones() int
 }
 
 // corpusSegment is one Corpus segment as the engine holds it.

@@ -16,8 +16,9 @@ package search
 // StageNanos is the wall-clock nanoseconds one execution spent in each
 // pipeline stage; each is also one trace span (search.<stage>).
 // Validate, Plan and Scan are the gather half — Scan covers turning the
-// plan into per-cluster hit lists: the candidate scan and, when slices
-// were logged, their in-order replay. Aggregate, Select and Explain are
+// plan into per-cluster hit lists: the candidate scan into per-slice
+// collectors and, when a group was scanned as several slices, appending
+// them in slice order. Aggregate, Select and Explain are
 // the fold half. Execute fills all of them; ExecutePartial only the
 // gather half (a shard does not fold); in a merged result the gather
 // half is the sum across shards (total cluster work, not critical-path
@@ -86,14 +87,9 @@ func (st *ExecStats) add(sc *scanCounters) {
 }
 
 // newStats starts one execution's stats with the segment shape of the
-// corpus the engine scans: its segment count and, for a corpus that
-// reports one (segment.View), its tombstone count.
+// corpus the engine scans: its segment and tombstone counts.
 func (e *Engine) newStats() *ExecStats {
-	st := &ExecStats{Parallelism: 1, SegmentsVisited: len(e.segs)}
-	if v, ok := e.c.(interface{ Tombstones() int }); ok {
-		st.TombstonesSkipped = v.Tombstones()
-	}
-	return st
+	return &ExecStats{Parallelism: 1, SegmentsVisited: len(e.segs), TombstonesSkipped: e.c.Tombstones()}
 }
 
 // MergeExecStats folds per-shard execution stats into the cluster-wide

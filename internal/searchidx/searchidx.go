@@ -346,6 +346,10 @@ func (ix *Index) Segment(int) (*Index, []int32) { return ix, ix.identity }
 // mutate it.
 func (ix *Index) SubjectTypes() []catalog.TypeID { return ix.subjTypes }
 
+// Tombstones reports no removed tables: an index holds exactly the
+// tables it was built over.
+func (ix *Index) Tombstones() int { return 0 }
+
 // RelationPairs returns the precomputed oriented candidate column pairs
 // carrying relation b, subject column first, with annotated types baked
 // in, ascending by table. The slice is shared; callers must not mutate

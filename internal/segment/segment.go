@@ -312,18 +312,3 @@ func (v *View) Segment(i int) (*searchidx.Index, []int32) { return v.segs[i].ix,
 // typed-pair subject types, derived once when the view was built. The
 // slice is shared; callers must not mutate it.
 func (v *View) SubjectTypes() []catalog.TypeID { return v.subjTypes }
-
-// ShardStarts returns the global table number at which each live
-// segment's surviving tables begin (the first is always 0). It
-// implements search.SegmentedCorpus: the parallel query engine aligns
-// shard boundaries with these edges so a shard's cells resolve against
-// one segment's postings where the segment sizes allow.
-func (v *View) ShardStarts() []int {
-	starts := make([]int, len(v.segs))
-	g := 0
-	for i, seg := range v.segs {
-		starts[i] = g
-		g += seg.Len() - len(v.dead[i])
-	}
-	return starts
-}

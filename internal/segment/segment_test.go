@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -636,36 +635,5 @@ func TestConcurrentSearchDuringMutation(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestViewShardStarts: the per-segment global table starts the parallel
-// query engine aligns shard boundaries with must track live (surviving)
-// table counts — tombstoned tables shift every later segment's start.
-func TestViewShardStarts(t *testing.T) {
-	f := newFixture(t)
-	rng := rand.New(rand.NewSource(31))
-	s := newStore(t, f, Config{}) // no auto-compaction: segments persist
-	ctx := context.Background()
-	for _, n := range []int{3, 2, 4} {
-		tabs, anns := f.batch(rng, n)
-		if _, err := s.Add(ctx, tabs, anns); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v := s.View()
-	if got, want := v.ShardStarts(), []int{0, 3, 5}; !slices.Equal(got, want) {
-		t.Fatalf("ShardStarts = %v, want %v", got, want)
-	}
-	// A view is a search.Corpus with segment structure.
-	var _ search.SegmentedCorpus = v
-
-	// Tombstoning a table in the first segment shifts the later starts.
-	tabs, _ := v.Flatten()
-	if _, err := s.Remove([]string{tabs[1].ID}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.View().ShardStarts(), []int{0, 2, 4}; !slices.Equal(got, want) {
-		t.Fatalf("ShardStarts after tombstone = %v, want %v", got, want)
 	}
 }

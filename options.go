@@ -63,7 +63,6 @@ type serviceOptions struct {
 	cfg         core.Config
 	workers     int
 	searchPar   int
-	method      Method
 	compaction  segment.CompactionPolicy
 	autoCompact bool
 }
@@ -84,9 +83,8 @@ func WithWorkers(n int) ServiceOption {
 // worker-pool slots, so a SearchBatch of b requests may run up to
 // b*parallelism scan goroutines. Memory: every query holds each
 // matching row as a 24-byte hit record until its page is selected —
-// O(matching rows) per in-flight query at any parallelism; a parallel
-// scan briefly holds a second copy (its slice logs) while it replays
-// them. 0 keeps the default; negative is an error.
+// O(matching rows) per in-flight query at any parallelism. 0 keeps the
+// default; negative is an error.
 func WithSearchParallelism(n int) ServiceOption {
 	return func(o *serviceOptions) { o.searchPar = n }
 }
@@ -100,12 +98,6 @@ func WithServiceWeights(w Weights) ServiceOption {
 // (candidate generation, BP iteration cap, type-entity mode, ...).
 func WithServiceConfig(cfg Config) ServiceOption {
 	return func(o *serviceOptions) { o.cfg = cfg }
-}
-
-// WithDefaultMethod sets the method annotation calls use when they pass
-// no WithMethod override. The default is MethodCollective.
-func WithDefaultMethod(m Method) ServiceOption {
-	return func(o *serviceOptions) { o.method = m }
 }
 
 // WithCompactionPolicy tunes how the live corpus merges its index
@@ -131,41 +123,20 @@ func WithoutAutoCompaction() ServiceOption {
 type AnnotateOption func(*annotateOptions)
 
 type annotateOptions struct {
-	method    Method
-	methodSet bool
-	weights   *feature.Weights
-	cfg       *core.Config
-	maxIters  *int
-	mode      *feature.TypeEntityMode
-	noAnns    bool
+	method   Method // zero value: MethodCollective
+	maxIters *int
+	noAnns   bool
 }
 
-// WithMethod selects the inference method for this call.
+// WithMethod selects the inference method for this call. The default is
+// MethodCollective.
 func WithMethod(m Method) AnnotateOption {
-	return func(o *annotateOptions) { o.method, o.methodSet = m, true }
-}
-
-// WithWeights runs this call under different model weights (for example,
-// freshly trained ones) without touching the service defaults.
-func WithWeights(w Weights) AnnotateOption {
-	return func(o *annotateOptions) { o.weights = &w }
-}
-
-// WithAnnotatorConfig replaces the whole annotator configuration for this
-// call. WithMaxIters / WithTypeEntityMode then apply on top of it.
-func WithAnnotatorConfig(cfg Config) AnnotateOption {
-	return func(o *annotateOptions) { o.cfg = &cfg }
+	return func(o *annotateOptions) { o.method = m }
 }
 
 // WithMaxIters caps BP schedule iterations for this call.
 func WithMaxIters(n int) AnnotateOption {
 	return func(o *annotateOptions) { o.maxIters = &n }
-}
-
-// WithTypeEntityMode selects the f3 compatibility feature (Figure 8) for
-// this call.
-func WithTypeEntityMode(m TypeEntityMode) AnnotateOption {
-	return func(o *annotateOptions) { o.mode = &m }
 }
 
 // WithoutAnnotations makes BuildIndex skip annotation entirely and build

@@ -24,8 +24,8 @@ import (
 // (the dominant setup cost, built once), and a worker pool that bounds
 // how many tables are annotated simultaneously across all in-flight
 // calls. A Service is safe for concurrent use; per-call overrides
-// (WithMethod, WithWeights, WithMaxIters, ...) derive lightweight
-// annotators instead of mutating shared state.
+// (WithMethod, WithMaxIters) derive a lightweight annotator instead of
+// mutating shared state.
 //
 //	svc, err := webtable.NewService(cat, webtable.WithWorkers(8))
 //	anns, err := svc.AnnotateCorpus(ctx, tables)
@@ -38,7 +38,6 @@ type Service struct {
 	ix          *lemmaindex.Index
 	workers     int
 	searchPar   int
-	method      Method
 	sem         chan struct{}
 	compaction  segment.CompactionPolicy
 	autoCompact bool
@@ -68,7 +67,6 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 		weights:     DefaultWeights(),
 		cfg:         core.DefaultConfig(),
 		workers:     runtime.GOMAXPROCS(0),
-		method:      MethodCollective,
 		compaction:  segment.DefaultCompactionPolicy(),
 		autoCompact: true,
 	}
@@ -84,9 +82,6 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 	if so.searchPar < 1 {
 		return nil, fmt.Errorf("%w: search parallelism must be >= 1, got %d", ErrInvalidOption, so.searchPar)
 	}
-	if so.method > MethodMajority {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownMethod, uint8(so.method))
-	}
 	if err := cat.Freeze(); err != nil {
 		return nil, fmt.Errorf("webtable: freeze catalog: %w", err)
 	}
@@ -96,7 +91,6 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 		ix:          ix,
 		workers:     so.workers,
 		searchPar:   so.searchPar,
-		method:      so.method,
 		sem:         make(chan struct{}, so.workers),
 		compaction:  so.compaction,
 		autoCompact: so.autoCompact,
@@ -140,36 +134,19 @@ func (s *Service) SetWeights(w Weights) {
 // annotatorFor resolves per-call options into an annotator + method. The
 // common no-override path reuses the service's default annotator.
 func (s *Service) annotatorFor(o *annotateOptions) (*core.Annotator, Method, error) {
-	method := s.method
-	if o.methodSet {
-		method = o.method
-		if method > MethodMajority {
-			return nil, 0, fmt.Errorf("%w: %d", ErrUnknownMethod, uint8(method))
-		}
+	if o.method > MethodMajority {
+		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownMethod, uint8(o.method))
 	}
 	base := s.base.Load()
+	if o.maxIters == nil {
+		return base, o.method, nil
+	}
+	if *o.maxIters < 1 {
+		return nil, 0, fmt.Errorf("%w: max iters must be >= 1, got %d", ErrInvalidOption, *o.maxIters)
+	}
 	cfg := base.Config()
-	w := base.Weights()
-	changed := false
-	if o.cfg != nil {
-		cfg, changed = *o.cfg, true
-	}
-	if o.maxIters != nil {
-		if *o.maxIters < 1 {
-			return nil, 0, fmt.Errorf("%w: max iters must be >= 1, got %d", ErrInvalidOption, *o.maxIters)
-		}
-		cfg.MaxIters, changed = *o.maxIters, true
-	}
-	if o.mode != nil {
-		cfg.Mode, changed = *o.mode, true
-	}
-	if o.weights != nil {
-		w, changed = *o.weights, true
-	}
-	if !changed {
-		return base, method, nil
-	}
-	return base.With(w, cfg), method, nil
+	cfg.MaxIters = *o.maxIters
+	return base.With(base.Weights(), cfg), o.method, nil
 }
 
 func resolveAnnotateOptions(opts []AnnotateOption) *annotateOptions {
