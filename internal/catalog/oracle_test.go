@@ -1,0 +1,295 @@
+package catalog_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/worldgen"
+)
+
+// The oracles below are the pre-compilation implementations of the
+// missing-link overlap (§4.2.3) and of the relation probes, kept here as
+// the reference the frozen catalog's lookups are held to: same float,
+// same list, same order.
+
+// intersectSortedCount counts common elements of two ascending slices.
+func intersectSortedCount(a, b []catalog.EntityID) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// oracleOverlap is |E(T′)∩E(T)| / |E(T′)| by merging the two sorted
+// entity lists, 0 when E(T′) is empty.
+func oracleOverlap(c *catalog.Catalog, tPrime, t catalog.TypeID) float64 {
+	a, b := c.EntitiesOf(tPrime), c.EntitiesOf(t)
+	if len(a) == 0 {
+		return 0
+	}
+	return float64(intersectSortedCount(a, b)) / float64(len(a))
+}
+
+// oracleRelatedness is the minimum of oracleOverlap over e's direct types.
+func oracleRelatedness(c *catalog.Catalog, e catalog.EntityID, t catalog.TypeID) float64 {
+	direct := c.DirectTypes(e)
+	if len(direct) == 0 {
+		return 0
+	}
+	minFrac := 1.0
+	for _, tp := range direct {
+		if f := oracleOverlap(c, tp, t); f < minFrac {
+			minFrac = f
+		}
+	}
+	return minFrac
+}
+
+// checkOverlap compares every (T′, T) overlap fraction and every (E, T)
+// relatedness of a frozen catalog with the oracles, as IEEE bit patterns.
+func checkOverlap(t *testing.T, name string, c *catalog.Catalog) {
+	t.Helper()
+	for tp := 0; tp < c.NumTypes(); tp++ {
+		for ty := 0; ty < c.NumTypes(); ty++ {
+			a, b := catalog.TypeID(tp), catalog.TypeID(ty)
+			got, want := c.OverlapFraction(a, b), oracleOverlap(c, a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: OverlapFraction(%d,%d) = %v, oracle %v", name, tp, ty, got, want)
+			}
+		}
+	}
+	for e := 0; e < c.NumEntities(); e++ {
+		for ty := 0; ty < c.NumTypes(); ty++ {
+			got := c.Relatedness(catalog.EntityID(e), catalog.TypeID(ty))
+			want := oracleRelatedness(c, catalog.EntityID(e), catalog.TypeID(ty))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Relatedness(%d,%d) = %v, oracle %v", name, e, ty, got, want)
+			}
+		}
+	}
+	if got := c.OverlapFraction(-1, 0); got != 0 {
+		t.Fatalf("%s: OverlapFraction(-1,0) = %v, want 0", name, got)
+	}
+	if got := c.OverlapFraction(0, catalog.TypeID(c.NumTypes())); got != 0 {
+		t.Fatalf("%s: OverlapFraction(0,out of range) = %v, want 0", name, got)
+	}
+}
+
+// tupleSets is the per-relation tuple membership set the catalog used to
+// keep (relationNode.pairs), rebuilt from the raw tuple lists.
+func tupleSets(c *catalog.Catalog) []map[catalog.Tuple]struct{} {
+	sets := make([]map[catalog.Tuple]struct{}, c.NumRelations())
+	for b := range sets {
+		sets[b] = make(map[catalog.Tuple]struct{})
+		for _, tp := range c.Tuples(catalog.RelationID(b)) {
+			sets[b][tp] = struct{}{}
+		}
+	}
+	return sets
+}
+
+// oracleRelationsBetween is the 2·|B| membership loop: relations in
+// ascending ID, the forward orientation before the reverse.
+func oracleRelationsBetween(sets []map[catalog.Tuple]struct{}, e1, e2 catalog.EntityID) []catalog.RelationDirection {
+	var out []catalog.RelationDirection
+	for b := range sets {
+		if _, ok := sets[b][catalog.Tuple{Subject: e1, Object: e2}]; ok {
+			out = append(out, catalog.RelationDirection{Relation: catalog.RelationID(b), Forward: true})
+		}
+		if _, ok := sets[b][catalog.Tuple{Subject: e2, Object: e1}]; ok {
+			out = append(out, catalog.RelationDirection{Relation: catalog.RelationID(b), Forward: false})
+		}
+	}
+	return out
+}
+
+// checkRelations compares RelationsBetween and HasTuple with the oracle
+// on the given entity pairs (all pairs when pairs is nil).
+func checkRelations(t *testing.T, name string, c *catalog.Catalog, pairs [][2]catalog.EntityID) {
+	t.Helper()
+	sets := tupleSets(c)
+	check := func(e1, e2 catalog.EntityID) {
+		got, want := c.RelationsBetween(e1, e2), oracleRelationsBetween(sets, e1, e2)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: RelationsBetween(%d,%d) = %v, oracle %v", name, e1, e2, got, want)
+		}
+		for b := range sets {
+			_, want := sets[b][catalog.Tuple{Subject: e1, Object: e2}]
+			if got := c.HasTuple(catalog.RelationID(b), e1, e2); got != want {
+				t.Fatalf("%s: HasTuple(%d,%d,%d) = %t, oracle %t", name, b, e1, e2, got, want)
+			}
+		}
+	}
+	if pairs != nil {
+		for _, p := range pairs {
+			check(p[0], p[1])
+		}
+		return
+	}
+	for e1 := 0; e1 < c.NumEntities(); e1++ {
+		for e2 := 0; e2 < c.NumEntities(); e2++ {
+			check(catalog.EntityID(e1), catalog.EntityID(e2))
+		}
+	}
+}
+
+// randomCatalog draws an unfrozen catalog: a DAG of types (parents have
+// lower IDs; several tops, so Freeze adds a root), entities with 0-3
+// direct types (some types stay empty), and relations whose tuples
+// include self tuples b(e,e), both orientations b(s,o) and b(o,s),
+// duplicates, and pairs related under several relations.
+func randomCatalog(t *testing.T, rng *rand.Rand) *catalog.Catalog {
+	t.Helper()
+	c := catalog.New()
+	nT := 2 + rng.Intn(14)
+	for i := 0; i < nT; i++ {
+		id, err := c.AddType(fmt.Sprintf("T%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := rng.Intn(3); i > 0 && k > 0; k-- {
+			if err := c.AddSubtype(id, catalog.TypeID(rng.Intn(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nE := 1 + rng.Intn(40)
+	for i := 0; i < nE; i++ {
+		var types []catalog.TypeID
+		for k := rng.Intn(4); k > 0; k-- {
+			types = append(types, catalog.TypeID(rng.Intn(nT)))
+		}
+		if _, err := c.AddEntity(fmt.Sprintf("E%d", i), nil, types...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ent := func() catalog.EntityID { return catalog.EntityID(rng.Intn(nE)) }
+	for b, nB := 0, rng.Intn(5); b < nB; b++ {
+		id, err := c.AddRelation(fmt.Sprintf("B%d", b), catalog.TypeID(rng.Intn(nT)), catalog.TypeID(rng.Intn(nT)),
+			catalog.Cardinality(rng.Intn(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		add := func(s, o catalog.EntityID) {
+			if err := c.AddTuple(id, s, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := rng.Intn(30); k > 0; k-- {
+			s, o := ent(), ent()
+			switch rng.Intn(6) {
+			case 0:
+				o = s
+			case 1:
+				add(o, s)
+			case 2:
+				add(s, o)
+			}
+			add(s, o)
+		}
+	}
+	return c
+}
+
+func mustFreeze(t *testing.T, c *catalog.Catalog) *catalog.Catalog {
+	t.Helper()
+	if err := c.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// degrade clones a frozen catalog, drops random ∈ and ⊆ links the way
+// the missing-link experiments do, and re-freezes the clone.
+func degrade(t *testing.T, rng *rand.Rand, c *catalog.Catalog) *catalog.Catalog {
+	t.Helper()
+	d := c.Clone()
+	for e := 0; e < d.NumEntities(); e++ {
+		if ts := d.DirectTypes(catalog.EntityID(e)); len(ts) > 0 && rng.Intn(3) == 0 {
+			if err := d.RemoveEntityType(catalog.EntityID(e), ts[rng.Intn(len(ts))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for ty := 0; ty < d.NumTypes(); ty++ {
+		if ps := d.Parents(catalog.TypeID(ty)); len(ps) > 0 && rng.Intn(4) == 0 {
+			if err := d.RemoveSubtype(catalog.TypeID(ty), ps[rng.Intn(len(ps))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return mustFreeze(t, d)
+}
+
+func worldCatalogs(t *testing.T) (pub, truth *catalog.Catalog) {
+	t.Helper()
+	spec := worldgen.DefaultSpec()
+	spec.Seed = 1
+	w, err := worldgen.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.Public, w.True
+}
+
+// TestOverlapOracle: OverlapFraction and Relatedness return the float
+// the sorted-list intersection returns, for every (T′, T) and (E, T) of
+// the worldgen catalogs and of random DAG catalogs, before and after a
+// Clone → RemoveEntityType/RemoveSubtype → re-Freeze.
+func TestOverlapOracle(t *testing.T) {
+	pub, truth := worldCatalogs(t)
+	rng := rand.New(rand.NewSource(16))
+	checkOverlap(t, "worldgen public", pub)
+	checkOverlap(t, "worldgen true", truth)
+	checkOverlap(t, "worldgen public degraded", degrade(t, rng, pub))
+	for trial := 0; trial < 150; trial++ {
+		c := mustFreeze(t, randomCatalog(t, rng))
+		checkOverlap(t, fmt.Sprintf("random %d", trial), c)
+		checkOverlap(t, fmt.Sprintf("random %d degraded", trial), degrade(t, rng, c))
+	}
+}
+
+// TestRelationsBetweenOracle pins RelationsBetween to the output of the
+// 2·|B| membership loop, order included, and HasTuple to the tuple
+// lists: every entity pair of random catalogs (e1 == e2, symmetric and
+// multiply-related pairs among them); on the worldgen catalog every
+// tuple's two orientations, every self pair and a random sample.
+func TestRelationsBetweenOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 150; trial++ {
+		c := mustFreeze(t, randomCatalog(t, rng))
+		checkRelations(t, fmt.Sprintf("random %d", trial), c, nil)
+		checkRelations(t, fmt.Sprintf("random %d degraded", trial), degrade(t, rng, c), nil)
+	}
+	pub, _ := worldCatalogs(t)
+	var pairs [][2]catalog.EntityID
+	for b := 0; b < pub.NumRelations(); b++ {
+		for _, tp := range pub.Tuples(catalog.RelationID(b)) {
+			pairs = append(pairs, [2]catalog.EntityID{tp.Subject, tp.Object}, [2]catalog.EntityID{tp.Object, tp.Subject})
+		}
+	}
+	for e := 0; e < pub.NumEntities(); e++ {
+		pairs = append(pairs, [2]catalog.EntityID{catalog.EntityID(e), catalog.EntityID(e)})
+	}
+	for k := 0; k < 20000; k++ {
+		pairs = append(pairs, [2]catalog.EntityID{
+			catalog.EntityID(rng.Intn(pub.NumEntities())), catalog.EntityID(rng.Intn(pub.NumEntities()))})
+	}
+	// Out-of-range IDs relate to nothing.
+	pairs = append(pairs, [2]catalog.EntityID{-1, 0}, [2]catalog.EntityID{0, catalog.EntityID(pub.NumEntities())})
+	checkRelations(t, "worldgen public", pub, pairs)
+}
