@@ -5,8 +5,24 @@
 // plays in the paper; any catalog with this shape can be modeled.
 //
 // A Catalog is built incrementally (AddType, AddEntity, ...), then Freeze
-// computes the transitive closures the annotator queries: E(T), T(E),
-// dist(E,T), type ancestor sets, and per-relation participation indexes.
+// compiles every question the annotator asks per potential-table entry
+// into sorted flat arrays, so that each is a binary search of a short run
+// and none allocates:
+//
+//   - E(T), ascending, and T(E) with dist(E,T), one run per entity
+//     (IsA, Dist, TypeAncestorsOf);
+//   - |E(T′)∩E(T)| for every ordered pair of types that share an entity,
+//     one run per T′ (OverlapFraction, Relatedness). A pair sharing
+//     nothing is absent, so the table holds at most Σ_E |T(E)|² counts
+//     and never more than types²;
+//   - for every entity, the entities some tuple joins it with, each
+//     tagged with the relation and the direction: two entries per
+//     distinct tuple (RelationsBetween, HasTuple);
+//   - type ancestor sets and per-relation subject/object adjacency.
+//
+// On the generated catalog of internal/worldgen (40 types, 1190
+// entities, 752 tuples) that is 404 co-membership counts and 1504
+// related-pair entries, about 26 KB, beside 44 KB of ancestor runs.
 // After Freeze the catalog is immutable and safe for concurrent readers.
 package catalog
 
@@ -85,10 +101,9 @@ type relationNode struct {
 	card    Cardinality
 	tuples  []Tuple
 
-	// Frozen indexes.
+	// Frozen indexes, over the distinct tuples in first-occurrence order.
 	bySubject map[EntityID][]EntityID
 	byObject  map[EntityID][]EntityID
-	pairs     map[Tuple]struct{}
 }
 
 // Catalog is the complete catalog. Zero value is unusable; use New.
@@ -106,10 +121,33 @@ type Catalog struct {
 	root TypeID // set at Freeze
 
 	// Frozen closures.
-	typeEntities    [][]EntityID       // E(T), sorted ascending
-	entityAncestors []map[TypeID]int32 // T(E) with dist(E,T) values
-	typeAncestors   []map[TypeID]int32 // proper+self ancestors of each type with edge distance (self=0)
-	minEntityDist   []int32            // min over E'∈E(T) of dist(E',T); 0 if E(T) empty
+	typeEntities  [][]EntityID       // E(T), sorted ascending
+	typeAncestors []map[TypeID]int32 // proper+self ancestors of each type with edge distance (self=0)
+	minEntityDist []int32            // min over E'∈E(T) of dist(E',T); 0 if E(T) empty
+
+	// T(E), one run per entity: e's ancestors are
+	// ancTypes[ancStart[e]:ancStart[e+1]], ascending, each with dist(E,T)
+	// at the same position of ancDist.
+	ancStart []int32
+	ancTypes []TypeID
+	ancDist  []int32
+
+	// Type co-membership, one run per type: the types sharing an entity
+	// with T′ are coTypes[coStart[T′]:coStart[T′+1]], ascending, each with
+	// |E(T′)∩E(T)| at the same position of coCounts. A pair of types
+	// without a common entity is absent.
+	coStart  []int32
+	coTypes  []TypeID
+	coCounts []int32
+
+	// Related entity pairs, one run per entity: relOther[relStart[e]:
+	// relStart[e+1]] lists, ascending, the entities some tuple joins with
+	// e, once per relation and direction; relDir holds that relation and
+	// whether e is its subject, by relation and forward first among equal
+	// entities.
+	relStart []int32
+	relOther []EntityID
+	relDir   []RelationDirection
 }
 
 // New returns an empty, unfrozen catalog.

@@ -659,3 +659,40 @@ func itoa(i int) string {
 	}
 	return string(b[p:])
 }
+
+// TestFreezeTablesAreSparse bounds what Freeze materialises for the set
+// algebra: one co-membership entry per ordered pair of types that share
+// an entity — never types² for its own sake — and two related-pair
+// entries per distinct tuple.
+func TestFreezeTablesAreSparse(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	cats := []*Catalog{buildBookWorld(t).cat}
+	for trial := 0; trial < 20; trial++ {
+		cats = append(cats, randomCatalog(t, rng, 2+rng.Intn(30), 1+rng.Intn(60)))
+	}
+	for i, c := range cats {
+		sharing := 0
+		for a := range c.types {
+			for b := range c.types {
+				if c.OverlapFraction(TypeID(a), TypeID(b)) > 0 {
+					sharing++
+				}
+			}
+		}
+		if len(c.coTypes) != sharing || len(c.coCounts) != sharing {
+			t.Errorf("catalog %d: %d co-membership entries for %d type pairs sharing an entity (of %d pairs)",
+				i, len(c.coTypes), sharing, len(c.types)*len(c.types))
+		}
+		distinct := 0
+		for r := range c.relations {
+			set := make(map[Tuple]struct{})
+			for _, tp := range c.relations[r].tuples {
+				set[tp] = struct{}{}
+			}
+			distinct += len(set)
+		}
+		if len(c.relOther) != 2*distinct || len(c.relDir) != 2*distinct {
+			t.Errorf("catalog %d: %d related-pair entries, want 2 per distinct tuple = %d", i, len(c.relOther), 2*distinct)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RootTypeName is the canonical name of the synthetic root type created by
@@ -17,7 +18,9 @@ const RootTypeName = "Entity"
 //   - T(E): all type ancestors of every entity, with dist(E,T) (§4.2.3),
 //   - E(T): all entities transitively reachable from every type,
 //   - type ancestor sets with edge distances,
-//   - per-relation lookup indexes (by subject, by object, pair set).
+//   - |E(T′)∩E(T)| for every pair of types sharing an entity (§4.2.3),
+//   - per-relation adjacency (by subject, by object) and, per entity, the
+//     entities it is related to with the relation and direction of each.
 //
 // Freeze is idempotent; calling it twice returns nil immediately.
 func (c *Catalog) Freeze() error {
@@ -32,6 +35,7 @@ func (c *Catalog) Freeze() error {
 	}
 	c.computeTypeAncestors()
 	c.computeEntityClosures()
+	c.computeCoMembership()
 	c.computeRelationIndexes()
 	c.frozen = true
 	return nil
@@ -127,56 +131,135 @@ func (c *Catalog) computeTypeAncestors() {
 	}
 }
 
-// computeEntityClosures fills entityAncestors (T(E) with distances),
-// typeEntities (E(T)), and minEntityDist.
+// computeEntityClosures fills the per-entity ancestor runs (T(E) with
+// distances), typeEntities (E(T)) and minEntityDist.
 func (c *Catalog) computeEntityClosures() {
 	nT := len(c.types)
 	nE := len(c.entities)
-	c.entityAncestors = make([]map[TypeID]int32, nE)
 	c.typeEntities = make([][]EntityID, nT)
 	c.minEntityDist = make([]int32, nT)
+	c.ancStart = make([]int32, nE+1)
 
+	dist := make([]int32, nT) // dist(e, t) of the entity at hand; 0 = not an ancestor
+	var reached []TypeID
 	for e := 0; e < nE; e++ {
-		anc := make(map[TypeID]int32)
+		reached = reached[:0]
 		for _, direct := range c.entities[e].types {
 			// dist(E,T) counts the ∈ edge (1) plus ⊆ edges.
 			for t, d := range c.typeAncestors[direct] {
-				nd := d + 1
-				if old, ok := anc[t]; !ok || nd < old {
-					anc[t] = nd
+				if old := dist[t]; old == 0 {
+					reached = append(reached, t)
+					dist[t] = d + 1
+				} else if d+1 < old {
+					dist[t] = d + 1
 				}
 			}
 		}
-		c.entityAncestors[e] = anc
-		for t, d := range anc {
+		slices.Sort(reached)
+		for _, t := range reached {
+			d := dist[t]
+			dist[t] = 0
+			c.ancTypes = append(c.ancTypes, t)
+			c.ancDist = append(c.ancDist, d)
+			// Entities arrive in ascending order, so E(T) is born sorted.
 			c.typeEntities[t] = append(c.typeEntities[t], EntityID(e))
 			if c.minEntityDist[t] == 0 || d < c.minEntityDist[t] {
 				c.minEntityDist[t] = d
 			}
 		}
-	}
-	for t := range c.typeEntities {
-		es := c.typeEntities[t]
-		sort.Slice(es, func(i, j int) bool { return es[i] < es[j] })
+		c.ancStart[e+1] = int32(len(c.ancTypes))
 	}
 }
 
-// computeRelationIndexes builds per-relation subject/object adjacency and
-// the tuple membership set.
+// ancestors returns entity e's run of ancTypes/ancDist.
+func (c *Catalog) ancestors(e EntityID) (types []TypeID, dists []int32) {
+	lo, hi := c.ancStart[e], c.ancStart[e+1]
+	return c.ancTypes[lo:hi:hi], c.ancDist[lo:hi:hi]
+}
+
+// computeCoMembership counts |E(T′)∩E(T)| for every pair of types that
+// share an entity: for each T′, one pass over the ancestor runs of the
+// entities under it. The work is Σ_E |T(E)|² and the result holds at
+// most that many pairs (never more than types²), which for a hierarchy
+// whose entities sit a few levels deep is a small multiple of |E|.
+func (c *Catalog) computeCoMembership() {
+	nT := len(c.types)
+	c.coStart = make([]int32, nT+1)
+	shared := make([]int32, nT) // |E(T′)∩E(t)| for the T′ at hand
+	var touched []TypeID
+	for tp := 0; tp < nT; tp++ {
+		touched = touched[:0]
+		for _, e := range c.typeEntities[tp] {
+			types, _ := c.ancestors(e)
+			for _, t := range types {
+				if shared[t] == 0 {
+					touched = append(touched, t)
+				}
+				shared[t]++
+			}
+		}
+		slices.Sort(touched)
+		for _, t := range touched {
+			c.coTypes = append(c.coTypes, t)
+			c.coCounts = append(c.coCounts, shared[t])
+			shared[t] = 0
+		}
+		c.coStart[tp+1] = int32(len(c.coTypes))
+	}
+}
+
+// computeRelationIndexes builds per-relation subject/object adjacency
+// over the distinct tuples, and the per-entity runs of related entities
+// that RelationsBetween and HasTuple probe.
 func (c *Catalog) computeRelationIndexes() {
+	type entry struct {
+		self, other EntityID
+		dir         RelationDirection
+	}
+	tuples := 0
+	for i := range c.relations {
+		tuples += len(c.relations[i].tuples)
+	}
+	entries := make([]entry, 0, 2*tuples)
+	seen := make(map[Tuple]struct{})
 	for i := range c.relations {
 		r := &c.relations[i]
 		r.bySubject = make(map[EntityID][]EntityID)
 		r.byObject = make(map[EntityID][]EntityID)
-		r.pairs = make(map[Tuple]struct{}, len(r.tuples))
+		clear(seen)
 		for _, tp := range r.tuples {
-			if _, dup := r.pairs[tp]; dup {
+			if _, dup := seen[tp]; dup {
 				continue
 			}
-			r.pairs[tp] = struct{}{}
+			seen[tp] = struct{}{}
 			r.bySubject[tp.Subject] = append(r.bySubject[tp.Subject], tp.Object)
 			r.byObject[tp.Object] = append(r.byObject[tp.Object], tp.Subject)
+			entries = append(entries,
+				entry{tp.Subject, tp.Object, RelationDirection{Relation: RelationID(i), Forward: true}},
+				entry{tp.Object, tp.Subject, RelationDirection{Relation: RelationID(i), Forward: false}})
 		}
+	}
+	slices.SortFunc(entries, func(a, b entry) int {
+		forwardFirst := 0
+		if a.dir.Forward != b.dir.Forward {
+			forwardFirst = 1
+			if a.dir.Forward {
+				forwardFirst = -1
+			}
+		}
+		return cmp.Or(cmp.Compare(a.self, b.self), cmp.Compare(a.other, b.other),
+			cmp.Compare(a.dir.Relation, b.dir.Relation), forwardFirst)
+	})
+	c.relStart = make([]int32, len(c.entities)+1)
+	c.relOther = make([]EntityID, len(entries))
+	c.relDir = make([]RelationDirection, len(entries))
+	for i, en := range entries {
+		c.relStart[en.self+1]++
+		c.relOther[i] = en.other
+		c.relDir[i] = en.dir
+	}
+	for e := range c.entities {
+		c.relStart[e+1] += c.relStart[e]
 	}
 }
 

@@ -1,14 +1,13 @@
 package catalog
 
+import "slices"
+
 // Query methods over the frozen closures. All methods in this file require
 // Freeze to have been called; they return zero values otherwise.
 
 // IsA reports whether E ∈+ T (e is transitively an instance of t).
 func (c *Catalog) IsA(e EntityID, t TypeID) bool {
-	if !c.frozen || !c.validEntity(e) || !c.validType(t) {
-		return false
-	}
-	_, ok := c.entityAncestors[e][t]
+	_, ok := c.Dist(e, t)
 	return ok
 }
 
@@ -17,26 +16,25 @@ func (c *Catalog) IsA(e EntityID, t TypeID) bool {
 // false when e is not reachable from t, which the paper rationalizes as
 // dist = ∞.
 func (c *Catalog) Dist(e EntityID, t TypeID) (int, bool) {
-	if !c.frozen || !c.validEntity(e) || !c.validType(t) {
+	if !c.frozen || !c.validEntity(e) {
 		return 0, false
 	}
-	d, ok := c.entityAncestors[e][t]
-	return int(d), ok
+	types, dists := c.ancestors(e)
+	i, ok := slices.BinarySearch(types, t)
+	if !ok {
+		return 0, false
+	}
+	return int(dists[i]), true
 }
 
-// TypeAncestorsOf returns T(E): every type t with e ∈+ t. The slice is
-// freshly allocated and sorted by TypeID.
+// TypeAncestorsOf returns T(E): every type t with e ∈+ t, sorted by
+// TypeID. Callers must not mutate the returned slice.
 func (c *Catalog) TypeAncestorsOf(e EntityID) []TypeID {
 	if !c.frozen || !c.validEntity(e) {
 		return nil
 	}
-	anc := c.entityAncestors[e]
-	out := make([]TypeID, 0, len(anc))
-	for t := range anc {
-		out = append(out, t)
-	}
-	sortTypeIDs(out)
-	return out
+	types, _ := c.ancestors(e)
+	return types
 }
 
 // EntitiesOf returns E(T): the entities transitively under t, sorted by
@@ -120,11 +118,16 @@ func (c *Catalog) OverlapFraction(tPrime, t TypeID) float64 {
 	if !c.frozen || !c.validType(tPrime) || !c.validType(t) {
 		return 0
 	}
-	a, b := c.typeEntities[tPrime], c.typeEntities[t]
-	if len(a) == 0 {
+	under := len(c.typeEntities[tPrime])
+	if under == 0 {
 		return 0
 	}
-	return float64(intersectSortedCount(a, b)) / float64(len(a))
+	lo, hi := c.coStart[tPrime], c.coStart[tPrime+1]
+	i, ok := slices.BinarySearch(c.coTypes[lo:hi], t)
+	if !ok {
+		return 0
+	}
+	return float64(c.coCounts[int(lo)+i]) / float64(under)
 }
 
 // Relatedness implements the full missing-link quantity of §4.2.3: the
@@ -150,11 +153,7 @@ func (c *Catalog) Relatedness(e EntityID, t TypeID) float64 {
 
 // HasTuple reports whether relation b contains the fact (subject, object).
 func (c *Catalog) HasTuple(b RelationID, subject, object EntityID) bool {
-	if !c.frozen || !c.validRelation(b) {
-		return false
-	}
-	_, ok := c.relations[b].pairs[Tuple{subject, object}]
-	return ok
+	return slices.Contains(c.RelationsBetween(subject, object), RelationDirection{Relation: b, Forward: true})
 }
 
 // Objects returns the objects related to subject under b.
@@ -174,23 +173,25 @@ func (c *Catalog) Subjects(b RelationID, object EntityID) []EntityID {
 }
 
 // RelationsBetween returns every relation id b such that the catalog
-// contains a tuple b(e1, e2) or b(e2, e1). The bool in the result reports
-// whether e1 was the subject (true) or object (false).
+// contains a tuple b(e1, e2) or b(e2, e1), in ascending relation order
+// with b(e1, e2) before b(e2, e1). The bool in the result reports whether
+// e1 was the subject (true) or object (false). The result is nil when
+// nothing relates the two; callers must not mutate it.
 func (c *Catalog) RelationsBetween(e1, e2 EntityID) []RelationDirection {
-	if !c.frozen {
+	if !c.frozen || !c.validEntity(e1) {
 		return nil
 	}
-	var out []RelationDirection
-	for id := range c.relations {
-		b := RelationID(id)
-		if c.HasTuple(b, e1, e2) {
-			out = append(out, RelationDirection{Relation: b, Forward: true})
-		}
-		if c.HasTuple(b, e2, e1) {
-			out = append(out, RelationDirection{Relation: b, Forward: false})
-		}
+	lo, hi := int(c.relStart[e1]), int(c.relStart[e1+1])
+	others := c.relOther[lo:hi]
+	first, found := slices.BinarySearch(others, e2)
+	if !found {
+		return nil
 	}
-	return out
+	end := first + 1
+	for end < len(others) && others[end] == e2 {
+		end++
+	}
+	return c.relDir[lo+first : lo+end : lo+end]
 }
 
 // RelationDirection pairs a relation with an orientation between two
@@ -300,22 +301,4 @@ func sortTypeIDs(ts []TypeID) {
 			ts[j], ts[j-1] = ts[j-1], ts[j]
 		}
 	}
-}
-
-// intersectSortedCount counts common elements of two ascending slices.
-func intersectSortedCount(a, b []EntityID) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/feature"
 	"repro/internal/lemmaindex"
 	"repro/internal/table"
+	"repro/internal/text"
 )
 
 // candidates holds the per-table label spaces of §4.3: E_rc per cell, T_c
@@ -16,12 +19,47 @@ type candidates struct {
 	tab *table.Table
 	// cols are the annotatable column indices (non-numeric, non-empty).
 	cols []int
+	// headers[i] is the header of column cols[i], compiled once for all
+	// the types it is compared with.
+	headers []text.Vector
 	// cells[i][r] are the entity candidates for cell (r, cols[i]).
 	cells [][][]lemmaindex.Candidate
 	// colTypes[i] is T_c for column cols[i].
 	colTypes [][]catalog.TypeID
+	// phi3[i] is log φ3 between colTypes[i] and the candidates of cells[i].
+	phi3 []phi3Table
 	// pairs are column pairs with at least one candidate relation.
 	pairs []relPair
+}
+
+// phi3Table holds log φ3(T, E) for one column: every type of its type
+// space against every distinct candidate entity of its cells. A pair is
+// scored once per table, however many cells propose the entity and
+// however many passes — the type pre-score, the potential tables, the
+// Figure-2 special case — read the score.
+type phi3Table struct {
+	ents  []catalog.EntityID // distinct candidate entities, ascending
+	width int                // number of types
+	vals  []float64          // vals[row*width+ti] = log φ3(types[ti], ents[row])
+}
+
+// row returns e's scores, one per type of the column's type space in
+// order. e must be a candidate of the column.
+func (p *phi3Table) row(e catalog.EntityID) []float64 {
+	r, _ := slices.BinarySearch(p.ents, e)
+	return p.vals[r*p.width : (r+1)*p.width]
+}
+
+// phi3Given returns log φ3(T, ·) over the candidates of column cols[i]:
+// read from the column's table when T is in its type space, computed
+// when it is not (the baselines vote over every ancestor, so they may
+// settle on a type the MaxTypesPerColumn cap dropped).
+func (a *Annotator) phi3Given(cs *candidates, i int, T catalog.TypeID) func(catalog.EntityID) float64 {
+	if ti, ok := slices.BinarySearch(cs.colTypes[i], T); ok {
+		tab := &cs.phi3[i]
+		return func(e catalog.EntityID) float64 { return tab.row(e)[ti] }
+	}
+	return func(e catalog.EntityID) float64 { return a.ext.LogPhi3(&a.w, T, e) }
 }
 
 type relPair struct {
@@ -41,6 +79,7 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table) (*candi
 			continue
 		}
 		cs.cols = append(cs.cols, c)
+		cs.headers = append(cs.headers, a.ix.VectorSpace().Vectorize(t.Header(c)))
 	}
 	// 2. Cell entity candidates.
 	cs.cells = make([][][]lemmaindex.Candidate, len(cs.cols))
@@ -55,8 +94,9 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table) (*candi
 	}
 	// 3. Column type space: union over candidate entities of T(E).
 	cs.colTypes = make([][]catalog.TypeID, len(cs.cols))
+	cs.phi3 = make([]phi3Table, len(cs.cols))
 	for i := range cs.cols {
-		cs.colTypes[i] = a.columnTypeSpace(cs, i)
+		cs.colTypes[i], cs.phi3[i] = a.columnTypeSpace(cs, i)
 	}
 	// 4. Relation space per column pair.
 	for i := 0; i < len(cs.cols); i++ {
@@ -75,49 +115,67 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table) (*candi
 
 // columnTypeSpace computes T_c = ∪_{E∈E_rc} T(E), optionally capped to
 // the best MaxTypesPerColumn types under a cheap pre-score (header
-// similarity + summed compatibility over candidate cells).
-func (a *Annotator) columnTypeSpace(cs *candidates, i int) []catalog.TypeID {
-	seen := make(map[catalog.TypeID]struct{})
-	var types []catalog.TypeID
+// similarity + summed compatibility over candidate cells), together with
+// the column's φ3 table over the types it returns.
+func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, phi3Table) {
+	var ents []catalog.EntityID
 	for r := range cs.cells[i] {
 		for _, cand := range cs.cells[i][r] {
-			for _, t := range a.cat.TypeAncestorsOf(cand.Entity) {
-				if _, dup := seen[t]; !dup {
-					seen[t] = struct{}{}
-					types = append(types, t)
-				}
-			}
+			ents = append(ents, cand.Entity)
+		}
+	}
+	slices.Sort(ents)
+	ents = slices.Compact(ents)
+	var types []catalog.TypeID
+	for _, e := range ents {
+		types = append(types, a.cat.TypeAncestorsOf(e)...)
+	}
+	slices.Sort(types)
+	types = slices.Compact(types)
+
+	tab := phi3Table{ents: ents, width: len(types), vals: make([]float64, len(ents)*len(types))}
+	for row, e := range ents {
+		for ti, t := range types {
+			tab.vals[row*tab.width+ti] = a.ext.LogPhi3(&a.w, t, e)
 		}
 	}
 	limit := a.cfg.MaxTypesPerColumn
 	if limit <= 0 || len(types) <= limit {
-		sort.Slice(types, func(x, y int) bool { return types[x] < types[y] })
-		return types
+		return types, tab
 	}
-	header := cs.tab.Header(cs.cols[i])
-	score := make(map[catalog.TypeID]float64, len(types))
-	for _, t := range types {
-		s := a.ext.LogPhi2(&a.w, header, t)
+
+	score := make([]float64, len(types))
+	for ti, t := range types {
+		s := a.ext.LogPhi2(&a.w, cs.headers[i], t)
 		for r := range cs.cells[i] {
 			best := 0.0
 			for _, cand := range cs.cells[i][r] {
-				if v := a.ext.LogPhi3(&a.w, t, cand.Entity); v > best {
+				if v := tab.row(cand.Entity)[ti]; v > best {
 					best = v
 				}
 			}
 			s += best
 		}
-		score[t] = s
+		score[ti] = s
 	}
-	sort.Slice(types, func(x, y int) bool {
-		if score[types[x]] != score[types[y]] {
-			return score[types[x]] > score[types[y]]
-		}
-		return types[x] < types[y]
+	keep := make([]int, len(types)) // positions in types, best first
+	for ti := range keep {
+		keep[ti] = ti
+	}
+	slices.SortFunc(keep, func(x, y int) int {
+		return cmp.Or(cmp.Compare(score[y], score[x]), cmp.Compare(x, y))
 	})
-	types = types[:limit]
-	sort.Slice(types, func(x, y int) bool { return types[x] < types[y] })
-	return types
+	keep = keep[:limit]
+	slices.Sort(keep)
+	kept := phi3Table{ents: ents, width: limit, vals: make([]float64, len(ents)*limit)}
+	keptTypes := make([]catalog.TypeID, limit)
+	for k, ti := range keep {
+		keptTypes[k] = types[ti]
+		for row := range ents {
+			kept.vals[row*limit+k] = tab.vals[row*tab.width+ti]
+		}
+	}
+	return keptTypes, kept
 }
 
 // relationSpace computes B_cc′ = ∪_r {B : B(E,E′) exists, E ∈ E_rc,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/catalog"
@@ -40,26 +39,25 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 	// Variables.
 	ag.typeVars = make([]factorgraph.VarID, len(cs.cols))
 	ag.cellVars = make([][]factorgraph.VarID, len(cs.cols))
-	for i, c := range cs.cols {
-		ag.typeVars[i] = g.AddVariable(fmt.Sprintf("t%d", c), len(cs.colTypes[i])+1)
+	for i := range cs.cols {
+		ag.typeVars[i] = g.AddVariable("t", len(cs.colTypes[i])+1)
 		ag.cellVars[i] = make([]factorgraph.VarID, cs.tab.Rows())
 		for r := 0; r < cs.tab.Rows(); r++ {
-			ag.cellVars[i][r] = g.AddVariable(fmt.Sprintf("e%d_%d", r, c), len(cs.cells[i][r])+1)
+			ag.cellVars[i][r] = g.AddVariable("e", len(cs.cells[i][r])+1)
 		}
 	}
 	if !a.cfg.DisableRelationVars {
 		ag.relVars = make([]factorgraph.VarID, len(cs.pairs))
 		for pi, p := range cs.pairs {
-			ag.relVars[pi] = g.AddVariable(fmt.Sprintf("b%d_%d", cs.cols[p.i], cs.cols[p.j]), len(p.rels)+1)
+			ag.relVars[pi] = g.AddVariable("b", len(p.rels)+1)
 		}
 	}
 
 	// φ2 unary on types; φ1 unary on cells.
 	for i := range cs.cols {
 		pot := make([]float64, len(cs.colTypes[i])+1)
-		header := cs.tab.Header(cs.cols[i])
 		for ti, T := range cs.colTypes[i] {
-			pot[ti] = a.ext.LogPhi2(&a.w, header, T)
+			pot[ti] = a.ext.LogPhi2(&a.w, cs.headers[i], T)
 		}
 		ag.unaries = append(ag.unaries, g.AddUnary("phi2", ag.typeVars[i], pot))
 		for r := 0; r < cs.tab.Rows(); r++ {
@@ -79,9 +77,9 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 			cands := cs.cells[i][r]
 			nE := len(cands) + 1
 			pot := make([]float64, nT*nE)
-			for ti, T := range cs.colTypes[i] {
-				for ei, cand := range cands {
-					pot[ti*nE+ei] = a.ext.LogPhi3(&a.w, T, cand.Entity)
+			for ei, cand := range cands {
+				for ti, v := range cs.phi3[i].row(cand.Entity) {
+					pot[ti*nE+ei] = v
 				}
 			}
 			ag.phi3 = append(ag.phi3, g.AddFactor("phi3",
@@ -138,7 +136,7 @@ func (ag *annotGraph) runSchedule(ctx context.Context, maxIters int, tol float64
 	for _, f := range ag.unaries {
 		g.SweepFactor(f)
 	}
-	prev := g.Messages()
+	g.MessageChange()
 	for iters = 1; iters <= maxIters; iters++ {
 		if err := ctx.Err(); err != nil {
 			return iters, false, err
@@ -158,11 +156,9 @@ func (ag *annotGraph) runSchedule(ctx context.Context, maxIters int, tol float64
 		for _, f := range ag.phi4 {
 			g.SweepFactor(f)
 		}
-		cur := g.Messages()
-		if factorgraph.MessageDelta(prev, cur) < tol {
+		if g.MessageChange() < tol {
 			return iters, true, nil
 		}
-		prev = cur
 	}
 	return maxIters, false, nil
 }

@@ -63,8 +63,7 @@ func (a *Annotator) AnnotateSimpleContext(ctx context.Context, t *table.Table) (
 			if err := ctx.Err(); err != nil {
 				return ann, err
 			}
-			header := t.Header(c)
-			aT := a.ext.LogPhi2(&a.w, header, T)
+			aT := a.ext.LogPhi2(&a.w, cs.headers[i], T)
 			cells := a.bestCellsGivenType(cs, i, T)
 			for _, rc := range cells {
 				aT += rc.score
@@ -102,12 +101,13 @@ type cellChoice struct {
 // hypothesis (φ3 never fires).
 func (a *Annotator) bestCellsGivenType(cs *candidates, i int, T catalog.TypeID) []cellChoice {
 	out := make([]cellChoice, cs.tab.Rows())
+	phi3 := a.phi3Given(cs, i, T)
 	for r := range out {
 		best := cellChoice{entity: catalog.None, score: 0} // na baseline
 		for _, cand := range cs.cells[i][r] {
 			s := a.logPhi1(cand)
 			if T != catalog.None {
-				s += a.ext.LogPhi3(&a.w, T, cand.Entity)
+				s += phi3(cand.Entity)
 			}
 			if s > best.score {
 				best = cellChoice{entity: cand.Entity, score: s}
@@ -143,6 +143,7 @@ func (a *Annotator) assignUnique(cs *candidates, i int, T catalog.TypeID, ann *A
 	// offset handled by using the raw score and skip=0, matching the
 	// unconstrained decision rule.
 	const impossible = -1e9
+	phi3 := a.phi3Given(cs, i, T)
 	for r := 0; r < rows; r++ {
 		weight[r] = make([]float64, len(entities))
 		for j := range weight[r] {
@@ -151,7 +152,7 @@ func (a *Annotator) assignUnique(cs *candidates, i int, T catalog.TypeID, ann *A
 		for _, cand := range cs.cells[i][r] {
 			s := a.logPhi1(cand)
 			if T != catalog.None {
-				s += a.ext.LogPhi3(&a.w, T, cand.Entity)
+				s += phi3(cand.Entity)
 			}
 			weight[r][index[cand.Entity]] = s
 		}

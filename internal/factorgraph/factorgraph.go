@@ -8,11 +8,26 @@
 // (entities→φ3→types→back, entities→φ5→relations→back, types→φ4→
 // relations→back), plus exact brute-force inference for validation on
 // small graphs.
+//
+// Messages live in two flat arenas, one per direction, laid out factor by
+// factor and slot by slot (a factor's k-th variable is its slot k); every
+// message is a window into its arena at a position fixed by InitMessages,
+// so a sweep searches for nothing and the convergence test (MessageChange)
+// is one pass over the factor→variable arena against a copy kept from the
+// pass before. A factor's outgoing messages all come from one walk of its
+// table (UpdateFactorToVar).
+//
+// Every message is reproducible to the last bit: a variable→factor message
+// adds the variable's incoming messages in the order its factors were
+// added; a table entry's score is folded in slot order — the potential,
+// plus the lower slot's message, plus the higher slot's; and entries
+// compete for a maximum in row-major order, first wins.
 package factorgraph
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // VarID indexes a variable in the graph.
@@ -22,9 +37,16 @@ type VarID int
 type FactorID int
 
 type variable struct {
-	name    string
-	domain  int
-	factors []FactorID // factors touching this variable
+	name   string
+	domain int
+	edges  []edge // factors touching this variable, in AddFactor order
+}
+
+// edge is one end of a variable's link to a factor: the factor, and the
+// slot the variable's messages with it occupy there.
+type edge struct {
+	factor FactorID
+	slot   int
 }
 
 type factor struct {
@@ -34,6 +56,11 @@ type factor struct {
 	// index = ((x0*d1)+x1)*d2+x2 for arity 3, etc.
 	logPot []float64
 	dims   []int
+	// slot[k] is the first position of vars[k] in vars: k itself, unless
+	// the factor names one variable twice. Such a variable exchanges
+	// messages with the factor through its first slot only; the later
+	// slot's messages stay at their initial 0.
+	slot []int
 }
 
 // Graph is a factor graph under construction or inference. Not safe for
@@ -43,9 +70,13 @@ type Graph struct {
 	factors []factor
 
 	// Messages, log space. varToFac[f][k] is the message from the k-th
-	// variable of factor f to f; facToVar[f][k] the reverse.
+	// variable of factor f to f; facToVar[f][k] the reverse. They are
+	// slice headers into the two arenas (see the package comment).
 	varToFac [][][]float64
 	facToVar [][][]float64
+	// toVar is the factor→variable arena; prev is what it held when
+	// MessageChange last looked.
+	toVar, prev []float64
 }
 
 // New returns an empty graph.
@@ -78,19 +109,21 @@ func (g *Graph) AddFactor(name string, vars []VarID, logPot []float64) FactorID 
 	if len(vars) == 0 || len(vars) > 3 {
 		panic(fmt.Sprintf("factorgraph: factor %q arity %d unsupported", name, len(vars)))
 	}
-	dims := make([]int, len(vars))
+	ints := make([]int, 2*len(vars))
+	dims, slot := ints[:len(vars):len(vars)], ints[len(vars):]
 	size := 1
 	for i, v := range vars {
 		dims[i] = g.vars[v].domain
 		size *= dims[i]
+		slot[i] = slices.Index(vars, v)
 	}
 	if len(logPot) != size {
 		panic(fmt.Sprintf("factorgraph: factor %q table size %d, want %d", name, len(logPot), size))
 	}
 	id := FactorID(len(g.factors))
-	g.factors = append(g.factors, factor{name: name, vars: append([]VarID(nil), vars...), logPot: logPot, dims: dims})
-	for _, v := range vars {
-		g.vars[v].factors = append(g.vars[v].factors, id)
+	g.factors = append(g.factors, factor{name: name, vars: slices.Clone(vars), logPot: logPot, dims: dims, slot: slot})
+	for i, v := range vars {
+		g.vars[v].edges = append(g.vars[v].edges, edge{id, slot[i]})
 	}
 	return id
 }
@@ -102,49 +135,52 @@ func (g *Graph) AddUnary(name string, v VarID, logPot []float64) FactorID {
 
 // InitMessages allocates and zeroes all messages ("initialize all
 // messages to 1", i.e. log 0). Must be called before any sweep; RunFlooding
-// and Schedule helpers call it implicitly if needed.
+// calls it implicitly if needed. The number of allocations does not
+// depend on the size of the graph.
 func (g *Graph) InitMessages() {
+	slots, n := 0, 0
+	for f := range g.factors {
+		slots += len(g.factors[f].dims)
+		for _, d := range g.factors[f].dims {
+			n += d
+		}
+	}
+	arena := make([]float64, 3*n)
+	toFac := arena[:n:n]
+	g.toVar, g.prev = arena[n:2*n:2*n], arena[2*n:]
+	headers := make([][]float64, 2*slots)
 	g.varToFac = make([][][]float64, len(g.factors))
 	g.facToVar = make([][][]float64, len(g.factors))
+	s, off := 0, 0
 	for f := range g.factors {
-		n := len(g.factors[f].vars)
-		g.varToFac[f] = make([][]float64, n)
-		g.facToVar[f] = make([][]float64, n)
-		for k, v := range g.factors[f].vars {
-			g.varToFac[f][k] = make([]float64, g.vars[v].domain)
-			g.facToVar[f][k] = make([]float64, g.vars[v].domain)
+		dims := g.factors[f].dims
+		e := s + len(dims)
+		g.varToFac[f] = headers[s:e:e]
+		g.facToVar[f] = headers[slots+s : slots+e : slots+e]
+		for k, d := range dims {
+			g.varToFac[f][k] = toFac[off : off+d : off+d]
+			g.facToVar[f][k] = g.toVar[off : off+d : off+d]
+			off += d
 		}
+		s = e
 	}
 }
 
 func (g *Graph) messagesReady() bool { return g.varToFac != nil }
 
-// slotOf returns the position of v in factor f's variable list.
-func (g *Graph) slotOf(f FactorID, v VarID) int {
-	for k, u := range g.factors[f].vars {
-		if u == v {
-			return k
-		}
-	}
-	panic(fmt.Sprintf("factorgraph: variable %d not in factor %d", v, f))
-}
-
-// UpdateVarToFactor recomputes M(v→f): the sum of incoming factor→var
-// messages from every factor touching v except f. (Unary potentials are
-// modeled as unary factors, so they participate automatically.)
-// The message is normalized to max 0 for numerical stability.
-func (g *Graph) UpdateVarToFactor(v VarID, f FactorID) {
-	k := g.slotOf(f, v)
+// updateVarToFactor recomputes the message into slot k of f from the
+// variable there: the sum of incoming factor→var messages from every
+// factor touching it except f. (Unary potentials are modeled as unary
+// factors, so they participate automatically.) The message is normalized
+// to max 0 for numerical stability.
+func (g *Graph) updateVarToFactor(f FactorID, k int) {
 	msg := g.varToFac[f][k]
-	for x := range msg {
-		msg[x] = 0
-	}
-	for _, other := range g.vars[v].factors {
-		if other == f {
+	clear(msg)
+	for _, e := range g.vars[g.factors[f].vars[k]].edges {
+		if e.factor == f {
 			continue
 		}
-		ok := g.slotOf(other, v)
-		in := g.facToVar[other][ok]
+		in := g.facToVar[e.factor][e.slot]
 		for x := range msg {
 			msg[x] += in[x]
 		}
@@ -154,50 +190,98 @@ func (g *Graph) UpdateVarToFactor(v VarID, f FactorID) {
 
 // UpdateFactorToVar recomputes M(f→v): max over the other variables'
 // assignments of the factor's log-potential plus their incoming messages.
+// One walk of the table yields every message out of f, so the messages to
+// f's other variables are recomputed with it, whichever v is named.
 //
-// The table is visited in flat (row-major) order with idx stepped like an
-// odometer beside it — last slot fastest, carrying leftward — so no entry
-// pays a div/mod to recover its index tuple, and idx lives on the stack.
-// The additions into score run in slot order, as they always have; max
-// is exact, so every message is reproducible to the last bit.
-func (g *Graph) UpdateFactorToVar(f FactorID, v VarID) {
+// The table is visited in flat (row-major) order by loops nested to the
+// factor's arity, so no entry pays for an index tuple or a branch on the
+// slot it feeds. Each score is folded in slot order, as it always has
+// been — the potential, plus the lower slot's message, plus the higher
+// slot's: (lp+in₀)+in₂, never lp+(in₀+in₂) — and max is exact, so every
+// message is reproducible to the last bit.
+func (g *Graph) UpdateFactorToVar(f FactorID, _ VarID) {
 	fac := &g.factors[f]
-	k := g.slotOf(f, v)
-	out := g.facToVar[f][k]
-	for x := range out {
-		out[x] = math.Inf(-1)
-	}
-	in := g.varToFac[f]
-	var idx [3]int // AddFactor caps arity at 3
-	for _, lp := range fac.logPot {
-		score := lp
-		for j := range fac.dims {
-			if j != k {
-				score += in[j][idx[j]]
+	in, out := g.varToFac[f], g.facToVar[f]
+	negInf := math.Inf(-1)
+	switch len(fac.dims) {
+	case 1:
+		// The potential itself — through the same comparison against
+		// -Inf the wider arities make, so that a NaN reads as -Inf.
+		out0 := out[0]
+		for x0, lp := range fac.logPot {
+			out0[x0] = negInf
+			if lp > negInf {
+				out0[x0] = lp
 			}
 		}
-		if score > out[idx[k]] {
-			out[idx[k]] = score
-		}
-		for j := len(fac.dims) - 1; j >= 0; j-- {
-			if idx[j]++; idx[j] < fac.dims[j] {
-				break
+	case 2:
+		in0, in1, out0, out1 := in[0], in[1], out[0], out[1]
+		fill(out1, negInf)
+		pot := fac.logPot
+		for x0, a0 := range in0 {
+			m0 := negInf
+			for x1, a1 := range in1 {
+				lp := pot[x1]
+				if s := lp + a1; s > m0 {
+					m0 = s
+				}
+				if s := lp + a0; s > out1[x1] {
+					out1[x1] = s
+				}
 			}
-			idx[j] = 0
+			out0[x0] = m0
+			pot = pot[len(in1):]
+		}
+	case 3:
+		in0, in1, in2, out0, out1, out2 := in[0], in[1], in[2], out[0], out[1], out[2]
+		fill(out1, negInf)
+		fill(out2, negInf)
+		pot := fac.logPot
+		for x0, a0 := range in0 {
+			m0 := negInf
+			for x1, a1 := range in1 {
+				m1 := out1[x1]
+				for x2, a2 := range in2 {
+					lp := pot[x2]
+					p0, p1 := lp+a0, lp+a1
+					if s := p1 + a2; s > m0 {
+						m0 = s
+					}
+					if s := p0 + a2; s > m1 {
+						m1 = s
+					}
+					if s := p0 + a1; s > out2[x2] {
+						out2[x2] = s
+					}
+				}
+				out1[x1] = m1
+				pot = pot[len(in2):]
+			}
+			out0[x0] = m0
 		}
 	}
-	normalizeLog(out)
+	for k, first := range fac.slot {
+		if first == k {
+			normalizeLog(out[k])
+		} else {
+			clear(out[k])
+		}
+	}
+}
+
+func fill(m []float64, v float64) {
+	for i := range m {
+		m[i] = v
+	}
 }
 
 // SweepFactor refreshes all messages into f and then all messages out of
 // f — one full pass of the local message schedule around one factor.
 func (g *Graph) SweepFactor(f FactorID) {
-	for _, v := range g.factors[f].vars {
-		g.UpdateVarToFactor(v, f)
+	for _, k := range g.factors[f].slot {
+		g.updateVarToFactor(f, k)
 	}
-	for _, v := range g.factors[f].vars {
-		g.UpdateFactorToVar(f, v)
-	}
+	g.UpdateFactorToVar(f, g.factors[f].vars[0])
 }
 
 // RunFlooding runs synchronous sweeps over all factors until messages
@@ -207,51 +291,32 @@ func (g *Graph) RunFlooding(maxIters int, tol float64) (iters int, converged boo
 	if !g.messagesReady() {
 		g.InitMessages()
 	}
-	prev := g.snapshotMessages()
+	g.MessageChange()
 	for iters = 1; iters <= maxIters; iters++ {
 		for f := range g.factors {
 			g.SweepFactor(FactorID(f))
 		}
-		cur := g.snapshotMessages()
-		if maxDelta(prev, cur) < tol {
+		if g.MessageChange() < tol {
 			return iters, true
 		}
-		prev = cur
 	}
 	return maxIters, false
 }
 
-// Messages returns a flat copy of all factor→variable messages, for
-// custom schedules that need their own convergence test.
-func (g *Graph) Messages() []float64 {
-	if !g.messagesReady() {
-		g.InitMessages()
-	}
-	return g.snapshotMessages()
-}
-
-// MessageDelta returns the L∞ distance between two message snapshots,
-// ignoring positions that are -inf in both.
-func MessageDelta(a, b []float64) float64 { return maxDelta(a, b) }
-
-func (g *Graph) snapshotMessages() []float64 {
-	var out []float64
-	for f := range g.facToVar {
-		for _, m := range g.facToVar[f] {
-			out = append(out, m...)
-		}
-	}
-	return out
-}
-
-func maxDelta(a, b []float64) float64 {
+// MessageChange returns the L∞ distance between the factor→variable
+// messages now and when it was last called (or, the first time, when
+// InitMessages zeroed them), ignoring positions that are -inf both
+// times, and remembers the current messages for the next call. Custom
+// schedules build their convergence test on it; it allocates nothing.
+func (g *Graph) MessageChange() float64 {
 	d := 0.0
-	for i := range a {
-		v := math.Abs(a[i] - b[i])
-		if math.IsInf(a[i], -1) && math.IsInf(b[i], -1) {
+	for i, cur := range g.toVar {
+		old := g.prev[i]
+		g.prev[i] = cur
+		if math.IsInf(old, -1) && math.IsInf(cur, -1) {
 			continue
 		}
-		if v > d {
+		if v := math.Abs(old - cur); v > d {
 			d = v
 		}
 	}
@@ -265,9 +330,8 @@ func (g *Graph) Belief(v VarID) []float64 {
 	if !g.messagesReady() {
 		return b
 	}
-	for _, f := range g.vars[v].factors {
-		k := g.slotOf(f, v)
-		in := g.facToVar[f][k]
+	for _, e := range g.vars[v].edges {
+		in := g.facToVar[e.factor][e.slot]
 		for x := range b {
 			b[x] += in[x]
 		}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/lemmaindex"
+	"repro/internal/text"
 )
 
 // TypeEntityMode selects the type-entity compatibility feature of §4.2.3,
@@ -161,8 +162,9 @@ func F1(p lemmaindex.SimilarityProfile) [F1Dim]float64 {
 	return [F1Dim]float64{p.Cosine, p.Jaccard, p.SoftTFIDF, p.Exact, 1}
 }
 
-// F2 computes the header/type vector (§4.2.2).
-func (x *Extractor) F2(header string, t catalog.TypeID) [F2Dim]float64 {
+// F2 computes the header/type vector (§4.2.2) of a header compiled under
+// the lemma index's VectorSpace.
+func (x *Extractor) F2(header text.Vector, t catalog.TypeID) [F2Dim]float64 {
 	p := x.ix.TypeHeaderSim(t, header)
 	return [F2Dim]float64{p.Cosine, p.Jaccard, p.SoftTFIDF, p.Exact, 1}
 }
@@ -305,7 +307,7 @@ func LogPhi1(w *Weights, p lemmaindex.SimilarityProfile) float64 {
 }
 
 // LogPhi2 scores a header/type pair.
-func (x *Extractor) LogPhi2(w *Weights, header string, t catalog.TypeID) float64 {
+func (x *Extractor) LogPhi2(w *Weights, header text.Vector, t catalog.TypeID) float64 {
 	f := x.F2(header, t)
 	return dot(w.W2[:], f[:])
 }

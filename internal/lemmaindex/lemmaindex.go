@@ -6,8 +6,11 @@
 // Build compiles every entity and type lemma exactly once into a
 // text.Vector (canonical spelling, sorted distinct tokens with TF-IDF
 // weights and decoded runes, norm) and derives the postings from the
-// compiled tokens. A probe compiles its cell or header once and hands
-// the two compiled sides to one profile function, which only merge-joins
+// compiled tokens. A cell probe (CandidateEntities, ProfileFor) compiles
+// its cell once; a header arrives already compiled (TypeHeaderSim takes a
+// text.Vector), because one header is compared with every candidate type
+// of its column and the caller compiles it once per column. The two
+// compiled sides go to one profile function, which only merge-joins
 // sorted token lists and compares pre-decoded runes: no lemma is
 // tokenised, normalised or vectorised after Build, and a probe's
 // allocations do not grow with the number of entities it pools. The
@@ -19,9 +22,14 @@
 // this index and computing textual similarities. This implementation
 // matched that while every comparison re-tokenised both strings
 // (`tabeval -exp fig7`: candidate generation 75% of a collective
-// annotation, potential construction 11%, inference 14%); with compiled
-// lemmas the split is about 44% / 35% / 21% of a total 3.7× smaller.
-// The Figure-7 experiment reports whatever split it measures.
+// annotation, potential construction 11%, inference 14%); compiled
+// lemmas made the split about 44% / 35% / 21% of a total 3.7× smaller;
+// with the catalog compiled as well — φ3 scored once per column during
+// candidate generation, catalog set algebra looked up, hopeless Jaro
+// pairs skipped, one fused factor sweep — `tabeval -exp fig7 -scale 0.05`
+// reads about 61% / 20% / 19% of a total a further 2.6× smaller (≈5 ms a
+// table on the 2-core sandbox). The Figure-7 experiment reports whatever
+// split it measures.
 package lemmaindex
 
 import (
@@ -221,12 +229,14 @@ func (ix *Index) ProfileFor(e catalog.EntityID, cell string) SimilarityProfile {
 }
 
 // TypeHeaderSim returns the max over L(T) of sim(header, lemma) as a
-// profile (feature f2, §4.2.2). A missing header yields the zero profile.
-func (ix *Index) TypeHeaderSim(t catalog.TypeID, header string) SimilarityProfile {
-	if header == "" {
+// profile (feature f2, §4.2.2). The header arrives compiled under the
+// index's VectorSpace, once per column however many types it is compared
+// with. A header without tokens yields the zero profile.
+func (ix *Index) TypeHeaderSim(t catalog.TypeID, header text.Vector) SimilarityProfile {
+	if len(header.Tokens) == 0 {
 		return SimilarityProfile{}
 	}
-	return profile(ix.vs.Vectorize(header), ix.typeLemmas[t], ix.cfg.SoftThreshold)
+	return profile(header, ix.typeLemmas[t], ix.cfg.SoftThreshold)
 }
 
 // profile takes, per measure, the maximum over an item's compiled lemmas

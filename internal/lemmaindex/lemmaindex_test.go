@@ -132,15 +132,16 @@ func TestTypeHeaderSim(t *testing.T) {
 	book, _ := c.TypeByName("Book")
 	person, _ := c.TypeByName("Person")
 	// "Title" is a lemma of Book in this fixture.
-	pb := ix.TypeHeaderSim(book, "Title")
-	pp := ix.TypeHeaderSim(person, "Title")
+	title := ix.VectorSpace().Vectorize("Title")
+	pb := ix.TypeHeaderSim(book, title)
+	pp := ix.TypeHeaderSim(person, title)
 	if pb.Exact != 1 {
 		t.Errorf("Book/Title exact = %v", pb.Exact)
 	}
 	if pp.Cosine >= pb.Cosine {
 		t.Errorf("Person matches 'Title' as well as Book: %v vs %v", pp, pb)
 	}
-	if z := ix.TypeHeaderSim(book, ""); z != (SimilarityProfile{}) {
+	if z := ix.TypeHeaderSim(book, ix.VectorSpace().Vectorize("")); z != (SimilarityProfile{}) {
 		t.Errorf("empty header profile = %+v", z)
 	}
 }

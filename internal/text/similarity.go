@@ -191,11 +191,17 @@ func jaro(ra, rb []rune) float64 {
 
 func jaroWinkler(ra, rb []rune) float64 {
 	j := jaro(ra, rb)
+	return j + float64(commonPrefix(ra, rb))*0.1*(1-j)
+}
+
+// commonPrefix is the length of the common prefix of ra and rb that
+// JaroWinkler rewards: at most 4 runes.
+func commonPrefix(ra, rb []rune) int {
 	prefix := 0
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
 	}
-	return j + float64(prefix)*0.1*(1-j)
+	return prefix
 }
 
 // CosineCounts computes the cosine of two raw term-count maps (no IDF

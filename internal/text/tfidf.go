@@ -3,6 +3,7 @@ package text
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"unicode/utf8"
@@ -53,6 +54,7 @@ type Token struct {
 	Text   string
 	Weight float64 // TF-IDF weight under the compiling VectorSpace
 	runes  []rune  // Text decoded, for the edit similarities
+	sig    uint64  // bit r%64 set for every rune r of Text
 }
 
 // Vector is a string compiled for comparison (see the package comment):
@@ -110,11 +112,49 @@ func (v *VectorSpace) Vectorize(s string) Vector {
 			runes = append(runes, r)
 		}
 		t.runes = runes[start:len(runes):len(runes)]
+		t.sig = runeSignature(t.runes)
 		// Sub-linear TF damping, standard in IR.
 		t.Weight = (1 + math.Log(t.Weight)) * v.IDF(t.Text)
 		sq += t.Weight * t.Weight
 	}
 	return Vector{Text: norm, Tokens: toks, Norm: math.Sqrt(sq)}
+}
+
+// runeSignature folds a token's runes into 64 bits, one per residue mod
+// 64. Two tokens can only share a rune whose bit both signatures carry.
+func runeSignature(runes []rune) uint64 {
+	var sig uint64
+	for _, r := range runes {
+		sig |= 1 << (uint32(r) % 64)
+	}
+	return sig
+}
+
+// jaroWinklerSlack is how far below the threshold jaroWinklerBound must
+// fall before SoftTFIDF trusts it. The bound and the similarity are
+// each a handful of correctly rounded operations on values in [0,1], so
+// they carry errors near 1e-16; the bound only ever rejects pairs that
+// miss the threshold by far more than this.
+const jaroWinklerSlack = 1e-9
+
+// jaroWinklerBound returns an upper bound on jaroWinkler(a.runes,
+// b.runes) from what is known without matching runes: the two lengths,
+// the common prefix, and the signatures. Jaro matches pair equal runes,
+// so a rune whose signature bit the other token lacks stays unmatched,
+// and each such bit stands for at least one rune; the bound is the
+// similarity those many matches would score with no transposition.
+func jaroWinklerBound(a, b *Token) float64 {
+	la, lb := len(a.runes), len(b.runes)
+	if la == 0 || lb == 0 {
+		return 1 // jaro's empty-token cases; nothing to bound
+	}
+	m := min(la-bits.OnesCount64(a.sig&^b.sig), lb-bits.OnesCount64(b.sig&^a.sig))
+	if m <= 0 {
+		return 0
+	}
+	fm := float64(m)
+	j := (fm/float64(la) + fm/float64(lb) + 1) / 3
+	return j + float64(commonPrefix(a.runes, b.runes))*0.1*(1-j)
 }
 
 // join merge-joins the sorted token lists of a and b: the dot product of
@@ -166,6 +206,10 @@ func (v *VectorSpace) CosineStrings(a, b string) float64 {
 // a pair of tokens whose JaroWinkler similarity reaches threshold
 // contributes proportionally. This tolerates the spelling noise in web
 // table cells ("A. Einstein" vs "Albert Einstein").
+//
+// A pair below threshold contributes nothing, so a pair whose
+// jaroWinklerBound is below it is skipped without running jaro; the
+// result is the one the full double loop computes, bit for bit.
 func SoftTFIDF(a, b Vector, threshold float64) float64 {
 	if a.Norm == 0 || b.Norm == 0 {
 		return 0
@@ -178,6 +222,9 @@ func SoftTFIDF(a, b Vector, threshold float64) float64 {
 		best, bestSim := 0.0, 0.0
 		for j := range b.Tokens {
 			tb := &b.Tokens[j]
+			if jaroWinklerBound(ta, tb) < threshold-jaroWinklerSlack {
+				continue
+			}
 			sim := jaroWinkler(ta.runes, tb.runes)
 			if sim >= threshold && sim > bestSim {
 				bestSim = sim
