@@ -5,6 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	webtable "repro"
@@ -127,5 +133,234 @@ func TestLoadServiceCorruption(t *testing.T) {
 	_, err = webtable.LoadService(ctx, bytes.NewReader(raw))
 	if !errors.Is(err, webtable.ErrSnapshotChecksum) {
 		t.Fatalf("err = %v, want ErrSnapshotChecksum", err)
+	}
+}
+
+// TestSnapshotRoundTripRandomHistories generalises the round-trip
+// property to corpora with a past: after a random history of AddTables
+// (annotated and not), RemoveTables and Compact, a service reloaded from
+// the saved snapshot reports the same counters, answers every request
+// with the same pages, and saves back to the very same bytes — the
+// segment manifest (identities, tables, annotations, tombstones,
+// generation) survives a restart intact.
+func TestSnapshotRoundTripRandomHistories(t *testing.T) {
+	w := testWorld(t)
+	pool := corpusTables(w, 30)
+	ctx := context.Background()
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		svc, err := webtable.NewService(w.Public, webtable.WithWorkers(4), webtable.WithoutAutoCompaction(),
+			webtable.WithCompactionPolicy(webtable.CompactionPolicy{MergeFactor: 2, TierBase: 4, MaxDeadFraction: 0.4}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		var live []string
+		history := ""
+		for step := 0; step < 9 && next < len(pool); step++ {
+			switch op := rng.Intn(6); {
+			case op < 3 || len(live) == 0:
+				n := min(1+rng.Intn(5), len(pool)-next)
+				opts, what := []webtable.AnnotateOption{webtable.WithMethod(webtable.MethodMajority)}, "add"
+				if rng.Intn(4) == 0 {
+					opts, what = append(opts, webtable.WithoutAnnotations()), "add-unannotated"
+				}
+				batch := pool[next : next+n]
+				next += n
+				if _, err := svc.AddTables(ctx, batch, opts...); err != nil {
+					t.Fatalf("seed %d%s: add: %v", seed, history, err)
+				}
+				for _, tab := range batch {
+					live = append(live, tab.ID)
+				}
+				history += fmt.Sprintf(" %s%d", what, n)
+			case op < 5:
+				i := rng.Intn(len(live))
+				if _, err := svc.RemoveTables(ctx, []string{live[i]}); err != nil {
+					t.Fatalf("seed %d%s: remove: %v", seed, history, err)
+				}
+				live = append(live[:i], live[i+1:]...)
+				history += " remove"
+			default:
+				if _, err := svc.Compact(ctx); err != nil {
+					t.Fatalf("seed %d%s: compact: %v", seed, history, err)
+				}
+				history += " compact"
+			}
+		}
+		label := fmt.Sprintf("seed %d%s", seed, history)
+		t.Log(label)
+
+		var saved bytes.Buffer
+		if err := svc.SaveSnapshot(ctx, &saved); err != nil {
+			t.Fatalf("%s: save: %v", label, err)
+		}
+		loaded, err := webtable.LoadService(ctx, bytes.NewReader(saved.Bytes()), webtable.WithWorkers(4), webtable.WithoutAutoCompaction())
+		if err != nil {
+			t.Fatalf("%s: load: %v", label, err)
+		}
+		want, _ := svc.CorpusStats()
+		if got, ok := loaded.CorpusStats(); !ok || got != want {
+			t.Fatalf("%s: reloaded stats %+v, saved %+v", label, got, want)
+		}
+		var again bytes.Buffer
+		if err := loaded.SaveSnapshot(ctx, &again); err != nil {
+			t.Fatalf("%s: save again: %v", label, err)
+		}
+		if !bytes.Equal(saved.Bytes(), again.Bytes()) {
+			t.Fatalf("%s: save -> load -> save is not byte-identical (%d vs %d bytes)", label, saved.Len(), again.Len())
+		}
+		checkSearchIdentical(t, w, loaded, svc, label)
+		svc.Close()
+		loaded.Close()
+	}
+}
+
+// goldenPages returns the blocks of internal/search/testdata/pages.golden
+// that belong to one of its corpora.
+func goldenPages(t *testing.T, corpus string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("internal", "search", "testdata", "pages.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	keep := false
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if strings.HasPrefix(line, "== ") {
+			keep = strings.HasPrefix(line, "== "+corpus+" ")
+		}
+		if keep {
+			out.WriteString(line)
+		}
+	}
+	if out.Len() == 0 {
+		t.Fatalf("pages.golden has no corpus %q", corpus)
+	}
+	return out.String()
+}
+
+// servedPages walks one query through every mode, page size and explain
+// setting to cursor exhaustion and renders the pages exactly as
+// internal/search's renderPages does for pages.golden.
+func servedPages(t *testing.T, corpus string, q webtable.SearchQuery, run func(webtable.SearchRequest) (*webtable.SearchResult, error)) string {
+	t.Helper()
+	var buf strings.Builder
+	for _, mode := range []webtable.SearchMode{webtable.SearchBaseline, webtable.SearchType, webtable.SearchTypeRel} {
+		for _, pageSize := range []int{0, 1, 7} {
+			for _, explain := range []bool{false, true} {
+				fmt.Fprintf(&buf, "== %s mode=%v page_size=%d explain=%v\n", corpus, mode, pageSize, explain)
+				cursor := ""
+				for page := 0; ; page++ {
+					if page > 64 {
+						t.Fatalf("%s %v pageSize=%d: runaway pagination", corpus, mode, pageSize)
+					}
+					res, err := run(webtable.SearchRequest{Query: q, Mode: mode, PageSize: pageSize, Cursor: cursor, Explain: explain})
+					if err != nil {
+						t.Fatalf("%s %v pageSize=%d page=%d: %v", corpus, mode, pageSize, page, err)
+					}
+					fmt.Fprintf(&buf, "page %d total=%d next=%q\n", page, res.Total, res.NextCursor)
+					for _, a := range res.Answers {
+						fmt.Fprintf(&buf, "  %q entity=%d score=%016x support=%d\n", a.Text, a.Entity, math.Float64bits(a.Score), a.Support)
+						if a.Explanation == nil {
+							continue
+						}
+						for _, s := range a.Explanation.Sources {
+							fmt.Fprintf(&buf, "    src %d %d %d %016x\n", s.Table, s.Row, s.Col, math.Float64bits(s.Score))
+						}
+						fmt.Fprintf(&buf, "    truncated %d\n", a.Explanation.Truncated)
+					}
+					if cursor = res.NextCursor; cursor == "" {
+						break
+					}
+				}
+			}
+		}
+	}
+	return buf.String()
+}
+
+// TestFrozenSnapshotsServeGoldenPages: a service loaded from each of the
+// snapshot files frozen under internal/snapshot/testdata, a service
+// loaded from what that one saves back, and a two-shard split of the
+// file merged back all answer their corpus's requests of pages.golden
+// byte for byte. The fixtures hold pages.golden's "partial" corpus as a
+// four-segment manifest with tombstones and its "fraction" corpus in the
+// flat shape (see internal/search's TestWriteSnapshotFixtures); neither
+// golden file may be regenerated to make this pass.
+func TestFrozenSnapshotsServeGoldenPages(t *testing.T) {
+	ctx := context.Background()
+	for _, fx := range []struct {
+		file, corpus, e2 string
+	}{
+		{"segmented.snap", "partial", "Solo Auteur"},
+		{"flat.snap", "fraction", ""},
+	} {
+		raw, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", fx.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := goldenPages(t, fx.corpus)
+		svc, err := webtable.LoadService(ctx, bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", fx.file, err)
+		}
+		q, err := svc.ResolveQuery("directed", "Work", "Director", fx.e2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.T1Text, q.T2Text = "Film movie", "Director person"
+		if fx.e2 == "" {
+			q.E2Text = "Solo Auteur Grand Prix"
+		}
+		search := func(svc *webtable.Service) func(webtable.SearchRequest) (*webtable.SearchResult, error) {
+			return func(req webtable.SearchRequest) (*webtable.SearchResult, error) { return svc.Search(ctx, req) }
+		}
+		if got := servedPages(t, fx.corpus, q, search(svc)); got != want {
+			t.Errorf("%s: served pages diverge from pages.golden", fx.file)
+		}
+
+		var resaved bytes.Buffer
+		if err := svc.SaveSnapshot(ctx, &resaved); err != nil {
+			t.Fatalf("%s: save: %v", fx.file, err)
+		}
+		again, err := webtable.LoadService(ctx, bytes.NewReader(resaved.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: reload: %v", fx.file, err)
+		}
+		if got := servedPages(t, fx.corpus, q, search(again)); got != want {
+			t.Errorf("%s: pages served after save -> load diverge from pages.golden", fx.file)
+		}
+		before, _ := svc.CorpusStats()
+		if after, _ := again.CorpusStats(); after != before {
+			t.Errorf("%s: stats after save -> load %+v, before %+v", fx.file, after, before)
+		}
+
+		for _, file := range [][]byte{raw, resaved.Bytes()} {
+			var shards []*webtable.Service
+			var offsets []int
+			for i := 0; i < 2; i++ {
+				sh, asn, err := webtable.LoadServiceShard(ctx, bytes.NewReader(file), i, 2)
+				if err != nil {
+					t.Fatalf("%s: shard %d: %v", fx.file, i, err)
+				}
+				shards, offsets = append(shards, sh), append(offsets, asn.TableOffset)
+			}
+			merged := func(req webtable.SearchRequest) (*webtable.SearchResult, error) {
+				var partials [][]webtable.PartialGroup
+				var stats []webtable.SearchExecStats
+				for i, sh := range shards {
+					groups, st, err := sh.SearchPartial(ctx, webtable.SearchRequest{Query: req.Query, Mode: req.Mode}, offsets[i])
+					if err != nil {
+						return nil, err
+					}
+					partials, stats = append(partials, groups), append(stats, *st)
+				}
+				return webtable.MergeSearchPartials(partials, stats, req.PageSize, req.Cursor, req.Explain)
+			}
+			if got := servedPages(t, fx.corpus, q, merged); got != want {
+				t.Errorf("%s: pages merged from two shards diverge from pages.golden", fx.file)
+			}
+		}
 	}
 }
