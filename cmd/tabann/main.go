@@ -52,7 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		method  = fs.String("method", "collective", "inference: collective|simple|lca|majority")
 		filter  = fs.Bool("filter", true, "screen out formatting tables first")
 		workers = fs.Int("workers", 0, "annotation workers (0 = GOMAXPROCS)")
-		save    = fs.String("save", "", "also write the annotated corpus as a snapshot file for tabserved/tabsearch -load")
+		save    = fs.String("save", "", "also write the annotated corpus as a snapshot file (WTSNAP v3: its index segment persisted compiled) for tabserved/tabshard/tabsearch -load")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

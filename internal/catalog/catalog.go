@@ -125,6 +125,13 @@ type Catalog struct {
 	typeAncestors []map[TypeID]int32 // proper+self ancestors of each type with edge distance (self=0)
 	minEntityDist []int32            // min over E'∈E(T) of dist(E',T); 0 if E(T) empty
 
+	// The ⊆* closure as bits, for IsSubtype (the query planner asks once
+	// per posted column pair): bit b of the subtypeWords words from
+	// subtypeBits[a*subtypeWords] is set when b is a or an ancestor of a.
+	// typeAncestors keeps the distances, for TypeDist and the walks.
+	subtypeBits  []uint64
+	subtypeWords int
+
 	// T(E), one run per entity: e's ancestors are
 	// ancTypes[ancStart[e]:ancStart[e+1]], ascending, each with dist(E,T)
 	// at the same position of ancDist.

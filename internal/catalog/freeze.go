@@ -105,11 +105,14 @@ func (c *Catalog) checkAcyclic() error {
 }
 
 // computeTypeAncestors fills typeAncestors[t] = {ancestor -> min #edges},
-// including t itself at distance 0. BFS upward per type; the DAG is small
+// including t itself at distance 0, and the same closure as a types ×
+// types bit matrix for IsSubtype. BFS upward per type; the DAG is small
 // relative to the entity set so this is cheap.
 func (c *Catalog) computeTypeAncestors() {
 	n := len(c.types)
 	c.typeAncestors = make([]map[TypeID]int32, n)
+	c.subtypeWords = (n + 63) / 64
+	c.subtypeBits = make([]uint64, n*c.subtypeWords)
 	// Process in an order where parents are done first so we could reuse,
 	// but a direct BFS per type is simpler and fast enough.
 	for id := 0; id < n; id++ {
@@ -128,6 +131,10 @@ func (c *Catalog) computeTypeAncestors() {
 			frontier = next
 		}
 		c.typeAncestors[id] = anc
+		row := c.subtypeBits[id*c.subtypeWords:]
+		for a := range anc {
+			row[a/64] |= 1 << (a % 64)
+		}
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // TestFrozenLookupsDoNotAllocate: the annotator asks these of the frozen
-// catalog once per potential-table entry. Each is a search of a compiled
-// run, and RelationsBetween's list is a window into one — nothing is
-// built per call.
+// catalog once per potential-table entry, and the query planner asks
+// IsSubtype once per posted column pair. Each is a search of a compiled
+// run or a bit test, and RelationsBetween's list is a window into a run
+// — nothing is built per call.
 func TestFrozenLookupsDoNotAllocate(t *testing.T) {
 	pub, _ := worldCatalogs(t)
 	tuples := pub.Tuples(0)
@@ -28,6 +29,9 @@ func TestFrozenLookupsDoNotAllocate(t *testing.T) {
 		for tp := 0; tp < nT; tp++ {
 			for ty := 0; ty < nT; ty++ {
 				sink += pub.OverlapFraction(catalog.TypeID(tp), catalog.TypeID(ty))
+				if pub.IsSubtype(catalog.TypeID(tp), catalog.TypeID(ty)) {
+					rels++
+				}
 			}
 		}
 		for e := 0; e < nE; e += 7 {

@@ -293,3 +293,68 @@ func TestRelationsBetweenOracle(t *testing.T) {
 	pairs = append(pairs, [2]catalog.EntityID{-1, 0}, [2]catalog.EntityID{0, catalog.EntityID(pub.NumEntities())})
 	checkRelations(t, "worldgen public", pub, pairs)
 }
+
+// checkSubtypes compares IsSubtype's bit matrix, for every ordered pair
+// of types, with the ancestor map it was compiled from (TypeDist still
+// reads the map) and with a walk up the ⊆ edges that uses neither.
+func checkSubtypes(t *testing.T, name string, c *catalog.Catalog) {
+	t.Helper()
+	nT := c.NumTypes()
+	for a := 0; a < nT; a++ {
+		reach := make([]bool, nT)
+		reach[a] = true
+		for stack := []catalog.TypeID{catalog.TypeID(a)}; len(stack) > 0; {
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, p := range c.Parents(top) {
+				if !reach[p] {
+					reach[p] = true
+					stack = append(stack, p)
+				}
+			}
+		}
+		for b := 0; b < nT; b++ {
+			got := c.IsSubtype(catalog.TypeID(a), catalog.TypeID(b))
+			if _, inMap := c.TypeDist(catalog.TypeID(a), catalog.TypeID(b)); got != inMap || got != reach[b] {
+				t.Fatalf("%s: IsSubtype(%d,%d) = %v, ancestor map %v, parent walk %v", name, a, b, got, inMap, reach[b])
+			}
+		}
+	}
+	for _, pair := range [][2]catalog.TypeID{{-1, 0}, {0, -1}, {catalog.TypeID(nT), 0}, {0, catalog.TypeID(nT)}} {
+		if c.IsSubtype(pair[0], pair[1]) {
+			t.Fatalf("%s: IsSubtype(%d,%d) holds for a type out of range", name, pair[0], pair[1])
+		}
+	}
+}
+
+// TestIsSubtypeOracle: the bit matrix Freeze compiles for IsSubtype
+// agrees with the ancestor map and with a parent walk on the worldgen
+// catalogs and on random DAG catalogs, before and after a Clone →
+// RemoveSubtype → re-Freeze, and on a chain long enough that a row of the
+// matrix spans three words.
+func TestIsSubtypeOracle(t *testing.T) {
+	pub, truth := worldCatalogs(t)
+	rng := rand.New(rand.NewSource(19))
+	checkSubtypes(t, "worldgen public", pub)
+	checkSubtypes(t, "worldgen true", truth)
+	checkSubtypes(t, "worldgen public degraded", degrade(t, rng, pub))
+	for trial := 0; trial < 150; trial++ {
+		c := mustFreeze(t, randomCatalog(t, rng))
+		checkSubtypes(t, fmt.Sprintf("random %d", trial), c)
+		checkSubtypes(t, fmt.Sprintf("random %d degraded", trial), degrade(t, rng, c))
+	}
+	// A chain of 130 types spans three words of a row.
+	chain := catalog.New()
+	for i := 0; i < 130; i++ {
+		id, err := chain.AddType(fmt.Sprintf("C%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := chain.AddSubtype(id, id-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkSubtypes(t, "chain of 130", mustFreeze(t, chain))
+}

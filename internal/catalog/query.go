@@ -73,8 +73,7 @@ func (c *Catalog) IsSubtype(a, b TypeID) bool {
 	if !c.frozen || !c.validType(a) || !c.validType(b) {
 		return false
 	}
-	_, ok := c.typeAncestors[a][b]
-	return ok
+	return c.subtypeBits[int(a)*c.subtypeWords+int(b)/64]>>(uint(b)%64)&1 != 0
 }
 
 // TypeDist returns the minimum number of ⊆ edges from a up to b, with

@@ -4,9 +4,9 @@
 // PR 5 fixed a cancellation-latency bug: one huge table inside a
 // candidate scan delayed a deadline until the whole table finished,
 // because the row loop never polled ctx.Err(). The repaired discipline
-// — poll between candidate pairs and every rowCheckInterval rows (a
-// mask, not a division; see internal/search/exec.go) — is what this
-// analyzer generalizes: inside a context-accepting function, a loop
+// — poll every rowCheckInterval rows of work, however many candidate
+// pairs they span (see internal/search/exec.go) — is what this analyzer
+// generalizes: inside a context-accepting function, a loop
 // nest that can run row-scale work must reference the context
 // somewhere in its body, either directly (ctx.Err(), ctx.Done(), a
 // counter-gated poll) or by passing ctx to a callee that polls.

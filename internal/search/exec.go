@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"time"
 
@@ -11,10 +10,12 @@ import (
 	"repro/internal/searchidx"
 )
 
-// rowCheckInterval bounds cancellation latency inside a single candidate
-// pair: the row loops poll ctx.Err() every this many rows, so one huge
-// table cannot delay a cancellation or deadline until its scan finishes.
-// Power of two so the poll is a mask, not a division.
+// rowCheckInterval bounds cancellation latency in rows, not in candidate
+// pairs: a scan polls ctx.Err() when it starts and then once per this
+// many rows visited, however many pairs those rows are spread over — one
+// huge table cannot delay a cancellation or deadline until its scan
+// finishes, and a thousand small ones do not take a thousand polls (a
+// poll of a cancellable context takes its mutex).
 const rowCheckInterval = 1024
 
 // cluster accumulates the evidence of one answer while fold aggregates.
@@ -79,8 +80,8 @@ type clusterSink map[string]*cluster
 // scanned as contiguous slices on a bounded worker pool; results are
 // byte-identical at every level (see parallel.go).
 //
-// A context cancellation is detected between candidate pairs and every
-// rowCheckInterval rows within a pair, and returns the context's error.
+// A context cancellation is detected when a scan starts and every
+// rowCheckInterval rows after that, and returns the context's error.
 //
 // Each stage opens one trace span (search.validate, search.plan,
 // search.scan, search.aggregate, search.select and, when asked,
@@ -306,7 +307,6 @@ func (f *typeFilter) compatible(p searchidx.ColumnPair) bool {
 // appendLive appends the compatible pairs of one segment's posting list
 // whose tables are live.
 func appendLive(pairs []candidate, si int, seg corpusSegment, posted []searchidx.ColumnPair, f *typeFilter) []candidate {
-	pairs = slices.Grow(pairs, len(posted))
 	for _, p := range posted {
 		if seg.global[p.Table] >= 0 && f.compatible(p) {
 			pairs = append(pairs, candidate{seg: int32(si), local: p.Table, subj: p.SubjCol, obj: p.ObjCol})
@@ -319,7 +319,12 @@ func appendLive(pairs []candidate, si int, seg corpusSegment, posted []searchidx
 // relation annotations: each segment's per-relation posting list,
 // filtered by subtype compatibility with the query types.
 func (e *Engine) relationPairs(q Query) []candidate {
-	var pairs []candidate
+	posted := 0
+	for _, seg := range e.segs {
+		posted += len(seg.ix.RelationPairs(q.Relation))
+	}
+	// Sized once, by the postings: a plan keeps most of what is posted.
+	pairs := make([]candidate, 0, posted)
 	f := e.newTypeFilter(q)
 	for si, seg := range e.segs {
 		pairs = appendLive(pairs, si, seg, seg.ix.RelationPairs(q.Relation), &f)
@@ -332,7 +337,16 @@ func (e *Engine) relationPairs(q Query) []candidate {
 // candidate sequence whether the corpus is one index or many segments.
 // Each type with candidates is one replay group (see scanPlan.groups).
 func (e *Engine) typedPairs(q Query) ([]candidate, []planGroup) {
-	var pairs []candidate
+	posted := 0
+	for _, T := range e.c.SubjectTypes() {
+		if e.cat.IsSubtype(T, q.T1) {
+			for _, seg := range e.segs {
+				posted += len(seg.ix.TypedPairsOf(T))
+			}
+		}
+	}
+	// Sized once, by the postings of the matching subject types.
+	pairs := make([]candidate, 0, posted)
 	var groups []planGroup
 	f := e.newTypeFilter(q)
 	for _, T := range e.c.SubjectTypes() {
@@ -355,14 +369,14 @@ func (e *Engine) typedPairs(q Query) ([]candidate, []planGroup) {
 // (searchidx.ScanColumn: by entity annotation with text fallback, or by
 // text alone) and report the answer-column cell of every qualifying row
 // to sink. Pair and row counters accumulate into sc (one instance per
-// slice; the caller sums them afterwards). The context is polled between
-// pairs and between rowCheckInterval-row stretches of a column.
+// slice; the caller sums them afterwards). The context is polled before
+// the first row and then every rowCheckInterval rows, counted across
+// pairs; a column is scanned in stretches of at most that many rows so
+// that the count cannot overshoot by more than one stretch.
 func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *partialCollector, sc *scanCounters) error {
 	var rows []searchidx.RowHit
+	sincePoll := rowCheckInterval
 	for i := lo; i < hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		c := &p.pairs[i]
 		ix := e.segs[c.seg].ix
 		texts, ents := ix.Column(int(c.local), int(c.obj))
@@ -372,12 +386,14 @@ func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *p
 		}
 		matched := false
 		for r0 := 0; r0 < len(texts); r0 += rowCheckInterval {
-			if r0 > 0 {
+			if sincePoll >= rowCheckInterval {
+				sincePoll = 0
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
 			r1 := min(r0+rowCheckInterval, len(texts))
+			sincePoll += r1 - r0
 			rows = searchidx.ScanColumn(rows[:0], r0, texts[r0:r1], ents[r0:r1], p.e2, &p.sets[c.seg])
 			for _, rh := range rows {
 				entity := catalog.EntityID(catalog.None)

@@ -37,6 +37,22 @@
 // token or by entity — both modes reach cells through candidate columns
 // — and at web-table scale those two maps and the per-cell token sets
 // they came with were three quarters of the serving heap.
+//
+// # The persistent form
+//
+// A segment is also what a snapshot stores (wire.go): AppendSegment
+// writes a segment's tables and annotations with the two dictionaries a
+// build computes — each distinct cell spelling once, each distinct
+// normalized text once in text-ID order, every spelling's text ID — and
+// the cells as dictionary IDs; DecodeSegment rebuilds the Index from
+// that by slicing and copying, then derives the postings with the code
+// BuildContext derives them with (derive, addText), so a loaded segment
+// equals a built one field for field and a query cannot tell them apart.
+// A restart therefore never parses, normalizes or interns a cell. The
+// price is that this package's layout is now a file format: changing
+// what a segment stores, or the order text IDs are assigned in, is a new
+// snapshot format version (internal/snapshot), with the old decoder kept
+// for the files already written.
 package searchidx
 
 import (
@@ -147,6 +163,42 @@ const rowCheckInterval = 1024
 // table — so indexing a corpus with one oversized table still aborts
 // promptly.
 func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
+	ix, err := newIndex(cat, tables, anns)
+	if err != nil {
+		return nil, err
+	}
+	for ti, t := range tables {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rows, cols := t.Rows(), t.Cols()
+		col := ix.cellText[ix.spans[ti].off:]
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				if cell := r*cols + c; cell&(rowCheckInterval-1) == rowCheckInterval-1 {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
+				}
+				id, err := ix.internText(t.Cell(r, c))
+				if err != nil {
+					return nil, err
+				}
+				col[c*rows+r] = id
+			}
+		}
+	}
+	if err := ix.derive(ctx); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// newIndex lays a segment out without filling it in: empty posting lists
+// and dictionaries, every table's span, zeroed text IDs and no entity in
+// any cell. BuildContext fills it by interning every cell; DecodeSegment
+// (wire.go) from a persisted segment. Both end with derive.
+func newIndex(cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
 	if anns != nil && len(anns) != len(tables) {
 		return nil, fmt.Errorf("searchidx: %d annotations for %d tables", len(anns), len(tables))
 	}
@@ -179,61 +231,51 @@ func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Tab
 	for i := range ix.cellEnts {
 		ix.cellEnts[i] = catalog.None
 	}
+	return ix, nil
+}
 
-	for ti, t := range tables {
+// derive computes what an index holds beyond its dictionaries and text
+// IDs, all of it a function of the tables' headers and contexts and of
+// the annotations: the baseline's header and context postings, the
+// relation and typed-pair postings, each annotated cell's entity, and
+// the subject types. It is the one place they are computed, for a built
+// segment and a loaded one alike.
+func (ix *Index) derive(ctx context.Context) error {
+	var toks []string
+	for ti, t := range ix.Tables {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		rows, cols := t.Rows(), t.Cols()
-		for tok := range text.TokenSet(t.Context) {
+		toks = distinctTokens(toks[:0], t.Context)
+		for _, tok := range toks {
 			ix.contextPost[tok] = append(ix.contextPost[tok], int32(ti))
 		}
 		//lint:allow ctxpoll -- bounded by column count × header tokens, not row-scale
-		for c := 0; c < cols; c++ {
-			for tok := range text.TokenSet(t.Header(c)) {
+		for c, cols := 0, t.Cols(); c < cols; c++ {
+			toks = distinctTokens(toks[:0], t.Header(c))
+			for _, tok := range toks {
 				ix.headerPost[tok] = append(ix.headerPost[tok], ColKey(ti)<<32|ColKey(c))
 			}
 		}
-		col := ix.cellText[ix.spans[ti].off:]
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if cell := r*cols + c; cell&(rowCheckInterval-1) == rowCheckInterval-1 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				id, err := ix.internText(t.Cell(r, c))
-				if err != nil {
-					return nil, err
-				}
-				col[c*rows+r] = id
-			}
+		if ix.Anns == nil || ix.Anns[ti] == nil {
+			continue
 		}
-	}
-	if anns != nil {
-		for ti, ann := range anns {
-			if ann == nil {
-				continue
+		ann := ix.Anns[ti]
+		ix.indexAnnotation(int32(ti), ann)
+		rows, cols := t.Rows(), t.Cols()
+		ents := ix.cellEnts[ix.spans[ti].off:]
+		for r, row := range ann.CellEntities {
+			if r >= rows {
+				break
 			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if r&(rowCheckInterval-1) == rowCheckInterval-1 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
-			ix.indexAnnotation(int32(ti), ann)
-			rows, cols := tables[ti].Rows(), tables[ti].Cols()
-			ents := ix.cellEnts[ix.spans[ti].off:]
-			for r, row := range ann.CellEntities {
-				if r >= rows {
-					break
-				}
-				if r&(rowCheckInterval-1) == rowCheckInterval-1 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				for c, e := range row {
-					if c < cols {
-						ents[c*rows+r] = e
-					}
+			for c, e := range row {
+				if c < cols {
+					ents[c*rows+r] = e
 				}
 			}
 		}
@@ -243,7 +285,20 @@ func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Tab
 		ix.subjTypes = append(ix.subjTypes, T)
 	}
 	slices.Sort(ix.subjTypes)
-	return ix, nil
+	return nil
+}
+
+// distinctTokens appends the distinct tokens of s to dst: the words of
+// its normalized spelling, which is its tokens joined by single spaces.
+func distinctTokens(dst []string, s string) []string {
+	for rest := text.Normalize(s); rest != ""; {
+		var tok string
+		tok, rest, _ = strings.Cut(rest, " ")
+		if !slices.Contains(dst, tok) {
+			dst = append(dst, tok)
+		}
+	}
+	return dst
 }
 
 // internText returns the ID of a cell's normalized text, entering the
@@ -254,6 +309,12 @@ func (ix *Index) internText(cell string) (uint32, error) {
 	if id, ok := ix.textIDs[norm]; ok {
 		return id, nil
 	}
+	return ix.addText(norm)
+}
+
+// addText enters a normalized spelling the dictionary does not hold yet
+// under the next text ID, and posts that ID to each of its tokens.
+func (ix *Index) addText(norm string) (uint32, error) {
 	id := uint32(len(ix.texts))
 	ix.textIDs[norm] = id
 	ix.texts = append(ix.texts, norm)

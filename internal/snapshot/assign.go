@@ -27,8 +27,8 @@ func (a Assignment) Segments() int { return a.Hi - a.Lo }
 func (sg *Segment) LiveCount() int { return len(sg.Tables) - len(sg.Dead) }
 
 // SegmentList returns the snapshot's corpus as a segment manifest: the
-// v2 segment list verbatim, or the flat v1 corpus as a single anonymous
-// segment (exactly how loading materializes it). An empty snapshot
+// segment list verbatim, or the flat corpus as a single anonymous
+// segment (exactly how saving and loading treat it). An empty snapshot
 // returns nil.
 func (s *Snapshot) SegmentList() []Segment {
 	if len(s.Segments) > 0 {
@@ -49,20 +49,40 @@ func (s *Snapshot) SegmentList() []Segment {
 // segments when there are more shards than segments — legal, they just
 // contribute no evidence. shards must be >= 1.
 func AssignShards(segs []Segment, shards int) ([]Assignment, error) {
+	live := make([]int, len(segs))
+	for i := range segs {
+		live[i] = segs[i].LiveCount()
+	}
+	return assign(live, shards)
+}
+
+// AssignShards is the package-level AssignShards over the file's
+// manifest: the placement needs each segment's live-table count, which
+// the manifest states, and none of its tables.
+func (rd *Reader) AssignShards(shards int) ([]Assignment, error) {
+	live := make([]int, len(rd.Manifest))
+	for i, m := range rd.Manifest {
+		live[i] = m.Tables - len(m.Dead)
+	}
+	return assign(live, shards)
+}
+
+// assign splits segments with the given live-table counts.
+func assign(live []int, shards int) ([]Assignment, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("snapshot: shard count must be >= 1, got %d", shards)
 	}
 	total := 0
-	for i := range segs {
-		total += segs[i].LiveCount()
+	for _, n := range live {
+		total += n
 	}
 	out := make([]Assignment, shards)
 	seg, cum := 0, 0
 	for s := 0; s < shards; s++ {
 		a := Assignment{Lo: seg, TableOffset: cum}
 		quota := ((s + 1) * total) / shards
-		for seg < len(segs) && (s == shards-1 || cum < quota) {
-			cum += segs[seg].LiveCount()
+		for seg < len(live) && (s == shards-1 || cum < quota) {
+			cum += live[seg]
 			seg++
 		}
 		a.Hi = seg

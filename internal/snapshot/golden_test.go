@@ -17,9 +17,21 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/snapshot.golden from what Load returns for the frozen fixtures")
 
 // fixtures are the snapshot files frozen under testdata/: written once
-// by the gzip-JSON Save of format version 2 (internal/search's
-// TestWriteSnapshotFixtures, at the commit before version 3) and never
-// rewritten since. Every later reader must keep loading them.
+// by the gzip-JSON Save of format version 2, at the commit before
+// version 3 (25fdbb6, by internal/search's TestWriteSnapshotFixtures,
+// which went with the writer), and never rewritten since. Every later
+// reader must keep loading them.
+//
+//   - segmented.snap is the "partial" corpus of internal/search's
+//     pages.golden as a live-corpus manifest at generation 7: four
+//     segments, one of them entirely tombstoned and saved without
+//     annotations; tombstoned tables carrying the odd shapes (no
+//     headers, empty and non-ASCII cells, an annotation grid smaller
+//     than its table, a backward relation, diagnostics, a table without
+//     an annotation); and one live table nobody annotated, placed last
+//     so no live table's corpus number moves.
+//   - flat.snap is its "fraction" corpus in the flat shape, with the
+//     same unannotated table appended.
 var fixtures = []string{"segmented.snap", "flat.snap"}
 
 // dumpSnapshot renders everything a Snapshot holds as deterministic

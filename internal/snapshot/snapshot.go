@@ -1,55 +1,104 @@
 // Package snapshot implements the persistent corpus snapshot format: one
-// file holding a catalog, a table corpus and its per-table annotations,
-// so an annotated corpus can be served (search index rebuilt from stored
-// annotations) without re-running annotation — the paper's deployment
-// model of §7, where queries run against materialized annotation indices.
+// file holding a catalog and a live corpus — its index segments, each
+// persisted compiled, with their tombstones, and the corpus generation —
+// so an annotated corpus is served again after a restart without
+// re-running annotation and without re-deriving the index from its
+// source: the paper's deployment model of §7, where queries run against
+// materialized annotation indices.
 //
-// Wire layout, in order:
+// # Layout (version 3)
 //
-//	magic   [6]byte  "WTSNAP"
-//	version uint8    format version (currently 2)
-//	length  uint64   big-endian payload byte count
-//	crc32   uint32   big-endian IEEE CRC of the payload
-//	payload []byte   gzip-compressed JSON body
+//	magic     [6]byte  "WTSNAP"
+//	version   uint8    3
+//	length    uint64   big-endian byte count of the manifest
+//	crc32     uint32   big-endian IEEE CRC of the manifest
+//	manifest  generation, corpus shape (segmented or flat), the catalog
+//	          section's length and CRC, then per segment: ID, table
+//	          count, tombstoned table numbers, section length and CRC
+//	catalog   section: the catalog's portable JSON form
+//	segment   section, one per manifest entry, in manifest order:
+//	          the segment as searchidx.AppendSegment persists it
 //
-// The header is uncompressed so foreign files fail fast on the magic, a
-// newer-format file fails on the version before any decoding, and a
-// truncated or bit-flipped payload fails the checksum before the JSON
-// decoder can misread it.
+// A section is its payload's length as a varint followed by the payload
+// as a raw DEFLATE stream; the manifest's length and CRC for it cover
+// those compressed bytes, and sections sit back to back, so a section's
+// offset is the sum of the lengths before it. Manifest integers are
+// unsigned LEB128 varints (wire.go).
 //
-// Version history:
+// The header is uncompressed so foreign files fail fast on the magic and
+// a newer-format file fails on the version before anything is decoded.
+// Every block is checksummed on its own and checked before it is
+// inflated or parsed, so truncation and bit rot surface as ErrChecksum
+// naming the block; what passes its checksum and still does not decode —
+// a bug, or a file assembled by hand — is ErrCorrupt. Nothing is sized by
+// a number from the file before that number has been checked against the
+// bytes actually present (a section's declared inflated length against
+// what DEFLATE can expand its compressed bytes to).
 //
-//	v1  flat corpus: one tables list + parallel annotations.
-//	v2  adds the live-corpus manifest: the corpus may instead be a list
-//	    of index segments, each with its own tables, annotations and
-//	    tombstoned table numbers, plus the corpus generation — so a
-//	    mutable corpus (AddTables / RemoveTables) resumes exactly where
-//	    it stopped. v1 files remain readable; the flat form is still
-//	    valid in v2 and loads as a single segment.
+// Because each segment is a section of its own, a reader takes what it
+// needs: Reader decodes or skips segment by segment, which is how one
+// shard of a cluster opens only its slice of the manifest. Load decodes
+// them all.
+//
+// # What is stored and what is derived
+//
+// A segment section holds the segment's tables and annotations in the
+// shape the compiled index wants them: each distinct cell spelling once,
+// each distinct normalized text once with the spellings that normalize
+// to it, the cells as dictionary IDs column by column (see
+// internal/searchidx's wire.go). That is exactly what is expensive to
+// recompute — normalizing and hashing every cell was most of an index
+// build, and parsing them out of JSON four fifths of a load. What is
+// cheap to recompute from there is not stored: token, header, context,
+// relation and typed-pair postings are derived on load by the same code
+// that derives them at build time, so the file cannot disagree with the
+// index about them. The catalog section stays JSON: it is the builder
+// input of catalog.FromSnapshot, a few milliseconds to parse.
+//
+// Save writes version 3, always, and the same bytes for the same
+// Snapshot; there is no other writer and no format option.
+//
+// # Version history
+//
+//	v1  gzip-compressed JSON: a flat corpus, one tables list and a
+//	    parallel annotations list.
+//	v2  the same encoding with the live-corpus manifest: the corpus may
+//	    instead be a list of index segments, each with its tables,
+//	    annotations and tombstoned table numbers, plus the generation.
+//	v3  this layout. Files of version 1 and 2 remain readable through
+//	    the JSON decoder they were written for (their one block after the
+//	    header is the whole gzip-JSON body); a service loaded from one
+//	    builds its index from the decoded tables, as it always did.
 package snapshot
 
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/searchidx"
 	"repro/internal/table"
 )
 
-// Version is the current snapshot format version. Load accepts files of
-// this version or older.
-const Version = 2
+// Version is the snapshot format version Save writes. Readers accept
+// files of this version or older.
+const Version = 3
 
 var magic = [6]byte{'W', 'T', 'S', 'N', 'A', 'P'}
 
-// headerLen is magic + version byte + payload length + payload CRC.
+// headerLen is magic + version byte + first-block length + first-block
+// CRC. The first block is the manifest (the whole body before version 3).
 const headerLen = len(magic) + 1 + 8 + 4
 
 // Sentinel errors of the snapshot format; test with errors.Is.
@@ -60,16 +109,17 @@ var (
 	// ErrVersion reports a snapshot written by a newer format version
 	// than this package reads.
 	ErrVersion = errors.New("snapshot: unsupported format version")
-	// ErrChecksum reports a payload whose checksum does not match the
-	// header (truncation or corruption in transit).
+	// ErrChecksum reports a block — manifest, catalog or segment section —
+	// whose bytes are missing or do not match their checksum (truncation
+	// or corruption in transit).
 	ErrChecksum = errors.New("snapshot: checksum mismatch")
-	// ErrCorrupt reports a payload that passed the checksum but failed to
+	// ErrCorrupt reports a block that passed its checksum but failed to
 	// decode (a bug, or a file assembled by hand).
 	ErrCorrupt = errors.New("snapshot: corrupt payload")
 )
 
 // Snapshot is one persisted corpus: the catalog's portable form plus
-// either the flat v1 corpus shape (Tables and parallel Anns) or the v2
+// either the flat corpus shape (Tables and parallel Anns) or the
 // segmented live-corpus manifest (Segments and Generation). Exactly one
 // of the two corpus shapes may be populated.
 type Snapshot struct {
@@ -98,7 +148,8 @@ type Segment struct {
 	Dead []int `json:"dead,omitempty"`
 }
 
-// body is the JSON shape inside the compressed payload.
+// body is the JSON shape inside the compressed payload of a version-1 or
+// version-2 file.
 type body struct {
 	Catalog    catalog.Snapshot   `json:"catalog"`
 	Tables     []*table.Table     `json:"tables,omitempty"`
@@ -107,28 +158,17 @@ type body struct {
 	Generation uint64             `json:"generation,omitempty"`
 }
 
-// validate checks the structural invariants shared by Save and Load:
-// table validity, annotation/table parallelism (flat and per segment),
-// tombstone ranges, and that the flat and segmented corpus shapes are
-// not mixed.
-func (b *body) validate() error {
-	if len(b.Tables) > 0 && len(b.Segments) > 0 {
+// validate checks the structural invariants of a corpus manifest:
+// annotation/table parallelism (flat and per segment), tombstone ranges,
+// and that the flat and segmented corpus shapes are not mixed.
+func (s *Snapshot) validate() error {
+	if len(s.Tables) > 0 && len(s.Segments) > 0 {
 		return errors.New("snapshot: both flat tables and segments populated")
 	}
-	for _, t := range b.Tables {
-		if err := t.Validate(); err != nil {
-			return err
-		}
+	if s.Anns != nil && len(s.Anns) != len(s.Tables) {
+		return fmt.Errorf("snapshot: %d annotations for %d tables", len(s.Anns), len(s.Tables))
 	}
-	if b.Anns != nil && len(b.Anns) != len(b.Tables) {
-		return fmt.Errorf("snapshot: %d annotations for %d tables", len(b.Anns), len(b.Tables))
-	}
-	for si, seg := range b.Segments {
-		for _, t := range seg.Tables {
-			if err := t.Validate(); err != nil {
-				return fmt.Errorf("segment %d: %w", si, err)
-			}
-		}
+	for si, seg := range s.Segments {
 		if seg.Anns != nil && len(seg.Anns) != len(seg.Tables) {
 			return fmt.Errorf("snapshot: segment %d: %d annotations for %d tables", si, len(seg.Anns), len(seg.Tables))
 		}
@@ -141,85 +181,334 @@ func (b *body) validate() error {
 	return nil
 }
 
-// Save writes s to w in the versioned snapshot format (always the
-// current Version). The compressed payload is buffered in memory so the
-// header can carry its length and checksum.
+// Snapshot metrics live on the process-global obs.Default() registry,
+// like compaction's: saving and loading have no serving surface of their
+// own, and every server's /metrics handler merges the Default registry
+// in. Registered on the first save or load.
+var (
+	metricsOnce sync.Once
+	saveSeconds *obs.Histogram
+	loadSeconds *obs.Histogram
+	lastBytes   *obs.GaugeVec
+	lastSegs    *obs.GaugeVec
+)
+
+func metricsInit() {
+	metricsOnce.Do(func() {
+		reg := obs.Default()
+		saveSeconds = reg.Histogram("snapshot_save_seconds",
+			"Duration of one snapshot save: compiling, compressing and writing every segment.", obs.LatencyBuckets).With()
+		loadSeconds = reg.Histogram("snapshot_load_seconds",
+			"Duration of one snapshot read, from the header to the last segment decoded or skipped.", obs.LatencyBuckets).With()
+		lastBytes = reg.Gauge("snapshot_bytes",
+			"Bytes the last snapshot save wrote or the last load read (skipped sections not counted).", "op")
+		lastSegs = reg.Gauge("snapshot_segments",
+			"Segments the last snapshot save wrote or the last load decoded.", "op")
+	})
+}
+
+// frame puts the header in front of a file's first block — the manifest,
+// or before version 3 the whole body: magic, version, and the block's
+// length and checksum.
+func frame(version uint8, first []byte) []byte {
+	out := make([]byte, 0, headerLen+len(first))
+	out = append(out, magic[:]...)
+	out = append(out, version)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(first)))
+	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(first))
+	return append(out, first...)
+}
+
+// Save is SaveContext without cancellation or tracing.
 func Save(w io.Writer, s *Snapshot) error {
-	b := body{Catalog: s.Catalog, Tables: s.Tables, Anns: s.Anns, Segments: s.Segments, Generation: s.Generation}
-	if err := b.validate(); err != nil {
+	return SaveContext(context.Background(), w, s)
+}
+
+// SaveContext writes s to w in the current format version: every
+// segment compiled to its persistent form (searchidx.AppendSegment),
+// compressed and checksummed on its own, behind a manifest that says
+// where each one lies. The same Snapshot always yields the same bytes.
+// The sections are buffered in memory, since the manifest that precedes
+// them carries their lengths and checksums. The context is checked
+// between segments; when it carries a trace, the save is a snapshot.save
+// span with one snapshot.section child per segment.
+func SaveContext(ctx context.Context, w io.Writer, s *Snapshot) error {
+	metricsInit()
+	t0 := time.Now()
+	span := obs.Begin(ctx, "snapshot.save")
+	defer span.End()
+	if err := s.validate(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(gz).Encode(b); err != nil {
-		return fmt.Errorf("snapshot: encode: %w", err)
+	segs := s.SegmentList()
+	m := &manifest{
+		generation: s.Generation,
+		flat:       len(s.Segments) == 0,
+		segments:   make([]SegmentInfo, len(segs)),
+		sections:   make([]sectionRef, len(segs)),
 	}
-	if err := gz.Close(); err != nil {
-		return fmt.Errorf("snapshot: compress: %w", err)
+	cat, err := json.Marshal(s.Catalog)
+	if err != nil {
+		return fmt.Errorf("snapshot: encode catalog: %w", err)
 	}
-	payload := buf.Bytes()
-	header := make([]byte, 0, headerLen)
-	header = append(header, magic[:]...)
-	header = append(header, Version)
-	header = binary.BigEndian.AppendUint64(header, uint64(len(payload)))
-	header = binary.BigEndian.AppendUint32(header, crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("snapshot: write header: %w", err)
+	var z deflater
+	sections, err := z.appendSection(nil, cat)
+	if err != nil {
+		return fmt.Errorf("snapshot: compress catalog: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("snapshot: write payload: %w", err)
+	m.catalog = sectionRef{length: uint64(len(sections)), crc: crc32.ChecksumIEEE(sections)}
+	var payload []byte
+	for i, sg := range segs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		child := span.Child("snapshot.section")
+		start := len(sections)
+		if payload, err = searchidx.AppendSegment(payload[:0], sg.Tables, sg.Anns); err == nil {
+			sections, err = z.appendSection(sections, payload)
+		}
+		child.End()
+		if err != nil {
+			return fmt.Errorf("snapshot: segment %d: %w", i, err)
+		}
+		m.segments[i] = SegmentInfo{ID: sg.ID, Tables: len(sg.Tables), Dead: sg.Dead}
+		m.sections[i] = sectionRef{length: uint64(len(sections) - start), crc: crc32.ChecksumIEEE(sections[start:])}
+	}
+	head := frame(Version, appendManifest(nil, m))
+	if _, err := w.Write(head); err != nil {
+		return fmt.Errorf("snapshot: write manifest: %w", err)
+	}
+	if _, err := w.Write(sections); err != nil {
+		return fmt.Errorf("snapshot: write sections: %w", err)
+	}
+	saveSeconds.Observe(time.Since(t0).Seconds())
+	lastBytes.With("save").Set(float64(len(head) + len(sections)))
+	lastSegs.With("save").Set(float64(len(segs)))
+	return nil
+}
+
+// Reader reads one snapshot file front to back: NewReader takes the
+// header, the manifest and the catalog; Next and Skip then take the
+// segments one at a time, in manifest order, decoding a segment to its
+// compiled index or passing over its section unread. A reader that
+// stops early has read nothing of the segments it did not reach.
+//
+// A file older than version 3 has no sections: NewReader decodes its
+// whole JSON body, Next builds each segment's index from the decoded
+// tables (searchidx.BuildContext) and Skip costs nothing more.
+type Reader struct {
+	// Catalog is the catalog's portable form.
+	Catalog catalog.Snapshot
+	// Generation is the corpus generation the manifest was taken at.
+	Generation uint64
+	// Flat reports the flat corpus shape: at most one segment, anonymous,
+	// never mutated (Generation is then zero).
+	Flat bool
+	// Manifest lists the file's segments in corpus order.
+	Manifest []SegmentInfo
+
+	ctx      context.Context
+	r        io.Reader
+	next     int
+	sections []sectionRef // version 3
+	old      []Segment    // versions 1 and 2: the decoded body's segments
+
+	t0      time.Time
+	span    *obs.Span
+	bytes   int64
+	decoded int
+}
+
+// NewReader reads a snapshot's header, manifest and catalog from r,
+// verifying magic, version and checksums before decoding anything. When
+// ctx carries a trace, the read is a snapshot.load span from here to
+// Close, with one snapshot.section child per segment decoded.
+func NewReader(ctx context.Context, r io.Reader) (*Reader, error) {
+	metricsInit()
+	rd := &Reader{ctx: ctx, r: r, t0: time.Now(), span: obs.Begin(ctx, "snapshot.load")}
+	if err := rd.open(); err != nil {
+		rd.span.End()
+		return nil, err
+	}
+	return rd, nil
+}
+
+func (rd *Reader) open() error {
+	header := make([]byte, headerLen)
+	if _, err := io.ReadFull(rd.r, header); err != nil {
+		return fmt.Errorf("%w: short header: %v", ErrNotSnapshot, err)
+	}
+	rd.bytes = int64(headerLen)
+	if !bytes.Equal(header[:len(magic)], magic[:]) {
+		return ErrNotSnapshot
+	}
+	version := header[len(magic)]
+	if version == 0 || version > Version {
+		return fmt.Errorf("%w: file version %d, reader supports <= %d", ErrVersion, version, Version)
+	}
+	first := sectionRef{
+		length: binary.BigEndian.Uint64(header[len(magic)+1:]),
+		crc:    binary.BigEndian.Uint32(header[len(magic)+9:]),
+	}
+	if version < 3 {
+		payload, err := rd.block(first, "payload")
+		if err != nil {
+			return err
+		}
+		return rd.openJSON(payload)
+	}
+	raw, err := rd.block(first, "manifest")
+	if err != nil {
+		return err
+	}
+	m, err := decodeManifest(raw)
+	if err != nil {
+		return err
+	}
+	rd.Generation, rd.Flat, rd.Manifest, rd.sections = m.generation, m.flat, m.segments, m.sections
+	if raw, err = rd.block(m.catalog, "catalog section"); err != nil {
+		return err
+	}
+	if raw, err = inflate(raw); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, &rd.Catalog); err != nil {
+		return fmt.Errorf("%w: catalog: %v", ErrCorrupt, err)
 	}
 	return nil
 }
 
-// Load reads one snapshot from r, verifying magic, version and checksum
-// before decoding, and validating the decoded tables and the
-// annotation/table parallelism.
-func Load(r io.Reader) (*Snapshot, error) {
-	header := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrNotSnapshot, err)
-	}
-	if !bytes.Equal(header[:len(magic)], magic[:]) {
-		return nil, ErrNotSnapshot
-	}
-	version := header[len(magic)]
-	if version == 0 || version > Version {
-		return nil, fmt.Errorf("%w: file version %d, reader supports <= %d", ErrVersion, version, Version)
-	}
-	length := binary.BigEndian.Uint64(header[len(magic)+1:])
-	wantCRC := binary.BigEndian.Uint32(header[len(magic)+9:])
-	// The length field is untrusted until the checksum passes: grow the
-	// buffer with the bytes that actually arrive (CopyN) rather than
-	// allocating length up front, so a corrupted length reports
-	// ErrChecksum instead of panicking or exhausting memory.
-	var buf bytes.Buffer
-	if n, err := io.CopyN(&buf, r, int64(length)); err != nil || uint64(n) != length {
-		return nil, fmt.Errorf("%w: payload truncated at %d of %d bytes: %v", ErrChecksum, n, length, err)
-	}
-	payload := buf.Bytes()
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, fmt.Errorf("%w: crc %08x, header says %08x", ErrChecksum, got, wantCRC)
-	}
+// openJSON decodes the gzip-JSON body of a version-1 or version-2 file.
+func (rd *Reader) openJSON(payload []byte) error {
 	gz, err := gzip.NewReader(bytes.NewReader(payload))
 	if err != nil {
-		return nil, fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
 	}
 	var b body
 	if err := json.NewDecoder(gz).Decode(&b); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
 	}
 	if err := gz.Close(); err != nil {
-		return nil, fmt.Errorf("%w: gzip close: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: gzip close: %v", ErrCorrupt, err)
 	}
-	if err := b.validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	snap := &Snapshot{Catalog: b.Catalog, Tables: b.Tables, Anns: b.Anns, Segments: b.Segments, Generation: b.Generation}
+	if err := snap.validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return &Snapshot{
-		Catalog:    b.Catalog,
-		Tables:     b.Tables,
-		Anns:       b.Anns,
-		Segments:   b.Segments,
-		Generation: b.Generation,
-	}, nil
+	rd.Catalog, rd.Generation, rd.Flat, rd.old = b.Catalog, b.Generation, len(b.Segments) == 0, snap.SegmentList()
+	rd.Manifest = make([]SegmentInfo, len(rd.old))
+	for i, sg := range rd.old {
+		for _, t := range sg.Tables {
+			if err := t.Validate(); err != nil {
+				return fmt.Errorf("%w: segment %d: %v", ErrCorrupt, i, err)
+			}
+		}
+		rd.Manifest[i] = SegmentInfo{ID: sg.ID, Tables: len(sg.Tables), Dead: sg.Dead}
+	}
+	return nil
+}
+
+func (rd *Reader) block(ref sectionRef, what string) ([]byte, error) {
+	raw, err := readBlock(rd.r, ref, what)
+	rd.bytes += int64(len(raw))
+	return raw, err
+}
+
+// Next decodes the next segment of the manifest into its compiled index
+// over cat, which also holds the segment's tables and annotations.
+func (rd *Reader) Next(cat *catalog.Catalog) (*searchidx.Index, error) {
+	i := rd.next
+	if i >= len(rd.Manifest) {
+		return nil, io.EOF
+	}
+	rd.next++
+	rd.decoded++
+	child := rd.span.Child("snapshot.section")
+	defer child.End()
+	if rd.old != nil {
+		return searchidx.BuildContext(rd.ctx, cat, rd.old[i].Tables, rd.old[i].Anns)
+	}
+	raw, err := rd.block(rd.sections[i], fmt.Sprintf("segment %d section", i))
+	if err != nil {
+		return nil, err
+	}
+	if raw, err = inflate(raw); err != nil {
+		return nil, fmt.Errorf("segment %d: %w", i, err)
+	}
+	ix, err := searchidx.DecodeSegment(rd.ctx, cat, raw)
+	if errors.Is(err, searchidx.ErrBadSegment) {
+		return nil, fmt.Errorf("%w: segment %d: %v", ErrCorrupt, i, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(ix.Tables) != rd.Manifest[i].Tables {
+		return nil, fmt.Errorf("%w: segment %d holds %d tables, the manifest says %d", ErrCorrupt, i, len(ix.Tables), rd.Manifest[i].Tables)
+	}
+	return ix, nil
+}
+
+// Skip passes over the next segment of the manifest without reading its
+// section: it seeks when the source can, and discards otherwise.
+func (rd *Reader) Skip() error {
+	i := rd.next
+	if i >= len(rd.Manifest) {
+		return io.EOF
+	}
+	rd.next++
+	if rd.old != nil {
+		return nil
+	}
+	n := int64(rd.sections[i].length)
+	if s, ok := rd.r.(io.Seeker); ok {
+		if _, err := s.Seek(n, io.SeekCurrent); err != nil {
+			return fmt.Errorf("snapshot: skip segment %d section: %w", i, err)
+		}
+		return nil
+	}
+	if got, err := io.CopyN(io.Discard, rd.r, n); err != nil {
+		return fmt.Errorf("%w: segment %d section truncated at %d of %d bytes: %v", ErrChecksum, i, got, rd.sections[i].length, err)
+	}
+	return nil
+}
+
+// Close ends the read: the snapshot.load span, and the load's metrics.
+// It does not close the source. Idempotent.
+func (rd *Reader) Close() {
+	if rd.r == nil {
+		return
+	}
+	rd.r = nil
+	rd.span.End()
+	loadSeconds.Observe(time.Since(rd.t0).Seconds())
+	lastBytes.With("load").Set(float64(rd.bytes))
+	lastSegs.With("load").Set(float64(rd.decoded))
+}
+
+// Load reads one whole snapshot from r — every segment decoded — into
+// the tables-and-annotations form Save takes. Failures are structured:
+// ErrNotSnapshot, ErrVersion, ErrChecksum or ErrCorrupt.
+func Load(r io.Reader) (*Snapshot, error) {
+	rd, err := NewReader(context.Background(), r)
+	if err != nil {
+		return nil, err
+	}
+	defer rd.Close()
+	snap := &Snapshot{Catalog: rd.Catalog, Generation: rd.Generation}
+	segs := rd.old
+	if segs == nil {
+		for _, m := range rd.Manifest {
+			ix, err := rd.Next(nil)
+			if err != nil {
+				return nil, err
+			}
+			segs = append(segs, Segment{ID: m.ID, Tables: ix.Tables, Anns: ix.Anns, Dead: m.Dead})
+		}
+	}
+	if !rd.Flat {
+		snap.Segments = segs
+	} else if len(segs) > 0 {
+		snap.Tables, snap.Anns = segs[0].Tables, segs[0].Anns
+	}
+	return snap, nil
 }

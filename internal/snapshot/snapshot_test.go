@@ -3,10 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -15,7 +13,7 @@ import (
 	"repro/internal/table"
 )
 
-func testSnapshot(t *testing.T) *Snapshot {
+func testSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
 	cat := catalog.New()
 	film, err := cat.AddType("Film", "movie")
@@ -216,8 +214,9 @@ func TestSaveRejectsBadTombstone(t *testing.T) {
 	}
 }
 
-// writeVersioned replicates Save's framing with an arbitrary version
-// byte, to synthesize files from other format generations.
+// writeVersioned replicates the framing the version-1 and version-2
+// writers used — one gzip-JSON body behind the header — with an arbitrary
+// version byte, to synthesize files from other format generations.
 func writeVersioned(t *testing.T, version uint8, b body) []byte {
 	t.Helper()
 	var payload bytes.Buffer
@@ -228,17 +227,12 @@ func writeVersioned(t *testing.T, version uint8, b body) []byte {
 	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out := make([]byte, 0, headerLen+payload.Len())
-	out = append(out, magic[:]...)
-	out = append(out, version)
-	out = binary.BigEndian.AppendUint64(out, uint64(payload.Len()))
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload.Bytes()))
-	return append(out, payload.Bytes()...)
+	return frame(version, payload.Bytes())
 }
 
-// TestLoadAcceptsV1File: the version bump must not orphan existing
+// TestLoadAcceptsV1File: a version bump must not orphan existing
 // snapshots — a genuine version-1 file (flat body, no segments) still
-// loads.
+// loads, through the JSON decoder it was written for.
 func TestLoadAcceptsV1File(t *testing.T) {
 	flat := testSnapshot(t)
 	raw := writeVersioned(t, 1, body{Catalog: flat.Catalog, Tables: flat.Tables, Anns: flat.Anns})
@@ -251,10 +245,10 @@ func TestLoadAcceptsV1File(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsV3WithoutDecoding: a structurally valid file stamped
+// TestLoadRejectsV4WithoutDecoding: a structurally valid file stamped
 // with a future version fails on ErrVersion before any payload decode —
-// even though its payload would decode fine.
-func TestLoadRejectsV3WithoutDecoding(t *testing.T) {
+// even though its payload would decode fine as the version-2 body it is.
+func TestLoadRejectsV4WithoutDecoding(t *testing.T) {
 	flat := testSnapshot(t)
 	raw := writeVersioned(t, Version+1, body{Catalog: flat.Catalog, Tables: flat.Tables, Anns: flat.Anns})
 	_, err := Load(bytes.NewReader(raw))

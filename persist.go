@@ -6,18 +6,19 @@ import (
 	"io"
 
 	"repro/internal/catalog"
-	"repro/internal/searchidx"
 	"repro/internal/segment"
 	"repro/internal/snapshot"
 )
 
 // SaveSnapshot writes the service's live corpus — catalog, segment
-// manifest with each segment's tables and annotations, tombstones and
-// the corpus generation — as one versioned snapshot file (gzipped JSON
-// with a format-version header and checksum). A service loaded back from
-// the snapshot answers searches identically to this one, without
-// re-running annotation, and resumes mutating exactly where this one
-// stopped: annotate once, serve and grow forever.
+// manifest, each segment in its compiled form with its tables and
+// annotations, tombstones and the corpus generation — as one versioned
+// snapshot file (a checksummed manifest, then one compressed,
+// checksummed section per segment; see internal/snapshot). A service
+// loaded back from the snapshot answers searches identically to this
+// one, without re-running annotation or rebuilding the index from its
+// source, and resumes mutating exactly where this one stopped: annotate
+// once, serve and grow forever.
 //
 // The snapshot captures an atomic view of the corpus: a concurrent
 // AddTables/RemoveTables/compaction either precedes the whole snapshot
@@ -46,7 +47,7 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 	for i, m := range manifests {
 		segs[i] = snapshot.Segment{ID: m.ID, Tables: m.Tables, Anns: m.Anns, Dead: m.Dead}
 	}
-	err := snapshot.Save(w, &snapshot.Snapshot{
+	err := snapshot.SaveContext(ctx, w, &snapshot.Snapshot{
 		Catalog:    s.cat.Snapshot(),
 		Segments:   segs,
 		Generation: v.Generation(),
@@ -59,35 +60,36 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 
 // LoadService reconstructs a ready-to-search Service from a snapshot
 // written by SaveSnapshot (or cmd tools' -save flags): the catalog is
-// rebuilt and frozen, and each index segment is rebuilt from its stored
-// annotations — no annotation runs. Flat v1 snapshots load as a single
-// segment; segmented v2 snapshots restore the live-corpus manifest —
-// segment identities, tombstones and generation — so AddTables /
-// RemoveTables resume where the saved service stopped. Service options
-// (worker count, weights, compaction knobs, ...) apply as in NewService.
+// rebuilt and frozen, and each index segment is decoded straight from
+// its section of the file into the compiled index — no annotation runs,
+// no cell is parsed, normalized or interned again. The live-corpus
+// manifest — segment identities, tombstones and generation — is restored,
+// so AddTables / RemoveTables resume where the saved service stopped; a
+// flat snapshot loads as a single segment. Files older than format
+// version 3 hold tables and annotations as JSON, and their segments are
+// index-built from those as before. Service options (worker count,
+// weights, compaction knobs, ...) apply as in NewService.
 //
 // Format failures are structured: errors.Is recognizes ErrNotSnapshot
 // (foreign file), ErrSnapshotVersion (file newer than this reader) and
 // ErrSnapshotChecksum (truncation or corruption).
 func LoadService(ctx context.Context, r io.Reader, opts ...ServiceOption) (*Service, error) {
-	snap, err := snapshot.Load(r)
+	rd, err := snapshot.NewReader(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-	segs := snap.SegmentList()
-	gen := snap.Generation
-	if len(snap.Segments) == 0 && gen == 0 {
-		gen = 1 // flat v1 snapshots predate generations
-	}
-	return loadSegments(ctx, snap, segs, gen, false, opts)
+	defer rd.Close()
+	return loadSegments(rd, 0, len(rd.Manifest), false, opts)
 }
 
 // LoadServiceShard reconstructs the shard-th of count shard services
 // from one snapshot: the manifest's segments are partitioned into
 // contiguous, live-table-balanced ranges (the same deterministic
 // placement in every process — see snapshot.AssignShards), and only the
-// owned range is index-built, so an N-shard cluster pays roughly 1/N of
-// a full load's index memory per process. The returned assignment
+// owned range is read: the sections before it are skipped, the ones
+// after it never reached, so an N-shard cluster pays roughly 1/N of a
+// full load's time and index memory per process, and damage to another
+// shard's sections does not stop this one. The returned assignment
 // carries the shard's global table offset, which SearchPartial needs to
 // number hits corpus-globally.
 //
@@ -97,11 +99,12 @@ func LoadService(ctx context.Context, r io.Reader, opts ...ServiceOption) (*Serv
 // not mutate the corpus (AddTables / RemoveTables would change the
 // global numbering every other shard derives from the shared snapshot).
 func LoadServiceShard(ctx context.Context, r io.Reader, shard, count int, opts ...ServiceOption) (*Service, ShardAssignment, error) {
-	snap, err := snapshot.Load(r)
+	rd, err := snapshot.NewReader(ctx, r)
 	if err != nil {
 		return nil, ShardAssignment{}, err
 	}
-	asn, err := snapshot.AssignShards(snap.SegmentList(), count)
+	defer rd.Close()
+	asn, err := rd.AssignShards(count)
 	if err != nil {
 		return nil, ShardAssignment{}, err
 	}
@@ -109,23 +112,19 @@ func LoadServiceShard(ctx context.Context, r io.Reader, shard, count int, opts .
 		return nil, ShardAssignment{}, fmt.Errorf("webtable: shard %d out of range [0, %d)", shard, count)
 	}
 	a := asn[shard]
-	gen := snap.Generation
-	if len(snap.Segments) == 0 && gen == 0 {
-		gen = 1
-	}
-	svc, err := loadSegments(ctx, snap, snap.SegmentList()[a.Lo:a.Hi], gen, true, opts)
+	svc, err := loadSegments(rd, a.Lo, a.Hi, true, opts)
 	if err != nil {
 		return nil, ShardAssignment{}, err
 	}
 	return svc, a, nil
 }
 
-// loadSegments builds a service over a (possibly partial) run of
-// snapshot segments. An empty run still yields a searchable service
-// with an empty one-segment corpus — a shard owning no segments answers
-// partial queries with no evidence rather than erroring.
-func loadSegments(ctx context.Context, snap *snapshot.Snapshot, segs []snapshot.Segment, gen uint64, readOnly bool, opts []ServiceOption) (*Service, error) {
-	cat, err := catalog.FromSnapshot(snap.Catalog)
+// loadSegments builds a service over segments [lo, hi) of a snapshot's
+// manifest. An empty run still yields a searchable service with an
+// empty corpus — a shard owning no segments answers partial queries
+// with no evidence rather than erroring.
+func loadSegments(rd *snapshot.Reader, lo, hi int, readOnly bool, opts []ServiceOption) (*Service, error) {
+	cat, err := catalog.FromSnapshot(rd.Catalog)
 	if err != nil {
 		return nil, fmt.Errorf("webtable: snapshot catalog: %w", err)
 	}
@@ -136,17 +135,23 @@ func loadSegments(ctx context.Context, snap *snapshot.Snapshot, segs []snapshot.
 	cfg := segment.Config{
 		Policy:      svc.compaction,
 		AutoCompact: svc.autoCompact && !readOnly,
-		Generation:  gen,
+		Generation:  rd.Generation,
+		Seeds:       make([]segment.Seed, 0, hi-lo),
 	}
-	// An empty run (a shard owning no segments) yields a store with no
-	// segments: still searchable, it just contributes no evidence.
-	cfg.Seeds = make([]segment.Seed, len(segs))
-	for i, sg := range segs {
-		ix, err := searchidx.BuildContext(ctx, cat, sg.Tables, sg.Anns)
+	if rd.Flat && cfg.Generation == 0 {
+		cfg.Generation = 1 // a flat corpus was never mutated
+	}
+	for i := 0; i < lo; i++ {
+		if err := rd.Skip(); err != nil {
+			return nil, err
+		}
+	}
+	for _, m := range rd.Manifest[lo:hi] {
+		ix, err := rd.Next(cat)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Seeds[i] = segment.Seed{ID: sg.ID, Index: ix, Dead: sg.Dead}
+		cfg.Seeds = append(cfg.Seeds, segment.Seed{ID: m.ID, Index: ix, Dead: m.Dead})
 	}
 	st, err := segment.New(cat, cfg)
 	if err != nil {

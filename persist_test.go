@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	webtable "repro"
+	"repro/internal/snapshot"
+	"repro/internal/table"
 )
 
 // TestSnapshotRoundTripSearchIdentical is the snapshot correctness
@@ -286,8 +288,8 @@ func servedPages(t *testing.T, corpus string, q webtable.SearchQuery, run func(w
 // file merged back all answer their corpus's requests of pages.golden
 // byte for byte. The fixtures hold pages.golden's "partial" corpus as a
 // four-segment manifest with tombstones and its "fraction" corpus in the
-// flat shape (see internal/search's TestWriteSnapshotFixtures); neither
-// golden file may be regenerated to make this pass.
+// flat shape (see internal/snapshot's golden_test.go); neither golden
+// file may be regenerated to make this pass.
 func TestFrozenSnapshotsServeGoldenPages(t *testing.T) {
 	ctx := context.Background()
 	for _, fx := range []struct {
@@ -362,5 +364,116 @@ func TestFrozenSnapshotsServeGoldenPages(t *testing.T) {
 				t.Errorf("%s: pages merged from two shards diverge from pages.golden", fx.file)
 			}
 		}
+	}
+}
+
+// TestShardLoadsOnlyItsSections: each shard of a cluster reads the
+// manifest and its own slice of the file. With one byte damaged inside a
+// section shard 1 owns, shard 0 still loads and serves its tables, shard
+// 1 fails with ErrSnapshotChecksum, and so does a load of the whole file
+// — by LoadService and by snapshot.Load alike.
+func TestShardLoadsOnlyItsSections(t *testing.T) {
+	ctx := context.Background()
+	old, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", "segmented.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := webtable.LoadService(ctx, bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := whole.SaveSnapshot(ctx, &saved); err != nil {
+		t.Fatal(err)
+	}
+	raw := saved.Bytes()
+	_, asn, err := webtable.LoadServiceShard(ctx, bytes.NewReader(raw), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asn.Lo < 1 || asn.Segments() < 1 {
+		t.Fatalf("shard 1 owns segments [%d, %d): the split leaves nothing to damage", asn.Lo, asn.Hi)
+	}
+	// The sections lie back to back at the end of the file in manifest
+	// order, so the last byte belongs to the last segment: shard 1's.
+	raw[len(raw)-1] ^= 0x04
+
+	shard0, asn0, err := webtable.LoadServiceShard(ctx, bytes.NewReader(raw), 0, 2)
+	if err != nil {
+		t.Fatalf("shard 0 of a file damaged in shard 1's section: %v", err)
+	}
+	q, err := shard0.ResolveQuery("directed", "Work", "Director", "Solo Auteur")
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, _, err := shard0.SearchPartial(ctx, webtable.SearchRequest{Query: q, Mode: webtable.SearchTypeRel}, asn0.TableOffset)
+	if err != nil || len(groups) == 0 {
+		t.Fatalf("shard 0 serves %d groups (%v), want evidence from its %d tables", len(groups), err, asn0.Tables)
+	}
+	if _, _, err := webtable.LoadServiceShard(ctx, bytes.NewReader(raw), 1, 2); !errors.Is(err, webtable.ErrSnapshotChecksum) {
+		t.Fatalf("shard 1: err = %v, want ErrSnapshotChecksum", err)
+	}
+	if _, err := webtable.LoadService(ctx, bytes.NewReader(raw)); !errors.Is(err, webtable.ErrSnapshotChecksum) {
+		t.Fatalf("LoadService of the whole file: err = %v, want ErrSnapshotChecksum", err)
+	}
+	if _, err := snapshot.Load(bytes.NewReader(raw)); !errors.Is(err, snapshot.ErrChecksum) {
+		t.Fatalf("snapshot.Load of the whole file: err = %v, want ErrChecksum", err)
+	}
+}
+
+// TestLoadServiceAllocations: restoring a service from a snapshot
+// allocates per table and per distinct string, not per cell or per row:
+// a loaded table's cells are one array of strings cut into rows — every
+// string a substring of the segment's one copy of its strings — and its
+// annotation's entities likewise; text IDs and entities are one array
+// per segment. Two corpora of 400 tables over the same pool of strings,
+// one with five times the rows, must take the same number of
+// allocations to load to within the growth steps of a few maps and
+// lists — and, beyond what an empty corpus over the same catalog takes,
+// no more than 16 per table.
+func TestLoadServiceAllocations(t *testing.T) {
+	ctx := context.Background()
+	w := testWorld(t)
+	film, _ := w.Public.TypeByName("Film")
+	director, _ := w.Public.TypeByName("Director")
+	directed, _ := w.Public.RelationByName("directed")
+	const tables = 400
+	snapshotOf := func(n, rows int) []byte {
+		sg := snapshot.Segment{ID: 1}
+		for ti := 0; ti < n; ti++ {
+			tab := &table.Table{ID: fmt.Sprintf("t%04d", ti), Context: "films and the directors who directed them", Headers: []string{"Film", "Director"}}
+			ann := &webtable.Annotation{
+				TableID:     tab.ID,
+				ColumnTypes: []webtable.TypeID{film, director},
+				Relations:   []webtable.RelationAnnotation{{Col1: 0, Col2: 1, Relation: directed, Forward: true}},
+			}
+			for r := 0; r < rows; r++ {
+				tab.Cells = append(tab.Cells, []string{fmt.Sprintf("Film %d", (ti+r)%8), fmt.Sprintf("Director %d", r%8)})
+				ann.CellEntities = append(ann.CellEntities, []webtable.EntityID{webtable.None, webtable.EntityID(r % 8)})
+			}
+			sg.Tables, sg.Anns = append(sg.Tables, tab), append(sg.Anns, ann)
+		}
+		var buf bytes.Buffer
+		if err := snapshot.Save(&buf, &snapshot.Snapshot{Catalog: w.Public.Snapshot(), Segments: []snapshot.Segment{sg}, Generation: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	allocs := func(raw []byte) float64 {
+		return testing.AllocsPerRun(3, func() {
+			svc, err := webtable.LoadService(ctx, bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.Close()
+		})
+	}
+	none, few, many := allocs(snapshotOf(0, 0)), allocs(snapshotOf(tables, 8)), allocs(snapshotOf(tables, 40))
+	t.Logf("allocations per LoadService: %v for no table, %v for %d tables of 8 rows, %v of 40 rows", none, few, tables, many)
+	if many > few+64 {
+		t.Errorf("loading 5x the cells takes %v allocations, %v for the smaller corpus: something is allocated per cell or per row", many, few)
+	}
+	if perTable := (many - none) / tables; perTable > 16 {
+		t.Errorf("%.1f allocations per table, budget 16", perTable)
 	}
 }
