@@ -358,6 +358,10 @@ func TestClusterMetricsAndTraces(t *testing.T) {
 			"shard_partial_requests_total", // mode label depends on query
 			`http_requests_total{route="POST /v1/partial",method="POST",status="200"} 1`,
 			"# TYPE shard_index gauge",
+			`corpus_resident_bytes{part="cells"}`,
+			`corpus_resident_bytes{part="dictionaries"}`,
+			`corpus_resident_bytes{part="postings"}`,
+			`corpus_resident_bytes{part="tables"}`,
 		} {
 			if !strings.Contains(page, want) {
 				t.Fatalf("shard %d scrape missing %q:\n%s", i, want, page)

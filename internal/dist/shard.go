@@ -71,7 +71,7 @@ func NewShardServer(svc *webtable.Service, asn webtable.ShardAssignment, shard, 
 	mux.HandleFunc("POST /v1/partial", s.handlePartial)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.Handle("GET /metrics", s.base.MetricsHandler())
+	mux.Handle("GET /metrics", s.base.CorpusMetricsHandler(svc))
 	mux.Handle("GET /v1/traces", s.base.TracesHandler())
 	mux.Handle("GET /v1/traces/{id}", s.base.TraceHandler())
 	s.handler = s.base.Middleware(mux)

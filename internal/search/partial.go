@@ -196,7 +196,7 @@ func (pc *partialCollector) add(c *candidate, rh searchidx.RowHit, entity catalo
 			return
 		}
 		cp = pc.cluster(catalog.None, norm)
-		cp.Variants, _ = noteVariant(cp.Variants, seg.ix.Tables[c.local].Cell(int(rh.Row), int(c.subj)), 1)
+		cp.Variants, _ = noteVariant(cp.Variants, seg.ix.Surface(int(c.local), int(rh.Row), int(c.subj)), 1)
 	}
 	cp.Hits = append(cp.Hits, PartialHit{
 		Table:    seg.global[c.local] + pc.offset,

@@ -592,7 +592,7 @@ func TestIndexLookups(t *testing.T) {
 	}
 	// d1 annotates three cells of the object columns.
 	n := 0
-	for ti := range f.ix.Tables {
+	for ti := 0; ti < f.ix.Len(); ti++ {
 		_, ents := f.ix.Column(ti, 1)
 		for _, e := range ents {
 			if e == f.d1 {

@@ -38,21 +38,41 @@
 // — and at web-table scale those two maps and the per-cell token sets
 // they came with were three quarters of the serving heap.
 //
-// # The persistent form
+// # What a segment holds
 //
-// A segment is also what a snapshot stores (wire.go): AppendSegment
-// writes a segment's tables and annotations with the two dictionaries a
-// build computes — each distinct cell spelling once, each distinct
-// normalized text once in text-ID order, every spelling's text ID — and
-// the cells as dictionary IDs; DecodeSegment rebuilds the Index from
-// that by slicing and copying, then derives the postings with the code
-// BuildContext derives them with (derive, addText), so a loaded segment
-// equals a built one field for field and a query cannot tell them apart.
-// A restart therefore never parses, normalizes or interns a cell. The
-// price is that this package's layout is now a file format: changing
-// what a segment stores, or the order text IDs are assigned in, is a new
-// snapshot format version (internal/snapshot), with the old decoder kept
-// for the files already written.
+// The compiled form is the only form: a segment keeps no table.Table and
+// no core.Annotation, and nothing the caller handed in — BuildContext
+// copies what it keeps, so mutating a table afterwards changes nothing.
+// Every string of the segment lives once in one blob: each distinct raw
+// cell spelling, each distinct normalized text, and the tables' IDs,
+// contexts and headers. Everything else is integers:
+//
+//   - stored: the raw dictionary (where a spelling lies in the blob and
+//     which text it normalizes to), the text dictionary (where a text
+//     lies), three parallel column-major cell arrays (raw-spelling ID,
+//     text ID, entity), and per table its shape, where its strings lie
+//     and the small parts of its annotation — column types, relations,
+//     diagnostics, the entity grid's shape, and the grid itself only
+//     when its shape is not the table's;
+//   - derived from those, by derive, for a built segment and a loaded
+//     one alike: the spelling → text ID map, token postings, header,
+//     context, relation and typed-pair postings;
+//   - materialised on demand, for the callers that want objects
+//     (snapshot.Load, compaction, tools, tests): Table and Annotation
+//     assemble a table.Table and a core.Annotation whose strings are
+//     substrings of the blob.
+//
+// Spellings and texts are numbered in order of first appearance walking
+// tables, then rows, then columns. That numbering has one author,
+// intern: BuildContext is intern then derive, and the persistent form
+// (wire.go) is a dump of what intern left — AppendSegment is intern then
+// that dump, DecodeSegment fills the same arrays from the dump and then
+// derives. So a loaded segment equals a built one field for field, a
+// query cannot tell them apart, and a restart never parses, normalizes
+// or interns a cell. The price is that this package's layout is a file
+// format: changing what a segment stores, or the order IDs are assigned
+// in, is a new snapshot format version (internal/snapshot), with the old
+// decoder kept for the files already written.
 package searchidx
 
 import (
@@ -62,6 +82,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -88,14 +109,11 @@ type ColumnPair struct {
 	SubjType, ObjType      catalog.TypeID
 }
 
-// Index is one compiled segment: the tables, their optional annotations,
-// and everything derived from them at build time. It is immutable and
-// safe for concurrent use.
+// Index is one compiled segment: a batch of tables with their optional
+// annotations, and everything derived from them at build time. It is
+// immutable and safe for concurrent use.
 type Index struct {
-	cat    *catalog.Catalog
-	Tables []*table.Table
-	// Anns[i] annotates Tables[i]; nil when the corpus is unannotated.
-	Anns []*core.Annotation
+	cat *catalog.Catalog
 
 	// Baseline posting lists, ascending.
 	headerPost  map[string][]ColKey
@@ -110,38 +128,95 @@ type Index struct {
 	typedPairs map[catalog.TypeID][]ColumnPair
 	subjTypes  []catalog.TypeID
 
+	// blob holds every string of the segment exactly once, in the order
+	// the persistent form lists them (wire.go): each raw spelling followed
+	// by its normalized text when no earlier spelling had that text, then
+	// per table its ID, context and headers, then the annotations' table
+	// IDs. A strRef is a string of it.
+	blob string
+	// The raw dictionary: ID → the spelling and the ID of the text it
+	// normalizes to.
+	raws []rawSpelling
 	// The text dictionary: ID → normalized spelling and distinct-token
 	// count, and spelling → ID. The empty spelling (a blank or
 	// punctuation-only cell) has an ID like any other.
-	textIDs    map[string]uint32
-	texts      []string
+	texts      []strRef
 	textTokens []uint32
+	textIDs    map[string]uint32
 	// The token dictionary: token → ID → ascending IDs of the texts
 	// containing it.
 	tokenIDs   map[string]uint32
 	tokenTexts [][]uint32
 
+	// Per table: where its strings lie and how wide it is (spans has its
+	// height), its headers as a run of headers, and its annotation. anns
+	// is nil when the segment was built without an annotation list.
+	tables  []tableMeta
+	headers []strRef
+	anns    []annMeta
+
 	// Column-major cells: column c of table t is the spans[t].rows
-	// entries of cellText and cellEnts from spans[t].off+c*spans[t].rows.
+	// entries of cellRaw, cellText and cellEnts from
+	// spans[t].off+c*spans[t].rows — the cell's spelling as the source
+	// wrote it, its normalized text, and its entity annotation
+	// (catalog.None without one).
 	spans    []tableSpan
+	cellRaw  []uint32
 	cellText []uint32
 	cellEnts []catalog.EntityID
 
 	// identity maps every table to itself: the local→global table map of
 	// an index serving as a whole corpus.
 	identity []int32
+
+	resident ResidentBytes
 }
 
 // tableSpan locates one table's cells: where they start and how many
 // rows each column runs for.
 type tableSpan struct{ off, rows uint32 }
 
+// strRef is one string of a segment's blob.
+type strRef struct{ off, len uint32 }
+
+func (ix *Index) str(r strRef) string { return ix.blob[r.off : r.off+r.len] }
+
+// rawSpelling is one entry of the raw dictionary.
+type rawSpelling struct {
+	strRef
+	text uint32
+}
+
+// tableMeta is what a segment keeps of a table beside its cells. headers
+// is the index of its first header in Index.headers, -1 for a table
+// without a header row.
+type tableMeta struct {
+	id, context strRef
+	cols        uint32
+	headers     int32
+}
+
+// annMeta is what a segment keeps of an annotation beside the entities
+// in cellEnts: the zero annMeta for a table without one. rows × cols is
+// the shape of its entity grid, cols also the number of its column
+// types. When that is the table's shape the grid is the table's run of
+// cellEnts; otherwise grid holds it, row-major (and cellEnts the part of
+// it that lies over the table).
+type annMeta struct {
+	present    bool
+	tableID    strRef
+	rows, cols uint32
+	types      []catalog.TypeID
+	relations  []core.RelationAnnotation
+	diag       core.Diagnostics
+	grid       []catalog.EntityID
+}
+
 // New builds an index over a corpus. anns may be nil (baseline mode) or
 // parallel to tables; a nil entry disables annotation lookups for that
-// table. Invalid input (an anns slice whose length mismatches tables)
-// panics with the cause — New has no error return, and a silent nil
-// index would only defer the crash to the first lookup. Use BuildContext
-// to handle the error instead.
+// table. Invalid input (see BuildContext) panics with the cause — New
+// has no error return, and a silent nil index would only defer the crash
+// to the first lookup. Use BuildContext to handle the error instead.
 func New(cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) *Index {
 	ix, err := BuildContext(context.Background(), cat, tables, anns)
 	if err != nil {
@@ -155,38 +230,23 @@ func New(cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) *
 // so the check compiles to a mask, not a division.
 const rowCheckInterval = 1024
 
-// BuildContext is New with input validation and cancellation: a non-nil
-// anns slice must be parallel to tables, and a segment whose tables,
-// cells or distinct tokens outnumber what its 32-bit IDs can address is
-// refused (distinct texts cannot outnumber cells). The context is
-// checked between tables — and every rowCheckInterval cells within a
-// table — so indexing a corpus with one oversized table still aborts
-// promptly.
+// BuildContext is New with input validation and cancellation. It accepts
+// what a snapshot can hold, so that whatever is indexed can be saved: a
+// non-nil anns slice must be parallel to tables, every table must pass
+// Validate, and an annotation must be a rectangular grid as wide as its
+// column types (and empty when it has none) whose relations name columns
+// of that grid — the shapes annotators produce. A segment whose tables,
+// cells or string bytes outnumber what its 32-bit IDs and offsets can
+// address is refused (distinct spellings, texts and tokens cannot
+// outnumber those). The
+// index copies what it keeps: the caller's tables and annotations are
+// not referenced once BuildContext returns. The context is checked
+// between tables — and every rowCheckInterval cells within a table — so
+// indexing a corpus with one oversized table still aborts promptly.
 func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
-	ix, err := newIndex(cat, tables, anns)
+	ix, err := intern(ctx, cat, tables, anns)
 	if err != nil {
 		return nil, err
-	}
-	for ti, t := range tables {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rows, cols := t.Rows(), t.Cols()
-		col := ix.cellText[ix.spans[ti].off:]
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				if cell := r*cols + c; cell&(rowCheckInterval-1) == rowCheckInterval-1 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				id, err := ix.internText(t.Cell(r, c))
-				if err != nil {
-					return nil, err
-				}
-				col[c*rows+r] = id
-			}
-		}
 	}
 	if err := ix.derive(ctx); err != nil {
 		return nil, err
@@ -194,11 +254,25 @@ func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Tab
 	return ix, nil
 }
 
-// newIndex lays a segment out without filling it in: empty posting lists
-// and dictionaries, every table's span, zeroed text IDs and no entity in
-// any cell. BuildContext fills it by interning every cell; DecodeSegment
-// (wire.go) from a persisted segment. Both end with derive.
-func newIndex(cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
+// layCells sizes the cell arrays for the tables whose spans are set: no
+// spelling or text chosen yet and no entity in any cell.
+func (ix *Index) layCells(cells uint64) {
+	ix.cellRaw = make([]uint32, cells)
+	ix.cellText = make([]uint32, cells)
+	ix.cellEnts = make([]catalog.EntityID, cells)
+	for i := range ix.cellEnts {
+		ix.cellEnts[i] = catalog.None
+	}
+}
+
+// intern compiles everything a segment stores — the blob, both
+// dictionaries, the cell arrays, table and annotation metadata — from
+// tables and annotations, and derives nothing. It is the one place a
+// cell is normalized and the one author of the numbering the persistent
+// form relies on: a spelling gets the next raw ID the first time a cell,
+// walking tables, then rows, then columns, is spelled that way, and only
+// then is it normalized and its text, if new, given the next text ID.
+func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
 	if anns != nil && len(anns) != len(tables) {
 		return nil, fmt.Errorf("searchidx: %d annotations for %d tables", len(anns), len(tables))
 	}
@@ -206,78 +280,177 @@ func newIndex(cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotati
 		return nil, fmt.Errorf("searchidx: %d tables exceed one segment's 32-bit table numbers", len(tables))
 	}
 	ix := &Index{
-		cat:         cat,
-		Tables:      tables,
-		Anns:        anns,
-		headerPost:  make(map[string][]ColKey),
-		contextPost: make(map[string][]int32),
-		relPairs:    make(map[catalog.RelationID][]ColumnPair),
-		typedPairs:  make(map[catalog.TypeID][]ColumnPair),
-		textIDs:     make(map[string]uint32),
-		tokenIDs:    make(map[string]uint32),
-		spans:       make([]tableSpan, len(tables)),
-		identity:    make([]int32, len(tables)),
+		cat:      cat,
+		tables:   make([]tableMeta, len(tables)),
+		spans:    make([]tableSpan, len(tables)),
+		identity: make([]int32, len(tables)),
 	}
 	cells := uint64(0)
 	for ti, t := range tables {
+		if err := t.Validate(); err != nil {
+			return nil, err
+		}
 		ix.identity[ti] = int32(ti)
 		ix.spans[ti] = tableSpan{off: uint32(cells), rows: uint32(t.Rows())}
 		if cells += uint64(t.Rows()) * uint64(t.Cols()); cells > math.MaxUint32 {
 			return nil, fmt.Errorf("searchidx: more than %d cells in one segment (at table %d)", uint32(math.MaxUint32), ti)
 		}
 	}
-	ix.cellText = make([]uint32, cells)
-	ix.cellEnts = make([]catalog.EntityID, cells)
-	for i := range ix.cellEnts {
-		ix.cellEnts[i] = catalog.None
-	}
-	return ix, nil
-}
+	ix.layCells(cells)
 
-// derive computes what an index holds beyond its dictionaries and text
-// IDs, all of it a function of the tables' headers and contexts and of
-// the annotations: the baseline's header and context postings, the
-// relation and typed-pair postings, each annotated cell's entity, and
-// the subject types. It is the one place they are computed, for a built
-// segment and a loaded one alike.
-func (ix *Index) derive(ctx context.Context) error {
-	var toks []string
-	for ti, t := range ix.Tables {
+	var blob []byte
+	add := func(s string) strRef {
+		r := strRef{off: uint32(len(blob)), len: uint32(len(s))}
+		blob = append(blob, s...)
+		return r
+	}
+	rawIDs := make(map[string]uint32)
+	textIDs := make(map[string]uint32)
+	for ti, t := range tables {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		toks = distinctTokens(toks[:0], t.Context)
-		for _, tok := range toks {
-			ix.contextPost[tok] = append(ix.contextPost[tok], int32(ti))
-		}
-		//lint:allow ctxpoll -- bounded by column count × header tokens, not row-scale
-		for c, cols := 0, t.Cols(); c < cols; c++ {
-			toks = distinctTokens(toks[:0], t.Header(c))
-			for _, tok := range toks {
-				ix.headerPost[tok] = append(ix.headerPost[tok], ColKey(ti)<<32|ColKey(c))
+		rows, cols := t.Rows(), t.Cols()
+		off := ix.spans[ti].off
+		for r, row := range t.Cells {
+			for c, cell := range row {
+				if n := r*cols + c; n&(rowCheckInterval-1) == rowCheckInterval-1 {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
+				}
+				id, seen := rawIDs[cell]
+				if !seen {
+					id = uint32(len(ix.raws))
+					rawIDs[cell] = id
+					ref := add(cell)
+					norm := text.Normalize(cell)
+					tid, seen := textIDs[norm]
+					if !seen {
+						tid = uint32(len(ix.texts))
+						textIDs[norm] = tid
+						ix.texts = append(ix.texts, add(norm))
+					}
+					ix.raws = append(ix.raws, rawSpelling{strRef: ref, text: tid})
+				}
+				at := off + uint32(c*rows+r)
+				ix.cellRaw[at], ix.cellText[at] = id, ix.raws[id].text
 			}
 		}
-		if ix.Anns == nil || ix.Anns[ti] == nil {
+	}
+	for ti, t := range tables {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		m := &ix.tables[ti]
+		m.id, m.context, m.cols, m.headers = add(t.ID), add(t.Context), uint32(t.Cols()), -1
+		if t.Headers != nil {
+			m.headers = int32(len(ix.headers))
+			for _, h := range t.Headers {
+				ix.headers = append(ix.headers, add(h))
+			}
+		}
+	}
+	if anns != nil {
+		ix.anns = make([]annMeta, len(anns))
+	}
+	for ti, a := range anns {
+		if a == nil {
 			continue
 		}
-		ann := ix.Anns[ti]
-		ix.indexAnnotation(int32(ti), ann)
-		rows, cols := t.Rows(), t.Cols()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rows, cols := len(a.CellEntities), len(a.ColumnTypes)
+		if cols == 0 && rows > 0 {
+			return nil, fmt.Errorf("searchidx: annotation %q has %d rows and no column", a.TableID, rows)
+		}
+		for _, ra := range a.Relations {
+			if ra.Col1 < 0 || ra.Col1 >= cols || ra.Col2 < 0 || ra.Col2 >= cols {
+				return nil, fmt.Errorf("searchidx: annotation %q: relation columns (%d,%d) outside %d columns", a.TableID, ra.Col1, ra.Col2, cols)
+			}
+		}
+		m := &ix.anns[ti]
+		*m = annMeta{
+			present: true, tableID: add(a.TableID), rows: uint32(rows), cols: uint32(cols),
+			types: slices.Clone(a.ColumnTypes), relations: slices.Clone(a.Relations), diag: a.Diag,
+		}
+		tRows, tCols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
+		own := rows != tRows || cols != tCols
 		ents := ix.cellEnts[ix.spans[ti].off:]
-		for r, row := range ann.CellEntities {
-			if r >= rows {
-				break
+		for r, row := range a.CellEntities {
+			if len(row) != cols {
+				return nil, fmt.Errorf("searchidx: annotation %q row %d has %d cells for %d columns", a.TableID, r, len(row), cols)
 			}
 			if r&(rowCheckInterval-1) == rowCheckInterval-1 {
 				if err := ctx.Err(); err != nil {
-					return err
+					return nil, err
 				}
 			}
-			for c, e := range row {
-				if c < cols {
-					ents[c*rows+r] = e
+			if own {
+				m.grid = append(m.grid, row...)
+			}
+			if r < tRows {
+				for c, e := range row[:min(cols, tCols)] {
+					ents[c*tRows+r] = e
 				}
 			}
+		}
+	}
+	if len(blob) > math.MaxUint32 {
+		return nil, fmt.Errorf("searchidx: more than %d bytes of strings in one segment", uint32(math.MaxUint32))
+	}
+	ix.blob = string(blob)
+	return ix, nil
+}
+
+// derive computes what an index holds beyond what it stores, all of it a
+// function of the text dictionary, the tables' headers and contexts and
+// the annotations: the spelling → text ID map and the token postings, the
+// baseline's header and context postings, the relation and typed-pair
+// postings, and the subject types. It is the one place they are
+// computed, for a built segment and a loaded one alike. A text listed
+// twice — which intern cannot produce — is ErrBadSegment.
+func (ix *Index) derive(ctx context.Context) error {
+	ix.headerPost = make(map[string][]ColKey)
+	ix.contextPost = make(map[string][]int32)
+	ix.relPairs = make(map[catalog.RelationID][]ColumnPair)
+	ix.typedPairs = make(map[catalog.TypeID][]ColumnPair)
+	ix.textIDs = make(map[string]uint32, len(ix.texts))
+	ix.tokenIDs = make(map[string]uint32)
+	ix.textTokens = make([]uint32, 0, len(ix.texts))
+	for i, ref := range ix.texts {
+		if i&(rowCheckInterval-1) == rowCheckInterval-1 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		norm := ix.str(ref)
+		if _, dup := ix.textIDs[norm]; dup {
+			return corrupt("text %d repeats %q", i, norm)
+		}
+		ix.addText(norm)
+	}
+	var toks []string
+	for ti, m := range ix.tables {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		toks = distinctTokens(toks[:0], ix.str(m.context))
+		for _, tok := range toks {
+			ix.contextPost[tok] = append(ix.contextPost[tok], int32(ti))
+		}
+		if m.headers >= 0 {
+			//lint:allow ctxpoll -- bounded by column count × header tokens, not row-scale
+			for c, h := range ix.headers[m.headers:][:m.cols] {
+				toks = distinctTokens(toks[:0], ix.str(h))
+				for _, tok := range toks {
+					ix.headerPost[tok] = append(ix.headerPost[tok], ColKey(ti)<<32|ColKey(c))
+				}
+			}
+		}
+		if ix.anns != nil && ix.anns[ti].present {
+			ix.indexAnnotation(int32(ti), &ix.anns[ti])
 		}
 	}
 	ix.subjTypes = make([]catalog.TypeID, 0, len(ix.typedPairs))
@@ -285,6 +458,7 @@ func (ix *Index) derive(ctx context.Context) error {
 		ix.subjTypes = append(ix.subjTypes, T)
 	}
 	slices.Sort(ix.subjTypes)
+	ix.resident = ix.measure()
 	return nil
 }
 
@@ -301,23 +475,12 @@ func distinctTokens(dst []string, s string) []string {
 	return dst
 }
 
-// internText returns the ID of a cell's normalized text, entering the
-// text — and any token it is the first to contain — into the
-// dictionaries on first sight.
-func (ix *Index) internText(cell string) (uint32, error) {
-	norm := text.Normalize(cell)
-	if id, ok := ix.textIDs[norm]; ok {
-		return id, nil
-	}
-	return ix.addText(norm)
-}
-
-// addText enters a normalized spelling the dictionary does not hold yet
-// under the next text ID, and posts that ID to each of its tokens.
-func (ix *Index) addText(norm string) (uint32, error) {
-	id := uint32(len(ix.texts))
+// addText enters the next text of the dictionary, spelled norm, into the
+// spelling → ID map and posts its ID to each of its tokens. Token IDs
+// cannot run out: there are fewer distinct tokens than bytes in the blob.
+func (ix *Index) addText(norm string) {
+	id := uint32(len(ix.textTokens))
 	ix.textIDs[norm] = id
-	ix.texts = append(ix.texts, norm)
 	// A normalized spelling is its tokens joined by single spaces.
 	distinct := uint32(0)
 	for rest := norm; rest != ""; {
@@ -325,9 +488,6 @@ func (ix *Index) addText(norm string) (uint32, error) {
 		tok, rest, _ = strings.Cut(rest, " ")
 		tid, ok := ix.tokenIDs[tok]
 		if !ok {
-			if uint64(len(ix.tokenTexts)) >= math.MaxUint32 {
-				return 0, fmt.Errorf("searchidx: more than %d distinct tokens in one segment", uint32(math.MaxUint32))
-			}
 			tid = uint32(len(ix.tokenTexts))
 			ix.tokenIDs[tok] = tid
 			ix.tokenTexts = append(ix.tokenTexts, nil)
@@ -339,18 +499,17 @@ func (ix *Index) addText(norm string) (uint32, error) {
 		}
 	}
 	ix.textTokens = append(ix.textTokens, distinct)
-	return id, nil
 }
 
 // indexAnnotation appends table ti's candidate column pairs to the
 // relation and typed-pair posting lists.
-func (ix *Index) indexAnnotation(ti int32, ann *core.Annotation) {
-	cols := ix.Tables[ti].Cols()
+func (ix *Index) indexAnnotation(ti int32, ann *annMeta) {
+	cols := int(ix.tables[ti].cols)
 	colT := make([]catalog.TypeID, cols)
 	for c := range colT {
 		colT[c] = catalog.None
 	}
-	for c, T := range ann.ColumnTypes {
+	for c, T := range ann.types {
 		if c < cols {
 			colT[c] = T
 		}
@@ -363,7 +522,7 @@ func (ix *Index) indexAnnotation(ti int32, ann *core.Annotation) {
 	}
 	// Relation posting lists: one oriented pair per annotated relation
 	// instance, subject column first.
-	for _, ra := range ann.Relations {
+	for _, ra := range ann.relations {
 		sc, oc := ra.Col1, ra.Col2
 		if !ra.Forward {
 			sc, oc = oc, sc
@@ -389,6 +548,151 @@ func (ix *Index) indexAnnotation(ti int32, ann *core.Annotation) {
 			})
 		}
 	}
+}
+
+// Len returns the number of tables the segment holds.
+func (ix *Index) Len() int { return len(ix.tables) }
+
+// TableID returns the ID of table t.
+func (ix *Index) TableID(t int) string { return ix.str(ix.tables[t].id) }
+
+// Annotated reports whether table t has an annotation.
+func (ix *Index) Annotated(t int) bool { return ix.anns != nil && ix.anns[t].present }
+
+// Surface returns the cell of table t at (row, col) as the source table
+// spelled it. The string is a substring of the segment's blob.
+func (ix *Index) Surface(t, row, col int) string {
+	sp := ix.spans[t]
+	return ix.str(ix.raws[ix.cellRaw[int(sp.off)+col*int(sp.rows)+row]].strRef)
+}
+
+// Table materialises table t: a new table.Table equal to the one the
+// segment was compiled from, headerless if that one was. Its strings are
+// substrings of the segment's blob; its slices are its own.
+func (ix *Index) Table(t int) *table.Table {
+	m, rows := ix.tables[t], int(ix.spans[t].rows)
+	out := &table.Table{ID: ix.str(m.id), Context: ix.str(m.context), Cells: newGrid[string](rows, int(m.cols))}
+	if m.headers >= 0 {
+		out.Headers = make([]string, m.cols)
+		for c := range out.Headers {
+			out.Headers[c] = ix.str(ix.headers[int(m.headers)+c])
+		}
+	}
+	raws := ix.cellRaw[ix.spans[t].off:]
+	for r, row := range out.Cells {
+		for c := range row {
+			row[c] = ix.str(ix.raws[raws[c*rows+r]].strRef)
+		}
+	}
+	return out
+}
+
+// Annotation materialises table t's annotation — a new core.Annotation
+// equal to the one the segment was compiled from — or returns nil when
+// the table has none.
+func (ix *Index) Annotation(t int) *core.Annotation {
+	if !ix.Annotated(t) {
+		return nil
+	}
+	m := &ix.anns[t]
+	out := &core.Annotation{
+		TableID:      ix.str(m.tableID),
+		ColumnTypes:  append(make([]catalog.TypeID, 0, m.cols), m.types...),
+		CellEntities: newGrid[catalog.EntityID](int(m.rows), int(m.cols)),
+		Diag:         m.diag,
+	}
+	if len(m.relations) > 0 {
+		out.Relations = slices.Clone(m.relations)
+	}
+	own := m.rows != ix.spans[t].rows || m.cols != ix.tables[t].cols
+	rows, ents := int(ix.spans[t].rows), ix.cellEnts[ix.spans[t].off:]
+	for r, row := range out.CellEntities {
+		if own {
+			copy(row, m.grid[r*int(m.cols):])
+			continue
+		}
+		for c := range row {
+			row[c] = ents[c*rows+r]
+		}
+	}
+	return out
+}
+
+// newGrid allocates a rows × cols grid as one array cut into rows.
+func newGrid[T any](rows, cols int) [][]T {
+	cells := make([]T, rows*cols)
+	grid := make([][]T, rows)
+	for i := range grid {
+		grid[i], cells = cells[:cols:cols], cells[cols:]
+	}
+	return grid
+}
+
+// ResidentBytes is what a segment keeps in memory, by part, counted from
+// array lengths and element sizes: Cells the three cell arrays (and the
+// entity grids of annotations shaped unlike their table), Dictionaries
+// the raw spellings and normalized texts in the blob with both
+// dictionaries' arrays and maps, Postings every derived posting list,
+// Tables the rest of the blob and the per-table and per-annotation
+// metadata. A map counts as its keys and values; the buckets Go keeps
+// around them are not counted.
+type ResidentBytes struct {
+	Cells, Dictionaries, Postings, Tables int64
+}
+
+// Add adds o to r, part by part.
+func (r *ResidentBytes) Add(o ResidentBytes) {
+	r.Cells += o.Cells
+	r.Dictionaries += o.Dictionaries
+	r.Postings += o.Postings
+	r.Tables += o.Tables
+}
+
+// ResidentBytes returns the segment's memory by part, measured once when
+// the segment was derived.
+func (ix *Index) ResidentBytes() ResidentBytes { return ix.resident }
+
+func (ix *Index) measure() ResidentBytes {
+	const (
+		u32    = int64(unsafe.Sizeof(uint32(0)))
+		str    = int64(unsafe.Sizeof(""))
+		slice  = int64(unsafe.Sizeof([]uint32(nil)))
+		ref    = int64(unsafe.Sizeof(strRef{}))
+		pair   = int64(unsafe.Sizeof(ColumnPair{}))
+		colKey = int64(unsafe.Sizeof(ColKey(0)))
+	)
+	var r ResidentBytes
+	dict := int64(0) // bytes of the blob the dictionaries take: it lists them before the first table's ID
+	if len(ix.tables) > 0 {
+		dict = int64(ix.tables[0].id.off)
+	}
+	r.Cells = u32 * int64(len(ix.cellRaw)+len(ix.cellText)+len(ix.cellEnts))
+	r.Dictionaries = dict + int64(unsafe.Sizeof(rawSpelling{}))*int64(len(ix.raws)) + (ref+u32)*int64(len(ix.texts)) +
+		(str+u32)*int64(len(ix.textIDs)+len(ix.tokenIDs))
+	r.Tables = int64(len(ix.blob)) - dict + int64(unsafe.Sizeof(tableMeta{}))*int64(len(ix.tables)) + ref*int64(len(ix.headers)) +
+		int64(unsafe.Sizeof(tableSpan{}))*int64(len(ix.spans)) + u32*int64(len(ix.identity)) + int64(unsafe.Sizeof(annMeta{}))*int64(len(ix.anns))
+	for i := range ix.anns {
+		m := &ix.anns[i]
+		r.Cells += u32 * int64(len(m.grid))
+		r.Tables += u32*int64(len(m.types)) + int64(unsafe.Sizeof(core.RelationAnnotation{}))*int64(len(m.relations))
+	}
+	for _, post := range ix.tokenTexts {
+		r.Postings += slice + u32*int64(len(post))
+	}
+	for tok, post := range ix.headerPost {
+		r.Postings += str + int64(len(tok)) + slice + colKey*int64(len(post))
+	}
+	for tok, post := range ix.contextPost {
+		r.Postings += str + int64(len(tok)) + slice + u32*int64(len(post))
+	}
+	for _, post := range ix.relPairs {
+		r.Postings += u32 + slice + pair*int64(len(post))
+	}
+	for _, post := range ix.typedPairs {
+		r.Postings += u32 + slice + pair*int64(len(post))
+	}
+	r.Postings += u32 * int64(len(ix.subjTypes))
+	return r
 }
 
 // Catalog returns the catalog the annotations refer to.
@@ -512,7 +816,7 @@ func (ix *Index) Column(table, col int) (texts []uint32, ents []catalog.EntityID
 
 // Spelling returns the normalized text behind a text ID: the cell's
 // tokens joined by single spaces, empty for a cell without any.
-func (ix *Index) Spelling(id uint32) string { return ix.texts[id] }
+func (ix *Index) Spelling(id uint32) string { return ix.str(ix.texts[id]) }
 
 // Probe is one query string compiled once per request: its normalized
 // spelling and its distinct tokens in ascending order. A Probe also

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -65,7 +66,7 @@ func contextTables(ix *Index, q string) []int32 {
 	var cc ContextCursor
 	ix.ContextMatches(&p, &cc)
 	var out []int32
-	for t := range ix.Tables {
+	for t := 0; t < ix.Len(); t++ {
 		if cc.Contains(int32(t)) {
 			out = append(out, int32(t))
 		}
@@ -303,8 +304,8 @@ func TestUnannotatedIndex(t *testing.T) {
 
 // TestColumnMajorLayout: every cell of every column reads back the text
 // and entity the row-major inputs gave it, across tables of different
-// shapes, an unannotated table in the middle and annotations narrower
-// and shorter than their table.
+// shapes, an unannotated table in the middle and annotation grids
+// narrower than their table and longer than it.
 func TestColumnMajorLayout(t *testing.T) {
 	c := catalog.New()
 	T, err := c.AddType("T")
@@ -328,9 +329,9 @@ func TestColumnMajorLayout(t *testing.T) {
 		{ID: "c", Cells: [][]string{{"c 0 0", "!!"}}},
 	}
 	anns := []*core.Annotation{
-		{CellEntities: [][]catalog.EntityID{{es[0], es[1], es[2]}, {es[3], catalog.None}}}, // second row one short
+		{ColumnTypes: []catalog.TypeID{T, catalog.None}, CellEntities: [][]catalog.EntityID{{es[0], es[1]}, {es[3], catalog.None}}}, // one column short
 		nil,
-		{CellEntities: [][]catalog.EntityID{{catalog.None, es[4]}, {es[5], es[5]}}}, // one row too many
+		{ColumnTypes: []catalog.TypeID{catalog.None, T}, CellEntities: [][]catalog.EntityID{{catalog.None, es[4]}, {es[5], es[5]}}}, // one row too many
 	}
 	ix := New(c, tabs, anns)
 	for ti, tab := range tabs {
@@ -358,5 +359,56 @@ func TestColumnMajorLayout(t *testing.T) {
 	b, _ := ix.Column(1, 0)
 	if a[0] != b[2] {
 		t.Errorf(`"A 0 0" and "a 0 0" have text IDs %d and %d`, a[0], b[2])
+	}
+}
+
+// TestResidentBytesArithmetic pins ResidentBytes on a corpus small enough
+// to count by hand: two tables — one 2×2 with headers, a context and an
+// annotation shaped like it, one 1×1 with neither — holding five cells,
+// three spellings ("Alpha", "Bob", "alpha") of two texts of one token
+// each. Every figure is a count times an element size.
+func TestResidentBytesArithmetic(t *testing.T) {
+	c := catalog.New()
+	film, _ := c.AddType("Film")
+	director, _ := c.AddType("Director")
+	directed, _ := c.AddRelation("directed", film, director, catalog.ManyToOne)
+	if err := c.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	ix := New(c, []*table.Table{
+		{ID: "a", Context: "films", Headers: []string{"Film", "Director"}, Cells: [][]string{{"Alpha", "Bob"}, {"alpha", "Bob"}}},
+		{ID: "b", Cells: [][]string{{"Alpha"}}},
+	}, []*core.Annotation{
+		{TableID: "a", ColumnTypes: []catalog.TypeID{film, director},
+			CellEntities: [][]catalog.EntityID{{catalog.None, catalog.None}, {catalog.None, catalog.None}},
+			Relations:    []core.RelationAnnotation{{Col1: 0, Col2: 1, Relation: directed, Forward: true}}},
+		nil,
+	})
+	const (
+		u32   = int64(unsafe.Sizeof(uint32(0)))
+		str   = int64(unsafe.Sizeof(""))
+		slice = int64(unsafe.Sizeof([]uint32(nil)))
+		pair  = int64(unsafe.Sizeof(ColumnPair{}))
+	)
+	want := ResidentBytes{
+		// Three arrays of five cells.
+		Cells: 3 * 5 * u32,
+		// "Alpha" "alpha" "Bob" "bob" "alpha" in the blob, three raw and two
+		// text entries with a token count each, two spellings and two
+		// tokens mapped to IDs.
+		Dictionaries: 21 + 3*int64(unsafe.Sizeof(rawSpelling{})) + 2*(int64(unsafe.Sizeof(strRef{}))+u32) + (2+2)*(str+u32),
+		// Two token lists of one text; "film" and "director" each posting
+		// one column; "films" posting one table; one relation pair, and a
+		// typed pair under each of the two subject types.
+		Postings: 2*(slice+u32) + (str + 4 + slice + 8) + (str + 8 + slice + 8) + (str + 5 + slice + u32) + 3*(u32+slice+pair) + 2*u32,
+		// "a" "films" "Film" "Director" "b" "" and the annotation's "a" in
+		// the blob; per table its metadata, span and identity entry, two
+		// header entries, an annotation entry each, and the annotation's
+		// two types and one relation.
+		Tables: 20 + 2*(int64(unsafe.Sizeof(tableMeta{}))+int64(unsafe.Sizeof(tableSpan{}))+u32+int64(unsafe.Sizeof(annMeta{}))) +
+			2*int64(unsafe.Sizeof(strRef{})) + 2*u32 + int64(unsafe.Sizeof(core.RelationAnnotation{})),
+	}
+	if got := ix.ResidentBytes(); got != want {
+		t.Errorf("ResidentBytes = %+v, want %+v", got, want)
 	}
 }

@@ -11,15 +11,15 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/table"
-	"repro/internal/text"
 )
 
-// The persistent form of a segment: what AppendSegment writes and
-// DecodeSegment reads, the payload of one section of a WTSNAP file
-// (internal/snapshot frames, compresses and checksums it). It holds the
-// segment's source — tables and annotations, losslessly — in the shape
-// the compiled index wants it, so that loading is slicing and copying,
-// not parsing, normalizing and hashing:
+// The persistent form of a segment: what AppendTo writes and the decoder
+// reads, the payload of one section of a WTSNAP file (internal/snapshot
+// frames, compresses and checksums it). It is a dump of what a compiled
+// segment stores — the blob, the two dictionaries, the cells as
+// dictionary IDs, table and annotation metadata — from which tables and
+// annotations can be materialised losslessly, so that loading is slicing
+// and copying, not parsing, normalizing and hashing:
 //
 //	tables   count of tables
 //	flags    byte: bit 0 set when the segment has an annotation list
@@ -48,8 +48,8 @@ import (
 // unsigned LEB128 varint; type, entity and relation IDs are stored plus
 // one, so that none is a zero byte. Spellings and texts are numbered in
 // order of first appearance walking tables, then rows, then columns —
-// the order BuildContext interns in — which is what lets "new" be a
-// zero instead of a number.
+// the order intern numbers them in — which is what lets "new" be a zero
+// instead of a number.
 //
 // The coding leaves a general-purpose compressor little to find except
 // real repetition: a corpus of all-new strings is runs of zeros, the
@@ -60,10 +60,10 @@ import (
 // dictionary in text-ID order, every raw spelling's text ID, and the
 // cells as IDs. Derived on load by the code that derives it at build
 // (Index.derive and addText): token postings from the text dictionary,
-// header, context, relation and typed-pair postings and the per-cell
-// entity array from headers, contexts and annotations. A stored text is
-// trusted to be the normalization of the spellings that point at it;
-// the section's checksum is what vouches for it.
+// header, context, relation and typed-pair postings from headers,
+// contexts and annotations. A stored text is trusted to be the
+// normalization of the spellings that point at it; the section's
+// checksum is what vouches for it.
 //
 // A change to this layout is a new snapshot format version.
 
@@ -85,162 +85,137 @@ const unlabeled = math.MinInt32
 
 // AppendSegment appends the persistent form of the segment BuildContext
 // would compile from tables and anns (nil, or parallel to tables with nil
-// entries for unannotated tables). The bytes depend on nothing but the
-// arguments. Tables must pass Validate; an annotation must be a
-// rectangular grid as wide as its column types (and empty when it has
-// none) whose relations name columns of that grid — the shapes
-// annotators produce and DecodeSegment accepts.
+// entries for unannotated tables), and accepts what BuildContext accepts.
+// It interns and dumps; no posting list is derived. The bytes depend on
+// nothing but the arguments.
 func AppendSegment(dst []byte, tables []*table.Table, anns []*core.Annotation) ([]byte, error) {
-	if anns != nil && len(anns) != len(tables) {
-		return nil, fmt.Errorf("searchidx: %d annotations for %d tables", len(anns), len(tables))
+	ix, err := intern(context.Background(), nil, tables, anns)
+	if err != nil {
+		return nil, err
 	}
-	var blob, body []byte
-	str := func(s string) {
-		blob = append(blob, s...)
-		body = binary.AppendUvarint(body, uint64(len(s)))
-	}
+	return ix.AppendTo(dst), nil
+}
 
-	// The dictionaries, and every cell's text ID in walking order. The
-	// cells are coded as they are walked, into a stream of their own that
-	// goes after the tables.
-	var (
-		rawIDs    = make(map[string]uint32)
-		rawText   []uint32
-		textIDs   = make(map[string]uint32)
-		cells     []byte
-		cellTexts []uint32
-	)
-	for _, t := range tables {
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		for _, row := range t.Cells {
-			for _, cell := range row {
-				id, seen := rawIDs[cell]
-				if seen {
-					cells = binary.AppendUvarint(cells, uint64(id)+1)
-					cellTexts = append(cellTexts, rawText[id])
-					continue
-				}
-				rawIDs[cell] = uint32(len(rawText))
-				cells = append(cells, 0)
-				str(cell)
-				norm := text.Normalize(cell)
-				tid, seen := textIDs[norm]
-				if seen {
-					body = binary.AppendUvarint(body, uint64(tid)+1)
-				} else {
-					tid = uint32(len(textIDs))
-					textIDs[norm] = tid
-					body = append(body, 0)
-					str(norm)
-				}
-				rawText = append(rawText, tid)
-				cellTexts = append(cellTexts, tid)
-			}
-		}
-	}
-	for _, t := range tables {
-		str(t.ID)
-		str(t.Context)
-		body = binary.AppendUvarint(body, uint64(t.Rows()))
-		body = binary.AppendUvarint(body, uint64(t.Cols()))
-		if t.Headers == nil {
-			body = append(body, 0)
-			continue
-		}
-		body = append(body, 1)
-		for _, h := range t.Headers {
-			str(h)
-		}
-	}
-	body = append(body, cells...)
-
+// AppendTo appends the segment's persistent form: its dictionaries and
+// ID streams as they stand. It is the one writer of the format.
+func (ix *Index) AppendTo(dst []byte) []byte {
 	flags := byte(0)
-	if anns != nil {
+	if ix.anns != nil {
 		flags = segmentAnnotated
 	}
-	for _, a := range anns {
-		if a == nil {
-			body = append(body, 0)
+	dst = binary.AppendUvarint(dst, uint64(len(ix.tables)))
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, uint64(len(ix.raws)))
+	dst = binary.AppendUvarint(dst, uint64(len(ix.texts)))
+	dst = binary.AppendUvarint(dst, uint64(len(ix.blob)))
+	dst = append(dst, ix.blob...)
+
+	// IDs were handed out in the order this walks, so the next one not
+	// seen yet is always the count of those seen.
+	next := uint32(0)
+	for _, raw := range ix.raws {
+		dst = binary.AppendUvarint(dst, uint64(raw.len))
+		if raw.text != next {
+			dst = binary.AppendUvarint(dst, uint64(raw.text)+1)
 			continue
 		}
-		rows, cols := len(a.CellEntities), len(a.ColumnTypes)
-		if cols == 0 && rows > 0 {
-			return nil, fmt.Errorf("searchidx: annotation %q has %d rows and no column", a.TableID, rows)
+		dst = append(dst, 0)
+		dst = binary.AppendUvarint(dst, uint64(ix.texts[next].len))
+		next++
+	}
+	for ti, m := range ix.tables {
+		dst = binary.AppendUvarint(dst, uint64(m.id.len))
+		dst = binary.AppendUvarint(dst, uint64(m.context.len))
+		dst = binary.AppendUvarint(dst, uint64(ix.spans[ti].rows))
+		dst = binary.AppendUvarint(dst, uint64(m.cols))
+		if m.headers < 0 {
+			dst = append(dst, 0)
+			continue
 		}
-		af := byte(annPresent)
-		if a.Diag != (core.Diagnostics{}) {
-			af |= annDiagnostics
-		}
-		body = append(body, af)
-		str(a.TableID)
-		body = binary.AppendUvarint(body, uint64(rows))
-		body = binary.AppendUvarint(body, uint64(cols))
-		for _, T := range a.ColumnTypes {
-			body = appendID(body, int32(T))
-		}
-		body = binary.AppendUvarint(body, uint64(len(a.Relations)))
-		for _, ra := range a.Relations {
-			if ra.Col1 < 0 || ra.Col1 >= cols || ra.Col2 < 0 || ra.Col2 >= cols {
-				return nil, fmt.Errorf("searchidx: annotation %q: relation columns (%d,%d) outside %d columns", a.TableID, ra.Col1, ra.Col2, cols)
-			}
-			body = binary.AppendUvarint(body, uint64(ra.Col1))
-			body = binary.AppendUvarint(body, uint64(ra.Col2))
-			body = appendID(body, int32(ra.Relation))
-			body = appendBool(body, ra.Forward)
-		}
-		if af&annDiagnostics != 0 {
-			d := a.Diag
-			body = binary.AppendUvarint(body, uint64(d.CandidateGen))
-			body = binary.AppendUvarint(body, uint64(d.GraphBuild))
-			body = binary.AppendUvarint(body, uint64(d.Inference))
-			body = binary.AppendUvarint(body, uint64(d.Iterations))
-			body = binary.AppendUvarint(body, uint64(d.NumVars))
-			body = binary.AppendUvarint(body, uint64(d.NumFactors))
-			body = appendBool(body, d.Converged)
+		dst = append(dst, 1)
+		for _, h := range ix.headers[m.headers:][:m.cols] {
+			dst = binary.AppendUvarint(dst, uint64(h.len))
 		}
 	}
-	labels := make([]int32, len(textIDs))
+	next = 0
+	for ti, m := range ix.tables {
+		rows, cols := int(ix.spans[ti].rows), int(m.cols)
+		raws := ix.cellRaw[ix.spans[ti].off:]
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				if id := raws[c*rows+r]; id != next {
+					dst = binary.AppendUvarint(dst, uint64(id)+1)
+				} else {
+					dst = append(dst, 0)
+					next++
+				}
+			}
+		}
+	}
+
+	for i := range ix.anns {
+		a := &ix.anns[i]
+		if !a.present {
+			dst = append(dst, 0)
+			continue
+		}
+		af := byte(annPresent)
+		if a.diag != (core.Diagnostics{}) {
+			af |= annDiagnostics
+		}
+		dst = append(dst, af)
+		dst = binary.AppendUvarint(dst, uint64(a.tableID.len))
+		dst = binary.AppendUvarint(dst, uint64(a.rows))
+		dst = binary.AppendUvarint(dst, uint64(a.cols))
+		for _, T := range a.types {
+			dst = appendID(dst, int32(T))
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(a.relations)))
+		for _, ra := range a.relations {
+			dst = binary.AppendUvarint(dst, uint64(ra.Col1))
+			dst = binary.AppendUvarint(dst, uint64(ra.Col2))
+			dst = appendID(dst, int32(ra.Relation))
+			dst = appendBool(dst, ra.Forward)
+		}
+		if af&annDiagnostics != 0 {
+			d := a.diag
+			dst = binary.AppendUvarint(dst, uint64(d.CandidateGen))
+			dst = binary.AppendUvarint(dst, uint64(d.GraphBuild))
+			dst = binary.AppendUvarint(dst, uint64(d.Inference))
+			dst = binary.AppendUvarint(dst, uint64(d.Iterations))
+			dst = binary.AppendUvarint(dst, uint64(d.NumVars))
+			dst = binary.AppendUvarint(dst, uint64(d.NumFactors))
+			dst = appendBool(dst, d.Converged)
+		}
+	}
+	labels := make([]int32, len(ix.texts))
 	for i := range labels {
 		labels[i] = unlabeled
 	}
-	base := 0
-	for ti, t := range tables {
-		rows, cols := t.Rows(), t.Cols()
-		if anns != nil && anns[ti] != nil {
-			a := anns[ti]
-			for r, row := range a.CellEntities {
-				if len(row) != len(a.ColumnTypes) {
-					return nil, fmt.Errorf("searchidx: annotation %q row %d has %d cells for %d columns", a.TableID, r, len(row), len(a.ColumnTypes))
+	for ti := range ix.anns {
+		a := &ix.anns[ti]
+		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
+		texts, ents := ix.cellText[ix.spans[ti].off:], ix.cellEnts[ix.spans[ti].off:]
+		for r := 0; r < int(a.rows); r++ {
+			for c := 0; c < int(a.cols); c++ {
+				if r >= rows || c >= cols {
+					dst = appendID(dst, int32(a.grid[r*int(a.cols)+c]))
+					continue
 				}
-				for c, e := range row {
-					if r >= rows || c >= cols {
-						body = appendID(body, int32(e))
-						continue
-					}
-					switch label := &labels[cellTexts[base+r*cols+c]]; {
-					case *label == unlabeled:
-						*label = int32(e)
-						body = appendID(body, int32(e))
-					case *label == int32(e):
-						body = append(body, 0)
-					default:
-						body = binary.AppendUvarint(body, uint64(uint32(e+1))+1)
-					}
+				e := ents[c*rows+r]
+				switch label := &labels[texts[c*rows+r]]; {
+				case *label == unlabeled:
+					*label = int32(e)
+					dst = appendID(dst, int32(e))
+				case *label == int32(e):
+					dst = append(dst, 0)
+				default:
+					dst = binary.AppendUvarint(dst, uint64(uint32(e+1))+1)
 				}
 			}
 		}
-		base += rows * cols
 	}
-
-	dst = binary.AppendUvarint(dst, uint64(len(tables)))
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(len(rawText)))
-	dst = binary.AppendUvarint(dst, uint64(len(textIDs)))
-	dst = binary.AppendUvarint(dst, uint64(len(blob)))
-	dst = append(dst, blob...)
-	return append(dst, body...), nil
+	return dst
 }
 
 // appendID appends a type, entity or relation ID plus one, so that
@@ -260,8 +235,9 @@ func appendBool(b []byte, v bool) []byte {
 type segmentReader struct {
 	data []byte
 	off  int
-	// blob holds the segment's strings; str hands them out front to back.
-	blob string
+	// blob is the length of the segment's blob and pos how much of it str
+	// has handed out, front to back.
+	blob, pos int
 }
 
 func (r *segmentReader) remaining() int { return len(r.data) - r.off }
@@ -329,19 +305,19 @@ func (r *segmentReader) flag() (bool, error) {
 	return b == 1, err
 }
 
-// str reads a string's length and cuts the string off the front of the
-// blob. The result shares the blob's memory.
-func (r *segmentReader) str() (string, error) {
+// str reads a string's length and takes the string off the front of
+// what is left of the blob.
+func (r *segmentReader) str() (strRef, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return strRef{}, err
 	}
-	if uint64(n) > uint64(len(r.blob)) {
-		return "", corrupt("string of %d bytes before byte %d, %d left in the blob", n, r.off, len(r.blob))
+	if int64(n) > int64(r.blob-r.pos) {
+		return strRef{}, corrupt("string of %d bytes before byte %d, %d left in the blob", n, r.off, r.blob-r.pos)
 	}
-	s := r.blob[:n]
-	r.blob = r.blob[n:]
-	return s, nil
+	ref := strRef{off: uint32(r.pos), len: n}
+	r.pos += int(n)
+	return ref, nil
 }
 
 // shape reads the dimensions of a grid — a table's cells, an
@@ -362,40 +338,72 @@ func (r *segmentReader) shape(total *int64) (rows, cols int, err error) {
 	return rows, cols, nil
 }
 
-// newGrid allocates a rows × cols grid as one array cut into rows.
-func newGrid[T any](rows, cols int) [][]T {
-	cells := make([]T, rows*cols)
-	grid := make([][]T, rows)
-	for i := range grid {
-		grid[i], cells = cells[:cols:cols], cells[cols:]
-	}
-	return grid
-}
-
-// DecodeSegment rebuilds the compiled index of a segment AppendSegment
-// persisted, with the tables and annotations it was written from. Text
-// IDs and the text dictionary are taken as stored; everything else an
-// Index holds is derived exactly as BuildContext derives it, so the
-// result equals BuildContext's over the same tables field for field.
+// DecodeSegment rebuilds the compiled index of a segment AppendTo
+// persisted. The blob, both dictionaries and the cell IDs are taken as
+// stored; everything else an Index holds is derived exactly as
+// BuildContext derives it, so the result equals BuildContext's over the
+// same tables field for field. No table.Table and no core.Annotation is
+// built: Table and Annotation materialise them on demand.
 //
 // data is untrusted: every count is checked against the bytes that
 // remain before anything is sized by it, every ID against the
-// dictionary it indexes, every shape against what Table.Validate and
-// AppendSegment accept, and the segment must end where data does; a
-// violation is ErrBadSegment. Memory is a fixed multiple of len(data):
-// the index's arrays, one copy of the strings (every cell, header, ID
-// and text is a substring of it), and per table a handful of
-// allocations — the table, its headers, its cells as one array cut into
-// rows, and the same for its annotation — plus what derive makes per
-// distinct token and posting list; none per cell or per row. A table
-// owns its arrays, so that compacting a loaded segment away frees its
-// dead tables as it would a built one's. The context is polled at every
+// dictionary it indexes, every shape against what BuildContext accepts,
+// and the segment must end where data does; a violation is
+// ErrBadSegment. Memory is a fixed multiple of len(data): the index's
+// arrays, one copy of the strings, per annotation its column types and
+// its relations, plus what derive makes per distinct token and posting
+// list; nothing per cell or per row. The context is polled at every
 // table and every rowCheckInterval rows within one.
 func DecodeSegment(ctx context.Context, cat *catalog.Catalog, data []byte) (*Index, error) {
+	ix, err := decode(ctx, data)
+	if err != nil {
+		return nil, err
+	}
+	ix.cat = cat
+	if err := ix.derive(ctx); err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// DecodeTables materialises the tables and annotations a persisted
+// segment was compiled from — anns nil when it had no annotation list —
+// without deriving a posting list: what a caller wants who is after the
+// content, not an index to query. data is as untrusted as DecodeSegment's
+// and checked the same way, short of the one check deriving makes (that
+// no text is listed twice).
+func DecodeTables(ctx context.Context, data []byte) ([]*table.Table, []*core.Annotation, error) {
+	ix, err := decode(ctx, data)
+	if err != nil {
+		return nil, nil, err
+	}
+	tables := make([]*table.Table, ix.Len())
+	var anns []*core.Annotation
+	if ix.anns != nil {
+		anns = make([]*core.Annotation, ix.Len())
+	}
+	for t := range tables {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		tables[t] = ix.Table(t)
+		if anns != nil {
+			anns[t] = ix.Annotation(t)
+		}
+	}
+	return tables, anns, nil
+}
+
+// decode fills the arrays a segment stores from its persistent form and
+// derives nothing.
+func decode(ctx context.Context, data []byte) (*Index, error) {
 	r := &segmentReader{data: data}
 	nTables, err := r.count(5)
 	if err != nil {
 		return nil, err
+	}
+	if nTables > math.MaxInt32 {
+		return nil, corrupt("%d tables", nTables)
 	}
 	flags, err := r.u8()
 	if err != nil {
@@ -412,54 +420,58 @@ func DecodeSegment(ctx context.Context, cat *catalog.Catalog, data []byte) (*Ind
 	if err != nil {
 		return nil, err
 	}
-	blobLen, err := r.count(1)
-	if err != nil {
+	if r.blob, err = r.count(1); err != nil {
 		return nil, err
 	}
-	r.blob = string(r.data[r.off : r.off+blobLen])
-	r.off += blobLen
+	ix := &Index{
+		blob:     string(r.data[r.off : r.off+r.blob]),
+		raws:     make([]rawSpelling, nRaws),
+		texts:    make([]strRef, 0, nTexts),
+		tables:   make([]tableMeta, nTables),
+		spans:    make([]tableSpan, nTables),
+		identity: make([]int32, nTables),
+	}
+	r.off += r.blob
 
-	raws := make([]string, nRaws)
-	rawText := make([]uint32, nRaws)
-	texts := make([]string, 0, nTexts)
-	for i := range raws {
-		if raws[i], err = r.str(); err != nil {
+	for i := range ix.raws {
+		raw := &ix.raws[i]
+		if raw.strRef, err = r.str(); err != nil {
 			return nil, err
 		}
 		code, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if code > uint32(len(texts)) || (code == 0 && len(texts) == nTexts) {
-			return nil, corrupt("spelling %d names text %d, %d of %d known", i, int64(code)-1, len(texts), nTexts)
+		if code > uint32(len(ix.texts)) || (code == 0 && len(ix.texts) == nTexts) {
+			return nil, corrupt("spelling %d names text %d, %d of %d known", i, int64(code)-1, len(ix.texts), nTexts)
 		}
-		if rawText[i] = code - 1; code == 0 {
-			rawText[i] = uint32(len(texts))
+		if raw.text = code - 1; code == 0 {
+			raw.text = uint32(len(ix.texts))
 			norm, err := r.str()
 			if err != nil {
 				return nil, err
 			}
-			texts = append(texts, norm)
+			ix.texts = append(ix.texts, norm)
 		}
 	}
-	if len(texts) != nTexts {
-		return nil, corrupt("%d texts declared, %d listed", nTexts, len(texts))
+	if len(ix.texts) != nTexts {
+		return nil, corrupt("%d texts declared, %d listed", nTexts, len(ix.texts))
 	}
 
-	tables := make([]*table.Table, nTables)
 	var cells int64
-	for ti := range tables {
+	for ti := range ix.tables {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t := &table.Table{}
-		tables[ti] = t
-		if t.ID, err = r.str(); err != nil {
+		m := &ix.tables[ti]
+		if m.id, err = r.str(); err != nil {
 			return nil, err
 		}
-		if t.Context, err = r.str(); err != nil {
+		if m.context, err = r.str(); err != nil {
 			return nil, err
 		}
+		ix.identity[ti] = int32(ti)
+		ix.spans[ti].off = uint32(cells)
 		rows, cols, err := r.shape(&cells)
 		if err != nil {
 			return nil, err
@@ -467,35 +479,35 @@ func DecodeSegment(ctx context.Context, cat *catalog.Catalog, data []byte) (*Ind
 		if rows == 0 || cols == 0 {
 			return nil, corrupt("table %d is %d×%d", ti, rows, cols)
 		}
-		t.Cells = newGrid[string](rows, cols)
+		ix.spans[ti].rows, m.cols, m.headers = uint32(rows), uint32(cols), -1
 		headers, err := r.flag()
 		if err != nil {
 			return nil, err
 		}
 		if headers {
-			t.Headers = make([]string, cols)
-			for c := range t.Headers {
-				if t.Headers[c], err = r.str(); err != nil {
+			m.headers = int32(len(ix.headers))
+			for c := 0; c < cols; c++ {
+				h, err := r.str()
+				if err != nil {
 					return nil, err
 				}
+				ix.headers = append(ix.headers, h)
 			}
 		}
 	}
-	ix, err := newIndex(cat, tables, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
-	}
+	// cells is within the bytes that remain, which a uint32 length counts.
+	ix.layCells(uint64(cells))
 	known := uint32(0) // spellings the cells so far have introduced
-	for ti, t := range tables {
-		rows := len(t.Cells)
-		ids := ix.cellText[ix.spans[ti].off:]
-		for i, row := range t.Cells {
+	for ti := range ix.tables {
+		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
+		raws, texts := ix.cellRaw[ix.spans[ti].off:], ix.cellText[ix.spans[ti].off:]
+		for i := 0; i < rows; i++ {
 			if i&(rowCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}
-			for c := range row {
+			for c := 0; c < cols; c++ {
 				code, err := r.uvarint()
 				if err != nil {
 					return nil, err
@@ -508,7 +520,7 @@ func DecodeSegment(ctx context.Context, cat *catalog.Catalog, data []byte) (*Ind
 					raw = known
 					known++
 				}
-				row[c], ids[c*rows+i] = raws[raw], rawText[raw]
+				raws[c*rows+i], texts[c*rows+i] = raw, ix.raws[raw].text
 			}
 		}
 	}
@@ -517,24 +529,12 @@ func DecodeSegment(ctx context.Context, cat *catalog.Catalog, data []byte) (*Ind
 	}
 
 	if flags&segmentAnnotated != 0 {
-		if ix.Anns, err = r.annotations(ctx, ix, nTexts); err != nil {
+		if err = r.annotations(ctx, ix); err != nil {
 			return nil, err
 		}
 	}
-	if r.remaining() != 0 || len(r.blob) != 0 {
-		return nil, corrupt("%d bytes and %d string bytes left over", r.remaining(), len(r.blob))
-	}
-
-	for i, norm := range texts {
-		if _, dup := ix.textIDs[norm]; dup {
-			return nil, corrupt("text %d repeats %q", i, norm)
-		}
-		if _, err := ix.addText(norm); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
-		}
-	}
-	if err := ix.derive(ctx); err != nil {
-		return nil, err
+	if r.remaining() != 0 || r.pos != r.blob {
+		return nil, corrupt("%d bytes and %d string bytes left over", r.remaining(), r.blob-r.pos)
 	}
 	return ix, nil
 }
@@ -542,127 +542,132 @@ func DecodeSegment(ctx context.Context, cat *catalog.Catalog, data []byte) (*Ind
 // annotations reads the annotation list of the segment whose tables and
 // text IDs ix already holds: every annotation's fields, then every
 // annotation's grid of cell entities.
-func (r *segmentReader) annotations(ctx context.Context, ix *Index, nTexts int) ([]*core.Annotation, error) {
-	anns := make([]*core.Annotation, len(ix.Tables))
+func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
+	ix.anns = make([]annMeta, len(ix.tables))
 	var cells int64
-	for ti := range anns {
+	for ti := range ix.anns {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		af, err := r.u8()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if af == 0 {
 			continue
 		}
 		if af&annPresent == 0 || af&^(annPresent|annDiagnostics) != 0 {
-			return nil, corrupt("annotation %d: flags %#x", ti, af)
+			return corrupt("annotation %d: flags %#x", ti, af)
 		}
-		a := &core.Annotation{}
-		anns[ti] = a
-		if a.TableID, err = r.str(); err != nil {
-			return nil, err
+		a := &ix.anns[ti]
+		a.present = true
+		if a.tableID, err = r.str(); err != nil {
+			return err
 		}
 		rows, cols, err := r.shape(&cells)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cols == 0 && rows > 0 {
-			return nil, corrupt("annotation %d has %d rows and no column", ti, rows)
+			return corrupt("annotation %d has %d rows and no column", ti, rows)
 		}
-		a.CellEntities = newGrid[catalog.EntityID](rows, cols)
-		a.ColumnTypes = make([]catalog.TypeID, cols)
-		for c := range a.ColumnTypes {
+		a.rows, a.cols = uint32(rows), uint32(cols)
+		if a.rows != ix.spans[ti].rows || a.cols != ix.tables[ti].cols {
+			a.grid = make([]catalog.EntityID, rows*cols)
+		}
+		a.types = make([]catalog.TypeID, cols)
+		for c := range a.types {
 			T, err := r.id()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			a.ColumnTypes[c] = catalog.TypeID(T)
+			a.types[c] = catalog.TypeID(T)
 		}
 		nRel, err := r.count(4)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if nRel > 0 {
-			a.Relations = make([]core.RelationAnnotation, nRel)
+			a.relations = make([]core.RelationAnnotation, nRel)
 		}
-		for i := range a.Relations {
-			ra := &a.Relations[i]
+		for i := range a.relations {
+			ra := &a.relations[i]
 			c1, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			c2, err := r.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if c1 >= uint32(cols) || c2 >= uint32(cols) {
-				return nil, corrupt("annotation %d: relation columns (%d,%d) outside %d columns", ti, c1, c2, cols)
+				return corrupt("annotation %d: relation columns (%d,%d) outside %d columns", ti, c1, c2, cols)
 			}
 			ra.Col1, ra.Col2 = int(c1), int(c2)
 			rel, err := r.id()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ra.Relation = catalog.RelationID(rel)
 			if ra.Forward, err = r.flag(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if af&annDiagnostics != 0 {
-			if a.Diag, err = r.diagnostics(); err != nil {
-				return nil, err
+			if a.diag, err = r.diagnostics(); err != nil {
+				return err
 			}
 		}
 	}
 
-	labels := make([]int32, nTexts)
+	labels := make([]int32, len(ix.texts))
 	for i := range labels {
 		labels[i] = unlabeled
 	}
-	for ti, a := range anns {
-		if a == nil {
-			continue
-		}
-		rows, cols := ix.Tables[ti].Rows(), ix.Tables[ti].Cols()
-		texts := ix.cellText[ix.spans[ti].off:]
-		for i, row := range a.CellEntities {
+	for ti := range ix.anns {
+		a := &ix.anns[ti]
+		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
+		texts, ents := ix.cellText[ix.spans[ti].off:], ix.cellEnts[ix.spans[ti].off:]
+		for i := 0; i < int(a.rows); i++ {
 			if i&(rowCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return err
 				}
 			}
-			for c := range row {
+			for c := 0; c < int(a.cols); c++ {
 				code, err := r.u64()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				// Over a cell of the table whose text is labeled already, 0
 				// repeats the label and anything else is shifted by one more;
 				// the first such cell of a text sets its label.
-				var label *int32
-				if i < rows && c < cols {
-					if label = &labels[texts[c*rows+i]]; *label != unlabeled {
-						if code == 0 {
-							row[c] = catalog.EntityID(*label)
-							continue
-						}
+				inTable := i < rows && c < cols
+				labeled := inTable && labels[texts[c*rows+i]] != unlabeled
+				var e catalog.EntityID
+				if labeled && code == 0 {
+					e = catalog.EntityID(labels[texts[c*rows+i]])
+				} else {
+					if labeled {
 						code--
-						label = nil
+					}
+					if code > math.MaxUint32 {
+						return corrupt("annotation %d: entity code %d", ti, code)
+					}
+					if e = catalog.EntityID(int32(uint32(code)) - 1); inTable && !labeled {
+						labels[texts[c*rows+i]] = int32(e)
 					}
 				}
-				if code > math.MaxUint32 {
-					return nil, corrupt("annotation %d: entity code %d", ti, code)
+				if inTable {
+					ents[c*rows+i] = e
 				}
-				row[c] = catalog.EntityID(int32(uint32(code)) - 1)
-				if label != nil {
-					*label = int32(row[c])
+				if a.grid != nil {
+					a.grid[i*int(a.cols)+c] = e
 				}
 			}
 		}
 	}
-	return anns, nil
+	return nil
 }
 
 func (r *segmentReader) diagnostics() (core.Diagnostics, error) {

@@ -183,25 +183,23 @@ func (s *Store) mergeRun(liveCount []int) (lo, hi int, ok bool) {
 }
 
 // mergeLocked rebuilds segments [lo, hi] into one segment over their
-// surviving tables, in order, and swaps the manifest.
+// surviving tables, in order, and swaps the manifest. The survivors are
+// materialised for the build and not kept: the merged segment copies
+// what it holds of them.
 func (s *Store) mergeLocked(ctx context.Context, v *View, lo, hi int) error {
 	var tables []*table.Table
 	var anns []*core.Annotation
 	for i := lo; i <= hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		ix := v.segs[i].ix
-		for local, t := range ix.Tables {
+		for local := 0; local < ix.Len(); local++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			if v.isDead(i, local) {
 				continue
 			}
-			tables = append(tables, t)
-			if ix.Anns != nil {
-				anns = append(anns, ix.Anns[local])
-			} else {
-				anns = append(anns, nil)
-			}
+			tables = append(tables, ix.Table(local))
+			anns = append(anns, ix.Annotation(local))
 		}
 	}
 	ix, err := searchidx.BuildContext(ctx, s.cat, tables, anns)

@@ -35,6 +35,7 @@ package segment
 import (
 	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -57,7 +58,7 @@ func (s *Segment) Index() *searchidx.Index { return s.ix }
 
 // Len returns the number of tables the segment holds, including ones a
 // view may have tombstoned.
-func (s *Segment) Len() int { return len(s.ix.Tables) }
+func (s *Segment) Len() int { return s.ix.Len() }
 
 // Loc addresses one table inside a view: the segment's position in the
 // view's manifest and the table's segment-local number.
@@ -88,6 +89,10 @@ type View struct {
 	rev   []Loc
 	live  map[string]Loc // table ID → location, live tables only
 	nDead int
+	// nAnnotated counts the live tables with an annotation; resident sums
+	// the segments' memory and the view's own numbering arrays.
+	nAnnotated int
+	resident   searchidx.ResidentBytes
 	// subjTypes is the ascending union of the segments' typed-pair subject
 	// types. Like the numbering above it is derived in newView, before the
 	// view is published, so concurrent queries only ever read it.
@@ -113,13 +118,19 @@ func newView(cat *catalog.Catalog, gen uint64, segs []*Segment, dead []map[int]s
 			}
 			gl[local] = g
 			v.rev = append(v.rev, Loc{Seg: i, Table: local})
-			if id := seg.ix.Tables[local].ID; id != "" {
+			if id := seg.ix.TableID(local); id != "" {
 				v.live[id] = Loc{Seg: i, Table: local}
+			}
+			if seg.ix.Annotated(local) {
+				v.nAnnotated++
 			}
 			g++
 		}
 		v.glob[i] = gl
+		v.resident.Add(seg.ix.ResidentBytes())
+		v.resident.Tables += int64(len(gl)) * int64(unsafe.Sizeof(gl[0]))
 	}
+	v.resident.Tables += int64(len(v.rev)) * int64(unsafe.Sizeof(Loc{}))
 	slices.Sort(v.subjTypes)
 	v.subjTypes = slices.Compact(v.subjTypes)
 	return v
@@ -222,23 +233,21 @@ func (v *View) isDead(i, local int) bool {
 	return d
 }
 
-// Flatten returns the surviving corpus in global order — the exact
+// Flatten materialises the surviving corpus in global order — the exact
 // (tables, annotations) input a from-scratch monolithic index build
 // would receive. Annotations is nil when no live table is annotated.
 func (v *View) Flatten() ([]*table.Table, []*core.Annotation) {
 	tables := make([]*table.Table, len(v.rev))
-	anns := make([]*core.Annotation, len(v.rev))
-	annotated := false
+	var anns []*core.Annotation
+	if v.nAnnotated > 0 {
+		anns = make([]*core.Annotation, len(v.rev))
+	}
 	for g, l := range v.rev {
 		ix := v.segs[l.Seg].ix
-		tables[g] = ix.Tables[l.Table]
-		if ix.Anns != nil && ix.Anns[l.Table] != nil {
-			anns[g] = ix.Anns[l.Table]
-			annotated = true
+		tables[g] = ix.Table(l.Table)
+		if anns != nil {
+			anns[g] = ix.Annotation(l.Table)
 		}
-	}
-	if !annotated {
-		anns = nil
 	}
 	return tables, anns
 }
@@ -257,45 +266,22 @@ type Stats struct {
 	Generation uint64
 }
 
-// Stats computes the view's summary counters.
+// Stats returns the view's summary counters, counted when the view was
+// built.
 func (v *View) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Tables:     len(v.rev),
+		Annotated:  v.nAnnotated,
 		Segments:   len(v.segs),
 		Tombstones: v.nDead,
 		Generation: v.gen,
 	}
-	for _, l := range v.rev {
-		ix := v.segs[l.Seg].ix
-		if ix.Anns != nil && ix.Anns[l.Table] != nil {
-			st.Annotated++
-		}
-	}
-	return st
 }
 
-// Manifest describes one segment for persistence: its identity, its
-// tables and annotations in segment order, and its tombstones.
-type Manifest struct {
-	ID     uint64
-	Tables []*table.Table
-	Anns   []*core.Annotation
-	Dead   []int
-}
-
-// Manifests returns the view's persistent form, segment by segment.
-func (v *View) Manifests() []Manifest {
-	out := make([]Manifest, len(v.segs))
-	for i, seg := range v.segs {
-		out[i] = Manifest{
-			ID:     seg.id,
-			Tables: seg.ix.Tables,
-			Anns:   seg.ix.Anns,
-			Dead:   v.DeadAt(i),
-		}
-	}
-	return out
-}
+// ResidentBytes returns what the view keeps in memory, by part: the sum
+// over its segments (searchidx.ResidentBytes) plus, under Tables, the
+// view's own table numbering. Counted when the view was built.
+func (v *View) ResidentBytes() searchidx.ResidentBytes { return v.resident }
 
 // --- search.Corpus implementation ---
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -540,12 +541,14 @@ func TestSeedRestore(t *testing.T) {
 	v := s.View()
 
 	seeds := make([]Seed, 0, v.Segments())
-	for _, m := range v.Manifests() {
-		seeds = append(seeds, Seed{
-			ID:    m.ID,
-			Index: searchidx.New(f.cat, m.Tables, m.Anns),
-			Dead:  m.Dead,
-		})
+	for i := 0; i < v.Segments(); i++ {
+		// A seed is the segment as a snapshot restores it: decoded from
+		// its persistent form.
+		ix, err := searchidx.DecodeSegment(ctx, f.cat, v.SegmentAt(i).Index().AppendTo(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, Seed{ID: v.SegmentAt(i).ID(), Index: ix, Dead: v.DeadAt(i)})
 	}
 	restored, err := New(f.cat, Config{Seeds: seeds, Generation: v.Generation()})
 	if err != nil {
@@ -636,4 +639,85 @@ func TestConcurrentSearchDuringMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestStoreCopiesWhatItKeeps: a segment holds its own copy of the batch
+// it was built from. Overwriting every cell, header, ID and context of
+// the tables handed to Add, and every entity, type and relation of the
+// annotations, changes neither what the view materialises nor what its
+// segments dump — before a compaction or after one.
+func TestStoreCopiesWhatItKeeps(t *testing.T) {
+	f := newFixture(t)
+	rng := rand.New(rand.NewSource(23))
+	s := newStore(t, f, Config{Policy: CompactionPolicy{MergeFactor: 2}})
+	ctx := context.Background()
+	var wantTables []*table.Table
+	var wantAnns []*core.Annotation
+	for i := 0; i < 2; i++ {
+		tabs, anns := f.batch(rng, 4)
+		for j, tab := range tabs {
+			wantTables = append(wantTables, tab.Clone())
+			var a *core.Annotation
+			if anns[j] != nil {
+				a = &core.Annotation{TableID: anns[j].TableID, Diag: anns[j].Diag,
+					ColumnTypes: append([]catalog.TypeID{}, anns[j].ColumnTypes...), Relations: append([]core.RelationAnnotation(nil), anns[j].Relations...)}
+				for _, row := range anns[j].CellEntities {
+					a.CellEntities = append(a.CellEntities, append([]catalog.EntityID{}, row...))
+				}
+			}
+			wantAnns = append(wantAnns, a)
+		}
+		if _, err := s.Add(ctx, tabs, anns); err != nil {
+			t.Fatal(err)
+		}
+		for j, tab := range tabs {
+			tab.ID, tab.Context = "scribbled", "scribbled"
+			for c := range tab.Headers {
+				tab.Headers[c] = "scribbled"
+			}
+			for _, row := range tab.Cells {
+				for c := range row {
+					row[c] = "scribbled"
+				}
+			}
+			if a := anns[j]; a != nil {
+				a.TableID = "scribbled"
+				for c := range a.ColumnTypes {
+					a.ColumnTypes[c] = catalog.None
+				}
+				for _, row := range a.CellEntities {
+					for c := range row {
+						row[c] = f.dirs[0]
+					}
+				}
+				for r := range a.Relations {
+					a.Relations[r] = core.RelationAnnotation{Col1: 1, Col2: 0, Relation: f.produced}
+				}
+			}
+		}
+	}
+	check := func(when string, v *View) {
+		t.Helper()
+		tables, anns := v.Flatten()
+		if len(tables) != len(wantTables) {
+			t.Fatalf("%s: %d tables, want %d", when, len(tables), len(wantTables))
+		}
+		for i := range tables {
+			if !reflect.DeepEqual(tables[i], wantTables[i]) {
+				t.Errorf("%s: table %d = %+v, want %+v", when, i, tables[i], wantTables[i])
+			}
+			if !reflect.DeepEqual(anns[i], wantAnns[i]) {
+				t.Errorf("%s: annotation %d = %+v, want %+v", when, i, anns[i], wantAnns[i])
+			}
+		}
+	}
+	check("after Add", s.View())
+	v, err := s.Compact(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Segments() != 1 {
+		t.Fatalf("compaction left %d segments, want the two merged into 1", v.Segments())
+	}
+	check("after Compact", v)
 }

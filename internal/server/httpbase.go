@@ -225,6 +225,27 @@ func normalizeMethodLabel(method string) string {
 // Prometheus text exposition format.
 func (b *HTTPBase) MetricsHandler() http.Handler { return obs.Handler(b.Reg, obs.Default()) }
 
+// CorpusMetricsHandler is MetricsHandler for a process that serves a
+// corpus: every scrape first sets corpus_resident_bytes{part} — what the
+// corpus view svc serves at that moment keeps in memory, by part
+// (searchidx.ResidentBytes). The numbers were counted when the view was
+// built; a scrape copies four of them.
+func (b *HTTPBase) CorpusMetricsHandler(svc *webtable.Service) http.Handler {
+	resident := b.Reg.Gauge("corpus_resident_bytes",
+		"Bytes the served corpus keeps resident, by part, counted from array lengths and element sizes.", "part")
+	cells, dictionaries := resident.With("cells"), resident.With("dictionaries")
+	postings, tables := resident.With("postings"), resident.With("tables")
+	metrics := b.MetricsHandler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rb, _ := svc.ResidentBytes()
+		cells.Set(float64(rb.Cells))
+		dictionaries.Set(float64(rb.Dictionaries))
+		postings.Set(float64(rb.Postings))
+		tables.Set(float64(rb.Tables))
+		metrics.ServeHTTP(w, r)
+	})
+}
+
 // TracesHandler serves the tracer's completed-trace ring as JSON.
 func (b *HTTPBase) TracesHandler() http.Handler { return b.Tracer.Handler() }
 

@@ -110,7 +110,7 @@ func New(svc *webtable.Service, opts ...Option) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.Handle("GET /metrics", s.base.MetricsHandler())
+	mux.Handle("GET /metrics", s.base.CorpusMetricsHandler(svc))
 	mux.Handle("GET /v1/traces", s.base.TracesHandler())
 	mux.Handle("GET /v1/traces/{id}", s.base.TraceHandler())
 	mux.HandleFunc("POST /v1/search", s.handleSearch)

@@ -893,6 +893,16 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("scrape missing %q:\n%s", want, page)
 		}
 	}
+	// The resident-bytes gauges are the served view's own counts.
+	rb, ok := svc.ResidentBytes()
+	if !ok || rb.Cells == 0 || rb.Dictionaries == 0 || rb.Postings == 0 || rb.Tables == 0 {
+		t.Fatalf("ResidentBytes = %+v, %v: want every part counted", rb, ok)
+	}
+	for part, n := range map[string]int64{"cells": rb.Cells, "dictionaries": rb.Dictionaries, "postings": rb.Postings, "tables": rb.Tables} {
+		if want := fmt.Sprintf("corpus_resident_bytes{part=%q} %d\n", part, n); !strings.Contains(page, want) {
+			t.Fatalf("scrape missing %q:\n%s", want, page)
+		}
+	}
 }
 
 // TestTraceSpanTree checks the acceptance shape: a traced search yields

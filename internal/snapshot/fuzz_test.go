@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"runtime"
@@ -11,18 +12,22 @@ import (
 )
 
 // FuzzLoadSnapshot: arbitrary bytes either fail to load with one of the
-// format's four structured errors, or load to a Snapshot that saves and
-// loads back to the same content — never a panic, a hang, or memory out
-// of proportion to the input. Whatever loads must be saveable: the
-// loader accepts no shape the writer refuses.
+// format's four structured errors, or load to a Snapshot — tables and
+// annotations materialised from each section's arrays — that saves and
+// loads back to the same content, and from there to the same bytes —
+// never a panic, a hang, or memory out of proportion to the input.
+// Whatever loads must be saveable: the loader accepts no shape the
+// writer refuses.
 //
 // Checksums would stop a mutated file at the door, so every input is
 // tried three ways: as a file; as the manifest of a file whose header
 // vouches for it; and as the payload of the one segment section of an
 // otherwise well-formed file, compressed and checksummed as Save would
 // (the manifest promising as many tables as the payload's first number
-// says), which is what walks the fuzzer through inflate and
-// searchidx.DecodeSegment.
+// says), which is what walks the fuzzer through inflate and searchidx's
+// decoder. Each file is also read the way a service reads it — every
+// segment decoded to its compiled index, postings derived — which may
+// fail where Load succeeds, but only with a structured error.
 //
 // The memory bound is deliberately loose — the most DEFLATE (or, for old
 // files, gzip) can inflate its input times a few dozen bytes of Go value
@@ -77,6 +82,20 @@ func FuzzLoadSnapshot(f *testing.F) {
 
 // checkLoad holds Load to the fuzz property over one file.
 func checkLoad(t *testing.T, file []byte) {
+	structured := func(err error) bool {
+		return errors.Is(err, ErrNotSnapshot) || errors.Is(err, ErrVersion) || errors.Is(err, ErrChecksum) || errors.Is(err, ErrCorrupt)
+	}
+	if rd, err := NewReader(context.Background(), bytes.NewReader(file)); err == nil {
+		for range rd.Manifest {
+			if _, err := rd.Next(nil); err != nil {
+				if !structured(err) {
+					t.Fatalf("unstructured error decoding a segment: %v", err)
+				}
+				break
+			}
+		}
+		rd.Close()
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	snap, err := Load(bytes.NewReader(file))
@@ -85,7 +104,7 @@ func checkLoad(t *testing.T, file []byte) {
 		t.Fatalf("loading %d bytes allocated %d, bound %d", len(file), grew, bound)
 	}
 	if err != nil {
-		if !errors.Is(err, ErrNotSnapshot) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrCorrupt) {
+		if !structured(err) {
 			t.Fatalf("unstructured error: %v", err)
 		}
 		return
@@ -100,5 +119,12 @@ func checkLoad(t *testing.T, file []byte) {
 	}
 	if want, got := dumpSnapshot(snap), dumpSnapshot(again); !bytes.Equal(want, got) {
 		t.Fatalf("save -> load changed the content:\nloaded\n%s\nreloaded\n%s", want, got)
+	}
+	var resaved bytes.Buffer
+	if err := Save(&resaved, again); err != nil {
+		t.Fatalf("what was reloaded does not save: %v", err)
+	}
+	if !bytes.Equal(resaved.Bytes(), saved.Bytes()) {
+		t.Fatalf("save -> load -> save changed the bytes (%d, then %d)", saved.Len(), resaved.Len())
 	}
 }

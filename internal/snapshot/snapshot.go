@@ -88,6 +88,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/searchidx"
+	"repro/internal/segment"
 	"repro/internal/table"
 )
 
@@ -225,53 +226,73 @@ func Save(w io.Writer, s *Snapshot) error {
 }
 
 // SaveContext writes s to w in the current format version: every
-// segment compiled to its persistent form (searchidx.AppendSegment),
-// compressed and checksummed on its own, behind a manifest that says
-// where each one lies. The same Snapshot always yields the same bytes.
-// The sections are buffered in memory, since the manifest that precedes
-// them carries their lengths and checksums. The context is checked
-// between segments; when it carries a trace, the save is a snapshot.save
-// span with one snapshot.section child per segment.
+// segment interned and dumped in its persistent form
+// (searchidx.AppendSegment), compressed and checksummed on its own,
+// behind a manifest that says where each one lies. The same Snapshot
+// always yields the same bytes. The context is checked between segments;
+// when it carries a trace, the save is a snapshot.save span with one
+// snapshot.section child per segment.
 func SaveContext(ctx context.Context, w io.Writer, s *Snapshot) error {
-	metricsInit()
-	t0 := time.Now()
-	span := obs.Begin(ctx, "snapshot.save")
-	defer span.End()
 	if err := s.validate(); err != nil {
 		return err
 	}
 	segs := s.SegmentList()
+	return save(ctx, w, s.Catalog, s.Generation, len(s.Segments) == 0, len(segs), func(i int, dst []byte) (SegmentInfo, []byte, error) {
+		dst, err := searchidx.AppendSegment(dst, segs[i].Tables, segs[i].Anns)
+		return SegmentInfo{ID: segs[i].ID, Tables: len(segs[i].Tables), Dead: segs[i].Dead}, dst, err
+	})
+}
+
+// SaveView writes a live corpus view to w as SaveContext writes the
+// Snapshot holding the view's tables and annotations — the same bytes —
+// without materialising them: every segment is dumped from its compiled
+// form as it stands (searchidx.Index.AppendTo).
+func SaveView(ctx context.Context, w io.Writer, v *segment.View) error {
+	return save(ctx, w, v.Catalog().Snapshot(), v.Generation(), v.Segments() == 0, v.Segments(), func(i int, dst []byte) (SegmentInfo, []byte, error) {
+		seg := v.SegmentAt(i)
+		return SegmentInfo{ID: seg.ID(), Tables: seg.Len(), Dead: v.DeadAt(i)}, seg.Index().AppendTo(dst), nil
+	})
+}
+
+// save writes one file of n segments; segment appends segment i's
+// persistent form to dst and says what the manifest lists it as. The
+// sections are buffered in memory, since the manifest that precedes them
+// carries their lengths and checksums.
+func save(ctx context.Context, w io.Writer, cat catalog.Snapshot, generation uint64, flat bool, n int, segment func(i int, dst []byte) (SegmentInfo, []byte, error)) error {
+	metricsInit()
+	t0 := time.Now()
+	span := obs.Begin(ctx, "snapshot.save")
+	defer span.End()
 	m := &manifest{
-		generation: s.Generation,
-		flat:       len(s.Segments) == 0,
-		segments:   make([]SegmentInfo, len(segs)),
-		sections:   make([]sectionRef, len(segs)),
+		generation: generation,
+		flat:       flat,
+		segments:   make([]SegmentInfo, n),
+		sections:   make([]sectionRef, n),
 	}
-	cat, err := json.Marshal(s.Catalog)
+	catJSON, err := json.Marshal(cat)
 	if err != nil {
 		return fmt.Errorf("snapshot: encode catalog: %w", err)
 	}
 	var z deflater
-	sections, err := z.appendSection(nil, cat)
+	sections, err := z.appendSection(nil, catJSON)
 	if err != nil {
 		return fmt.Errorf("snapshot: compress catalog: %w", err)
 	}
 	m.catalog = sectionRef{length: uint64(len(sections)), crc: crc32.ChecksumIEEE(sections)}
 	var payload []byte
-	for i, sg := range segs {
+	for i := range m.segments {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		child := span.Child("snapshot.section")
 		start := len(sections)
-		if payload, err = searchidx.AppendSegment(payload[:0], sg.Tables, sg.Anns); err == nil {
+		if m.segments[i], payload, err = segment(i, payload[:0]); err == nil {
 			sections, err = z.appendSection(sections, payload)
 		}
 		child.End()
 		if err != nil {
 			return fmt.Errorf("snapshot: segment %d: %w", i, err)
 		}
-		m.segments[i] = SegmentInfo{ID: sg.ID, Tables: len(sg.Tables), Dead: sg.Dead}
 		m.sections[i] = sectionRef{length: uint64(len(sections) - start), crc: crc32.ChecksumIEEE(sections[start:])}
 	}
 	head := frame(Version, appendManifest(nil, m))
@@ -283,7 +304,7 @@ func SaveContext(ctx context.Context, w io.Writer, s *Snapshot) error {
 	}
 	saveSeconds.Observe(time.Since(t0).Seconds())
 	lastBytes.With("save").Set(float64(len(head) + len(sections)))
-	lastSegs.With("save").Set(float64(len(segs)))
+	lastSegs.With("save").Set(float64(n))
 	return nil
 }
 
@@ -415,37 +436,57 @@ func (rd *Reader) block(ref sectionRef, what string) ([]byte, error) {
 }
 
 // Next decodes the next segment of the manifest into its compiled index
-// over cat, which also holds the segment's tables and annotations.
-func (rd *Reader) Next(cat *catalog.Catalog) (*searchidx.Index, error) {
+// over cat.
+func (rd *Reader) Next(cat *catalog.Catalog) (ix *searchidx.Index, err error) {
+	err = rd.decodeNext(func(i int, payload []byte) (int, error) {
+		if rd.old == nil {
+			ix, err = searchidx.DecodeSegment(rd.ctx, cat, payload)
+		} else if ix, err = searchidx.BuildContext(rd.ctx, cat, rd.old[i].Tables, rd.old[i].Anns); err != nil && rd.ctx.Err() == nil {
+			// An annotation of a shape no version ever wrote.
+			err = fmt.Errorf("%w: %v", searchidx.ErrBadSegment, err)
+		}
+		if err != nil {
+			return 0, err
+		}
+		return ix.Len(), nil
+	})
+	return ix, err
+}
+
+// decodeNext advances to the next segment of the manifest and, inside a
+// snapshot.section span, hands decode the segment's number and — for a
+// version-3 file — its section's payload, checked and inflated. decode
+// reports how many tables it found, which must be the manifest's count.
+func (rd *Reader) decodeNext(decode func(i int, payload []byte) (tables int, err error)) error {
 	i := rd.next
 	if i >= len(rd.Manifest) {
-		return nil, io.EOF
+		return io.EOF
 	}
 	rd.next++
 	rd.decoded++
 	child := rd.span.Child("snapshot.section")
 	defer child.End()
-	if rd.old != nil {
-		return searchidx.BuildContext(rd.ctx, cat, rd.old[i].Tables, rd.old[i].Anns)
+	var payload []byte
+	if rd.old == nil {
+		raw, err := rd.block(rd.sections[i], fmt.Sprintf("segment %d section", i))
+		if err != nil {
+			return err
+		}
+		if payload, err = inflate(raw); err != nil {
+			return fmt.Errorf("segment %d: %w", i, err)
+		}
 	}
-	raw, err := rd.block(rd.sections[i], fmt.Sprintf("segment %d section", i))
-	if err != nil {
-		return nil, err
-	}
-	if raw, err = inflate(raw); err != nil {
-		return nil, fmt.Errorf("segment %d: %w", i, err)
-	}
-	ix, err := searchidx.DecodeSegment(rd.ctx, cat, raw)
+	tables, err := decode(i, payload)
 	if errors.Is(err, searchidx.ErrBadSegment) {
-		return nil, fmt.Errorf("%w: segment %d: %v", ErrCorrupt, i, err)
+		return fmt.Errorf("%w: segment %d: %v", ErrCorrupt, i, err)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(ix.Tables) != rd.Manifest[i].Tables {
-		return nil, fmt.Errorf("%w: segment %d holds %d tables, the manifest says %d", ErrCorrupt, i, len(ix.Tables), rd.Manifest[i].Tables)
+	if tables != rd.Manifest[i].Tables {
+		return fmt.Errorf("%w: segment %d holds %d tables, the manifest says %d", ErrCorrupt, i, tables, rd.Manifest[i].Tables)
 	}
-	return ix, nil
+	return nil
 }
 
 // Skip passes over the next segment of the manifest without reading its
@@ -485,9 +526,11 @@ func (rd *Reader) Close() {
 	lastSegs.With("load").Set(float64(rd.decoded))
 }
 
-// Load reads one whole snapshot from r — every segment decoded — into
-// the tables-and-annotations form Save takes. Failures are structured:
-// ErrNotSnapshot, ErrVersion, ErrChecksum or ErrCorrupt.
+// Load reads one whole snapshot from r into the tables-and-annotations
+// form Save takes, materialising every segment's tables straight from
+// its section (searchidx.DecodeTables): no index is derived only to be
+// dropped. Failures are structured: ErrNotSnapshot, ErrVersion,
+// ErrChecksum or ErrCorrupt.
 func Load(r io.Reader) (*Snapshot, error) {
 	rd, err := NewReader(context.Background(), r)
 	if err != nil {
@@ -498,11 +541,15 @@ func Load(r io.Reader) (*Snapshot, error) {
 	segs := rd.old
 	if segs == nil {
 		for _, m := range rd.Manifest {
-			ix, err := rd.Next(nil)
+			sg := Segment{ID: m.ID, Dead: m.Dead}
+			err := rd.decodeNext(func(_ int, payload []byte) (n int, err error) {
+				sg.Tables, sg.Anns, err = searchidx.DecodeTables(rd.ctx, payload)
+				return len(sg.Tables), err
+			})
 			if err != nil {
 				return nil, err
 			}
-			segs = append(segs, Segment{ID: m.ID, Tables: ix.Tables, Anns: ix.Anns, Dead: m.Dead})
+			segs = append(segs, sg)
 		}
 	}
 	if !rd.Flat {

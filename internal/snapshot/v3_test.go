@@ -230,8 +230,8 @@ func TestReaderTakesOnlyWhatItIsAskedFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.Tables) != 7 || ix.Tables[0].ID != "t9" {
-		t.Fatalf("second segment decoded to %d tables starting at %q", len(ix.Tables), ix.Tables[0].ID)
+	if ix.Len() != 7 || ix.TableID(0) != "t9" {
+		t.Fatalf("second segment decoded to %d tables starting at %q", ix.Len(), ix.TableID(0))
 	}
 	for i, b := range blocks {
 		touched := false
@@ -257,8 +257,8 @@ func TestReaderTakesOnlyWhatItIsAskedFor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("segment %d after a discarding skip: %v", want, err)
 		}
-		if len(ix.Tables) != rd2.Manifest[want].Tables {
-			t.Fatalf("segment %d: %d tables, manifest says %d", want, len(ix.Tables), rd2.Manifest[want].Tables)
+		if ix.Len() != rd2.Manifest[want].Tables {
+			t.Fatalf("segment %d: %d tables, manifest says %d", want, ix.Len(), rd2.Manifest[want].Tables)
 		}
 	}
 	if _, err := rd2.Next(nil); err != io.EOF {
@@ -295,8 +295,8 @@ func TestReaderOverOldFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ix.Tables) != 7 || ix.Tables[0].ID != "t9" || ix.Anns[0].TableID != "t9" {
-		t.Fatalf("second segment built over %d tables starting at %q", len(ix.Tables), ix.Tables[0].ID)
+	if ix.Len() != 7 || ix.TableID(0) != "t9" || ix.Annotation(0).TableID != "t9" {
+		t.Fatalf("second segment built over %d tables starting at %q", ix.Len(), ix.TableID(0))
 	}
 }
 

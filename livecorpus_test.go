@@ -432,3 +432,82 @@ func TestAddTablesSpeedup(t *testing.T) {
 		t.Fatalf("CorpusStats after the batch = %+v, AddTables reported %+v", after, added)
 	}
 }
+
+// TestCorpusDoesNotAliasCallerTables: the corpus copies what it keeps.
+// After BuildIndex and after AddTables the caller overwrites every cell,
+// header, ID and context of the tables it handed in; the service must
+// keep answering, saving and compacting exactly like a twin restored
+// from a snapshot taken before the overwrite — same pages, surface forms
+// included, and the same snapshot bytes before and after a compaction.
+func TestCorpusDoesNotAliasCallerTables(t *testing.T) {
+	w := testWorld(t)
+	ctx := context.Background()
+	opts := []webtable.ServiceOption{webtable.WithWorkers(4), webtable.WithoutAutoCompaction(),
+		webtable.WithCompactionPolicy(webtable.CompactionPolicy{MergeFactor: 2, TierBase: 4, MaxDeadFraction: 0.4})}
+	method := webtable.WithMethod(webtable.MethodMajority)
+	for _, start := range []string{"BuildIndex", "AddTables"} {
+		tables := corpusTables(w, 12)
+		for i, tab := range tables {
+			tables[i] = tab.Clone()
+		}
+		svc, err := webtable.NewService(w.Public, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if start == "BuildIndex" {
+			_, err = svc.BuildIndex(ctx, tables[:6], method)
+		} else {
+			_, err = svc.AddTables(ctx, tables[:6], method)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", start, err)
+		}
+		if _, err := svc.AddTables(ctx, tables[6:], method); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.RemoveTables(ctx, []string{tables[2].ID}); err != nil {
+			t.Fatal(err)
+		}
+		save := func(s *webtable.Service) []byte {
+			t.Helper()
+			var buf bytes.Buffer
+			if err := s.SaveSnapshot(ctx, &buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		before := save(svc)
+		twin, err := webtable.LoadService(ctx, bytes.NewReader(before), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, tab := range tables {
+			tab.ID, tab.Context = "scribbled", "scribbled"
+			for c := range tab.Headers {
+				tab.Headers[c] = "scribbled"
+			}
+			for _, row := range tab.Cells {
+				for c := range row {
+					row[c] = "scribbled"
+				}
+			}
+		}
+
+		checkSearchIdentical(t, w, svc, twin, start+", tables overwritten")
+		if !bytes.Equal(save(svc), before) {
+			t.Errorf("%s: overwriting the caller's tables changed what SaveSnapshot writes", start)
+		}
+		for _, s := range []*webtable.Service{svc, twin} {
+			if _, err := s.Compact(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkSearchIdentical(t, w, svc, twin, start+", tables overwritten, compacted")
+		if !bytes.Equal(save(svc), save(twin)) {
+			t.Errorf("%s: after a compaction the service and its twin save different bytes", start)
+		}
+		svc.Close()
+		twin.Close()
+	}
+}

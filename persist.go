@@ -42,17 +42,7 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 		return CorpusStats{}, err
 	}
 	v := st.View()
-	manifests := v.Manifests()
-	segs := make([]snapshot.Segment, len(manifests))
-	for i, m := range manifests {
-		segs[i] = snapshot.Segment{ID: m.ID, Tables: m.Tables, Anns: m.Anns, Dead: m.Dead}
-	}
-	err := snapshot.SaveContext(ctx, w, &snapshot.Snapshot{
-		Catalog:    s.cat.Snapshot(),
-		Segments:   segs,
-		Generation: v.Generation(),
-	})
-	if err != nil {
+	if err := snapshot.SaveView(ctx, w, v); err != nil {
 		return CorpusStats{}, err
 	}
 	return v.Stats(), nil

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -423,14 +424,15 @@ func TestShardLoadsOnlyItsSections(t *testing.T) {
 
 // TestLoadServiceAllocations: restoring a service from a snapshot
 // allocates per table and per distinct string, not per cell or per row:
-// a loaded table's cells are one array of strings cut into rows — every
-// string a substring of the segment's one copy of its strings — and its
-// annotation's entities likewise; text IDs and entities are one array
-// per segment. Two corpora of 400 tables over the same pool of strings,
-// one with five times the rows, must take the same number of
-// allocations to load to within the growth steps of a few maps and
-// lists — and, beyond what an empty corpus over the same catalog takes,
-// no more than 16 per table.
+// a segment's strings are one blob, its cells three arrays of IDs, and no
+// table or annotation object is built. Two corpora of 400 tables over
+// the same pool of strings, one with five times the rows, must take the
+// same number of allocations to load to within the growth steps of a few
+// maps and lists — and, beyond what an empty corpus over the same catalog
+// takes, no more than 8 per table (measured: 6.5 — an annotation's column
+// types and relations, the normalized header and context strings while
+// their tokens are posted, and the growth steps of the posting lists and
+// of the view's numbering).
 func TestLoadServiceAllocations(t *testing.T) {
 	ctx := context.Background()
 	w := testWorld(t)
@@ -473,7 +475,76 @@ func TestLoadServiceAllocations(t *testing.T) {
 	if many > few+64 {
 		t.Errorf("loading 5x the cells takes %v allocations, %v for the smaller corpus: something is allocated per cell or per row", many, few)
 	}
-	if perTable := (many - none) / tables; perTable > 16 {
-		t.Errorf("%.1f allocations per table, budget 16", perTable)
+	if perTable := (many - none) / tables; perTable > 8 {
+		t.Errorf("%.1f allocations per table, budget 8", perTable)
+	}
+}
+
+// TestLoadedHeapPerTable states what a loaded corpus costs to keep: over
+// 400 annotated 10×2 tables in which every cell is a string of its own
+// with a token of its own — nothing for a dictionary to share — the heap
+// a LoadService leaves behind, beyond what an empty corpus over the same
+// catalog leaves, stays within loadedBytesPerTable per table (measured:
+// 4.7 KB, of which the three cell arrays are 240 B and nearly all the
+// rest is what twenty distinct strings cost in two dictionaries and a
+// token index; 5.6 KB when a segment also kept its tables and
+// annotations), and within a factor of what Service.ResidentBytes counts
+// from array lengths (measured: 1.5) — the gap being the buckets of the
+// maps and the allocator's size classes, which it leaves out.
+func TestLoadedHeapPerTable(t *testing.T) {
+	const tables, rows, loadedBytesPerTable = 400, 10, 5200
+	ctx := context.Background()
+	w := testWorld(t)
+	film, _ := w.Public.TypeByName("Film")
+	director, _ := w.Public.TypeByName("Director")
+	directed, _ := w.Public.RelationByName("directed")
+	sg := snapshot.Segment{ID: 1}
+	for ti := 0; ti < tables; ti++ {
+		tab := &table.Table{ID: fmt.Sprintf("t%04d", ti), Context: "films and the directors who directed them", Headers: []string{"Film", "Director"}}
+		ann := &webtable.Annotation{
+			TableID:     tab.ID,
+			ColumnTypes: []webtable.TypeID{film, director},
+			Relations:   []webtable.RelationAnnotation{{Col1: 0, Col2: 1, Relation: directed, Forward: true}},
+		}
+		for r := 0; r < rows; r++ {
+			tab.Cells = append(tab.Cells, []string{fmt.Sprintf("Film f%dr%d", ti, r), fmt.Sprintf("Director d%dr%d", ti, r)})
+			ann.CellEntities = append(ann.CellEntities, []webtable.EntityID{webtable.None, webtable.EntityID(r % 8)})
+		}
+		sg.Tables, sg.Anns = append(sg.Tables, tab), append(sg.Anns, ann)
+	}
+	snapshotOf := func(segs []snapshot.Segment) []byte {
+		var buf bytes.Buffer
+		if err := snapshot.Save(&buf, &snapshot.Snapshot{Catalog: w.Public.Snapshot(), Segments: segs, Generation: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	retained := func(raw []byte) (uint64, webtable.ResidentBytes) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		svc, err := webtable.LoadService(ctx, bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		counted, _ := svc.ResidentBytes()
+		svc.Close()
+		return after.HeapAlloc - before.HeapAlloc, counted
+	}
+	empty, _ := retained(snapshotOf(nil))
+	full, counted := retained(snapshotOf([]snapshot.Segment{sg}))
+	perTable := float64(full-empty) / tables
+	sum := counted.Cells + counted.Dictionaries + counted.Postings + counted.Tables
+	t.Logf("%.0f heap bytes per table; counted %+v = %.0f per table", perTable, counted, float64(sum)/tables)
+	if counted.Cells != 3*4*tables*rows*2 {
+		t.Errorf("counted %d bytes of cells, want three 4-byte arrays of %d cells", counted.Cells, tables*rows*2)
+	}
+	if perTable > loadedBytesPerTable {
+		t.Errorf("%.0f heap bytes per loaded table, budget %d", perTable, loadedBytesPerTable)
+	}
+	if float64(full-empty) > 1.8*float64(sum) || float64(full-empty) < float64(sum) {
+		t.Errorf("the heap grew by %d bytes; ResidentBytes counts %d", full-empty, sum)
 	}
 }

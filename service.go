@@ -345,6 +345,18 @@ func (s *Service) CorpusStats() (stats CorpusStats, ok bool) {
 	return st.View().Stats(), true
 }
 
+// ResidentBytes reports what the live corpus keeps in memory, by part
+// (cells, dictionaries, postings, table metadata), as counted from array
+// lengths when the current view was built; ok is false before the corpus
+// exists.
+func (s *Service) ResidentBytes() (resident ResidentBytes, ok bool) {
+	st := s.store.Load()
+	if st == nil {
+		return ResidentBytes{}, false
+	}
+	return st.View().ResidentBytes(), true
+}
+
 // AddTables annotates a batch of new tables (unless WithoutAnnotations;
 // per-call options override defaults as in AnnotateCorpus) and appends
 // them to the live corpus as one fresh immutable segment — the existing

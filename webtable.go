@@ -171,6 +171,8 @@ var (
 type (
 	// SearchIndex indexes an (optionally annotated) corpus.
 	SearchIndex = searchidx.Index
+	// ResidentBytes is a corpus's memory by part (Service.ResidentBytes).
+	ResidentBytes = searchidx.ResidentBytes
 	// SearchQuery is the §5 select-project query form.
 	SearchQuery = search.Query
 	// SearchRequest is one search call: query + mode + page size +
