@@ -495,7 +495,9 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 			}
 		}
 	}
-	// cells is within the bytes that remain, which a uint32 length counts.
+	if cells > math.MaxUint32 {
+		return nil, corrupt("%d cells", cells)
+	}
 	ix.layCells(uint64(cells))
 	known := uint32(0) // spellings the cells so far have introduced
 	for ti := range ix.tables {

@@ -6,8 +6,11 @@
 // The design mirrors a log-structured merge tree specialized to web
 // tables:
 //
-//   - a Segment is one immutable searchidx posting-list bundle over a
-//     batch of tables — once built it is never modified;
+//   - a Segment is one immutable compiled searchidx.Index over a batch
+//     of tables — once built it is never modified. The index is all a
+//     segment keeps: the tables and annotations it was compiled from are
+//     copied into it, not referenced, and come back as objects only
+//     when somebody asks (View.Flatten, compaction);
 //   - a View is an immutable manifest: the ordered live segments plus a
 //     tombstone set of removed tables. Views implement search.Corpus by
 //     handing the query engine each segment's compiled index with the
@@ -20,7 +23,10 @@
 //     searches keep the view they started with;
 //   - a size-tiered compactor merges runs of adjacent similar-sized
 //     segments (and rewrites tombstone-heavy ones) in the background,
-//     bounding segment count and reclaiming dead tables.
+//     bounding segment count and reclaiming dead tables. A merge
+//     materialises the run's surviving tables and compiles them with
+//     searchidx.BuildContext — the one way a segment is ever built —
+//     and keeps the objects no longer than that call.
 //
 // The load-bearing invariant is scan-order equivalence: a View yields
 // candidate column pairs in ascending global table order, per-table

@@ -721,3 +721,35 @@ func TestStoreCopiesWhatItKeeps(t *testing.T) {
 	}
 	check("after Compact", v)
 }
+
+// TestViewResidentBytes: a view's resident bytes are its segments' own
+// counts plus its table numbering — a global number per table held and a
+// location per live table.
+func TestViewResidentBytes(t *testing.T) {
+	f := newFixture(t)
+	rng := rand.New(rand.NewSource(5))
+	s := newStore(t, f, Config{})
+	ctx := context.Background()
+	var first string
+	for i := 0; i < 3; i++ {
+		tabs, anns := f.batch(rng, 3)
+		if first == "" {
+			first = tabs[0].ID
+		}
+		if _, err := s.Add(ctx, tabs, anns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := s.Remove([]string{first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want searchidx.ResidentBytes
+	for i := 0; i < v.Segments(); i++ {
+		want.Add(v.SegmentAt(i).Index().ResidentBytes())
+	}
+	want.Tables += 9*4 + 8*16
+	if got := v.ResidentBytes(); got != want || want.Cells == 0 {
+		t.Errorf("ResidentBytes = %+v, want %+v", got, want)
+	}
+}

@@ -70,7 +70,7 @@ func (e *BatchError) Unwrap() []error {
 type Seed struct {
 	// ID is the segment's persisted identity; 0 assigns a fresh one.
 	ID uint64
-	// Index is the segment's rebuilt posting-list bundle.
+	// Index is the segment compiled: decoded from its section, or built.
 	Index *searchidx.Index
 	// Dead lists the segment's tombstoned local table numbers.
 	Dead []int

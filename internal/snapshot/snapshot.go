@@ -17,7 +17,7 @@
 //	          count, tombstoned table numbers, section length and CRC
 //	catalog   section: the catalog's portable JSON form
 //	segment   section, one per manifest entry, in manifest order:
-//	          the segment as searchidx.AppendSegment persists it
+//	          the segment's persistent form (searchidx.Index.AppendTo)
 //
 // A section is its payload's length as a varint followed by the payload
 // as a raw DEFLATE stream; the manifest's length and CRC for it cover
@@ -37,26 +37,35 @@
 //
 // Because each segment is a section of its own, a reader takes what it
 // needs: Reader decodes or skips segment by segment, which is how one
-// shard of a cluster opens only its slice of the manifest. Load decodes
-// them all.
+// shard of a cluster opens only its slice of the manifest. Load
+// materialises the tables and annotations of them all.
 //
 // # What is stored and what is derived
 //
-// A segment section holds the segment's tables and annotations in the
-// shape the compiled index wants them: each distinct cell spelling once,
-// each distinct normalized text once with the spellings that normalize
-// to it, the cells as dictionary IDs column by column (see
-// internal/searchidx's wire.go). That is exactly what is expensive to
-// recompute — normalizing and hashing every cell was most of an index
-// build, and parsing them out of JSON four fifths of a load. What is
-// cheap to recompute from there is not stored: token, header, context,
-// relation and typed-pair postings are derived on load by the same code
-// that derives them at build time, so the file cannot disagree with the
-// index about them. The catalog section stays JSON: it is the builder
-// input of catalog.FromSnapshot, a few milliseconds to parse.
+// A segment section is a dump of what a compiled segment keeps resident
+// (internal/searchidx): its one blob of strings — each distinct cell
+// spelling once, each distinct normalized text once — the spellings'
+// text IDs, the cells as dictionary IDs, and table and annotation
+// metadata. That is exactly what is expensive to recompute — normalizing
+// and hashing every cell was most of an index build, and parsing them
+// out of JSON four fifths of a load. What is cheap to recompute from
+// there is not stored: token, header, context, relation and typed-pair
+// postings are derived on load by the same code that derives them at
+// build time, so the file cannot disagree with the index about them. The
+// catalog section stays JSON: it is the builder input of
+// catalog.FromSnapshot, a few milliseconds to parse.
 //
-// Save writes version 3, always, and the same bytes for the same
-// Snapshot; there is no other writer and no format option.
+// The two ends of the package meet in that dump and nowhere else. A
+// serving process goes index to file and back: SaveView dumps a view's
+// segments as they stand, Reader.Next decodes a section into an index,
+// and neither builds a table.Table or a core.Annotation. Callers that
+// hold or want objects — tools, tests, the benchmark — go through
+// Snapshot: Save interns each segment's tables and writes the same dump
+// (searchidx.AppendSegment, no posting list derived), Load materialises
+// them from a section's arrays (searchidx.DecodeTables, likewise).
+//
+// Both writers write version 3, always, and the same bytes for the same
+// corpus; there is no format option.
 //
 // # Version history
 //
@@ -437,8 +446,10 @@ func (rd *Reader) block(ref sectionRef, what string) ([]byte, error) {
 
 // Next decodes the next segment of the manifest into its compiled index
 // over cat.
-func (rd *Reader) Next(cat *catalog.Catalog) (ix *searchidx.Index, err error) {
-	err = rd.decodeNext(func(i int, payload []byte) (int, error) {
+func (rd *Reader) Next(cat *catalog.Catalog) (*searchidx.Index, error) {
+	var ix *searchidx.Index
+	err := rd.decodeNext(func(i int, payload []byte) (int, error) {
+		var err error
 		if rd.old == nil {
 			ix, err = searchidx.DecodeSegment(rd.ctx, cat, payload)
 		} else if ix, err = searchidx.BuildContext(rd.ctx, cat, rd.old[i].Tables, rd.old[i].Anns); err != nil && rd.ctx.Err() == nil {
@@ -450,7 +461,10 @@ func (rd *Reader) Next(cat *catalog.Catalog) (ix *searchidx.Index, err error) {
 		}
 		return ix.Len(), nil
 	})
-	return ix, err
+	if err != nil {
+		return nil, err
+	}
+	return ix, nil
 }
 
 // decodeNext advances to the next segment of the manifest and, inside a

@@ -11,14 +11,17 @@ import (
 )
 
 // SaveSnapshot writes the service's live corpus — catalog, segment
-// manifest, each segment in its compiled form with its tables and
-// annotations, tombstones and the corpus generation — as one versioned
-// snapshot file (a checksummed manifest, then one compressed,
-// checksummed section per segment; see internal/snapshot). A service
-// loaded back from the snapshot answers searches identically to this
-// one, without re-running annotation or rebuilding the index from its
-// source, and resumes mutating exactly where this one stopped: annotate
-// once, serve and grow forever.
+// manifest, each segment in its compiled form (from which its tables and
+// annotations can be materialised losslessly), tombstones and the corpus
+// generation — as one versioned snapshot file (a checksummed manifest,
+// then one compressed, checksummed section per segment; see
+// internal/snapshot). Every segment is dumped as it stands in memory: no
+// table is rebuilt or re-interned to be saved, and what was handed to
+// BuildIndex or AddTables is not consulted — the corpus saves its own
+// copy. A service loaded back from the snapshot answers searches
+// identically to this one, without re-running annotation or rebuilding
+// the index from its source, and resumes mutating exactly where this one
+// stopped: annotate once, serve and grow forever.
 //
 // The snapshot captures an atomic view of the corpus: a concurrent
 // AddTables/RemoveTables/compaction either precedes the whole snapshot
@@ -52,7 +55,10 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 // written by SaveSnapshot (or cmd tools' -save flags): the catalog is
 // rebuilt and frozen, and each index segment is decoded straight from
 // its section of the file into the compiled index — no annotation runs,
-// no cell is parsed, normalized or interned again. The live-corpus
+// no cell is parsed, normalized or interned again, and no table or
+// annotation object is built: the compiled segments are all the loaded
+// corpus holds (one copy of every string, three integers per cell; see
+// Service.ResidentBytes). The live-corpus
 // manifest — segment identities, tombstones and generation — is restored,
 // so AddTables / RemoveTables resume where the saved service stopped; a
 // flat snapshot loads as a single segment. Files older than format

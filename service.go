@@ -287,8 +287,12 @@ func tableID(t *table.Table) string {
 // it for Search, replacing the service's whole live corpus with a fresh
 // one-segment store. The swap is atomic — searches in flight keep the
 // corpus view they started with — and the built index is also returned
-// for inspection. For incremental growth of an existing corpus use
-// AddTables, which only annotates and indexes the new tables.
+// for inspection. The corpus copies what it keeps: once BuildIndex
+// returns, tables (and the annotations made for them) are the caller's
+// again, and changing them changes nothing the service answers, saves or
+// compacts. Tables must pass Validate. For incremental growth of an
+// existing corpus use AddTables, which only annotates and indexes the new
+// tables.
 func (s *Service) BuildIndex(ctx context.Context, tables []*Table, opts ...AnnotateOption) (*SearchIndex, error) {
 	o := resolveAnnotateOptions(opts)
 	var anns []*Annotation
@@ -364,7 +368,8 @@ func (s *Service) ResidentBytes() (resident ResidentBytes, ok bool) {
 // yet, AddTables starts one. The manifest swap is atomic: searches in
 // flight, SearchAll iterations and SearchBatch fan-outs keep the view
 // they started with, and subsequent searches rank exactly as a
-// from-scratch BuildIndex over the combined corpus would.
+// from-scratch BuildIndex over the combined corpus would. As with
+// BuildIndex the corpus copies what it keeps; tables stay the caller's.
 //
 // Every table must carry a corpus-unique non-empty ID (that is how
 // RemoveTables addresses it later). Violations — a missing ID, an ID
