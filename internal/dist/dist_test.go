@@ -362,6 +362,8 @@ func TestClusterMetricsAndTraces(t *testing.T) {
 			`corpus_resident_bytes{part="dictionaries"}`,
 			`corpus_resident_bytes{part="postings"}`,
 			`corpus_resident_bytes{part="tables"}`,
+			"# TYPE search_arena_bytes gauge",
+			"# TYPE search_arena_grows_total counter",
 		} {
 			if !strings.Contains(page, want) {
 				t.Fatalf("shard %d scrape missing %q:\n%s", i, want, page)

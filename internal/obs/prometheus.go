@@ -52,7 +52,7 @@ func (f *family) write(w io.Writer) error {
 		f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
 		return err
 	}
-	if f.kind == kindGaugeFunc {
+	if f.kind == kindGaugeFunc || f.kind == kindCounterFunc {
 		_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.fn()))
 		return err
 	}

@@ -32,6 +32,8 @@ func TestWritePrometheusCounterAndGauge(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("reqs_total", "Total requests.", "route", "status").With("/v1/search", "200").Add(3)
 	reg.Gauge("up", "Upness.").With().Set(1)
+	grown := 41.0
+	reg.CounterFunc("grows_total", "Grows, counted elsewhere.", func() float64 { grown++; return grown })
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -42,6 +44,7 @@ func TestWritePrometheusCounterAndGauge(t *testing.T) {
 		"# HELP reqs_total Total requests.\n# TYPE reqs_total counter\n",
 		`reqs_total{route="/v1/search",status="200"} 3` + "\n",
 		"# TYPE up gauge\nup 1\n",
+		"# TYPE grows_total counter\ngrows_total 42\n", // read at scrape time
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, page)

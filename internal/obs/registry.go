@@ -37,12 +37,13 @@ const (
 	kindCounter kind = iota
 	kindGauge
 	kindGaugeFunc
+	kindCounterFunc
 	kindHistogram
 )
 
 func (k kind) String() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
 	case kindGauge, kindGaugeFunc:
 		return "gauge"
@@ -58,7 +59,7 @@ type family struct {
 	kind    kind
 	labels  []string
 	buckets []float64      // histogram upper bounds (finite, ascending)
-	fn      func() float64 // kindGaugeFunc only
+	fn      func() float64 // kindGaugeFunc and kindCounterFunc only
 
 	mu    sync.Mutex
 	cells map[string]any // label-value key -> *Counter / *Gauge / *Histogram
@@ -150,6 +151,13 @@ func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
 // scrape time. Re-registering the same name keeps the first function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.getOrCreate(name, help, kindGaugeFunc, nil, nil, fn)
+}
+
+// CounterFunc registers a label-less counter whose value is read at
+// scrape time from a count kept elsewhere; fn must never decrease.
+// Re-registering the same name keeps the first function.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.getOrCreate(name, help, kindCounterFunc, nil, nil, fn)
 }
 
 // Histogram registers (or returns) a histogram family with the given

@@ -99,30 +99,38 @@ func (e *Engine) Execute(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := e.plan(ctx, req, st)
-	groups, err := e.gather(ctx, &p, 0, st)
+	a := takeArena()
+	defer a.release()
+	a.shards[0], err = e.gather(ctx, e.plan(ctx, req, st, a), 0, st, a, false)
 	if err != nil {
 		return nil, err
 	}
-	return fold(ctx, [][]PartialGroup{groups}, st, req.PageSize, after, req.Explain)
+	return fold(ctx, a.shards[:], st, req.PageSize, after, req.Explain)
 }
 
-// stage opens one pipeline stage: its trace span and its wall-clock
-// timer. The returned func ends the span and adds the elapsed time to
-// *nanos.
-func stage(ctx context.Context, name string, nanos *int64) func() {
-	t0 := time.Now()
-	sp := obs.Begin(ctx, name)
-	return func() {
-		sp.End()
-		*nanos += int64(time.Since(t0))
-	}
+// stageTimer is one open pipeline stage: its trace span and its
+// wall-clock timer.
+type stageTimer struct {
+	t0    time.Time
+	sp    *obs.Span
+	nanos *int64
+}
+
+// stage opens one pipeline stage; end closes it.
+func stage(ctx context.Context, name string, nanos *int64) stageTimer {
+	return stageTimer{t0: time.Now(), sp: obs.Begin(ctx, name), nanos: nanos}
+}
+
+// end ends the stage's span and adds the elapsed time to its counter.
+func (s stageTimer) end() {
+	s.sp.End()
+	*s.nanos += int64(time.Since(s.t0))
 }
 
 // validate is the pipeline's first stage: the request's execution
 // controls, checked by Request.Validate.
 func validate(ctx context.Context, req Request, st *ExecStats) error {
-	defer stage(ctx, "search.validate", &st.Stage.Validate)()
+	defer stage(ctx, "search.validate", &st.Stage.Validate).end()
 	return req.Validate()
 }
 
@@ -144,9 +152,9 @@ type candidate struct {
 
 // scanPlan is one execution's candidate schedule: the mode's ordered
 // candidate column pairs, their replay groups, and the E2 probe compiled
-// against every segment. The pair list is built once per execution and
-// scanned whole or in contiguous slices; every layout walks it in the
-// same order.
+// against the segments the pairs lie in. It is built once per execution,
+// in the execution's arena, and scanned whole or in contiguous slices;
+// every layout walks it in the same order.
 type scanPlan struct {
 	pairs []candidate
 	// groups partitions the pair list, ascending by key and by start:
@@ -163,28 +171,48 @@ type scanPlan struct {
 	// byEntity keys an answer by its cell's entity annotation when it
 	// has one (the annotated modes); Baseline keys by text only.
 	byEntity bool
-	// sets[i] is the E2 text probe compiled against corpus segment i.
-	sets []searchidx.MatchSet
+	// sets[i] is the E2 text probe compiled against corpus segment i, for
+	// the segments a candidate pair lies in (reached; compiled counts
+	// them). A segment without a pair is never scanned, so its set is
+	// never built.
+	sets     []searchidx.MatchSet
+	reached  []bool
+	compiled int
 }
 
 // plan is the pipeline's second stage: it walks each segment's posting
-// lists for the mode's candidate pairs, with their replay groups, and
-// compiles the E2 probe against each segment.
-func (e *Engine) plan(ctx context.Context, req Request, st *ExecStats) scanPlan {
-	defer stage(ctx, "search.plan", &st.Stage.Plan)()
-	p := scanPlan{groups: []planGroup{{}}, e2: req.Query.E2, byEntity: true}
+// lists for the mode's candidate pairs into the arena's pair list, with
+// their replay groups, and compiles the E2 probe against each segment a
+// pair was found in.
+func (e *Engine) plan(ctx context.Context, req Request, st *ExecStats, a *arena) *scanPlan {
+	defer stage(ctx, "search.plan", &st.Stage.Plan).end()
+	p := &a.plan
+	p.pairs, p.groups = p.pairs[:0], append(p.groups[:0], planGroup{})
+	p.e2, p.byEntity = req.Query.E2, true
 	switch req.Mode {
 	case Baseline:
-		p.pairs, p.e2, p.byEntity = e.baselinePairs(req.Query), catalog.None, false
+		e.baselinePairs(req.Query, a)
+		p.e2, p.byEntity = catalog.None, false
 	case TypeRel:
-		p.pairs = e.relationPairs(req.Query)
+		e.relationPairs(req.Query, p)
 	default:
-		p.pairs, p.groups = e.typedPairs(req.Query)
+		e.typedPairs(req.Query, p)
 	}
-	probe := searchidx.NewProbe(req.Query.E2Text)
-	p.sets = make([]searchidx.MatchSet, len(e.segs))
-	for i := range e.segs {
-		p.sets[i] = e.segs[i].ix.Compile(&probe)
+	a.e2.Reset(req.Query.E2Text)
+	p.sets = append(p.sets[:0], make([]searchidx.MatchSet, len(e.segs))...)
+	p.reached = append(p.reached[:0], make([]bool, len(e.segs))...)
+	p.compiled = 0
+	// Pairs come in runs of one segment, and Type mode runs through the
+	// segments once per subject type.
+	last := int32(-1)
+	for i := range p.pairs {
+		if seg := p.pairs[i].seg; seg != last {
+			if last = seg; !p.reached[seg] {
+				p.reached[seg] = true
+				p.sets[seg] = e.segs[seg].ix.Compile(&a.e2)
+				p.compiled++
+			}
+		}
 	}
 	return p
 }
@@ -241,16 +269,17 @@ func selectPage(clusters clusterSink, pageSize int, after *rankKey) (*Result, []
 // merge-join on the table number of two ascending header-posting unions,
 // filtered by the context postings, so pairs come out ordered by (table,
 // T1 column, T2 column) — a fixed order, as evidence must sum in the
-// same order on every execution.
-func (e *Engine) baselinePairs(q Query) []candidate {
-	t1, t2, rel := searchidx.NewProbe(q.T1Text), searchidx.NewProbe(q.T2Text), searchidx.NewProbe(q.RelationText)
-	var pairs []candidate
-	var buf1, buf2 []searchidx.ColKey
-	var ctxs searchidx.ContextCursor
+// same order on every execution. The probes, their merge buffers and the
+// pair list are the arena's.
+func (e *Engine) baselinePairs(q Query, a *arena) {
+	a.t1.Reset(q.T1Text)
+	a.t2.Reset(q.T2Text)
+	a.rel.Reset(q.RelationText)
+	pairs := a.plan.pairs
 	for si, seg := range e.segs {
-		c1s := seg.ix.HeaderMatches(&t1, &buf1)
-		c2s := seg.ix.HeaderMatches(&t2, &buf2)
-		seg.ix.ContextMatches(&rel, &ctxs)
+		c1s := seg.ix.HeaderMatches(&a.t1, &a.buf1)
+		c2s := seg.ix.HeaderMatches(&a.t2, &a.buf2)
+		seg.ix.ContextMatches(&a.rel, &a.ctxs)
 		for len(c1s) > 0 {
 			t := c1s[0].Table()
 			n1 := 1
@@ -260,7 +289,7 @@ func (e *Engine) baselinePairs(q Query) []candidate {
 			for len(c2s) > 0 && c2s[0].Table() < t {
 				c2s = c2s[1:]
 			}
-			if seg.global[t] >= 0 && len(c2s) > 0 && c2s[0].Table() == t && ctxs.Contains(t) {
+			if seg.global[t] >= 0 && len(c2s) > 0 && c2s[0].Table() == t && a.ctxs.Contains(t) {
 				for _, c1 := range c1s[:n1] {
 					for _, c2 := range c2s {
 						if c2.Table() != t {
@@ -275,7 +304,7 @@ func (e *Engine) baselinePairs(q Query) []candidate {
 			c1s = c1s[n1:]
 		}
 	}
-	return pairs
+	a.plan.pairs = pairs
 }
 
 // typeFilter decides whether a posted column pair's annotated types are
@@ -317,51 +346,35 @@ func appendLive(pairs []candidate, si int, seg corpusSegment, posted []searchidx
 
 // relationPairs implements the candidate retrieval of Figure 4 with
 // relation annotations: each segment's per-relation posting list,
-// filtered by subtype compatibility with the query types.
-func (e *Engine) relationPairs(q Query) []candidate {
-	posted := 0
-	for _, seg := range e.segs {
-		posted += len(seg.ix.RelationPairs(q.Relation))
-	}
-	// Sized once, by the postings: a plan keeps most of what is posted.
-	pairs := make([]candidate, 0, posted)
+// filtered by subtype compatibility with the query types, appended to
+// the plan's pair list — which grows by what the filter keeps, and keeps
+// its capacity from one execution to the next.
+func (e *Engine) relationPairs(q Query, p *scanPlan) {
 	f := e.newTypeFilter(q)
 	for si, seg := range e.segs {
-		pairs = appendLive(pairs, si, seg, seg.ix.RelationPairs(q.Relation), &f)
+		p.pairs = appendLive(p.pairs, si, seg, seg.ix.RelationPairs(q.Relation), &f)
 	}
-	return pairs
 }
 
 // typedPairs is the type-only retrieval of Figure 4: subject types in ID
 // order, each type's typed-pair lists segment after segment — the same
 // candidate sequence whether the corpus is one index or many segments.
 // Each type with candidates is one replay group (see scanPlan.groups).
-func (e *Engine) typedPairs(q Query) ([]candidate, []planGroup) {
-	posted := 0
-	for _, T := range e.c.SubjectTypes() {
-		if e.cat.IsSubtype(T, q.T1) {
-			for _, seg := range e.segs {
-				posted += len(seg.ix.TypedPairsOf(T))
-			}
-		}
-	}
-	// Sized once, by the postings of the matching subject types.
-	pairs := make([]candidate, 0, posted)
-	var groups []planGroup
+func (e *Engine) typedPairs(q Query, p *scanPlan) {
+	p.groups = p.groups[:0]
 	f := e.newTypeFilter(q)
 	for _, T := range e.c.SubjectTypes() {
 		if !e.cat.IsSubtype(T, q.T1) {
 			continue
 		}
-		start := len(pairs)
+		start := len(p.pairs)
 		for si, seg := range e.segs {
-			pairs = appendLive(pairs, si, seg, seg.ix.TypedPairsOf(T), &f)
+			p.pairs = appendLive(p.pairs, si, seg, seg.ix.TypedPairsOf(T), &f)
 		}
-		if len(pairs) > start {
-			groups = append(groups, planGroup{key: uint32(T), start: start})
+		if len(p.pairs) > start {
+			p.groups = append(p.groups, planGroup{key: uint32(T), start: start})
 		}
 	}
-	return pairs, groups
 }
 
 // scanRange runs the matching stage of Figures 3 and 4 over candidate
@@ -374,7 +387,6 @@ func (e *Engine) typedPairs(q Query) ([]candidate, []planGroup) {
 // pairs; a column is scanned in stretches of at most that many rows so
 // that the count cannot overshoot by more than one stretch.
 func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *partialCollector, sc *scanCounters) error {
-	var rows []searchidx.RowHit
 	sincePoll := rowCheckInterval
 	for i := lo; i < hi; i++ {
 		c := &p.pairs[i]
@@ -394,7 +406,8 @@ func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *p
 			}
 			r1 := min(r0+rowCheckInterval, len(texts))
 			sincePoll += r1 - r0
-			rows = searchidx.ScanColumn(rows[:0], r0, texts[r0:r1], ents[r0:r1], p.e2, &p.sets[c.seg])
+			rows := searchidx.ScanColumn(sink.rows[:0], r0, texts[r0:r1], ents[r0:r1], p.e2, &p.sets[c.seg])
+			sink.rows = rows
 			for _, rh := range rows {
 				entity := catalog.EntityID(catalog.None)
 				if answers != nil {

@@ -63,7 +63,7 @@ func TestPagesGolden(t *testing.T) {
 		var rs []pageRunner
 		ix := searchidx.New(co.cat, co.tables, co.anns)
 		for _, par := range []int{1, 2, 8} {
-			eng := NewEngineOver(ix, WithParallelism(par))
+			eng := NewEngineOver(ix, eagerParallelism(par))
 			rs = append(rs, pageRunner{
 				name: fmt.Sprintf("execute/par=%d", par),
 				run:  func(req Request) (*Result, error) { return eng.Execute(context.Background(), req) },

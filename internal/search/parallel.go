@@ -42,34 +42,44 @@ import (
 	"sync/atomic"
 )
 
+// minParallelRows is the size of plan, in rows its scan visits, below
+// which the scan stays on the calling goroutine whatever the engine's
+// parallelism: cutting the plan, a collector per slice and the goroutines
+// cost more than a short scan takes. Read off BenchmarkSearchParallel on
+// the 2-core sandbox (TypeRel, every row a hit, par=2 against par=1):
+// 500 rows +40 % slower, 2 000 rows +10…20 % slower, 8 000 rows even,
+// 32 000 rows 5…10 % faster — the crossover lies between the last two.
+const minParallelRows = 16384
+
 // shardsPerWorker over-partitions the candidate list so the worker pool
 // can rebalance when slices carry unequal row counts.
 const shardsPerWorker = 4
 
-// cuts returns the slice boundaries of a non-empty plan: every replay
-// group start, plus — when parallelism is above 1 — an even split into
-// parallelism*shardsPerWorker ranges. No slice spans two groups, so one
-// scanShards call covers the whole plan and each slice's evidence
+// cuts returns the slice boundaries of a non-empty plan scanned by par
+// workers: every replay group start, plus — when par is above 1 — an
+// even split into par*shardsPerWorker ranges. No slice spans two groups,
+// so one scanShards call covers the whole plan and each slice's evidence
 // belongs to exactly one group.
-func (e *Engine) cuts(p *scanPlan) []int {
+func (a *arena) cutPlan(par int) []int {
+	p := &a.plan
 	shards := 1
-	if e.par > 1 {
-		shards = e.par * shardsPerWorker
+	if par > 1 {
+		shards = par * shardsPerWorker
 	}
-	cuts := shardCuts(len(p.pairs), shards)
+	cuts := shardCuts(a.cuts[:0], len(p.pairs), shards)
 	for _, g := range p.groups[1:] {
 		cuts = append(cuts, g.start)
 	}
 	slices.Sort(cuts)
-	return slices.Compact(cuts)
+	a.cuts = slices.Compact(cuts)
+	return a.cuts
 }
 
 // shardCuts splits n >= 1 ordered candidate pairs into min(shards, n)
-// contiguous ranges of near-equal length, returning the ascending
-// boundary indices (cuts[0]=0, cuts[len-1]=n).
-func shardCuts(n, shards int) []int {
+// contiguous ranges of near-equal length, appending the ascending
+// boundary indices (the first 0, the last n) to cuts.
+func shardCuts(cuts []int, n, shards int) []int {
 	shards = min(shards, n)
-	cuts := make([]int, 0, shards+1)
 	for s := 0; s < shards; s++ {
 		cuts = append(cuts, s*n/shards)
 	}
@@ -77,7 +87,7 @@ func shardCuts(n, shards int) []int {
 }
 
 // scanShards scans each slice [cuts[i], cuts[i+1]) into sinks[i] on a
-// pool of at most e.par workers — on the calling goroutine when that is
+// pool of at most par workers — on the calling goroutine when that is
 // one worker, so a serial scan starts no goroutine. Workers pull slice
 // indices from a shared counter; which worker scans which slice never
 // matters because sinks are per-slice and consumed in index order. scs
@@ -85,67 +95,112 @@ func shardCuts(n, shards int) []int {
 // and the caller sums them (integer addition — the totals are
 // independent of slice layout). The first scan error (in practice: the
 // context's) is returned after all workers stop.
-func (e *Engine) scanShards(ctx context.Context, p *scanPlan, cuts []int, sinks []*partialCollector, scs []scanCounters) error {
+func (e *Engine) scanShards(ctx context.Context, p *scanPlan, par int, cuts []int, sinks []*partialCollector, scs []scanCounters) error {
 	nShards := len(cuts) - 1
-	workers := min(e.par, nShards)
+	if par == 1 {
+		for i := 0; i < nShards; i++ {
+			if err := e.scanRange(ctx, p, cuts[i], cuts[i+1], sinks[i], &scs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var (
 		next    atomic.Int64
 		wg      sync.WaitGroup
 		errOnce sync.Once
 		scanErr error
 	)
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= nShards {
-				return
-			}
-			if err := e.scanRange(ctx, p, cuts[i], cuts[i+1], sinks[i], &scs[i]); err != nil {
-				errOnce.Do(func() { scanErr = err })
-				return
-			}
-		}
-	}
-	if workers == 1 {
-		work()
-		return scanErr
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= nShards {
+					return
+				}
+				if err := e.scanRange(ctx, p, cuts[i], cuts[i+1], sinks[i], &scs[i]); err != nil {
+					errOnce.Do(func() { scanErr = err })
+					return
+				}
+			}
 		}()
 	}
 	wg.Wait()
 	return scanErr
 }
 
-// gather is the pipeline's scan stage: it scans the plan's slices and
-// returns each replay group's cluster hit lists in serial scan order
+// planRows is the number of rows a scan of the plan visits.
+func (e *Engine) planRows(p *scanPlan) int {
+	rows := 0
+	for i := range p.pairs {
+		c := &p.pairs[i]
+		texts, _ := e.segs[c.seg].ix.Column(int(c.local), int(c.obj))
+		rows += len(texts)
+	}
+	return rows
+}
+
+// gather is the pipeline's scan stage: it scans the plan's slices, each
+// into its own collector's hit log, cuts the logs into per-cluster hit
+// lists and returns each replay group's clusters in serial scan order
 // (groups without hits omitted), hit tables shifted by tableOffset into
 // the corpus-global numbering. Scan counters, the stage time and the
 // parallelism actually used go to st.
-func (e *Engine) gather(ctx context.Context, p *scanPlan, tableOffset int, st *ExecStats) ([]PartialGroup, error) {
-	defer stage(ctx, "search.scan", &st.Stage.Scan)()
+//
+// With own set, what is returned belongs to the caller: every hit list
+// is cut out of one allocation of exactly the logged hits, and the
+// groups and their cluster slices are copies. Otherwise everything
+// returned is the arena's and dies with it.
+func (e *Engine) gather(ctx context.Context, p *scanPlan, tableOffset int, st *ExecStats, a *arena, own bool) ([]PartialGroup, error) {
+	defer stage(ctx, "search.scan", &st.Stage.Scan).end()
 	if len(p.pairs) == 0 {
 		return nil, nil
 	}
-	cuts := e.cuts(p)
-	sinks := make([]*partialCollector, len(cuts)-1)
-	for i := range sinks {
-		sinks[i] = newPartialCollector(e, tableOffset)
+	// The engine's parallelism is an upper bound: a plan too small to pay
+	// for its goroutines is scanned on this one.
+	par := e.par
+	if par > 1 && e.planRows(p) < e.serialBelow {
+		par = 1
 	}
-	scs := make([]scanCounters, len(sinks))
-	st.Parallelism = min(e.par, len(sinks))
-	err := e.scanShards(ctx, p, cuts, sinks, scs)
-	for i := range scs {
-		st.add(&scs[i])
+	cuts := a.cutPlan(par)
+	for i := 0; i < len(cuts)-1; i++ {
+		a.collector(i, e, tableOffset)
+	}
+	sinks := a.collectors[:len(cuts)-1]
+	a.counters = append(a.counters[:0], make([]scanCounters, len(sinks))...)
+	par = min(par, len(sinks))
+	st.Parallelism = par
+	err := e.scanShards(ctx, p, par, cuts, sinks, a.counters)
+	for i := range a.counters {
+		st.add(&a.counters[i])
 	}
 	if err != nil {
 		return nil, err
 	}
+
+	logged, clusters := 0, 0
+	for _, pc := range sinks {
+		logged += len(pc.log)
+		clusters = max(clusters, len(pc.clusters))
+	}
+	var hits []PartialHit
 	var groups []PartialGroup
+	if own {
+		hits = make([]PartialHit, logged)
+	} else {
+		a.hits = slices.Grow(a.hits[:0], logged)
+		hits, groups = a.hits[:logged], a.groups[:0]
+	}
+	a.next = slices.Grow(a.next[:0], clusters+1)
+	for _, pc := range sinks {
+		if err := pc.cut(ctx, hits[:len(pc.log)], a.next); err != nil {
+			return nil, err
+		}
+		hits = hits[len(pc.log):]
+	}
+
 	i := 0
 	for g, pg := range p.groups {
 		end := len(p.pairs)
@@ -159,8 +214,14 @@ func (e *Engine) gather(ctx context.Context, p *scanPlan, tableOffset int, st *E
 			}
 		}
 		if clusters := first.finish(); len(clusters) > 0 {
+			if own {
+				clusters = slices.Clone(clusters)
+			}
 			groups = append(groups, PartialGroup{Key: pg.key, Clusters: clusters})
 		}
+	}
+	if !own {
+		a.groups = groups
 	}
 	return groups, nil
 }

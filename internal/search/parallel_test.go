@@ -15,10 +15,20 @@ import (
 	"repro/internal/table"
 )
 
+// eagerParallelism is WithParallelism without the engine's small-plan
+// rule (minParallelRows): these fixtures are a few hundred rows, and the
+// tests below are about what the parallel machinery does to them.
+func eagerParallelism(n int) EngineOption {
+	return func(e *Engine) {
+		WithParallelism(n)(e)
+		e.serialBelow = 0
+	}
+}
+
 // --- shardCuts unit tests ---
 
 func TestShardCutsEvenSplit(t *testing.T) {
-	got := shardCuts(100, 4)
+	got := shardCuts(nil, 100, 4)
 	want := []int{0, 25, 50, 75, 100}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cuts = %v, want %v", got, want)
@@ -26,12 +36,12 @@ func TestShardCutsEvenSplit(t *testing.T) {
 }
 
 func TestShardCutsClampsToPairs(t *testing.T) {
-	got := shardCuts(3, 8)
+	got := shardCuts(nil, 3, 8)
 	want := []int{0, 1, 2, 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cuts = %v, want %v", got, want)
 	}
-	if got := shardCuts(1, 8); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := shardCuts(nil, 1, 8); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("single pair: cuts = %v", got)
 	}
 }
@@ -122,7 +132,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	serial := NewEngineOver(ix)
 	ctx := context.Background()
 	for _, par := range []int{2, 3, 16} {
-		parallel := NewEngineOver(ix, WithParallelism(par))
+		parallel := NewEngineOver(ix, eagerParallelism(par))
 		if parallel.Parallelism() != par {
 			t.Fatalf("parallelism = %d, want %d", parallel.Parallelism(), par)
 		}
@@ -206,7 +216,7 @@ func TestParallelExplainTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewEngineOver(ix, WithParallelism(8)).Execute(ctx, req)
+	got, err := NewEngineOver(ix, eagerParallelism(8)).Execute(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +315,7 @@ func TestPreCancelledLargeTable(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, par := range []int{1, 4} {
-		eng := NewEngineOver(e.c, WithParallelism(par))
+		eng := NewEngineOver(e.c, eagerParallelism(par))
 		if _, err := eng.Execute(ctx, Request{Query: q, Mode: TypeRel}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("par=%d: err = %v, want context.Canceled", par, err)
 		}
@@ -317,7 +327,7 @@ func TestPreCancelledLargeTable(t *testing.T) {
 // cancellation.
 func TestParallelCancellationMidScan(t *testing.T) {
 	ix, q := variantFixture(t, 32, 5)
-	eng := NewEngineOver(ix, WithParallelism(4))
+	eng := NewEngineOver(ix, eagerParallelism(4))
 	ctx := &countdownCtx{Context: context.Background(), after: 3}
 	if _, err := eng.Execute(ctx, Request{Query: q, Mode: TypeRel}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -386,35 +396,39 @@ func parallelBenchFixture(tb testing.TB, nAnswers, support int) (*searchidx.Inde
 }
 
 // BenchmarkSearchParallel contrasts the serial scan against the sharded
-// worker pool on a 12k-answer corpus (top-10 page). The parallel run
-// should be >=2x faster than serial on 4+ cores; results are
+// worker pool (top-10 page of a TypeRel query) over corpora of 500 to
+// 60 000 rows, every one of which the plan visits and matches: it is
+// where minParallelRows is read off. The parallel engines are eager —
+// they cut and start goroutines whatever the plan's size — so that each
+// size shows what parallelism costs or buys there; results are
 // byte-identical either way (TestParallelMatchesSerial). par=4 is always
-// benchmarked so the sharded machinery is exercised even when
-// GOMAXPROCS is 1 (where it measures pure sharding overhead).
+// benchmarked so the sharded machinery is exercised even when GOMAXPROCS
+// is 1 (where it measures pure sharding overhead).
 func BenchmarkSearchParallel(b *testing.B) {
-	const nAnswers = 12000
-	ix, q := parallelBenchFixture(b, nAnswers, 5)
 	ctx := context.Background()
 	pars := []int{1, 4}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
 		pars = append(pars, p)
 	}
-	for _, par := range pars {
-		eng := NewEngineOver(ix, WithParallelism(par))
-		b.Run(fmt.Sprintf("answers=%d/par=%d", nAnswers, par), func(b *testing.B) {
-			b.ReportAllocs()
-			var total int
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Execute(ctx, Request{Query: q, Mode: TypeRel, PageSize: 10})
-				if err != nil {
-					b.Fatal(err)
+	for _, nAnswers := range []int{100, 400, 1600, 6400, 12000} {
+		ix, q := parallelBenchFixture(b, nAnswers, 5)
+		for _, par := range pars {
+			eng := NewEngineOver(ix, eagerParallelism(par))
+			b.Run(fmt.Sprintf("answers=%d/par=%d", nAnswers, par), func(b *testing.B) {
+				b.ReportAllocs()
+				var total int
+				for i := 0; i < b.N; i++ {
+					res, err := eng.Execute(ctx, Request{Query: q, Mode: TypeRel, PageSize: 10})
+					if err != nil {
+						b.Fatal(err)
+					}
+					total = res.Total
 				}
-				total = res.Total
-			}
-			if total != nAnswers {
-				b.Fatalf("total = %d, want %d", total, nAnswers)
-			}
-		})
+				if total != nAnswers {
+					b.Fatalf("total = %d, want %d", total, nAnswers)
+				}
+			})
+		}
 	}
 }
 

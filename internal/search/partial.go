@@ -127,56 +127,64 @@ func (e *Engine) ExecutePartial(ctx context.Context, req Request, tableOffset in
 	if err := validate(ctx, req, st); err != nil {
 		return nil, nil, err
 	}
-	p := e.plan(ctx, req, st)
-	groups, err := e.gather(ctx, &p, tableOffset, st)
+	a := takeArena()
+	defer a.release()
+	groups, err := e.gather(ctx, e.plan(ctx, req, st, a), tableOffset, st, a, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	return groups, st, nil
 }
 
+// loggedHit is one entry of a collector's hit log: a PartialHit and the
+// collector-local number of the cluster it belongs to, in the 24 bytes
+// of the hit alone.
+type loggedHit struct {
+	table, row, col int32
+	cluster         int32
+	evidence        float64
+}
+
 // partialCollector is the scan's sink, one per slice, and builds
 // ClusterPartials: it resolves each hit's cluster identity — the answer
 // cell's entity, else its normalized text, read off the owning segment's
-// dictionary — and appends the hit, under its cluster-global table
-// number, to that cluster's list, preserving add order (the scan order
-// of its slice).
+// dictionary — and logs the hit, under its cluster-global table number
+// and its cluster, in add order (the scan order of its slice). cut then
+// turns the log into the clusters' hit lists. A collector lives in an
+// arena and is emptied, not rebuilt, between executions.
 type partialCollector struct {
 	e        *Engine
 	offset   int32
 	clusters []ClusterPartial
 	// entities and texts index clusters by identity (texts by
 	// normalized cell text).
-	entities map[catalog.EntityID]int
-	texts    map[string]int
+	entities map[catalog.EntityID]int32
+	texts    map[string]int32
+	log      []loggedHit
+	// rows is the scan's buffer for one column stretch's matches.
+	rows []searchidx.RowHit
 }
 
-func newPartialCollector(e *Engine, tableOffset int) *partialCollector {
-	return &partialCollector{
-		e:        e,
-		offset:   int32(tableOffset),
-		entities: make(map[catalog.EntityID]int),
-		texts:    make(map[string]int),
-	}
-}
-
-// cluster returns the collector's cluster for an identity — an entity,
-// else a normalized text — adding an empty one the first time it is seen.
-func (pc *partialCollector) cluster(entity catalog.EntityID, norm string) *ClusterPartial {
-	var i int
-	var ok bool
+// cluster returns the number of the collector's cluster for an identity
+// — an entity, else a normalized text — adding an empty one the first
+// time it is seen.
+func (pc *partialCollector) cluster(entity catalog.EntityID, norm string) int32 {
 	if entity != catalog.None {
-		if i, ok = pc.entities[entity]; !ok {
-			i = len(pc.clusters)
+		i, ok := pc.entities[entity]
+		if !ok {
+			i = int32(len(pc.clusters))
 			pc.entities[entity] = i
 			pc.clusters = append(pc.clusters, ClusterPartial{Entity: entity, Canonical: pc.e.cat.EntityName(entity)})
 		}
-	} else if i, ok = pc.texts[norm]; !ok {
-		i = len(pc.clusters)
+		return i
+	}
+	i, ok := pc.texts[norm]
+	if !ok {
+		i = int32(len(pc.clusters))
 		pc.texts[norm] = i
 		pc.clusters = append(pc.clusters, ClusterPartial{Entity: catalog.None, Norm: norm})
 	}
-	return &pc.clusters[i]
+	return i
 }
 
 // add records one matching row of candidate pair c: the row's answer
@@ -184,9 +192,9 @@ func (pc *partialCollector) cluster(entity catalog.EntityID, norm string) *Clust
 // text), receives the row's evidence.
 func (pc *partialCollector) add(c *candidate, rh searchidx.RowHit, entity catalog.EntityID) {
 	seg := &pc.e.segs[c.seg]
-	var cp *ClusterPartial
+	var ci int32
 	if entity != catalog.None {
-		cp = pc.cluster(entity, "")
+		ci = pc.cluster(entity, "")
 	} else {
 		// An unannotated cell whose normalized text is empty has no
 		// cluster identity and contributes nothing.
@@ -195,20 +203,56 @@ func (pc *partialCollector) add(c *candidate, rh searchidx.RowHit, entity catalo
 		if norm == "" {
 			return
 		}
-		cp = pc.cluster(catalog.None, norm)
+		ci = pc.cluster(catalog.None, norm)
+		cp := &pc.clusters[ci]
 		cp.Variants, _ = noteVariant(cp.Variants, seg.ix.Surface(int(c.local), int(rh.Row), int(c.subj)), 1)
 	}
-	cp.Hits = append(cp.Hits, PartialHit{
-		Table:    seg.global[c.local] + pc.offset,
-		Row:      rh.Row,
-		Col:      c.subj,
-		Evidence: rh.Evidence,
+	pc.log = append(pc.log, loggedHit{
+		table:    seg.global[c.local] + pc.offset,
+		row:      rh.Row,
+		col:      c.subj,
+		cluster:  ci,
+		evidence: rh.Evidence,
 	})
 }
 
+// cut turns the hit log into the clusters' hit lists: one stable
+// counting pass over the log — count per cluster, then place — into
+// dst, which has exactly one slot per logged hit and becomes the backing
+// of every list (each capped at its own length, so appending to one
+// never writes into the next). next is the pass's scratch. The context
+// is polled every rowCheckInterval hits.
+func (pc *partialCollector) cut(ctx context.Context, dst []PartialHit, next []int32) error {
+	next = next[:len(pc.clusters)+1]
+	clear(next)
+	for lo := 0; lo < len(pc.log); lo += rowCheckInterval {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, h := range pc.log[lo:min(lo+rowCheckInterval, len(pc.log))] {
+			next[h.cluster+1]++
+		}
+	}
+	for ci := range pc.clusters {
+		next[ci+1] += next[ci]
+		pc.clusters[ci].Hits = dst[next[ci]:next[ci+1]:next[ci+1]]
+	}
+	for lo := 0; lo < len(pc.log); lo += rowCheckInterval {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, h := range pc.log[lo:min(lo+rowCheckInterval, len(pc.log))] {
+			dst[next[h.cluster]] = PartialHit{Table: h.table, Row: h.row, Col: h.col, Evidence: h.evidence}
+			next[h.cluster]++
+		}
+	}
+	return nil
+}
+
 // absorb appends the clusters of next — the collector of the slice that
-// follows pc's in the same replay group — onto pc's, cluster by cluster:
-// hits after pc's hits, variant counts added. Slices are contiguous runs
+// follows pc's in the same replay group, like pc already cut into lists
+// — onto pc's, cluster by cluster: hits after pc's hits (in memory of
+// the list's own once it outgrows its cut), variant counts added. Slices are contiguous runs
 // of the serial scan, so absorbing a group's slices in order leaves
 // every cluster's hit list in serial scan order. next is consumed (a
 // cluster new to pc takes over its lists). The context is polled about
@@ -223,7 +267,7 @@ func (pc *partialCollector) absorb(ctx context.Context, next *partialCollector) 
 				return err
 			}
 		}
-		dst := pc.cluster(src.Entity, src.Norm)
+		dst := &pc.clusters[pc.cluster(src.Entity, src.Norm)]
 		if dst.Hits == nil {
 			dst.Hits, dst.Variants = src.Hits, src.Variants
 			continue
@@ -313,13 +357,13 @@ func fold(ctx context.Context, shards [][]PartialGroup, st *ExecStats, pageSize 
 	if err != nil {
 		return nil, err
 	}
-	done := stage(ctx, "search.select", &st.Stage.Select)
+	sel := stage(ctx, "search.select", &st.Stage.Select)
 	res, winners, eligible := selectPage(cs, pageSize, after)
-	done()
+	sel.end()
 	st.AnswersBeforeTopK = eligible
 	res.Stats = st
 	if explain && len(winners) > 0 {
-		defer stage(ctx, "search.explain", &st.Stage.Explain)()
+		defer stage(ctx, "search.explain", &st.Stage.Explain).end()
 		for i, c := range winners {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -335,7 +379,7 @@ func fold(ctx context.Context, shards [][]PartialGroup, st *ExecStats, pageSize 
 // so every cluster's score sums its evidence in exactly the serial scan
 // order. The context is polled about every rowCheckInterval hits.
 func aggregate(ctx context.Context, shards [][]PartialGroup, st *ExecStats, explain bool) (clusterSink, error) {
-	defer stage(ctx, "search.aggregate", &st.Stage.Aggregate)()
+	defer stage(ctx, "search.aggregate", &st.Stage.Aggregate).end()
 	cs := clusterSink{}
 	sincePoll := 0
 	for _, gk := range mergedGroupKeys(shards) {
@@ -364,7 +408,7 @@ func aggregate(ctx context.Context, shards [][]PartialGroup, st *ExecStats, expl
 // into it: the first MaxExplainSources hits in fold order — the serial
 // scan order — and a count of the rest.
 func (c *cluster) explanation() *Explanation {
-	ex := &Explanation{}
+	ex := &Explanation{Sources: make([]SourceRef, 0, min(MaxExplainSources, c.support))}
 	for _, cp := range c.parts {
 		take := min(MaxExplainSources-len(ex.Sources), len(cp.Hits))
 		for _, h := range cp.Hits[:take] {

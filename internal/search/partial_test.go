@@ -108,7 +108,7 @@ func shardEngines(t testing.TB, c *catalog.Catalog, tables []*table.Table, anns 
 	for _, hi := range cuts {
 		opts := []EngineOption{}
 		if par > 1 {
-			opts = append(opts, WithParallelism(par))
+			opts = append(opts, eagerParallelism(par))
 		}
 		engines = append(engines, NewEngineOver(searchidx.New(c, tables[lo:hi], anns[lo:hi]), opts...))
 		offsets = append(offsets, lo)
@@ -295,7 +295,7 @@ func TestExecutePartialDeterministic(t *testing.T) {
 	} {
 		serial := NewEngineOver(tc.corpus)
 		for _, par := range []int{2, 4, 16} {
-			parallel := NewEngineOver(tc.corpus, WithParallelism(par))
+			parallel := NewEngineOver(tc.corpus, eagerParallelism(par))
 			for _, mode := range []Mode{Baseline, Type, TypeRel} {
 				req := Request{Query: tc.q, Mode: mode}
 				want, _, err := serial.ExecutePartial(ctx, req, 5)
@@ -303,12 +303,14 @@ func TestExecutePartialDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 				if tc.corpus == Corpus(view) && mode == Type {
-					p := parallel.plan(ctx, req, parallel.newStats())
-					cuts := parallel.cuts(&p)
+					a := takeArena()
+					p := parallel.plan(ctx, req, parallel.newStats(), a)
+					cuts := a.cutPlan(parallel.par)
 					if len(p.groups) != 2 || p.groups[1].start != len(p.pairs)-1 || len(cuts) < 4 {
 						t.Fatalf("par=%d: Type plan has groups %+v over %d pairs cut at %v; want a many-slice group then a one-pair group",
 							par, p.groups, len(p.pairs), cuts)
 					}
+					a.release()
 				}
 				for i := 0; i < 3; i++ {
 					got, _, err := parallel.ExecutePartial(ctx, req, 5)

@@ -197,15 +197,17 @@ func TestPlanGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	e := NewEngineOver(view)
+	a := takeArena()
+	defer a.release()
 	for _, qc := range queries {
 		for _, mode := range []Mode{Baseline, Type, TypeRel} {
-			p := e.plan(context.Background(), Request{Query: qc.q, Mode: mode}, e.newStats())
+			p := e.plan(context.Background(), Request{Query: qc.q, Mode: mode}, e.newStats(), a)
 			fmt.Fprintf(&buf, "== %s mode=%v pairs=%d groups", qc.name, mode, len(p.pairs))
 			for _, g := range p.groups {
 				fmt.Fprintf(&buf, " %d@%d", g.key, g.start)
 			}
 			buf.WriteByte('\n')
-			for _, tr := range planTriples(e, &p) {
+			for _, tr := range planTriples(e, p) {
 				fmt.Fprintf(&buf, "%d %d %d\n", tr[0], tr[1], tr[2])
 			}
 		}

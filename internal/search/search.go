@@ -144,6 +144,9 @@ type Engine struct {
 	cat  *catalog.Catalog
 	segs []corpusSegment
 	par  int
+	// serialBelow is minParallelRows; a field so that this package's
+	// tests can scan their small fixtures in parallel.
+	serialBelow int
 }
 
 // EngineOption configures an Engine at construction time.
@@ -169,7 +172,7 @@ func NewEngine(ix *searchidx.Index) *Engine { return NewEngineOver(ix) }
 // view. Engines are stateless and cheap; construct one per corpus
 // snapshot rather than mutating a shared one.
 func NewEngineOver(c Corpus, opts ...EngineOption) *Engine {
-	e := &Engine{c: c, cat: c.Catalog(), segs: make([]corpusSegment, c.Segments()), par: 1}
+	e := &Engine{c: c, cat: c.Catalog(), segs: make([]corpusSegment, c.Segments()), par: 1, serialBelow: minParallelRows}
 	for i := range e.segs {
 		e.segs[i].ix, e.segs[i].global = c.Segment(i)
 	}

@@ -820,13 +820,15 @@ func (ix *Index) Spelling(id uint32) string { return ix.str(ix.texts[id]) }
 
 // Probe is one query string compiled once per request: its normalized
 // spelling and its distinct tokens in ascending order. A Probe also
-// carries the scratch space Compile merges in, so it is not safe for
-// concurrent use.
+// carries the scratch space Compile merges in and the storage of every
+// MatchSet compiled from it, so it is not safe for concurrent use, and
+// those MatchSets are good until the Probe is Reset or dropped.
 type Probe struct {
 	Norm   string
 	Tokens []string
 
 	cur, next []tally
+	matches   []textMatch
 }
 
 // tally counts, for one text, how many of the probe's tokens it holds.
@@ -834,11 +836,25 @@ type tally struct{ text, shared uint32 }
 
 // NewProbe compiles a query string.
 func NewProbe(s string) Probe {
-	toks := text.Tokenize(s)
-	p := Probe{Norm: strings.Join(toks, " ")}
-	slices.Sort(toks)
-	p.Tokens = slices.Compact(toks)
+	var p Probe
+	p.Reset(s)
 	return p
+}
+
+// Reset compiles another query string into p, reusing its storage. The
+// tokens are cut out of the normalized spelling, which is exactly those
+// tokens joined by single spaces.
+func (p *Probe) Reset(s string) {
+	p.Norm = text.Normalize(s)
+	p.Tokens = p.Tokens[:0]
+	for rest := p.Norm; rest != ""; {
+		var tok string
+		tok, rest, _ = strings.Cut(rest, " ")
+		p.Tokens = append(p.Tokens, tok)
+	}
+	slices.Sort(p.Tokens)
+	p.Tokens = slices.Compact(p.Tokens)
+	p.matches = p.matches[:0]
 }
 
 // MatchSet is a probe compiled against one segment: the texts it
@@ -899,7 +915,10 @@ func (ix *Index) Compile(p *Probe) MatchSet {
 		cur[i].shared = math.MaxUint32
 	}
 	p.cur, p.next = cur, next
+	// The matches go after those of the segments compiled before; if that
+	// moves the array, the earlier sets keep the old one.
 	var m MatchSet
+	first := len(p.matches)
 	for _, t := range cur {
 		ev := 1.0
 		if t.shared != math.MaxUint32 {
@@ -908,9 +927,10 @@ func (ix *Index) Compile(p *Probe) MatchSet {
 				continue
 			}
 		}
-		m.texts = append(m.texts, textMatch{t.text, ev})
+		p.matches = append(p.matches, textMatch{t.text, ev})
 		m.mask |= 1 << (t.text % 64)
 	}
+	m.texts = p.matches[first:len(p.matches):len(p.matches)]
 	return m
 }
 

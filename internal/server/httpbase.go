@@ -12,11 +12,13 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	webtable "repro"
 	"repro/internal/obs"
+	"repro/internal/search"
 	"repro/internal/table"
 )
 
@@ -115,6 +117,51 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// routeKey is one (route, method, status) cell of the request metrics,
+// routeCell its two handles.
+type routeKey struct {
+	route, method string
+	status        int
+}
+
+type routeCell struct {
+	total *obs.Counter
+	dur   *obs.Histogram
+}
+
+// routeCells remembers the request metrics' handles per cell, so that a
+// request costs one map read instead of two label-map lookups under the
+// families' mutexes and a strconv.Itoa. The map is bounded by the route
+// table times the methods and statuses handlers answer with.
+type routeCells struct {
+	mu    sync.RWMutex
+	cells map[routeKey]routeCell
+}
+
+func (rc *routeCells) get(k routeKey) (routeCell, bool) {
+	rc.mu.RLock()
+	defer rc.mu.RUnlock()
+	c, ok := rc.cells[k]
+	return c, ok
+}
+
+func (rc *routeCells) put(k routeKey, c routeCell) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	rc.cells[k] = c
+}
+
+// mintRequestID spells the next request ID, "<prefix>-%06d".
+func (b *HTTPBase) mintRequestID() string {
+	var buf [32]byte
+	id := append(append(buf[:0], b.idPrefix...), '-')
+	seq := b.reqSeq.Add(1)
+	for pad := uint64(100000); pad > seq; pad /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendUint(id, seq, 10))
+}
+
 // Middleware attaches the request ID, per-request timeout, body cap,
 // in-flight accounting, per-route metrics, the request's trace root
 // span and the structured log line, and maps a context already dead on
@@ -136,6 +183,7 @@ func (b *HTTPBase) Middleware(next http.Handler) http.Handler {
 			"Requests currently being handled.",
 			func() float64 { return float64(b.inflight.Load()) })
 	}
+	handles := routeCells{cells: make(map[routeKey]routeCell)}
 	if b.Tracer != nil && b.Tracer.Log == nil {
 		b.Tracer.Log = b.Log
 	}
@@ -146,7 +194,7 @@ func (b *HTTPBase) Middleware(next http.Handler) http.Handler {
 
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
-			id = fmt.Sprintf("%s-%06d", b.idPrefix, b.reqSeq.Add(1))
+			id = b.mintRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
 		ctx := context.WithValue(r.Context(), requestIDKey, id)
@@ -193,16 +241,23 @@ func (b *HTTPBase) Middleware(next http.Handler) http.Handler {
 		sp.End()
 		dur := time.Since(start)
 		if reqTotal != nil {
-			reqTotal.With(route, normalizeMethodLabel(r.Method), strconv.Itoa(sw.status)).Inc()
-			reqDur.With(route).Observe(dur.Seconds())
+			method := normalizeMethodLabel(r.Method)
+			key := routeKey{route, method, sw.status}
+			c, ok := handles.get(key)
+			if !ok {
+				c = routeCell{reqTotal.With(route, method, strconv.Itoa(sw.status)), reqDur.With(route)}
+				handles.put(key, c)
+			}
+			c.total.Inc()
+			c.dur.Observe(dur.Seconds())
 		}
-		b.Log.Info("request",
-			"id", id,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"duration_ms", float64(dur.Microseconds())/1000,
-			"remote", r.RemoteAddr,
+		b.Log.LogAttrs(context.Background(), slog.LevelInfo, "request",
+			slog.String("id", id),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", sw.status),
+			slog.Float64("duration_ms", float64(dur.Microseconds())/1000),
+			slog.String("remote", r.RemoteAddr),
 		)
 	})
 }
@@ -229,12 +284,20 @@ func (b *HTTPBase) MetricsHandler() http.Handler { return obs.Handler(b.Reg, obs
 // corpus: every scrape first sets corpus_resident_bytes{part} — what the
 // corpus view svc serves at that moment keeps in memory, by part
 // (searchidx.ResidentBytes). The numbers were counted when the view was
-// built; a scrape copies four of them.
+// built; a scrape copies four of them. It also registers the execution
+// arena pool's two numbers (search.ArenaStats), read at scrape time; the
+// pool is the process's, so two servers in one process report the same.
 func (b *HTTPBase) CorpusMetricsHandler(svc *webtable.Service) http.Handler {
 	resident := b.Reg.Gauge("corpus_resident_bytes",
 		"Bytes the served corpus keeps resident, by part, counted from array lengths and element sizes.", "part")
 	cells, dictionaries := resident.With("cells"), resident.With("dictionaries")
 	postings, tables := resident.With("postings"), resident.With("tables")
+	b.Reg.GaugeFunc("search_arena_bytes",
+		"Bytes of slice capacity parked in the pool of search execution arenas, waiting for the next query.",
+		func() float64 { parked, _ := search.ArenaStats(); return float64(parked) })
+	b.Reg.CounterFunc("search_arena_grows_total",
+		"Search executions that returned their arena larger than they took it (a query outgrew its arena, or found the pool empty).",
+		func() float64 { _, grows := search.ArenaStats(); return float64(grows) })
 	metrics := b.MetricsHandler()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rb, _ := svc.ResidentBytes()
@@ -387,14 +450,28 @@ func DecodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return err // MapError turns this into 413, not 400
-		}
-		return fmt.Errorf("%w: %v", errBadBody, err)
+		return badBody(err)
 	}
-	if dec.More() {
+	// Nothing may follow the value: the next token has to be the end of
+	// the body. (Decoder.More cannot tell — it is false before a stray
+	// closing bracket too.)
+	switch _, err := dec.Token(); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err == nil:
 		return fmt.Errorf("%w: trailing data after JSON body", errBadBody)
+	default:
+		return badBody(err)
 	}
-	return nil
+}
+
+// badBody wraps a body that could not be read as JSON; a body-cap
+// overflow keeps its MaxBytesError identity (MapError turns it into 413,
+// not 400).
+func badBody(err error) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", errBadBody, err)
 }

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -888,9 +889,18 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE corpus_tables gauge",
 		"# TYPE service_worker_slots gauge",
 		"# TYPE go_goroutines gauge", // merged process-global registry
+		"# TYPE search_arena_bytes gauge",
+		"# TYPE search_arena_grows_total counter",
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, page)
+		}
+	}
+	// The search above returned its arena to the pool: some capacity is
+	// parked, and at least that execution grew one.
+	for _, name := range []string{"search_arena_bytes", "search_arena_grows_total"} {
+		if m := regexp.MustCompile(`(?m)^` + name + ` ([0-9.e+]+)$`).FindStringSubmatch(page); m == nil || m[1] == "0" {
+			t.Fatalf("scrape: %s = %v, want a positive number:\n%s", name, m, page)
 		}
 	}
 	// The resident-bytes gauges are the served view's own counts.

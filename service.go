@@ -53,6 +53,15 @@ type Service struct {
 	// segment mutation (AddTables / RemoveTables) on the outgoing store.
 	corpusMu sync.Mutex
 	store    atomic.Pointer[segment.Store]
+	// eng is the query engine over the corpus view searches last pinned;
+	// engine() replaces it when the store has published another view.
+	eng atomic.Pointer[viewEngine]
+}
+
+// viewEngine is a query engine and the immutable view it was built over.
+type viewEngine struct {
+	view *segment.View
+	*search.Engine
 }
 
 // NewService builds a service over a catalog. The catalog is frozen if it
@@ -542,8 +551,10 @@ func (s *Service) SearchPartial(ctx context.Context, req SearchRequest, tableOff
 	return eng.ExecutePartial(ctx, req, tableOffset)
 }
 
-// engine pins the current corpus view and wraps it in a query engine
-// carrying the service's search parallelism. The view is immutable, so
+// engine pins the current corpus view and returns the query engine over
+// it, carrying the service's search parallelism. The engine is built once
+// per view — a mutation or compaction publishes a new view, and the first
+// search after it builds the next engine — and the view is immutable, so
 // everything executed on the returned engine is consistent regardless of
 // concurrent mutations or compaction.
 func (s *Service) engine() (*search.Engine, error) {
@@ -551,7 +562,15 @@ func (s *Service) engine() (*search.Engine, error) {
 	if st == nil {
 		return nil, ErrNoIndex
 	}
-	return search.NewEngineOver(st.View(), search.WithParallelism(s.searchPar)), nil
+	v := st.View()
+	ve := s.eng.Load()
+	if ve == nil || ve.view != v {
+		// Two searches racing here build the same engine twice; either
+		// may stay.
+		ve = &viewEngine{view: v, Engine: search.NewEngineOver(v, search.WithParallelism(s.searchPar))}
+		s.eng.Store(ve)
+	}
+	return ve.Engine, nil
 }
 
 // SearchBatch answers many requests concurrently over the service's
