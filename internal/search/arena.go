@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/catalog"
 	"repro/internal/searchidx"
 )
 
@@ -45,7 +44,12 @@ type arena struct {
 // returned to a full list is dropped — and maxParkedBytes keeps one
 // enormous query from pinning its arena for the life of the process.
 // Measured on the benchmark's 6000-table corpus and request mix
-// (BenchmarkHandlerSearch): TODO.
+// (BenchmarkHandlerSearch, arena-KB): an arena settles at 146 KB, so a
+// full list is 2.3 MB at that scale, 64 MB at the very worst, and the cap
+// is 28 times what the largest request of that mix leaves. A 12 000-answer
+// query (BenchmarkSearchParallel) leaves 4.1 MB scanned serially and
+// parks; cut into 16 slices it leaves 5.4 MB, does not, and allocates per
+// request as every query did before there was a pool.
 const (
 	maxParkedArenas = 16
 	maxParkedBytes  = 4 << 20
@@ -105,7 +109,7 @@ func (a *arena) release() {
 	for _, pc := range a.collectors {
 		pc.e = nil
 		clear(pc.clusters)
-		clear(pc.entities)
+		pc.entities.reset()
 		clear(pc.texts)
 	}
 	size := a.footprint()
@@ -141,10 +145,7 @@ func (a *arena) footprint() int64 {
 // collector returns the arena's i-th collector, bound to this execution.
 func (a *arena) collector(i int, e *Engine, tableOffset int) *partialCollector {
 	if i == len(a.collectors) {
-		a.collectors = append(a.collectors, &partialCollector{
-			entities: make(map[catalog.EntityID]int32),
-			texts:    make(map[string]int32),
-		})
+		a.collectors = append(a.collectors, &partialCollector{texts: make(map[string]int32)})
 	}
 	pc := a.collectors[i]
 	pc.e, pc.offset = e, int32(tableOffset)

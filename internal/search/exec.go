@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"repro/internal/catalog"
@@ -241,7 +240,7 @@ func selectPage(clusters clusterSink, pageSize int, after *rankKey) (*Result, []
 		}
 	}
 	if pageSize == 0 {
-		sort.Slice(page, func(i, j int) bool { return page[i].key.before(page[j].key) })
+		sortRanked(page)
 	} else {
 		page = heap.ranked()
 	}
@@ -324,20 +323,22 @@ func (e *Engine) newTypeFilter(q Query) typeFilter {
 	return typeFilter{cat: e.cat, t1: q.T1, t2: q.T2, subj: catalog.None, obj: catalog.None}
 }
 
-func (f *typeFilter) compatible(p searchidx.ColumnPair) bool {
-	if p.SubjType != f.subj || p.ObjType != f.obj {
-		f.subj, f.obj = p.SubjType, p.ObjType
-		f.ok = p.SubjType != catalog.None && f.cat.IsSubtype(p.SubjType, f.t1) &&
-			p.ObjType != catalog.None && f.cat.IsSubtype(p.ObjType, f.t2)
-	}
-	return f.ok
+// judge replaces the kept verdict with that of another pair of types.
+func (f *typeFilter) judge(subj, obj catalog.TypeID) {
+	f.subj, f.obj = subj, obj
+	f.ok = subj != catalog.None && f.cat.IsSubtype(subj, f.t1) &&
+		obj != catalog.None && f.cat.IsSubtype(obj, f.t2)
 }
 
 // appendLive appends the compatible pairs of one segment's posting list
 // whose tables are live.
 func appendLive(pairs []candidate, si int, seg corpusSegment, posted []searchidx.ColumnPair, f *typeFilter) []candidate {
-	for _, p := range posted {
-		if seg.global[p.Table] >= 0 && f.compatible(p) {
+	for i := range posted {
+		p := &posted[i]
+		if p.SubjType != f.subj || p.ObjType != f.obj {
+			f.judge(p.SubjType, p.ObjType)
+		}
+		if f.ok && seg.global[p.Table] >= 0 {
 			pairs = append(pairs, candidate{seg: int32(si), local: p.Table, subj: p.SubjCol, obj: p.ObjCol})
 		}
 	}

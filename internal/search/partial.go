@@ -158,7 +158,7 @@ type partialCollector struct {
 	clusters []ClusterPartial
 	// entities and texts index clusters by identity (texts by
 	// normalized cell text).
-	entities map[catalog.EntityID]int32
+	entities entityIndex
 	texts    map[string]int32
 	log      []loggedHit
 	// rows is the scan's buffer for one column stretch's matches.
@@ -170,10 +170,8 @@ type partialCollector struct {
 // time it is seen.
 func (pc *partialCollector) cluster(entity catalog.EntityID, norm string) int32 {
 	if entity != catalog.None {
-		i, ok := pc.entities[entity]
+		i, ok := pc.entities.find(entity, int32(len(pc.clusters)))
 		if !ok {
-			i = int32(len(pc.clusters))
-			pc.entities[entity] = i
 			pc.clusters = append(pc.clusters, ClusterPartial{Entity: entity, Canonical: pc.e.cat.EntityName(entity)})
 		}
 		return i
@@ -185,6 +183,56 @@ func (pc *partialCollector) cluster(entity catalog.EntityID, norm string) int32 
 		pc.clusters = append(pc.clusters, ClusterPartial{Entity: catalog.None, Norm: norm})
 	}
 	return i
+}
+
+// entityIndex maps entity → cluster number by open addressing: the scan
+// asks once per hit, and a power-of-two table of integers probed linearly
+// answers in a third of the time the built-in map takes. A slot holds
+// the cluster number plus one, so an emptied table is a zeroed one.
+type entityIndex struct {
+	slots []entitySlot
+	used  int
+}
+
+type entitySlot struct {
+	entity  catalog.EntityID
+	cluster int32
+}
+
+// find returns the cluster number filed under entity, filing next under
+// it (and reporting false) when there is none.
+func (x *entityIndex) find(entity catalog.EntityID, next int32) (int32, bool) {
+	if 2*x.used >= len(x.slots) {
+		x.grow()
+	}
+	mask := uint32(len(x.slots) - 1)
+	for i := uint32(entity) * 2654435761 >> 7 & mask; ; i = (i + 1) & mask {
+		switch s := &x.slots[i]; {
+		case s.cluster == 0:
+			*s = entitySlot{entity, next + 1}
+			x.used++
+			return next, false
+		case s.entity == entity:
+			return s.cluster - 1, true
+		}
+	}
+}
+
+// grow doubles the table.
+func (x *entityIndex) grow() {
+	old := x.slots
+	x.slots, x.used = make([]entitySlot, max(64, 2*len(old))), 0
+	for _, s := range old {
+		if s.cluster != 0 {
+			x.find(s.entity, s.cluster-1)
+		}
+	}
+}
+
+// reset empties the table, keeping its size.
+func (x *entityIndex) reset() {
+	clear(x.slots)
+	x.used = 0
 }
 
 // add records one matching row of candidate pair c: the row's answer

@@ -1,6 +1,6 @@
 package search
 
-import "sort"
+import "slices"
 
 // pageEntry pairs an aggregated cluster with its rank key.
 type pageEntry struct {
@@ -73,6 +73,20 @@ func (h *topK) down(i int) {
 func (h *topK) ranked() []pageEntry {
 	out := h.entries
 	h.entries = nil
-	sort.Slice(out, func(i, j int) bool { return out[i].key.before(out[j].key) })
+	sortRanked(out)
 	return out
+}
+
+// sortRanked sorts entries into rank order. A rank is a total order, so
+// an unstable sort has one outcome.
+func sortRanked(entries []pageEntry) {
+	slices.SortFunc(entries, func(a, b pageEntry) int {
+		switch {
+		case a.key.before(b.key):
+			return -1
+		case b.key.before(a.key):
+			return 1
+		}
+		return 0
+	})
 }

@@ -16,6 +16,7 @@ import (
 
 	webtable "repro"
 	"repro/internal/core"
+	"repro/internal/search"
 	"repro/internal/snapshot"
 	"repro/internal/table"
 	"repro/internal/worldgen"
@@ -231,4 +232,6 @@ func BenchmarkHandlerSearch(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(1000*float64(after.NumGC-before.NumGC)/float64(b.N), "gc/1000req")
+	parked, _ := search.ArenaStats()
+	b.ReportMetric(float64(parked)/1024, "arena-KB")
 }

@@ -192,11 +192,13 @@ func (b *HTTPBase) Middleware(next http.Handler) http.Handler {
 		b.inflight.Add(1)
 		defer b.inflight.Add(-1)
 
-		id := r.Header.Get("X-Request-ID")
+		// Spelled the way net/http canonicalises it, or Get and Set each
+		// allocate the canonical spelling.
+		id := r.Header.Get("X-Request-Id")
 		if id == "" {
 			id = b.mintRequestID()
 		}
-		w.Header().Set("X-Request-ID", id)
+		w.Header().Set("X-Request-Id", id)
 		ctx := context.WithValue(r.Context(), requestIDKey, id)
 		if b.Timeout > 0 {
 			var cancel context.CancelFunc
