@@ -164,8 +164,8 @@ func TestArenaReleasedOnceOnEveryPath(t *testing.T) {
 // segments a candidate pair lies in and no other. The view is five
 // segments of which the second and fourth hold only tables without a
 // relation annotation and with other headers, so no mode schedules a pair
-// there; the plan counts three compilations and leaves those two sets
-// unbuilt, in every mode.
+// there; the plan marks three segments compiled and leaves the other two
+// sets unbuilt, in every mode.
 func TestCompileSkipsUnreachedSegments(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 10, 4)
 	for _, ti := range []int{2, 3, 6, 7} {
@@ -195,8 +195,13 @@ func TestCompileSkipsUnreachedSegments(t *testing.T) {
 		if len(p.pairs) == 0 {
 			t.Fatalf("%v: empty plan", mode)
 		}
-		if want := []bool{true, false, true, false, true}; p.compiled != 3 || !reflect.DeepEqual(p.reached, want) {
-			t.Errorf("%v: compiled %d sets, reached %v; want 3, %v", mode, p.compiled, p.reached, want)
+		if want := []bool{true, false, true, false, true}; !reflect.DeepEqual(p.reached, want) {
+			t.Errorf("%v: compiled the probe against segments %v, want %v", mode, p.reached, want)
+		}
+		for seg, reached := range p.reached {
+			if built := !reflect.DeepEqual(p.sets[seg], searchidx.MatchSet{}); built != reached {
+				t.Errorf("%v: segment %d: match set built = %v, reached = %v", mode, seg, built, reached)
+			}
 		}
 		res, err := e.Execute(ctx, Request{Query: q, Mode: mode})
 		if err != nil {

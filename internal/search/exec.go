@@ -171,12 +171,10 @@ type scanPlan struct {
 	// has one (the annotated modes); Baseline keys by text only.
 	byEntity bool
 	// sets[i] is the E2 text probe compiled against corpus segment i, for
-	// the segments a candidate pair lies in (reached; compiled counts
-	// them). A segment without a pair is never scanned, so its set is
-	// never built.
-	sets     []searchidx.MatchSet
-	reached  []bool
-	compiled int
+	// the segments a candidate pair lies in (reached). A segment without
+	// a pair is never scanned, so its set is never built.
+	sets    []searchidx.MatchSet
+	reached []bool
 }
 
 // plan is the pipeline's second stage: it walks each segment's posting
@@ -200,7 +198,6 @@ func (e *Engine) plan(ctx context.Context, req Request, st *ExecStats, a *arena)
 	a.e2.Reset(req.Query.E2Text)
 	p.sets = append(p.sets[:0], make([]searchidx.MatchSet, len(e.segs))...)
 	p.reached = append(p.reached[:0], make([]bool, len(e.segs))...)
-	p.compiled = 0
 	// Pairs come in runs of one segment, and Type mode runs through the
 	// segments once per subject type.
 	last := int32(-1)
@@ -209,7 +206,6 @@ func (e *Engine) plan(ctx context.Context, req Request, st *ExecStats, a *arena)
 			if last = seg; !p.reached[seg] {
 				p.reached[seg] = true
 				p.sets[seg] = e.segs[seg].ix.Compile(&a.e2)
-				p.compiled++
 			}
 		}
 	}

@@ -3,10 +3,12 @@
 // gather turns a plan into each answer cluster's ordered hit list, one
 // PartialGroup per replay group. The plan's candidate pairs are cut
 // into contiguous slices — every replay-group start is a cut, and with
-// parallelism above one the list is cut further for load balance — and
-// a bounded worker pool scans the slices concurrently, each into its
-// own partialCollector: a slice resolves its own cluster identities,
-// exactly as a shard of a cluster does. Afterwards each group's later
+// parallelism above one, on a plan of at least minParallelRows rows, the
+// list is cut further for load balance — and a bounded worker pool scans
+// the slices concurrently, each into its own partialCollector: a slice
+// resolves its own cluster identities and logs its own hits, exactly as
+// a shard of a cluster does. Afterwards every collector's log is cut
+// into per-cluster lists (partialCollector.cut) and each group's later
 // slices are appended onto its first, cluster by cluster in slice order
 // (partialCollector.absorb). At parallelism 1 every slice is a whole
 // group and nothing is appended.
@@ -55,7 +57,7 @@ const minParallelRows = 16384
 // can rebalance when slices carry unequal row counts.
 const shardsPerWorker = 4
 
-// cuts returns the slice boundaries of a non-empty plan scanned by par
+// cutPlan returns the slice boundaries of a non-empty plan scanned by par
 // workers: every replay group start, plus — when par is above 1 — an
 // even split into par*shardsPerWorker ranges. No slice spans two groups,
 // so one scanShards call covers the whole plan and each slice's evidence

@@ -17,18 +17,18 @@
 // plan (exec.go) reads the mode's candidate column pairs off the posting
 // lists each corpus segment materialized at build time — in place,
 // segment after segment, which is ascending corpus order — with their
-// replay groups, and compiles the E2 probe once per segment into the
-// few text IDs it matches. gather (parallel.go) scans them — whole, or
-// under WithParallelism as concurrent contiguous slices that each
-// collect their own clusters and are then appended per cluster in slice
-// order, the way a router concatenates its shards — into the pipeline's
-// only intermediate form: per group, each answer cluster's hit list in
-// serial scan order (partial.go). fold sums each list left to right,
-// selects the page with a bounded min-heap so a top-k query never sorts
-// the full answer set, and reads explanations off the same lists.
-// Execute is the whole pipeline over one corpus; a shard server runs it
-// up to gather (ExecutePartial) and a router folds the shards' groups
-// (MergePartials).
+// replay groups, and compiles the E2 probe, once per segment a pair lies
+// in, into the few text IDs it matches. gather (parallel.go) scans them —
+// whole, or under WithParallelism as concurrent contiguous slices that
+// each collect their own clusters and are then appended per cluster in
+// slice order, the way a router concatenates its shards — into the
+// pipeline's only intermediate form: per group, each answer cluster's
+// hit list in serial scan order (partial.go). fold sums each list left
+// to right, selects the page with a bounded min-heap so a top-k query
+// never sorts the full answer set, and reads explanations off the same
+// lists. Execute is the whole pipeline over one corpus; a shard server
+// runs it up to gather (ExecutePartial) and a router folds the shards'
+// groups (MergePartials).
 //
 // The intermediate form is every hit's evidence, not partial sums,
 // because floating-point addition is not associative and pagination
@@ -37,6 +37,31 @@
 // byte-identical at every parallelism level and shard count. The price
 // is query state of O(matching rows) on every path; what it buys,
 // besides one code path, is that explanations cost no second scan.
+//
+// # Ownership
+//
+// That query state is built and dropped once per query, so it is not
+// allocated per query: an execution takes one arena (arena.go) from a
+// process-wide pool when its per-request work starts and returns it when
+// it returns, on every path — success, error, cancellation. The arena
+// holds everything plan and gather make: the candidate pair list and
+// replay groups, the probes with their compile scratch and the per-segment
+// MatchSets, and per slice a collector — cluster identities, the buffer a
+// column's matching rows are reported in, and a flat log of the hits
+// (cell, evidence, owning cluster) in scan order, which one stable
+// counting pass cuts into per-cluster lists. Nothing a caller receives
+// points into the arena. Execute cuts the log into arena memory and
+// folds it there; what its Result holds — answers, SourceRefs, the
+// cursor, the stats — fold allocates or copies out before the arena goes
+// back. ExecutePartial's caller keeps the groups (a shard server encodes
+// them after the call returns), so there the hit lists are cut out of one
+// allocation of exactly the logged hits, and the group and cluster slices
+// are copied. A released arena keeps its capacity and nothing of the
+// corpus; SetArenaPoison, for tests, makes release overwrite it, which
+// is how TestExecuteMatchesUnderPoison shows that a returned page or
+// partial that aliased its arena would be caught. ArenaStats is the
+// pool's footprint, exported as search_arena_bytes and
+// search_arena_grows_total.
 package search
 
 import (
@@ -154,9 +179,12 @@ type EngineOption func(*Engine)
 
 // WithParallelism sets how many worker goroutines one Execute or
 // ExecutePartial call may use to scan candidate column pairs (see
-// parallel.go). 1 — the default — is the serial scan; any level returns
-// byte-identical results (scores, rankings, cursors, explanations), so
-// the knob is purely about latency. Values below 1 are ignored.
+// parallel.go). It is an upper bound: a plan that visits fewer than
+// minParallelRows rows is scanned on the calling goroutine whatever the
+// level, because there the goroutines cost more than they save. 1 — the
+// default — is always the serial scan; any level returns byte-identical
+// results (scores, rankings, cursors, explanations), so the knob is
+// purely about latency. Values below 1 are ignored.
 func WithParallelism(n int) EngineOption {
 	return func(e *Engine) {
 		if n > 0 {
@@ -169,8 +197,9 @@ func WithParallelism(n int) EngineOption {
 func NewEngine(ix *searchidx.Index) *Engine { return NewEngineOver(ix) }
 
 // NewEngineOver wraps any Corpus — a monolithic index or a segmented
-// view. Engines are stateless and cheap; construct one per corpus
-// snapshot rather than mutating a shared one.
+// view. Engines are stateless; construct one per corpus snapshot, and
+// keep it for as long as that snapshot is served, rather than mutating a
+// shared one or building one per request.
 func NewEngineOver(c Corpus, opts ...EngineOption) *Engine {
 	e := &Engine{c: c, cat: c.Catalog(), segs: make([]corpusSegment, c.Segments()), par: 1, serialBelow: minParallelRows}
 	for i := range e.segs {

@@ -75,16 +75,22 @@ func WithWorkers(n int) ServiceOption {
 }
 
 // WithSearchParallelism sets how many goroutines one Search call may use
-// to scan candidate column pairs. The default derives from the worker
-// pool size (Workers()); 1 forces the serial scan. Any level returns
-// byte-identical results — scores, rankings, cursors and explanations do
-// not depend on it — so the knob trades per-query latency against CPU.
-// These scan workers are internal to a query and do not consume
-// worker-pool slots, so a SearchBatch of b requests may run up to
-// b*parallelism scan goroutines. Memory: every query holds each
-// matching row as a 24-byte hit record until its page is selected —
-// O(matching rows) per in-flight query at any parallelism. 0 keeps the
-// default; negative is an error.
+// to scan candidate column pairs — at most: it is an upper bound. A
+// query whose plan visits fewer than a few thousand rows (the engine's
+// minParallelRows, measured with BenchmarkSearchParallel) is scanned on
+// the calling goroutine whatever the setting, because cutting such a plan
+// up costs more than scanning it; only larger plans fan out. The default
+// derives from the worker pool size (Workers()); 1 forces the serial
+// scan. Any level returns byte-identical results — scores, rankings,
+// cursors and explanations do not depend on it — so the knob trades
+// per-query latency against CPU. These scan workers are internal to a
+// query and do not consume worker-pool slots, so a SearchBatch of b
+// requests may run up to b*parallelism scan goroutines. Memory: a query
+// logs each matching row once (24 bytes) and cuts the log into per-answer
+// hit lists (24 bytes a hit again) — O(matching rows) per in-flight
+// query at any parallelism — in a pooled arena that the next query
+// reuses, not in fresh allocations. 0 keeps the default; negative is an
+// error.
 func WithSearchParallelism(n int) ServiceOption {
 	return func(o *serviceOptions) { o.searchPar = n }
 }

@@ -114,9 +114,9 @@ func (s *Service) Catalog() *Catalog { return s.cat }
 // Workers returns the worker-pool size.
 func (s *Service) Workers() int { return s.workers }
 
-// SearchParallelism returns the number of scan goroutines one Search
-// call may use (WithSearchParallelism; defaults to Workers()). 1 means
-// the serial scan.
+// SearchParallelism returns the most scan goroutines one Search call may
+// use (WithSearchParallelism; defaults to Workers()); small plans use one
+// whatever it says. 1 means the serial scan.
 func (s *Service) SearchParallelism() int { return s.searchPar }
 
 // WorkersInUse reports how many worker-pool slots are currently held.
@@ -509,6 +509,11 @@ const DefaultPageSize = 100
 // answers uses a bounded min-heap (O(n log k)); the full answer count is
 // reported as Result.Total either way.
 //
+// What a query builds and drops on the way — candidate list, match sets,
+// hit log — lives in a pooled execution arena (see internal/search,
+// "Ownership"); the returned result is freshly allocated, the caller's to
+// keep, and bounded by the page.
+//
 // Invalid queries — fields the mode requires left unset, a negative page
 // size — return a *QueryError; a cursor that did not come from a
 // previous Result returns an error wrapping ErrInvalidCursor. Pages are
@@ -536,6 +541,11 @@ func (s *Service) Search(ctx context.Context, req SearchRequest) (*SearchResult,
 // MergeSearchPartials into pages byte-identical to a single-node
 // Search. The request is validated exactly as Search validates it;
 // PageSize, Cursor and Explain are ignored (merge-time concerns).
+//
+// The returned groups are the caller's: every hit list is a piece of one
+// array allocated for exactly the hits of this call, and nothing in them
+// is reused by a later query, so they may be encoded, kept or merged
+// after the call returns.
 //
 // The returned SearchExecStats carries the shard-local execution cost
 // (candidate pairs, rows scanned, stage timings); MergeSearchPartials
