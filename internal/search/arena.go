@@ -29,10 +29,9 @@ type arena struct {
 	counters   []scanCounters
 	// hits is what the collectors' logs are cut into when the lists stay
 	// inside the execution (Execute); next is the counting pass's cursor
-	// per cluster; groups and shards are what fold is handed.
+	// per cluster; shards is what fold is handed, Execute's one shard.
 	hits   []PartialHit
 	next   []int32
-	groups []PartialGroup
 	shards [1][]PartialGroup
 
 	// taken is footprint() when the arena left the pool.
@@ -164,8 +163,7 @@ func (a *arena) scribble() {
 	a.hits = fill(a.hits, badHit)
 	a.next = fill(a.next, -1)
 	a.cuts = fill(a.cuts, -1)
-	a.groups = fill(a.groups, PartialGroup{Key: ^uint32(0)})
-	a.shards[0] = nil
+	a.shards[0] = fill(a.shards[0], PartialGroup{Key: ^uint32(0)})
 	for _, pc := range a.collectors {
 		pc.log = fill(pc.log, loggedHit{table: -1, row: -1, col: -1, cluster: -1, evidence: badHit.Evidence})
 		pc.rows = fill(pc.rows, searchidx.RowHit{Row: -1, Evidence: badHit.Evidence})

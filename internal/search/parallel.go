@@ -193,7 +193,7 @@ func (e *Engine) gather(ctx context.Context, p *scanPlan, tableOffset int, st *E
 		hits = make([]PartialHit, logged)
 	} else {
 		a.hits = slices.Grow(a.hits[:0], logged)
-		hits, groups = a.hits[:logged], a.groups[:0]
+		hits, groups = a.hits[:logged], a.shards[0][:0]
 	}
 	a.next = slices.Grow(a.next[:0], clusters+1)
 	for _, pc := range sinks {
@@ -221,9 +221,6 @@ func (e *Engine) gather(ctx context.Context, p *scanPlan, tableOffset int, st *E
 			}
 			groups = append(groups, PartialGroup{Key: pg.key, Clusters: clusters})
 		}
-	}
-	if !own {
-		a.groups = groups
 	}
 	return groups, nil
 }

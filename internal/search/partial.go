@@ -300,11 +300,11 @@ func (pc *partialCollector) cut(ctx context.Context, dst []PartialHit, next []in
 // absorb appends the clusters of next — the collector of the slice that
 // follows pc's in the same replay group, like pc already cut into lists
 // — onto pc's, cluster by cluster: hits after pc's hits (in memory of
-// the list's own once it outgrows its cut), variant counts added. Slices are contiguous runs
-// of the serial scan, so absorbing a group's slices in order leaves
-// every cluster's hit list in serial scan order. next is consumed (a
-// cluster new to pc takes over its lists). The context is polled about
-// every rowCheckInterval hits, like aggregate.
+// the list's own once it outgrows its cut), variant counts added. Slices
+// are contiguous runs of the serial scan, so absorbing a group's slices
+// in order leaves every cluster's hit list in serial scan order. next is
+// consumed (a cluster new to pc takes over its lists). The context is
+// polled about every rowCheckInterval hits, like aggregate.
 func (pc *partialCollector) absorb(ctx context.Context, next *partialCollector) error {
 	sincePoll := 0
 	for i := range next.clusters {

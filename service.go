@@ -60,8 +60,8 @@ type Service struct {
 
 // viewEngine is a query engine and the immutable view it was built over.
 type viewEngine struct {
-	view *segment.View
-	*search.Engine
+	view   *segment.View
+	engine *search.Engine
 }
 
 // NewService builds a service over a catalog. The catalog is frozen if it
@@ -577,10 +577,10 @@ func (s *Service) engine() (*search.Engine, error) {
 	if ve == nil || ve.view != v {
 		// Two searches racing here build the same engine twice; either
 		// may stay.
-		ve = &viewEngine{view: v, Engine: search.NewEngineOver(v, search.WithParallelism(s.searchPar))}
+		ve = &viewEngine{view: v, engine: search.NewEngineOver(v, search.WithParallelism(s.searchPar))}
 		s.eng.Store(ve)
 	}
-	return ve.Engine, nil
+	return ve.engine, nil
 }
 
 // SearchBatch answers many requests concurrently over the service's
