@@ -46,12 +46,20 @@ import (
 
 // minParallelRows is the size of plan, in rows its scan visits, below
 // which the scan stays on the calling goroutine whatever the engine's
-// parallelism: cutting the plan, a collector per slice and the goroutines
-// cost more than a short scan takes. Read off BenchmarkSearchParallel on
-// the 2-core sandbox (TypeRel, every row a hit, par=2 against par=1):
-// 500 rows +40 % slower, 2 000 rows +10…20 % slower, 8 000 rows even,
-// 32 000 rows 5…10 % faster — the crossover lies between the last two.
-const minParallelRows = 16384
+// parallelism: cutting the plan, a collector per slice, waking the
+// workers and appending their lists cost more than a short scan takes.
+// Read off BenchmarkSearchParallel on the 2-core sandbox, par=2 against
+// par=1. Where one row in 64 is a hit and the rest fall to an entity
+// compare, as in a real corpus (the repository benchmark's plans are 3 %
+// hits), two workers lose by 30 % at 16 000 rows (47–80 µs serial), by
+// 50 % at 64 000, by 30 % at 256 000 (1.0 ms serial) and win by 14 % at a
+// million (4.4 ms): the crossover lies between the last two, and the
+// constant is put there. Where every row is a hit the collectors do the
+// work and the crossover comes earlier — even at 8 000 rows, 5–10 %
+// ahead at 32 000 — but such a plan is a dozen milliseconds either way,
+// and at 60 000 rows (12 000 answers, each seen by every slice) two
+// workers take twice as long as one.
+const minParallelRows = 1 << 19
 
 // shardsPerWorker over-partitions the candidate list so the worker pool
 // can rebalance when slices carry unequal row counts.

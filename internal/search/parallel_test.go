@@ -340,12 +340,20 @@ func TestParallelCancellationMidScan(t *testing.T) {
 // distinct text-cluster answers of the given support (rows per answer),
 // so the scan stage does nAnswers*support row matches before selection.
 func parallelBenchFixture(tb testing.TB, nAnswers, support int) (*searchidx.Index, Query) {
+	return sparseBenchFixture(tb, nAnswers, support, 0)
+}
+
+// sparseBenchFixture is parallelBenchFixture with filler rows after every
+// matching row that name another, annotated director: rows the scan
+// settles with one entity compare, as it does most rows of a real corpus.
+func sparseBenchFixture(tb testing.TB, nAnswers, support, filler int) (*searchidx.Index, Query) {
 	tb.Helper()
 	c := catalog.New()
 	film, _ := c.AddType("Film", "movie")
 	director, _ := c.AddType("Director", "director")
 	directed, _ := c.AddRelation("directed", film, director, catalog.ManyToOne)
 	d1, _ := c.AddEntity("Prolific Director", nil, director)
+	d2, _ := c.AddEntity("Somebody Else", nil, director)
 	if err := c.Freeze(); err != nil {
 		tb.Fatal(err)
 	}
@@ -381,7 +389,11 @@ func parallelBenchFixture(tb testing.TB, nAnswers, support int) (*searchidx.Inde
 			}
 			tab.Cells = append(tab.Cells, []string{fmt.Sprintf("Film %06d", i), "Prolific Director"})
 			ann.CellEntities = append(ann.CellEntities, []catalog.EntityID{catalog.None, catalog.None})
-			if row++; row == rowsPerTable {
+			for f := 0; f < filler; f++ {
+				tab.Cells = append(tab.Cells, []string{fmt.Sprintf("Film %06d", i), "Somebody Else"})
+				ann.CellEntities = append(ann.CellEntities, []catalog.EntityID{catalog.None, d2})
+			}
+			if row += 1 + filler; row >= rowsPerTable {
 				row = 0
 				flush()
 			}
@@ -396,25 +408,32 @@ func parallelBenchFixture(tb testing.TB, nAnswers, support int) (*searchidx.Inde
 }
 
 // BenchmarkSearchParallel contrasts the serial scan against the sharded
-// worker pool (top-10 page of a TypeRel query) over corpora of 500 to
-// 60 000 rows, every one of which the plan visits and matches: it is
-// where minParallelRows is read off. The parallel engines are eager —
-// they cut and start goroutines whatever the plan's size — so that each
-// size shows what parallelism costs or buys there; results are
-// byte-identical either way (TestParallelMatchesSerial). par=4 is always
-// benchmarked so the sharded machinery is exercised even when GOMAXPROCS
-// is 1 (where it measures pure sharding overhead).
+// worker pool (top-10 page of a TypeRel query): it is where
+// minParallelRows is read off. Two shapes of corpus, each over a range of
+// sizes: dense, where every row the plan visits is a hit (500 to 60 000
+// rows — the collectors do most of the work), and sparse, where one row
+// in 64 is (16 000 to a million rows, the other 63 settled by an entity
+// compare as most rows of a real corpus are — the scan does). The
+// parallel engines are eager — they cut and start goroutines whatever
+// the plan's size — so that each size shows what parallelism costs or
+// buys there; results are byte-identical either way
+// (TestParallelMatchesSerial). par=4 is always benchmarked so the sharded
+// machinery is exercised even when GOMAXPROCS is 1 (where it measures
+// pure sharding overhead).
 func BenchmarkSearchParallel(b *testing.B) {
 	ctx := context.Background()
 	pars := []int{1, 4}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
 		pars = append(pars, p)
 	}
-	for _, nAnswers := range []int{100, 400, 1600, 6400, 12000} {
-		ix, q := parallelBenchFixture(b, nAnswers, 5)
+	for _, shape := range []struct{ nAnswers, filler int }{
+		{100, 0}, {400, 0}, {1600, 0}, {6400, 0}, {12000, 0},
+		{50, 63}, {200, 63}, {800, 63}, {3200, 63},
+	} {
+		ix, q := sparseBenchFixture(b, shape.nAnswers, 5, shape.filler)
 		for _, par := range pars {
 			eng := NewEngineOver(ix, eagerParallelism(par))
-			b.Run(fmt.Sprintf("answers=%d/par=%d", nAnswers, par), func(b *testing.B) {
+			b.Run(fmt.Sprintf("rows=%d/answers=%d/par=%d", shape.nAnswers*5*(1+shape.filler), shape.nAnswers, par), func(b *testing.B) {
 				b.ReportAllocs()
 				var total int
 				for i := 0; i < b.N; i++ {
@@ -424,8 +443,8 @@ func BenchmarkSearchParallel(b *testing.B) {
 					}
 					total = res.Total
 				}
-				if total != nAnswers {
-					b.Fatalf("total = %d, want %d", total, nAnswers)
+				if total != shape.nAnswers {
+					b.Fatalf("total = %d, want %d", total, shape.nAnswers)
 				}
 			})
 		}

@@ -76,10 +76,11 @@ func WithWorkers(n int) ServiceOption {
 
 // WithSearchParallelism sets how many goroutines one Search call may use
 // to scan candidate column pairs — at most: it is an upper bound. A
-// query whose plan visits fewer than a few thousand rows (the engine's
+// query whose plan visits fewer than half a million rows (the engine's
 // minParallelRows, measured with BenchmarkSearchParallel) is scanned on
 // the calling goroutine whatever the setting, because cutting such a plan
-// up costs more than scanning it; only larger plans fan out. The default
+// up and waking workers for it costs more than scanning it — a scan
+// settles most rows in a couple of nanoseconds; only larger plans fan out. The default
 // derives from the worker pool size (Workers()); 1 forces the serial
 // scan. Any level returns byte-identical results — scores, rankings,
 // cursors and explanations do not depend on it — so the knob trades
