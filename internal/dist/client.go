@@ -1,13 +1,19 @@
 package dist
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"os"
+	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -71,37 +77,46 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// ClientIsRetryable reports whether a single attempt's failure is worth
-// retrying: transport errors and shard-side 5xx are (the shard may be
-// restarting); client errors are not (the request itself is bad, and
-// will be just as bad next time).
-func clientRetryable(status int, err error) bool {
-	if err != nil {
-		return true
-	}
-	return status >= 500
+// rejected reports whether the shard answered the request itself with a
+// client error — a verdict every shard reaches identically, which the
+// router relays verbatim — as opposed to failing to answer it (Err set:
+// transport, framing, an upgrade it refused).
+func (e *ShardError) rejected() bool {
+	return e.Err == nil && e.Status >= 400 && e.Status < 500
 }
 
 // Client issues partial-evidence and health requests to a fixed set of
 // shard servers, with per-attempt timeouts and bounded exponential
 // retry. The zero value is not usable; fill URLs and leave the rest to
-// defaults or override per field.
+// defaults or override per field. Partial-evidence requests travel as
+// frames over persistent streams the client dials itself (see the package
+// comment's Transport section); a Client must not be copied once used.
 type Client struct {
 	// URLs are the shard base addresses ("http://host:port"), in shard
-	// order. Index in this slice IS the shard number.
+	// order. Index in this slice IS the shard number. The slice's length
+	// is fixed at first use; an address may be repointed.
 	URLs []string
-	// HTTP is the transport (default http.DefaultClient).
+	// HTTP serves Health only (default http.DefaultClient). Partial does
+	// not go through it: streams are plain TCP connections to the host
+	// and port of the shard's URL, upgraded by GET /v1/stream.
 	HTTP *http.Client
 	// AttemptTimeout, Retries, Backoff tune the retry loop; zero values
-	// take the Default* constants. Retries < 0 means no retries.
+	// take the Default* constants. Retries < 0 means no retries. One
+	// attempt — dial and upgrade when no stream is parked, request frame
+	// out, response frame in — runs under AttemptTimeout as the
+	// connection's deadline.
 	AttemptTimeout time.Duration
 	Retries        int
 	Backoff        time.Duration
-	// MaxResponse caps the decoded partial payload size.
+	// MaxResponse caps the partial payload a response frame may declare;
+	// a larger one is refused before it is read.
 	MaxResponse int64
 	// Sleep waits between attempts; tests inject a no-op that records
 	// the requested delays. The default honors ctx cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
+
+	once    sync.Once
+	streams []*shardStreams // per shard, sized by init
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -156,14 +171,15 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 // Shards reports the cluster size.
 func (c *Client) Shards() int { return len(c.URLs) }
 
-// Partial POSTs the raw request body to one shard's /v1/partial and
-// decodes the binary payload, retrying transient failures with doubling
-// backoff. It reports how many retries were spent (for the router's
-// stats) alongside the result. A definitive failure is always a
-// *ShardError; if the shard returned a structured JSON error its code,
-// field and message are preserved so the router can propagate client
-// errors exactly.
+// Partial sends the raw request body to one shard as a frame over a
+// stream and decodes the binary payload that answers it, retrying
+// transient failures with doubling backoff. It reports how many retries
+// were spent (for the router's stats) alongside the result. A definitive
+// failure is always a *ShardError; if the shard returned a structured
+// JSON error its code, field and message are preserved so the router can
+// propagate client errors exactly.
 func (c *Client) Partial(ctx context.Context, shard int, body []byte) (p *Partial, retries int, err error) {
+	c.init(nil)
 	var last *ShardError
 	for attempt := 0; attempt <= c.retries(); attempt++ {
 		if attempt > 0 {
@@ -172,13 +188,13 @@ func (c *Client) Partial(ctx context.Context, shard int, body []byte) (p *Partia
 			}
 			retries++
 		}
-		status, serr := c.attemptPartial(ctx, shard, body, &p)
+		p, serr, retry := c.attemptPartial(ctx, shard, body)
 		if serr == nil {
 			return p, retries, nil
 		}
 		last = serr
 		last.Attempts = attempt + 1
-		if !clientRetryable(status, serr.Err) || ctx.Err() != nil {
+		if !retry || ctx.Err() != nil {
 			break
 		}
 	}
@@ -186,61 +202,262 @@ func (c *Client) Partial(ctx context.Context, shard int, body []byte) (p *Partia
 	return nil, retries, last
 }
 
-// attemptPartial runs one bounded attempt. The returned status is 0 for
-// transport failures.
-func (c *Client) attemptPartial(ctx context.Context, shard int, body []byte, out **Partial) (int, *ShardError) {
-	url := c.URLs[shard]
-	actx, cancel := context.WithTimeout(ctx, c.attemptTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, url+"/v1/partial", bytes.NewReader(body))
-	if err != nil {
-		return 0, &ShardError{Shard: shard, URL: url, Err: err}
+// attemptPartial runs one bounded attempt and reports whether its failure
+// is worth retrying: transport and framing errors and shard-side 5xx are
+// (the shard may be restarting); client errors are not (the request
+// itself is bad, and will be just as bad next time), nor is a shard that
+// does not speak the stream protocol. A parked stream may have died with
+// the shard process it was dialled to: when the first exchange over one
+// fails, it is repeated once, at once, over a fresh dial before the
+// attempt counts as failed — requests are idempotent reads, and a shard
+// restart must not cost every parked stream a backoff.
+func (c *Client) attemptPartial(ctx context.Context, shard int, body []byte) (*Partial, *ShardError, bool) {
+	base, pool := c.URLs[shard], c.streams[shard]
+	fail := func(status int, err error) *ShardError {
+		return &ShardError{Shard: shard, URL: base, Status: status, Err: err}
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if id := server.RequestID(ctx); id != "" {
-		req.Header.Set("X-Request-ID", id)
+	deadline := time.Now().Add(c.attemptTimeout())
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
+	var span string
 	if traceID, spanID, ok := obs.SpanContext(ctx); ok {
-		// The shard roots its own trace under the same ID (it echoes
-		// X-Request-ID) and records this span as its parent, so the two
-		// processes' traces stitch into one query timeline.
-		req.Header.Set("X-Span-Context", traceID+"/"+spanID)
+		// The shard roots its own trace under the same ID and records
+		// this span as its parent, so the two processes' traces stitch
+		// into one query timeline.
+		span = traceID + "/" + spanID
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return 0, &ShardError{Shard: shard, URL: url, Err: err}
+	for fresh := false; ; fresh = true {
+		st, err := pool.take(ctx, base, fresh)
+		if err != nil {
+			return nil, fail(0, err), true
+		}
+		reused := st.br != nil
+		status, err := st.exchange(ctx, deadline, server.RequestID(ctx), span, body, c.maxResponse(), pool)
+		var refused *upgradeError
+		switch {
+		case err == nil:
+		case errors.As(err, &refused):
+			pool.drop(st)
+			return nil, fail(refused.status, err), false
+		case reused && !errors.Is(err, os.ErrDeadlineExceeded) && ctx.Err() == nil:
+			pool.drop(st)
+			continue
+		default:
+			pool.drop(st)
+			return nil, fail(status, err), true
+		}
+		if status != http.StatusOK {
+			se := fail(status, nil)
+			var eb server.ErrorResponse
+			if jerr := json.Unmarshal(st.buf, &eb); jerr == nil && eb.Error.Code != "" {
+				se.Code = eb.Error.Code
+				se.Field = eb.Error.Field
+				se.Message = eb.Error.Message
+			} else {
+				se.Message = http.StatusText(status)
+			}
+			pool.park(st)
+			return nil, se, status >= 500
+		}
+		// DecodePartial copies what it keeps: nothing of the partial
+		// points into the stream's buffer once it is parked.
+		p, err := DecodePartial(st.buf)
+		pool.park(st)
+		if err != nil {
+			// A garbled payload is retryable only as a transport-ish fault;
+			// report it with the decode error attached.
+			return nil, fail(status, err), true
+		}
+		return p, nil, false
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxResponse()+1))
-	if err != nil {
-		return resp.StatusCode, &ShardError{Shard: shard, URL: url, Status: resp.StatusCode, Err: err}
+}
+
+// upgradeError reports a shard that answered GET /v1/stream with
+// something other than 101: not a shard of this protocol (an older
+// binary, a proxy, the wrong port). Definitive — the next attempt would
+// hear the same — and never papered over with another transport.
+type upgradeError struct{ status int }
+
+func (e *upgradeError) Error() string {
+	return fmt.Sprintf("stream upgrade (%s) answered HTTP %d %s, want 101", streamProtocol, e.status, http.StatusText(e.status))
+}
+
+// maxIdleStreams caps the streams parked per shard. A stream is checked
+// out for the length of one leg, so a router holds as many as it has
+// requests in flight at once; what a burst leaves parked beyond that is
+// sockets and 4 KB read buffers nobody is using. 64 is above the
+// concurrency of any workload the ledger runs (8 callers) and of the
+// default worker pool behind a shard; a burst above it dials, and closes
+// the surplus when it parks.
+const maxIdleStreams = 64
+
+// clientStream is one connection to a shard, upgraded to the stream
+// protocol (br set) or about to be. The goroutine that took it from the
+// pool owns it, buffer included, until it parks or drops it.
+type clientStream struct {
+	conn net.Conn
+	br   *bufio.Reader
+	// buf holds the request frame on its way out, then the response
+	// frame's payload.
+	buf []byte
+}
+
+// shardStreams is one shard's parked streams and its stream accounting
+// (the router's router_shard_streams / _stream_dials_total /
+// _wire_bytes_total cells for the shard).
+type shardStreams struct {
+	mu   sync.Mutex
+	idle []*clientStream // most recently parked last
+
+	idleN, busyN  *obs.Gauge
+	dials, tx, rx *obs.Counter
+}
+
+// init builds the per-shard stream pools, their metrics registered on reg
+// (the router's) or, for a client used on its own, counted on a registry
+// nobody scrapes.
+func (c *Client) init(reg *obs.Registry) {
+	c.once.Do(func() {
+		if reg == nil {
+			reg = obs.NewRegistry()
+		}
+		open := reg.Gauge("router_shard_streams",
+			"Streams open to a shard, by state: idle (parked for the next leg) or busy (carrying one).", "shard", "state")
+		dials := reg.Counter("router_shard_stream_dials_total",
+			"Streams dialled and upgraded, by shard; a steady rate above zero means streams are not being reused.", "shard")
+		wire := reg.Counter("router_shard_wire_bytes_total",
+			"Bytes of request frames sent (tx) and response frames received (rx), by shard.", "shard", "dir")
+		c.streams = make([]*shardStreams, len(c.URLs))
+		for i := range c.streams {
+			label := strconv.Itoa(i)
+			c.streams[i] = &shardStreams{
+				idleN: open.With(label, "idle"), busyN: open.With(label, "busy"),
+				dials: dials.With(label), tx: wire.With(label, "tx"), rx: wire.With(label, "rx"),
+			}
+		}
+	})
+}
+
+// take checks a stream out: the most recently parked one or, when none is
+// parked or a fresh one is asked for, a new connection to the shard,
+// which the first exchange upgrades.
+func (p *shardStreams) take(ctx context.Context, base string, fresh bool) (*clientStream, error) {
+	var st *clientStream
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 && !fresh {
+		st, p.idle = p.idle[n-1], p.idle[:n-1]
+		p.idleN.Add(-1)
 	}
-	if int64(len(data)) > c.maxResponse() {
-		return resp.StatusCode, &ShardError{
-			Shard: shard, URL: url, Status: resp.StatusCode,
-			Err: fmt.Errorf("partial payload exceeds %d bytes", c.maxResponse()),
+	p.mu.Unlock()
+	if st == nil {
+		u, err := url.Parse(base)
+		if err != nil || u.Scheme != "http" || u.Host == "" {
+			return nil, fmt.Errorf("dist: shard address %q is not an http://host:port base URL", base)
+		}
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", u.Host)
+		if err != nil {
+			return nil, err
+		}
+		st = &clientStream{conn: conn}
+	}
+	p.busyN.Add(1)
+	return st, nil
+}
+
+// park returns a stream whose exchange completed; over the cap it is
+// closed instead.
+func (p *shardStreams) park(st *clientStream) {
+	p.busyN.Add(-1)
+	p.mu.Lock()
+	if len(p.idle) < maxIdleStreams {
+		p.idle = append(p.idle, st)
+		p.idleN.Add(1)
+		st = nil
+	}
+	p.mu.Unlock()
+	if st != nil {
+		st.conn.Close()
+	}
+}
+
+// drop closes a stream whose exchange failed midway: what is left in the
+// pipe is unknown. Closing it is also what tells the shard to stop
+// working on the frame.
+func (p *shardStreams) drop(st *clientStream) {
+	p.busyN.Add(-1)
+	st.conn.Close()
+}
+
+// CloseIdle closes every parked stream. A router calls it on its way out;
+// streams carrying a leg at that moment are parked again afterwards and
+// live until the next call or the shard's drain.
+func (c *Client) CloseIdle() {
+	c.init(nil)
+	for _, p := range c.streams {
+		p.mu.Lock()
+		idle := p.idle
+		p.idle = nil
+		p.idleN.Add(-float64(len(idle)))
+		p.mu.Unlock()
+		for _, st := range idle {
+			st.conn.Close()
 		}
 	}
-	if resp.StatusCode != http.StatusOK {
-		se := &ShardError{Shard: shard, URL: url, Status: resp.StatusCode}
-		var eb server.ErrorResponse
-		if jerr := json.Unmarshal(data, &eb); jerr == nil && eb.Error.Code != "" {
-			se.Code = eb.Error.Code
-			se.Field = eb.Error.Field
-			se.Message = eb.Error.Message
-		} else {
-			se.Message = http.StatusText(resp.StatusCode)
+}
+
+// exchange sends one request frame and reads the response frame that
+// answers it, upgrading the connection first if it is new. It runs on the
+// calling goroutine: deadline bounds every read and write on the
+// connection, and ctx's cancellation pulls the deadline into the past so
+// that a blocked one returns at once. On success st.buf is the payload.
+// An error leaves the stream unusable.
+func (st *clientStream) exchange(ctx context.Context, deadline time.Time, id, span string, body []byte, maxResponse int64, acct *shardStreams) (status int, err error) {
+	st.conn.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { st.conn.SetDeadline(time.Unix(1, 0)) })
+	defer func() {
+		if !stop() && err == nil {
+			err = context.Cause(ctx) // the deadline may be moving under the next exchange
 		}
-		return resp.StatusCode, se
+	}()
+	if st.br == nil {
+		if err := st.upgrade(); err != nil {
+			return 0, err
+		}
+		acct.dials.Inc()
 	}
-	p, err := DecodePartial(data)
+	st.buf = appendRequestFrame(st.buf[:0], id, span, time.Until(deadline), body)
+	if _, err := st.conn.Write(st.buf); err != nil {
+		return 0, err
+	}
+	acct.tx.Add(uint64(len(st.buf)))
+	status, st.buf, err = readResponseFrame(st.br, st.buf, maxResponse)
 	if err != nil {
-		// A garbled payload is retryable only as a transport-ish fault;
-		// report it with the decode error attached.
-		return resp.StatusCode, &ShardError{Shard: shard, URL: url, Status: resp.StatusCode, Err: err}
+		return status, err
 	}
-	*out = p
-	return resp.StatusCode, nil
+	acct.rx.Add(uint64(responseFrameHead + len(st.buf)))
+	return status, nil
+}
+
+// upgrade sends GET /v1/stream with the stream protocol's Upgrade token
+// and reads the answer; anything but 101 is an *upgradeError.
+func (st *clientStream) upgrade() error {
+	host := st.conn.RemoteAddr().String()
+	if _, err := io.WriteString(st.conn, "GET /v1/stream HTTP/1.1\r\nHost: "+host+
+		"\r\nConnection: Upgrade\r\nUpgrade: "+streamProtocol+"\r\n\r\n"); err != nil {
+		return err
+	}
+	br := bufio.NewReader(st.conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols || !strings.EqualFold(resp.Header.Get("Upgrade"), streamProtocol) {
+		return &upgradeError{status: resp.StatusCode}
+	}
+	st.br = br
+	return nil
 }
 
 // Health GETs one shard's /v1/healthz (single attempt — health checks

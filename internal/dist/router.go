@@ -141,6 +141,7 @@ func NewRouter(client *Client, opts ...Option) *Router {
 			rtt:      rtt.With(label),
 		}
 	}
+	client.init(rt.base.Reg)
 	rt.execStats = server.NewExecStatsRecorder(rt.base.Reg)
 	rt.base.MapErr = routerMapError
 	for _, opt := range opts {
@@ -164,7 +165,7 @@ func routerMapError(err error) (int, string, string) {
 		return http.StatusBadGateway, "shard_inconsistent", ""
 	}
 	if se, ok := asShardError(err); ok {
-		if se.Status >= 400 && se.Status < 500 {
+		if se.rejected() {
 			// A shard rejected the request itself; keep its status and code
 			// so clients can't tell a router from a single node.
 			return se.Status, se.Code, se.Field
@@ -180,8 +181,11 @@ func (rt *Router) Handler() http.Handler { return rt.handler }
 // InFlight reports requests currently being handled.
 func (rt *Router) InFlight() int64 { return rt.base.InFlight() }
 
-// Serve runs until ctx is canceled, then drains gracefully.
+// Serve runs until ctx is canceled, then drains gracefully and closes the
+// streams the client has parked (every leg has returned its stream by
+// then), which is what ends them on the shards.
 func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
+	defer rt.client.CloseIdle()
 	return rt.base.Serve(ctx, ln, rt.handler)
 }
 
@@ -221,7 +225,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	partials, err := rt.scatter(obs.ContextWithSpan(ctx, fanSp), body)
 	fanSp.End()
 	if err != nil {
-		if se, ok := asShardError(err); ok && se.Status >= 400 && se.Status < 500 {
+		if se, ok := asShardError(err); ok && se.rejected() {
 			// A shard rejected the request itself (bad names, bad query
 			// shape). Relay its structured error verbatim — status, code,
 			// field and message — so a client can't tell the router from a
@@ -269,29 +273,35 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 // gathers either a complete, consistent set of partials or one error
 // chosen deterministically: the parent context's own failure first,
 // then the lowest-index shard's client error (4xx), then the
-// lowest-index availability failure.
+// lowest-index availability failure. A leg is written and read on the
+// goroutine that runs it, so the last shard's runs on the handler's own:
+// n − 1 spawns, and none for a cluster of one.
 func (rt *Router) scatter(ctx context.Context, body []byte) ([]*Partial, error) {
 	n := rt.client.Shards()
 	partials := make([]*Partial, n)
 	errs := make([]error, n)
+	leg := func(shard int) {
+		// One child span per shard under the fan-out span; its context
+		// rides to the shard in the request frame, so the shard's own
+		// trace records this span as its parent.
+		sp := obs.Begin(ctx, "router.shard")
+		sp.SetAttr("shard", strconv.Itoa(shard))
+		sp.SetAttr("url", rt.client.URLs[shard])
+		start := time.Now()
+		p, retries, err := rt.client.Partial(obs.ContextWithSpan(ctx, sp), shard, body)
+		sp.End()
+		rt.stats[shard].record(time.Since(start), retries, err)
+		partials[shard], errs[shard] = p, err
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 0; i < n-1; i++ {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			// One child span per shard under the fan-out span; its
-			// context rides to the shard in X-Span-Context, so the
-			// shard's own trace records this span as its parent.
-			sp := obs.Begin(ctx, "router.shard")
-			sp.SetAttr("shard", strconv.Itoa(shard))
-			sp.SetAttr("url", rt.client.URLs[shard])
-			start := time.Now()
-			p, retries, err := rt.client.Partial(obs.ContextWithSpan(ctx, sp), shard, body)
-			sp.End()
-			rt.stats[shard].record(time.Since(start), retries, err)
-			partials[shard], errs[shard] = p, err
+			leg(shard)
 		}(i)
 	}
+	leg(n - 1)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		// The request as a whole timed out or the client left; report
@@ -302,7 +312,7 @@ func (rt *Router) scatter(ctx context.Context, body []byte) ([]*Partial, error) 
 	// verdict is deterministic (every shard validates identically), so
 	// propagate the lowest shard's answer.
 	for _, err := range errs {
-		if se, ok := asShardError(err); ok && se.Status >= 400 && se.Status < 500 {
+		if se, ok := asShardError(err); ok && se.rejected() {
 			return nil, err
 		}
 	}

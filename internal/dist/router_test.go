@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,14 +36,51 @@ func newFakeCluster(t testing.TB, handlers ...http.Handler) *fakeCluster {
 	for _, h := range handlers {
 		sw := &swapHandler{}
 		sw.Set(h)
-		ts := httptest.NewServer(sw)
+		ts := httptest.NewServer(streamFace(sw))
 		t.Cleanup(ts.Close)
 		c.swaps = append(c.swaps, sw)
 		urls = append(urls, ts.URL)
 	}
 	c.client = &Client{URLs: urls, Sleep: noSleep, Retries: 2, Backoff: time.Millisecond}
+	t.Cleanup(c.client.CloseIdle)
 	c.router = NewRouter(c.client, WithLogger(quietLogger()))
 	return c
+}
+
+// streamFace puts the stream protocol in front of a fake shard, so that
+// the failure-policy tests keep scripting shards as plain http.Handlers:
+// GET /v1/stream is upgraded, and every request frame becomes a
+// POST /v1/partial call of h — request ID and span context in the headers
+// the HTTP framing carries them in, the frame's context (cancelled when
+// the client hangs up) as the request's — whose status and body go back
+// as the response frame. It runs the shard server's own stream loop
+// (streamSet.serve). Anything else, a health probe, reaches h as it is.
+func streamFace(h http.Handler) http.Handler {
+	ss := newStreamSet()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/stream" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Upgrade", streamProtocol)
+		w.Header().Set("Connection", "Upgrade")
+		w.WriteHeader(http.StatusSwitchingProtocols)
+		conn, rw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			panic(err)
+		}
+		go ss.serve(ss.ctx, conn, rw.Reader, 0, func(ctx context.Context, fr requestFrame, _ bool, dst []byte) []byte {
+			req := httptest.NewRequest(http.MethodPost, "/v1/partial", bytes.NewReader(fr.Body)).WithContext(ctx)
+			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("X-Request-ID", string(fr.ID))
+			req.Header.Set("X-Span-Context", string(fr.Span))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			start := len(dst)
+			dst = append(beginResponseFrame(dst, rec.Code), rec.Body.Bytes()...)
+			return endResponseFrame(dst, start)
+		})
+	})
 }
 
 // fakePartial answers every /v1/partial with a fixed valid payload and
@@ -313,9 +351,10 @@ func TestClientNoRetryOn4xx(t *testing.T) {
 		w.WriteHeader(http.StatusBadRequest)
 		w.Write([]byte(`{"error":{"code":"unknown_name","message":"no","field":"t1"}}`))
 	})
-	ts := httptest.NewServer(reject)
+	ts := httptest.NewServer(streamFace(reject))
 	t.Cleanup(ts.Close)
 	client := &Client{URLs: []string{ts.URL}, Sleep: noSleep, Retries: 3, Backoff: time.Millisecond}
+	t.Cleanup(client.CloseIdle)
 	_, retries, err := client.Partial(context.Background(), 0, searchReq())
 	if hits.Load() != 1 || retries != 0 {
 		t.Fatalf("attempts = %d, retries = %d; want a single attempt", hits.Load(), retries)
@@ -332,7 +371,7 @@ func TestClientBackoffDoubles(t *testing.T) {
 	fail := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 	})
-	ts := httptest.NewServer(fail)
+	ts := httptest.NewServer(streamFace(fail))
 	t.Cleanup(ts.Close)
 	var slept []time.Duration
 	client := &Client{

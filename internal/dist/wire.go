@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/search"
@@ -75,8 +76,14 @@ type Partial struct {
 // block: 3 u64 counters, 4 u32 small counts, 6 u64 stage nanos.
 const partialStatsLen = 3*8 + 4*4 + 6*8
 
-// EncodePartial serializes p at the current wire version. Layout (all
-// integers big-endian):
+// EncodePartial serializes p at the current wire version into a buffer
+// of its own: AppendPartial(nil, p).
+func EncodePartial(p *Partial) []byte { return AppendPartial(nil, p) }
+
+// AppendPartial appends p, serialized at the current wire version, to dst
+// (grown once, to the payload's size) — a stream's worker encodes every
+// partial into the one buffer it answers from. Layout (all integers
+// big-endian):
 //
 //	magic "WTPART", version u8, generation u64, shard u32, shards u32,
 //	stats block (v2+: candidate-pairs u64, pairs-matched u64,
@@ -91,14 +98,14 @@ const partialStatsLen = 3*8 + 4*4 + 6*8
 // Strings are u32 length + bytes. The evidence float crosses the wire
 // as its exact bit pattern, because the merge's byte-identity contract
 // is bit-exact arithmetic.
-func EncodePartial(p *Partial) []byte {
-	return encodePartial(p, PartialVersion)
+func AppendPartial(dst []byte, p *Partial) []byte {
+	return appendPartial(dst, p, PartialVersion)
 }
 
-// encodePartial serializes p at an explicit wire version — version 1
+// appendPartial serializes p at an explicit wire version — version 1
 // omits the stats block. Kept internal for compatibility tests; callers
 // always encode at PartialVersion.
-func encodePartial(p *Partial, version uint8) []byte {
+func appendPartial(buf []byte, p *Partial, version uint8) []byte {
 	// Pre-size: header + a conservative walk of the payload.
 	size := 6 + 1 + 8 + 4 + 4 + 4
 	if version >= 2 {
@@ -116,7 +123,7 @@ func encodePartial(p *Partial, version uint8) []byte {
 			}
 		}
 	}
-	buf := make([]byte, 0, size)
+	buf = slices.Grow(buf, size)
 	buf = append(buf, partialMagic[:]...)
 	buf = append(buf, version)
 	buf = binary.BigEndian.AppendUint64(buf, p.Generation)

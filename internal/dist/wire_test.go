@@ -113,7 +113,7 @@ func TestDecodePartialTruncation(t *testing.T) {
 // from a not-yet-upgraded shard must see.
 func TestDecodePartialV1Compat(t *testing.T) {
 	p := samplePartial()
-	data := encodePartial(p, 1)
+	data := appendPartial(nil, p, 1)
 	got, err := DecodePartial(data)
 	if err != nil {
 		t.Fatalf("v1 payload rejected: %v", err)
@@ -236,7 +236,7 @@ func partialFootprint(p *Partial) int {
 // the wire).
 func FuzzDecodePartial(f *testing.F) {
 	f.Add(EncodePartial(samplePartial()))
-	f.Add(encodePartial(samplePartial(), 1))
+	f.Add(appendPartial(nil, samplePartial(), 1))
 	f.Add(EncodePartial(&Partial{}))
 	for _, data := range rejectedPayloads() {
 		f.Add(data)

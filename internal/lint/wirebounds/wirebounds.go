@@ -7,8 +7,9 @@
 // turns one flipped bit into a multi-gigabyte make(). The repaired
 // discipline is partialReader.count(min), which compares the decoded
 // count against the bytes remaining before returning it. This analyzer
-// generalizes that rule flow-sensitively, in files named wire.go (the
-// wire-format boundary, where raw network bytes become Go values):
+// generalizes that rule flow-sensitively, in files named wire.go or
+// stream.go (the wire-format boundary, where raw network bytes become Go
+// values: a payload, or the frames of a stream that carry it):
 //
 //   - a variable assigned from a raw wire read — a reader method named
 //     u8/u16/u32/u64/uvarint/varint, or encoding/binary's
@@ -43,6 +44,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
+// wireFiles are the file names the analyzer scopes itself to.
+var wireFiles = map[string]bool{"wire.go": true, "stream.go": true}
+
 // rawReads are the reader method names whose results are tainted.
 var rawReads = map[string]bool{
 	"u8": true, "u16": true, "u32": true, "u64": true,
@@ -51,8 +55,7 @@ var rawReads = map[string]bool{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		name := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		if name != "wire.go" {
+		if !wireFiles[filepath.Base(pass.Fset.Position(f.Pos()).Filename)] {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -62,6 +63,11 @@ type HTTPBase struct {
 	idPrefix string
 	reqSeq   atomic.Uint64
 	inflight atomic.Int64
+
+	// The request metrics Handle feeds, registered by instrument.
+	reqTotal *obs.CounterVec
+	reqDur   *obs.HistogramVec
+	cells    routeCells
 }
 
 // NewHTTPBase returns a base with the standard defaults: slog.Default,
@@ -117,6 +123,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the connection (the shard
+// stream's upgrade hijacks it).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // routeKey is one (route, method, status) cell of the request metrics,
 // routeCell its two handles.
 type routeKey struct {
@@ -162,105 +172,145 @@ func (b *HTTPBase) mintRequestID() string {
 	return string(strconv.AppendUint(id, seq, 10))
 }
 
-// Middleware attaches the request ID, per-request timeout, body cap,
-// in-flight accounting, per-route metrics, the request's trace root
-// span and the structured log line, and maps a context already dead on
-// arrival (client gone before dispatch) to its error response without
-// invoking the handler.
-func (b *HTTPBase) Middleware(next http.Handler) http.Handler {
-	var (
-		reqTotal *obs.CounterVec
-		reqDur   *obs.HistogramVec
-	)
-	if b.Reg != nil {
-		reqTotal = b.Reg.Counter("http_requests_total",
+// Call is one request as the envelope sees it, whichever framing
+// carried it: an HTTP request (Middleware) or a frame of a shard stream.
+type Call struct {
+	// ID is the request ID the peer sent; empty, one is minted.
+	ID string
+	// SpanContext is the peer's calling span ("trace/span", the
+	// X-Span-Context header), or empty. It is advisory: a malformed,
+	// truncated or oversized one degrades to a root span with no parent
+	// attr, never an error — tracing must not be able to fail a request.
+	SpanContext string
+	// Method, Path and Remote go to the log line; Method also names the
+	// root span until the route is known, and labels the request metrics.
+	Method, Path, Remote string
+	// Budget, when positive, is how long the peer will wait; the request's
+	// deadline is the sooner of it and Timeout.
+	Budget time.Duration
+}
+
+// instrument registers the request metrics and hands the tracer the
+// logger, once per base and before it serves.
+func (b *HTTPBase) instrument() {
+	if b.Reg != nil && b.reqTotal == nil {
+		b.reqTotal = b.Reg.Counter("http_requests_total",
 			"HTTP requests handled, by matched route, method and status.",
 			"route", "method", "status")
-		reqDur = b.Reg.Histogram("http_request_duration_seconds",
+		b.reqDur = b.Reg.Histogram("http_request_duration_seconds",
 			"HTTP request handling latency by matched route.",
 			obs.LatencyBuckets, "route")
 		b.Reg.GaugeFunc("http_in_flight_requests",
 			"Requests currently being handled.",
 			func() float64 { return float64(b.inflight.Load()) })
+		b.cells.cells = make(map[routeKey]routeCell)
 	}
-	handles := routeCells{cells: make(map[routeKey]routeCell)}
 	if b.Tracer != nil && b.Tracer.Log == nil {
 		b.Tracer.Log = b.Log
 	}
+}
+
+// Handle is the per-request envelope every request passes through,
+// however it arrived: it attaches the request ID (the peer's, else a
+// minted one), the per-request deadline and the trace root span, counts
+// the request in flight while run executes, and afterwards names the span
+// by the route run reports, feeds the route's request metrics and writes
+// the one structured log line. run answers the request — it receives the
+// envelope's context and the request ID — and returns the matched route
+// (empty: "unmatched") and the status it answered with. Middleware must
+// have been called on the base first (it registers what Handle records).
+func (b *HTTPBase) Handle(ctx context.Context, c Call, run func(ctx context.Context, id string) (route string, status int)) {
+	start := time.Now()
+	b.inflight.Add(1)
+	defer b.inflight.Add(-1)
+
+	id := c.ID
+	if id == "" {
+		id = b.mintRequestID()
+	}
+	ctx = context.WithValue(ctx, requestIDKey, id)
+	timeout := b.Timeout
+	if c.Budget > 0 && (timeout <= 0 || c.Budget < timeout) {
+		timeout = c.Budget
+	}
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	var sp *obs.Span
+	if b.Tracer != nil {
+		// The root span's trace ID is the request ID, so one query's
+		// traces correlate across router and shards; the span is
+		// renamed to the matched route once run resolved it.
+		ctx, sp = b.Tracer.Start(ctx, id, c.Method)
+		if c.SpanContext != "" {
+			if traceID, spanID, ok := obs.ParseSpanContext(c.SpanContext); ok {
+				sp.SetAttr("parent", traceID+"/"+spanID)
+			}
+		}
+	}
+
+	route, status := run(ctx, id)
+	if route == "" {
+		route = "unmatched"
+	}
+	sp.SetName(route)
+	sp.End()
+	dur := time.Since(start)
+	if b.reqTotal != nil {
+		method := normalizeMethodLabel(c.Method)
+		key := routeKey{route, method, status}
+		cell, ok := b.cells.get(key)
+		if !ok {
+			cell = routeCell{b.reqTotal.With(route, method, strconv.Itoa(status)), b.reqDur.With(route)}
+			b.cells.put(key, cell)
+		}
+		cell.total.Inc()
+		cell.dur.Observe(dur.Seconds())
+	}
+	b.Log.LogAttrs(context.Background(), slog.LevelInfo, "request",
+		slog.String("id", id),
+		slog.String("method", c.Method),
+		slog.String("path", c.Path),
+		slog.Int("status", status),
+		slog.Float64("duration_ms", float64(dur.Microseconds())/1000),
+		slog.String("remote", c.Remote),
+	)
+}
+
+// Middleware is the HTTP framing of Handle: it reads the request ID and
+// span context from the headers, echoes the ID, caps the body, and maps a
+// context already dead on arrival (client gone before dispatch) to its
+// error response without invoking the handler. The route is the pattern
+// the inner ServeMux matched.
+func (b *HTTPBase) Middleware(next http.Handler) http.Handler {
+	b.instrument()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		b.inflight.Add(1)
-		defer b.inflight.Add(-1)
-
-		// Spelled the way net/http canonicalises it, or Get and Set each
-		// allocate the canonical spelling.
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = b.mintRequestID()
+		// Spelled the way net/http canonicalises them, or every Get and
+		// Set allocates the canonical spelling.
+		call := Call{
+			ID:          r.Header.Get("X-Request-Id"),
+			SpanContext: r.Header.Get("X-Span-Context"),
+			Method:      r.Method, Path: r.URL.Path, Remote: r.RemoteAddr,
 		}
-		w.Header().Set("X-Request-Id", id)
-		ctx := context.WithValue(r.Context(), requestIDKey, id)
-		if b.Timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, b.Timeout)
-			defer cancel()
-		}
-		var sp *obs.Span
-		if b.Tracer != nil {
-			// The root span's trace ID is the request ID, so one query's
-			// traces correlate across router and shards; the span is
-			// renamed to the matched route once the mux resolved it.
-			ctx, sp = b.Tracer.Start(ctx, id, r.Method)
-			// A parent span context is advisory: a malformed, truncated
-			// or oversized header degrades to a fresh root span (no
-			// parent attr), never an error — tracing must not be able to
-			// fail a request.
-			if raw := r.Header.Get("X-Span-Context"); raw != "" {
-				if traceID, spanID, ok := obs.ParseSpanContext(raw); ok {
-					sp.SetAttr("parent", traceID+"/"+spanID)
-				}
+		b.Handle(r.Context(), call, func(ctx context.Context, id string) (string, int) {
+			w.Header().Set("X-Request-Id", id)
+			r := r.WithContext(ctx)
+			if b.MaxBody > 0 && r.Body != nil {
+				r.Body = http.MaxBytesReader(w, r.Body, b.MaxBody)
 			}
-		}
-		r = r.WithContext(ctx)
-		if b.MaxBody > 0 && r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, b.MaxBody)
-		}
-
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		if err := ctx.Err(); err != nil {
-			b.WriteError(sw, r, err)
-		} else {
-			next.ServeHTTP(sw, r)
-		}
-		// r.Pattern is filled by the inner ServeMux during dispatch;
-		// using it (not the raw path) keeps the route label's
-		// cardinality bounded by the route table.
-		route := r.Pattern
-		if route == "" {
-			route = "unmatched"
-		}
-		sp.SetName(route)
-		sp.End()
-		dur := time.Since(start)
-		if reqTotal != nil {
-			method := normalizeMethodLabel(r.Method)
-			key := routeKey{route, method, sw.status}
-			c, ok := handles.get(key)
-			if !ok {
-				c = routeCell{reqTotal.With(route, method, strconv.Itoa(sw.status)), reqDur.With(route)}
-				handles.put(key, c)
+			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+			if err := ctx.Err(); err != nil {
+				b.WriteError(sw, r, err)
+			} else {
+				next.ServeHTTP(sw, r)
 			}
-			c.total.Inc()
-			c.dur.Observe(dur.Seconds())
-		}
-		b.Log.LogAttrs(context.Background(), slog.LevelInfo, "request",
-			slog.String("id", id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Float64("duration_ms", float64(dur.Microseconds())/1000),
-			slog.String("remote", r.RemoteAddr),
-		)
+			// r.Pattern is filled by the inner ServeMux during dispatch;
+			// using it (not the raw path) keeps the route label's
+			// cardinality bounded by the route table.
+			return r.Pattern, sw.status
+		})
 	})
 }
 
@@ -413,20 +463,33 @@ func MapError(err error) (status int, code, field string) {
 	}
 }
 
-// WriteError writes the structured JSON error response for err, mapped
-// through MapErr (default MapError).
-func (b *HTTPBase) WriteError(w http.ResponseWriter, r *http.Request, err error) {
+// ErrorBody returns the status and the structured JSON body that answer
+// err, mapped through MapErr (default MapError) — the bytes WriteError
+// sends, for a framing that is not an http.ResponseWriter.
+func (b *HTTPBase) ErrorBody(ctx context.Context, err error) (status int, body []byte) {
 	mapErr := b.MapErr
 	if mapErr == nil {
 		mapErr = MapError
 	}
 	status, code, field := mapErr(err)
-	b.WriteJSON(w, status, ErrorResponse{Error: ErrorBody{
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(ErrorResponse{Error: ErrorBody{
 		Code:      code,
 		Message:   err.Error(),
 		Field:     field,
-		RequestID: RequestID(r.Context()),
-	}})
+		RequestID: RequestID(ctx),
+	}}); err != nil {
+		b.Log.Error("encode response", "err", err)
+	}
+	return status, buf.Bytes()
+}
+
+// WriteError writes the structured JSON error response for err.
+func (b *HTTPBase) WriteError(w http.ResponseWriter, r *http.Request, err error) {
+	status, body := b.ErrorBody(r.Context(), err)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // WriteJSON writes v as the JSON response body with the given status.
