@@ -220,20 +220,13 @@ func (c *Client) attemptPartial(ctx context.Context, shard int, body []byte) (*P
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	var span string
-	if traceID, spanID, ok := obs.SpanContext(ctx); ok {
-		// The shard roots its own trace under the same ID and records
-		// this span as its parent, so the two processes' traces stitch
-		// into one query timeline.
-		span = traceID + "/" + spanID
-	}
 	for fresh := false; ; fresh = true {
 		st, err := pool.take(ctx, base, fresh)
 		if err != nil {
 			return nil, fail(0, err), true
 		}
 		reused := st.br != nil
-		status, err := st.exchange(ctx, deadline, server.RequestID(ctx), span, body, c.maxResponse(), pool)
+		status, err := st.exchange(ctx, deadline, body, c.maxResponse(), pool)
 		var refused *upgradeError
 		switch {
 		case err == nil:
@@ -407,13 +400,14 @@ func (c *Client) CloseIdle() {
 	}
 }
 
-// exchange sends one request frame and reads the response frame that
-// answers it, upgrading the connection first if it is new. It runs on the
-// calling goroutine: deadline bounds every read and write on the
-// connection, and ctx's cancellation pulls the deadline into the past so
-// that a blocked one returns at once. On success st.buf is the payload.
-// An error leaves the stream unusable.
-func (st *clientStream) exchange(ctx context.Context, deadline time.Time, id, span string, body []byte, maxResponse int64, acct *shardStreams) (status int, err error) {
+// exchange sends body as one request frame — with ctx's request ID, its
+// span's context and what is left until deadline as the budget — and reads
+// the response frame that answers it, upgrading the connection first if
+// it is new. It runs on the calling goroutine: deadline bounds every read
+// and write on the connection, and ctx's cancellation pulls the deadline
+// into the past so that a blocked one returns at once. On success st.buf
+// is the payload. An error leaves the stream unusable.
+func (st *clientStream) exchange(ctx context.Context, deadline time.Time, body []byte, maxResponse int64, acct *shardStreams) (status int, err error) {
 	st.conn.SetDeadline(deadline)
 	stop := context.AfterFunc(ctx, func() { st.conn.SetDeadline(time.Unix(1, 0)) })
 	defer func() {
@@ -427,7 +421,14 @@ func (st *clientStream) exchange(ctx context.Context, deadline time.Time, id, sp
 		}
 		acct.dials.Inc()
 	}
-	st.buf = appendRequestFrame(st.buf[:0], id, span, time.Until(deadline), body)
+	var span string
+	if traceID, spanID, ok := obs.SpanContext(ctx); ok {
+		// The shard roots its own trace under the same ID and records
+		// this span as its parent, so the two processes' traces stitch
+		// into one query timeline.
+		span = traceID + "/" + spanID
+	}
+	st.buf = appendRequestFrame(st.buf[:0], server.RequestID(ctx), span, time.Until(deadline), body)
 	if _, err := st.conn.Write(st.buf); err != nil {
 		return 0, err
 	}

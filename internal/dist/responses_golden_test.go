@@ -68,6 +68,63 @@ func TestResponsesGolden(t *testing.T) {
 	routed := NewRouter(&Client{URLs: urls, Sleep: noSleep}, WithLogger(quietLogger()),
 		func(b *server.HTTPBase) { b.MaxBody = maxBody }).Handler()
 
+	cases := goldenRequests(t, w, single, maxBody)
+
+	var got bytes.Buffer
+	for _, node := range []struct {
+		name string
+		h    http.Handler
+	}{{"single", single}, {"routed", routed}} {
+		for i, c := range cases {
+			req := httptest.NewRequest(c.method, c.path, bytes.NewReader(c.body))
+			req.Header.Set("X-Request-ID", fmt.Sprintf("golden-%03d", i))
+			rec := httptest.NewRecorder()
+			node.h.ServeHTTP(rec, req)
+			fmt.Fprintf(&got, "== %s %03d %s: %s %s\nstatus %d\n", node.name, i, c.name, c.method, c.path, rec.Code)
+			var names []string
+			for name := range rec.Header() {
+				if name != "X-Request-Id" && name != "Date" {
+					names = append(names, name)
+				}
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				fmt.Fprintf(&got, "header %s: %s\n", name, strings.Join(rec.Header()[name], ", "))
+			}
+			fmt.Fprintf(&got, "body %s\n", bytes.TrimRight(stageNanos.ReplaceAll(rec.Body.Bytes(), []byte(`"stage_nanos":{}`)), "\n"))
+		}
+	}
+
+	path := filepath.Join("testdata", "responses.golden")
+	if *updateResponses {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run go test -run TestResponsesGolden -update ./internal/dist to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("responses diverge from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("responses diverge from %s in length: %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+// goldenRequests is the fixed request list of TestResponsesGolden: every
+// mode, a cursor chain walked to its end on single (its next_cursor is the
+// next request), explain, debug, and each 4xx shape; maxBody is the body
+// cap the "oversized body" case has to exceed.
+func goldenRequests(t testing.TB, w *worldgen.World, single http.Handler, maxBody int) []goldenCase {
+	t.Helper()
 	workload := w.SearchWorkload([]string{"directed", "actedIn"}, 1, 7)
 	if len(workload) < 2 {
 		t.Fatalf("workload too small: %d", len(workload))
@@ -120,54 +177,7 @@ func TestResponsesGolden(t *testing.T) {
 		goldenCase{"unmatched path", http.MethodGet, "/v1/nowhere", nil},
 		goldenCase{"unknown trace", http.MethodGet, "/v1/traces/never-recorded", nil},
 	)
-
-	var got bytes.Buffer
-	for _, node := range []struct {
-		name string
-		h    http.Handler
-	}{{"single", single}, {"routed", routed}} {
-		for i, c := range cases {
-			req := httptest.NewRequest(c.method, c.path, bytes.NewReader(c.body))
-			req.Header.Set("X-Request-ID", fmt.Sprintf("golden-%03d", i))
-			rec := httptest.NewRecorder()
-			node.h.ServeHTTP(rec, req)
-			fmt.Fprintf(&got, "== %s %03d %s: %s %s\nstatus %d\n", node.name, i, c.name, c.method, c.path, rec.Code)
-			var names []string
-			for name := range rec.Header() {
-				if name != "X-Request-Id" && name != "Date" {
-					names = append(names, name)
-				}
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				fmt.Fprintf(&got, "header %s: %s\n", name, strings.Join(rec.Header()[name], ", "))
-			}
-			fmt.Fprintf(&got, "body %s\n", bytes.TrimRight(stageNanos.ReplaceAll(rec.Body.Bytes(), []byte(`"stage_nanos":{}`)), "\n"))
-		}
-	}
-
-	path := filepath.Join("testdata", "responses.golden")
-	if *updateResponses {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run go test -run TestResponsesGolden -update ./internal/dist to create it)", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if !bytes.Equal(gl[i], wl[i]) {
-				t.Fatalf("responses diverge from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("responses diverge from %s in length: %d lines, want %d", path, len(gl), len(wl))
-	}
+	return cases
 }
 
 // buildSegmentedSnapshot is buildSnapshot's corpus saved as four

@@ -301,7 +301,9 @@ func (rt *Router) scatter(ctx context.Context, body []byte) ([]*Partial, error) 
 			leg(shard)
 		}(i)
 	}
-	leg(n - 1)
+	if n > 0 {
+		leg(n - 1)
+	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		// The request as a whole timed out or the client left; report

@@ -69,7 +69,7 @@ func streamFace(h http.Handler) http.Handler {
 		if err != nil {
 			panic(err)
 		}
-		go ss.serve(ss.ctx, conn, rw.Reader, 0, func(ctx context.Context, fr requestFrame, _ bool, dst []byte) []byte {
+		go ss.serve(ss.ctx, conn, rw.Reader, 0, func(ctx context.Context, fr requestFrame, dst []byte) []byte {
 			req := httptest.NewRequest(http.MethodPost, "/v1/partial", bytes.NewReader(fr.Body)).WithContext(ctx)
 			req.Header.Set("Content-Type", "application/json")
 			req.Header.Set("X-Request-ID", string(fr.ID))

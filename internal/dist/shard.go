@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"log/slog"
 	"net"
@@ -197,7 +196,7 @@ const partialRoute = "POST /v1/partial"
 // the same per-request envelope as an HTTP request and is answered with a
 // response frame — the status and exactly the bytes the HTTP route sends
 // — appended to dst.
-func (s *ShardServer) handleFrame(ctx context.Context, fr requestFrame, tooLarge bool, remote string, dst []byte) []byte {
+func (s *ShardServer) handleFrame(ctx context.Context, fr requestFrame, remote string, dst []byte) []byte {
 	s.frames.Inc()
 	call := server.Call{
 		ID: string(fr.ID), SpanContext: string(fr.Span), Budget: fr.Budget,
@@ -206,7 +205,7 @@ func (s *ShardServer) handleFrame(ctx context.Context, fr requestFrame, tooLarge
 	s.base.Handle(ctx, call, func(ctx context.Context, _ string) (string, int) {
 		status, start := http.StatusOK, len(dst)
 		err := ctx.Err()
-		if err == nil && tooLarge {
+		if err == nil && fr.Oversize {
 			err = &http.MaxBytesError{Limit: s.base.MaxBody}
 		}
 		if err == nil {
@@ -247,15 +246,14 @@ func (s *ShardServer) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	remote := r.RemoteAddr
 	go s.streams.serve(s.streams.ctx, conn, rw.Reader, s.base.MaxBody,
-		func(ctx context.Context, fr requestFrame, tooLarge bool, dst []byte) []byte {
-			return s.handleFrame(ctx, fr, tooLarge, remote, dst)
+		func(ctx context.Context, fr requestFrame, dst []byte) []byte {
+			return s.handleFrame(ctx, fr, remote, dst)
 		})
 }
 
 // frameFunc answers one request frame with a response frame appended to
-// dst. tooLarge marks a frame whose body was over the limit and is not
-// there.
-type frameFunc func(ctx context.Context, fr requestFrame, tooLarge bool, dst []byte) []byte
+// dst.
+type frameFunc func(ctx context.Context, fr requestFrame, dst []byte) []byte
 
 // streamSet is the upgraded connections a shard is serving, which
 // net/http has handed over and no longer knows: who is open, who is
@@ -376,17 +374,13 @@ func (ss *streamSet) serve(ctx context.Context, conn net.Conn, br *bufio.Reader,
 		return
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	type job struct {
-		fr       requestFrame
-		tooLarge bool
-	}
-	jobs := make(chan job)
+	jobs := make(chan requestFrame)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		var wbuf []byte
-		for j := range jobs {
-			wbuf = handle(ctx, j.fr, j.tooLarge, wbuf[:0])
+		for fr := range jobs {
+			wbuf = handle(ctx, fr, wbuf[:0])
 			draining := ss.end(conn)
 			if _, err := conn.Write(wbuf); err != nil || draining {
 				conn.Close() // the reader sees it and winds the stream up
@@ -403,15 +397,15 @@ func (ss *streamSet) serve(ctx context.Context, conn net.Conn, br *bufio.Reader,
 			cancel() // whatever is executing has lost its peer
 			break
 		}
-		fr, buf, err := readRequestFrame(br, rbuf, maxBody)
-		tooLarge := errors.Is(err, errFrameTooLarge)
-		if err != nil && !tooLarge {
+		var fr requestFrame
+		var err error
+		fr, rbuf, err = readRequestFrame(br, rbuf, maxBody)
+		if err != nil && !fr.Oversize {
 			cancel()
 			break
 		}
-		rbuf = buf
-		jobs <- job{fr, tooLarge}
-		if tooLarge {
+		jobs <- fr
+		if fr.Oversize {
 			break // its body is still in the pipe: the 413 is this stream's last answer
 		}
 	}

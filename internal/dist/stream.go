@@ -42,6 +42,10 @@ type requestFrame struct {
 	Budget time.Duration
 	// Body is the client's JSON request, verbatim.
 	Body []byte
+	// Oversize marks a frame whose body was over the reader's cap: it was
+	// not read and Body is empty. The frame can still be answered (413);
+	// the stream cannot go on after it.
+	Oversize bool
 }
 
 // appendRequestFrame appends the frame to dst. An ID or span context too
@@ -66,9 +70,10 @@ func appendRequestFrame(dst []byte, id, span string, budget time.Duration, body 
 // readRequestFrame reads one request frame from r into buf (grown when it
 // is too small) and returns the frame and the buffer. A body over maxBody
 // bytes (0: no bound) is errFrameTooLarge, decided from the fixed head
-// before anything is allocated: the frame then carries ID, Span and
-// Budget — enough to answer it — and no Body. io.EOF means r ended
-// between frames; an end inside one is errBadFrame.
+// before anything is allocated: the frame returned with it is marked
+// Oversize and carries ID, Span and Budget — enough to answer it — and no
+// Body. io.EOF means r ended between frames; an end inside one is
+// errBadFrame.
 func readRequestFrame(r io.Reader, buf []byte, maxBody int64) (requestFrame, []byte, error) {
 	var head [requestFrameHead]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -87,8 +92,8 @@ func readRequestFrame(r io.Reader, buf []byte, maxBody int64) (requestFrame, []b
 	}
 	// The length prefix is hostile until it has been held against the
 	// body cap: nothing is sized by it before.
-	tooLarge := maxBody > 0 && length-idLen-spanLen > maxBody
-	if tooLarge {
+	fr.Oversize = maxBody > 0 && length-idLen-spanLen > maxBody
+	if fr.Oversize {
 		length = idLen + spanLen
 	}
 	if int64(cap(buf)) < length {
@@ -99,7 +104,7 @@ func readRequestFrame(r io.Reader, buf []byte, maxBody int64) (requestFrame, []b
 		return fr, buf, midFrame(err)
 	}
 	fr.ID, fr.Span, fr.Body = buf[:idLen], buf[idLen:idLen+spanLen], buf[idLen+spanLen:]
-	if tooLarge {
+	if fr.Oversize {
 		return fr, buf, fmt.Errorf("%w: request body over %d bytes", errFrameTooLarge, maxBody)
 	}
 	return fr, buf, nil
