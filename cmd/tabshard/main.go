@@ -12,10 +12,15 @@
 //	tabshard -load corpus.snap -shard 1 -shards 2 -addr :9102
 //	tabserved -shards localhost:9101,localhost:9102 -addr :8080
 //
-// Endpoints: POST /v1/partial (binary partial evidence), GET
+// Endpoints: GET /v1/stream (Upgrade: wtpart-stream/1 — the router's
+// persistent framed stream: one request frame in, one response frame out,
+// carrying what POST /v1/partial does), POST /v1/partial (the same
+// binary partial evidence over plain HTTP, for curl and operators), GET
 // /v1/healthz, GET /v1/stats (which segments/tables this shard owns),
-// GET /metrics (Prometheus text exposition), GET /v1/traces (recent
-// per-stage span trees). SIGINT/SIGTERM drain gracefully.
+// GET /metrics (Prometheus text exposition), GET /v1/traces and
+// /v1/traces/{id} (recent per-stage span trees). SIGINT/SIGTERM drain
+// gracefully: HTTP requests and streams alike — idle streams are closed,
+// a frame being executed is answered first.
 package main
 
 import (

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"net"
 	"net/http"
 	"runtime"
 	"testing"
@@ -13,27 +12,6 @@ import (
 	webtable "repro"
 	"repro/internal/benchfix"
 )
-
-// serveLoopback runs a Serve-style loop on a fresh loopback listener and
-// returns its base URL; the loop is stopped, drained and waited for when
-// the test ends.
-func serveLoopback(tb testing.TB, serve func(context.Context, net.Listener) error) string {
-	tb.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- serve(ctx, ln) }()
-	tb.Cleanup(func() {
-		cancel()
-		if err := <-done; err != nil {
-			tb.Errorf("serve: %v", err)
-		}
-	})
-	return "http://" + ln.Addr().String()
-}
 
 // BenchmarkRoutedSearch is BenchmarkHandlerSearch's corpus and request
 // sequence (benchfix.Serving) through the cluster path, sockets included:
@@ -54,10 +32,11 @@ func BenchmarkRoutedSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(svc.Close)
-		urls[i] = serveLoopback(b, NewShardServer(svc, asn, i, shards, WithLogger(quietLogger())).Serve)
+		urls[i], _ = serveOn(b, "127.0.0.1:0", NewShardServer(svc, asn, i, shards, WithLogger(quietLogger())).Serve)
 	}
 	// Registered after the shards, so the router stops first.
-	url := serveLoopback(b, NewRouter(&Client{URLs: urls}, WithLogger(quietLogger())).Serve) + "/v1/search"
+	url, _ := serveOn(b, "127.0.0.1:0", NewRouter(&Client{URLs: urls}, WithLogger(quietLogger())).Serve)
+	url += "/v1/search"
 
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}, Timeout: time.Minute}
 	b.Cleanup(hc.CloseIdleConnections)

@@ -62,14 +62,11 @@ func streamFace(h http.Handler) http.Handler {
 			h.ServeHTTP(w, r)
 			return
 		}
-		w.Header().Set("Upgrade", streamProtocol)
-		w.Header().Set("Connection", "Upgrade")
-		w.WriteHeader(http.StatusSwitchingProtocols)
-		conn, rw, err := http.NewResponseController(w).Hijack()
+		conn, br, err := acceptStream(w)
 		if err != nil {
 			panic(err)
 		}
-		go ss.serve(ss.ctx, conn, rw.Reader, 0, func(ctx context.Context, fr requestFrame, dst []byte) []byte {
+		go ss.serve(ss.ctx, conn, br, 0, func(ctx context.Context, fr requestFrame, dst []byte) []byte {
 			req := httptest.NewRequest(http.MethodPost, "/v1/partial", bytes.NewReader(fr.Body)).WithContext(ctx)
 			req.Header.Set("Content-Type", "application/json")
 			req.Header.Set("X-Request-ID", string(fr.ID))

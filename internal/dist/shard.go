@@ -237,18 +237,32 @@ func (s *ShardServer) handleStream(w http.ResponseWriter, r *http.Request) {
 		}})
 		return
 	}
-	w.Header().Set("Connection", "Upgrade")
-	w.WriteHeader(http.StatusSwitchingProtocols)
-	conn, rw, err := http.NewResponseController(w).Hijack()
+	conn, br, err := acceptStream(w)
 	if err != nil {
 		s.base.Log.Error("stream upgrade", "err", err)
 		return
 	}
 	remote := r.RemoteAddr
-	go s.streams.serve(s.streams.ctx, conn, rw.Reader, s.base.MaxBody,
+	// The set's context goes with the stream: drain cancels it, which is
+	// what bounds a goroutine that outlives this handler by design.
+	go s.streams.serve(s.streams.ctx, conn, br, s.base.MaxBody,
 		func(ctx context.Context, fr requestFrame, dst []byte) []byte {
 			return s.handleFrame(ctx, fr, remote, dst)
 		})
+}
+
+// acceptStream answers an upgrade request with 101 and takes the
+// connection from net/http: the 101 is written (and seen by the
+// middleware's status recorder) before the hijack flushes it.
+func acceptStream(w http.ResponseWriter) (net.Conn, *bufio.Reader, error) {
+	w.Header().Set("Upgrade", streamProtocol)
+	w.Header().Set("Connection", "Upgrade")
+	w.WriteHeader(http.StatusSwitchingProtocols)
+	conn, rw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		return nil, nil, err
+	}
+	return conn, rw.Reader, nil
 }
 
 // frameFunc answers one request frame with a response frame appended to

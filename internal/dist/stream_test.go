@@ -61,9 +61,11 @@ func (ts *testStream) raw(frame []byte) (int, []byte, error) {
 	return readResponseFrame(ts.st.br, nil, DefaultMaxResponse)
 }
 
-// serveShard runs sh.Serve on a fresh loopback listener; stop cancels it
-// and returns what Serve returned, once it has.
-func serveShard(t testing.TB, addr string, sh *ShardServer) (url string, stop func() error) {
+// serveOn runs a Serve-style loop on a loopback listener at addr
+// ("127.0.0.1:0" for a fresh port) and returns its base URL; stop cancels
+// it and returns what it returned, once it has. The test's end stops it
+// if nothing has before.
+func serveOn(t testing.TB, addr string, serve func(context.Context, net.Listener) error) (url string, stop func() error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -71,7 +73,7 @@ func serveShard(t testing.TB, addr string, sh *ShardServer) (url string, stop fu
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- sh.Serve(ctx, ln) }()
+	go func() { done <- serve(ctx, ln) }()
 	stopped := false
 	stop = func() error {
 		if stopped {
@@ -81,7 +83,11 @@ func serveShard(t testing.TB, addr string, sh *ShardServer) (url string, stop fu
 		cancel()
 		return <-done
 	}
-	t.Cleanup(func() { stop() })
+	t.Cleanup(func() {
+		if err := stop(); err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
 	return "http://" + ln.Addr().String(), stop
 }
 
@@ -293,17 +299,14 @@ func rawShard(t testing.TB, script func(n int64, conn net.Conn, fr requestFrame)
 	t.Helper()
 	var n atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Upgrade", streamProtocol)
-		w.Header().Set("Connection", "Upgrade")
-		w.WriteHeader(http.StatusSwitchingProtocols)
-		conn, rw, err := http.NewResponseController(w).Hijack()
+		conn, br, err := acceptStream(w)
 		if err != nil {
 			panic(err)
 		}
 		go func() {
 			defer conn.Close()
 			for {
-				fr, _, err := readRequestFrame(rw.Reader, nil, 0)
+				fr, _, err := readRequestFrame(br, nil, 0)
 				if err != nil {
 					return
 				}
@@ -410,7 +413,7 @@ func TestStreamSecondFrameEndsStream(t *testing.T) {
 func TestStreamCancelReachesShard(t *testing.T) {
 	snap, w := buildSnapshot(t)
 	svc, sh := loadShard(t, snap, 0, 1)
-	url, _ := serveShard(t, "127.0.0.1:0", sh)
+	url, _ := serveOn(t, "127.0.0.1:0", sh.Serve)
 	client := &Client{URLs: []string{url}, Sleep: noSleep}
 	t.Cleanup(client.CloseIdle)
 	body := wireBody(t, w, w.SearchWorkload([]string{"directed"}, 1, 7)[0], nil)
@@ -468,7 +471,7 @@ func TestStreamStaleAfterShardRestart(t *testing.T) {
 	snap, w := buildSnapshot(t)
 	body := wireBody(t, w, w.SearchWorkload([]string{"directed"}, 1, 7)[0], nil)
 	_, sh := loadShard(t, snap, 0, 1)
-	url, stop := serveShard(t, "127.0.0.1:0", sh)
+	url, stop := serveOn(t, "127.0.0.1:0", sh.Serve)
 	var slept int
 	client := &Client{URLs: []string{url}, Sleep: func(context.Context, time.Duration) error { slept++; return nil }}
 	rt := NewRouter(client, WithLogger(quietLogger()))
@@ -480,7 +483,7 @@ func TestStreamStaleAfterShardRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, sh2 := loadShard(t, snap, 0, 1)
-	serveShard(t, strings.TrimPrefix(url, "http://"), sh2)
+	serveOn(t, strings.TrimPrefix(url, "http://"), sh2.Serve)
 
 	p, retries, err := client.Partial(context.Background(), 0, body)
 	if err != nil || p == nil || retries != 0 || slept != 0 {
@@ -507,7 +510,7 @@ func TestShardDrainsStreams(t *testing.T) {
 	snap, w := buildSnapshot(t)
 	body := wireBody(t, w, w.SearchWorkload([]string{"directed"}, 1, 7)[0], nil)
 	svc, sh := loadShard(t, snap, 0, 1)
-	url, stop := serveShard(t, "127.0.0.1:0", sh)
+	url, stop := serveOn(t, "127.0.0.1:0", sh.Serve)
 	idle, busy := dialTestStream(t, url), dialTestStream(t, url)
 	if status, _, err := idle.do("warm", body); err != nil || status != http.StatusOK {
 		t.Fatalf("status %d, err %v", status, err)
@@ -573,23 +576,16 @@ func TestClusterStartStopLeavesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			url, stop := serveShard(t, "127.0.0.1:0", NewShardServer(svc, asn, i, 2, WithLogger(quietLogger())))
+			url, stop := serveOn(t, "127.0.0.1:0", NewShardServer(svc, asn, i, 2, WithLogger(quietLogger())).Serve)
 			urls[i] = url
 			stops = append(stops, svc.Close, func() { stop() })
 		}
 		client := &Client{URLs: urls}
 		clients = append(clients, client)
-		rt := NewRouter(client, WithLogger(quietLogger()))
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- rt.Serve(ctx, ln) }()
-		stops = append(stops, func() { cancel(); <-done })
+		url, stop := serveOn(t, "127.0.0.1:0", NewRouter(client, WithLogger(quietLogger())).Serve)
+		stops = append(stops, func() { stop() })
 
-		resp, err := hc.Post("http://"+ln.Addr().String()+"/v1/search", "application/json", bytes.NewReader(body))
+		resp, err := hc.Post(url+"/v1/search", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -644,7 +640,14 @@ func TestStreamMetrics(t *testing.T) {
 			t.Fatalf("routed search: %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-	page := get(t, c.swaps[0], "/metrics").Body.String()
+	// The upgrade's handler returns — and is counted, and leaves in-flight —
+	// a moment after its 101 let the client go on: wait for that, then
+	// nothing below can move.
+	var page string
+	waitFor(t, "the upgrade request to finish", func() bool {
+		page = get(t, c.swaps[0], "/metrics").Body.String()
+		return strings.Contains(page, "http_in_flight_requests 1\n")
+	})
 	for _, want := range []string{
 		`http_requests_total{route="GET /v1/stream",method="GET",status="101"} 1`,
 		`http_requests_total{route="POST /v1/partial",method="POST",status="200"} 3`,

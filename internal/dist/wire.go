@@ -1,17 +1,17 @@
 // Package dist implements distributed segment serving: shard servers
 // that own contiguous slices of a snapshot's segment manifest and
-// export partial search evidence over HTTP, and a stateless
-// scatter-gather router that merges those partials into result pages
-// byte-identical to a single node serving the whole corpus.
+// export partial search evidence, and a stateless scatter-gather router
+// that merges those partials into result pages byte-identical to a
+// single node serving the whole corpus.
 //
 // Topology:
 //
-//	                      ┌────────────┐   snapshot segments [0,k)
-//	client ──► router ──► │ tabshard 0 │   (tables 0..t₀)
-//	          (tabserved  └────────────┘
-//	           -shards)   ┌────────────┐   snapshot segments [k,n)
-//	                 └──► │ tabshard 1 │   (tables t₀..t)
-//	                      └────────────┘
+//	                       one stream per    ┌────────────┐   snapshot segments [0,k)
+//	client ──HTTP──► router ═in-flight leg═► │ tabshard 0 │   (tables 0..t₀)
+//	              (tabserved  ║              └────────────┘
+//	               -shards)   ║              ┌────────────┐   snapshot segments [k,n)
+//	                          ╚════════════► │ tabshard 1 │   (tables t₀..t)
+//	                                         └────────────┘
 //
 // Every process loads the same snapshot file; the shard placement is a
 // deterministic function of the manifest (snapshot.AssignShards), so
@@ -29,6 +29,65 @@
 // naming the shard (a partial cluster must not quietly return a subset
 // of the corpus), client errors (4xx) from shards propagate as-is, and
 // shards drain gracefully on shutdown.
+//
+// # Transport
+//
+// A partial-evidence request does not cross net/http. Client dials the
+// shard's ordinary address, sends GET /v1/stream with "Upgrade:
+// wtpart-stream/1", the shard answers 101 and takes the connection from
+// its HTTP server (same listener, same Handler), and from then on the
+// connection carries frames, one request and its answer at a time, all
+// integers big-endian (stream.go):
+//
+//	request frame                       response frame
+//	u32  length of what follows         u32  length of what follows
+//	u16  request-ID length i            u16  status
+//	u16  span-context length s          ...  payload: the bytes POST /v1/partial
+//	u64  budget, ns (0: none)                answers with that status — a WTPART
+//	i    request ID ("": shard mints)        payload (AppendPartial) or the
+//	s    span context "trace/span"           structured JSON error body
+//	...  the client's JSON body, verbatim
+//
+// POST /v1/partial stays on the shard as the other framing of the same
+// function (ShardServer.partial), for curl and operators; both pass
+// through one per-request envelope (server.HTTPBase.Handle), so a shard's
+// metrics, traces and log lines for a routed query say route
+// "POST /v1/partial" whichever carried it. There is one transport: a
+// shard that answers the upgrade with anything but 101 is a definitive
+// ShardError carrying that status, never a fallback to POST.
+//
+// Buffers. A client stream owns one buffer: the request frame is built in
+// it and written with one Write, then the response payload is read into
+// it; DecodePartial copies everything it keeps, so nothing of a Partial
+// points into a parked stream. A shard stream owns two: its socket
+// goroutine reads request frames into one and its worker encodes every
+// answer into the other (AppendPartial straight into the frame). The
+// frame handed to the worker points into the read buffer, which is not
+// written again before the worker has marked the stream idle.
+//
+// Goroutines. The client writes and reads on the goroutine that called
+// Partial — the connection's deadline is the attempt timeout, and
+// context.AfterFunc pulls it into the past when the caller's context is
+// cancelled; the router runs the last shard's leg on the handler's own
+// goroutine. A shard stream is two goroutines: one stays on the socket
+// while the other executes the frame, so a router that hangs up or times
+// out (it closes the stream) cancels the scan at its next poll, and a
+// second frame sent before the first is answered ends the stream.
+//
+// Retry. Transport and framing errors and 5xx answers are retried with
+// doubling backoff; 4xx answers and a refused upgrade are not. An idle
+// stream is parked per shard (at most maxIdleStreams) and reused, newest
+// first. A parked stream may have outlived its shard process: when the
+// first exchange over one fails, it is repeated once, immediately, on a
+// fresh dial before the attempt counts as failed. A stream whose exchange
+// failed midway is closed, never parked.
+//
+// Drain. http.Server.Shutdown neither waits for nor closes hijacked
+// connections, so ShardServer.Serve drains its streams itself: idle ones
+// are closed, one executing a frame answers it and is then closed, and
+// after the drain timeout whatever is left is cancelled and cut; Serve
+// returns with no stream goroutine left. Router.Serve closes the client's
+// parked streams on its way out.
 package dist
 
 import (

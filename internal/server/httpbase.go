@@ -217,8 +217,10 @@ func (b *HTTPBase) instrument() {
 // by the route run reports, feeds the route's request metrics and writes
 // the one structured log line. run answers the request — it receives the
 // envelope's context and the request ID — and returns the matched route
-// (empty: "unmatched") and the status it answered with. Middleware must
-// have been called on the base first (it registers what Handle records).
+// (empty: "unmatched") and the status it answered with. The route labels
+// metrics and names spans, so it must come from a finite set: a ServeMux
+// pattern, a constant — never a path. Middleware must have been called on
+// the base first (it registers what Handle records).
 func (b *HTTPBase) Handle(ctx context.Context, c Call, run func(ctx context.Context, id string) (route string, status int)) {
 	start := time.Now()
 	b.inflight.Add(1)
