@@ -415,7 +415,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 // ranking stage sees exactly nAnswers answer clusters. The corpus reaches
 // the Service as a flat snapshot of the hand-built annotations (no
 // annotator runs) and is indexed outside the timer; only query
-// execution, at search parallelism 1, is measured.
+// execution is measured.
 func searchScaleFixture(b *testing.B, nAnswers int) (*webtable.Service, webtable.SearchRequest) {
 	b.Helper()
 	cat := webtable.NewCatalog()
@@ -477,7 +477,7 @@ func searchScaleFixture(b *testing.B, nAnswers int) (*webtable.Service, webtable
 	if err := snapshot.Save(&snap, &snapshot.Snapshot{Catalog: cat.Snapshot(), Tables: tables, Anns: anns}); err != nil {
 		b.Fatal(err)
 	}
-	svc, err := webtable.LoadService(context.Background(), &snap, webtable.WithSearchParallelism(1))
+	svc, err := webtable.LoadService(context.Background(), &snap)
 	if err != nil {
 		b.Fatal(err)
 	}

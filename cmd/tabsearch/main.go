@@ -173,9 +173,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}
 			if *debug && res.Stats != nil {
 				st := res.Stats
-				fmt.Fprintf(stdout, "    -- stats: pairs=%d matched=%d rows=%d segments=%d tombstones=%d eligible=%d parallelism=%d\n",
+				fmt.Fprintf(stdout, "    -- stats: pairs=%d matched=%d rows=%d segments=%d tombstones=%d eligible=%d\n",
 					st.CandidatePairs, st.PairsMatched, st.RowsScanned,
-					st.SegmentsVisited, st.TombstonesSkipped, st.AnswersBeforeTopK, st.Parallelism)
+					st.SegmentsVisited, st.TombstonesSkipped, st.AnswersBeforeTopK)
 				fmt.Fprintf(stdout, "    -- stage ms: validate=%.3f plan=%.3f scan=%.3f aggregate=%.3f select=%.3f explain=%.3f\n",
 					float64(st.Stage.Validate)/1e6, float64(st.Stage.Plan)/1e6, float64(st.Stage.Scan)/1e6,
 					float64(st.Stage.Aggregate)/1e6, float64(st.Stage.Select)/1e6, float64(st.Stage.Explain)/1e6)

@@ -24,9 +24,8 @@ type arena struct {
 	buf1, buf2      []searchidx.ColKey
 	ctxs            searchidx.ContextCursor
 
-	cuts       []int
+	// collectors holds one collector per replay group of the plan.
 	collectors []*partialCollector
-	counters   []scanCounters
 	// hits is what the collectors' logs are cut into when the lists stay
 	// inside the execution (Execute); next is the counting pass's cursor
 	// per cluster; shards is what fold is handed, Execute's one shard.
@@ -45,10 +44,10 @@ type arena struct {
 // Measured on the benchmark's 6000-table corpus and request mix
 // (BenchmarkHandlerSearch, arena-KB): an arena settles at 146 KB, so a
 // full list is 2.3 MB at that scale, 64 MB at the very worst, and the cap
-// is 28 times what the largest request of that mix leaves. A 12 000-answer
-// query (BenchmarkSearchParallel) leaves 4.1 MB scanned serially and
-// parks; cut into 16 slices it leaves 5.4 MB, does not, and allocates per
-// request as every query did before there was a pool.
+// is 28 times what the largest request of that mix leaves. A query with
+// 12 000 answers over 60 000 matching rows leaves 4.1 MB and still parks;
+// one past the cap allocates per request, as every query did before
+// there was a pool.
 const (
 	maxParkedArenas = 16
 	maxParkedBytes  = 4 << 20
@@ -162,7 +161,6 @@ func (a *arena) scribble() {
 	a.plan.groups = fill(a.plan.groups, planGroup{key: ^uint32(0), start: -1})
 	a.hits = fill(a.hits, badHit)
 	a.next = fill(a.next, -1)
-	a.cuts = fill(a.cuts, -1)
 	a.shards[0] = fill(a.shards[0], PartialGroup{Key: ^uint32(0)})
 	for _, pc := range a.collectors {
 		pc.log = fill(pc.log, loggedHit{table: -1, row: -1, col: -1, cluster: -1, evidence: badHit.Evidence})

@@ -40,7 +40,7 @@ func emptyArenaPool() {
 func TestExecuteMatchesUnderPoison(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 24, 7)
 	ix := searchidx.New(c, tables, anns)
-	engines := []*Engine{NewEngineOver(ix), NewEngineOver(ix, eagerParallelism(4))}
+	eng := NewEngineOver(ix)
 	ctx := context.Background()
 	var reqs []Request
 	for _, mode := range []Mode{Baseline, Type, TypeRel} {
@@ -50,15 +50,15 @@ func TestExecuteMatchesUnderPoison(t *testing.T) {
 	wantPartials := make([][]PartialGroup, len(reqs))
 	for i, req := range reqs {
 		var err error
-		if wantPages[i], err = engines[0].Execute(ctx, req); err != nil {
+		if wantPages[i], err = eng.Execute(ctx, req); err != nil {
 			t.Fatal(err)
 		}
-		if wantPartials[i], _, err = engines[0].ExecutePartial(ctx, req, 5); err != nil {
+		if wantPartials[i], _, err = eng.ExecutePartial(ctx, req, 5); err != nil {
 			t.Fatal(err)
 		}
 		wantPages[i].Stats = nil
 	}
-	check := func(t *testing.T, eng *Engine, i int) {
+	check := func(t *testing.T, i int) {
 		res, err := eng.Execute(ctx, reqs[i])
 		if err != nil {
 			t.Error(err)
@@ -81,10 +81,8 @@ func TestExecuteMatchesUnderPoison(t *testing.T) {
 	defer SetArenaPoison(true)()
 	t.Run("pages golden", TestPagesGolden)
 	t.Run("partials", func(t *testing.T) {
-		for _, eng := range engines {
-			for i := range reqs {
-				check(t, eng, i)
-			}
+		for i := range reqs {
+			check(t, i)
 		}
 	})
 	t.Run("64 goroutines", func(t *testing.T) {
@@ -94,7 +92,7 @@ func TestExecuteMatchesUnderPoison(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for n := 0; n < 8; n++ {
-					check(t, engines[(g+n)%2], (g+n)%len(reqs))
+					check(t, (g+n)%len(reqs))
 				}
 			}()
 		}
@@ -102,7 +100,7 @@ func TestExecuteMatchesUnderPoison(t *testing.T) {
 	})
 	t.Run("an aliasing variant is caught", func(t *testing.T) {
 		for i, req := range reqs {
-			got, err := engines[0].aliasingPartial(ctx, req)
+			got, err := eng.aliasingPartial(ctx, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,46 +113,44 @@ func TestExecuteMatchesUnderPoison(t *testing.T) {
 
 // TestArenaReleasedOnceOnEveryPath cancels an execution at every one of
 // its context polls in turn — before the scan, between stretches of
-// rows, inside the counting pass, inside fold — serial and parallel,
-// Execute and ExecutePartial, and checks after each that the one arena
-// the pool held before is the one arena it holds again: not leaked (the
-// pool would be empty) and not released twice (it would hold two).
+// rows, inside the counting pass, inside fold — Execute and
+// ExecutePartial, and checks after each that the one arena the pool held
+// before is the one arena it holds again: not leaked (the pool would be
+// empty) and not released twice (it would hold two).
 func TestArenaReleasedOnceOnEveryPath(t *testing.T) {
 	ix, q := variantFixture(t, 32, 5)
 	emptyArenaPool()
-	for _, par := range []int{1, 4} {
-		eng := NewEngineOver(ix, eagerParallelism(par))
-		if _, err := eng.Execute(context.Background(), Request{Query: q, Mode: Type}); err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []Mode{Baseline, Type, TypeRel} {
-			req := Request{Query: q, Mode: mode, PageSize: 2, Explain: true}
-			for _, partial := range []bool{false, true} {
-				cancelled := 0
-				for after := int64(0); ; after++ {
-					ctx := &countdownCtx{Context: context.Background(), after: after}
-					var err error
-					if partial {
-						_, _, err = eng.ExecutePartial(ctx, req, 0)
-					} else {
-						_, err = eng.Execute(ctx, req)
-					}
-					if n := len(arenas.free); n != 1 {
-						t.Fatalf("par=%d %v partial=%v cancelled at poll %d: %d arenas parked, want 1", par, mode, partial, after, n)
-					}
-					if err == nil {
-						break
-					}
-					if !errors.Is(err, context.Canceled) {
-						t.Fatal(err)
-					}
-					if cancelled++; cancelled > 1000 {
-						t.Fatal("execution never completes")
-					}
+	eng := NewEngineOver(ix)
+	if _, err := eng.Execute(context.Background(), Request{Query: q, Mode: Type}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{Baseline, Type, TypeRel} {
+		req := Request{Query: q, Mode: mode, PageSize: 2, Explain: true}
+		for _, partial := range []bool{false, true} {
+			cancelled := 0
+			for after := int64(0); ; after++ {
+				ctx := &countdownCtx{Context: context.Background(), after: after}
+				var err error
+				if partial {
+					_, _, err = eng.ExecutePartial(ctx, req, 0)
+				} else {
+					_, err = eng.Execute(ctx, req)
 				}
-				if cancelled < 2 {
-					t.Fatalf("par=%d %v partial=%v: only %d poll points reached", par, mode, partial, cancelled)
+				if n := len(arenas.free); n != 1 {
+					t.Fatalf("%v partial=%v cancelled at poll %d: %d arenas parked, want 1", mode, partial, after, n)
 				}
+				if err == nil {
+					break
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatal(err)
+				}
+				if cancelled++; cancelled > 1000 {
+					t.Fatal("execution never completes")
+				}
+			}
+			if cancelled < 2 {
+				t.Fatalf("%v partial=%v: only %d poll points reached", mode, partial, cancelled)
 			}
 		}
 	}
@@ -238,7 +234,7 @@ func TestArenaStats(t *testing.T) {
 	if parked, grows := run(small, q); parked != parked1 || grows != grows1 {
 		t.Fatalf("repeat execution: %d bytes parked (%d before), %d more grows; want no change", parked, parked1, grows-grows1)
 	}
-	big, bq := parallelBenchFixture(t, 2000, 3)
+	big, bq := denseFixture(t, 2000, 3)
 	if parked, grows := run(NewEngine(big), bq); parked <= parked1 || grows != grows1+1 {
 		t.Fatalf("larger execution: %d bytes parked (%d before), %d more grows; want more and one", parked, parked1, grows-grows1)
 	}

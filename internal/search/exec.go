@@ -75,10 +75,6 @@ type clusterSink map[string]*cluster
 // already in memory. Query state is O(matching rows); the returned page
 // and its explanations are bounded by the page size.
 //
-// With parallelism above one (WithParallelism) the candidate pairs are
-// scanned as contiguous slices on a bounded worker pool; results are
-// byte-identical at every level (see parallel.go).
-//
 // A context cancellation is detected when a scan starts and every
 // rowCheckInterval rows after that, and returns the context's error.
 //
@@ -152,8 +148,7 @@ type candidate struct {
 // scanPlan is one execution's candidate schedule: the mode's ordered
 // candidate column pairs, their replay groups, and the E2 probe compiled
 // against the segments the pairs lie in. It is built once per execution,
-// in the execution's arena, and scanned whole or in contiguous slices;
-// every layout walks it in the same order.
+// in the execution's arena, and scanned front to back, group by group.
 type scanPlan struct {
 	pairs []candidate
 	// groups partitions the pair list, ascending by key and by start:
@@ -378,12 +373,11 @@ func (e *Engine) typedPairs(q Query, p *scanPlan) {
 // pairs [lo, hi) of the plan: look for E2 down the pair's object column
 // (searchidx.ScanColumn: by entity annotation with text fallback, or by
 // text alone) and report the answer-column cell of every qualifying row
-// to sink. Pair and row counters accumulate into sc (one instance per
-// slice; the caller sums them afterwards). The context is polled before
-// the first row and then every rowCheckInterval rows, counted across
-// pairs; a column is scanned in stretches of at most that many rows so
-// that the count cannot overshoot by more than one stretch.
-func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *partialCollector, sc *scanCounters) error {
+// to sink. Pair and row counters accumulate into st. The context is
+// polled before the first row and then every rowCheckInterval rows,
+// counted across pairs; a column is scanned in stretches of at most that
+// many rows so that the count cannot overshoot by more than one stretch.
+func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *partialCollector, st *ExecStats) error {
 	sincePoll := rowCheckInterval
 	for i := lo; i < hi; i++ {
 		c := &p.pairs[i]
@@ -414,10 +408,10 @@ func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *p
 			}
 			matched = matched || len(rows) > 0
 		}
-		sc.pairs++
-		sc.rows += int64(len(texts))
+		st.CandidatePairs++
+		st.RowsScanned += int64(len(texts))
 		if matched {
-			sc.pairsMatched++
+			st.PairsMatched++
 		}
 	}
 	return nil

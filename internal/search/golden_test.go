@@ -16,10 +16,10 @@ import (
 	"repro/internal/table"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/*.golden from the parallelism-1 Execute")
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from Execute")
 
 // pageRunner answers one request over a fixed corpus by some execution
-// route (an engine at some parallelism, or a shard split merged back).
+// route (one engine, or a shard split merged back).
 type pageRunner struct {
 	name string
 	run  func(Request) (*Result, error)
@@ -32,8 +32,7 @@ type pageRunner struct {
 // by the fused serial scan (aggregate while scanning, no intermediate
 // form) before the execution paths were collapsed into one pipeline, and
 // every route a query can take must keep reproducing it bit for bit:
-// Execute at parallelism 1, 2 and 8, and 1-, 2- and 3-way
-// ExecutePartial + MergePartials splits with serial and parallel shards.
+// Execute, and 1-, 2- and 3-way ExecutePartial + MergePartials splits.
 func TestPagesGolden(t *testing.T) {
 	type corpus struct {
 		name   string
@@ -62,25 +61,21 @@ func TestPagesGolden(t *testing.T) {
 	for _, co := range corpora {
 		var rs []pageRunner
 		ix := searchidx.New(co.cat, co.tables, co.anns)
-		for _, par := range []int{1, 2, 8} {
-			eng := NewEngineOver(ix, eagerParallelism(par))
-			rs = append(rs, pageRunner{
-				name: fmt.Sprintf("execute/par=%d", par),
-				run:  func(req Request) (*Result, error) { return eng.Execute(context.Background(), req) },
-			})
-		}
+		eng := NewEngineOver(ix)
+		rs = append(rs, pageRunner{
+			name: "execute",
+			run:  func(req Request) (*Result, error) { return eng.Execute(context.Background(), req) },
+		})
 		n := len(co.tables)
 		for _, cuts := range [][]int{{n}, {n / 2, n}, {n / 3, 2 * n / 3, n}} {
-			for _, par := range []int{1, 2} {
-				engines, offsets := shardEngines(t, co.cat, co.tables, co.anns, cuts, par)
-				rs = append(rs, pageRunner{
-					name: fmt.Sprintf("partial/%d-way/par=%d", len(cuts), par),
-					run: func(req Request) (*Result, error) {
-						partials, stats := collectPartials(t, engines, offsets, Request{Query: req.Query, Mode: req.Mode})
-						return MergePartials(partials, stats, req.PageSize, req.Cursor, req.Explain)
-					},
-				})
-			}
+			engines, offsets := shardEngines(t, co.cat, co.tables, co.anns, cuts)
+			rs = append(rs, pageRunner{
+				name: fmt.Sprintf("partial/%d-way", len(cuts)),
+				run: func(req Request) (*Result, error) {
+					partials, stats := collectPartials(t, engines, offsets, Request{Query: req.Query, Mode: req.Mode})
+					return MergePartials(partials, stats, req.PageSize, req.Cursor, req.Explain)
+				},
+			})
 		}
 		routes = append(routes, rs)
 	}
@@ -120,8 +115,8 @@ func TestPagesGolden(t *testing.T) {
 // 1. Both fixtures above only ever sum evidence of 1 and 1.5, which is
 // exact in any order; 3/5 and 4/5 are not binary fractions, so here a
 // cluster's score bits change if its evidence is folded in any order
-// but the serial scan's — across rows, tables, subject-type runs,
-// slices or shards.
+// but the serial scan's — across rows, tables, subject-type runs or
+// shards.
 func fractionCorpus(t testing.TB) (*catalog.Catalog, []*table.Table, []*core.Annotation, Query) {
 	t.Helper()
 	c, tables, anns, q := partialFixture(t, 24, 7)

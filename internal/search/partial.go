@@ -3,7 +3,7 @@
 // Every query, on every path, passes through one representation: per
 // replay group, each answer cluster's ordered hit list ([]PartialGroup)
 // — pointer-free (table, row, col, evidence) records, grouped the way
-// the serial scan orders its candidate pairs. gather (parallel.go)
+// the serial scan orders its candidate pairs. gather (gather.go)
 // produces it; fold consumes it: it sums each cluster's evidence in
 // list order, selects the page, and reads the winners' explanations off
 // the same lists. Execute is gather + fold over one shard in one call.
@@ -145,11 +145,11 @@ type loggedHit struct {
 	evidence        float64
 }
 
-// partialCollector is the scan's sink, one per slice, and builds
+// partialCollector is the scan's sink, one per replay group, and builds
 // ClusterPartials: it resolves each hit's cluster identity — the answer
 // cell's entity, else its normalized text, read off the owning segment's
 // dictionary — and logs the hit, under its cluster-global table number
-// and its cluster, in add order (the scan order of its slice). cut then
+// and its cluster, in add order (the scan order of its group). cut then
 // turns the log into the clusters' hit lists. A collector lives in an
 // arena and is emptied, not rebuilt, between executions.
 type partialCollector struct {
@@ -292,37 +292,6 @@ func (pc *partialCollector) cut(ctx context.Context, dst []PartialHit, next []in
 		for _, h := range pc.log[lo:min(lo+rowCheckInterval, len(pc.log))] {
 			dst[next[h.cluster]] = PartialHit{Table: h.table, Row: h.row, Col: h.col, Evidence: h.evidence}
 			next[h.cluster]++
-		}
-	}
-	return nil
-}
-
-// absorb appends the clusters of next — the collector of the slice that
-// follows pc's in the same replay group, like pc already cut into lists
-// — onto pc's, cluster by cluster: hits after pc's hits (in memory of
-// the list's own once it outgrows its cut), variant counts added. Slices
-// are contiguous runs of the serial scan, so absorbing a group's slices
-// in order leaves every cluster's hit list in serial scan order. next is
-// consumed (a cluster new to pc takes over its lists). The context is
-// polled about every rowCheckInterval hits, like aggregate.
-func (pc *partialCollector) absorb(ctx context.Context, next *partialCollector) error {
-	sincePoll := 0
-	for i := range next.clusters {
-		src := &next.clusters[i]
-		if sincePoll += len(src.Hits); sincePoll >= rowCheckInterval {
-			sincePoll = 0
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		dst := &pc.clusters[pc.cluster(src.Entity, src.Norm)]
-		if dst.Hits == nil {
-			dst.Hits, dst.Variants = src.Hits, src.Variants
-			continue
-		}
-		dst.Hits = append(dst.Hits, src.Hits...)
-		for _, v := range src.Variants {
-			dst.Variants, _ = noteVariant(dst.Variants, v.Raw, v.Count)
 		}
 	}
 	return nil

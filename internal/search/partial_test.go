@@ -102,15 +102,11 @@ func partialFixture(t testing.TB, nTables, rowsPerTable int) (*catalog.Catalog, 
 // the exclusive end indexes of each shard (the last must equal
 // len(tables)); the returned offsets are each shard's global table
 // offset, exactly what a real shard derives from the snapshot manifest.
-func shardEngines(t testing.TB, c *catalog.Catalog, tables []*table.Table, anns []*core.Annotation, cuts []int, par int) (engines []*Engine, offsets []int) {
+func shardEngines(t testing.TB, c *catalog.Catalog, tables []*table.Table, anns []*core.Annotation, cuts []int) (engines []*Engine, offsets []int) {
 	t.Helper()
 	lo := 0
 	for _, hi := range cuts {
-		opts := []EngineOption{}
-		if par > 1 {
-			opts = append(opts, eagerParallelism(par))
-		}
-		engines = append(engines, NewEngineOver(searchidx.New(c, tables[lo:hi], anns[lo:hi]), opts...))
+		engines = append(engines, NewEngineOver(searchidx.New(c, tables[lo:hi], anns[lo:hi])))
 		offsets = append(offsets, lo)
 		lo = hi
 	}
@@ -147,8 +143,7 @@ func collectPartials(t testing.TB, engines []*Engine, offsets []int, req Request
 // page size × cursor chain × explanation merged from per-shard partials
 // is identical — scores, order, totals, cursors, dominant surface
 // forms, provenance and truncation counts — to a single engine over the
-// whole corpus. Shards run serial and parallel; both must export the
-// same partials.
+// whole corpus.
 func TestMergePartialsMatchesExecute(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 24, 7)
 	full := NewEngineOver(searchidx.New(c, tables, anns))
@@ -156,53 +151,51 @@ func TestMergePartialsMatchesExecute(t *testing.T) {
 	n := len(tables)
 	splits := [][]int{{n}, {12, n}, {8, 16, n}, {1, n}, {0, n}}
 	sawTruncation := false
-	for _, par := range []int{1, 3} {
-		for _, cuts := range splits {
-			engines, offsets := shardEngines(t, c, tables, anns, cuts, par)
-			for _, mode := range []Mode{Baseline, Type, TypeRel} {
-				partials, shardStats := collectPartials(t, engines, offsets, Request{Query: q, Mode: mode})
-				for _, pageSize := range []int{0, 1, 4, 100} {
-					cursor := ""
-					for page := 0; page < 30; page++ {
-						req := Request{Query: q, Mode: mode, PageSize: pageSize, Cursor: cursor, Explain: true}
-						want, err := full.Execute(ctx, req)
-						if err != nil {
-							t.Fatal(err)
+	for _, cuts := range splits {
+		engines, offsets := shardEngines(t, c, tables, anns, cuts)
+		for _, mode := range []Mode{Baseline, Type, TypeRel} {
+			partials, shardStats := collectPartials(t, engines, offsets, Request{Query: q, Mode: mode})
+			for _, pageSize := range []int{0, 1, 4, 100} {
+				cursor := ""
+				for page := 0; page < 30; page++ {
+					req := Request{Query: q, Mode: mode, PageSize: pageSize, Cursor: cursor, Explain: true}
+					want, err := full.Execute(ctx, req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := MergePartials(partials, shardStats, pageSize, cursor, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Stats carry wall-clock timings (and shard-count-dependent
+					// segment totals), so the byte-identity contract is asserted
+					// with Stats stripped; the deterministic counters are compared
+					// separately below.
+					gotStats, wantStats := got.Stats, want.Stats
+					got.Stats, want.Stats = nil, nil
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("cuts=%v %v pageSize=%d page=%d:\n got  %+v\n want %+v",
+							cuts, mode, pageSize, page, got, want)
+					}
+					if gotStats == nil || wantStats == nil {
+						t.Fatalf("cuts=%v %v: missing stats (merged %v, full %v)",
+							cuts, mode, gotStats, wantStats)
+					}
+					if gotStats.CandidatePairs != wantStats.CandidatePairs ||
+						gotStats.PairsMatched != wantStats.PairsMatched ||
+						gotStats.RowsScanned != wantStats.RowsScanned ||
+						gotStats.AnswersBeforeTopK != wantStats.AnswersBeforeTopK {
+						t.Fatalf("cuts=%v %v pageSize=%d page=%d: merged counters diverge from single-node:\n got  %+v\n want %+v",
+							cuts, mode, pageSize, page, *gotStats, *wantStats)
+					}
+					for _, a := range want.Answers {
+						if a.Explanation != nil && a.Explanation.Truncated > 0 {
+							sawTruncation = true
 						}
-						got, err := MergePartials(partials, shardStats, pageSize, cursor, true)
-						if err != nil {
-							t.Fatal(err)
-						}
-						// Stats carry wall-clock timings (and shard-count-dependent
-						// segment totals), so the byte-identity contract is asserted
-						// with Stats stripped; the deterministic counters are compared
-						// separately below.
-						gotStats, wantStats := got.Stats, want.Stats
-						got.Stats, want.Stats = nil, nil
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("par=%d cuts=%v %v pageSize=%d page=%d:\n got  %+v\n want %+v",
-								par, cuts, mode, pageSize, page, got, want)
-						}
-						if gotStats == nil || wantStats == nil {
-							t.Fatalf("par=%d cuts=%v %v: missing stats (merged %v, full %v)",
-								par, cuts, mode, gotStats, wantStats)
-						}
-						if gotStats.CandidatePairs != wantStats.CandidatePairs ||
-							gotStats.PairsMatched != wantStats.PairsMatched ||
-							gotStats.RowsScanned != wantStats.RowsScanned ||
-							gotStats.AnswersBeforeTopK != wantStats.AnswersBeforeTopK {
-							t.Fatalf("par=%d cuts=%v %v pageSize=%d page=%d: merged counters diverge from single-node:\n got  %+v\n want %+v",
-								par, cuts, mode, pageSize, page, *gotStats, *wantStats)
-						}
-						for _, a := range want.Answers {
-							if a.Explanation != nil && a.Explanation.Truncated > 0 {
-								sawTruncation = true
-							}
-						}
-						cursor = want.NextCursor
-						if cursor == "" {
-							break
-						}
+					}
+					cursor = want.NextCursor
+					if cursor == "" {
+						break
 					}
 				}
 			}
@@ -246,14 +239,12 @@ func TestExecutePartialTypeGroups(t *testing.T) {
 	}
 }
 
-// TestExecutePartialDeterministic pins the wire-determinism contract: a
-// parallel shard engine exports byte-identical partial groups to a
-// serial one (cluster order, hit order, variant order), and repeated
-// calls are stable — over a monolithic index and over a five-segment
-// view with tombstones that leave the Novel subject type one candidate
-// pair, so a Type plan has a group scanned as one slice beside a group
-// scanned as many, and every text cluster's hits and spelling variants
-// arrive from several slices.
+// TestExecutePartialDeterministic pins the wire-determinism contract:
+// repeated calls, and a second engine over the same corpus, export
+// identical partial groups (cluster order, hit order, variant order) —
+// over a monolithic index and over a five-segment view with tombstones
+// that leave the Novel subject type one candidate pair, so a Type plan
+// has a one-pair replay group beside a many-pair one.
 func TestExecutePartialDeterministic(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 16, 6)
 	ctx := context.Background()
@@ -293,33 +284,29 @@ func TestExecutePartialDeterministic(t *testing.T) {
 		{"monolithic", searchidx.New(c, tables, anns), q},
 		{"segmented", view, vq},
 	} {
-		serial := NewEngineOver(tc.corpus)
-		for _, par := range []int{2, 4, 16} {
-			parallel := NewEngineOver(tc.corpus, eagerParallelism(par))
-			for _, mode := range []Mode{Baseline, Type, TypeRel} {
-				req := Request{Query: tc.q, Mode: mode}
-				want, _, err := serial.ExecutePartial(ctx, req, 5)
+		first, again := NewEngineOver(tc.corpus), NewEngineOver(tc.corpus)
+		for _, mode := range []Mode{Baseline, Type, TypeRel} {
+			req := Request{Query: tc.q, Mode: mode}
+			want, _, err := first.ExecutePartial(ctx, req, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.corpus == Corpus(view) && mode == Type {
+				a := takeArena()
+				p := again.plan(ctx, req, again.newStats(), a)
+				if len(p.groups) != 2 || p.groups[1].start != len(p.pairs)-1 || len(p.pairs) < 4 {
+					t.Fatalf("Type plan has groups %+v over %d pairs; want a many-pair group then a one-pair group",
+						p.groups, len(p.pairs))
+				}
+				a.release()
+			}
+			for i := 0; i < 3; i++ {
+				got, _, err := again.ExecutePartial(ctx, req, 5)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tc.corpus == Corpus(view) && mode == Type {
-					a := takeArena()
-					p := parallel.plan(ctx, req, parallel.newStats(), a)
-					cuts := a.cutPlan(parallel.par)
-					if len(p.groups) != 2 || p.groups[1].start != len(p.pairs)-1 || len(cuts) < 4 {
-						t.Fatalf("par=%d: Type plan has groups %+v over %d pairs cut at %v; want a many-slice group then a one-pair group",
-							par, p.groups, len(p.pairs), cuts)
-					}
-					a.release()
-				}
-				for i := 0; i < 3; i++ {
-					got, _, err := parallel.ExecutePartial(ctx, req, 5)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s par=%d %v: parallel partials diverge from serial:\n got  %+v\n want %+v", tc.name, par, mode, got, want)
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %v: repeated partials diverge:\n got  %+v\n want %+v", tc.name, mode, got, want)
 				}
 			}
 		}

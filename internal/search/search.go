@@ -18,25 +18,25 @@
 // lists each corpus segment materialized at build time — in place,
 // segment after segment, which is ascending corpus order — with their
 // replay groups, and compiles the E2 probe, once per segment a pair lies
-// in, into the few text IDs it matches. gather (parallel.go) scans them —
-// whole, or under WithParallelism as concurrent contiguous slices that
-// each collect their own clusters and are then appended per cluster in
-// slice order, the way a router concatenates its shards — into the
-// pipeline's only intermediate form: per group, each answer cluster's
-// hit list in serial scan order (partial.go). fold sums each list left
-// to right, selects the page with a bounded min-heap so a top-k query
-// never sorts the full answer set, and reads explanations off the same
-// lists. Execute is the whole pipeline over one corpus; a shard server
-// runs it up to gather (ExecutePartial) and a router folds the shards'
-// groups (MergePartials).
+// in, into the few text IDs it matches. gather (gather.go) scans them,
+// front to back on the calling goroutine, into the pipeline's only
+// intermediate form: per group, each answer cluster's hit list in scan
+// order (partial.go). fold sums each list left to right, selects the
+// page with a bounded min-heap so a top-k query never sorts the full
+// answer set, and reads explanations off the same lists. Execute is the
+// whole pipeline over one corpus; a shard server runs it up to gather
+// (ExecutePartial) and a router folds the shards' groups
+// (MergePartials). A query is never split inside a process: a corpus
+// too large for one scan is cut into shards (internal/dist), and a
+// service's worker pool runs whole queries side by side.
 //
 // The intermediate form is every hit's evidence, not partial sums,
 // because floating-point addition is not associative and pagination
 // cursors compare scores bit-exactly across separate executions: summing
 // each cluster's evidence in the one serial order is what makes pages
-// byte-identical at every parallelism level and shard count. The price
-// is query state of O(matching rows) on every path; what it buys,
-// besides one code path, is that explanations cost no second scan.
+// byte-identical at every shard count. The price is query state of
+// O(matching rows) on every path; what it buys, besides one code path,
+// is that explanations cost no second scan.
 //
 // # Ownership
 //
@@ -46,9 +46,9 @@
 // it returns, on every path — success, error, cancellation. The arena
 // holds everything plan and gather make: the candidate pair list and
 // replay groups, the probes with their compile scratch and the per-segment
-// MatchSets, and per slice a collector — cluster identities, the buffer a
-// column's matching rows are reported in, and a flat log of the hits
-// (cell, evidence, owning cluster) in scan order, which one stable
+// MatchSets, and per replay group a collector — cluster identities, the
+// buffer a column's matching rows are reported in, and a flat log of the
+// hits (cell, evidence, owning cluster) in scan order, which one stable
 // counting pass cuts into per-cluster lists. Nothing a caller receives
 // points into the arena. Execute cuts the log into arena memory and
 // folds it there; what its Result holds — answers, SourceRefs, the
@@ -168,29 +168,6 @@ type Engine struct {
 	c    Corpus
 	cat  *catalog.Catalog
 	segs []corpusSegment
-	par  int
-	// serialBelow is minParallelRows; a field so that this package's
-	// tests can scan their small fixtures in parallel.
-	serialBelow int
-}
-
-// EngineOption configures an Engine at construction time.
-type EngineOption func(*Engine)
-
-// WithParallelism sets how many worker goroutines one Execute or
-// ExecutePartial call may use to scan candidate column pairs (see
-// parallel.go). It is an upper bound: a plan that visits fewer than
-// minParallelRows rows is scanned on the calling goroutine whatever the
-// level, because there the goroutines cost more than they save. 1 — the
-// default — is always the serial scan; any level returns byte-identical
-// results (scores, rankings, cursors, explanations), so the knob is
-// purely about latency. Values below 1 are ignored.
-func WithParallelism(n int) EngineOption {
-	return func(e *Engine) {
-		if n > 0 {
-			e.par = n
-		}
-	}
 }
 
 // NewEngine wraps a monolithic index.
@@ -200,16 +177,10 @@ func NewEngine(ix *searchidx.Index) *Engine { return NewEngineOver(ix) }
 // view. Engines are stateless; construct one per corpus snapshot, and
 // keep it for as long as that snapshot is served, rather than mutating a
 // shared one or building one per request.
-func NewEngineOver(c Corpus, opts ...EngineOption) *Engine {
-	e := &Engine{c: c, cat: c.Catalog(), segs: make([]corpusSegment, c.Segments()), par: 1, serialBelow: minParallelRows}
+func NewEngineOver(c Corpus) *Engine {
+	e := &Engine{c: c, cat: c.Catalog(), segs: make([]corpusSegment, c.Segments())}
 	for i := range e.segs {
 		e.segs[i].ix, e.segs[i].global = c.Segment(i)
 	}
-	for _, opt := range opts {
-		opt(e)
-	}
 	return e
 }
-
-// Parallelism reports the engine's configured scan parallelism.
-func (e *Engine) Parallelism() int { return e.par }

@@ -2,11 +2,11 @@
 // the pipeline without touching what it returns.
 //
 // The counters are pure functions of the corpus and the request —
-// candidate pairs, rows, segments are the same on every run and at
-// every parallelism level, and a routed query's merged counters are the
-// exact sums of its shards' (shards own disjoint table ranges, and
-// integer addition is order-independent, so summing per-shard counters
-// carries no analogue of the float-fold hazard). The stage timings are
+// candidate pairs, rows, segments are the same on every run, and a
+// routed query's merged counters are the exact sums of its shards'
+// (shards own disjoint table ranges, and integer addition is
+// order-independent, so summing per-shard counters carries no analogue
+// of the float-fold hazard). The stage timings are
 // wall clock and therefore not deterministic; tests compare counters
 // and ignore timings. Nothing here may reorder a scan or a fold — the
 // byte-identical-results contract is asserted over executions that all
@@ -16,10 +16,9 @@ package search
 // StageNanos is the wall-clock nanoseconds one execution spent in each
 // pipeline stage; each is also one trace span (search.<stage>).
 // Validate, Plan and Scan are the gather half — Scan covers turning the
-// plan into per-cluster hit lists: the candidate scan into per-slice
-// collectors and, when a group was scanned as several slices, appending
-// them in slice order. Aggregate, Select and Explain are
-// the fold half. Execute fills all of them; ExecutePartial only the
+// plan into per-cluster hit lists: the candidate scan into per-group
+// collectors and the counting pass over their logs. Aggregate, Select
+// and Explain are the fold half. Execute fills all of them; ExecutePartial only the
 // gather half (a shard does not fold); in a merged result the gather
 // half is the sum across shards (total cluster work, not critical-path
 // time) and the fold half is the merge's own.
@@ -61,29 +60,12 @@ type ExecStats struct {
 	// AnswersBeforeTopK is how many answer clusters were eligible for
 	// the page (after the cursor filter, before top-k truncation).
 	AnswersBeforeTopK int
-	// Parallelism is the scan parallelism actually used: the worker
-	// count, which is lower than the configured parallelism when the
-	// plan had fewer slices than workers, and 1 for a serial scan.
+	// Parallelism is always 1: a query is scanned on the goroutine that
+	// executes it. The field remains because the WTPART stats block and
+	// the debug JSON both carry it.
 	Parallelism int
 	// Stage is the per-stage wall-clock time.
 	Stage StageNanos
-}
-
-// scanCounters accumulates one scan range's deterministic counters.
-// Each concurrent scan worker gets its own instance (no contention on
-// the hot path); the per-shard counts are summed afterwards — integer
-// addition, so the total is independent of shard layout and scheduling.
-type scanCounters struct {
-	pairs        int64
-	pairsMatched int64
-	rows         int64
-}
-
-// add folds one scan range's counters into the stats.
-func (st *ExecStats) add(sc *scanCounters) {
-	st.CandidatePairs += sc.pairs
-	st.PairsMatched += sc.pairsMatched
-	st.RowsScanned += sc.rows
 }
 
 // newStats starts one execution's stats with the segment shape of the
@@ -95,7 +77,7 @@ func (e *Engine) newStats() *ExecStats {
 // MergeExecStats folds per-shard execution stats into the cluster-wide
 // view a routed query reports: counters and shard-side stage times sum
 // (shards own disjoint table ranges, so sums are exact totals, not
-// estimates), Parallelism is the maximum any shard used, and the fold
+// estimates), Parallelism is the maximum any shard reported, and the fold
 // stages (Aggregate, Select, Explain) are left for the merge's own fold
 // to add to.
 func MergeExecStats(shards []ExecStats) ExecStats {

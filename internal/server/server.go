@@ -179,7 +179,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	cs := s.svc.Catalog().Stats()
 	resp := StatsResponse{
 		Workers:     s.svc.Workers(),
-		Parallelism: s.svc.SearchParallelism(),
+		Parallelism: 1,
 		InFlight:    s.InFlight(),
 		Catalog: CatalogStats{
 			Types:     cs.Types,

@@ -148,10 +148,9 @@ func TestStats(t *testing.T) {
 	if stats.Workers != 2 || stats.Catalog.Entities == 0 || stats.Catalog.Relations == 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	// Search parallelism defaults to the worker-pool size and is
-	// surfaced so operators can see the per-query scan fan-out.
-	if stats.Parallelism != 2 {
-		t.Fatalf("parallelism = %d, want 2 (the worker count)", stats.Parallelism)
+	// A query is scanned on one goroutine whatever the worker count.
+	if stats.Parallelism != 1 {
+		t.Fatalf("parallelism = %d, want 1", stats.Parallelism)
 	}
 }
 
@@ -972,7 +971,7 @@ func TestTraceSpanTree(t *testing.T) {
 			stages[c.Name]++
 			childSum += c.DurationMs
 		}
-		// Every pipeline stage is exactly one span, at any parallelism.
+		// Every pipeline stage is exactly one span.
 		for _, stage := range []string{"search.validate", "search.plan", "search.scan", "search.aggregate", "search.select", "search.explain"} {
 			if stages[stage] != 1 {
 				t.Fatalf("span tree has %d %q spans, want 1; have %v", stages[stage], stage, stages)

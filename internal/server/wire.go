@@ -369,8 +369,8 @@ type StatsResponse struct {
 	CorpusStats
 	IndexBuilt bool `json:"index_built"`
 	Workers    int  `json:"workers"`
-	// Parallelism is the per-search candidate-scan worker count
-	// (WithSearchParallelism); 1 means searches scan serially.
+	// Parallelism is always 1 (a search scans on the goroutine that
+	// runs it); the key predates that and clients may read it.
 	Parallelism int          `json:"parallelism"`
 	InFlight    int64        `json:"in_flight"`
 	Catalog     CatalogStats `json:"catalog"`

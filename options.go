@@ -62,7 +62,6 @@ type serviceOptions struct {
 	weights     feature.Weights
 	cfg         core.Config
 	workers     int
-	searchPar   int
 	compaction  segment.CompactionPolicy
 	autoCompact bool
 }
@@ -74,26 +73,11 @@ func WithWorkers(n int) ServiceOption {
 	return func(o *serviceOptions) { o.workers = n }
 }
 
-// WithSearchParallelism sets how many goroutines one Search call may use
-// to scan candidate column pairs — at most: it is an upper bound. A
-// query whose plan visits fewer than half a million rows (the engine's
-// minParallelRows, measured with BenchmarkSearchParallel) is scanned on
-// the calling goroutine whatever the setting, because cutting such a plan
-// up and waking workers for it costs more than scanning it — a scan
-// settles most rows in a couple of nanoseconds; only larger plans fan out. The default
-// derives from the worker pool size (Workers()); 1 forces the serial
-// scan. Any level returns byte-identical results — scores, rankings,
-// cursors and explanations do not depend on it — so the knob trades
-// per-query latency against CPU. These scan workers are internal to a
-// query and do not consume worker-pool slots, so a SearchBatch of b
-// requests may run up to b*parallelism scan goroutines. Memory: a query
-// logs each matching row once (24 bytes) and cuts the log into per-answer
-// hit lists (24 bytes a hit again) — O(matching rows) per in-flight
-// query at any parallelism — in a pooled arena that the next query
-// reuses, not in fresh allocations. 0 keeps the default; negative is an
-// error.
-func WithSearchParallelism(n int) ServiceOption {
-	return func(o *serviceOptions) { o.searchPar = n }
+// WithSearchParallelism is accepted and ignored: a query is scanned on
+// the goroutine that executes it, and shards are the unit of parallelism.
+// It remains only because benchmark/ compiles against it.
+func WithSearchParallelism(int) ServiceOption {
+	return func(*serviceOptions) {}
 }
 
 // WithServiceWeights sets the service's default model weights.

@@ -1,68 +1,54 @@
-// Tests of parallel sharded query execution at the service level: the
-// serial ≡ parallel byte-identity acceptance property over a worldgen
-// corpus (monolithic and multi-segment), option validation, cancellation
-// through the parallel path, and parallel searches racing live-corpus
-// mutations (run under `go test -race` in CI).
+// Service-level tests of searches that run beside one another: that the
+// WithSearchParallelism shim is accepted and changes nothing (over a
+// monolithic and a multi-segment worldgen corpus), cancellation, and
+// concurrent searches racing live-corpus mutations (run under `go test
+// -race` in CI).
 package webtable_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
 	webtable "repro"
 )
 
-// parallelismUnderTest exercises the sharded path even on one-core CI
-// machines, where GOMAXPROCS would degenerate to the serial scan.
-func parallelismUnderTest() int {
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		return p
-	}
-	return 4
-}
-
-// TestSearchParallelEquivalence is the tentpole acceptance test: a
-// service searching with WithSearchParallelism(GOMAXPROCS) returns
-// byte-identical pages — scores, order, totals, cursors, explanations —
-// to a serial service over the same worldgen corpus, in every mode,
-// first over a monolithic one-segment corpus and then over a mutated
-// multi-segment one (which drives the segment-aligned shard boundaries).
+// TestSearchParallelEquivalence: WithSearchParallelism is accepted and
+// ignored — a service given it returns byte-identical pages (scores,
+// order, totals, cursors, explanations) and scan counters to a default
+// service over the same worldgen corpus, in every mode, first over a
+// monolithic one-segment corpus and then over a mutated multi-segment one
+// with tombstones.
 func TestSearchParallelEquivalence(t *testing.T) {
 	w := testWorld(t)
 	all := corpusTables(w, 14)
 	ctx := context.Background()
 
-	newSvc := func(par int) *webtable.Service {
-		svc, err := webtable.NewService(w.Public, webtable.WithWorkers(4),
-			webtable.WithSearchParallelism(par), webtable.WithoutAutoCompaction())
+	newSvc := func(opts ...webtable.ServiceOption) *webtable.Service {
+		opts = append(opts, webtable.WithWorkers(4), webtable.WithoutAutoCompaction())
+		svc, err := webtable.NewService(w.Public, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return svc
 	}
-	serial := newSvc(1)
-	defer serial.Close()
-	parallel := newSvc(parallelismUnderTest())
-	defer parallel.Close()
-	if serial.SearchParallelism() != 1 || parallel.SearchParallelism() != parallelismUnderTest() {
-		t.Fatalf("parallelism accessors = %d/%d", serial.SearchParallelism(), parallel.SearchParallelism())
-	}
+	plain := newSvc()
+	defer plain.Close()
+	shimmed := newSvc(webtable.WithSearchParallelism(8))
+	defer shimmed.Close()
 
 	// Phase 1: one segment (monolithic corpus).
-	for _, svc := range []*webtable.Service{serial, parallel} {
+	for _, svc := range []*webtable.Service{plain, shimmed} {
 		if _, err := svc.BuildIndex(ctx, all[:8], webtable.WithMethod(webtable.MethodMajority)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	checkSearchIdentical(t, w, parallel, serial, "monolithic")
+	checkSearchIdentical(t, w, shimmed, plain, "monolithic")
 
 	// Phase 2: grow both corpora identically into several segments with
-	// tombstones, so parallel shards must respect segment-aware global
-	// table numbering.
+	// tombstones.
 	mutate := func(svc *webtable.Service) {
 		t.Helper()
 		if _, err := svc.AddTables(ctx, all[8:11], webtable.WithMethod(webtable.MethodMajority)); err != nil {
@@ -75,37 +61,19 @@ func TestSearchParallelEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mutate(serial)
-	mutate(parallel)
-	if stats, ok := parallel.CorpusStats(); !ok || stats.Segments < 3 || stats.Tombstones != 2 {
+	mutate(plain)
+	mutate(shimmed)
+	if stats, ok := shimmed.CorpusStats(); !ok || stats.Segments < 3 || stats.Tombstones != 2 {
 		t.Fatalf("fixture bug: multi-segment phase stats = %+v", stats)
 	}
-	checkSearchIdentical(t, w, parallel, serial, "multi-segment")
+	checkSearchIdentical(t, w, shimmed, plain, "multi-segment")
 }
 
-// TestSearchParallelismValidation covers the option's edges: negative is
-// a structured error, zero derives from the worker pool.
-func TestSearchParallelismValidation(t *testing.T) {
-	w := testWorld(t)
-	if _, err := webtable.NewService(w.Public, webtable.WithSearchParallelism(-2)); !errors.Is(err, webtable.ErrInvalidOption) {
-		t.Fatalf("err = %v, want ErrInvalidOption", err)
-	}
-	svc, err := webtable.NewService(w.Public, webtable.WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if got := svc.SearchParallelism(); got != 3 {
-		t.Fatalf("default parallelism = %d, want workers (3)", got)
-	}
-}
-
-// TestSearchParallelCancelled: a dead context surfaces through the
-// sharded path as the context's error.
+// TestSearchParallelCancelled: a dead context surfaces from Search as
+// the context's error.
 func TestSearchParallelCancelled(t *testing.T) {
 	ctx := context.Background()
-	svc, err := webtable.NewService(webtable.NewCatalog(),
-		webtable.WithSearchParallelism(parallelismUnderTest()))
+	svc, err := webtable.NewService(webtable.NewCatalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +94,15 @@ func TestSearchParallelCancelled(t *testing.T) {
 	}
 }
 
-// TestParallelSearchDuringMutation races parallel searches against
-// AddTables / RemoveTables / Compact on one live service. Every search
-// pins an immutable view, so each must succeed and return a
+// TestParallelSearchDuringMutation races four goroutines of searches
+// against AddTables / RemoveTables / Compact on one live service. Every
+// search pins an immutable view, so each must succeed and return a
 // self-consistent page regardless of interleaving; the race detector
-// checks the shard workers against the mutation path.
+// checks the searches against the mutation path.
 func TestParallelSearchDuringMutation(t *testing.T) {
 	ctx := context.Background()
 	svc, err := webtable.NewService(webtable.NewCatalog(),
-		webtable.WithWorkers(4), webtable.WithSearchParallelism(4))
+		webtable.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

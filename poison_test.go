@@ -19,8 +19,8 @@ import (
 // catching a deliberately aliasing variant). TestSearchParallelEquivalence
 // must hold as it stands, and 64 goroutines each driving SearchBatch over
 // one service — every execution taking and returning pooled arenas beside
-// the others, under -race in CI — must each get the pages a lone serial
-// Search gets.
+// the others, under -race in CI — must each get the pages a lone Search
+// gets.
 func TestSearchUnderArenaPoison(t *testing.T) {
 	defer search.SetArenaPoison(true)()
 	t.Run("parallel equivalence", TestSearchParallelEquivalence)

@@ -37,7 +37,6 @@ type Service struct {
 	cat         *catalog.Catalog
 	ix          *lemmaindex.Index
 	workers     int
-	searchPar   int
 	sem         chan struct{}
 	compaction  segment.CompactionPolicy
 	autoCompact bool
@@ -85,12 +84,6 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 	if so.workers < 1 {
 		return nil, fmt.Errorf("%w: workers must be >= 1, got %d", ErrInvalidOption, so.workers)
 	}
-	if so.searchPar == 0 {
-		so.searchPar = so.workers
-	}
-	if so.searchPar < 1 {
-		return nil, fmt.Errorf("%w: search parallelism must be >= 1, got %d", ErrInvalidOption, so.searchPar)
-	}
 	if err := cat.Freeze(); err != nil {
 		return nil, fmt.Errorf("webtable: freeze catalog: %w", err)
 	}
@@ -99,7 +92,6 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 		cat:         cat,
 		ix:          ix,
 		workers:     so.workers,
-		searchPar:   so.searchPar,
 		sem:         make(chan struct{}, so.workers),
 		compaction:  so.compaction,
 		autoCompact: so.autoCompact,
@@ -113,11 +105,6 @@ func (s *Service) Catalog() *Catalog { return s.cat }
 
 // Workers returns the worker-pool size.
 func (s *Service) Workers() int { return s.workers }
-
-// SearchParallelism returns the most scan goroutines one Search call may
-// use (WithSearchParallelism; defaults to Workers()); small plans use one
-// whatever it says. 1 means the serial scan.
-func (s *Service) SearchParallelism() int { return s.searchPar }
 
 // WorkersInUse reports how many worker-pool slots are currently held.
 // It is a point-in-time reading for observability (the workers-busy
@@ -562,11 +549,11 @@ func (s *Service) SearchPartial(ctx context.Context, req SearchRequest, tableOff
 }
 
 // engine pins the current corpus view and returns the query engine over
-// it, carrying the service's search parallelism. The engine is built once
-// per view — a mutation or compaction publishes a new view, and the first
-// search after it builds the next engine — and the view is immutable, so
-// everything executed on the returned engine is consistent regardless of
-// concurrent mutations or compaction.
+// it. The engine is built once per view — a mutation or compaction
+// publishes a new view, and the first search after it builds the next
+// engine — and the view is immutable, so everything executed on the
+// returned engine is consistent regardless of concurrent mutations or
+// compaction.
 func (s *Service) engine() (*search.Engine, error) {
 	st := s.store.Load()
 	if st == nil {
@@ -577,7 +564,7 @@ func (s *Service) engine() (*search.Engine, error) {
 	if ve == nil || ve.view != v {
 		// Two searches racing here build the same engine twice; either
 		// may stay.
-		ve = &viewEngine{view: v, engine: search.NewEngineOver(v, search.WithParallelism(s.searchPar))}
+		ve = &viewEngine{view: v, engine: search.NewEngineOver(v)}
 		s.eng.Store(ve)
 	}
 	return ve.engine, nil

@@ -8,9 +8,9 @@
 //   - table loading and HTML extraction (§3.2),
 //   - the collective annotator and its baselines (§4),
 //   - structured training (§4.3),
-//   - the relational search application (§5), with parallel sharded
-//     query execution (WithSearchParallelism) that is byte-identical to
-//     the serial scan at every parallelism level,
+//   - the relational search application (§5): paged, explainable
+//     queries in the paper's three modes, each scanned by one serial
+//     loop — a corpus is scaled by sharding it (internal/dist),
 //   - the live corpus (AddTables / RemoveTables): an LSM-flavored
 //     segmented index that annotates and indexes only what changed, with
 //     search results byte-identical to a from-scratch rebuild,
