@@ -78,14 +78,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr    = fs.String("addr", ":8080", "listen address")
-		load    = fs.String("load", "", "corpus snapshot to serve (annotate once, serve many): every segment is decoded from its own checksummed section, no re-annotation and no index rebuild; WTSNAP v1/v2 files still load, through their JSON decoder")
+		load    = fs.String("load", "", "corpus snapshot to serve (annotate once, serve many): every segment is decoded from its own checksummed section, no re-annotation and no index rebuild; only WTSNAP v3 files load")
 		catPath = fs.String("catalog", "", "catalog JSON path (with -corpus: annotate at startup)")
 		corpus  = fs.String("corpus", "", "table corpus JSON path")
 		method  = fs.String("method", "collective", "startup annotation inference: collective|simple|lca|majority")
 		workers = fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS); bounds annotation and search concurrency")
 		timeout = fs.Duration("timeout", 30*time.Second, "per-request handling deadline")
 		drain   = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-		snap    = fs.String("snapshot", "", "path POST /v1/snapshot persists the live corpus to, always as WTSNAP v3 (default: the -load path; an older file there is replaced by a v3 one)")
+		snap    = fs.String("snapshot", "", "path POST /v1/snapshot persists the live corpus to, always as WTSNAP v3 (default: the -load path)")
 		shards  = fs.String("shards", "", "comma-separated shard addresses; run as the cluster's scatter-gather router instead of serving a corpus")
 		slowLog = fs.Duration("slow-query-log", 0, "log the full span tree of any request at least this slow (0 = disabled)")
 		pprofAt = fs.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty = disabled)")

@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr    = fs.String("addr", ":9100", "listen address")
-		load    = fs.String("load", "", "corpus snapshot to serve a shard of: only the manifest and this shard's segment sections are read (a file older than WTSNAP v3 is decoded whole)")
+		load    = fs.String("load", "", "corpus snapshot to serve a shard of: only the manifest and this shard's segment sections are read")
 		shard   = fs.Int("shard", 0, "this process's shard index, in [0, -shards)")
 		shards  = fs.Int("shards", 1, "total shard count in the cluster")
 		workers = fs.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS); bounds search concurrency")

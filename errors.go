@@ -48,8 +48,8 @@ var (
 	// ErrNotSnapshot reports a LoadService input that is not a snapshot
 	// file at all (bad magic).
 	ErrNotSnapshot = snapshot.ErrNotSnapshot
-	// ErrSnapshotVersion reports a snapshot written by a newer format
-	// version than this build reads.
+	// ErrSnapshotVersion reports a snapshot of a format version other
+	// than the one this build reads.
 	ErrSnapshotVersion = snapshot.ErrVersion
 	// ErrSnapshotChecksum reports a snapshot whose payload failed its
 	// checksum (truncated or corrupted in transit).

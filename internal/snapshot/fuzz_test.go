@@ -29,14 +29,12 @@ import (
 // segment decoded to its compiled index, postings derived — which may
 // fail where Load succeeds, but only with a structured error.
 //
-// The memory bound is deliberately loose — the most DEFLATE (or, for old
-// files, gzip) can inflate its input times a few dozen bytes of Go value
-// per decoded byte, plus a fixed allowance for the (de)compressors' own
-// state — but it is a bound: a count taken at face value would sail past
-// it.
+// The memory bound is deliberately loose — the most DEFLATE can inflate
+// its input times a few dozen bytes of Go value per decoded byte, plus a
+// fixed allowance for the (de)compressors' own state — but it is a
+// bound: a count taken at face value would sail past it.
 func FuzzLoadSnapshot(f *testing.F) {
 	for _, name := range fixtures {
-		f.Add(readFixture(f, name))
 		snap := loadFixture(f, name)
 		v3 := saveV3(f, snap)
 		f.Add(v3)

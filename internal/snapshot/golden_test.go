@@ -16,11 +16,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/snapshot.golden from what Load returns for the frozen fixtures")
 
-// fixtures are the snapshot files frozen under testdata/: written once
-// by the gzip-JSON Save of format version 2, at the commit before
-// version 3 (25fdbb6, by internal/search's TestWriteSnapshotFixtures,
-// which went with the writer), and never rewritten since. Every later
-// reader must keep loading them.
+// fixtures are the snapshot files frozen under testdata/: written as
+// format version 2 at the commit before version 3 (25fdbb6, by
+// internal/search's TestWriteSnapshotFixtures, which went with the
+// writer), and re-saved once as version 3 — Save of what Load returned —
+// in the commit before the version 1 and 2 reader was deleted;
+// snapshot.golden is older than both and still what they load to. Every
+// later reader must keep loading them.
 //
 //   - segmented.snap is the "partial" corpus of internal/search's
 //     pages.golden as a live-corpus manifest at generation 7: four

@@ -26,14 +26,15 @@
 // unsigned LEB128 varints (wire.go).
 //
 // The header is uncompressed so foreign files fail fast on the magic and
-// a newer-format file fails on the version before anything is decoded.
-// Every block is checksummed on its own and checked before it is
-// inflated or parsed, so truncation and bit rot surface as ErrChecksum
-// naming the block; what passes its checksum and still does not decode —
-// a bug, or a file assembled by hand — is ErrCorrupt. Nothing is sized by
-// a number from the file before that number has been checked against the
-// bytes actually present (a section's declared inflated length against
-// what DEFLATE can expand its compressed bytes to).
+// a file of any other format version fails on the version before
+// anything is decoded. Every block is checksummed on its own and checked
+// before it is inflated or parsed, so truncation and bit rot surface as
+// ErrChecksum naming the block; what passes its checksum and still does
+// not decode — a bug, or a file assembled by hand — is ErrCorrupt.
+// Nothing is sized by a number from the file before that number has been
+// checked against the bytes actually present (a section's declared
+// inflated length against what DEFLATE can expand its compressed bytes
+// to).
 //
 // Because each segment is a section of its own, a reader takes what it
 // needs: Reader decodes or skips segment by segment, which is how one
@@ -69,20 +70,19 @@
 //
 // # Version history
 //
-//	v1  gzip-compressed JSON: a flat corpus, one tables list and a
-//	    parallel annotations list.
+//	v1  compressed JSON: a flat corpus, one tables list and a parallel
+//	    annotations list.
 //	v2  the same encoding with the live-corpus manifest: the corpus may
 //	    instead be a list of index segments, each with its tables,
 //	    annotations and tombstoned table numbers, plus the generation.
-//	v3  this layout. Files of version 1 and 2 remain readable through
-//	    the JSON decoder they were written for (their one block after the
-//	    header is the whole gzip-JSON body); a service loaded from one
-//	    builds its index from the decoded tables, as it always did.
+//	v3  this layout, the only one read. Nothing has written version 1
+//	    or 2 since version 3 landed; such a file is ErrVersion, whose
+//	    message names the last commit (lastV2Reader) that loads one and
+//	    saves it again as version 3.
 package snapshot
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -101,14 +101,18 @@ import (
 	"repro/internal/table"
 )
 
-// Version is the snapshot format version Save writes. Readers accept
-// files of this version or older.
+// Version is the snapshot format version Save writes and the only one
+// readers accept.
 const Version = 3
+
+// lastV2Reader is the last commit of this repository that reads version
+// 1 and 2 files; `tabserved -load` there, then POST /v1/snapshot, re-saves
+// one as version 3.
+const lastV2Reader = "cc864bc"
 
 var magic = [6]byte{'W', 'T', 'S', 'N', 'A', 'P'}
 
-// headerLen is magic + version byte + first-block length + first-block
-// CRC. The first block is the manifest (the whole body before version 3).
+// headerLen is magic + version byte + manifest length + manifest CRC.
 const headerLen = len(magic) + 1 + 8 + 4
 
 // Sentinel errors of the snapshot format; test with errors.Is.
@@ -116,8 +120,8 @@ var (
 	// ErrNotSnapshot reports a file that does not start with the snapshot
 	// magic bytes.
 	ErrNotSnapshot = errors.New("snapshot: not a snapshot file")
-	// ErrVersion reports a snapshot written by a newer format version
-	// than this package reads.
+	// ErrVersion reports a snapshot of a format version other than the
+	// one this package reads.
 	ErrVersion = errors.New("snapshot: unsupported format version")
 	// ErrChecksum reports a block — manifest, catalog or segment section —
 	// whose bytes are missing or do not match their checksum (truncation
@@ -156,16 +160,6 @@ type Segment struct {
 	Anns   []*core.Annotation `json:"annotations,omitempty"`
 	// Dead lists the segment-local numbers of tombstoned tables.
 	Dead []int `json:"dead,omitempty"`
-}
-
-// body is the JSON shape inside the compressed payload of a version-1 or
-// version-2 file.
-type body struct {
-	Catalog    catalog.Snapshot   `json:"catalog"`
-	Tables     []*table.Table     `json:"tables,omitempty"`
-	Anns       []*core.Annotation `json:"annotations,omitempty"`
-	Segments   []Segment          `json:"segments,omitempty"`
-	Generation uint64             `json:"generation,omitempty"`
 }
 
 // validate checks the structural invariants of a corpus manifest:
@@ -217,16 +211,15 @@ func metricsInit() {
 	})
 }
 
-// frame puts the header in front of a file's first block — the manifest,
-// or before version 3 the whole body: magic, version, and the block's
-// length and checksum.
-func frame(version uint8, first []byte) []byte {
-	out := make([]byte, 0, headerLen+len(first))
+// frame puts the header in front of a file's manifest: magic, version,
+// and the manifest's length and checksum.
+func frame(version uint8, manifest []byte) []byte {
+	out := make([]byte, 0, headerLen+len(manifest))
 	out = append(out, magic[:]...)
 	out = append(out, version)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(first)))
-	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(first))
-	return append(out, first...)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(manifest)))
+	out = binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(manifest))
+	return append(out, manifest...)
 }
 
 // Save is SaveContext without cancellation or tracing.
@@ -322,10 +315,6 @@ func save(ctx context.Context, w io.Writer, cat catalog.Snapshot, generation uin
 // segments one at a time, in manifest order, decoding a segment to its
 // compiled index or passing over its section unread. A reader that
 // stops early has read nothing of the segments it did not reach.
-//
-// A file older than version 3 has no sections: NewReader decodes its
-// whole JSON body, Next builds each segment's index from the decoded
-// tables (searchidx.BuildContext) and Skip costs nothing more.
 type Reader struct {
 	// Catalog is the catalog's portable form.
 	Catalog catalog.Snapshot
@@ -340,8 +329,7 @@ type Reader struct {
 	ctx      context.Context
 	r        io.Reader
 	next     int
-	sections []sectionRef // version 3
-	old      []Segment    // versions 1 and 2: the decoded body's segments
+	sections []sectionRef
 
 	t0      time.Time
 	span    *obs.Span
@@ -372,20 +360,16 @@ func (rd *Reader) open() error {
 	if !bytes.Equal(header[:len(magic)], magic[:]) {
 		return ErrNotSnapshot
 	}
-	version := header[len(magic)]
-	if version == 0 || version > Version {
-		return fmt.Errorf("%w: file version %d, reader supports <= %d", ErrVersion, version, Version)
+	switch version := header[len(magic)]; {
+	case version < Version:
+		return fmt.Errorf("%w: file version %d, reader supports only %d; commit %s is the last that loads it and saves it again as version %d",
+			ErrVersion, version, Version, lastV2Reader, Version)
+	case version > Version:
+		return fmt.Errorf("%w: file version %d, reader supports only %d", ErrVersion, version, Version)
 	}
 	first := sectionRef{
 		length: binary.BigEndian.Uint64(header[len(magic)+1:]),
 		crc:    binary.BigEndian.Uint32(header[len(magic)+9:]),
-	}
-	if version < 3 {
-		payload, err := rd.block(first, "payload")
-		if err != nil {
-			return err
-		}
-		return rd.openJSON(payload)
 	}
 	raw, err := rd.block(first, "manifest")
 	if err != nil {
@@ -408,36 +392,6 @@ func (rd *Reader) open() error {
 	return nil
 }
 
-// openJSON decodes the gzip-JSON body of a version-1 or version-2 file.
-func (rd *Reader) openJSON(payload []byte) error {
-	gz, err := gzip.NewReader(bytes.NewReader(payload))
-	if err != nil {
-		return fmt.Errorf("%w: gzip: %v", ErrCorrupt, err)
-	}
-	var b body
-	if err := json.NewDecoder(gz).Decode(&b); err != nil {
-		return fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
-	}
-	if err := gz.Close(); err != nil {
-		return fmt.Errorf("%w: gzip close: %v", ErrCorrupt, err)
-	}
-	snap := &Snapshot{Catalog: b.Catalog, Tables: b.Tables, Anns: b.Anns, Segments: b.Segments, Generation: b.Generation}
-	if err := snap.validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	rd.Catalog, rd.Generation, rd.Flat, rd.old = b.Catalog, b.Generation, len(b.Segments) == 0, snap.SegmentList()
-	rd.Manifest = make([]SegmentInfo, len(rd.old))
-	for i, sg := range rd.old {
-		for _, t := range sg.Tables {
-			if err := t.Validate(); err != nil {
-				return fmt.Errorf("%w: segment %d: %v", ErrCorrupt, i, err)
-			}
-		}
-		rd.Manifest[i] = SegmentInfo{ID: sg.ID, Tables: len(sg.Tables), Dead: sg.Dead}
-	}
-	return nil
-}
-
 func (rd *Reader) block(ref sectionRef, what string) ([]byte, error) {
 	raw, err := readBlock(rd.r, ref, what)
 	rd.bytes += int64(len(raw))
@@ -448,15 +402,9 @@ func (rd *Reader) block(ref sectionRef, what string) ([]byte, error) {
 // over cat.
 func (rd *Reader) Next(cat *catalog.Catalog) (*searchidx.Index, error) {
 	var ix *searchidx.Index
-	err := rd.decodeNext(func(i int, payload []byte) (int, error) {
+	err := rd.decodeNext(func(payload []byte) (int, error) {
 		var err error
-		if rd.old == nil {
-			ix, err = searchidx.DecodeSegment(rd.ctx, cat, payload)
-		} else if ix, err = searchidx.BuildContext(rd.ctx, cat, rd.old[i].Tables, rd.old[i].Anns); err != nil && rd.ctx.Err() == nil {
-			// An annotation of a shape no version ever wrote.
-			err = fmt.Errorf("%w: %v", searchidx.ErrBadSegment, err)
-		}
-		if err != nil {
+		if ix, err = searchidx.DecodeSegment(rd.ctx, cat, payload); err != nil {
 			return 0, err
 		}
 		return ix.Len(), nil
@@ -468,10 +416,10 @@ func (rd *Reader) Next(cat *catalog.Catalog) (*searchidx.Index, error) {
 }
 
 // decodeNext advances to the next segment of the manifest and, inside a
-// snapshot.section span, hands decode the segment's number and — for a
-// version-3 file — its section's payload, checked and inflated. decode
-// reports how many tables it found, which must be the manifest's count.
-func (rd *Reader) decodeNext(decode func(i int, payload []byte) (tables int, err error)) error {
+// snapshot.section span, hands decode its section's payload, checked and
+// inflated. decode reports how many tables it found, which must be the
+// manifest's count.
+func (rd *Reader) decodeNext(decode func(payload []byte) (tables int, err error)) error {
 	i := rd.next
 	if i >= len(rd.Manifest) {
 		return io.EOF
@@ -480,17 +428,15 @@ func (rd *Reader) decodeNext(decode func(i int, payload []byte) (tables int, err
 	rd.decoded++
 	child := rd.span.Child("snapshot.section")
 	defer child.End()
-	var payload []byte
-	if rd.old == nil {
-		raw, err := rd.block(rd.sections[i], fmt.Sprintf("segment %d section", i))
-		if err != nil {
-			return err
-		}
-		if payload, err = inflate(raw); err != nil {
-			return fmt.Errorf("segment %d: %w", i, err)
-		}
+	raw, err := rd.block(rd.sections[i], fmt.Sprintf("segment %d section", i))
+	if err != nil {
+		return err
 	}
-	tables, err := decode(i, payload)
+	payload, err := inflate(raw)
+	if err != nil {
+		return fmt.Errorf("segment %d: %w", i, err)
+	}
+	tables, err := decode(payload)
 	if errors.Is(err, searchidx.ErrBadSegment) {
 		return fmt.Errorf("%w: segment %d: %v", ErrCorrupt, i, err)
 	}
@@ -511,9 +457,6 @@ func (rd *Reader) Skip() error {
 		return io.EOF
 	}
 	rd.next++
-	if rd.old != nil {
-		return nil
-	}
 	n := int64(rd.sections[i].length)
 	if s, ok := rd.r.(io.Seeker); ok {
 		if _, err := s.Seek(n, io.SeekCurrent); err != nil {
@@ -552,19 +495,17 @@ func Load(r io.Reader) (*Snapshot, error) {
 	}
 	defer rd.Close()
 	snap := &Snapshot{Catalog: rd.Catalog, Generation: rd.Generation}
-	segs := rd.old
-	if segs == nil {
-		for _, m := range rd.Manifest {
-			sg := Segment{ID: m.ID, Dead: m.Dead}
-			err := rd.decodeNext(func(_ int, payload []byte) (n int, err error) {
-				sg.Tables, sg.Anns, err = searchidx.DecodeTables(rd.ctx, payload)
-				return len(sg.Tables), err
-			})
-			if err != nil {
-				return nil, err
-			}
-			segs = append(segs, sg)
+	var segs []Segment
+	for _, m := range rd.Manifest {
+		sg := Segment{ID: m.ID, Dead: m.Dead}
+		err := rd.decodeNext(func(payload []byte) (n int, err error) {
+			sg.Tables, sg.Anns, err = searchidx.DecodeTables(rd.ctx, payload)
+			return len(sg.Tables), err
+		})
+		if err != nil {
+			return nil, err
 		}
+		segs = append(segs, sg)
 	}
 	if !rd.Flat {
 		snap.Segments = segs

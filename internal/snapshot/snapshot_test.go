@@ -2,10 +2,10 @@ package snapshot
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -214,45 +214,26 @@ func TestSaveRejectsBadTombstone(t *testing.T) {
 	}
 }
 
-// writeVersioned replicates the framing the version-1 and version-2
-// writers used — one gzip-JSON body behind the header — with an arbitrary
-// version byte, to synthesize files from other format generations.
-func writeVersioned(t *testing.T, version uint8, b body) []byte {
-	t.Helper()
-	var payload bytes.Buffer
-	gz := gzip.NewWriter(&payload)
-	if err := json.NewEncoder(gz).Encode(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return frame(version, payload.Bytes())
-}
-
-// TestLoadAcceptsV1File: a version bump must not orphan existing
-// snapshots — a genuine version-1 file (flat body, no segments) still
-// loads, through the JSON decoder it was written for.
-func TestLoadAcceptsV1File(t *testing.T) {
-	flat := testSnapshot(t)
-	raw := writeVersioned(t, 1, body{Catalog: flat.Catalog, Tables: flat.Tables, Anns: flat.Anns})
-	got, err := Load(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("load v1: %v", err)
-	}
-	if !reflect.DeepEqual(flat, got) {
-		t.Fatalf("v1 mismatch:\n in: %+v\nout: %+v", flat, got)
-	}
-}
-
-// TestLoadRejectsV4WithoutDecoding: a structurally valid file stamped
-// with a future version fails on ErrVersion before any payload decode —
-// even though its payload would decode fine as the version-2 body it is.
-func TestLoadRejectsV4WithoutDecoding(t *testing.T) {
-	flat := testSnapshot(t)
-	raw := writeVersioned(t, Version+1, body{Catalog: flat.Catalog, Tables: flat.Tables, Anns: flat.Anns})
-	_, err := Load(bytes.NewReader(raw))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
+// TestLoadRejectsOtherVersions: a header stamped with any format version
+// but the current one — the retired 1 and 2, the never-written 0, a
+// future 4 — fails on ErrVersion naming the version found, before a byte
+// past the header is read. The retired versions' message also names the
+// last commit that reads them.
+func TestLoadRejectsOtherVersions(t *testing.T) {
+	for _, version := range []uint8{0, 1, 2, Version + 1} {
+		header := frame(version, nil)
+		// A source that has nothing but the header: reading on is io.EOF
+		// and would surface as ErrChecksum (a short manifest).
+		_, err := Load(bytes.NewReader(header[:headerLen]))
+		if !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: err = %v, want ErrVersion", version, err)
+			continue
+		}
+		if want := fmt.Sprintf("file version %d, reader supports only %d", version, Version); !strings.Contains(err.Error(), want) {
+			t.Errorf("version %d: message %q does not say %q", version, err, want)
+		}
+		if named := strings.Contains(err.Error(), lastV2Reader); named != (version < Version) {
+			t.Errorf("version %d: message %q names commit %s: %v", version, err, lastV2Reader, named)
+		}
 	}
 }

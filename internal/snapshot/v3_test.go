@@ -57,13 +57,17 @@ func blocksOf(t testing.TB, raw []byte) []blockSpan {
 }
 
 // TestFixturesRoundTripV3: what Load returns for each frozen file, saved
-// in the current format, loads back to the same dump; saving is
-// deterministic; and Save → Load → Save is byte-identical.
+// again, is the frozen file byte for byte and loads back to the same
+// dump; saving is deterministic; and Save → Load → Save is
+// byte-identical.
 func TestFixturesRoundTripV3(t *testing.T) {
 	for _, name := range fixtures {
 		old := loadFixture(t, name)
 		want := dumpSnapshot(old)
 		raw := saveV3(t, old)
+		if !bytes.Equal(raw, readFixture(t, name)) {
+			t.Errorf("%s: Save no longer writes the frozen file's bytes", name)
+		}
 		if again := saveV3(t, old); !bytes.Equal(raw, again) {
 			t.Errorf("%s: two saves of one snapshot differ", name)
 		}
@@ -266,37 +270,6 @@ func TestReaderTakesOnlyWhatItIsAskedFor(t *testing.T) {
 	}
 	if err := rd2.Skip(); err != io.EOF {
 		t.Fatalf("Skip past the last segment: err = %v, want io.EOF", err)
-	}
-}
-
-// TestReaderOverOldFile: a version-2 file has no sections; the reader
-// presents the same manifest, builds each segment's index from the
-// decoded tables, and skipping costs nothing.
-func TestReaderOverOldFile(t *testing.T) {
-	rd, err := NewReader(context.Background(), bytes.NewReader(readFixture(t, "segmented.snap")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	if len(rd.Manifest) != 4 || rd.Generation != 7 || rd.Flat || rd.Manifest[2].Tables != 2 || len(rd.Manifest[2].Dead) != 2 {
-		t.Fatalf("manifest = %+v (generation %d, flat %v)", rd.Manifest, rd.Generation, rd.Flat)
-	}
-	asn, err := rd.AssignShards(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asn[0].Tables+asn[1].Tables != 25 || asn[1].TableOffset != asn[0].Tables {
-		t.Fatalf("assignments %+v do not cover the 25 live tables", asn)
-	}
-	if err := rd.Skip(); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := rd.Next(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Len() != 7 || ix.TableID(0) != "t9" || ix.Annotation(0).TableID != "t9" {
-		t.Fatalf("second segment built over %d tables starting at %q", ix.Len(), ix.TableID(0))
 	}
 }
 

@@ -61,14 +61,13 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 // Service.ResidentBytes). The live-corpus
 // manifest — segment identities, tombstones and generation — is restored,
 // so AddTables / RemoveTables resume where the saved service stopped; a
-// flat snapshot loads as a single segment. Files older than format
-// version 3 hold tables and annotations as JSON, and their segments are
-// index-built from those as before. Service options (worker count,
-// weights, compaction knobs, ...) apply as in NewService.
+// flat snapshot loads as a single segment. Service options (worker
+// count, weights, compaction knobs, ...) apply as in NewService.
 //
 // Format failures are structured: errors.Is recognizes ErrNotSnapshot
-// (foreign file), ErrSnapshotVersion (file newer than this reader) and
-// ErrSnapshotChecksum (truncation or corruption).
+// (foreign file), ErrSnapshotVersion (a format version other than 3; the
+// message says how to convert an older file) and ErrSnapshotChecksum
+// (truncation or corruption).
 func LoadService(ctx context.Context, r io.Reader, opts ...ServiceOption) (*Service, error) {
 	rd, err := snapshot.NewReader(ctx, r)
 	if err != nil {
