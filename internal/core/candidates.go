@@ -204,13 +204,3 @@ func (a *Annotator) relationSpace(cs *candidates, i, j int) []feature.RelDir {
 	})
 	return rels
 }
-
-// pairFor returns the relPair joining column indices (i, j), if any.
-func (cs *candidates) pairFor(i, j int) (relPair, bool) {
-	for _, p := range cs.pairs {
-		if p.i == i && p.j == j {
-			return p, true
-		}
-	}
-	return relPair{}, false
-}

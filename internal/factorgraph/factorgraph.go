@@ -100,9 +100,6 @@ func (g *Graph) NumFactors() int { return len(g.factors) }
 // Domain returns the domain size of v.
 func (g *Graph) Domain(v VarID) int { return g.vars[v].domain }
 
-// VarName returns the debug name of v.
-func (g *Graph) VarName(v VarID) string { return g.vars[v].name }
-
 // AddFactor attaches a factor over vars with the given log-potential
 // table (row-major, length = product of domains). Arity 1-3 supported.
 func (g *Graph) AddFactor(name string, vars []VarID, logPot []float64) FactorID {

@@ -29,90 +29,6 @@ func JaccardSets(sa, sb map[string]struct{}) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Dice returns 2|A∩B| / (|A|+|B|) over token sets.
-func Dice(a, b string) float64 {
-	sa, sb := TokenSet(a), TokenSet(b)
-	if len(sa)+len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	return 2 * float64(inter) / float64(len(sa)+len(sb))
-}
-
-// Overlap returns |A∩B| / min(|A|,|B|) over token sets; 0 if either empty.
-func Overlap(a, b string) float64 {
-	sa, sb := TokenSet(a), TokenSet(b)
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	m := len(sa)
-	if len(sb) < m {
-		m = len(sb)
-	}
-	return float64(inter) / float64(m)
-}
-
-// Levenshtein returns the edit distance between a and b, operating on
-// runes, with unit costs for insert, delete and substitute.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1 // deletion
-			if v := cur[j-1] + 1; v < m {
-				m = v // insertion
-			}
-			if v := prev[j-1] + cost; v < m {
-				m = v // substitution
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// EditSimilarity maps Levenshtein distance into [0,1]:
-// 1 - dist/max(len(a),len(b)). Identical strings score 1.
-func EditSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(m)
-}
-
 // Jaro returns the Jaro similarity of a and b in [0,1].
 func Jaro(a, b string) float64 { return jaro([]rune(a), []rune(b)) }
 

@@ -3,10 +3,8 @@ package text
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestTokenize(t *testing.T) {
@@ -47,22 +45,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestBigrams(t *testing.T) {
-	bg := Bigrams("new york city")
-	if len(bg) != 2 {
-		t.Fatalf("bigrams = %v", bg)
-	}
-	if _, ok := bg["new york"]; !ok {
-		t.Error("missing bigram 'new york'")
-	}
-	if _, ok := bg["york city"]; !ok {
-		t.Error("missing bigram 'york city'")
-	}
-	if got := Bigrams("single"); len(got) != 0 {
-		t.Errorf("single token bigrams = %v", got)
-	}
-}
-
 func TestJaccard(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -78,49 +60,6 @@ func TestJaccard(t *testing.T) {
 		if got := Jaccard(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("Jaccard(%q,%q) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
-	}
-}
-
-func TestDiceAndOverlap(t *testing.T) {
-	if got := Dice("a b", "b c"); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Dice = %v, want 0.5", got)
-	}
-	if got := Overlap("a", "a b c d"); got != 1.0 {
-		t.Errorf("Overlap = %v, want 1 (subset)", got)
-	}
-	if got := Overlap("", "a"); got != 0 {
-		t.Errorf("Overlap with empty = %v", got)
-	}
-}
-
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"einstein", "einstein", 0},
-	}
-	for _, tc := range cases {
-		if got := Levenshtein(tc.a, tc.b); got != tc.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
-func TestEditSimilarity(t *testing.T) {
-	if got := EditSimilarity("", ""); got != 1 {
-		t.Errorf("empty EditSimilarity = %v", got)
-	}
-	if got := EditSimilarity("abc", "abc"); got != 1 {
-		t.Errorf("identical EditSimilarity = %v", got)
-	}
-	if got := EditSimilarity("abc", "xyz"); got != 0 {
-		t.Errorf("disjoint EditSimilarity = %v", got)
 	}
 }
 
@@ -184,8 +123,8 @@ func TestCosineDiscriminates(t *testing.T) {
 		vs.Add(l)
 	}
 	q := "uncle albert quantum quest"
-	simRight := vs.CosineStrings(q, "uncle albert and the quantum quest")
-	simWrong := vs.CosineStrings(q, "albert einstein")
+	simRight := Cosine(vs.Vectorize(q), vs.Vectorize("uncle albert and the quantum quest"))
+	simWrong := Cosine(vs.Vectorize(q), vs.Vectorize("albert einstein"))
 	if simRight <= simWrong {
 		t.Errorf("cosine ranking wrong: right=%v wrong=%v", simRight, simWrong)
 	}
@@ -201,7 +140,7 @@ func TestSoftTFIDFToleratesTypos(t *testing.T) {
 	for _, l := range []string{"albert einstein", "russell stannard", "isaac newton"} {
 		vs.Add(l)
 	}
-	hard := vs.CosineStrings("albert einstien", "albert einstein") // typo
+	hard := Cosine(vs.Vectorize("albert einstien"), vs.Vectorize("albert einstein")) // typo
 	soft := SoftTFIDF(vs.Vectorize("albert einstien"), vs.Vectorize("albert einstein"), 0.9)
 	if soft <= hard {
 		t.Errorf("soft (%v) should beat hard (%v) on typos", soft, hard)
@@ -257,8 +196,7 @@ func TestQuickSimilarityBounds(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		a, b := randStr(), randStr()
 		for name, f := range map[string]func(string, string) float64{
-			"jaccard": Jaccard, "dice": Dice, "overlap": Overlap,
-			"edit": EditSimilarity, "jaro": Jaro, "jw": JaroWinkler,
+			"jaccard": Jaccard, "jaro": Jaro, "jw": JaroWinkler,
 		} {
 			v := f(a, b)
 			if v < -1e-12 || v > 1+1e-12 || math.IsNaN(v) {
@@ -268,39 +206,6 @@ func TestQuickSimilarityBounds(t *testing.T) {
 				t.Fatalf("%s not symmetric: %v vs %v", name, v, w)
 			}
 		}
-	}
-}
-
-// Property (testing/quick): Levenshtein satisfies the triangle inequality
-// and identity-of-indiscernibles on short random strings.
-func TestQuickLevenshteinMetric(t *testing.T) {
-	cfg := &quick.Config{
-		MaxCount: 300,
-		Values: func(vals []reflect.Value, rng *rand.Rand) {
-			for i := range vals {
-				n := rng.Intn(8)
-				b := make([]byte, n)
-				for j := range b {
-					b[j] = byte('a' + rng.Intn(4))
-				}
-				vals[i] = reflect.ValueOf(string(b))
-			}
-		},
-	}
-	f := func(a, b, c string) bool {
-		dab := Levenshtein(a, b)
-		dbc := Levenshtein(b, c)
-		dac := Levenshtein(a, c)
-		if dac > dab+dbc {
-			return false
-		}
-		if (dab == 0) != (a == b) {
-			return false
-		}
-		return dab == Levenshtein(b, a)
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -324,7 +229,7 @@ func TestQuickCosineBounds(t *testing.T) {
 		for j := 0; j < rng.Intn(5); j++ {
 			b.WriteString(words[rng.Intn(len(words))] + " ")
 		}
-		c := vs.CosineStrings(a.String(), b.String())
+		c := Cosine(vs.Vectorize(a.String()), vs.Vectorize(b.String()))
 		if c < -1e-12 || c > 1+1e-9 || math.IsNaN(c) {
 			t.Fatalf("cosine out of bounds: %v", c)
 		}

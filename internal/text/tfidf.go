@@ -196,11 +196,6 @@ func JaccardVectors(a, b Vector) float64 {
 	return float64(shared) / float64(union)
 }
 
-// CosineStrings vectorizes both strings and returns their cosine.
-func (v *VectorSpace) CosineStrings(a, b string) float64 {
-	return Cosine(v.Vectorize(a), v.Vectorize(b))
-}
-
 // SoftTFIDF computes the soft-TFIDF similarity of Bilenko et al. between
 // two vectors: like TF-IDF cosine, but tokens need not match exactly —
 // a pair of tokens whose JaroWinkler similarity reaches threshold

@@ -1,8 +1,8 @@
 // Package text provides tokenization and string-similarity primitives used
 // throughout the table annotator: TF-IDF cosine similarity over a lemma
-// corpus, Jaccard and Dice set overlap, Levenshtein and Jaro-Winkler edit
-// similarity, and the soft-TFIDF hybrid of Bilenko et al. that the paper
-// cites for cell-text/lemma matching (§4.2.1).
+// corpus, Jaccard set overlap, Jaro-Winkler edit similarity, and the
+// soft-TFIDF hybrid of Bilenko et al. that the paper cites for
+// cell-text/lemma matching (§4.2.1).
 //
 // # The compiled form
 //
@@ -109,17 +109,6 @@ func TokenSet(s string) map[string]struct{} {
 	set := make(map[string]struct{})
 	for _, t := range Tokenize(s) {
 		set[t] = struct{}{}
-	}
-	return set
-}
-
-// Bigrams returns the set of adjacent token pairs of s, joined by a space.
-// Used as a secondary signal when single-token overlap is too ambiguous.
-func Bigrams(s string) map[string]struct{} {
-	toks := Tokenize(s)
-	set := make(map[string]struct{})
-	for i := 0; i+1 < len(toks); i++ {
-		set[toks[i]+" "+toks[i+1]] = struct{}{}
 	}
 	return set
 }
