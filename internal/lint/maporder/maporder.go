@@ -5,7 +5,7 @@
 //
 // This is the repository's determinism killer: search results are
 // promised byte-identical to a serial from-scratch scan at any
-// parallelism and any segment layout, pagination cursors compare
+// shard count and any segment layout, pagination cursors compare
 // float scores bit-exactly, and worldgen corpora must be reproducible
 // from a seed. Go randomizes map iteration order per range statement,
 // so any ordered output assembled from a raw map walk differs between

@@ -234,8 +234,8 @@ func TestArenaStats(t *testing.T) {
 	if parked, grows := run(small, q); parked != parked1 || grows != grows1 {
 		t.Fatalf("repeat execution: %d bytes parked (%d before), %d more grows; want no change", parked, parked1, grows-grows1)
 	}
-	big, bq := denseFixture(t, 2000, 3)
-	if parked, grows := run(NewEngine(big), bq); parked <= parked1 || grows != grows1+1 {
+	big, bq := bigFixture(t, 6000)
+	if parked, grows := run(big, bq); parked <= parked1 || grows != grows1+1 {
 		t.Fatalf("larger execution: %d bytes parked (%d before), %d more grows; want more and one", parked, parked1, grows-grows1)
 	}
 	a := takeArena()

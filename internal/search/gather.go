@@ -11,9 +11,7 @@ import (
 // into per-cluster hit lists and returns each group's clusters in
 // serial scan order (groups without hits omitted), hit tables shifted
 // by tableOffset into the corpus-global numbering. Scan counters and the
-// stage time go to st. One query is never split further: a corpus is
-// scaled by cutting it into shards (internal/dist), and a service's
-// worker pool runs whole queries side by side.
+// stage time go to st.
 //
 // With own set, what is returned belongs to the caller: every hit list
 // is cut out of one allocation of exactly the logged hits, and the

@@ -61,16 +61,19 @@ func TestPagesGolden(t *testing.T) {
 	for _, co := range corpora {
 		var rs []pageRunner
 		ix := searchidx.New(co.cat, co.tables, co.anns)
+		// The route names say par=1 because they are older than the removal
+		// of the in-query parallel scan (whose par=2 and par=8 routes went
+		// with it); they are kept so that a test's history lines up.
 		eng := NewEngineOver(ix)
 		rs = append(rs, pageRunner{
-			name: "execute",
+			name: "execute/par=1",
 			run:  func(req Request) (*Result, error) { return eng.Execute(context.Background(), req) },
 		})
 		n := len(co.tables)
 		for _, cuts := range [][]int{{n}, {n / 2, n}, {n / 3, 2 * n / 3, n}} {
 			engines, offsets := shardEngines(t, co.cat, co.tables, co.anns, cuts)
 			rs = append(rs, pageRunner{
-				name: fmt.Sprintf("partial/%d-way", len(cuts)),
+				name: fmt.Sprintf("partial/%d-way/par=1", len(cuts)),
 				run: func(req Request) (*Result, error) {
 					partials, stats := collectPartials(t, engines, offsets, Request{Query: req.Query, Mode: req.Mode})
 					return MergePartials(partials, stats, req.PageSize, req.Cursor, req.Explain)

@@ -223,65 +223,6 @@ func TestPreCancelledLargeTable(t *testing.T) {
 	}
 }
 
-// denseFixture builds a one-relation corpus with nAnswers distinct
-// text-cluster answers of the given support (rows per answer), so the
-// scan stage does nAnswers*support row matches before selection.
-func denseFixture(tb testing.TB, nAnswers, support int) (*searchidx.Index, Query) {
-	tb.Helper()
-	c := catalog.New()
-	film, _ := c.AddType("Film", "movie")
-	director, _ := c.AddType("Director", "director")
-	directed, _ := c.AddRelation("directed", film, director, catalog.ManyToOne)
-	d1, _ := c.AddEntity("Prolific Director", nil, director)
-	if err := c.Freeze(); err != nil {
-		tb.Fatal(err)
-	}
-	const rowsPerTable = 100
-	var (
-		tables []*table.Table
-		anns   []*core.Annotation
-		tab    *table.Table
-		ann    *core.Annotation
-	)
-	flush := func() {
-		if tab != nil {
-			tables = append(tables, tab)
-			anns = append(anns, ann)
-			tab, ann = nil, nil
-		}
-	}
-	row := 0
-	for i := 0; i < nAnswers; i++ {
-		for s := 0; s < support; s++ {
-			if tab == nil {
-				tab = &table.Table{
-					ID:      fmt.Sprintf("t%d", len(tables)),
-					Context: "films and their directors",
-					Headers: []string{"Film", "Director"},
-				}
-				ann = &core.Annotation{
-					ColumnTypes: []catalog.TypeID{film, director},
-					Relations: []core.RelationAnnotation{{
-						Col1: 0, Col2: 1, Relation: directed, Forward: true,
-					}},
-				}
-			}
-			tab.Cells = append(tab.Cells, []string{fmt.Sprintf("Film %06d", i), "Prolific Director"})
-			ann.CellEntities = append(ann.CellEntities, []catalog.EntityID{catalog.None, catalog.None})
-			if row++; row >= rowsPerTable {
-				row = 0
-				flush()
-			}
-		}
-	}
-	flush()
-	return searchidx.New(c, tables, anns), Query{
-		Relation: directed, T1: film, T2: director, E2: d1,
-		RelationText: "directors", T1Text: "Film", T2Text: "Director",
-		E2Text: "Prolific Director",
-	}
-}
-
 // BenchmarkSelectPageDominantForm guards the satellite fix: rank-key
 // construction reads the memoized dominant surface form instead of
 // rescanning every cluster's variants map, so selection cost is O(n),

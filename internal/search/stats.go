@@ -6,9 +6,9 @@
 // routed query's merged counters are the exact sums of its shards'
 // (shards own disjoint table ranges, and integer addition is
 // order-independent, so summing per-shard counters carries no analogue
-// of the float-fold hazard). The stage timings are
-// wall clock and therefore not deterministic; tests compare counters
-// and ignore timings. Nothing here may reorder a scan or a fold — the
+// of the float-fold hazard). The stage timings are wall clock and
+// therefore not deterministic; tests compare counters and ignore
+// timings. Nothing here may reorder a scan or a fold — the
 // byte-identical-results contract is asserted over executions that all
 // collect stats.
 package search
@@ -18,10 +18,10 @@ package search
 // Validate, Plan and Scan are the gather half — Scan covers turning the
 // plan into per-cluster hit lists: the candidate scan into per-group
 // collectors and the counting pass over their logs. Aggregate, Select
-// and Explain are the fold half. Execute fills all of them; ExecutePartial only the
-// gather half (a shard does not fold); in a merged result the gather
-// half is the sum across shards (total cluster work, not critical-path
-// time) and the fold half is the merge's own.
+// and Explain are the fold half. Execute fills all of them;
+// ExecutePartial only the gather half (a shard does not fold); in a
+// merged result the gather half is the sum across shards (total cluster
+// work, not critical-path time) and the fold half is the merge's own.
 type StageNanos struct {
 	Validate  int64
 	Plan      int64
@@ -77,9 +77,9 @@ func (e *Engine) newStats() *ExecStats {
 // MergeExecStats folds per-shard execution stats into the cluster-wide
 // view a routed query reports: counters and shard-side stage times sum
 // (shards own disjoint table ranges, so sums are exact totals, not
-// estimates), Parallelism is the maximum any shard reported, and the fold
-// stages (Aggregate, Select, Explain) are left for the merge's own fold
-// to add to.
+// estimates), Parallelism is 1 as everywhere, and the fold stages
+// (Aggregate, Select, Explain) are left for the merge's own fold to add
+// to.
 func MergeExecStats(shards []ExecStats) ExecStats {
 	out := ExecStats{Parallelism: 1}
 	for i := range shards {
@@ -89,9 +89,6 @@ func MergeExecStats(shards []ExecStats) ExecStats {
 		out.RowsScanned += s.RowsScanned
 		out.SegmentsVisited += s.SegmentsVisited
 		out.TombstonesSkipped += s.TombstonesSkipped
-		if s.Parallelism > out.Parallelism {
-			out.Parallelism = s.Parallelism
-		}
 		out.Stage.Validate += s.Stage.Validate
 		out.Stage.Plan += s.Stage.Plan
 		out.Stage.Scan += s.Stage.Scan

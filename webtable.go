@@ -223,7 +223,7 @@ var (
 	// Result.Stats.
 	MergeSearchPartials = search.MergePartials
 	// MergeSearchExecStats folds per-shard execution stats into the
-	// cluster-wide view (counters sum; parallelism is the max).
+	// cluster-wide view (counters and shard-side stage times sum).
 	MergeSearchExecStats = search.MergeExecStats
 	// ValidateSearchCursor checks a pagination cursor's well-formedness
 	// without executing anything (routers reject bad cursors before
