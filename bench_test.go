@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	webtable "repro"
+	"repro/internal/benchfix"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -576,6 +577,42 @@ func BenchmarkAddTables(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(len(all)), "tables")
 	})
+}
+
+// BenchmarkAnnotateBatch is the repository benchmark's ingest workload in
+// process: one op is one AddTables of an eight-table batch of fresh noisy
+// tables (benchfix.Ingest) on a one-worker service, which annotates the
+// batch collectively and appends it to the live corpus as a segment. A new
+// service, built off the clock, takes over after every pass over the
+// batches, so no table ID repeats.
+func BenchmarkAnnotateBatch(b *testing.B) {
+	cat, batches := benchfix.Ingest(b, 16)
+	ctx := context.Background()
+	var svc *webtable.Service
+	tables := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := batches[i%len(batches)]
+		if i%len(batches) == 0 {
+			b.StopTimer()
+			if svc != nil {
+				svc.Close()
+			}
+			var err error
+			if svc, err = webtable.NewService(cat, webtable.WithWorkers(1)); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := svc.AddTables(ctx, batch); err != nil {
+			b.Fatal(err)
+		}
+		tables += len(batch)
+	}
+	b.StopTimer()
+	svc.Close()
+	b.ReportMetric(float64(tables)/b.Elapsed().Seconds(), "tables/s")
 }
 
 // BenchmarkTraining measures one epoch of structured training on a small

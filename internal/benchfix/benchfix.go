@@ -1,7 +1,9 @@
-// Package benchfix builds the corpus and the request sequence the
-// in-process serving benchmarks share (BenchmarkHandlerSearch in
+// Package benchfix builds the inputs of the in-process benchmarks that
+// stand in for the repository benchmark's workloads: the corpus and the
+// request sequence the serving benchmarks share (BenchmarkHandlerSearch in
 // internal/server, BenchmarkRoutedSearch in internal/dist), so that a
-// single node and a cluster are measured over the same bytes.
+// single node and a cluster are measured over the same bytes, and the
+// batches of fresh tables BenchmarkAnnotateBatch ingests.
 package benchfix
 
 import (
@@ -16,6 +18,7 @@ import (
 	"testing"
 
 	webtable "repro"
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/snapshot"
 	"repro/internal/table"
@@ -35,43 +38,21 @@ import (
 func Serving(tb testing.TB) (snap []byte, seq [][]byte) {
 	tb.Helper()
 	const (
-		datasetSeed = 1
-		baseTables  = 96
-		poolPerRel  = 40
-		broadPer    = 10
-		seqLen      = 1 << 12
+		baseTables = 96
+		poolPerRel = 40
+		broadPer   = 10
+		seqLen     = 1 << 12
 	)
 	segments := []int{3072, 2048, 512, 256, 64, 32, 16}
 	ctx := context.Background()
 
-	spec := worldgen.DefaultSpec()
-	spec.Seed = datasetSeed
-	w, err := worldgen.Build(spec)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	w := world(tb)
 	ann, err := webtable.NewService(w.Public, webtable.WithWorkers(1))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	defer ann.Close()
-	// Every eight consecutive tables hold eight different relations, row
-	// counts spread over 10..40 and one or two tables pairing unrelated
-	// columns (the benchmark's stratifiedTables).
-	tabs := make([]*table.Table, baseTables)
-	for i := range tabs {
-		b, j := i/8, i%8
-		np := worldgen.NoisyProfile()
-		np.UnrelatedTableProb = 0
-		if (b+j)%5 == 0 {
-			np.UnrelatedTableProb = 1
-		}
-		rows := 10 + (j*31/8+b*7)%31
-		rel := w.Relations[(b+j)%len(w.Relations)]
-		ds := w.GenerateDataset(fmt.Sprintf("corpus%05d", i), datasetSeed*100003+int64(i), 1, rows, rows,
-			np, worldgen.AllGTLayers(), rel.Name)
-		tabs[i] = ds.Tables[0].Table
-	}
+	tabs := stratified(w, "corpus", datasetSeed, baseTables)
 	anns, err := ann.AnnotateCorpus(ctx, tabs)
 	if err != nil {
 		tb.Fatal(err)
@@ -171,4 +152,56 @@ func Serving(tb testing.TB) (snap []byte, seq [][]byte) {
 		seq[i] = bodies[3*sort.SearchFloat64s(cdf, rng.Float64()*sum)+i%3]
 	}
 	return file.Bytes(), seq
+}
+
+// datasetSeed is the repository benchmark's world seed.
+const datasetSeed = 1
+
+// Ingest is the repository benchmark's ingest input rebuilt in-process:
+// the seed-1 world's public catalog and the first n batches of fresh
+// tables its ingest workload posts at -seed 1 (benchmark/inputs.go,
+// buildFresh) — eight stratified NoisyProfile tables of 10..40 rows each.
+func Ingest(tb testing.TB, n int) (*catalog.Catalog, [][]*table.Table) {
+	tb.Helper()
+	const batch, freshSeed = 8, datasetSeed*7919 + 23
+	w := world(tb)
+	tabs := stratified(w, "fresh", freshSeed, n*batch)
+	batches := make([][]*table.Table, n)
+	for i := range batches {
+		batches[i] = tabs[i*batch : (i+1)*batch : (i+1)*batch]
+	}
+	return w.Public, batches
+}
+
+func world(tb testing.TB) *worldgen.World {
+	tb.Helper()
+	spec := worldgen.DefaultSpec()
+	spec.Seed = datasetSeed
+	w, err := worldgen.Build(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// stratified renders n NoisyProfile tables as the benchmark's
+// stratifiedTables does: every eight consecutive tables hold eight
+// different relations, row counts spread over 10..40 and one or two
+// tables pairing unrelated columns.
+func stratified(w *worldgen.World, name string, seed int64, n int) []*table.Table {
+	out := make([]*table.Table, n)
+	for i := range out {
+		b, j := i/8, i%8
+		np := worldgen.NoisyProfile()
+		np.UnrelatedTableProb = 0
+		if (b+j)%5 == 0 {
+			np.UnrelatedTableProb = 1
+		}
+		rows := 10 + (j*31/8+b*7)%31
+		rel := w.Relations[(b+j)%len(w.Relations)]
+		ds := w.GenerateDataset(fmt.Sprintf("%s%05d", name, i), seed*100003+int64(i), 1, rows, rows,
+			np, worldgen.AllGTLayers(), rel.Name)
+		out[i] = ds.Tables[0].Table
+	}
+	return out
 }

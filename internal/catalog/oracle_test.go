@@ -358,3 +358,54 @@ func TestIsSubtypeOracle(t *testing.T) {
 	}
 	checkSubtypes(t, "chain of 130", mustFreeze(t, chain))
 }
+
+// checkDirectTypeSets: T(E), dist(E,T) and the missing-link relatedness
+// depend on an entity only through the set of its direct types (the
+// dist-1 entries of its ancestor run), so two entities whose sets are
+// equal answer every type alike.
+func checkDirectTypeSets(t *testing.T, name string, c *catalog.Catalog) {
+	t.Helper()
+	first := map[string]catalog.EntityID{} // set → its lowest entity
+	for e := 0; e < c.NumEntities(); e++ {
+		id := catalog.EntityID(e)
+		set := slices.Compact(slices.Sorted(slices.Values(c.DirectTypes(id))))
+		key := fmt.Sprint(set)
+		f, seen := first[key]
+		if !seen {
+			first[key] = id
+			f = id
+		}
+		if !slices.Equal(c.TypeAncestorsOf(id), c.TypeAncestorsOf(f)) {
+			t.Fatalf("%s: entities %d and %d have direct types %v but T(E) %v and %v", name, f, e, set,
+				c.TypeAncestorsOf(f), c.TypeAncestorsOf(id))
+		}
+		for ty := 0; ty < c.NumTypes(); ty++ {
+			tid := catalog.TypeID(ty)
+			d1, ok1 := c.Dist(f, tid)
+			d2, ok2 := c.Dist(id, tid)
+			r1, r2 := c.Relatedness(f, tid), c.Relatedness(id, tid)
+			if d1 != d2 || ok1 != ok2 || math.Float64bits(r1) != math.Float64bits(r2) {
+				t.Fatalf("%s: entities %d and %d share direct types %v; type %d: dist (%d,%t) vs (%d,%t), relatedness %v vs %v",
+					name, f, e, set, ty, d1, ok1, d2, ok2, r1, r2)
+			}
+		}
+	}
+}
+
+// TestTypeSignatureOracle: entities with equal direct-type sets are
+// interchangeable to every type-side lookup φ3 makes, on the worldgen
+// catalogs and on random DAG catalogs (entities with repeated and with
+// no direct types among them), before and after a Clone → remove →
+// re-Freeze.
+func TestTypeSignatureOracle(t *testing.T) {
+	pub, truth := worldCatalogs(t)
+	rng := rand.New(rand.NewSource(31))
+	checkDirectTypeSets(t, "worldgen public", pub)
+	checkDirectTypeSets(t, "worldgen true", truth)
+	checkDirectTypeSets(t, "worldgen public degraded", degrade(t, rng, pub))
+	for trial := 0; trial < 150; trial++ {
+		c := mustFreeze(t, randomCatalog(t, rng))
+		checkDirectTypeSets(t, fmt.Sprintf("random %d", trial), c)
+		checkDirectTypeSets(t, fmt.Sprintf("random %d degraded", trial), degrade(t, rng, c))
+	}
+}
