@@ -12,11 +12,11 @@
 // of its column and the caller compiles it once per column. The two
 // compiled sides go to one profile function, which only merge-joins
 // sorted token lists and compares pre-decoded runes: no lemma is
-// tokenised, normalised or vectorised after Build, and a probe's
-// allocations do not grow with the number of entities it pools. The
-// index is immutable after Build and everything a probe writes lives on
-// its own stack or in slices it allocates, so annotation workers share
-// one Index without synchronisation.
+// tokenised, normalised or vectorised after Build, and a probe allocates
+// nothing in a Probe its caller reuses (AppendCandidates). The index is
+// immutable after Build and a probe writes only to its stack, its Probe
+// and the candidates it returns, so annotation workers share one Index
+// without synchronisation.
 //
 // The paper reports that ~80% of its annotation time went into probing
 // this index and computing textual similarities. This implementation
@@ -24,16 +24,15 @@
 // (`tabeval -exp fig7`: candidate generation 75% of a collective
 // annotation, potential construction 11%, inference 14%); compiled
 // lemmas made the split about 44% / 35% / 21% of a total 3.7× smaller;
-// with the catalog compiled as well — φ3 scored once per column during
-// candidate generation, catalog set algebra looked up, hopeless Jaro
-// pairs skipped, one fused factor sweep — `tabeval -exp fig7 -scale 0.05`
-// reads about 61% / 20% / 19% of a total a further 2.6× smaller (≈5 ms a
-// table on the 2-core sandbox). The Figure-7 experiment reports whatever
-// split it measures.
+// the compiled catalog, one fused factor sweep and skipped hopeless Jaro
+// pairs made it 61% / 20% / 19% of a total 2.6× smaller again; probes that
+// keep only their top candidates, φ3 scored once per direct-type set and
+// annotations that reuse one pooled arena make `tabeval -exp fig7 -scale
+// 0.05` read about 59% / 19% / 22% of a total 1.8× smaller still (≈2.6 ms
+// a table on a 2-core machine). The experiment reports what it measures.
 package lemmaindex
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/catalog"
@@ -164,30 +163,52 @@ func (ix *Index) Catalog() *catalog.Catalog { return ix.cat }
 // punctuation) returns nil, as does one none of whose tokens is indexed;
 // digits are tokens like any other, so "1987" probes the index.
 func (ix *Index) CandidateEntities(cell string) []Candidate {
-	q := ix.vs.Vectorize(cell)
-	pool := ix.pool(ix.vs.TopTokens(q, ix.cfg.MaxProbeTokens))
-	if len(pool) == 0 {
-		return nil
+	return ix.AppendCandidates(nil, cell, &Probe{})
+}
+
+// Probe is the memory a probe works in, which one goroutine probing cell
+// after cell reuses: once grown, a probe allocates nothing.
+type Probe struct {
+	cell  text.Scratch
+	probe []string
+	union []catalog.EntityID
+}
+
+// AppendCandidates appends cell's CandidateEntities to dst, working in p.
+// It walks the pool in ascending entity order keeping the best
+// MaxCandidates so far in dst, ordered by score descending then entity
+// ascending: a candidate enters behind every kept one scoring at least
+// as much, and once the list is full it displaces the last only by
+// scoring more. Nothing is sorted and nothing beyond MaxCandidates kept.
+func (ix *Index) AppendCandidates(dst []Candidate, cell string, p *Probe) []Candidate {
+	q := ix.vs.VectorizeInto(cell, &p.cell)
+	p.probe = ix.vs.TopTokens(p.probe[:0], q, ix.cfg.MaxProbeTokens)
+	pool := ix.pool(p)
+	k := ix.cfg.MaxCandidates
+	if len(pool) == 0 || k <= 0 {
+		return dst
 	}
-	cands := make([]Candidate, 0, len(pool))
+	base := len(dst)
+	dst = slices.Grow(dst, min(k, len(pool)))
 	for _, e := range pool {
 		sim := profile(q, ix.entityLemmas[e], ix.cfg.SoftThreshold)
-		score := sim.Cosine
-		if sim.SoftTFIDF > score {
-			score = sim.SoftTFIDF
-		}
+		score := max(sim.Cosine, sim.SoftTFIDF)
 		if score < ix.cfg.MinScore {
 			continue
 		}
-		cands = append(cands, Candidate{Entity: e, Sim: sim, Score: score})
+		if len(dst)-base == k {
+			if score <= dst[len(dst)-1].Score {
+				continue
+			}
+			dst = dst[:len(dst)-1]
+		}
+		i := len(dst)
+		for i > base && dst[i-1].Score < score {
+			i--
+		}
+		dst = slices.Insert(dst, i, Candidate{Entity: e, Sim: sim, Score: score})
 	}
-	slices.SortFunc(cands, func(a, b Candidate) int {
-		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Entity, b.Entity))
-	})
-	if len(cands) > ix.cfg.MaxCandidates {
-		cands = cands[:ix.cfg.MaxCandidates]
-	}
-	return cands
+	return dst
 }
 
 // postings returns the posting list a probe token contributes: none when
@@ -200,12 +221,13 @@ func (ix *Index) postings(tok string) []catalog.EntityID {
 	return post
 }
 
-// pool returns the union of the probe tokens' posting lists, ascending.
-// The result may alias the index's own storage and must not be written.
-func (ix *Index) pool(probe []string) []catalog.EntityID {
+// pool returns the union of the probe tokens' posting lists, ascending,
+// built in p. The result may alias the index's own storage and must not
+// be written.
+func (ix *Index) pool(p *Probe) []catalog.EntityID {
 	var only []catalog.EntityID
 	lists, total := 0, 0
-	for _, tok := range probe {
+	for _, tok := range p.probe {
 		if post := ix.postings(tok); len(post) > 0 {
 			only, lists, total = post, lists+1, total+len(post)
 		}
@@ -213,12 +235,13 @@ func (ix *Index) pool(probe []string) []catalog.EntityID {
 	if lists <= 1 {
 		return only
 	}
-	union := make([]catalog.EntityID, 0, total)
-	for _, tok := range probe {
+	union := slices.Grow(p.union[:0], total)
+	for _, tok := range p.probe {
 		union = append(union, ix.postings(tok)...)
 	}
 	slices.Sort(union)
-	return slices.Compact(union)
+	p.union = slices.Compact(union)
+	return p.union
 }
 
 // ProfileFor computes the similarity profile of an arbitrary entity
@@ -244,12 +267,8 @@ func (ix *Index) TypeHeaderSim(t catalog.TypeID, header text.Vector) SimilarityP
 func profile(q text.Vector, lemmas []text.Vector, softThreshold float64) SimilarityProfile {
 	var p SimilarityProfile
 	for _, l := range lemmas {
-		if cos := text.Cosine(q, l); cos > p.Cosine {
-			p.Cosine = cos
-		}
-		if j := text.JaccardVectors(q, l); j > p.Jaccard {
-			p.Jaccard = j
-		}
+		cos, j := text.CosineJaccard(q, l)
+		p.Cosine, p.Jaccard = max(p.Cosine, cos), max(p.Jaccard, j)
 		if l.Text == q.Text && q.Text != "" {
 			p.Exact = 1
 		}
@@ -267,6 +286,3 @@ func profile(q text.Vector, lemmas []text.Vector, softThreshold float64) Similar
 	}
 	return p
 }
-
-// PostingLen reports the posting-list length for a token (diagnostics).
-func (ix *Index) PostingLen(token string) int { return len(ix.entityPostings[token]) }

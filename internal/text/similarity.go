@@ -1,10 +1,5 @@
 package text
 
-import (
-	"math"
-	"sort"
-)
-
 // Jaccard returns |A∩B| / |A∪B| over the token sets of a and b.
 // Returns 0 when both are empty.
 func Jaccard(a, b string) float64 {
@@ -28,13 +23,6 @@ func JaccardSets(sa, sb map[string]struct{}) float64 {
 	}
 	return float64(inter) / float64(union)
 }
-
-// Jaro returns the Jaro similarity of a and b in [0,1].
-func Jaro(a, b string) float64 { return jaro([]rune(a), []rune(b)) }
-
-// JaroWinkler boosts Jaro similarity for strings sharing a common prefix
-// (up to 4 runes) with the standard scaling factor 0.1.
-func JaroWinkler(a, b string) float64 { return jaroWinkler([]rune(a), []rune(b)) }
 
 // jaroStackRunes is the token length up to which jaro keeps its match
 // flags on the stack; longer tokens (no natural-language word is) fall
@@ -118,47 +106,4 @@ func commonPrefix(ra, rb []rune) int {
 		prefix++
 	}
 	return prefix
-}
-
-// CosineCounts computes the cosine of two raw term-count maps (no IDF
-// weighting). Useful when no corpus statistics are available.
-func CosineCounts(a, b map[string]float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	// Sorted folds: map order would perturb the low bits.
-	var dot, na, nb float64
-	for _, t := range sortedKeys(a) {
-		wa := a[t]
-		na += wa * wa
-		if wb, ok := b[t]; ok {
-			dot += wa * wb
-		}
-	}
-	for _, t := range sortedKeys(b) {
-		nb += b[t] * b[t]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
-// Counts returns the term-frequency map of s.
-func Counts(s string) map[string]float64 {
-	m := make(map[string]float64)
-	for _, t := range Tokenize(s) {
-		m[t]++
-	}
-	return m
-}
-
-// sortedKeys returns m's keys in sorted order.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

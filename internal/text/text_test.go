@@ -106,10 +106,10 @@ func TestCosineSelfSimilarity(t *testing.T) {
 	vs.Add("albert camus")
 	vs.Add("quantum quest")
 	v := vs.Vectorize("albert einstein")
-	if got := Cosine(v, v); math.Abs(got-1) > 1e-12 {
+	if got := cosine(v, v); math.Abs(got-1) > 1e-12 {
 		t.Errorf("self cosine = %v, want 1", got)
 	}
-	if got := Cosine(v, vs.Vectorize("")); got != 0 {
+	if got := cosine(v, vs.Vectorize("")); got != 0 {
 		t.Errorf("cosine with empty = %v, want 0", got)
 	}
 }
@@ -123,8 +123,8 @@ func TestCosineDiscriminates(t *testing.T) {
 		vs.Add(l)
 	}
 	q := "uncle albert quantum quest"
-	simRight := Cosine(vs.Vectorize(q), vs.Vectorize("uncle albert and the quantum quest"))
-	simWrong := Cosine(vs.Vectorize(q), vs.Vectorize("albert einstein"))
+	simRight := cosine(vs.Vectorize(q), vs.Vectorize("uncle albert and the quantum quest"))
+	simWrong := cosine(vs.Vectorize(q), vs.Vectorize("albert einstein"))
 	if simRight <= simWrong {
 		t.Errorf("cosine ranking wrong: right=%v wrong=%v", simRight, simWrong)
 	}
@@ -140,7 +140,7 @@ func TestSoftTFIDFToleratesTypos(t *testing.T) {
 	for _, l := range []string{"albert einstein", "russell stannard", "isaac newton"} {
 		vs.Add(l)
 	}
-	hard := Cosine(vs.Vectorize("albert einstien"), vs.Vectorize("albert einstein")) // typo
+	hard := cosine(vs.Vectorize("albert einstien"), vs.Vectorize("albert einstein")) // typo
 	soft := SoftTFIDF(vs.Vectorize("albert einstien"), vs.Vectorize("albert einstein"), 0.9)
 	if soft <= hard {
 		t.Errorf("soft (%v) should beat hard (%v) on typos", soft, hard)
@@ -156,11 +156,11 @@ func TestTopTokens(t *testing.T) {
 		vs.Add("the of and")
 	}
 	vs.Add("zanzibar the")
-	top := vs.TopTokens(vs.Vectorize("the zanzibar of"), 2)
+	top := vs.TopTokens(nil, vs.Vectorize("the zanzibar of"), 2)
 	if len(top) != 2 || top[0] != "zanzibar" {
 		t.Fatalf("TopTokens = %v, want zanzibar first", top)
 	}
-	if got := vs.TopTokens(vs.Vectorize("the"), 5); len(got) != 1 {
+	if got := vs.TopTokens(nil, vs.Vectorize("the"), 5); len(got) != 1 {
 		t.Fatalf("TopTokens cap = %v", got)
 	}
 }
@@ -229,7 +229,7 @@ func TestQuickCosineBounds(t *testing.T) {
 		for j := 0; j < rng.Intn(5); j++ {
 			b.WriteString(words[rng.Intn(len(words))] + " ")
 		}
-		c := Cosine(vs.Vectorize(a.String()), vs.Vectorize(b.String()))
+		c := cosine(vs.Vectorize(a.String()), vs.Vectorize(b.String()))
 		if c < -1e-12 || c > 1+1e-9 || math.IsNaN(c) {
 			t.Fatalf("cosine out of bounds: %v", c)
 		}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // VectorSpace accumulates document-frequency statistics over a corpus of
@@ -28,17 +29,10 @@ func NewVectorSpace() *VectorSpace {
 // Add registers one document (e.g. one lemma) with the corpus statistics.
 func (v *VectorSpace) Add(doc string) {
 	v.docs++
-	_, toks := distinctTokens(doc)
-	for i := range toks {
-		v.df[toks[i].Text]++
+	for _, t := range tokenize(Normalize(doc), make([]Token, 0, 8)) {
+		v.df[t.Text]++
 	}
 }
-
-// Docs reports the number of documents added.
-func (v *VectorSpace) Docs() int { return v.docs }
-
-// DF reports the document frequency of a token.
-func (v *VectorSpace) DF(token string) int { return v.df[token] }
 
 // IDF returns the smoothed inverse document frequency
 // log(1 + N/(1+df)). Tokens never seen get the maximum IDF.
@@ -70,40 +64,50 @@ type Vector struct {
 	Norm float64
 }
 
-// distinctTokens returns Normalize(s) and its distinct tokens in
-// ascending order, each Weight holding the token's occurrence count. The
-// tokens are substrings of the returned spelling.
-func distinctTokens(s string) (norm string, toks []Token) {
-	norm, n := normalize(s)
-	if n == 0 {
-		return "", nil
-	}
-	toks = make([]Token, 0, n)
+// tokenize appends to toks[:0] the distinct tokens of a normalized
+// spelling in ascending order, each Weight holding the token's occurrence
+// count. The tokens are substrings of norm.
+func tokenize(norm string, toks []Token) []Token {
+	toks = toks[:0]
 	for rest := norm; rest != ""; {
 		tok, tail, _ := strings.Cut(rest, " ")
 		toks = append(toks, Token{Text: tok, Weight: 1})
 		rest = tail
 	}
 	slices.SortFunc(toks, func(a, b Token) int { return strings.Compare(a.Text, b.Text) })
-	distinct := toks[:1]
-	for _, t := range toks[1:] {
+	distinct := toks[:min(len(toks), 1)]
+	for _, t := range toks[min(len(toks), 1):] {
 		if last := &distinct[len(distinct)-1]; last.Text == t.Text {
 			last.Weight++
 		} else {
 			distinct = append(distinct, t)
 		}
 	}
-	return norm, distinct
+	return distinct
 }
 
 // Vectorize compiles s into a TF-IDF vector under the corpus statistics.
-func (v *VectorSpace) Vectorize(s string) Vector {
-	norm, toks := distinctTokens(s)
-	if len(toks) == 0 {
+func (v *VectorSpace) Vectorize(s string) Vector { return v.VectorizeInto(s, &Scratch{}) }
+
+// Scratch is memory VectorizeInto compiles into, so that compiling one
+// cell after another allocates nothing once it has grown.
+type Scratch struct {
+	text  []byte
+	toks  []Token
+	runes []rune
+}
+
+// VectorizeInto is Vectorize compiling into sc: the Vector's spelling,
+// tokens and runes are valid until sc is used again.
+func (v *VectorSpace) VectorizeInto(s string, sc *Scratch) Vector {
+	var n int
+	if sc.text, n = appendNormalized(slices.Grow(sc.text[:0], len(s)), s); n == 0 {
 		return Vector{}
 	}
+	norm := unsafe.String(unsafe.SliceData(sc.text), len(sc.text))
+	toks := tokenize(norm, slices.Grow(sc.toks[:0], n))
 	// One backing array holds the runes of every token.
-	runes := make([]rune, 0, utf8.RuneCountInString(norm)-(len(toks)-1))
+	runes := slices.Grow(sc.runes[:0], utf8.RuneCountInString(norm)-(len(toks)-1))
 	var sq float64
 	for i := range toks {
 		t := &toks[i]
@@ -117,6 +121,7 @@ func (v *VectorSpace) Vectorize(s string) Vector {
 		t.Weight = (1 + math.Log(t.Weight)) * v.IDF(t.Text)
 		sq += t.Weight * t.Weight
 	}
+	sc.toks, sc.runes = toks, runes
 	return Vector{Text: norm, Tokens: toks, Norm: math.Sqrt(sq)}
 }
 
@@ -157,9 +162,13 @@ func jaroWinklerBound(a, b *Token) float64 {
 	return j + float64(commonPrefix(a.runes, b.runes))*0.1*(1-j)
 }
 
-// join merge-joins the sorted token lists of a and b: the dot product of
-// the shared tokens' weights, folded in token order, and their count.
-func join(a, b Vector) (dot float64, shared int) {
+// CosineJaccard merge-joins the sorted token lists of a and b once and
+// returns their TF-IDF cosine in [0,1] — the dot product of the shared
+// tokens' weights folded in token order, over the norms — and the Jaccard
+// overlap |A∩B| / |A∪B| of their token sets, 0 when both are empty.
+func CosineJaccard(a, b Vector) (cosine, jaccard float64) {
+	var dot float64
+	shared := 0
 	for i, j := 0, 0; i < len(a.Tokens) && j < len(b.Tokens); {
 		switch c := strings.Compare(a.Tokens[i].Text, b.Tokens[j].Text); {
 		case c < 0:
@@ -173,27 +182,13 @@ func join(a, b Vector) (dot float64, shared int) {
 			j++
 		}
 	}
-	return dot, shared
-}
-
-// Cosine returns the cosine similarity of two vectors in [0,1].
-func Cosine(a, b Vector) float64 {
-	if a.Norm == 0 || b.Norm == 0 {
-		return 0
+	if a.Norm != 0 && b.Norm != 0 {
+		cosine = dot / (a.Norm * b.Norm)
 	}
-	dot, _ := join(a, b)
-	return dot / (a.Norm * b.Norm)
-}
-
-// JaccardVectors returns |A∩B| / |A∪B| over the token sets of two
-// vectors; 0 when both are empty.
-func JaccardVectors(a, b Vector) float64 {
-	_, shared := join(a, b)
-	union := len(a.Tokens) + len(b.Tokens) - shared
-	if union == 0 {
-		return 0
+	if union := len(a.Tokens) + len(b.Tokens) - shared; union != 0 {
+		jaccard = float64(shared) / float64(union)
 	}
-	return float64(shared) / float64(union)
+	return cosine, jaccard
 }
 
 // SoftTFIDF computes the soft-TFIDF similarity of Bilenko et al. between
@@ -233,10 +228,10 @@ func SoftTFIDF(a, b Vector, threshold float64) float64 {
 	return sum / (a.Norm * b.Norm)
 }
 
-// TopTokens returns the n highest-IDF (rarest) tokens of q under the
-// corpus statistics, most discriminative first. Candidate generation uses
-// this to probe the lemma index with informative tokens only.
-func (v *VectorSpace) TopTokens(q Vector, n int) []string {
+// TopTokens appends to dst the n highest-IDF (rarest) tokens of q under
+// the corpus statistics, most discriminative first. Candidate generation
+// uses this to probe the lemma index with informative tokens only.
+func (v *VectorSpace) TopTokens(dst []string, q Vector, n int) []string {
 	type tw struct {
 		tok string
 		idf float64
@@ -249,12 +244,10 @@ func (v *VectorSpace) TopTokens(q Vector, n int) []string {
 	slices.SortFunc(all, func(a, b tw) int {
 		return cmp.Or(cmp.Compare(b.idf, a.idf), strings.Compare(a.tok, b.tok))
 	})
-	if n > len(all) {
-		n = len(all)
+	n = max(0, min(n, len(all)))
+	dst = slices.Grow(dst, n)
+	for _, t := range all[:n] {
+		dst = append(dst, t.tok)
 	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].tok
-	}
-	return out
+	return dst
 }

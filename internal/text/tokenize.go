@@ -11,7 +11,7 @@
 // works on raw strings. VectorSpace.Vectorize compiles a string once
 // into a Vector — its canonical spelling, its distinct tokens in
 // ascending order with their TF-IDF weights and decoded runes, and the
-// L2 norm — and Cosine, JaccardVectors and SoftTFIDF only read Vectors.
+// L2 norm — and CosineJaccard and SoftTFIDF only read Vectors.
 // A lemma is compiled when its index is built, a cell when it is probed;
 // nothing is tokenised, lower-cased, sorted or decoded per comparison.
 //
@@ -77,14 +77,14 @@ func Tokenize(s string) []string {
 // joined by single spaces. Two strings with the same Normalize value are
 // considered lexically identical by the exact-match feature.
 func Normalize(s string) string {
-	norm, _ := normalize(s)
-	return norm
+	var stack [64]byte
+	norm, _ := appendNormalized(stack[:0], s)
+	return string(norm)
 }
 
-// normalize is Normalize in one pass, also counting the tokens.
-func normalize(s string) (norm string, tokens int) {
-	var stack [64]byte
-	buf := stack[:0]
+// appendNormalized appends Normalize(s) to buf in one pass, also counting
+// the tokens.
+func appendNormalized(buf []byte, s string) (norm []byte, tokens int) {
 	inToken := false
 	for _, r := range s {
 		lr, ok := foldRune(r)
@@ -101,7 +101,7 @@ func normalize(s string) (norm string, tokens int) {
 		}
 		buf = utf8.AppendRune(buf, lr)
 	}
-	return string(buf), tokens
+	return buf, tokens
 }
 
 // TokenSet returns the set of distinct tokens in s.

@@ -3,6 +3,7 @@ package text
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -66,9 +67,9 @@ func noisyStrings(rng *rand.Rand, n int) []string {
 
 // TestVectorMatchesStringForms pins the compiled form to the string
 // primitives it replaces on the hot path: Text is Normalize, Tokens are
-// the sorted distinct Tokenize output, and Cosine, JaccardVectors and
-// SoftTFIDF over Vectors equal their map-and-string spellings bit for
-// bit.
+// the sorted distinct Tokenize output, and CosineJaccard and SoftTFIDF
+// over Vectors equal their map-and-string spellings bit for bit; a
+// string compiled into a reused Scratch is the one Vectorize returns.
 func TestVectorMatchesStringForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	docs := noisyStrings(rng, 200)
@@ -76,8 +77,12 @@ func TestVectorMatchesStringForms(t *testing.T) {
 	for _, d := range docs {
 		vs.Add(d)
 	}
+	var sc Scratch // one Scratch for every doc: nothing may survive from the one before
 	for _, d := range docs {
 		v := vs.Vectorize(d)
+		if in := vs.VectorizeInto(d, &sc); !reflect.DeepEqual(in, v) {
+			t.Fatalf("VectorizeInto(%q) = %+v, Vectorize %+v", d, in, v)
+		}
 		if v.Text != strings.Join(Tokenize(d), " ") {
 			t.Fatalf("Vectorize(%q).Text = %q, want %q", d, v.Text, strings.Join(Tokenize(d), " "))
 		}
@@ -98,8 +103,9 @@ func TestVectorMatchesStringForms(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		a, b := docs[rng.Intn(len(docs))], docs[rng.Intn(len(docs))]
 		va, vb := vs.Vectorize(a), vs.Vectorize(b)
-		if got, want := JaccardVectors(va, vb), Jaccard(a, b); got != want {
-			t.Fatalf("JaccardVectors(%q, %q) = %v, want %v", a, b, got, want)
+		cos, jac := CosineJaccard(va, vb)
+		if want := Jaccard(a, b); jac != want {
+			t.Fatalf("CosineJaccard(%q, %q) Jaccard = %v, want %v", a, b, jac, want)
 		}
 		wa, wb := Counts(a), Counts(b)
 		for _, w := range []map[string]float64{wa, wb} {
@@ -107,8 +113,8 @@ func TestVectorMatchesStringForms(t *testing.T) {
 				w[tok] = (1 + math.Log(tf)) * vs.IDF(tok)
 			}
 		}
-		if got, want := Cosine(va, vb), CosineCounts(wa, wb); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("Cosine(%q, %q) = %v, want %v", a, b, got, want)
+		if want := CosineCounts(wa, wb); math.Abs(cos-want) > 1e-12 {
+			t.Fatalf("CosineJaccard(%q, %q) cosine = %v, want %v", a, b, cos, want)
 		}
 		if got, want := SoftTFIDF(va, vb, 0.9), referenceSoftTFIDF(vs, a, b, 0.9); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("SoftTFIDF(%q, %q) = %v, want %v", a, b, got, want)
@@ -185,19 +191,32 @@ func TestJaroStackAndHeapFlags(t *testing.T) {
 	}
 }
 
+// cosine is the cosine half of CosineJaccard.
+func cosine(a, b Vector) float64 {
+	c, _ := CosineJaccard(a, b)
+	return c
+}
+
 // TestSimilaritiesDoNotAllocate: comparing two compiled strings touches
-// no heap, whichever measure.
+// no heap, whichever measure, and neither does compiling a cell into a
+// grown Scratch.
 func TestSimilaritiesDoNotAllocate(t *testing.T) {
 	vs := NewVectorSpace()
 	for _, l := range []string{"albert einstein", "alfred einstein", "russell stannard", "uncle albert and the quantum quest"} {
 		vs.Add(l)
 	}
 	a, b := vs.Vectorize("Albert Einstien and the Qauntum Quest"), vs.Vectorize("uncle albert and the quantum quest")
+	var sc Scratch
+	vs.VectorizeInto("Albert Einstien and the Qauntum Quest", &sc)
+	if n := testing.AllocsPerRun(100, func() { vs.VectorizeInto("Albert Einstein and the Quantum Quest", &sc) }); n != 0 {
+		t.Errorf("VectorizeInto allocates %v times into a grown Scratch, want 0", n)
+	}
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() {
-		sink += Cosine(a, b) + JaccardVectors(a, b) + SoftTFIDF(a, b, 0.9)
+		cos, jac := CosineJaccard(a, b)
+		sink += cos + jac + SoftTFIDF(a, b, 0.9)
 	}); n != 0 {
-		t.Errorf("Cosine+JaccardVectors+SoftTFIDF allocate %v times per comparison, want 0", n)
+		t.Errorf("CosineJaccard+SoftTFIDF allocate %v times per comparison, want 0", n)
 	}
 	_ = sink
 }
@@ -229,3 +248,59 @@ func BenchmarkJaroWinkler(b *testing.B) {
 		benchSink += jaroWinkler(ra, rb)
 	}
 }
+
+// The string-level measures below are what the compiled ones replaced;
+// the tests hold the compiled forms to them.
+
+// Jaro returns the Jaro similarity of a and b in [0,1].
+func Jaro(a, b string) float64 { return jaro([]rune(a), []rune(b)) }
+
+// JaroWinkler boosts Jaro similarity for strings sharing a common prefix
+// (up to 4 runes) with the standard scaling factor 0.1.
+func JaroWinkler(a, b string) float64 { return jaroWinkler([]rune(a), []rune(b)) }
+
+// CosineCounts computes the cosine of two raw term-count maps (no IDF
+// weighting). Useful when no corpus statistics are available.
+func CosineCounts(a, b map[string]float64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	// Sorted folds: map order would perturb the low bits.
+	var dot, na, nb float64
+	for _, t := range sortedKeys(a) {
+		wa := a[t]
+		na += wa * wa
+		if wb, ok := b[t]; ok {
+			dot += wa * wb
+		}
+	}
+	for _, t := range sortedKeys(b) {
+		nb += b[t] * b[t]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(na*nb)
+}
+
+// Counts returns the term-frequency map of s.
+func Counts(s string) map[string]float64 {
+	m := make(map[string]float64)
+	for _, t := range Tokenize(s) {
+		m[t]++
+	}
+	return m
+}
+
+// sortedKeys returns m's keys in sorted order.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Docs reports the number of documents added.
+func (v *VectorSpace) Docs() int { return v.docs }
