@@ -16,6 +16,9 @@ const RootTypeName = "Entity"
 // reaching all others, and computes the closures used by the annotator:
 //
 //   - T(E): all type ancestors of every entity, with dist(E,T) (§4.2.3),
+//   - a signature per entity numbering its set of direct types, on which
+//     T(E), dist(E,T) and the missing-link relatedness alone depend
+//     (TypeSignature),
 //   - E(T): all entities transitively reachable from every type,
 //   - type ancestor sets with edge distances,
 //   - |E(T′)∩E(T)| for every pair of types sharing an entity (§4.2.3),
@@ -139,17 +142,31 @@ func (c *Catalog) computeTypeAncestors() {
 }
 
 // computeEntityClosures fills the per-entity ancestor runs (T(E) with
-// distances), typeEntities (E(T)) and minEntityDist.
+// distances), typeEntities (E(T)), minEntityDist and the type signatures.
+// An entity's direct types are the dist-1 entries of its run, ascending;
+// its signature extends that of all but the last of them by the last:
+// the empty set is 0, a one-type set {t} is numbered the first time it is
+// met (single[t]), and a longer one is looked up by (signature of the
+// prefix, last type) in a map.
 func (c *Catalog) computeEntityClosures() {
 	nT := len(c.types)
 	nE := len(c.entities)
 	c.typeEntities = make([][]EntityID, nT)
 	c.minEntityDist = make([]int32, nT)
-	c.ancStart = make([]int32, nE+1)
+	runs := make([]int32, 2*nE+1)
+	c.ancStart, c.typeSig = runs[:nE+1:nE+1], runs[nE+1:]
+	sigs, multi := int32(0), 0 // at most multi entities have several types
+	for e := range c.entities {
+		multi += min(len(c.entities[e].types)-1, 1)
+	}
+	several := make(map[[2]int32]int32, max(multi, 0))
 
-	dist := make([]int32, nT) // dist(e, t) of the entity at hand; 0 = not an ancestor
+	// dist(e, t) of the entity at hand, 0 when t is not an ancestor.
+	scratch := make([]int32, 2*nT)
+	dist, single := scratch[:nT:nT], scratch[nT:]
 	var reached []TypeID
 	for e := 0; e < nE; e++ {
+		sig := int32(0)
 		reached = reached[:0]
 		for _, direct := range c.entities[e].types {
 			// dist(E,T) counts the ∈ edge (1) plus ⊆ edges.
@@ -173,7 +190,25 @@ func (c *Catalog) computeEntityClosures() {
 			if c.minEntityDist[t] == 0 || d < c.minEntityDist[t] {
 				c.minEntityDist[t] = d
 			}
+			if d != 1 {
+				continue
+			}
+			key, next := [2]int32{sig, int32(t)}, single[t]
+			if sig != 0 {
+				next = several[key]
+			}
+			if next == 0 {
+				sigs++
+				next = sigs
+				if sig == 0 {
+					single[t] = next
+				} else {
+					several[key] = next
+				}
+			}
+			sig = next
 		}
+		c.typeSig[e] = sig
 		c.ancStart[e+1] = int32(len(c.ancTypes))
 	}
 }

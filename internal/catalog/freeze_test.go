@@ -36,6 +36,7 @@ func TestFrozenLookupsDoNotAllocate(t *testing.T) {
 		}
 		for e := 0; e < nE; e += 7 {
 			sink += pub.Relatedness(catalog.EntityID(e), catalog.TypeID(e%nT))
+			rels += int(pub.TypeSignature(catalog.EntityID(e)))
 			rels += len(pub.RelationsBetween(catalog.EntityID(e), o))
 			if pub.HasTuple(0, catalog.EntityID(e), o) {
 				rels++

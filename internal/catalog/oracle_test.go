@@ -362,10 +362,12 @@ func TestIsSubtypeOracle(t *testing.T) {
 // checkDirectTypeSets: T(E), dist(E,T) and the missing-link relatedness
 // depend on an entity only through the set of its direct types (the
 // dist-1 entries of its ancestor run), so two entities whose sets are
-// equal answer every type alike.
+// equal answer every type alike; TypeSignature is equal for two entities
+// exactly when their sets are.
 func checkDirectTypeSets(t *testing.T, name string, c *catalog.Catalog) {
 	t.Helper()
 	first := map[string]catalog.EntityID{} // set → its lowest entity
+	bySig := map[int32]catalog.EntityID{}  // signature → its lowest entity
 	for e := 0; e < c.NumEntities(); e++ {
 		id := catalog.EntityID(e)
 		set := slices.Compact(slices.Sorted(slices.Values(c.DirectTypes(id))))
@@ -374,6 +376,16 @@ func checkDirectTypeSets(t *testing.T, name string, c *catalog.Catalog) {
 		if !seen {
 			first[key] = id
 			f = id
+		}
+		sig := c.TypeSignature(id)
+		g, seenSig := bySig[sig]
+		if !seenSig {
+			bySig[sig] = id
+			g = id
+		}
+		if sig < 0 || f != g || (len(set) == 0) != (sig == 0) {
+			t.Fatalf("%s: entity %d with direct types %v has signature %d, shared with entity %d; its set first appears at entity %d",
+				name, e, set, sig, g, f)
 		}
 		if !slices.Equal(c.TypeAncestorsOf(id), c.TypeAncestorsOf(f)) {
 			t.Fatalf("%s: entities %d and %d have direct types %v but T(E) %v and %v", name, f, e, set,
@@ -392,8 +404,9 @@ func checkDirectTypeSets(t *testing.T, name string, c *catalog.Catalog) {
 	}
 }
 
-// TestTypeSignatureOracle: entities with equal direct-type sets are
-// interchangeable to every type-side lookup φ3 makes, on the worldgen
+// TestTypeSignatureOracle: TypeSignature numbers direct-type sets, and
+// entities with equal sets are interchangeable to every type-side lookup
+// φ3 makes, on the worldgen
 // catalogs and on random DAG catalogs (entities with repeated and with
 // no direct types among them), before and after a Clone → remove →
 // re-Freeze.
@@ -407,5 +420,13 @@ func TestTypeSignatureOracle(t *testing.T) {
 		c := mustFreeze(t, randomCatalog(t, rng))
 		checkDirectTypeSets(t, fmt.Sprintf("random %d", trial), c)
 		checkDirectTypeSets(t, fmt.Sprintf("random %d degraded", trial), degrade(t, rng, c))
+	}
+	for _, e := range []catalog.EntityID{-1, catalog.EntityID(pub.NumEntities())} {
+		if sig := pub.TypeSignature(e); sig != -1 {
+			t.Fatalf("TypeSignature(%d) = %d for an entity out of range, want -1", e, sig)
+		}
+	}
+	if sig := catalog.New().TypeSignature(0); sig != -1 {
+		t.Fatalf("TypeSignature on an unfrozen catalog = %d, want -1", sig)
 	}
 }

@@ -110,34 +110,22 @@ func WeightsFromFlat(v []float64) (Weights, error) {
 }
 
 // Extractor computes feature vectors against one catalog + lemma index.
-// It caches the expensive relation-participation fractions in a sharded
-// map, so one Extractor is safe for concurrent use by many goroutines
+// It caches the expensive relation-participation fractions, one map per
+// relation keyed by the (subject type, object type) pair, each behind its
+// own lock, so one Extractor is safe for concurrent use by many goroutines
 // (the cache warms up across tables and workers alike).
 type Extractor struct {
 	cat  *catalog.Catalog
 	ix   *lemmaindex.Index
 	mode TypeEntityMode
 
-	part [partShards]partShard
-	logE float64 // log |E|, for specificity normalization
+	part []partCache // part[b] caches relation b's fractions
+	logE float64     // log |E|, for specificity normalization
 }
 
-// partShards bounds lock contention on the participation cache. Must be a
-// power of two (the shard index is a bitmask).
-const partShards = 16
-
-type partShard struct {
+type partCache struct {
 	mu sync.RWMutex
-	m  map[partKey]float64
-}
-
-type partKey struct {
-	b      catalog.RelationID
-	t1, t2 catalog.TypeID
-}
-
-func (k partKey) shard() uint32 {
-	return (uint32(k.b)*31 + uint32(k.t1)*17 + uint32(k.t2)) & (partShards - 1)
+	m  map[uint64]float64 // uint64(subj)<<32 | uint64(obj)
 }
 
 // NewExtractor builds an extractor. The catalog must be frozen.
@@ -146,10 +134,11 @@ func NewExtractor(cat *catalog.Catalog, ix *lemmaindex.Index, mode TypeEntityMod
 		cat:  cat,
 		ix:   ix,
 		mode: mode,
+		part: make([]partCache, cat.NumRelations()),
 		logE: math.Log(math.Max(2, float64(cat.NumEntities()))),
 	}
 	for i := range x.part {
-		x.part[i].m = make(map[partKey]float64)
+		x.part[i].m = make(map[uint64]float64)
 	}
 	return x
 }
@@ -227,8 +216,11 @@ func (x *Extractor) F4(rd RelDir, tc, tcPrime catalog.TypeID) [F4Dim]float64 {
 }
 
 func (x *Extractor) participation(b catalog.RelationID, subj, obj catalog.TypeID) float64 {
-	key := partKey{b, subj, obj}
-	sh := &x.part[key.shard()]
+	if b < 0 || int(b) >= len(x.part) {
+		return 0 // no tuple of an unknown relation: both fractions are 0
+	}
+	key := uint64(uint32(subj))<<32 | uint64(uint32(obj))
+	sh := &x.part[b]
 	sh.mu.RLock()
 	v, ok := sh.m[key]
 	sh.mu.RUnlock()

@@ -187,6 +187,15 @@ func TestF4ParticipationCached(t *testing.T) {
 	if a != b {
 		t.Errorf("cached participation differs: %v vs %v", a, b)
 	}
+	// The cache is kept per relation; a relation the catalog does not
+	// have participates in nothing, whichever end it is asked from.
+	for _, rel := range []int{-1, f.cat.NumRelations(), 1 << 20} {
+		for _, fw := range []bool{true, false} {
+			if got := x.F4(RelDir{Relation: catalog.RelationID(rel), Forward: fw}, f.novel, f.novelist); got[1] != 0 {
+				t.Errorf("relation %d (forward %t): participation %v, want 0", rel, fw, got[1])
+			}
+		}
+	}
 }
 
 func TestF5TupleAndViolation(t *testing.T) {
