@@ -113,7 +113,8 @@ func (a *Annotation) RelationBetween(c1, c2 int) (RelationAnnotation, bool) {
 
 // Annotator annotates tables against one catalog. Construct with New.
 // All annotation methods are safe for concurrent use from multiple
-// goroutines (the feature extractor's participation cache is sharded and
+// goroutines (each annotation works in an arena of its own, and the
+// feature extractor's participation cache is locked per relation and
 // warms up across calls); the one exception is SetWeights, which must not
 // race with in-flight annotations — use With to derive a reweighted
 // annotator instead when serving concurrently.
@@ -188,22 +189,23 @@ func (a *Annotator) SetWeights(w feature.Weights) { a.w = w }
 // Config returns the annotator configuration.
 func (a *Annotator) Config() Config { return a.cfg }
 
-// newAnnotation allocates an all-na annotation shaped like t.
+// newAnnotation allocates an all-na annotation shaped like t, its rows
+// cut from one array.
 func newAnnotation(t *table.Table) *Annotation {
 	ann := &Annotation{
-		TableID:     t.ID,
-		ColumnTypes: make([]catalog.TypeID, t.Cols()),
+		TableID:      t.ID,
+		ColumnTypes:  make([]catalog.TypeID, t.Cols()),
+		CellEntities: make([][]catalog.EntityID, t.Rows()),
 	}
 	for c := range ann.ColumnTypes {
 		ann.ColumnTypes[c] = catalog.None
 	}
-	ann.CellEntities = make([][]catalog.EntityID, t.Rows())
+	cells := make([]catalog.EntityID, t.Rows()*t.Cols())
+	for i := range cells {
+		cells[i] = catalog.None
+	}
 	for r := range ann.CellEntities {
-		row := make([]catalog.EntityID, t.Cols())
-		for c := range row {
-			row[c] = catalog.None
-		}
-		ann.CellEntities[r] = row
+		ann.CellEntities[r] = cells[r*t.Cols() : (r+1)*t.Cols() : (r+1)*t.Cols()]
 	}
 	return ann
 }

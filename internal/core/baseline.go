@@ -51,8 +51,10 @@ func (a *Annotator) annotateVoting(t *table.Table, fraction float64, localCells 
 	ann := &BaselineAnnotation{Annotation: *newAnnotation(t)}
 	ann.ColumnTypeSets = make([][]catalog.TypeID, t.Cols())
 
+	ar := takeArena()
+	defer ar.release()
 	start := time.Now()
-	cs, _ := a.buildCandidates(context.Background(), t)
+	cs, _ := a.buildCandidates(context.Background(), t, ar)
 	candTime := time.Since(start)
 
 	start = time.Now()

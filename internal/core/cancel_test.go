@@ -66,3 +66,31 @@ func TestCandidateGenerationObservesCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaReleasedOnceOnEveryPath: an annotation cancelled at any of its
+// poll points, or run to the end, gives back exactly the one arena it
+// took — none is leaked and none is parked twice.
+func TestArenaReleasedOnceOnEveryPath(t *testing.T) {
+	w := buildFigure1World(t)
+	a := newTestAnnotator(t, w)
+	tab := figure1Table()
+	for len(arenas.free) > 0 {
+		<-arenas.free
+	}
+	a.AnnotateCollective(tab)
+	for _, run := range []func(context.Context, *table.Table) (*Annotation, error){a.AnnotateCollectiveContext, a.AnnotateSimpleContext} {
+		for after := 0; ; after++ {
+			ctx := &countdownCtx{Context: context.Background(), after: after}
+			_, err := run(ctx, tab)
+			if n := len(arenas.free); n != 1 {
+				t.Fatalf("cancelled at poll %d: %d arenas parked, want 1", after, n)
+			}
+			if err == nil {
+				break
+			}
+			if after > 1000 {
+				t.Fatal("annotation never completes")
+			}
+		}
+	}
+}

@@ -15,7 +15,9 @@ import (
 
 // candidates holds the per-table label spaces of §4.3: E_rc per cell, T_c
 // per column, B_cc′ per column pair, before the na option is appended.
+// It lives in, and is cut from, the annotation's arena.
 type candidates struct {
+	ar  *arena
 	tab *table.Table
 	// cols are the annotatable column indices (non-numeric, non-empty).
 	cols []int
@@ -33,20 +35,25 @@ type candidates struct {
 }
 
 // phi3Table holds log φ3(T, E) for one column: every type of its type
-// space against every distinct candidate entity of its cells. A pair is
-// scored once per table, however many cells propose the entity and
-// however many passes — the type pre-score, the potential tables, the
-// Figure-2 special case — read the score.
+// space against every distinct candidate entity of its cells. φ3 reads an
+// entity only through its set of direct types (catalog.TypeSignature), so
+// the table keeps one row per signature the column's entities have, and a
+// pair is scored once per table however many entities share the
+// signature, however many cells propose them and however many passes —
+// the type pre-score, the potential tables, the Figure-2 special case —
+// read the score.
 type phi3Table struct {
 	ents  []catalog.EntityID // distinct candidate entities, ascending
+	rowOf []int32            // rowOf[k] is the row of ents[k]'s signature
 	width int                // number of types
-	vals  []float64          // vals[row*width+ti] = log φ3(types[ti], ents[row])
+	vals  []float64          // vals[row*width+ti] = log φ3(types[ti], entities of that row)
 }
 
 // row returns e's scores, one per type of the column's type space in
 // order. e must be a candidate of the column.
 func (p *phi3Table) row(e catalog.EntityID) []float64 {
-	r, _ := slices.BinarySearch(p.ents, e)
+	k, _ := slices.BinarySearch(p.ents, e)
+	r := int(p.rowOf[k])
 	return p.vals[r*p.width : (r+1)*p.width]
 }
 
@@ -67,12 +74,15 @@ type relPair struct {
 	rels []feature.RelDir
 }
 
-// buildCandidates runs candidate generation for one table. It is the
-// stage whose cost grows with the row count, so it polls ctx before every
-// row's probe (tens of µs) and before every column pair's relation scan,
-// and returns the context's error instead of a partial label space.
-func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table) (*candidates, error) {
-	cs := &candidates{tab: t}
+// buildCandidates runs candidate generation for one table in ar. It is
+// the stage whose cost grows with the row count, so it polls ctx before
+// every row's probe (tens of µs) and before every column pair's relation
+// scan, and returns the context's error instead of a partial label space.
+func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *arena) (*candidates, error) {
+	cs := &ar.cs
+	*cs = candidates{ar: ar, tab: t, cols: cs.cols[:0], headers: cs.headers[:0], cells: cs.cells[:0],
+		colTypes: cs.colTypes[:0], phi3: cs.phi3[:0], pairs: cs.pairs[:0]}
+	ar.cands, ar.cells, ar.ents, ar.rowOf, ar.types, ar.vals = ar.cands[:0], ar.cells[:0], ar.ents[:0], ar.rowOf[:0], ar.types[:0], ar.vals[:0]
 	// 1. Annotatable columns.
 	for c := 0; c < t.Cols(); c++ {
 		if t.ColumnNumericFraction(c) > a.cfg.NumericSkipFraction {
@@ -81,22 +91,23 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table) (*candi
 		cs.cols = append(cs.cols, c)
 		cs.headers = append(cs.headers, a.ix.VectorSpace().Vectorize(t.Header(c)))
 	}
-	// 2. Cell entity candidates.
-	cs.cells = make([][][]lemmaindex.Candidate, len(cs.cols))
-	for i, c := range cs.cols {
-		cs.cells[i] = make([][]lemmaindex.Candidate, t.Rows())
+	// 2. Cell entity candidates, probed into the arena's slab.
+	for _, c := range cs.cols {
+		row0 := len(ar.cells)
 		for r := 0; r < t.Rows(); r++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cs.cells[i][r] = a.ix.CandidateEntities(t.Cell(r, c))
+			start := len(ar.cands)
+			ar.cands = a.ix.AppendCandidates(ar.cands, t.Cell(r, c), &ar.probe)
+			ar.cells = append(ar.cells, since(ar.cands, start))
 		}
+		cs.cells = append(cs.cells, since(ar.cells, row0))
 	}
 	// 3. Column type space: union over candidate entities of T(E).
-	cs.colTypes = make([][]catalog.TypeID, len(cs.cols))
-	cs.phi3 = make([]phi3Table, len(cs.cols))
 	for i := range cs.cols {
-		cs.colTypes[i], cs.phi3[i] = a.columnTypeSpace(cs, i)
+		types, phi3 := a.columnTypeSpace(cs, i)
+		cs.colTypes, cs.phi3 = append(cs.colTypes, types), append(cs.phi3, phi3)
 	}
 	// 4. Relation space per column pair.
 	for i := 0; i < len(cs.cols); i++ {
@@ -116,25 +127,42 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table) (*candi
 // columnTypeSpace computes T_c = ∪_{E∈E_rc} T(E), optionally capped to
 // the best MaxTypesPerColumn types under a cheap pre-score (header
 // similarity + summed compatibility over candidate cells), together with
-// the column's φ3 table over the types it returns.
+// the column's φ3 table over the types it returns, all cut from the
+// arena's slabs.
 func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, phi3Table) {
-	var ents []catalog.EntityID
+	ar := cs.ar
+	e0, r0, t0 := len(ar.ents), len(ar.rowOf), len(ar.types)
 	for r := range cs.cells[i] {
 		for _, cand := range cs.cells[i][r] {
-			ents = append(ents, cand.Entity)
+			ar.ents = append(ar.ents, cand.Entity)
 		}
 	}
-	slices.Sort(ents)
-	ents = slices.Compact(ents)
-	var types []catalog.TypeID
+	slices.Sort(ar.ents[e0:])
+	ar.ents = ar.ents[:e0+len(slices.Compact(ar.ents[e0:]))]
+	ents := since(ar.ents, e0)
+	// One representative entity per signature, in order of first sight.
+	reps := ar.reps[:0]
+	clear(ar.sigs)
 	for _, e := range ents {
-		types = append(types, a.cat.TypeAncestorsOf(e)...)
+		sig := a.cat.TypeSignature(e)
+		r, ok := ar.sigs[sig]
+		if !ok {
+			r = int32(len(reps))
+			ar.sigs[sig] = r
+			reps = append(reps, e)
+		}
+		ar.rowOf = append(ar.rowOf, r)
 	}
-	slices.Sort(types)
-	types = slices.Compact(types)
+	ar.reps = reps
+	for _, e := range reps {
+		ar.types = append(ar.types, a.cat.TypeAncestorsOf(e)...)
+	}
+	slices.Sort(ar.types[t0:])
+	ar.types = ar.types[:t0+len(slices.Compact(ar.types[t0:]))]
+	types := since(ar.types, t0)
 
-	tab := phi3Table{ents: ents, width: len(types), vals: make([]float64, len(ents)*len(types))}
-	for row, e := range ents {
+	tab := phi3Table{ents: ents, rowOf: since(ar.rowOf, r0), width: len(types), vals: take(&ar.vals, len(reps)*len(types))}
+	for row, e := range reps {
 		for ti, t := range types {
 			tab.vals[row*tab.width+ti] = a.ext.LogPhi3(&a.w, t, e)
 		}
@@ -167,11 +195,11 @@ func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, ph
 	})
 	keep = keep[:limit]
 	slices.Sort(keep)
-	kept := phi3Table{ents: ents, width: limit, vals: make([]float64, len(ents)*limit)}
-	keptTypes := make([]catalog.TypeID, limit)
+	kept := phi3Table{ents: ents, rowOf: tab.rowOf, width: limit, vals: take(&ar.vals, len(reps)*limit)}
+	keptTypes := take(&ar.types, limit)
 	for k, ti := range keep {
 		keptTypes[k] = types[ti]
-		for row := range ents {
+		for row := range reps {
 			kept.vals[row*limit+k] = tab.vals[row*tab.width+ti]
 		}
 	}

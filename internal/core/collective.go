@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/factorgraph"
 	"repro/internal/feature"
 	"repro/internal/lemmaindex"
+	"repro/internal/obs"
 	"repro/internal/table"
 )
 
@@ -28,41 +30,49 @@ type annotGraph struct {
 	unaries []factorgraph.FactorID
 }
 
-// buildGraph constructs the factor graph of Figure 10 for one table. The
-// last domain index of every variable is the na label; all potentials
-// involving na are 0 in log space ("no feature is fired if label na is
-// involved").
+// buildGraph constructs the factor graph of Figure 10 for one table in the
+// arena cs was cut from, over the graph and potentials any earlier
+// buildGraph there left. The last domain index of every variable is the
+// na label; all potentials involving na are 0 in log space ("no feature
+// is fired if label na is involved").
 func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
-	ag := &annotGraph{g: factorgraph.New(), cs: cs}
+	ar := cs.ar
+	ar.g.Reset()
+	ag := &ar.ag
+	*ag = annotGraph{g: &ar.g, cs: cs, typeVars: ag.typeVars[:0], cellVars: ag.cellVars[:0], relVars: ag.relVars[:0],
+		phi3: ag.phi3[:0], phi4: ag.phi4[:0], phi5: ag.phi5[:0], unaries: ag.unaries[:0]}
 	g := ag.g
+	// Every potential table is cut from one slab, sized by counting them.
+	pots := slices.Grow(ar.pots[:0], potentials(cs))
+	ar.pots = pots
+	pot := func(n int) []float64 { return take(&pots, n) }
 
 	// Variables.
-	ag.typeVars = make([]factorgraph.VarID, len(cs.cols))
-	ag.cellVars = make([][]factorgraph.VarID, len(cs.cols))
+	ar.vars = ar.vars[:0]
 	for i := range cs.cols {
-		ag.typeVars[i] = g.AddVariable("t", len(cs.colTypes[i])+1)
-		ag.cellVars[i] = make([]factorgraph.VarID, cs.tab.Rows())
+		ag.typeVars = append(ag.typeVars, g.AddVariable("t", len(cs.colTypes[i])+1))
+		v0 := len(ar.vars)
 		for r := 0; r < cs.tab.Rows(); r++ {
-			ag.cellVars[i][r] = g.AddVariable("e", len(cs.cells[i][r])+1)
+			ar.vars = append(ar.vars, g.AddVariable("e", len(cs.cells[i][r])+1))
 		}
+		ag.cellVars = append(ag.cellVars, since(ar.vars, v0))
 	}
 	if !a.cfg.DisableRelationVars {
-		ag.relVars = make([]factorgraph.VarID, len(cs.pairs))
-		for pi, p := range cs.pairs {
-			ag.relVars[pi] = g.AddVariable("b", len(p.rels)+1)
+		for _, p := range cs.pairs {
+			ag.relVars = append(ag.relVars, g.AddVariable("b", len(p.rels)+1))
 		}
 	}
 
 	// φ2 unary on types; φ1 unary on cells.
 	for i := range cs.cols {
-		pot := make([]float64, len(cs.colTypes[i])+1)
+		tpot := pot(len(cs.colTypes[i]) + 1)
 		for ti, T := range cs.colTypes[i] {
-			pot[ti] = a.ext.LogPhi2(&a.w, cs.headers[i], T)
+			tpot[ti] = a.ext.LogPhi2(&a.w, cs.headers[i], T)
 		}
-		ag.unaries = append(ag.unaries, g.AddUnary("phi2", ag.typeVars[i], pot))
+		ag.unaries = append(ag.unaries, g.AddUnary("phi2", ag.typeVars[i], tpot))
 		for r := 0; r < cs.tab.Rows(); r++ {
 			cands := cs.cells[i][r]
-			cpot := make([]float64, len(cands)+1)
+			cpot := pot(len(cands) + 1)
 			for ei, cand := range cands {
 				cpot[ei] = a.logPhi1(cand)
 			}
@@ -76,14 +86,14 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 		for r := 0; r < cs.tab.Rows(); r++ {
 			cands := cs.cells[i][r]
 			nE := len(cands) + 1
-			pot := make([]float64, nT*nE)
+			fpot := pot(nT * nE)
 			for ei, cand := range cands {
 				for ti, v := range cs.phi3[i].row(cand.Entity) {
-					pot[ti*nE+ei] = v
+					fpot[ti*nE+ei] = v
 				}
 			}
 			ag.phi3 = append(ag.phi3, g.AddFactor("phi3",
-				[]factorgraph.VarID{ag.typeVars[i], ag.cellVars[i][r]}, pot))
+				[]factorgraph.VarID{ag.typeVars[i], ag.cellVars[i][r]}, fpot))
 		}
 	}
 
@@ -96,21 +106,21 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 		nB := len(p.rels) + 1
 		nTi := len(cs.colTypes[p.i]) + 1
 		nTj := len(cs.colTypes[p.j]) + 1
-		pot := make([]float64, nB*nTi*nTj)
+		fpot := pot(nB * nTi * nTj)
 		for bi, rd := range p.rels {
 			for ti, Ti := range cs.colTypes[p.i] {
 				for tj, Tj := range cs.colTypes[p.j] {
-					pot[(bi*nTi+ti)*nTj+tj] = a.ext.LogPhi4(&a.w, rd, Ti, Tj)
+					fpot[(bi*nTi+ti)*nTj+tj] = a.ext.LogPhi4(&a.w, rd, Ti, Tj)
 				}
 			}
 		}
 		ag.phi4 = append(ag.phi4, g.AddFactor("phi4",
-			[]factorgraph.VarID{ag.relVars[pi], ag.typeVars[p.i], ag.typeVars[p.j]}, pot))
+			[]factorgraph.VarID{ag.relVars[pi], ag.typeVars[p.i], ag.typeVars[p.j]}, fpot))
 
 		for r := 0; r < cs.tab.Rows(); r++ {
 			ci, cj := cs.cells[p.i][r], cs.cells[p.j][r]
 			nEi, nEj := len(ci)+1, len(cj)+1
-			rpot := make([]float64, nB*nEi*nEj)
+			rpot := pot(nB * nEi * nEj)
 			for bi, rd := range p.rels {
 				for ei, ce := range ci {
 					for ej, cf := range cj {
@@ -123,6 +133,26 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 		}
 	}
 	return ag
+}
+
+// potentials counts the float64s of the potential tables buildGraph cuts
+// (those of φ4 and φ5 even when it leaves them out).
+func potentials(cs *candidates) (n int) {
+	for i, col := range cs.cells {
+		nT := len(cs.colTypes[i]) + 1
+		n += nT
+		for _, cands := range col {
+			n += (len(cands) + 1) * (1 + nT)
+		}
+	}
+	for _, p := range cs.pairs {
+		nB := len(p.rels) + 1
+		n += nB * (len(cs.colTypes[p.i]) + 1) * (len(cs.colTypes[p.j]) + 1)
+		for r, ci := range cs.cells[p.i] {
+			n += nB * (len(ci) + 1) * (len(cs.cells[p.j][r]) + 1)
+		}
+	}
+	return n
 }
 
 // runSchedule executes the Appendix-D message schedule: unaries once, then
@@ -180,7 +210,7 @@ func (ag *annotGraph) decode(ann *Annotation) {
 		}
 	}
 	for pi, p := range cs.pairs {
-		if ag.relVars == nil {
+		if len(ag.relVars) == 0 {
 			break
 		}
 		bi := assignment[ag.relVars[pi]]
@@ -215,38 +245,39 @@ func (a *Annotator) AnnotateCollectiveContext(ctx context.Context, t *table.Tabl
 	if err := ctx.Err(); err != nil {
 		return ann, err
 	}
+	ar := takeArena()
+	defer ar.release()
 
-	start := time.Now()
-	cs, err := a.buildCandidates(ctx, t)
+	t0 := time.Now()
+	cs, err := a.buildCandidates(ctx, t, ar)
 	if err != nil {
 		return ann, err
 	}
-	candTime := time.Since(start)
+	t1 := time.Now()
 	if err := ctx.Err(); err != nil {
 		return ann, err
 	}
-
-	start = time.Now()
 	ag := a.buildGraph(cs)
-	buildTime := time.Since(start)
-
-	start = time.Now()
+	t2 := time.Now()
 	iters, conv, err := ag.runSchedule(ctx, a.cfg.MaxIters, a.cfg.Tol)
 	if err != nil {
 		return ann, err
 	}
 	ag.decode(ann)
-	inferTime := time.Since(start)
+	t3 := time.Now()
 
 	ann.Diag = Diagnostics{
-		CandidateGen: candTime,
-		GraphBuild:   buildTime,
-		Inference:    inferTime,
+		CandidateGen: t1.Sub(t0),
+		GraphBuild:   t2.Sub(t1),
+		Inference:    t3.Sub(t2),
 		Iterations:   iters,
 		Converged:    conv,
 		NumVars:      ag.g.NumVars(),
 		NumFactors:   ag.g.NumFactors(),
 	}
+	obs.Record(ctx, "annotate.candidates", t0, ann.Diag.CandidateGen)
+	obs.Record(ctx, "annotate.graph", t1, ann.Diag.GraphBuild)
+	obs.Record(ctx, "annotate.bp", t2, ann.Diag.Inference)
 	return ann, nil
 }
 
@@ -263,7 +294,7 @@ func (a *Annotator) scoreAnnotation(cs *candidates, ann *Annotation) float64 {
 		}
 	}
 	for pi, p := range cs.pairs {
-		if ag.relVars == nil {
+		if len(ag.relVars) == 0 {
 			break
 		}
 		assignment[ag.relVars[pi]] = len(p.rels) // na default

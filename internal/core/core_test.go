@@ -402,7 +402,7 @@ func TestScoreAnnotationConsistent(t *testing.T) {
 	w := buildFigure1World(t)
 	a := newTestAnnotator(t, w)
 	tab := figure1Table()
-	cs, _ := a.buildCandidates(context.Background(), tab)
+	cs, _ := a.buildCandidates(context.Background(), tab, takeArena())
 	ann := a.AnnotateCollective(tab)
 	naAnn := newAnnotation(tab)
 	if got, na := a.scoreAnnotation(cs, ann), a.scoreAnnotation(cs, naAnn); got < na {

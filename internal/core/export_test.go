@@ -15,12 +15,23 @@ type (
 	AnnotGraph = annotGraph
 )
 
+// BuildCandidates works in an arena of its own, never released.
 func (a *Annotator) BuildCandidates(ctx context.Context, t *table.Table) (*Candidates, error) {
-	return a.buildCandidates(ctx, t)
+	return a.buildCandidates(ctx, t, takeArena())
 }
 
 func (a *Annotator) BuildGraph(cs *Candidates) *AnnotGraph { return a.buildGraph(cs) }
 
 func (ag *AnnotGraph) RunSchedule(ctx context.Context, maxIters int, tol float64) (int, bool, error) {
 	return ag.runSchedule(ctx, maxIters, tol)
+}
+
+// SetArenaPoison makes every released arena be overwritten with garbage
+// before it is parked, until the returned function restores the previous
+// setting: anything an annotation returned that still points into its
+// arena then shows up as a wrong label, and under the race detector as a
+// race with the next annotation.
+func SetArenaPoison(on bool) (restore func()) {
+	was := arenas.poison.Swap(on)
+	return func() { arenas.poison.Store(was) }
 }

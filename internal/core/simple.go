@@ -36,8 +36,10 @@ func (a *Annotator) AnnotateSimpleContext(ctx context.Context, t *table.Table) (
 		return ann, err
 	}
 
+	ar := takeArena()
+	defer ar.release()
 	start := time.Now()
-	cs, err := a.buildCandidates(ctx, t)
+	cs, err := a.buildCandidates(ctx, t, ar)
 	if err != nil {
 		return ann, err
 	}

@@ -28,7 +28,9 @@ type GoldLabels struct {
 // should not chase them). The returned annotation is suitable for
 // FeatureVector.
 func (a *Annotator) GoldAnnotation(t *table.Table, gold GoldLabels) *Annotation {
-	cs, _ := a.buildCandidates(context.Background(), t)
+	ar := takeArena()
+	defer ar.release()
+	cs, _ := a.buildCandidates(context.Background(), t, ar)
 	return a.goldFromCandidates(cs, gold)
 }
 
@@ -84,7 +86,9 @@ func (cs *candidates) pairForCols(c1, c2 int) (relPair, bool) {
 // every feature vector fired by annotation y on table t. The model score
 // of y is exactly dot(weights, Φ) — the log of objective (1).
 func (a *Annotator) FeatureVector(t *table.Table, ann *Annotation) []float64 {
-	cs, _ := a.buildCandidates(context.Background(), t)
+	ar := takeArena()
+	defer ar.release()
+	cs, _ := a.buildCandidates(context.Background(), t, ar)
 	return a.featureVector(cs, ann)
 }
 
@@ -149,7 +153,9 @@ func (a *Annotator) featureVector(cs *candidates, ann *Annotation) []float64 {
 // structured SVM training [Tsochantaridis et al. 2005].
 func (a *Annotator) AnnotateLossAugmented(t *table.Table, gold GoldLabels, lossWeight float64) *Annotation {
 	ann := newAnnotation(t)
-	cs, _ := a.buildCandidates(context.Background(), t)
+	ar := takeArena()
+	defer ar.release()
+	cs, _ := a.buildCandidates(context.Background(), t, ar)
 	ag := a.buildGraph(cs)
 
 	// Add +lossWeight to every label except the gold one, per variable.
@@ -167,7 +173,7 @@ func (a *Annotator) AnnotateLossAugmented(t *table.Table, gold GoldLabels, lossW
 			ag.addLossUnary(ag.cellVars[i][r], goldEi, lossWeight)
 		}
 	}
-	if ag.relVars != nil {
+	if len(ag.relVars) != 0 {
 		for pi, p := range cs.pairs {
 			goldBi := len(p.rels)
 			for _, g := range gold.Relations {

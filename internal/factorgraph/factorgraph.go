@@ -15,7 +15,8 @@
 // so a sweep searches for nothing and the convergence test (MessageChange)
 // is one pass over the factor→variable arena against a copy kept from the
 // pass before. A factor's outgoing messages all come from one walk of its
-// table (UpdateFactorToVar).
+// table (UpdateFactorToVar). Reset keeps all of that memory, and the
+// slabs the factors' variable lists are cut from, for the next graph.
 //
 // Every message is reproducible to the last bit: a variable→factor message
 // adds the variable's incoming messages in the order its factors were
@@ -68,27 +69,42 @@ type factor struct {
 type Graph struct {
 	vars    []variable
 	factors []factor
+	varSlab []VarID // every factor's vars
+	intSlab []int   // every factor's dims and slot
 
 	// Messages, log space. varToFac[f][k] is the message from the k-th
 	// variable of factor f to f; facToVar[f][k] the reverse. They are
-	// slice headers into the two arenas (see the package comment).
+	// slice headers (from headers) into the two arenas (see the package
+	// comment), which share msgs.
 	varToFac [][][]float64
 	facToVar [][][]float64
+	headers  [][]float64
+	msgs     []float64
 	// toVar is the factor→variable arena; prev is what it held when
 	// MessageChange last looked.
 	toVar, prev []float64
+	ready       bool // InitMessages ran since the last Reset
 }
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
+
+// Reset empties the graph, keeping its memory for the next one.
+func (g *Graph) Reset() {
+	g.vars, g.factors = g.vars[:0], g.factors[:0]
+	g.varSlab, g.intSlab = g.varSlab[:0], g.intSlab[:0]
+	g.ready = false
+}
 
 // AddVariable declares a variable with the given domain size (>= 1).
 func (g *Graph) AddVariable(name string, domain int) VarID {
 	if domain < 1 {
 		panic(fmt.Sprintf("factorgraph: variable %q has empty domain", name))
 	}
-	g.vars = append(g.vars, variable{name: name, domain: domain})
-	return VarID(len(g.vars) - 1)
+	n := len(g.vars)
+	g.vars = slices.Grow(g.vars, 1)[:n+1] // a slot a Reset left keeps its edges' memory
+	g.vars[n] = variable{name: name, domain: domain, edges: g.vars[n].edges[:0]}
+	return VarID(n)
 }
 
 // NumVars reports the variable count.
@@ -106,8 +122,11 @@ func (g *Graph) AddFactor(name string, vars []VarID, logPot []float64) FactorID 
 	if len(vars) == 0 || len(vars) > 3 {
 		panic(fmt.Sprintf("factorgraph: factor %q arity %d unsupported", name, len(vars)))
 	}
-	ints := make([]int, 2*len(vars))
-	dims, slot := ints[:len(vars):len(vars)], ints[len(vars):]
+	n, v0, i0 := len(vars), len(g.varSlab), len(g.intSlab)
+	g.varSlab = append(g.varSlab, vars...)
+	g.intSlab = slices.Grow(g.intSlab, 2*n)[:i0+2*n]
+	ints := g.intSlab[i0 : i0+2*n : i0+2*n]
+	dims, slot := ints[:n:n], ints[n:]
 	size := 1
 	for i, v := range vars {
 		dims[i] = g.vars[v].domain
@@ -118,7 +137,7 @@ func (g *Graph) AddFactor(name string, vars []VarID, logPot []float64) FactorID 
 		panic(fmt.Sprintf("factorgraph: factor %q table size %d, want %d", name, len(logPot), size))
 	}
 	id := FactorID(len(g.factors))
-	g.factors = append(g.factors, factor{name: name, vars: slices.Clone(vars), logPot: logPot, dims: dims, slot: slot})
+	g.factors = append(g.factors, factor{name: name, vars: g.varSlab[v0 : v0+n : v0+n], logPot: logPot, dims: dims, slot: slot})
 	for i, v := range vars {
 		g.vars[v].edges = append(g.vars[v].edges, edge{id, slot[i]})
 	}
@@ -133,7 +152,7 @@ func (g *Graph) AddUnary(name string, v VarID, logPot []float64) FactorID {
 // InitMessages allocates and zeroes all messages ("initialize all
 // messages to 1", i.e. log 0). Must be called before any sweep; RunFlooding
 // calls it implicitly if needed. The number of allocations does not
-// depend on the size of the graph.
+// depend on the size of the graph, and is 0 after a Reset of a graph as large.
 func (g *Graph) InitMessages() {
 	slots, n := 0, 0
 	for f := range g.factors {
@@ -142,12 +161,14 @@ func (g *Graph) InitMessages() {
 			n += d
 		}
 	}
-	arena := make([]float64, 3*n)
-	toFac := arena[:n:n]
-	g.toVar, g.prev = arena[n:2*n:2*n], arena[2*n:]
-	headers := make([][]float64, 2*slots)
-	g.varToFac = make([][][]float64, len(g.factors))
-	g.facToVar = make([][][]float64, len(g.factors))
+	g.msgs = resize(g.msgs, 3*n)
+	clear(g.msgs)
+	toFac := g.msgs[:n:n]
+	g.toVar, g.prev = g.msgs[n:2*n:2*n], g.msgs[2*n:]
+	g.headers = resize(g.headers, 2*slots)
+	headers := g.headers
+	g.varToFac = resize(g.varToFac, len(g.factors))
+	g.facToVar = resize(g.facToVar, len(g.factors))
 	s, off := 0, 0
 	for f := range g.factors {
 		dims := g.factors[f].dims
@@ -161,9 +182,11 @@ func (g *Graph) InitMessages() {
 		}
 		s = e
 	}
+	g.ready = true
 }
 
-func (g *Graph) messagesReady() bool { return g.varToFac != nil }
+// resize returns s at length n, in its own array if that is long enough.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // updateVarToFactor recomputes the message into slot k of f from the
 // variable there: the sum of incoming factor→var messages from every
@@ -285,7 +308,7 @@ func (g *Graph) SweepFactor(f FactorID) {
 // change by less than tol (L∞) or maxIters is reached. Returns the number
 // of iterations used and whether it converged.
 func (g *Graph) RunFlooding(maxIters int, tol float64) (iters int, converged bool) {
-	if !g.messagesReady() {
+	if !g.ready {
 		g.InitMessages()
 	}
 	g.MessageChange()
@@ -323,8 +346,14 @@ func (g *Graph) MessageChange() float64 {
 // Belief returns the normalized (max=0) log-belief of v: the sum of all
 // incoming factor messages.
 func (g *Graph) Belief(v VarID) []float64 {
-	b := make([]float64, g.vars[v].domain)
-	if !g.messagesReady() {
+	return g.belief(nil, v)
+}
+
+// belief is Belief computed into buf's memory.
+func (g *Graph) belief(buf []float64, v VarID) []float64 {
+	b := resize(buf, g.vars[v].domain)
+	clear(b)
+	if !g.ready {
 		return b
 	}
 	for _, e := range g.vars[v].edges {
@@ -342,8 +371,9 @@ func (g *Graph) Belief(v VarID) []float64 {
 // highest-scored candidate).
 func (g *Graph) MAPAssignment() []int {
 	out := make([]int, len(g.vars))
+	var b []float64
 	for v := range g.vars {
-		b := g.Belief(VarID(v))
+		b = g.belief(b, VarID(v))
 		best, bestScore := 0, math.Inf(-1)
 		for x, s := range b {
 			if s > bestScore {
@@ -370,30 +400,6 @@ func (g *Graph) Score(assignment []int) float64 {
 		total += fac.logPot[flatten(idx[:len(fac.vars)], fac.dims)]
 	}
 	return total
-}
-
-// BruteForceMAP enumerates all assignments — exponential, for tests and
-// tiny graphs only. Returns the best assignment and its score.
-func (g *Graph) BruteForceMAP() ([]int, float64) {
-	assignment := make([]int, len(g.vars))
-	best := make([]int, len(g.vars))
-	bestScore := math.Inf(-1)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(g.vars) {
-			if s := g.Score(assignment); s > bestScore {
-				bestScore = s
-				copy(best, assignment)
-			}
-			return
-		}
-		for x := 0; x < g.vars[i].domain; x++ {
-			assignment[i] = x
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return best, bestScore
 }
 
 func flatten(idx, dims []int) int {

@@ -240,3 +240,27 @@ func TestHardConstraintPropagation(t *testing.T) {
 		t.Fatalf("score %v != exact %v", g.Score(m), g.Score(exact))
 	}
 }
+
+// BruteForceMAP enumerates all assignments — exponential, for tests and
+// tiny graphs only. Returns the best assignment and its score.
+func (g *Graph) BruteForceMAP() ([]int, float64) {
+	assignment := make([]int, len(g.vars))
+	best := make([]int, len(g.vars))
+	bestScore := math.Inf(-1)
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(g.vars) {
+			if s := g.Score(assignment); s > bestScore {
+				bestScore = s
+				copy(best, assignment)
+			}
+			return
+		}
+		for x := 0; x < g.vars[i].domain; x++ {
+			assignment[i] = x
+			rec(i + 1)
+		}
+	}
+	rec(0)
+	return best, bestScore
+}

@@ -127,6 +127,18 @@ func isNumericCell(s string) bool {
 	if s == "" {
 		return false
 	}
+	// All ParseFloat accepts without a digit is a signed or unsigned
+	// infinity and an unsigned NaN; deciding those here keeps its error
+	// (an allocation) off the text cells of every column.
+	if !strings.ContainsAny(s, "0123456789") {
+		if strings.EqualFold(s, "nan") {
+			return true
+		}
+		if s[0] == '+' || s[0] == '-' {
+			s = s[1:]
+		}
+		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity")
+	}
 	_, err := strconv.ParseFloat(s, 64)
 	return err == nil
 }

@@ -3,6 +3,7 @@ package table
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -84,6 +85,22 @@ func TestNumericFraction(t *testing.T) {
 	}
 	if f := tab.ColumnNumericFraction(2); f < 0.6 || f > 0.7 {
 		t.Errorf("mixed column fraction = %v, want 2/3", f)
+	}
+}
+
+// TestNumericCellMatchesParseFloat: the digitless shortcut answers as
+// ParseFloat would, on every spelling of infinity and NaN and on words
+// that only start like them.
+func TestNumericCellMatchesParseFloat(t *testing.T) {
+	for _, s := range []string{"inf", "+Inf", "-INF", "infinity", "-Infinity", "+-inf", "--inf", "infin", "info",
+		"nan", "NaN", "+nan", "-NaN", "nana", "Nadia", "Ian", "+", "-", ".", "e", "$inf%", "€NaN", "1,0,0", "0x1p-2", "1_000"} {
+		_, err := strconv.ParseFloat(strings.ReplaceAll(strings.Trim(s, "$%€£"), ",", ""), 64)
+		if got := isNumericCell(s); got != (err == nil) {
+			t.Errorf("isNumericCell(%q) = %t, ParseFloat says %t", s, got, err == nil)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { isNumericCell("Russell Stannard") }); n != 0 {
+		t.Errorf("isNumericCell allocates %v times on a text cell, want 0", n)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/lemmaindex"
+	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/searchidx"
 	"repro/internal/segment"
@@ -83,6 +84,12 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 	}
 	if so.workers < 1 {
 		return nil, fmt.Errorf("%w: workers must be >= 1, got %d", ErrInvalidOption, so.workers)
+	}
+	if v := so.cfg.Candidates.MaxCandidates; v < 0 {
+		return nil, fmt.Errorf("%w: Candidates.MaxCandidates must be >= 0, got %d", ErrInvalidOption, v)
+	}
+	if v := so.cfg.Candidates.MaxProbeTokens; v < 0 {
+		return nil, fmt.Errorf("%w: Candidates.MaxProbeTokens must be >= 0, got %d", ErrInvalidOption, v)
 	}
 	if err := cat.Freeze(); err != nil {
 		return nil, fmt.Errorf("webtable: freeze catalog: %w", err)
@@ -405,7 +412,9 @@ func (s *Service) AddTables(ctx context.Context, tables []*Table, opts ...Annota
 			return CorpusStats{}, err
 		}
 	}
+	sp := obs.Begin(ctx, "segment.add")
 	v, err := st.Add(ctx, tables, anns)
+	sp.End()
 	if err != nil {
 		if fresh {
 			st.Close()

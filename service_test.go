@@ -3,6 +3,7 @@ package webtable_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -253,6 +254,30 @@ func TestServiceStructuredErrors(t *testing.T) {
 	_, err = svc.Search(ctx, webtable.SearchRequest{Mode: webtable.SearchBaseline})
 	if !errors.Is(err, webtable.ErrInvalidQuery) {
 		t.Errorf("baseline query without text: err = %v, want ErrInvalidQuery", err)
+	}
+}
+
+// TestServiceRejectsNegativeCandidateLimits: a negative cap on the
+// candidates per cell or on the probe tokens used to reach candidate
+// generation and panic there (a slice bound of -1, a make of length -1),
+// in a worker goroutine when it came through AnnotateCorpus or AddTables.
+// NewService refuses each with ErrInvalidOption naming the field.
+func TestServiceRejectsNegativeCandidateLimits(t *testing.T) {
+	w := testWorld(t)
+	for _, field := range []string{"Candidates.MaxCandidates", "Candidates.MaxProbeTokens"} {
+		cfg := webtable.DefaultConfig()
+		if field == "Candidates.MaxCandidates" {
+			cfg.Candidates.MaxCandidates = -1
+		} else {
+			cfg.Candidates.MaxProbeTokens = -1
+		}
+		svc, err := webtable.NewService(w.Public, webtable.WithServiceConfig(cfg))
+		if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s = -1: err = %v, want ErrInvalidOption naming the field", field, err)
+		}
+		if svc != nil {
+			svc.Close()
+		}
 	}
 }
 
