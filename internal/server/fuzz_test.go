@@ -60,3 +60,36 @@ func FuzzDecodeSearchRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAddTablesBody posts whatever bytes a client could send as the body
+// of POST /v1/tables to a node over a small catalog. The node never
+// panics — not in the handler, not in an annotation worker — and answers
+// 200 or a structured 4xx: a JSON error body with a code. Tables that get
+// in are annotated and indexed like any others, so later inputs meet a
+// growing corpus (and duplicate IDs).
+func FuzzAddTablesBody(f *testing.F) {
+	svc, w := testService(f, 1)
+	h := New(svc, WithLogger(quietLogger())).Handler()
+	valid := addBody(f, extraTables(f, w, 2), "collective")
+	f.Add(valid)
+	f.Add(bytes.Replace(valid, []byte(`"collective"`), []byte(`"lca"`), 1))
+	f.Add([]byte(`{"tables":[{"id":"a","headers":["Film","Director"],"cells":[["Smoke Film","whoever"]]}],"method":"majority"}`))
+	f.Add([]byte(`{"tables":[{"id":"r","headers":["A"],"cells":[["x","y"],[]]}]}`))
+	f.Add([]byte(`{"tables":[{"id":"n","cells":[["1987","3.5"],["-inf","NaN"]]}],"method":"simple"}`))
+	f.Add([]byte(`{"tables":[{"id":"e","headers":[],"cells":[]}]}`))
+	f.Add([]byte(`{"tables":[{"id":"u","cells":[["` + strings.Repeat("ü ", 200) + `"]]}],"method":"nonesuch"}`))
+	f.Add([]byte(`{"tables":[]}`))
+	f.Add([]byte(`{"tables":null,"method":7}`))
+	f.Add([]byte(`{"tables":[{"id":""}]}`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec := postJSON(t, h, "/v1/tables", data)
+		if rec.Code == http.StatusOK {
+			return
+		}
+		var er ErrorResponse
+		if rec.Code < 400 || rec.Code > 499 || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error.Code == "" {
+			t.Fatalf("POST /v1/tables %q = %d %s, want 200 or a structured 4xx", data, rec.Code, rec.Body.String())
+		}
+	})
+}
