@@ -586,15 +586,16 @@ func BenchmarkAddTables(b *testing.B) {
 // service, built off the clock, takes over after every pass over the
 // batches, so no table ID repeats.
 func BenchmarkAnnotateBatch(b *testing.B) {
-	cat, batches := benchfix.Ingest(b, 16)
+	const batches = 16
+	cat, tabs := benchfix.Ingest(b, batches)
 	ctx := context.Background()
 	var svc *webtable.Service
 	tables := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch := batches[i%len(batches)]
-		if i%len(batches) == 0 {
+		batch := tabs[8*(i%batches) : 8*(i%batches+1)]
+		if i%batches == 0 {
 			b.StopTimer()
 			if svc != nil {
 				svc.Close()

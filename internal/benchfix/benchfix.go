@@ -1,9 +1,8 @@
-// Package benchfix builds the inputs of the in-process benchmarks that
-// stand in for the repository benchmark's workloads: the corpus and the
-// request sequence the serving benchmarks share (BenchmarkHandlerSearch in
+// Package benchfix builds the corpus and the request sequence the
+// in-process serving benchmarks share (BenchmarkHandlerSearch in
 // internal/server, BenchmarkRoutedSearch in internal/dist), so that a
 // single node and a cluster are measured over the same bytes, and the
-// batches of fresh tables BenchmarkAnnotateBatch ingests.
+// fresh tables BenchmarkAnnotateBatch ingests.
 package benchfix
 
 import (
@@ -154,23 +153,15 @@ func Serving(tb testing.TB) (snap []byte, seq [][]byte) {
 	return file.Bytes(), seq
 }
 
-// datasetSeed is the repository benchmark's world seed.
-const datasetSeed = 1
+const datasetSeed = 1 // the repository benchmark's world seed
 
 // Ingest is the repository benchmark's ingest input rebuilt in-process:
-// the seed-1 world's public catalog and the first n batches of fresh
-// tables its ingest workload posts at -seed 1 (benchmark/inputs.go,
-// buildFresh) — eight stratified NoisyProfile tables of 10..40 rows each.
-func Ingest(tb testing.TB, n int) (*catalog.Catalog, [][]*table.Table) {
+// the world's public catalog and the fresh tables its ingest workload
+// posts at -seed 1 (benchmark/inputs.go), n batches of eight in order.
+func Ingest(tb testing.TB, n int) (*catalog.Catalog, []*table.Table) {
 	tb.Helper()
-	const batch, freshSeed = 8, datasetSeed*7919 + 23
 	w := world(tb)
-	tabs := stratified(w, "fresh", freshSeed, n*batch)
-	batches := make([][]*table.Table, n)
-	for i := range batches {
-		batches[i] = tabs[i*batch : (i+1)*batch : (i+1)*batch]
-	}
-	return w.Public, batches
+	return w.Public, stratified(w, "fresh", datasetSeed*7919+23, 8*n)
 }
 
 func world(tb testing.TB) *worldgen.World {
@@ -184,10 +175,8 @@ func world(tb testing.TB) *worldgen.World {
 	return w
 }
 
-// stratified renders n NoisyProfile tables as the benchmark's
-// stratifiedTables does: every eight consecutive tables hold eight
-// different relations, row counts spread over 10..40 and one or two
-// tables pairing unrelated columns.
+// stratified is the benchmark's stratifiedTables: every eight tables hold
+// eight relations, 10..40 rows and one or two pairs of unrelated columns.
 func stratified(w *worldgen.World, name string, seed int64, n int) []*table.Table {
 	out := make([]*table.Table, n)
 	for i := range out {

@@ -128,7 +128,7 @@ type Catalog struct {
 	// The ⊆* closure as bits, for IsSubtype (the query planner asks once
 	// per posted column pair): bit b of the subtypeWords words from
 	// subtypeBits[a*subtypeWords] is set when b is a or an ancestor of a.
-	// typeAncestors keeps the distances, for the walks.
+	// typeAncestors keeps the distances, for TypeDist and the walks.
 	subtypeBits  []uint64
 	subtypeWords int
 
@@ -244,6 +244,47 @@ func (c *Catalog) AddEntity(name string, lemmas []string, types ...TypeID) (Enti
 	c.entities = append(c.entities, entityNode{name: name, lemmas: withName(name, lemmas), types: append([]TypeID(nil), types...)})
 	c.entityByName[name] = id
 	return id, nil
+}
+
+// AddEntityType attaches an additional direct type to an existing entity.
+func (c *Catalog) AddEntityType(e EntityID, t TypeID) error {
+	if c.frozen {
+		return ErrFrozen
+	}
+	if !c.validEntity(e) || !c.validType(t) {
+		return fmt.Errorf("%w: entityType(%d,%d)", ErrBadID, e, t)
+	}
+	for _, have := range c.entities[e].types {
+		if have == t {
+			return nil
+		}
+	}
+	c.entities[e].types = append(c.entities[e].types, t)
+	return nil
+}
+
+// AddEntityLemma attaches an additional lemma to an entity.
+func (c *Catalog) AddEntityLemma(e EntityID, lemma string) error {
+	if c.frozen {
+		return ErrFrozen
+	}
+	if !c.validEntity(e) {
+		return fmt.Errorf("%w: entity %d", ErrBadID, e)
+	}
+	c.entities[e].lemmas = append(c.entities[e].lemmas, lemma)
+	return nil
+}
+
+// AddTypeLemma attaches an additional lemma to a type.
+func (c *Catalog) AddTypeLemma(t TypeID, lemma string) error {
+	if c.frozen {
+		return ErrFrozen
+	}
+	if !c.validType(t) {
+		return fmt.Errorf("%w: type %d", ErrBadID, t)
+	}
+	c.types[t].lemmas = append(c.types[t].lemmas, lemma)
+	return nil
 }
 
 // AddRelation registers a binary relation with schema B(subject, object)

@@ -696,25 +696,3 @@ func TestFreezeTablesAreSparse(t *testing.T) {
 		}
 	}
 }
-
-// EntityCount returns |E(T)|.
-func (c *Catalog) EntityCount(t TypeID) int {
-	if !c.frozen || !c.validType(t) {
-		return 0
-	}
-	return len(c.typeEntities[t])
-}
-
-// AncestorsOf returns all ancestors of t including t itself, sorted.
-func (c *Catalog) AncestorsOf(t TypeID) []TypeID {
-	if !c.frozen || !c.validType(t) {
-		return nil
-	}
-	anc := c.typeAncestors[t]
-	out := make([]TypeID, 0, len(anc))
-	for a := range anc {
-		out = append(out, a)
-	}
-	sortTypeIDs(out)
-	return out
-}

@@ -16,9 +16,7 @@ const RootTypeName = "Entity"
 // reaching all others, and computes the closures used by the annotator:
 //
 //   - T(E): all type ancestors of every entity, with dist(E,T) (§4.2.3),
-//   - a signature per entity numbering its set of direct types, on which
-//     T(E), dist(E,T) and the missing-link relatedness alone depend
-//     (TypeSignature),
+//   - a number per entity for its set of direct types (TypeSignature),
 //   - E(T): all entities transitively reachable from every type,
 //   - type ancestor sets with edge distances,
 //   - |E(T′)∩E(T)| for every pair of types sharing an entity (§4.2.3),
@@ -142,12 +140,10 @@ func (c *Catalog) computeTypeAncestors() {
 }
 
 // computeEntityClosures fills the per-entity ancestor runs (T(E) with
-// distances), typeEntities (E(T)), minEntityDist and the type signatures.
-// An entity's direct types are the dist-1 entries of its run, ascending;
-// its signature extends that of all but the last of them by the last:
-// the empty set is 0, a one-type set {t} is numbered the first time it is
-// met (single[t]), and a longer one is looked up by (signature of the
-// prefix, last type) in a map.
+// distances), typeEntities (E(T)), minEntityDist and the type signatures:
+// a direct-type set (the dist-1 entries of a run) extends the signature
+// of all but its last type by the last — {t} through single[t], a longer
+// set through a map keyed by (prefix signature, last type).
 func (c *Catalog) computeEntityClosures() {
 	nT := len(c.types)
 	nE := len(c.entities)
@@ -157,9 +153,9 @@ func (c *Catalog) computeEntityClosures() {
 	c.ancStart, c.typeSig = runs[:nE+1:nE+1], runs[nE+1:]
 	sigs, multi := int32(0), 0 // at most multi entities have several types
 	for e := range c.entities {
-		multi += min(len(c.entities[e].types)-1, 1)
+		multi += min(len(c.entities[e].types)/2, 1)
 	}
-	several := make(map[[2]int32]int32, max(multi, 0))
+	several := make(map[[2]int32]int32, multi)
 
 	// dist(e, t) of the entity at hand, 0 when t is not an ancestor.
 	scratch := make([]int32, 2*nT)

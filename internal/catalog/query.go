@@ -37,13 +37,11 @@ func (c *Catalog) TypeAncestorsOf(e EntityID) []TypeID {
 	return types
 }
 
-// TypeSignature numbers e's set of direct types: two entities have equal
-// signatures exactly when their sets are equal. The dist-1 entries of an
-// entity's ancestor run are exactly its direct types, and T(E), dist(E,T)
-// and the missing-link relatedness are computed from that set alone, so
-// equal signatures mean equal TypeAncestorsOf, and equal Dist and
-// Relatedness to every type. An entity without types has signature 0;
-// -1 answers an unknown entity or an unfrozen catalog.
+// TypeSignature numbers e's set of direct types (the dist-1 entries of its
+// ancestor run), equal exactly for equal sets. T(E), dist(E,T) and the
+// missing-link relatedness are computed from that set alone, so equal
+// signatures mean equal TypeAncestorsOf, Dist and Relatedness for every
+// type. No types is 0; an unknown entity or unfrozen catalog is -1.
 func (c *Catalog) TypeSignature(e EntityID) int32 {
 	if !c.frozen || !c.validEntity(e) {
 		return -1
@@ -58,6 +56,14 @@ func (c *Catalog) EntitiesOf(t TypeID) []EntityID {
 		return nil
 	}
 	return c.typeEntities[t]
+}
+
+// EntityCount returns |E(T)|.
+func (c *Catalog) EntityCount(t TypeID) int {
+	if !c.frozen || !c.validType(t) {
+		return 0
+	}
+	return len(c.typeEntities[t])
 }
 
 // Specificity models type specificity as |E| / |E(T)| (§4.2.3, the
@@ -80,6 +86,30 @@ func (c *Catalog) IsSubtype(a, b TypeID) bool {
 		return false
 	}
 	return c.subtypeBits[int(a)*c.subtypeWords+int(b)/64]>>(uint(b)%64)&1 != 0
+}
+
+// TypeDist returns the minimum number of ⊆ edges from a up to b, with
+// ok=false when b is not an ancestor of a.
+func (c *Catalog) TypeDist(a, b TypeID) (int, bool) {
+	if !c.frozen || !c.validType(a) || !c.validType(b) {
+		return 0, false
+	}
+	d, ok := c.typeAncestors[a][b]
+	return int(d), ok
+}
+
+// AncestorsOf returns all ancestors of t including t itself, sorted.
+func (c *Catalog) AncestorsOf(t TypeID) []TypeID {
+	if !c.frozen || !c.validType(t) {
+		return nil
+	}
+	anc := c.typeAncestors[t]
+	out := make([]TypeID, 0, len(anc))
+	for a := range anc {
+		out = append(out, a)
+	}
+	sortTypeIDs(out)
+	return out
 }
 
 // MinEntityDist returns min over E' ∈ E(T) of dist(E',T), used by the

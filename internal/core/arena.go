@@ -13,9 +13,7 @@ import (
 // arena is everything one annotation builds and drops, under the search
 // package's ownership rule: an annotation takes one when it starts and
 // releases it when it returns, on every path, and nothing it returns
-// points into it (labels, relations and diagnostics are copied out).
-// The slabs are cut column by column (cell by cell, pair by pair); a slab
-// that grows moves, while what was cut from it keeps the old array.
+// points into it. A slab that grows moves; what was cut keeps the old array.
 type arena struct {
 	cs    candidates
 	probe lemmaindex.Probe
@@ -33,14 +31,12 @@ type arena struct {
 	g     factorgraph.Graph
 }
 
-// maxParkedArenas bounds the free list: an annotation takes one arena, a
-// service annotates at most Workers() tables at a time, and an arena
-// released to a full list is dropped. maxParkedCells keeps one enormous
-// table from pinning its arena for the life of the process: every slab
-// grows with the cells annotated, so only an arena that served at most
-// that many is parked. That is 4 times the ingest workload's largest
-// tables (40 rows, 4 columns), after which an arena holds about 0.9 MB,
-// so a parked arena holds about 4 MB at most and a full list 60 MB.
+// maxParkedArenas bounds the free list (a service annotates at most
+// Workers() tables at once; an arena released to a full list is dropped).
+// maxParkedCells keeps one enormous table from pinning its arena: the
+// slabs grow with the cells annotated, so an arena is parked only after a
+// table of at most 4 times the ingest workload's largest (40 rows of 4
+// columns, after which it holds about 0.9 MB).
 const (
 	maxParkedArenas = 16
 	maxParkedCells  = 640
@@ -66,8 +62,6 @@ func (ar *arena) release() {
 	if arenas.poison.Load() {
 		nan := math.NaN()
 		fill(ar.cands, lemmaindex.Candidate{Entity: -2, Score: nan, Sim: lemmaindex.SimilarityProfile{Cosine: nan}})
-		fill(ar.ents, -2)
-		fill(ar.rowOf, -1)
 		fill(ar.types, -2)
 		fill(ar.vals, nan)
 		fill(ar.pots, nan)
@@ -82,7 +76,6 @@ func (ar *arena) release() {
 	}
 }
 
-// fill sets every slot of s up to its capacity to garbage.
 func fill[T any](s []T, garbage T) {
 	s = s[:cap(s)]
 	for i := range s {
@@ -90,7 +83,7 @@ func fill[T any](s []T, garbage T) {
 	}
 }
 
-// take cuts the next n elements, zeroed, off the end of a slab.
+// take cuts n zeroed elements off the end of a slab.
 func take[T any](slab *[]T, n int) []T {
 	s := slices.Grow(*slab, n)
 	*slab = s[:len(s)+n]

@@ -35,13 +35,11 @@ type candidates struct {
 }
 
 // phi3Table holds log φ3(T, E) for one column: every type of its type
-// space against every distinct candidate entity of its cells. φ3 reads an
-// entity only through its set of direct types (catalog.TypeSignature), so
-// the table keeps one row per signature the column's entities have, and a
-// pair is scored once per table however many entities share the
-// signature, however many cells propose them and however many passes —
-// the type pre-score, the potential tables, the Figure-2 special case —
-// read the score.
+// space against every distinct candidate entity of its cells, one row per
+// direct-type set (catalog.TypeSignature), through which alone φ3 reads
+// an entity. A pair is scored once per table, however many entities share
+// the set, cells propose them and passes — the type pre-score, the
+// potential tables, the Figure-2 special case — read the score.
 type phi3Table struct {
 	ents  []catalog.EntityID // distinct candidate entities, ascending
 	rowOf []int32            // rowOf[k] is the row of ents[k]'s signature
@@ -127,8 +125,7 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *are
 // columnTypeSpace computes T_c = ∪_{E∈E_rc} T(E), optionally capped to
 // the best MaxTypesPerColumn types under a cheap pre-score (header
 // similarity + summed compatibility over candidate cells), together with
-// the column's φ3 table over the types it returns, all cut from the
-// arena's slabs.
+// the column's φ3 table over the types it returns, cut from the arena.
 func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, phi3Table) {
 	ar := cs.ar
 	e0, r0, t0 := len(ar.ents), len(ar.rowOf), len(ar.types)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"repro/internal/catalog"
@@ -42,10 +41,9 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 	*ag = annotGraph{g: &ar.g, cs: cs, typeVars: ag.typeVars[:0], cellVars: ag.cellVars[:0], relVars: ag.relVars[:0],
 		phi3: ag.phi3[:0], phi4: ag.phi4[:0], phi5: ag.phi5[:0], unaries: ag.unaries[:0]}
 	g := ag.g
-	// Every potential table is cut from one slab, sized by counting them.
-	pots := slices.Grow(ar.pots[:0], potentials(cs))
-	ar.pots = pots
-	pot := func(n int) []float64 { return take(&pots, n) }
+	// Every potential table is cut from one slab.
+	ar.pots = ar.pots[:0]
+	pot := func(n int) []float64 { return take(&ar.pots, n) }
 
 	// Variables.
 	ar.vars = ar.vars[:0]
@@ -133,26 +131,6 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 		}
 	}
 	return ag
-}
-
-// potentials counts the float64s of the potential tables buildGraph cuts
-// (those of φ4 and φ5 even when it leaves them out).
-func potentials(cs *candidates) (n int) {
-	for i, col := range cs.cells {
-		nT := len(cs.colTypes[i]) + 1
-		n += nT
-		for _, cands := range col {
-			n += (len(cands) + 1) * (1 + nT)
-		}
-	}
-	for _, p := range cs.pairs {
-		nB := len(p.rels) + 1
-		n += nB * (len(cs.colTypes[p.i]) + 1) * (len(cs.colTypes[p.j]) + 1)
-		for r, ci := range cs.cells[p.i] {
-			n += nB * (len(ci) + 1) * (len(cs.cells[p.j][r]) + 1)
-		}
-	}
-	return n
 }
 
 // runSchedule executes the Appendix-D message schedule: unaries once, then

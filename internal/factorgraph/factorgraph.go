@@ -74,8 +74,7 @@ type Graph struct {
 
 	// Messages, log space. varToFac[f][k] is the message from the k-th
 	// variable of factor f to f; facToVar[f][k] the reverse. They are
-	// slice headers (from headers) into the two arenas (see the package
-	// comment), which share msgs.
+	// slice headers (headers) into the two arenas (msgs).
 	varToFac [][][]float64
 	facToVar [][][]float64
 	headers  [][]float64

@@ -175,11 +175,9 @@ type Probe struct {
 }
 
 // AppendCandidates appends cell's CandidateEntities to dst, working in p.
-// It walks the pool in ascending entity order keeping the best
-// MaxCandidates so far in dst, ordered by score descending then entity
-// ascending: a candidate enters behind every kept one scoring at least
-// as much, and once the list is full it displaces the last only by
-// scoring more. Nothing is sorted and nothing beyond MaxCandidates kept.
+// Walking the pool by ascending entity, it keeps the best MaxCandidates
+// so far by (score desc, entity asc): a candidate enters behind every one
+// scoring at least as much, and into a full list only by beating the last.
 func (ix *Index) AppendCandidates(dst []Candidate, cell string, p *Probe) []Candidate {
 	q := ix.vs.VectorizeInto(cell, &p.cell)
 	p.probe = ix.vs.TopTokens(p.probe[:0], q, ix.cfg.MaxProbeTokens)
@@ -286,3 +284,6 @@ func profile(q text.Vector, lemmas []text.Vector, softThreshold float64) Similar
 	}
 	return p
 }
+
+// PostingLen reports the posting-list length for a token (diagnostics).
+func (ix *Index) PostingLen(token string) int { return len(ix.entityPostings[token]) }

@@ -127,17 +127,9 @@ func isNumericCell(s string) bool {
 	if s == "" {
 		return false
 	}
-	// All ParseFloat accepts without a digit is a signed or unsigned
-	// infinity and an unsigned NaN; deciding those here keeps its error
-	// (an allocation) off the text cells of every column.
-	if !strings.ContainsAny(s, "0123456789") {
-		if strings.EqualFold(s, "nan") {
-			return true
-		}
-		if s[0] == '+' || s[0] == '-' {
-			s = s[1:]
-		}
-		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity")
+	if !strings.ContainsAny(s, "0123456789") { // ParseFloat takes only [+-]inf(inity) and nan; its error allocates
+		u := strings.TrimLeft(s, "+-")
+		return strings.EqualFold(s, "nan") || len(s)-len(u) <= 1 && (strings.EqualFold(u, "inf") || strings.EqualFold(u, "infinity"))
 	}
 	_, err := strconv.ParseFloat(s, 64)
 	return err == nil

@@ -301,6 +301,3 @@ func sortedKeys(m map[string]float64) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// Docs reports the number of documents added.
-func (v *VectorSpace) Docs() int { return v.docs }

@@ -85,11 +85,9 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 	if so.workers < 1 {
 		return nil, fmt.Errorf("%w: workers must be >= 1, got %d", ErrInvalidOption, so.workers)
 	}
-	if v := so.cfg.Candidates.MaxCandidates; v < 0 {
-		return nil, fmt.Errorf("%w: Candidates.MaxCandidates must be >= 0, got %d", ErrInvalidOption, v)
-	}
-	if v := so.cfg.Candidates.MaxProbeTokens; v < 0 {
-		return nil, fmt.Errorf("%w: Candidates.MaxProbeTokens must be >= 0, got %d", ErrInvalidOption, v)
+	if c := so.cfg.Candidates; c.MaxCandidates < 0 || c.MaxProbeTokens < 0 {
+		return nil, fmt.Errorf("%w: Candidates.MaxCandidates and Candidates.MaxProbeTokens must be >= 0, got %d and %d",
+			ErrInvalidOption, c.MaxCandidates, c.MaxProbeTokens)
 	}
 	if err := cat.Freeze(); err != nil {
 		return nil, fmt.Errorf("webtable: freeze catalog: %w", err)
