@@ -43,7 +43,7 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 	g := ag.g
 	// Every potential table is cut from one slab.
 	ar.pots = ar.pots[:0]
-	pot := func(n int) []float64 { return take(&ar.pots, n) }
+	cut := func(n int) []float64 { return take(&ar.pots, n) }
 
 	// Variables.
 	ar.vars = ar.vars[:0]
@@ -63,14 +63,14 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 
 	// φ2 unary on types; φ1 unary on cells.
 	for i := range cs.cols {
-		tpot := pot(len(cs.colTypes[i]) + 1)
+		pot := cut(len(cs.colTypes[i]) + 1)
 		for ti, T := range cs.colTypes[i] {
-			tpot[ti] = a.ext.LogPhi2(&a.w, cs.headers[i], T)
+			pot[ti] = a.ext.LogPhi2(&a.w, cs.headers[i], T)
 		}
-		ag.unaries = append(ag.unaries, g.AddUnary("phi2", ag.typeVars[i], tpot))
+		ag.unaries = append(ag.unaries, g.AddUnary("phi2", ag.typeVars[i], pot))
 		for r := 0; r < cs.tab.Rows(); r++ {
 			cands := cs.cells[i][r]
-			cpot := pot(len(cands) + 1)
+			cpot := cut(len(cands) + 1)
 			for ei, cand := range cands {
 				cpot[ei] = a.logPhi1(cand)
 			}
@@ -84,14 +84,14 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 		for r := 0; r < cs.tab.Rows(); r++ {
 			cands := cs.cells[i][r]
 			nE := len(cands) + 1
-			fpot := pot(nT * nE)
+			pot := cut(nT * nE)
 			for ei, cand := range cands {
 				for ti, v := range cs.phi3[i].row(cand.Entity) {
-					fpot[ti*nE+ei] = v
+					pot[ti*nE+ei] = v
 				}
 			}
 			ag.phi3 = append(ag.phi3, g.AddFactor("phi3",
-				[]factorgraph.VarID{ag.typeVars[i], ag.cellVars[i][r]}, fpot))
+				[]factorgraph.VarID{ag.typeVars[i], ag.cellVars[i][r]}, pot))
 		}
 	}
 
@@ -104,21 +104,21 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 		nB := len(p.rels) + 1
 		nTi := len(cs.colTypes[p.i]) + 1
 		nTj := len(cs.colTypes[p.j]) + 1
-		fpot := pot(nB * nTi * nTj)
+		pot := cut(nB * nTi * nTj)
 		for bi, rd := range p.rels {
 			for ti, Ti := range cs.colTypes[p.i] {
 				for tj, Tj := range cs.colTypes[p.j] {
-					fpot[(bi*nTi+ti)*nTj+tj] = a.ext.LogPhi4(&a.w, rd, Ti, Tj)
+					pot[(bi*nTi+ti)*nTj+tj] = a.ext.LogPhi4(&a.w, rd, Ti, Tj)
 				}
 			}
 		}
 		ag.phi4 = append(ag.phi4, g.AddFactor("phi4",
-			[]factorgraph.VarID{ag.relVars[pi], ag.typeVars[p.i], ag.typeVars[p.j]}, fpot))
+			[]factorgraph.VarID{ag.relVars[pi], ag.typeVars[p.i], ag.typeVars[p.j]}, pot))
 
 		for r := 0; r < cs.tab.Rows(); r++ {
 			ci, cj := cs.cells[p.i][r], cs.cells[p.j][r]
 			nEi, nEj := len(ci)+1, len(cj)+1
-			rpot := pot(nB * nEi * nEj)
+			rpot := cut(nB * nEi * nEj)
 			for bi, rd := range p.rels {
 				for ei, ce := range ci {
 					for ej, cf := range cj {
