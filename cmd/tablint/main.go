@@ -1,43 +1,28 @@
 // Tablint runs this repository's custom analyzer suite (internal/lint)
-// over Go packages. It speaks two protocols:
-//
-// As a vettool, driven by the go command:
+// as a vettool, driven by the go command:
 //
 //	go vet -vettool=$(which tablint) ./...
 //
 // The go command first invokes `tablint -flags` expecting a JSON
 // description of the tool's flags, then invokes `tablint <vet.cfg>`
 // once per package, where vet.cfg carries file lists and export-data
-// locations for every dependency. Diagnostics go to stderr and a
-// nonzero exit tells the go command the package failed vetting; the
-// facts file named by VetxOutput is written (empty — the suite is
-// factless) so the go command can cache clean results.
+// locations for every dependency. Diagnostics go to stderr as
+// file:line:col: message [analyzer], and a nonzero exit tells the go
+// command the package failed vetting; the facts file named by
+// VetxOutput is written (empty — the suite is factless) so the go
+// command can cache clean results.
 //
-// Standalone, resolving packages itself via `go list`:
-//
-//	tablint ./...
-//
-// Both modes honor //lint:allow suppression (see internal/lint) and
-// print diagnostics as file:line:col: message [analyzer].
-//
-// A third mode audits the suppressions themselves:
-//
-//	tablint -allows ./...
-//
-// lists every //lint:allow directive with its location and
-// justification, and exits non-zero for directives that have rotted:
-// stale allows (the named analyzer no longer fires on the covered
-// lines), allows naming unknown analyzers, and allows with no written
-// justification. Suppressions are debt; this keeps the ledger honest.
+// Findings covered by a //lint:allow directive are suppressed, and every
+// directive that has rotted is itself a finding (see internal/lint).
 package main
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"strings"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
 )
 
@@ -54,102 +39,25 @@ func run(args []string) int {
 			fmt.Println("[]")
 			return 0
 		case strings.HasPrefix(args[0], "-V"):
-			// Version handshake, used by the build cache's action ID.
-			fmt.Println("tablint version 1")
-			return 0
+			// Version handshake. The go command keys its cache of vet
+			// results on a devel line's buildID, so a rebuilt tablint
+			// re-vets every package instead of replaying old verdicts.
+			exe, err := os.Executable()
+			if err == nil {
+				var data []byte
+				if data, err = os.ReadFile(exe); err == nil {
+					fmt.Printf("tablint version devel buildID=%x\n", sha256.Sum256(data))
+					return 0
+				}
+			}
+			fmt.Fprintln(os.Stderr, "tablint:", err)
+			return 1
 		case strings.HasSuffix(args[0], ".cfg"):
 			return runVetCfg(args[0])
 		}
 	}
-	if len(args) > 0 && (args[0] == "-allows" || args[0] == "--allows") {
-		return runAllows(args[1:])
-	}
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: tablint <packages>   (or: tablint -allows <packages>, or via go vet -vettool)")
-		return 1
-	}
-	return runStandalone(args)
-}
-
-// runAllows audits every //lint:allow directive in the matched
-// packages. Exit 0 means every allow is live, known, and justified;
-// exit 2 reports the rot.
-func runAllows(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cfgs, err := load.Patterns(".", patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tablint:", err)
-		return 1
-	}
-	known := lint.AnalyzerNames()
-	total, bad := 0, 0
-	for _, cfg := range cfgs {
-		pkg, err := cfg.Load()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tablint:", err)
-			return 1
-		}
-		if len(pkg.TypeErrors) > 0 {
-			for _, e := range pkg.TypeErrors {
-				fmt.Fprintln(os.Stderr, e)
-			}
-			return 1
-		}
-		allows := lint.CollectAllows(pkg.Fset, pkg.Files)
-		if len(allows) == 0 {
-			continue
-		}
-		// The raw findings, before suppression: an allow is live only
-		// if the analyzer it names still fires on a line it covers.
-		diags, err := lint.RunUnsuppressed(pkg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tablint:", err)
-			return 1
-		}
-		for _, a := range allows {
-			total++
-			var problems []string
-			for _, name := range a.Analyzers {
-				if !known[name] {
-					problems = append(problems, fmt.Sprintf("unknown analyzer %q", name))
-					continue
-				}
-				one := a
-				one.Analyzers = []string{name}
-				live := false
-				for _, d := range diags {
-					if lint.Covers(pkg.Fset, one, d) {
-						live = true
-						break
-					}
-				}
-				if !live {
-					problems = append(problems, fmt.Sprintf("stale: %s no longer fires here — delete the directive", name))
-				}
-			}
-			if a.Justification == "" {
-				problems = append(problems, "missing justification (append ` -- why`)")
-			}
-			just := a.Justification
-			if just == "" {
-				just = "(none)"
-			}
-			fmt.Printf("%s:%d: allow %s -- %s\n", a.File, a.Line, strings.Join(a.Analyzers, ", "), just)
-			if len(problems) > 0 {
-				bad++
-				for _, p := range problems {
-					fmt.Printf("    PROBLEM: %s\n", p)
-				}
-			}
-		}
-	}
-	fmt.Printf("%d allow directive(s), %d with problems\n", total, bad)
-	if bad > 0 {
-		return 2
-	}
-	return 0
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which tablint) <packages>")
+	return 1
 }
 
 // runVetCfg analyzes the single package described by a vet config file
@@ -192,54 +100,14 @@ func runVetCfg(path string) int {
 		fmt.Fprintln(os.Stderr, "tablint:", err)
 		return 1
 	}
-	if len(diags) > 0 {
-		report(pkg, diags)
-		return 2
+	if len(diags) == 0 {
+		return 0
 	}
-	return 0
-}
-
-// runStandalone resolves package patterns with `go list` and analyzes
-// each matched package.
-func runStandalone(patterns []string) int {
-	cfgs, err := load.Patterns(".", patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tablint:", err)
-		return 1
-	}
-	exit := 0
-	for _, cfg := range cfgs {
-		pkg, err := cfg.Load()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tablint:", err)
-			return 1
-		}
-		if len(pkg.TypeErrors) > 0 {
-			for _, e := range pkg.TypeErrors {
-				fmt.Fprintln(os.Stderr, e)
-			}
-			return 1
-		}
-		diags, err := lint.Run(pkg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tablint:", err)
-			return 1
-		}
-		if len(diags) > 0 {
-			report(pkg, diags)
-			exit = 2
-		}
-	}
-	return exit
-}
-
-// report prints diagnostics to stderr in deterministic order.
-func report(pkg *load.Package, diags []analysis.Diagnostic) {
 	lint.Sort(pkg.Fset, diags)
 	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", pos, d.Message, d.Analyzer)
+		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", pkg.Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
+	return 2
 }
 
 // writeVetx writes the (empty) serialized-facts file the go command

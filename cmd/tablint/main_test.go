@@ -1,27 +1,51 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
-// buildTablint compiles the tool once per test binary into a temp dir.
-func buildTablint(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "tablint")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	out, err := cmd.CombinedOutput()
+// bin is the tablint binary TestMain builds once for every test.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "tablint")
 	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return bin
+	bin = filepath.Join(dir, "tablint")
+	code := 1
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// vet runs `go vet -vettool=tablint ./...` in dir, the one way tablint is
+// driven, and returns what it printed and whether it failed.
+func vet(t *testing.T, dir string) (out string, failed bool) {
+	t.Helper()
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOFLAGS=")
+	b, err := cmd.CombinedOutput()
+	if _, ok := err.(*exec.ExitError); err != nil && !ok {
+		t.Fatalf("go vet in %s: %v", dir, err)
+	}
+	return string(b), err != nil
 }
 
 func TestFlagsHandshake(t *testing.T) {
-	bin := buildTablint(t)
 	out, err := exec.Command(bin, "-flags").Output()
 	if err != nil {
 		t.Fatalf("tablint -flags: %v", err)
@@ -31,111 +55,68 @@ func TestFlagsHandshake(t *testing.T) {
 	}
 }
 
-func TestStandaloneFindsFixtureViolations(t *testing.T) {
-	bin := buildTablint(t)
-	cmd := exec.Command(bin, "./...")
-	cmd.Dir = "testdata/flagged"
-	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("tablint on fixture: err=%v, want exit 2\n%s", err, out)
+// TestVetFindsFixtureViolations: testdata/flagged seeds one violation per
+// analyzer, and every analyzer in the suite must report it — a lint
+// suite that silently stops firing is worse than none.
+func TestVetFindsFixtureViolations(t *testing.T) {
+	out, failed := vet(t, "testdata/flagged")
+	if !failed {
+		t.Fatalf("go vet passed the seeded violations:\n%s", out)
 	}
-	text := string(out)
-	// One deliberate violation per analyzer in the suite: the fixture is
-	// the self-test that every registered analyzer actually fires.
-	for _, want := range []string{
-		"[maporder]", "[errcmp]", "[floatfold]", "[atomicwrite]", "[ctxpoll]",
-		"[lockcheck]", "[goroleak]", "[wirebounds]", "[metriclabel]",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing a %s finding:\n%s", want, text)
+	for _, a := range lint.Suite() {
+		if !strings.Contains(out, "["+a.Name+"]") {
+			t.Errorf("output missing a [%s] finding:\n%s", a.Name, out)
 		}
-	}
-	if n := strings.Count(text, "[maporder]"); n != 1 {
-		t.Errorf("got %d maporder findings, want 1 (the suppressed one must not report):\n%s", n, text)
 	}
 }
 
 // TestAllowsAuditAcceptsHealthy: the flagged fixture's one directive is
-// live, known, and justified, so the audit exits zero and lists it.
+// live, known and justified, so it suppresses its finding and is not
+// itself reported.
 func TestAllowsAuditAcceptsHealthy(t *testing.T) {
-	bin := buildTablint(t)
-	cmd := exec.Command(bin, "-allows", "./...")
-	cmd.Dir = "testdata/flagged"
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("tablint -allows on healthy fixture: %v\n%s", err, out)
+	out, _ := vet(t, "testdata/flagged")
+	if n := strings.Count(out, "[maporder]"); n != 1 {
+		t.Errorf("got %d maporder findings, want 1 (the suppressed one must not report):\n%s", n, out)
 	}
-	text := string(out)
-	if !strings.Contains(text, "e2e fixture for the suppression path") {
-		t.Errorf("audit should list the directive with its justification:\n%s", text)
-	}
-	if strings.Contains(text, "PROBLEM") {
-		t.Errorf("healthy fixture must have no problems:\n%s", text)
+	if strings.Contains(out, "[allow]") {
+		t.Errorf("a healthy directive was reported:\n%s", out)
 	}
 }
 
 // TestAllowsAuditFlagsRot: every way a directive can rot — stale,
-// unknown analyzer, missing justification — exits non-zero and is
-// named in the output.
+// unknown analyzer, missing justification — is a finding of the
+// ordinary run, and fails it.
 func TestAllowsAuditFlagsRot(t *testing.T) {
-	bin := buildTablint(t)
-	cmd := exec.Command(bin, "-allows", ".")
-	cmd.Dir = "testdata/allows"
-	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("tablint -allows on rot fixture: err=%v, want exit 2\n%s", err, out)
+	out, failed := vet(t, "testdata/allows")
+	if !failed {
+		t.Fatalf("go vet passed the rotten directives:\n%s", out)
 	}
-	text := string(out)
 	for _, want := range []string{
-		"stale: errcmp no longer fires here",
+		"stale //lint:allow: errcmp no longer fires here",
 		`unknown analyzer "mapoder"`,
-		"missing justification",
-		"3 with problems",
+		"no justification",
 	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("audit output missing %q:\n%s", want, text)
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// TestAllowsAuditWholeRepo: every production //lint:allow in this
-// module is live and justified — the ledger is clean.
-func TestAllowsAuditWholeRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the whole module")
-	}
-	bin := buildTablint(t)
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(bin, "-allows", "./...")
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("tablint -allows over the repo found rot: %v\n%s", err, out)
+	if n := strings.Count(out, "[allow]"); n != 3 {
+		t.Errorf("got %d directive findings, want 3 (the healthy directive must not report):\n%s", n, out)
 	}
 }
 
 // TestGoVetWholeRepoClean is the acceptance check: the suite, driven
 // through `go vet -vettool`, runs clean over every package in this
-// module.
+// module, and every //lint:allow in it is live, known and justified.
 func TestGoVetWholeRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the whole module")
 	}
-	bin := buildTablint(t)
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = root
-	cmd.Env = append(os.Environ(), "GOFLAGS=")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go vet -vettool over the repo reported findings: %v\n%s", err, out)
+	if out, failed := vet(t, root); failed {
+		t.Fatalf("go vet -vettool over the repo reported findings:\n%s", out)
 	}
 }

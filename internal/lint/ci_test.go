@@ -9,7 +9,7 @@ import (
 // TestCIWorkflowRunLinesParse guards .github/workflows/ci.yml against the
 // one way it has stopped being YAML before: a `run:` value that opens
 // with a double quote is a quoted scalar, and anything after the closing
-// quote (`run: "$RUNNER_TEMP/tablint" -allows ./...`) is a syntax error
+// quote (`run: "$RUNNER_TEMP/tool" ./...`) is a syntax error
 // that fails the whole workflow before a single job starts — silently, as
 // far as the repository's own tests could tell. A command that starts
 // with a quoted word is written inside single quotes.

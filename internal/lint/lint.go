@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,28 +55,10 @@ func AnalyzerNames() map[string]bool {
 	return names
 }
 
-// Run executes every suite analyzer over one loaded package and returns
-// the findings that survive //lint:allow suppression, in file order. An
-// allow directive naming an unknown analyzer is an error, not a silent
-// no-op: a typoed suppression must not look like a fixed finding.
+// Run executes every suite analyzer over one loaded package. It returns
+// the findings no //lint:allow directive covers, followed by one finding
+// for each way a directive has rotted (see ValidateAllows).
 func Run(pkg *load.Package) ([]analysis.Diagnostic, error) {
-	if len(pkg.Files) == 0 {
-		return nil, nil
-	}
-	if err := ValidateAllows(CollectAllows(pkg.Fset, pkg.Files)); err != nil {
-		return nil, err
-	}
-	diags, err := RunUnsuppressed(pkg)
-	if err != nil {
-		return nil, err
-	}
-	return Suppress(pkg.Fset, pkg.Files, diags), nil
-}
-
-// RunUnsuppressed executes the suite without applying //lint:allow
-// directives — the raw findings the -allows audit cross-references
-// against the directive list.
-func RunUnsuppressed(pkg *load.Package) ([]analysis.Diagnostic, error) {
 	var diags []analysis.Diagnostic
 	for _, a := range Suite() {
 		pass := &analysis.Pass{
@@ -89,7 +73,8 @@ func RunUnsuppressed(pkg *load.Package) ([]analysis.Diagnostic, error) {
 		}
 		diags = append(diags, pass.Diagnostics()...)
 	}
-	return diags, nil
+	allows := CollectAllows(pkg.Fset, pkg.Files)
+	return append(Suppress(pkg.Fset, allows, diags), ValidateAllows(pkg.Fset, allows, diags)...), nil
 }
 
 // allowDirective is the suppression marker: a comment of the form
@@ -98,8 +83,8 @@ func RunUnsuppressed(pkg *load.Package) ([]analysis.Diagnostic, error) {
 //
 // (one or more comma-separated analyzer names) placed on the flagged
 // line or the line directly above it. The justification after " -- "
-// is conventional, not parsed; write one anyway — the reviewer who
-// deletes the directive needs to know what it protected.
+// is required (ValidateAllows reports a directive without one): the
+// reviewer who deletes the directive needs to know what it protected.
 const allowDirective = "lint:allow"
 
 // Allow is one parsed //lint:allow directive.
@@ -149,49 +134,43 @@ func CollectAllows(fset *token.FileSet, files []*ast.File) []Allow {
 	return allows
 }
 
-// ValidateAllows rejects directives naming analyzers the suite does not
-// register: a typo like //lint:allow mapoder would otherwise read as a
-// suppression while suppressing nothing.
-func ValidateAllows(allows []Allow) error {
+// ValidateAllows checks every directive against the package's
+// unsuppressed findings and reports, under the analyzer name "allow", a
+// directive that names an analyzer the suite does not register (a typo
+// like //lint:allow mapoder would otherwise suppress nothing), one whose
+// analyzer no longer fires on the lines it covers, and one without a
+// justification. Suppressions are debt; this keeps the ledger honest.
+func ValidateAllows(fset *token.FileSet, allows []Allow, diags []analysis.Diagnostic) []analysis.Diagnostic {
 	known := AnalyzerNames()
+	var rot []analysis.Diagnostic
+	report := func(a Allow, format string, args ...any) {
+		rot = append(rot, analysis.Diagnostic{Pos: a.Pos, Analyzer: "allow", Message: fmt.Sprintf(format, args...)})
+	}
 	for _, a := range allows {
 		for _, name := range a.Analyzers {
-			if !known[name] {
-				return fmt.Errorf("%s:%d: //lint:allow names unknown analyzer %q (known: %s)", a.File, a.Line, name, strings.Join(sortedNames(known), ", "))
+			one := a
+			one.Analyzers = []string{name}
+			switch {
+			case !known[name]:
+				report(a, "//lint:allow names unknown analyzer %q (known: %s)", name, strings.Join(slices.Sorted(maps.Keys(known)), ", "))
+			case !slices.ContainsFunc(diags, func(d analysis.Diagnostic) bool { return Covers(fset, one, d) }):
+				report(a, "stale //lint:allow: %s no longer fires here; delete the directive", name)
 			}
 		}
-	}
-	return nil
-}
-
-func sortedNames(m map[string]bool) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Suppress drops diagnostics covered by a //lint:allow directive.
-func Suppress(fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) []analysis.Diagnostic {
-	// allowed[file][line] lists the analyzer names allowed there.
-	allowed := make(map[string]map[int][]string)
-	for _, a := range CollectAllows(fset, files) {
-		m := allowed[a.File]
-		if m == nil {
-			m = make(map[int][]string)
-			allowed[a.File] = m
+		if a.Justification == "" {
+			report(a, "//lint:allow has no justification; append ` -- why`")
 		}
-		m[a.Line] = append(m[a.Line], a.Analyzers...)
 	}
+	return rot
+}
+
+// Suppress drops the diagnostics one of allows covers.
+func Suppress(fset *token.FileSet, allows []Allow, diags []analysis.Diagnostic) []analysis.Diagnostic {
 	var kept []analysis.Diagnostic
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		if lineAllows(allowed[pos.Filename], pos.Line, d.Analyzer) {
-			continue
+		if !slices.ContainsFunc(allows, func(a Allow) bool { return Covers(fset, a, d) }) {
+			kept = append(kept, d)
 		}
-		kept = append(kept, d)
 	}
 	return kept
 }
@@ -206,28 +185,7 @@ func Covers(fset *token.FileSet, a Allow, d analysis.Diagnostic) bool {
 	if pos.Line != a.Line && pos.Line != a.Line+1 {
 		return false
 	}
-	for _, n := range a.Analyzers {
-		if n == d.Analyzer {
-			return true
-		}
-	}
-	return false
-}
-
-// lineAllows reports whether a directive on the diagnostic's line or
-// the line directly above names the analyzer.
-func lineAllows(m map[int][]string, line int, analyzer string) bool {
-	if m == nil {
-		return false
-	}
-	for _, l := range []int{line, line - 1} {
-		for _, n := range m[l] {
-			if n == analyzer {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.Contains(a.Analyzers, d.Analyzer)
 }
 
 // Sort orders diagnostics by file, line and column for stable output.

@@ -90,12 +90,12 @@ func f() {
 }
 `
 	fset, files := parseSrc(t, src)
-	err := lint.ValidateAllows(lint.CollectAllows(fset, files))
-	if err == nil {
-		t.Fatal("want error for unknown analyzer name, got nil")
+	rot := lint.ValidateAllows(fset, lint.CollectAllows(fset, files), nil)
+	if len(rot) != 1 {
+		t.Fatalf("got %d findings, want 1 for the unknown name: %+v", len(rot), rot)
 	}
-	if !strings.Contains(err.Error(), "mapoder") || !strings.Contains(err.Error(), "fixture.go:4") {
-		t.Errorf("error should name the bad analyzer and its location: %v", err)
+	if pos := fset.Position(rot[0].Pos); rot[0].Analyzer != "allow" || pos.Line != 4 || !strings.Contains(rot[0].Message, `unknown analyzer "mapoder"`) {
+		t.Errorf("finding should name the bad analyzer at the directive: %s %+v", pos, rot[0])
 	}
 }
 
@@ -108,8 +108,31 @@ func f() {
 }
 `
 	fset, files := parseSrc(t, src)
-	if err := lint.ValidateAllows(lint.CollectAllows(fset, files)); err != nil {
-		t.Fatalf("unexpected error: %v", err)
+	live := []analysis.Diagnostic{diagAt(fset, files, 5, "lockcheck"), diagAt(fset, files, 5, "metriclabel")}
+	if rot := lint.ValidateAllows(fset, lint.CollectAllows(fset, files), live); len(rot) != 0 {
+		t.Fatalf("a known, live, justified directive was reported: %+v", rot)
+	}
+}
+
+// TestValidateAllowsReportsRot: a name that no longer fires on the covered
+// lines is stale, and a directive without " -- why" is unjustified; each is
+// one finding, however many names the directive lists.
+func TestValidateAllowsReportsRot(t *testing.T) {
+	src := `package p
+
+func f() {
+	//lint:allow maporder, errcmp
+	_ = 1
+}
+`
+	fset, files := parseSrc(t, src)
+	rot := lint.ValidateAllows(fset, lint.CollectAllows(fset, files), []analysis.Diagnostic{diagAt(fset, files, 5, "maporder")})
+	var msgs []string
+	for _, d := range rot {
+		msgs = append(msgs, d.Message)
+	}
+	if len(rot) != 2 || !strings.Contains(msgs[0], "stale //lint:allow: errcmp") || !strings.Contains(msgs[1], "no justification") {
+		t.Fatalf("want one stale errcmp finding and one unjustified finding, got %q", msgs)
 	}
 }
 
@@ -160,7 +183,7 @@ func f() {
 		diagAt(fset, files, 6, "floatfold"), // second name in list: suppressed
 		diagAt(fset, files, 8, "errcmp"),    // two lines below directive: kept
 	}
-	kept := lint.Suppress(fset, files, diags)
+	kept := lint.Suppress(fset, lint.CollectAllows(fset, files), diags)
 	if len(kept) != 2 {
 		t.Fatalf("kept %d diagnostics, want 2: %+v", len(kept), kept)
 	}

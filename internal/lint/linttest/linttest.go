@@ -68,7 +68,8 @@ func check(a *analysis.Analyzer, dir string) (problems []string, err error) {
 	if !known[a.Name] {
 		known[a.Name] = true
 	}
-	for _, al := range lint.CollectAllows(fset, files) {
+	allows := lint.CollectAllows(fset, files)
+	for _, al := range allows {
 		for _, name := range al.Analyzers {
 			if !known[name] {
 				return nil, fmt.Errorf("linttest: %s:%d: //lint:allow names unknown analyzer %q", al.File, al.Line, name)
@@ -99,7 +100,7 @@ func check(a *analysis.Analyzer, dir string) (problems []string, err error) {
 	if err := a.Run(pass); err != nil {
 		return nil, err
 	}
-	diags := lint.Suppress(fset, files, pass.Diagnostics())
+	diags := lint.Suppress(fset, allows, pass.Diagnostics())
 	lint.Sort(fset, diags)
 	return checkWants(fset, files, diags)
 }

@@ -1,8 +1,8 @@
 // Package load turns Go packages into type-checked syntax for the lint
 // analyzers, without golang.org/x/tools: export data for dependencies
-// comes either from the vet.cfg file the go command hands a -vettool
-// (see cmd/tablint) or from `go list -export`, and is decoded by the
-// standard library's gc importer.
+// comes from the vet.cfg file the go command hands a -vettool (see
+// cmd/tablint), or, for testdata packages, from `go list -export`, and is
+// decoded by the standard library's gc importer.
 package load
 
 import (
@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 )
 
@@ -25,16 +24,12 @@ import (
 // command's vet config (cmd/go/internal/work.vetConfig) tablint needs;
 // the JSON field names match the wire format exactly.
 type Config struct {
-	ID         string
-	Compiler   string
-	Dir        string
 	ImportPath string
 	GoFiles    []string
 	GoVersion  string
 
 	ImportMap   map[string]string // import path in source → canonical package path
 	PackageFile map[string]string // canonical package path → export data file
-	Standard    map[string]bool
 
 	VetxOnly   bool   // go vet only wants dependency facts; skip analysis
 	VetxOutput string // where to write the (empty) facts file
@@ -147,18 +142,11 @@ func (mi *mappedImporter) Import(path string) (*types.Package, error) {
 	return mi.imp.Import(path)
 }
 
-// listPkg is the subset of `go list -json` output the standalone driver
-// and the test loader consume.
+// listPkg is the subset of `go list -json` output the test loader
+// consumes.
 type listPkg struct {
 	ImportPath string
-	Dir        string
-	GoFiles    []string
 	Export     string
-	DepOnly    bool
-	Standard   bool
-	ImportMap  map[string]string
-	Module     *struct{ GoVersion string }
-	Error      *struct{ Err string }
 }
 
 // goList runs `go list -export -deps -json` over the patterns and
@@ -183,53 +171,6 @@ func goList(dir string, patterns []string) ([]*listPkg, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
-}
-
-// Patterns resolves package patterns (./..., a package path, ...) into
-// one Config per matched non-dependency package, with export data for
-// every dependency. This is the standalone driver used when tablint is
-// invoked directly rather than through `go vet -vettool`.
-func Patterns(dir string, patterns []string) ([]*Config, error) {
-	pkgs, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	packageFile := make(map[string]string)
-	standard := make(map[string]bool)
-	for _, p := range pkgs {
-		if p.Export != "" {
-			packageFile[p.ImportPath] = p.Export
-		}
-		if p.Standard {
-			standard[p.ImportPath] = true
-		}
-	}
-	var cfgs []*Config
-	for _, p := range pkgs {
-		if p.DepOnly || len(p.GoFiles) == 0 {
-			continue
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("load: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		cfg := &Config{
-			ID:          p.ImportPath,
-			Compiler:    "gc",
-			Dir:         p.Dir,
-			ImportPath:  p.ImportPath,
-			ImportMap:   p.ImportMap,
-			PackageFile: packageFile,
-			Standard:    standard,
-		}
-		if p.Module != nil && p.Module.GoVersion != "" {
-			cfg.GoVersion = "go" + p.Module.GoVersion
-		}
-		for _, f := range p.GoFiles {
-			cfg.GoFiles = append(cfg.GoFiles, filepath.Join(p.Dir, f))
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs, nil
 }
 
 // ExportData resolves export-data files for the named packages and all
