@@ -1,17 +1,13 @@
 // Package lockcheck enforces the locking discipline the serving path
 // depends on, flow-sensitively over the internal/lint/cfg graph.
 //
-// Three rules:
+// Two rules:
 //
 //  1. A sync.Mutex/RWMutex locked in a function must be unlocked on
 //     every path out of that function, or released by a defer. A path
 //     that returns with the lock held deadlocks the next caller — the
 //     classic early-return-after-Lock bug.
-//  2. Mutexes must not be copied by value: not passed or returned by
-//     value, not assigned from an existing value, not captured as a
-//     range value. A copied mutex is a different mutex; the original
-//     stays locked or unprotected.
-//  3. A lock must not be held across a blocking operation — a channel
+//  2. A lock must not be held across a blocking operation — a channel
 //     send/receive or an http.Client round trip. Under load the
 //     blocked goroutine pins the lock and every reader behind it;
 //     internal/dist's scatter path makes this a tail-latency cliff.
@@ -20,7 +16,8 @@
 //
 // The analysis is intra-procedural: it trusts the *Locked-suffix
 // convention for helpers that run under a caller's lock, and it treats
-// a deferred unlock — even a conditional one — as releasing.
+// a deferred unlock — even a conditional one — as releasing. A mutex
+// copied by value is go vet's copylocks finding, not this analyzer's.
 package lockcheck
 
 import (
@@ -33,17 +30,16 @@ import (
 	"repro/internal/lint/cfg"
 )
 
-// Analyzer enforces pair-on-every-path, no-copy, and
-// no-blocking-while-held for sync mutexes.
+// Analyzer enforces pair-on-every-path and no-blocking-while-held for
+// sync mutexes.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
-	Doc:  "flags mutexes not unlocked on every path, copied by value, or held across blocking operations",
+	Doc:  "flags mutexes not unlocked on every path or held across blocking operations",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		checkCopies(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			if body := astutil.FuncBody(n); body != nil {
 				checkFunc(pass, body)
@@ -153,7 +149,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			lf.key.path, lockVerb(lf.key.read), lf.key.path, unlockName(lf.key.read))
 	}
 
-	// Rule 3 (must-analysis): a blocking op executed while a lock is
+	// Rule 2 (must-analysis): a blocking op executed while a lock is
 	// definitely held. Must-held (not may-held) so a merge of
 	// locked/unlocked paths does not false-positive.
 	exempt := nonBlockingComms(body)
@@ -219,7 +215,7 @@ func lockEvent(pass *analysis.Pass, call *ast.CallExpr) (event, bool) {
 	default:
 		return event{}, false
 	}
-	if mutexKind(pass.TypeOf(sel.X)) == "" {
+	if !isMutex(pass.TypeOf(sel.X)) {
 		return event{}, false
 	}
 	key := lockKey{path: astutil.Render(sel.X), read: read}
@@ -229,25 +225,18 @@ func lockEvent(pass *analysis.Pass, call *ast.CallExpr) (event, bool) {
 	return event{key: key, acquire: acquire, pos: call.Pos()}, true
 }
 
-// mutexKind returns "Mutex"/"RWMutex" when t (or its pointee) is the
-// sync type, else "".
-func mutexKind(t types.Type) string {
+// isMutex reports whether t, or its pointee, is sync.Mutex or
+// sync.RWMutex.
+func isMutex(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return ""
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return ""
-	}
-	switch obj.Name() {
-	case "Mutex", "RWMutex":
-		return obj.Name()
-	}
-	return ""
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && (obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // markDeferredReleases records the mutexes a defer statement unlocks —
@@ -389,113 +378,4 @@ func unlockName(read bool) string {
 		return "RUnlock()"
 	}
 	return "Unlock()"
-}
-
-// checkCopies flags mutexes moved by value: in signatures, plain
-// assignments from existing values, and range captures.
-func checkCopies(pass *analysis.Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			checkFieldList(pass, n.Recv)
-			checkFieldList(pass, n.Type.Params)
-			checkFieldList(pass, n.Type.Results)
-		case *ast.FuncLit:
-			checkFieldList(pass, n.Type.Params)
-			checkFieldList(pass, n.Type.Results)
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for _, rhs := range n.Rhs {
-				if !copiesValue(rhs) {
-					continue
-				}
-				if k := lockInType(pass.TypeOf(rhs)); k != "" {
-					pass.Reportf(rhs.Pos(), "assignment copies %s by value (%s); the copy is a different lock — take a pointer instead", k, astutil.Render(rhs))
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil {
-				if k := lockInType(pass.TypeOf(n.Value)); k != "" {
-					pass.Reportf(n.Value.Pos(), "range captures %s by value; iterate by index and take a pointer instead", k)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// checkFieldList flags by-value lock types in a signature field list.
-func checkFieldList(pass *analysis.Pass, fl *ast.FieldList) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		if _, ok := field.Type.(*ast.StarExpr); ok {
-			continue
-		}
-		if k := lockInType(pass.TypeOf(field.Type)); k != "" {
-			pass.Reportf(field.Type.Pos(), "%s passed by value; locking the copy does not protect the original — use a pointer", k)
-		}
-	}
-}
-
-// copiesValue reports whether rhs denotes an existing addressable-ish
-// value (whose assignment copies it), as opposed to a fresh composite
-// literal, call result, or address-of.
-func copiesValue(rhs ast.Expr) bool {
-	switch rhs := rhs.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		return true
-	case *ast.ParenExpr:
-		return copiesValue(rhs.X)
-	}
-	return false
-}
-
-// lockInType reports the sync lock type contained by value in t
-// ("sync.Mutex", "a struct containing sync.RWMutex", ...), or "".
-func lockInType(t types.Type) string {
-	return lockIn(t, map[types.Type]bool{}, true)
-}
-
-func lockIn(t types.Type, seen map[types.Type]bool, direct bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if k := mutexKind(t); k != "" {
-		if _, isPtr := t.(*types.Pointer); isPtr {
-			return ""
-		}
-		if direct {
-			return "sync." + k
-		}
-		return "a value containing sync." + k
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if k := lockIn(u.Field(i).Type(), seen, false); k != "" {
-				if direct {
-					return "a struct containing " + kindOnly(k)
-				}
-				return k
-			}
-		}
-	case *types.Array:
-		return lockIn(u.Elem(), seen, false)
-	}
-	return ""
-}
-
-// kindOnly strips the wrapper phrasing down to the sync type name.
-func kindOnly(k string) string {
-	for _, s := range []string{"sync.Mutex", "sync.RWMutex"} {
-		if len(k) >= len(s) && k[len(k)-len(s):] == s {
-			return s
-		}
-	}
-	return k
 }

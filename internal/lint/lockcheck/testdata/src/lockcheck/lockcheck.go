@@ -1,5 +1,5 @@
-// Testdata for the lockcheck analyzer: unlock-on-every-path, copy by
-// value, and blocking-while-held.
+// Testdata for the lockcheck analyzer: unlock-on-every-path and
+// blocking-while-held.
 package lockcheck
 
 import (
@@ -71,59 +71,7 @@ func (s *store) allowedLeak() {
 	s.mu.Lock()
 }
 
-// --- Rule 2: copies -------------------------------------------------
-
-func byValueParam(mu sync.Mutex) { // want `sync\.Mutex passed by value`
-	mu.Lock()
-	mu.Unlock()
-}
-
-func byPointerParam(mu *sync.Mutex) {
-	mu.Lock()
-	mu.Unlock()
-}
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func structByValue(g guarded) int { // want `a struct containing sync\.Mutex passed by value`
-	return g.n
-}
-
-func assignCopy(s *store) {
-	cp := s.mu // want `assignment copies sync\.Mutex by value`
-	cp.Lock()
-	cp.Unlock()
-}
-
-func freshValueOK() {
-	var mu sync.Mutex
-	mu2 := sync.Mutex{} // composite literal: a fresh zero mutex, not a copy
-	mu.Lock()
-	mu.Unlock()
-	mu2.Lock()
-	mu2.Unlock()
-}
-
-func rangeCopy(gs []guarded) int {
-	n := 0
-	for _, g := range gs { // want `range captures a struct containing sync\.Mutex by value`
-		n += g.n
-	}
-	return n
-}
-
-func rangeByIndex(gs []guarded) int {
-	n := 0
-	for i := range gs {
-		n += gs[i].n
-	}
-	return n
-}
-
-// --- Rule 3: blocking while held ------------------------------------
+// --- Rule 2: blocking while held ------------------------------------
 
 func (s *store) sendWhileLocked(v int) {
 	s.mu.Lock()
