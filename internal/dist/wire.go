@@ -104,10 +104,11 @@ import (
 // partialMagic heads every partial-evidence payload.
 var partialMagic = [6]byte{'W', 'T', 'P', 'A', 'R', 'T'}
 
-// PartialVersion is the current partial-evidence wire version. Version
-// 2 added the fixed-size execution-stats block after the shard header;
-// version-1 payloads (no stats block) still decode, with zero-value
-// Stats.
+// PartialVersion is the partial-evidence wire version, and the only one
+// DecodePartial reads. Version 2 added the fixed-size execution-stats
+// block after the shard header; a version-1 payload (no stats block)
+// could only come from a shard that predates the router→shard stream,
+// and no such shard can answer one.
 const PartialVersion = 2
 
 // ErrBadPartial reports a partial-evidence payload that is not
@@ -125,27 +126,25 @@ type Partial struct {
 	// Shard and Shards identify the responder's slice of the cluster.
 	Shard, Shards int
 	// Stats is the shard-local execution cost of producing Groups.
-	// Zero-valued when the payload predates version 2.
 	Stats search.ExecStats
 	// Groups is the shard's partial evidence in replay order.
 	Groups []search.PartialGroup
 }
 
-// partialStatsLen is the byte length of the version-2 execution-stats
-// block: 3 u64 counters, 4 u32 small counts, 6 u64 stage nanos.
+// partialStatsLen is the byte length of the execution-stats block: 3 u64 counters, 4 u32 small counts, 6 u64 stage nanos.
 const partialStatsLen = 3*8 + 4*4 + 6*8
 
-// EncodePartial serializes p at the current wire version into a buffer
+// EncodePartial serializes p at PartialVersion into a buffer
 // of its own: AppendPartial(nil, p).
 func EncodePartial(p *Partial) []byte { return AppendPartial(nil, p) }
 
-// AppendPartial appends p, serialized at the current wire version, to dst
+// AppendPartial appends p, serialized at PartialVersion, to dst
 // (grown once, to the payload's size) — a stream's worker encodes every
 // partial into the one buffer it answers from. Layout (all integers
 // big-endian):
 //
 //	magic "WTPART", version u8, generation u64, shard u32, shards u32,
-//	stats block (v2+: candidate-pairs u64, pairs-matched u64,
+//	stats block (candidate-pairs u64, pairs-matched u64,
 //	rows-scanned u64, segments u32, tombstones u32, answers-before-topk
 //	u32, parallelism u32, then validate/plan/scan/aggregate/select/
 //	explain stage nanos as 6 × u64), groups u32, then per group: key
@@ -158,18 +157,8 @@ func EncodePartial(p *Partial) []byte { return AppendPartial(nil, p) }
 // as its exact bit pattern, because the merge's byte-identity contract
 // is bit-exact arithmetic.
 func AppendPartial(dst []byte, p *Partial) []byte {
-	return appendPartial(dst, p, PartialVersion)
-}
-
-// appendPartial serializes p at an explicit wire version — version 1
-// omits the stats block. Kept internal for compatibility tests; callers
-// always encode at PartialVersion.
-func appendPartial(buf []byte, p *Partial, version uint8) []byte {
 	// Pre-size: header + a conservative walk of the payload.
-	size := 6 + 1 + 8 + 4 + 4 + 4
-	if version >= 2 {
-		size += partialStatsLen
-	}
+	size := 6 + 1 + 8 + 4 + 4 + partialStatsLen + 4
 	for gi := range p.Groups {
 		size += 8
 		for ci := range p.Groups[gi].Clusters {
@@ -182,28 +171,26 @@ func appendPartial(buf []byte, p *Partial, version uint8) []byte {
 			}
 		}
 	}
-	buf = slices.Grow(buf, size)
+	buf := slices.Grow(dst, size)
 	buf = append(buf, partialMagic[:]...)
-	buf = append(buf, version)
+	buf = append(buf, PartialVersion)
 	buf = binary.BigEndian.AppendUint64(buf, p.Generation)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Shard))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Shards))
-	if version >= 2 {
-		st := &p.Stats
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.CandidatePairs))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.PairsMatched))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.RowsScanned))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.SegmentsVisited))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.TombstonesSkipped))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.AnswersBeforeTopK))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(st.Parallelism))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Validate))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Plan))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Scan))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Aggregate))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Select))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Explain))
-	}
+	st := &p.Stats
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.CandidatePairs))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.PairsMatched))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.RowsScanned))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.SegmentsVisited))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.TombstonesSkipped))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.AnswersBeforeTopK))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(st.Parallelism))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Validate))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Plan))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Scan))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Aggregate))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Select))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(st.Stage.Explain))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Groups)))
 	appendString := func(s string) {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
@@ -298,9 +285,8 @@ func (r *partialReader) count(min int) (int, error) {
 // strictly: magic, version, bounds on every count, strictly ascending
 // group keys (the replay order the merge depends on), finite evidence (a
 // NaN would make the merged score NaN, which no rank order or cursor
-// survives), and no trailing bytes. Version-1 payloads (pre-stats)
-// decode with zero-value Stats; versions above PartialVersion fail with
-// ErrBadPartial before any field is decoded.
+// survives), and no trailing bytes. Any version but PartialVersion fails
+// with ErrBadPartial, naming the version, before any field is decoded.
 func DecodePartial(data []byte) (*Partial, error) {
 	r := &partialReader{data: data}
 	head, err := r.take(len(partialMagic))
@@ -314,8 +300,8 @@ func DecodePartial(data []byte) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver[0] < 1 || ver[0] > PartialVersion {
-		return nil, fmt.Errorf("%w: version %d, reader supports 1..%d", ErrBadPartial, ver[0], PartialVersion)
+	if ver[0] != PartialVersion {
+		return nil, fmt.Errorf("%w: version %d, reader supports only %d", ErrBadPartial, ver[0], PartialVersion)
 	}
 	p := &Partial{}
 	if p.Generation, err = r.u64(); err != nil {
@@ -330,26 +316,24 @@ func DecodePartial(data []byte) (*Partial, error) {
 		return nil, err
 	}
 	p.Shard, p.Shards = int(shard), int(shards)
-	if ver[0] >= 2 {
-		b, err := r.take(partialStatsLen)
-		if err != nil {
-			return nil, err
-		}
-		st := &p.Stats
-		st.CandidatePairs = int64(binary.BigEndian.Uint64(b[0:8]))
-		st.PairsMatched = int64(binary.BigEndian.Uint64(b[8:16]))
-		st.RowsScanned = int64(binary.BigEndian.Uint64(b[16:24]))
-		st.SegmentsVisited = int(int32(binary.BigEndian.Uint32(b[24:28])))
-		st.TombstonesSkipped = int(int32(binary.BigEndian.Uint32(b[28:32])))
-		st.AnswersBeforeTopK = int(int32(binary.BigEndian.Uint32(b[32:36])))
-		st.Parallelism = int(int32(binary.BigEndian.Uint32(b[36:40])))
-		st.Stage.Validate = int64(binary.BigEndian.Uint64(b[40:48]))
-		st.Stage.Plan = int64(binary.BigEndian.Uint64(b[48:56]))
-		st.Stage.Scan = int64(binary.BigEndian.Uint64(b[56:64]))
-		st.Stage.Aggregate = int64(binary.BigEndian.Uint64(b[64:72]))
-		st.Stage.Select = int64(binary.BigEndian.Uint64(b[72:80]))
-		st.Stage.Explain = int64(binary.BigEndian.Uint64(b[80:88]))
+	b, err := r.take(partialStatsLen)
+	if err != nil {
+		return nil, err
 	}
+	st := &p.Stats
+	st.CandidatePairs = int64(binary.BigEndian.Uint64(b[0:8]))
+	st.PairsMatched = int64(binary.BigEndian.Uint64(b[8:16]))
+	st.RowsScanned = int64(binary.BigEndian.Uint64(b[16:24]))
+	st.SegmentsVisited = int(int32(binary.BigEndian.Uint32(b[24:28])))
+	st.TombstonesSkipped = int(int32(binary.BigEndian.Uint32(b[28:32])))
+	st.AnswersBeforeTopK = int(int32(binary.BigEndian.Uint32(b[32:36])))
+	st.Parallelism = int(int32(binary.BigEndian.Uint32(b[36:40])))
+	st.Stage.Validate = int64(binary.BigEndian.Uint64(b[40:48]))
+	st.Stage.Plan = int64(binary.BigEndian.Uint64(b[48:56]))
+	st.Stage.Scan = int64(binary.BigEndian.Uint64(b[56:64]))
+	st.Stage.Aggregate = int64(binary.BigEndian.Uint64(b[64:72]))
+	st.Stage.Select = int64(binary.BigEndian.Uint64(b[72:80]))
+	st.Stage.Explain = int64(binary.BigEndian.Uint64(b[80:88]))
 	nGroups, err := r.count(8)
 	if err != nil {
 		return nil, err

@@ -107,27 +107,30 @@ func TestDecodePartialTruncation(t *testing.T) {
 	}
 }
 
-// TestDecodePartialV1Compat pins backward compatibility: a version-1
-// payload (pre-stats) decodes successfully, every evidence field
-// intact, with zero-value Stats — exactly what a router merging output
-// from a not-yet-upgraded shard must see.
-func TestDecodePartialV1Compat(t *testing.T) {
-	p := samplePartial()
-	data := appendPartial(nil, p, 1)
-	got, err := DecodePartial(data)
-	if err != nil {
-		t.Fatalf("v1 payload rejected: %v", err)
-	}
-	want := *p
-	want.Stats = search.ExecStats{}
-	if !reflect.DeepEqual(got, &want) {
-		t.Fatalf("v1 decode mismatch:\ngot  %+v\nwant %+v", got, &want)
-	}
-	// The v1 payload really is the old layout: exactly the stats block
-	// shorter than the v2 encoding of the same partial.
-	if len(EncodePartial(p))-len(data) != partialStatsLen {
-		t.Fatalf("v1 payload %d bytes, v2 %d bytes, want difference %d",
-			len(data), len(EncodePartial(p)), partialStatsLen)
+// v1Payload is p in the version-1 layout, which had no stats block: the
+// version-2 encoding with that block cut out and the version byte set
+// to 1.
+func v1Payload(p *Partial) []byte {
+	v2 := EncodePartial(p)
+	v1 := append(append([]byte(nil), v2[:23]...), v2[23+partialStatsLen:]...)
+	v1[6] = 1
+	return v1
+}
+
+// TestDecodePartialRejectsV1: a version-1 payload is ErrBadPartial, and
+// the error names the version. A shard that speaks only version 1
+// predates the router→shard stream, so the router refuses it at the
+// upgrade; nothing that reaches DecodePartial sends version 1.
+func TestDecodePartialRejectsV1(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"whole payload":    v1Payload(samplePartial()),
+		"header up to v1":  append(append([]byte(nil), partialMagic[:]...), 1),
+		"empty v1 partial": v1Payload(&Partial{}),
+	} {
+		_, err := DecodePartial(data)
+		if !errors.Is(err, ErrBadPartial) || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("%s: err = %v, want ErrBadPartial naming version 1", name, err)
+		}
 	}
 }
 
@@ -191,6 +194,7 @@ func rejectedPayloads() map[string][]byte {
 	return map[string][]byte{
 		"bad magic":       badMagic,
 		"bad version":     badVersion,
+		"version 1":       v1Payload(samplePartial()),
 		"trailing bytes":  trailing,
 		"huge count":      hugeCount,
 		"descending keys": descending,
@@ -236,7 +240,6 @@ func partialFootprint(p *Partial) int {
 // the wire).
 func FuzzDecodePartial(f *testing.F) {
 	f.Add(EncodePartial(samplePartial()))
-	f.Add(appendPartial(nil, samplePartial(), 1))
 	f.Add(EncodePartial(&Partial{}))
 	for _, data := range rejectedPayloads() {
 		f.Add(data)
