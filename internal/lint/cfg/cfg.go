@@ -1,9 +1,7 @@
 // Package cfg builds per-function control-flow graphs over go/ast for
-// the flow-sensitive tablint analyzers (lockcheck, wirebounds), plus
-// the two graph queries they need: dominance ("is this bounds check on
-// every path before this allocation?") and a small worklist solver for
-// forward dataflow facts ("which locks are still held entering this
-// block?").
+// the flow-sensitive tablint analyzer (lockcheck), plus a small worklist
+// solver for forward dataflow facts ("which locks are still held
+// entering this block?").
 //
 // The graph is deliberately statement-granular and intra-procedural.
 // Each basic block holds the simple statements and control expressions
@@ -52,10 +50,6 @@ type Graph struct {
 	// Defers collects the function's defer statements in source order;
 	// they execute at Exit on the paths that registered them.
 	Defers []*ast.DeferStmt
-
-	// idom[i] is the immediate dominator's index of Blocks[i], or -1
-	// for Entry and for blocks unreachable from Entry.
-	idom []int
 }
 
 // New builds the graph for one function body.
@@ -70,24 +64,7 @@ func New(body *ast.BlockStmt) *Graph {
 	g.Exit.Index = len(g.Blocks)
 	g.Blocks = append(g.Blocks, g.Exit)
 	b.resolveGotos()
-	g.computeDominators()
 	return g
-}
-
-// Dominates reports whether a dominates b: every path from Entry to b
-// passes through a. A block dominates itself. Blocks unreachable from
-// Entry are dominated only by themselves.
-func (g *Graph) Dominates(a, b *Block) bool {
-	if a == b {
-		return true
-	}
-	for i := b.Index; g.idom[i] >= 0; {
-		i = g.idom[i]
-		if i == a.Index {
-			return true
-		}
-	}
-	return false
 }
 
 // builder threads the current block and branch targets through the
@@ -418,78 +395,4 @@ func (b *builder) resolveGotos() {
 			b.edge(pg.from, b.g.Exit)
 		}
 	}
-}
-
-// computeDominators fills g.idom with the classic iterative algorithm
-// over a reverse postorder of the reachable blocks (Cooper, Harvey &
-// Kennedy, "A Simple, Fast Dominance Algorithm").
-func (g *Graph) computeDominators() {
-	n := len(g.Blocks)
-	g.idom = make([]int, n)
-	for i := range g.idom {
-		g.idom[i] = -1
-	}
-	// Reverse postorder from Entry; rpoNum[i] < 0 marks unreachable.
-	rpoNum := make([]int, n)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	var order []*Block
-	var dfs func(*Block)
-	seen := make([]bool, n)
-	dfs = func(b *Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				dfs(s)
-			}
-		}
-		order = append(order, b)
-	}
-	dfs(g.Entry)
-	// order is postorder; reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	for i, b := range order {
-		rpoNum[b.Index] = i
-	}
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				a = g.idom[a]
-			}
-			for rpoNum[b] > rpoNum[a] {
-				b = g.idom[b]
-			}
-		}
-		return a
-	}
-	g.idom[g.Entry.Index] = g.Entry.Index
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			if b == g.Entry {
-				continue
-			}
-			newIdom := -1
-			for _, p := range b.Preds {
-				if rpoNum[p.Index] < 0 || g.idom[p.Index] < 0 {
-					continue // unreachable or not yet processed
-				}
-				if newIdom < 0 {
-					newIdom = p.Index
-				} else {
-					newIdom = intersect(newIdom, p.Index)
-				}
-			}
-			if newIdom >= 0 && g.idom[b.Index] != newIdom {
-				g.idom[b.Index] = newIdom
-				changed = true
-			}
-		}
-	}
-	// Entry's idom is conventionally itself during computation; store -1
-	// so Dominates' chain walk terminates.
-	g.idom[g.Entry.Index] = -1
 }

@@ -60,16 +60,16 @@ func TestIfDominance(t *testing.T) {
 		}
 		d()`)
 	ba, bb, bd := blockOf(t, g, "a"), blockOf(t, g, "b"), blockOf(t, g, "d")
-	if !g.Dominates(ba, bd) {
+	if !dominates(g, ba, bd) {
 		t.Errorf("a should dominate d")
 	}
-	if !g.Dominates(ba, bb) {
+	if !dominates(g, ba, bb) {
 		t.Errorf("a should dominate b")
 	}
-	if g.Dominates(bb, bd) {
+	if dominates(g, bb, bd) {
 		t.Errorf("b (conditional) must not dominate d")
 	}
-	if !g.Dominates(ba, g.Exit) {
+	if !dominates(g, ba, g.Exit) {
 		t.Errorf("a should dominate Exit")
 	}
 }
@@ -86,7 +86,7 @@ func TestIfElseJoin(t *testing.T) {
 	if len(bd.Preds) != 2 {
 		t.Errorf("join block preds = %d, want 2", len(bd.Preds))
 	}
-	if g.Dominates(blockOf(t, g, "b"), bd) || g.Dominates(blockOf(t, g, "c"), bd) {
+	if dominates(g, blockOf(t, g, "b"), bd) || dominates(g, blockOf(t, g, "c"), bd) {
 		t.Errorf("neither branch may dominate the join")
 	}
 }
@@ -100,7 +100,7 @@ func TestEarlyReturn(t *testing.T) {
 	if len(g.Exit.Preds) != 2 {
 		t.Errorf("Exit preds = %d, want 2 (return + fallthrough)", len(g.Exit.Preds))
 	}
-	if g.Dominates(blockOf(t, g, "b"), g.Exit) {
+	if dominates(g, blockOf(t, g, "b"), g.Exit) {
 		t.Errorf("b must not dominate Exit (return path bypasses it)")
 	}
 }
@@ -112,7 +112,7 @@ func TestLoopStructure(t *testing.T) {
 		}
 		b()`)
 	ba, bb := blockOf(t, g, "a"), blockOf(t, g, "b")
-	if g.Dominates(ba, bb) {
+	if dominates(g, ba, bb) {
 		t.Errorf("loop body must not dominate code after the loop")
 	}
 	// The body must sit on a cycle: reachable from itself.
@@ -133,7 +133,7 @@ func TestRangeBreakContinue(t *testing.T) {
 			a()
 		}
 		b()`)
-	if g.Dominates(blockOf(t, g, "a"), blockOf(t, g, "b")) {
+	if dominates(g, blockOf(t, g, "a"), blockOf(t, g, "b")) {
 		t.Errorf("a is conditional in the loop; must not dominate b")
 	}
 	if !onCycle(blockOf(t, g, "a")) {
@@ -181,7 +181,7 @@ func TestSwitchFallthrough(t *testing.T) {
 	if !found {
 		t.Errorf("fallthrough should edge a's block to b's block")
 	}
-	if g.Dominates(blockOf(t, g, "c"), blockOf(t, g, "d")) {
+	if dominates(g, blockOf(t, g, "c"), blockOf(t, g, "d")) {
 		t.Errorf("default body must not dominate code after the switch")
 	}
 }
@@ -213,7 +213,7 @@ func TestGoto(t *testing.T) {
 	}
 	// b is unreachable: dominated only by itself.
 	bb := blockOf(t, g, "b")
-	if g.Dominates(g.Entry, bb) {
+	if dominates(g, g.Entry, bb) {
 		t.Errorf("unreachable b must not be dominated by Entry")
 	}
 }
@@ -224,7 +224,7 @@ func TestPanicTerminates(t *testing.T) {
 			panic("boom")
 		}
 		b()`)
-	if g.Dominates(blockOf(t, g, "b"), g.Exit) {
+	if dominates(g, blockOf(t, g, "b"), g.Exit) {
 		t.Errorf("panic path bypasses b; b must not dominate Exit")
 	}
 }
@@ -239,6 +239,39 @@ func TestDefersCollected(t *testing.T) {
 	if len(g.Defers) != 2 {
 		t.Errorf("Defers = %d, want 2", len(g.Defers))
 	}
+}
+
+// dominates reports whether every path from g.Entry to b passes
+// through a, by searching for b from Entry with a taken out. A block
+// dominates itself; one unreachable from Entry is dominated by no other.
+func dominates(g *Graph, a, b *Block) bool {
+	if a == b {
+		return true
+	}
+	return reaches(g.Entry, b, nil) && !reaches(g.Entry, b, a)
+}
+
+// reaches reports whether a path leads from one block to another without
+// entering without.
+func reaches(from, to, without *Block) bool {
+	seen := map[*Block]bool{without: true}
+	var walk func(*Block) bool
+	walk = func(x *Block) bool {
+		if seen[x] {
+			return false
+		}
+		seen[x] = true
+		if x == to {
+			return true
+		}
+		for _, s := range x.Succs {
+			if walk(s) {
+				return true
+			}
+		}
+		return false
+	}
+	return walk(from)
 }
 
 // onCycle reports whether b can reach itself.

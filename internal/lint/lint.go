@@ -26,12 +26,11 @@ import (
 	"repro/internal/lint/lockcheck"
 	"repro/internal/lint/maporder"
 	"repro/internal/lint/metriclabel"
-	"repro/internal/lint/wirebounds"
 )
 
 // Suite returns the full tablint analyzer suite, in reporting order:
-// the five intra-procedural analyzers from PR 6, then the four
-// flow-sensitive ones built on internal/lint/cfg.
+// the five intra-procedural analyzers, then the three that came later
+// (lockcheck is the one built on internal/lint/cfg).
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		maporder.Analyzer,
@@ -41,7 +40,6 @@ func Suite() []*analysis.Analyzer {
 		floatfold.Analyzer,
 		lockcheck.Analyzer,
 		goroleak.Analyzer,
-		wirebounds.Analyzer,
 		metriclabel.Analyzer,
 	}
 }

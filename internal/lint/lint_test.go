@@ -27,12 +27,11 @@ func diagAt(fset *token.FileSet, files []*ast.File, line int, name string) analy
 	return analysis.Diagnostic{Pos: tf.LineStart(line), Analyzer: name, Message: "m"}
 }
 
-func TestSuiteHasNineNamedAnalyzers(t *testing.T) {
+func TestSuiteHasEightNamedAnalyzers(t *testing.T) {
 	want := map[string]bool{
 		"maporder": true, "ctxpoll": true, "errcmp": true,
 		"atomicwrite": true, "floatfold": true,
-		"lockcheck": true, "goroleak": true, "wirebounds": true,
-		"metriclabel": true,
+		"lockcheck": true, "goroleak": true, "metriclabel": true,
 	}
 	suite := lint.Suite()
 	if len(suite) != len(want) {
