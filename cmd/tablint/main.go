@@ -17,7 +17,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"os"
 	"strings"
@@ -39,19 +38,9 @@ func run(args []string) int {
 			fmt.Println("[]")
 			return 0
 		case strings.HasPrefix(args[0], "-V"):
-			// Version handshake. The go command keys its cache of vet
-			// results on a devel line's buildID, so a rebuilt tablint
-			// re-vets every package instead of replaying old verdicts.
-			exe, err := os.Executable()
-			if err == nil {
-				var data []byte
-				if data, err = os.ReadFile(exe); err == nil {
-					fmt.Printf("tablint version devel buildID=%x\n", sha256.Sum256(data))
-					return 0
-				}
-			}
-			fmt.Fprintln(os.Stderr, "tablint:", err)
-			return 1
+			// Version handshake, used by the build cache's action ID.
+			fmt.Println("tablint version 1")
+			return 0
 		case strings.HasSuffix(args[0], ".cfg"):
 			return runVetCfg(args[0])
 		}

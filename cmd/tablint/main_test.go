@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -39,7 +40,8 @@ func vet(t *testing.T, dir string) (out string, failed bool) {
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "GOFLAGS=")
 	b, err := cmd.CombinedOutput()
-	if _, ok := err.(*exec.ExitError); err != nil && !ok {
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
 		t.Fatalf("go vet in %s: %v", dir, err)
 	}
 	return string(b), err != nil

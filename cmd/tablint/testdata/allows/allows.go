@@ -1,5 +1,5 @@
-// Package allows is the fixture for `tablint -allows`: one healthy
-// directive and one of each way a directive can rot.
+// Package allows is the fixture for the directive audit every tablint
+// run makes: one healthy directive and one of each way one can rot.
 package allows
 
 // Live trips maporder, and the directive both covers it and says why:

@@ -57,6 +57,9 @@ func AnalyzerNames() map[string]bool {
 // the findings no //lint:allow directive covers, followed by one finding
 // for each way a directive has rotted (see ValidateAllows).
 func Run(pkg *load.Package) ([]analysis.Diagnostic, error) {
+	if len(pkg.Files) == 0 {
+		return nil, nil
+	}
 	var diags []analysis.Diagnostic
 	for _, a := range Suite() {
 		pass := &analysis.Pass{
