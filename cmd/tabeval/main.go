@@ -7,8 +7,7 @@
 //	tabeval -exp fig6 -scale 1.0
 //	tabeval -exp fsweep
 //
-// Output is plain text shaped like the paper's tables, suitable for
-// pasting into EXPERIMENTS.md.
+// Output is plain text shaped like the paper's tables.
 package main
 
 import (

@@ -94,7 +94,7 @@ func TestFigure6Shape(t *testing.T) {
 	}
 	// At test scale (a handful of WikiManual tables) sampling noise can
 	// perturb the ordering by a few points; require it within tolerance.
-	// The full-scale run (cmd/tabeval, EXPERIMENTS.md) shows the strict
+	// The full-scale run (`tabeval -exp fig6`) shows the strict
 	// ordering.
 	if wikiT < webT-10 {
 		t.Errorf("type F1: WikiManual (%.1f) << WebManual (%.1f); noise ordering inverted", wikiT, webT)
@@ -144,7 +144,7 @@ func TestFigure8Shape(t *testing.T) {
 	}
 	// Paper's finding: IDF on its own performs poorly for type labeling
 	// vs 1/sqrt(dist). Allow small-sample tolerance at test scale; the
-	// full-scale ordering is checked in EXPERIMENTS.md.
+	// full-scale ordering shows in `tabeval -exp fig8` output.
 	sqrtWiki := get("1/sqrt(dist)", "WikiManual")
 	idfWiki := get("IDF", "WikiManual")
 	if idfWiki.TypeF1 > sqrtWiki.TypeF1+10 {
