@@ -142,50 +142,27 @@ func (mi *mappedImporter) Import(path string) (*types.Package, error) {
 	return mi.imp.Import(path)
 }
 
-// listPkg is the subset of `go list -json` output the test loader
-// consumes.
-type listPkg struct {
-	ImportPath string
-	Export     string
-}
-
-// goList runs `go list -export -deps -json` over the patterns and
-// returns the decoded package stream.
-func goList(dir string, patterns []string) ([]*listPkg, error) {
-	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("load: go list: %v\n%s", err, errb.String())
+// ExportData resolves export-data files for the named packages and all
+// their dependencies with `go list -export -deps -json` — the test
+// loader uses it to type-check testdata sources against the real
+// standard library.
+func ExportData(dir string, pkgs []string) (map[string]string, error) {
+	out := make(map[string]string)
+	if len(pkgs) == 0 {
+		return out, nil
 	}
-	var pkgs []*listPkg
-	dec := json.NewDecoder(&out)
-	for dec.More() {
-		p := new(listPkg)
-		if err := dec.Decode(p); err != nil {
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps", "-json"}, pkgs...)...)
+	cmd.Dir = dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("load: go list: %v\n%s", err, stderr.String())
+	}
+	for dec := json.NewDecoder(&stdout); dec.More(); {
+		var p struct{ ImportPath, Export string }
+		if err := dec.Decode(&p); err != nil {
 			return nil, fmt.Errorf("load: decode go list output: %w", err)
 		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
-}
-
-// ExportData resolves export-data files for the named packages and all
-// their dependencies — the test loader uses it to type-check testdata
-// sources against the real standard library.
-func ExportData(dir string, pkgs []string) (map[string]string, error) {
-	if len(pkgs) == 0 {
-		return map[string]string{}, nil
-	}
-	listed, err := goList(dir, pkgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]string, len(listed))
-	for _, p := range listed {
 		if p.Export != "" {
 			out[p.ImportPath] = p.Export
 		}
