@@ -84,8 +84,8 @@ func Run(pkg *load.Package) ([]analysis.Diagnostic, error) {
 //
 // (one or more comma-separated analyzer names) placed on the flagged
 // line or the line directly above it. The justification after " -- "
-// is required (ValidateAllows reports a directive without one): the
-// reviewer who deletes the directive needs to know what it protected.
+// is required (ValidateAllows reports a directive without one): whoever
+// deletes the directive needs to know what it protected.
 const allowDirective = "lint:allow"
 
 // Allow is one parsed //lint:allow directive.
