@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
@@ -36,15 +37,39 @@ func TestMain(m *testing.M) {
 // driven, and returns what it printed and whether it failed.
 func vet(t *testing.T, dir string) (out string, failed bool) {
 	t.Helper()
+	out, failed, err := runVet(dir)
+	if err != nil {
+		t.Fatalf("go vet in %s: %v", dir, err)
+	}
+	return out, failed
+}
+
+func runVet(dir string) (out string, failed bool, err error) {
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "GOFLAGS=")
 	b, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
-		t.Fatalf("go vet in %s: %v", dir, err)
+		return "", false, err
 	}
-	return string(b), err != nil
+	return string(b), err != nil, nil
+}
+
+// repoVet is the one `go vet -vettool` run over the whole module that
+// both whole-repo tests read; it runs on first use.
+var repoVet = sync.OnceValues(func() (vetResult, error) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		return vetResult{}, err
+	}
+	out, failed, err := runVet(root)
+	return vetResult{out, failed}, err
+})
+
+type vetResult struct {
+	out    string
+	failed bool
 }
 
 func TestFlagsHandshake(t *testing.T) {
@@ -107,18 +132,33 @@ func TestAllowsAuditFlagsRot(t *testing.T) {
 	}
 }
 
+// TestAllowsAuditWholeRepo: every //lint:allow in this module is live,
+// known and justified — the directive ledger is clean.
+func TestAllowsAuditWholeRepo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the whole module")
+	}
+	r, err := repoVet()
+	if err != nil {
+		t.Fatalf("go vet over the repo: %v", err)
+	}
+	if strings.Contains(r.out, "[allow]") {
+		t.Fatalf("go vet -vettool over the repo found directive rot:\n%s", r.out)
+	}
+}
+
 // TestGoVetWholeRepoClean is the acceptance check: the suite, driven
 // through `go vet -vettool`, runs clean over every package in this
-// module, and every //lint:allow in it is live, known and justified.
+// module.
 func TestGoVetWholeRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the whole module")
 	}
-	root, err := filepath.Abs("../..")
+	r, err := repoVet()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go vet over the repo: %v", err)
 	}
-	if out, failed := vet(t, root); failed {
-		t.Fatalf("go vet -vettool over the repo reported findings:\n%s", out)
+	if r.failed {
+		t.Fatalf("go vet -vettool over the repo reported findings:\n%s", r.out)
 	}
 }
