@@ -1,6 +1,8 @@
 // Package cmdio holds the catalog/corpus file loaders shared by the
 // command-line tools, so the binaries cannot drift apart in how they
-// open and decode their inputs.
+// open and decode their inputs, and AtomicWriteFile, the one durable
+// writer: the tools' outputs and the server's POST /v1/snapshot publish
+// through it.
 package cmdio
 
 import (
@@ -96,8 +98,9 @@ func LoadSnapshotShardService(ctx context.Context, path string, shard, shards, w
 // the directory itself is Synced so the rename survives a crash. On
 // any failure the temp file is removed and path is untouched — the
 // previous copy is never exposed to a torn write. This is the only
-// sanctioned way for the CLI tools to produce files a later run loads
-// (the atomicwrite analyzer enforces it).
+// sanctioned way to produce files a later run loads — the CLI tools'
+// outputs and internal/server's snapshots (the atomicwrite analyzer
+// enforces it).
 func AtomicWriteFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")

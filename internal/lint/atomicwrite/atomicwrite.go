@@ -1,5 +1,5 @@
-// Package atomicwrite enforces the snapshot durability discipline from
-// internal/server: durable files are written to a temp file in the
+// Package atomicwrite enforces the durability discipline of
+// cmdio.AtomicWriteFile: durable files are written to a temp file in the
 // destination directory, Sync()ed, renamed into place, and the
 // directory is synced. Two failure shapes are flagged:
 //

@@ -32,11 +32,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
 	webtable "repro"
+	"repro/internal/cmdio"
 	"repro/internal/obs"
 )
 
@@ -369,9 +369,9 @@ func (s *Server) handleRemoveTable(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot is POST /v1/snapshot: persist the live corpus to the
-// configured path without restarting the daemon. The snapshot is written
-// to a temp file in the target directory and renamed into place, so a
-// crash mid-write never clobbers the previous snapshot.
+// configured path without restarting the daemon. cmdio.AtomicWriteFile
+// publishes it, so a crash or a failed save never clobbers the previous
+// snapshot.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.snapPath == "" {
 		s.base.WriteError(w, r, errSnapshotUnconfigured)
@@ -384,59 +384,26 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.base.WriteError(w, r, r.Context().Err())
 		return
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(s.snapPath), filepath.Base(s.snapPath)+".tmp-*")
-	if err != nil {
-		s.base.WriteError(w, r, err)
-		return
-	}
 	// WriteSnapshot reports the counters of the view it persisted, so
 	// the response always describes the bytes on disk even if a
 	// mutation lands mid-save.
-	stats, err := s.svc.WriteSnapshot(r.Context(), tmp)
+	var stats webtable.CorpusStats
+	err := cmdio.AtomicWriteFile(s.snapPath, func(f io.Writer) (err error) {
+		stats, err = s.svc.WriteSnapshot(r.Context(), f)
+		return err
+	})
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = os.Stat(s.snapPath)
+	}
 	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
 		s.base.WriteError(w, r, err)
 		return
 	}
-	size, err := tmp.Seek(0, io.SeekEnd)
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.base.WriteError(w, r, err)
-		return
-	}
-	// Sync before rename: the rename is only atomic with respect to
-	// crashes once the temp file's bytes are durable, otherwise power
-	// loss can leave the final path pointing at a torn file.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.base.WriteError(w, r, err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.base.WriteError(w, r, err)
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.snapPath); err != nil {
-		os.Remove(tmp.Name())
-		s.base.WriteError(w, r, err)
-		return
-	}
-	// Best-effort directory sync so the rename itself survives power
-	// loss; the data is already safe either way.
-	if dir, err := os.Open(filepath.Dir(s.snapPath)); err == nil {
-		if err := dir.Sync(); err != nil {
-			s.base.Log.Warn("snapshot: sync directory", "err", err)
-		}
-		dir.Close()
-	}
-	s.base.Log.Info("snapshot written", "path", s.snapPath, "bytes", size, "generation", stats.Generation)
+	s.base.Log.Info("snapshot written", "path", s.snapPath, "bytes", fi.Size(), "generation", stats.Generation)
 	s.base.WriteJSON(w, http.StatusOK, SnapshotResponse{
 		Path:        s.snapPath,
-		Bytes:       size,
+		Bytes:       fi.Size(),
 		CorpusStats: ToCorpusStats(stats),
 	})
 }

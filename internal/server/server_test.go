@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -804,7 +805,10 @@ func TestRemoveTableEndpoint(t *testing.T) {
 }
 
 // TestSnapshotEndpoint: POST /v1/snapshot persists the mutated corpus to
-// the configured path; reloading it yields a service whose stats match.
+// the configured path as a mode-0644 file of the size it reports;
+// reloading it yields a service whose stats match. A save that fails —
+// its request cancelled, or the write itself failing — leaves the
+// previous file as it was and no temp file.
 func TestSnapshotEndpoint(t *testing.T) {
 	svc, w := testService(t, 2)
 	path := t.TempDir() + "/corpus.snap"
@@ -830,6 +834,50 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 	if sr.Path != path || sr.Bytes <= 0 {
 		t.Fatalf("snapshot response = %+v", sr)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o644 {
+		t.Errorf("snapshot mode = %v, want 0644", fi.Mode().Perm())
+	}
+	if sr.Bytes != fi.Size() {
+		t.Errorf("response bytes = %d, file holds %d", sr.Bytes, fi.Size())
+	}
+
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// A service with no corpus fails inside the write, after the temp
+	// file exists.
+	empty, err := webtable.NewService(w.Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	for _, failing := range []struct {
+		name string
+		h    http.Handler
+		req  *http.Request
+	}{
+		{"cancelled", srv.Handler(), httptest.NewRequest(http.MethodPost, "/v1/snapshot", nil).WithContext(cancelled)},
+		{"failed write", New(empty, WithLogger(quietLogger()), WithSnapshotPath(path)).Handler(), httptest.NewRequest(http.MethodPost, "/v1/snapshot", nil)},
+	} {
+		rec := httptest.NewRecorder()
+		failing.h.ServeHTTP(rec, failing.req)
+		if rec.Code == http.StatusOK {
+			t.Fatalf("%s save answered 200: %s", failing.name, rec.Body.String())
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, saved) {
+			t.Fatalf("%s save changed the published snapshot (err %v)", failing.name, err)
+		}
+		if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+			t.Fatalf("%s save: directory holds %d entries (err %v), want the snapshot alone", failing.name, len(entries), err)
+		}
 	}
 
 	f, err := os.Open(path)

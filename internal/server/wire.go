@@ -51,55 +51,26 @@ func ParseMode(s string) (webtable.SearchMode, error) {
 }
 
 // Resolve maps the wire request onto the Service's request form,
-// resolving names against the serving catalog. Unknown relation or type
+// resolving names with Service.ResolveQuery. Unknown relation or type
 // names are *webtable.QueryError values wrapping ErrUnknownName (mapped
 // to 400 by the handler); an unknown E2 falls back to text matching. The
 // baseline mode needs no resolution and runs on the surface forms alone.
 func (wr *SearchRequest) Resolve(svc *webtable.Service) (webtable.SearchRequest, error) {
-	var req webtable.SearchRequest
 	mode, err := ParseMode(wr.Mode)
 	if err != nil {
-		return req, err
+		return webtable.SearchRequest{}, err
 	}
 	q := webtable.SearchQuery{
-		Relation:     webtable.None,
-		T1:           webtable.None,
-		T2:           webtable.None,
-		E2:           webtable.None,
-		RelationText: wr.Relation,
-		T1Text:       wr.T1,
-		T2Text:       wr.T2,
-		E2Text:       wr.E2,
+		Relation: webtable.None, T1: webtable.None, T2: webtable.None, E2: webtable.None,
+		RelationText: wr.Relation, T1Text: wr.T1, T2Text: wr.T2, E2Text: wr.E2,
+	}
+	if mode != webtable.SearchBaseline {
+		if q, err = svc.ResolveQuery(wr.Relation, wr.T1, wr.T2, wr.E2); err != nil {
+			return webtable.SearchRequest{}, err
+		}
 	}
 	if wr.Context != "" {
 		q.RelationText = wr.Context
-	}
-	if mode != webtable.SearchBaseline {
-		cat := svc.Catalog()
-		if wr.Relation != "" {
-			rel, ok := cat.RelationByName(wr.Relation)
-			if !ok {
-				return req, &webtable.QueryError{Field: "relation", Value: wr.Relation, Err: webtable.ErrUnknownName}
-			}
-			q.Relation = rel
-		}
-		if wr.T1 != "" {
-			t1, ok := cat.TypeByName(wr.T1)
-			if !ok {
-				return req, &webtable.QueryError{Field: "t1", Value: wr.T1, Err: webtable.ErrUnknownName}
-			}
-			q.T1 = t1
-		}
-		if wr.T2 != "" {
-			t2, ok := cat.TypeByName(wr.T2)
-			if !ok {
-				return req, &webtable.QueryError{Field: "t2", Value: wr.T2, Err: webtable.ErrUnknownName}
-			}
-			q.T2 = t2
-		}
-		if e2, ok := cat.EntityByName(wr.E2); ok {
-			q.E2 = e2
-		}
 	}
 	return webtable.SearchRequest{
 		Query:    q,

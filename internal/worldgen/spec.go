@@ -8,10 +8,13 @@
 // Everything is driven by a seeded PRNG, so worlds are reproducible.
 package worldgen
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
-// Spec controls world scale and noise. Zero values are replaced by
-// DefaultSpec values in Build.
+// Spec controls world scale and noise. Start from DefaultSpec and
+// change the fields of interest.
 type Spec struct {
 	Seed int64
 
@@ -61,48 +64,27 @@ func DefaultSpec() Spec {
 	}
 }
 
-func (s Spec) withDefaults() Spec {
-	d := DefaultSpec()
-	if s.FilmsPerGenre == 0 {
-		s.FilmsPerGenre = d.FilmsPerGenre
+// validate reports the first scale count that is not positive. Rates
+// are taken as given: a rate of 0 asks for none.
+func (s Spec) validate() error {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"FilmsPerGenre", s.FilmsPerGenre},
+		{"NovelsPerGenre", s.NovelsPerGenre},
+		{"PeoplePerRole", s.PeoplePerRole},
+		{"AlbumCount", s.AlbumCount},
+		{"CountryCount", s.CountryCount},
+		{"CitiesPerCountry", s.CitiesPerCountry},
+		{"LanguageCount", s.LanguageCount},
+		{"TitleWordPool", s.TitleWordPool},
+	} {
+		if f.n <= 0 {
+			return fmt.Errorf("worldgen: Spec.%s must be positive, got %d", f.name, f.n)
+		}
 	}
-	if s.NovelsPerGenre == 0 {
-		s.NovelsPerGenre = d.NovelsPerGenre
-	}
-	if s.PeoplePerRole == 0 {
-		s.PeoplePerRole = d.PeoplePerRole
-	}
-	if s.AlbumCount == 0 {
-		s.AlbumCount = d.AlbumCount
-	}
-	if s.CountryCount == 0 {
-		s.CountryCount = d.CountryCount
-	}
-	if s.CitiesPerCountry == 0 {
-		s.CitiesPerCountry = d.CitiesPerCountry
-	}
-	if s.LanguageCount == 0 {
-		s.LanguageCount = d.LanguageCount
-	}
-	if s.SurnameShareProb == 0 {
-		s.SurnameShareProb = d.SurnameShareProb
-	}
-	if s.TitleWordPool == 0 {
-		s.TitleWordPool = d.TitleWordPool
-	}
-	if s.MissingInstanceLinkRate == 0 {
-		s.MissingInstanceLinkRate = d.MissingInstanceLinkRate
-	}
-	if s.MissingSubtypeLinkRate == 0 {
-		s.MissingSubtypeLinkRate = d.MissingSubtypeLinkRate
-	}
-	if s.TupleSeedFraction == 0 {
-		s.TupleSeedFraction = d.TupleSeedFraction
-	}
-	if s.EntityAbsenceRate == 0 {
-		s.EntityAbsenceRate = d.EntityAbsenceRate
-	}
-	return s
+	return nil
 }
 
 // NoiseProfile controls table rendering fidelity, the axis that separates

@@ -63,7 +63,9 @@ func (w *World) RelID(name string) catalog.RelationID {
 // Build constructs a world from the spec. The same seed always yields the
 // same world.
 func Build(spec Spec) (*World, error) {
-	spec = spec.withDefaults()
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	w := &World{Spec: spec, rng: rng}
 	nm := newNamer(rng, spec.TitleWordPool)

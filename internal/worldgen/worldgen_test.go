@@ -2,6 +2,8 @@ package worldgen
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -108,6 +110,47 @@ func TestPublicCatalogDegraded(t *testing.T) {
 	}
 	if absentSeen == 0 {
 		t.Error("no absent entities despite nonzero EntityAbsenceRate")
+	}
+}
+
+// TestZeroMissingLinkRates: a missing-link rate of 0 is built as asked,
+// so the public catalog keeps every ∈ link of the entities it keeps and
+// every ⊆ link of the true catalog. A Spec without scale counts is an
+// error naming the first one, not a DefaultSpec world.
+func TestZeroMissingLinkRates(t *testing.T) {
+	spec := smallSpec()
+	spec.MissingInstanceLinkRate, spec.MissingSubtypeLinkRate = 0, 0
+	w, err := Build(spec)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	for e := 0; e < w.True.NumEntities(); e++ {
+		id := catalog.EntityID(e)
+		if w.Absent[id] {
+			continue
+		}
+		for _, ty := range w.True.DirectTypes(id) {
+			if !slices.Contains(w.Public.DirectTypes(id), ty) {
+				t.Errorf("entity %d lost its ∈ link to type %d", e, ty)
+			}
+		}
+	}
+	for ty := 0; ty < w.True.NumTypes(); ty++ {
+		id := catalog.TypeID(ty)
+		for _, p := range w.True.Parents(id) {
+			if !slices.Contains(w.Public.Parents(id), p) {
+				t.Errorf("type %d lost its ⊆ link to type %d", ty, p)
+			}
+		}
+	}
+
+	if _, err := Build(Spec{}); err == nil || !strings.Contains(err.Error(), "FilmsPerGenre") {
+		t.Errorf("Build(Spec{}) = %v, want an error naming FilmsPerGenre", err)
+	}
+	spec = smallSpec()
+	spec.LanguageCount = -1
+	if _, err := Build(spec); err == nil || !strings.Contains(err.Error(), "LanguageCount") {
+		t.Errorf("Build with LanguageCount -1 = %v, want an error naming it", err)
 	}
 }
 

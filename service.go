@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -241,40 +240,54 @@ func (s *Service) AnnotateCorpus(ctx context.Context, tables []*Table, opts ...A
 		return nil, err
 	}
 	out := make([]*Annotation, len(tables))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		failures []*TableError
-	)
-	for i, t := range tables {
-		if err := s.acquire(ctx); err != nil {
+	failures, err := fanOut(ctx, s, out, func(i int) (*Annotation, error) {
+		return annotateOne(ctx, a, method, tables[i])
+	}, func(i int, err error) *TableError {
+		return &TableError{Index: i, TableID: tableID(tables[i]), Err: err}
+	})
+	if err == nil && len(failures) > 0 {
+		err = &CorpusError{Failures: failures}
+	}
+	return out, err
+}
+
+// fanOut runs do for every index of out over the worker pool, one pool
+// slot and one goroutine per index, and stores each success in out.
+// Once ctx is done nothing more is scheduled: the calls already running
+// are waited for, their results kept, and ctx's error is returned.
+// Otherwise every failure comes back, made by fail, in index order.
+func fanOut[T, F any](ctx context.Context, s *Service, out []T, do func(i int) (T, error), fail func(i int, err error) F) ([]F, error) {
+	errs := make([]error, len(out))
+	var wg sync.WaitGroup
+	for i := range out {
+		// Checked first: acquire picks at random between a free slot
+		// and a done ctx.
+		if ctx.Err() != nil || s.acquire(ctx) != nil {
 			break // cancelled: stop scheduling, keep finished results
 		}
 		wg.Add(1)
-		go func(i int, t *Table) {
+		go func() {
 			defer wg.Done()
 			defer s.release()
-			res, err := annotateOne(ctx, a, method, t)
+			res, err := do(i)
 			if err != nil {
-				if ctx.Err() == nil {
-					mu.Lock()
-					failures = append(failures, &TableError{Index: i, TableID: tableID(t), Err: err})
-					mu.Unlock()
-				}
+				errs[i] = err
 				return
 			}
 			out[i] = res
-		}(i, t)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return out, err
+		return nil, err
 	}
-	if len(failures) > 0 {
-		sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
-		return out, &CorpusError{Failures: failures}
+	var failures []F
+	for i, err := range errs {
+		if err != nil {
+			failures = append(failures, fail(i, err))
+		}
 	}
-	return out, nil
+	return failures, nil
 }
 
 func tableID(t *table.Table) string {
@@ -594,46 +607,18 @@ func (s *Service) SearchBatch(ctx context.Context, reqs []SearchRequest) ([]*Sea
 		return nil, err
 	}
 	out := make([]*SearchResult, len(reqs))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		failures []*RequestError
-	)
-	for i, req := range reqs {
-		if err := validateRequest(req); err != nil {
-			mu.Lock()
-			failures = append(failures, &RequestError{Index: i, Err: err})
-			mu.Unlock()
-			continue
+	failures, err := fanOut(ctx, s, out, func(i int) (*SearchResult, error) {
+		if err := validateRequest(reqs[i]); err != nil {
+			return nil, err
 		}
-		if err := s.acquire(ctx); err != nil {
-			break // cancelled: stop scheduling, keep finished results
-		}
-		wg.Add(1)
-		go func(i int, req SearchRequest) {
-			defer wg.Done()
-			defer s.release()
-			res, err := eng.Execute(ctx, req)
-			if err != nil {
-				if ctx.Err() == nil {
-					mu.Lock()
-					failures = append(failures, &RequestError{Index: i, Err: err})
-					mu.Unlock()
-				}
-				return
-			}
-			out[i] = res
-		}(i, req)
+		return eng.Execute(ctx, reqs[i])
+	}, func(i int, err error) *RequestError {
+		return &RequestError{Index: i, Err: err}
+	})
+	if err == nil && len(failures) > 0 {
+		err = &BatchError{Failures: failures}
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	if len(failures) > 0 {
-		sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
-		return out, &BatchError{Failures: failures}
-	}
-	return out, nil
+	return out, err
 }
 
 // SearchAll streams every page of req as an iterator, starting from
@@ -733,34 +718,36 @@ func validateQuery(q SearchQuery, mode SearchMode) error {
 // ResolveQuery builds a SearchQuery from surface forms, resolving each
 // against the catalog. Unknown relation or type names are structured
 // errors (*QueryError wrapping ErrUnknownName) — not silent None
-// fallbacks. An unknown e2 is NOT an error: per §5 the probe entity may
-// be outside the catalog, in which case matching falls back to text.
+// fallbacks. An empty name resolves to None, which Search reports as
+// missing (ErrInvalidQuery) if the mode needs it. An unknown e2 is NOT
+// an error: per §5 the probe entity may be outside the catalog, in
+// which case matching falls back to text.
 func (s *Service) ResolveQuery(relation, t1, t2, e2 string) (SearchQuery, error) {
-	var q SearchQuery
-	rel, ok := s.cat.RelationByName(relation)
-	if !ok {
-		return q, &QueryError{Field: "relation", Value: relation, Err: ErrUnknownName}
+	q := SearchQuery{
+		Relation: None, T1: None, T2: None, E2: None,
+		RelationText: relation, T1Text: t1, T2Text: t2, E2Text: e2,
 	}
-	T1, ok := s.cat.TypeByName(t1)
-	if !ok {
-		return q, &QueryError{Field: "t1", Value: t1, Err: ErrUnknownName}
+	unknown := func(field, name string) (SearchQuery, error) {
+		return SearchQuery{}, &QueryError{Field: field, Value: name, Err: ErrUnknownName}
 	}
-	T2, ok := s.cat.TypeByName(t2)
-	if !ok {
-		return q, &QueryError{Field: "t2", Value: t2, Err: ErrUnknownName}
+	var ok bool
+	if relation != "" {
+		if q.Relation, ok = s.cat.RelationByName(relation); !ok {
+			return unknown("relation", relation)
+		}
 	}
-	e2ID, ok := s.cat.EntityByName(e2)
-	if !ok {
-		e2ID = None
+	if t1 != "" {
+		if q.T1, ok = s.cat.TypeByName(t1); !ok {
+			return unknown("t1", t1)
+		}
 	}
-	return SearchQuery{
-		Relation:     rel,
-		T1:           T1,
-		T2:           T2,
-		E2:           e2ID,
-		RelationText: relation,
-		T1Text:       t1,
-		T2Text:       t2,
-		E2Text:       e2,
-	}, nil
+	if t2 != "" {
+		if q.T2, ok = s.cat.TypeByName(t2); !ok {
+			return unknown("t2", t2)
+		}
+	}
+	if e, ok := s.cat.EntityByName(e2); ok {
+		q.E2 = e
+	}
+	return q, nil
 }

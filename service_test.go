@@ -1,14 +1,21 @@
 package webtable_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	webtable "repro"
+	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/worldgen"
 )
@@ -424,6 +431,48 @@ func TestResolveQueryErrorPaths(t *testing.T) {
 				t.Errorf("err = %v, want ErrUnknownName", err)
 			}
 		})
+	}
+
+	// An empty name is not an unknown one: it resolves to None, and
+	// Search then reports the field as missing (ErrInvalidQuery) — the
+	// field POST /v1/search's 400 names for the same request.
+	ctx := context.Background()
+	if _, err := svc.BuildIndex(ctx, corpusTables(w, 6), webtable.WithMethod(webtable.MethodMajority)); err != nil {
+		t.Fatal(err)
+	}
+	h := server.New(svc, server.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))).Handler()
+	for _, tc := range []struct{ rel, t1, t2, e2, field string }{
+		{"", "Film", "Director", "whoever", "relation"},
+		{"directed", "", "Director", "whoever", "t1"},
+		{"directed", "Film", "", "whoever", "t2"},
+		{"directed", "Film", "Director", "", "e2"},
+	} {
+		q, err := svc.ResolveQuery(tc.rel, tc.t1, tc.t2, tc.e2)
+		if err != nil {
+			t.Errorf("empty %s: ResolveQuery err = %v, want nil", tc.field, err)
+			continue
+		}
+		if (tc.rel == "" && q.Relation != webtable.None) || (tc.t1 == "" && q.T1 != webtable.None) ||
+			(tc.t2 == "" && q.T2 != webtable.None) || (tc.e2 == "" && q.E2 != webtable.None) {
+			t.Errorf("empty %s resolved to %+v, want None", tc.field, q)
+		}
+		_, err = svc.Search(ctx, webtable.SearchRequest{Query: q, Mode: webtable.SearchTypeRel})
+		var qe *webtable.QueryError
+		if !errors.Is(err, webtable.ErrInvalidQuery) || !errors.As(err, &qe) || qe.Field != tc.field {
+			t.Errorf("empty %s: Search err = %v, want ErrInvalidQuery on field %q", tc.field, err, tc.field)
+		}
+		body, err := json.Marshal(server.SearchRequest{Relation: tc.rel, T1: tc.t1, T2: tc.t2, E2: tc.e2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(body)))
+		var er server.ErrorResponse
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &er) != nil ||
+			er.Error.Code != "invalid_query" || er.Error.Field != tc.field {
+			t.Errorf("empty %s: POST /v1/search = %d %s, want 400 invalid_query on field %q",
+				tc.field, rec.Code, rec.Body.String(), tc.field)
+		}
 	}
 
 	// Unknown E2 is NOT an error (§5: the probe entity may be outside the
