@@ -83,3 +83,18 @@ func BenchmarkBuild(b *testing.B) {
 		lemmaindex.Build(w.Public, lemmaindex.DefaultConfig())
 	}
 }
+
+// BenchmarkProbeReused measures one AppendCandidates call in a Probe and
+// a candidate buffer reused from call to call, cycling through the golden
+// cells: the path an annotation's probes take.
+func BenchmarkProbeReused(b *testing.B) {
+	w, cells, _ := goldenCells(b)
+	ix := lemmaindex.Build(w.Public, lemmaindex.DefaultConfig())
+	var p lemmaindex.Probe
+	var buf []lemmaindex.Candidate
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = ix.AppendCandidates(buf[:0], cells[i%len(cells)], &p)
+	}
+}
