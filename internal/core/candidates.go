@@ -10,7 +10,6 @@ import (
 	"repro/internal/feature"
 	"repro/internal/lemmaindex"
 	"repro/internal/table"
-	"repro/internal/text"
 )
 
 // candidates holds the per-table label spaces of §4.3: E_rc per cell, T_c
@@ -23,7 +22,7 @@ type candidates struct {
 	cols []int
 	// headers[i] is the header of column cols[i], compiled once for all
 	// the types it is compared with.
-	headers []text.Vector
+	headers []lemmaindex.Query
 	// cells[i][r] are the entity candidates for cell (r, cols[i]).
 	cells [][][]lemmaindex.Candidate
 	// colTypes[i] is T_c for column cols[i].
@@ -87,7 +86,8 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *are
 			continue
 		}
 		cs.cols = append(cs.cols, c)
-		cs.headers = append(cs.headers, a.ix.VectorSpace().Vectorize(t.Header(c)))
+		cs.headers = slices.Grow(cs.headers, 1)[:len(cs.headers)+1] // reuses the Query parked there
+		a.ix.Compile(&cs.headers[len(cs.headers)-1], t.Header(c))
 	}
 	// 2. Cell entity candidates, probed into the arena's slab.
 	for _, c := range cs.cols {
@@ -171,7 +171,7 @@ func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, ph
 
 	score := make([]float64, len(types))
 	for ti, t := range types {
-		s := a.ext.LogPhi2(&a.w, cs.headers[i], t)
+		s := a.ext.LogPhi2(&a.w, &cs.headers[i], t)
 		for r := range cs.cells[i] {
 			best := 0.0
 			for _, cand := range cs.cells[i][r] {

@@ -65,7 +65,7 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 	for i := range cs.cols {
 		pot := cut(len(cs.colTypes[i]) + 1)
 		for ti, T := range cs.colTypes[i] {
-			pot[ti] = a.ext.LogPhi2(&a.w, cs.headers[i], T)
+			pot[ti] = a.ext.LogPhi2(&a.w, &cs.headers[i], T)
 		}
 		ag.unaries = append(ag.unaries, g.AddUnary("phi2", ag.typeVars[i], pot))
 		for r := 0; r < cs.tab.Rows(); r++ {

@@ -65,7 +65,7 @@ func (a *Annotator) AnnotateSimpleContext(ctx context.Context, t *table.Table) (
 			if err := ctx.Err(); err != nil {
 				return ann, err
 			}
-			aT := a.ext.LogPhi2(&a.w, cs.headers[i], T)
+			aT := a.ext.LogPhi2(&a.w, &cs.headers[i], T)
 			cells := a.bestCellsGivenType(cs, i, T)
 			for _, rc := range cells {
 				aT += rc.score

@@ -103,7 +103,7 @@ func (a *Annotator) featureVector(cs *candidates, ann *Annotation) []float64 {
 	for i, c := range cs.cols {
 		T := ann.ColumnTypes[c]
 		if T != catalog.None {
-			f2 := a.ext.F2(cs.headers[i], T)
+			f2 := a.ext.F2(&cs.headers[i], T)
 			addTo(phi[o2:o3], f2[:])
 		}
 		for r := 0; r < cs.tab.Rows(); r++ {

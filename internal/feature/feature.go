@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/lemmaindex"
-	"repro/internal/text"
 )
 
 // TypeEntityMode selects the type-entity compatibility feature of §4.2.3,
@@ -152,8 +151,8 @@ func F1(p lemmaindex.SimilarityProfile) [F1Dim]float64 {
 }
 
 // F2 computes the header/type vector (§4.2.2) of a header compiled under
-// the lemma index's VectorSpace.
-func (x *Extractor) F2(header text.Vector, t catalog.TypeID) [F2Dim]float64 {
+// the lemma index (lemmaindex.Index.Compile).
+func (x *Extractor) F2(header *lemmaindex.Query, t catalog.TypeID) [F2Dim]float64 {
 	p := x.ix.TypeHeaderSim(t, header)
 	return [F2Dim]float64{p.Cosine, p.Jaccard, p.SoftTFIDF, p.Exact, 1}
 }
@@ -299,7 +298,7 @@ func LogPhi1(w *Weights, p lemmaindex.SimilarityProfile) float64 {
 }
 
 // LogPhi2 scores a header/type pair.
-func (x *Extractor) LogPhi2(w *Weights, header text.Vector, t catalog.TypeID) float64 {
+func (x *Extractor) LogPhi2(w *Weights, header *lemmaindex.Query, t catalog.TypeID) float64 {
 	f := x.F2(header, t)
 	return dot(w.W2[:], f[:])
 }

@@ -188,9 +188,10 @@ func renderProbes(t *testing.T, buf *bytes.Buffer, section string, cat *catalog.
 	}
 	for _, h := range headers {
 		fmt.Fprintf(buf, "header %q\n", h)
-		compiled := ix.VectorSpace().Vectorize(h)
+		var compiled lemmaindex.Query
+		ix.Compile(&compiled, h)
 		for ty := 0; ty < cat.NumTypes(); ty++ {
-			p := ix.TypeHeaderSim(catalog.TypeID(ty), compiled)
+			p := ix.TypeHeaderSim(catalog.TypeID(ty), &compiled)
 			if p != (lemmaindex.SimilarityProfile{}) {
 				fmt.Fprintf(buf, " t=%d %s\n", ty, renderProfile(p))
 			}

@@ -7,16 +7,16 @@
 // text.Vector (canonical spelling, sorted distinct tokens with TF-IDF
 // weights and decoded runes, norm) and derives the postings from the
 // compiled tokens. A cell probe (CandidateEntities, ProfileFor) compiles
-// its cell once; a header arrives already compiled (TypeHeaderSim takes a
-// text.Vector), because one header is compared with every candidate type
-// of its column and the caller compiles it once per column. The two
-// compiled sides go to one profile function, which only merge-joins
-// sorted token lists and compares pre-decoded runes: no lemma is
-// tokenised, normalised or vectorised after Build, and a probe allocates
-// nothing in a Probe its caller reuses (AppendCandidates). The index is
-// immutable after Build and a probe writes only to its stack, its Probe
-// and the candidates it returns, so annotation workers share one Index
-// without synchronisation.
+// its cell once into a Query; a header arrives already compiled
+// (TypeHeaderSim takes a Query), because one header is compared with
+// every candidate type of its column and the caller compiles it once per
+// column. A Query's text.Scorer walks each lemma once and scores each
+// distinct token pair once per Query, however many pooled lemmas repeat
+// the token: no lemma is tokenised, normalised or vectorised after Build,
+// and a probe allocates nothing in a Probe its caller reuses
+// (AppendCandidates). The index is immutable after Build and a probe
+// writes only to its stack, its Probe and the candidates it returns, so
+// annotation workers share one Index without synchronisation.
 //
 // The paper reports that ~80% of its annotation time went into probing
 // this index and computing textual similarities. This implementation
@@ -166,10 +166,26 @@ func (ix *Index) CandidateEntities(cell string) []Candidate {
 	return ix.AppendCandidates(nil, cell, &Probe{})
 }
 
+// Query is a string compiled under an index to be scored against lemma
+// after lemma, together with the text.Scorer that remembers its token
+// pairs. Compile resets it; once grown, compiling and scoring allocate
+// nothing. A Query may be compiled under one index, then another.
+type Query struct {
+	vec     text.Vector
+	scratch text.Scratch
+	scorer  text.Scorer
+}
+
+// Compile compiles s into q under the index's VectorSpace.
+func (ix *Index) Compile(q *Query, s string) {
+	q.vec = ix.vs.VectorizeInto(s, &q.scratch)
+	q.scorer.Reset(q.vec, ix.cfg.SoftThreshold)
+}
+
 // Probe is the memory a probe works in, which one goroutine probing cell
 // after cell reuses: once grown, a probe allocates nothing.
 type Probe struct {
-	cell  text.Scratch
+	cell  Query
 	probe []string
 	union []catalog.EntityID
 }
@@ -179,8 +195,8 @@ type Probe struct {
 // so far by (score desc, entity asc): a candidate enters behind every one
 // scoring at least as much, and into a full list only by beating the last.
 func (ix *Index) AppendCandidates(dst []Candidate, cell string, p *Probe) []Candidate {
-	q := ix.vs.VectorizeInto(cell, &p.cell)
-	p.probe = ix.vs.TopTokens(p.probe[:0], q, ix.cfg.MaxProbeTokens)
+	ix.Compile(&p.cell, cell)
+	p.probe = ix.vs.TopTokens(p.probe[:0], p.cell.vec, ix.cfg.MaxProbeTokens)
 	pool := ix.pool(p)
 	k := ix.cfg.MaxCandidates
 	if len(pool) == 0 || k <= 0 {
@@ -189,7 +205,7 @@ func (ix *Index) AppendCandidates(dst []Candidate, cell string, p *Probe) []Cand
 	base := len(dst)
 	dst = slices.Grow(dst, min(k, len(pool)))
 	for _, e := range pool {
-		sim := profile(q, ix.entityLemmas[e], ix.cfg.SoftThreshold)
+		sim := p.cell.profile(ix.entityLemmas[e])
 		score := max(sim.Cosine, sim.SoftTFIDF)
 		if score < ix.cfg.MinScore {
 			continue
@@ -246,39 +262,40 @@ func (ix *Index) pool(p *Probe) []catalog.EntityID {
 // against a cell text, bypassing retrieval. Used when scoring ground-truth
 // labels during training even if retrieval missed them.
 func (ix *Index) ProfileFor(e catalog.EntityID, cell string) SimilarityProfile {
-	return profile(ix.vs.Vectorize(cell), ix.entityLemmas[e], ix.cfg.SoftThreshold)
+	var q Query
+	ix.Compile(&q, cell)
+	return q.profile(ix.entityLemmas[e])
 }
 
 // TypeHeaderSim returns the max over L(T) of sim(header, lemma) as a
 // profile (feature f2, §4.2.2). The header arrives compiled under the
-// index's VectorSpace, once per column however many types it is compared
-// with. A header without tokens yields the zero profile.
-func (ix *Index) TypeHeaderSim(t catalog.TypeID, header text.Vector) SimilarityProfile {
-	if len(header.Tokens) == 0 {
-		return SimilarityProfile{}
-	}
-	return profile(header, ix.typeLemmas[t], ix.cfg.SoftThreshold)
+// index (Compile), once per column however many types it is compared
+// with, and its Query remembers the token pairs across those types. A
+// header without tokens yields the zero profile.
+func (ix *Index) TypeHeaderSim(t catalog.TypeID, header *Query) SimilarityProfile {
+	return header.profile(ix.typeLemmas[t])
 }
 
 // profile takes, per measure, the maximum over an item's compiled lemmas
-// of sim(q, lemma). Both sides arrive compiled; nothing here tokenises.
-func profile(q text.Vector, lemmas []text.Vector, softThreshold float64) SimilarityProfile {
+// of sim(q, lemma), one pass of q's scorer per lemma. SoftTFIDF is the
+// typo-tolerant channel: where a lemma matches exactly or the cosine
+// reaches 0.999 it reads the cosine instead.
+func (q *Query) profile(lemmas []text.Vector) SimilarityProfile {
 	var p SimilarityProfile
-	for _, l := range lemmas {
-		cos, j := text.CosineJaccard(q, l)
+	soft := 0.0
+	for i := range lemmas {
+		l := &lemmas[i]
+		cos, j, s := q.scorer.Score(l)
 		p.Cosine, p.Jaccard = max(p.Cosine, cos), max(p.Jaccard, j)
-		if l.Text == q.Text && q.Text != "" {
+		if s > soft {
+			soft = s
+		}
+		if l.Text == q.vec.Text && q.vec.Text != "" {
 			p.Exact = 1
 		}
 	}
-	// SoftTFIDF is expensive; only compute it when exact-token measures
-	// are weak enough for the typo-tolerant channel to matter.
 	if p.Exact == 0 && p.Cosine < 0.999 {
-		for _, l := range lemmas {
-			if s := text.SoftTFIDF(q, l, softThreshold); s > p.SoftTFIDF {
-				p.SoftTFIDF = s
-			}
-		}
+		p.SoftTFIDF = soft
 	} else {
 		p.SoftTFIDF = p.Cosine
 	}

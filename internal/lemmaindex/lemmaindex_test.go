@@ -132,16 +132,18 @@ func TestTypeHeaderSim(t *testing.T) {
 	book, _ := c.TypeByName("Book")
 	person, _ := c.TypeByName("Person")
 	// "Title" is a lemma of Book in this fixture.
-	title := ix.VectorSpace().Vectorize("Title")
-	pb := ix.TypeHeaderSim(book, title)
-	pp := ix.TypeHeaderSim(person, title)
+	var title, empty Query
+	ix.Compile(&title, "Title")
+	pb := ix.TypeHeaderSim(book, &title)
+	pp := ix.TypeHeaderSim(person, &title)
 	if pb.Exact != 1 {
 		t.Errorf("Book/Title exact = %v", pb.Exact)
 	}
 	if pp.Cosine >= pb.Cosine {
 		t.Errorf("Person matches 'Title' as well as Book: %v vs %v", pp, pb)
 	}
-	if z := ix.TypeHeaderSim(book, ix.VectorSpace().Vectorize("")); z != (SimilarityProfile{}) {
+	ix.Compile(&empty, "")
+	if z := ix.TypeHeaderSim(book, &empty); z != (SimilarityProfile{}) {
 		t.Errorf("empty header profile = %+v", z)
 	}
 }

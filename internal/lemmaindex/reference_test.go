@@ -204,11 +204,13 @@ func checkPairReference(t *testing.T, name string, ix *lemmaindex.Index, cfg lem
 			}
 		}
 	}
+	var hq lemmaindex.Query
 	for _, h := range headers {
 		hv := vs.Vectorize(h)
+		ix.Compile(&hq, h)
 		for ty := 0; ty < cat.NumTypes(); ty++ {
 			want := renderProfile(pairProfile(hv, compile(cat.TypeLemmas(catalog.TypeID(ty))), th))
-			if got := renderProfile(ix.TypeHeaderSim(catalog.TypeID(ty), hv)); got != want {
+			if got := renderProfile(ix.TypeHeaderSim(catalog.TypeID(ty), &hq)); got != want {
 				t.Fatalf("%s, threshold %v: header %q, type %d: %s, reference %s", name, th, h, ty, got, want)
 			}
 		}

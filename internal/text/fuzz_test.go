@@ -11,7 +11,7 @@ import (
 
 // unboundedSoftTFIDF is SoftTFIDF as it stood before token pairs were
 // rejected by jaroWinklerBound: every pair goes through jaroWinkler. It
-// is kept as the reference FuzzSoftTFIDF holds the shipped function to.
+// is kept as the reference FuzzSoftTFIDF holds SoftTFIDF to.
 func unboundedSoftTFIDF(a, b Vector, threshold float64) float64 {
 	if a.Norm == 0 || b.Norm == 0 {
 		return 0
@@ -81,11 +81,29 @@ func goldenCells(f *testing.F) []string {
 	return cells
 }
 
-// FuzzSoftTFIDF: rejecting a token pair by its JaroWinkler upper bound
-// never changes the result. On arbitrary string pairs, compiled both by
-// Vectorize and raw, SoftTFIDF equals the unbounded double loop bit for
-// bit at thresholds 0, 0.5, 0.9 and 1, and no pair's similarity exceeds
-// its bound by more than the slack the rejection test allows for.
+// lemmaRun returns lemmas that share tokens with a, with b and with each
+// other: b, both joined, a, and every other token of each. A Scorer that
+// meets them in this order finds most lemma tokens in its memo.
+func lemmaRun(a, b string) []string {
+	var alternate []string
+	for i, tok := range strings.Fields(b + " " + a) {
+		if i%2 == 0 {
+			alternate = append(alternate, tok)
+		}
+	}
+	return []string{b, a + " " + b, a, strings.Join(alternate, " ")}
+}
+
+// FuzzSoftTFIDF holds Scorer to the pair-at-a-time measures. On arbitrary
+// string pairs (a, b), with a and then b as the query scored in one
+// Scorer against lemmaRun(a, b) — under a VectorSpace that has seen the
+// lemmas, so their tokens carry IDs and repeat in the memo, and under one
+// that has not — Score's cosine, Jaccard and soft-TFIDF equal
+// CosineJaccard and SoftTFIDF bit for bit at thresholds 0, 0.5, 0.9, 1,
+// 1.5 and NaN, and SoftTFIDF equals the double loop that rejects no pair
+// by its JaroWinkler bound. On the pair compiled both by Vectorize and
+// raw, no token pair's similarity exceeds its bound by more than the
+// slack the rejection test allows for.
 func FuzzSoftTFIDF(f *testing.F) {
 	cells := goldenCells(f)
 	if len(cells) < 600 {
@@ -129,11 +147,38 @@ func FuzzSoftTFIDF(f *testing.F) {
 					}
 				}
 			}
-			for _, threshold := range []float64{0, 0.5, 0.9, 1} {
-				got, want := SoftTFIDF(va, vb, threshold), unboundedSoftTFIDF(va, vb, threshold)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("SoftTFIDF(%q, %q, %v) = %v (%016x), unbounded loop %v (%016x)",
-						a, b, threshold, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		lemmas := lemmaRun(a, b)
+		seen := NewVectorSpace()
+		for _, l := range lemmas {
+			seen.Add(l)
+		}
+		var sc Scorer
+		for _, space := range []*VectorSpace{seen, vs} {
+			for _, threshold := range []float64{0, 0.5, 0.9, 1, 1.5, math.NaN()} {
+				for _, query := range []string{a, b} {
+					q := space.Vectorize(query)
+					sc.Reset(q, threshold)
+					for _, lemma := range lemmas {
+						l := space.Vectorize(lemma)
+						cos, jac, soft := sc.Score(&l)
+						wantCos, wantJac := CosineJaccard(q, l)
+						wantSoft := SoftTFIDF(q, l, threshold)
+						for _, m := range []struct {
+							name      string
+							got, want float64
+						}{
+							{"cosine", cos, wantCos},
+							{"Jaccard", jac, wantJac},
+							{"soft-TFIDF", soft, wantSoft},
+							{"unbounded soft-TFIDF", wantSoft, unboundedSoftTFIDF(q, l, threshold)},
+						} {
+							if math.Float64bits(m.got) != math.Float64bits(m.want) {
+								t.Fatalf("query %q, lemma %q, threshold %v: %s %v (%016x), reference %v (%016x)",
+									query, lemma, threshold, m.name, m.got, math.Float64bits(m.got), m.want, math.Float64bits(m.want))
+							}
+						}
+					}
 				}
 			}
 		}

@@ -17,20 +17,30 @@ import (
 //
 // The zero value is not ready for use; call NewVectorSpace.
 type VectorSpace struct {
-	df   map[string]int // token -> number of documents containing it
-	docs int            // total documents
+	vocab map[string]term // token -> its statistics
+	docs  int             // total documents
 }
+
+// term is what a VectorSpace knows of one token: the number of documents
+// containing it, and its ID, numbering the vocabulary from 1 in order of
+// first sight.
+type term struct{ df, id int32 }
 
 // NewVectorSpace returns an empty vector space.
 func NewVectorSpace() *VectorSpace {
-	return &VectorSpace{df: make(map[string]int)}
+	return &VectorSpace{vocab: make(map[string]term)}
 }
 
 // Add registers one document (e.g. one lemma) with the corpus statistics.
 func (v *VectorSpace) Add(doc string) {
 	v.docs++
 	for _, t := range tokenize(Normalize(doc), make([]Token, 0, 8)) {
-		v.df[t.Text]++
+		tm := v.vocab[t.Text]
+		if tm.id == 0 {
+			tm.id = int32(len(v.vocab)) + 1
+		}
+		tm.df++
+		v.vocab[t.Text] = tm
 	}
 }
 
@@ -38,15 +48,17 @@ func (v *VectorSpace) Add(doc string) {
 func (v *VectorSpace) Docs() int { return v.docs }
 
 // DF reports the document frequency of a token.
-func (v *VectorSpace) DF(token string) int { return v.df[token] }
+func (v *VectorSpace) DF(token string) int { return int(v.vocab[token].df) }
 
 // IDF returns the smoothed inverse document frequency
 // log(1 + N/(1+df)). Tokens never seen get the maximum IDF.
-func (v *VectorSpace) IDF(token string) float64 {
+func (v *VectorSpace) IDF(token string) float64 { return v.idf(v.vocab[token].df) }
+
+func (v *VectorSpace) idf(df int32) float64 {
 	if v.docs == 0 {
 		return 0
 	}
-	return math.Log(1 + float64(v.docs)/float64(1+v.df[token]))
+	return math.Log(1 + float64(v.docs)/float64(1+int(df)))
 }
 
 // Token is one distinct token of a compiled string.
@@ -55,6 +67,7 @@ type Token struct {
 	Weight float64 // TF-IDF weight under the compiling VectorSpace
 	runes  []rune  // Text decoded, for the edit similarities
 	sig    uint64  // bit r%64 set for every rune r of Text
+	id     int32   // Text's ID in the compiling VectorSpace; 0 if it has none
 }
 
 // Vector is a string compiled for comparison (see the package comment):
@@ -123,8 +136,10 @@ func (v *VectorSpace) VectorizeInto(s string, sc *Scratch) Vector {
 		}
 		t.runes = runes[start:len(runes):len(runes)]
 		t.sig = runeSignature(t.runes)
+		tm := v.vocab[t.Text]
+		t.id = tm.id
 		// Sub-linear TF damping, standard in IR.
-		t.Weight = (1 + math.Log(t.Weight)) * v.IDF(t.Text)
+		t.Weight = (1 + math.Log(t.Weight)) * v.idf(tm.df)
 		sq += t.Weight * t.Weight
 	}
 	sc.toks, sc.runes = toks, runes
@@ -142,7 +157,7 @@ func runeSignature(runes []rune) uint64 {
 }
 
 // jaroWinklerSlack is how far below the threshold jaroWinklerBound must
-// fall before SoftTFIDF trusts it. The bound and the similarity are
+// fall before a Scorer trusts it. The bound and the similarity are
 // each a handful of correctly rounded operations on values in [0,1], so
 // they carry errors near 1e-16; the bound only ever rejects pairs that
 // miss the threshold by far more than this.
@@ -163,75 +178,8 @@ func jaroWinklerBound(a, b *Token) float64 {
 	if m <= 0 {
 		return 0
 	}
-	fm := float64(m)
-	j := (fm/float64(la) + fm/float64(lb) + 1) / 3
+	j := float64(m*(la+lb)+la*lb) / float64(3*la*lb) // (m/la + m/lb + 1) / 3
 	return j + float64(commonPrefix(a.runes, b.runes))*0.1*(1-j)
-}
-
-// CosineJaccard merge-joins the sorted token lists of a and b once and
-// returns their TF-IDF cosine in [0,1] — the dot product of the shared
-// tokens' weights folded in token order, over the norms — and the Jaccard
-// overlap |A∩B| / |A∪B| of their token sets, 0 when both are empty.
-func CosineJaccard(a, b Vector) (cosine, jaccard float64) {
-	var dot float64
-	shared := 0
-	for i, j := 0, 0; i < len(a.Tokens) && j < len(b.Tokens); {
-		switch c := strings.Compare(a.Tokens[i].Text, b.Tokens[j].Text); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			dot += a.Tokens[i].Weight * b.Tokens[j].Weight
-			shared++
-			i++
-			j++
-		}
-	}
-	if a.Norm != 0 && b.Norm != 0 {
-		cosine = dot / (a.Norm * b.Norm)
-	}
-	if union := len(a.Tokens) + len(b.Tokens) - shared; union != 0 {
-		jaccard = float64(shared) / float64(union)
-	}
-	return cosine, jaccard
-}
-
-// SoftTFIDF computes the soft-TFIDF similarity of Bilenko et al. between
-// two vectors: like TF-IDF cosine, but tokens need not match exactly —
-// a pair of tokens whose JaroWinkler similarity reaches threshold
-// contributes proportionally. This tolerates the spelling noise in web
-// table cells ("A. Einstein" vs "Albert Einstein").
-//
-// A pair below threshold contributes nothing, so a pair whose
-// jaroWinklerBound is below it is skipped without running jaro; the
-// result is the one the full double loop computes, bit for bit.
-func SoftTFIDF(a, b Vector, threshold float64) float64 {
-	if a.Norm == 0 || b.Norm == 0 {
-		return 0
-	}
-	// Both loops run in token order: the outer order fixes the fold,
-	// and the inner order fixes which token wins a best-similarity tie.
-	var sum float64
-	for i := range a.Tokens {
-		ta := &a.Tokens[i]
-		best, bestSim := 0.0, 0.0
-		for j := range b.Tokens {
-			tb := &b.Tokens[j]
-			if jaroWinklerBound(ta, tb) < threshold-jaroWinklerSlack {
-				continue
-			}
-			sim := jaroWinkler(ta.runes, tb.runes)
-			if sim >= threshold && sim > bestSim {
-				bestSim = sim
-				best = tb.Weight
-			}
-		}
-		if bestSim > 0 {
-			sum += ta.Weight * best * bestSim
-		}
-	}
-	return sum / (a.Norm * b.Norm)
 }
 
 // TopTokens appends to dst the n highest-IDF (rarest) tokens of q under

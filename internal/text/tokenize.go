@@ -11,19 +11,21 @@
 // works on raw strings. VectorSpace.Vectorize compiles a string once
 // into a Vector — its canonical spelling, its distinct tokens in
 // ascending order with their TF-IDF weights and decoded runes, and the
-// L2 norm — and CosineJaccard and SoftTFIDF only read Vectors.
-// A lemma is compiled when its index is built, a cell when it is probed;
-// nothing is tokenised, lower-cased, sorted or decoded per comparison.
+// L2 norm — and a Scorer only reads Vectors. A lemma is compiled when
+// its index is built, a cell when it is probed; nothing is tokenised,
+// lower-cased, sorted or decoded per comparison. Each token also carries
+// its ID in the VectorSpace's vocabulary, so a Scorer comparing one cell
+// with a pool of lemmas scores each distinct token pair once.
 //
 // Keeping the tokens sorted is also what keeps every score reproducible
 // to the last bit. Floating-point addition is not associative, so a dot
 // product or a norm is only well defined once the order of its terms is:
-// here that order is ascending token order, everywhere. A merge-join of
-// two sorted token lists meets the shared tokens in exactly that order,
-// so it folds the same sum a sorted walk over a hash map would, without
-// the map, the key sort or a lookup per token; SoftTFIDF's double loop
-// (outer: the first vector's tokens, inner: the second's, first strictly
-// better match wins) fixes both its fold and its tie-break the same way.
+// here that order is ascending token order, everywhere. A walk over one
+// sorted token list meets the tokens it shares with another in exactly
+// that order, so it folds the same sum a merge-join or a sorted walk over
+// a hash map would; soft-TFIDF's double loop (outer: the query's tokens,
+// inner: the lemma's, first strictly better match wins) fixes both its
+// fold and its tie-break the same way.
 // Rankings, pagination cursors and the golden files under testdata/
 // compare these bits exactly.
 package text
