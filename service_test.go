@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -281,6 +282,53 @@ func TestServiceRejectsNegativeCandidateLimits(t *testing.T) {
 		svc, err := webtable.NewService(w.Public, webtable.WithServiceConfig(cfg))
 		if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), field) {
 			t.Errorf("%s = -1: err = %v, want ErrInvalidOption naming the field", field, err)
+		}
+		if svc != nil {
+			svc.Close()
+		}
+	}
+}
+
+// TestServiceRejectsSoftThresholdOutsideUnit: a JaroWinkler threshold
+// that is NaN or above 1 used to be accepted and switch typo matching off
+// ("Albertt Einstein" scored a soft-TFIDF of 0 against Albert Einstein,
+// not 0.96). NewService refuses any threshold outside [0, 1] with
+// ErrInvalidOption naming the field, and accepts both ends.
+func TestServiceRejectsSoftThresholdOutsideUnit(t *testing.T) {
+	w := testWorld(t)
+	for _, th := range []float64{math.NaN(), 1.5, -0.1, math.Inf(1), 0, 1} {
+		cfg := webtable.DefaultConfig()
+		cfg.Candidates.SoftThreshold = th
+		svc, err := webtable.NewService(w.Public, webtable.WithServiceConfig(cfg))
+		if th >= 0 && th <= 1 {
+			if err != nil {
+				t.Errorf("SoftThreshold %v: %v", th, err)
+			}
+		} else if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), "Candidates.SoftThreshold") {
+			t.Errorf("SoftThreshold %v: err = %v, want ErrInvalidOption naming the field", th, err)
+		}
+		if svc != nil {
+			svc.Close()
+		}
+	}
+}
+
+// TestServiceRejectsNaNMinScore: a NaN MinScore used to be accepted and
+// prune nothing, since no score is below NaN. NewService refuses it with
+// ErrInvalidOption naming the field; any number, infinities included, is
+// a cut the probe can apply.
+func TestServiceRejectsNaNMinScore(t *testing.T) {
+	w := testWorld(t)
+	for _, cut := range []float64{math.NaN(), math.Inf(-1), 0.5} {
+		cfg := webtable.DefaultConfig()
+		cfg.Candidates.MinScore = cut
+		svc, err := webtable.NewService(w.Public, webtable.WithServiceConfig(cfg))
+		if !math.IsNaN(cut) {
+			if err != nil {
+				t.Errorf("MinScore %v: %v", cut, err)
+			}
+		} else if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), "Candidates.MinScore") {
+			t.Errorf("MinScore NaN: err = %v, want ErrInvalidOption naming the field", err)
 		}
 		if svc != nil {
 			svc.Close()
