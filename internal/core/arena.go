@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/factorgraph"
+	"repro/internal/feature"
 	"repro/internal/lemmaindex"
 )
 
@@ -23,6 +24,7 @@ type arena struct {
 	rowOf []int32
 	types []catalog.TypeID
 	vals  []float64
+	rels  []feature.RelDir   // the column pairs' relation spaces
 	reps  []catalog.EntityID // a column's entity per signature
 	sigs  map[int32]int32    // a column's row per signature
 	pots  []float64          // the potential tables
@@ -63,6 +65,7 @@ func (ar *arena) release() {
 		nan := math.NaN()
 		fill(ar.cands, lemmaindex.Candidate{Entity: -2, Score: nan, Sim: lemmaindex.SimilarityProfile{Cosine: nan}})
 		fill(ar.types, -2)
+		fill(ar.rels, feature.RelDir{Relation: -2})
 		fill(ar.vals, nan)
 		fill(ar.pots, nan)
 	}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/feature"
@@ -80,6 +79,7 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *are
 	*cs = candidates{ar: ar, tab: t, cols: cs.cols[:0], headers: cs.headers[:0], cells: cs.cells[:0],
 		colTypes: cs.colTypes[:0], phi3: cs.phi3[:0], pairs: cs.pairs[:0]}
 	ar.cands, ar.cells, ar.ents, ar.rowOf, ar.types, ar.vals = ar.cands[:0], ar.cells[:0], ar.ents[:0], ar.rowOf[:0], ar.types[:0], ar.vals[:0]
+	ar.rels = ar.rels[:0]
 	// 1. Annotatable columns.
 	for c := 0; c < t.Cols(); c++ {
 		if t.ColumnNumericFraction(c) > a.cfg.NumericSkipFraction {
@@ -204,28 +204,29 @@ func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, ph
 }
 
 // relationSpace computes B_cc′ = ∪_r {B : B(E,E′) exists, E ∈ E_rc,
-// E′ ∈ E_rc′} in both directions (§4.3).
+// E′ ∈ E_rc′} in both directions (§4.3), cut from the arena: every
+// relation found, sorted by relation and then forward first, compacted.
 func (a *Annotator) relationSpace(cs *candidates, i, j int) []feature.RelDir {
-	seen := make(map[feature.RelDir]struct{})
-	var rels []feature.RelDir
+	ar := cs.ar
+	r0 := len(ar.rels)
 	for r := range cs.cells[i] {
 		for _, ci := range cs.cells[i][r] {
 			for _, cj := range cs.cells[j][r] {
 				for _, rd := range a.cat.RelationsBetween(ci.Entity, cj.Entity) {
-					k := feature.RelDir{Relation: rd.Relation, Forward: rd.Forward}
-					if _, dup := seen[k]; !dup {
-						seen[k] = struct{}{}
-						rels = append(rels, k)
-					}
+					ar.rels = append(ar.rels, feature.RelDir{Relation: rd.Relation, Forward: rd.Forward})
 				}
 			}
 		}
 	}
-	sort.Slice(rels, func(x, y int) bool {
-		if rels[x].Relation != rels[y].Relation {
-			return rels[x].Relation < rels[y].Relation
+	slices.SortFunc(ar.rels[r0:], func(x, y feature.RelDir) int {
+		if x.Relation != y.Relation || x.Forward == y.Forward {
+			return cmp.Compare(x.Relation, y.Relation)
 		}
-		return rels[x].Forward && !rels[y].Forward
+		if x.Forward {
+			return -1
+		}
+		return 1
 	})
-	return rels
+	ar.rels = ar.rels[:r0+len(slices.Compact(ar.rels[r0:]))]
+	return since(ar.rels, r0)
 }
