@@ -10,26 +10,22 @@
 // its cell once into a Query; a header arrives already compiled
 // (TypeHeaderSim takes a Query), because one header is compared with
 // every candidate type of its column and the caller compiles it once per
-// column. A Query's text.Scorer walks each lemma once and scores each
-// distinct token pair once per Query, however many pooled lemmas repeat
-// the token: no lemma is tokenised, normalised or vectorised after Build,
-// and a probe allocates nothing in a Probe its caller reuses
+// column. A Query scores each distinct token pair once, however many
+// lemmas repeat it: no lemma is tokenised, normalised or vectorised after
+// Build, and a probe allocates nothing in a Probe its caller reuses
 // (AppendCandidates). The index is immutable after Build and a probe
 // writes only to its stack, its Probe and the candidates it returns, so
 // annotation workers share one Index without synchronisation.
 //
 // The paper reports that ~80% of its annotation time went into probing
-// this index and computing textual similarities. This implementation
-// matched that while every comparison re-tokenised both strings
+// this index and computing textual similarities, as did this
+// implementation while every comparison re-tokenised both strings
 // (`tabeval -exp fig7`: candidate generation 75% of a collective
-// annotation, potential construction 11%, inference 14%); compiled
-// lemmas made the split about 44% / 35% / 21% of a total 3.7× smaller;
-// the compiled catalog, one fused factor sweep and skipped hopeless Jaro
-// pairs made it 61% / 20% / 19% of a total 2.6× smaller again; probes that
-// keep only their top candidates, φ3 scored once per direct-type set and
-// annotations that reuse one pooled arena make `tabeval -exp fig7 -scale
-// 0.05` read about 59% / 19% / 22% of a total 1.8× smaller still (≈2.6 ms
-// a table on a 2-core machine). The experiment reports what it measures.
+// annotation, potential construction 11%, inference 14%). With compiled
+// lemmas, top-k probes and pooled arenas, and each token pair scored once
+// per probe, `tabeval -exp fig7 -scale 0.05` reads about 42% / 24% / 34%
+// (≈3.3 ms a table on a 2-core machine, where scoring pair by pair read
+// ≈4.4 ms). The experiment reports what it measures.
 package lemmaindex
 
 import (
@@ -166,10 +162,9 @@ func (ix *Index) CandidateEntities(cell string) []Candidate {
 	return ix.AppendCandidates(nil, cell, &Probe{})
 }
 
-// Query is a string compiled under an index to be scored against lemma
-// after lemma, together with the text.Scorer that remembers its token
-// pairs. Compile resets it; once grown, compiling and scoring allocate
-// nothing. A Query may be compiled under one index, then another.
+// Query is a string compiled under an index, with the text.Scorer that
+// remembers its token pairs. Once grown, compiling (under any index) and
+// scoring allocate nothing.
 type Query struct {
 	vec     text.Vector
 	scratch text.Scratch
@@ -268,10 +263,9 @@ func (ix *Index) ProfileFor(e catalog.EntityID, cell string) SimilarityProfile {
 }
 
 // TypeHeaderSim returns the max over L(T) of sim(header, lemma) as a
-// profile (feature f2, §4.2.2). The header arrives compiled under the
-// index (Compile), once per column however many types it is compared
-// with, and its Query remembers the token pairs across those types. A
-// header without tokens yields the zero profile.
+// profile (feature f2, §4.2.2). The header arrives compiled (Compile),
+// once per column, and remembers its token pairs across the column's
+// types. A header without tokens yields the zero profile.
 func (ix *Index) TypeHeaderSim(t catalog.TypeID, header *Query) SimilarityProfile {
 	return header.profile(ix.typeLemmas[t])
 }
@@ -282,21 +276,18 @@ func (ix *Index) TypeHeaderSim(t catalog.TypeID, header *Query) SimilarityProfil
 // reaches 0.999 it reads the cosine instead.
 func (q *Query) profile(lemmas []text.Vector) SimilarityProfile {
 	var p SimilarityProfile
-	soft := 0.0
 	for i := range lemmas {
 		l := &lemmas[i]
 		cos, j, s := q.scorer.Score(l)
 		p.Cosine, p.Jaccard = max(p.Cosine, cos), max(p.Jaccard, j)
-		if s > soft {
-			soft = s
+		if s > p.SoftTFIDF {
+			p.SoftTFIDF = s
 		}
 		if l.Text == q.vec.Text && q.vec.Text != "" {
 			p.Exact = 1
 		}
 	}
-	if p.Exact == 0 && p.Cosine < 0.999 {
-		p.SoftTFIDF = soft
-	} else {
+	if p.Exact != 0 || !(p.Cosine < 0.999) {
 		p.SoftTFIDF = p.Cosine
 	}
 	return p

@@ -1,25 +1,14 @@
 package text
 
-// Scorer compares one compiled query with lemma after lemma — a cell with
-// the lemmas of every entity its probe pools, a header with the lemmas of
-// every type of its column — and computes each distinct (query token,
-// lemma token) similarity once. The first time it meets a lemma token it
-// records, for every query token, the pair's JaroWinkler (exactly 1 for
-// the identical token, 0 where jaroWinklerBound rules the threshold out),
-// which query token is the identical one, and whether any other reaches
-// the threshold; every later sighting, in that lemma or another, is one
-// lookup by token ID. Its memory grows with the distinct lemma tokens met
-// since Reset, not with the vocabulary, and once grown it allocates
-// nothing. Both sides must be compiled under one VectorSpace, whose IDs
-// then tell two tokens apart, and a Scorer is used only after Reset.
-//
-// Score returns the pair-at-a-time measures bit for bit. One walk over
-// the lemma's tokens meets the shared tokens in ascending order, the
-// merge-join's, so it folds the cosine's dot product in the same order.
-// When no pair of distinct tokens reaches the threshold and the threshold
-// is at most 1, every query token's best match is its identical token at
-// similarity 1, so soft-TFIDF folds the same products in the same order:
-// it is the cosine. Otherwise the double loop runs over the memo.
+// Scorer compares one query with lemma after lemma, all compiled under
+// one VectorSpace, scoring each distinct token pair once: a lemma token's
+// first sighting records its JaroWinkler with every query token (1 for
+// the identical one, 0 where jaroWinklerBound rules the threshold out),
+// and a later one is a lookup by ID. Its memory grows with the distinct
+// tokens met since Reset, which must come first. Scores equal pair-at-a-
+// time scoring's bit for bit: a walk over the lemma's sorted tokens meets
+// shared ones in merge-join order, and when no two distinct tokens reach
+// a threshold of at most 1, soft-TFIDF folds the cosine's products.
 type Scorer struct {
 	q         Vector
 	threshold float64
@@ -44,11 +33,7 @@ func (s *Scorer) Reset(q Vector, threshold float64) {
 	clear(s.slots)
 }
 
-// Score returns the query's TF-IDF cosine with l, the Jaccard overlap of
-// their token sets and their soft-TFIDF (Bilenko et al.): like the
-// cosine, but a pair of tokens whose JaroWinkler similarity reaches the
-// threshold contributes in proportion, which tolerates the spelling noise
-// of web table cells ("A. Einstien" vs "Albert Einstein").
+// Score returns the query's TF-IDF cosine, Jaccard and soft-TFIDF with l.
 func (s *Scorer) Score(l *Vector) (cosine, jaccard, soft float64) {
 	var dot float64
 	shared, anySoft := 0, false
@@ -71,8 +56,7 @@ func (s *Scorer) Score(l *Vector) (cosine, jaccard, soft float64) {
 	if !anySoft && s.threshold <= 1 {
 		return cosine, jaccard, cosine
 	}
-	// Both loops run in token order: the outer order fixes the fold, and
-	// the inner order fixes which token wins a best-similarity tie.
+	// The outer order fixes the fold; the inner one, which token wins a tie.
 	var sum float64
 	for i := range s.q.Tokens {
 		best, bestSim := 0.0, 0.0
@@ -89,55 +73,20 @@ func (s *Scorer) Score(l *Vector) (cosine, jaccard, soft float64) {
 	return cosine, jaccard, sum / (s.q.Norm * l.Norm)
 }
 
-// row returns the memo row of lemma token lt, filling it on first sight.
-// A token outside the vocabulary has no ID and is scored afresh each time.
+// row returns the memo row of lemma token lt, filling it on first sight
+// with the token's similarity to each query token, in query order. A
+// token outside the vocabulary has no ID and is scored afresh each time.
 func (s *Scorer) row(lt *Token) int32 {
-	mask := len(s.slots) - 1
-	i := slotOf(lt.id, mask)
-	for ; s.slots[i] != 0; i = (i + 1) & mask {
-		if r := s.slots[i] - 1; s.rows[r].id == lt.id {
-			return r
-		}
+	i := s.slot(lt.id)
+	if s.slots[i] != 0 {
+		return s.slots[i] - 1
 	}
-	r := s.fill(lt)
-	if lt.id != 0 {
-		s.slots[i] = r + 1
-		if 2*len(s.rows) > len(s.slots) {
-			s.rehash(2 * len(s.slots))
-		}
-	}
-	return r
-}
-
-func slotOf(id int32, mask int) int { return int(id) & mask }
-
-// rehash grows the slot table to n, a power of two, and re-enters every
-// row with an ID.
-func (s *Scorer) rehash(n int) {
-	s.slots = make([]int32, n)
-	for r, row := range s.rows {
-		if row.id == 0 {
-			continue
-		}
-		i := slotOf(row.id, n-1)
-		for s.slots[i] != 0 {
-			i = (i + 1) & (n - 1)
-		}
-		s.slots[i] = int32(r) + 1
-	}
-}
-
-// fill appends the row of lemma token lt: its similarity with every query
-// token, in query order.
-func (s *Scorer) fill(lt *Token) int32 {
 	row := memoRow{id: lt.id, same: -1}
-	for i := range s.q.Tokens {
-		qt := &s.q.Tokens[i]
-		// The identical token: one ID, or no ID and one spelling. Its
-		// JaroWinkler is exactly 1.
-		sim := 1.0
+	for k := range s.q.Tokens {
+		qt := &s.q.Tokens[k]
+		sim := 1.0 // the identical token: one ID, or no ID and one spelling
 		if qt.id == lt.id && (lt.id != 0 || qt.Text == lt.Text) {
-			row.same = int32(i)
+			row.same = int32(k)
 		} else {
 			sim = 0
 			if jaroWinklerBound(qt, lt) >= s.threshold-jaroWinklerSlack {
@@ -148,5 +97,27 @@ func (s *Scorer) fill(lt *Token) int32 {
 		s.sims = append(s.sims, sim)
 	}
 	s.rows = append(s.rows, row)
-	return int32(len(s.rows) - 1)
+	r := int32(len(s.rows) - 1)
+	if lt.id != 0 {
+		s.slots[i] = r + 1
+		if 2*len(s.rows) > len(s.slots) { // grow, re-entering every row with an ID
+			s.slots = make([]int32, 2*len(s.slots))
+			for r, row := range s.rows {
+				if row.id != 0 {
+					s.slots[s.slot(row.id)] = int32(r) + 1
+				}
+			}
+		}
+	}
+	return r
+}
+
+// slot returns the slot that holds id's row, or the empty one it goes in.
+func (s *Scorer) slot(id int32) int {
+	mask := len(s.slots) - 1
+	i := int(id) & mask
+	for s.slots[i] != 0 && s.rows[s.slots[i]-1].id != id {
+		i = (i + 1) & mask
+	}
+	return i
 }

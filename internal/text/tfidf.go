@@ -21,9 +21,8 @@ type VectorSpace struct {
 	docs  int             // total documents
 }
 
-// term is what a VectorSpace knows of one token: the number of documents
-// containing it, and its ID, numbering the vocabulary from 1 in order of
-// first sight.
+// term is a token's document frequency and its ID: the vocabulary is
+// numbered from 1 in order of first sight.
 type term struct{ df, id int32 }
 
 // NewVectorSpace returns an empty vector space.
@@ -36,11 +35,7 @@ func (v *VectorSpace) Add(doc string) {
 	v.docs++
 	for _, t := range tokenize(Normalize(doc), make([]Token, 0, 8)) {
 		tm := v.vocab[t.Text]
-		if tm.id == 0 {
-			tm.id = int32(len(v.vocab)) + 1
-		}
-		tm.df++
-		v.vocab[t.Text] = tm
+		v.vocab[t.Text] = term{df: tm.df + 1, id: cmp.Or(tm.id, int32(len(v.vocab))+1)}
 	}
 }
 
@@ -52,13 +47,11 @@ func (v *VectorSpace) DF(token string) int { return int(v.vocab[token].df) }
 
 // IDF returns the smoothed inverse document frequency
 // log(1 + N/(1+df)). Tokens never seen get the maximum IDF.
-func (v *VectorSpace) IDF(token string) float64 { return v.idf(v.vocab[token].df) }
-
-func (v *VectorSpace) idf(df int32) float64 {
+func (v *VectorSpace) IDF(token string) float64 {
 	if v.docs == 0 {
 		return 0
 	}
-	return math.Log(1 + float64(v.docs)/float64(1+int(df)))
+	return math.Log(1 + float64(v.docs)/float64(1+int(v.vocab[token].df)))
 }
 
 // Token is one distinct token of a compiled string.
@@ -136,10 +129,9 @@ func (v *VectorSpace) VectorizeInto(s string, sc *Scratch) Vector {
 		}
 		t.runes = runes[start:len(runes):len(runes)]
 		t.sig = runeSignature(t.runes)
-		tm := v.vocab[t.Text]
-		t.id = tm.id
+		t.id = v.vocab[t.Text].id
 		// Sub-linear TF damping, standard in IR.
-		t.Weight = (1 + math.Log(t.Weight)) * v.idf(tm.df)
+		t.Weight = (1 + math.Log(t.Weight)) * v.IDF(t.Text)
 		sq += t.Weight * t.Weight
 	}
 	sc.toks, sc.runes = toks, runes

@@ -13,9 +13,7 @@
 // ascending order with their TF-IDF weights and decoded runes, and the
 // L2 norm — and a Scorer only reads Vectors. A lemma is compiled when
 // its index is built, a cell when it is probed; nothing is tokenised,
-// lower-cased, sorted or decoded per comparison. Each token also carries
-// its ID in the VectorSpace's vocabulary, so a Scorer comparing one cell
-// with a pool of lemmas scores each distinct token pair once.
+// lower-cased, sorted or decoded per comparison.
 //
 // Keeping the tokens sorted is also what keeps every score reproducible
 // to the last bit. Floating-point addition is not associative, so a dot

@@ -85,19 +85,14 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 	if so.workers < 1 {
 		return nil, fmt.Errorf("%w: workers must be >= 1, got %d", ErrInvalidOption, so.workers)
 	}
-	c := so.cfg.Candidates
-	if c.MaxCandidates < 0 || c.MaxProbeTokens < 0 {
+	if c := so.cfg.Candidates; c.MaxCandidates < 0 || c.MaxProbeTokens < 0 {
 		return nil, fmt.Errorf("%w: Candidates.MaxCandidates and Candidates.MaxProbeTokens must be >= 0, got %d and %d",
 			ErrInvalidOption, c.MaxCandidates, c.MaxProbeTokens)
 	}
-	// A SoftThreshold above 1 or NaN lets no token pair match softly, and
-	// a NaN MinScore prunes no candidate: each switches a channel off
-	// without a word.
-	if !(c.SoftThreshold >= 0 && c.SoftThreshold <= 1) {
-		return nil, fmt.Errorf("%w: Candidates.SoftThreshold must be in [0, 1], got %v", ErrInvalidOption, c.SoftThreshold)
-	}
-	if math.IsNaN(c.MinScore) {
-		return nil, fmt.Errorf("%w: Candidates.MinScore must not be NaN", ErrInvalidOption)
+	// Out of range, these switch typo matching or candidate pruning off silently.
+	if c := so.cfg.Candidates; !(c.SoftThreshold >= 0 && c.SoftThreshold <= 1) || math.IsNaN(c.MinScore) {
+		return nil, fmt.Errorf("%w: Candidates.SoftThreshold must be in [0, 1] and Candidates.MinScore not NaN, got %v and %v",
+			ErrInvalidOption, c.SoftThreshold, c.MinScore)
 	}
 	if err := cat.Freeze(); err != nil {
 		return nil, fmt.Errorf("webtable: freeze catalog: %w", err)
