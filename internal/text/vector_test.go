@@ -197,8 +197,8 @@ func cosine(a, b Vector) float64 {
 	return c
 }
 
-// TestSimilaritiesDoNotAllocate: comparing two compiled strings touches
-// no heap, whichever measure, and neither does compiling a cell into a
+// TestSimilaritiesDoNotAllocate: comparing two compiled strings in a
+// grown Scorer touches no heap, and neither does compiling a cell into a
 // grown Scratch.
 func TestSimilaritiesDoNotAllocate(t *testing.T) {
 	vs := NewVectorSpace()
@@ -212,34 +212,42 @@ func TestSimilaritiesDoNotAllocate(t *testing.T) {
 		t.Errorf("VectorizeInto allocates %v times into a grown Scratch, want 0", n)
 	}
 	var sink float64
-	if n := testing.AllocsPerRun(100, func() {
-		cos, jac := CosineJaccard(a, b)
-		sink += cos + jac + SoftTFIDF(a, b, 0.9)
-	}); n != 0 {
-		t.Errorf("CosineJaccard+SoftTFIDF allocate %v times per comparison, want 0", n)
+	var scorer Scorer
+	score := func() {
+		scorer.Reset(a, 0.9)
+		cos, jac, soft := scorer.Score(&b)
+		sink += cos + jac + soft
+	}
+	score() // grow
+	if n := testing.AllocsPerRun(100, score); n != 0 {
+		t.Errorf("a grown Scorer allocates %v times per Reset and Score, want 0", n)
 	}
 	_ = sink
 }
 
 var benchSink float64
 
-// BenchmarkSoftTFIDF measures one cell-vs-lemma soft-TFIDF over compiled
-// vectors (5 × 6 token pairs, two of them near-matches).
+// BenchmarkSoftTFIDF measures one cell-vs-lemma comparison over compiled
+// vectors (5 × 6 token pairs, two of them near-matches) in a Scorer reset
+// each time, so that every pair is computed.
 func BenchmarkSoftTFIDF(b *testing.B) {
 	vs := NewVectorSpace()
 	for _, l := range []string{"albert einstein", "alfred einstein", "russell stannard", "uncle albert and the quantum quest"} {
 		vs.Add(l)
 	}
 	cell, lemma := vs.Vectorize("Albert Einstien and the Qauntum Quest"), vs.Vectorize("uncle albert and the quantum quest")
+	var scorer Scorer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink += SoftTFIDF(cell, lemma, 0.9)
+		scorer.Reset(cell, 0.9)
+		_, _, soft := scorer.Score(&lemma)
+		benchSink += soft
 	}
 }
 
 // BenchmarkJaroWinkler measures one token pair over pre-decoded runes,
-// the unit SoftTFIDF spends its time in.
+// the unit soft-TFIDF spends its time in.
 func BenchmarkJaroWinkler(b *testing.B) {
 	ra, rb := []rune("einstein"), []rune("einstien")
 	b.ReportAllocs()
