@@ -27,10 +27,7 @@ type memoRow struct {
 func (s *Scorer) Reset(q Vector, threshold float64) {
 	s.q, s.threshold = q, threshold
 	s.rows, s.sims = s.rows[:0], s.sims[:0]
-	if len(s.slots) == 0 {
-		s.slots = make([]int32, 64)
-	}
-	clear(s.slots)
+	s.slots = append(s.slots[:0], make([]int32, max(64, len(s.slots)))...) // all empty
 }
 
 // Score returns the query's TF-IDF cosine, Jaccard and soft-TFIDF with l.

@@ -47,11 +47,13 @@ func (v *VectorSpace) DF(token string) int { return int(v.vocab[token].df) }
 
 // IDF returns the smoothed inverse document frequency
 // log(1 + N/(1+df)). Tokens never seen get the maximum IDF.
-func (v *VectorSpace) IDF(token string) float64 {
+func (v *VectorSpace) IDF(token string) float64 { return v.idf(v.vocab[token].df) }
+
+func (v *VectorSpace) idf(df int32) float64 {
 	if v.docs == 0 {
 		return 0
 	}
-	return math.Log(1 + float64(v.docs)/float64(1+int(v.vocab[token].df)))
+	return math.Log(1 + float64(v.docs)/float64(1+int(df)))
 }
 
 // Token is one distinct token of a compiled string.
@@ -129,9 +131,10 @@ func (v *VectorSpace) VectorizeInto(s string, sc *Scratch) Vector {
 		}
 		t.runes = runes[start:len(runes):len(runes)]
 		t.sig = runeSignature(t.runes)
-		t.id = v.vocab[t.Text].id
+		tm := v.vocab[t.Text]
+		t.id = tm.id
 		// Sub-linear TF damping, standard in IR.
-		t.Weight = (1 + math.Log(t.Weight)) * v.IDF(t.Text)
+		t.Weight = (1 + math.Log(t.Weight)) * v.idf(tm.df)
 		sq += t.Weight * t.Weight
 	}
 	sc.toks, sc.runes = toks, runes
