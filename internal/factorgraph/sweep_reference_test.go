@@ -173,9 +173,9 @@ func (o *oracleGraph) belief(v int) []float64 {
 
 // referencePair draws one random graph into both implementations:
 // factors of arity 1-3 over domains that include 1, potentials of mixed
-// magnitude with -Inf entries, now and then a factor whose table is -Inf
-// throughout (its neighbours then receive all -Inf inputs) and a factor
-// naming one variable twice.
+// magnitude with -Inf and NaN entries, now and then a factor whose table
+// is -Inf throughout (its neighbours then receive all -Inf inputs) and a
+// factor naming one variable twice.
 func referencePair(rng *rand.Rand) (*Graph, *oracleGraph) {
 	g, o := New(), &oracleGraph{}
 	domChoices := []int{1, 1, 2, 3, 4, 6, 9}
@@ -186,9 +186,11 @@ func referencePair(rng *rand.Rand) (*Graph, *oracleGraph) {
 		o.addVariable(d)
 	}
 	value := func() float64 {
-		switch rng.Intn(12) {
+		switch rng.Intn(13) {
 		case 0:
 			return math.Inf(-1)
+		case 12:
+			return math.NaN()
 		case 1:
 			return 0
 		case 2:
@@ -255,10 +257,44 @@ func compareMessages(t *testing.T, when string, g *Graph, o *oracleGraph) {
 	}
 }
 
+// resweep runs a schedule that sweeps factors again whose inputs may not
+// have changed since their last sweep, in both graphs, and compares every
+// message after every sweep: each factor twice in a row, then the
+// factors in order (as a flooding pass would), then the Appendix-D shape
+// — one family of factors after another, three times over.
+func resweep(t *testing.T, rng *rand.Rand, g *Graph, o *oracleGraph) {
+	t.Helper()
+	sweep := func(f int) {
+		g.SweepFactor(FactorID(f))
+		o.sweepFactor(f)
+		compareMessages(t, "after a re-sweep", g, o)
+	}
+	for f := range o.vars {
+		sweep(f)
+		sweep(f)
+	}
+	for f := range o.vars {
+		sweep(f)
+	}
+	families := make([][]int, 3)
+	for f := range o.vars {
+		k := rng.Intn(len(families))
+		families[k] = append(families[k], f)
+	}
+	for pass := 0; pass < 3; pass++ {
+		for _, fam := range families {
+			for _, f := range fam {
+				sweep(f)
+			}
+		}
+	}
+}
+
 // TestSweepReference: SweepFactor, RunFlooding and Belief reproduce the
 // one-message-at-a-time implementation bit for bit — every message after
-// every sweep of a random sweep order, the iteration count and
-// convergence verdict of flooding, and the decoded beliefs.
+// every sweep of a random sweep order and of schedules that sweep
+// factors again, the iteration count and convergence verdict of
+// flooding, and the decoded beliefs.
 func TestSweepReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 600; trial++ {
@@ -271,6 +307,7 @@ func TestSweepReference(t *testing.T) {
 			o.sweepFactor(f)
 			compareMessages(t, "after a sweep", g, o)
 		}
+		resweep(t, rng, g, o)
 		maxIters, tol := 1+rng.Intn(8), []float64{1e-6, 1e-2, 0}[rng.Intn(3)]
 		gi, gc := g.RunFlooding(maxIters, tol)
 		oi, oc := o.runFlooding(maxIters, tol)
