@@ -23,6 +23,18 @@
 // added; a table entry's score is folded in slot order — the potential,
 // plus the lower slot's message, plus the higher slot's; and entries
 // compete for a maximum in row-major order, first wins.
+//
+// That makes every message a pure function of its inputs' bits, so a
+// sweep skips what cannot change. Each factor→variable message that
+// changes a bit is stamped from a clock, and each variable keeps its
+// latest changing factor with that stamp and the latest stamp of any
+// other factor: whether anything but f changed since f's message from
+// the variable was last summed is one comparison, and when nothing did
+// the sum is skipped. A factor whose incoming messages kept every bit
+// since its last walk skips the walk (SweepFactor; UpdateFactorToVar
+// always walks). Skipping changes no message, so the schedule, the
+// convergence test and every result are what a sweep that skips nothing
+// gives.
 package factorgraph
 
 import (
@@ -62,6 +74,9 @@ type factor struct {
 	// messages with the factor through its first slot only; the later
 	// slot's messages stay at their initial 0.
 	slot []int
+	// base is the position of the factor's first slot among all slots
+	// (InitMessages).
+	base int
 }
 
 // Graph is a factor graph under construction or inference. Not safe for
@@ -83,6 +98,27 @@ type Graph struct {
 	// MessageChange last looked.
 	toVar, prev []float64
 	ready       bool // InitMessages ran since the last Reset
+
+	// What a sweep may skip (see the package comment). clock counts the
+	// factor→variable messages that changed a bit; latest[v] is v's last
+	// change; summed[s] is the clock when the variable→factor message of
+	// header slot s was last summed; stale[f] is set until f's first walk
+	// and whenever a message into f changes a bit. scratch holds one
+	// factor's messages, and walks and skips count SweepFactor's walks.
+	clock        uint64
+	latest       []change
+	summed       []uint64
+	stale        []bool
+	scratch      []float64
+	walks, skips int
+}
+
+// change is a variable's latest changed factor→variable message: the
+// factor that sent it and its stamp, and the latest stamp of any other
+// factor's.
+type change struct {
+	factor    FactorID
+	at, other uint64
 }
 
 // New returns an empty graph.
@@ -153,12 +189,15 @@ func (g *Graph) AddUnary(name string, v VarID, logPot []float64) FactorID {
 // calls it implicitly if needed. The number of allocations does not
 // depend on the size of the graph, and is 0 after a Reset of a graph as large.
 func (g *Graph) InitMessages() {
-	slots, n := 0, 0
+	slots, n, widest := 0, 0, 0
 	for f := range g.factors {
+		g.factors[f].base = slots
 		slots += len(g.factors[f].dims)
+		w := 0
 		for _, d := range g.factors[f].dims {
-			n += d
+			w += d
 		}
+		n, widest = n+w, max(widest, w)
 	}
 	g.msgs = resize(g.msgs, 3*n)
 	clear(g.msgs)
@@ -181,6 +220,14 @@ func (g *Graph) InitMessages() {
 		}
 		s = e
 	}
+	g.clock, g.walks, g.skips = 0, 0, 0
+	g.latest = resize(g.latest, len(g.vars))
+	fill(g.latest, change{factor: -1})
+	g.summed = resize(g.summed, slots)
+	clear(g.summed)
+	g.stale = resize(g.stale, len(g.factors))
+	fill(g.stale, true)
+	g.scratch = resize(g.scratch, widest)
 	g.ready = true
 }
 
@@ -191,20 +238,48 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // variable there: the sum of incoming factor→var messages from every
 // factor touching it except f. (Unary potentials are modeled as unary
 // factors, so they participate automatically.) The message is normalized
-// to max 0 for numerical stability.
+// to max 0 for numerical stability. The sum is skipped when no other
+// factor's message to the variable changed since it was last taken, and
+// a sum that changes a bit marks f stale.
 func (g *Graph) updateVarToFactor(f FactorID, k int) {
+	fac := &g.factors[f]
+	v := fac.vars[k]
+	c := &g.latest[v]
+	since := c.at
+	if c.factor == f {
+		since = c.other
+	}
+	if since <= g.summed[fac.base+k] {
+		return
+	}
+	g.summed[fac.base+k] = g.clock
 	msg := g.varToFac[f][k]
-	clear(msg)
-	for _, e := range g.vars[g.factors[f].vars[k]].edges {
+	sum := g.scratch[:len(msg)]
+	clear(sum)
+	for _, e := range g.vars[v].edges {
 		if e.factor == f {
 			continue
 		}
 		in := g.facToVar[e.factor][e.slot]
-		for x := range msg {
-			msg[x] += in[x]
+		for x := range sum {
+			sum[x] += in[x]
 		}
 	}
-	normalizeLog(msg)
+	normalizeLog(sum)
+	if !bitsEqual(sum, msg) {
+		copy(msg, sum)
+		g.stale[f] = true
+	}
+}
+
+// bitsEqual reports whether a and b hold the same IEEE bit patterns.
+func bitsEqual(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // UpdateFactorToVar recomputes M(f→v): max over the other variables'
@@ -217,10 +292,15 @@ func (g *Graph) updateVarToFactor(f FactorID, k int) {
 // slot it feeds. Each score is folded in slot order, as it always has
 // been — the potential, plus the lower slot's message, plus the higher
 // slot's: (lp+in₀)+in₂, never lp+(in₀+in₂) — and max is exact, so every
-// message is reproducible to the last bit.
+// message is reproducible to the last bit. Each outgoing message that
+// changes a bit is stamped for the variable→factor sums that read it.
 func (g *Graph) UpdateFactorToVar(f FactorID, _ VarID) {
 	fac := &g.factors[f]
 	in, out := g.varToFac[f], g.facToVar[f]
+	old := g.scratch[:0]
+	for _, m := range out {
+		old = append(old, m...)
+	}
 	negInf := math.Inf(-1)
 	switch len(fac.dims) {
 	case 1:
@@ -280,28 +360,49 @@ func (g *Graph) UpdateFactorToVar(f FactorID, _ VarID) {
 		}
 	}
 	for k, first := range fac.slot {
-		if first == k {
-			normalizeLog(out[k])
-		} else {
+		if first != k {
 			clear(out[k])
+			continue
 		}
+		normalizeLog(out[k])
+		if !bitsEqual(out[k], old[:len(out[k])]) {
+			g.clock++
+			c := &g.latest[fac.vars[k]]
+			if c.factor != f {
+				c.factor, c.other = f, c.at
+			}
+			c.at = g.clock
+		}
+		old = old[len(out[k]):]
 	}
+	g.stale[f] = false
 }
 
-func fill(m []float64, v float64) {
+func fill[T any](m []T, v T) {
 	for i := range m {
 		m[i] = v
 	}
 }
 
 // SweepFactor refreshes all messages into f and then all messages out of
-// f — one full pass of the local message schedule around one factor.
+// f — one full pass of the local message schedule around one factor. The
+// walk of f's table is skipped when f has walked before and no message
+// into it changed a bit since: it would write what its messages hold.
 func (g *Graph) SweepFactor(f FactorID) {
 	for _, k := range g.factors[f].slot {
 		g.updateVarToFactor(f, k)
 	}
+	if !g.stale[f] {
+		g.skips++
+		return
+	}
+	g.walks++
 	g.UpdateFactorToVar(f, g.factors[f].vars[0])
 }
+
+// Walks reports how many of SweepFactor's walks since InitMessages ran
+// and how many were skipped.
+func (g *Graph) Walks() (walked, skipped int) { return g.walks, g.skips }
 
 // RunFlooding runs synchronous sweeps over all factors until messages
 // change by less than tol (L∞) or maxIters is reached. Returns the number

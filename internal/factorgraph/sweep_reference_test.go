@@ -261,7 +261,8 @@ func compareMessages(t *testing.T, when string, g *Graph, o *oracleGraph) {
 // have changed since their last sweep, in both graphs, and compares every
 // message after every sweep: each factor twice in a row, then the
 // factors in order (as a flooding pass would), then the Appendix-D shape
-// — one family of factors after another, three times over.
+// — one family of factors after another, three times over — and last,
+// sweeps mixed with bare walks.
 func resweep(t *testing.T, rng *rand.Rand, g *Graph, o *oracleGraph) {
 	t.Helper()
 	sweep := func(f int) {
@@ -288,16 +289,35 @@ func resweep(t *testing.T, rng *rand.Rand, g *Graph, o *oracleGraph) {
 			}
 		}
 	}
+	// Walks without their sums (UpdateFactorToVar alone) between sweeps:
+	// a factor's own message to a variable may then be newer than another
+	// factor's that its next sum must still read.
+	for step, steps := 0, 3*len(o.vars); step < steps; step++ {
+		f := rng.Intn(len(o.vars))
+		if rng.Intn(2) == 0 {
+			sweep(f)
+			continue
+		}
+		g.UpdateFactorToVar(FactorID(f), VarID(o.vars[f][0]))
+		for _, v := range o.vars[f] {
+			o.updateFactorToVar(f, v)
+		}
+		compareMessages(t, "after a walk", g, o)
+	}
 }
 
 // TestSweepReference: SweepFactor, RunFlooding and Belief reproduce the
 // one-message-at-a-time implementation bit for bit — every message after
 // every sweep of a random sweep order and of schedules that sweep
 // factors again, the iteration count and convergence verdict of
-// flooding, and the decoded beliefs.
+// flooding, and the decoded beliefs. The oracle skips nothing, and the
+// test requires SweepFactor to have skipped walks in most trials, so
+// that the skipping is what it compares.
 func TestSweepReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	for trial := 0; trial < 600; trial++ {
+	const trials = 600
+	skipping := 0
+	for trial := 0; trial < trials; trial++ {
 		g, o := referencePair(rng)
 		g.InitMessages()
 		o.initMessages()
@@ -320,5 +340,12 @@ func TestSweepReference(t *testing.T) {
 				t.Fatalf("trial %d: Belief(%d) = %v, oracle %v", trial, v, got, want)
 			}
 		}
+		if _, skipped := g.Walks(); skipped > 0 {
+			skipping++
+		}
+	}
+	t.Logf("walks skipped in %d of %d trials", skipping, trials)
+	if skipping < trials/2 {
+		t.Errorf("walks skipped in only %d of %d trials", skipping, trials)
 	}
 }
