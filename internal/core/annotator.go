@@ -119,41 +119,37 @@ func (a *Annotation) RelationBetween(c1, c2 int) (RelationAnnotation, bool) {
 // race with in-flight annotations — use With to derive a reweighted
 // annotator instead when serving concurrently.
 type Annotator struct {
-	cat *catalog.Catalog
-	ix  *lemmaindex.Index
-	ext *feature.Extractor
-	w   feature.Weights
-	cfg Config
+	cat  *catalog.Catalog
+	ix   *lemmaindex.Index
+	memo *candidateMemo // ix's candidates by normalised cell text
+	ext  *feature.Extractor
+	w    feature.Weights
+	cfg  Config
 }
 
 // New builds an annotator over a frozen catalog. The lemma index is built
 // once here (the dominant setup cost).
 func New(cat *catalog.Catalog, w feature.Weights, cfg Config) *Annotator {
-	ix := lemmaindex.Build(cat, cfg.Candidates)
-	return &Annotator{
-		cat: cat,
-		ix:  ix,
-		ext: feature.NewExtractor(cat, ix, cfg.Mode),
-		w:   w,
-		cfg: cfg,
-	}
+	return NewWithIndex(cat, lemmaindex.Build(cat, cfg.Candidates), w, cfg)
 }
 
 // NewWithIndex builds an annotator sharing a pre-built lemma index (used
-// by experiment harnesses that vary weights or modes over one catalog).
+// by experiment harnesses that vary weights or modes over one catalog),
+// with a candidate memo of its own.
 func NewWithIndex(cat *catalog.Catalog, ix *lemmaindex.Index, w feature.Weights, cfg Config) *Annotator {
 	return &Annotator{
-		cat: cat,
-		ix:  ix,
-		ext: feature.NewExtractor(cat, ix, cfg.Mode),
-		w:   w,
-		cfg: cfg,
+		cat:  cat,
+		ix:   ix,
+		memo: newCandidateMemo(cat, cfg.Candidates),
+		ext:  feature.NewExtractor(cat, ix, cfg.Mode),
+		w:    w,
+		cfg:  cfg,
 	}
 }
 
 // With derives an annotator with different weights and configuration that
 // shares this annotator's catalog and, when cfg.Candidates is unchanged,
-// its lemma index; the feature extractor (and its participation cache) is
+// its lemma index and candidate memo; the feature extractor (and its participation cache) is
 // likewise shared when neither the candidate config nor the type-entity
 // mode changed. The shared-everything path is cheap and safe to call
 // concurrently, which makes it the per-request override mechanism of the
@@ -161,15 +157,14 @@ func NewWithIndex(cat *catalog.Catalog, ix *lemmaindex.Index, w feature.Weights,
 // new candidate-generation settings actually take effect — that path is
 // as expensive as constructing an annotator from scratch.
 func (a *Annotator) With(w feature.Weights, cfg Config) *Annotator {
-	ix := a.ix
 	if cfg.Candidates != a.cfg.Candidates {
-		ix = lemmaindex.Build(a.cat, cfg.Candidates)
+		return New(a.cat, w, cfg)
 	}
 	ext := a.ext
-	if ix != a.ix || cfg.Mode != a.cfg.Mode {
-		ext = feature.NewExtractor(a.cat, ix, cfg.Mode)
+	if cfg.Mode != a.cfg.Mode {
+		ext = feature.NewExtractor(a.cat, a.ix, cfg.Mode)
 	}
-	return &Annotator{cat: a.cat, ix: ix, ext: ext, w: w, cfg: cfg}
+	return &Annotator{cat: a.cat, ix: a.ix, memo: a.memo, ext: ext, w: w, cfg: cfg}
 }
 
 // Catalog returns the annotator's catalog.

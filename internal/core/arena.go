@@ -18,6 +18,7 @@ import (
 type arena struct {
 	cs    candidates
 	probe lemmaindex.Probe
+	key   []byte                   // a cell's normalised text
 	cands []lemmaindex.Candidate   // every cell's candidates, cell after cell
 	cells [][]lemmaindex.Candidate // cut from cands
 	ents  []catalog.EntityID       // the φ3 tables' entities, rows, types and scores

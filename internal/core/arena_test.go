@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/feature"
 	"repro/internal/table"
+	"repro/internal/text"
 	"repro/internal/worldgen"
 )
 
@@ -36,22 +37,26 @@ func methods(a *core.Annotator, tab *table.Table) []any {
 
 // TestAnnotateMatchesUnderPoison: with every released arena overwritten
 // (SetArenaPoison), every method — run by concurrent workers, each table
-// several times — returns exactly what it returns unpoisoned, so nothing
-// an annotation returns points into its arena. Under the race detector a
+// twice over by each worker — returns exactly what an annotator of its
+// own returns unpoisoned, so nothing an annotation returns points into
+// its arena, and the candidate memo the workers share holds no arena
+// memory: its entries are written from poisoned arenas' successors, and
+// the second pass reads nothing but entries. Under the race detector a
 // surviving alias is also a race with the next annotation.
 func TestAnnotateMatchesUnderPoison(t *testing.T) {
 	w, err := worldgen.Build(worldgen.DefaultSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := core.New(w.Public, feature.DefaultWeights(), core.DefaultConfig())
+	ref := core.New(w.Public, feature.DefaultWeights(), core.DefaultConfig())
+	a := core.NewWithIndex(w.Public, ref.Index(), feature.DefaultWeights(), core.DefaultConfig())
 	var tables []*table.Table
 	for _, lt := range w.WebManual(0.02).Tables {
 		tables = append(tables, lt.Table)
 	}
 	want := make([][]any, len(tables))
 	for i, tab := range tables {
-		want[i] = methods(a, tab)
+		want[i] = methods(ref, tab)
 	}
 	defer core.SetArenaPoison(true)()
 	const workers = 4
@@ -61,7 +66,7 @@ func TestAnnotateMatchesUnderPoison(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for k := range tables {
+			for k := range 2 * len(tables) {
 				i := (k + g) % len(tables)
 				if got := methods(a, tables[i]); !reflect.DeepEqual(got, want[i]) {
 					errs <- fmt.Errorf("worker %d, table %s: poisoned arenas changed an annotation", g, tables[i].ID)
@@ -74,6 +79,49 @@ func TestAnnotateMatchesUnderPoison(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestCandidateMemoBounded: an annotator whose candidate memo is far
+// smaller than the distinct cell texts it meets keeps each generation
+// within its limit after every table, and annotates every table — twice
+// over, so that entries are dropped, copied forward and read back — as an
+// annotator with a memo of its own does.
+func TestCandidateMemoBounded(t *testing.T) {
+	w, err := worldgen.Build(worldgen.DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := core.New(w.Public, feature.DefaultWeights(), core.DefaultConfig())
+	a := core.NewWithIndex(w.Public, ref.Index(), feature.DefaultWeights(), core.DefaultConfig())
+	const limit = 60
+	a.SetMemoLimit(limit)
+	var tables []*table.Table
+	texts := map[string]bool{}
+	for _, lt := range w.WebManual(0.02).Tables {
+		tables = append(tables, lt.Table)
+		for _, row := range lt.Table.Cells {
+			for _, cell := range row {
+				texts[text.Normalize(cell)] = true
+			}
+		}
+	}
+	if len(texts) <= 2*limit {
+		t.Fatalf("%d distinct cell texts cannot overflow two generations of %d", len(texts), limit)
+	}
+	want := make([][]any, len(tables))
+	for i, tab := range tables {
+		want[i] = methods(ref, tab)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, tab := range tables {
+			if got := methods(a, tab); !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("pass %d, table %s: a bounded memo changed an annotation", pass, tab.ID)
+			}
+			if cur, old, n := a.MemoHeld(); n != limit || cur > limit || old > limit {
+				t.Fatalf("pass %d, table %s: generations hold %d and %d, limit %d", pass, tab.ID, cur, old, limit)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/feature"
 	"repro/internal/lemmaindex"
 	"repro/internal/table"
+	"repro/internal/text"
 )
 
 // candidates holds the per-table label spaces of §4.3: E_rc per cell, T_c
@@ -74,6 +75,8 @@ type relPair struct {
 // the stage whose cost grows with the row count, so it polls ctx before
 // every row's probe (tens of µs) and before every column pair's relation
 // scan, and returns the context's error instead of a partial label space.
+// A cell's candidates come from the annotator's memo when a cell with the
+// same normalised text was probed before.
 func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *arena) (*candidates, error) {
 	cs := &ar.cs
 	*cs = candidates{ar: ar, tab: t, cols: cs.cols[:0], headers: cs.headers[:0], cells: cs.cells[:0],
@@ -89,7 +92,9 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *are
 		cs.headers = slices.Grow(cs.headers, 1)[:len(cs.headers)+1] // reuses the Query parked there
 		a.ix.Compile(&cs.headers[len(cs.headers)-1], t.Header(c))
 	}
-	// 2. Cell entity candidates, probed into the arena's slab.
+	// 2. Cell entity candidates, memoised or probed into the arena's slab.
+	var hits, misses uint64
+	defer func() { memoHits.Add(hits); memoMisses.Add(misses) }()
 	for _, c := range cs.cols {
 		row0 := len(ar.cells)
 		for r := 0; r < t.Rows(); r++ {
@@ -97,7 +102,15 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *are
 				return nil, err
 			}
 			start := len(ar.cands)
-			ar.cands = a.ix.AppendCandidates(ar.cands, t.Cell(r, c), &ar.probe)
+			ar.key = text.AppendNormalized(ar.key[:0], t.Cell(r, c))
+			var hit bool
+			if ar.cands, hit = a.memo.appendCandidates(ar.cands, ar.key); hit {
+				hits++
+			} else {
+				ar.cands = a.ix.AppendCandidates(ar.cands, t.Cell(r, c), &ar.probe)
+				a.memo.insert(ar.key, ar.cands[start:])
+				misses++
+			}
 			ar.cells = append(ar.cells, since(ar.cands, start))
 		}
 		cs.cells = append(cs.cells, since(ar.cells, row0))

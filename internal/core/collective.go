@@ -141,6 +141,11 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 func (ag *annotGraph) runSchedule(ctx context.Context, maxIters int, tol float64) (iters int, converged bool, err error) {
 	g := ag.g
 	g.InitMessages()
+	defer func() {
+		walked, skipped := g.Walks()
+		bpWalked.Add(uint64(walked))
+		bpSkipped.Add(uint64(skipped))
+	}()
 	for _, f := range ag.unaries {
 		g.SweepFactor(f)
 	}

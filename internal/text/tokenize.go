@@ -82,6 +82,13 @@ func Normalize(s string) string {
 	return string(norm)
 }
 
+// AppendNormalized appends Normalize(s) to buf, allocating nothing once
+// buf has grown: the key a memo over normalised texts looks s up by.
+func AppendNormalized(buf []byte, s string) []byte {
+	norm, _ := appendNormalized(buf, s)
+	return norm
+}
+
 // appendNormalized appends Normalize(s) to buf in one pass, also counting
 // the tokens.
 func appendNormalized(buf []byte, s string) (norm []byte, tokens int) {

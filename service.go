@@ -94,6 +94,11 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 		return nil, fmt.Errorf("%w: Candidates.SoftThreshold must be in [0, 1] and Candidates.MinScore not NaN, got %v and %v",
 			ErrInvalidOption, c.SoftThreshold, c.MinScore)
 	}
+	// MaxIters 0 decodes the unaries alone; a NaN or negative Tol never converges.
+	if c := so.cfg; c.MaxIters < 1 || !(c.Tol >= 0) {
+		return nil, fmt.Errorf("%w: MaxIters must be >= 1 and Tol a number >= 0, got %d and %v",
+			ErrInvalidOption, c.MaxIters, c.Tol)
+	}
 	if err := cat.Freeze(); err != nil {
 		return nil, fmt.Errorf("webtable: freeze catalog: %w", err)
 	}

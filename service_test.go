@@ -10,6 +10,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +98,51 @@ func TestServiceAnnotateCorpusParallel(t *testing.T) {
 						i, r, c, p.CellEntities[r][c], serial.CellEntities[r][c])
 				}
 			}
+		}
+	}
+}
+
+// TestServiceAnnotateCorpusOverlapping: a service's workers share one
+// candidate memo. Over tables that repeat each other's cells — each table,
+// a window of its rows and its rows reversed — a four-worker
+// AnnotateCorpus returns exactly what a one-worker service annotating one
+// table at a time does, timings aside. Run under -race in CI.
+func TestServiceAnnotateCorpusOverlapping(t *testing.T) {
+	w := testWorld(t)
+	var tables []*table.Table
+	for _, tab := range corpusTables(w, 8) {
+		window, reversed := tab.Clone(), tab.Clone()
+		window.ID, reversed.ID = tab.ID+"/window", tab.ID+"/reversed"
+		window.Cells = window.Cells[len(window.Cells)/3:]
+		slices.Reverse(reversed.Cells)
+		tables = append(tables, tab, window, reversed)
+	}
+	ctx := context.Background()
+	untimed := func(ann *webtable.Annotation) *webtable.Annotation {
+		ann.Diag.CandidateGen, ann.Diag.GraphBuild, ann.Diag.Inference = 0, 0, 0
+		return ann
+	}
+	serialSvc, err := webtable.NewService(w.Public, webtable.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serialSvc.Close()
+	svc, err := webtable.NewService(w.Public, webtable.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	parallel, err := svc.AnnotateCorpus(ctx, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tab := range tables {
+		serial, err := serialSvc.AnnotateTable(ctx, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := untimed(parallel[i]), untimed(serial); !reflect.DeepEqual(got, want) {
+			t.Errorf("table %s: four workers annotate %+v, one worker %+v", tab.ID, got, want)
 		}
 	}
 }
@@ -306,6 +353,41 @@ func TestServiceRejectsSoftThresholdOutsideUnit(t *testing.T) {
 			}
 		} else if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), "Candidates.SoftThreshold") {
 			t.Errorf("SoftThreshold %v: err = %v, want ErrInvalidOption naming the field", th, err)
+		}
+		if svc != nil {
+			svc.Close()
+		}
+	}
+}
+
+// TestServiceRejectsBadBPSettings: a MaxIters below 1 used to be accepted
+// and run no BP iteration at all, so Collective decoded the unary
+// potentials alone; a NaN Tol never converged and a negative one could
+// not. NewService refuses each with ErrInvalidOption naming the field, as
+// the per-call WithMaxIters(0) already was.
+func TestServiceRejectsBadBPSettings(t *testing.T) {
+	w := testWorld(t)
+	for _, tc := range []struct {
+		field    string
+		maxIters int
+		tol      float64
+	}{
+		{"MaxIters", 0, 1e-6},
+		{"MaxIters", -3, 1e-6},
+		{"Tol", 10, math.NaN()},
+		{"Tol", 10, -1e-6},
+		{"", 1, 0},
+		{"", 10, math.Inf(1)},
+	} {
+		cfg := webtable.DefaultConfig()
+		cfg.MaxIters, cfg.Tol = tc.maxIters, tc.tol
+		svc, err := webtable.NewService(w.Public, webtable.WithServiceConfig(cfg))
+		if tc.field == "" {
+			if err != nil {
+				t.Errorf("MaxIters %d, Tol %v: %v", tc.maxIters, tc.tol, err)
+			}
+		} else if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("MaxIters %d, Tol %v: err = %v, want ErrInvalidOption naming %s", tc.maxIters, tc.tol, err, tc.field)
 		}
 		if svc != nil {
 			svc.Close()
