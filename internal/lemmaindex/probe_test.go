@@ -4,15 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/lemmaindex"
-	"repro/internal/text"
 )
 
 // pooled returns an upper bound on the number of entities a probe of cell
 // pools: the summed posting-list lengths of its distinct tokens.
 func pooled(ix *lemmaindex.Index, cell string) int {
 	n := 0
-	for tok := range text.TokenSet(cell) {
-		if l := ix.PostingLen(tok); l <= lemmaindex.DefaultConfig().MaxPostingLen {
+	for _, tok := range ix.VectorSpace().Vectorize(cell).Tokens {
+		if l := ix.PostingLen(tok.Text); l <= lemmaindex.DefaultConfig().MaxPostingLen {
 			n += l
 		}
 	}

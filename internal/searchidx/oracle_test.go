@@ -15,9 +15,10 @@ import (
 // cell: 1 for equal normalized spellings, the token-set Jaccard when it
 // reaches 0.5, else 0; an empty spelling on either side never matches.
 // It is the query processor's map-based matcher (queryMatcher.match over
-// text.JaccardSets) frozen verbatim, and it stays map-based on purpose:
-// whatever the index does to answer the same question must agree with
-// it bit for bit (TestMatchOracle, FuzzCompiledMatch).
+// text.JaccardSets, whose copy is below) frozen verbatim, and it stays
+// map-based on purpose: whatever the index does to answer the same
+// question must agree with it bit for bit (TestMatchOracle,
+// FuzzCompiledMatch).
 func oracleMatch(query, cell string) float64 {
 	qNorm, cNorm := text.Normalize(query), text.Normalize(cell)
 	if qNorm == "" || cNorm == "" {
@@ -26,10 +27,37 @@ func oracleMatch(query, cell string) float64 {
 	if qNorm == cNorm {
 		return 1
 	}
-	if j := text.JaccardSets(text.TokenSet(query), text.TokenSet(cell)); j >= 0.5 {
+	if j := jaccardSets(tokenSet(query), tokenSet(cell)); j >= 0.5 {
 		return j
 	}
 	return 0
+}
+
+// tokenSet returns the set of distinct tokens in s.
+func tokenSet(s string) map[string]struct{} {
+	set := make(map[string]struct{})
+	for _, t := range text.Tokenize(s) {
+		set[t] = struct{}{}
+	}
+	return set
+}
+
+// jaccardSets is |A∩B| / |A∪B| over token sets, 0 when both are empty.
+func jaccardSets(sa, sb map[string]struct{}) float64 {
+	if len(sa) == 0 && len(sb) == 0 {
+		return 0
+	}
+	inter := 0
+	for t := range sa {
+		if _, ok := sb[t]; ok {
+			inter++
+		}
+	}
+	union := len(sa) + len(sb) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
 }
 
 // oneCellIndex indexes a single unannotated one-cell table.

@@ -5,7 +5,41 @@ import "strings"
 // CosineJaccard and SoftTFIDF are the pair-at-a-time measures Scorer
 // replaced: each compares one query with one lemma from scratch. They are
 // the reference FuzzSoftTFIDF holds Scorer to bit for bit, and are
-// themselves held to string-level references in vector_test.go.
+// themselves held to the string-level references below (Jaccard over
+// TokenSet) in vector_test.go.
+
+// Jaccard returns |A∩B| / |A∪B| over the token sets of a and b.
+// Returns 0 when both are empty.
+func Jaccard(a, b string) float64 {
+	return JaccardSets(TokenSet(a), TokenSet(b))
+}
+
+// JaccardSets is Jaccard over pre-tokenized sets.
+func JaccardSets(sa, sb map[string]struct{}) float64 {
+	if len(sa) == 0 && len(sb) == 0 {
+		return 0
+	}
+	inter := 0
+	for t := range sa {
+		if _, ok := sb[t]; ok {
+			inter++
+		}
+	}
+	union := len(sa) + len(sb) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}
+
+// TokenSet returns the set of distinct tokens in s.
+func TokenSet(s string) map[string]struct{} {
+	set := make(map[string]struct{})
+	for _, t := range Tokenize(s) {
+		set[t] = struct{}{}
+	}
+	return set
+}
 
 // CosineJaccard merge-joins the sorted token lists of a and b once and
 // returns their TF-IDF cosine in [0,1] — the dot product of the shared

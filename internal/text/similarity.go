@@ -1,29 +1,5 @@
 package text
 
-// Jaccard returns |A∩B| / |A∪B| over the token sets of a and b.
-// Returns 0 when both are empty.
-func Jaccard(a, b string) float64 {
-	return JaccardSets(TokenSet(a), TokenSet(b))
-}
-
-// JaccardSets is Jaccard over pre-tokenized sets.
-func JaccardSets(sa, sb map[string]struct{}) float64 {
-	if len(sa) == 0 && len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
 // jaroStackRunes is the token length up to which jaro keeps its match
 // flags on the stack; longer tokens (no natural-language word is) fall
 // back to the heap.

@@ -110,12 +110,3 @@ func appendNormalized(buf []byte, s string) (norm []byte, tokens int) {
 	}
 	return buf, tokens
 }
-
-// TokenSet returns the set of distinct tokens in s.
-func TokenSet(s string) map[string]struct{} {
-	set := make(map[string]struct{})
-	for _, t := range Tokenize(s) {
-		set[t] = struct{}{}
-	}
-	return set
-}
