@@ -239,8 +239,9 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // factor touching it except f. (Unary potentials are modeled as unary
 // factors, so they participate automatically.) The message is normalized
 // to max 0 for numerical stability. The sum is skipped when no other
-// factor's message to the variable changed since it was last taken, and
-// a sum that changes a bit marks f stale.
+// factor's message to the variable changed since it was last taken; one
+// that is taken marks f stale (it almost always changes a bit, so it is
+// not compared).
 func (g *Graph) updateVarToFactor(f FactorID, k int) {
 	fac := &g.factors[f]
 	v := fac.vars[k]
@@ -253,23 +254,19 @@ func (g *Graph) updateVarToFactor(f FactorID, k int) {
 		return
 	}
 	g.summed[fac.base+k] = g.clock
+	g.stale[f] = true
 	msg := g.varToFac[f][k]
-	sum := g.scratch[:len(msg)]
-	clear(sum)
+	clear(msg)
 	for _, e := range g.vars[v].edges {
 		if e.factor == f {
 			continue
 		}
-		in := g.facToVar[e.factor][e.slot]
-		for x := range sum {
-			sum[x] += in[x]
+		in := g.facToVar[e.factor][e.slot][:len(msg)]
+		for x, m := range in {
+			msg[x] += m
 		}
 	}
-	normalizeLog(sum)
-	if !bitsEqual(sum, msg) {
-		copy(msg, sum)
-		g.stale[f] = true
-	}
+	normalizeLog(msg)
 }
 
 // bitsEqual reports whether a and b hold the same IEEE bit patterns.
