@@ -94,7 +94,7 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *are
 	}
 	// 2. Cell entity candidates, memoised or probed into the arena's slab.
 	var hits, misses uint64
-	defer func() { memoHits.Add(hits); memoMisses.Add(misses) }()
+	defer func() { memoTotal.With("hit").Add(hits); memoTotal.With("miss").Add(misses) }()
 	for _, c := range cs.cols {
 		row0 := len(ar.cells)
 		for r := 0; r < t.Rows(); r++ {

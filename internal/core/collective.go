@@ -143,8 +143,8 @@ func (ag *annotGraph) runSchedule(ctx context.Context, maxIters int, tol float64
 	g.InitMessages()
 	defer func() {
 		walked, skipped := g.Walks()
-		bpWalked.Add(uint64(walked))
-		bpSkipped.Add(uint64(skipped))
+		bpWalks.With("walked").Add(uint64(walked))
+		bpWalks.With("skipped").Add(uint64(skipped))
 	}()
 	for _, f := range ag.unaries {
 		g.SweepFactor(f)
@@ -262,35 +262,6 @@ func (a *Annotator) AnnotateCollectiveContext(ctx context.Context, t *table.Tabl
 	obs.Record(ctx, "annotate.graph", t1, ann.Diag.GraphBuild)
 	obs.Record(ctx, "annotate.bp", t2, ann.Diag.Inference)
 	return ann, nil
-}
-
-// scoreAssignment evaluates the Eq. 1 objective (in log space) of an
-// arbitrary labeling, used by training's loss-augmented decoding checks
-// and the ablation tests.
-func (a *Annotator) scoreAnnotation(cs *candidates, ann *Annotation) float64 {
-	ag := a.buildGraph(cs)
-	assignment := make([]int, ag.g.NumVars())
-	for i := range cs.cols {
-		assignment[ag.typeVars[i]] = indexOfType(cs.colTypes[i], ann.ColumnTypes[cs.cols[i]])
-		for r := 0; r < cs.tab.Rows(); r++ {
-			assignment[ag.cellVars[i][r]] = indexOfEntity(cs.cells[i][r], ann.CellEntities[r][cs.cols[i]])
-		}
-	}
-	for pi, p := range cs.pairs {
-		if len(ag.relVars) == 0 {
-			break
-		}
-		assignment[ag.relVars[pi]] = len(p.rels) // na default
-		if ra, ok := ann.RelationBetween(cs.cols[p.i], cs.cols[p.j]); ok {
-			for bi, rd := range p.rels {
-				if rd.Relation == ra.Relation && rd.Forward == ra.Forward {
-					assignment[ag.relVars[pi]] = bi
-					break
-				}
-			}
-		}
-	}
-	return ag.g.Score(assignment)
 }
 
 func indexOfType(ts []catalog.TypeID, t catalog.TypeID) int {

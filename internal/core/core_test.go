@@ -396,6 +396,34 @@ func TestUniqueColumnConstraint(t *testing.T) {
 	}
 }
 
+// scoreAnnotation evaluates the Eq. 1 objective (in log space) of an
+// arbitrary labeling.
+func (a *Annotator) scoreAnnotation(cs *candidates, ann *Annotation) float64 {
+	ag := a.buildGraph(cs)
+	assignment := make([]int, ag.g.NumVars())
+	for i := range cs.cols {
+		assignment[ag.typeVars[i]] = indexOfType(cs.colTypes[i], ann.ColumnTypes[cs.cols[i]])
+		for r := 0; r < cs.tab.Rows(); r++ {
+			assignment[ag.cellVars[i][r]] = indexOfEntity(cs.cells[i][r], ann.CellEntities[r][cs.cols[i]])
+		}
+	}
+	for pi, p := range cs.pairs {
+		if len(ag.relVars) == 0 {
+			break
+		}
+		assignment[ag.relVars[pi]] = len(p.rels) // na default
+		if ra, ok := ann.RelationBetween(cs.cols[p.i], cs.cols[p.j]); ok {
+			for bi, rd := range p.rels {
+				if rd.Relation == ra.Relation && rd.Forward == ra.Forward {
+					assignment[ag.relVars[pi]] = bi
+					break
+				}
+			}
+		}
+	}
+	return ag.g.Score(assignment)
+}
+
 func TestScoreAnnotationConsistent(t *testing.T) {
 	// The decoded MAP assignment must score at least as high as the
 	// all-na assignment under Eq. 1.

@@ -9,30 +9,25 @@ import (
 	"repro/internal/obs"
 )
 
-// Annotation counters, on the process-global obs.Default() registry that
-// every server's /metrics merges in. An annotation adds its counts once,
-// when its stage ends.
+// Annotation counters on the process-global registry every /metrics
+// merges in; an annotation adds its counts once per stage.
 var (
-	memoResults = obs.Default().Counter("annotate_candidate_memo_total",
+	memoTotal = obs.Default().Counter("annotate_candidate_memo_total",
 		"Cells whose candidates came from the candidate memo (hit) or from a lemma-index probe (miss).", "result")
-	memoHits, memoMisses = memoResults.With("hit"), memoResults.With("miss")
-	bpWalks              = obs.Default().Counter("bp_factor_walks_total",
+	bpWalks = obs.Default().Counter("bp_factor_walks_total",
 		"BP factor sweeps that walked the factor's table (walked) or skipped it, its incoming messages unchanged to the bit (skipped).", "result")
-	bpWalked, bpSkipped = bpWalks.With("walked"), bpWalks.With("skipped")
 )
 
 // candidateMemo remembers the candidates (§4.3) of each normalised cell
-// text, for as long as the annotators sharing one lemma index live. A
-// probe derives everything from the cell's text.Normalize form, so cells
-// that normalise alike have equal candidates; the same entities fill
-// table after table, so most cells of a stream of tables repeat a text
-// probed before. Safe for concurrent use.
+// text for as long as the annotators sharing one lemma index live: a
+// probe derives everything from the cell's text.Normalize form, and the
+// same entities fill table after table. Safe for concurrent use.
 //
-// It is bounded by two generations: new entries go into the current one,
-// an entry found in the old one is copied forward, and a current
-// generation that would outgrow limit becomes the old one, the old one's
-// memory starting a new current generation. An entry costs its
-// candidates, one for its map slot, and its key's bytes in candidates.
+// Two generations bound it. New entries go into the current one, an entry
+// found in the old one is copied forward, and a current generation that
+// would outgrow limit becomes the old one, the old one's memory starting
+// the next. An entry costs its candidates, one for its map slot, and its
+// key's bytes in candidates.
 type candidateMemo struct {
 	mu       sync.Mutex
 	limit    int
@@ -50,14 +45,14 @@ type memoSpan struct{ off, n int32 }
 
 const candidateBytes = int(unsafe.Sizeof(lemmaindex.Candidate{}))
 
-// newCandidateMemo sizes a memo for a catalog: a generation holds at
-// most 2 × MaxCandidates candidates per entity.
+// newCandidateMemo sizes a generation at 2 × MaxCandidates candidates per
+// entity of the catalog.
 func newCandidateMemo(cat *catalog.Catalog, cfg lemmaindex.Config) *candidateMemo {
 	return &candidateMemo{limit: 2 * cat.NumEntities() * cfg.MaxCandidates}
 }
 
 // appendCandidates appends to dst the candidates memoised under key, a
-// normalised cell text, and reports whether it found them. Nothing it
+// normalised cell text, and reports whether there were any. Nothing it
 // returns points into the memo.
 func (m *candidateMemo) appendCandidates(dst []lemmaindex.Candidate, key []byte) ([]lemmaindex.Candidate, bool) {
 	m.mu.Lock()
@@ -66,16 +61,15 @@ func (m *candidateMemo) appendCandidates(dst []lemmaindex.Candidate, key []byte)
 		return append(dst, m.cur.cands[s.off:s.off+s.n]...), true
 	}
 	s, ok := m.old.at[string(key)]
-	if !ok {
-		return dst, false
+	if ok {
+		base := len(dst)
+		dst = append(dst, m.old.cands[s.off:s.off+s.n]...)
+		m.insertLocked(string(key), dst[base:])
 	}
-	base := len(dst)
-	dst = append(dst, m.old.cands[s.off:s.off+s.n]...)
-	m.insertLocked(string(key), dst[base:])
-	return dst, true
+	return dst, ok
 }
 
-// insert memoises cands under key, copying them.
+// insert memoises a copy of cands under key.
 func (m *candidateMemo) insert(key []byte, cands []lemmaindex.Candidate) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -23,18 +23,11 @@
 // added; a table entry's score is folded in slot order — the potential,
 // plus the lower slot's message, plus the higher slot's; and entries
 // compete for a maximum in row-major order, first wins.
-//
-// That makes every message a pure function of its inputs' bits, so a
-// sweep skips what cannot change. Each factor→variable message that
-// changes a bit is stamped from a clock, and each variable keeps its
-// latest changing factor with that stamp and the latest stamp of any
-// other factor: whether anything but f changed since f's message from
-// the variable was last summed is one comparison, and when nothing did
-// the sum is skipped. A factor whose incoming messages kept every bit
-// since its last walk skips the walk (SweepFactor; UpdateFactorToVar
-// always walks). Skipping changes no message, so the schedule, the
-// convergence test and every result are what a sweep that skips nothing
-// gives.
+// So a message is a pure function of its inputs' bits, and a sweep skips
+// what cannot change: a variable→factor sum when no other factor's
+// message to the variable changed a bit since it was last taken, and a
+// factor's walk when no message into it did. Every message, and so the
+// schedule and the convergence test, is what skipping nothing gives.
 package factorgraph
 
 import (
@@ -74,9 +67,7 @@ type factor struct {
 	// messages with the factor through its first slot only; the later
 	// slot's messages stay at their initial 0.
 	slot []int
-	// base is the position of the factor's first slot among all slots
-	// (InitMessages).
-	base int
+	base int // the position of slot 0 among all slots
 }
 
 // Graph is a factor graph under construction or inference. Not safe for
@@ -99,12 +90,10 @@ type Graph struct {
 	toVar, prev []float64
 	ready       bool // InitMessages ran since the last Reset
 
-	// What a sweep may skip (see the package comment). clock counts the
-	// factor→variable messages that changed a bit; latest[v] is v's last
-	// change; summed[s] is the clock when the variable→factor message of
-	// header slot s was last summed; stale[f] is set until f's first walk
-	// and whenever a message into f changes a bit. scratch holds one
-	// factor's messages, and walks and skips count SweepFactor's walks.
+	// What a sweep may skip. clock counts factor→variable messages that
+	// changed a bit; latest[v] is v's last such change; summed[s] is the
+	// clock when the message in header slot s was last summed; stale[f]
+	// holds until f walks after a change to a message into it.
 	clock        uint64
 	latest       []change
 	summed       []uint64
@@ -113,9 +102,9 @@ type Graph struct {
 	walks, skips int
 }
 
-// change is a variable's latest changed factor→variable message: the
-// factor that sent it and its stamp, and the latest stamp of any other
-// factor's.
+// change is the factor of a variable's latest changed message and its
+// stamp, and the latest stamp of any other factor's: whether anything but
+// f changed since a stamp is one comparison.
 type change struct {
 	factor    FactorID
 	at, other uint64
@@ -238,10 +227,8 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // variable there: the sum of incoming factor→var messages from every
 // factor touching it except f. (Unary potentials are modeled as unary
 // factors, so they participate automatically.) The message is normalized
-// to max 0 for numerical stability. The sum is skipped when no other
-// factor's message to the variable changed since it was last taken; one
-// that is taken marks f stale (it almost always changes a bit, so it is
-// not compared).
+// to max 0 for numerical stability. A sum that is taken marks f stale; it
+// almost always changes a bit, so it is not compared.
 func (g *Graph) updateVarToFactor(f FactorID, k int) {
 	fac := &g.factors[f]
 	v := fac.vars[k]
@@ -289,8 +276,8 @@ func bitsEqual(a, b []float64) bool {
 // slot it feeds. Each score is folded in slot order, as it always has
 // been — the potential, plus the lower slot's message, plus the higher
 // slot's: (lp+in₀)+in₂, never lp+(in₀+in₂) — and max is exact, so every
-// message is reproducible to the last bit. Each outgoing message that
-// changes a bit is stamped for the variable→factor sums that read it.
+// message is reproducible to the last bit. An outgoing message that
+// changes a bit is stamped.
 func (g *Graph) UpdateFactorToVar(f FactorID, _ VarID) {
 	fac := &g.factors[f]
 	in, out := g.varToFac[f], g.facToVar[f]
@@ -382,9 +369,8 @@ func fill[T any](m []T, v T) {
 }
 
 // SweepFactor refreshes all messages into f and then all messages out of
-// f — one full pass of the local message schedule around one factor. The
-// walk of f's table is skipped when f has walked before and no message
-// into it changed a bit since: it would write what its messages hold.
+// f — one full pass of the local message schedule around one factor —
+// skipping the walk when it would write what f's messages hold.
 func (g *Graph) SweepFactor(f FactorID) {
 	for _, k := range g.factors[f].slot {
 		g.updateVarToFactor(f, k)
