@@ -938,6 +938,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE go_goroutines gauge", // merged process-global registry
 		"# TYPE search_arena_bytes gauge",
 		"# TYPE search_arena_grows_total counter",
+		"# TYPE annotate_candidate_memo_total counter", // annotation counters, process-global
+		"# TYPE bp_factor_walks_total counter",
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, page)
