@@ -151,9 +151,9 @@ func NewWithIndex(cat *catalog.Catalog, ix *lemmaindex.Index, w feature.Weights,
 // shares this annotator's catalog and, when cfg.Candidates is unchanged,
 // its lemma index and candidate memo; the feature extractor (and its
 // participation cache) is likewise shared when neither the candidate
-// config nor the type-entity mode changed. The shared-everything path is cheap and safe to call
-// concurrently, which makes it the per-request override mechanism of the
-// service layer. Changing cfg.Candidates rebuilds the lemma index so the
+// config nor the type-entity mode changed. The shared-everything path is
+// cheap and safe to call concurrently, which makes it the per-request
+// override mechanism of the service layer. Changing cfg.Candidates rebuilds the lemma index so the
 // new candidate-generation settings actually take effect — that path is
 // as expensive as constructing an annotator from scratch.
 func (a *Annotator) With(w feature.Weights, cfg Config) *Annotator {

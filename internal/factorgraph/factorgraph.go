@@ -93,7 +93,8 @@ type Graph struct {
 	// What a sweep may skip. clock counts factor→variable messages that
 	// changed a bit; latest[v] is v's last such change; summed[s] is the
 	// clock when the message in header slot s was last summed; stale[f]
-	// holds until f walks after a change to a message into it.
+	// is set by InitMessages and every sum into f, cleared by f's walk;
+	// scratch holds a walk's previous outgoing messages.
 	clock        uint64
 	latest       []change
 	summed       []uint64
