@@ -246,47 +246,6 @@ func (c *Catalog) AddEntity(name string, lemmas []string, types ...TypeID) (Enti
 	return id, nil
 }
 
-// AddEntityType attaches an additional direct type to an existing entity.
-func (c *Catalog) AddEntityType(e EntityID, t TypeID) error {
-	if c.frozen {
-		return ErrFrozen
-	}
-	if !c.validEntity(e) || !c.validType(t) {
-		return fmt.Errorf("%w: entityType(%d,%d)", ErrBadID, e, t)
-	}
-	for _, have := range c.entities[e].types {
-		if have == t {
-			return nil
-		}
-	}
-	c.entities[e].types = append(c.entities[e].types, t)
-	return nil
-}
-
-// AddEntityLemma attaches an additional lemma to an entity.
-func (c *Catalog) AddEntityLemma(e EntityID, lemma string) error {
-	if c.frozen {
-		return ErrFrozen
-	}
-	if !c.validEntity(e) {
-		return fmt.Errorf("%w: entity %d", ErrBadID, e)
-	}
-	c.entities[e].lemmas = append(c.entities[e].lemmas, lemma)
-	return nil
-}
-
-// AddTypeLemma attaches an additional lemma to a type.
-func (c *Catalog) AddTypeLemma(t TypeID, lemma string) error {
-	if c.frozen {
-		return ErrFrozen
-	}
-	if !c.validType(t) {
-		return fmt.Errorf("%w: type %d", ErrBadID, t)
-	}
-	c.types[t].lemmas = append(c.types[t].lemmas, lemma)
-	return nil
-}
-
 // AddRelation registers a binary relation with schema B(subject, object)
 // and a cardinality constraint.
 func (c *Catalog) AddRelation(name string, subject, object TypeID, card Cardinality) (RelationID, error) {

@@ -235,7 +235,7 @@ func degrade(t *testing.T, rng *rand.Rand, c *catalog.Catalog) *catalog.Catalog 
 	return mustFreeze(t, d)
 }
 
-func worldCatalogs(t *testing.T) (pub, truth *catalog.Catalog) {
+func worldCatalogs(t testing.TB) (pub, truth *catalog.Catalog) {
 	t.Helper()
 	spec := worldgen.DefaultSpec()
 	spec.Seed = 1

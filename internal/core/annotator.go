@@ -116,8 +116,7 @@ func (a *Annotation) RelationBetween(c1, c2 int) (RelationAnnotation, bool) {
 // goroutines (each annotation works in an arena of its own, and the
 // feature extractor's participation cache is locked per relation and
 // warms up across calls); the one exception is SetWeights, which must not
-// race with in-flight annotations — use With to derive a reweighted
-// annotator instead when serving concurrently.
+// race with in-flight annotations — train first, then annotate.
 type Annotator struct {
 	cat  *catalog.Catalog
 	ix   *lemmaindex.Index
@@ -147,26 +146,6 @@ func NewWithIndex(cat *catalog.Catalog, ix *lemmaindex.Index, w feature.Weights,
 	}
 }
 
-// With derives an annotator with different weights and configuration that
-// shares this annotator's catalog and, when cfg.Candidates is unchanged,
-// its lemma index and candidate memo; the feature extractor (and its
-// participation cache) is likewise shared when neither the candidate
-// config nor the type-entity mode changed. The shared-everything path is
-// cheap and safe to call concurrently, which makes it the per-request
-// override mechanism of the service layer. Changing cfg.Candidates rebuilds the lemma index so the
-// new candidate-generation settings actually take effect — that path is
-// as expensive as constructing an annotator from scratch.
-func (a *Annotator) With(w feature.Weights, cfg Config) *Annotator {
-	if cfg.Candidates != a.cfg.Candidates {
-		return New(a.cat, w, cfg)
-	}
-	ext := a.ext
-	if cfg.Mode != a.cfg.Mode {
-		ext = feature.NewExtractor(a.cat, a.ix, cfg.Mode)
-	}
-	return &Annotator{cat: a.cat, ix: a.ix, memo: a.memo, ext: ext, w: w, cfg: cfg}
-}
-
 // Catalog returns the annotator's catalog.
 func (a *Annotator) Catalog() *catalog.Catalog { return a.cat }
 
@@ -177,8 +156,7 @@ func (a *Annotator) Index() *lemmaindex.Index { return a.ix }
 func (a *Annotator) Weights() feature.Weights { return a.w }
 
 // SetWeights replaces the model weights (after training). Not safe to
-// call while annotations are in flight on other goroutines; derive a new
-// annotator with With for concurrent serving.
+// call while annotations are in flight on other goroutines.
 func (a *Annotator) SetWeights(w feature.Weights) { a.w = w }
 
 // Config returns the annotator configuration.

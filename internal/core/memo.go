@@ -19,9 +19,9 @@ var (
 )
 
 // candidateMemo remembers the candidates (§4.3) of each normalised cell
-// text for as long as the annotators sharing one lemma index live: a
-// probe derives everything from the cell's text.Normalize form, and the
-// same entities fill table after table. Safe for concurrent use.
+// text for as long as its annotator lives: a probe derives everything
+// from the cell's text.Normalize form, and the same entities fill table
+// after table. Safe for concurrent use.
 //
 // Two generations bound it. New entries go into the current one, an entry
 // found in the old one is copied forward, and a current generation that

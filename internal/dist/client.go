@@ -90,16 +90,14 @@ func (e *ShardError) rejected() bool {
 // retry. The zero value is not usable; fill URLs and leave the rest to
 // defaults or override per field. Partial-evidence requests travel as
 // frames over persistent streams the client dials itself (see the package
-// comment's Transport section); a Client must not be copied once used.
+// comment's Transport section): plain TCP connections to the host and
+// port of the shard's URL, upgraded by GET /v1/stream. A Client must not
+// be copied once used.
 type Client struct {
 	// URLs are the shard base addresses ("http://host:port"), in shard
 	// order. Index in this slice IS the shard number. The slice's length
 	// is fixed at first use; an address may be repointed.
 	URLs []string
-	// HTTP serves Health only (default http.DefaultClient). Partial does
-	// not go through it: streams are plain TCP connections to the host
-	// and port of the shard's URL, upgraded by GET /v1/stream.
-	HTTP *http.Client
 	// AttemptTimeout, Retries, Backoff tune the retry loop; zero values
 	// take the Default* constants. Retries < 0 means no retries. One
 	// attempt — dial and upgrade when no stream is parked, request frame
@@ -117,13 +115,6 @@ type Client struct {
 
 	once    sync.Once
 	streams []*shardStreams // per shard, sized by init
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 func (c *Client) attemptTimeout() time.Duration {
@@ -461,8 +452,9 @@ func (st *clientStream) upgrade() error {
 	return nil
 }
 
-// Health GETs one shard's /v1/healthz (single attempt — health checks
-// should observe failures, not mask them with retries).
+// Health GETs one shard's /v1/healthz through http.DefaultClient (single
+// attempt — health checks should observe failures, not mask them with
+// retries).
 func (c *Client) Health(ctx context.Context, shard int) error {
 	url := c.URLs[shard]
 	id := server.RequestID(ctx)
@@ -475,7 +467,7 @@ func (c *Client) Health(ctx context.Context, shard int) error {
 	if id != "" {
 		req.Header.Set("X-Request-ID", id)
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return &ShardError{Shard: shard, URL: url, Err: err, Attempts: 1, RequestID: id}
 	}

@@ -42,9 +42,6 @@ func (v *VectorSpace) Add(doc string) {
 // Docs reports the number of documents added.
 func (v *VectorSpace) Docs() int { return v.docs }
 
-// DF reports the document frequency of a token.
-func (v *VectorSpace) DF(token string) int { return int(v.vocab[token].df) }
-
 // IDF returns the smoothed inverse document frequency
 // log(1 + N/(1+df)). Tokens never seen get the maximum IDF.
 func (v *VectorSpace) IDF(token string) float64 { return v.idf(v.vocab[token].df) }

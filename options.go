@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/feature"
 	"repro/internal/segment"
 )
 
@@ -59,8 +57,6 @@ func ParseMethod(s string) (Method, error) {
 type ServiceOption func(*serviceOptions)
 
 type serviceOptions struct {
-	weights     feature.Weights
-	cfg         core.Config
 	workers     int
 	compaction  segment.CompactionPolicy
 	autoCompact bool
@@ -80,17 +76,6 @@ func WithSearchParallelism(int) ServiceOption {
 	return func(*serviceOptions) {}
 }
 
-// WithServiceWeights sets the service's default model weights.
-func WithServiceWeights(w Weights) ServiceOption {
-	return func(o *serviceOptions) { o.weights = w }
-}
-
-// WithServiceConfig sets the service's default annotator configuration
-// (candidate generation, BP iteration cap, type-entity mode, ...).
-func WithServiceConfig(cfg Config) ServiceOption {
-	return func(o *serviceOptions) { o.cfg = cfg }
-}
-
 // WithCompactionPolicy tunes how the live corpus merges its index
 // segments: how many adjacent similar-sized segments trigger a merge,
 // the size ratio between tiers, and the tombstone fraction that forces a
@@ -107,27 +92,20 @@ func WithoutAutoCompaction() ServiceOption {
 	return func(o *serviceOptions) { o.autoCompact = false }
 }
 
-// AnnotateOption overrides service defaults for one annotation call
-// (AnnotateTable, AnnotateCorpus or BuildIndex). Overrides never mutate
-// the service; they derive a per-call annotator sharing the service's
-// catalog, lemma index and feature caches.
+// AnnotateOption shapes one annotation call (AnnotateTable,
+// AnnotateCorpus, BuildIndex or AddTables): which method runs, or whether
+// annotation runs at all. It never changes the service or its model.
 type AnnotateOption func(*annotateOptions)
 
 type annotateOptions struct {
-	method   Method // zero value: MethodCollective
-	maxIters *int
-	noAnns   bool
+	method Method // zero value: MethodCollective
+	noAnns bool
 }
 
 // WithMethod selects the inference method for this call. The default is
 // MethodCollective.
 func WithMethod(m Method) AnnotateOption {
 	return func(o *annotateOptions) { o.method = m }
-}
-
-// WithMaxIters caps BP schedule iterations for this call.
-func WithMaxIters(n int) AnnotateOption {
-	return func(o *annotateOptions) { o.maxIters = &n }
 }
 
 // WithoutAnnotations makes BuildIndex skip annotation entirely and build

@@ -62,7 +62,7 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 // manifest — segment identities, tombstones and generation — is restored,
 // so AddTables / RemoveTables resume where the saved service stopped; a
 // flat snapshot loads as a single segment. Service options (worker
-// count, weights, compaction knobs, ...) apply as in NewService.
+// count, compaction knobs, ...) apply as in NewService.
 //
 // Format failures are structured: errors.Is recognizes ErrNotSnapshot
 // (foreign file), ErrSnapshotVersion (a format version other than 3; the

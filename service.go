@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/lemmaindex"
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/searchidx"
@@ -24,9 +22,10 @@ import (
 // and search pipeline. It owns a frozen catalog, the shared lemma index
 // (the dominant setup cost, built once), and a worker pool that bounds
 // how many tables are annotated simultaneously across all in-flight
-// calls. A Service is safe for concurrent use; per-call overrides
-// (WithMethod, WithMaxIters) derive a lightweight annotator instead of
-// mutating shared state.
+// calls. Its one annotator is built with the default weights and
+// configuration when the Service is, and never changes; a per-call
+// WithMethod only picks which of its methods runs. A Service is safe for
+// concurrent use.
 //
 //	svc, err := webtable.NewService(cat, webtable.WithWorkers(8))
 //	anns, err := svc.AnnotateCorpus(ctx, tables)
@@ -36,15 +35,11 @@ import (
 //	})
 type Service struct {
 	cat         *catalog.Catalog
-	ix          *lemmaindex.Index
 	workers     int
 	sem         chan struct{}
 	compaction  segment.CompactionPolicy
 	autoCompact bool
-
-	// base is the default-configured annotator; SetWeights swaps it
-	// atomically so training can retune a live service.
-	base atomic.Pointer[core.Annotator]
+	ann         *core.Annotator
 
 	// store is the live segmented corpus (nil before the first
 	// BuildIndex / AddTables). Searches load it atomically and pin the
@@ -73,8 +68,6 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 		return nil, ErrNilCatalog
 	}
 	so := serviceOptions{
-		weights:     DefaultWeights(),
-		cfg:         core.DefaultConfig(),
 		workers:     runtime.GOMAXPROCS(0),
 		compaction:  segment.DefaultCompactionPolicy(),
 		autoCompact: true,
@@ -85,34 +78,17 @@ func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 	if so.workers < 1 {
 		return nil, fmt.Errorf("%w: workers must be >= 1, got %d", ErrInvalidOption, so.workers)
 	}
-	if c := so.cfg.Candidates; c.MaxCandidates < 0 || c.MaxProbeTokens < 0 {
-		return nil, fmt.Errorf("%w: Candidates.MaxCandidates and Candidates.MaxProbeTokens must be >= 0, got %d and %d",
-			ErrInvalidOption, c.MaxCandidates, c.MaxProbeTokens)
-	}
-	// Out of range, these switch typo matching or candidate pruning off silently.
-	if c := so.cfg.Candidates; !(c.SoftThreshold >= 0 && c.SoftThreshold <= 1) || math.IsNaN(c.MinScore) {
-		return nil, fmt.Errorf("%w: Candidates.SoftThreshold must be in [0, 1] and Candidates.MinScore not NaN, got %v and %v",
-			ErrInvalidOption, c.SoftThreshold, c.MinScore)
-	}
-	// MaxIters 0 decodes the unaries alone; a NaN or negative Tol never converges.
-	if c := so.cfg; c.MaxIters < 1 || !(c.Tol >= 0) {
-		return nil, fmt.Errorf("%w: MaxIters must be >= 1 and Tol a number >= 0, got %d and %v",
-			ErrInvalidOption, c.MaxIters, c.Tol)
-	}
 	if err := cat.Freeze(); err != nil {
 		return nil, fmt.Errorf("webtable: freeze catalog: %w", err)
 	}
-	ix := lemmaindex.Build(cat, so.cfg.Candidates)
-	s := &Service{
+	return &Service{
 		cat:         cat,
-		ix:          ix,
 		workers:     so.workers,
 		sem:         make(chan struct{}, so.workers),
 		compaction:  so.compaction,
 		autoCompact: so.autoCompact,
-	}
-	s.base.Store(core.NewWithIndex(cat, ix, so.weights, so.cfg))
-	return s, nil
+		ann:         core.New(cat, DefaultWeights(), core.DefaultConfig()),
+	}, nil
 }
 
 // Catalog returns the service's frozen catalog.
@@ -126,38 +102,17 @@ func (s *Service) Workers() int { return s.workers }
 // gauge), not a synchronization primitive.
 func (s *Service) WorkersInUse() int { return len(s.sem) }
 
-// Annotator returns the service's current default annotator, for interop
-// with the training API (webtable.Train). Do not call SetWeights on it
-// while service calls are in flight; use Service.SetWeights instead.
-func (s *Service) Annotator() *Annotator { return s.base.Load() }
+// Annotator returns the service's annotator, for interop with the
+// training API (webtable.Train). Train changes its weights in place, so
+// train before the service annotates anything, never while it serves.
+func (s *Service) Annotator() *Annotator { return s.ann }
 
-// Weights returns the service's current default weights.
-func (s *Service) Weights() Weights { return s.base.Load().Weights() }
-
-// SetWeights atomically replaces the service's default weights (for
-// example after training). In-flight annotations keep the weights they
-// started with; subsequent calls observe the new ones.
-func (s *Service) SetWeights(w Weights) {
-	base := s.base.Load()
-	s.base.Store(base.With(w, base.Config()))
-}
-
-// annotatorFor resolves per-call options into an annotator + method. The
-// common no-override path reuses the service's default annotator.
-func (s *Service) annotatorFor(o *annotateOptions) (*core.Annotator, Method, error) {
+// methodFor resolves per-call options into the method to run.
+func methodFor(o *annotateOptions) (Method, error) {
 	if o.method > MethodMajority {
-		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownMethod, uint8(o.method))
+		return 0, fmt.Errorf("%w: %d", ErrUnknownMethod, uint8(o.method))
 	}
-	base := s.base.Load()
-	if o.maxIters == nil {
-		return base, o.method, nil
-	}
-	if *o.maxIters < 1 {
-		return nil, 0, fmt.Errorf("%w: max iters must be >= 1, got %d", ErrInvalidOption, *o.maxIters)
-	}
-	cfg := base.Config()
-	cfg.MaxIters = *o.maxIters
-	return base.With(base.Weights(), cfg), o.method, nil
+	return o.method, nil
 }
 
 func resolveAnnotateOptions(opts []AnnotateOption) *annotateOptions {
@@ -198,6 +153,10 @@ func annotateOne(ctx context.Context, a *core.Annotator, m Method, t *table.Tabl
 	if t == nil {
 		return nil, ErrNilTable
 	}
+	// A ragged row would index past its end in candidate generation.
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
 	switch m {
 	case MethodCollective:
 		return a.AnnotateCollectiveContext(ctx, t)
@@ -225,7 +184,7 @@ func (s *Service) AnnotateTable(ctx context.Context, t *Table, opts ...AnnotateO
 	if t == nil {
 		return nil, ErrNilTable
 	}
-	a, method, err := s.annotatorFor(resolveAnnotateOptions(opts))
+	method, err := methodFor(resolveAnnotateOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +192,7 @@ func (s *Service) AnnotateTable(ctx context.Context, t *Table, opts ...AnnotateO
 		return nil, err
 	}
 	defer s.release()
-	return annotateOne(ctx, a, method, t)
+	return annotateOne(ctx, s.ann, method, t)
 }
 
 // AnnotateCorpus annotates a corpus in parallel over the service's worker
@@ -246,13 +205,13 @@ func (s *Service) AnnotateTable(ctx context.Context, t *Table, opts ...AnnotateO
 // cancellations are aggregated into a *CorpusError while the remaining
 // tables still run to completion.
 func (s *Service) AnnotateCorpus(ctx context.Context, tables []*Table, opts ...AnnotateOption) ([]*Annotation, error) {
-	a, method, err := s.annotatorFor(resolveAnnotateOptions(opts))
+	method, err := methodFor(resolveAnnotateOptions(opts))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Annotation, len(tables))
 	failures, err := fanOut(ctx, s, out, func(i int) (*Annotation, error) {
-		return annotateOne(ctx, a, method, tables[i])
+		return annotateOne(ctx, s.ann, method, tables[i])
 	}, func(i int, err error) *TableError {
 		return &TableError{Index: i, TableID: tableID(tables[i]), Err: err}
 	})

@@ -7,12 +7,10 @@ import (
 	"errors"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -257,9 +255,6 @@ func TestServiceStructuredErrors(t *testing.T) {
 	if _, err := webtable.NewService(w.Public, webtable.WithWorkers(0)); !errors.Is(err, webtable.ErrInvalidOption) {
 		t.Errorf("zero workers: err = %v", err)
 	}
-	if _, err := svc.AnnotateTable(ctx, &webtable.Table{ID: "x"}, webtable.WithMaxIters(0)); !errors.Is(err, webtable.ErrInvalidOption) {
-		t.Errorf("zero max iters: err = %v", err)
-	}
 
 	// A corpus containing a nil table fails that slot only, reported as a
 	// CorpusError with the index attached.
@@ -312,109 +307,51 @@ func TestServiceStructuredErrors(t *testing.T) {
 	}
 }
 
-// TestServiceRejectsNegativeCandidateLimits: a negative cap on the
-// candidates per cell or on the probe tokens used to reach candidate
-// generation and panic there (a slice bound of -1, a make of length -1),
-// in a worker goroutine when it came through AnnotateCorpus or AddTables.
-// NewService refuses each with ErrInvalidOption naming the field.
-func TestServiceRejectsNegativeCandidateLimits(t *testing.T) {
+// TestServiceRejectsRaggedTables: a hand-built table whose rows differ
+// in length used to panic inside candidate generation (an index out of
+// range), and inside a worker goroutine when it came through
+// AnnotateCorpus or BuildIndex, which ended the process. Every method
+// now returns table.ErrRagged, and an empty table table.ErrEmpty; corpus
+// calls report them per table in a *CorpusError, as AddTables does.
+func TestServiceRejectsRaggedTables(t *testing.T) {
 	w := testWorld(t)
-	for _, field := range []string{"Candidates.MaxCandidates", "Candidates.MaxProbeTokens"} {
-		cfg := webtable.DefaultConfig()
-		if field == "Candidates.MaxCandidates" {
-			cfg.Candidates.MaxCandidates = -1
-		} else {
-			cfg.Candidates.MaxProbeTokens = -1
-		}
-		svc, err := webtable.NewService(w.Public, webtable.WithServiceConfig(cfg))
-		if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), field) {
-			t.Errorf("%s = -1: err = %v, want ErrInvalidOption naming the field", field, err)
-		}
-		if svc != nil {
-			svc.Close()
+	svc, err := webtable.NewService(w.Public, webtable.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx := context.Background()
+	ragged := func() *webtable.Table {
+		return &webtable.Table{
+			ID:      "ragged",
+			Headers: []string{"Film", "Director"},
+			Cells:   [][]string{{"Alien", "Ridley Scott"}, {"Heat"}},
 		}
 	}
-}
-
-// TestServiceRejectsSoftThresholdOutsideUnit: a JaroWinkler threshold
-// that is NaN or above 1 used to be accepted and switch typo matching off
-// ("Albertt Einstein" scored a soft-TFIDF of 0 against Albert Einstein,
-// not 0.96). NewService refuses any threshold outside [0, 1] with
-// ErrInvalidOption naming the field, and accepts both ends.
-func TestServiceRejectsSoftThresholdOutsideUnit(t *testing.T) {
-	w := testWorld(t)
-	for _, th := range []float64{math.NaN(), 1.5, -0.1, math.Inf(1), 0, 1} {
-		cfg := webtable.DefaultConfig()
-		cfg.Candidates.SoftThreshold = th
-		svc, err := webtable.NewService(w.Public, webtable.WithServiceConfig(cfg))
-		if th >= 0 && th <= 1 {
-			if err != nil {
-				t.Errorf("SoftThreshold %v: %v", th, err)
-			}
-		} else if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), "Candidates.SoftThreshold") {
-			t.Errorf("SoftThreshold %v: err = %v, want ErrInvalidOption naming the field", th, err)
+	for _, m := range []webtable.Method{webtable.MethodCollective, webtable.MethodSimple, webtable.MethodLCA, webtable.MethodMajority} {
+		if _, err := svc.AnnotateTable(ctx, ragged(), webtable.WithMethod(m)); !errors.Is(err, table.ErrRagged) {
+			t.Errorf("%v: ragged table: err = %v, want ErrRagged", m, err)
 		}
-		if svc != nil {
-			svc.Close()
+		if _, err := svc.AnnotateTable(ctx, &webtable.Table{ID: "empty"}, webtable.WithMethod(m)); !errors.Is(err, table.ErrEmpty) {
+			t.Errorf("%v: empty table: err = %v, want ErrEmpty", m, err)
 		}
 	}
-}
 
-// TestServiceRejectsBadBPSettings: a MaxIters below 1 used to be accepted
-// and run no BP iteration at all, so Collective decoded the unary
-// potentials alone; a NaN Tol never converged and a negative one could
-// not. NewService refuses each with ErrInvalidOption naming the field, as
-// the per-call WithMaxIters(0) already was.
-func TestServiceRejectsBadBPSettings(t *testing.T) {
-	w := testWorld(t)
-	for _, tc := range []struct {
-		field    string
-		maxIters int
-		tol      float64
-	}{
-		{"MaxIters", 0, 1e-6},
-		{"MaxIters", -3, 1e-6},
-		{"Tol", 10, math.NaN()},
-		{"Tol", 10, -1e-6},
-		{"", 1, 0},
-		{"", 10, math.Inf(1)},
-	} {
-		cfg := webtable.DefaultConfig()
-		cfg.MaxIters, cfg.Tol = tc.maxIters, tc.tol
-		svc, err := webtable.NewService(w.Public, webtable.WithServiceConfig(cfg))
-		if tc.field == "" {
-			if err != nil {
-				t.Errorf("MaxIters %d, Tol %v: %v", tc.maxIters, tc.tol, err)
-			}
-		} else if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("MaxIters %d, Tol %v: err = %v, want ErrInvalidOption naming %s", tc.maxIters, tc.tol, err, tc.field)
-		}
-		if svc != nil {
-			svc.Close()
-		}
+	tables := corpusTables(w, 3)
+	tables[1] = ragged()
+	anns, err := svc.AnnotateCorpus(ctx, tables)
+	var ce *webtable.CorpusError
+	if !errors.As(err, &ce) || len(ce.Failures) != 1 || ce.Failures[0].Index != 1 || !errors.Is(err, table.ErrRagged) {
+		t.Fatalf("AnnotateCorpus: err = %v, want one ErrRagged failure at index 1", err)
 	}
-}
-
-// TestServiceRejectsNaNMinScore: a NaN MinScore used to be accepted and
-// prune nothing, since no score is below NaN. NewService refuses it with
-// ErrInvalidOption naming the field; any number, infinities included, is
-// a cut the probe can apply.
-func TestServiceRejectsNaNMinScore(t *testing.T) {
-	w := testWorld(t)
-	for _, cut := range []float64{math.NaN(), math.Inf(-1), 0.5} {
-		cfg := webtable.DefaultConfig()
-		cfg.Candidates.MinScore = cut
-		svc, err := webtable.NewService(w.Public, webtable.WithServiceConfig(cfg))
-		if !math.IsNaN(cut) {
-			if err != nil {
-				t.Errorf("MinScore %v: %v", cut, err)
-			}
-		} else if !errors.Is(err, webtable.ErrInvalidOption) || !strings.Contains(err.Error(), "Candidates.MinScore") {
-			t.Errorf("MinScore NaN: err = %v, want ErrInvalidOption naming the field", err)
-		}
-		if svc != nil {
-			svc.Close()
-		}
+	if anns[0] == nil || anns[1] != nil || anns[2] == nil {
+		t.Errorf("AnnotateCorpus: annotations %v, want the two healthy tables annotated", anns)
+	}
+	if _, err := svc.BuildIndex(ctx, tables); !errors.As(err, &ce) || !errors.Is(err, table.ErrRagged) {
+		t.Errorf("BuildIndex: err = %v, want a CorpusError wrapping ErrRagged", err)
+	}
+	if _, ok := svc.CorpusStats(); ok {
+		t.Error("BuildIndex built a corpus from a batch with a ragged table")
 	}
 }
 
@@ -837,8 +774,8 @@ func TestServiceSearchEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServicePerCallOverrides checks that WithMethod/WithMaxIters change
-// the call without mutating the service defaults.
+// TestServicePerCallOverrides checks that WithMethod changes the call
+// without changing the service's default method.
 func TestServicePerCallOverrides(t *testing.T) {
 	w := testWorld(t)
 	tables := corpusTables(w, 2)
@@ -848,14 +785,6 @@ func TestServicePerCallOverrides(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// MaxIters=1 must cap the BP iteration count for this call only.
-	capped, err := svc.AnnotateTable(ctx, tables[0], webtable.WithMaxIters(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capped.Diag.Iterations > 1 {
-		t.Errorf("WithMaxIters(1): ran %d iterations", capped.Diag.Iterations)
-	}
 	normal, err := svc.AnnotateTable(ctx, tables[0])
 	if err != nil {
 		t.Fatal(err)

@@ -120,8 +120,6 @@ var (
 type (
 	// Annotator labels tables against one catalog.
 	Annotator = core.Annotator
-	// Config tunes the annotator.
-	Config = core.Config
 	// Annotation is the per-table labeling result.
 	Annotation = core.Annotation
 	// BaselineAnnotation carries the set-valued baseline outputs.
@@ -132,24 +130,10 @@ type (
 	GoldLabels = core.GoldLabels
 	// Weights bundles the model vectors w1..w5.
 	Weights = feature.Weights
-	// TypeEntityMode selects the f3 compatibility feature (Figure 8).
-	TypeEntityMode = feature.TypeEntityMode
 )
 
-// TypeEntityMode values.
-const (
-	ModeSqrtDist = feature.ModeSqrtDist
-	ModeDist     = feature.ModeDist
-	ModeIDF      = feature.ModeIDF
-)
-
-// Annotator defaults.
-var (
-	// DefaultConfig is the paper's operating point.
-	DefaultConfig = core.DefaultConfig
-	// DefaultWeights is the hand-tuned starting point; train to refine.
-	DefaultWeights = feature.DefaultWeights
-)
+// DefaultWeights is the hand-tuned starting point; train to refine.
+var DefaultWeights = feature.DefaultWeights
 
 // Training (§4.3).
 type (

@@ -58,8 +58,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		},
 	}
 	ctx := context.Background()
-	svc, err := webtable.NewService(cat,
-		webtable.WithServiceWeights(webtable.DefaultWeights()), webtable.WithServiceConfig(webtable.DefaultConfig()))
+	svc, err := webtable.NewService(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
