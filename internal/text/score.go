@@ -1,5 +1,7 @@
 package text
 
+import "slices"
+
 // Scorer compares one query with lemma after lemma, all compiled under
 // one VectorSpace, scoring each distinct token pair once: a lemma token's
 // first sighting records its JaroWinkler with every query token (1 for
@@ -27,7 +29,9 @@ type memoRow struct {
 func (s *Scorer) Reset(q Vector, threshold float64) {
 	s.q, s.threshold = q, threshold
 	s.rows, s.sims = s.rows[:0], s.sims[:0]
-	s.slots = append(s.slots[:0], make([]int32, max(64, len(s.slots)))...) // all empty
+	n := max(64, len(s.slots))
+	s.slots = slices.Grow(s.slots[:0], n)[:n]
+	clear(s.slots) // all empty
 }
 
 // Score returns the query's TF-IDF cosine, Jaccard and soft-TFIDF with l.
