@@ -616,6 +616,39 @@ func BenchmarkAnnotateBatch(b *testing.B) {
 	b.ReportMetric(float64(tables)/b.Elapsed().Seconds(), "tables/s")
 }
 
+// BenchmarkIngestSteady is BenchmarkAnnotateBatch in steady state: one op
+// is one one-worker service over benchfix.Ingest's 82 batches, of which
+// the first two warm it up off the clock and the other 80 are timed. The
+// service's candidate memo and the arena free list are warm then, as they
+// are for most of a long-running ingest.
+func BenchmarkIngestSteady(b *testing.B) {
+	const warm, timed = 2, 80
+	cat, tabs := benchfix.Ingest(b, warm+timed)
+	ctx := context.Background()
+	tables := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		svc, err := webtable.NewService(cat, webtable.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < warm+timed; k++ {
+			if k == warm {
+				b.StartTimer()
+			}
+			if _, err := svc.AddTables(ctx, tabs[8*k:8*(k+1)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		svc.Close()
+		tables += 8 * timed
+	}
+	b.ReportMetric(float64(tables)/b.Elapsed().Seconds(), "tables/s")
+}
+
 // BenchmarkTraining measures one epoch of structured training on a small
 // training set.
 func BenchmarkTraining(b *testing.B) {
