@@ -18,7 +18,7 @@
 //   - for every entity, the entities some tuple joins it with, each
 //     tagged with the relation and the direction: two entries per
 //     distinct tuple (RelationsBetween, HasTuple);
-//   - type ancestor sets and per-relation subject/object adjacency.
+//   - type ancestor sets and per-relation subject/object adjacency runs.
 //
 // On the generated catalog of internal/worldgen (40 types, 1190
 // entities, 752 tuples) that is 404 co-membership counts and 1504
@@ -29,6 +29,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // TypeID identifies a type in the catalog. IDs are dense, starting at 0.
@@ -102,8 +103,26 @@ type relationNode struct {
 	tuples  []Tuple
 
 	// Frozen indexes, over the distinct tuples in first-occurrence order.
-	bySubject map[EntityID][]EntityID
-	byObject  map[EntityID][]EntityID
+	bySubject, byObject adjacency
+}
+
+// adjacency lists, for each entity on one side of a relation's distinct
+// tuples, the entities on the other side: keys ascending, and the run of
+// keys[k] is others[start[k]:start[k+1]], in tuple order.
+type adjacency struct {
+	keys   []EntityID
+	start  []int32
+	others []EntityID
+}
+
+// of returns e's run, nil when no tuple has e on this side.
+func (a *adjacency) of(e EntityID) []EntityID {
+	k, ok := slices.BinarySearch(a.keys, e)
+	if !ok {
+		return nil
+	}
+	lo, hi := a.start[k], a.start[k+1]
+	return a.others[lo:hi:hi]
 }
 
 // Catalog is the complete catalog. Zero value is unusable; use New.

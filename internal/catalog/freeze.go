@@ -260,22 +260,23 @@ func (c *Catalog) computeRelationIndexes() {
 	}
 	entries := make([]entry, 0, 2*tuples)
 	seen := make(map[Tuple]struct{})
+	var distinct []Tuple
 	for i := range c.relations {
 		r := &c.relations[i]
-		r.bySubject = make(map[EntityID][]EntityID)
-		r.byObject = make(map[EntityID][]EntityID)
 		clear(seen)
+		distinct = distinct[:0]
 		for _, tp := range r.tuples {
 			if _, dup := seen[tp]; dup {
 				continue
 			}
 			seen[tp] = struct{}{}
-			r.bySubject[tp.Subject] = append(r.bySubject[tp.Subject], tp.Object)
-			r.byObject[tp.Object] = append(r.byObject[tp.Object], tp.Subject)
+			distinct = append(distinct, tp)
 			entries = append(entries,
 				entry{tp.Subject, tp.Object, RelationDirection{Relation: RelationID(i), Forward: true}},
 				entry{tp.Object, tp.Subject, RelationDirection{Relation: RelationID(i), Forward: false}})
 		}
+		r.bySubject = newAdjacency(distinct, func(tp Tuple) (EntityID, EntityID) { return tp.Subject, tp.Object })
+		r.byObject = newAdjacency(distinct, func(tp Tuple) (EntityID, EntityID) { return tp.Object, tp.Subject })
 	}
 	slices.SortFunc(entries, func(a, b entry) int {
 		forwardFirst := 0
@@ -299,6 +300,28 @@ func (c *Catalog) computeRelationIndexes() {
 	for e := range c.entities {
 		c.relStart[e+1] += c.relStart[e]
 	}
+}
+
+// newAdjacency groups tuples by the entity ends returns first; a stable
+// sort keeps each run in tuple order.
+func newAdjacency(tuples []Tuple, ends func(Tuple) (key, other EntityID)) adjacency {
+	byKey := slices.Clone(tuples)
+	slices.SortStableFunc(byKey, func(a, b Tuple) int {
+		ka, _ := ends(a)
+		kb, _ := ends(b)
+		return cmp.Compare(ka, kb)
+	})
+	a := adjacency{others: make([]EntityID, len(byKey))}
+	for i, tp := range byKey {
+		key, other := ends(tp)
+		if n := len(a.keys); n == 0 || a.keys[n-1] != key {
+			a.keys = append(a.keys, key)
+			a.start = append(a.start, int32(i))
+		}
+		a.others[i] = other
+	}
+	a.start = append(a.start, int32(len(byKey)))
+	return a
 }
 
 // Clone returns a deep copy of the catalog in the unfrozen state, suitable

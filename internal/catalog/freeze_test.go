@@ -10,7 +10,7 @@ import (
 // TestFrozenLookupsDoNotAllocate: the annotator asks these of the frozen
 // catalog once per potential-table entry, and the query planner asks
 // IsSubtype once per posted column pair. Each is a search of a compiled
-// run or a bit test, and RelationsBetween's list is a window into a run
+// run or a bit test (Objects and Subjects included), and RelationsBetween's list is a window into a run
 // — nothing is built per call.
 func TestFrozenLookupsDoNotAllocate(t *testing.T) {
 	pub, _ := worldCatalogs(t)
@@ -38,6 +38,7 @@ func TestFrozenLookupsDoNotAllocate(t *testing.T) {
 			sink += pub.Relatedness(catalog.EntityID(e), catalog.TypeID(e%nT))
 			rels += int(pub.TypeSignature(catalog.EntityID(e)))
 			rels += len(pub.RelationsBetween(catalog.EntityID(e), o))
+			rels += len(pub.Objects(0, catalog.EntityID(e))) + len(pub.Subjects(0, catalog.EntityID(e)))
 			if pub.HasTuple(0, catalog.EntityID(e), o) {
 				rels++
 			}

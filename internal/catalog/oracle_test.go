@@ -147,6 +147,32 @@ func checkRelations(t *testing.T, name string, c *catalog.Catalog, pairs [][2]ca
 	}
 }
 
+// checkAdjacency compares Objects and Subjects, for every relation and
+// entity, with the maps the catalog used to keep: the distinct tuples'
+// other ends, by subject and by object, in first-occurrence order.
+func checkAdjacency(t *testing.T, name string, c *catalog.Catalog) {
+	t.Helper()
+	for b := 0; b < c.NumRelations(); b++ {
+		bySubject, byObject := map[catalog.EntityID][]catalog.EntityID{}, map[catalog.EntityID][]catalog.EntityID{}
+		seen := map[catalog.Tuple]bool{}
+		for _, tp := range c.Tuples(catalog.RelationID(b)) {
+			if !seen[tp] {
+				seen[tp] = true
+				bySubject[tp.Subject] = append(bySubject[tp.Subject], tp.Object)
+				byObject[tp.Object] = append(byObject[tp.Object], tp.Subject)
+			}
+		}
+		for e := catalog.EntityID(-1); int(e) <= c.NumEntities(); e++ {
+			if got := c.Objects(catalog.RelationID(b), e); !slices.Equal(got, bySubject[e]) {
+				t.Fatalf("%s: Objects(%d,%d) = %v, oracle %v", name, b, e, got, bySubject[e])
+			}
+			if got := c.Subjects(catalog.RelationID(b), e); !slices.Equal(got, byObject[e]) {
+				t.Fatalf("%s: Subjects(%d,%d) = %v, oracle %v", name, b, e, got, byObject[e])
+			}
+		}
+	}
+}
+
 // randomCatalog draws an unfrozen catalog: a DAG of types (parents have
 // lower IDs; several tops, so Freeze adds a root), entities with 0-3
 // direct types (some types stay empty), and relations whose tuples
@@ -264,8 +290,8 @@ func TestOverlapOracle(t *testing.T) {
 }
 
 // TestRelationsBetweenOracle pins RelationsBetween to the output of the
-// 2·|B| membership loop, order included, and HasTuple to the tuple
-// lists: every entity pair of random catalogs (e1 == e2, symmetric and
+// 2·|B| membership loop, order included, HasTuple to the tuple lists and
+// Objects/Subjects to the per-relation adjacency maps: every entity pair of random catalogs (e1 == e2, symmetric and
 // multiply-related pairs among them); on the worldgen catalog every
 // tuple's two orientations, every self pair and a random sample.
 func TestRelationsBetweenOracle(t *testing.T) {
@@ -274,8 +300,10 @@ func TestRelationsBetweenOracle(t *testing.T) {
 		c := mustFreeze(t, randomCatalog(t, rng))
 		checkRelations(t, fmt.Sprintf("random %d", trial), c, nil)
 		checkRelations(t, fmt.Sprintf("random %d degraded", trial), degrade(t, rng, c), nil)
+		checkAdjacency(t, fmt.Sprintf("random %d", trial), c)
 	}
 	pub, _ := worldCatalogs(t)
+	checkAdjacency(t, "worldgen public", pub)
 	var pairs [][2]catalog.EntityID
 	for b := 0; b < pub.NumRelations(); b++ {
 		for _, tp := range pub.Tuples(catalog.RelationID(b)) {

@@ -172,7 +172,7 @@ func (c *Catalog) Objects(b RelationID, subject EntityID) []EntityID {
 	if !c.frozen || !c.validRelation(b) {
 		return nil
 	}
-	return c.relations[b].bySubject[subject]
+	return c.relations[b].bySubject.of(subject)
 }
 
 // Subjects returns the subjects related to object under b.
@@ -180,7 +180,7 @@ func (c *Catalog) Subjects(b RelationID, object EntityID) []EntityID {
 	if !c.frozen || !c.validRelation(b) {
 		return nil
 	}
-	return c.relations[b].byObject[object]
+	return c.relations[b].byObject.of(object)
 }
 
 // RelationsBetween returns every relation id b such that the catalog
@@ -234,7 +234,7 @@ func (c *Catalog) ParticipationFraction(b RelationID, tSubj, tObj TypeID) float6
 			}
 			if c.IsA(tp.Subject, tSubj) {
 				// Does this subject relate to any object under tObj?
-				for _, o := range r.bySubject[tp.Subject] {
+				for _, o := range r.bySubject.of(tp.Subject) {
 					if c.IsA(o, tObj) {
 						seen[tp.Subject] = struct{}{}
 						count++
@@ -245,7 +245,7 @@ func (c *Catalog) ParticipationFraction(b RelationID, tSubj, tObj TypeID) float6
 		}
 	} else {
 		for _, e := range under {
-			for _, o := range r.bySubject[e] {
+			for _, o := range r.bySubject.of(e) {
 				if c.IsA(o, tObj) {
 					count++
 					break
