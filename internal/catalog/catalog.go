@@ -176,6 +176,17 @@ type Catalog struct {
 	relStart []int32
 	relOther []EntityID
 	relDir   []RelationDirection
+
+	// Participation (§4.2.4), one run per relation: partSubj/partObj[
+	// partStart[b]:partStart[b+1]] list, ascending, the (subject type,
+	// object type) pairs some tuple of b reaches; partCount holds at the
+	// same position how many entities under the subject type have an
+	// object under the object type, and how many under the object type
+	// have a subject under the subject type.
+	partStart []int32
+	partSubj  []TypeID
+	partObj   []TypeID
+	partCount [][2]int32
 }
 
 // New returns an empty, unfrozen catalog.

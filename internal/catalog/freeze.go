@@ -21,7 +21,9 @@ const RootTypeName = "Entity"
 //   - type ancestor sets with edge distances,
 //   - |E(T′)∩E(T)| for every pair of types sharing an entity (§4.2.3),
 //   - per-relation adjacency (by subject, by object) and, per entity, the
-//     entities it is related to with the relation and direction of each.
+//     entities it is related to with the relation and direction of each,
+//   - per relation, the two participation counts of every (subject type,
+//     object type) pair some tuple reaches (§4.2.4).
 //
 // Freeze is idempotent; calling it twice returns nil immediately.
 func (c *Catalog) Freeze() error {
@@ -38,6 +40,7 @@ func (c *Catalog) Freeze() error {
 	c.computeEntityClosures()
 	c.computeCoMembership()
 	c.computeRelationIndexes()
+	c.computeParticipation()
 	c.frozen = true
 	return nil
 }
@@ -299,6 +302,57 @@ func (c *Catalog) computeRelationIndexes() {
 	}
 	for e := range c.entities {
 		c.relStart[e+1] += c.relStart[e]
+	}
+}
+
+// computeParticipation counts, per relation, the participation of every
+// (subject type, object type) pair some tuple reaches: each subject, in ID
+// order, contributes every pair of an ancestor of its own and an ancestor
+// of one of its objects once, each object the same from its side, and
+// the sorted pairs are counted run by run.
+func (c *Catalog) computeParticipation() {
+	c.partStart = make([]int32, len(c.relations)+1)
+	near := make([]bool, len(c.types)) // an ancestor of one of the entity's partners
+	var reached []TypeID
+	var pairs []uint64 // subject type<<33 | object type<<1 | 1 when counted from the object
+	for b := range c.relations {
+		pairs = pairs[:0]
+		for side, adj := range [2]*adjacency{&c.relations[b].bySubject, &c.relations[b].byObject} {
+			for k, e := range adj.keys {
+				reached = reached[:0]
+				for _, partner := range adj.others[adj.start[k]:adj.start[k+1]] {
+					types, _ := c.ancestors(partner)
+					for _, t := range types {
+						if !near[t] {
+							near[t] = true
+							reached = append(reached, t)
+						}
+					}
+				}
+				own, _ := c.ancestors(e)
+				for _, u := range reached {
+					near[u] = false
+					for _, a := range own {
+						subj, obj := a, u
+						if side == 1 {
+							subj, obj = u, a
+						}
+						pairs = append(pairs, uint64(subj)<<33|uint64(obj)<<1|uint64(side))
+					}
+				}
+			}
+		}
+		slices.Sort(pairs)
+		for i := 0; i < len(pairs); {
+			pair, n := pairs[i]>>1, [2]int32{}
+			for ; i < len(pairs) && pairs[i]>>1 == pair; i++ {
+				n[pairs[i]&1]++
+			}
+			c.partSubj = append(c.partSubj, TypeID(pair>>32))
+			c.partObj = append(c.partObj, TypeID(uint32(pair)))
+			c.partCount = append(c.partCount, n)
+		}
+		c.partStart[b+1] = int32(len(c.partSubj))
 	}
 }
 

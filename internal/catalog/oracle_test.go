@@ -322,6 +322,67 @@ func TestRelationsBetweenOracle(t *testing.T) {
 	checkRelations(t, "worldgen public", pub, pairs)
 }
 
+// checkParticipation compares, for every (relation, subject type, object
+// type), the two fractions Freeze's participation counts give with the
+// per-query references, as IEEE bit patterns; a pair in a run must have
+// been reached by some tuple.
+func checkParticipation(t *testing.T, name string, c *catalog.Catalog) {
+	t.Helper()
+	nT := c.NumTypes()
+	for b := catalog.RelationID(0); int(b) < c.NumRelations(); b++ {
+		for s := catalog.TypeID(0); int(s) < nT; s++ {
+			objs, counts := c.Participation(b, s)
+			if !slices.IsSorted(objs) || len(objs) != len(counts) {
+				t.Fatalf("%s: Participation(%d,%d) = %v, %v: not one ascending run", name, b, s, objs, counts)
+			}
+			for o := catalog.TypeID(0); int(o) < nT; o++ {
+				var fwd, rev float64
+				if i, ok := slices.BinarySearch(objs, o); ok {
+					if counts[i][0] == 0 || counts[i][1] == 0 {
+						t.Fatalf("%s: Participation(%d,%d) lists %d with counts %v", name, b, s, o, counts[i])
+					}
+					fwd = float64(counts[i][0]) / float64(len(c.EntitiesOf(s)))
+					rev = float64(counts[i][1]) / float64(len(c.EntitiesOf(o)))
+				}
+				wantFwd, wantRev := c.ParticipationFraction(b, s, o), c.ReverseParticipation(b, s, o)
+				if math.Float64bits(fwd) != math.Float64bits(wantFwd) || math.Float64bits(rev) != math.Float64bits(wantRev) {
+					t.Fatalf("%s: participation(%d,%d,%d) = %v/%v, reference %v/%v", name, b, s, o, fwd, rev, wantFwd, wantRev)
+				}
+			}
+		}
+	}
+	for _, b := range []catalog.RelationID{-1, catalog.RelationID(c.NumRelations())} {
+		if objs, counts := c.Participation(b, 0); objs != nil || counts != nil {
+			t.Fatalf("%s: Participation of unknown relation %d = %v, %v", name, b, objs, counts)
+		}
+	}
+}
+
+// TestParticipationOracle: the participation counts Freeze computes give,
+// for every (relation, type, type), the fractions the per-query
+// references give, bit for bit, on the worldgen catalogs of seeds 1-3 and
+// on random catalogs, before and after a Clone → RemoveEntityType/
+// RemoveSubtype → re-Freeze.
+func TestParticipationOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for seed := int64(1); seed <= 3; seed++ {
+		spec := worldgen.DefaultSpec()
+		spec.Seed = seed
+		w, err := worldgen.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkParticipation(t, fmt.Sprintf("worldgen %d public", seed), w.Public)
+		checkParticipation(t, fmt.Sprintf("worldgen %d true", seed), w.True)
+		checkParticipation(t, fmt.Sprintf("worldgen %d public degraded", seed), degrade(t, rng, w.Public))
+	}
+	for trial := 0; trial < 150; trial++ {
+		c := mustFreeze(t, randomCatalog(t, rng))
+		checkParticipation(t, fmt.Sprintf("random %d", trial), c)
+		checkParticipation(t, fmt.Sprintf("random %d degraded", trial), degrade(t, rng, c))
+	}
+}
+
 // checkSubtypes compares IsSubtype's bit matrix, for every ordered pair
 // of types, with the ancestor map it was compiled from (TypeDist still
 // reads the map) and with a walk up the ⊆ edges that uses neither.

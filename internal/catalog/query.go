@@ -37,6 +37,15 @@ func (c *Catalog) TypeAncestorsOf(e EntityID) []TypeID {
 	return types
 }
 
+// TypeDistances returns T(E) as TypeAncestorsOf does, with dist(E,T) at
+// the same positions. Callers must not mutate either slice.
+func (c *Catalog) TypeDistances(e EntityID) ([]TypeID, []int32) {
+	if !c.frozen || !c.validEntity(e) {
+		return nil, nil
+	}
+	return c.ancestors(e)
+}
+
 // TypeSignature numbers e's set of direct types (the dist-1 entries of its
 // ancestor run), equal exactly for equal sets. T(E), dist(E,T) and the
 // missing-link relatedness are computed from that set alone, so equal
@@ -126,19 +135,23 @@ func (c *Catalog) MinEntityDist(t TypeID) int {
 // that a missing E ∈+ T link is likely (§4.2.3). Returns 0 when E(T′) is
 // empty.
 func (c *Catalog) OverlapFraction(tPrime, t TypeID) float64 {
-	if !c.frozen || !c.validType(tPrime) || !c.validType(t) {
-		return 0
-	}
-	under := len(c.typeEntities[tPrime])
-	if under == 0 {
-		return 0
-	}
-	lo, hi := c.coStart[tPrime], c.coStart[tPrime+1]
-	i, ok := slices.BinarySearch(c.coTypes[lo:hi], t)
+	types, counts := c.CoMembers(tPrime)
+	i, ok := slices.BinarySearch(types, t)
 	if !ok {
 		return 0
 	}
-	return float64(c.coCounts[int(lo)+i]) / float64(under)
+	return float64(counts[i]) / float64(len(c.typeEntities[tPrime]))
+}
+
+// CoMembers returns the types sharing an entity with t′, ascending, and
+// at the same positions |E(t′)∩E(T)|, the counts OverlapFraction divides
+// by |E(t′)|. Callers must not mutate either slice.
+func (c *Catalog) CoMembers(tPrime TypeID) ([]TypeID, []int32) {
+	if !c.frozen || !c.validType(tPrime) {
+		return nil, nil
+	}
+	lo, hi := c.coStart[tPrime], c.coStart[tPrime+1]
+	return c.coTypes[lo:hi:hi], c.coCounts[lo:hi:hi]
 }
 
 // Relatedness implements the full missing-link quantity of §4.2.3: the
@@ -212,48 +225,21 @@ type RelationDirection struct {
 	Forward  bool
 }
 
-// ParticipationFraction computes the second f4 feature (§4.2.4): the
-// fraction of entities under tSubj that appear as subjects of b with an
-// object in tObj. Symmetric queries swap the roles before calling.
-func (c *Catalog) ParticipationFraction(b RelationID, tSubj, tObj TypeID) float64 {
-	if !c.frozen || !c.validRelation(b) || !c.validType(tSubj) || !c.validType(tObj) {
-		return 0
+// Participation returns, for relation b and subject type subj, the
+// object types some tuple of b reaches from an entity under subj,
+// ascending, and at the same positions two counts: the entities under
+// subj with an object of b under that type, and the entities under that
+// type with a subject of b under subj. Divided by |E(subj)| and by
+// |E(obj)| they are f4's participation fractions (§4.2.4); both are 0 for
+// a pair absent from the run. Callers must not mutate the results.
+func (c *Catalog) Participation(b RelationID, subj TypeID) (objs []TypeID, counts [][2]int32) {
+	if !c.frozen || !c.validRelation(b) {
+		return nil, nil
 	}
-	under := c.typeEntities[tSubj]
-	if len(under) == 0 {
-		return 0
-	}
-	r := &c.relations[b]
-	// Iterate the smaller side: either entities under tSubj or tuples.
-	count := 0
-	if len(r.tuples) < len(under) {
-		seen := make(map[EntityID]struct{})
-		for _, tp := range r.tuples {
-			if _, dup := seen[tp.Subject]; dup {
-				continue
-			}
-			if c.IsA(tp.Subject, tSubj) {
-				// Does this subject relate to any object under tObj?
-				for _, o := range r.bySubject.of(tp.Subject) {
-					if c.IsA(o, tObj) {
-						seen[tp.Subject] = struct{}{}
-						count++
-						break
-					}
-				}
-			}
-		}
-	} else {
-		for _, e := range under {
-			for _, o := range r.bySubject.of(e) {
-				if c.IsA(o, tObj) {
-					count++
-					break
-				}
-			}
-		}
-	}
-	return float64(count) / float64(len(under))
+	lo, hi := int(c.partStart[b]), int(c.partStart[b+1])
+	i, _ := slices.BinarySearch(c.partSubj[lo:hi], subj)
+	n, _ := slices.BinarySearch(c.partSubj[lo+i:hi], subj+1)
+	return c.partObj[lo+i : lo+i+n : lo+i+n], c.partCount[lo+i : lo+i+n : lo+i+n]
 }
 
 // SchemaMatches reports whether relation b's declared schema (T1,T2) is

@@ -114,9 +114,9 @@ func (a *Annotation) RelationBetween(c1, c2 int) (RelationAnnotation, bool) {
 // Annotator annotates tables against one catalog. Construct with New.
 // All annotation methods are safe for concurrent use from multiple
 // goroutines (each annotation works in an arena of its own, and the
-// feature extractor's participation cache is locked per relation and
-// warms up across calls); the one exception is SetWeights, which must not
-// race with in-flight annotations — train first, then annotate.
+// feature extractor only reads the frozen catalog); the one exception is
+// SetWeights, which must not race with in-flight annotations — train
+// first, then annotate.
 type Annotator struct {
 	cat  *catalog.Catalog
 	ix   *lemmaindex.Index

@@ -29,6 +29,7 @@ type arena struct {
 	reps  []catalog.EntityID // a column's entity per signature
 	sigs  map[int32]int32    // a column's row per signature
 	pots  []float64          // the potential tables
+	viol  []bool             // a φ5 table's violation bits
 	vars  []factorgraph.VarID
 	ag    annotGraph
 	g     factorgraph.Graph

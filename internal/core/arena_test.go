@@ -150,7 +150,7 @@ func TestAnnotateAllocationsIndependentOfRows(t *testing.T) {
 			}
 		})
 	}
-	allocs(long) // grows the arena and warms the participation cache
+	allocs(long) // grows the arena and fills the candidate memo
 	ten, forty := allocs(short), allocs(long)
 	t.Logf("%d columns: %v allocations for 10 rows, %v for 40", long.Cols(), ten, forty)
 	if pairs := float64(long.Cols() * (long.Cols() - 1) / 2); forty-ten > pairs || ten-forty > pairs {

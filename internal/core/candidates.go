@@ -173,9 +173,7 @@ func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, ph
 
 	tab := phi3Table{ents: ents, rowOf: since(ar.rowOf, r0), width: len(types), vals: take(&ar.vals, len(reps)*len(types))}
 	for row, e := range reps {
-		for ti, t := range types {
-			tab.vals[row*tab.width+ti] = a.ext.LogPhi3(&a.w, t, e)
-		}
+		a.ext.FillPhi3(&a.w, e, types, tab.vals[row*tab.width:(row+1)*tab.width])
 	}
 	limit := a.cfg.MaxTypesPerColumn
 	if limit <= 0 || len(types) <= limit {

@@ -106,11 +106,7 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 		nTj := len(cs.colTypes[p.j]) + 1
 		pot := cut(nB * nTi * nTj)
 		for bi, rd := range p.rels {
-			for ti, Ti := range cs.colTypes[p.i] {
-				for tj, Tj := range cs.colTypes[p.j] {
-					pot[(bi*nTi+ti)*nTj+tj] = a.ext.LogPhi4(&a.w, rd, Ti, Tj)
-				}
-			}
+			a.ext.FillPhi4(&a.w, rd, cs.colTypes[p.i], cs.colTypes[p.j], pot[bi*nTi*nTj:])
 		}
 		ag.phi4 = append(ag.phi4, g.AddFactor("phi4",
 			[]factorgraph.VarID{ag.relVars[pi], ag.typeVars[p.i], ag.typeVars[p.j]}, pot))
@@ -119,13 +115,8 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 			ci, cj := cs.cells[p.i][r], cs.cells[p.j][r]
 			nEi, nEj := len(ci)+1, len(cj)+1
 			rpot := cut(nB * nEi * nEj)
-			for bi, rd := range p.rels {
-				for ei, ce := range ci {
-					for ej, cf := range cj {
-						rpot[(bi*nEi+ei)*nEj+ej] = a.ext.LogPhi5(&a.w, rd, ce.Entity, cf.Entity)
-					}
-				}
-			}
+			ar.viol = ar.viol[:0]
+			a.ext.FillPhi5(&a.w, p.rels, ci, cj, take(&ar.viol, len(cj)), rpot)
 			ag.phi5 = append(ag.phi5, g.AddFactor("phi5",
 				[]factorgraph.VarID{ag.relVars[pi], ag.cellVars[p.i][r], ag.cellVars[p.j][r]}, rpot))
 		}

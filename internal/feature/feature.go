@@ -12,7 +12,7 @@ package feature
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/lemmaindex"
@@ -108,38 +108,21 @@ func WeightsFromFlat(v []float64) (Weights, error) {
 	return w, nil
 }
 
-// Extractor computes feature vectors against one catalog + lemma index.
-// It caches the expensive relation-participation fractions, one map per
-// relation keyed by the (subject type, object type) pair, each behind its
-// own lock, so one Extractor is safe for concurrent use by many goroutines
-// (the cache warms up across tables and workers alike).
+// Extractor computes feature vectors against one frozen catalog + lemma
+// index. It holds nothing that changes, so one Extractor is safe for
+// concurrent use by many goroutines. Besides the per-entry LogPhi3/4/5
+// it fills whole φ3, φ4 and φ5 tables (FillPhi3/4/5) from the catalog's
+// sorted runs, to the same bits.
 type Extractor struct {
 	cat  *catalog.Catalog
 	ix   *lemmaindex.Index
 	mode TypeEntityMode
-
-	part []partCache // part[b] caches relation b's fractions
-	logE float64     // log |E|, for specificity normalization
-}
-
-type partCache struct {
-	mu sync.RWMutex
-	m  map[uint64]float64 // uint64(subj)<<32 | uint64(obj)
+	logE float64 // log |E|, for specificity normalization
 }
 
 // NewExtractor builds an extractor. The catalog must be frozen.
 func NewExtractor(cat *catalog.Catalog, ix *lemmaindex.Index, mode TypeEntityMode) *Extractor {
-	x := &Extractor{
-		cat:  cat,
-		ix:   ix,
-		mode: mode,
-		part: make([]partCache, cat.NumRelations()),
-		logE: math.Log(math.Max(2, float64(cat.NumEntities()))),
-	}
-	for i := range x.part {
-		x.part[i].m = make(map[uint64]float64)
-	}
-	return x
+	return &Extractor{cat: cat, ix: ix, mode: mode, logE: math.Log(math.Max(2, float64(cat.NumEntities())))}
 }
 
 // Mode reports the configured type-entity compatibility mode.
@@ -167,14 +150,7 @@ func (x *Extractor) F2(header *lemmaindex.Query, t catalog.TypeID) [F2Dim]float6
 func (x *Extractor) F3(t catalog.TypeID, e catalog.EntityID) [F3Dim]float64 {
 	var f [F3Dim]float64
 	if d, ok := x.cat.Dist(e, t); ok {
-		switch x.mode {
-		case ModeDist:
-			f[0] = 1 / float64(d)
-		case ModeIDF:
-			f[0] = math.Log(x.cat.Specificity(t)) / x.logE
-		default: // ModeSqrtDist
-			f[0] = 1 / math.Sqrt(float64(d))
-		}
+		f[0] = x.compat(t, d)
 		return f
 	}
 	rel := x.cat.Relatedness(e, t)
@@ -182,6 +158,18 @@ func (x *Extractor) F3(t catalog.TypeID, e catalog.EntityID) [F3Dim]float64 {
 		f[1] = rel / float64(x.cat.MinEntityDist(t))
 	}
 	return f
+}
+
+// compat is f3's first element for e ∈+ t at dist(e,t) = d.
+func (x *Extractor) compat(t catalog.TypeID, d int) float64 {
+	switch x.mode {
+	case ModeDist:
+		return 1 / float64(d)
+	case ModeIDF:
+		return math.Log(x.cat.Specificity(t)) / x.logE
+	default: // ModeSqrtDist
+		return 1 / math.Sqrt(float64(d))
+	}
 }
 
 // RelDir is a directed relation hypothesis between an ordered column pair
@@ -204,58 +192,30 @@ func (rd RelDir) orient(tc, tcPrime catalog.TypeID) (subj, obj catalog.TypeID) {
 // indicator, the participation fraction (averaged over the two ends), and
 // a constant bias that any non-na relation hypothesis must overcome.
 func (x *Extractor) F4(rd RelDir, tc, tcPrime catalog.TypeID) [F4Dim]float64 {
-	var f [F4Dim]float64
 	subj, obj := rd.orient(tc, tcPrime)
-	if x.cat.SchemaMatches(rd.Relation, subj, obj) {
+	var part float64
+	objs, counts := x.cat.Participation(rd.Relation, subj)
+	if i, ok := slices.BinarySearch(objs, obj); ok {
+		part = x.participation(subj, obj, counts[i])
+	}
+	return x.f4(rd.Relation, subj, obj, part)
+}
+
+func (x *Extractor) f4(b catalog.RelationID, subj, obj catalog.TypeID, part float64) [F4Dim]float64 {
+	f := [F4Dim]float64{1: part, 2: 1}
+	if x.cat.SchemaMatches(b, subj, obj) {
 		f[0] = 1
 	}
-	f[1] = x.participation(rd.Relation, subj, obj)
-	f[2] = 1
 	return f
 }
 
-func (x *Extractor) participation(b catalog.RelationID, subj, obj catalog.TypeID) float64 {
-	if b < 0 || int(b) >= len(x.part) {
-		return 0 // no tuple of an unknown relation: both fractions are 0
-	}
-	key := uint64(uint32(subj))<<32 | uint64(uint32(obj))
-	sh := &x.part[b]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		return v
-	}
-	// Average of: fraction of subj entities related into obj, and
-	// fraction of obj entities related from subj. Concurrent misses may
-	// compute this twice; the value is deterministic, so last-write-wins
-	// is harmless.
-	fwd := x.cat.ParticipationFraction(b, subj, obj)
-	rev := x.reverseParticipation(b, subj, obj)
-	v = (fwd + rev) / 2
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
-	return v
-}
-
-// reverseParticipation is the fraction of entities under obj appearing as
-// objects of b with a subject under subj.
-func (x *Extractor) reverseParticipation(b catalog.RelationID, subj, obj catalog.TypeID) float64 {
-	under := x.cat.EntitiesOf(obj)
-	if len(under) == 0 {
-		return 0
-	}
-	count := 0
-	for _, e := range under {
-		for _, s := range x.cat.Subjects(b, e) {
-			if x.cat.IsA(s, subj) {
-				count++
-				break
-			}
-		}
-	}
-	return float64(count) / float64(len(under))
+// participation averages the fraction of subj's entities related into
+// obj and the fraction of obj's entities related from subj, from the two
+// counts catalog.Participation gives for the pair.
+func (x *Extractor) participation(subj, obj catalog.TypeID, n [2]int32) float64 {
+	fwd := float64(n[0]) / float64(len(x.cat.EntitiesOf(subj)))
+	rev := float64(n[1]) / float64(len(x.cat.EntitiesOf(obj)))
+	return (fwd + rev) / 2
 }
 
 // F5 computes the relation/entity-pair vector (§4.2.5): tuple-existence
@@ -263,30 +223,27 @@ func (x *Extractor) reverseParticipation(b catalog.RelationID, subj, obj catalog
 // when b is one-to-one or many-to-one (resp. one-to-many) and the catalog
 // contains b(e, E′) for some E′ ≠ e′ (resp. symmetric).
 func (x *Extractor) F5(rd RelDir, e, ePrime catalog.EntityID) [F5Dim]float64 {
-	var f [F5Dim]float64
 	subj, obj := e, ePrime
 	if !rd.Forward {
 		subj, obj = ePrime, e
 	}
-	b := rd.Relation
-	if x.cat.HasTuple(b, subj, obj) {
+	var f [F5Dim]float64
+	if x.cat.HasTuple(rd.Relation, subj, obj) {
 		f[0] = 1
-		return f
-	}
-	_, _, card := x.cat.RelationSchema(b)
-	if card.FunctionalObject() {
-		// Subject should have at most one object; a different recorded
-		// object contradicts the hypothesis.
-		if objs := x.cat.Objects(b, subj); len(objs) > 0 {
-			f[1] = 1
-		}
-	}
-	if card.FunctionalSubject() {
-		if subs := x.cat.Subjects(b, obj); len(subs) > 0 {
-			f[1] = 1
-		}
+	} else if x.violates(rd.Relation, subj, true) || x.violates(rd.Relation, obj, false) {
+		f[1] = 1
 	}
 	return f
+}
+
+// violates reports whether e, as b's subject (else its object), already
+// has a recorded object (subject) where b's cardinality allows only one.
+func (x *Extractor) violates(b catalog.RelationID, e catalog.EntityID, asSubject bool) bool {
+	_, _, card := x.cat.RelationSchema(b)
+	if asSubject {
+		return card.FunctionalObject() && len(x.cat.Objects(b, e)) > 0
+	}
+	return card.FunctionalSubject() && len(x.cat.Subjects(b, e)) > 0
 }
 
 // Log-potential helpers: φ_i = w_i · f_i (log space).
@@ -319,6 +276,140 @@ func (x *Extractor) LogPhi4(w *Weights, rd RelDir, tc, tcPrime catalog.TypeID) f
 func (x *Extractor) LogPhi5(w *Weights, rd RelDir, e, ePrime catalog.EntityID) float64 {
 	f := x.F5(rd, e, ePrime)
 	return dot(w.W5[:], f[:])
+}
+
+// FillPhi3 writes LogPhi3(w, T, e) for every T of types, ascending, to
+// out[i], merging e's ancestor run and its direct types' co-membership
+// runs with types instead of searching them per type. Until the last
+// pass out holds the missing-link relatedness (catalog.Relatedness).
+func (x *Extractor) FillPhi3(w *Weights, e catalog.EntityID, types []catalog.TypeID, out []float64) {
+	direct := x.cat.DirectTypes(e)
+	for i := range types {
+		out[i] = float64(min(len(direct), 1))
+	}
+	for _, tp := range direct {
+		co, counts := x.cat.CoMembers(tp)
+		under := float64(len(x.cat.EntitiesOf(tp)))
+		k := 0
+		for i, t := range types {
+			for k < len(co) && co[k] < t {
+				k++
+			}
+			frac := 0.0
+			if k < len(co) && co[k] == t {
+				frac = float64(counts[k]) / under
+			}
+			out[i] = min(out[i], frac)
+		}
+	}
+	var none [F3Dim]float64
+	unrelated := dot(w.W3[:], none[:])
+	anc, dists := x.cat.TypeDistances(e)
+	k := 0
+	for i, t := range types {
+		for k < len(anc) && anc[k] < t {
+			k++
+		}
+		var f [F3Dim]float64
+		switch {
+		case k < len(anc) && anc[k] == t:
+			f[0] = x.compat(t, int(dists[k]))
+		case out[i] > 0:
+			f[1] = out[i] / float64(x.cat.MinEntityDist(t))
+		default:
+			out[i] = unrelated
+			continue
+		}
+		out[i] = dot(w.W3[:], f[:])
+	}
+}
+
+// FillPhi4 writes LogPhi4(w, rd, Ti, Tj) for every Ti of ti and Tj of tj,
+// both ascending, to out[i*(len(tj)+1)+j], leaving the na row and column
+// alone: a pair no tuple reaches gets one of the two schema-match
+// constants, and the pairs in rd's participation runs are overwritten.
+func (x *Extractor) FillPhi4(w *Weights, rd RelDir, ti, tj []catalog.TypeID, out []float64) {
+	stride := len(tj) + 1
+	var unreached [2]float64 // schema unmatched, matched
+	for m := range unreached {
+		f := [F4Dim]float64{float64(m), 0, 1}
+		unreached[m] = dot(w.W4[:], f[:])
+	}
+	for i, Ti := range ti {
+		for j, Tj := range tj {
+			subj, obj := rd.orient(Ti, Tj)
+			out[i*stride+j] = unreached[0]
+			if x.cat.SchemaMatches(rd.Relation, subj, obj) {
+				out[i*stride+j] = unreached[1]
+			}
+		}
+	}
+	subjs, objs := ti, tj
+	if !rd.Forward {
+		subjs, objs = tj, ti
+	}
+	for s, subj := range subjs {
+		run, counts := x.cat.Participation(rd.Relation, subj)
+		k := 0
+		for o, obj := range objs {
+			for k < len(run) && run[k] < obj {
+				k++
+			}
+			if k == len(run) {
+				break
+			}
+			if run[k] == obj {
+				f := x.f4(rd.Relation, subj, obj, x.participation(subj, obj, counts[k]))
+				i, j := s, o
+				if !rd.Forward {
+					i, j = o, s
+				}
+				out[i*stride+j] = dot(w.W4[:], f[:])
+			}
+		}
+	}
+}
+
+// FillPhi5 writes LogPhi5(w, rd, E, E′) for every rels[r], E of ci and E′
+// of cj to out[(r*(len(ci)+1)+i)*(len(cj)+1)+j], leaving the na entries
+// alone, from one violation bit per candidate and relation and one
+// catalog.RelationsBetween per candidate pair. rels must be ordered as
+// RelationsBetween orders its result: by relation, forward first. viol is
+// scratch of len(cj).
+func (x *Extractor) FillPhi5(w *Weights, rels []RelDir, ci, cj []lemmaindex.Candidate, viol []bool, out []float64) {
+	var logPhi [3]float64 // f5 = (0,0), (0,1), (1,0)
+	for k, f := range [3][F5Dim]float64{{0, 0}, {0, 1}, {1, 0}} {
+		logPhi[k] = dot(w.W5[:], f[:])
+	}
+	nI, nJ := len(ci)+1, len(cj)+1
+	for r, rd := range rels {
+		for j, c := range cj {
+			viol[j] = x.violates(rd.Relation, c.Entity, !rd.Forward)
+		}
+		for i, c := range ci {
+			vi := x.violates(rd.Relation, c.Entity, rd.Forward)
+			row := out[(r*nI+i)*nJ:]
+			for j := range cj {
+				row[j] = logPhi[0]
+				if vi || viol[j] {
+					row[j] = logPhi[1]
+				}
+			}
+		}
+	}
+	for i, ce := range ci {
+		for j, cf := range cj {
+			r := 0
+			for _, rd := range x.cat.RelationsBetween(ce.Entity, cf.Entity) {
+				for r < len(rels) && (rels[r].Relation < rd.Relation || rels[r].Relation == rd.Relation && rels[r].Forward && !rd.Forward) {
+					r++
+				}
+				if r < len(rels) && rels[r] == RelDir(rd) {
+					out[(r*nI+i)*nJ+j] = logPhi[2]
+				}
+			}
+		}
+	}
 }
 
 func dot(w, f []float64) float64 {

@@ -185,10 +185,10 @@ func TestF4ParticipationCached(t *testing.T) {
 	a := x.F4(fwd, f.novel, f.novelist)
 	b := x.F4(fwd, f.novel, f.novelist)
 	if a != b {
-		t.Errorf("cached participation differs: %v vs %v", a, b)
+		t.Errorf("participation differs between calls: %v vs %v", a, b)
 	}
-	// The cache is kept per relation; a relation the catalog does not
-	// have participates in nothing, whichever end it is asked from.
+	// A relation the catalog does not have participates in nothing,
+	// whichever end it is asked from.
 	for _, rel := range []int{-1, f.cat.NumRelations(), 1 << 20} {
 		for _, fw := range []bool{true, false} {
 			if got := x.F4(RelDir{Relation: catalog.RelationID(rel), Forward: fw}, f.novel, f.novelist); got[1] != 0 {
