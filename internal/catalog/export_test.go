@@ -1,5 +1,30 @@
 package catalog
 
+// Methods only tests call: two lookups, and the per-query references
+// the participation counts Freeze computes are held to.
+
+// EntityCount returns |E(T)|.
+func (c *Catalog) EntityCount(t TypeID) int {
+	if !c.frozen || !c.validType(t) {
+		return 0
+	}
+	return len(c.typeEntities[t])
+}
+
+// AncestorsOf returns all ancestors of t including t itself, sorted.
+func (c *Catalog) AncestorsOf(t TypeID) []TypeID {
+	if !c.frozen || !c.validType(t) {
+		return nil
+	}
+	anc := c.typeAncestors[t]
+	out := make([]TypeID, 0, len(anc))
+	for a := range anc {
+		out = append(out, a)
+	}
+	sortTypeIDs(out)
+	return out
+}
+
 // ParticipationFraction is the reference for the first of f4's
 // participation fractions (§4.2.4), as the feature extractor computed it
 // per (relation, type, type) before Freeze counted them: the fraction of

@@ -67,14 +67,6 @@ func (c *Catalog) EntitiesOf(t TypeID) []EntityID {
 	return c.typeEntities[t]
 }
 
-// EntityCount returns |E(T)|.
-func (c *Catalog) EntityCount(t TypeID) int {
-	if !c.frozen || !c.validType(t) {
-		return 0
-	}
-	return len(c.typeEntities[t])
-}
-
 // Specificity models type specificity as |E| / |E(T)| (§4.2.3, the
 // IDF-inspired feature). Large values mean t is specific. Types with no
 // entities get |E| (maximally specific but useless).
@@ -105,20 +97,6 @@ func (c *Catalog) TypeDist(a, b TypeID) (int, bool) {
 	}
 	d, ok := c.typeAncestors[a][b]
 	return int(d), ok
-}
-
-// AncestorsOf returns all ancestors of t including t itself, sorted.
-func (c *Catalog) AncestorsOf(t TypeID) []TypeID {
-	if !c.frozen || !c.validType(t) {
-		return nil
-	}
-	anc := c.typeAncestors[t]
-	out := make([]TypeID, 0, len(anc))
-	for a := range anc {
-		out = append(out, a)
-	}
-	sortTypeIDs(out)
-	return out
 }
 
 // MinEntityDist returns min over E' ∈ E(T) of dist(E',T), used by the
