@@ -10,19 +10,22 @@
 // and none allocates:
 //
 //   - E(T), ascending, and T(E) with dist(E,T), one run per entity
-//     (IsA, Dist, TypeAncestorsOf);
+//     (IsA, Dist, TypeAncestorsOf, TypeDistances);
 //   - |E(T′)∩E(T)| for every ordered pair of types that share an entity,
-//     one run per T′ (OverlapFraction, Relatedness). A pair sharing
-//     nothing is absent, so the table holds at most Σ_E |T(E)|² counts
-//     and never more than types²;
+//     one run per T′ (CoMembers, OverlapFraction, Relatedness). A pair
+//     sharing nothing is absent, so the table holds at most Σ_E |T(E)|²
+//     counts and never more than types²;
 //   - for every entity, the entities some tuple joins it with, each
 //     tagged with the relation and the direction: two entries per
 //     distinct tuple (RelationsBetween, HasTuple);
-//   - type ancestor sets and per-relation subject/object adjacency runs.
+//   - per relation, subject/object adjacency runs and the participation
+//     counts of every type pair its tuples reach (Participation);
+//   - type ancestor sets.
 //
 // On the generated catalog of internal/worldgen (40 types, 1190
-// entities, 752 tuples) that is 404 co-membership counts and 1504
-// related-pair entries, about 26 KB, beside 44 KB of ancestor runs.
+// entities, 752 tuples) that is 404 co-membership counts, 1504
+// related-pair entries and 433 participation entries, about 33 KB,
+// beside 44 KB of ancestor runs.
 // After Freeze the catalog is immutable and safe for concurrent readers.
 package catalog
 

@@ -278,8 +278,11 @@ func (c *Catalog) computeRelationIndexes() {
 				entry{tp.Subject, tp.Object, RelationDirection{Relation: RelationID(i), Forward: true}},
 				entry{tp.Object, tp.Subject, RelationDirection{Relation: RelationID(i), Forward: false}})
 		}
-		r.bySubject = newAdjacency(distinct, func(tp Tuple) (EntityID, EntityID) { return tp.Subject, tp.Object })
-		r.byObject = newAdjacency(distinct, func(tp Tuple) (EntityID, EntityID) { return tp.Object, tp.Subject })
+		r.bySubject = newAdjacency(distinct)
+		for k, tp := range distinct {
+			distinct[k] = Tuple{Subject: tp.Object, Object: tp.Subject}
+		}
+		r.byObject = newAdjacency(distinct)
 	}
 	slices.SortFunc(entries, func(a, b entry) int {
 		forwardFirst := 0
@@ -312,9 +315,8 @@ func (c *Catalog) computeRelationIndexes() {
 // the sorted pairs are counted run by run.
 func (c *Catalog) computeParticipation() {
 	c.partStart = make([]int32, len(c.relations)+1)
-	near := make([]bool, len(c.types)) // an ancestor of one of the entity's partners
-	var reached []TypeID
-	var pairs []uint64 // subject type<<33 | object type<<1 | 1 when counted from the object
+	var reached []TypeID // the ancestors of an entity's partners
+	var pairs []uint64   // subject type<<33 | object type<<1 | 1 when counted from the object
 	for b := range c.relations {
 		pairs = pairs[:0]
 		for side, adj := range [2]*adjacency{&c.relations[b].bySubject, &c.relations[b].byObject} {
@@ -322,16 +324,11 @@ func (c *Catalog) computeParticipation() {
 				reached = reached[:0]
 				for _, partner := range adj.others[adj.start[k]:adj.start[k+1]] {
 					types, _ := c.ancestors(partner)
-					for _, t := range types {
-						if !near[t] {
-							near[t] = true
-							reached = append(reached, t)
-						}
-					}
+					reached = append(reached, types...)
 				}
+				slices.Sort(reached)
 				own, _ := c.ancestors(e)
-				for _, u := range reached {
-					near[u] = false
+				for _, u := range slices.Compact(reached) {
 					for _, a := range own {
 						subj, obj := a, u
 						if side == 1 {
@@ -356,25 +353,20 @@ func (c *Catalog) computeParticipation() {
 	}
 }
 
-// newAdjacency groups tuples by the entity ends returns first; a stable
-// sort keeps each run in tuple order.
-func newAdjacency(tuples []Tuple, ends func(Tuple) (key, other EntityID)) adjacency {
-	byKey := slices.Clone(tuples)
-	slices.SortStableFunc(byKey, func(a, b Tuple) int {
-		ka, _ := ends(a)
-		kb, _ := ends(b)
-		return cmp.Compare(ka, kb)
-	})
-	a := adjacency{others: make([]EntityID, len(byKey))}
-	for i, tp := range byKey {
-		key, other := ends(tp)
-		if n := len(a.keys); n == 0 || a.keys[n-1] != key {
-			a.keys = append(a.keys, key)
+// newAdjacency groups tuples by subject; a stable sort keeps each run in
+// tuple order.
+func newAdjacency(tuples []Tuple) adjacency {
+	bySubject := slices.Clone(tuples)
+	slices.SortStableFunc(bySubject, func(a, b Tuple) int { return cmp.Compare(a.Subject, b.Subject) })
+	a := adjacency{others: make([]EntityID, len(bySubject))}
+	for i, tp := range bySubject {
+		if n := len(a.keys); n == 0 || a.keys[n-1] != tp.Subject {
+			a.keys = append(a.keys, tp.Subject)
 			a.start = append(a.start, int32(i))
 		}
-		a.others[i] = other
+		a.others[i] = tp.Object
 	}
-	a.start = append(a.start, int32(len(byKey)))
+	a.start = append(a.start, int32(len(bySubject)))
 	return a
 }
 

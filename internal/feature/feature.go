@@ -355,10 +355,7 @@ func (x *Extractor) FillPhi4(w *Weights, rd RelDir, ti, tj []catalog.TypeID, out
 			for k < len(run) && run[k] < obj {
 				k++
 			}
-			if k == len(run) {
-				break
-			}
-			if run[k] == obj {
+			if k < len(run) && run[k] == obj {
 				f := x.f4(rd.Relation, subj, obj, x.participation(subj, obj, counts[k]))
 				i, j := s, o
 				if !rd.Forward {
