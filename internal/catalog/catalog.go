@@ -10,7 +10,7 @@
 // and none allocates:
 //
 //   - E(T), ascending, and T(E) with dist(E,T), one run per entity
-//     (IsA, Dist, TypeAncestorsOf, TypeDistances);
+//     (IsA, Dist, TypeDistances);
 //   - |E(T′)∩E(T)| for every ordered pair of types that share an entity,
 //     one run per T′ (CoMembers, OverlapFraction, Relatedness). A pair
 //     sharing nothing is absent, so the table holds at most Σ_E |T(E)|²

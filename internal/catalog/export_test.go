@@ -1,7 +1,13 @@
 package catalog
 
-// Methods only tests call: two lookups, and the per-query references
+// Methods only tests call: three lookups, and the per-query references
 // the participation counts Freeze computes are held to.
+
+// TypeAncestorsOf returns T(E), the first half of TypeDistances.
+func (c *Catalog) TypeAncestorsOf(e EntityID) []TypeID {
+	types, _ := c.TypeDistances(e)
+	return types
+}
 
 // EntityCount returns |E(T)|.
 func (c *Catalog) EntityCount(t TypeID) int {

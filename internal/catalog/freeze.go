@@ -309,45 +309,59 @@ func (c *Catalog) computeRelationIndexes() {
 }
 
 // computeParticipation counts, per relation, the participation of every
-// (subject type, object type) pair some tuple reaches: each subject, in ID
-// order, contributes every pair of an ancestor of its own and an ancestor
-// of one of its objects once, each object the same from its side, and
-// the sorted pairs are counted run by run.
+// (subject type a, object type u) pair some tuple reaches: for each a in
+// order, a subject under a counts once toward every type above one of its
+// objects, and such an object once toward every type above it (stamps
+// keep either from counting twice); row holds a's counts by u.
 func (c *Catalog) computeParticipation() {
+	nT := len(c.types)
 	c.partStart = make([]int32, len(c.relations)+1)
-	var reached []TypeID // the ancestors of an entity's partners
-	var pairs []uint64   // subject type<<33 | object type<<1 | 1 when counted from the object
+	row := make([][2]int32, nT)
+	under := make([][]int32, nT) // positions in bySubject.keys of the subjects under each type
+	typeStamp, entityStamp := make([]int, nT), make([]int, len(c.entities))
+	var touched []TypeID
+	stamp, round := 0, 0
 	for b := range c.relations {
-		pairs = pairs[:0]
-		for side, adj := range [2]*adjacency{&c.relations[b].bySubject, &c.relations[b].byObject} {
-			for k, e := range adj.keys {
-				reached = reached[:0]
-				for _, partner := range adj.others[adj.start[k]:adj.start[k+1]] {
-					types, _ := c.ancestors(partner)
-					reached = append(reached, types...)
-				}
-				slices.Sort(reached)
-				own, _ := c.ancestors(e)
-				for _, u := range slices.Compact(reached) {
-					for _, a := range own {
-						subj, obj := a, u
-						if side == 1 {
-							subj, obj = u, a
+		adj := &c.relations[b].bySubject
+		for a := range under {
+			under[a] = under[a][:0]
+		}
+		for k, s := range adj.keys {
+			own, _ := c.ancestors(s)
+			for _, a := range own {
+				under[a] = append(under[a], int32(k))
+			}
+		}
+		for a, subjects := range under {
+			round++
+			touched = touched[:0]
+			for _, k := range subjects {
+				stamp++
+				for _, o := range adj.others[adj.start[k]:adj.start[k+1]] {
+					firstObject := entityStamp[o] != round
+					entityStamp[o] = round
+					types, _ := c.ancestors(o)
+					for _, u := range types {
+						if typeStamp[u] != stamp {
+							typeStamp[u] = stamp
+							if row[u][0] == 0 {
+								touched = append(touched, u)
+							}
+							row[u][0]++
 						}
-						pairs = append(pairs, uint64(subj)<<33|uint64(obj)<<1|uint64(side))
+						if firstObject {
+							row[u][1]++
+						}
 					}
 				}
 			}
-		}
-		slices.Sort(pairs)
-		for i := 0; i < len(pairs); {
-			pair, n := pairs[i]>>1, [2]int32{}
-			for ; i < len(pairs) && pairs[i]>>1 == pair; i++ {
-				n[pairs[i]&1]++
+			slices.Sort(touched)
+			for _, u := range touched {
+				c.partSubj = append(c.partSubj, TypeID(a))
+				c.partObj = append(c.partObj, u)
+				c.partCount = append(c.partCount, row[u])
+				row[u] = [2]int32{}
 			}
-			c.partSubj = append(c.partSubj, TypeID(pair>>32))
-			c.partObj = append(c.partObj, TypeID(uint32(pair)))
-			c.partCount = append(c.partCount, n)
 		}
 		c.partStart[b+1] = int32(len(c.partSubj))
 	}

@@ -27,18 +27,9 @@ func (c *Catalog) Dist(e EntityID, t TypeID) (int, bool) {
 	return int(dists[i]), true
 }
 
-// TypeAncestorsOf returns T(E): every type t with e ∈+ t, sorted by
-// TypeID. Callers must not mutate the returned slice.
-func (c *Catalog) TypeAncestorsOf(e EntityID) []TypeID {
-	if !c.frozen || !c.validEntity(e) {
-		return nil
-	}
-	types, _ := c.ancestors(e)
-	return types
-}
-
-// TypeDistances returns T(E) as TypeAncestorsOf does, with dist(E,T) at
-// the same positions. Callers must not mutate either slice.
+// TypeDistances returns T(E): every type t with e ∈+ t, sorted by TypeID,
+// and dist(E,T) at the same positions. Callers must not mutate either
+// slice.
 func (c *Catalog) TypeDistances(e EntityID) ([]TypeID, []int32) {
 	if !c.frozen || !c.validEntity(e) {
 		return nil, nil
@@ -49,7 +40,7 @@ func (c *Catalog) TypeDistances(e EntityID) ([]TypeID, []int32) {
 // TypeSignature numbers e's set of direct types (the dist-1 entries of its
 // ancestor run), equal exactly for equal sets. T(E), dist(E,T) and the
 // missing-link relatedness are computed from that set alone, so equal
-// signatures mean equal TypeAncestorsOf, Dist and Relatedness for every
+// signatures mean equal TypeDistances and Relatedness for every
 // type. No types is 0; an unknown entity or unfrozen catalog is -1.
 func (c *Catalog) TypeSignature(e EntityID) int32 {
 	if !c.frozen || !c.validEntity(e) {

@@ -117,7 +117,8 @@ func (a *Annotator) voteColumnTypes(cs *candidates, i int, fraction float64) []c
 		}
 		rowTypes := make(map[catalog.TypeID]struct{})
 		for _, cand := range cs.cells[i][r] {
-			for _, T := range a.cat.TypeAncestorsOf(cand.Entity) {
+			anc, _ := a.cat.TypeDistances(cand.Entity)
+			for _, T := range anc {
 				rowTypes[T] = struct{}{}
 			}
 		}

@@ -165,7 +165,8 @@ func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, ph
 	}
 	ar.reps = reps
 	for _, e := range reps {
-		ar.types = append(ar.types, a.cat.TypeAncestorsOf(e)...)
+		anc, _ := a.cat.TypeDistances(e)
+		ar.types = append(ar.types, anc...)
 	}
 	slices.Sort(ar.types[t0:])
 	ar.types = ar.types[:t0+len(slices.Compact(ar.types[t0:]))]

@@ -192,30 +192,20 @@ func (rd RelDir) orient(tc, tcPrime catalog.TypeID) (subj, obj catalog.TypeID) {
 // indicator, the participation fraction (averaged over the two ends), and
 // a constant bias that any non-na relation hypothesis must overcome.
 func (x *Extractor) F4(rd RelDir, tc, tcPrime catalog.TypeID) [F4Dim]float64 {
+	f := [F4Dim]float64{2: 1}
 	subj, obj := rd.orient(tc, tcPrime)
-	var part float64
-	objs, counts := x.cat.Participation(rd.Relation, subj)
-	if i, ok := slices.BinarySearch(objs, obj); ok {
-		part = x.participation(subj, obj, counts[i])
-	}
-	return x.f4(rd.Relation, subj, obj, part)
-}
-
-func (x *Extractor) f4(b catalog.RelationID, subj, obj catalog.TypeID, part float64) [F4Dim]float64 {
-	f := [F4Dim]float64{1: part, 2: 1}
-	if x.cat.SchemaMatches(b, subj, obj) {
+	if x.cat.SchemaMatches(rd.Relation, subj, obj) {
 		f[0] = 1
 	}
+	// Average of: fraction of subj entities related into obj, and fraction
+	// of obj entities related from subj; 0 where no tuple reaches the pair.
+	objs, counts := x.cat.Participation(rd.Relation, subj)
+	if i, ok := slices.BinarySearch(objs, obj); ok {
+		fwd := float64(counts[i][0]) / float64(len(x.cat.EntitiesOf(subj)))
+		rev := float64(counts[i][1]) / float64(len(x.cat.EntitiesOf(obj)))
+		f[1] = (fwd + rev) / 2
+	}
 	return f
-}
-
-// participation averages the fraction of subj's entities related into
-// obj and the fraction of obj's entities related from subj, from the two
-// counts catalog.Participation gives for the pair.
-func (x *Extractor) participation(subj, obj catalog.TypeID, n [2]int32) float64 {
-	fwd := float64(n[0]) / float64(len(x.cat.EntitiesOf(subj)))
-	rev := float64(n[1]) / float64(len(x.cat.EntitiesOf(obj)))
-	return (fwd + rev) / 2
 }
 
 // F5 computes the relation/entity-pair vector (§4.2.5): tuple-existence
@@ -327,14 +317,11 @@ func (x *Extractor) FillPhi3(w *Weights, e catalog.EntityID, types []catalog.Typ
 // FillPhi4 writes LogPhi4(w, rd, Ti, Tj) for every Ti of ti and Tj of tj,
 // both ascending, to out[i*(len(tj)+1)+j], leaving the na row and column
 // alone: a pair no tuple reaches gets one of the two schema-match
-// constants, and the pairs in rd's participation runs are overwritten.
+// constants, and only the pairs in rd's participation runs get F4.
 func (x *Extractor) FillPhi4(w *Weights, rd RelDir, ti, tj []catalog.TypeID, out []float64) {
 	stride := len(tj) + 1
-	var unreached [2]float64 // schema unmatched, matched
-	for m := range unreached {
-		f := [F4Dim]float64{float64(m), 0, 1}
-		unreached[m] = dot(w.W4[:], f[:])
-	}
+	unmatched, matched := [F4Dim]float64{0, 0, 1}, [F4Dim]float64{1, 0, 1}
+	unreached := [2]float64{dot(w.W4[:], unmatched[:]), dot(w.W4[:], matched[:])}
 	for i, Ti := range ti {
 		for j, Tj := range tj {
 			subj, obj := rd.orient(Ti, Tj)
@@ -349,18 +336,18 @@ func (x *Extractor) FillPhi4(w *Weights, rd RelDir, ti, tj []catalog.TypeID, out
 		subjs, objs = tj, ti
 	}
 	for s, subj := range subjs {
-		run, counts := x.cat.Participation(rd.Relation, subj)
+		run, _ := x.cat.Participation(rd.Relation, subj)
 		k := 0
 		for o, obj := range objs {
 			for k < len(run) && run[k] < obj {
 				k++
 			}
 			if k < len(run) && run[k] == obj {
-				f := x.f4(rd.Relation, subj, obj, x.participation(subj, obj, counts[k]))
 				i, j := s, o
 				if !rd.Forward {
 					i, j = o, s
 				}
+				f := x.F4(rd, ti[i], tj[j])
 				out[i*stride+j] = dot(w.W4[:], f[:])
 			}
 		}

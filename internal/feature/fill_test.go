@@ -72,7 +72,8 @@ func someEntities(rng *rand.Rand, c *catalog.Catalog, b catalog.RelationID, subj
 func typeSpace(rng *rand.Rand, c *catalog.Catalog, ents []catalog.EntityID) []catalog.TypeID {
 	var ts []catalog.TypeID
 	for _, e := range ents {
-		ts = append(ts, c.TypeAncestorsOf(e)...)
+		anc, _ := c.TypeDistances(e)
+		ts = append(ts, anc...)
 	}
 	for k := rng.Intn(4); k > 0; k-- {
 		ts = append(ts, catalog.TypeID(rng.Intn(c.NumTypes())))
