@@ -192,17 +192,26 @@ func (rd RelDir) orient(tc, tcPrime catalog.TypeID) (subj, obj catalog.TypeID) {
 // indicator, the participation fraction (averaged over the two ends), and
 // a constant bias that any non-na relation hypothesis must overcome.
 func (x *Extractor) F4(rd RelDir, tc, tcPrime catalog.TypeID) [F4Dim]float64 {
-	f := [F4Dim]float64{2: 1}
 	subj, obj := rd.orient(tc, tcPrime)
-	if x.cat.SchemaMatches(rd.Relation, subj, obj) {
-		f[0] = 1
-	}
-	// Average of: fraction of subj entities related into obj, and fraction
-	// of obj entities related from subj; 0 where no tuple reaches the pair.
+	var n [2]int32 // no tuple reaches the pair
 	objs, counts := x.cat.Participation(rd.Relation, subj)
 	if i, ok := slices.BinarySearch(objs, obj); ok {
-		fwd := float64(counts[i][0]) / float64(len(x.cat.EntitiesOf(subj)))
-		rev := float64(counts[i][1]) / float64(len(x.cat.EntitiesOf(obj)))
+		n = counts[i]
+	}
+	return x.f4(rd.Relation, subj, obj, n)
+}
+
+// f4 is F4 given the pair's two participation counts (catalog.Participation).
+func (x *Extractor) f4(b catalog.RelationID, subj, obj catalog.TypeID, n [2]int32) [F4Dim]float64 {
+	f := [F4Dim]float64{2: 1}
+	if x.cat.SchemaMatches(b, subj, obj) {
+		f[0] = 1
+	}
+	if n != [2]int32{} {
+		// Average of: fraction of subj entities related into obj, and
+		// fraction of obj entities related from subj.
+		fwd := float64(n[0]) / float64(len(x.cat.EntitiesOf(subj)))
+		rev := float64(n[1]) / float64(len(x.cat.EntitiesOf(obj)))
 		f[1] = (fwd + rev) / 2
 	}
 	return f
@@ -317,7 +326,7 @@ func (x *Extractor) FillPhi3(w *Weights, e catalog.EntityID, types []catalog.Typ
 // FillPhi4 writes LogPhi4(w, rd, Ti, Tj) for every Ti of ti and Tj of tj,
 // both ascending, to out[i*(len(tj)+1)+j], leaving the na row and column
 // alone: a pair no tuple reaches gets one of the two schema-match
-// constants, and only the pairs in rd's participation runs get F4.
+// constants, and the pairs in rd's participation runs are overwritten.
 func (x *Extractor) FillPhi4(w *Weights, rd RelDir, ti, tj []catalog.TypeID, out []float64) {
 	stride := len(tj) + 1
 	unmatched, matched := [F4Dim]float64{0, 0, 1}, [F4Dim]float64{1, 0, 1}
@@ -336,18 +345,18 @@ func (x *Extractor) FillPhi4(w *Weights, rd RelDir, ti, tj []catalog.TypeID, out
 		subjs, objs = tj, ti
 	}
 	for s, subj := range subjs {
-		run, _ := x.cat.Participation(rd.Relation, subj)
+		run, counts := x.cat.Participation(rd.Relation, subj)
 		k := 0
 		for o, obj := range objs {
 			for k < len(run) && run[k] < obj {
 				k++
 			}
 			if k < len(run) && run[k] == obj {
+				f := x.f4(rd.Relation, subj, obj, counts[k])
 				i, j := s, o
 				if !rd.Forward {
 					i, j = o, s
 				}
-				f := x.F4(rd, ti[i], tj[j])
 				out[i*stride+j] = dot(w.W4[:], f[:])
 			}
 		}
@@ -361,10 +370,8 @@ func (x *Extractor) FillPhi4(w *Weights, rd RelDir, ti, tj []catalog.TypeID, out
 // RelationsBetween orders its result: by relation, forward first. viol is
 // scratch of len(cj).
 func (x *Extractor) FillPhi5(w *Weights, rels []RelDir, ci, cj []lemmaindex.Candidate, viol []bool, out []float64) {
-	var logPhi [3]float64 // f5 = (0,0), (0,1), (1,0)
-	for k, f := range [3][F5Dim]float64{{0, 0}, {0, 1}, {1, 0}} {
-		logPhi[k] = dot(w.W5[:], f[:])
-	}
+	none, broken, hit := [F5Dim]float64{0, 0}, [F5Dim]float64{0, 1}, [F5Dim]float64{1, 0}
+	logPhi := [3]float64{dot(w.W5[:], none[:]), dot(w.W5[:], broken[:]), dot(w.W5[:], hit[:])}
 	nI, nJ := len(ci)+1, len(cj)+1
 	for r, rd := range rels {
 		for j, c := range cj {
