@@ -115,7 +115,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *save != "" {
 		// One-segment live-corpus manifest at generation 1: tabserved
 		// -load resumes it as a mutable corpus (POST /v1/tables appends
-		// further segments).
+		// further segments). Like a service's saved corpus, it holds no
+		// wall time.
+		for _, a := range anns {
+			a.Diag.CandidateGen, a.Diag.GraphBuild, a.Diag.Inference = 0, 0, 0
+		}
 		err := cmdio.AtomicWriteFile(*save, func(w io.Writer) error {
 			return snapshot.Save(w, &snapshot.Snapshot{
 				Catalog:    cat.Snapshot(),

@@ -292,6 +292,3 @@ func (q *Query) profile(lemmas []text.Vector) SimilarityProfile {
 	}
 	return p
 }
-
-// PostingLen reports the posting-list length for a token (diagnostics).
-func (ix *Index) PostingLen(token string) int { return len(ix.entityPostings[token]) }

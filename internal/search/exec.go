@@ -382,22 +382,22 @@ func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *p
 	for i := lo; i < hi; i++ {
 		c := &p.pairs[i]
 		ix := e.segs[c.seg].ix
-		texts, ents := ix.Column(int(c.local), int(c.obj))
+		raws, ents := ix.Column(int(c.local), int(c.obj))
 		var answers []catalog.EntityID
 		if p.byEntity {
 			_, answers = ix.Column(int(c.local), int(c.subj))
 		}
 		matched := false
-		for r0 := 0; r0 < len(texts); r0 += rowCheckInterval {
+		for r0 := 0; r0 < len(raws); r0 += rowCheckInterval {
 			if sincePoll >= rowCheckInterval {
 				sincePoll = 0
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			r1 := min(r0+rowCheckInterval, len(texts))
+			r1 := min(r0+rowCheckInterval, len(raws))
 			sincePoll += r1 - r0
-			rows := searchidx.ScanColumn(sink.rows[:0], r0, texts[r0:r1], ents[r0:r1], p.e2, &p.sets[c.seg])
+			rows := searchidx.ScanColumn(sink.rows[:0], r0, raws[r0:r1], ents[r0:r1], p.e2, &p.sets[c.seg])
 			sink.rows = rows
 			for _, rh := range rows {
 				entity := catalog.EntityID(catalog.None)
@@ -409,7 +409,7 @@ func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *p
 			matched = matched || len(rows) > 0
 		}
 		st.CandidatePairs++
-		st.RowsScanned += int64(len(texts))
+		st.RowsScanned += int64(len(raws))
 		if matched {
 			st.PairsMatched++
 		}

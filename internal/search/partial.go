@@ -246,8 +246,8 @@ func (pc *partialCollector) add(c *candidate, rh searchidx.RowHit, entity catalo
 	} else {
 		// An unannotated cell whose normalized text is empty has no
 		// cluster identity and contributes nothing.
-		texts, _ := seg.ix.Column(int(c.local), int(c.subj))
-		norm := seg.ix.Spelling(texts[rh.Row])
+		raws, _ := seg.ix.Column(int(c.local), int(c.subj))
+		norm := seg.ix.Spelling(raws[rh.Row])
 		if norm == "" {
 			return
 		}

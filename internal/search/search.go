@@ -18,8 +18,8 @@
 // lists each corpus segment materialized at build time — in place,
 // segment after segment, which is ascending corpus order — with their
 // replay groups, and compiles the E2 probe, once per segment a pair lies
-// in, into the few text IDs it matches. gather (gather.go) scans them,
-// front to back on the calling goroutine, into the pipeline's only
+// in, into the few cell spellings it matches. gather (gather.go) scans
+// them, front to back on the calling goroutine, into the pipeline's only
 // intermediate form: per group, each answer cluster's hit list in scan
 // order (partial.go). fold sums each list left to right, selects the
 // page with a bounded min-heap so a top-k query never sorts the full

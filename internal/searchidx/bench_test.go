@@ -79,12 +79,12 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkMatchSet compiles a two-token probe against one 512-table
 // segment: two dictionary lookups, a merge of two posting lists and the
-// spelling lookup.
+// expansion of the matched texts into their spellings.
 func BenchmarkMatchSet(b *testing.B) {
 	c, tables, anns, _, name := benchCorpus(b, 512, 20)
 	ix := New(c, tables, anns)
 	p := NewProbe(name)
-	if m := ix.Compile(&p); len(m.texts) == 0 {
+	if m := ix.Compile(&p); len(m.raws) == 0 {
 		b.Fatalf("probe %q matches nothing", name)
 	}
 	b.ReportAllocs()

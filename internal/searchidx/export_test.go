@@ -123,12 +123,10 @@ func IndexDiff(got, want *Index) string {
 		{"raws", got.raws, want.raws},
 		{"texts", got.texts, want.texts},
 		{"textTokens", got.textTokens, want.textTokens},
-		{"tokenTexts", got.tokenTexts, want.tokenTexts},
 		{"tables", got.tables, want.tables},
 		{"headers", got.headers, want.headers},
 		{"spans", got.spans, want.spans},
 		{"cellRaw", got.cellRaw, want.cellRaw},
-		{"cellText", got.cellText, want.cellText},
 		{"cellEnts", got.cellEnts, want.cellEnts},
 		{"subjTypes", got.subjTypes, want.subjTypes},
 		{"identity", got.identity, want.identity},
@@ -141,8 +139,9 @@ func IndexDiff(got, want *Index) string {
 		name      string
 		got, want any
 	}{
-		{"textIDs", got.textIDs, want.textIDs},
+		{"textRaws", got.textRaws, want.textRaws},
 		{"tokenIDs", got.tokenIDs, want.tokenIDs},
+		{"tokenTexts", got.tokenTexts, want.tokenTexts},
 		{"headerPost", got.headerPost, want.headerPost},
 		{"contextPost", got.contextPost, want.contextPost},
 		{"relPairs", got.relPairs, want.relPairs},

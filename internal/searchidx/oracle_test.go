@@ -72,7 +72,7 @@ func oneCellIndex(t testing.TB, cell string) *Index {
 
 // cellVerdict is the index's answer for the only cell of a oneCellIndex:
 // the query compiled against the segment, looked up under the cell's
-// text ID.
+// raw-spelling ID.
 func cellVerdict(ix *Index, query string) float64 { return verdict(ix, query, 0, 0, 0) }
 
 // matchCases pins the matcher's verdicts as IEEE bit patterns: the
@@ -137,7 +137,9 @@ func TestMatchOracle(t *testing.T) {
 // FuzzCompiledMatch: for any query and cell, the compiled match set's
 // verdict equals the reference matcher's bit for bit — on a one-cell
 // segment, and on a segment where the cell shares its dictionaries with
-// a few fixed neighbours, each of which must keep its own verdict too.
+// a few fixed neighbours and with case, spacing and punctuation variants
+// of itself (one text with several raw spellings), each of which must
+// keep its own verdict too.
 func FuzzCompiledMatch(f *testing.F) {
 	for _, tc := range matchCases {
 		f.Add(tc.query, tc.cell)
@@ -151,7 +153,8 @@ func FuzzCompiledMatch(f *testing.F) {
 		if got := cellVerdict(oneCellIndex(t, cell), query); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("one-cell verdict(%q, %q) = %v, oracle %v", query, cell, got, want)
 		}
-		cells := []string{"Solo Auteur", cell, "", "auteur solo grand prix", cell + " solo", "!?"}
+		cells := []string{"Solo Auteur", cell, "", "auteur solo grand prix", cell + " solo", "!?",
+			strings.ToUpper(cell), "  " + strings.ToLower(cell) + " ", cell + "?!", strings.ReplaceAll(cell, " ", " -  ")}
 		rows := make([][]string, len(cells))
 		for i, s := range cells {
 			rows[i] = []string{s}
@@ -159,9 +162,9 @@ func FuzzCompiledMatch(f *testing.F) {
 		ix := New(c, []*table.Table{{ID: "many", Cells: rows}}, nil)
 		p := NewProbe(query)
 		m := ix.Compile(&p)
-		texts, _ := ix.Column(0, 0)
+		raws, _ := ix.Column(0, 0)
 		for i, s := range cells {
-			if got, want := m.Lookup(texts[i]), oracleMatch(query, s); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := m.Lookup(raws[i]), oracleMatch(query, s); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("verdict(%q, %q) beside %q = %v, oracle %v", query, s, cells, got, want)
 			}
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // scanColumnReference is ScanColumn one row at a time, with the probe's
-// matching texts in a map: no mask, no MatchSet, no shared loop.
+// matching spellings in a map: no mask, no MatchSet, no shared loop.
 func scanColumnReference(base int, texts []uint32, ents []catalog.EntityID, e2 catalog.EntityID, evidence map[uint32]float64) []RowHit {
 	var out []RowHit
 	for r, id := range texts {
@@ -58,8 +58,8 @@ func TestScanColumnMatchesReference(t *testing.T) {
 	}{
 		{"empty", MatchSet{}, nil},
 		{"two texts", MatchSet{
-			mask:  1<<(whole%64) | 1<<(partial%64),
-			texts: []textMatch{{whole, 1}, {partial, 0.6}},
+			mask: 1<<(whole%64) | 1<<(partial%64),
+			raws: []rawMatch{{whole, 1}, {partial, 0.6}},
 		}, map[uint32]float64{whole: 1, partial: 0.6}},
 	}
 	lengths := []int{63, 64, 65}

@@ -7,23 +7,25 @@
 //
 // # The compiled segment
 //
-// Cells are dictionary-encoded. The segment interns every distinct
-// normalized cell text once (its spelling and its number of distinct
-// tokens) and every distinct token once (the ascending IDs of the texts
-// that contain it). A table is then stored column-major: each column is
-// a contiguous run of text IDs and a parallel run of entity annotations
-// (catalog.None where the cell has none). Nothing per cell holds a
-// pointer, a string or a map.
+// Cells are dictionary-encoded. The segment interns every distinct raw
+// cell spelling once (and the text it normalizes to), every distinct
+// normalized text once (its spelling, its number of distinct tokens and
+// the spellings that normalize to it) and every distinct token once (the
+// ascending IDs of the texts that contain it). A table is then stored
+// column-major: each column is a contiguous run of raw-spelling IDs and
+// a parallel run of entity annotations (catalog.None where the cell has
+// none). Nothing per cell holds a pointer, a string or a map.
 //
 // A query never compares strings against cells. Its E2 probe is compiled
-// once per segment into a MatchSet — the handful of text IDs it matches,
-// ascending, each with its evidence: 1 for the text spelled like the
-// probe, |Q∩C| / |Q∪C| over distinct tokens for every text where that
-// reaches 0.5, counted off the token postings with the same integers the
-// map-based matcher used (oracle_test.go keeps that matcher as the
-// reference). ScanColumn then walks a column slice at an entity compare
-// and a one-word bit test per row; only the few cells those do not
-// settle are looked up in the MatchSet.
+// once per segment into a MatchSet — the handful of spellings it
+// matches, ascending, each with the evidence of its text: |Q∩C| / |Q∪C|
+// over distinct tokens for every text where that reaches 0.5, counted
+// off the token postings with the same integers the map-based matcher
+// used (oracle_test.go keeps that matcher as the reference); the text
+// spelled like the probe shares all of the probe's tokens and no other,
+// so it gets exactly 1. ScanColumn then walks a column slice at an
+// entity compare and a one-word bit test per row; only the few cells
+// those do not settle are looked up in the MatchSet.
 //
 // Candidate retrieval is posting lists, all in ascending table order so
 // a plan can walk them in place: oriented column pairs per relation
@@ -49,14 +51,14 @@
 //
 //   - stored: the raw dictionary (where a spelling lies in the blob and
 //     which text it normalizes to), the text dictionary (where a text
-//     lies), three parallel column-major cell arrays (raw-spelling ID,
-//     text ID, entity), and per table its shape, where its strings lie
+//     lies), two parallel column-major cell arrays (raw-spelling ID,
+//     entity), and per table its shape, where its strings lie
 //     and the small parts of its annotation — column types, relations,
 //     diagnostics, the entity grid's shape, and the grid itself only
 //     when its shape is not the table's;
 //   - derived from those, by derive, for a built segment and a loaded
-//     one alike: the spelling → text ID map, token postings, header,
-//     context, relation and typed-pair postings;
+//     one alike: each text's spellings, token postings, header, context,
+//     relation and typed-pair postings;
 //   - materialised on demand, for the callers that want objects
 //     (snapshot.Load, compaction, tools, tests): Table and Annotation
 //     assemble a table.Table and a core.Annotation whose strings are
@@ -137,16 +139,17 @@ type Index struct {
 	// The raw dictionary: ID → the spelling and the ID of the text it
 	// normalizes to.
 	raws []rawSpelling
-	// The text dictionary: ID → normalized spelling and distinct-token
-	// count, and spelling → ID. The empty spelling (a blank or
-	// punctuation-only cell) has an ID like any other.
+	// The text dictionary: ID → normalized spelling, distinct-token count
+	// and the ascending IDs of the spellings that normalize to it. The
+	// empty spelling (a blank or punctuation-only cell) has an ID like any
+	// other.
 	texts      []strRef
 	textTokens []uint32
-	textIDs    map[string]uint32
+	textRaws   csr
 	// The token dictionary: token → ID → ascending IDs of the texts
 	// containing it.
 	tokenIDs   map[string]uint32
-	tokenTexts [][]uint32
+	tokenTexts csr
 
 	// Per table: where its strings lie and how wide it is (spans has its
 	// height), its headers as a run of headers, and its annotation. anns
@@ -156,13 +159,11 @@ type Index struct {
 	anns    []annMeta
 
 	// Column-major cells: column c of table t is the spans[t].rows
-	// entries of cellRaw, cellText and cellEnts from
-	// spans[t].off+c*spans[t].rows — the cell's spelling as the source
-	// wrote it, its normalized text, and its entity annotation
-	// (catalog.None without one).
+	// entries of cellRaw and cellEnts from spans[t].off+c*spans[t].rows —
+	// the cell's spelling as the source wrote it (raws gives its text) and
+	// its entity annotation (catalog.None without one).
 	spans    []tableSpan
 	cellRaw  []uint32
-	cellText []uint32
 	cellEnts []catalog.EntityID
 
 	// identity maps every table to itself: the local→global table map of
@@ -185,6 +186,33 @@ func (ix *Index) str(r strRef) string { return ix.blob[r.off : r.off+r.len] }
 type rawSpelling struct {
 	strRef
 	text uint32
+}
+
+// csr is a compressed sparse row run: key k's ascending IDs are
+// ids[off[k]:off[k+1]], all keys' in one array.
+type csr struct{ off, ids []uint32 }
+
+func (r *csr) of(k uint32) []uint32 { return r.ids[r.off[k]:r.off[k+1]] }
+
+// groupBy returns the csr run over keys [0, keys) that lists, for each,
+// val(i) of every i in [0, n) with key(i) = k, in ascending order of i.
+func groupBy(keys, n int, key, val func(i int) uint32) csr {
+	r := csr{off: make([]uint32, keys+1), ids: make([]uint32, n)}
+	for i := range n {
+		r.off[key(i)]++
+	}
+	for k := 1; k < keys; k++ {
+		r.off[k] += r.off[k-1]
+	}
+	r.off[keys] = uint32(n)
+	// Each off[k] now ends its run; placing from the back leaves it at the
+	// run's start.
+	for i := n - 1; i >= 0; i-- {
+		k := key(i)
+		r.off[k]--
+		r.ids[r.off[k]] = val(i)
+	}
+	return r
 }
 
 // tableMeta is what a segment keeps of a table beside its cells. headers
@@ -258,7 +286,6 @@ func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Tab
 // spelling or text chosen yet and no entity in any cell.
 func (ix *Index) layCells(cells uint64) {
 	ix.cellRaw = make([]uint32, cells)
-	ix.cellText = make([]uint32, cells)
 	ix.cellEnts = make([]catalog.EntityID, cells)
 	for i := range ix.cellEnts {
 		ix.cellEnts[i] = catalog.None
@@ -333,8 +360,7 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 					}
 					ix.raws = append(ix.raws, rawSpelling{strRef: ref, text: tid})
 				}
-				at := off + uint32(c*rows+r)
-				ix.cellRaw[at], ix.cellText[at] = id, ix.raws[id].text
+				ix.cellRaw[off+uint32(c*rows+r)] = id
 			}
 		}
 	}
@@ -405,31 +431,19 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 }
 
 // derive computes what an index holds beyond what it stores, all of it a
-// function of the text dictionary, the tables' headers and contexts and
-// the annotations: the spelling → text ID map and the token postings, the
+// function of the two dictionaries, the tables' headers and contexts and
+// the annotations: each text's spellings and the token postings, the
 // baseline's header and context postings, the relation and typed-pair
 // postings, and the subject types. It is the one place they are
-// computed, for a built segment and a loaded one alike. A text listed
-// twice — which intern cannot produce — is ErrBadSegment.
+// computed, for a built segment and a loaded one alike.
 func (ix *Index) derive(ctx context.Context) error {
 	ix.headerPost = make(map[string][]ColKey)
 	ix.contextPost = make(map[string][]int32)
 	ix.relPairs = make(map[catalog.RelationID][]ColumnPair)
 	ix.typedPairs = make(map[catalog.TypeID][]ColumnPair)
-	ix.textIDs = make(map[string]uint32, len(ix.texts))
-	ix.tokenIDs = make(map[string]uint32)
-	ix.textTokens = make([]uint32, 0, len(ix.texts))
-	for i, ref := range ix.texts {
-		if i&(rowCheckInterval-1) == rowCheckInterval-1 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		norm := ix.str(ref)
-		if _, dup := ix.textIDs[norm]; dup {
-			return corrupt("text %d repeats %q", i, norm)
-		}
-		ix.addText(norm)
+	ix.textRaws = groupBy(len(ix.texts), len(ix.raws), func(i int) uint32 { return ix.raws[i].text }, func(i int) uint32 { return uint32(i) })
+	if err := ix.deriveTokens(ctx); err != nil {
+		return err
 	}
 	var toks []string
 	for ti, m := range ix.tables {
@@ -475,30 +489,42 @@ func distinctTokens(dst []string, s string) []string {
 	return dst
 }
 
-// addText enters the next text of the dictionary, spelled norm, into the
-// spelling → ID map and posts its ID to each of its tokens. Token IDs
-// cannot run out: there are fewer distinct tokens than bytes in the blob.
-func (ix *Index) addText(norm string) {
-	id := uint32(len(ix.textTokens))
-	ix.textIDs[norm] = id
-	// A normalized spelling is its tokens joined by single spaces.
-	distinct := uint32(0)
-	for rest := norm; rest != ""; {
-		var tok string
-		tok, rest, _ = strings.Cut(rest, " ")
-		tid, ok := ix.tokenIDs[tok]
-		if !ok {
-			tid = uint32(len(ix.tokenTexts))
-			ix.tokenIDs[tok] = tid
-			ix.tokenTexts = append(ix.tokenTexts, nil)
+// deriveTokens numbers the tokens of the texts in order of first
+// appearance, counts each text's distinct tokens and posts every text to
+// each of them. Token IDs cannot run out: there are fewer distinct
+// tokens than bytes in the blob.
+func (ix *Index) deriveTokens(ctx context.Context) error {
+	ix.tokenIDs = make(map[string]uint32)
+	ix.textTokens = make([]uint32, len(ix.texts))
+	// Each text's distinct tokens, text after text, as token<<32 | text;
+	// and per token the last text that listed it, plus one.
+	var posts []uint64
+	var last []uint32
+	for i, ref := range ix.texts {
+		if i&(rowCheckInterval-1) == rowCheckInterval-1 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		// A token repeated within the text was posted a moment ago.
-		if post := ix.tokenTexts[tid]; len(post) == 0 || post[len(post)-1] != id {
-			ix.tokenTexts[tid] = append(post, id)
-			distinct++
+		// A normalized spelling is its tokens joined by single spaces.
+		for rest := ix.str(ref); rest != ""; {
+			var tok string
+			tok, rest, _ = strings.Cut(rest, " ")
+			tid, ok := ix.tokenIDs[tok]
+			if !ok {
+				tid = uint32(len(last))
+				ix.tokenIDs[tok] = tid
+				last = append(last, 0)
+			}
+			if last[tid] != uint32(i)+1 {
+				last[tid] = uint32(i) + 1
+				posts = append(posts, uint64(tid)<<32|uint64(i))
+				ix.textTokens[i]++
+			}
 		}
 	}
-	ix.textTokens = append(ix.textTokens, distinct)
+	ix.tokenTexts = groupBy(len(last), len(posts), func(i int) uint32 { return uint32(posts[i] >> 32) }, func(i int) uint32 { return uint32(posts[i]) })
+	return nil
 }
 
 // indexAnnotation appends table ti's candidate column pairs to the
@@ -629,12 +655,12 @@ func newGrid[T any](rows, cols int) [][]T {
 }
 
 // ResidentBytes is what a segment keeps in memory, by part, counted from
-// array lengths and element sizes: Cells the three cell arrays (and the
+// array lengths and element sizes: Cells the two cell arrays (and the
 // entity grids of annotations shaped unlike their table), Dictionaries
-// the raw spellings and normalized texts in the blob with both
-// dictionaries' arrays and maps, Postings every derived posting list,
-// Tables the rest of the blob and the per-table and per-annotation
-// metadata. A map counts as its keys and values; the buckets Go keeps
+// the raw spellings and normalized texts in the blob with the three
+// dictionaries' arrays and the token map, Postings every derived
+// posting list, Tables the rest of the blob and the per-table and
+// per-annotation metadata. A map counts as its keys and values; the buckets Go keeps
 // around them are not counted.
 type ResidentBytes struct {
 	Cells, Dictionaries, Postings, Tables int64
@@ -666,9 +692,9 @@ func (ix *Index) measure() ResidentBytes {
 	if len(ix.tables) > 0 {
 		dict = int64(ix.tables[0].id.off)
 	}
-	r.Cells = u32 * int64(len(ix.cellRaw)+len(ix.cellText)+len(ix.cellEnts))
+	r.Cells = u32 * int64(len(ix.cellRaw)+len(ix.cellEnts))
 	r.Dictionaries = dict + int64(unsafe.Sizeof(rawSpelling{}))*int64(len(ix.raws)) + (ref+u32)*int64(len(ix.texts)) +
-		(str+u32)*int64(len(ix.textIDs)+len(ix.tokenIDs))
+		u32*int64(len(ix.textRaws.off)+len(ix.textRaws.ids)) + (str+u32)*int64(len(ix.tokenIDs))
 	r.Tables = int64(len(ix.blob)) - dict + int64(unsafe.Sizeof(tableMeta{}))*int64(len(ix.tables)) + ref*int64(len(ix.headers)) +
 		int64(unsafe.Sizeof(tableSpan{}))*int64(len(ix.spans)) + u32*int64(len(ix.identity)) + int64(unsafe.Sizeof(annMeta{}))*int64(len(ix.anns))
 	for i := range ix.anns {
@@ -676,9 +702,7 @@ func (ix *Index) measure() ResidentBytes {
 		r.Cells += u32 * int64(len(m.grid))
 		r.Tables += u32*int64(len(m.types)) + int64(unsafe.Sizeof(core.RelationAnnotation{}))*int64(len(m.relations))
 	}
-	for _, post := range ix.tokenTexts {
-		r.Postings += slice + u32*int64(len(post))
-	}
+	r.Postings += u32 * int64(len(ix.tokenTexts.off)+len(ix.tokenTexts.ids))
 	for tok, post := range ix.headerPost {
 		r.Postings += str + int64(len(tok)) + slice + colKey*int64(len(post))
 	}
@@ -806,29 +830,28 @@ func (cc *ContextCursor) Contains(t int32) bool {
 }
 
 // Column returns one column of an indexed table, top to bottom: each
-// cell's text ID and its entity annotation (catalog.None if absent).
-// The slices are the index's own; callers must not mutate them.
-func (ix *Index) Column(table, col int) (texts []uint32, ents []catalog.EntityID) {
+// cell's raw-spelling ID and its entity annotation (catalog.None if
+// absent). The slices are the index's own; callers must not mutate them.
+func (ix *Index) Column(table, col int) (raws []uint32, ents []catalog.EntityID) {
 	rows := int(ix.spans[table].rows)
 	lo := int(ix.spans[table].off) + col*rows
-	return ix.cellText[lo : lo+rows : lo+rows], ix.cellEnts[lo : lo+rows : lo+rows]
+	return ix.cellRaw[lo : lo+rows : lo+rows], ix.cellEnts[lo : lo+rows : lo+rows]
 }
 
-// Spelling returns the normalized text behind a text ID: the cell's
+// Spelling returns the normalized text of a raw-spelling ID: the cell's
 // tokens joined by single spaces, empty for a cell without any.
-func (ix *Index) Spelling(id uint32) string { return ix.str(ix.texts[id]) }
+func (ix *Index) Spelling(raw uint32) string { return ix.str(ix.texts[ix.raws[raw].text]) }
 
-// Probe is one query string compiled once per request: its normalized
-// spelling and its distinct tokens in ascending order. A Probe also
+// Probe is one query string compiled once per request: the distinct
+// tokens of its normalized spelling, in ascending order. A Probe also
 // carries the scratch space Compile merges in and the storage of every
 // MatchSet compiled from it, so it is not safe for concurrent use, and
 // those MatchSets are good until the Probe is Reset or dropped.
 type Probe struct {
-	Norm   string
 	Tokens []string
 
 	cur, next []tally
-	matches   []textMatch
+	matches   []rawMatch
 }
 
 // tally counts, for one text, how many of the probe's tokens it holds.
@@ -845,9 +868,8 @@ func NewProbe(s string) Probe {
 // tokens are cut out of the normalized spelling, which is exactly those
 // tokens joined by single spaces.
 func (p *Probe) Reset(s string) {
-	p.Norm = text.Normalize(s)
 	p.Tokens = p.Tokens[:0]
-	for rest := p.Norm; rest != ""; {
+	for rest := text.Normalize(s); rest != ""; {
 		var tok string
 		tok, rest, _ = strings.Cut(rest, " ")
 		p.Tokens = append(p.Tokens, tok)
@@ -857,30 +879,29 @@ func (p *Probe) Reset(s string) {
 	p.matches = p.matches[:0]
 }
 
-// MatchSet is a probe compiled against one segment: the texts it
-// matches, ascending by ID, each with the evidence a cell of that text
+// MatchSet is a probe compiled against one segment: the raw spellings
+// it matches, ascending by ID, each with the evidence a cell spelled so
 // contributes. The zero MatchSet matches nothing.
 type MatchSet struct {
-	texts []textMatch
+	raws []rawMatch
 	// mask has bit id%64 set for every matched ID: one word that tells
 	// a row loop, for all but a few cells in 64, that a cell cannot match.
 	mask uint64
 }
 
-type textMatch struct {
+type rawMatch struct {
 	id       uint32
 	evidence float64
 }
 
-// Compile compiles p against the segment. A text matches with evidence
-// 1 when it is spelled like the probe, else with its token-set Jaccard
-// similarity to the probe when that reaches 0.5 — two separate lookups:
-// the spelling dictionary decides the first, the token postings count
-// the second. A probe without a spelling matches nothing.
+// Compile compiles p against the segment. A text matches with its
+// token-set Jaccard similarity to the probe when that reaches 0.5,
+// counted off the token postings: the text spelled like the probe holds
+// exactly the probe's distinct tokens, so its evidence is exactly 1, and
+// a probe without a spelling has no token and matches nothing. Each
+// matched text then lends its evidence to every spelling of it, and the
+// spellings are sorted for Lookup.
 func (ix *Index) Compile(p *Probe) MatchSet {
-	if p.Norm == "" {
-		return MatchSet{}
-	}
 	// Merge the postings of the probe's tokens, counting per text how
 	// many of them list it.
 	cur, next := p.cur[:0], p.next[:0]
@@ -891,7 +912,7 @@ func (ix *Index) Compile(p *Probe) MatchSet {
 		}
 		next = next[:0]
 		i := 0
-		for _, id := range ix.tokenTexts[tid] {
+		for _, id := range ix.tokenTexts.of(tid) {
 			for ; i < len(cur) && cur[i].text < id; i++ {
 				next = append(next, cur[i])
 			}
@@ -905,41 +926,33 @@ func (ix *Index) Compile(p *Probe) MatchSet {
 		next = append(next, cur[i:]...)
 		cur, next = next, cur
 	}
-	// The text spelled like the probe joins the tallies even if no token
-	// led to it, marked as sharing more tokens than the probe has.
-	if id, ok := ix.textIDs[p.Norm]; ok {
-		i, found := slices.BinarySearchFunc(cur, id, func(t tally, id uint32) int { return cmp.Compare(t.text, id) })
-		if !found {
-			cur = slices.Insert(cur, i, tally{text: id})
-		}
-		cur[i].shared = math.MaxUint32
-	}
 	p.cur, p.next = cur, next
 	// The matches go after those of the segments compiled before; if that
 	// moves the array, the earlier sets keep the old one.
 	var m MatchSet
 	first := len(p.matches)
 	for _, t := range cur {
-		ev := 1.0
-		if t.shared != math.MaxUint32 {
-			union := len(p.Tokens) + int(ix.textTokens[t.text]) - int(t.shared)
-			if ev = float64(t.shared) / float64(union); ev < 0.5 {
-				continue
-			}
+		union := len(p.Tokens) + int(ix.textTokens[t.text]) - int(t.shared)
+		ev := float64(t.shared) / float64(union)
+		if ev < 0.5 {
+			continue
 		}
-		p.matches = append(p.matches, textMatch{t.text, ev})
-		m.mask |= 1 << (t.text % 64)
+		for _, raw := range ix.textRaws.of(t.text) {
+			p.matches = append(p.matches, rawMatch{raw, ev})
+			m.mask |= 1 << (raw % 64)
+		}
 	}
-	m.texts = p.matches[first:len(p.matches):len(p.matches)]
+	m.raws = p.matches[first:len(p.matches):len(p.matches)]
+	slices.SortFunc(m.raws, func(a, b rawMatch) int { return cmp.Compare(a.id, b.id) })
 	return m
 }
 
-// Lookup returns the evidence a cell of the given text contributes, 0
-// when the probe does not match it. It runs once per unsettled row of a
-// scan, so it is a plain loop: halve the few matches down to a handful,
-// then compare.
+// Lookup returns the evidence a cell of the given raw spelling
+// contributes, 0 when the probe does not match it. It runs once per
+// unsettled row of a scan, so it is a plain loop: halve the few matches
+// down to a handful, then compare.
 func (m *MatchSet) Lookup(id uint32) float64 {
-	ts := m.texts
+	ts := m.raws
 	for len(ts) > 4 {
 		if h := len(ts) / 2; ts[h].id <= id {
 			ts = ts[h:]
@@ -962,7 +975,7 @@ type RowHit struct {
 }
 
 // ScanColumn is the query processor's row loop over one column slice,
-// texts and ents as Column returns them (or a sub-slice of both, base
+// raws and ents as Column returns them (or a sub-slice of both, base
 // being the row number of their first entry). It appends to dst every
 // row whose cell matches, and returns dst. With an E2 entity, a cell
 // annotated with it is evidence 1.5 — an exact entity match beats any
@@ -971,10 +984,10 @@ type RowHit struct {
 // catalog.None annotations are ignored and every cell is matched by
 // text. Per row that is an entity compare and, for the cells it does not
 // settle, a bit test against m's mask; only the survivors are looked up.
-func ScanColumn(dst []RowHit, base int, texts []uint32, ents []catalog.EntityID, e2 catalog.EntityID, m *MatchSet) []RowHit {
+func ScanColumn(dst []RowHit, base int, raws []uint32, ents []catalog.EntityID, e2 catalog.EntityID, m *MatchSet) []RowHit {
 	mask := m.mask
 	if e2 == catalog.None {
-		for r, id := range texts {
+		for r, id := range raws {
 			if mask>>(id%64)&1 != 0 {
 				if ev := m.Lookup(id); ev > 0 {
 					dst = append(dst, RowHit{Row: int32(base + r), Evidence: ev})
@@ -983,12 +996,12 @@ func ScanColumn(dst []RowHit, base int, texts []uint32, ents []catalog.EntityID,
 		}
 		return dst
 	}
-	texts = texts[:len(ents)]
+	raws = raws[:len(ents)]
 	for r, e := range ents {
 		if e == e2 {
 			dst = append(dst, RowHit{Row: int32(base + r), Evidence: 1.5})
-		} else if e == catalog.None && mask>>(texts[r]%64)&1 != 0 {
-			if ev := m.Lookup(texts[r]); ev > 0 {
+		} else if e == catalog.None && mask>>(raws[r]%64)&1 != 0 {
+			if ev := m.Lookup(raws[r]); ev > 0 {
 				dst = append(dst, RowHit{Row: int32(base + r), Evidence: ev})
 			}
 		}

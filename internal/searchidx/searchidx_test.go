@@ -78,8 +78,8 @@ func contextTables(ix *Index, q string) []int32 {
 func verdict(ix *Index, q string, table, row, col int) float64 {
 	p := NewProbe(q)
 	m := ix.Compile(&p)
-	texts, _ := ix.Column(table, col)
-	return m.Lookup(texts[row])
+	raws, _ := ix.Column(table, col)
+	return m.Lookup(raws[row])
 }
 
 func TestHeaderContextCellPostings(t *testing.T) {
@@ -302,10 +302,10 @@ func TestUnannotatedIndex(t *testing.T) {
 	}
 }
 
-// TestColumnMajorLayout: every cell of every column reads back the text
-// and entity the row-major inputs gave it, across tables of different
-// shapes, an unannotated table in the middle and annotation grids
-// narrower than their table and longer than it.
+// TestColumnMajorLayout: every cell of every column reads back the
+// spelling, text and entity the row-major inputs gave it, across tables
+// of different shapes, an unannotated table in the middle and annotation
+// grids narrower than their table and longer than it.
 func TestColumnMajorLayout(t *testing.T) {
 	c := catalog.New()
 	T, err := c.AddType("T")
@@ -336,12 +336,15 @@ func TestColumnMajorLayout(t *testing.T) {
 	ix := New(c, tabs, anns)
 	for ti, tab := range tabs {
 		for col := 0; col < tab.Cols(); col++ {
-			texts, ents := ix.Column(ti, col)
-			if len(texts) != tab.Rows() || len(ents) != tab.Rows() {
-				t.Fatalf("table %d column %d: %d texts, %d entities for %d rows", ti, col, len(texts), len(ents), tab.Rows())
+			raws, ents := ix.Column(ti, col)
+			if len(raws) != tab.Rows() || len(ents) != tab.Rows() {
+				t.Fatalf("table %d column %d: %d spellings, %d entities for %d rows", ti, col, len(raws), len(ents), tab.Rows())
 			}
-			for r := range texts {
-				if got, want := ix.Spelling(texts[r]), text.Normalize(tab.Cell(r, col)); got != want {
+			for r := range raws {
+				if got, want := ix.Surface(ti, r, col), tab.Cell(r, col); got != want {
+					t.Errorf("table %d cell (%d,%d): surface %q, want %q", ti, r, col, got, want)
+				}
+				if got, want := ix.Spelling(raws[r]), text.Normalize(tab.Cell(r, col)); got != want {
 					t.Errorf("table %d cell (%d,%d): spelling %q, want %q", ti, r, col, got, want)
 				}
 				want := catalog.EntityID(catalog.None)
@@ -354,11 +357,11 @@ func TestColumnMajorLayout(t *testing.T) {
 			}
 		}
 	}
-	// Equal spellings share one text ID across tables.
+	// Spellings of one text share its ID across tables.
 	a, _ := ix.Column(0, 0)
 	b, _ := ix.Column(1, 0)
-	if a[0] != b[2] {
-		t.Errorf(`"A 0 0" and "a 0 0" have text IDs %d and %d`, a[0], b[2])
+	if a[0] == b[2] || ix.raws[a[0]].text != ix.raws[b[2]].text {
+		t.Errorf(`"A 0 0" and "a 0 0" are spellings %d and %d of texts %d and %d`, a[0], b[2], ix.raws[a[0]].text, ix.raws[b[2]].text)
 	}
 }
 
@@ -391,16 +394,17 @@ func TestResidentBytesArithmetic(t *testing.T) {
 		pair  = int64(unsafe.Sizeof(ColumnPair{}))
 	)
 	want := ResidentBytes{
-		// Three arrays of five cells.
-		Cells: 3 * 5 * u32,
+		// Two arrays of five cells.
+		Cells: 2 * 5 * u32,
 		// "Alpha" "alpha" "Bob" "bob" "alpha" in the blob, three raw and two
-		// text entries with a token count each, two spellings and two
-		// tokens mapped to IDs.
-		Dictionaries: 21 + 3*int64(unsafe.Sizeof(rawSpelling{})) + 2*(int64(unsafe.Sizeof(strRef{}))+u32) + (2+2)*(str+u32),
-		// Two token lists of one text; "film" and "director" each posting
-		// one column; "films" posting one table; one relation pair, and a
-		// typed pair under each of the two subject types.
-		Postings: 2*(slice+u32) + (str + 4 + slice + 8) + (str + 8 + slice + 8) + (str + 5 + slice + u32) + 3*(u32+slice+pair) + 2*u32,
+		// text entries with a token count each, the texts' spellings as
+		// three offsets and three IDs, and two tokens mapped to IDs.
+		Dictionaries: 21 + 3*int64(unsafe.Sizeof(rawSpelling{})) + 2*(int64(unsafe.Sizeof(strRef{}))+u32) + 6*u32 + 2*(str+u32),
+		// The token lists as three offsets and two text IDs; "film" and
+		// "director" each posting one column; "films" posting one table;
+		// one relation pair, and a typed pair under each of the two subject
+		// types.
+		Postings: 5*u32 + (str + 4 + slice + 8) + (str + 8 + slice + 8) + (str + 5 + slice + u32) + 3*(u32+slice+pair) + 2*u32,
 		// "a" "films" "Film" "Director" "b" "" and the annotation's "a" in
 		// the blob; per table its metadata, span and identity entry, two
 		// header entries, an annotation entry each, and the annotation's

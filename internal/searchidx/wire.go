@@ -37,7 +37,8 @@ import (
 //	tables × { flags byte: 0 for no annotation, else bit 0, and bit 1
 //	           for diagnostics; table-ID length, rows, cols, cols × type;
 //	           relations, then × { col1, col2, relation, forward };
-//	           candidate-gen, graph-build and inference nanoseconds,
+//	           candidate-gen, graph-build and inference nanoseconds
+//	           (0 for what a service annotated: wall time is not kept),
 //	           iterations, variables, factors, converged }
 //	per annotation, row by row: the cell's entity, plus one; but over a
 //	         cell of the table whose text an earlier such cell had: 0 for
@@ -58,12 +59,14 @@ import (
 //
 // Stored, because recomputing it is what made a restart slow: the text
 // dictionary in text-ID order, every raw spelling's text ID, and the
-// cells as IDs. Derived on load by the code that derives it at build
-// (Index.derive and addText): token postings from the text dictionary,
-// header, context, relation and typed-pair postings from headers,
-// contexts and annotations. A stored text is trusted to be the
-// normalization of the spellings that point at it; the section's
-// checksum is what vouches for it.
+// cells as raw-spelling IDs. Derived on load by the code that derives it
+// at build (Index.derive): each text's spellings from the raw
+// dictionary, token postings from the text dictionary, header, context,
+// relation and typed-pair postings from headers, contexts and
+// annotations. A stored text is trusted to be the normalization of the
+// spellings that point at it; the section's checksum is what vouches
+// for it. That no text is listed twice is checked, since matching
+// relies on it.
 //
 // A change to this layout is a new snapshot format version.
 
@@ -195,7 +198,7 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 	for ti := range ix.anns {
 		a := &ix.anns[ti]
 		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
-		texts, ents := ix.cellText[ix.spans[ti].off:], ix.cellEnts[ix.spans[ti].off:]
+		raws, ents := ix.cellRaw[ix.spans[ti].off:], ix.cellEnts[ix.spans[ti].off:]
 		for r := 0; r < int(a.rows); r++ {
 			for c := 0; c < int(a.cols); c++ {
 				if r >= rows || c >= cols {
@@ -203,7 +206,7 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 					continue
 				}
 				e := ents[c*rows+r]
-				switch label := &labels[texts[c*rows+r]]; {
+				switch label := &labels[ix.raws[raws[c*rows+r]].text]; {
 				case *label == unlabeled:
 					*label = int32(e)
 					dst = appendID(dst, int32(e))
@@ -370,8 +373,7 @@ func DecodeSegment(ctx context.Context, cat *catalog.Catalog, data []byte) (*Ind
 // segment was compiled from — anns nil when it had no annotation list —
 // without deriving a posting list: what a caller wants who is after the
 // content, not an index to query. data is as untrusted as DecodeSegment's
-// and checked the same way, short of the one check deriving makes (that
-// no text is listed twice).
+// and checked the same way.
 func DecodeTables(ctx context.Context, data []byte) ([]*table.Table, []*core.Annotation, error) {
 	ix, err := decode(ctx, data)
 	if err != nil {
@@ -433,6 +435,9 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 	}
 	r.off += r.blob
 
+	// intern never lists a text twice, and derive trusts that: a segment
+	// that does is refused here, where untrusted bytes arrive.
+	seen := make(map[string]struct{}, nTexts)
 	for i := range ix.raws {
 		raw := &ix.raws[i]
 		if raw.strRef, err = r.str(); err != nil {
@@ -451,6 +456,10 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 			if err != nil {
 				return nil, err
 			}
+			if _, dup := seen[ix.str(norm)]; dup {
+				return nil, corrupt("text %d repeats %q", len(ix.texts), ix.str(norm))
+			}
+			seen[ix.str(norm)] = struct{}{}
 			ix.texts = append(ix.texts, norm)
 		}
 	}
@@ -502,7 +511,7 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 	known := uint32(0) // spellings the cells so far have introduced
 	for ti := range ix.tables {
 		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
-		raws, texts := ix.cellRaw[ix.spans[ti].off:], ix.cellText[ix.spans[ti].off:]
+		raws := ix.cellRaw[ix.spans[ti].off:]
 		for i := 0; i < rows; i++ {
 			if i&(rowCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
@@ -522,7 +531,7 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 					raw = known
 					known++
 				}
-				raws[c*rows+i], texts[c*rows+i] = raw, ix.raws[raw].text
+				raws[c*rows+i] = raw
 			}
 		}
 	}
@@ -542,7 +551,7 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 }
 
 // annotations reads the annotation list of the segment whose tables and
-// text IDs ix already holds: every annotation's fields, then every
+// cells ix already holds: every annotation's fields, then every
 // annotation's grid of cell entities.
 func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 	ix.anns = make([]annMeta, len(ix.tables))
@@ -629,7 +638,7 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 	for ti := range ix.anns {
 		a := &ix.anns[ti]
 		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
-		texts, ents := ix.cellText[ix.spans[ti].off:], ix.cellEnts[ix.spans[ti].off:]
+		raws, ents := ix.cellRaw[ix.spans[ti].off:], ix.cellEnts[ix.spans[ti].off:]
 		for i := 0; i < int(a.rows); i++ {
 			if i&(rowCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
@@ -644,11 +653,14 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 				// Over a cell of the table whose text is labeled already, 0
 				// repeats the label and anything else is shifted by one more;
 				// the first such cell of a text sets its label.
-				inTable := i < rows && c < cols
-				labeled := inTable && labels[texts[c*rows+i]] != unlabeled
+				var label *int32
+				if i < rows && c < cols {
+					label = &labels[ix.raws[raws[c*rows+i]].text]
+				}
+				labeled := label != nil && *label != unlabeled
 				var e catalog.EntityID
 				if labeled && code == 0 {
-					e = catalog.EntityID(labels[texts[c*rows+i]])
+					e = catalog.EntityID(*label)
 				} else {
 					if labeled {
 						code--
@@ -656,11 +668,11 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 					if code > math.MaxUint32 {
 						return corrupt("annotation %d: entity code %d", ti, code)
 					}
-					if e = catalog.EntityID(int32(uint32(code)) - 1); inTable && !labeled {
-						labels[texts[c*rows+i]] = int32(e)
+					if e = catalog.EntityID(int32(uint32(code)) - 1); label != nil && !labeled {
+						*label = int32(e)
 					}
 				}
-				if inTable {
+				if label != nil {
 					ents[c*rows+i] = e
 				}
 				if a.grid != nil {

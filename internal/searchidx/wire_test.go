@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,7 +101,9 @@ func TestAppendSegmentRejects(t *testing.T) {
 // TestDecodeSegmentRejectsDamage: every truncation of a valid segment,
 // and a trailing byte, is ErrBadSegment; a flipped bit is ErrBadSegment
 // or a segment that decodes (it may have hit a string or an ID with
-// room to move) — never a panic.
+// room to move) — never a panic. A segment that lists one normalized
+// text twice is ErrBadSegment, by DecodeSegment and DecodeTables alike,
+// though the same cells with the text listed once decode.
 func TestDecodeSegmentRejectsDamage(t *testing.T) {
 	tables, anns := oddSegment()
 	data, err := AppendSegment(nil, tables, anns)
@@ -125,6 +128,22 @@ func TestDecodeSegmentRejectsDamage(t *testing.T) {
 			}
 		}
 	}
+
+	// One 1×2 table spelled "A", "a": one table, no annotations, two
+	// spellings, then the blob, each spelling's length and text, the
+	// table's ID and context lengths, shape and no headers, and both
+	// cells new.
+	once := []byte{1, 0, 2, 1, 3, 'A', 'a', 'a', 1, 0, 1, 1, 1, 0, 0, 1, 2, 0, 0, 0}
+	if _, err := DecodeSegment(ctx, nil, once); err != nil {
+		t.Fatalf("two spellings of one text: %v", err)
+	}
+	twice := []byte{1, 0, 2, 2, 4, 'A', 'a', 'a', 'a', 1, 0, 1, 1, 0, 1, 0, 0, 1, 2, 0, 0, 0}
+	if _, err := DecodeSegment(ctx, nil, twice); !errors.Is(err, ErrBadSegment) || !strings.Contains(err.Error(), "repeats") {
+		t.Fatalf("text listed twice: err = %v, want ErrBadSegment", err)
+	}
+	if _, _, err := DecodeTables(ctx, twice); !errors.Is(err, ErrBadSegment) {
+		t.Fatalf("text listed twice, DecodeTables: err = %v, want ErrBadSegment", err)
+	}
 }
 
 // TestDecodeSegmentObservesCancellation: a dead context stops a decode.
@@ -142,12 +161,12 @@ func TestDecodeSegmentObservesCancellation(t *testing.T) {
 }
 
 // TestDecodeSegmentAllocations: decoding allocates per table and per
-// distinct token, never per cell or per row — the cells are three arrays
+// distinct token, never per cell or per row — the cells are two arrays
 // per segment and no table or annotation object is built. Two segments
 // of the same 64 tables' worth of headers, annotations and distinct
 // strings, one with five times the rows of the other, must cost the same
 // number of allocations (give or take a stray one the runtime makes),
-// and no more than 12 per table (measured: 9.6): an annotation's column
+// and no more than 12 per table (measured: 9.4): an annotation's column
 // types and its relations, the normalized spelling of the table's
 // context and of each header while their tokens are posted, and the
 // growth steps of the posting lists it lands on.

@@ -161,13 +161,6 @@ func New(cat *catalog.Catalog, cfg Config) (*Store, error) {
 // afterwards.
 func (s *Store) View() *View { return s.view.Load() }
 
-// NextSegID returns the id the next created segment will get.
-func (s *Store) NextSegID() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextID
-}
-
 // ValidateBatch checks an Add batch against a view without mutating
 // anything: every table needs a non-empty ID, unique within the batch
 // and (when v is non-nil) not already live, and must pass structural

@@ -485,14 +485,16 @@ func TestLoadServiceAllocations(t *testing.T) {
 // with a token of its own — nothing for a dictionary to share — the heap
 // a LoadService leaves behind, beyond what an empty corpus over the same
 // catalog leaves, stays within loadedBytesPerTable per table (measured:
-// 4.7 KB, of which the three cell arrays are 240 B and nearly all the
-// rest is what twenty distinct strings cost in two dictionaries and a
-// token index; 5.6 KB when a segment also kept its tables and
-// annotations), and within a factor of what Service.ResidentBytes counts
-// from array lengths (measured: 1.5) — the gap being the buckets of the
-// maps and the allocator's size classes, which it leaves out.
+// 3.26 KB, of which the two cell arrays are 160 B and nearly all the
+// rest is what twenty distinct strings cost in three dictionaries and a
+// token index; 4.78 KB when each cell also kept its text ID and each
+// segment a spelling → text map, 5.6 KB when a segment also kept its
+// tables and annotations), and within a factor of what
+// Service.ResidentBytes counts from array lengths (measured: 1.4) — the
+// gap being the buckets of the maps and the allocator's size classes,
+// which it leaves out.
 func TestLoadedHeapPerTable(t *testing.T) {
-	const tables, rows, loadedBytesPerTable = 400, 10, 5200
+	const tables, rows, loadedBytesPerTable = 400, 10, 3550
 	ctx := context.Background()
 	w := testWorld(t)
 	film, _ := w.Public.TypeByName("Film")
@@ -538,8 +540,8 @@ func TestLoadedHeapPerTable(t *testing.T) {
 	perTable := float64(full-empty) / tables
 	sum := counted.Cells + counted.Dictionaries + counted.Postings + counted.Tables
 	t.Logf("%.0f heap bytes per table; counted %+v = %.0f per table", perTable, counted, float64(sum)/tables)
-	if counted.Cells != 3*4*tables*rows*2 {
-		t.Errorf("counted %d bytes of cells, want three 4-byte arrays of %d cells", counted.Cells, tables*rows*2)
+	if counted.Cells != 2*4*tables*rows*2 {
+		t.Errorf("counted %d bytes of cells, want two 4-byte arrays of %d cells", counted.Cells, tables*rows*2)
 	}
 	if perTable > loadedBytesPerTable {
 		t.Errorf("%.0f heap bytes per loaded table, budget %d", perTable, loadedBytesPerTable)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	webtable "repro"
@@ -39,14 +40,16 @@ func savedExtras() []*table.Table {
 // TestSavedGolden pins the bytes SaveSnapshot writes: testdata/saved.golden
 // holds the length and SHA-256 of every file a handful of fixed histories
 // save. The histories start from the snapshot files frozen under
-// internal/snapshot/testdata and never annotate (an annotation's stage
-// durations are in the file), so the digests depend on nothing but the
-// file format and on what a corpus keeps of its tables: added segments,
-// tombstones, compaction products, a reload in mid-history and the two
-// shards of a split all save what a rebuild from the same tables would.
-// The golden was written by the code that kept every segment's tables and
-// annotations next to its compiled form and saved from those; -update is
-// only legitimate with a new format version.
+// internal/snapshot/testdata, so the digests depend on nothing but the
+// file format, on what a corpus keeps of its tables and on the
+// annotations the last history makes: added segments, tombstones,
+// compaction products, a reload in mid-history and the two shards of a
+// split all save what a rebuild from the same tables would. The golden
+// was written by the code that kept every segment's tables and
+// annotations next to its compiled form and saved from those, except
+// its last line, which was added once a saved annotation stopped
+// holding its stage durations; -update is only legitimate with a new
+// format version.
 func TestSavedGolden(t *testing.T) {
 	ctx := context.Background()
 	opts := []webtable.ServiceOption{
@@ -144,6 +147,10 @@ func TestSavedGolden(t *testing.T) {
 	compact(svc)
 	save("emptied/compacted", svc)
 
+	// Tables annotated as they are added.
+	annotated := annotatedSave(t, 1)
+	fmt.Fprintf(&got, "annotated/grown %d %x\n", len(annotated), sha256.Sum256(annotated))
+
 	path := filepath.Join("testdata", "saved.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -159,5 +166,46 @@ func TestSavedGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("saved files diverge from %s:\n%s", path, got.Bytes())
+	}
+}
+
+// annotatedSave loads the segmented fixture into a service with the
+// given number of workers, adds savedExtras annotated by the service,
+// and returns what it saves.
+func annotatedSave(t *testing.T, workers int) []byte {
+	t.Helper()
+	ctx := context.Background()
+	raw, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", "segmented.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := webtable.LoadService(ctx, bytes.NewReader(raw), webtable.WithWorkers(workers), webtable.WithoutAutoCompaction())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.AddTables(ctx, savedExtras()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := svc.SaveSnapshot(ctx, &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSavedBytesIndependentOfScheduling: the same tables annotated and
+// saved by one worker or two, on one processor or two, save to the same
+// bytes — a saved annotation holds no wall time.
+func TestSavedBytesIndependentOfScheduling(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := annotatedSave(t, 1)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2} {
+			if got := annotatedSave(t, workers); !bytes.Equal(got, want) {
+				t.Errorf("GOMAXPROCS %d, %d workers: saved %d bytes that differ from the %d saved by one worker on one processor", procs, workers, len(got), len(want))
+			}
+		}
 	}
 }

@@ -278,14 +278,9 @@ func tableID(t *table.Table) string {
 // existing corpus use AddTables, which only annotates and indexes the new
 // tables.
 func (s *Service) BuildIndex(ctx context.Context, tables []*Table, opts ...AnnotateOption) (*SearchIndex, error) {
-	o := resolveAnnotateOptions(opts)
-	var anns []*Annotation
-	if !o.noAnns {
-		var err error
-		anns, err = s.AnnotateCorpus(ctx, tables, opts...)
-		if err != nil {
-			return nil, err
-		}
+	anns, err := s.corpusAnnotations(ctx, tables, opts)
+	if err != nil {
+		return nil, err
 	}
 	ix, err := searchidx.BuildContext(ctx, s.cat, tables, anns)
 	if err != nil {
@@ -361,7 +356,6 @@ func (s *Service) ResidentBytes() (resident ResidentBytes, ok bool) {
 // (test the causes with errors.Is against ErrMissingTableID /
 // ErrDuplicateTable) and the corpus is left unchanged.
 func (s *Service) AddTables(ctx context.Context, tables []*Table, opts ...AnnotateOption) (CorpusStats, error) {
-	o := resolveAnnotateOptions(opts)
 	// Fail fast on ID discipline before the expensive annotation pass: a
 	// rejected batch should cost validation, not a full corpus annotate.
 	// Store.Add revalidates authoritatively under its mutation lock.
@@ -375,10 +369,9 @@ func (s *Service) AddTables(ctx context.Context, tables []*Table, opts ...Annota
 		}
 	}
 	var anns []*Annotation
-	if !o.noAnns && len(tables) > 0 {
+	if len(tables) > 0 {
 		var err error
-		anns, err = s.AnnotateCorpus(ctx, tables, opts...)
-		if err != nil {
+		if anns, err = s.corpusAnnotations(ctx, tables, opts); err != nil {
 			return CorpusStats{}, err
 		}
 	}
@@ -406,6 +399,23 @@ func (s *Service) AddTables(ctx context.Context, tables []*Table, opts ...Annota
 		s.store.Store(st)
 	}
 	return v.Stats(), nil
+}
+
+// corpusAnnotations annotates tables for the live corpus — nil under
+// WithoutAnnotations — keeping of each annotation what the tables
+// determine: its stage durations are wall time, which the annotate.*
+// spans report, so that a saved corpus depends on its inputs alone.
+func (s *Service) corpusAnnotations(ctx context.Context, tables []*Table, opts []AnnotateOption) ([]*Annotation, error) {
+	if resolveAnnotateOptions(opts).noAnns {
+		return nil, nil
+	}
+	anns, err := s.AnnotateCorpus(ctx, tables, opts...)
+	for _, a := range anns {
+		if a != nil {
+			a.Diag.CandidateGen, a.Diag.GraphBuild, a.Diag.Inference = 0, 0, 0
+		}
+	}
+	return anns, err
 }
 
 // RemoveTables removes tables from the live corpus by ID. Removal only
