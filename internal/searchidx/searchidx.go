@@ -283,7 +283,7 @@ func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Tab
 }
 
 // layCells sizes the cell arrays for the tables whose spans are set: no
-// spelling or text chosen yet and no entity in any cell.
+// spelling chosen yet and no entity in any cell.
 func (ix *Index) layCells(cells uint64) {
 	ix.cellRaw = make([]uint32, cells)
 	ix.cellEnts = make([]catalog.EntityID, cells)
