@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -647,6 +648,42 @@ func BenchmarkIngestSteady(b *testing.B) {
 		tables += 8 * timed
 	}
 	b.ReportMetric(float64(tables)/b.Elapsed().Seconds(), "tables/s")
+}
+
+// BenchmarkLoadServing restores benchfix.Serving's 6 000-table, 7-segment
+// snapshot with LoadService, as the repository benchmark's serve-single
+// workload does. Besides time and allocations it reports heap-B/table:
+// the live heap the loaded service adds, read after two collections the
+// way that workload reads heap_mb, per table of the corpus.
+func BenchmarkLoadServing(b *testing.B) {
+	snap, _ := benchfix.Serving(b)
+	ctx := context.Background()
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var added, tables float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := live()
+		b.StartTimer()
+		svc, err := webtable.LoadService(ctx, bytes.NewReader(snap), webtable.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		added += float64(live()) - float64(before)
+		st, _ := svc.CorpusStats()
+		tables += float64(st.Tables)
+		svc.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(added/tables, "heap-B/table")
 }
 
 // BenchmarkTraining measures one epoch of structured training on a small
