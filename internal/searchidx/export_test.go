@@ -110,9 +110,7 @@ func IndexDiff(got, want *Index) string {
 		return fmt.Sprintf("blob: %q, want %q", got.blob, want.blob)
 	}
 	for ti := range want.anns {
-		ga, wa := got.anns[ti], want.anns[ti]
-		if ga.present != wa.present || ga.tableID != wa.tableID || ga.rows != wa.rows || ga.cols != wa.cols || ga.diag != wa.diag ||
-			!same(ga.types, wa.types) || !same(ga.relations, wa.relations) || !same(ga.grid, wa.grid) {
+		if ga, wa := got.anns[ti], want.anns[ti]; ga != wa {
 			return fmt.Sprintf("annotation %d: %+v, want %+v", ti, ga, wa)
 		}
 	}
@@ -130,6 +128,10 @@ func IndexDiff(got, want *Index) string {
 		{"cellEnts", got.cellEnts, want.cellEnts},
 		{"subjTypes", got.subjTypes, want.subjTypes},
 		{"identity", got.identity, want.identity},
+		{"annTypes", got.annTypes, want.annTypes},
+		{"annRels", got.annRels, want.annRels},
+		{"annGrid", got.annGrid, want.annGrid},
+		{"byID", got.byID, want.byID},
 	} {
 		if !same(f.got, f.want) {
 			return fmt.Sprintf("%s: %v, want %v", f.name, f.got, f.want)

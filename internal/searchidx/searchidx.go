@@ -52,13 +52,17 @@
 //   - stored: the raw dictionary (where a spelling lies in the blob and
 //     which text it normalizes to), the text dictionary (where a text
 //     lies), two parallel column-major cell arrays (raw-spelling ID,
-//     entity), and per table its shape, where its strings lie
-//     and the small parts of its annotation — column types, relations,
-//     diagnostics, the entity grid's shape, and the grid itself only
-//     when its shape is not the table's;
+//     entity), per table its shape and where its strings lie, and per
+//     annotation one fixed record — its diagnostics, its entity grid's
+//     shape and where its column types, its relations and, only when
+//     that shape is not the table's, its grid lie in three runs the
+//     segment's annotations share. Beside its cells and strings a table
+//     costs a fixed number of bytes and no heap object of its own;
 //   - derived from those, by derive, for a built segment and a loaded
-//     one alike: each text's spellings, token postings, header, context,
-//     relation and typed-pair postings;
+//     one alike: each text's spellings, token postings, the ID index (the
+//     local table numbers sorted by ID, which is how a segmented corpus
+//     finds a table by ID), header, context, relation and typed-pair
+//     postings;
 //   - materialised on demand, for the callers that want objects
 //     (snapshot.Load, compaction, tools, tests): Table and Annotation
 //     assemble a table.Table and a core.Annotation whose strings are
@@ -84,6 +88,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"time"
 	"unsafe"
 
 	"repro/internal/catalog"
@@ -153,10 +158,18 @@ type Index struct {
 
 	// Per table: where its strings lie and how wide it is (spans has its
 	// height), its headers as a run of headers, and its annotation. anns
-	// is nil when the segment was built without an annotation list.
-	tables  []tableMeta
-	headers []strRef
-	anns    []annMeta
+	// is nil when the segment was built without an annotation list; the
+	// annotations' column types, relations and own-shape entity grids lie
+	// in three runs, in table order, that their metadata addresses.
+	tables   []tableMeta
+	headers  []strRef
+	anns     []annMeta
+	annTypes []catalog.TypeID
+	annRels  []relMeta
+	annGrid  []catalog.EntityID
+	// byID lists the local table numbers in ascending order of ID, ties
+	// in ascending order of number.
+	byID []uint32
 
 	// Column-major cells: column c of table t is the spans[t].rows
 	// entries of cellRaw and cellEnts from spans[t].off+c*spans[t].rows —
@@ -225,19 +238,54 @@ type tableMeta struct {
 }
 
 // annMeta is what a segment keeps of an annotation beside the entities
-// in cellEnts: the zero annMeta for a table without one. rows × cols is
-// the shape of its entity grid, cols also the number of its column
-// types. When that is the table's shape the grid is the table's run of
-// cellEnts; otherwise grid holds it, row-major (and cellEnts the part of
-// it that lies over the table).
+// in cellEnts, a fixed record without a pointer: the zero annMeta for a
+// table without one. rows × cols is the shape of its entity grid, cols
+// also the number of its column types, which start at annTypes[types];
+// its relations are annRels[rels:][:nRels]. When the grid's shape is the
+// table's, the grid is the table's run of cellEnts; otherwise it is
+// annGrid's rows × cols entries from grid, row-major (and cellEnts holds
+// the part of it that lies over the table). diag holds the diagnostics'
+// integers in their order — the three stage durations in nanoseconds,
+// then iterations, variables and factors — and flags has annPresent, and
+// annConverged when inference converged.
 type annMeta struct {
-	present    bool
-	tableID    strRef
-	rows, cols uint32
-	types      []catalog.TypeID
-	relations  []core.RelationAnnotation
-	diag       core.Diagnostics
-	grid       []catalog.EntityID
+	tableID     strRef
+	rows, cols  uint32
+	types, grid uint32
+	rels, nRels uint32
+	diag        [6]int64
+	flags       uint8
+}
+
+// annConverged is annMeta's flag for a converged annotation. It is never
+// persisted; the wire's annotation flags are annPresent and
+// annDiagnostics.
+const annConverged = 1 << 2
+
+// packDiag returns the diag and flags of an annMeta with diagnostics d.
+func packDiag(d core.Diagnostics) (diag [6]int64, flags uint8) {
+	diag = [6]int64{int64(d.CandidateGen), int64(d.GraphBuild), int64(d.Inference), int64(d.Iterations), int64(d.NumVars), int64(d.NumFactors)}
+	if flags = annPresent; d.Converged {
+		flags |= annConverged
+	}
+	return diag, flags
+}
+
+// relMeta is one relation of an annotation, packed: 16 bytes where a
+// core.RelationAnnotation takes 24.
+type relMeta struct {
+	col1, col2 uint32
+	rel        catalog.RelationID
+	forward    bool
+}
+
+// exact returns s in an array of its own length, so that what append
+// grew while a segment was filled is not kept with it.
+func exact[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
 }
 
 // New builds an index over a corpus. anns may be nil (baseline mode) or
@@ -377,6 +425,7 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 			}
 		}
 	}
+	ix.headers = exact(ix.headers)
 	if anns != nil {
 		ix.anns = make([]annMeta, len(anns))
 	}
@@ -398,11 +447,19 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 		}
 		m := &ix.anns[ti]
 		*m = annMeta{
-			present: true, tableID: add(a.TableID), rows: uint32(rows), cols: uint32(cols),
-			types: slices.Clone(a.ColumnTypes), relations: slices.Clone(a.Relations), diag: a.Diag,
+			tableID: add(a.TableID), rows: uint32(rows), cols: uint32(cols),
+			types: uint32(len(ix.annTypes)), rels: uint32(len(ix.annRels)), nRels: uint32(len(a.Relations)),
+		}
+		m.diag, m.flags = packDiag(a.Diag)
+		ix.annTypes = append(ix.annTypes, a.ColumnTypes...)
+		for _, ra := range a.Relations {
+			ix.annRels = append(ix.annRels, relMeta{uint32(ra.Col1), uint32(ra.Col2), ra.Relation, ra.Forward})
 		}
 		tRows, tCols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
 		own := rows != tRows || cols != tCols
+		if own {
+			m.grid = uint32(len(ix.annGrid))
+		}
 		ents := ix.cellEnts[ix.spans[ti].off:]
 		for r, row := range a.CellEntities {
 			if len(row) != cols {
@@ -414,7 +471,7 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 				}
 			}
 			if own {
-				m.grid = append(m.grid, row...)
+				ix.annGrid = append(ix.annGrid, row...)
 			}
 			if r < tRows {
 				for c, e := range row[:min(cols, tCols)] {
@@ -423,19 +480,20 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 			}
 		}
 	}
-	if len(blob) > math.MaxUint32 {
-		return nil, fmt.Errorf("searchidx: more than %d bytes of strings in one segment", uint32(math.MaxUint32))
+	if len(blob) > math.MaxUint32 || len(ix.annTypes) > math.MaxUint32 || len(ix.annRels) > math.MaxUint32 || len(ix.annGrid) > math.MaxUint32 {
+		return nil, fmt.Errorf("searchidx: more than %d bytes of strings, or annotation entries, in one segment", uint32(math.MaxUint32))
 	}
 	ix.blob = string(blob)
+	ix.annTypes, ix.annRels, ix.annGrid = exact(ix.annTypes), exact(ix.annRels), exact(ix.annGrid)
 	return ix, nil
 }
 
 // derive computes what an index holds beyond what it stores, all of it a
-// function of the two dictionaries, the tables' headers and contexts and
-// the annotations: each text's spellings and the token postings, the
-// baseline's header and context postings, the relation and typed-pair
-// postings, and the subject types. It is the one place they are
-// computed, for a built segment and a loaded one alike.
+// function of the two dictionaries, the tables' IDs, headers and contexts
+// and the annotations: each text's spellings and the token postings, the
+// ID index, the baseline's header and context postings, the relation and
+// typed-pair postings, and the subject types. It is the one place they
+// are computed, for a built segment and a loaded one alike.
 func (ix *Index) derive(ctx context.Context) error {
 	ix.headerPost = make(map[string][]ColKey)
 	ix.contextPost = make(map[string][]int32)
@@ -445,6 +503,13 @@ func (ix *Index) derive(ctx context.Context) error {
 	if err := ix.deriveTokens(ctx); err != nil {
 		return err
 	}
+	ix.byID = make([]uint32, len(ix.tables))
+	for i := range ix.byID {
+		ix.byID[i] = uint32(i)
+	}
+	slices.SortFunc(ix.byID, func(a, b uint32) int {
+		return cmp.Or(strings.Compare(ix.TableID(int(a)), ix.TableID(int(b))), cmp.Compare(a, b))
+	})
 	var toks []string
 	for ti, m := range ix.tables {
 		if err := ctx.Err(); err != nil {
@@ -463,7 +528,7 @@ func (ix *Index) derive(ctx context.Context) error {
 				}
 			}
 		}
-		if ix.anns != nil && ix.anns[ti].present {
+		if ix.Annotated(ti) {
 			ix.indexAnnotation(int32(ti), &ix.anns[ti])
 		}
 	}
@@ -535,7 +600,7 @@ func (ix *Index) indexAnnotation(ti int32, ann *annMeta) {
 	for c := range colT {
 		colT[c] = catalog.None
 	}
-	for c, T := range ann.types {
+	for c, T := range ix.annTypes[ann.types:][:ann.cols] {
 		if c < cols {
 			colT[c] = T
 		}
@@ -548,12 +613,12 @@ func (ix *Index) indexAnnotation(ti int32, ann *annMeta) {
 	}
 	// Relation posting lists: one oriented pair per annotated relation
 	// instance, subject column first.
-	for _, ra := range ann.relations {
-		sc, oc := ra.Col1, ra.Col2
-		if !ra.Forward {
+	for _, ra := range ix.annRels[ann.rels:][:ann.nRels] {
+		sc, oc := int(ra.col1), int(ra.col2)
+		if !ra.forward {
 			sc, oc = oc, sc
 		}
-		ix.relPairs[ra.Relation] = append(ix.relPairs[ra.Relation], ColumnPair{
+		ix.relPairs[ra.rel] = append(ix.relPairs[ra.rel], ColumnPair{
 			Table: ti, SubjCol: int32(sc), ObjCol: int32(oc),
 			SubjType: typeOf(sc), ObjType: typeOf(oc),
 		})
@@ -583,7 +648,19 @@ func (ix *Index) Len() int { return len(ix.tables) }
 func (ix *Index) TableID(t int) string { return ix.str(ix.tables[t].id) }
 
 // Annotated reports whether table t has an annotation.
-func (ix *Index) Annotated(t int) bool { return ix.anns != nil && ix.anns[t].present }
+func (ix *Index) Annotated(t int) bool { return ix.anns != nil && ix.anns[t].flags&annPresent != 0 }
+
+// TablesWithID returns the local numbers of the tables whose ID is id,
+// ascending: a binary search of the ID index. The slice is shared;
+// callers must not mutate it.
+func (ix *Index) TablesWithID(id string) []uint32 {
+	lo, _ := slices.BinarySearchFunc(ix.byID, id, func(t uint32, id string) int { return strings.Compare(ix.TableID(int(t)), id) })
+	hi := lo
+	for hi < len(ix.byID) && ix.TableID(int(ix.byID[hi])) == id {
+		hi++
+	}
+	return ix.byID[lo:hi]
+}
 
 // Surface returns the cell of table t at (row, col) as the source table
 // spelled it. The string is a substring of the segment's blob.
@@ -621,20 +698,27 @@ func (ix *Index) Annotation(t int) *core.Annotation {
 		return nil
 	}
 	m := &ix.anns[t]
+	d := m.diag
 	out := &core.Annotation{
 		TableID:      ix.str(m.tableID),
-		ColumnTypes:  append(make([]catalog.TypeID, 0, m.cols), m.types...),
+		ColumnTypes:  append(make([]catalog.TypeID, 0, m.cols), ix.annTypes[m.types:][:m.cols]...),
 		CellEntities: newGrid[catalog.EntityID](int(m.rows), int(m.cols)),
-		Diag:         m.diag,
+		Diag: core.Diagnostics{
+			CandidateGen: time.Duration(d[0]), GraphBuild: time.Duration(d[1]), Inference: time.Duration(d[2]),
+			Iterations: int(d[3]), NumVars: int(d[4]), NumFactors: int(d[5]), Converged: m.flags&annConverged != 0,
+		},
 	}
-	if len(m.relations) > 0 {
-		out.Relations = slices.Clone(m.relations)
+	if m.nRels > 0 {
+		out.Relations = make([]core.RelationAnnotation, m.nRels)
+		for i, ra := range ix.annRels[m.rels:][:m.nRels] {
+			out.Relations[i] = core.RelationAnnotation{Col1: int(ra.col1), Col2: int(ra.col2), Relation: ra.rel, Forward: ra.forward}
+		}
 	}
 	own := m.rows != ix.spans[t].rows || m.cols != ix.tables[t].cols
 	rows, ents := int(ix.spans[t].rows), ix.cellEnts[ix.spans[t].off:]
 	for r, row := range out.CellEntities {
 		if own {
-			copy(row, m.grid[r*int(m.cols):])
+			copy(row, ix.annGrid[int(m.grid)+r*int(m.cols):])
 			continue
 		}
 		for c := range row {
@@ -695,13 +779,10 @@ func (ix *Index) measure() ResidentBytes {
 	r.Cells = u32 * int64(len(ix.cellRaw)+len(ix.cellEnts))
 	r.Dictionaries = dict + int64(unsafe.Sizeof(rawSpelling{}))*int64(len(ix.raws)) + (ref+u32)*int64(len(ix.texts)) +
 		u32*int64(len(ix.textRaws.off)+len(ix.textRaws.ids)) + (str+u32)*int64(len(ix.tokenIDs))
+	r.Cells += u32 * int64(len(ix.annGrid))
 	r.Tables = int64(len(ix.blob)) - dict + int64(unsafe.Sizeof(tableMeta{}))*int64(len(ix.tables)) + ref*int64(len(ix.headers)) +
-		int64(unsafe.Sizeof(tableSpan{}))*int64(len(ix.spans)) + u32*int64(len(ix.identity)) + int64(unsafe.Sizeof(annMeta{}))*int64(len(ix.anns))
-	for i := range ix.anns {
-		m := &ix.anns[i]
-		r.Cells += u32 * int64(len(m.grid))
-		r.Tables += u32*int64(len(m.types)) + int64(unsafe.Sizeof(core.RelationAnnotation{}))*int64(len(m.relations))
-	}
+		int64(unsafe.Sizeof(tableSpan{}))*int64(len(ix.spans)) + u32*int64(len(ix.identity)+len(ix.byID)) + int64(unsafe.Sizeof(annMeta{}))*int64(len(ix.anns)) +
+		u32*int64(len(ix.annTypes)) + int64(unsafe.Sizeof(relMeta{}))*int64(len(ix.annRels))
 	r.Postings += u32 * int64(len(ix.tokenTexts.off)+len(ix.tokenTexts.ids))
 	for tok, post := range ix.headerPost {
 		r.Postings += str + int64(len(tok)) + slice + colKey*int64(len(post))

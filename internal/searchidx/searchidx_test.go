@@ -406,13 +406,16 @@ func TestResidentBytesArithmetic(t *testing.T) {
 		// types.
 		Postings: 5*u32 + (str + 4 + slice + 8) + (str + 8 + slice + 8) + (str + 5 + slice + u32) + 3*(u32+slice+pair) + 2*u32,
 		// "a" "films" "Film" "Director" "b" "" and the annotation's "a" in
-		// the blob; per table its metadata, span and identity entry, two
-		// header entries, an annotation entry each, and the annotation's
-		// two types and one relation.
-		Tables: 20 + 2*(int64(unsafe.Sizeof(tableMeta{}))+int64(unsafe.Sizeof(tableSpan{}))+u32+int64(unsafe.Sizeof(annMeta{}))) +
-			2*int64(unsafe.Sizeof(strRef{})) + 2*u32 + int64(unsafe.Sizeof(core.RelationAnnotation{})),
+		// the blob; per table its metadata, span, identity and ID-index
+		// entries and a fixed annotation record; two header entries, and
+		// the annotation's two types and one packed relation in their runs.
+		Tables: 20 + 2*(int64(unsafe.Sizeof(tableMeta{}))+int64(unsafe.Sizeof(tableSpan{}))+2*u32+int64(unsafe.Sizeof(annMeta{}))) +
+			2*int64(unsafe.Sizeof(strRef{})) + 2*u32 + int64(unsafe.Sizeof(relMeta{})),
 	}
 	if got := ix.ResidentBytes(); got != want {
 		t.Errorf("ResidentBytes = %+v, want %+v", got, want)
+	}
+	if a, r := unsafe.Sizeof(annMeta{}), unsafe.Sizeof(relMeta{}); a > 88 || r > 16 {
+		t.Errorf("an annotation record takes %d bytes and a relation %d, budget 88 and 16", a, r)
 	}
 }

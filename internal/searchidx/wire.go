@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/catalog"
@@ -158,37 +159,33 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 
 	for i := range ix.anns {
 		a := &ix.anns[i]
-		if !a.present {
+		if !ix.Annotated(i) {
 			dst = append(dst, 0)
 			continue
 		}
 		af := byte(annPresent)
-		if a.diag != (core.Diagnostics{}) {
+		if a.diag != [6]int64{} || a.flags&annConverged != 0 {
 			af |= annDiagnostics
 		}
 		dst = append(dst, af)
 		dst = binary.AppendUvarint(dst, uint64(a.tableID.len))
 		dst = binary.AppendUvarint(dst, uint64(a.rows))
 		dst = binary.AppendUvarint(dst, uint64(a.cols))
-		for _, T := range a.types {
+		for _, T := range ix.annTypes[a.types:][:a.cols] {
 			dst = appendID(dst, int32(T))
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(a.relations)))
-		for _, ra := range a.relations {
-			dst = binary.AppendUvarint(dst, uint64(ra.Col1))
-			dst = binary.AppendUvarint(dst, uint64(ra.Col2))
-			dst = appendID(dst, int32(ra.Relation))
-			dst = appendBool(dst, ra.Forward)
+		dst = binary.AppendUvarint(dst, uint64(a.nRels))
+		for _, ra := range ix.annRels[a.rels:][:a.nRels] {
+			dst = binary.AppendUvarint(dst, uint64(ra.col1))
+			dst = binary.AppendUvarint(dst, uint64(ra.col2))
+			dst = appendID(dst, int32(ra.rel))
+			dst = appendBool(dst, ra.forward)
 		}
 		if af&annDiagnostics != 0 {
-			d := a.diag
-			dst = binary.AppendUvarint(dst, uint64(d.CandidateGen))
-			dst = binary.AppendUvarint(dst, uint64(d.GraphBuild))
-			dst = binary.AppendUvarint(dst, uint64(d.Inference))
-			dst = binary.AppendUvarint(dst, uint64(d.Iterations))
-			dst = binary.AppendUvarint(dst, uint64(d.NumVars))
-			dst = binary.AppendUvarint(dst, uint64(d.NumFactors))
-			dst = appendBool(dst, d.Converged)
+			for _, v := range a.diag {
+				dst = binary.AppendUvarint(dst, uint64(v))
+			}
+			dst = appendBool(dst, a.flags&annConverged != 0)
 		}
 	}
 	labels := make([]int32, len(ix.texts))
@@ -202,7 +199,7 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 		for r := 0; r < int(a.rows); r++ {
 			for c := 0; c < int(a.cols); c++ {
 				if r >= rows || c >= cols {
-					dst = appendID(dst, int32(a.grid[r*int(a.cols)+c]))
+					dst = appendID(dst, int32(ix.annGrid[int(a.grid)+r*int(a.cols)+c]))
 					continue
 				}
 				e := ents[c*rows+r]
@@ -504,6 +501,7 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 			}
 		}
 	}
+	ix.headers = exact(ix.headers)
 	if cells > math.MaxUint32 {
 		return nil, corrupt("%d cells", cells)
 	}
@@ -571,7 +569,7 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 			return corrupt("annotation %d: flags %#x", ti, af)
 		}
 		a := &ix.anns[ti]
-		a.present = true
+		a.flags = annPresent
 		if a.tableID, err = r.str(); err != nil {
 			return err
 		}
@@ -582,27 +580,24 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 		if cols == 0 && rows > 0 {
 			return corrupt("annotation %d has %d rows and no column", ti, rows)
 		}
-		a.rows, a.cols = uint32(rows), uint32(cols)
+		a.rows, a.cols, a.types, a.rels = uint32(rows), uint32(cols), uint32(len(ix.annTypes)), uint32(len(ix.annRels))
 		if a.rows != ix.spans[ti].rows || a.cols != ix.tables[ti].cols {
-			a.grid = make([]catalog.EntityID, rows*cols)
+			a.grid = uint32(len(ix.annGrid))
+			ix.annGrid = slices.Grow(ix.annGrid, rows*cols)[:len(ix.annGrid)+rows*cols]
 		}
-		a.types = make([]catalog.TypeID, cols)
-		for c := range a.types {
+		for c := 0; c < cols; c++ {
 			T, err := r.id()
 			if err != nil {
 				return err
 			}
-			a.types[c] = catalog.TypeID(T)
+			ix.annTypes = append(ix.annTypes, catalog.TypeID(T))
 		}
 		nRel, err := r.count(4)
 		if err != nil {
 			return err
 		}
-		if nRel > 0 {
-			a.relations = make([]core.RelationAnnotation, nRel)
-		}
-		for i := range a.relations {
-			ra := &a.relations[i]
+		a.nRels = uint32(nRel)
+		for range nRel {
 			c1, err := r.uvarint()
 			if err != nil {
 				return err
@@ -614,22 +609,28 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 			if c1 >= uint32(cols) || c2 >= uint32(cols) {
 				return corrupt("annotation %d: relation columns (%d,%d) outside %d columns", ti, c1, c2, cols)
 			}
-			ra.Col1, ra.Col2 = int(c1), int(c2)
 			rel, err := r.id()
 			if err != nil {
 				return err
 			}
-			ra.Relation = catalog.RelationID(rel)
-			if ra.Forward, err = r.flag(); err != nil {
+			forward, err := r.flag()
+			if err != nil {
 				return err
 			}
+			ix.annRels = append(ix.annRels, relMeta{c1, c2, catalog.RelationID(rel), forward})
 		}
 		if af&annDiagnostics != 0 {
-			if a.diag, err = r.diagnostics(); err != nil {
+			d, err := r.diagnostics()
+			if err != nil {
 				return err
 			}
+			a.diag, a.flags = packDiag(d)
 		}
 	}
+	if cells > math.MaxUint32 || len(ix.annTypes) > math.MaxUint32 || len(ix.annRels) > math.MaxUint32 {
+		return corrupt("%d annotation cells, %d types, %d relations", cells, len(ix.annTypes), len(ix.annRels))
+	}
+	ix.annTypes, ix.annRels, ix.annGrid = exact(ix.annTypes), exact(ix.annRels), exact(ix.annGrid)
 
 	labels := make([]int32, len(ix.texts))
 	for i := range labels {
@@ -639,6 +640,7 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 		a := &ix.anns[ti]
 		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
 		raws, ents := ix.cellRaw[ix.spans[ti].off:], ix.cellEnts[ix.spans[ti].off:]
+		own := a.rows != uint32(rows) || a.cols != uint32(cols)
 		for i := 0; i < int(a.rows); i++ {
 			if i&(rowCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
@@ -675,8 +677,8 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 				if label != nil {
 					ents[c*rows+i] = e
 				}
-				if a.grid != nil {
-					a.grid[i*int(a.cols)+c] = e
+				if own {
+					ix.annGrid[int(a.grid)+i*int(a.cols)+c] = e
 				}
 			}
 		}

@@ -129,7 +129,7 @@ func (s *Store) compactOnceLocked(ctx context.Context) (bool, error) {
 	var fullyDead []int
 	liveCount := make([]int, len(v.segs))
 	for i, seg := range v.segs {
-		liveCount[i] = seg.Len() - len(v.dead[i])
+		liveCount[i] = seg.Len() - v.dead[i]
 		if liveCount[i] == 0 {
 			fullyDead = append(fullyDead, i)
 		}
@@ -152,7 +152,7 @@ func (s *Store) compactOnceLocked(ctx context.Context) (bool, error) {
 
 	// 3. Tombstone-heavy segment: rewrite alone to reclaim dead tables.
 	for i, seg := range v.segs {
-		nDead := len(v.dead[i])
+		nDead := v.dead[i]
 		if nDead > 0 && float64(nDead) > s.policy.MaxDeadFraction*float64(seg.Len()) {
 			if err := s.mergeLocked(ctx, v, i, i); err != nil {
 				return false, err
@@ -195,7 +195,7 @@ func (s *Store) mergeLocked(ctx context.Context, v *View, lo, hi int) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if v.isDead(i, local) {
+			if v.glob[i][local] < 0 {
 				continue
 			}
 			tables = append(tables, ix.Table(local))

@@ -11,12 +11,14 @@
 //     segment keeps: the tables and annotations it was compiled from are
 //     copied into it, not referenced, and come back as objects only
 //     when somebody asks (View.Flatten, compaction);
-//   - a View is an immutable manifest: the ordered live segments plus a
-//     tombstone set of removed tables. Views implement search.Corpus by
-//     handing the query engine each segment's compiled index with the
-//     map from its local table numbers to corpus-global ones (tombstoned
-//     tables map to -1), so the engine walks many segments' posting
-//     lists exactly as it walks one monolithic index's;
+//   - a View is an immutable manifest: the ordered live segments, each
+//     with the map from its local table numbers to corpus-global ones
+//     (tombstoned tables map to -1). Views implement search.Corpus by
+//     handing the query engine each segment's compiled index with that
+//     map, so the engine walks many segments' posting lists exactly as it
+//     walks one monolithic index's. A view finds a table by ID in the
+//     segments' own ID indexes, and a new view shares every map its
+//     mutation does not renumber;
 //   - a Store serializes mutations (Add builds one new segment over just
 //     the new tables; Remove only marks tombstones) and swaps the
 //     current View atomically, so readers never block and in-flight
@@ -40,7 +42,6 @@ package segment
 
 import (
 	"slices"
-	"sort"
 	"unsafe"
 
 	"repro/internal/catalog"
@@ -77,66 +78,110 @@ type Loc struct {
 // segments in order plus the tombstoned tables. It implements
 // search.Corpus: each segment's index with its local→global table map,
 // the global numbers skipping tombstones, so rankings and explanations
-// are identical to a monolithic index over the surviving tables. A View is safe for concurrent use and never
-// changes; mutations produce a new View.
+// are identical to a monolithic index over the surviving tables. A View
+// is safe for concurrent use and never changes; mutations produce a new
+// View.
+//
+// A view keeps no directory of its own: a table ID is looked up in each
+// segment's ID index (searchidx.Index.TablesWithID), newest segment
+// first. A derived view shares every per-segment table map its mutation
+// leaves as it was, so adding a segment, merging a run or dropping dead
+// segments costs the new segment and the manifest, and a removal
+// renumbers only the segments from the first table it tombstones on.
 type View struct {
 	cat *catalog.Catalog
 	gen uint64
 
 	segs []*Segment
-	// dead[i] holds segment i's tombstoned local table numbers. Maps are
-	// shared across views and never mutated after installation;
-	// withoutTables copies the maps it changes.
-	dead []map[int]struct{}
-
 	// glob[i][local] is the corpus-global number of segment i's table
-	// local, or -1 when tombstoned; rev is the inverse.
-	glob  [][]int32
-	rev   []Loc
-	live  map[string]Loc // table ID → location, live tables only
-	nDead int
-	// nAnnotated counts the live tables with an annotation; resident sums
-	// the segments' memory and the view's own numbering arrays.
-	nAnnotated int
-	resident   searchidx.ResidentBytes
+	// local, or -1 when tombstoned, and dead[i] counts those. A table map
+	// is shared across views and never written once a view holding it is
+	// published.
+	glob [][]int32
+	dead []int
+	// tables counts the live tables, nDead the tombstones and nAnnotated
+	// the live tables with an annotation; resident sums the segments'
+	// memory and the table maps.
+	tables, nDead, nAnnotated int
+	resident                  searchidx.ResidentBytes
 	// subjTypes is the ascending union of the segments' typed-pair subject
-	// types. Like the numbering above it is derived in newView, before the
-	// view is published, so concurrent queries only ever read it.
+	// types. Like the numbering above it is derived before the view is
+	// published, so concurrent queries only ever read it.
 	subjTypes []catalog.TypeID
 }
 
-// newView derives the global numbering of a manifest. segs and dead must
-// be parallel; both are adopted, not copied — callers hand over freshly
-// assembled slices.
-func newView(cat *catalog.Catalog, gen uint64, segs []*Segment, dead []map[int]struct{}) *View {
-	v := &View{cat: cat, gen: gen, segs: segs, dead: dead}
-	v.glob = make([][]int32, len(segs))
-	v.live = make(map[string]Loc)
-	g := int32(0)
-	for i, seg := range segs {
-		v.subjTypes = append(v.subjTypes, seg.ix.SubjectTypes()...)
-		gl := make([]int32, seg.Len())
-		for local := range gl {
-			if _, isDead := dead[i][local]; isDead {
-				gl[local] = -1
-				v.nDead++
-				continue
-			}
-			gl[local] = g
-			v.rev = append(v.rev, Loc{Seg: i, Table: local})
-			if id := seg.ix.TableID(local); id != "" {
-				v.live[id] = Loc{Seg: i, Table: local}
-			}
-			if seg.ix.Annotated(local) {
-				v.nAnnotated++
-			}
-			g++
+// next returns a copy of v one generation on, whose manifest slices are
+// its own to change; the table maps in them are still v's.
+func (v *View) next() *View {
+	nv := *v
+	nv.gen++
+	nv.segs, nv.glob, nv.dead = slices.Clone(v.segs), slices.Clone(v.glob), slices.Clone(v.dead)
+	return &nv
+}
+
+// push appends seg to the manifest, its tables numbered after every live
+// one.
+func (v *View) push(seg *Segment) {
+	gl := make([]int32, seg.Len())
+	for local := range gl {
+		gl[local] = int32(v.tables + local)
+		if seg.ix.Annotated(local) {
+			v.nAnnotated++
 		}
-		v.glob[i] = gl
-		v.resident.Add(seg.ix.ResidentBytes())
-		v.resident.Tables += int64(len(gl)) * int64(unsafe.Sizeof(gl[0]))
 	}
-	v.resident.Tables += int64(len(v.rev)) * int64(unsafe.Sizeof(Loc{}))
+	v.segs, v.glob, v.dead = append(v.segs, seg), append(v.glob, gl), append(v.dead, 0)
+	v.tables += len(gl)
+}
+
+// bury tombstones locs — repeats and tables already dead are ignored —
+// and renumbers the live tables of the segments from the first one locs
+// names on, in copies of their table maps.
+func (v *View) bury(locs []Loc) {
+	first, g := len(v.segs), int32(0)
+	for _, l := range locs {
+		first = min(first, l.Seg)
+	}
+	for i := first; i < len(v.segs); i++ {
+		v.glob[i] = slices.Clone(v.glob[i])
+	}
+	for _, l := range locs {
+		if v.glob[l.Seg][l.Table] >= 0 {
+			v.glob[l.Seg][l.Table] = -1
+			v.dead[l.Seg]++
+			if v.segs[l.Seg].ix.Annotated(l.Table) {
+				v.nAnnotated--
+			}
+		}
+	}
+	for i := range first {
+		g += int32(len(v.glob[i]) - v.dead[i])
+	}
+	for _, gl := range v.glob[first:] {
+		for local, n := range gl {
+			if n >= 0 {
+				gl[local], g = g, g+1
+			}
+		}
+	}
+}
+
+// settle counts what the view reports over its manifest: live tables,
+// tombstones, resident bytes and the subject types. It reads per-segment
+// totals only, never a table.
+func (v *View) settle() *View {
+	v.tables, v.nDead, v.resident = 0, 0, searchidx.ResidentBytes{}
+	types := 0
+	for i, seg := range v.segs {
+		v.tables += len(v.glob[i]) - v.dead[i]
+		v.nDead += v.dead[i]
+		v.resident.Add(seg.ix.ResidentBytes())
+		v.resident.Tables += int64(len(v.glob[i])) * int64(unsafe.Sizeof(int32(0)))
+		types += len(seg.ix.SubjectTypes())
+	}
+	v.subjTypes = make([]catalog.TypeID, 0, types)
+	for _, seg := range v.segs {
+		v.subjTypes = append(v.subjTypes, seg.ix.SubjectTypes()...)
+	}
 	slices.Sort(v.subjTypes)
 	v.subjTypes = slices.Compact(v.subjTypes)
 	return v
@@ -144,61 +189,64 @@ func newView(cat *catalog.Catalog, gen uint64, segs []*Segment, dead []map[int]s
 
 // withSegment derives the view that appends seg.
 func (v *View) withSegment(seg *Segment) *View {
-	segs := append(append([]*Segment(nil), v.segs...), seg)
-	dead := append(append([]map[int]struct{}(nil), v.dead...), nil)
-	return newView(v.cat, v.gen+1, segs, dead)
+	nv := v.next()
+	nv.push(seg)
+	return nv.settle()
 }
 
 // withoutTables derives the view that tombstones locs.
 func (v *View) withoutTables(locs []Loc) *View {
-	dead := append([]map[int]struct{}(nil), v.dead...)
-	copied := make(map[int]bool)
-	for _, l := range locs {
-		if !copied[l.Seg] {
-			m := make(map[int]struct{}, len(dead[l.Seg])+1)
-			for k := range dead[l.Seg] {
-				m[k] = struct{}{}
-			}
-			dead[l.Seg] = m
-			copied[l.Seg] = true
-		}
-		dead[l.Seg][l.Table] = struct{}{}
-	}
-	return newView(v.cat, v.gen+1, append([]*Segment(nil), v.segs...), dead)
+	nv := v.next()
+	nv.bury(locs)
+	return nv.settle()
 }
 
 // withReplacedRun derives the view where segments [lo, hi] are replaced
-// by the single merged segment (which carries no tombstones: merging
-// physically drops dead tables).
+// by the single merged segment, which holds their live tables in order
+// and no tombstone: every table keeps its global number.
 func (v *View) withReplacedRun(lo, hi int, seg *Segment) *View {
-	segs := make([]*Segment, 0, len(v.segs)-(hi-lo))
-	dead := make([]map[int]struct{}, 0, cap(segs))
-	segs = append(segs, v.segs[:lo]...)
-	dead = append(dead, v.dead[:lo]...)
-	segs = append(segs, seg)
-	dead = append(dead, nil)
-	segs = append(segs, v.segs[hi+1:]...)
-	dead = append(dead, v.dead[hi+1:]...)
-	return newView(v.cat, v.gen+1, segs, dead)
+	nv := v.next()
+	gl := make([]int32, seg.Len())
+	base := int32(0)
+	for i := range lo {
+		base += int32(len(v.glob[i]) - v.dead[i])
+	}
+	for local := range gl {
+		gl[local] = base + int32(local)
+	}
+	nv.segs = slices.Replace(nv.segs, lo, hi+1, seg)
+	nv.glob = slices.Replace(nv.glob, lo, hi+1, gl)
+	nv.dead = slices.Replace(nv.dead, lo, hi+1, 0)
+	return nv.settle()
 }
 
 // withDroppedSegments derives the view without the fully-dead segments
-// listed in drop (ascending).
+// listed in drop (ascending); no live table is renumbered.
 func (v *View) withDroppedSegments(drop []int) *View {
-	skip := make(map[int]struct{}, len(drop))
-	for _, i := range drop {
-		skip[i] = struct{}{}
+	nv := v.next()
+	for k := len(drop) - 1; k >= 0; k-- {
+		i := drop[k]
+		nv.segs, nv.glob, nv.dead = slices.Delete(nv.segs, i, i+1), slices.Delete(nv.glob, i, i+1), slices.Delete(nv.dead, i, i+1)
 	}
-	var segs []*Segment
-	var dead []map[int]struct{}
-	for i, seg := range v.segs {
-		if _, s := skip[i]; s {
-			continue
+	return nv.settle()
+}
+
+// find returns where the live table with the given ID lies: the last of
+// them in corpus order, should several share it. The empty ID is never
+// live.
+func (v *View) find(id string) (Loc, bool) {
+	if id == "" {
+		return Loc{}, false
+	}
+	for i := len(v.segs) - 1; i >= 0; i-- {
+		locals := v.segs[i].ix.TablesWithID(id)
+		for k := len(locals) - 1; k >= 0; k-- {
+			if local := int(locals[k]); v.glob[i][local] >= 0 {
+				return Loc{Seg: i, Table: local}, true
+			}
 		}
-		segs = append(segs, seg)
-		dead = append(dead, v.dead[i])
 	}
-	return newView(v.cat, v.gen+1, segs, dead)
+	return Loc{}, false
 }
 
 // Generation returns the view's monotonically increasing corpus
@@ -206,7 +254,7 @@ func (v *View) withDroppedSegments(drop []int) *View {
 func (v *View) Generation() uint64 { return v.gen }
 
 // Tables returns the number of live (non-tombstoned) tables.
-func (v *View) Tables() int { return len(v.rev) }
+func (v *View) Tables() int { return v.tables }
 
 // Segments returns the number of live segments.
 func (v *View) Segments() int { return len(v.segs) }
@@ -216,7 +264,7 @@ func (v *View) Tombstones() int { return v.nDead }
 
 // Has reports whether a live table with the given ID exists.
 func (v *View) Has(id string) bool {
-	_, ok := v.live[id]
+	_, ok := v.find(id)
 	return ok
 }
 
@@ -225,34 +273,33 @@ func (v *View) SegmentAt(i int) *Segment { return v.segs[i] }
 
 // DeadAt returns segment i's tombstoned local table numbers, sorted.
 func (v *View) DeadAt(i int) []int {
-	out := make([]int, 0, len(v.dead[i]))
-	for local := range v.dead[i] {
-		out = append(out, local)
+	out := make([]int, 0, v.dead[i])
+	for local, g := range v.glob[i] {
+		if g < 0 {
+			out = append(out, local)
+		}
 	}
-	sort.Ints(out)
 	return out
-}
-
-// isDead reports whether segment i's local table is tombstoned.
-func (v *View) isDead(i, local int) bool {
-	_, d := v.dead[i][local]
-	return d
 }
 
 // Flatten materialises the surviving corpus in global order — the exact
 // (tables, annotations) input a from-scratch monolithic index build
 // would receive. Annotations is nil when no live table is annotated.
 func (v *View) Flatten() ([]*table.Table, []*core.Annotation) {
-	tables := make([]*table.Table, len(v.rev))
+	tables := make([]*table.Table, v.tables)
 	var anns []*core.Annotation
 	if v.nAnnotated > 0 {
-		anns = make([]*core.Annotation, len(v.rev))
+		anns = make([]*core.Annotation, v.tables)
 	}
-	for g, l := range v.rev {
-		ix := v.segs[l.Seg].ix
-		tables[g] = ix.Table(l.Table)
-		if anns != nil {
-			anns[g] = ix.Annotation(l.Table)
+	for i, seg := range v.segs {
+		for local, g := range v.glob[i] {
+			if g < 0 {
+				continue
+			}
+			tables[g] = seg.ix.Table(local)
+			if anns != nil {
+				anns[g] = seg.ix.Annotation(local)
+			}
 		}
 	}
 	return tables, anns
@@ -276,7 +323,7 @@ type Stats struct {
 // built.
 func (v *View) Stats() Stats {
 	return Stats{
-		Tables:     len(v.rev),
+		Tables:     v.tables,
 		Annotated:  v.nAnnotated,
 		Segments:   len(v.segs),
 		Tombstones: v.nDead,

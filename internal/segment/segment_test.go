@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -264,14 +265,18 @@ func TestScriptedInterleavingEquivalence(t *testing.T) {
 }
 
 // TestRandomInterleavingEquivalence fuzzes the mutation sequence with a
-// seeded generator: adds, removes of random live tables, and compaction
-// passes in random order, checking equivalence after every operation.
+// seeded generator: adds, removes of random live tables, re-adds of
+// removed IDs and compaction passes in random order, checking
+// equivalence after every operation — and the directory against a model:
+// Has of every ID ever used, and that removing a dead ID is refused and
+// changes nothing.
 func TestRandomInterleavingEquivalence(t *testing.T) {
 	f := newFixture(t)
 	rng := rand.New(rand.NewSource(42))
 	s := newStore(t, f, Config{Policy: CompactionPolicy{MergeFactor: 2, TierBase: 4, MaxDeadFraction: 0.3}})
 	ctx := context.Background()
 
+	live := map[string]bool{} // every ID ever added: whether it is live now
 	liveIDs := func(v *View) []string {
 		tables, _ := v.Flatten()
 		ids := make([]string, len(tables))
@@ -280,13 +285,42 @@ func TestRandomInterleavingEquivalence(t *testing.T) {
 		}
 		return ids
 	}
-	for step := 0; step < 25; step++ {
+	deadIDs := func() []string {
+		var ids []string
+		for id, ok := range live {
+			if !ok {
+				ids = append(ids, id)
+			}
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	for step := 0; step < 40; step++ {
 		v := s.View()
 		var err error
-		switch op := rng.Intn(4); {
-		case op <= 1 || v.Tables() < 2: // add
+		switch op := rng.Intn(5); {
+		case op == 4 && len(deadIDs()) > 0: // re-add 1-2 removed IDs
+			dead := deadIDs()
+			rng.Shuffle(len(dead), func(i, j int) { dead[i], dead[j] = dead[j], dead[i] })
+			tabs, anns := f.batch(rng, min(len(dead), 1+rng.Intn(2)))
+			for i, tab := range tabs {
+				tab.ID = dead[i]
+				if anns[i] != nil {
+					anns[i].TableID = dead[i]
+				}
+			}
+			if v, err = s.Add(ctx, tabs, anns); err == nil {
+				for _, tab := range tabs {
+					live[tab.ID] = true
+				}
+			}
+		case op <= 1 || op == 4 || v.Tables() < 2: // add
 			tabs, anns := f.batch(rng, 1+rng.Intn(3))
-			v, err = s.Add(ctx, tabs, anns)
+			if v, err = s.Add(ctx, tabs, anns); err == nil {
+				for _, tab := range tabs {
+					live[tab.ID] = true
+				}
+			}
 		case op == 2: // remove 1-2 random live tables
 			ids := liveIDs(v)
 			k := 1 + rng.Intn(2)
@@ -298,14 +332,94 @@ func TestRandomInterleavingEquivalence(t *testing.T) {
 			for i := 0; i < k; i++ {
 				pick[i] = ids[perm[i]]
 			}
-			v, err = s.Remove(pick)
+			if v, err = s.Remove(pick); err == nil {
+				for _, id := range pick {
+					live[id] = false
+				}
+			}
 		default:
 			v, err = s.Compact(ctx)
 		}
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		for id, want := range live {
+			if got := v.Has(id); got != want {
+				t.Fatalf("step %d: Has(%q) = %v, want %v", step, id, got, want)
+			}
+		}
+		if v.Has("") {
+			t.Fatalf("step %d: the empty ID is live", step)
+		}
+		if dead := deadIDs(); len(dead) > 0 {
+			id := dead[rng.Intn(len(dead))]
+			if _, err := s.Remove([]string{id}); !errors.Is(err, ErrUnknownTable) {
+				t.Fatalf("step %d: Remove of dead %q: err = %v, want ErrUnknownTable", step, id, err)
+			}
+			if s.View() != v {
+				t.Fatalf("step %d: a refused Remove of %q changed the view", step, id)
+			}
+		}
 		checkEquivalent(t, f, v)
+	}
+}
+
+// TestAddAllocationsIndependentOfCorpus: a mutation costs its batch and
+// the manifest, not the corpus. Adding one fixed 2-table batch, and
+// removing a table of the newest segment, take the same number of
+// allocations — give or take a stray one — over a store seeded with one
+// 64-table segment as over one seeded with one 4 096-table segment.
+func TestAddAllocationsIndependentOfCorpus(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	const runs = 10
+	// fixed returns n tables, the same every call but for their IDs.
+	fixed := func(prefix string, n int) ([]*table.Table, []*core.Annotation) {
+		tabs, anns := f.batch(rand.New(rand.NewSource(99)), n)
+		for i, tab := range tabs {
+			tab.ID = fmt.Sprintf("%s-%02d", prefix, i)
+			if anns[i] != nil {
+				anns[i].TableID = tab.ID
+			}
+		}
+		return tabs, anns
+	}
+	measure := func(seeded int) (add, remove float64) {
+		tabs, anns := f.batch(rand.New(rand.NewSource(23)), seeded)
+		s := newStore(t, f, Config{Seeds: []Seed{{Index: searchidx.New(f.cat, tabs, anns)}}})
+		batches := make([][]*table.Table, runs+1)
+		batchAnns := make([][]*core.Annotation, runs+1)
+		for k := range batches {
+			batches[k], batchAnns[k] = fixed(fmt.Sprintf("add%02d", k), 2)
+		}
+		k := 0
+		add = testing.AllocsPerRun(runs, func() {
+			if _, err := s.Add(ctx, batches[k], batchAnns[k]); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		})
+		victims, vAnns := fixed("victim", runs+1)
+		if _, err := s.Add(ctx, victims, vAnns); err != nil {
+			t.Fatal(err)
+		}
+		k = 0
+		remove = testing.AllocsPerRun(runs, func() {
+			if _, err := s.Remove([]string{victims[k].ID}); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		})
+		return add, remove
+	}
+	addFew, removeFew := measure(64)
+	addMany, removeMany := measure(4096)
+	t.Logf("allocations per Add: %v over 64 tables, %v over 4096; per Remove: %v, %v", addFew, addMany, removeFew, removeMany)
+	if addMany > addFew+2 {
+		t.Errorf("Add over 4096 tables takes %v allocations, %v over 64: it costs the corpus", addMany, addFew)
+	}
+	if removeMany > removeFew+2 {
+		t.Errorf("Remove over 4096 tables takes %v allocations, %v over 64: it costs the corpus", removeMany, removeFew)
 	}
 }
 
@@ -538,6 +652,13 @@ func TestSeedRestore(t *testing.T) {
 	if _, err := s.Remove([]string{tabs[1].ID}); err != nil {
 		t.Fatal(err)
 	}
+	// The removed ID comes back in a third segment: tombstoned in the
+	// first, live in the last.
+	again, againAnns := f.batch(rng, 1)
+	again[0].ID, againAnns[0] = tabs[1].ID, nil
+	if _, err := s.Add(ctx, again, againAnns); err != nil {
+		t.Fatal(err)
+	}
 	v := s.View()
 
 	seeds := make([]Seed, 0, v.Segments())
@@ -564,10 +685,17 @@ func TestSeedRestore(t *testing.T) {
 		t.Fatalf("restored next id %d not past max seed id", restored.NextSegID())
 	}
 	checkEquivalent(t, f, rv)
-	// The restored store keeps mutating: removing a still-live table and
-	// re-checking equivalence exercises restored tombstone maps.
-	if _, err := restored.Remove([]string{more[0].ID}); err != nil {
+	if !rv.Has(tabs[1].ID) {
+		t.Fatalf("restored view lost %q, live in its last segment", tabs[1].ID)
+	}
+	// The restored store keeps mutating: removing still-live tables —
+	// one of them the ID whose first copy is tombstoned — and re-checking
+	// equivalence exercises the restored tombstones.
+	if _, err := restored.Remove([]string{more[0].ID, tabs[1].ID}); err != nil {
 		t.Fatal(err)
+	}
+	if rv := restored.View(); rv.Has(tabs[1].ID) || rv.Tables() != v.Tables()-2 {
+		t.Fatalf("after removing %q: Has = %v, %d tables, want false and %d", tabs[1].ID, rv.Has(tabs[1].ID), rv.Tables(), v.Tables()-2)
 	}
 	checkEquivalent(t, f, restored.View())
 }
@@ -723,8 +851,8 @@ func TestStoreCopiesWhatItKeeps(t *testing.T) {
 }
 
 // TestViewResidentBytes: a view's resident bytes are its segments' own
-// counts plus its table numbering — a global number per table held and a
-// location per live table.
+// counts plus its table numbering — a global number per table held, and
+// nothing per live table.
 func TestViewResidentBytes(t *testing.T) {
 	f := newFixture(t)
 	rng := rand.New(rand.NewSource(5))
@@ -748,7 +876,7 @@ func TestViewResidentBytes(t *testing.T) {
 	for i := 0; i < v.Segments(); i++ {
 		want.Add(v.SegmentAt(i).Index().ResidentBytes())
 	}
-	want.Tables += 9*4 + 8*16
+	want.Tables += 9 * 4
 	if got := v.ResidentBytes(); got != want || want.Cells == 0 {
 		t.Errorf("ResidentBytes = %+v, want %+v", got, want)
 	}

@@ -127,8 +127,8 @@ func New(cat *catalog.Catalog, cfg Config) (*Store, error) {
 		stop:   make(chan struct{}),
 	}
 	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
-	segs := make([]*Segment, len(cfg.Seeds))
-	dead := make([]map[int]struct{}, len(cfg.Seeds))
+	v := &View{cat: cat, gen: cfg.Generation}
+	var dead []Loc
 	for i, seed := range cfg.Seeds {
 		if seed.Index == nil {
 			return nil, fmt.Errorf("segment: seed %d has no index", i)
@@ -140,19 +140,16 @@ func New(cat *catalog.Catalog, cfg Config) (*Store, error) {
 		if id >= s.nextID {
 			s.nextID = id + 1
 		}
-		segs[i] = &Segment{id: id, ix: seed.Index}
-		if len(seed.Dead) > 0 {
-			m := make(map[int]struct{}, len(seed.Dead))
-			for _, local := range seed.Dead {
-				if local < 0 || local >= segs[i].Len() {
-					return nil, fmt.Errorf("segment: seed %d tombstone %d out of range [0, %d)", i, local, segs[i].Len())
-				}
-				m[local] = struct{}{}
+		v.push(&Segment{id: id, ix: seed.Index})
+		for _, local := range seed.Dead {
+			if local < 0 || local >= seed.Index.Len() {
+				return nil, fmt.Errorf("segment: seed %d tombstone %d out of range [0, %d)", i, local, seed.Index.Len())
 			}
-			dead[i] = m
+			dead = append(dead, Loc{Seg: i, Table: local})
 		}
 	}
-	s.view.Store(newView(cat, cfg.Generation, segs, dead))
+	v.bury(dead)
+	s.view.Store(v.settle())
 	return s, nil
 }
 
@@ -241,7 +238,7 @@ func (s *Store) Remove(ids []string) (*View, error) {
 	seen := make(map[string]struct{}, len(ids))
 	for i, id := range ids {
 		_, dup := seen[id]
-		if l, ok := v.live[id]; ok && !dup {
+		if l, ok := v.find(id); ok && !dup {
 			seen[id] = struct{}{}
 			locs = append(locs, l)
 			continue

@@ -429,10 +429,11 @@ func TestShardLoadsOnlyItsSections(t *testing.T) {
 // the same pool of strings, one with five times the rows, must take the
 // same number of allocations to load to within the growth steps of a few
 // maps and lists — and, beyond what an empty corpus over the same catalog
-// takes, no more than 8 per table (measured: 6.5 — an annotation's column
-// types and relations, the normalized header and context strings while
-// their tokens are posted, and the growth steps of the posting lists and
-// of the view's numbering).
+// takes, no more than 5.5 per table (measured: 4.5 — the normalized
+// header and context strings while their tokens are posted, and the
+// growth steps of the posting lists; 6.5 when each annotation's column
+// types and relations were objects of their own and the view kept a
+// directory of every table ID).
 func TestLoadServiceAllocations(t *testing.T) {
 	ctx := context.Background()
 	w := testWorld(t)
@@ -475,8 +476,8 @@ func TestLoadServiceAllocations(t *testing.T) {
 	if many > few+64 {
 		t.Errorf("loading 5x the cells takes %v allocations, %v for the smaller corpus: something is allocated per cell or per row", many, few)
 	}
-	if perTable := (many - none) / tables; perTable > 8 {
-		t.Errorf("%.1f allocations per table, budget 8", perTable)
+	if perTable := (many - none) / tables; perTable > 5.5 {
+		t.Errorf("%.1f allocations per table, budget 5.5", perTable)
 	}
 }
 
@@ -485,16 +486,17 @@ func TestLoadServiceAllocations(t *testing.T) {
 // with a token of its own — nothing for a dictionary to share — the heap
 // a LoadService leaves behind, beyond what an empty corpus over the same
 // catalog leaves, stays within loadedBytesPerTable per table (measured:
-// 3.26 KB, of which the two cell arrays are 160 B and nearly all the
+// 3.13 KB, of which the two cell arrays are 160 B and nearly all the
 // rest is what twenty distinct strings cost in three dictionaries and a
-// token index; 4.78 KB when each cell also kept its text ID and each
-// segment a spelling → text map, 5.6 KB when a segment also kept its
-// tables and annotations), and within a factor of what
+// token index; 3.26 KB when an annotation's metadata held three slices
+// and the view a table-ID map, 4.78 KB when each cell also kept its text
+// ID and each segment a spelling → text map, 5.6 KB when a segment also
+// kept its tables and annotations), and within a factor of what
 // Service.ResidentBytes counts from array lengths (measured: 1.4) — the
 // gap being the buckets of the maps and the allocator's size classes,
 // which it leaves out.
 func TestLoadedHeapPerTable(t *testing.T) {
-	const tables, rows, loadedBytesPerTable = 400, 10, 3550
+	const tables, rows, loadedBytesPerTable = 400, 10, 3400
 	ctx := context.Background()
 	w := testWorld(t)
 	film, _ := w.Public.TypeByName("Film")
