@@ -88,8 +88,11 @@ type Index struct {
 	cfg Config
 	vs  *text.VectorSpace
 
-	// entityPostings maps token -> entity ids (deduped, ascending).
-	entityPostings map[string][]catalog.EntityID
+	// The entity postings, one CSR run keyed by token ID in vs: token k's
+	// entities, deduped and ascending, are postIDs[postOff[k]:postOff[k+1]].
+	// ID 0, a token no lemma has, has none.
+	postOff []uint32
+	postIDs []catalog.EntityID
 	// entityLemmas[i] holds entity i's lemmas, compiled.
 	entityLemmas [][]text.Vector
 	// typeLemmas[i] holds type i's lemmas, compiled.
@@ -98,12 +101,7 @@ type Index struct {
 
 // Build indexes every entity and type lemma of a frozen catalog.
 func Build(cat *catalog.Catalog, cfg Config) *Index {
-	ix := &Index{
-		cat:            cat,
-		cfg:            cfg,
-		vs:             text.NewVectorSpace(),
-		entityPostings: make(map[string][]catalog.EntityID),
-	}
+	ix := &Index{cat: cat, cfg: cfg, vs: text.NewVectorSpace()}
 	// Pass 1: corpus statistics over all lemmas.
 	for e := 0; e < cat.NumEntities(); e++ {
 		for _, l := range cat.EntityLemmas(catalog.EntityID(e)) {
@@ -117,24 +115,14 @@ func Build(cat *catalog.Catalog, cfg Config) *Index {
 	}
 	// Pass 2: compile each lemma once; its tokens feed the postings.
 	ix.entityLemmas = make([][]text.Vector, cat.NumEntities())
-	for e := 0; e < cat.NumEntities(); e++ {
-		id := catalog.EntityID(e)
-		lemmas := cat.EntityLemmas(id)
-		vecs := make([]text.Vector, len(lemmas))
+	for e := range ix.entityLemmas {
+		lemmas := cat.EntityLemmas(catalog.EntityID(e))
+		ix.entityLemmas[e] = make([]text.Vector, len(lemmas))
 		for i, l := range lemmas {
-			vecs[i] = ix.vs.Vectorize(l)
-			for _, tok := range vecs[i].Tokens {
-				// Entities arrive in ascending order, so a token an
-				// earlier lemma of this entity posted is the list's last.
-				post := ix.entityPostings[tok.Text]
-				if n := len(post); n > 0 && post[n-1] == id {
-					continue
-				}
-				ix.entityPostings[tok.Text] = append(post, id)
-			}
+			ix.entityLemmas[e][i] = ix.vs.Vectorize(l)
 		}
-		ix.entityLemmas[e] = vecs
 	}
+	ix.post()
 	ix.typeLemmas = make([][]text.Vector, cat.NumTypes())
 	for t := 0; t < cat.NumTypes(); t++ {
 		lemmas := cat.TypeLemmas(catalog.TypeID(t))
@@ -145,6 +133,41 @@ func Build(cat *catalog.Catalog, cfg Config) *Index {
 		ix.typeLemmas[t] = vecs
 	}
 	return ix
+}
+
+// post builds the entity postings from the compiled entity lemmas: a
+// counting pass puts token k's count in postOff[k+2], a prefix sum turns
+// postOff[k+1] into the start of k's run, and placing each entity at
+// postOff[k+1], advanced, leaves it at the start of k+1's.
+func (ix *Index) post() {
+	terms := ix.vs.Terms()
+	off := make([]uint32, terms+3)
+	last := make([]catalog.EntityID, terms+1) // per token, the last entity posted to it, plus one
+	each := func(f func(tok int32, e catalog.EntityID)) {
+		clear(last)
+		for e, vecs := range ix.entityLemmas {
+			for _, v := range vecs {
+				for i := range v.Tokens {
+					// Entities arrive in ascending order, so an entity an
+					// earlier lemma posted to the token is its last.
+					if tok := v.Tokens[i].ID(); last[tok] != catalog.EntityID(e)+1 {
+						last[tok] = catalog.EntityID(e) + 1
+						f(tok, catalog.EntityID(e))
+					}
+				}
+			}
+		}
+	}
+	each(func(tok int32, _ catalog.EntityID) { off[tok+2]++ })
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	ix.postIDs = make([]catalog.EntityID, off[len(off)-1])
+	each(func(tok int32, e catalog.EntityID) {
+		ix.postIDs[off[tok+1]] = e
+		off[tok+1]++
+	})
+	ix.postOff = off[:terms+2]
 }
 
 // VectorSpace exposes the lemma corpus statistics (shared with the search
@@ -181,7 +204,7 @@ func (ix *Index) Compile(q *Query, s string) {
 // after cell reuses: once grown, a probe allocates nothing.
 type Probe struct {
 	cell  Query
-	probe []string
+	probe []text.Token
 	union []catalog.EntityID
 }
 
@@ -222,8 +245,14 @@ func (ix *Index) AppendCandidates(dst []Candidate, cell string, p *Probe) []Cand
 
 // postings returns the posting list a probe token contributes: none when
 // the token is unindexed or stop-word-like (longer than MaxPostingLen).
-func (ix *Index) postings(tok string) []catalog.EntityID {
-	post := ix.entityPostings[tok]
+// The token's ID selects its run; one beyond the runs is a token added to
+// the VectorSpace after Build, which no lemma has.
+func (ix *Index) postings(tok *text.Token) []catalog.EntityID {
+	id := int(tok.ID())
+	if id+1 >= len(ix.postOff) {
+		return nil
+	}
+	post := ix.postIDs[ix.postOff[id]:ix.postOff[id+1]]
 	if len(post) > ix.cfg.MaxPostingLen {
 		return nil
 	}
@@ -236,8 +265,8 @@ func (ix *Index) postings(tok string) []catalog.EntityID {
 func (ix *Index) pool(p *Probe) []catalog.EntityID {
 	var only []catalog.EntityID
 	lists, total := 0, 0
-	for _, tok := range p.probe {
-		if post := ix.postings(tok); len(post) > 0 {
+	for i := range p.probe {
+		if post := ix.postings(&p.probe[i]); len(post) > 0 {
 			only, lists, total = post, lists+1, total+len(post)
 		}
 	}
@@ -245,8 +274,8 @@ func (ix *Index) pool(p *Probe) []catalog.EntityID {
 		return only
 	}
 	union := slices.Grow(p.union[:0], total)
-	for _, tok := range p.probe {
-		union = append(union, ix.postings(tok)...)
+	for i := range p.probe {
+		union = append(union, ix.postings(&p.probe[i])...)
 	}
 	slices.Sort(union)
 	p.union = slices.Compact(union)

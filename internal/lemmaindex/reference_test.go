@@ -187,8 +187,8 @@ func checkPairReference(t *testing.T, name string, ix *lemmaindex.Index, cfg lem
 		q := vs.Vectorize(cell)
 		pool := map[catalog.EntityID]bool{}
 		for _, tok := range vs.TopTokens(nil, q, cfg.MaxProbeTokens) {
-			if len(posted[tok]) <= cfg.MaxPostingLen {
-				maps.Copy(pool, posted[tok])
+			if len(posted[tok.Text]) <= cfg.MaxPostingLen {
+				maps.Copy(pool, posted[tok.Text])
 			}
 		}
 		if len(cands) != len(pool) {

@@ -157,7 +157,7 @@ func TestTopTokens(t *testing.T) {
 	}
 	vs.Add("zanzibar the")
 	top := vs.TopTokens(nil, vs.Vectorize("the zanzibar of"), 2)
-	if len(top) != 2 || top[0] != "zanzibar" {
+	if len(top) != 2 || top[0].Text != "zanzibar" {
 		t.Fatalf("TopTokens = %v, want zanzibar first", top)
 	}
 	if got := vs.TopTokens(nil, vs.Vectorize("the"), 5); len(got) != 1 {

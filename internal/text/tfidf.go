@@ -42,6 +42,10 @@ func (v *VectorSpace) Add(doc string) {
 // Docs reports the number of documents added.
 func (v *VectorSpace) Docs() int { return v.docs }
 
+// Terms reports the number of distinct tokens added: their IDs (Token.ID)
+// run from 1 to Terms.
+func (v *VectorSpace) Terms() int { return len(v.vocab) }
+
 // IDF returns the smoothed inverse document frequency
 // log(1 + N/(1+df)). Tokens never seen get the maximum IDF.
 func (v *VectorSpace) IDF(token string) float64 { return v.idf(v.vocab[token].df) }
@@ -61,6 +65,10 @@ type Token struct {
 	sig    uint64  // bit r%64 set for every rune r of Text
 	id     int32   // Text's ID in the compiling VectorSpace; 0 if it has none
 }
+
+// ID returns the token's ID in the VectorSpace that compiled it, 0 for a
+// token no document added to it had.
+func (t *Token) ID() int32 { return t.id }
 
 // Vector is a string compiled for comparison (see the package comment):
 // a sparse TF-IDF vector whose tokens are kept sorted, with a precomputed
@@ -175,25 +183,26 @@ func jaroWinklerBound(a, b *Token) float64 {
 }
 
 // TopTokens appends to dst the n highest-IDF (rarest) tokens of q under
-// the corpus statistics, most discriminative first. Candidate generation
-// uses this to probe the lemma index with informative tokens only.
-func (v *VectorSpace) TopTokens(dst []string, q Vector, n int) []string {
+// the corpus statistics, most discriminative first, ties in ascending
+// order of Text. Candidate generation uses this to probe the lemma index
+// with informative tokens only.
+func (v *VectorSpace) TopTokens(dst []Token, q Vector, n int) []Token {
 	type tw struct {
-		tok string
+		i   int // q.Tokens ascend by Text, so the index breaks ties as Text does
 		idf float64
 	}
 	var stack [16]tw
 	all := stack[:0]
 	for i := range q.Tokens {
-		all = append(all, tw{q.Tokens[i].Text, v.IDF(q.Tokens[i].Text)})
+		all = append(all, tw{i, v.IDF(q.Tokens[i].Text)})
 	}
 	slices.SortFunc(all, func(a, b tw) int {
-		return cmp.Or(cmp.Compare(b.idf, a.idf), strings.Compare(a.tok, b.tok))
+		return cmp.Or(cmp.Compare(b.idf, a.idf), cmp.Compare(a.i, b.i))
 	})
 	n = max(0, min(n, len(all)))
 	dst = slices.Grow(dst, n)
 	for _, t := range all[:n] {
-		dst = append(dst, t.tok)
+		dst = append(dst, q.Tokens[t.i])
 	}
 	return dst
 }
