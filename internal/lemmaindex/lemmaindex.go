@@ -135,39 +135,28 @@ func Build(cat *catalog.Catalog, cfg Config) *Index {
 	return ix
 }
 
-// post builds the entity postings from the compiled entity lemmas: a
-// counting pass puts token k's count in postOff[k+2], a prefix sum turns
-// postOff[k+1] into the start of k's run, and placing each entity at
-// postOff[k+1], advanced, leaves it at the start of k+1's.
+// post builds the entity postings from the compiled entity lemmas: every
+// (token, entity) pair once, sorted, then counted into offsets.
 func (ix *Index) post() {
-	terms := ix.vs.Terms()
-	off := make([]uint32, terms+3)
-	last := make([]catalog.EntityID, terms+1) // per token, the last entity posted to it, plus one
-	each := func(f func(tok int32, e catalog.EntityID)) {
-		clear(last)
-		for e, vecs := range ix.entityLemmas {
-			for _, v := range vecs {
-				for i := range v.Tokens {
-					// Entities arrive in ascending order, so an entity an
-					// earlier lemma posted to the token is its last.
-					if tok := v.Tokens[i].ID(); last[tok] != catalog.EntityID(e)+1 {
-						last[tok] = catalog.EntityID(e) + 1
-						f(tok, catalog.EntityID(e))
-					}
-				}
+	var posts []uint64 // token<<32 | entity
+	for e, vecs := range ix.entityLemmas {
+		for _, v := range vecs {
+			for i := range v.Tokens {
+				posts = append(posts, uint64(v.Tokens[i].ID())<<32|uint64(e))
 			}
 		}
 	}
-	each(func(tok int32, _ catalog.EntityID) { off[tok+2]++ })
-	for k := 2; k < len(off); k++ {
-		off[k] += off[k-1]
+	slices.Sort(posts)
+	posts = slices.Compact(posts)
+	ix.postOff = make([]uint32, ix.vs.Terms()+2)
+	ix.postIDs = make([]catalog.EntityID, len(posts))
+	for i, p := range posts {
+		ix.postIDs[i] = catalog.EntityID(uint32(p))
+		ix.postOff[p>>32+1]++
 	}
-	ix.postIDs = make([]catalog.EntityID, off[len(off)-1])
-	each(func(tok int32, e catalog.EntityID) {
-		ix.postIDs[off[tok+1]] = e
-		off[tok+1]++
-	})
-	ix.postOff = off[:terms+2]
+	for k := 1; k < len(ix.postOff); k++ {
+		ix.postOff[k] += ix.postOff[k-1]
+	}
 }
 
 // VectorSpace exposes the lemma corpus statistics (shared with the search
@@ -245,13 +234,8 @@ func (ix *Index) AppendCandidates(dst []Candidate, cell string, p *Probe) []Cand
 
 // postings returns the posting list a probe token contributes: none when
 // the token is unindexed or stop-word-like (longer than MaxPostingLen).
-// The token's ID selects its run; one beyond the runs is a token added to
-// the VectorSpace after Build, which no lemma has.
 func (ix *Index) postings(tok *text.Token) []catalog.EntityID {
-	id := int(tok.ID())
-	if id+1 >= len(ix.postOff) {
-		return nil
-	}
+	id := tok.ID()
 	post := ix.postIDs[ix.postOff[id]:ix.postOff[id+1]]
 	if len(post) > ix.cfg.MaxPostingLen {
 		return nil

@@ -240,14 +240,11 @@ type tableMeta struct {
 // annMeta is what a segment keeps of an annotation beside the entities
 // in cellEnts, a fixed record without a pointer: the zero annMeta for a
 // table without one. rows × cols is the shape of its entity grid, cols
-// also the number of its column types, which start at annTypes[types];
-// its relations are annRels[rels:][:nRels]. When the grid's shape is the
-// table's, the grid is the table's run of cellEnts; otherwise it is
-// annGrid's rows × cols entries from grid, row-major (and cellEnts holds
-// the part of it that lies over the table). diag holds the diagnostics'
-// integers in their order — the three stage durations in nanoseconds,
-// then iterations, variables and factors — and flags has annPresent, and
-// annConverged when inference converged.
+// also the number of its column types, annTypes[types:]; its relations
+// are annRels[rels:][:nRels]. When the grid's shape is the table's it is
+// the table's run of cellEnts; otherwise annGrid[grid:] holds it,
+// row-major (and cellEnts the part of it over the table). diag holds the
+// diagnostics' integers in their order.
 type annMeta struct {
 	tableID     strRef
 	rows, cols  uint32
@@ -257,9 +254,7 @@ type annMeta struct {
 	flags       uint8
 }
 
-// annConverged is annMeta's flag for a converged annotation. It is never
-// persisted; the wire's annotation flags are annPresent and
-// annDiagnostics.
+// annConverged is annMeta's flag, never persisted, for Diagnostics.Converged.
 const annConverged = 1 << 2
 
 // packDiag returns the diag and flags of an annMeta with diagnostics d.

@@ -75,19 +75,13 @@ type Loc struct {
 }
 
 // View is one immutable point-in-time manifest of the corpus: the live
-// segments in order plus the tombstoned tables. It implements
-// search.Corpus: each segment's index with its local→global table map,
-// the global numbers skipping tombstones, so rankings and explanations
-// are identical to a monolithic index over the surviving tables. A View
-// is safe for concurrent use and never changes; mutations produce a new
-// View.
-//
-// A view keeps no directory of its own: a table ID is looked up in each
-// segment's ID index (searchidx.Index.TablesWithID), newest segment
-// first. A derived view shares every per-segment table map its mutation
-// leaves as it was, so adding a segment, merging a run or dropping dead
-// segments costs the new segment and the manifest, and a removal
-// renumbers only the segments from the first table it tombstones on.
+// segments in order, each with its local→global table map. It implements
+// search.Corpus with those maps, the global numbers skipping tombstones,
+// so rankings and explanations are identical to a monolithic index over
+// the surviving tables. A View is safe for concurrent use and never
+// changes; mutations produce a new View, which shares every table map
+// the mutation does not renumber. A table ID is looked up in the
+// segments' own ID indexes, newest first: a view keeps no directory.
 type View struct {
 	cat *catalog.Catalog
 	gen uint64
@@ -95,19 +89,17 @@ type View struct {
 	segs []*Segment
 	// glob[i][local] is the corpus-global number of segment i's table
 	// local, or -1 when tombstoned, and dead[i] counts those. A table map
-	// is shared across views and never written once a view holding it is
-	// published.
+	// is never written once a view holding it is published.
 	glob [][]int32
 	dead []int
 	// tables counts the live tables, nDead the tombstones and nAnnotated
 	// the live tables with an annotation; resident sums the segments'
-	// memory and the table maps.
+	// memory and the table maps; subjTypes is the ascending union of the
+	// segments' typed-pair subject types. All of it is derived before the
+	// view is published, so concurrent queries only ever read it.
 	tables, nDead, nAnnotated int
 	resident                  searchidx.ResidentBytes
-	// subjTypes is the ascending union of the segments' typed-pair subject
-	// types. Like the numbering above it is derived before the view is
-	// published, so concurrent queries only ever read it.
-	subjTypes []catalog.TypeID
+	subjTypes                 []catalog.TypeID
 }
 
 // next returns a copy of v one generation on, whose manifest slices are
@@ -121,7 +113,7 @@ func (v *View) next() *View {
 
 // push appends seg to the manifest, its tables numbered after every live
 // one.
-func (v *View) push(seg *Segment) {
+func (v *View) push(seg *Segment) *View {
 	gl := make([]int32, seg.Len())
 	for local := range gl {
 		gl[local] = int32(v.tables + local)
@@ -131,12 +123,13 @@ func (v *View) push(seg *Segment) {
 	}
 	v.segs, v.glob, v.dead = append(v.segs, seg), append(v.glob, gl), append(v.dead, 0)
 	v.tables += len(gl)
+	return v
 }
 
 // bury tombstones locs — repeats and tables already dead are ignored —
 // and renumbers the live tables of the segments from the first one locs
 // names on, in copies of their table maps.
-func (v *View) bury(locs []Loc) {
+func (v *View) bury(locs []Loc) *View {
 	first, g := len(v.segs), int32(0)
 	for _, l := range locs {
 		first = min(first, l.Seg)
@@ -163,23 +156,19 @@ func (v *View) bury(locs []Loc) {
 			}
 		}
 	}
+	return v
 }
 
 // settle counts what the view reports over its manifest: live tables,
 // tombstones, resident bytes and the subject types. It reads per-segment
 // totals only, never a table.
 func (v *View) settle() *View {
-	v.tables, v.nDead, v.resident = 0, 0, searchidx.ResidentBytes{}
-	types := 0
+	v.tables, v.nDead, v.resident, v.subjTypes = 0, 0, searchidx.ResidentBytes{}, nil
 	for i, seg := range v.segs {
 		v.tables += len(v.glob[i]) - v.dead[i]
 		v.nDead += v.dead[i]
 		v.resident.Add(seg.ix.ResidentBytes())
 		v.resident.Tables += int64(len(v.glob[i])) * int64(unsafe.Sizeof(int32(0)))
-		types += len(seg.ix.SubjectTypes())
-	}
-	v.subjTypes = make([]catalog.TypeID, 0, types)
-	for _, seg := range v.segs {
 		v.subjTypes = append(v.subjTypes, seg.ix.SubjectTypes()...)
 	}
 	slices.Sort(v.subjTypes)
@@ -187,32 +176,18 @@ func (v *View) settle() *View {
 	return v
 }
 
-// withSegment derives the view that appends seg.
-func (v *View) withSegment(seg *Segment) *View {
-	nv := v.next()
-	nv.push(seg)
-	return nv.settle()
-}
-
-// withoutTables derives the view that tombstones locs.
-func (v *View) withoutTables(locs []Loc) *View {
-	nv := v.next()
-	nv.bury(locs)
-	return nv.settle()
-}
-
 // withReplacedRun derives the view where segments [lo, hi] are replaced
 // by the single merged segment, which holds their live tables in order
 // and no tombstone: every table keeps its global number.
 func (v *View) withReplacedRun(lo, hi int, seg *Segment) *View {
 	nv := v.next()
-	gl := make([]int32, seg.Len())
-	base := int32(0)
-	for i := range lo {
-		base += int32(len(v.glob[i]) - v.dead[i])
-	}
-	for local := range gl {
-		gl[local] = base + int32(local)
+	gl := make([]int32, 0, seg.Len())
+	for _, old := range v.glob[lo : hi+1] {
+		for _, g := range old {
+			if g >= 0 {
+				gl = append(gl, g)
+			}
+		}
 	}
 	nv.segs = slices.Replace(nv.segs, lo, hi+1, seg)
 	nv.glob = slices.Replace(nv.glob, lo, hi+1, gl)

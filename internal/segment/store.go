@@ -148,8 +148,7 @@ func New(cat *catalog.Catalog, cfg Config) (*Store, error) {
 			dead = append(dead, Loc{Seg: i, Table: local})
 		}
 	}
-	v.bury(dead)
-	s.view.Store(v.settle())
+	s.view.Store(v.bury(dead).settle())
 	return s, nil
 }
 
@@ -215,7 +214,7 @@ func (s *Store) Add(ctx context.Context, tables []*table.Table, anns []*core.Ann
 	}
 	seg := &Segment{id: s.nextID, ix: ix}
 	s.nextID++
-	nv := v.withSegment(seg)
+	nv := v.next().push(seg).settle()
 	s.view.Store(nv)
 	s.kickCompactorLocked()
 	return nv, nil
@@ -248,7 +247,7 @@ func (s *Store) Remove(ids []string) (*View, error) {
 	if len(rejected) > 0 {
 		return nil, &BatchError{Tables: rejected}
 	}
-	nv := v.withoutTables(locs)
+	nv := v.next().bury(locs).settle()
 	s.view.Store(nv)
 	s.kickCompactorLocked()
 	return nv, nil
