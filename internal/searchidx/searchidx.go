@@ -443,7 +443,7 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 		m := &ix.anns[ti]
 		*m = annMeta{
 			tableID: add(a.TableID), rows: uint32(rows), cols: uint32(cols),
-			types: uint32(len(ix.annTypes)), rels: uint32(len(ix.annRels)), nRels: uint32(len(a.Relations)),
+			types: uint32(len(ix.annTypes)), grid: uint32(len(ix.annGrid)), rels: uint32(len(ix.annRels)), nRels: uint32(len(a.Relations)),
 		}
 		m.diag, m.flags = packDiag(a.Diag)
 		ix.annTypes = append(ix.annTypes, a.ColumnTypes...)
@@ -452,9 +452,6 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 		}
 		tRows, tCols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
 		own := rows != tRows || cols != tCols
-		if own {
-			m.grid = uint32(len(ix.annGrid))
-		}
 		ents := ix.cellEnts[ix.spans[ti].off:]
 		for r, row := range a.CellEntities {
 			if len(row) != cols {

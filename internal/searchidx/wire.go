@@ -580,9 +580,8 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 		if cols == 0 && rows > 0 {
 			return corrupt("annotation %d has %d rows and no column", ti, rows)
 		}
-		a.rows, a.cols, a.types, a.rels = uint32(rows), uint32(cols), uint32(len(ix.annTypes)), uint32(len(ix.annRels))
+		a.rows, a.cols, a.types, a.grid, a.rels = uint32(rows), uint32(cols), uint32(len(ix.annTypes)), uint32(len(ix.annGrid)), uint32(len(ix.annRels))
 		if a.rows != ix.spans[ti].rows || a.cols != ix.tables[ti].cols {
-			a.grid = uint32(len(ix.annGrid))
 			ix.annGrid = slices.Grow(ix.annGrid, rows*cols)[:len(ix.annGrid)+rows*cols]
 		}
 		for c := 0; c < cols; c++ {
