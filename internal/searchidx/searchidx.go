@@ -257,15 +257,6 @@ type annMeta struct {
 // annConverged is annMeta's flag, never persisted, for Diagnostics.Converged.
 const annConverged = 1 << 2
 
-// packDiag returns the diag and flags of an annMeta with diagnostics d.
-func packDiag(d core.Diagnostics) (diag [6]int64, flags uint8) {
-	diag = [6]int64{int64(d.CandidateGen), int64(d.GraphBuild), int64(d.Inference), int64(d.Iterations), int64(d.NumVars), int64(d.NumFactors)}
-	if flags = annPresent; d.Converged {
-		flags |= annConverged
-	}
-	return diag, flags
-}
-
 // relMeta is one relation of an annotation, packed: 16 bytes where a
 // core.RelationAnnotation takes 24.
 type relMeta struct {
@@ -445,7 +436,11 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 			tableID: add(a.TableID), rows: uint32(rows), cols: uint32(cols),
 			types: uint32(len(ix.annTypes)), grid: uint32(len(ix.annGrid)), rels: uint32(len(ix.annRels)), nRels: uint32(len(a.Relations)),
 		}
-		m.diag, m.flags = packDiag(a.Diag)
+		d := a.Diag
+		m.diag = [6]int64{int64(d.CandidateGen), int64(d.GraphBuild), int64(d.Inference), int64(d.Iterations), int64(d.NumVars), int64(d.NumFactors)}
+		if m.flags = annPresent; d.Converged {
+			m.flags |= annConverged
+		}
 		ix.annTypes = append(ix.annTypes, a.ColumnTypes...)
 		for _, ra := range a.Relations {
 			ix.annRels = append(ix.annRels, relMeta{uint32(ra.Col1), uint32(ra.Col2), ra.Relation, ra.Forward})

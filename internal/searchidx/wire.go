@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -619,11 +618,20 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 			ix.annRels = append(ix.annRels, relMeta{c1, c2, catalog.RelationID(rel), forward})
 		}
 		if af&annDiagnostics != 0 {
-			d, err := r.diagnostics()
+			for i := range a.diag {
+				v, err := r.u64()
+				if err != nil {
+					return err
+				}
+				a.diag[i] = int64(v)
+			}
+			converged, err := r.flag()
 			if err != nil {
 				return err
 			}
-			a.diag, a.flags = packDiag(d)
+			if converged {
+				a.flags |= annConverged
+			}
 		}
 	}
 	if cells > math.MaxUint32 || len(ix.annTypes) > math.MaxUint32 || len(ix.annRels) > math.MaxUint32 {
@@ -683,19 +691,4 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 		}
 	}
 	return nil
-}
-
-func (r *segmentReader) diagnostics() (core.Diagnostics, error) {
-	var v [6]uint64
-	for i := range v {
-		var err error
-		if v[i], err = r.u64(); err != nil {
-			return core.Diagnostics{}, err
-		}
-	}
-	converged, err := r.flag()
-	return core.Diagnostics{
-		CandidateGen: time.Duration(v[0]), GraphBuild: time.Duration(v[1]), Inference: time.Duration(v[2]),
-		Iterations: int(v[3]), NumVars: int(v[4]), NumFactors: int(v[5]), Converged: converged,
-	}, err
 }
