@@ -113,36 +113,18 @@ func Build(cat *catalog.Catalog, cfg Config) *Index {
 			ix.vs.Add(l)
 		}
 	}
-	// Pass 2: compile each lemma once; its tokens feed the postings.
+	// Pass 2: compile each lemma once; its tokens feed the postings as
+	// token<<32 | entity pairs, sorted, deduped and counted into offsets.
 	ix.entityLemmas = make([][]text.Vector, cat.NumEntities())
+	var posts []uint64
 	for e := range ix.entityLemmas {
 		lemmas := cat.EntityLemmas(catalog.EntityID(e))
 		ix.entityLemmas[e] = make([]text.Vector, len(lemmas))
 		for i, l := range lemmas {
-			ix.entityLemmas[e][i] = ix.vs.Vectorize(l)
-		}
-	}
-	ix.post()
-	ix.typeLemmas = make([][]text.Vector, cat.NumTypes())
-	for t := 0; t < cat.NumTypes(); t++ {
-		lemmas := cat.TypeLemmas(catalog.TypeID(t))
-		vecs := make([]text.Vector, len(lemmas))
-		for i, l := range lemmas {
-			vecs[i] = ix.vs.Vectorize(l)
-		}
-		ix.typeLemmas[t] = vecs
-	}
-	return ix
-}
-
-// post builds the entity postings from the compiled entity lemmas: every
-// (token, entity) pair once, sorted, then counted into offsets.
-func (ix *Index) post() {
-	var posts []uint64 // token<<32 | entity
-	for e, vecs := range ix.entityLemmas {
-		for _, v := range vecs {
-			for i := range v.Tokens {
-				posts = append(posts, uint64(v.Tokens[i].ID())<<32|uint64(e))
+			v := ix.vs.Vectorize(l)
+			ix.entityLemmas[e][i] = v
+			for j := range v.Tokens {
+				posts = append(posts, uint64(v.Tokens[j].ID())<<32|uint64(e))
 			}
 		}
 	}
@@ -157,6 +139,16 @@ func (ix *Index) post() {
 	for k := 1; k < len(ix.postOff); k++ {
 		ix.postOff[k] += ix.postOff[k-1]
 	}
+	ix.typeLemmas = make([][]text.Vector, cat.NumTypes())
+	for t := 0; t < cat.NumTypes(); t++ {
+		lemmas := cat.TypeLemmas(catalog.TypeID(t))
+		vecs := make([]text.Vector, len(lemmas))
+		for i, l := range lemmas {
+			vecs[i] = ix.vs.Vectorize(l)
+		}
+		ix.typeLemmas[t] = vecs
+	}
+	return ix
 }
 
 // VectorSpace exposes the lemma corpus statistics (shared with the search

@@ -167,8 +167,7 @@ type Index struct {
 	annTypes []catalog.TypeID
 	annRels  []relMeta
 	annGrid  []catalog.EntityID
-	// byID lists the local table numbers in ascending order of ID, ties
-	// in ascending order of number.
+	// byID is the local table numbers sorted by ID, then by number.
 	byID []uint32
 
 	// Column-major cells: column c of table t is the spans[t].rows
@@ -637,9 +636,8 @@ func (ix *Index) TableID(t int) string { return ix.str(ix.tables[t].id) }
 // Annotated reports whether table t has an annotation.
 func (ix *Index) Annotated(t int) bool { return ix.anns != nil && ix.anns[t].flags&annPresent != 0 }
 
-// TablesWithID returns the local numbers of the tables whose ID is id,
-// ascending: a binary search of the ID index. The slice is shared;
-// callers must not mutate it.
+// TablesWithID returns the ascending local numbers of the tables whose ID
+// is id, a slice of the ID index that callers must not mutate.
 func (ix *Index) TablesWithID(id string) []uint32 {
 	lo, _ := slices.BinarySearchFunc(ix.byID, id, func(t uint32, id string) int { return strings.Compare(ix.TableID(int(t)), id) })
 	hi := lo

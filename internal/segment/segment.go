@@ -92,11 +92,10 @@ type View struct {
 	// is never written once a view holding it is published.
 	glob [][]int32
 	dead []int
-	// tables counts the live tables, nDead the tombstones and nAnnotated
-	// the live tables with an annotation; resident sums the segments'
-	// memory and the table maps; subjTypes is the ascending union of the
-	// segments' typed-pair subject types. All of it is derived before the
-	// view is published, so concurrent queries only ever read it.
+	// The live, tombstoned and annotated live tables' counts, the memory
+	// of the segments and table maps, and the ascending union of the
+	// segments' typed-pair subject types: all derived before the view is
+	// published, so concurrent queries only ever read them.
 	tables, nDead, nAnnotated int
 	resident                  searchidx.ResidentBytes
 	subjTypes                 []catalog.TypeID
