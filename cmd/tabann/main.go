@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tables = webtable.ExtractHTML(string(doc), *html)
 	}
 	if *filter {
-		kept, rejected := webtable.FilterRelational(tables, webtable.DefaultFilterConfig())
+		kept, rejected := webtable.FilterRelational(tables)
 		if len(rejected) > 0 {
 			fmt.Fprintf(stderr, "tabann: screened out %v\n", rejected)
 		}

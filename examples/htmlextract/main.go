@@ -42,7 +42,7 @@ func main() {
 
 	extracted := webtable.ExtractHTML(doc, src)
 	fmt.Printf("extracted %d candidate tables\n", len(extracted))
-	kept, rejected := webtable.FilterRelational(extracted, webtable.DefaultFilterConfig())
+	kept, rejected := webtable.FilterRelational(extracted)
 	fmt.Printf("kept %d relational tables; rejected: %v\n\n", len(kept), rejected)
 
 	// Annotate survivors against a small demo catalog.

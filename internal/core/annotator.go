@@ -22,38 +22,29 @@ type Config struct {
 	Candidates lemmaindex.Config
 	// Mode selects the type-entity compatibility feature (§4.2.3 / Fig 8).
 	Mode feature.TypeEntityMode
-	// MaxIters caps BP schedule iterations (paper: converges within 3).
-	MaxIters int
-	// Tol is the message-convergence threshold.
-	Tol float64
-	// MaxTypesPerColumn caps the column-type candidate space, keeping the
-	// highest-scoring types by header+aggregate-compatibility pre-score.
-	// Zero means no cap.
-	MaxTypesPerColumn int
-	// NumericSkipFraction: columns whose numeric-cell fraction exceeds
-	// this are not annotated (catalog entities are non-numeric).
-	NumericSkipFraction float64
-	// DisableRelationVars drops the b_cc′ variables and φ4/φ5 potentials,
-	// reducing Eq. 1 to Eq. 2 (the simplified objective). Used by the
-	// ablation benchmarks.
-	DisableRelationVars bool
-	// UniqueColumns lists column indices whose cells must receive
-	// pairwise-distinct entity labels, enforced via min-cost flow
-	// (§4.4.1). Only honored by AnnotateSimple.
-	UniqueColumns []int
 }
 
 // DefaultConfig mirrors the paper's operating point.
 func DefaultConfig() Config {
 	return Config{
-		Candidates:          lemmaindex.DefaultConfig(),
-		Mode:                feature.ModeSqrtDist,
-		MaxIters:            10,
-		Tol:                 1e-6,
-		MaxTypesPerColumn:   64,
-		NumericSkipFraction: 0.7,
+		Candidates: lemmaindex.DefaultConfig(),
+		Mode:       feature.ModeSqrtDist,
 	}
 }
+
+// The rest of the paper's operating point, which no experiment varies.
+const (
+	// maxIters caps BP schedule iterations (paper: converges within 3).
+	maxIters = 10
+	// tol is the message-convergence threshold.
+	tol = 1e-6
+	// maxTypesPerColumn caps the column-type candidate space, keeping the
+	// highest-scoring types by header+aggregate-compatibility pre-score.
+	maxTypesPerColumn = 64
+	// numericSkipFraction: columns whose numeric-cell fraction exceeds
+	// this are not annotated (catalog entities are non-numeric).
+	numericSkipFraction = 0.7
+)
 
 // RelationAnnotation labels an ordered column pair. Forward means Col1
 // holds the relation's subjects.

@@ -57,7 +57,7 @@ func (p *phi3Table) row(e catalog.EntityID) []float64 {
 // phi3Given returns log φ3(T, ·) over the candidates of column cols[i]:
 // read from the column's table when T is in its type space, computed
 // when it is not (the baselines vote over every ancestor, so they may
-// settle on a type the MaxTypesPerColumn cap dropped).
+// settle on a type the maxTypesPerColumn cap dropped).
 func (a *Annotator) phi3Given(cs *candidates, i int, T catalog.TypeID) func(catalog.EntityID) float64 {
 	if ti, ok := slices.BinarySearch(cs.colTypes[i], T); ok {
 		tab := &cs.phi3[i]
@@ -85,7 +85,7 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *are
 	ar.rels = ar.rels[:0]
 	// 1. Annotatable columns.
 	for c := 0; c < t.Cols(); c++ {
-		if t.ColumnNumericFraction(c) > a.cfg.NumericSkipFraction {
+		if t.ColumnNumericFraction(c) > numericSkipFraction {
 			continue
 		}
 		cs.cols = append(cs.cols, c)
@@ -135,8 +135,8 @@ func (a *Annotator) buildCandidates(ctx context.Context, t *table.Table, ar *are
 	return cs, nil
 }
 
-// columnTypeSpace computes T_c = ∪_{E∈E_rc} T(E), optionally capped to
-// the best MaxTypesPerColumn types under a cheap pre-score (header
+// columnTypeSpace computes T_c = ∪_{E∈E_rc} T(E), capped to the best
+// maxTypesPerColumn types under a cheap pre-score (header
 // similarity + summed compatibility over candidate cells), together with
 // the column's φ3 table over the types it returns, cut from the arena.
 func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, phi3Table) {
@@ -176,8 +176,7 @@ func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, ph
 	for row, e := range reps {
 		a.ext.FillPhi3(&a.w, e, types, tab.vals[row*tab.width:(row+1)*tab.width])
 	}
-	limit := a.cfg.MaxTypesPerColumn
-	if limit <= 0 || len(types) <= limit {
+	if len(types) <= maxTypesPerColumn {
 		return types, tab
 	}
 
@@ -202,14 +201,14 @@ func (a *Annotator) columnTypeSpace(cs *candidates, i int) ([]catalog.TypeID, ph
 	slices.SortFunc(keep, func(x, y int) int {
 		return cmp.Or(cmp.Compare(score[y], score[x]), cmp.Compare(x, y))
 	})
-	keep = keep[:limit]
+	keep = keep[:maxTypesPerColumn]
 	slices.Sort(keep)
-	kept := phi3Table{ents: ents, rowOf: tab.rowOf, width: limit, vals: take(&ar.vals, len(reps)*limit)}
-	keptTypes := take(&ar.types, limit)
+	kept := phi3Table{ents: ents, rowOf: tab.rowOf, width: maxTypesPerColumn, vals: take(&ar.vals, len(reps)*maxTypesPerColumn)}
+	keptTypes := take(&ar.types, maxTypesPerColumn)
 	for k, ti := range keep {
 		keptTypes[k] = types[ti]
 		for row := range reps {
-			kept.vals[row*limit+k] = tab.vals[row*tab.width+ti]
+			kept.vals[row*maxTypesPerColumn+k] = tab.vals[row*tab.width+ti]
 		}
 	}
 	return keptTypes, kept

@@ -55,10 +55,8 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 		}
 		ag.cellVars = append(ag.cellVars, since(ar.vars, v0))
 	}
-	if !a.cfg.DisableRelationVars {
-		for _, p := range cs.pairs {
-			ag.relVars = append(ag.relVars, g.AddVariable("b", len(p.rels)+1))
-		}
+	for _, p := range cs.pairs {
+		ag.relVars = append(ag.relVars, g.AddVariable("b", len(p.rels)+1))
 	}
 
 	// φ2 unary on types; φ1 unary on cells.
@@ -93,10 +91,6 @@ func (a *Annotator) buildGraph(cs *candidates) *annotGraph {
 			ag.phi3 = append(ag.phi3, g.AddFactor("phi3",
 				[]factorgraph.VarID{ag.typeVars[i], ag.cellVars[i][r]}, pot))
 		}
-	}
-
-	if a.cfg.DisableRelationVars {
-		return ag
 	}
 
 	// φ4 ternary (b_cc′, t_c, t_c′) per pair; φ5 ternary per pair per row.
@@ -184,9 +178,6 @@ func (ag *annotGraph) decode(ann *Annotation) {
 		}
 	}
 	for pi, p := range cs.pairs {
-		if len(ag.relVars) == 0 {
-			break
-		}
 		bi := assignment[ag.relVars[pi]]
 		if bi < len(p.rels) {
 			ann.Relations = append(ann.Relations, RelationAnnotation{
@@ -233,7 +224,7 @@ func (a *Annotator) AnnotateCollectiveContext(ctx context.Context, t *table.Tabl
 	}
 	ag := a.buildGraph(cs)
 	t2 := time.Now()
-	iters, conv, err := ag.runSchedule(ctx, a.cfg.MaxIters, a.cfg.Tol)
+	iters, conv, err := ag.runSchedule(ctx, maxIters, tol)
 	if err != nil {
 		return ann, err
 	}

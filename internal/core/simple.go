@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/mincostflow"
 	"repro/internal/table"
 )
 
@@ -16,10 +15,6 @@ import (
 //
 //	A_T = φ2(c,T) + Σ_r max_E [ φ1(r,c,E) + φ3(T,E) ]   (log space)
 //	t*_c = argmax_T A_T
-//
-// When cfg.UniqueColumns marks a column as a primary key, the per-cell
-// argmax is replaced by a min-cost-flow assignment forcing distinct
-// entities across the column's cells (§4.4.1, [1]).
 func (a *Annotator) AnnotateSimple(t *table.Table) *Annotation {
 	ann, _ := a.AnnotateSimpleContext(context.Background(), t)
 	return ann
@@ -46,10 +41,6 @@ func (a *Annotator) AnnotateSimpleContext(ctx context.Context, t *table.Table) (
 	candTime := time.Since(start)
 
 	start = time.Now()
-	unique := make(map[int]bool, len(a.cfg.UniqueColumns))
-	for _, c := range a.cfg.UniqueColumns {
-		unique[c] = true
-	}
 	for i, c := range cs.cols {
 		if err := ctx.Err(); err != nil {
 			return ann, err
@@ -75,12 +66,8 @@ func (a *Annotator) AnnotateSimpleContext(ctx context.Context, t *table.Table) (
 			}
 		}
 		ann.ColumnTypes[c] = bestType
-		if unique[c] {
-			a.assignUnique(cs, i, bestType, ann)
-		} else {
-			for r, rc := range bestCells {
-				ann.CellEntities[r][c] = rc.entity
-			}
+		for r, rc := range bestCells {
+			ann.CellEntities[r][c] = rc.entity
 		}
 	}
 	inferTime := time.Since(start)
@@ -118,57 +105,4 @@ func (a *Annotator) bestCellsGivenType(cs *candidates, i int, T catalog.TypeID) 
 		out[r] = best
 	}
 	return out
-}
-
-// assignUnique assigns pairwise-distinct entities to the cells of column
-// cols[i] under the chosen type, maximizing the same per-cell score via
-// min-cost flow. Cells may still fall back to na (the skip benefit 0).
-func (a *Annotator) assignUnique(cs *candidates, i int, T catalog.TypeID, ann *Annotation) {
-	// Collect the distinct candidate entities of the column.
-	index := make(map[catalog.EntityID]int)
-	var entities []catalog.EntityID
-	for r := range cs.cells[i] {
-		for _, cand := range cs.cells[i][r] {
-			if _, ok := index[cand.Entity]; !ok {
-				index[cand.Entity] = len(entities)
-				entities = append(entities, cand.Entity)
-			}
-		}
-	}
-	if len(entities) == 0 {
-		return
-	}
-	rows := cs.tab.Rows()
-	weight := make([][]float64, rows)
-	skip := make([]float64, rows)
-	// Benefits must be >= 0 relative to na for flow to prefer real labels;
-	// offset handled by using the raw score and skip=0, matching the
-	// unconstrained decision rule.
-	const impossible = -1e9
-	phi3 := a.phi3Given(cs, i, T)
-	for r := 0; r < rows; r++ {
-		weight[r] = make([]float64, len(entities))
-		for j := range weight[r] {
-			weight[r][j] = impossible
-		}
-		for _, cand := range cs.cells[i][r] {
-			s := a.logPhi1(cand)
-			if T != catalog.None {
-				s += phi3(cand.Entity)
-			}
-			weight[r][index[cand.Entity]] = s
-		}
-	}
-	assigned, err := mincostflow.Assignment(weight, skip)
-	if err != nil {
-		return // fall back to the unconstrained labels already in ann
-	}
-	c := cs.cols[i]
-	for r, j := range assigned {
-		if j >= 0 && weight[r][j] > impossible/2 && weight[r][j] > 0 {
-			ann.CellEntities[r][c] = entities[j]
-		} else {
-			ann.CellEntities[r][c] = catalog.None
-		}
-	}
 }

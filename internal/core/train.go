@@ -173,28 +173,26 @@ func (a *Annotator) AnnotateLossAugmented(t *table.Table, gold GoldLabels, lossW
 			ag.addLossUnary(ag.cellVars[i][r], goldEi, lossWeight)
 		}
 	}
-	if len(ag.relVars) != 0 {
-		for pi, p := range cs.pairs {
-			goldBi := len(p.rels)
-			for _, g := range gold.Relations {
-				a1, b1 := cs.cols[p.i], cs.cols[p.j]
-				if (g.Col1 == a1 && g.Col2 == b1) || (g.Col1 == b1 && g.Col2 == a1) {
-					gf := g.Forward
-					if g.Col1 != a1 {
-						gf = !gf
-					}
-					for bi, rd := range p.rels {
-						if rd.Relation == g.Relation && rd.Forward == gf {
-							goldBi = bi
-						}
+	for pi, p := range cs.pairs {
+		goldBi := len(p.rels)
+		for _, g := range gold.Relations {
+			a1, b1 := cs.cols[p.i], cs.cols[p.j]
+			if (g.Col1 == a1 && g.Col2 == b1) || (g.Col1 == b1 && g.Col2 == a1) {
+				gf := g.Forward
+				if g.Col1 != a1 {
+					gf = !gf
+				}
+				for bi, rd := range p.rels {
+					if rd.Relation == g.Relation && rd.Forward == gf {
+						goldBi = bi
 					}
 				}
 			}
-			ag.addLossUnary(ag.relVars[pi], goldBi, lossWeight)
 		}
+		ag.addLossUnary(ag.relVars[pi], goldBi, lossWeight)
 	}
 
-	iters, conv, _ := ag.runSchedule(context.Background(), a.cfg.MaxIters, a.cfg.Tol)
+	iters, conv, _ := ag.runSchedule(context.Background(), maxIters, tol)
 	ag.decode(ann)
 	ann.Diag.Iterations, ann.Diag.Converged = iters, conv
 	return ann

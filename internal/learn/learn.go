@@ -1,8 +1,8 @@
 // Package learn trains the annotator's weights w1..w5 with large-margin
 // structured learning, standing in for the SVM-struct implementation the
 // paper uses (§4.3, [Tsochantaridis et al. 2005]): a margin-rescaled
-// subgradient optimizer with Hamming-loss-augmented inference, plus the
-// averaged structured perceptron as the LossWeight=0, L2=0 special case.
+// subgradient optimizer with Hamming-loss-augmented inference, returning
+// the average of its iterates.
 package learn
 
 import (
@@ -24,38 +24,32 @@ type Example struct {
 type Config struct {
 	// Epochs over the training set.
 	Epochs int
-	// LearningRate is the (fixed) subgradient step size.
-	LearningRate float64
-	// LossWeight scales the Hamming loss in the separation oracle; 0
-	// degenerates to the structured perceptron update.
-	LossWeight float64
-	// L2 is the regularizer coefficient (λ); each update shrinks w by
-	// LearningRate·L2·w.
-	L2 float64
-	// Averaged returns the average of all intermediate weight vectors
-	// (reduces oscillation, standard for structured perceptrons).
-	Averaged bool
-	// Seed shuffles example order per epoch.
-	Seed int64
-	// Quiet suppresses the per-epoch progress callback.
+	// Progress, when set, is called after every epoch.
 	Progress func(epoch int, violations int, avgLoss float64)
 }
 
 // DefaultConfig is a stable operating point for the synthetic corpora.
 func DefaultConfig() Config {
-	return Config{
-		Epochs:       5,
-		LearningRate: 0.05,
-		LossWeight:   0.5,
-		L2:           1e-4,
-		Averaged:     true,
-		Seed:         7,
-	}
+	return Config{Epochs: 5}
 }
+
+// The rest of the operating point, which no caller varies.
+const (
+	// learningRate is the (fixed) subgradient step size.
+	learningRate = 0.05
+	// lossWeight scales the Hamming loss in the separation oracle.
+	lossWeight = 0.5
+	// l2 is the regularizer coefficient (λ); each update shrinks w by
+	// learningRate·l2·w.
+	l2 = 1e-4
+	// seed shuffles example order per epoch.
+	seed = 7
+)
 
 // Train fits weights starting from the annotator's current weights. The
 // annotator's weights are updated in place as training proceeds and left
-// at the final (averaged) solution, which is also returned.
+// at the average of all intermediate weight vectors, which damps the
+// subgradient steps' oscillation; that average is also returned.
 func Train(a *core.Annotator, data []Example, cfg Config) (feature.Weights, error) {
 	if len(data) == 0 {
 		return a.Weights(), fmt.Errorf("learn: empty training set")
@@ -63,7 +57,7 @@ func Train(a *core.Annotator, data []Example, cfg Config) (feature.Weights, erro
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	w := a.Weights().Flatten()
 	sum := make([]float64, len(w))
 	steps := 0
@@ -86,12 +80,7 @@ func Train(a *core.Annotator, data []Example, cfg Config) (feature.Weights, erro
 			a.SetWeights(cur)
 
 			gold := a.GoldAnnotation(ex.Table, ex.Gold)
-			var pred *core.Annotation
-			if cfg.LossWeight > 0 {
-				pred = a.AnnotateLossAugmented(ex.Table, ex.Gold, cfg.LossWeight)
-			} else {
-				pred = a.AnnotateCollective(ex.Table)
-			}
+			pred := a.AnnotateLossAugmented(ex.Table, ex.Gold, lossWeight)
 
 			phiGold := a.FeatureVector(ex.Table, gold)
 			phiPred := a.FeatureVector(ex.Table, pred)
@@ -108,8 +97,8 @@ func Train(a *core.Annotator, data []Example, cfg Config) (feature.Weights, erro
 			if diff || loss > 0 {
 				violations++
 				for i := range w {
-					w[i] += cfg.LearningRate * (phiGold[i] - phiPred[i])
-					w[i] -= cfg.LearningRate * cfg.L2 * w[i]
+					w[i] += learningRate * (phiGold[i] - phiPred[i])
+					w[i] -= learningRate * l2 * w[i]
 				}
 			}
 			for i := range w {
@@ -122,12 +111,9 @@ func Train(a *core.Annotator, data []Example, cfg Config) (feature.Weights, erro
 		}
 	}
 
-	final := w
-	if cfg.Averaged && steps > 0 {
-		final = make([]float64, len(w))
-		for i := range final {
-			final[i] = sum[i] / float64(steps)
-		}
+	final := make([]float64, len(w))
+	for i := range final {
+		final[i] = sum[i] / float64(steps)
 	}
 	out, err := feature.WeightsFromFlat(final)
 	if err != nil {

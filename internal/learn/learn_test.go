@@ -101,17 +101,6 @@ func TestTrainDoesNotDegradeAccuracy(t *testing.T) {
 	}
 }
 
-func TestTrainPerceptronMode(t *testing.T) {
-	ann, data, _ := trainingSetup(t)
-	cfg := DefaultConfig()
-	cfg.Epochs = 1
-	cfg.LossWeight = 0 // pure structured perceptron
-	cfg.Averaged = false
-	if _, err := Train(ann, data, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTrainEmptyDataFails(t *testing.T) {
 	ann, _, _ := trainingSetup(t)
 	if _, err := Train(ann, nil, DefaultConfig()); err == nil {

@@ -2,38 +2,25 @@ package table
 
 import "strings"
 
-// FilterConfig tunes the relational-vs-formatting screen of §3.2. The
-// defaults follow the heuristics of Cafarella et al. [6]: formatting
-// tables tend to be tiny, ragged, dominated by long prose cells, or
-// single-column page scaffolding.
-type FilterConfig struct {
-	// MinRows / MinCols: tables smaller than this are presentation markup.
-	MinRows int
-	MinCols int
-	// MaxCellLen: a relational cell is a short text segment; cells longer
+// The relational-vs-formatting screen of §3.2 follows the heuristics of
+// Cafarella et al. [6]: formatting tables tend to be tiny, ragged,
+// dominated by long prose cells, or single-column page scaffolding.
+const (
+	// minRows / minCols: tables smaller than this are presentation markup.
+	minRows = 2
+	minCols = 2
+	// maxCellLen: a relational cell is a short text segment; cells longer
 	// than this (in runes) suggest prose layout.
-	MaxCellLen int
-	// MaxLongCellFraction: maximum fraction of cells allowed to exceed
-	// MaxCellLen.
-	MaxLongCellFraction float64
-	// MaxEmptyFraction: maximum fraction of empty cells.
-	MaxEmptyFraction float64
-	// MaxNumericTableFraction: a table where nearly every column is
+	maxCellLen = 80
+	// maxLongCellFraction: maximum fraction of cells allowed to exceed
+	// maxCellLen.
+	maxLongCellFraction = 0.2
+	// maxEmptyFraction: maximum fraction of empty cells.
+	maxEmptyFraction = 0.4
+	// maxNumericTableFraction: a table where nearly every column is
 	// numeric (calendars, spacer grids) is not annotatable.
-	MaxNumericTableFraction float64
-}
-
-// DefaultFilterConfig returns the standard screen.
-func DefaultFilterConfig() FilterConfig {
-	return FilterConfig{
-		MinRows:                 2,
-		MinCols:                 2,
-		MaxCellLen:              80,
-		MaxLongCellFraction:     0.2,
-		MaxEmptyFraction:        0.4,
-		MaxNumericTableFraction: 0.95,
-	}
-}
+	maxNumericTableFraction = 0.95
+)
 
 // RejectReason explains why a table was screened out.
 type RejectReason string
@@ -50,11 +37,11 @@ const (
 
 // Classify decides whether t is a relational data table (Accepted) or a
 // formatting/presentation table, returning the reason for rejection.
-func Classify(t *Table, cfg FilterConfig) RejectReason {
+func Classify(t *Table) RejectReason {
 	if err := t.Validate(); err != nil {
 		return RejectRagged
 	}
-	if t.Rows() < cfg.MinRows || t.Cols() < cfg.MinCols {
+	if t.Rows() < minRows || t.Cols() < minCols {
 		return RejectTooSmall
 	}
 	total, long, empty := 0, 0, 0
@@ -64,7 +51,7 @@ func Classify(t *Table, cfg FilterConfig) RejectReason {
 			s := strings.TrimSpace(t.Cell(r, c))
 			if s == "" {
 				empty++
-			} else if len([]rune(s)) > cfg.MaxCellLen {
+			} else if len([]rune(s)) > maxCellLen {
 				long++
 			}
 		}
@@ -72,10 +59,10 @@ func Classify(t *Table, cfg FilterConfig) RejectReason {
 	if total == 0 {
 		return RejectTooSmall
 	}
-	if float64(long)/float64(total) > cfg.MaxLongCellFraction {
+	if float64(long)/float64(total) > maxLongCellFraction {
 		return RejectProse
 	}
-	if float64(empty)/float64(total) > cfg.MaxEmptyFraction {
+	if float64(empty)/float64(total) > maxEmptyFraction {
 		return RejectSparse
 	}
 	numericCols := 0
@@ -84,7 +71,7 @@ func Classify(t *Table, cfg FilterConfig) RejectReason {
 			numericCols++
 		}
 	}
-	if float64(numericCols)/float64(t.Cols()) >= cfg.MaxNumericTableFraction {
+	if float64(numericCols)/float64(t.Cols()) >= maxNumericTableFraction {
 		return RejectNumeric
 	}
 	return Accepted
@@ -92,10 +79,10 @@ func Classify(t *Table, cfg FilterConfig) RejectReason {
 
 // FilterRelational screens a corpus, returning the accepted tables and a
 // count of rejections per reason.
-func FilterRelational(tables []*Table, cfg FilterConfig) (kept []*Table, rejected map[RejectReason]int) {
+func FilterRelational(tables []*Table) (kept []*Table, rejected map[RejectReason]int) {
 	rejected = make(map[RejectReason]int)
 	for _, t := range tables {
-		if why := Classify(t, cfg); why == Accepted {
+		if why := Classify(t); why == Accepted {
 			kept = append(kept, t)
 		} else {
 			rejected[why]++

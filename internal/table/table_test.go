@@ -105,16 +105,14 @@ func TestNumericCellMatchesParseFloat(t *testing.T) {
 }
 
 func TestClassifyAccepts(t *testing.T) {
-	if why := Classify(demoTable(), DefaultFilterConfig()); why != Accepted {
+	if why := Classify(demoTable()); why != Accepted {
 		t.Fatalf("demo table rejected: %s", why)
 	}
 }
 
 func TestClassifyRejects(t *testing.T) {
-	cfg := DefaultFilterConfig()
-
 	small := &Table{ID: "s", Cells: [][]string{{"a", "b"}}}
-	if why := Classify(small, cfg); why != RejectTooSmall {
+	if why := Classify(small); why != RejectTooSmall {
 		t.Errorf("small: %s, want too-small", why)
 	}
 
@@ -122,26 +120,26 @@ func TestClassifyRejects(t *testing.T) {
 		{strings.Repeat("long prose ", 20), strings.Repeat("more prose ", 20)},
 		{strings.Repeat("even longer ", 20), strings.Repeat("still going ", 20)},
 	}}
-	if why := Classify(prose, cfg); why != RejectProse {
+	if why := Classify(prose); why != RejectProse {
 		t.Errorf("prose: %s, want prose-cells", why)
 	}
 
 	sparse := &Table{ID: "e", Cells: [][]string{
 		{"a", "", ""}, {"", "", ""}, {"", "", "b"},
 	}}
-	if why := Classify(sparse, cfg); why != RejectSparse {
+	if why := Classify(sparse); why != RejectSparse {
 		t.Errorf("sparse: %s, want too-many-empty-cells", why)
 	}
 
 	numeric := &Table{ID: "num", Cells: [][]string{
 		{"1", "2"}, {"3", "4"}, {"5", "6"},
 	}}
-	if why := Classify(numeric, cfg); why != RejectNumeric {
+	if why := Classify(numeric); why != RejectNumeric {
 		t.Errorf("numeric: %s, want all-numeric", why)
 	}
 
 	ragged := &Table{ID: "r", Cells: [][]string{{"a", "b"}, {"c"}}}
-	if why := Classify(ragged, cfg); why != RejectRagged {
+	if why := Classify(ragged); why != RejectRagged {
 		t.Errorf("ragged: %s, want ragged", why)
 	}
 }
@@ -152,7 +150,7 @@ func TestFilterRelational(t *testing.T) {
 		{ID: "tiny", Cells: [][]string{{"x"}}},
 		{ID: "nums", Cells: [][]string{{"1", "2"}, {"3", "4"}}},
 	}
-	kept, rejected := FilterRelational(tables, DefaultFilterConfig())
+	kept, rejected := FilterRelational(tables)
 	if len(kept) != 1 || kept[0].ID != "demo" {
 		t.Fatalf("kept = %v", kept)
 	}

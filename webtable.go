@@ -96,8 +96,6 @@ var ReadCatalogJSON = catalog.ReadJSON
 type (
 	// Table is one source table.
 	Table = table.Table
-	// FilterConfig tunes the relational-vs-formatting screen.
-	FilterConfig = table.FilterConfig
 )
 
 // Table helpers.
@@ -112,8 +110,6 @@ var (
 	WriteCorpus = table.WriteCorpus
 	// FilterRelational screens formatting tables out of a corpus.
 	FilterRelational = table.FilterRelational
-	// DefaultFilterConfig is the standard screen.
-	DefaultFilterConfig = table.DefaultFilterConfig
 )
 
 // Annotator types (§4).

@@ -154,7 +154,7 @@ func TestFacadeHTMLAndFilter(t *testing.T) {
 	if len(tabs) != 1 {
 		t.Fatalf("extracted %d", len(tabs))
 	}
-	kept, _ := webtable.FilterRelational(tabs, webtable.DefaultFilterConfig())
+	kept, _ := webtable.FilterRelational(tabs)
 	if len(kept) != 1 {
 		t.Fatalf("kept %d", len(kept))
 	}
