@@ -17,7 +17,7 @@ import (
 func ExtractHTML(doc, idPrefix string) []*Table {
 	const contextRunes = 240
 	var tables []*Table
-	lower := strings.ToLower(doc)
+	lower := lowerASCII(doc)
 	pos := 0
 	index := 0
 	for {
@@ -81,7 +81,7 @@ func matchTableEnd(lower string, start int) int {
 // a Table. ok=false when the table is irregular (merged cells, ragged
 // rows, nested tables, no cells).
 func parseTableBody(markup string) (*Table, bool) {
-	if strings.Contains(strings.ToLower(markup[1:]), "<table") {
+	if strings.Contains(lowerASCII(markup[1:]), "<table") {
 		return nil, false // nested table: layout markup
 	}
 	type row struct {
@@ -174,6 +174,20 @@ func parseTableBody(markup string) (*Table, bool) {
 		return nil, false
 	}
 	return t, true
+}
+
+// lowerASCII folds A–Z to a–z and keeps every other byte, so an offset
+// into the result is the same offset into s. strings.ToLower does not
+// keep lengths: it turns each invalid UTF-8 byte into three, and 'İ' (two
+// bytes) into three.
+func lowerASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 func splitTag(tag string) (name, attrs string) {

@@ -310,6 +310,22 @@ func TestExtractHTMLBrInsideCell(t *testing.T) {
 	}
 }
 
+// strings.ToLower changes the length of invalid UTF-8 (each bad byte
+// becomes three) and of letters such as 'İ': tag offsets found in a
+// folded copy must still be offsets into the document.
+func TestExtractHTMLOffsetsSurviveCaseFolding(t *testing.T) {
+	const body = `<table><tr><td>a</td><td>b</td></tr><tr><td>c</td><td>d</td></tr></table>`
+	for _, doc := range []string{
+		"\xff\xff\xff\xff" + body,
+		"İİİİİİ" + body + " and some text after it",
+	} {
+		tables := ExtractHTML(doc, "p")
+		if len(tables) != 1 || tables[0].Rows() != 2 || tables[0].Cell(1, 1) != "d" {
+			t.Errorf("ExtractHTML(%q) = %v, want the one 2x2 table", doc, tables)
+		}
+	}
+}
+
 func TestExtractHTMLUnclosedTable(t *testing.T) {
 	if tables := ExtractHTML("<table><tr><td>a</td></tr>", "p"); len(tables) != 0 {
 		t.Fatalf("unclosed table accepted: %v", tables)
