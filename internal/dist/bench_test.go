@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -11,7 +12,48 @@ import (
 
 	webtable "repro"
 	"repro/internal/benchfix"
+	"repro/internal/catalog"
+	"repro/internal/search"
 )
+
+// routedPartial is one shard's answer of about the size a routed query of
+// the repository benchmark's serve-sharded mix carries (7 677 wire bytes
+// a query over two shards): one replay group of 32 clusters, every
+// second an entity cluster, each with three hits, and the text clusters
+// with two spellings.
+func routedPartial() *Partial {
+	p := &Partial{Generation: 3, Shard: 1, Shards: 2, Stats: search.ExecStats{CandidatePairs: 253, PairsMatched: 40, RowsScanned: 5962, SegmentsVisited: 4}}
+	g := search.PartialGroup{Key: 0}
+	for ci := 0; ci < 32; ci++ {
+		c := search.ClusterPartial{Entity: catalog.EntityID(ci), Norm: fmt.Sprintf("the film %d of %d", ci, ci%11)}
+		if ci%2 == 1 {
+			c.Entity = catalog.None
+			c.Variants = []search.Variant{{Raw: fmt.Sprintf("The Film %d of %d", ci, ci%11), Count: 2}, {Raw: fmt.Sprintf("THE FILM %d OF %d", ci, ci%11), Count: 1}}
+		} else {
+			c.Canonical = fmt.Sprintf("The Film %d of %d", ci, ci%11)
+		}
+		for h := 0; h < 3; h++ {
+			c.Hits = append(c.Hits, search.PartialHit{Table: int32(100*ci + h), Row: int32(h), Col: 0, Evidence: 1 / float64(ci+h+1)})
+		}
+		g.Clusters = append(g.Clusters, c)
+	}
+	p.Groups = []search.PartialGroup{g}
+	return p
+}
+
+// BenchmarkDecodePartial decodes routedPartial's payload: what the router
+// does once per shard per routed query.
+func BenchmarkDecodePartial(b *testing.B) {
+	data := EncodePartial(routedPartial())
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodePartial(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkRoutedSearch is BenchmarkHandlerSearch's corpus and request
 // sequence (benchfix.Serving) through the cluster path, sockets included:

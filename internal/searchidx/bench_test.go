@@ -77,6 +77,25 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeSegment decodes the persistent form of BenchmarkBuild's
+// 512 annotated 20×3 tables back into a compiled index: what a snapshot
+// load does per segment once the section is inflated.
+func BenchmarkDecodeSegment(b *testing.B) {
+	c, tables, anns, _, _ := benchCorpus(b, 512, 20)
+	data, err := AppendSegment(nil, tables, anns)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeSegment(context.Background(), c, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMatchSet resets a two-token probe, as the engine does once per
 // request, and compiles it against one 512-table segment: two dictionary
 // lookups, a merge of two posting lists and the expansion of the matched
