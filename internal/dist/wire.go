@@ -93,10 +93,10 @@ package dist
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 
+	"repro/internal/byteread"
 	"repro/internal/catalog"
 	"repro/internal/search"
 )
@@ -222,65 +222,6 @@ func AppendPartial(dst []byte, p *Partial) []byte {
 	return buf
 }
 
-// partialReader is a bounds-checked cursor over an encoded payload.
-type partialReader struct {
-	data []byte
-	off  int
-}
-
-func (r *partialReader) remaining() int { return len(r.data) - r.off }
-
-func (r *partialReader) take(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, fmt.Errorf("%w: truncated at byte %d (need %d more)", ErrBadPartial, r.off, n)
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *partialReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (r *partialReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-func (r *partialReader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// count reads an element count and sanity-checks it against the bytes
-// remaining (each element needs at least min bytes), so a corrupted
-// count fails as truncation instead of allocating unbounded memory.
-func (r *partialReader) count(min int) (int, error) {
-	n, err := r.u32()
-	if err != nil {
-		return 0, err
-	}
-	if int64(n)*int64(min) > int64(r.remaining()) {
-		return 0, fmt.Errorf("%w: count %d exceeds remaining %d bytes", ErrBadPartial, n, r.remaining())
-	}
-	return int(n), nil
-}
-
 // DecodePartial deserializes one payload, validating structure
 // strictly: magic, version, bounds on every count, strictly ascending
 // group keys (the replay order the merge depends on), finite evidence (a
@@ -288,135 +229,69 @@ func (r *partialReader) count(min int) (int, error) {
 // survives), and no trailing bytes. Any version but PartialVersion fails
 // with ErrBadPartial, naming the version, before any field is decoded.
 func DecodePartial(data []byte) (*Partial, error) {
-	r := &partialReader{data: data}
-	head, err := r.take(len(partialMagic))
-	if err != nil {
-		return nil, err
+	r := byteread.New(data, ErrBadPartial)
+	if string(r.Take(len(partialMagic))) != string(partialMagic[:]) {
+		return nil, r.Failf("bad magic")
 	}
-	if string(head) != string(partialMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadPartial)
+	if ver := r.U8(); ver != PartialVersion {
+		return nil, r.Failf("version %d, reader supports only %d", ver, PartialVersion)
 	}
-	ver, err := r.take(1)
-	if err != nil {
-		return nil, err
-	}
-	if ver[0] != PartialVersion {
-		return nil, fmt.Errorf("%w: version %d, reader supports only %d", ErrBadPartial, ver[0], PartialVersion)
-	}
-	p := &Partial{}
-	if p.Generation, err = r.u64(); err != nil {
-		return nil, err
-	}
-	shard, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	p.Shard, p.Shards = int(shard), int(shards)
-	b, err := r.take(partialStatsLen)
-	if err != nil {
-		return nil, err
-	}
+	p := &Partial{Generation: r.U64(), Shard: int(r.U32()), Shards: int(r.U32())}
 	st := &p.Stats
-	st.CandidatePairs = int64(binary.BigEndian.Uint64(b[0:8]))
-	st.PairsMatched = int64(binary.BigEndian.Uint64(b[8:16]))
-	st.RowsScanned = int64(binary.BigEndian.Uint64(b[16:24]))
-	st.SegmentsVisited = int(int32(binary.BigEndian.Uint32(b[24:28])))
-	st.TombstonesSkipped = int(int32(binary.BigEndian.Uint32(b[28:32])))
-	st.AnswersBeforeTopK = int(int32(binary.BigEndian.Uint32(b[32:36])))
-	st.Parallelism = int(int32(binary.BigEndian.Uint32(b[36:40])))
-	st.Stage.Validate = int64(binary.BigEndian.Uint64(b[40:48]))
-	st.Stage.Plan = int64(binary.BigEndian.Uint64(b[48:56]))
-	st.Stage.Scan = int64(binary.BigEndian.Uint64(b[56:64]))
-	st.Stage.Aggregate = int64(binary.BigEndian.Uint64(b[64:72]))
-	st.Stage.Select = int64(binary.BigEndian.Uint64(b[72:80]))
-	st.Stage.Explain = int64(binary.BigEndian.Uint64(b[80:88]))
-	nGroups, err := r.count(8)
-	if err != nil {
-		return nil, err
+	st.CandidatePairs = int64(r.U64())
+	st.PairsMatched = int64(r.U64())
+	st.RowsScanned = int64(r.U64())
+	st.SegmentsVisited = int(int32(r.U32()))
+	st.TombstonesSkipped = int(int32(r.U32()))
+	st.AnswersBeforeTopK = int(int32(r.U32()))
+	st.Parallelism = int(int32(r.U32()))
+	st.Stage.Validate = int64(r.U64())
+	st.Stage.Plan = int64(r.U64())
+	st.Stage.Scan = int64(r.U64())
+	st.Stage.Aggregate = int64(r.U64())
+	st.Stage.Select = int64(r.U64())
+	st.Stage.Explain = int64(r.U64())
+	if nGroups := r.Count(uint64(r.U32()), 8); nGroups > 0 {
+		p.Groups = make([]search.PartialGroup, nGroups)
 	}
-	if nGroups > 0 {
-		p.Groups = make([]search.PartialGroup, 0, nGroups)
-	}
-	for gi := 0; gi < nGroups; gi++ {
-		var g search.PartialGroup
-		if g.Key, err = r.u32(); err != nil {
-			return nil, err
+	for gi := range p.Groups {
+		g := &p.Groups[gi]
+		if g.Key = r.U32(); gi > 0 && g.Key <= p.Groups[gi-1].Key {
+			return nil, r.Failf("group keys not strictly ascending (%d after %d)", g.Key, p.Groups[gi-1].Key)
 		}
-		if gi > 0 && g.Key <= p.Groups[gi-1].Key {
-			return nil, fmt.Errorf("%w: group keys not strictly ascending (%d after %d)",
-				ErrBadPartial, g.Key, p.Groups[gi-1].Key)
+		if nClusters := r.Count(uint64(r.U32()), 20); nClusters > 0 {
+			g.Clusters = make([]search.ClusterPartial, nClusters)
 		}
-		nClusters, err := r.count(20)
-		if err != nil {
-			return nil, err
-		}
-		if nClusters > 0 {
-			g.Clusters = make([]search.ClusterPartial, 0, nClusters)
-		}
-		for ci := 0; ci < nClusters; ci++ {
-			var c search.ClusterPartial
-			ent, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			c.Entity = catalog.EntityID(int32(ent))
-			if c.Norm, err = r.str(); err != nil {
-				return nil, err
-			}
-			if c.Canonical, err = r.str(); err != nil {
-				return nil, err
-			}
-			nHits, err := r.count(20)
-			if err != nil {
-				return nil, err
-			}
-			if nHits > 0 {
+		for ci := range g.Clusters {
+			c := &g.Clusters[ci]
+			c.Entity = catalog.EntityID(int32(r.U32()))
+			c.Norm = string(r.Take(int(r.U32())))
+			c.Canonical = string(r.Take(int(r.U32())))
+			if nHits := r.Count(uint64(r.U32()), 20); nHits > 0 {
 				c.Hits = make([]search.PartialHit, nHits)
 			}
-			for hi := 0; hi < nHits; hi++ {
-				b, err := r.take(20)
-				if err != nil {
-					return nil, err
-				}
-				ev := math.Float64frombits(binary.BigEndian.Uint64(b[12:20]))
-				if math.IsNaN(ev) || math.IsInf(ev, 0) {
-					return nil, fmt.Errorf("%w: non-finite evidence %v in group %d", ErrBadPartial, ev, g.Key)
-				}
-				c.Hits[hi] = search.PartialHit{
-					Table:    int32(binary.BigEndian.Uint32(b[0:4])),
-					Row:      int32(binary.BigEndian.Uint32(b[4:8])),
-					Col:      int32(binary.BigEndian.Uint32(b[8:12])),
-					Evidence: ev,
+			for hi := range c.Hits {
+				h := &c.Hits[hi]
+				h.Table, h.Row, h.Col = int32(r.U32()), int32(r.U32()), int32(r.U32())
+				if h.Evidence = math.Float64frombits(r.U64()); math.IsNaN(h.Evidence) || math.IsInf(h.Evidence, 0) {
+					return nil, r.Failf("non-finite evidence %v in group %d", h.Evidence, g.Key)
 				}
 			}
-			nVars, err := r.count(8)
-			if err != nil {
-				return nil, err
-			}
-			if nVars > 0 {
+			if nVars := r.Count(uint64(r.U32()), 8); nVars > 0 {
 				c.Variants = make([]search.Variant, nVars)
 			}
-			for vi := 0; vi < nVars; vi++ {
-				raw, err := r.str()
-				if err != nil {
-					return nil, err
-				}
-				cnt, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				c.Variants[vi] = search.Variant{Raw: raw, Count: int(cnt)}
+			for vi := range c.Variants {
+				v := &c.Variants[vi]
+				v.Raw = string(r.Take(int(r.U32())))
+				v.Count = int(r.U32())
 			}
-			g.Clusters = append(g.Clusters, c)
 		}
-		p.Groups = append(p.Groups, g)
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadPartial, r.remaining())
+	if r.Remaining() != 0 {
+		r.Failf("%d trailing bytes", r.Remaining())
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

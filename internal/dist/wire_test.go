@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -97,14 +99,31 @@ func TestPartialEvidenceBitExact(t *testing.T) {
 }
 
 // TestDecodePartialTruncation decodes every strict prefix of a valid
-// payload: all must fail with ErrBadPartial, none may panic.
+// payload: all must fail with ErrBadPartial, naming a byte offset within
+// the prefix, and none may panic.
 func TestDecodePartialTruncation(t *testing.T) {
 	data := EncodePartial(samplePartial())
 	for n := 0; n < len(data); n++ {
-		if _, err := DecodePartial(data[:n]); !errors.Is(err, ErrBadPartial) {
+		_, err := DecodePartial(data[:n])
+		if !errors.Is(err, ErrBadPartial) {
 			t.Fatalf("prefix of %d bytes: err = %v, want ErrBadPartial", n, err)
 		}
+		if at := faultAt(err); at < 0 || at > n {
+			t.Fatalf("prefix of %d bytes: err = %q names no byte offset within the prefix", n, err)
+		}
 	}
+}
+
+var faultOffset = regexp.MustCompile(`byte (\d+)`)
+
+// faultAt returns the byte offset a decode error names, or -1.
+func faultAt(err error) int {
+	m := faultOffset.FindStringSubmatch(err.Error())
+	if m == nil {
+		return -1
+	}
+	at, _ := strconv.Atoi(m[1])
+	return at
 }
 
 // v1Payload is p in the version-1 layout, which had no stats block: the

@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 
+	"repro/internal/byteread"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/table"
@@ -230,93 +230,35 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// segmentReader is a bounds-checked cursor over a persisted segment.
+// segmentReader reads a persisted segment: the shared cursor, plus how
+// much of the segment's blob str has handed out, front to back.
 type segmentReader struct {
-	data []byte
-	off  int
-	// blob is the length of the segment's blob and pos how much of it str
-	// has handed out, front to back.
+	byteread.Reader
 	blob, pos int
 }
 
-func (r *segmentReader) remaining() int { return len(r.data) - r.off }
-
-func corrupt(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrBadSegment, fmt.Sprintf(format, args...))
-}
-
-func (r *segmentReader) u8() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, corrupt("truncated at byte %d", r.off)
-	}
-	r.off++
-	return r.data[r.off-1], nil
-}
-
-func (r *segmentReader) u64() (uint64, error) {
-	if r.off < len(r.data) && r.data[r.off] < 0x80 {
-		r.off++
-		return uint64(r.data[r.off-1]), nil
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, corrupt("bad varint at byte %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// uvarint reads one varint of at most 32 bits: a count, a length, or an
-// ID plus one.
-func (r *segmentReader) uvarint() (uint32, error) {
-	v, err := r.u64()
-	if err == nil && v > math.MaxUint32 {
-		err = corrupt("value %d before byte %d exceeds 32 bits", v, r.off)
-	}
-	return uint32(v), err
-}
-
-// count reads an element count and checks it against the bytes that
-// remain — each element takes at least min of them — so a corrupt count
-// reads as truncation instead of sizing an allocation.
-func (r *segmentReader) count(min int) (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if int64(n)*int64(min) > int64(r.remaining()) {
-		return 0, corrupt("count %d before byte %d exceeds the %d bytes that remain", n, r.off, r.remaining())
-	}
-	return int(n), nil
-}
-
 // id reads a type, entity or relation ID stored plus one.
-func (r *segmentReader) id() (int32, error) {
-	v, err := r.uvarint()
-	return int32(v) - 1, err
-}
+func (r *segmentReader) id() int32 { return int32(r.Uvarint32()) - 1 }
 
-func (r *segmentReader) flag() (bool, error) {
-	b, err := r.u8()
-	if err == nil && b > 1 {
-		err = corrupt("flag %d at byte %d", b, r.off-1)
+func (r *segmentReader) flag() bool {
+	b := r.U8()
+	if b > 1 {
+		r.Failf("flag %d", b)
 	}
-	return b == 1, err
+	return b == 1
 }
 
 // str reads a string's length and takes the string off the front of
 // what is left of the blob.
-func (r *segmentReader) str() (strRef, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return strRef{}, err
-	}
+func (r *segmentReader) str() strRef {
+	n := r.Uvarint32()
 	if int64(n) > int64(r.blob-r.pos) {
-		return strRef{}, corrupt("string of %d bytes before byte %d, %d left in the blob", n, r.off, r.blob-r.pos)
+		r.Failf("string of %d bytes, %d left in the blob", n, r.blob-r.pos)
+		return strRef{}
 	}
 	ref := strRef{off: uint32(r.pos), len: n}
 	r.pos += int(n)
-	return ref, nil
+	return ref
 }
 
 // shape reads the dimensions of a grid — a table's cells, an
@@ -324,17 +266,13 @@ func (r *segmentReader) str() (strRef, error) {
 // further on: rows and cols are each bounded by the bytes that remain,
 // and *total, the running number of such elements the segment has
 // promised so far, grows by rows × cols and must stay within them too.
-func (r *segmentReader) shape(total *int64) (rows, cols int, err error) {
-	if rows, err = r.count(1); err != nil {
-		return 0, 0, err
+func (r *segmentReader) shape(total *int64) (rows, cols int) {
+	rows, cols = r.Count(uint64(r.Uvarint32()), 1), r.Count(uint64(r.Uvarint32()), 1)
+	if *total += int64(rows) * int64(cols); *total > int64(r.Remaining()) {
+		r.Failf("%d grid cells promised, %d bytes remain", *total, r.Remaining())
+		return 0, 0
 	}
-	if cols, err = r.count(1); err != nil {
-		return 0, 0, err
-	}
-	if *total += int64(rows) * int64(cols); *total > int64(r.remaining()) {
-		return 0, 0, corrupt("%d grid cells promised before byte %d, %d bytes remain", *total, r.off, r.remaining())
-	}
-	return rows, cols, nil
+	return rows, cols
 }
 
 // DecodeSegment rebuilds the compiled index of a segment AppendTo
@@ -393,74 +331,57 @@ func DecodeTables(ctx context.Context, data []byte) ([]*table.Table, []*core.Ann
 }
 
 // decode fills the arrays a segment stores from its persistent form and
-// derives nothing.
+// derives nothing. The reader's fault is checked where each part of the
+// layout ends; an ID that goes on to index something is checked, and
+// refused at once, where it is read.
 func decode(ctx context.Context, data []byte) (*Index, error) {
-	r := &segmentReader{data: data}
-	nTables, err := r.count(5)
-	if err != nil {
-		return nil, err
-	}
+	r := &segmentReader{Reader: byteread.New(data, ErrBadSegment)}
+	nTables := r.Count(uint64(r.Uvarint32()), 5)
 	if nTables > math.MaxInt32 {
-		return nil, corrupt("%d tables", nTables)
+		return nil, r.Failf("%d tables", nTables)
 	}
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
+	flags := r.U8()
 	if flags&^segmentAnnotated != 0 {
-		return nil, corrupt("unknown flags %#x", flags)
+		return nil, r.Failf("unknown flags %#x", flags)
 	}
-	nRaws, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	nTexts, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if r.blob, err = r.count(1); err != nil {
+	nRaws := r.Count(uint64(r.Uvarint32()), 2)
+	nTexts := r.Count(uint64(r.Uvarint32()), 1)
+	r.blob = r.Count(uint64(r.Uvarint32()), 1)
+	blob := r.Take(r.blob)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	ix := &Index{
-		blob:     string(r.data[r.off : r.off+r.blob]),
+		blob:     string(blob),
 		raws:     make([]rawSpelling, nRaws),
 		texts:    make([]strRef, 0, nTexts),
 		tables:   make([]tableMeta, nTables),
 		spans:    make([]tableSpan, nTables),
 		identity: make([]int32, nTables),
 	}
-	r.off += r.blob
 
 	// intern never lists a text twice, and derive trusts that: a segment
 	// that does is refused here, where untrusted bytes arrive.
 	seen := make(map[string]struct{}, nTexts)
 	for i := range ix.raws {
 		raw := &ix.raws[i]
-		if raw.strRef, err = r.str(); err != nil {
-			return nil, err
-		}
-		code, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		raw.strRef = r.str()
+		code := r.Uvarint32()
 		if code > uint32(len(ix.texts)) || (code == 0 && len(ix.texts) == nTexts) {
-			return nil, corrupt("spelling %d names text %d, %d of %d known", i, int64(code)-1, len(ix.texts), nTexts)
+			return nil, r.Failf("spelling %d names text %d, %d of %d known", i, int64(code)-1, len(ix.texts), nTexts)
 		}
 		if raw.text = code - 1; code == 0 {
 			raw.text = uint32(len(ix.texts))
-			norm, err := r.str()
-			if err != nil {
-				return nil, err
-			}
+			norm := r.str()
 			if _, dup := seen[ix.str(norm)]; dup {
-				return nil, corrupt("text %d repeats %q", len(ix.texts), ix.str(norm))
+				return nil, r.Failf("text %d repeats %q", len(ix.texts), ix.str(norm))
 			}
 			seen[ix.str(norm)] = struct{}{}
 			ix.texts = append(ix.texts, norm)
 		}
 	}
 	if len(ix.texts) != nTexts {
-		return nil, corrupt("%d texts declared, %d listed", nTexts, len(ix.texts))
+		return nil, r.Failf("%d texts declared, %d listed", nTexts, len(ix.texts))
 	}
 
 	var cells int64
@@ -469,40 +390,27 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 			return nil, err
 		}
 		m := &ix.tables[ti]
-		if m.id, err = r.str(); err != nil {
-			return nil, err
-		}
-		if m.context, err = r.str(); err != nil {
-			return nil, err
-		}
+		m.id, m.context = r.str(), r.str()
 		ix.identity[ti] = int32(ti)
 		ix.spans[ti].off = uint32(cells)
-		rows, cols, err := r.shape(&cells)
-		if err != nil {
-			return nil, err
-		}
+		rows, cols := r.shape(&cells)
 		if rows == 0 || cols == 0 {
-			return nil, corrupt("table %d is %d×%d", ti, rows, cols)
+			return nil, r.Failf("table %d is %d×%d", ti, rows, cols)
 		}
 		ix.spans[ti].rows, m.cols, m.headers = uint32(rows), uint32(cols), -1
-		headers, err := r.flag()
-		if err != nil {
-			return nil, err
-		}
-		if headers {
+		if r.flag() {
 			m.headers = int32(len(ix.headers))
 			for c := 0; c < cols; c++ {
-				h, err := r.str()
-				if err != nil {
-					return nil, err
-				}
-				ix.headers = append(ix.headers, h)
+				ix.headers = append(ix.headers, r.str())
 			}
 		}
 	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
 	ix.headers = exact(ix.headers)
 	if cells > math.MaxUint32 {
-		return nil, corrupt("%d cells", cells)
+		return nil, r.Failf("%d cells", cells)
 	}
 	ix.layCells(uint64(cells))
 	known := uint32(0) // spellings the cells so far have introduced
@@ -516,12 +424,9 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 				}
 			}
 			for c := 0; c < cols; c++ {
-				code, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
+				code := r.Uvarint32()
 				if code > known || (code == 0 && known == uint32(nRaws)) {
-					return nil, corrupt("table %d: cell names spelling %d, %d of %d known", ti, int64(code)-1, known, nRaws)
+					return nil, r.Failf("table %d: cell names spelling %d, %d of %d known", ti, int64(code)-1, known, nRaws)
 				}
 				raw := code - 1
 				if code == 0 {
@@ -533,16 +438,19 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 		}
 	}
 	if known != uint32(nRaws) {
-		return nil, corrupt("%d spellings declared, %d used", nRaws, known)
+		return nil, r.Failf("%d spellings declared, %d used", nRaws, known)
 	}
 
 	if flags&segmentAnnotated != 0 {
-		if err = r.annotations(ctx, ix); err != nil {
+		if err := r.annotations(ctx, ix); err != nil {
 			return nil, err
 		}
 	}
-	if r.remaining() != 0 || r.pos != r.blob {
-		return nil, corrupt("%d bytes and %d string bytes left over", r.remaining(), r.blob-r.pos)
+	if r.Remaining() != 0 || r.pos != r.blob {
+		r.Failf("%d bytes and %d string bytes left over", r.Remaining(), r.blob-r.pos)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return ix, nil
 }
@@ -557,85 +465,51 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		af, err := r.u8()
-		if err != nil {
-			return err
-		}
+		af := r.U8()
 		if af == 0 {
 			continue
 		}
 		if af&annPresent == 0 || af&^(annPresent|annDiagnostics) != 0 {
-			return corrupt("annotation %d: flags %#x", ti, af)
+			return r.Failf("annotation %d: flags %#x", ti, af)
 		}
 		a := &ix.anns[ti]
 		a.flags = annPresent
-		if a.tableID, err = r.str(); err != nil {
-			return err
-		}
-		rows, cols, err := r.shape(&cells)
-		if err != nil {
-			return err
-		}
+		a.tableID = r.str()
+		rows, cols := r.shape(&cells)
 		if cols == 0 && rows > 0 {
-			return corrupt("annotation %d has %d rows and no column", ti, rows)
+			return r.Failf("annotation %d has %d rows and no column", ti, rows)
 		}
 		a.rows, a.cols, a.types, a.grid, a.rels = uint32(rows), uint32(cols), uint32(len(ix.annTypes)), uint32(len(ix.annGrid)), uint32(len(ix.annRels))
 		if a.rows != ix.spans[ti].rows || a.cols != ix.tables[ti].cols {
 			ix.annGrid = slices.Grow(ix.annGrid, rows*cols)[:len(ix.annGrid)+rows*cols]
 		}
 		for c := 0; c < cols; c++ {
-			T, err := r.id()
-			if err != nil {
-				return err
-			}
-			ix.annTypes = append(ix.annTypes, catalog.TypeID(T))
+			ix.annTypes = append(ix.annTypes, catalog.TypeID(r.id()))
 		}
-		nRel, err := r.count(4)
-		if err != nil {
-			return err
-		}
+		nRel := r.Count(uint64(r.Uvarint32()), 4)
 		a.nRels = uint32(nRel)
 		for range nRel {
-			c1, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			c2, err := r.uvarint()
-			if err != nil {
-				return err
-			}
+			c1, c2 := r.Uvarint32(), r.Uvarint32()
 			if c1 >= uint32(cols) || c2 >= uint32(cols) {
-				return corrupt("annotation %d: relation columns (%d,%d) outside %d columns", ti, c1, c2, cols)
+				return r.Failf("annotation %d: relation columns (%d,%d) outside %d columns", ti, c1, c2, cols)
 			}
-			rel, err := r.id()
-			if err != nil {
-				return err
-			}
-			forward, err := r.flag()
-			if err != nil {
-				return err
-			}
-			ix.annRels = append(ix.annRels, relMeta{c1, c2, catalog.RelationID(rel), forward})
+			rel := r.id()
+			ix.annRels = append(ix.annRels, relMeta{c1, c2, catalog.RelationID(rel), r.flag()})
 		}
 		if af&annDiagnostics != 0 {
 			for i := range a.diag {
-				v, err := r.u64()
-				if err != nil {
-					return err
-				}
-				a.diag[i] = int64(v)
+				a.diag[i] = int64(r.Uvarint())
 			}
-			converged, err := r.flag()
-			if err != nil {
-				return err
-			}
-			if converged {
+			if r.flag() {
 				a.flags |= annConverged
 			}
 		}
 	}
+	if err := r.Err(); err != nil {
+		return err
+	}
 	if cells > math.MaxUint32 || len(ix.annTypes) > math.MaxUint32 || len(ix.annRels) > math.MaxUint32 {
-		return corrupt("%d annotation cells, %d types, %d relations", cells, len(ix.annTypes), len(ix.annRels))
+		return r.Failf("%d annotation cells, %d types, %d relations", cells, len(ix.annTypes), len(ix.annRels))
 	}
 	ix.annTypes, ix.annRels, ix.annGrid = exact(ix.annTypes), exact(ix.annRels), exact(ix.annGrid)
 
@@ -655,10 +529,7 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 				}
 			}
 			for c := 0; c < int(a.cols); c++ {
-				code, err := r.u64()
-				if err != nil {
-					return err
-				}
+				code := r.Uvarint()
 				// Over a cell of the table whose text is labeled already, 0
 				// repeats the label and anything else is shifted by one more;
 				// the first such cell of a text sets its label.
@@ -675,7 +546,7 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 						code--
 					}
 					if code > math.MaxUint32 {
-						return corrupt("annotation %d: entity code %d", ti, code)
+						return r.Failf("annotation %d: entity code %d", ti, code)
 					}
 					if e = catalog.EntityID(int32(uint32(code)) - 1); label != nil && !labeled {
 						*label = int32(e)

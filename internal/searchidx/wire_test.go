@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -99,7 +101,8 @@ func TestAppendSegmentRejects(t *testing.T) {
 }
 
 // TestDecodeSegmentRejectsDamage: every truncation of a valid segment,
-// and a trailing byte, is ErrBadSegment; a flipped bit is ErrBadSegment
+// and a trailing byte, is ErrBadSegment, a truncation's naming a byte
+// offset within what is left; a flipped bit is ErrBadSegment
 // or a segment that decodes (it may have hit a string or an ID with
 // room to move) — never a panic. A segment that lists one normalized
 // text twice is ErrBadSegment, by DecodeSegment and DecodeTables alike,
@@ -112,8 +115,12 @@ func TestDecodeSegmentRejectsDamage(t *testing.T) {
 	}
 	ctx := context.Background()
 	for n := 0; n < len(data); n++ {
-		if _, err := DecodeSegment(ctx, nil, data[:n]); !errors.Is(err, ErrBadSegment) {
+		_, err := DecodeSegment(ctx, nil, data[:n])
+		if !errors.Is(err, ErrBadSegment) {
 			t.Fatalf("truncated at %d of %d: err = %v, want ErrBadSegment", n, len(data), err)
+		}
+		if at := faultAt(err); at < 0 || at > n {
+			t.Fatalf("truncated at %d of %d: err = %q names no byte offset within the prefix", n, len(data), err)
 		}
 	}
 	if _, err := DecodeSegment(ctx, nil, append(append([]byte(nil), data...), 0)); !errors.Is(err, ErrBadSegment) {
@@ -144,6 +151,18 @@ func TestDecodeSegmentRejectsDamage(t *testing.T) {
 	if _, _, err := DecodeTables(ctx, twice); !errors.Is(err, ErrBadSegment) {
 		t.Fatalf("text listed twice, DecodeTables: err = %v, want ErrBadSegment", err)
 	}
+}
+
+var faultOffset = regexp.MustCompile(`byte (\d+)`)
+
+// faultAt returns the byte offset a decode error names, or -1.
+func faultAt(err error) int {
+	m := faultOffset.FindStringSubmatch(err.Error())
+	if m == nil {
+		return -1
+	}
+	at, _ := strconv.Atoi(m[1])
+	return at
 }
 
 // TestDecodeSegmentObservesCancellation: a dead context stops a decode.

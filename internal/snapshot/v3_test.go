@@ -7,6 +7,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -193,6 +195,40 @@ func TestChecksummedNonsenseIsCorrupt(t *testing.T) {
 	if _, err := Load(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("tombstone out of range: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// TestDecodeManifestTruncation: every strict prefix of a segmented
+// corpus's manifest is ErrCorrupt, naming a byte offset within the
+// prefix.
+func TestDecodeManifestTruncation(t *testing.T) {
+	raw := saveV3(t, segmentedSnapshot(t))
+	manifestLen := int(binary.BigEndian.Uint64(raw[len(magic)+1:]))
+	m, err := decodeManifest(raw[headerLen : headerLen+manifestLen])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := appendManifest(nil, m)
+	for n := 0; n < len(data); n++ {
+		_, err := decodeManifest(data[:n])
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("prefix of %d bytes: err = %v, want ErrCorrupt", n, err)
+		}
+		if at := faultAt(err); at < 0 || at > n {
+			t.Fatalf("prefix of %d bytes: err = %q names no byte offset within the prefix", n, err)
+		}
+	}
+}
+
+var faultOffset = regexp.MustCompile(`byte (\d+)`)
+
+// faultAt returns the byte offset a decode error names, or -1.
+func faultAt(err error) int {
+	m := faultOffset.FindStringSubmatch(err.Error())
+	if m == nil {
+		return -1
+	}
+	at, _ := strconv.Atoi(m[1])
+	return at
 }
 
 // readLog is a seekable source that records which bytes were read.

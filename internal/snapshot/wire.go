@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"repro/internal/byteread"
 )
 
 // The version-3 framing: the manifest's bytes, and the compressed form
@@ -75,58 +77,17 @@ func appendSectionRef(dst []byte, ref sectionRef) []byte {
 	return binary.BigEndian.AppendUint32(dst, ref.crc)
 }
 
-// manifestReader is a bounds-checked cursor over a manifest.
-type manifestReader struct {
-	data []byte
-	off  int
-}
+// errBadManifest is ErrCorrupt for a manifest, so that its faults say
+// which block they are in.
+var errBadManifest = fmt.Errorf("%w: manifest", ErrCorrupt)
 
-func (r *manifestReader) remaining() int { return len(r.data) - r.off }
-
-func (r *manifestReader) u8() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, fmt.Errorf("%w: manifest truncated at byte %d", ErrCorrupt, r.off)
-	}
-	r.off++
-	return r.data[r.off-1], nil
-}
-
-func (r *manifestReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint at manifest byte %d", ErrCorrupt, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// count reads an element count and checks it against the bytes that
-// remain, each element taking at least min of them.
-func (r *manifestReader) count(min int) (int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(r.remaining()/min) {
-		return 0, fmt.Errorf("%w: manifest count %d exceeds the %d bytes that remain", ErrCorrupt, n, r.remaining())
-	}
-	return int(n), nil
-}
-
-func (r *manifestReader) sectionRef() (sectionRef, error) {
-	length, err := r.uvarint()
-	if err != nil {
-		return sectionRef{}, err
-	}
+// readSectionRef reads what appendSectionRef wrote.
+func readSectionRef(r *byteread.Reader) sectionRef {
+	length := r.Uvarint()
 	if length > math.MaxInt64 {
-		return sectionRef{}, fmt.Errorf("%w: section of %d bytes", ErrCorrupt, length)
+		r.Failf("section of %d bytes", length)
 	}
-	if r.remaining() < 4 {
-		return sectionRef{}, fmt.Errorf("%w: manifest truncated at byte %d", ErrCorrupt, r.off)
-	}
-	crc := binary.BigEndian.Uint32(r.data[r.off:])
-	r.off += 4
-	return sectionRef{length: length, crc: crc}, nil
+	return sectionRef{length: length, crc: r.U32()}
 }
 
 // decodeManifest parses a manifest whose checksum has passed. A segment
@@ -134,71 +95,48 @@ func (r *manifestReader) sectionRef() (sectionRef, error) {
 // tombstone must name a table of its segment, and a flat corpus is at
 // most one segment without tombstones.
 func decodeManifest(data []byte) (*manifest, error) {
-	r := &manifestReader{data: data}
-	m := &manifest{}
-	var err error
-	if m.generation, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	shape, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
+	r := byteread.New(data, errBadManifest)
+	m := &manifest{generation: r.Uvarint()}
+	shape := r.U8()
 	if shape > 1 {
-		return nil, fmt.Errorf("%w: manifest shape %d", ErrCorrupt, shape)
+		return nil, r.Failf("shape %d", shape)
 	}
 	m.flat = shape == 1
-	if m.catalog, err = r.sectionRef(); err != nil {
-		return nil, err
-	}
-	nSegs, err := r.count(8)
-	if err != nil {
-		return nil, err
-	}
+	m.catalog = readSectionRef(&r)
+	nSegs := r.Count(r.Uvarint(), 8)
 	if m.flat && nSegs > 1 {
-		return nil, fmt.Errorf("%w: flat corpus in %d segments", ErrCorrupt, nSegs)
+		return nil, r.Failf("flat corpus in %d segments", nSegs)
 	}
 	m.segments = make([]SegmentInfo, nSegs)
 	m.sections = make([]sectionRef, nSegs)
 	for i := range m.segments {
 		sg := &m.segments[i]
-		if sg.ID, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		tables, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		sg.ID = r.Uvarint()
+		tables := r.Uvarint()
 		if tables > 1<<31-1 {
-			return nil, fmt.Errorf("%w: segment %d holds %d tables", ErrCorrupt, i, tables)
+			return nil, r.Failf("segment %d holds %d tables", i, tables)
 		}
 		sg.Tables = int(tables)
-		nDead, err := r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		if nDead > 0 {
+		if nDead := r.Count(r.Uvarint(), 1); nDead > 0 {
 			if m.flat {
-				return nil, fmt.Errorf("%w: flat corpus with tombstones", ErrCorrupt)
+				return nil, r.Failf("flat corpus with tombstones")
 			}
 			sg.Dead = make([]int, nDead)
 		}
 		for d := range sg.Dead {
-			local, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
+			local := r.Uvarint()
 			if local >= tables {
-				return nil, fmt.Errorf("%w: segment %d: tombstone %d out of range [0, %d)", ErrCorrupt, i, local, tables)
+				return nil, r.Failf("segment %d: tombstone %d out of range [0, %d)", i, local, tables)
 			}
 			sg.Dead[d] = int(local)
 		}
-		if m.sections[i], err = r.sectionRef(); err != nil {
-			return nil, err
-		}
+		m.sections[i] = readSectionRef(&r)
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after the manifest's last entry", ErrCorrupt, r.remaining())
+	if r.Remaining() != 0 {
+		r.Failf("%d bytes after the last entry", r.Remaining())
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
