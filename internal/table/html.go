@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // ExtractHTML scans an HTML document for <table> elements and converts
@@ -30,9 +31,12 @@ func ExtractHTML(doc, idPrefix string) []*Table {
 		if end < 0 {
 			break
 		}
-		ctxStart := start - contextRunes*3 // bytes, generous for UTF-8
-		if ctxStart < 0 {
-			ctxStart = 0
+		// contextRunes*3 bytes hold contextRunes runes of up to three
+		// bytes, but only 180 of four; the cut moves forward to the
+		// start of a rune.
+		ctxStart := max(start-contextRunes*3, 0)
+		for ctxStart < start && !utf8.RuneStart(doc[ctxStart]) {
+			ctxStart++
 		}
 		context := collapseWhitespace(stripTags(doc[ctxStart:start]))
 		if rs := []rune(context); len(rs) > contextRunes {

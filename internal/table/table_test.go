@@ -326,6 +326,25 @@ func TestExtractHTMLOffsetsSurviveCaseFolding(t *testing.T) {
 	}
 }
 
+// The context window is cut at a byte offset, moved forward to the start
+// of a rune: an emoji page keeps whole emoji, and an ASCII page keeps its
+// last contextRunes characters.
+func TestExtractHTMLContextStartsOnARune(t *testing.T) {
+	const body = `<table><tr><td>a</td><td>b</td></tr><tr><td>c</td><td>d</td></tr></table>`
+	for _, tc := range []struct{ before, want string }{
+		{strings.Repeat("😀", 200) + "ab", strings.Repeat("😀", 179) + "ab"},
+		{strings.Repeat("x", 1000), strings.Repeat("x", 240)},
+	} {
+		tables := ExtractHTML(tc.before+body, "p")
+		if len(tables) != 1 {
+			t.Fatalf("ExtractHTML(%.8q…) = %v, want one table", tc.before, tables)
+		}
+		if got := tables[0].Context; got != tc.want {
+			t.Errorf("context %.8q… of %d bytes, want %.8q… of %d", got, len(got), tc.want, len(tc.want))
+		}
+	}
+}
+
 func TestExtractHTMLUnclosedTable(t *testing.T) {
 	if tables := ExtractHTML("<table><tr><td>a</td></tr>", "p"); len(tables) != 0 {
 		t.Fatalf("unclosed table accepted: %v", tables)
