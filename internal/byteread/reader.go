@@ -1,17 +1,13 @@
-// Package byteread is the bounds-checked cursor the binary decoders
-// share: a persisted segment (internal/searchidx), a snapshot's
-// manifest (internal/snapshot) and a shard's partial-evidence payload
-// (internal/dist) are all read through a Reader.
+// Package byteread is the bounds-checked cursor the decoders of a
+// persisted segment (internal/searchidx), a snapshot manifest
+// (internal/snapshot) and a partial-evidence payload (internal/dist) share.
 //
-// A Reader keeps the first fault it meets — truncation, a malformed
-// varint, a count the remaining bytes cannot hold, or a decoder's own
-// check through Failf — and from then on every read returns zero and
-// advances nothing, so a decoder reads straight through a section and
-// checks Err where the section ends. Nothing is sized by a value read
-// past a fault: Count returns zero once one is kept. A decoder still
-// checks a value it goes on to index with as soon as it reads it, and
-// returns at once if the check fails, since a zero read after a fault may
-// pass that check.
+// A Reader keeps the first fault it meets; from then on every read returns
+// zero and advances nothing, and Count returns zero. A decoder reads
+// straight through a section and checks Err where it ends, and nothing is
+// sized by a value read past a fault. A value the decoder goes on to index
+// with is checked, and the decoder returns, where it is read: a zero read
+// past a fault may pass that check.
 package byteread
 
 import (

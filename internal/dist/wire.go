@@ -271,10 +271,20 @@ func DecodePartial(data []byte) (*Partial, error) {
 				c.Hits = make([]search.PartialHit, nHits)
 			}
 			for hi := range c.Hits {
-				h := &c.Hits[hi]
-				h.Table, h.Row, h.Col = int32(r.U32()), int32(r.U32()), int32(r.U32())
-				if h.Evidence = math.Float64frombits(r.U64()); math.IsNaN(h.Evidence) || math.IsInf(h.Evidence, 0) {
-					return nil, r.Failf("non-finite evidence %v in group %d", h.Evidence, g.Key)
+				// One read a hit, not four: hits are most of a payload.
+				b := r.Take(20)
+				if b == nil {
+					return nil, r.Err()
+				}
+				ev := math.Float64frombits(binary.BigEndian.Uint64(b[12:20]))
+				if math.IsNaN(ev) || math.IsInf(ev, 0) {
+					return nil, r.Failf("non-finite evidence %v in group %d", ev, g.Key)
+				}
+				c.Hits[hi] = search.PartialHit{
+					Table:    int32(binary.BigEndian.Uint32(b[0:4])),
+					Row:      int32(binary.BigEndian.Uint32(b[4:8])),
+					Col:      int32(binary.BigEndian.Uint32(b[8:12])),
+					Evidence: ev,
 				}
 			}
 			if nVars := r.Count(uint64(r.U32()), 8); nVars > 0 {
