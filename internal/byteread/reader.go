@@ -107,12 +107,8 @@ func (r *Reader) Uvarint() uint64 {
 		return uint64(r.data[r.off-1])
 	}
 	v, n := binary.Uvarint(r.data[r.off:])
-	switch {
-	case n == 0:
-		r.Failf("truncated varint")
-		return 0
-	case n < 0:
-		r.Failf("varint overflows 64 bits")
+	if n <= 0 {
+		r.Failf("bad varint: truncated, or over 64 bits")
 		return 0
 	}
 	r.off += n
@@ -122,6 +118,12 @@ func (r *Reader) Uvarint() uint64 {
 // Uvarint32 reads a varint of at most 32 bits: a count, a length, or an
 // ID plus one.
 func (r *Reader) Uvarint32() uint32 {
+	// The one-byte case again, so that a cell's spelling ID, read once
+	// per cell at load, costs one call.
+	if r.off < len(r.data) && r.data[r.off] < 0x80 {
+		r.off++
+		return uint32(r.data[r.off-1])
+	}
 	at := r.off
 	v := r.Uvarint()
 	if v > math.MaxUint32 {

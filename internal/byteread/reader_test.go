@@ -36,11 +36,11 @@ func TestReader(t *testing.T) {
 		{"Take negative", []byte{5}, func(r *Reader) uint64 { return uint64(len(r.Take(-1))) }, 0, 0, 0, "truncated"},
 		{"Uvarint one byte", []byte{0x7f}, func(r *Reader) uint64 { return r.Uvarint() }, 0x7f, -1, 1, ""},
 		{"Uvarint two bytes", []byte{0x80, 0x01}, func(r *Reader) uint64 { return r.Uvarint() }, 0x80, -1, 2, ""},
-		{"Uvarint truncated", []byte{3, 0x80}, func(r *Reader) uint64 { r.U8(); return r.Uvarint() }, 0, 1, 0, "truncated varint"},
-		{"Uvarint bad", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, func(r *Reader) uint64 { return r.Uvarint() }, 0, 0, 0, "overflows 64 bits"},
+		{"Uvarint truncated", []byte{3, 0x80}, func(r *Reader) uint64 { r.U8(); return r.Uvarint() }, 0, 1, 0, "bad varint"},
+		{"Uvarint over 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, func(r *Reader) uint64 { return r.Uvarint() }, 0, 0, 0, "bad varint"},
 		{"Uvarint32", []byte{0xff, 0xff, 0xff, 0xff, 0x0f}, func(r *Reader) uint64 { return uint64(r.Uvarint32()) }, 1<<32 - 1, -1, 5, ""},
 		{"Uvarint32 over 32 bits", []byte{2, 0x80, 0x80, 0x80, 0x80, 0x10}, func(r *Reader) uint64 { r.U8(); return uint64(r.Uvarint32()) }, 0, 1, 0, "exceeds 32 bits"},
-		{"Uvarint32 truncated", []byte{0xff}, func(r *Reader) uint64 { return uint64(r.Uvarint32()) }, 0, 0, 0, "truncated varint"},
+		{"Uvarint32 truncated", []byte{0xff}, func(r *Reader) uint64 { return uint64(r.Uvarint32()) }, 0, 0, 0, "bad varint"},
 		{"Count", []byte{1, 2, 3, 4}, func(r *Reader) uint64 { return uint64(r.Count(2, 2)) }, 2, -1, 0, ""},
 		{"Count over", []byte{1, 2, 3}, func(r *Reader) uint64 { r.U8(); return uint64(r.Count(2, 2)) }, 0, 1, 0, "count 2 of at least 2 bytes each, 2 bytes remain"},
 		{"Count bomb", []byte{1}, func(r *Reader) uint64 { return uint64(r.Count(1<<40, 1)) }, 0, 0, 0, "count 1099511627776"},

@@ -331,9 +331,7 @@ func DecodeTables(ctx context.Context, data []byte) ([]*table.Table, []*core.Ann
 }
 
 // decode fills the arrays a segment stores from its persistent form and
-// derives nothing. The reader's fault is checked where each part of the
-// layout ends; an ID that goes on to index something is checked, and
-// refused at once, where it is read.
+// derives nothing.
 func decode(ctx context.Context, data []byte) (*Index, error) {
 	r := &segmentReader{Reader: byteread.New(data, ErrBadSegment)}
 	nTables := r.Count(uint64(r.Uvarint32()), 5)
