@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"html"
 	"strings"
 	"unicode/utf8"
 )
@@ -9,10 +10,11 @@ import (
 // ExtractHTML scans an HTML document for <table> elements and converts
 // each into a Table, mimicking the web-crawl preprocessing of §3.2. It is
 // a deliberately small hand-rolled scanner (stdlib only): it understands
-// <table>, <tr>, <th>, <td>, entity escapes, and colspan/rowspan (tables
-// using them are discarded, per the paper's "we discard tables that use
-// merged rows, columns or cells"). Text outside tables near each table is
-// captured as Context (a window of contextRunes runes before the table).
+// <table>, <tr>, <th>, <td>, entity escapes (decoded as HTML5 decodes
+// them, by html.UnescapeString), and colspan/rowspan (tables using them
+// are discarded, per the paper's "we discard tables that use merged rows,
+// columns or cells"). Text outside tables near each table is captured as
+// Context (a window of contextRunes runes before the table).
 //
 // Nested tables are skipped entirely — they are nearly always layout.
 func ExtractHTML(doc, idPrefix string) []*Table {
@@ -100,7 +102,7 @@ func parseTableBody(markup string) (*Table, bool) {
 
 	flushCell := func() {
 		if inCell && cur != nil {
-			cur.cells = append(cur.cells, collapseWhitespace(unescapeEntities(cellBuf.String())))
+			cur.cells = append(cur.cells, collapseWhitespace(html.UnescapeString(cellBuf.String())))
 			cellBuf.Reset()
 			inCell = false
 		}
@@ -218,7 +220,8 @@ func hasMergeAttrs(attrs string) bool {
 	return false
 }
 
-// stripTags removes all markup, keeping text content.
+// stripTags removes all markup, keeping text content with its entity
+// escapes decoded.
 func stripTags(s string) string {
 	var sb strings.Builder
 	in := false
@@ -233,51 +236,7 @@ func stripTags(s string) string {
 			sb.WriteRune(r)
 		}
 	}
-	return unescapeEntities(sb.String())
-}
-
-var entityMap = map[string]string{
-	"amp": "&", "lt": "<", "gt": ">", "quot": `"`, "apos": "'",
-	"nbsp": " ", "ndash": "–", "mdash": "—", "hellip": "…",
-}
-
-// unescapeEntities resolves the handful of named entities common in table
-// markup plus numeric escapes.
-func unescapeEntities(s string) string {
-	if !strings.Contains(s, "&") {
-		return s
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '&' {
-			sb.WriteByte(s[i])
-			i++
-			continue
-		}
-		semi := strings.IndexByte(s[i:], ';')
-		if semi < 0 || semi > 8 {
-			sb.WriteByte(s[i])
-			i++
-			continue
-		}
-		name := s[i+1 : i+semi]
-		if rep, ok := entityMap[strings.ToLower(name)]; ok {
-			sb.WriteString(rep)
-			i += semi + 1
-			continue
-		}
-		if strings.HasPrefix(name, "#") {
-			var code int
-			if _, err := fmt.Sscanf(name[1:], "%d", &code); err == nil && code > 0 {
-				sb.WriteRune(rune(code))
-				i += semi + 1
-				continue
-			}
-		}
-		sb.WriteByte(s[i])
-		i++
-	}
-	return sb.String()
+	return html.UnescapeString(sb.String())
 }
 
 func collapseWhitespace(s string) string {

@@ -3,6 +3,7 @@ package table
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -296,6 +297,12 @@ func TestExtractHTMLEntities(t *testing.T) {
 	}
 	if got := tables[0].Cell(1, 1); got != "<tag>" {
 		t.Errorf("lt/gt = %q", got)
+	}
+	// Numeric escapes decode as HTML5 does, and a no-break space is a
+	// space once whitespace collapses.
+	odd := ExtractHTML(`<table><tr><td>&#65x;</td><td>&#+66;</td><td>&#x41;</td><td>&#0;</td><td>x&nbsp;y</td></tr></table>`, "p")
+	if got := odd[0].Cells[0]; !slices.Equal(got, []string{"Ax;", "&#+66;", "A", "\uFFFD", "x y"}) {
+		t.Errorf("escapes extract as %q", got)
 	}
 }
 
