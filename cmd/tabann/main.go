@@ -52,7 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		method  = fs.String("method", "collective", "inference: collective|simple|lca|majority")
 		filter  = fs.Bool("filter", true, "screen out formatting tables first")
 		workers = fs.Int("workers", 0, "annotation workers (0 = GOMAXPROCS)")
-		save    = fs.String("save", "", "also write the annotated corpus as a snapshot file (WTSNAP v3: its index segment persisted compiled) for tabserved/tabshard/tabsearch -load")
+		save    = fs.String("save", "", "also write the annotated corpus as a snapshot file (its index segment persisted compiled) for tabserved/tabshard/tabsearch -load")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -115,11 +115,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *save != "" {
 		// One-segment live-corpus manifest at generation 1: tabserved
 		// -load resumes it as a mutable corpus (POST /v1/tables appends
-		// further segments). Like a service's saved corpus, it holds no
-		// wall time.
-		for _, a := range anns {
-			a.Diag.CandidateGen, a.Diag.GraphBuild, a.Diag.Inference = 0, 0, 0
-		}
+		// further segments).
 		err := cmdio.AtomicWriteFile(*save, func(w io.Writer) error {
 			return snapshot.Save(w, &snapshot.Snapshot{
 				Catalog:    cat.Snapshot(),

@@ -16,7 +16,8 @@ import (
 // BuildContext over tables and anns, DecodeSegment of that index's dump
 // and DecodeSegment of what AppendSegment writes from the same tables
 // are one index field for field, all three dump to the same bytes, and
-// what each of them — and DecodeTables — materialises is the input.
+// what each of them — and DecodeTables — materialises is the input, less
+// the annotations' diagnostics, which a segment does not keep.
 // With strict unset, nil and empty slices of the input count as the
 // same content (a corpus decoded from JSON has both).
 func CheckOnePath(t testing.TB, label string, cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation, strict bool) {
@@ -70,6 +71,11 @@ func CheckOnePath(t testing.TB, label string, cat *catalog.Catalog, tables []*ta
 		var wantAnn, loadedAnn *core.Annotation
 		if anns != nil {
 			wantAnn, loadedAnn = anns[i], loadedAnns[i]
+		}
+		if wantAnn != nil {
+			labels := *wantAnn
+			labels.Diag = core.Diagnostics{}
+			wantAnn = &labels
 		}
 		for how, got := range map[string]struct {
 			t *table.Table

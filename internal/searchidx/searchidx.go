@@ -53,8 +53,7 @@
 //     which text it normalizes to), the text dictionary (where a text
 //     lies), two parallel column-major cell arrays (raw-spelling ID,
 //     entity), per table its shape and where its strings lie, and per
-//     annotation one fixed record — its diagnostics, its entity grid's
-//     shape and where its column types, its relations and, only when
+//     annotation one fixed record — its entity grid's shape and where its column types, its relations and, only when
 //     that shape is not the table's, its grid lie in three runs the
 //     segment's annotations share. Beside its cells and strings a table
 //     costs a fixed number of bytes and no heap object of its own;
@@ -88,7 +87,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"time"
 	"unsafe"
 
 	"repro/internal/catalog"
@@ -242,19 +240,15 @@ type tableMeta struct {
 // also the number of its column types, annTypes[types:]; its relations
 // are annRels[rels:][:nRels]. When the grid's shape is the table's it is
 // the table's run of cellEnts; otherwise annGrid[grid:] holds it,
-// row-major (and cellEnts the part of it over the table). diag holds the
-// diagnostics' integers in their order.
+// row-major (and cellEnts the part of it over the table). The
+// annotator's diagnostics are not kept: a search reads only labels.
 type annMeta struct {
 	tableID     strRef
 	rows, cols  uint32
 	types, grid uint32
 	rels, nRels uint32
-	diag        [6]int64
 	flags       uint8
 }
-
-// annConverged is annMeta's flag, never persisted, for Diagnostics.Converged.
-const annConverged = 1 << 2
 
 // relMeta is one relation of an annotation, packed: 16 bytes where a
 // core.RelationAnnotation takes 24.
@@ -430,15 +424,10 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 				return nil, fmt.Errorf("searchidx: annotation %q: relation columns (%d,%d) outside %d columns", a.TableID, ra.Col1, ra.Col2, cols)
 			}
 		}
-		m := &ix.anns[ti]
-		*m = annMeta{
+		ix.anns[ti] = annMeta{
 			tableID: add(a.TableID), rows: uint32(rows), cols: uint32(cols),
 			types: uint32(len(ix.annTypes)), grid: uint32(len(ix.annGrid)), rels: uint32(len(ix.annRels)), nRels: uint32(len(a.Relations)),
-		}
-		d := a.Diag
-		m.diag = [6]int64{int64(d.CandidateGen), int64(d.GraphBuild), int64(d.Inference), int64(d.Iterations), int64(d.NumVars), int64(d.NumFactors)}
-		if m.flags = annPresent; d.Converged {
-			m.flags |= annConverged
+			flags: annPresent,
 		}
 		ix.annTypes = append(ix.annTypes, a.ColumnTypes...)
 		for _, ra := range a.Relations {
@@ -676,22 +665,17 @@ func (ix *Index) Table(t int) *table.Table {
 }
 
 // Annotation materialises table t's annotation — a new core.Annotation
-// equal to the one the segment was compiled from — or returns nil when
-// the table has none.
+// with the labels of the one the segment was compiled from, and a zero
+// Diag — or returns nil when the table has none.
 func (ix *Index) Annotation(t int) *core.Annotation {
 	if !ix.Annotated(t) {
 		return nil
 	}
 	m := &ix.anns[t]
-	d := m.diag
 	out := &core.Annotation{
 		TableID:      ix.str(m.tableID),
 		ColumnTypes:  append(make([]catalog.TypeID, 0, m.cols), ix.annTypes[m.types:][:m.cols]...),
 		CellEntities: newGrid[catalog.EntityID](int(m.rows), int(m.cols)),
-		Diag: core.Diagnostics{
-			CandidateGen: time.Duration(d[0]), GraphBuild: time.Duration(d[1]), Inference: time.Duration(d[2]),
-			Iterations: int(d[3]), NumVars: int(d[4]), NumFactors: int(d[5]), Converged: m.flags&annConverged != 0,
-		},
 	}
 	if m.nRels > 0 {
 		out.Relations = make([]core.RelationAnnotation, m.nRels)

@@ -415,7 +415,7 @@ func TestResidentBytesArithmetic(t *testing.T) {
 	if got := ix.ResidentBytes(); got != want {
 		t.Errorf("ResidentBytes = %+v, want %+v", got, want)
 	}
-	if a, r := unsafe.Sizeof(annMeta{}), unsafe.Sizeof(relMeta{}); a > 88 || r > 16 {
-		t.Errorf("an annotation record takes %d bytes and a relation %d, budget 88 and 16", a, r)
+	if a, r := unsafe.Sizeof(annMeta{}), unsafe.Sizeof(relMeta{}); a > 36 || r > 16 {
+		t.Errorf("an annotation record takes %d bytes and a relation %d, budget 36 and 16", a, r)
 	}
 }

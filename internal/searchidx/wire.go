@@ -34,18 +34,16 @@ import (
 //	           headers: 0 for none, else 1 and cols × header length }
 //	per table, row by row: the cell's spelling: 0 for a spelling no
 //	         earlier cell had, else an earlier spelling's ID plus one
-//	tables × { flags byte: 0 for no annotation, else bit 0, and bit 1
-//	           for diagnostics; table-ID length, rows, cols, cols × type;
-//	           relations, then × { col1, col2, relation, forward };
-//	           candidate-gen, graph-build and inference nanoseconds
-//	           (0 for what a service annotated: wall time is not kept),
-//	           iterations, variables, factors, converged }
+//	tables × { flags byte: 0 for no annotation, else 1; table-ID
+//	           length, rows, cols, cols × type; relations, then
+//	           × { col1, col2, relation, forward } }
 //	per annotation, row by row: the cell's entity, plus one; but over a
 //	         cell of the table whose text an earlier such cell had: 0 for
 //	         that cell's entity (the first such cell's), else plus two
 //
-// The last two groups are present only under flags bit 0, and an
-// annotation's diagnostics only under its bit 1. Every integer is an
+// The last two groups are present only under flags bit 0. An annotation
+// is its labels: the annotator's diagnostics are not stored, so the
+// bytes hold no wall time. Every integer is an
 // unsigned LEB128 varint; type, entity and relation IDs are stored plus
 // one, so that none is a zero byte. Spellings and texts are numbered in
 // order of first appearance walking tables, then rows, then columns —
@@ -78,7 +76,6 @@ var ErrBadSegment = errors.New("searchidx: malformed persisted segment")
 const (
 	segmentAnnotated = 1 << 0 // section flag: the segment has an annotation list
 	annPresent       = 1 << 0 // annotation flag: the table is annotated
-	annDiagnostics   = 1 << 1 // annotation flag: nonzero diagnostics follow
 )
 
 // unlabeled marks, in the per-text entity defaults, a text no annotated
@@ -162,11 +159,7 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 			dst = append(dst, 0)
 			continue
 		}
-		af := byte(annPresent)
-		if a.diag != [6]int64{} || a.flags&annConverged != 0 {
-			af |= annDiagnostics
-		}
-		dst = append(dst, af)
+		dst = append(dst, annPresent)
 		dst = binary.AppendUvarint(dst, uint64(a.tableID.len))
 		dst = binary.AppendUvarint(dst, uint64(a.rows))
 		dst = binary.AppendUvarint(dst, uint64(a.cols))
@@ -179,12 +172,6 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 			dst = binary.AppendUvarint(dst, uint64(ra.col2))
 			dst = appendID(dst, int32(ra.rel))
 			dst = appendBool(dst, ra.forward)
-		}
-		if af&annDiagnostics != 0 {
-			for _, v := range a.diag {
-				dst = binary.AppendUvarint(dst, uint64(v))
-			}
-			dst = appendBool(dst, a.flags&annConverged != 0)
 		}
 	}
 	labels := make([]int32, len(ix.texts))
@@ -467,7 +454,7 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 		if af == 0 {
 			continue
 		}
-		if af&annPresent == 0 || af&^(annPresent|annDiagnostics) != 0 {
+		if af != annPresent {
 			return r.Failf("annotation %d: flags %#x", ti, af)
 		}
 		a := &ix.anns[ti]
@@ -493,14 +480,6 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 			}
 			rel := r.id()
 			ix.annRels = append(ix.annRels, relMeta{c1, c2, catalog.RelationID(rel), r.flag()})
-		}
-		if af&annDiagnostics != 0 {
-			for i := range a.diag {
-				a.diag[i] = int64(r.Uvarint())
-			}
-			if r.flag() {
-				a.flags |= annConverged
-			}
 		}
 	}
 	if err := r.Err(); err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // TestLoadedIndexEqualsBuiltIndex: for every segment of the snapshot
-// files frozen under internal/snapshot/testdata, the index a version-3
+// files frozen under internal/snapshot/testdata, the index a snapshot
 // file decodes to equals, field by field — dictionaries, cell arrays,
 // every posting list — the index BuildContext compiles from the
 // segment's tables and annotations. Loading derives what it does not
@@ -34,11 +34,11 @@ func TestLoadedIndexEqualsBuiltIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		var v3 bytes.Buffer
-		if err := snapshot.Save(&v3, snap); err != nil {
+		var saved bytes.Buffer
+		if err := snapshot.Save(&saved, snap); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		rd, err := snapshot.NewReader(ctx, &v3)
+		rd, err := snapshot.NewReader(ctx, &saved)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

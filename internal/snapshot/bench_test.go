@@ -31,7 +31,6 @@ func benchSnapshot(tb testing.TB) *Snapshot {
 				TableID:     tab.ID,
 				ColumnTypes: []catalog.TypeID{0, 1, catalog.None},
 				Relations:   []core.RelationAnnotation{{Col1: 0, Col2: 1, Relation: 0, Forward: true}},
-				Diag:        core.Diagnostics{CandidateGen: 1200000, GraphBuild: 340000, Inference: 560000, Iterations: 3, Converged: true, NumVars: 43, NumFactors: 61},
 			}
 			for r := 0; r < rows; r++ {
 				i := ti*rows + r
@@ -70,7 +69,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 // BenchmarkSnapshotLoad reads the 1000-table snapshot back: checksums,
 // inflate, and every segment decoded to its compiled index.
 func BenchmarkSnapshotLoad(b *testing.B) {
-	raw := saveV3(b, benchSnapshot(b))
+	raw := saveChecked(b, benchSnapshot(b))
 	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -36,17 +36,17 @@ import (
 func FuzzLoadSnapshot(f *testing.F) {
 	for _, name := range fixtures {
 		snap := loadFixture(f, name)
-		v3 := saveV3(f, snap)
-		f.Add(v3)
-		blocks := blocksOf(f, v3)
-		f.Add(v3[blocks[0].lo:blocks[0].hi])
+		raw := saveChecked(f, snap)
+		f.Add(raw)
+		blocks := blocksOf(f, raw)
+		f.Add(raw[blocks[0].lo:blocks[0].hi])
 		for _, b := range blocks {
-			f.Add(v3[:b.lo])
-			f.Add(v3[:b.hi-1])
+			f.Add(raw[:b.lo])
+			f.Add(raw[:b.hi-1])
 		}
 		for _, at := range []int{3, len(magic), len(magic) + 8, len(magic) + 12, blocks[0].lo, blocks[0].lo + 3, blocks[0].hi - 1, blocks[2].lo, blocks[2].lo + 7} {
 			for _, bit := range []byte{0x01, 0x80} {
-				flipped := append([]byte(nil), v3...)
+				flipped := append([]byte(nil), raw...)
 				flipped[at] ^= bit
 				f.Add(flipped)
 			}

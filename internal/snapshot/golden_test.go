@@ -19,19 +19,20 @@ var update = flag.Bool("update", false, "rewrite testdata/snapshot.golden from w
 // fixtures are the snapshot files frozen under testdata/: written as
 // format version 2 at the commit before version 3 (25fdbb6, by
 // internal/search's TestWriteSnapshotFixtures, which went with the
-// writer), and re-saved once as version 3 — Save of what Load returned —
-// in the commit before the version 1 and 2 reader was deleted;
-// snapshot.golden is older than both and still what they load to. Every
-// later reader must keep loading them.
+// writer), re-saved as version 3 in the commit before the version 1 and
+// 2 reader was deleted, and as version 4 by the first version-4 writer,
+// each time as Save of what Load returned. snapshot.golden is older than
+// all three, less the diagnostics version 4 does not store. Every later
+// reader must keep loading them.
 //
 //   - segmented.snap is the "partial" corpus of internal/search's
 //     pages.golden as a live-corpus manifest at generation 7: four
 //     segments, one of them entirely tombstoned and saved without
 //     annotations; tombstoned tables carrying the odd shapes (no
 //     headers, empty and non-ASCII cells, an annotation grid smaller
-//     than its table, a backward relation, diagnostics, a table without
-//     an annotation); and one live table nobody annotated, placed last
-//     so no live table's corpus number moves.
+//     than its table, a backward relation, a table without an
+//     annotation); and one live table nobody annotated, placed last so
+//     no live table's corpus number moves.
 //   - flat.snap is its "fraction" corpus in the flat shape, with the
 //     same unannotated table appended.
 var fixtures = []string{"segmented.snap", "flat.snap"}
@@ -39,9 +40,9 @@ var fixtures = []string{"segmented.snap", "flat.snap"}
 // dumpSnapshot renders everything a Snapshot holds as deterministic
 // text: the catalog's portable form, the generation, and per segment
 // (or for the flat shape) every table's ID, context, headers and cells
-// and every annotation's column types, cell entities, relations and
-// diagnostics, plus the dead lists. Nil and empty slices print alike,
-// so the dump states content, not representation.
+// and every annotation's column types, cell entities and relations, plus
+// the dead lists. Nil and empty slices print alike, so the dump states
+// content, not representation.
 func dumpSnapshot(s *Snapshot) []byte {
 	var buf bytes.Buffer
 	cat, err := json.Marshal(s.Catalog)
@@ -82,9 +83,6 @@ func dumpTables(buf *bytes.Buffer, tables []*table.Table, anns []*core.Annotatio
 		for _, ra := range a.Relations {
 			fmt.Fprintf(buf, "      relation %d %d -> %d forward=%v\n", ra.Relation, ra.Col1, ra.Col2, ra.Forward)
 		}
-		d := a.Diag
-		fmt.Fprintf(buf, "      diag candidate_gen=%d graph_build=%d inference=%d iterations=%d converged=%v vars=%d factors=%d\n",
-			int64(d.CandidateGen), int64(d.GraphBuild), int64(d.Inference), d.Iterations, d.Converged, d.NumVars, d.NumFactors)
 	}
 }
 

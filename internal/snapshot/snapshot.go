@@ -6,10 +6,10 @@
 // source: the paper's deployment model of §7, where queries run against
 // materialized annotation indices.
 //
-// # Layout (version 3)
+// # Layout (version 4)
 //
 //	magic     [6]byte  "WTSNAP"
-//	version   uint8    3
+//	version   uint8    4
 //	length    uint64   big-endian byte count of the manifest
 //	crc32     uint32   big-endian IEEE CRC of the manifest
 //	manifest  generation, corpus shape (segmented or flat), the catalog
@@ -65,8 +65,10 @@
 // (searchidx.AppendSegment, no posting list derived), Load materialises
 // them from a section's arrays (searchidx.DecodeTables, likewise).
 //
-// Both writers write version 3, always, and the same bytes for the same
-// corpus; there is no format option.
+// Both writers write the current Version, always, and the same bytes for
+// the same corpus; there is no format option. A persisted annotation is
+// its labels: the annotator's diagnostics (stage wall times among them)
+// are not stored, and a loaded annotation's Diag is zero.
 //
 // # Version history
 //
@@ -75,10 +77,17 @@
 //	v2  the same encoding with the live-corpus manifest: the corpus may
 //	    instead be a list of index segments, each with its tables,
 //	    annotations and tombstoned table numbers, plus the generation.
-//	v3  this layout, the only one read. Nothing has written version 1
-//	    or 2 since version 3 landed; such a file is ErrVersion, whose
-//	    message names the last commit (lastV2Reader) that loads one and
-//	    saves it again as version 3.
+//	v3  the layout above, where an annotation also held its diagnostics:
+//	    three stage durations, iterations, variables, factors and
+//	    converged. Nothing has written version 1 or 2 since version 3
+//	    landed; such a file is ErrVersion, whose message names the last
+//	    commit (lastV2Reader) that loads one and saves it again as
+//	    version 3.
+//	v4  this layout, the only one read: an annotation is its table ID,
+//	    shape, column types, relations and cell entities. A version-3
+//	    file is ErrVersion naming lastV3Reader, the last commit that
+//	    loads one; Save here of what Load there returns is the same
+//	    corpus as version 4.
 package snapshot
 
 import (
@@ -103,12 +112,16 @@ import (
 
 // Version is the snapshot format version Save writes and the only one
 // readers accept.
-const Version = 3
+const Version = 4
 
 // lastV2Reader is the last commit of this repository that reads version
 // 1 and 2 files; `tabserved -load` there, then POST /v1/snapshot, re-saves
 // one as version 3.
 const lastV2Reader = "cc864bc"
+
+// lastV3Reader is the last commit of this repository that reads version
+// 3 files.
+const lastV3Reader = "d9594f4"
 
 var magic = [6]byte{'W', 'T', 'S', 'N', 'A', 'P'}
 
@@ -222,19 +235,19 @@ func frame(version uint8, manifest []byte) []byte {
 	return append(out, manifest...)
 }
 
-// Save is SaveContext without cancellation or tracing.
+// Save is saveContext without cancellation or tracing.
 func Save(w io.Writer, s *Snapshot) error {
-	return SaveContext(context.Background(), w, s)
+	return saveContext(context.Background(), w, s)
 }
 
-// SaveContext writes s to w in the current format version: every
+// saveContext writes s to w in the current format version: every
 // segment interned and dumped in its persistent form
 // (searchidx.AppendSegment), compressed and checksummed on its own,
 // behind a manifest that says where each one lies. The same Snapshot
 // always yields the same bytes. The context is checked between segments;
 // when it carries a trace, the save is a snapshot.save span with one
 // snapshot.section child per segment.
-func SaveContext(ctx context.Context, w io.Writer, s *Snapshot) error {
+func saveContext(ctx context.Context, w io.Writer, s *Snapshot) error {
 	if err := s.validate(); err != nil {
 		return err
 	}
@@ -245,7 +258,7 @@ func SaveContext(ctx context.Context, w io.Writer, s *Snapshot) error {
 	})
 }
 
-// SaveView writes a live corpus view to w as SaveContext writes the
+// SaveView writes a live corpus view to w as saveContext writes the
 // Snapshot holding the view's tables and annotations — the same bytes —
 // without materialising them: every segment is dumped from its compiled
 // form as it stands (searchidx.Index.AppendTo).
@@ -362,8 +375,11 @@ func (rd *Reader) open() error {
 	}
 	switch version := header[len(magic)]; {
 	case version < Version:
-		return fmt.Errorf("%w: file version %d, reader supports only %d; commit %s is the last that loads it and saves it again as version %d",
-			ErrVersion, version, Version, lastV2Reader, Version)
+		last := lastV3Reader
+		if version < 3 {
+			last = lastV2Reader
+		}
+		return fmt.Errorf("%w: file version %d, reader supports only %d; commit %s is the last that loads it", ErrVersion, version, Version, last)
 	case version > Version:
 		return fmt.Errorf("%w: file version %d, reader supports only %d", ErrVersion, version, Version)
 	}

@@ -215,12 +215,12 @@ func TestSaveRejectsBadTombstone(t *testing.T) {
 }
 
 // TestLoadRejectsOtherVersions: a header stamped with any format version
-// but the current one — the retired 1 and 2, the never-written 0, a
-// future 4 — fails on ErrVersion naming the version found, before a byte
-// past the header is read. The retired versions' message also names the
-// last commit that reads them.
+// but the current one — the retired 1 to 3, the never-written 0, a
+// future one — fails on ErrVersion naming the version found, before a
+// byte past the header is read. The retired versions' message also names
+// the last commit that reads them.
 func TestLoadRejectsOtherVersions(t *testing.T) {
-	for _, version := range []uint8{0, 1, 2, Version + 1} {
+	for _, version := range []uint8{0, 1, 2, 3, Version + 1} {
 		header := frame(version, nil)
 		// A source that has nothing but the header: reading on is io.EOF
 		// and would surface as ErrChecksum (a short manifest).
@@ -232,8 +232,12 @@ func TestLoadRejectsOtherVersions(t *testing.T) {
 		if want := fmt.Sprintf("file version %d, reader supports only %d", version, Version); !strings.Contains(err.Error(), want) {
 			t.Errorf("version %d: message %q does not say %q", version, err, want)
 		}
-		if named := strings.Contains(err.Error(), lastV2Reader); named != (version < Version) {
-			t.Errorf("version %d: message %q names commit %s: %v", version, err, lastV2Reader, named)
+		last := lastV3Reader
+		if version < 3 {
+			last = lastV2Reader
+		}
+		if named := strings.Contains(err.Error(), last); named != (version < Version) {
+			t.Errorf("version %d: message %q names commit %s: %v", version, err, last, named)
 		}
 	}
 }

@@ -16,27 +16,27 @@ import (
 	"repro/internal/searchidx"
 )
 
-// saveV3 saves snap and checks the header says version 3.
-func saveV3(t testing.TB, snap *Snapshot) []byte {
+// saveChecked saves snap and checks the header says the current Version.
+func saveChecked(t testing.TB, snap *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Save(&buf, snap); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	if v := buf.Bytes()[len(magic)]; v != 3 {
-		t.Fatalf("Save wrote version %d, want 3", v)
+	if v := buf.Bytes()[len(magic)]; v != Version {
+		t.Fatalf("Save wrote version %d, want %d", v, Version)
 	}
 	return buf.Bytes()
 }
 
-// blockSpan is one checksummed block of a version-3 file: the manifest,
+// blockSpan is one checksummed block of a snapshot file: the manifest,
 // the catalog section or a segment's section.
 type blockSpan struct {
 	name   string
 	lo, hi int
 }
 
-// blocksOf locates every block of a version-3 file from its manifest.
+// blocksOf locates every block of a snapshot file from its manifest.
 func blocksOf(t testing.TB, raw []byte) []blockSpan {
 	t.Helper()
 	manifestLen := int(binary.BigEndian.Uint64(raw[len(magic)+1:]))
@@ -66,21 +66,21 @@ func TestFixturesRoundTripV3(t *testing.T) {
 	for _, name := range fixtures {
 		old := loadFixture(t, name)
 		want := dumpSnapshot(old)
-		raw := saveV3(t, old)
+		raw := saveChecked(t, old)
 		if !bytes.Equal(raw, readFixture(t, name)) {
 			t.Errorf("%s: Save no longer writes the frozen file's bytes", name)
 		}
-		if again := saveV3(t, old); !bytes.Equal(raw, again) {
+		if again := saveChecked(t, old); !bytes.Equal(raw, again) {
 			t.Errorf("%s: two saves of one snapshot differ", name)
 		}
 		got, err := Load(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("%s: load v3: %v", name, err)
+			t.Fatalf("%s: load: %v", name, err)
 		}
 		if dump := dumpSnapshot(got); !bytes.Equal(dump, want) {
-			t.Errorf("%s: the version-3 round trip dumps differently:\n%s", name, dump)
+			t.Errorf("%s: the round trip dumps differently:\n%s", name, dump)
 		}
-		if resaved := saveV3(t, got); !bytes.Equal(raw, resaved) {
+		if resaved := saveChecked(t, got); !bytes.Equal(raw, resaved) {
 			t.Errorf("%s: save -> load -> save is not byte-identical (%d vs %d bytes)", name, len(raw), len(resaved))
 		}
 	}
@@ -89,7 +89,7 @@ func TestFixturesRoundTripV3(t *testing.T) {
 // TestEmptySnapshotRoundTrip: a catalog with no corpus is a valid file.
 func TestEmptySnapshotRoundTrip(t *testing.T) {
 	snap := &Snapshot{Catalog: testSnapshot(t).Catalog}
-	got, err := Load(bytes.NewReader(saveV3(t, snap)))
+	got, err := Load(bytes.NewReader(saveChecked(t, snap)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEmptySnapshotRoundTrip(t *testing.T) {
 // naming that block, and so is cutting the file at any block boundary
 // or inside any block.
 func TestEveryBlockIsChecksummed(t *testing.T) {
-	raw := saveV3(t, loadFixture(t, "segmented.snap"))
+	raw := saveChecked(t, loadFixture(t, "segmented.snap"))
 	blocks := blocksOf(t, raw)
 	if len(blocks) != 2+4 {
 		t.Fatalf("%d blocks, want manifest + catalog + 4 segments", len(blocks))
@@ -201,7 +201,7 @@ func TestChecksummedNonsenseIsCorrupt(t *testing.T) {
 // corpus's manifest is ErrCorrupt, naming a byte offset within the
 // prefix.
 func TestDecodeManifestTruncation(t *testing.T) {
-	raw := saveV3(t, segmentedSnapshot(t))
+	raw := saveChecked(t, segmentedSnapshot(t))
 	manifestLen := int(binary.BigEndian.Uint64(raw[len(magic)+1:]))
 	m, err := decodeManifest(raw[headerLen : headerLen+manifestLen])
 	if err != nil {
@@ -251,7 +251,7 @@ func (l *readLog) Read(p []byte) (int, error) {
 // that stops early reads nothing past the last section it decoded, and a
 // source that cannot seek yields the same segments by discarding.
 func TestReaderTakesOnlyWhatItIsAskedFor(t *testing.T) {
-	raw := saveV3(t, loadFixture(t, "segmented.snap"))
+	raw := saveChecked(t, loadFixture(t, "segmented.snap"))
 	blocks := blocksOf(t, raw)[2:] // the four segment sections
 	ctx := context.Background()
 	src := &readLog{Reader: bytes.NewReader(raw), read: make([]bool, len(raw))}
@@ -320,7 +320,7 @@ func TestSnapshotMetricsAndSpans(t *testing.T) {
 	saves, loads := saveSeconds.Count(), loadSeconds.Count()
 
 	var buf bytes.Buffer
-	if err := SaveContext(ctx, &buf, snap); err != nil {
+	if err := saveContext(ctx, &buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	size := buf.Len()
@@ -346,7 +346,7 @@ func TestSnapshotMetricsAndSpans(t *testing.T) {
 	if got := lastBytes.With("save").Value(); got != float64(size) {
 		t.Errorf("snapshot_bytes{op=save} = %v, want %d", got, size)
 	}
-	skipped := blocksOf(t, saveV3(t, snap))[2]
+	skipped := blocksOf(t, saveChecked(t, snap))[2]
 	if got := lastBytes.With("load").Value(); got != float64(size-(skipped.hi-skipped.lo)) {
 		t.Errorf("snapshot_bytes{op=load} = %v, want the file's %d less the skipped section's %d", got, size, skipped.hi-skipped.lo)
 	}

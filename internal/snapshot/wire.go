@@ -13,7 +13,7 @@ import (
 	"repro/internal/byteread"
 )
 
-// The version-3 framing: the manifest's bytes, and the compressed form
+// The framing: the manifest's bytes, and the compressed form
 // of a catalog or segment section. Everything read here is untrusted
 // until its checksum has passed, and sized with care even then.
 
@@ -38,7 +38,7 @@ type SegmentInfo struct {
 	Dead []int
 }
 
-// manifest is the decoded first block of a version-3 file.
+// manifest is the decoded first block of a snapshot file.
 type manifest struct {
 	generation uint64
 	flat       bool

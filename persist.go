@@ -65,9 +65,9 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 // count, compaction knobs, ...) apply as in NewService.
 //
 // Format failures are structured: errors.Is recognizes ErrNotSnapshot
-// (foreign file), ErrSnapshotVersion (a format version other than 3; the
-// message says how to convert an older file) and ErrSnapshotChecksum
-// (truncation or corruption).
+// (foreign file), ErrSnapshotVersion (a format version other than the
+// one this build writes; the message names the last commit that reads an
+// older file) and ErrSnapshotChecksum (truncation or corruption).
 func LoadService(ctx context.Context, r io.Reader, opts ...ServiceOption) (*Service, error) {
 	rd, err := snapshot.NewReader(ctx, r)
 	if err != nil {

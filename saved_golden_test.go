@@ -6,12 +6,16 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	webtable "repro"
+	"repro/internal/core"
+	"repro/internal/snapshot"
 	"repro/internal/table"
 )
 
@@ -45,11 +49,8 @@ func savedExtras() []*table.Table {
 // annotations the last history makes: added segments, tombstones,
 // compaction products, a reload in mid-history and the two shards of a
 // split all save what a rebuild from the same tables would. The golden
-// was written by the code that kept every segment's tables and
-// annotations next to its compiled form and saved from those, except
-// its last line, which was added once a saved annotation stopped
-// holding its stage durations; -update is only legitimate with a new
-// format version.
+// was last rewritten at format version 4; -update is only legitimate with
+// a new format version.
 func TestSavedGolden(t *testing.T) {
 	ctx := context.Background()
 	opts := []webtable.ServiceOption{
@@ -196,7 +197,8 @@ func annotatedSave(t *testing.T, workers int) []byte {
 
 // TestSavedBytesIndependentOfScheduling: the same tables annotated and
 // saved by one worker or two, on one processor or two, save to the same
-// bytes — a saved annotation holds no wall time.
+// bytes — a saved annotation holds no wall time. A caller's Snapshot
+// saves alike whatever diagnostics its annotations carry.
 func TestSavedBytesIndependentOfScheduling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	want := annotatedSave(t, 1)
@@ -207,5 +209,24 @@ func TestSavedBytesIndependentOfScheduling(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d, %d workers: saved %d bytes that differ from the %d saved by one worker on one processor", procs, workers, len(got), len(want))
 			}
 		}
+	}
+
+	snap, err := snapshot.Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels, diagnosed bytes.Buffer
+	if err := snapshot.Save(&labels, snap); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, a := range snap.Segments[len(snap.Segments)-1].Anns {
+		a.Diag = core.Diagnostics{CandidateGen: time.Duration(rng.Int63()), Inference: time.Duration(rng.Int63()), Iterations: rng.Intn(50), Converged: true, NumVars: rng.Intn(500)}
+	}
+	if err := snapshot.Save(&diagnosed, snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(diagnosed.Bytes(), labels.Bytes()) {
+		t.Errorf("Save of annotations with random diagnostics wrote %d bytes that differ from the %d it writes with none", diagnosed.Len(), labels.Len())
 	}
 }

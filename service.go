@@ -401,21 +401,13 @@ func (s *Service) AddTables(ctx context.Context, tables []*Table, opts ...Annota
 	return v.Stats(), nil
 }
 
-// corpusAnnotations annotates tables for the live corpus — nil under
-// WithoutAnnotations — keeping of each annotation what the tables
-// determine: its stage durations are wall time, which the annotate.*
-// spans report, so that a saved corpus depends on its inputs alone.
+// corpusAnnotations annotates tables for the live corpus, or returns nil
+// under WithoutAnnotations.
 func (s *Service) corpusAnnotations(ctx context.Context, tables []*Table, opts []AnnotateOption) ([]*Annotation, error) {
 	if resolveAnnotateOptions(opts).noAnns {
 		return nil, nil
 	}
-	anns, err := s.AnnotateCorpus(ctx, tables, opts...)
-	for _, a := range anns {
-		if a != nil {
-			a.Diag.CandidateGen, a.Diag.GraphBuild, a.Diag.Inference = 0, 0, 0
-		}
-	}
-	return anns, err
+	return s.AnnotateCorpus(ctx, tables, opts...)
 }
 
 // RemoveTables removes tables from the live corpus by ID. Removal only
