@@ -62,7 +62,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		ctxWords = fs.String("context", "", "baseline context keywords (defaults to relation name)")
 		workers  = fs.Int("workers", 0, "annotation workers (0 = GOMAXPROCS)")
 		load     = fs.String("load", "", "serve a corpus snapshot instead of annotating -catalog/-corpus: segments are decoded from the file, not rebuilt")
-		save     = fs.String("save", "", "write the annotated corpus as a snapshot file after indexing (always WTSNAP v3)")
+		save     = fs.String("save", "", "write the annotated corpus as a snapshot file after indexing")
 		jsonOut  = fs.Bool("json", false, "emit each page as the POST /v1/search wire JSON instead of text")
 	)
 	if err := fs.Parse(args); err != nil {
