@@ -53,9 +53,10 @@
 //     which text it normalizes to), the text dictionary (where a text
 //     lies), two parallel column-major cell arrays (raw-spelling ID,
 //     entity), per table its shape and where its strings lie, and per
-//     annotation one fixed record — its entity grid's shape and where its column types, its relations and, only when
-//     that shape is not the table's, its grid lie in three runs the
-//     segment's annotations share. Beside its cells and strings a table
+//     annotation one fixed record — its entity grid's shape and where
+//     its column types, its relations and, only when that shape is not
+//     the table's, its grid lie in three runs the segment's annotations
+//     share. Beside its cells and strings a table
 //     costs a fixed number of bytes and no heap object of its own;
 //   - derived from those, by derive, for a built segment and a loaded
 //     one alike: each text's spellings, token postings, the ID index (the

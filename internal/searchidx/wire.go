@@ -43,12 +43,12 @@ import (
 //
 // The last two groups are present only under flags bit 0. An annotation
 // is its labels: the annotator's diagnostics are not stored, so the
-// bytes hold no wall time. Every integer is an
-// unsigned LEB128 varint; type, entity and relation IDs are stored plus
-// one, so that none is a zero byte. Spellings and texts are numbered in
-// order of first appearance walking tables, then rows, then columns —
-// the order intern numbers them in — which is what lets "new" be a zero
-// instead of a number.
+// bytes hold no wall time. Every integer is an unsigned LEB128 varint;
+// type, entity and relation IDs are stored plus one, so that none is a
+// zero byte. Spellings and texts are numbered in order of first
+// appearance walking tables, then rows, then columns — the order intern
+// numbers them in — which is what lets "new" be a zero instead of a
+// number.
 //
 // The coding leaves a general-purpose compressor little to find except
 // real repetition: a corpus of all-new strings is runs of zeros, the

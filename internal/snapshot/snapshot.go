@@ -86,8 +86,8 @@
 //	v4  this layout, the only one read: an annotation is its table ID,
 //	    shape, column types, relations and cell entities. A version-3
 //	    file is ErrVersion naming lastV3Reader, the last commit that
-//	    loads one; Save here of what Load there returns is the same
-//	    corpus as version 4.
+//	    loads one; what Load returns there, saved by a version-4 Save,
+//	    is the same corpus.
 package snapshot
 
 import (

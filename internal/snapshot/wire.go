@@ -13,9 +13,9 @@ import (
 	"repro/internal/byteread"
 )
 
-// The framing: the manifest's bytes, and the compressed form
-// of a catalog or segment section. Everything read here is untrusted
-// until its checksum has passed, and sized with care even then.
+// The framing: the manifest's bytes, and the compressed form of a
+// catalog or segment section. Everything read here is untrusted until
+// its checksum has passed, and sized with care even then.
 
 // sectionRef locates one section in the file: how many bytes it takes,
 // compressed, and their CRC-32. Sections follow the manifest back to
