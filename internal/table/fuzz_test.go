@@ -12,9 +12,9 @@ import (
 // table it returns is regular (Validate accepts it), and a page of valid
 // UTF-8 with no U+FFFD and no numeric escape gives no context one.
 func FuzzExtractHTML(f *testing.F) {
-	// The htmlextract example's source holds its demo page verbatim, and
-	// the scanner finds the page's tables in it just the same.
-	demo, err := os.ReadFile("../../examples/htmlextract/main.go")
+	// The facade's ExampleExtractHTML source holds its demo page verbatim,
+	// and the scanner finds the page's tables in it just the same.
+	demo, err := os.ReadFile("../../example_test.go")
 	if err != nil {
 		f.Fatal(err)
 	}
