@@ -292,26 +292,6 @@ func TestTypeAncestorsOf(t *testing.T) {
 	}
 }
 
-func TestLCA(t *testing.T) {
-	w := buildBookWorld(t)
-	c := w.cat
-	got := c.LCA([]TypeID{w.childBook, w.book})
-	if len(got) != 1 || got[0] != w.book {
-		t.Fatalf("LCA(child,book) = %v, want [Book]", got)
-	}
-	got = c.LCA([]TypeID{w.book, w.film})
-	if len(got) != 1 || got[0] != w.work {
-		t.Fatalf("LCA(book,film) = %v, want [Work]", got)
-	}
-	got = c.LCA([]TypeID{w.book, w.physicist})
-	if len(got) != 1 || got[0] != c.Root() {
-		t.Fatalf("LCA(book,physicist) = %v, want [root]", got)
-	}
-	if got := c.LCA(nil); got != nil {
-		t.Fatalf("LCA(nil) = %v, want nil", got)
-	}
-}
-
 func TestRelationQueries(t *testing.T) {
 	w := buildBookWorld(t)
 	c := w.cat
@@ -553,35 +533,6 @@ func TestPropertyClosureConsistency(t *testing.T) {
 			}
 			if d, ok := c.Dist(e, tt); !ok || d < 1 {
 				t.Fatalf("Dist(%d,%d) = %d,%v want >=1", e, tt, d, ok)
-			}
-		}
-	}
-}
-
-// Property: LCA results are common ancestors and mutually incomparable.
-func TestPropertyLCAMinimality(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := randomCatalog(t, rng, 60, 0)
-	for trial := 0; trial < 200; trial++ {
-		k := 2 + rng.Intn(3)
-		ts := make([]TypeID, k)
-		for i := range ts {
-			ts[i] = TypeID(rng.Intn(c.NumTypes()))
-		}
-		lca := c.LCA(ts)
-		if len(lca) == 0 {
-			t.Fatalf("LCA empty for %v (root should always qualify)", ts)
-		}
-		for _, a := range lca {
-			for _, q := range ts {
-				if !c.IsSubtype(q, a) {
-					t.Fatalf("LCA member %d not ancestor of %d", a, q)
-				}
-			}
-			for _, b := range lca {
-				if a != b && (c.IsSubtype(a, b) || c.IsSubtype(b, a)) {
-					t.Fatalf("LCA members %d,%d comparable", a, b)
-				}
 			}
 		}
 	}

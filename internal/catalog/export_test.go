@@ -1,5 +1,7 @@
 package catalog
 
+import "slices"
+
 // Methods only tests call: three lookups, and the per-query references
 // the participation counts Freeze computes are held to.
 
@@ -27,7 +29,7 @@ func (c *Catalog) AncestorsOf(t TypeID) []TypeID {
 	for a := range anc {
 		out = append(out, a)
 	}
-	sortTypeIDs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -221,50 +221,3 @@ func (c *Catalog) SchemaMatches(b RelationID, tSubj, tObj TypeID) bool {
 	r := &c.relations[b]
 	return c.IsSubtype(tSubj, r.subject) && c.IsSubtype(tObj, r.object)
 }
-
-// LCA returns the least common ancestors of the given set of types: every
-// type that is an ancestor of all inputs and has no descendant that is
-// also such a common ancestor. Used by the LCA baseline (§4.5.1).
-func (c *Catalog) LCA(types []TypeID) []TypeID {
-	if !c.frozen || len(types) == 0 {
-		return nil
-	}
-	// Intersect ancestor sets.
-	common := make(map[TypeID]struct{})
-	for t := range c.typeAncestors[types[0]] {
-		common[t] = struct{}{}
-	}
-	for _, t := range types[1:] {
-		anc := c.typeAncestors[t]
-		for a := range common {
-			if _, ok := anc[a]; !ok {
-				delete(common, a)
-			}
-		}
-	}
-	// Keep minimal elements: drop any common ancestor that has a strict
-	// descendant also in the set.
-	var out []TypeID
-	for a := range common {
-		minimal := true
-		for b := range common {
-			if b != a && c.IsSubtype(b, a) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, a)
-		}
-	}
-	sortTypeIDs(out)
-	return out
-}
-
-func sortTypeIDs(ts []TypeID) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
-}

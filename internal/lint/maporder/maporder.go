@@ -283,7 +283,7 @@ func sortedAfter(pass *analysis.Pass, fn ast.Node, rng *ast.RangeStmt, target as
 
 // isSortCall recognizes sorting calls: anything from package sort or
 // slices, plus local helpers whose name starts with "sort"/"Sort"
-// (sortTypeIDs and friends) — a naming convention this analyzer
+// (sortRanked and friends) — a naming convention this analyzer
 // promotes to a contract.
 func isSortCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	switch fun := call.Fun.(type) {
