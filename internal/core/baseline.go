@@ -25,8 +25,8 @@ type BaselineAnnotation struct {
 // entities then follow the Figure-2 local rule restricted to the reported
 // types. LCA produces no relation labels (Figure 6 reports "-").
 //
-// Cells with no candidates are treated as wildcards (they constrain
-// nothing); if every cell is a wildcard the column gets na.
+// A cell with no candidates admits no type, so one unresolvable cell
+// leaves its column na (see voteColumnTypes).
 func (a *Annotator) AnnotateLCA(t *table.Table) *BaselineAnnotation {
 	return a.annotateVoting(t, 1.0, false)
 }

@@ -261,6 +261,16 @@ func TestLCABaseline(t *testing.T) {
 	if !foundBook {
 		t.Errorf("LCA types for col 0 = %v, want to include Book", typeNames(w.cat, types))
 	}
+
+	// A title cell with no candidate admits no type, so the intersection
+	// over rows is empty and column 0 gets none.
+	tab := figure1Table()
+	tab.Cells = append(tab.Cells, []string{"Zzyzx Qwv", "Stannard"})
+	ann = a.AnnotateLCA(tab)
+	if got := ann.ColumnTypeSets[0]; len(got) != 0 || ann.ColumnTypes[0] != catalog.None {
+		t.Errorf("LCA with an unresolvable title cell: col 0 types %v (best %d), want none",
+			typeNames(w.cat, got), ann.ColumnTypes[0])
+	}
 }
 
 func TestMajorityBaseline(t *testing.T) {
