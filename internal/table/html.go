@@ -11,7 +11,7 @@ import (
 // each into a Table, mimicking the web-crawl preprocessing of §3.2. It is
 // a deliberately small hand-rolled scanner (stdlib only): it understands
 // <table>, <tr>, <th>, <td>, entity escapes (decoded as HTML5 decodes
-// them, by html.UnescapeString), and colspan/rowspan (tables using them
+// them, see unescape), and colspan/rowspan (tables using them
 // are discarded, per the paper's "we discard tables that use merged rows,
 // columns or cells"). Text outside tables near each table is captured as
 // Context (a window of contextRunes runes before the table).
@@ -102,7 +102,7 @@ func parseTableBody(markup string) (*Table, bool) {
 
 	flushCell := func() {
 		if inCell && cur != nil {
-			cur.cells = append(cur.cells, collapseWhitespace(html.UnescapeString(cellBuf.String())))
+			cur.cells = append(cur.cells, collapseWhitespace(unescape(cellBuf.String())))
 			cellBuf.Reset()
 			inCell = false
 		}
@@ -236,7 +236,21 @@ func stripTags(s string) string {
 			sb.WriteRune(r)
 		}
 	}
-	return html.UnescapeString(sb.String())
+	return unescape(sb.String())
+}
+
+// unescape decodes entities as HTML5 does. html.UnescapeString reads a hex
+// escape with no digits, "&#x;", as U+FFFD, where HTML5 keeps it as text,
+// as Go already does for "&#;" and "&#xZ;".
+func unescape(s string) string {
+	var sb strings.Builder
+	for i := 0; i+4 <= len(s); i++ {
+		if s[i] == '&' && s[i+1] == '#' && s[i+2]|0x20 == 'x' && s[i+3] == ';' {
+			sb.WriteString(html.UnescapeString(s[:i]) + s[i:i+4])
+			s, i = s[i+4:], -1
+		}
+	}
+	return sb.String() + html.UnescapeString(s)
 }
 
 func collapseWhitespace(s string) string {

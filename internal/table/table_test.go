@@ -300,8 +300,8 @@ func TestExtractHTMLEntities(t *testing.T) {
 	}
 	// Numeric escapes decode as HTML5 does, and a no-break space is a
 	// space once whitespace collapses.
-	odd := ExtractHTML(`<table><tr><td>&#65x;</td><td>&#+66;</td><td>&#x41;</td><td>&#0;</td><td>x&nbsp;y</td></tr></table>`, "p")
-	if got := odd[0].Cells[0]; !slices.Equal(got, []string{"Ax;", "&#+66;", "A", "\uFFFD", "x y"}) {
+	odd := ExtractHTML(`<table><tr><td>&#65x;</td><td>&#+66;</td><td>&#x41;</td><td>&#0;</td><td>x&nbsp;y</td><td>&#x;&#X;&amp&#x;&#x42;</td></tr></table>`, "p")
+	if got := odd[0].Cells[0]; !slices.Equal(got, []string{"Ax;", "&#+66;", "A", "\uFFFD", "x y", "&#x;&#X;&&#x;B"}) {
 		t.Errorf("escapes extract as %q", got)
 	}
 }
