@@ -165,7 +165,7 @@ func (s *ShardServer) partial(ctx context.Context, dst, body []byte) ([]byte, er
 		p.Stats = *stats
 		s.execStats.Record(stats)
 	}
-	return AppendPartial(dst, &p), nil
+	return appendPartial(dst, &p), nil
 }
 
 // handlePartial is the HTTP framing of partial, for curl, operators and

@@ -44,7 +44,7 @@
 //	u16  request-ID length i            u16  status
 //	u16  span-context length s          ...  payload: the bytes POST /v1/partial
 //	u64  budget, ns (0: none)                answers with that status — a WTPART
-//	i    request ID ("": shard mints)        payload (AppendPartial) or the
+//	i    request ID ("": shard mints)        payload (appendPartial) or the
 //	s    span context "trace/span"           structured JSON error body
 //	...  the client's JSON body, verbatim
 //
@@ -61,7 +61,7 @@
 // it; DecodePartial copies everything it keeps, so nothing of a Partial
 // points into a parked stream. A shard stream owns two: its socket
 // goroutine reads request frames into one and its worker encodes every
-// answer into the other (AppendPartial straight into the frame). The
+// answer into the other (appendPartial straight into the frame). The
 // frame handed to the worker points into the read buffer, which is not
 // written again before the worker has marked the stream idle.
 //
@@ -135,10 +135,10 @@ type Partial struct {
 const partialStatsLen = 3*8 + 4*4 + 6*8
 
 // EncodePartial serializes p at PartialVersion into a buffer
-// of its own: AppendPartial(nil, p).
-func EncodePartial(p *Partial) []byte { return AppendPartial(nil, p) }
+// of its own: appendPartial(nil, p).
+func EncodePartial(p *Partial) []byte { return appendPartial(nil, p) }
 
-// AppendPartial appends p, serialized at PartialVersion, to dst
+// appendPartial appends p, serialized at PartialVersion, to dst
 // (grown once, to the payload's size) — a stream's worker encodes every
 // partial into the one buffer it answers from. Layout (all integers
 // big-endian):
@@ -156,7 +156,7 @@ func EncodePartial(p *Partial) []byte { return AppendPartial(nil, p) }
 // Strings are u32 length + bytes. The evidence float crosses the wire
 // as its exact bit pattern, because the merge's byte-identity contract
 // is bit-exact arithmetic.
-func AppendPartial(dst []byte, p *Partial) []byte {
+func appendPartial(dst []byte, p *Partial) []byte {
 	// Pre-size: header + a conservative walk of the payload.
 	size := 6 + 1 + 8 + 4 + 4 + partialStatsLen + 4
 	for gi := range p.Groups {

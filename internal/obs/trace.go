@@ -113,8 +113,8 @@ func (t *Tracer) Start(ctx context.Context, id, name string) (context.Context, *
 	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
-// SpanFrom returns the span ctx carries, or nil.
-func SpanFrom(ctx context.Context) *Span {
+// spanFrom returns the span ctx carries, or nil.
+func spanFrom(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return sp
 }
@@ -132,7 +132,7 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 // context carries no span (untraced execution) it returns nil, and
 // every operation on the nil span is a no-op.
 func Begin(ctx context.Context, name string) *Span {
-	return SpanFrom(ctx).Child(name)
+	return spanFrom(ctx).Child(name)
 }
 
 // Record adds to the context's current span a finished child that its
@@ -148,7 +148,7 @@ func Record(ctx context.Context, name string, start time.Time, dur time.Duration
 // SpanContext returns the trace and span IDs ctx carries, for
 // cross-process propagation (the X-Span-Context header).
 func SpanContext(ctx context.Context) (traceID, spanID string, ok bool) {
-	sp := SpanFrom(ctx)
+	sp := spanFrom(ctx)
 	if sp == nil {
 		return "", "", false
 	}

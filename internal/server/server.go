@@ -190,7 +190,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	if corpus, ok := s.svc.CorpusStats(); ok {
 		resp.IndexBuilt = true
-		resp.CorpusStats = ToCorpusStats(corpus)
+		resp.CorpusStats = toCorpusStats(corpus)
 	}
 	s.base.WriteJSON(w, http.StatusOK, resp)
 }
@@ -200,7 +200,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // deadline and client disconnect.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var wr SearchRequest
-	if err := DecodeBody(r, &wr); err != nil {
+	if err := decodeBody(r, &wr); err != nil {
 		s.base.WriteError(w, r, err)
 		return
 	}
@@ -236,7 +236,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // non-2xx status.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var br BatchRequest
-	if err := DecodeBody(r, &br); err != nil {
+	if err := decodeBody(r, &br); err != nil {
 		s.base.WriteError(w, r, err)
 		return
 	}
@@ -288,7 +288,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 // worker-pool slot, so no extra acquire here.
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	var ar AnnotateRequest
-	if err := DecodeBody(r, &ar); err != nil {
+	if err := decodeBody(r, &ar); err != nil {
 		s.base.WriteError(w, r, err)
 		return
 	}
@@ -324,7 +324,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 // missing IDs, invalid tables) leaves the corpus unchanged.
 func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) {
 	var ar AddTablesRequest
-	if err := DecodeBody(r, &ar); err != nil {
+	if err := decodeBody(r, &ar); err != nil {
 		s.base.WriteError(w, r, err)
 		return
 	}
@@ -348,7 +348,7 @@ func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) {
 	}
 	s.base.WriteJSON(w, http.StatusOK, MutateResponse{
 		Added:       len(ar.Tables),
-		CorpusStats: ToCorpusStats(stats),
+		CorpusStats: toCorpusStats(stats),
 	})
 }
 
@@ -364,7 +364,7 @@ func (s *Server) handleRemoveTable(w http.ResponseWriter, r *http.Request) {
 	}
 	s.base.WriteJSON(w, http.StatusOK, MutateResponse{
 		Removed:     1,
-		CorpusStats: ToCorpusStats(stats),
+		CorpusStats: toCorpusStats(stats),
 	})
 }
 
@@ -404,6 +404,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.base.WriteJSON(w, http.StatusOK, SnapshotResponse{
 		Path:        s.snapPath,
 		Bytes:       fi.Size(),
-		CorpusStats: ToCorpusStats(stats),
+		CorpusStats: toCorpusStats(stats),
 	})
 }

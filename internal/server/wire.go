@@ -298,8 +298,8 @@ type CorpusStats struct {
 	IndexGeneration uint64 `json:"index_generation"`
 }
 
-// ToCorpusStats converts service corpus counters to the wire shape.
-func ToCorpusStats(cs webtable.CorpusStats) CorpusStats {
+// toCorpusStats converts service corpus counters to the wire shape.
+func toCorpusStats(cs webtable.CorpusStats) CorpusStats {
 	return CorpusStats{
 		Tables:          cs.Tables,
 		AnnotatedTables: cs.Annotated,
