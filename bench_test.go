@@ -686,6 +686,28 @@ func BenchmarkLoadServing(b *testing.B) {
 	b.ReportMetric(added/tables, "heap-B/table")
 }
 
+// BenchmarkLoadServingShard restores shard 0 and then shard 1 of 2 from
+// benchfix.Serving's snapshot with LoadServiceShard, one after the other,
+// as the repository benchmark's serve-sharded workload starts its
+// cluster.
+func BenchmarkLoadServingShard(b *testing.B) {
+	snap, _ := benchfix.Serving(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for shard := 0; shard < 2; shard++ {
+			svc, _, err := webtable.LoadServiceShard(ctx, bytes.NewReader(snap), shard, 2, webtable.WithWorkers(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			svc.Close()
+			b.StartTimer()
+		}
+	}
+}
+
 // BenchmarkTraining measures one epoch of structured training on a small
 // training set.
 func BenchmarkTraining(b *testing.B) {
