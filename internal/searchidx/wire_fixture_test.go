@@ -50,11 +50,12 @@ func TestLoadedIndexEqualsBuiltIndex(t *testing.T) {
 		if len(rd.Manifest) != len(segs) {
 			t.Fatalf("%s: %d segments in the manifest, %d saved", name, len(rd.Manifest), len(segs))
 		}
+		ixs, err := rd.Segments(cat, len(segs))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for i, sg := range segs {
-			got, err := rd.Next(cat)
-			if err != nil {
-				t.Fatalf("%s segment %d: %v", name, i, err)
-			}
+			got := ixs[i]
 			want, err := searchidx.BuildContext(ctx, cat, sg.Tables, sg.Anns)
 			if err != nil {
 				t.Fatal(err)

@@ -84,13 +84,8 @@ func checkLoad(t *testing.T, file []byte) {
 		return errors.Is(err, ErrNotSnapshot) || errors.Is(err, ErrVersion) || errors.Is(err, ErrChecksum) || errors.Is(err, ErrCorrupt)
 	}
 	if rd, err := NewReader(context.Background(), bytes.NewReader(file)); err == nil {
-		for range rd.Manifest {
-			if _, err := rd.Next(nil); err != nil {
-				if !structured(err) {
-					t.Fatalf("unstructured error decoding a segment: %v", err)
-				}
-				break
-			}
+		if _, err := rd.Segments(nil, len(rd.Manifest)); err != nil && !structured(err) {
+			t.Fatalf("unstructured error decoding a segment: %v", err)
 		}
 		rd.Close()
 	}

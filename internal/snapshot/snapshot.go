@@ -37,9 +37,10 @@
 // to).
 //
 // Because each segment is a section of its own, a reader takes what it
-// needs: Reader decodes or skips segment by segment, which is how one
-// shard of a cluster opens only its slice of the manifest. Load
-// materialises the tables and annotations of them all.
+// needs: Reader skips sections or decodes a run of them side by side,
+// at most GOMAXPROCS inflated at once, which is how one shard of a
+// cluster opens only its slice of the manifest. Load materialises the
+// tables and annotations of them all, the same way.
 //
 // # What is stored and what is derived
 //
@@ -58,7 +59,7 @@
 //
 // The two ends of the package meet in that dump and nowhere else. A
 // serving process goes index to file and back: SaveView dumps a view's
-// segments as they stand, Reader.Next decodes a section into an index,
+// segments as they stand, Reader.Segments decodes sections into indexes,
 // and neither builds a table.Table or a core.Annotation. Callers that
 // hold or want objects — tools, tests, the benchmark — go through
 // Snapshot: Save interns each segment's tables and writes the same dump
@@ -99,7 +100,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -324,10 +327,11 @@ func save(ctx context.Context, w io.Writer, cat catalog.Snapshot, generation uin
 }
 
 // Reader reads one snapshot file front to back: NewReader takes the
-// header, the manifest and the catalog; Next and Skip then take the
-// segments one at a time, in manifest order, decoding a segment to its
-// compiled index or passing over its section unread. A reader that
-// stops early has read nothing of the segments it did not reach.
+// header, the manifest and the catalog; Skip and Segments then take the
+// segments in manifest order, passing over one section unread or
+// decoding a run of them concurrently to their compiled indexes (see
+// decode for the memory bound and the error). A reader that stops early
+// has read nothing of the segments it did not reach.
 type Reader struct {
 	// Catalog is the catalog's portable form.
 	Catalog catalog.Snapshot
@@ -414,45 +418,91 @@ func (rd *Reader) block(ref sectionRef, what string) ([]byte, error) {
 	return raw, err
 }
 
-// Next decodes the next segment of the manifest into its compiled index
-// over cat.
-func (rd *Reader) Next(cat *catalog.Catalog) (*searchidx.Index, error) {
-	var ix *searchidx.Index
-	err := rd.decodeNext(func(payload []byte) (int, error) {
-		var err error
-		if ix, err = searchidx.DecodeSegment(rd.ctx, cat, payload); err != nil {
+// Segments decodes the next n segments of the manifest into compiled
+// indexes over cat, in manifest order; io.EOF if fewer remain.
+func (rd *Reader) Segments(cat *catalog.Catalog, n int) ([]*searchidx.Index, error) {
+	ixs := make([]*searchidx.Index, n)
+	err := rd.decode(n, func(k int, payload []byte) (tables int, err error) {
+		if ixs[k], err = searchidx.DecodeSegment(rd.ctx, cat, payload); err != nil {
 			return 0, err
 		}
-		return ix.Len(), nil
+		return ixs[k].Len(), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ix, nil
+	return ixs, nil
 }
 
-// decodeNext advances to the next segment of the manifest and, inside a
-// snapshot.section span, hands decode its section's payload, checked and
-// inflated. decode reports how many tables it found, which must be the
-// manifest's count.
-func (rd *Reader) decodeNext(decode func(payload []byte) (tables int, err error)) error {
-	i := rd.next
-	if i >= len(rd.Manifest) {
+// decode takes the next n segments of the manifest. It reads and checks
+// their sections in manifest order on the calling goroutine, each in a
+// snapshot.section span begun before it is read, and hands them to up to
+// GOMAXPROCS goroutines, which inflate a section and give decode the
+// payload of the k-th of the n; decode reports how many tables it found,
+// which must be the manifest's count. At most GOMAXPROCS checked
+// sections wait to be taken, so at most that many payloads are inflated
+// at once. No section is handed off after one has failed, and every one
+// before it has been, so the error returned — the first in manifest
+// order — is the one reading them one at a time meets. Every goroutine
+// has exited when decode returns.
+func (rd *Reader) decode(n int, decode func(k int, payload []byte) (tables int, err error)) error {
+	first := rd.next
+	if n > len(rd.Manifest)-first {
 		return io.EOF
 	}
-	rd.next++
-	rd.decoded++
-	child := rd.span.Child("snapshot.section")
-	defer child.End()
-	raw, err := rd.block(rd.sections[i], fmt.Sprintf("segment %d section", i))
-	if err != nil {
-		return err
+	rd.next += n
+	type section struct {
+		k    int
+		raw  []byte
+		span *obs.Span
 	}
+	workers := min(n, runtime.GOMAXPROCS(0))
+	todo := make(chan section, workers)
+	errs := make([]error, n)
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := range todo {
+				if errs[s.k] = rd.decodeSection(first, s.k, s.raw, decode); errs[s.k] != nil {
+					failed.Store(true)
+				}
+				s.span.End()
+			}
+		}()
+	}
+	for k := 0; k < n && !failed.Load(); k++ {
+		rd.decoded++
+		span := rd.span.Child("snapshot.section")
+		raw, err := rd.block(rd.sections[first+k], fmt.Sprintf("segment %d section", first+k))
+		if err != nil {
+			span.End()
+			errs[k] = err
+			break
+		}
+		todo <- section{k, raw, span}
+	}
+	close(todo)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeSection inflates the checked section of segment first+k and
+// hands decode its payload.
+func (rd *Reader) decodeSection(first, k int, raw []byte, decode func(k int, payload []byte) (tables int, err error)) error {
+	i := first + k
 	payload, err := inflate(raw)
 	if err != nil {
 		return fmt.Errorf("segment %d: %w", i, err)
 	}
-	tables, err := decode(payload)
+	tables, err := decode(k, payload)
 	if errors.Is(err, searchidx.ErrBadSegment) {
 		return fmt.Errorf("%w: segment %d: %v", ErrCorrupt, i, err)
 	}
@@ -511,22 +561,22 @@ func Load(r io.Reader) (*Snapshot, error) {
 	}
 	defer rd.Close()
 	snap := &Snapshot{Catalog: rd.Catalog, Generation: rd.Generation}
-	var segs []Segment
-	for _, m := range rd.Manifest {
-		sg := Segment{ID: m.ID, Dead: m.Dead}
-		err := rd.decodeNext(func(payload []byte) (n int, err error) {
-			sg.Tables, sg.Anns, err = searchidx.DecodeTables(rd.ctx, payload)
-			return len(sg.Tables), err
-		})
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs, sg)
+	segs := make([]Segment, len(rd.Manifest))
+	err = rd.decode(len(segs), func(k int, payload []byte) (n int, err error) {
+		sg := &segs[k]
+		sg.ID, sg.Dead = rd.Manifest[k].ID, rd.Manifest[k].Dead
+		sg.Tables, sg.Anns, err = searchidx.DecodeTables(rd.ctx, payload)
+		return len(sg.Tables), err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if !rd.Flat {
-		snap.Segments = segs
-	} else if len(segs) > 0 {
+	switch {
+	case len(segs) == 0:
+	case rd.Flat:
 		snap.Tables, snap.Anns = segs[0].Tables, segs[0].Anns
+	default:
+		snap.Segments = segs
 	}
 	return snap, nil
 }

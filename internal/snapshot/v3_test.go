@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -266,11 +267,11 @@ func TestReaderTakesOnlyWhatItIsAskedFor(t *testing.T) {
 	if err := rd.Skip(); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := rd.Next(nil)
+	ixs, err := rd.Segments(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 7 || ix.TableID(0) != "t9" {
+	if ix := ixs[0]; ix.Len() != 7 || ix.TableID(0) != "t9" {
 		t.Fatalf("second segment decoded to %d tables starting at %q", ix.Len(), ix.TableID(0))
 	}
 	for i, b := range blocks {
@@ -292,20 +293,70 @@ func TestReaderTakesOnlyWhatItIsAskedFor(t *testing.T) {
 	if err := rd2.Skip(); err != nil {
 		t.Fatal(err)
 	}
-	for want := 1; want < 4; want++ {
-		ix, err := rd2.Next(nil)
-		if err != nil {
-			t.Fatalf("segment %d after a discarding skip: %v", want, err)
-		}
-		if ix.Len() != rd2.Manifest[want].Tables {
-			t.Fatalf("segment %d: %d tables, manifest says %d", want, ix.Len(), rd2.Manifest[want].Tables)
+	ixs, err = rd2.Segments(nil, 3)
+	if err != nil {
+		t.Fatalf("segments after a discarding skip: %v", err)
+	}
+	for k, ix := range ixs {
+		if want := rd2.Manifest[1+k].Tables; ix.Len() != want {
+			t.Fatalf("segment %d: %d tables, manifest says %d", 1+k, ix.Len(), want)
 		}
 	}
-	if _, err := rd2.Next(nil); err != io.EOF {
-		t.Fatalf("Next past the last segment: err = %v, want io.EOF", err)
+	if _, err := rd2.Segments(nil, 1); err != io.EOF {
+		t.Fatalf("Segments past the last segment: err = %v, want io.EOF", err)
 	}
 	if err := rd2.Skip(); err != io.EOF {
 		t.Fatalf("Skip past the last segment: err = %v, want io.EOF", err)
+	}
+}
+
+// TestFirstErrorInManifestOrder: a file whose segment 1 passes its
+// checksum but does not decode, and whose segment 3 is cut short, fails
+// with segment 1's ErrCorrupt — the error reading the sections one at a
+// time meets — on any number of processors, every time.
+func TestFirstErrorInManifestOrder(t *testing.T) {
+	raw := readFixture(t, "segmented.snap")
+	b := blocksOf(t, raw)
+	m, err := decodeManifest(raw[b[0].lo:b[0].hi])
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := inflate(raw[b[3].lo:b[3].hi])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var z deflater
+	bad, err := z.appendSection(nil, append(payload, 0)) // decodes to its end, then fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := assemble(m, raw[b[1].lo:b[1].hi], raw[b[2].lo:b[2].hi], bad, raw[b[4].lo:b[4].hi], raw[b[5].lo:b[5].hi])
+	file = file[:len(file)-1]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	first := map[string]string{}
+	check := func(procs int, path string, err error) {
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "segment 1:") {
+			t.Fatalf("GOMAXPROCS %d, %s: err = %v, want segment 1's ErrCorrupt", procs, path, err)
+		}
+		if want, ok := first[path]; !ok {
+			first[path] = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("GOMAXPROCS %d, %s: err = %v, want %s", procs, path, err, want)
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for range 20 {
+			_, err := Load(bytes.NewReader(file))
+			check(procs, "Load", err)
+			rd, err := NewReader(context.Background(), bytes.NewReader(file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = rd.Segments(nil, len(rd.Manifest))
+			rd.Close()
+			check(procs, "Segments", err)
+		}
 	}
 }
 
@@ -331,10 +382,8 @@ func TestSnapshotMetricsAndSpans(t *testing.T) {
 	if err := rd.Skip(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < 4; i++ {
-		if _, err := rd.Next(nil); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := rd.Segments(nil, 3); err != nil {
+		t.Fatal(err)
 	}
 	rd.Close()
 	rd.Close() // idempotent: counted once
@@ -357,12 +406,17 @@ func TestSnapshotMetricsAndSpans(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatalf("%d traces, want 1", len(traces))
 	}
+	// Sections are begun in manifest order: in timeline order, which is
+	// how a trace lists them, their IDs ascend.
 	children := map[string]int{}
 	for _, sp := range traces[0].Root.Children {
+		prev := 0
 		for _, c := range sp.Children {
-			if c.Name != "snapshot.section" {
-				t.Errorf("%s has a child %q", sp.Name, c.Name)
+			id, _ := strconv.Atoi(c.ID)
+			if c.Name != "snapshot.section" || id <= prev {
+				t.Errorf("%s has a child %+v after span %d", sp.Name, c, prev)
 			}
+			prev = id
 		}
 		children[sp.Name] = len(sp.Children)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/catalog"
+	"repro/internal/searchidx"
 	"repro/internal/segment"
 	"repro/internal/snapshot"
 )
@@ -64,6 +65,10 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 // flat snapshot loads as a single segment. Service options (worker
 // count, compaction knobs, ...) apply as in NewService.
 //
+// Segments decode on every processor (GOMAXPROCS), not on the worker
+// pool, while the lemma index builds beside them; the load returns with
+// nothing left running, on failure too.
+//
 // Format failures are structured: errors.Is recognizes ErrNotSnapshot
 // (foreign file), ErrSnapshotVersion (a format version other than the
 // one this build writes; the message names the last commit that reads an
@@ -86,7 +91,7 @@ func LoadService(ctx context.Context, r io.Reader, opts ...ServiceOption) (*Serv
 // full load's time and index memory per process, and damage to another
 // shard's sections does not stop this one. The returned assignment
 // carries the shard's global table offset, which SearchPartial needs to
-// number hits corpus-globally.
+// number hits corpus-globally. Its segments decode as LoadService's do.
 //
 // A shard service is a read replica of its slice: auto-compaction is
 // disabled regardless of options (compaction would bump the generation
@@ -123,7 +128,25 @@ func loadSegments(rd *snapshot.Reader, lo, hi int, readOnly bool, opts []Service
 	if err != nil {
 		return nil, fmt.Errorf("webtable: snapshot catalog: %w", err)
 	}
+	// The segments decode while NewService builds the lemma index: a
+	// segment uses the catalog only to point at it.
+	var ixs []*searchidx.Index
+	var derr error
+	decoded := make(chan struct{})
+	go func() {
+		defer close(decoded)
+		for i := 0; i < lo && derr == nil; i++ {
+			derr = rd.Skip()
+		}
+		if derr == nil {
+			ixs, derr = rd.Segments(cat, hi-lo)
+		}
+	}()
 	svc, err := NewService(cat, opts...)
+	<-decoded
+	if err == nil {
+		err = derr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -131,22 +154,13 @@ func loadSegments(rd *snapshot.Reader, lo, hi int, readOnly bool, opts []Service
 		Policy:      svc.compaction,
 		AutoCompact: svc.autoCompact && !readOnly,
 		Generation:  rd.Generation,
-		Seeds:       make([]segment.Seed, 0, hi-lo),
+		Seeds:       make([]segment.Seed, len(ixs)),
 	}
 	if rd.Flat && cfg.Generation == 0 {
 		cfg.Generation = 1 // a flat corpus was never mutated
 	}
-	for i := 0; i < lo; i++ {
-		if err := rd.Skip(); err != nil {
-			return nil, err
-		}
-	}
-	for _, m := range rd.Manifest[lo:hi] {
-		ix, err := rd.Next(cat)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Seeds = append(cfg.Seeds, segment.Seed{ID: m.ID, Index: ix, Dead: m.Dead})
+	for k, m := range rd.Manifest[lo:hi] {
+		cfg.Seeds[k] = segment.Seed{ID: m.ID, Index: ixs[k], Dead: m.Dead}
 	}
 	st, err := segment.New(cat, cfg)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	webtable "repro"
 	"repro/internal/snapshot"
@@ -136,6 +137,34 @@ func TestLoadServiceCorruption(t *testing.T) {
 	_, err = webtable.LoadService(ctx, bytes.NewReader(raw))
 	if !errors.Is(err, webtable.ErrSnapshotChecksum) {
 		t.Fatalf("err = %v, want ErrSnapshotChecksum", err)
+	}
+}
+
+// TestLoadCancelled: a load under a cancelled context fails with
+// context.Canceled, whole or by shard, and the goroutines it decoded on
+// are gone once it has returned (given the moment a finished goroutine
+// takes to exit).
+func TestLoadCancelled(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", "segmented.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := runtime.NumGoroutine()
+	if _, err := webtable.LoadService(ctx, bytes.NewReader(raw)); !errors.Is(err, context.Canceled) {
+		t.Errorf("LoadService: err = %v, want context.Canceled", err)
+	}
+	for shard := 0; shard < 2; shard++ {
+		if _, _, err := webtable.LoadServiceShard(ctx, bytes.NewReader(raw), shard, 2); !errors.Is(err, context.Canceled) {
+			t.Errorf("LoadServiceShard %d: err = %v, want context.Canceled", shard, err)
+		}
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines running after the loads, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

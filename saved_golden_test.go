@@ -229,4 +229,39 @@ func TestSavedBytesIndependentOfScheduling(t *testing.T) {
 	if !bytes.Equal(diagnosed.Bytes(), labels.Bytes()) {
 		t.Errorf("Save of annotations with random diagnostics wrote %d bytes that differ from the %d it writes with none", diagnosed.Len(), labels.Len())
 	}
+
+	// A load decodes segments on every processor: the four-segment
+	// fixture, loaded whole or as either shard of two, saves the same
+	// bytes again on one, two or four, and whole it saves the file.
+	raw, err := os.ReadFile(filepath.Join("internal", "snapshot", "testdata", "segmented.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	resaved := [3][]byte{raw}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for shard := -1; shard < 2; shard++ {
+			var svc *webtable.Service
+			if shard < 0 {
+				svc, err = webtable.LoadService(ctx, bytes.NewReader(raw), webtable.WithoutAutoCompaction())
+			} else {
+				svc, _, err = webtable.LoadServiceShard(ctx, bytes.NewReader(raw), shard, 2)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			err = svc.SaveSnapshot(ctx, &buf)
+			svc.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := resaved[shard+1]; want == nil {
+				resaved[shard+1] = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("GOMAXPROCS %d, shard %d (-1 whole): the load saves %d bytes that differ from the first %d", procs, shard, buf.Len(), len(want))
+			}
+		}
+	}
 }
