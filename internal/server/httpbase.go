@@ -503,16 +503,11 @@ func (b *HTTPBase) WriteJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// decodeBody strictly decodes a request's JSON body into v: unknown
+// DecodeJSON strictly decodes a request's JSON body into v: unknown
 // fields and trailing data are errors (mapped to 400 bad_request), and
-// a body-cap overflow keeps its MaxBytesError identity (413).
-func decodeBody(r *http.Request, v any) error {
-	return DecodeJSON(r.Body, v)
-}
-
-// DecodeJSON is decodeBody over any reader, for handlers that buffered
-// the body (the router reads it once, validates locally, and forwards
-// the same bytes to every shard).
+// a body-cap overflow keeps its MaxBytesError identity (413). It takes
+// any reader, for handlers that buffered the body (the router reads it
+// once, validates locally, and forwards the same bytes to every shard).
 func DecodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

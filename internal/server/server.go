@@ -200,7 +200,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // deadline and client disconnect.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var wr SearchRequest
-	if err := decodeBody(r, &wr); err != nil {
+	if err := DecodeJSON(r.Body, &wr); err != nil {
 		s.base.WriteError(w, r, err)
 		return
 	}
@@ -236,7 +236,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // non-2xx status.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var br BatchRequest
-	if err := decodeBody(r, &br); err != nil {
+	if err := DecodeJSON(r.Body, &br); err != nil {
 		s.base.WriteError(w, r, err)
 		return
 	}
@@ -288,7 +288,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 // worker-pool slot, so no extra acquire here.
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	var ar AnnotateRequest
-	if err := decodeBody(r, &ar); err != nil {
+	if err := DecodeJSON(r.Body, &ar); err != nil {
 		s.base.WriteError(w, r, err)
 		return
 	}
@@ -324,7 +324,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 // missing IDs, invalid tables) leaves the corpus unchanged.
 func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) {
 	var ar AddTablesRequest
-	if err := decodeBody(r, &ar); err != nil {
+	if err := DecodeJSON(r.Body, &ar); err != nil {
 		s.base.WriteError(w, r, err)
 		return
 	}
