@@ -439,12 +439,12 @@ func (rd *Reader) Segments(cat *catalog.Catalog, n int) ([]*searchidx.Index, err
 // snapshot.section span begun before it is read, and hands them to up to
 // GOMAXPROCS goroutines, which inflate a section and give decode the
 // payload of the k-th of the n; decode reports how many tables it found,
-// which must be the manifest's count. At most GOMAXPROCS checked
-// sections wait to be taken, so at most that many payloads are inflated
-// at once. No section is handed off after one has failed, and every one
-// before it has been, so the error returned — the first in manifest
-// order — is the one reading them one at a time meets. Every goroutine
-// has exited when decode returns.
+// which must be the manifest's count. So at most GOMAXPROCS payloads are
+// inflated at once, and the hand-off holds as many checked sections. No
+// section is handed off after one has failed, and every one before it
+// has been, so the error returned — the first in manifest order — is the
+// one reading them one at a time meets. Every goroutine has exited when
+// decode returns.
 func (rd *Reader) decode(n int, decode func(k int, payload []byte) (tables int, err error)) error {
 	first := rd.next
 	if n > len(rd.Manifest)-first {
