@@ -204,7 +204,6 @@ func New() *Catalog {
 // Errors returned by catalog mutation and lookup.
 var (
 	ErrFrozen    = errors.New("catalog: frozen; mutations not allowed")
-	ErrNotFrozen = errors.New("catalog: not frozen; call Freeze before querying closures")
 	ErrDuplicate = errors.New("catalog: duplicate name")
 	ErrBadID     = errors.New("catalog: id out of range")
 	ErrCycle     = errors.New("catalog: subtype relation contains a cycle")

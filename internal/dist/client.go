@@ -22,17 +22,17 @@ import (
 
 // Client defaults.
 const (
-	// DefaultAttemptTimeout bounds one attempt against one shard.
-	DefaultAttemptTimeout = 10 * time.Second
-	// DefaultRetries is how many times a failed attempt is retried
+	// defaultAttemptTimeout bounds one attempt against one shard.
+	defaultAttemptTimeout = 10 * time.Second
+	// defaultRetries is how many times a failed attempt is retried
 	// (transport errors and 5xx only — never client errors).
-	DefaultRetries = 2
-	// DefaultBackoff is the delay before the first retry; it doubles on
+	defaultRetries = 2
+	// defaultBackoff is the delay before the first retry; it doubles on
 	// each subsequent one.
-	DefaultBackoff = 50 * time.Millisecond
-	// DefaultMaxResponse caps how many partial-payload bytes the client
+	defaultBackoff = 50 * time.Millisecond
+	// defaultMaxResponse caps how many partial-payload bytes the client
 	// will read from one shard.
-	DefaultMaxResponse = 1 << 30
+	defaultMaxResponse = 1 << 30
 )
 
 // ShardError reports a definitive failure talking to one shard, after
@@ -87,67 +87,67 @@ func (e *ShardError) rejected() bool {
 
 // Client issues partial-evidence and health requests to a fixed set of
 // shard servers, with per-attempt timeouts and bounded exponential
-// retry. The zero value is not usable; fill URLs and leave the rest to
-// defaults or override per field. Partial-evidence requests travel as
-// frames over persistent streams the client dials itself (see the package
-// comment's Transport section): plain TCP connections to the host and
-// port of the shard's URL, upgraded by GET /v1/stream. A Client must not
-// be copied once used.
+// retry. The zero value is not usable; URLs is its one setting.
+// Partial-evidence requests travel as frames over persistent streams the
+// client dials itself (see the package comment's Transport section):
+// plain TCP connections to the host and port of the shard's URL,
+// upgraded by GET /v1/stream. A Client must not be copied once used.
 type Client struct {
 	// URLs are the shard base addresses ("http://host:port"), in shard
 	// order. Index in this slice IS the shard number. The slice's length
 	// is fixed at first use; an address may be repointed.
 	URLs []string
-	// AttemptTimeout, Retries, Backoff tune the retry loop; zero values
-	// take the Default* constants. Retries < 0 means no retries. One
-	// attempt — dial and upgrade when no stream is parked, request frame
-	// out, response frame in — runs under AttemptTimeout as the
-	// connection's deadline.
-	AttemptTimeout time.Duration
-	Retries        int
-	Backoff        time.Duration
-	// MaxResponse caps the partial payload a response frame may declare;
+
+	// timeout, maxRetries and firstBackoff tune the retry loop; zero
+	// values take the default* constants, and maxRetries < 0 means no
+	// retries. One attempt — dial and upgrade when no stream is parked,
+	// request frame out, response frame in — runs under timeout as the
+	// connection's deadline. Only tests set them.
+	timeout      time.Duration
+	maxRetries   int
+	firstBackoff time.Duration
+	// responseCap caps the partial payload a response frame may declare;
 	// a larger one is refused before it is read.
-	MaxResponse int64
-	// Sleep waits between attempts; tests inject a no-op that records
+	responseCap int64
+	// sleepFn waits between attempts; tests inject a no-op that records
 	// the requested delays. The default honors ctx cancellation.
-	Sleep func(ctx context.Context, d time.Duration) error
+	sleepFn func(ctx context.Context, d time.Duration) error
 
 	once    sync.Once
 	streams []*shardStreams // per shard, sized by init
 }
 
 func (c *Client) attemptTimeout() time.Duration {
-	if c.AttemptTimeout > 0 {
-		return c.AttemptTimeout
+	if c.timeout > 0 {
+		return c.timeout
 	}
-	return DefaultAttemptTimeout
+	return defaultAttemptTimeout
 }
 
 func (c *Client) retries() int {
-	if c.Retries != 0 {
-		return max(c.Retries, 0)
+	if c.maxRetries != 0 {
+		return max(c.maxRetries, 0)
 	}
-	return DefaultRetries
+	return defaultRetries
 }
 
 func (c *Client) backoff() time.Duration {
-	if c.Backoff > 0 {
-		return c.Backoff
+	if c.firstBackoff > 0 {
+		return c.firstBackoff
 	}
-	return DefaultBackoff
+	return defaultBackoff
 }
 
 func (c *Client) maxResponse() int64 {
-	if c.MaxResponse > 0 {
-		return c.MaxResponse
+	if c.responseCap > 0 {
+		return c.responseCap
 	}
-	return DefaultMaxResponse
+	return defaultMaxResponse
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
-	if c.Sleep != nil {
-		return c.Sleep(ctx, d)
+	if c.sleepFn != nil {
+		return c.sleepFn(ctx, d)
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()

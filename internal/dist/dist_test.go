@@ -123,7 +123,7 @@ func startCluster(t testing.TB, snap []byte, n int) *cluster {
 		c.swaps = append(c.swaps, sw)
 		c.urls = append(c.urls, ts.URL)
 	}
-	c.router = NewRouter(&Client{URLs: c.urls, Sleep: noSleep}, WithLogger(quietLogger()))
+	c.router = NewRouter(&Client{URLs: c.urls, sleepFn: noSleep}, WithLogger(quietLogger()))
 	return c
 }
 

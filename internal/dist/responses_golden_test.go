@@ -65,7 +65,7 @@ func TestResponsesGolden(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
-	routed := NewRouter(&Client{URLs: urls, Sleep: noSleep}, WithLogger(quietLogger()),
+	routed := NewRouter(&Client{URLs: urls, sleepFn: noSleep}, WithLogger(quietLogger()),
 		func(b *server.HTTPBase) { b.MaxBody = maxBody }).Handler()
 
 	cases := goldenRequests(t, w, single, maxBody)

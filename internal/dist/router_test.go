@@ -41,7 +41,7 @@ func newFakeCluster(t testing.TB, handlers ...http.Handler) *fakeCluster {
 		c.swaps = append(c.swaps, sw)
 		urls = append(urls, ts.URL)
 	}
-	c.client = &Client{URLs: urls, Sleep: noSleep, Retries: 2, Backoff: time.Millisecond}
+	c.client = &Client{URLs: urls, sleepFn: noSleep, maxRetries: 2, firstBackoff: time.Millisecond}
 	t.Cleanup(c.client.CloseIdle)
 	c.router = NewRouter(c.client, WithLogger(quietLogger()))
 	return c
@@ -216,8 +216,8 @@ func TestRouterSlowShardTimesOut(t *testing.T) {
 		}
 	})
 	c := newFakeCluster(t, emptyPartial(0, 2), slow)
-	c.client.AttemptTimeout = 25 * time.Millisecond
-	c.client.Retries = 1
+	c.client.timeout = 25 * time.Millisecond
+	c.client.maxRetries = 1
 	start := time.Now()
 	rec := post(t, c.router.Handler(), "/v1/search", searchReq())
 	if rec.Code != http.StatusBadGateway {
@@ -350,7 +350,7 @@ func TestClientNoRetryOn4xx(t *testing.T) {
 	})
 	ts := httptest.NewServer(streamFace(reject))
 	t.Cleanup(ts.Close)
-	client := &Client{URLs: []string{ts.URL}, Sleep: noSleep, Retries: 3, Backoff: time.Millisecond}
+	client := &Client{URLs: []string{ts.URL}, sleepFn: noSleep, maxRetries: 3, firstBackoff: time.Millisecond}
 	t.Cleanup(client.CloseIdle)
 	_, retries, err := client.Partial(context.Background(), 0, searchReq())
 	if hits.Load() != 1 || retries != 0 {
@@ -372,8 +372,8 @@ func TestClientBackoffDoubles(t *testing.T) {
 	t.Cleanup(ts.Close)
 	var slept []time.Duration
 	client := &Client{
-		URLs: []string{ts.URL}, Retries: 3, Backoff: 10 * time.Millisecond,
-		Sleep: func(_ context.Context, d time.Duration) error {
+		URLs: []string{ts.URL}, maxRetries: 3, firstBackoff: 10 * time.Millisecond,
+		sleepFn: func(_ context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
 		},

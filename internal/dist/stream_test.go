@@ -48,7 +48,7 @@ func dialTestStream(t testing.TB, url string) *testStream {
 func (ts *testStream) do(id string, body []byte) (int, []byte, error) {
 	ts.t.Helper()
 	ctx := server.ContextWithRequestID(context.Background(), id)
-	status, err := ts.st.exchange(ctx, time.Now().Add(10*time.Second), body, DefaultMaxResponse, ts.acct)
+	status, err := ts.st.exchange(ctx, time.Now().Add(10*time.Second), body, defaultMaxResponse, ts.acct)
 	return status, bytes.Clone(ts.st.buf), err
 }
 
@@ -58,7 +58,7 @@ func (ts *testStream) raw(frame []byte) (int, []byte, error) {
 	if _, err := ts.st.conn.Write(frame); err != nil {
 		return 0, nil, err
 	}
-	return readResponseFrame(ts.st.br, nil, DefaultMaxResponse)
+	return readResponseFrame(ts.st.br, nil, defaultMaxResponse)
 }
 
 // serveOn runs a Serve-style loop on a loopback listener at addr
@@ -276,7 +276,7 @@ func TestStreamUpgradeRefused(t *testing.T) {
 			w.WriteHeader(status)
 		}))
 		t.Cleanup(ts.Close)
-		client := &Client{URLs: []string{ts.URL}, Sleep: noSleep, Retries: 3, Backoff: time.Millisecond}
+		client := &Client{URLs: []string{ts.URL}, sleepFn: noSleep, maxRetries: 3, firstBackoff: time.Millisecond}
 		_, retries, err := client.Partial(context.Background(), 0, searchReq())
 		var se *ShardError
 		if !errors.As(err, &se) || se.Status != status || se.Attempts != 1 || retries != 0 || hits.Load() != 1 {
@@ -335,8 +335,8 @@ func TestStreamBrokenMidFrame(t *testing.T) {
 			conn.Write(frame)
 		})
 		var slept int
-		client := &Client{URLs: []string{ts.URL}, Retries: 2, Backoff: time.Millisecond,
-			Sleep: func(context.Context, time.Duration) error { slept++; return nil }}
+		client := &Client{URLs: []string{ts.URL}, maxRetries: 2, firstBackoff: time.Millisecond,
+			sleepFn: func(context.Context, time.Duration) error { slept++; return nil }}
 		t.Cleanup(client.CloseIdle)
 		p, retries, err := client.Partial(context.Background(), 0, searchReq())
 		if err != nil || p == nil || retries != 1 || slept != 1 {
@@ -346,14 +346,14 @@ func TestStreamBrokenMidFrame(t *testing.T) {
 }
 
 // TestStreamResponseOverMaxResponse: a response frame that declares more
-// than MaxResponse is refused from its head — nothing is allocated for it
-// — and fails the attempt like a transport error, as the HTTP client's
-// over-long body did.
+// than the client's responseCap is refused from its head — nothing is
+// allocated for it — and fails the attempt like a transport error, as
+// the HTTP client's over-long body did.
 func TestStreamResponseOverMaxResponse(t *testing.T) {
 	ts := rawShard(t, func(_ int64, conn net.Conn, _ requestFrame) {
 		conn.Write([]byte{0xff, 0xff, 0xff, 0xff, 0, 200}) // 4 GiB, says the head
 	})
-	client := &Client{URLs: []string{ts.URL}, Sleep: noSleep, Retries: 1, Backoff: time.Millisecond, MaxResponse: 1 << 10}
+	client := &Client{URLs: []string{ts.URL}, sleepFn: noSleep, maxRetries: 1, firstBackoff: time.Millisecond, responseCap: 1 << 10}
 	t.Cleanup(client.CloseIdle)
 	_, retries, err := client.Partial(context.Background(), 0, searchReq())
 	var se *ShardError
@@ -414,7 +414,7 @@ func TestStreamCancelReachesShard(t *testing.T) {
 	snap, w := buildSnapshot(t)
 	svc, sh := loadShard(t, snap, 0, 1)
 	url, _ := serveOn(t, "127.0.0.1:0", sh.Serve)
-	client := &Client{URLs: []string{url}, Sleep: noSleep}
+	client := &Client{URLs: []string{url}, sleepFn: noSleep}
 	t.Cleanup(client.CloseIdle)
 	body := wireBody(t, w, w.SearchWorkload([]string{"directed"}, 1, 7)[0], nil)
 
@@ -473,7 +473,7 @@ func TestStreamStaleAfterShardRestart(t *testing.T) {
 	_, sh := loadShard(t, snap, 0, 1)
 	url, stop := serveOn(t, "127.0.0.1:0", sh.Serve)
 	var slept int
-	client := &Client{URLs: []string{url}, Sleep: func(context.Context, time.Duration) error { slept++; return nil }}
+	client := &Client{URLs: []string{url}, sleepFn: func(context.Context, time.Duration) error { slept++; return nil }}
 	rt := NewRouter(client, WithLogger(quietLogger()))
 	t.Cleanup(client.CloseIdle)
 	if _, _, err := client.Partial(context.Background(), 0, body); err != nil {

@@ -1,7 +1,8 @@
 // Package experiments reproduces the paper's evaluation section: one
-// driver per table/figure (Figures 5-9), plus the ablations DESIGN.md
-// calls out (collective vs simplified inference, Majority threshold
-// sweep, missing-link feature). Both cmd/tabeval and the repository-root
+// driver per table/figure (Figures 5-9), plus three ablations
+// (collective vs simplified inference, Majority threshold sweep,
+// missing-link feature), over the synthetic world internal/worldgen's
+// package doc describes. Both cmd/tabeval and the repository-root
 // benchmarks call into this package, so printed numbers and benchmarked
 // numbers come from the same code path.
 package experiments

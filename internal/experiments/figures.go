@@ -12,6 +12,7 @@ import (
 	"repro/internal/feature"
 	"repro/internal/search"
 	"repro/internal/searchidx"
+	"repro/internal/segment"
 	"repro/internal/table"
 	"repro/internal/worldgen"
 )
@@ -285,8 +286,16 @@ func (e *Env) Figure9(corpusTables, queriesPerRel int) []Fig9Row {
 		tables[i] = lt.Table
 		anns[i] = e.Ann.AnnotateCollective(lt.Table)
 	}
-	ix := searchidx.New(e.World.Public, tables, anns)
-	engine := search.NewEngine(ix)
+	ix, err := searchidx.BuildContext(context.Background(), e.World.Public, tables, anns)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: figure 9 index: %v", err))
+	}
+	st, err := segment.New(e.World.Public, segment.Config{Seeds: []segment.Seed{{Index: ix}}})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: figure 9 corpus: %v", err))
+	}
+	defer st.Close()
+	engine := search.NewEngine(st.View())
 
 	queries := e.World.SearchWorkload(worldgen.SearchRelations, queriesPerRel, e.World.Spec.Seed+901)
 	aps := make(map[string]map[search.Mode][]float64)

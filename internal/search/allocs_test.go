@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/searchidx"
 	"repro/internal/table"
 )
 
@@ -59,7 +58,7 @@ func allocsFixtureSized(t testing.TB, matchTables, matchRows, otherTables, other
 		}
 		tables, anns = append(tables, tab), append(anns, ann)
 	}
-	return NewEngine(searchidx.New(c, tables, anns)), Query{
+	return NewEngine(oneSegment(t, c, tables, anns)), Query{
 		Relation: directed, T1: film, T2: director, E2: d1,
 		RelationText: "directed", T1Text: "Film", T2Text: "Director", E2Text: "Solo Auteur",
 	}

@@ -39,8 +39,7 @@ func emptyArenaPool() {
 // requires the same comparison to fail on it.
 func TestExecuteMatchesUnderPoison(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 24, 7)
-	ix := searchidx.New(c, tables, anns)
-	eng := NewEngineOver(ix)
+	eng := NewEngine(oneSegment(t, c, tables, anns))
 	ctx := context.Background()
 	var reqs []Request
 	for _, mode := range []Mode{Baseline, Type, TypeRel} {
@@ -118,9 +117,9 @@ func TestExecuteMatchesUnderPoison(t *testing.T) {
 // before is the one arena it holds again: not leaked (the pool would be
 // empty) and not released twice (it would hold two).
 func TestArenaReleasedOnceOnEveryPath(t *testing.T) {
-	ix, q := variantFixture(t, 32, 5)
+	corpus, q := variantFixture(t, 32, 5)
 	emptyArenaPool()
-	eng := NewEngineOver(ix)
+	eng := NewEngine(corpus)
 	if _, err := eng.Execute(context.Background(), Request{Query: q, Mode: Type}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +179,7 @@ func TestCompileSkipsUnreachedSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := NewEngineOver(store.View())
+	e := NewEngine(store.View())
 	if len(e.segs) != 5 {
 		t.Fatalf("view has %d segments, want 5", len(e.segs))
 	}

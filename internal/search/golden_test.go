@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/searchidx"
 	"repro/internal/table"
 )
 
@@ -60,11 +59,10 @@ func TestPagesGolden(t *testing.T) {
 	var routes [][]pageRunner
 	for _, co := range corpora {
 		var rs []pageRunner
-		ix := searchidx.New(co.cat, co.tables, co.anns)
 		// The route names say par=1 because they are older than the removal
 		// of the in-query parallel scan (whose par=2 and par=8 routes went
 		// with it); they are kept so that a test's history lines up.
-		eng := NewEngineOver(ix)
+		eng := NewEngine(oneSegment(t, co.cat, co.tables, co.anns))
 		rs = append(rs, pageRunner{
 			name: "execute/par=1",
 			run:  func(req Request) (*Result, error) { return eng.Execute(context.Background(), req) },

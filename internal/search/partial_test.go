@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/searchidx"
 	"repro/internal/segment"
 	"repro/internal/table"
 )
@@ -106,7 +105,7 @@ func shardEngines(t testing.TB, c *catalog.Catalog, tables []*table.Table, anns 
 	t.Helper()
 	lo := 0
 	for _, hi := range cuts {
-		engines = append(engines, NewEngineOver(searchidx.New(c, tables[lo:hi], anns[lo:hi])))
+		engines = append(engines, NewEngine(oneSegment(t, c, tables[lo:hi], anns[lo:hi])))
 		offsets = append(offsets, lo)
 		lo = hi
 	}
@@ -146,7 +145,7 @@ func collectPartials(t testing.TB, engines []*Engine, offsets []int, req Request
 // whole corpus.
 func TestMergePartialsMatchesExecute(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 24, 7)
-	full := NewEngineOver(searchidx.New(c, tables, anns))
+	full := NewEngine(oneSegment(t, c, tables, anns))
 	ctx := context.Background()
 	n := len(tables)
 	splits := [][]int{{n}, {12, n}, {8, 16, n}, {1, n}, {0, n}}
@@ -212,7 +211,7 @@ func TestMergePartialsMatchesExecute(t *testing.T) {
 // export at most one group with key 0.
 func TestExecutePartialTypeGroups(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 12, 5)
-	eng := NewEngineOver(searchidx.New(c, tables, anns))
+	eng := NewEngine(oneSegment(t, c, tables, anns))
 	ctx := context.Background()
 
 	groups, _, err := eng.ExecutePartial(ctx, Request{Query: q, Mode: Type}, 0)
@@ -242,7 +241,7 @@ func TestExecutePartialTypeGroups(t *testing.T) {
 // TestExecutePartialDeterministic pins the wire-determinism contract:
 // repeated calls, and a second engine over the same corpus, export
 // identical partial groups (cluster order, hit order, variant order) —
-// over a monolithic index and over a five-segment view with tombstones
+// over a one-segment view and over a five-segment view with tombstones
 // that leave the Novel subject type one candidate pair, so a Type plan
 // has a one-pair replay group beside a many-pair one.
 func TestExecutePartialDeterministic(t *testing.T) {
@@ -281,10 +280,10 @@ func TestExecutePartialDeterministic(t *testing.T) {
 		corpus Corpus
 		q      Query
 	}{
-		{"monolithic", searchidx.New(c, tables, anns), q},
+		{"one segment", oneSegment(t, c, tables, anns), q},
 		{"segmented", view, vq},
 	} {
-		first, again := NewEngineOver(tc.corpus), NewEngineOver(tc.corpus)
+		first, again := NewEngine(tc.corpus), NewEngine(tc.corpus)
 		for _, mode := range []Mode{Baseline, Type, TypeRel} {
 			req := Request{Query: tc.q, Mode: mode}
 			want, _, err := first.ExecutePartial(ctx, req, 5)
@@ -317,7 +316,7 @@ func TestExecutePartialDeterministic(t *testing.T) {
 // every exported hit into the cluster-global numbering.
 func TestExecutePartialAppliesOffset(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 4, 3)
-	eng := NewEngineOver(searchidx.New(c, tables, anns))
+	eng := NewEngine(oneSegment(t, c, tables, anns))
 	base, _, err := eng.ExecutePartial(context.Background(), Request{Query: q, Mode: TypeRel}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +341,7 @@ func TestExecutePartialAppliesOffset(t *testing.T) {
 // rejected exactly as Execute rejects it, before any scan runs.
 func TestExecutePartialValidates(t *testing.T) {
 	c, tables, anns, q := partialFixture(t, 2, 2)
-	eng := NewEngineOver(searchidx.New(c, tables, anns))
+	eng := NewEngine(oneSegment(t, c, tables, anns))
 	_, _, err := eng.ExecutePartial(context.Background(), Request{Query: q, Mode: Mode(99)}, 0)
 	if !errors.Is(err, ErrInvalidMode) {
 		t.Fatalf("err = %v, want ErrInvalidMode", err)
@@ -364,7 +363,7 @@ func TestValidateCursor(t *testing.T) {
 	}
 	// A cursor minted by a real execution must validate.
 	c, tables, anns, q := partialFixture(t, 8, 4)
-	res, err := NewEngineOver(searchidx.New(c, tables, anns)).
+	res, err := NewEngine(oneSegment(t, c, tables, anns)).
 		Execute(context.Background(), Request{Query: q, Mode: TypeRel, PageSize: 1})
 	if err != nil {
 		t.Fatal(err)

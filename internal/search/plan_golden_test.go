@@ -196,7 +196,7 @@ func TestPlanGolden(t *testing.T) {
 		}},
 	}
 	var buf bytes.Buffer
-	e := NewEngineOver(view)
+	e := NewEngine(view)
 	a := takeArena()
 	defer a.release()
 	for _, qc := range queries {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/searchidx"
 	"repro/internal/table"
 )
 
@@ -17,10 +16,10 @@ import (
 // several raw spellings spread over many tables, so a cluster's hits,
 // surface-form counts and explanation sources come from many candidate
 // pairs (and, cut into table ranges, from several shards).
-func variantFixture(t testing.TB, nTables, rowsPerTable int) (*searchidx.Index, Query) {
+func variantFixture(t testing.TB, nTables, rowsPerTable int) (Corpus, Query) {
 	t.Helper()
 	c, tables, anns, q := variantCorpus(t, nTables, rowsPerTable)
-	return searchidx.New(c, tables, anns), q
+	return oneSegment(t, c, tables, anns), q
 }
 
 // variantCorpus is variantFixture's raw material — catalog, tables and
@@ -93,7 +92,7 @@ func variantCorpus(t testing.TB, nTables, rowsPerTable int) (*catalog.Catalog, [
 // sources in corpus order and count the remainder exactly.
 func TestParallelExplainTruncation(t *testing.T) {
 	// 40 tables × 3 rows of the same answer = 120 sources, far past the cap.
-	ix, q := func() (*searchidx.Index, Query) {
+	corpus, q := func() (Corpus, Query) {
 		c := catalog.New()
 		film, _ := c.AddType("Film", "movie")
 		director, _ := c.AddType("Director", "director")
@@ -117,13 +116,13 @@ func TestParallelExplainTruncation(t *testing.T) {
 			tables = append(tables, tab)
 			anns = append(anns, ann)
 		}
-		return searchidx.New(c, tables, anns), Query{
+		return oneSegment(t, c, tables, anns), Query{
 			Relation: directed, T1: film, T2: director, E2: d1, E2Text: "Busy Director",
 		}
 	}()
 	ctx := context.Background()
 	req := Request{Query: q, Mode: TypeRel, Explain: true}
-	got, err := NewEngineOver(ix).Execute(ctx, req)
+	got, err := NewEngine(corpus).Execute(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +181,7 @@ func hugeTableFixture(t testing.TB, rows int) (*Engine, Query) {
 		tab.Cells = append(tab.Cells, []string{fmt.Sprintf("Film %07d", r), "Lone Director"})
 		ann.CellEntities = append(ann.CellEntities, []catalog.EntityID{catalog.None, d1})
 	}
-	ix := searchidx.New(c, []*table.Table{tab}, []*core.Annotation{ann})
-	return NewEngineOver(ix), Query{
+	return NewEngine(oneSegment(t, c, []*table.Table{tab}, []*core.Annotation{ann})), Query{
 		Relation: directed, T1: film, T2: director, E2: d1,
 		RelationText: "directed", T1Text: "Film", T2Text: "Director", E2Text: "Lone Director",
 	}

@@ -129,9 +129,9 @@ type Answer struct {
 // table numbers — plus the map from those local numbers to the
 // corpus-global ones (-1 for a table the corpus has removed). The engine
 // reads the segments' posting lists and column slices directly; the
-// corpus forwards nothing per cell. A monolithic *searchidx.Index is the
-// one-segment case (its tables numbered as they are); internal/segment's
-// View is the general one.
+// corpus forwards nothing per cell. internal/segment's View is the one
+// implementation; the interface only keeps this package from importing
+// segment, whose tests import search.
 //
 // Ordering invariant (what makes segmented execution byte-identical to
 // a from-scratch rebuild over the surviving tables): the global numbers
@@ -170,14 +170,10 @@ type Engine struct {
 	segs []corpusSegment
 }
 
-// NewEngine wraps a monolithic index.
-func NewEngine(ix *searchidx.Index) *Engine { return NewEngineOver(ix) }
-
-// NewEngineOver wraps any Corpus — a monolithic index or a segmented
-// view. Engines are stateless; construct one per corpus snapshot, and
-// keep it for as long as that snapshot is served, rather than mutating a
-// shared one or building one per request.
-func NewEngineOver(c Corpus) *Engine {
+// NewEngine wraps a corpus view. Engines are stateless; construct one
+// per corpus snapshot, and keep it for as long as that snapshot is
+// served, rather than mutating a shared one or building one per request.
+func NewEngine(c Corpus) *Engine {
 	e := &Engine{c: c, cat: c.Catalog(), segs: make([]corpusSegment, c.Segments())}
 	for i := range e.segs {
 		e.segs[i].ix, e.segs[i].global = c.Segment(i)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/searchidx"
+	"repro/internal/segment"
 	"repro/internal/table"
 )
 
@@ -21,7 +22,23 @@ type fx struct {
 	director, actor catalog.TypeID
 	f1, f2, d1, a1  catalog.EntityID
 	directed, acted catalog.RelationID
-	ix              *searchidx.Index
+	corpus          Corpus
+}
+
+// oneSegment is the corpus of the one segment BuildContext compiles over
+// tables and anns: a store's view of it, nothing tombstoned.
+func oneSegment(t testing.TB, c *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) Corpus {
+	t.Helper()
+	ix, err := searchidx.BuildContext(context.Background(), c, tables, anns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := segment.New(c, segment.Config{Seeds: []segment.Seed{{Index: ix}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st.View()
 }
 
 func build(t testing.TB) *fx {
@@ -117,7 +134,7 @@ func build(t testing.TB) *fx {
 			[][]catalog.EntityID{{f.f2, f.a1}, {f.f1, f.d1}},
 			f.acted),
 	}
-	f.ix = searchidx.New(c, tables, anns)
+	f.corpus = oneSegment(t, c, tables, anns)
 	return f
 }
 
@@ -156,7 +173,7 @@ func texts(answers []Answer) []string {
 
 func TestTypeRelFindsOnlyDirectedTable(t *testing.T) {
 	f := build(t)
-	e := NewEngine(f.ix)
+	e := NewEngine(f.corpus)
 	answers := run(t, e, f.query(), TypeRel)
 	if len(answers) != 2 {
 		t.Fatalf("answers = %v", answers)
@@ -172,7 +189,7 @@ func TestTypeRelFindsOnlyDirectedTable(t *testing.T) {
 
 func TestTypeModeIncludesConfusion(t *testing.T) {
 	f := build(t)
-	e := NewEngine(f.ix)
+	e := NewEngine(f.corpus)
 	// Type-only: the actedIn table also has (film, person-subtype)
 	// columns... its T2 is Actor which is NOT ⊆ Director, so it only
 	// qualifies through the directed table; but query for T2=Person pulls
@@ -188,7 +205,7 @@ func TestTypeModeIncludesConfusion(t *testing.T) {
 
 func TestBaselineStringMatching(t *testing.T) {
 	f := build(t)
-	e := NewEngine(f.ix)
+	e := NewEngine(f.corpus)
 	answers := run(t, e, f.query(), Baseline)
 	if len(answers) == 0 {
 		t.Fatal("baseline found nothing despite matching headers and context")
@@ -203,7 +220,7 @@ func TestBaselineStringMatching(t *testing.T) {
 
 func TestBaselineMissesAliasedHeaders(t *testing.T) {
 	f := build(t)
-	e := NewEngine(f.ix)
+	e := NewEngine(f.corpus)
 	q := f.query()
 	q.T1Text = "Feature Presentation" // no header token overlap
 	if answers := run(t, e, q, Baseline); len(answers) != 0 {
@@ -217,7 +234,7 @@ func TestBaselineMissesAliasedHeaders(t *testing.T) {
 
 func TestE2TextFallback(t *testing.T) {
 	f := build(t)
-	e := NewEngine(f.ix)
+	e := NewEngine(f.corpus)
 	q := f.query()
 	q.E2 = catalog.None // E2 not in catalog: fall back to text matching
 	answers := run(t, e, q, TypeRel)
@@ -228,7 +245,7 @@ func TestE2TextFallback(t *testing.T) {
 
 func TestStringsProjection(t *testing.T) {
 	f := build(t)
-	e := NewEngine(f.ix)
+	e := NewEngine(f.corpus)
 	ranked := texts(run(t, e, f.query(), TypeRel))
 	if len(ranked) == 0 {
 		t.Fatal("no ranked strings")
@@ -247,7 +264,7 @@ func TestStringsProjection(t *testing.T) {
 
 func TestRankingDeterministic(t *testing.T) {
 	f := build(t)
-	e := NewEngine(f.ix)
+	e := NewEngine(f.corpus)
 	a := texts(run(t, e, f.query(), TypeRel))
 	b := texts(run(t, e, f.query(), TypeRel))
 	if len(a) != len(b) {
@@ -317,8 +334,7 @@ func bigFixture(t testing.TB, nFilms int) (*Engine, Query) {
 		tables = append(tables, tab)
 		anns = append(anns, ann)
 	}
-	ix := searchidx.New(c, tables, anns)
-	return NewEngine(ix), Query{
+	return NewEngine(oneSegment(t, c, tables, anns)), Query{
 		Relation: directed, T1: film, T2: director, E2: d1,
 		RelationText: "directed", T1Text: "Film", T2Text: "Director",
 		E2Text: "Solo Auteur",
@@ -441,7 +457,7 @@ func TestExecuteNegativePageSize(t *testing.T) {
 
 func TestExecuteExplain(t *testing.T) {
 	f := build(t)
-	e := NewEngine(f.ix)
+	e := NewEngine(f.corpus)
 	res, err := e.Execute(context.Background(), Request{Query: f.query(), Mode: TypeRel, Explain: true})
 	if err != nil {
 		t.Fatal(err)
@@ -499,7 +515,7 @@ func TestExplainSourceCap(t *testing.T) {
 		tab.Cells = append(tab.Cells, []string{"Same Film", "Busy Director"})
 		ann.CellEntities = append(ann.CellEntities, []catalog.EntityID{catalog.None, d1})
 	}
-	eng := NewEngine(searchidx.New(c, []*table.Table{tab}, []*core.Annotation{ann}))
+	eng := NewEngine(oneSegment(t, c, []*table.Table{tab}, []*core.Annotation{ann}))
 	res, err := eng.Execute(context.Background(), Request{
 		Query: Query{Relation: directed, T1: film, T2: director, E2: d1, E2Text: "Busy Director"},
 		Mode:  TypeRel, Explain: true,
@@ -551,7 +567,7 @@ func TestDominantSurfaceForm(t *testing.T) {
 		},
 		Relations: []core.RelationAnnotation{{Col1: 0, Col2: 1, Relation: directed, Forward: true}},
 	}
-	eng := NewEngine(searchidx.New(c, []*table.Table{tab}, []*core.Annotation{ann}))
+	eng := NewEngine(oneSegment(t, c, []*table.Table{tab}, []*core.Annotation{ann}))
 	q := Query{
 		Relation: directed, T1: film, T2: director, E2: d1,
 		RelationText: "directed", T1Text: "Film", T2Text: "Director", E2Text: "Dana Helm",
@@ -581,19 +597,20 @@ func TestExecuteCancelled(t *testing.T) {
 
 func TestIndexLookups(t *testing.T) {
 	f := build(t)
+	ix, _ := f.corpus.Segment(0)
 	// One oriented instance of the relation, its column types baked in.
-	rr := f.ix.RelationPairs(f.directed)
+	rr := ix.RelationPairs(f.directed)
 	if len(rr) != 1 || rr[0].Table != 0 || rr[0].SubjType != f.film || rr[0].ObjType != f.director {
 		t.Errorf("directed instances = %v", rr)
 	}
 	// Both tables pair a film column with a person-subtype column.
-	if got := f.ix.TypedPairsOf(f.film); len(got) != 2 || got[1].ObjType != f.actor {
+	if got := ix.TypedPairsOf(f.film); len(got) != 2 || got[1].ObjType != f.actor {
 		t.Errorf("typed pairs of Film = %v", got)
 	}
 	// d1 annotates three cells of the object columns.
 	n := 0
-	for ti := 0; ti < f.ix.Len(); ti++ {
-		_, ents := f.ix.Column(ti, 1)
+	for ti := 0; ti < ix.Len(); ti++ {
+		_, ents := ix.Column(ti, 1)
 		for _, e := range ents {
 			if e == f.d1 {
 				n++
@@ -603,7 +620,7 @@ func TestIndexLookups(t *testing.T) {
 	if n != 3 {
 		t.Errorf("cells of d1 = %d, want 3", n)
 	}
-	if _, ents := f.ix.Column(0, 0); ents[0] != f.f1 {
+	if _, ents := ix.Column(0, 0); ents[0] != f.f1 {
 		t.Errorf("entity of (0,0,0) = %v", ents[0])
 	}
 }

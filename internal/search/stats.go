@@ -53,8 +53,7 @@ type ExecStats struct {
 	RowsScanned int64
 	// SegmentsVisited and TombstonesSkipped describe the corpus view
 	// the scan ran over: its live index segments and the removed tables
-	// whose postings were skipped. A monolithic index counts as one
-	// segment.
+	// whose postings were skipped.
 	SegmentsVisited   int
 	TombstonesSkipped int
 	// AnswersBeforeTopK is how many answer clusters were eligible for

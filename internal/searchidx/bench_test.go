@@ -81,7 +81,7 @@ func BenchmarkBuild(b *testing.B) {
 // 512 annotated 20×3 tables back into a compiled index: what a snapshot
 // load does per segment once the section is inflated.
 func BenchmarkDecodeSegment(b *testing.B) {
-	c, tables, anns, _, _ := benchCorpus(b, 512, 20)
+	_, tables, anns, _, _ := benchCorpus(b, 512, 20)
 	data, err := AppendSegment(nil, tables, anns)
 	if err != nil {
 		b.Fatal(err)
@@ -90,7 +90,7 @@ func BenchmarkDecodeSegment(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSegment(context.Background(), c, data); err != nil {
+		if _, err := DecodeSegment(context.Background(), data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkDecodeSegment(b *testing.B) {
 // append to the match sets of all the iterations before it.
 func BenchmarkMatchSet(b *testing.B) {
 	c, tables, anns, _, name := benchCorpus(b, 512, 20)
-	ix := New(c, tables, anns)
+	ix := build(b, c, tables, anns)
 	p := NewProbe(name)
 	if m := ix.Compile(&p); len(m.raws) == 0 {
 		b.Fatalf("probe %q matches nothing", name)
@@ -126,7 +126,7 @@ var (
 // compiled probe.
 func scanFixture(tb testing.TB) (texts []uint32, ents []catalog.EntityID, e2 catalog.EntityID, m MatchSet) {
 	c, tables, anns, e2, name := benchCorpus(tb, 1, 1<<16)
-	ix := New(c, tables, anns)
+	ix := build(tb, c, tables, anns)
 	p := NewProbe(name)
 	m = ix.Compile(&p)
 	texts, ents = ix.Column(0, 1)

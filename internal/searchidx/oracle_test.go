@@ -67,7 +67,7 @@ func oneCellIndex(t testing.TB, cell string) *Index {
 	if err := c.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	return New(c, []*table.Table{{ID: "one", Cells: [][]string{{cell}}}}, nil)
+	return build(t, c, []*table.Table{{ID: "one", Cells: [][]string{{cell}}}}, nil)
 }
 
 // cellVerdict is the index's answer for the only cell of a oneCellIndex:
@@ -159,7 +159,7 @@ func FuzzCompiledMatch(f *testing.F) {
 		for i, s := range cells {
 			rows[i] = []string{s}
 		}
-		ix := New(c, []*table.Table{{ID: "many", Cells: rows}}, nil)
+		ix := build(t, c, []*table.Table{{ID: "many", Cells: rows}}, nil)
 		p := NewProbe(query)
 		m := ix.Compile(&p)
 		raws, _ := ix.Column(0, 0)

@@ -77,8 +77,10 @@
 // query cannot tell them apart, and a restart never parses, normalizes
 // or interns a cell. The price is that this package's layout is a file
 // format: changing what a segment stores, or the order IDs are assigned
-// in, is a new snapshot format version (internal/snapshot), with the old
-// decoder kept for the files already written.
+// in, is a new snapshot format version (internal/snapshot). Only the
+// current version is decoded: a file of an earlier one is refused with
+// an error naming the last commit that loads it, and no old decoder is
+// kept.
 package searchidx
 
 import (
@@ -119,8 +121,6 @@ type ColumnPair struct {
 // annotations, and everything derived from them at build time. It is
 // immutable and safe for concurrent use.
 type Index struct {
-	cat *catalog.Catalog
-
 	// Baseline posting lists, ascending.
 	headerPost  map[string][]ColKey
 	contextPost map[string][]int32
@@ -176,10 +176,6 @@ type Index struct {
 	spans    []tableSpan
 	cellRaw  []uint32
 	cellEnts []catalog.EntityID
-
-	// identity maps every table to itself: the local→global table map of
-	// an index serving as a whole corpus.
-	identity []int32
 
 	resident ResidentBytes
 }
@@ -268,39 +264,28 @@ func exact[S ~[]E, E any](s S) S {
 	return append(make(S, 0, len(s)), s...)
 }
 
-// New builds an index over a corpus. anns may be nil (baseline mode) or
-// parallel to tables; a nil entry disables annotation lookups for that
-// table. Invalid input (see BuildContext) panics with the cause — New
-// has no error return, and a silent nil index would only defer the crash
-// to the first lookup. Use BuildContext to handle the error instead.
-func New(cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) *Index {
-	ix, err := BuildContext(context.Background(), cat, tables, anns)
-	if err != nil {
-		panic(err)
-	}
-	return ix
-}
-
 // rowCheckInterval is how many cells are indexed between context polls,
 // mirroring the row-scan idiom in internal/search/exec.go. Power of two
 // so the check compiles to a mask, not a division.
 const rowCheckInterval = 1024
 
-// BuildContext is New with input validation and cancellation. It accepts
-// what a snapshot can hold, so that whatever is indexed can be saved: a
-// non-nil anns slice must be parallel to tables, every table must pass
-// Validate, and an annotation must be a rectangular grid as wide as its
-// column types (and empty when it has none) whose relations name columns
-// of that grid — the shapes annotators produce. A segment whose tables,
-// cells or string bytes outnumber what its 32-bit IDs and offsets can
-// address is refused (distinct spellings, texts and tokens cannot
-// outnumber those). The
+// BuildContext compiles one segment over tables. anns may be nil
+// (baseline mode) or parallel to tables; a nil entry disables annotation
+// lookups for that table. cat is not consulted: a segment is its tables'
+// content, and the corpus that holds it carries the catalog. It accepts
+// what a snapshot can hold, so that whatever is indexed can be saved:
+// every table must pass Validate, and an annotation must be a
+// rectangular grid as wide as its column types (and empty when it has
+// none) whose relations name columns of that grid — the shapes
+// annotators produce. A segment whose tables, cells or string bytes
+// outnumber what its 32-bit IDs and offsets can address is refused
+// (distinct spellings, texts and tokens cannot outnumber those). The
 // index copies what it keeps: the caller's tables and annotations are
 // not referenced once BuildContext returns. The context is checked
 // between tables — and every rowCheckInterval cells within a table — so
 // indexing a corpus with one oversized table still aborts promptly.
 func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
-	ix, err := intern(ctx, cat, tables, anns)
+	ix, err := intern(ctx, tables, anns)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +312,7 @@ func (ix *Index) layCells(cells uint64) {
 // form relies on: a spelling gets the next raw ID the first time a cell,
 // walking tables, then rows, then columns, is spelled that way, and only
 // then is it normalized and its text, if new, given the next text ID.
-func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
+func intern(ctx context.Context, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
 	if anns != nil && len(anns) != len(tables) {
 		return nil, fmt.Errorf("searchidx: %d annotations for %d tables", len(anns), len(tables))
 	}
@@ -335,17 +320,14 @@ func intern(ctx context.Context, cat *catalog.Catalog, tables []*table.Table, an
 		return nil, fmt.Errorf("searchidx: %d tables exceed one segment's 32-bit table numbers", len(tables))
 	}
 	ix := &Index{
-		cat:      cat,
-		tables:   make([]tableMeta, len(tables)),
-		spans:    make([]tableSpan, len(tables)),
-		identity: make([]int32, len(tables)),
+		tables: make([]tableMeta, len(tables)),
+		spans:  make([]tableSpan, len(tables)),
 	}
 	cells := uint64(0)
 	for ti, t := range tables {
 		if err := t.Validate(); err != nil {
 			return nil, err
 		}
-		ix.identity[ti] = int32(ti)
 		ix.spans[ti] = tableSpan{off: uint32(cells), rows: uint32(t.Rows())}
 		if cells += uint64(t.Rows()) * uint64(t.Cols()); cells > math.MaxUint32 {
 			return nil, fmt.Errorf("searchidx: more than %d cells in one segment (at table %d)", uint32(math.MaxUint32), ti)
@@ -751,7 +733,7 @@ func (ix *Index) measure() ResidentBytes {
 		u32*int64(len(ix.textRaws.off)+len(ix.textRaws.ids)) + (str+u32)*int64(len(ix.tokenIDs))
 	r.Cells += u32 * int64(len(ix.annGrid))
 	r.Tables = int64(len(ix.blob)) - dict + int64(unsafe.Sizeof(tableMeta{}))*int64(len(ix.tables)) + ref*int64(len(ix.headers)) +
-		int64(unsafe.Sizeof(tableSpan{}))*int64(len(ix.spans)) + u32*int64(len(ix.identity)+len(ix.byID)) + int64(unsafe.Sizeof(annMeta{}))*int64(len(ix.anns)) +
+		int64(unsafe.Sizeof(tableSpan{}))*int64(len(ix.spans)) + u32*int64(len(ix.byID)) + int64(unsafe.Sizeof(annMeta{}))*int64(len(ix.anns)) +
 		u32*int64(len(ix.annTypes)) + int64(unsafe.Sizeof(relMeta{}))*int64(len(ix.annRels))
 	r.Postings += u32 * int64(len(ix.tokenTexts.off)+len(ix.tokenTexts.ids))
 	for tok, post := range ix.headerPost {
@@ -770,25 +752,10 @@ func (ix *Index) measure() ResidentBytes {
 	return r
 }
 
-// Catalog returns the catalog the annotations refer to.
-func (ix *Index) Catalog() *catalog.Catalog { return ix.cat }
-
-// Segments reports the one segment an index is when it serves as a whole
-// corpus (see search.Corpus).
-func (ix *Index) Segments() int { return 1 }
-
-// Segment returns that segment: the index itself, every table numbered
-// as it is.
-func (ix *Index) Segment(int) (*Index, []int32) { return ix, ix.identity }
-
 // SubjectTypes returns every subject type the typed-pair posting list is
 // keyed by, in ascending ID order. The slice is shared; callers must not
 // mutate it.
 func (ix *Index) SubjectTypes() []catalog.TypeID { return ix.subjTypes }
-
-// Tombstones reports no removed tables: an index holds exactly the
-// tables it was built over.
-func (ix *Index) Tombstones() int { return 0 }
 
 // RelationPairs returns the precomputed oriented candidate column pairs
 // carrying relation b, subject column first, with annotated types baked

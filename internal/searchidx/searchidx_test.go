@@ -51,7 +51,7 @@ func buildIndex(t testing.TB) (*Index, *catalog.Catalog) {
 			{catalog.None, catalog.None},
 		},
 	}
-	return New(c, []*table.Table{tab}, []*core.Annotation{ann}), c
+	return build(t, c, []*table.Table{tab}, []*core.Annotation{ann}), c
 }
 
 // headerCols and contextTables probe the baseline posting lists.
@@ -119,7 +119,7 @@ func TestUnionOfPostings(t *testing.T) {
 		{ID: "b", Context: "notable directors", Headers: []string{"Director", "Best film"}, Cells: [][]string{{"x", "y"}}},
 		{ID: "c", Context: "films and directors", Headers: []string{"Title", "Film"}, Cells: [][]string{{"x", "y"}}},
 	}
-	ix := New(c, tabs, nil)
+	ix := build(t, c, tabs, nil)
 	key := func(table, col int) ColKey { return ColKey(table)<<32 | ColKey(col) }
 	if got, want := headerCols(ix, "film title"), []ColKey{key(0, 0), key(1, 1), key(2, 0), key(2, 1)}; !slices.Equal(got, want) {
 		t.Errorf("HeaderMatches(film title) = %v, want %v", got, want)
@@ -203,7 +203,7 @@ func buildRelIndex(t testing.TB) (*Index, *catalog.Catalog) {
 			Col1: 0, Col2: 1, Relation: directed, Forward: false,
 		}},
 	}
-	return New(c, []*table.Table{tab}, []*core.Annotation{ann}), c
+	return build(t, c, []*table.Table{tab}, []*core.Annotation{ann}), c
 }
 
 func TestRelationPairsOrientedAndTyped(t *testing.T) {
@@ -282,7 +282,7 @@ func TestUnannotatedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := &table.Table{ID: "x", Cells: [][]string{{"a", "b"}}}
-	ix := New(c, []*table.Table{tab}, nil)
+	ix := build(t, c, []*table.Table{tab}, nil)
 	if _, ents := ix.Column(0, 0); ents[0] != catalog.None {
 		t.Errorf("entity without annotations = %v", ents[0])
 	}
@@ -333,7 +333,7 @@ func TestColumnMajorLayout(t *testing.T) {
 		nil,
 		{ColumnTypes: []catalog.TypeID{catalog.None, T}, CellEntities: [][]catalog.EntityID{{catalog.None, es[4]}, {es[5], es[5]}}}, // one row too many
 	}
-	ix := New(c, tabs, anns)
+	ix := build(t, c, tabs, anns)
 	for ti, tab := range tabs {
 		for col := 0; col < tab.Cols(); col++ {
 			raws, ents := ix.Column(ti, col)
@@ -378,7 +378,7 @@ func TestResidentBytesArithmetic(t *testing.T) {
 	if err := c.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	ix := New(c, []*table.Table{
+	ix := build(t, c, []*table.Table{
 		{ID: "a", Context: "films", Headers: []string{"Film", "Director"}, Cells: [][]string{{"Alpha", "Bob"}, {"alpha", "Bob"}}},
 		{ID: "b", Cells: [][]string{{"Alpha"}}},
 	}, []*core.Annotation{
@@ -406,10 +406,10 @@ func TestResidentBytesArithmetic(t *testing.T) {
 		// types.
 		Postings: 5*u32 + (str + 4 + slice + 8) + (str + 8 + slice + 8) + (str + 5 + slice + u32) + 3*(u32+slice+pair) + 2*u32,
 		// "a" "films" "Film" "Director" "b" "" and the annotation's "a" in
-		// the blob; per table its metadata, span, identity and ID-index
-		// entries and a fixed annotation record; two header entries, and
-		// the annotation's two types and one packed relation in their runs.
-		Tables: 20 + 2*(int64(unsafe.Sizeof(tableMeta{}))+int64(unsafe.Sizeof(tableSpan{}))+2*u32+int64(unsafe.Sizeof(annMeta{}))) +
+		// the blob; per table its metadata, span and ID-index entry and a
+		// fixed annotation record; two header entries, and the
+		// annotation's two types and one packed relation in their runs.
+		Tables: 20 + 2*(int64(unsafe.Sizeof(tableMeta{}))+int64(unsafe.Sizeof(tableSpan{}))+u32+int64(unsafe.Sizeof(annMeta{}))) +
 			2*int64(unsafe.Sizeof(strRef{})) + 2*u32 + int64(unsafe.Sizeof(relMeta{})),
 	}
 	if got := ix.ResidentBytes(); got != want {

@@ -89,7 +89,7 @@ const unlabeled = math.MinInt32
 // It interns and dumps; no posting list is derived. The bytes depend on
 // nothing but the arguments.
 func AppendSegment(dst []byte, tables []*table.Table, anns []*core.Annotation) ([]byte, error) {
-	ix, err := intern(context.Background(), nil, tables, anns)
+	ix, err := intern(context.Background(), tables, anns)
 	if err != nil {
 		return nil, err
 	}
@@ -278,12 +278,11 @@ func (r *segmentReader) shape(total *int64) (rows, cols int) {
 // its relations, plus what derive makes per distinct token and posting
 // list; nothing per cell or per row. The context is polled at every
 // table and every rowCheckInterval rows within one.
-func DecodeSegment(ctx context.Context, cat *catalog.Catalog, data []byte) (*Index, error) {
+func DecodeSegment(ctx context.Context, data []byte) (*Index, error) {
 	ix, err := decode(ctx, data)
 	if err != nil {
 		return nil, err
 	}
-	ix.cat = cat
 	if err := ix.derive(ctx); err != nil {
 		return nil, err
 	}
@@ -337,12 +336,11 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{
-		blob:     string(blob),
-		raws:     make([]rawSpelling, nRaws),
-		texts:    make([]strRef, 0, nTexts),
-		tables:   make([]tableMeta, nTables),
-		spans:    make([]tableSpan, nTables),
-		identity: make([]int32, nTables),
+		blob:   string(blob),
+		raws:   make([]rawSpelling, nRaws),
+		texts:  make([]strRef, 0, nTexts),
+		tables: make([]tableMeta, nTables),
+		spans:  make([]tableSpan, nTables),
 	}
 
 	// intern never lists a text twice, and derive trusts that: a segment
@@ -376,7 +374,6 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 		}
 		m := &ix.tables[ti]
 		m.id, m.context = r.str(), r.str()
-		ix.identity[ti] = int32(ti)
 		ix.spans[ti].off = uint32(cells)
 		rows, cols := r.shape(&cells)
 		if rows == 0 || cols == 0 {

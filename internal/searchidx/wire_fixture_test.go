@@ -50,7 +50,7 @@ func TestLoadedIndexEqualsBuiltIndex(t *testing.T) {
 		if len(rd.Manifest) != len(segs) {
 			t.Fatalf("%s: %d segments in the manifest, %d saved", name, len(rd.Manifest), len(segs))
 		}
-		ixs, err := rd.Segments(cat, len(segs))
+		ixs, err := rd.Segments(len(segs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -115,7 +115,7 @@ func TestDecodeSegmentRejectsDamage(t *testing.T) {
 	}
 	ctx := context.Background()
 	for n := 0; n < len(data); n++ {
-		_, err := DecodeSegment(ctx, nil, data[:n])
+		_, err := DecodeSegment(ctx, data[:n])
 		if !errors.Is(err, ErrBadSegment) {
 			t.Fatalf("truncated at %d of %d: err = %v, want ErrBadSegment", n, len(data), err)
 		}
@@ -123,14 +123,14 @@ func TestDecodeSegmentRejectsDamage(t *testing.T) {
 			t.Fatalf("truncated at %d of %d: err = %q names no byte offset within the prefix", n, len(data), err)
 		}
 	}
-	if _, err := DecodeSegment(ctx, nil, append(append([]byte(nil), data...), 0)); !errors.Is(err, ErrBadSegment) {
+	if _, err := DecodeSegment(ctx, append(append([]byte(nil), data...), 0)); !errors.Is(err, ErrBadSegment) {
 		t.Fatalf("trailing byte: err = %v, want ErrBadSegment", err)
 	}
 	for i := range data {
 		for bit := 0; bit < 8; bit++ {
 			damaged := append([]byte(nil), data...)
 			damaged[i] ^= 1 << bit
-			if _, err := DecodeSegment(ctx, nil, damaged); err != nil && !errors.Is(err, ErrBadSegment) {
+			if _, err := DecodeSegment(ctx, damaged); err != nil && !errors.Is(err, ErrBadSegment) {
 				t.Fatalf("bit %d of byte %d: err = %v, want ErrBadSegment or nil", bit, i, err)
 			}
 		}
@@ -141,11 +141,11 @@ func TestDecodeSegmentRejectsDamage(t *testing.T) {
 	// table's ID and context lengths, shape and no headers, and both
 	// cells new.
 	once := []byte{1, 0, 2, 1, 3, 'A', 'a', 'a', 1, 0, 1, 1, 1, 0, 0, 1, 2, 0, 0, 0}
-	if _, err := DecodeSegment(ctx, nil, once); err != nil {
+	if _, err := DecodeSegment(ctx, once); err != nil {
 		t.Fatalf("two spellings of one text: %v", err)
 	}
 	twice := []byte{1, 0, 2, 2, 4, 'A', 'a', 'a', 'a', 1, 0, 1, 1, 0, 1, 0, 0, 1, 2, 0, 0, 0}
-	if _, err := DecodeSegment(ctx, nil, twice); !errors.Is(err, ErrBadSegment) || !strings.Contains(err.Error(), "repeats") {
+	if _, err := DecodeSegment(ctx, twice); !errors.Is(err, ErrBadSegment) || !strings.Contains(err.Error(), "repeats") {
 		t.Fatalf("text listed twice: err = %v, want ErrBadSegment", err)
 	}
 	if _, _, err := DecodeTables(ctx, twice); !errors.Is(err, ErrBadSegment) {
@@ -174,7 +174,7 @@ func TestDecodeSegmentObservesCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DecodeSegment(ctx, nil, data); !errors.Is(err, context.Canceled) {
+	if _, err := DecodeSegment(ctx, data); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestDecodeSegmentObservesCancellation(t *testing.T) {
 // annotation runs it lands on.
 func TestDecodeSegmentAllocations(t *testing.T) {
 	allocs := func(rows int) float64 {
-		c, tables, anns, _, _ := benchCorpus(t, 64, rows)
+		_, tables, anns, _, _ := benchCorpus(t, 64, rows)
 		// The same strings whatever the row count: cells cycle through a
 		// fixed pool, so only the number of cells differs.
 		for _, tab := range tables {
@@ -205,7 +205,7 @@ func TestDecodeSegmentAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(5, func() {
-			if _, err := DecodeSegment(context.Background(), c, data); err != nil {
+			if _, err := DecodeSegment(context.Background(), data); err != nil {
 				t.Fatal(err)
 			}
 		})

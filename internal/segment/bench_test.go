@@ -38,7 +38,7 @@ func BenchmarkViewPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := search.NewEngineOver(view)
+	eng := search.NewEngine(view)
 	q := f.requests()[0].Query
 	q.E2, q.E2Text = -1, "no such person"
 	for _, mode := range []search.Mode{search.Baseline, search.Type, search.TypeRel} {

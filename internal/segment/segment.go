@@ -13,10 +13,10 @@
 //     when somebody asks (View.Flatten, compaction);
 //   - a View is an immutable manifest: the ordered live segments, each
 //     with the map from its local table numbers to corpus-global ones
-//     (tombstoned tables map to -1). Views implement search.Corpus by
-//     handing the query engine each segment's compiled index with that
-//     map, so the engine walks many segments' posting lists exactly as it
-//     walks one monolithic index's. A view finds a table by ID in the
+//     (tombstoned tables map to -1). Views are the one implementation of
+//     search.Corpus: they hand the query engine each segment's compiled
+//     index with that map, and the engine walks the segments' posting
+//     lists one after another, in order. A view finds a table by ID in the
 //     segments' own ID indexes, and a new view shares every map its
 //     mutation does not renumber;
 //   - a Store serializes mutations (Add builds one new segment over just
@@ -77,8 +77,8 @@ type Loc struct {
 // View is one immutable point-in-time manifest of the corpus: the live
 // segments in order, each with its local→global table map. It implements
 // search.Corpus with those maps, the global numbers skipping tombstones,
-// so rankings and explanations are identical to a monolithic index over
-// the surviving tables. A View is safe for concurrent use and never
+// so rankings and explanations are identical to those of a one-segment
+// view built afresh over the surviving tables. A View is safe for concurrent use and never
 // changes; mutations produce a new View, which shares every table map
 // the mutation does not renumber. A table ID is looked up in the
 // segments' own ID indexes, newest first: a view keeps no directory.
@@ -257,8 +257,8 @@ func (v *View) DeadAt(i int) []int {
 }
 
 // Flatten materialises the surviving corpus in global order — the exact
-// (tables, annotations) input a from-scratch monolithic index build
-// would receive. Annotations is nil when no live table is annotated.
+// (tables, annotations) input a from-scratch one-segment build would
+// receive. Annotations is nil when no live table is annotated.
 func (v *View) Flatten() ([]*table.Table, []*core.Annotation) {
 	tables := make([]*table.Table, v.tables)
 	var anns []*core.Annotation

@@ -157,15 +157,26 @@ func (f *fixture) requests() []search.Request {
 	return reqs
 }
 
+// seed is a store seed of the one segment BuildContext compiles over
+// tables and anns.
+func (f *fixture) seed(t *testing.T, tables []*table.Table, anns []*core.Annotation) Seed {
+	t.Helper()
+	ix, err := searchidx.BuildContext(context.Background(), f.cat, tables, anns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Seed{Index: ix}
+}
+
 // checkEquivalent is the subsystem's core property: executing over the
 // segmented view is byte-identical — rankings, scores, totals, cursors,
-// explanations — to executing over a from-scratch monolithic index built
+// explanations — to executing over a one-segment view compiled afresh
 // over the surviving tables in order.
 func checkEquivalent(t *testing.T, f *fixture, v *View) {
 	t.Helper()
 	tables, anns := v.Flatten()
-	ref := search.NewEngine(searchidx.New(f.cat, tables, anns))
-	seg := search.NewEngineOver(v)
+	ref := search.NewEngine(newStore(t, f, Config{Seeds: []Seed{f.seed(t, tables, anns)}}).View())
+	seg := search.NewEngine(v)
 	ctx := context.Background()
 	for ri, req := range f.requests() {
 		for page := 0; page < 5; page++ {
@@ -174,7 +185,7 @@ func checkEquivalent(t *testing.T, f *fixture, v *View) {
 			if err1 != nil || err2 != nil {
 				t.Fatalf("req %d page %d: errs %v / %v", ri, page, err1, err2)
 			}
-			// Stats carry wall-clock timings (and the monolithic reference
+			// Stats carry wall-clock timings (and the one-segment reference
 			// reports a different segment count by construction); the
 			// byte-identity contract covers the result, not the stats, so
 			// compare with Stats stripped and check the representation-
@@ -189,7 +200,7 @@ func checkEquivalent(t *testing.T, f *fixture, v *View) {
 			wantJSON, _ := json.Marshal(want)
 			gotJSON, _ := json.Marshal(got)
 			if string(wantJSON) != string(gotJSON) {
-				t.Fatalf("req %d page %d (gen %d, %d segs, %d tombstones): results diverge\n monolithic: %s\n segmented:  %s",
+				t.Fatalf("req %d page %d (gen %d, %d segs, %d tombstones): results diverge\n one segment: %s\n segmented:   %s",
 					ri, page, v.Generation(), v.Segments(), v.Tombstones(), wantJSON, gotJSON)
 			}
 			if want.NextCursor == "" {
@@ -386,7 +397,7 @@ func TestAddAllocationsIndependentOfCorpus(t *testing.T) {
 	}
 	measure := func(seeded int) (add, remove float64) {
 		tabs, anns := f.batch(rand.New(rand.NewSource(23)), seeded)
-		s := newStore(t, f, Config{Seeds: []Seed{{Index: searchidx.New(f.cat, tabs, anns)}}})
+		s := newStore(t, f, Config{Seeds: []Seed{f.seed(t, tabs, anns)}})
 		batches := make([][]*table.Table, runs+1)
 		batchAnns := make([][]*core.Annotation, runs+1)
 		for k := range batches {
@@ -665,7 +676,7 @@ func TestSeedRestore(t *testing.T) {
 	for i := 0; i < v.Segments(); i++ {
 		// A seed is the segment as a snapshot restores it: decoded from
 		// its persistent form.
-		ix, err := searchidx.DecodeSegment(ctx, f.cat, v.SegmentAt(i).Index().AppendTo(nil))
+		ix, err := searchidx.DecodeSegment(ctx, v.SegmentAt(i).Index().AppendTo(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -725,7 +736,7 @@ func TestConcurrentSearchDuringMutation(t *testing.T) {
 				default:
 				}
 				v := s.View()
-				eng := search.NewEngineOver(v)
+				eng := search.NewEngine(v)
 				r := req
 				var total = -1
 				for {

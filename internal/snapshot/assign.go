@@ -21,11 +21,6 @@ type Assignment struct {
 // Segments returns the number of segments assigned.
 func (a Assignment) Segments() int { return a.Hi - a.Lo }
 
-// LiveCount returns the segment's live (non-tombstoned) table count —
-// the unit of global table numbering, since tombstoned tables are
-// skipped when a corpus view numbers its tables.
-func (sg *Segment) LiveCount() int { return len(sg.Tables) - len(sg.Dead) }
-
 // SegmentList returns the snapshot's corpus as a segment manifest: the
 // segment list verbatim, or the flat corpus as a single anonymous
 // segment (exactly how saving and loading treat it). An empty snapshot
@@ -40,25 +35,15 @@ func (s *Snapshot) SegmentList() []Segment {
 	return []Segment{{Tables: s.Tables, Anns: s.Anns}}
 }
 
-// AssignShards partitions a manifest into shards contiguous segment
-// ranges balanced by live-table count. The split is deterministic (a
-// pure function of the manifest and the shard count, so every process
-// in a cluster derives the same placement): shard s extends while the
+// AssignShards partitions the file's manifest into shards contiguous
+// segment ranges balanced by live-table count, which the manifest states
+// per segment; no table is read. The split is deterministic (a pure
+// function of the manifest and the shard count, so every process in a
+// cluster derives the same placement): shard s extends while the
 // cumulative live-table count is below the quota (s+1)·total/shards,
 // and the last shard takes whatever remains. Shards may own zero
 // segments when there are more shards than segments — legal, they just
 // contribute no evidence. shards must be >= 1.
-func AssignShards(segs []Segment, shards int) ([]Assignment, error) {
-	live := make([]int, len(segs))
-	for i := range segs {
-		live[i] = segs[i].LiveCount()
-	}
-	return assign(live, shards)
-}
-
-// AssignShards is the package-level AssignShards over the file's
-// manifest: the placement needs each segment's live-table count, which
-// the manifest states, and none of its tables.
 func (rd *Reader) AssignShards(shards int) ([]Assignment, error) {
 	live := make([]int, len(rd.Manifest))
 	for i, m := range rd.Manifest {

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -24,8 +25,9 @@ func seg(t *testing.T, id uint64, n int, dead ...int) Segment {
 }
 
 // checkCover asserts the assignments form a contiguous exact cover of
-// the manifest with consistent table offsets.
-func checkCover(t *testing.T, segs []Segment, asn []Assignment) {
+// segments with the given live-table counts, with consistent table
+// offsets.
+func checkCover(t *testing.T, live []int, asn []Assignment) {
 	t.Helper()
 	seg, tables := 0, 0
 	for i, a := range asn {
@@ -38,34 +40,31 @@ func checkCover(t *testing.T, segs []Segment, asn []Assignment) {
 		if a.TableOffset != tables {
 			t.Fatalf("shard %d: table offset %d, want %d", i, a.TableOffset, tables)
 		}
-		live := 0
+		owned := 0
 		for s := a.Lo; s < a.Hi; s++ {
-			live += segs[s].LiveCount()
+			owned += live[s]
 		}
-		if a.Tables != live {
-			t.Fatalf("shard %d: %d tables, segments hold %d live", i, a.Tables, live)
+		if a.Tables != owned {
+			t.Fatalf("shard %d: %d tables, segments hold %d live", i, a.Tables, owned)
 		}
-		seg, tables = a.Hi, tables+live
+		seg, tables = a.Hi, tables+owned
 	}
-	if seg != len(segs) {
-		t.Fatalf("assignments cover %d of %d segments", seg, len(segs))
+	if seg != len(live) {
+		t.Fatalf("assignments cover %d of %d segments", seg, len(live))
 	}
 }
 
 func TestAssignShardsUnevenSegments(t *testing.T) {
-	segs := []Segment{
-		seg(t, 1, 9), seg(t, 2, 1), seg(t, 3, 1), seg(t, 4, 1),
-		seg(t, 5, 6), seg(t, 6, 2),
-	}
+	live := []int{9, 1, 1, 1, 6, 2}
 	for shards := 1; shards <= 8; shards++ {
-		asn, err := AssignShards(segs, shards)
+		asn, err := assign(live, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(asn) != shards {
 			t.Fatalf("%d shards: got %d assignments", shards, len(asn))
 		}
-		checkCover(t, segs, asn)
+		checkCover(t, live, asn)
 	}
 }
 
@@ -73,25 +72,19 @@ func TestAssignShardsTombstoneHeavy(t *testing.T) {
 	// Live counts 1, 0, 4, 0: balancing must follow live tables, not raw
 	// segment sizes, and fully-dead segments still belong to exactly one
 	// shard.
-	segs := []Segment{
-		seg(t, 1, 5, 0, 1, 2, 3),
-		seg(t, 2, 3, 0, 1, 2),
-		seg(t, 3, 4),
-		seg(t, 4, 2, 0, 1),
-	}
-	asn, err := AssignShards(segs, 2)
+	live := []int{5 - 4, 3 - 3, 4, 2 - 2}
+	asn, err := assign(live, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCover(t, segs, asn)
+	checkCover(t, live, asn)
 	if got := asn[0].Tables + asn[1].Tables; got != 5 {
 		t.Fatalf("total live tables %d, want 5", got)
 	}
 }
 
 func TestAssignShardsSingleShardDegenerate(t *testing.T) {
-	segs := []Segment{seg(t, 1, 3), seg(t, 2, 2, 1)}
-	asn, err := AssignShards(segs, 1)
+	asn, err := assign([]int{3, 2 - 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +95,12 @@ func TestAssignShardsSingleShardDegenerate(t *testing.T) {
 }
 
 func TestAssignShardsMoreShardsThanSegments(t *testing.T) {
-	segs := []Segment{seg(t, 1, 2), seg(t, 2, 2)}
-	asn, err := AssignShards(segs, 5)
+	live := []int{2, 2}
+	asn, err := assign(live, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCover(t, segs, asn)
+	checkCover(t, live, asn)
 	empty := 0
 	for _, a := range asn {
 		if a.Segments() == 0 {
@@ -120,17 +113,17 @@ func TestAssignShardsMoreShardsThanSegments(t *testing.T) {
 }
 
 func TestAssignShardsRejectsBadCount(t *testing.T) {
-	if _, err := AssignShards(nil, 0); err == nil {
+	if _, err := assign(nil, 0); err == nil {
 		t.Fatal("shards=0 accepted")
 	}
-	if _, err := AssignShards(nil, -2); err == nil {
+	if _, err := assign(nil, -2); err == nil {
 		t.Fatal("negative shard count accepted")
 	}
 }
 
-// TestAssignShardsSnapshotRoundTrip is the satellite's manifest →
-// assignment round-trip: a v2 snapshot saved and reloaded yields the
-// identical placement, and every process deriving the placement from
+// TestAssignShardsSnapshotRoundTrip is the manifest → assignment
+// round trip: the placement a reader derives from a saved file is the
+// one the saved segments' live counts give, so every process reading
 // the same file agrees.
 func TestAssignShardsSnapshotRoundTrip(t *testing.T) {
 	snap := &Snapshot{
@@ -139,20 +132,22 @@ func TestAssignShardsSnapshotRoundTrip(t *testing.T) {
 		},
 		Generation: 17,
 	}
+	live := []int{4 - 1, 1, 6 - 2, 2}
 	var buf bytes.Buffer
 	if err := Save(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for shards := 1; shards <= 4; shards++ {
-		want, err := AssignShards(snap.SegmentList(), shards)
+		want, err := assign(live, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AssignShards(loaded.SegmentList(), shards)
+		rd, err := NewReader(context.Background(), bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rd.AssignShards(shards)
+		rd.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +157,7 @@ func TestAssignShardsSnapshotRoundTrip(t *testing.T) {
 					shards, i, got[i], want[i])
 			}
 		}
-		checkCover(t, loaded.SegmentList(), got)
+		checkCover(t, live, got)
 	}
 }
 
@@ -171,7 +166,7 @@ func TestAssignShardsSnapshotRoundTrip(t *testing.T) {
 func TestSegmentListFlat(t *testing.T) {
 	flat := &Snapshot{Tables: seg(t, 0, 3).Tables}
 	list := flat.SegmentList()
-	if len(list) != 1 || len(list[0].Tables) != 3 || list[0].LiveCount() != 3 {
+	if len(list) != 1 || len(list[0].Tables) != 3 || len(list[0].Dead) != 0 {
 		t.Fatalf("flat SegmentList = %+v", list)
 	}
 	if (&Snapshot{}).SegmentList() != nil {

@@ -84,7 +84,7 @@ func checkLoad(t *testing.T, file []byte) {
 		return errors.Is(err, ErrNotSnapshot) || errors.Is(err, ErrVersion) || errors.Is(err, ErrChecksum) || errors.Is(err, ErrCorrupt)
 	}
 	if rd, err := NewReader(context.Background(), bytes.NewReader(file)); err == nil {
-		if _, err := rd.Segments(nil, len(rd.Manifest)); err != nil && !structured(err) {
+		if _, err := rd.Segments(len(rd.Manifest)); err != nil && !structured(err) {
 			t.Fatalf("unstructured error decoding a segment: %v", err)
 		}
 		rd.Close()

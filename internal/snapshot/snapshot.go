@@ -419,11 +419,11 @@ func (rd *Reader) block(ref sectionRef, what string) ([]byte, error) {
 }
 
 // Segments decodes the next n segments of the manifest into compiled
-// indexes over cat, in manifest order; io.EOF if fewer remain.
-func (rd *Reader) Segments(cat *catalog.Catalog, n int) ([]*searchidx.Index, error) {
+// indexes, in manifest order; io.EOF if fewer remain.
+func (rd *Reader) Segments(n int) ([]*searchidx.Index, error) {
 	ixs := make([]*searchidx.Index, n)
 	err := rd.decode(n, func(k int, payload []byte) (tables int, err error) {
-		if ixs[k], err = searchidx.DecodeSegment(rd.ctx, cat, payload); err != nil {
+		if ixs[k], err = searchidx.DecodeSegment(rd.ctx, payload); err != nil {
 			return 0, err
 		}
 		return ixs[k].Len(), nil

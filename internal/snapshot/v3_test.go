@@ -267,7 +267,7 @@ func TestReaderTakesOnlyWhatItIsAskedFor(t *testing.T) {
 	if err := rd.Skip(); err != nil {
 		t.Fatal(err)
 	}
-	ixs, err := rd.Segments(nil, 1)
+	ixs, err := rd.Segments(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestReaderTakesOnlyWhatItIsAskedFor(t *testing.T) {
 	if err := rd2.Skip(); err != nil {
 		t.Fatal(err)
 	}
-	ixs, err = rd2.Segments(nil, 3)
+	ixs, err = rd2.Segments(3)
 	if err != nil {
 		t.Fatalf("segments after a discarding skip: %v", err)
 	}
@@ -302,7 +302,7 @@ func TestReaderTakesOnlyWhatItIsAskedFor(t *testing.T) {
 			t.Fatalf("segment %d: %d tables, manifest says %d", 1+k, ix.Len(), want)
 		}
 	}
-	if _, err := rd2.Segments(nil, 1); err != io.EOF {
+	if _, err := rd2.Segments(1); err != io.EOF {
 		t.Fatalf("Segments past the last segment: err = %v, want io.EOF", err)
 	}
 	if err := rd2.Skip(); err != io.EOF {
@@ -353,7 +353,7 @@ func TestFirstErrorInManifestOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = rd.Segments(nil, len(rd.Manifest))
+			_, err = rd.Segments(len(rd.Manifest))
 			rd.Close()
 			check(procs, "Segments", err)
 		}
@@ -382,7 +382,7 @@ func TestSnapshotMetricsAndSpans(t *testing.T) {
 	if err := rd.Skip(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rd.Segments(nil, 3); err != nil {
+	if _, err := rd.Segments(3); err != nil {
 		t.Fatal(err)
 	}
 	rd.Close()

@@ -198,8 +198,12 @@ func TestSearchAllPinnedAcrossMutation(t *testing.T) {
 	}
 	defer svc.Close()
 	corpus := pinCorpus(30, 0)
-	if _, err := svc.BuildIndex(ctx, corpus[:20], webtable.WithoutAnnotations()); err != nil {
+	built, err := svc.BuildIndex(ctx, corpus[:20], webtable.WithoutAnnotations())
+	if err != nil {
 		t.Fatal(err)
+	}
+	if stats, _ := svc.CorpusStats(); built != stats || built.Tables != 20 {
+		t.Fatalf("BuildIndex reported %+v, CorpusStats %+v", built, stats)
 	}
 
 	req := webtable.SearchRequest{
@@ -266,6 +270,11 @@ func TestSearchAllPinnedAcrossMutation(t *testing.T) {
 	}
 	if afterRes.Total == wantRes.Total {
 		t.Fatal("fixture bug: mutation did not change the full ranking")
+	}
+	// A rebuild is one more mutation: the generation keeps counting.
+	rebuilt, err := svc.BuildIndex(ctx, corpus[:20], webtable.WithoutAnnotations())
+	if err != nil || rebuilt.Generation != stats.Generation+1 || rebuilt.Segments != 1 {
+		t.Fatalf("rebuild reported %+v (err %v) after generation %d", rebuilt, err, stats.Generation)
 	}
 }
 

@@ -85,7 +85,7 @@ func LoadService(ctx context.Context, r io.Reader, opts ...ServiceOption) (*Serv
 // LoadServiceShard reconstructs the shard-th of count shard services
 // from one snapshot: the manifest's segments are partitioned into
 // contiguous, live-table-balanced ranges (the same deterministic
-// placement in every process — see snapshot.AssignShards), and only the
+// placement in every process — see snapshot.Reader.AssignShards), and only the
 // owned range is read: the sections before it are skipped, the ones
 // after it never reached, so an N-shard cluster pays roughly 1/N of a
 // full load's time and index memory per process, and damage to another
@@ -129,7 +129,7 @@ func loadSegments(rd *snapshot.Reader, lo, hi int, readOnly bool, opts []Service
 		return nil, fmt.Errorf("webtable: snapshot catalog: %w", err)
 	}
 	// The segments decode while NewService builds the lemma index: a
-	// segment uses the catalog only to point at it.
+	// segment needs no catalog.
 	var ixs []*searchidx.Index
 	var derr error
 	decoded := make(chan struct{})
@@ -139,7 +139,7 @@ func loadSegments(rd *snapshot.Reader, lo, hi int, readOnly bool, opts []Service
 			derr = rd.Skip()
 		}
 		if derr == nil {
-			ixs, derr = rd.Segments(cat, hi-lo)
+			ixs, derr = rd.Segments(hi - lo)
 		}
 	}()
 	svc, err := NewService(cat, opts...)

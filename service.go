@@ -269,22 +269,22 @@ func tableID(t *table.Table) string {
 
 // BuildIndex annotates a corpus (unless WithoutAnnotations) and indexes
 // it for Search, replacing the service's whole live corpus with a fresh
-// one-segment store. The swap is atomic — searches in flight keep the
-// corpus view they started with — and the built index is also returned
-// for inspection. The corpus copies what it keeps: once BuildIndex
+// one-segment store, and reports the new corpus as AddTables does. The
+// swap is atomic — searches in flight keep the corpus view they started
+// with. The corpus copies what it keeps: once BuildIndex
 // returns, tables (and the annotations made for them) are the caller's
 // again, and changing them changes nothing the service answers, saves or
 // compacts. Tables must pass Validate. For incremental growth of an
 // existing corpus use AddTables, which only annotates and indexes the new
 // tables.
-func (s *Service) BuildIndex(ctx context.Context, tables []*Table, opts ...AnnotateOption) (*SearchIndex, error) {
+func (s *Service) BuildIndex(ctx context.Context, tables []*Table, opts ...AnnotateOption) (CorpusStats, error) {
 	anns, err := s.corpusAnnotations(ctx, tables, opts)
 	if err != nil {
-		return nil, err
+		return CorpusStats{}, err
 	}
 	ix, err := searchidx.BuildContext(ctx, s.cat, tables, anns)
 	if err != nil {
-		return nil, err
+		return CorpusStats{}, err
 	}
 	s.corpusMu.Lock()
 	// The generation keeps counting across full rebuilds: clients watch
@@ -303,14 +303,15 @@ func (s *Service) BuildIndex(ctx context.Context, tables []*Table, opts ...Annot
 	})
 	if err != nil {
 		s.corpusMu.Unlock()
-		return nil, err
+		return CorpusStats{}, err
 	}
 	s.store.Store(st)
+	stats := st.View().Stats()
 	s.corpusMu.Unlock()
 	if old != nil {
 		old.Close()
 	}
-	return ix, nil
+	return stats, nil
 }
 
 // CorpusStats summarizes the live corpus: live/annotated table counts,
@@ -556,7 +557,7 @@ func (s *Service) engine() (*search.Engine, error) {
 	if ve == nil || ve.view != v {
 		// Two searches racing here build the same engine twice; either
 		// may stay.
-		ve = &viewEngine{view: v, engine: search.NewEngineOver(v)}
+		ve = &viewEngine{view: v, engine: search.NewEngine(v)}
 		s.eng.Store(ve)
 	}
 	return ve.engine, nil

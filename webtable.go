@@ -149,8 +149,6 @@ var (
 
 // Search application (§5).
 type (
-	// SearchIndex indexes an (optionally annotated) corpus.
-	SearchIndex = searchidx.Index
 	// ResidentBytes is a corpus's memory by part (Service.ResidentBytes).
 	ResidentBytes = searchidx.ResidentBytes
 	// SearchQuery is the §5 select-project query form.
@@ -231,8 +229,9 @@ type (
 // half-dead).
 var DefaultCompactionPolicy = segment.DefaultCompactionPolicy
 
-// Synthetic world generation (the data substitution documented in
-// DESIGN.md §2).
+// Synthetic world generation: the stand-in for the paper's YAGO catalog
+// and web-table corpus (the README's overview; internal/worldgen's
+// package doc describes what is generated).
 type (
 	// World is a synthetic universe with true and degraded catalogs.
 	World = worldgen.World
