@@ -80,7 +80,12 @@ func searchBody(t testing.TB, w *worldgen.World, extra map[string]any) []byte {
 	if len(workload) == 0 {
 		t.Fatal("empty workload")
 	}
-	q := workload[0]
+	return queryBody(t, w, workload[0], extra)
+}
+
+// queryBody is the /v1/search body for q, with extra fields merged in.
+func queryBody(t testing.TB, w *worldgen.World, q worldgen.SearchQuery, extra map[string]any) []byte {
+	t.Helper()
 	m := map[string]any{
 		"relation": q.RelationName,
 		"t1":       w.True.TypeName(q.T1),
@@ -282,21 +287,29 @@ func TestMapErrorTable(t *testing.T) {
 }
 
 // TestCursorPagingHTTP walks the full ranking two answers at a time and
-// checks the union equals the one-shot full page, in order.
+// checks the union equals the one-shot full page, in order. The query is
+// the workload's first that ranks at least 3 answers, so paging crosses
+// at least one cursor; a corpus that ranks fewer fails the test.
 func TestCursorPagingHTTP(t *testing.T) {
 	svc, w := testService(t, 2)
 	srv := New(svc, WithLogger(quietLogger()))
 
-	rec := postJSON(t, srv.Handler(), "/v1/search", searchBody(t, w, nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("full page: %d %s", rec.Code, rec.Body.String())
-	}
 	var full SearchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &full); err != nil {
-		t.Fatal(err)
+	var q worldgen.SearchQuery
+	for _, q = range w.SearchWorkload([]string{"directed"}, 6, 7) {
+		rec := postJSON(t, srv.Handler(), "/v1/search", queryBody(t, w, q, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("full page: %d %s", rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &full); err != nil {
+			t.Fatal(err)
+		}
+		if full.Total >= 3 {
+			break
+		}
 	}
 	if full.Total < 3 {
-		t.Skipf("ranking too small to page: total=%d", full.Total)
+		t.Fatalf("ranking too small to page: no query ranks 3 answers, last total=%d", full.Total)
 	}
 
 	var paged []Answer
@@ -306,7 +319,7 @@ func TestCursorPagingHTTP(t *testing.T) {
 		if cursor != "" {
 			extra["cursor"] = cursor
 		}
-		rec := postJSON(t, srv.Handler(), "/v1/search", searchBody(t, w, extra))
+		rec := postJSON(t, srv.Handler(), "/v1/search", queryBody(t, w, q, extra))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("page %d: %d %s", pages, rec.Code, rec.Body.String())
 		}

@@ -10,9 +10,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	webtable "repro"
+	"repro/internal/snapshot"
 	"repro/internal/table"
 	"repro/internal/worldgen"
 )
@@ -314,6 +316,72 @@ func TestRemoveTablesStructuredErrors(t *testing.T) {
 	_, err = svc.AddTables(ctx, all[:1], webtable.WithMethod(webtable.MethodMajority))
 	if !errors.Is(err, webtable.ErrDuplicateTable) {
 		t.Fatalf("duplicate add err = %v, want ErrDuplicateTable", err)
+	}
+}
+
+// TestNoCorpus: before any corpus exists, and after an AddTables of no
+// tables, every call that needs a corpus is ErrNoIndex and the corpus
+// counters report none. Two BuildIndex calls make generation 2, saved
+// as one segment with ID 1, as a fresh corpus numbers it.
+func TestNoCorpus(t *testing.T) {
+	w := testWorld(t)
+	ctx := context.Background()
+	svc, err := webtable.NewService(w.Public, webtable.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	req := liveRequests(w)[0]
+	for _, state := range []string{"new", "after an empty AddTables"} {
+		if state != "new" {
+			if _, err := svc.AddTables(ctx, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		noIndex := func(call string, err error) {
+			if !errors.Is(err, webtable.ErrNoIndex) {
+				t.Errorf("%s: %s: err = %v, want ErrNoIndex", state, call, err)
+			}
+		}
+		_, err := svc.Search(ctx, req)
+		noIndex("Search", err)
+		_, err = svc.SearchBatch(ctx, []webtable.SearchRequest{req})
+		noIndex("SearchBatch", err)
+		for _, err = range svc.SearchAll(ctx, req) {
+		}
+		noIndex("SearchAll", err)
+		_, _, err = svc.SearchPartial(ctx, req, 0)
+		noIndex("SearchPartial", err)
+		_, err = svc.RemoveTables(ctx, []string{"x"})
+		noIndex("RemoveTables", err)
+		_, err = svc.Compact(ctx)
+		noIndex("Compact", err)
+		noIndex("SaveSnapshot", svc.SaveSnapshot(ctx, io.Discard))
+		if _, ok := svc.CorpusStats(); ok {
+			t.Errorf("%s: CorpusStats ok", state)
+		}
+		if _, ok := svc.ResidentBytes(); ok {
+			t.Errorf("%s: ResidentBytes ok", state)
+		}
+	}
+
+	for range 2 {
+		if _, err := svc.BuildIndex(ctx, corpusTables(w, 4), webtable.WithoutAnnotations()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var saved bytes.Buffer
+	stats, err := svc.WriteSnapshot(ctx, &saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := snapshot.NewReader(ctx, &saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if stats.Generation != 2 || rd.Generation != 2 || len(rd.Manifest) != 1 || rd.Manifest[0].ID != 1 {
+		t.Fatalf("after two rebuilds: generation %d, saved %d, manifest %+v", stats.Generation, rd.Generation, rd.Manifest)
 	}
 }
 
