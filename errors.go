@@ -17,7 +17,8 @@ var (
 	ErrNilCatalog = errors.New("webtable: nil catalog")
 	// ErrNilTable reports a nil table passed to an annotation method.
 	ErrNilTable = errors.New("webtable: nil table")
-	// ErrNoIndex reports a Search call before any BuildIndex.
+	// ErrNoIndex reports a call that needs a corpus on a service that
+	// has none yet: no BuildIndex, no AddTables of a table, no load.
 	ErrNoIndex = errors.New("webtable: no search index built")
 	// ErrUnknownMethod reports an unrecognized annotation method.
 	ErrUnknownMethod = errors.New("webtable: unknown annotation method")

@@ -345,9 +345,9 @@ func (pc *partialCollector) finish() []ClusterPartial {
 // shards must be ordered by shard index (ascending table ranges); a
 // shard with no matching evidence contributes an empty group list.
 // shardStats carries each shard's ExecStats in the same order (entries
-// may be zero-valued when a shard reported none, e.g. a WTPART v1
-// payload); the merged Result.Stats sums them and adds the fold's own
-// aggregate/select/explain time.
+// may be zero-valued when a shard reported none); the merged
+// Result.Stats sums them and adds the fold's own aggregate/select/explain
+// time.
 func MergePartials(shards [][]PartialGroup, shardStats []ExecStats, pageSize int, cursor string, explain bool) (*Result, error) {
 	if pageSize < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrInvalidPageSize, pageSize)

@@ -92,9 +92,9 @@ type Config struct {
 }
 
 // Store owns the live corpus: the current View plus the machinery that
-// mutates it. Mutations (Add, Remove, Compact) are serialized by an
-// internal lock and swap the view atomically; readers call View and
-// never block.
+// mutates it. Mutations (Add, Remove, Replace, Compact) are serialized
+// by an internal lock and swap the view atomically; readers call View
+// and never block.
 type Store struct {
 	cat    *catalog.Catalog
 	policy CompactionPolicy
@@ -251,6 +251,20 @@ func (s *Store) Remove(ids []string) (*View, error) {
 	s.view.Store(nv)
 	s.kickCompactorLocked()
 	return nv, nil
+}
+
+// Replace makes ix the whole corpus: every segment is dropped, and ix
+// becomes segment 1, as it would in a fresh store, one generation on.
+// Like every mutation it serializes with the others and with
+// compaction, and searches keep the views they started with. Returns
+// the new view.
+func (s *Store) Replace(ix *searchidx.Index) *View {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	nv := (&View{cat: s.cat, gen: s.view.Load().gen + 1}).push(&Segment{id: 1, ix: ix}).settle()
+	s.nextID = 2
+	s.view.Store(nv)
+	return nv
 }
 
 // Close stops the background compactor (if it ever started): its

@@ -76,11 +76,7 @@ func extraTables(t testing.TB, w *worldgen.World, n int) []*table.Table {
 // "directed" workload.
 func searchBody(t testing.TB, w *worldgen.World, extra map[string]any) []byte {
 	t.Helper()
-	workload := w.SearchWorkload([]string{"directed"}, 1, 7)
-	if len(workload) == 0 {
-		t.Fatal("empty workload")
-	}
-	return queryBody(t, w, workload[0], extra)
+	return queryBody(t, w, w.SearchWorkload([]string{"directed"}, 1, 7)[0], extra)
 }
 
 // queryBody is the /v1/search body for q, with extra fields merged in.

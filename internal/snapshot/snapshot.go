@@ -383,7 +383,7 @@ func (rd *Reader) open() error {
 		if version < 3 {
 			last = lastV2Reader
 		}
-		return fmt.Errorf("%w: file version %d, reader supports only %d; commit %s is the last that loads it", ErrVersion, version, Version, last)
+		return fmt.Errorf("%w: file version %d, reader supports only %d; commit %s is the last that loads it: convert with snapshot.Load there, then snapshot.Save at version %d", ErrVersion, version, Version, last, Version)
 	case version > Version:
 		return fmt.Errorf("%w: file version %d, reader supports only %d", ErrVersion, version, Version)
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	webtable "repro"
 	"repro/internal/snapshot"
@@ -281,8 +282,8 @@ func TestSearchAllPinnedAcrossMutation(t *testing.T) {
 }
 
 // TestRemoveTablesStructuredErrors: unknown IDs are a *CorpusError
-// wrapping ErrUnknownTable (not silently ignored), removal is
-// all-or-nothing, and mutation before any corpus exists is ErrNoIndex.
+// wrapping ErrUnknownTable (not silently ignored), and removal is
+// all-or-nothing. Before any corpus exists it is ErrNoIndex (TestNoCorpus).
 func TestRemoveTablesStructuredErrors(t *testing.T) {
 	w := testWorld(t)
 	all := corpusTables(w, 4)
@@ -293,9 +294,6 @@ func TestRemoveTablesStructuredErrors(t *testing.T) {
 	}
 	defer svc.Close()
 
-	if _, err := svc.RemoveTables(ctx, []string{"x"}); !errors.Is(err, webtable.ErrNoIndex) {
-		t.Fatalf("remove before corpus: %v, want ErrNoIndex", err)
-	}
 	if _, err := svc.BuildIndex(ctx, all, webtable.WithMethod(webtable.MethodMajority)); err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +317,9 @@ func TestRemoveTablesStructuredErrors(t *testing.T) {
 	}
 }
 
-// TestNoCorpus: before any corpus exists, and after an AddTables of no
-// tables, every call that needs a corpus is ErrNoIndex and the corpus
-// counters report none. Two BuildIndex calls make generation 2, saved
-// as one segment with ID 1, as a fresh corpus numbers it.
+// TestNoCorpus: on a new service, and after an AddTables of no tables,
+// every call that needs a corpus is ErrNoIndex and no counters are
+// reported. Two rebuilds make generation 2, saved as one segment, ID 1.
 func TestNoCorpus(t *testing.T) {
 	w := testWorld(t)
 	ctx := context.Background()
@@ -371,8 +368,7 @@ func TestNoCorpus(t *testing.T) {
 		}
 	}
 	var saved bytes.Buffer
-	stats, err := svc.WriteSnapshot(ctx, &saved)
-	if err != nil {
+	if err := svc.SaveSnapshot(ctx, &saved); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := snapshot.NewReader(ctx, &saved)
@@ -380,8 +376,34 @@ func TestNoCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rd.Close()
-	if stats.Generation != 2 || rd.Generation != 2 || len(rd.Manifest) != 1 || rd.Manifest[0].ID != 1 {
-		t.Fatalf("after two rebuilds: generation %d, saved %d, manifest %+v", stats.Generation, rd.Generation, rd.Manifest)
+	if rd.Generation != 2 || len(rd.Manifest) != 1 || rd.Manifest[0].ID != 1 {
+		t.Fatalf("after two rebuilds: generation %d, manifest %+v", rd.Generation, rd.Manifest)
+	}
+}
+
+// TestCloseIsFinal: a closed service compacts nothing, after a rebuild
+// too. Four adds would each kick a compactor that merges pairs; a closed
+// service keeps all five segments.
+func TestCloseIsFinal(t *testing.T) {
+	w := testWorld(t)
+	all := corpusTables(w, 8)
+	ctx := context.Background()
+	svc, err := webtable.NewService(w.Public, webtable.WithCompactionPolicy(webtable.CompactionPolicy{MergeFactor: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if _, err := svc.BuildIndex(ctx, all[:4], webtable.WithoutAnnotations()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range all[4:] {
+		if _, err := svc.AddTables(ctx, []*table.Table{tb}, webtable.WithoutAnnotations()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // ample for a running compactor's merges
+	if stats, _ := svc.CorpusStats(); stats.Segments != 5 {
+		t.Fatalf("closed service compacted: %d segments, want 5", stats.Segments)
 	}
 }
 

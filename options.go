@@ -58,8 +58,10 @@ type ServiceOption func(*serviceOptions)
 
 type serviceOptions struct {
 	workers     int
-	compaction  segment.CompactionPolicy
 	autoCompact bool
+	// policy is segment.DefaultCompactionPolicy, but under tests that
+	// need a corpus layout the default does not reach quickly.
+	policy segment.CompactionPolicy
 }
 
 // WithWorkers sets the size of the service's worker pool: the maximum
@@ -74,15 +76,6 @@ func WithWorkers(n int) ServiceOption {
 // It remains only because benchmark/ compiles against it.
 func WithSearchParallelism(int) ServiceOption {
 	return func(*serviceOptions) {}
-}
-
-// WithCompactionPolicy tunes how the live corpus merges its index
-// segments: how many adjacent similar-sized segments trigger a merge,
-// the size ratio between tiers, and the tombstone fraction that forces a
-// segment rewrite. Zero fields keep their defaults
-// (DefaultCompactionPolicy).
-func WithCompactionPolicy(p CompactionPolicy) ServiceOption {
-	return func(o *serviceOptions) { o.compaction = p }
 }
 
 // WithoutAutoCompaction disables the background compactor: segments then

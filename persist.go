@@ -38,14 +38,13 @@ func (s *Service) SaveSnapshot(ctx context.Context, w io.Writer) error {
 // generation and table counts always describe the bytes written even if
 // mutations land concurrently.
 func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, error) {
-	st := s.store.Load()
-	if st == nil {
-		return CorpusStats{}, ErrNoIndex
+	v, err := s.corpus()
+	if err != nil {
+		return CorpusStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return CorpusStats{}, err
 	}
-	v := st.View()
 	if err := snapshot.SaveView(ctx, w, v); err != nil {
 		return CorpusStats{}, err
 	}
@@ -62,8 +61,9 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 // Service.ResidentBytes). The live-corpus
 // manifest — segment identities, tombstones and generation — is restored,
 // so AddTables / RemoveTables resume where the saved service stopped; a
-// flat snapshot loads as a single segment. Service options (worker
-// count, compaction knobs, ...) apply as in NewService.
+// flat snapshot loads as a single segment, and a corpus saved at
+// generation 0 loads at generation 1. Service options (worker count,
+// auto-compaction) apply as in NewService.
 //
 // Segments decode on every processor (GOMAXPROCS), not on the worker
 // pool, while the lemma index builds beside them; the load returns with
@@ -72,7 +72,8 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 // Format failures are structured: errors.Is recognizes ErrNotSnapshot
 // (foreign file), ErrSnapshotVersion (a format version other than the
 // one this build writes; the message names the last commit that reads an
-// older file) and ErrSnapshotChecksum (truncation or corruption).
+// older file, where snapshot.Load converts it for this build's
+// snapshot.Save) and ErrSnapshotChecksum (truncation or corruption).
 func LoadService(ctx context.Context, r io.Reader, opts ...ServiceOption) (*Service, error) {
 	rd, err := snapshot.NewReader(ctx, r)
 	if err != nil {
@@ -142,7 +143,7 @@ func loadSegments(rd *snapshot.Reader, lo, hi int, readOnly bool, opts []Service
 			ixs, derr = rd.Segments(hi - lo)
 		}
 	}()
-	svc, err := NewService(cat, opts...)
+	svc, cfg, err := newService(cat, opts)
 	<-decoded
 	if err == nil {
 		err = derr
@@ -150,22 +151,15 @@ func loadSegments(rd *snapshot.Reader, lo, hi int, readOnly bool, opts []Service
 	if err != nil {
 		return nil, err
 	}
-	cfg := segment.Config{
-		Policy:      svc.compaction,
-		AutoCompact: svc.autoCompact && !readOnly,
-		Generation:  rd.Generation,
-		Seeds:       make([]segment.Seed, len(ixs)),
-	}
-	if rd.Flat && cfg.Generation == 0 {
-		cfg.Generation = 1 // a flat corpus was never mutated
-	}
+	// A loaded corpus exists, even one a flat file never mutated.
+	cfg.AutoCompact = cfg.AutoCompact && !readOnly
+	cfg.Generation = max(rd.Generation, 1)
+	cfg.Seeds = make([]segment.Seed, len(ixs))
 	for k, m := range rd.Manifest[lo:hi] {
 		cfg.Seeds[k] = segment.Seed{ID: m.ID, Index: ixs[k], Dead: m.Dead}
 	}
-	st, err := segment.New(cat, cfg)
-	if err != nil {
+	if svc.store, err = segment.New(cat, cfg); err != nil {
 		return nil, err
 	}
-	svc.store.Store(st)
 	return svc, nil
 }

@@ -97,14 +97,21 @@ func TestSnapshotRoundTripSearchIdentical(t *testing.T) {
 	}
 }
 
-func TestSaveSnapshotWithoutIndex(t *testing.T) {
+// TestLoadGenerationZero: a segmented corpus saved at generation 0 (no
+// writer here makes one) loads at generation 1, as a flat file does.
+func TestLoadGenerationZero(t *testing.T) {
 	w := testWorld(t)
-	svc, err := webtable.NewService(w.Public)
+	var saved bytes.Buffer
+	seg := snapshot.Segment{ID: 1, Tables: corpusTables(w, 4)}
+	if err := snapshot.Save(&saved, &snapshot.Snapshot{Catalog: w.Public.Snapshot(), Segments: []snapshot.Segment{seg}}); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := webtable.LoadService(context.Background(), &saved)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.SaveSnapshot(context.Background(), &bytes.Buffer{}); !errors.Is(err, webtable.ErrNoIndex) {
-		t.Fatalf("err = %v, want ErrNoIndex", err)
+	if stats, ok := svc.CorpusStats(); !ok || stats.Generation != 1 || stats.Tables != 4 {
+		t.Fatalf("loaded %+v (ok %v), want 4 tables at generation 1", stats, ok)
 	}
 }
 

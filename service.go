@@ -24,8 +24,9 @@ import (
 // how many tables are annotated simultaneously across all in-flight
 // calls. Its one annotator is built with the default weights and
 // configuration when the Service is, and never changes; a per-call
-// WithMethod only picks which of its methods runs. A Service is safe for
-// concurrent use.
+// WithMethod only picks which of its methods runs. It owns one live
+// corpus, empty until the first BuildIndex or AddTables and stopped only
+// by Close. A Service is safe for concurrent use.
 //
 //	svc, err := webtable.NewService(cat, webtable.WithWorkers(8))
 //	anns, err := svc.AnnotateCorpus(ctx, tables)
@@ -34,20 +35,15 @@ import (
 //		Query: query, Mode: webtable.SearchTypeRel, PageSize: 10,
 //	})
 type Service struct {
-	cat         *catalog.Catalog
-	workers     int
-	sem         chan struct{}
-	compaction  segment.CompactionPolicy
-	autoCompact bool
-	ann         *core.Annotator
+	cat     *catalog.Catalog
+	workers int
+	sem     chan struct{}
+	ann     *core.Annotator
 
-	// store is the live segmented corpus (nil before the first
-	// BuildIndex / AddTables). Searches load it atomically and pin the
-	// store's current immutable view; mutations are serialized by
-	// corpusMu so a store swap (BuildIndex) can never interleave with a
-	// segment mutation (AddTables / RemoveTables) on the outgoing store.
-	corpusMu sync.Mutex
-	store    atomic.Pointer[segment.Store]
+	// store is the live segmented corpus, built with the service. It
+	// serializes every mutation, BuildIndex's included; searches pin its
+	// current immutable view.
+	store *segment.Store
 	// eng is the query engine over the corpus view searches last pinned;
 	// engine() replaces it when the store has published another view.
 	eng atomic.Pointer[viewEngine]
@@ -64,31 +60,42 @@ type viewEngine struct {
 // afterwards. The lemma index is built here, once, and shared by every
 // annotation the service ever runs.
 func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
+	s, cfg, err := newService(cat, opts)
+	if err != nil {
+		return nil, err
+	}
+	if s.store, err = segment.New(cat, cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newService builds everything of a service but its store, and returns
+// the store's configuration as the options set it, with no segments.
+func newService(cat *Catalog, opts []ServiceOption) (*Service, segment.Config, error) {
 	if cat == nil {
-		return nil, ErrNilCatalog
+		return nil, segment.Config{}, ErrNilCatalog
 	}
 	so := serviceOptions{
 		workers:     runtime.GOMAXPROCS(0),
-		compaction:  segment.DefaultCompactionPolicy(),
 		autoCompact: true,
+		policy:      segment.DefaultCompactionPolicy(),
 	}
 	for _, opt := range opts {
 		opt(&so)
 	}
 	if so.workers < 1 {
-		return nil, fmt.Errorf("%w: workers must be >= 1, got %d", ErrInvalidOption, so.workers)
+		return nil, segment.Config{}, fmt.Errorf("%w: workers must be >= 1, got %d", ErrInvalidOption, so.workers)
 	}
 	if err := cat.Freeze(); err != nil {
-		return nil, fmt.Errorf("webtable: freeze catalog: %w", err)
+		return nil, segment.Config{}, fmt.Errorf("webtable: freeze catalog: %w", err)
 	}
 	return &Service{
-		cat:         cat,
-		workers:     so.workers,
-		sem:         make(chan struct{}, so.workers),
-		compaction:  so.compaction,
-		autoCompact: so.autoCompact,
-		ann:         core.New(cat, DefaultWeights(), core.DefaultConfig()),
-	}, nil
+		cat:     cat,
+		workers: so.workers,
+		sem:     make(chan struct{}, so.workers),
+		ann:     core.New(cat, DefaultWeights(), core.DefaultConfig()),
+	}, segment.Config{Policy: so.policy, AutoCompact: so.autoCompact}, nil
 }
 
 // Catalog returns the service's frozen catalog.
@@ -268,15 +275,15 @@ func tableID(t *table.Table) string {
 }
 
 // BuildIndex annotates a corpus (unless WithoutAnnotations) and indexes
-// it for Search, replacing the service's whole live corpus with a fresh
-// one-segment store, and reports the new corpus as AddTables does. The
-// swap is atomic — searches in flight keep the corpus view they started
-// with. The corpus copies what it keeps: once BuildIndex
-// returns, tables (and the annotations made for them) are the caller's
-// again, and changing them changes nothing the service answers, saves or
-// compacts. Tables must pass Validate. For incremental growth of an
-// existing corpus use AddTables, which only annotates and indexes the new
-// tables.
+// it for Search as one segment that replaces every segment of the live
+// corpus, and reports the new corpus as AddTables does. The replacement
+// is one more mutation: the generation counts on, and searches in
+// flight keep the corpus view they started with. The corpus copies what
+// it keeps: once BuildIndex returns, tables (and the annotations made
+// for them) are the caller's again, and changing them changes nothing
+// the service answers, saves or compacts. Tables must pass Validate.
+// For incremental growth of an existing corpus use AddTables, which only
+// annotates and indexes the new tables.
 func (s *Service) BuildIndex(ctx context.Context, tables []*Table, opts ...AnnotateOption) (CorpusStats, error) {
 	anns, err := s.corpusAnnotations(ctx, tables, opts)
 	if err != nil {
@@ -286,32 +293,7 @@ func (s *Service) BuildIndex(ctx context.Context, tables []*Table, opts ...Annot
 	if err != nil {
 		return CorpusStats{}, err
 	}
-	s.corpusMu.Lock()
-	// The generation keeps counting across full rebuilds: clients watch
-	// it to detect corpus changes, so replacing the store must look like
-	// one more mutation, never a reset.
-	gen := uint64(1)
-	old := s.store.Load()
-	if old != nil {
-		gen = old.View().Generation() + 1
-	}
-	st, err := segment.New(s.cat, segment.Config{
-		Policy:      s.compaction,
-		AutoCompact: s.autoCompact,
-		Generation:  gen,
-		Seeds:       []segment.Seed{{Index: ix}},
-	})
-	if err != nil {
-		s.corpusMu.Unlock()
-		return CorpusStats{}, err
-	}
-	s.store.Store(st)
-	stats := st.View().Stats()
-	s.corpusMu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-	return stats, nil
+	return s.store.Replace(ix).Stats(), nil
 }
 
 // CorpusStats summarizes the live corpus: live/annotated table counts,
@@ -322,11 +304,22 @@ type CorpusStats = segment.Stats
 // CorpusStats reports the live corpus counters; ok is false before the
 // corpus exists (no BuildIndex or AddTables yet).
 func (s *Service) CorpusStats() (stats CorpusStats, ok bool) {
-	st := s.store.Load()
-	if st == nil {
+	v, err := s.corpus()
+	if err != nil {
 		return CorpusStats{}, false
 	}
-	return st.View().Stats(), true
+	return v.Stats(), true
+}
+
+// corpus returns the live corpus's current view, or ErrNoIndex while
+// there is none: a view at generation 0 was never built, grown or
+// loaded.
+func (s *Service) corpus() (*segment.View, error) {
+	v := s.store.View()
+	if v.Generation() == 0 {
+		return nil, ErrNoIndex
+	}
+	return v, nil
 }
 
 // ResidentBytes reports what the live corpus keeps in memory, by part
@@ -334,11 +327,11 @@ func (s *Service) CorpusStats() (stats CorpusStats, ok bool) {
 // lengths when the current view was built; ok is false before the corpus
 // exists.
 func (s *Service) ResidentBytes() (resident ResidentBytes, ok bool) {
-	st := s.store.Load()
-	if st == nil {
+	v, err := s.corpus()
+	if err != nil {
 		return ResidentBytes{}, false
 	}
-	return st.View().ResidentBytes(), true
+	return v.ResidentBytes(), true
 }
 
 // AddTables annotates a batch of new tables (unless WithoutAnnotations;
@@ -360,44 +353,21 @@ func (s *Service) AddTables(ctx context.Context, tables []*Table, opts ...Annota
 	// Fail fast on ID discipline before the expensive annotation pass: a
 	// rejected batch should cost validation, not a full corpus annotate.
 	// Store.Add revalidates authoritatively under its mutation lock.
-	var cur *segment.View
-	if st := s.store.Load(); st != nil {
-		cur = st.View()
-	}
-	if len(tables) > 0 {
-		if err := segment.ValidateBatch(cur, tables); err != nil {
-			return CorpusStats{}, corpusMutationError(err)
-		}
-	}
 	var anns []*Annotation
 	if len(tables) > 0 {
+		if err := segment.ValidateBatch(s.store.View(), tables); err != nil {
+			return CorpusStats{}, corpusMutationError(err)
+		}
 		var err error
 		if anns, err = s.corpusAnnotations(ctx, tables, opts); err != nil {
 			return CorpusStats{}, err
 		}
 	}
-	s.corpusMu.Lock()
-	defer s.corpusMu.Unlock()
-	st := s.store.Load()
-	fresh := st == nil
-	if fresh {
-		var err error
-		st, err = segment.New(s.cat, segment.Config{Policy: s.compaction, AutoCompact: s.autoCompact})
-		if err != nil {
-			return CorpusStats{}, err
-		}
-	}
 	sp := obs.Begin(ctx, "segment.add")
-	v, err := st.Add(ctx, tables, anns)
+	v, err := s.store.Add(ctx, tables, anns)
 	sp.End()
 	if err != nil {
-		if fresh {
-			st.Close()
-		}
 		return CorpusStats{}, corpusMutationError(err)
-	}
-	if fresh && v.Segments() > 0 {
-		s.store.Store(st)
 	}
 	return v.Stats(), nil
 }
@@ -421,13 +391,10 @@ func (s *Service) RemoveTables(ctx context.Context, ids []string) (CorpusStats, 
 	if err := ctx.Err(); err != nil {
 		return CorpusStats{}, err
 	}
-	s.corpusMu.Lock()
-	defer s.corpusMu.Unlock()
-	st := s.store.Load()
-	if st == nil {
-		return CorpusStats{}, ErrNoIndex
+	if _, err := s.corpus(); err != nil {
+		return CorpusStats{}, err
 	}
-	v, err := st.Remove(ids)
+	v, err := s.store.Remove(ids)
 	if err != nil {
 		return CorpusStats{}, corpusMutationError(err)
 	}
@@ -441,26 +408,22 @@ func (s *Service) RemoveTables(ctx context.Context, ids []string) (CorpusStats, 
 // after every mutation; Compact is for deterministic tests, admin
 // endpoints, and services built WithoutAutoCompaction.
 func (s *Service) Compact(ctx context.Context) (CorpusStats, error) {
-	st := s.store.Load()
-	if st == nil {
-		return CorpusStats{}, ErrNoIndex
+	if _, err := s.corpus(); err != nil {
+		return CorpusStats{}, err
 	}
-	v, err := st.Compact(ctx)
+	v, err := s.store.Compact(ctx)
 	if err != nil {
 		return CorpusStats{}, err
 	}
 	return v.Stats(), nil
 }
 
-// Close stops the corpus's background compactor, waiting for any pass in
-// flight. Idempotent; the service remains searchable afterwards, minus
-// auto-compaction. Services that never mutate their corpus never start
-// the compactor, so Close is optional for them.
-func (s *Service) Close() {
-	if st := s.store.Load(); st != nil {
-		st.Close()
-	}
-}
+// Close stops the corpus's background compactor for good, waiting for
+// any pass in flight. Idempotent; the service remains searchable and
+// mutable afterwards, BuildIndex included, minus auto-compaction.
+// Services that never mutate their corpus never start the compactor, so
+// Close is optional for them.
+func (s *Service) Close() { s.store.Close() }
 
 // corpusMutationError converts the segment layer's batch rejection into
 // the public *CorpusError shape.
@@ -548,11 +511,10 @@ func (s *Service) SearchPartial(ctx context.Context, req SearchRequest, tableOff
 // returned engine is consistent regardless of concurrent mutations or
 // compaction.
 func (s *Service) engine() (*search.Engine, error) {
-	st := s.store.Load()
-	if st == nil {
-		return nil, ErrNoIndex
+	v, err := s.corpus()
+	if err != nil {
+		return nil, err
 	}
-	v := st.View()
 	ve := s.eng.Load()
 	if ve == nil || ve.view != v {
 		// Two searches racing here build the same engine twice; either

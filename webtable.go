@@ -52,7 +52,6 @@ import (
 	"repro/internal/learn"
 	"repro/internal/search"
 	"repro/internal/searchidx"
-	"repro/internal/segment"
 	"repro/internal/snapshot"
 	"repro/internal/table"
 	"repro/internal/worldgen"
@@ -215,19 +214,6 @@ const (
 	SearchType     = search.Type
 	SearchTypeRel  = search.TypeRel
 )
-
-// Live corpus (the segmented incremental index behind AddTables /
-// RemoveTables).
-type (
-	// CompactionPolicy tunes the live corpus's size-tiered segment
-	// compactor; see WithCompactionPolicy.
-	CompactionPolicy = segment.CompactionPolicy
-)
-
-// DefaultCompactionPolicy is the standard segment-compaction operating
-// point (merge 4 adjacent same-tier segments, tier base 8, rewrite at
-// half-dead).
-var DefaultCompactionPolicy = segment.DefaultCompactionPolicy
 
 // Synthetic world generation: the stand-in for the paper's YAGO catalog
 // and web-table corpus (the README's overview; internal/worldgen's
