@@ -401,7 +401,7 @@ func TestCloseIsFinal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(100 * time.Millisecond) // ample for a running compactor's merges
+	time.Sleep(100 * time.Millisecond) // no event to wait on; a running compactor merges well within this
 	if stats, _ := svc.CorpusStats(); stats.Segments != 5 {
 		t.Fatalf("closed service compacted: %d segments, want 5", stats.Segments)
 	}
