@@ -159,8 +159,8 @@ func (s *Store) View() *View { return s.view.Load() }
 
 // ValidateBatch checks an Add batch against a view without mutating
 // anything: every table needs a non-empty ID, unique within the batch
-// and (when v is non-nil) not already live, and must pass structural
-// validation. Returns nil or a *BatchError listing every rejection.
+// and not already live in v, and must pass structural validation.
+// Returns nil or a *BatchError listing every rejection.
 // Callers that annotate before adding use it with the current view to
 // fail fast before the expensive annotation pass; Store.Add revalidates
 // authoritatively under its mutation lock.
@@ -171,7 +171,7 @@ func ValidateBatch(v *View, tables []*table.Table) error {
 		switch {
 		case t == nil || t.ID == "":
 			rejected = append(rejected, &TableError{Index: i, Err: ErrMissingTableID})
-		case v != nil && v.Has(t.ID):
+		case v.Has(t.ID):
 			rejected = append(rejected, &TableError{Index: i, ID: t.ID, Err: ErrDuplicateTable})
 		default:
 			if _, dup := seen[t.ID]; dup {
