@@ -25,8 +25,9 @@ import (
 // calls. Its one annotator is built with the default weights and
 // configuration when the Service is, and never changes; a per-call
 // WithMethod only picks which of its methods runs. It owns one live
-// corpus, empty until the first BuildIndex or AddTables and stopped only
-// by Close. A Service is safe for concurrent use.
+// corpus for its whole life: empty until the first BuildIndex or
+// AddTables, and compacted in the background until Close. A Service is
+// safe for concurrent use.
 //
 //	svc, err := webtable.NewService(cat, webtable.WithWorkers(8))
 //	anns, err := svc.AnnotateCorpus(ctx, tables)
