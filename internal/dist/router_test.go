@@ -337,6 +337,18 @@ func TestRouterHealthz(t *testing.T) {
 	if eb := routerErr(t, rec); eb.Code != "shard_unavailable" || !strings.Contains(eb.Message, "shard 1") {
 		t.Fatalf("error = %+v", eb)
 	}
+	// A shard that answers its health check with a 4xx is just as
+	// unavailable: the router does not pass the shard's status on.
+	c.swaps[1].Set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+	}))
+	rec = get(t, c.router.Handler(), "/v1/healthz")
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("shard healthz 404: router %d, want 502", rec.Code)
+	}
+	if eb := routerErr(t, rec); eb.Code != "shard_unavailable" || !strings.Contains(eb.Message, "shard 1") {
+		t.Fatalf("error = %+v", eb)
+	}
 }
 
 // TestClientNoRetryOn4xx: client errors are deterministic; retrying
