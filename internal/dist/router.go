@@ -159,17 +159,14 @@ func NewRouter(client *Client, opts ...Option) *Router {
 }
 
 // routerMapError extends the standard error table with the router's
-// shard-failure domain.
+// shard-failure domain. Every shard error that reaches it is a failed
+// shard: handleSearch relays a shard's rejection of the request itself
+// before it gets here, and a health check has no request to reject.
 func routerMapError(err error) (int, string, string) {
 	if errors.Is(err, errShardInconsistent) {
 		return http.StatusBadGateway, "shard_inconsistent", ""
 	}
-	if se, ok := asShardError(err); ok {
-		if se.rejected() {
-			// A shard rejected the request itself; keep its status and code
-			// so clients can't tell a router from a single node.
-			return se.Status, se.Code, se.Field
-		}
+	if _, ok := asShardError(err); ok {
 		return http.StatusBadGateway, "shard_unavailable", ""
 	}
 	return server.MapError(err)
