@@ -115,7 +115,7 @@ func TestRunSaveSnapshot(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	svc, err := cmdio.LoadSnapshotService(ctx, snap, 2)
+	svc, _, err := cmdio.LoadSnapshotService(ctx, snap, 0, 1, 2)
 	if err != nil {
 		t.Fatalf("load snapshot: %v", err)
 	}

@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var svc *webtable.Service
 	if *load != "" {
 		var err error
-		svc, err = cmdio.LoadSnapshotService(ctx, *load, *workers)
+		svc, _, err = cmdio.LoadSnapshotService(ctx, *load, 0, 1, *workers)
 		if err != nil {
 			return err
 		}

@@ -20,19 +20,31 @@
 // exposition), GET /v1/traces (recent per-stage span trees).
 // SIGINT/SIGTERM shut down gracefully, draining in-flight requests.
 //
-// With -shards, tabserved instead runs as the stateless scatter-gather
-// router of a shard cluster (see cmd/tabshard): it loads no corpus,
-// fans POST /v1/search out to every shard, and merges the partial
-// evidence into pages byte-identical to a single node serving the whole
-// snapshot. Router endpoints: POST /v1/search, GET /v1/healthz (green
-// only when every shard is), GET /v1/stats (per-shard request/retry
-// counters and fan-out latency percentiles), GET /metrics and
+// With -shard i/n, tabserved serves slice i of n of a -load snapshot
+// to a router instead: the slice is a deterministic, live-table-balanced
+// partition of the segment manifest that every process derives
+// identically from the same file, so an n-shard cluster pays roughly 1/n
+// of a full load's index memory per process. A shard never mutates its
+// corpus. Its endpoints: GET /v1/stream (Upgrade: wtpart-stream/1, the
+// router's persistent framed stream), POST /v1/partial (the same binary
+// partial evidence over plain HTTP), GET /v1/healthz, GET /v1/stats
+// (which segments and tables the shard owns), GET /metrics and
 // GET /v1/traces.
+//
+// With -shards, tabserved runs as the stateless scatter-gather router of
+// such a cluster: it loads no corpus, fans POST /v1/search out to every
+// shard, and merges the partial evidence into pages byte-identical to a
+// single node serving the whole snapshot. Router endpoints: POST
+// /v1/search, GET /v1/healthz (green only when every shard is), GET
+// /v1/stats (per-shard request/retry counters and fan-out latency
+// percentiles), GET /metrics and GET /v1/traces.
 //
 // Usage:
 //
 //	tabserved -load corpus.snap -addr :8080
 //	tabserved -catalog data/catalog.json -corpus data/corpus.json -snapshot corpus.snap
+//	tabserved -load corpus.snap -shard 0/2 -addr :9101
+//	tabserved -load corpus.snap -shard 1/2 -addr :9102
 //	tabserved -shards localhost:9101,localhost:9102 -addr :8080
 package main
 
@@ -42,10 +54,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -66,7 +78,8 @@ func main() {
 	}
 }
 
-var errUsage = errors.New("need exactly one corpus source: -load, -catalog with -corpus, or -shards")
+var errUsage = errors.New("need exactly one corpus source: -load, -catalog with -corpus, or -shards; " +
+	"-shard i/n (0 <= i < n) only with -load; -snapshot not with -shard or -shards")
 
 // listenHook, when non-nil, receives the bound listener address before
 // serving starts. It is a test seam: -addr :0 picks a free port and the
@@ -86,6 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		timeout = fs.Duration("timeout", 30*time.Second, "per-request handling deadline")
 		drain   = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 		snap    = fs.String("snapshot", "", "path POST /v1/snapshot persists the live corpus to, in the current WTSNAP format version (default: the -load path)")
+		shard   = fs.String("shard", "", "i/n: serve slice i of n of the -load snapshot as shard i of an n-shard cluster, for a -shards router; only the manifest and this slice's segment sections are read")
 		shards  = fs.String("shards", "", "comma-separated shard addresses; run as the cluster's scatter-gather router instead of serving a corpus")
 		slowLog = fs.Duration("slow-query-log", 0, "log the full span tree of any request at least this slow (0 = disabled)")
 		pprofAt = fs.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty = disabled)")
@@ -108,7 +122,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *shards != "" {
 		sources++
 	}
-	if sources != 1 {
+	slot, count, slotOK := 0, 1, true
+	if *shard != "" {
+		slot, count, slotOK = parseShard(*shard)
+		slotOK = slotOK && *load != ""
+	}
+	if sources != 1 || !slotOK || (*snap != "" && (*shard != "" || *shards != "")) {
 		fs.Usage()
 		return errUsage
 	}
@@ -124,26 +143,56 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		defer closePprof()
 	}
 
-	if *shards != "" {
-		return runRouter(ctx, *shards, *addr, *timeout, *drain, *slowLog, logger, stdout)
+	if *snap == "" {
+		*snap = *load
 	}
-
-	var svc *webtable.Service
-	if *load != "" {
-		start := time.Now()
-		var err error
-		svc, err = cmdio.LoadSnapshotService(ctx, *load, *workers)
+	srvOpts := []server.Option{
+		server.WithLogger(logger),
+		server.WithTimeout(*timeout),
+		server.WithDrainTimeout(*drain),
+	}
+	if *snap != "" {
+		srvOpts = append(srvOpts, server.WithSnapshotPath(*snap))
+	}
+	if *slowLog > 0 {
+		srvOpts = append(srvOpts, server.WithSlowQueryLog(*slowLog))
+	}
+	distOpts := []dist.Option{
+		dist.WithLogger(logger),
+		dist.WithTimeout(*timeout),
+		dist.WithDrainTimeout(*drain),
+	}
+	if *slowLog > 0 {
+		distOpts = append(distOpts, dist.WithSlowQueryLog(*slowLog))
+	}
+	var srv interface {
+		Serve(context.Context, net.Listener) error
+	}
+	switch {
+	case *shards != "":
+		urls, err := shardURLs(*shards)
 		if err != nil {
 			return err
 		}
-		stats, _ := svc.CorpusStats()
-		logger.Info("snapshot loaded", "path", *load, "tables", stats.Tables,
-			"segments", stats.Segments, "generation", stats.Generation,
-			"took", time.Since(start).Round(time.Millisecond))
-		if *snap == "" {
-			*snap = *load
+		logger.Info("router mode", "shards", len(urls), "shard_list", strings.Join(urls, ","))
+		srv = dist.NewRouter(&dist.Client{URLs: urls}, distOpts...)
+	case *load != "":
+		start := time.Now()
+		svc, asn, err := cmdio.LoadSnapshotService(ctx, *load, slot, count, *workers)
+		if err != nil {
+			return err
 		}
-	} else {
+		defer svc.Close()
+		stats, _ := svc.CorpusStats()
+		logger.Info("snapshot loaded", "path", *load, "shard", slot, "shards", count,
+			"tables", stats.Tables, "segments", stats.Segments, "table_offset", asn.TableOffset,
+			"generation", stats.Generation, "took", time.Since(start).Round(time.Millisecond))
+		if *shard != "" {
+			srv = dist.NewShardServer(svc, asn, slot, count, distOpts...)
+		} else {
+			srv = server.New(svc, srvOpts...)
+		}
+	default:
 		m, err := webtable.ParseMethod(*method)
 		if err != nil {
 			return err
@@ -156,18 +205,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		svc, err = cmdio.NewService(cat, *workers)
+		svc, err := cmdio.NewService(cat, *workers)
 		if err != nil {
 			return err
 		}
+		defer svc.Close() // stop the background segment compactor
 		start := time.Now()
 		logger.Info("annotating corpus at startup", "tables", len(tables), "workers", svc.Workers(), "method", m.String())
 		if _, err := svc.BuildIndex(ctx, tables, webtable.WithMethod(m)); err != nil {
 			return fmt.Errorf("build index: %w", err)
 		}
 		logger.Info("corpus indexed", "tables", len(tables), "took", time.Since(start).Round(time.Millisecond))
+		srv = server.New(svc, srvOpts...)
 	}
-	defer svc.Close() // stop the background segment compactor
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -176,22 +226,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if listenHook != nil {
 		listenHook(ln.Addr())
 	}
-	logger.Info("tabserved listening", "addr", ln.Addr().String(),
-		"workers", svc.Workers(), "timeout", *timeout)
+	logger.Info("tabserved listening", "addr", ln.Addr().String(), "timeout", *timeout)
 	fmt.Fprintf(stdout, "tabserved: listening on %s\n", ln.Addr().String())
-
-	opts := []server.Option{
-		server.WithLogger(logger),
-		server.WithTimeout(*timeout),
-		server.WithDrainTimeout(*drain),
-	}
-	if *snap != "" {
-		opts = append(opts, server.WithSnapshotPath(*snap))
-	}
-	if *slowLog > 0 {
-		opts = append(opts, server.WithSlowQueryLog(*slowLog))
-	}
-	srv := server.New(svc, opts...)
 	if err := srv.Serve(ctx, ln); err != nil {
 		return err
 	}
@@ -199,11 +235,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runRouter is the -shards mode: a stateless scatter-gather router over
-// a tabshard cluster.
-func runRouter(ctx context.Context, shardList, addr string, timeout, drain, slowLog time.Duration, logger *slog.Logger, stdout io.Writer) error {
+// parseShard parses -shard's "i/n", the whole value: slot i of an
+// n-shard cluster, with 0 <= i < n.
+func parseShard(v string) (slot, count int, ok bool) {
+	is, ns, found := strings.Cut(v, "/")
+	slot, errSlot := strconv.Atoi(is)
+	count, errCount := strconv.Atoi(ns)
+	return slot, count, found && errSlot == nil && errCount == nil && 0 <= slot && slot < count
+}
+
+// shardURLs turns -shards' comma-separated addresses into base URLs.
+func shardURLs(list string) ([]string, error) {
 	var urls []string
-	for _, s := range strings.Split(shardList, ",") {
+	for _, s := range strings.Split(list, ",") {
 		s = strings.TrimSpace(s)
 		if s == "" {
 			continue
@@ -214,33 +258,7 @@ func runRouter(ctx context.Context, shardList, addr string, timeout, drain, slow
 		urls = append(urls, strings.TrimRight(s, "/"))
 	}
 	if len(urls) == 0 {
-		return fmt.Errorf("-shards lists no addresses")
+		return nil, fmt.Errorf("-shards lists no addresses")
 	}
-	logger.Info("router mode", "shards", len(urls), "shard_list", strings.Join(urls, ","))
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if listenHook != nil {
-		listenHook(ln.Addr())
-	}
-	logger.Info("tabserved listening", "addr", ln.Addr().String(), "mode", "router",
-		"shards", len(urls), "timeout", timeout)
-	fmt.Fprintf(stdout, "tabserved: listening on %s\n", ln.Addr().String())
-
-	ropts := []dist.Option{
-		dist.WithLogger(logger),
-		dist.WithTimeout(timeout),
-		dist.WithDrainTimeout(drain),
-	}
-	if slowLog > 0 {
-		ropts = append(ropts, dist.WithSlowQueryLog(slowLog))
-	}
-	rt := dist.NewRouter(&dist.Client{URLs: urls}, ropts...)
-	if err := rt.Serve(ctx, ln); err != nil {
-		return err
-	}
-	logger.Info("tabserved stopped")
-	return nil
+	return urls, nil
 }

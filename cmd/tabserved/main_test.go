@@ -7,10 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,10 +21,6 @@ import (
 	"repro/internal/table"
 	"repro/internal/worldgen"
 )
-
-func quietTestLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
 
 func testWorld(t *testing.T) *worldgen.World {
 	t.Helper()
@@ -306,23 +300,22 @@ func TestServeFromCatalogCorpus(t *testing.T) {
 
 func TestRunFlagValidation(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	// No source at all.
-	if err := run(context.Background(), nil, &out, &errBuf); !errors.Is(err, errUsage) {
-		t.Fatalf("err = %v, want usage error", err)
-	}
-	// Both corpus sources.
-	err := run(context.Background(), []string{
-		"-load", "x.snap", "-catalog", "c.json", "-corpus", "t.json",
-	}, &out, &errBuf)
-	if !errors.Is(err, errUsage) {
-		t.Fatalf("err = %v, want usage error", err)
-	}
-	// A corpus source AND router mode.
-	err = run(context.Background(), []string{
-		"-load", "x.snap", "-shards", "localhost:9101",
-	}, &out, &errBuf)
-	if !errors.Is(err, errUsage) {
-		t.Fatalf("err = %v, want usage error", err)
+	for _, args := range [][]string{
+		nil, // no source at all
+		{"-load", "x.snap", "-catalog", "c.json", "-corpus", "t.json"},
+		{"-load", "x.snap", "-shards", "localhost:9101"},
+		{"-catalog", "c.json", "-corpus", "t.json", "-shard", "0/2"}, // -shard needs -load
+		{"-load", "x.snap", "-shard", "2/2"},
+		{"-load", "x.snap", "-shard", "-1/2"},
+		{"-load", "x.snap", "-shard", "1"},
+		{"-load", "x.snap", "-shard", "1/2x"},
+		// A shard and a router persist nothing: -snapshot would be lost.
+		{"-load", "x.snap", "-shard", "0/2", "-snapshot", "y.snap"},
+		{"-shards", "localhost:9101", "-snapshot", "y.snap"},
+	} {
+		if err := run(context.Background(), args, &out, &errBuf); !errors.Is(err, errUsage) {
+			t.Errorf("args %q: err = %v, want usage error", args, err)
+		}
 	}
 }
 
@@ -336,32 +329,53 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
-// TestRouterMode boots the -shards router in front of two in-process
-// shard servers and checks the router's page is byte-identical to a
-// single-node tabserved over the same snapshot.
+// TestRouterMode boots two `-shard i/2` shards, a single node and the
+// -shards router over one snapshot, checks each shard's identity and
+// partial envelope, and checks the router's page is byte-identical to
+// the single node's.
 func TestRouterMode(t *testing.T) {
 	w := testWorld(t)
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "corpus.snap")
 	writeSnapshot(t, w, snap)
+	payload := searchPayload(t, w, 5)
 
-	// Two shard servers over the snapshot's halves.
 	var shardURLs []string
 	for i := 0; i < 2; i++ {
-		f, err := os.Open(snap)
+		base, cancel, _ := startServed(t, []string{
+			"-load", snap, "-shard", fmt.Sprintf("%d/2", i), "-addr", "127.0.0.1:0", "-workers", "2",
+		})
+		defer cancel()
+		shardURLs = append(shardURLs, base)
+
+		resp, err := http.Get(base + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc, asn, err := webtable.LoadServiceShard(context.Background(), f, i, 2)
-		f.Close()
-		if err != nil {
-			t.Fatalf("load shard %d: %v", i, err)
+		var st dist.ShardStatsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
 		}
-		t.Cleanup(svc.Close)
-		sh := dist.NewShardServer(svc, asn, i, 2, dist.WithLogger(quietTestLogger()))
-		ts := httptest.NewServer(sh.Handler())
-		t.Cleanup(ts.Close)
-		shardURLs = append(shardURLs, ts.URL)
+		resp.Body.Close()
+		if st.Shard != i || st.Shards != 2 || st.Generation == 0 {
+			t.Fatalf("shard %d stats = %+v", i, st)
+		}
+		resp, err = http.Post(base+"/v1/partial", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard %d partial status = %d: %s", i, resp.StatusCode, raw)
+		}
+		p, err := dist.DecodePartial(raw)
+		if err != nil {
+			t.Fatalf("shard %d: decode partial: %v", i, err)
+		}
+		if p.Shard != i || p.Shards != 2 || p.Generation != st.Generation {
+			t.Fatalf("shard %d partial envelope = %+v, stats = %+v", i, p, st)
+		}
 	}
 
 	// Single-node reference.
@@ -376,7 +390,6 @@ func TestRouterMode(t *testing.T) {
 	})
 	defer cancelRouter()
 
-	payload := searchPayload(t, w, 5)
 	fetch := func(base string) []byte {
 		resp, err := http.Post(base+"/v1/search", "application/json", bytes.NewReader(payload))
 		if err != nil {

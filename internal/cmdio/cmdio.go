@@ -53,30 +53,11 @@ func NewService(cat *webtable.Catalog, workers int) (*webtable.Service, error) {
 	return webtable.NewService(cat, opts...)
 }
 
-// LoadSnapshotService reconstructs a search-ready Service from a
-// snapshot file written by a -save flag (or Service.SaveSnapshot),
-// honoring the shared -workers flag convention.
-func LoadSnapshotService(ctx context.Context, path string, workers int) (*webtable.Service, error) {
-	opts, err := serviceOptions(workers)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	svc, err := webtable.LoadService(ctx, f, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("load snapshot %s: %w", path, err)
-	}
-	return svc, nil
-}
-
-// LoadSnapshotShardService reconstructs the shard-th of shards read
-// replicas from a snapshot file (see webtable.LoadServiceShard),
-// honoring the shared -workers flag convention.
-func LoadSnapshotShardService(ctx context.Context, path string, shard, shards, workers int) (*webtable.Service, webtable.ShardAssignment, error) {
+// LoadSnapshotService reconstructs the shard-th of shards services from
+// a snapshot file written by a -save flag (or Service.SaveSnapshot),
+// honoring the shared -workers flag convention. Shard 0 of 1 is the
+// whole corpus (see webtable.LoadServiceShard).
+func LoadSnapshotService(ctx context.Context, path string, shard, shards, workers int) (*webtable.Service, webtable.ShardAssignment, error) {
 	opts, err := serviceOptions(workers)
 	if err != nil {
 		return nil, webtable.ShardAssignment{}, err

@@ -6,12 +6,12 @@
 //
 // Topology:
 //
-//	                       one stream per    ┌────────────┐   snapshot segments [0,k)
-//	client ──HTTP──► router ═in-flight leg═► │ tabshard 0 │   (tables 0..t₀)
-//	              (tabserved  ║              └────────────┘
-//	               -shards)   ║              ┌────────────┐   snapshot segments [k,n)
-//	                          ╚════════════► │ tabshard 1 │   (tables t₀..t)
-//	                                         └────────────┘
+//	                       one stream per    ┌──────────────────────┐   snapshot segments [0,k)
+//	client ──HTTP──► router ═in-flight leg═► │ tabserved -shard 0/2 │   (tables 0..t₀)
+//	              (tabserved  ║              └──────────────────────┘
+//	               -shards)   ║              ┌──────────────────────┐   snapshot segments [k,n)
+//	                          ╚════════════► │ tabserved -shard 1/2 │   (tables t₀..t)
+//	                                         └──────────────────────┘
 //
 // Every process loads the same snapshot file; the shard placement is a
 // deterministic function of the manifest (snapshot.AssignShards), so

@@ -75,12 +75,8 @@ func (s *Service) WriteSnapshot(ctx context.Context, w io.Writer) (CorpusStats, 
 // older file, where snapshot.Load converts it for this build's
 // snapshot.Save) and ErrSnapshotChecksum (truncation or corruption).
 func LoadService(ctx context.Context, r io.Reader, opts ...ServiceOption) (*Service, error) {
-	rd, err := snapshot.NewReader(ctx, r)
-	if err != nil {
-		return nil, err
-	}
-	defer rd.Close()
-	return loadSegments(rd, 0, len(rd.Manifest), false, opts)
+	svc, _, err := LoadServiceShard(ctx, r, 0, 1, opts...)
+	return svc, err
 }
 
 // LoadServiceShard reconstructs the shard-th of count shard services
@@ -94,11 +90,12 @@ func LoadService(ctx context.Context, r io.Reader, opts ...ServiceOption) (*Serv
 // carries the shard's global table offset, which SearchPartial needs to
 // number hits corpus-globally. Its segments decode as LoadService's do.
 //
-// A shard service is a read replica of its slice: auto-compaction is
-// disabled regardless of options (compaction would bump the generation
-// and desynchronize the cluster's consistency check), and callers must
-// not mutate the corpus (AddTables / RemoveTables would change the
+// A shard service of count > 1 is a read replica of its slice: callers
+// must not mutate the corpus (AddTables / RemoveTables would change the
 // global numbering every other shard derives from the shared snapshot).
+// Nothing compacts it either: the background compactor starts only on a
+// mutation, so an unmutated shard keeps its generation and the cluster's
+// consistency check holds. LoadService is shard 0 of 1, the whole corpus.
 func LoadServiceShard(ctx context.Context, r io.Reader, shard, count int, opts ...ServiceOption) (*Service, ShardAssignment, error) {
 	rd, err := snapshot.NewReader(ctx, r)
 	if err != nil {
@@ -113,7 +110,7 @@ func LoadServiceShard(ctx context.Context, r io.Reader, shard, count int, opts .
 		return nil, ShardAssignment{}, fmt.Errorf("webtable: shard %d out of range [0, %d)", shard, count)
 	}
 	a := asn[shard]
-	svc, err := loadSegments(rd, a.Lo, a.Hi, true, opts)
+	svc, err := loadSegments(rd, a.Lo, a.Hi, opts)
 	if err != nil {
 		return nil, ShardAssignment{}, err
 	}
@@ -124,7 +121,7 @@ func LoadServiceShard(ctx context.Context, r io.Reader, shard, count int, opts .
 // manifest. An empty run still yields a searchable service with an
 // empty corpus — a shard owning no segments answers partial queries
 // with no evidence rather than erroring.
-func loadSegments(rd *snapshot.Reader, lo, hi int, readOnly bool, opts []ServiceOption) (*Service, error) {
+func loadSegments(rd *snapshot.Reader, lo, hi int, opts []ServiceOption) (*Service, error) {
 	cat, err := catalog.FromSnapshot(rd.Catalog)
 	if err != nil {
 		return nil, fmt.Errorf("webtable: snapshot catalog: %w", err)
@@ -152,7 +149,6 @@ func loadSegments(rd *snapshot.Reader, lo, hi int, readOnly bool, opts []Service
 		return nil, err
 	}
 	// A loaded corpus exists, even one a flat file never mutated.
-	cfg.AutoCompact = cfg.AutoCompact && !readOnly
 	cfg.Generation = max(rd.Generation, 1)
 	cfg.Seeds = make([]segment.Seed, len(ixs))
 	for k, m := range rd.Manifest[lo:hi] {
