@@ -124,6 +124,56 @@ func startServed(t *testing.T, args []string) (string, context.CancelFunc, chan 
 	}
 }
 
+// stopServed cancels a run started by startServed, the signal path, and
+// checks it drains and returns nil.
+func stopServed(t *testing.T, cancel context.CancelFunc, done chan error) {
+	t.Helper()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v after graceful shutdown", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("tabserved did not shut down")
+	}
+}
+
+// get fails the test unless GET url answers 200, and decodes the JSON
+// body into v when v is not nil.
+func get(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, raw)
+	}
+	if v != nil {
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+	}
+}
+
+// post returns the body of POST url, failing the test unless it is a 200.
+func post(t *testing.T, url string, body []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, raw)
+	}
+	return raw
+}
+
 func searchPayload(t *testing.T, w *worldgen.World, pageSize int) []byte {
 	t.Helper()
 	workload := w.SearchWorkload([]string{"directed"}, 1, 7)
@@ -158,30 +208,15 @@ func TestServeFromSnapshot(t *testing.T) {
 	})
 	defer cancel()
 
-	// Health.
-	resp, err := http.Get(base + "/v1/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status = %d", resp.StatusCode)
-	}
+	get(t, base+"/v1/healthz", nil)
 
 	// Stats show the snapshot corpus without any startup annotation.
-	resp, err = http.Get(base + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var stats struct {
 		Tables          int  `json:"tables"`
 		AnnotatedTables int  `json:"annotated_tables"`
 		IndexBuilt      bool `json:"index_built"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	get(t, base+"/v1/stats", &stats)
 	if !stats.IndexBuilt || stats.Tables != 6 || stats.AnnotatedTables != 6 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -227,7 +262,7 @@ func TestServeFromSnapshot(t *testing.T) {
 	}
 
 	// Structured error with correct status.
-	resp, err = http.Post(base+"/v1/search", "application/json",
+	resp, err := http.Post(base+"/v1/search", "application/json",
 		bytes.NewReader([]byte(`{"relation": "nonesuch", "t1": "Film", "t2": "Director", "e2": "x"}`)))
 	if err != nil {
 		t.Fatal(err)
@@ -250,16 +285,7 @@ func TestServeFromSnapshot(t *testing.T) {
 		t.Fatalf("error = %+v", er.Error)
 	}
 
-	// Graceful shutdown: cancel (the signal path) and run returns nil.
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v after graceful shutdown", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("tabserved did not shut down")
-	}
+	stopServed(t, cancel, done)
 }
 
 // TestServeFromCatalogCorpus boots the annotate-at-startup path.
@@ -276,26 +302,8 @@ func TestServeFromCatalogCorpus(t *testing.T) {
 	})
 	defer cancel()
 
-	resp, err := http.Post(base+"/v1/search", "application/json",
-		bytes.NewReader(searchPayload(t, w, 3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("search status = %d: %s", resp.StatusCode, raw)
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("tabserved did not shut down")
-	}
+	post(t, base+"/v1/search", searchPayload(t, w, 3))
+	stopServed(t, cancel, done)
 }
 
 func TestRunFlagValidation(t *testing.T) {
@@ -342,34 +350,18 @@ func TestRouterMode(t *testing.T) {
 
 	var shardURLs []string
 	for i := 0; i < 2; i++ {
-		base, cancel, _ := startServed(t, []string{
+		base, cancel, done := startServed(t, []string{
 			"-load", snap, "-shard", fmt.Sprintf("%d/2", i), "-addr", "127.0.0.1:0", "-workers", "2",
 		})
-		defer cancel()
+		defer stopServed(t, cancel, done)
 		shardURLs = append(shardURLs, base)
 
-		resp, err := http.Get(base + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
 		var st dist.ShardStatsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		get(t, base+"/v1/stats", &st)
 		if st.Shard != i || st.Shards != 2 || st.Generation == 0 {
 			t.Fatalf("shard %d stats = %+v", i, st)
 		}
-		resp, err = http.Post(base+"/v1/partial", "application/json", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("shard %d partial status = %d: %s", i, resp.StatusCode, raw)
-		}
-		p, err := dist.DecodePartial(raw)
+		p, err := dist.DecodePartial(post(t, base+"/v1/partial", payload))
 		if err != nil {
 			t.Fatalf("shard %d: decode partial: %v", i, err)
 		}
@@ -390,54 +382,20 @@ func TestRouterMode(t *testing.T) {
 	})
 	defer cancelRouter()
 
-	fetch := func(base string) []byte {
-		resp, err := http.Post(base+"/v1/search", "application/json", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", base, resp.StatusCode, raw)
-		}
-		return raw
-	}
-	if single, routed := fetch(singleBase), fetch(routerBase); !bytes.Equal(single, routed) {
+	single, routed := post(t, singleBase+"/v1/search", payload), post(t, routerBase+"/v1/search", payload)
+	if !bytes.Equal(single, routed) {
 		t.Fatalf("router page differs from single node:\nrouter: %s\nsingle: %s", routed, single)
 	}
 
 	// Router health and stats surface.
-	resp, err := http.Get(routerBase + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("router healthz = %d", resp.StatusCode)
-	}
-	resp, err = http.Get(routerBase + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
+	get(t, routerBase+"/v1/healthz", nil)
 	var st dist.RouterStatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	get(t, routerBase+"/v1/stats", &st)
 	if len(st.Shards) != 2 || st.Shards[0].Requests == 0 {
 		t.Fatalf("router stats = %+v", st)
 	}
 
-	// Graceful shutdown of the router path.
-	cancelRouter()
-	select {
-	case err := <-routerDone:
-		if err != nil {
-			t.Fatalf("router run returned %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("router did not shut down")
-	}
+	stopServed(t, cancelRouter, routerDone)
 }
 
 func TestRunRejectsBadSnapshot(t *testing.T) {
