@@ -125,9 +125,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	slot, count, slotOK := 0, 1, true
 	if *shard != "" {
 		slot, count, slotOK = parseShard(*shard)
-		slotOK = slotOK && *load != ""
 	}
-	if sources != 1 || !slotOK || (*snap != "" && (*shard != "" || *shards != "")) {
+	if sources != 1 || !slotOK || (*shard != "" && *load == "") ||
+		(*snap != "" && (*shard != "" || *shards != "")) {
 		fs.Usage()
 		return errUsage
 	}
@@ -186,7 +186,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		stats, _ := svc.CorpusStats()
 		logger.Info("snapshot loaded", "path", *load, "shard", slot, "shards", count,
 			"tables", stats.Tables, "segments", stats.Segments, "table_offset", asn.TableOffset,
-			"generation", stats.Generation, "took", time.Since(start).Round(time.Millisecond))
+			"generation", stats.Generation, "workers", svc.Workers(),
+			"took", time.Since(start).Round(time.Millisecond))
 		if *shard != "" {
 			srv = dist.NewShardServer(svc, asn, slot, count, distOpts...)
 		} else {
