@@ -307,6 +307,10 @@ func TestServeFromCatalogCorpus(t *testing.T) {
 }
 
 func TestRunFlagValidation(t *testing.T) {
+	// A refusal that stops working must fail here, not start a server
+	// that serves until the test times out.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	var out, errBuf bytes.Buffer
 	for _, args := range [][]string{
 		nil, // no source at all
@@ -321,7 +325,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-load", "x.snap", "-shard", "0/2", "-snapshot", "y.snap"},
 		{"-shards", "localhost:9101", "-snapshot", "y.snap"},
 	} {
-		if err := run(context.Background(), args, &out, &errBuf); !errors.Is(err, errUsage) {
+		if err := run(ctx, append(args, "-addr", "127.0.0.1:0"), &out, &errBuf); !errors.Is(err, errUsage) {
 			t.Errorf("args %q: err = %v, want usage error", args, err)
 		}
 	}
