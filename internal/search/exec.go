@@ -159,15 +159,15 @@ type scanPlan struct {
 	// concatenate in shard order into the single-node scan order; across
 	// groups they do not, which is why evidence travels grouped.
 	groups []planGroup
-	// e2 is the probe entity the row loop compares annotations with;
-	// None — always, in Baseline — matches every cell by text alone.
+	// e2 is the probe entity compiled into each segment's set; None —
+	// always, in Baseline — matches every cell by text alone.
 	e2 catalog.EntityID
 	// byEntity keys an answer by its cell's entity annotation when it
 	// has one (the annotated modes); Baseline keys by text only.
 	byEntity bool
-	// sets[i] is the E2 text probe compiled against corpus segment i, for
-	// the segments a candidate pair lies in (reached). A segment without
-	// a pair is never scanned, so its set is never built.
+	// sets[i] is the E2 probe and entity compiled against corpus segment
+	// i, for the segments a candidate pair lies in (reached). A segment
+	// without a pair is never scanned, so its set is never built.
 	sets    []searchidx.MatchSet
 	reached []bool
 }
@@ -200,7 +200,7 @@ func (e *Engine) plan(ctx context.Context, req Request, st *ExecStats, a *arena)
 		if seg := p.pairs[i].seg; seg != last {
 			if last = seg; !p.reached[seg] {
 				p.reached[seg] = true
-				p.sets[seg] = e.segs[seg].ix.Compile(&a.e2)
+				p.sets[seg] = e.segs[seg].ix.Compile(&a.e2, p.e2)
 			}
 		}
 	}
@@ -371,10 +371,11 @@ func (e *Engine) typedPairs(q Query, p *scanPlan) {
 
 // scanRange runs the matching stage of Figures 3 and 4 over candidate
 // pairs [lo, hi) of the plan: look for E2 down the pair's object column
-// (searchidx.ScanColumn: by entity annotation with text fallback, or by
-// text alone) and report the answer-column cell of every qualifying row
-// to sink. Pair and row counters accumulate into st. The context is
-// polled before the first row and then every rowCheckInterval rows,
+// (searchidx.ScanColumn against the segment's compiled set: by entity
+// annotation with text fallback, or by text alone) and report the
+// answer-column cell of every qualifying row to sink. Pair and row
+// counters accumulate into st. The context is polled before the first
+// row and then every rowCheckInterval rows,
 // counted across pairs; a column is scanned in stretches of at most that
 // many rows so that the count cannot overshoot by more than one stretch.
 func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *partialCollector, st *ExecStats) error {
@@ -382,34 +383,30 @@ func (e *Engine) scanRange(ctx context.Context, p *scanPlan, lo, hi int, sink *p
 	for i := lo; i < hi; i++ {
 		c := &p.pairs[i]
 		ix := e.segs[c.seg].ix
-		raws, ents := ix.Column(int(c.local), int(c.obj))
-		var answers []catalog.EntityID
-		if p.byEntity {
-			_, answers = ix.Column(int(c.local), int(c.subj))
-		}
+		ids, answers := ix.Column(int(c.local), int(c.obj)), ix.Column(int(c.local), int(c.subj))
 		matched := false
-		for r0 := 0; r0 < len(raws); r0 += rowCheckInterval {
+		for r0 := 0; r0 < len(ids); r0 += rowCheckInterval {
 			if sincePoll >= rowCheckInterval {
 				sincePoll = 0
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			r1 := min(r0+rowCheckInterval, len(raws))
+			r1 := min(r0+rowCheckInterval, len(ids))
 			sincePoll += r1 - r0
-			rows := searchidx.ScanColumn(sink.rows[:0], r0, raws[r0:r1], ents[r0:r1], p.e2, &p.sets[c.seg])
+			rows := searchidx.ScanColumn(sink.rows[:0], r0, ids[r0:r1], &p.sets[c.seg])
 			sink.rows = rows
 			for _, rh := range rows {
 				entity := catalog.EntityID(catalog.None)
-				if answers != nil {
-					entity = answers[rh.Row]
+				if p.byEntity {
+					entity = ix.Entity(answers[rh.Row])
 				}
-				sink.add(c, rh, entity)
+				sink.add(c, rh, answers[rh.Row], entity)
 			}
 			matched = matched || len(rows) > 0
 		}
 		st.CandidatePairs++
-		st.RowsScanned += int64(len(raws))
+		st.RowsScanned += int64(len(ids))
 		if matched {
 			st.PairsMatched++
 		}

@@ -236,9 +236,9 @@ func (x *entityIndex) reset() {
 }
 
 // add records one matching row of candidate pair c: the row's answer
-// cell, annotated with entity (None keys the cluster by the cell's
-// text), receives the row's evidence.
-func (pc *partialCollector) add(c *candidate, rh searchidx.RowHit, entity catalog.EntityID) {
+// cell, of cell ID id and annotated with entity (None keys the cluster
+// by the cell's text), receives the row's evidence.
+func (pc *partialCollector) add(c *candidate, rh searchidx.RowHit, id uint32, entity catalog.EntityID) {
 	seg := &pc.e.segs[c.seg]
 	var ci int32
 	if entity != catalog.None {
@@ -246,8 +246,7 @@ func (pc *partialCollector) add(c *candidate, rh searchidx.RowHit, entity catalo
 	} else {
 		// An unannotated cell whose normalized text is empty has no
 		// cluster identity and contributes nothing.
-		raws, _ := seg.ix.Column(int(c.local), int(c.subj))
-		norm := seg.ix.Spelling(raws[rh.Row])
+		norm := seg.ix.Spelling(id)
 		if norm == "" {
 			return
 		}

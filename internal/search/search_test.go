@@ -610,9 +610,8 @@ func TestIndexLookups(t *testing.T) {
 	// d1 annotates three cells of the object columns.
 	n := 0
 	for ti := 0; ti < ix.Len(); ti++ {
-		_, ents := ix.Column(ti, 1)
-		for _, e := range ents {
-			if e == f.d1 {
+		for _, id := range ix.Column(ti, 1) {
+			if ix.Entity(id) == f.d1 {
 				n++
 			}
 		}
@@ -620,7 +619,7 @@ func TestIndexLookups(t *testing.T) {
 	if n != 3 {
 		t.Errorf("cells of d1 = %d, want 3", n)
 	}
-	if _, ents := ix.Column(0, 0); ents[0] != f.f1 {
-		t.Errorf("entity of (0,0,0) = %v", ents[0])
+	if e := ix.Entity(ix.Column(0, 0)[0]); e != f.f1 {
+		t.Errorf("entity of (0,0,0) = %v", e)
 	}
 }

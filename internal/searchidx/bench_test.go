@@ -105,14 +105,14 @@ func BenchmarkMatchSet(b *testing.B) {
 	c, tables, anns, _, name := benchCorpus(b, 512, 20)
 	ix := build(b, c, tables, anns)
 	p := NewProbe(name)
-	if m := ix.Compile(&p); len(m.raws) == 0 {
+	if m := ix.Compile(&p, catalog.None); len(m.ids) == 0 {
 		b.Fatalf("probe %q matches nothing", name)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Reset(name)
-		sinkMatches = ix.Compile(&p)
+		sinkMatches = ix.Compile(&p, catalog.None)
 	}
 }
 
@@ -122,32 +122,31 @@ var (
 )
 
 // scanFixture is one 64k-row table whose object column names a director
-// in every row (annotated in two rows of three), with director 7's
-// compiled probe.
-func scanFixture(tb testing.TB) (texts []uint32, ents []catalog.EntityID, e2 catalog.EntityID, m MatchSet) {
+// in every row (annotated in two rows of three), with director 7's probe
+// compiled by entity with text fallback and by text alone.
+func scanFixture(tb testing.TB) (ids []uint32, byEntity, byText MatchSet) {
 	c, tables, anns, e2, name := benchCorpus(tb, 1, 1<<16)
 	ix := build(tb, c, tables, anns)
 	p := NewProbe(name)
-	m = ix.Compile(&p)
-	texts, ents = ix.Column(0, 1)
-	return texts, ents, e2, m
+	byEntity, byText = ix.Compile(&p, e2), ix.Compile(&p, catalog.None)
+	return ix.Column(0, 1), byEntity, byText
 }
 
 // BenchmarkScanColumn walks one 64k-row column, by entity with text
 // fallback and by text alone; rows/s is the figure of merit.
 func BenchmarkScanColumn(b *testing.B) {
-	texts, ents, e2, m := scanFixture(b)
+	ids, byEntity, byText := scanFixture(b)
 	for _, bc := range []struct {
 		name string
-		e2   catalog.EntityID
-	}{{"entity", e2}, {"text", catalog.None}} {
+		m    *MatchSet
+	}{{"entity", &byEntity}, {"text", &byText}} {
 		b.Run(bc.name, func(b *testing.B) {
-			dst := make([]RowHit, 0, len(texts))
+			dst := make([]RowHit, 0, len(ids))
 			b.ReportAllocs()
-			b.SetBytes(int64(len(texts))) // "MB/s" reads as million rows per second
+			b.SetBytes(int64(len(ids))) // "MB/s" reads as million rows per second
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkHits = ScanColumn(dst[:0], 0, texts, ents, bc.e2, &m)
+				sinkHits = ScanColumn(dst[:0], 0, ids, bc.m)
 			}
 		})
 	}
@@ -157,14 +156,14 @@ func BenchmarkScanColumn(b *testing.B) {
 // nothing, whichever way it matches — and it finds the rows the
 // reference matcher finds.
 func TestScanColumnDoesNotAllocate(t *testing.T) {
-	texts, ents, e2, m := scanFixture(t)
-	dst := make([]RowHit, 0, len(texts))
-	for _, probe := range []catalog.EntityID{e2, catalog.None} {
-		if n := testing.AllocsPerRun(10, func() { sinkHits = ScanColumn(dst[:0], 0, texts, ents, probe, &m) }); n != 0 {
-			t.Errorf("ScanColumn(e2=%v) allocates %v times per call", probe, n)
+	ids, byEntity, byText := scanFixture(t)
+	dst := make([]RowHit, 0, len(ids))
+	for name, m := range map[string]*MatchSet{"by entity": &byEntity, "by text": &byText} {
+		if n := testing.AllocsPerRun(10, func() { sinkHits = ScanColumn(dst[:0], 0, ids, m) }); n != 0 {
+			t.Errorf("ScanColumn(%s) allocates %v times per call", name, n)
 		}
 		if len(sinkHits) == 0 {
-			t.Errorf("ScanColumn(e2=%v) found no rows", probe)
+			t.Errorf("ScanColumn(%s) found no rows", name)
 		}
 	}
 }

@@ -106,8 +106,8 @@ func CheckOnePath(t testing.TB, label string, cat *catalog.Catalog, tables []*ta
 }
 
 // IndexDiff names the first field in which two indexes differ — the
-// blob, either dictionary, table or annotation metadata, the cell arrays
-// or any posting list — or returns "" when they hold the same segment.
+// blob, any dictionary, table or annotation metadata, the cell IDs or
+// any posting list — or returns "" when they hold the same segment.
 // Empty and nil slices are the same content. Test-only: external test
 // packages compare an index decoded from a snapshot with one
 // BuildContext built.
@@ -140,8 +140,10 @@ func IndexDiff(got, want *Index) string {
 		{"tables", got.tables, want.tables},
 		{"headers", got.headers, want.headers},
 		{"spans", got.spans, want.spans},
-		{"cellRaw", got.cellRaw, want.cellRaw},
-		{"cellEnts", got.cellEnts, want.cellEnts},
+		{"cells", got.cells, want.cells},
+		{"firstEnts", got.firstEnts, want.firstEnts},
+		{"extras", got.extras, want.extras},
+		{"byEntity", got.byEntity, want.byEntity},
 		{"subjTypes", got.subjTypes, want.subjTypes},
 		{"annTypes", got.annTypes, want.annTypes},
 		{"annRels", got.annRels, want.annRels},
@@ -156,7 +158,7 @@ func IndexDiff(got, want *Index) string {
 		name      string
 		got, want any
 	}{
-		{"textRaws", got.textRaws, want.textRaws},
+		{"textCells", got.textCells, want.textCells},
 		{"tokenIDs", got.tokenIDs, want.tokenIDs},
 		{"tokenTexts", got.tokenTexts, want.tokenTexts},
 		{"headerPost", got.headerPost, want.headerPost},

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/table"
 	"repro/internal/text"
 )
@@ -139,7 +140,10 @@ func TestMatchOracle(t *testing.T) {
 // segment, and on a segment where the cell shares its dictionaries with
 // a few fixed neighbours and with case, spacing and punctuation variants
 // of itself (one text with several raw spellings), each of which must
-// keep its own verdict too.
+// keep its own verdict too. There the column is annotated, the cell
+// itself under two entities and under none, and the set is compiled
+// with e2 None and with e2 one of those entities: a cell under e2 is
+// 1.5, under another entity 0, and under none its text's verdict.
 func FuzzCompiledMatch(f *testing.F) {
 	for _, tc := range matchCases {
 		f.Add(tc.query, tc.cell)
@@ -154,18 +158,28 @@ func FuzzCompiledMatch(f *testing.F) {
 			t.Fatalf("one-cell verdict(%q, %q) = %v, oracle %v", query, cell, got, want)
 		}
 		cells := []string{"Solo Auteur", cell, "", "auteur solo grand prix", cell + " solo", "!?",
-			strings.ToUpper(cell), "  " + strings.ToLower(cell) + " ", cell + "?!", strings.ReplaceAll(cell, " ", " -  ")}
+			strings.ToUpper(cell), "  " + strings.ToLower(cell) + " ", cell + "?!", strings.ReplaceAll(cell, " ", " -  "), cell, cell}
+		ents := []catalog.EntityID{5, catalog.None, 6}
 		rows := make([][]string, len(cells))
+		ann := &core.Annotation{TableID: "many", ColumnTypes: []catalog.TypeID{catalog.None}, CellEntities: make([][]catalog.EntityID, len(cells))}
 		for i, s := range cells {
-			rows[i] = []string{s}
+			rows[i], ann.CellEntities[i] = []string{s}, []catalog.EntityID{ents[i%3]}
 		}
-		ix := build(t, c, []*table.Table{{ID: "many", Cells: rows}}, nil)
-		p := NewProbe(query)
-		m := ix.Compile(&p)
-		raws, _ := ix.Column(0, 0)
-		for i, s := range cells {
-			if got, want := m.Lookup(raws[i]), oracleMatch(query, s); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("verdict(%q, %q) beside %q = %v, oracle %v", query, s, cells, got, want)
+		ix := build(t, c, []*table.Table{{ID: "many", Cells: rows}}, []*core.Annotation{ann})
+		ids := ix.Column(0, 0)
+		for _, e2 := range []catalog.EntityID{catalog.None, ents[0]} {
+			p := NewProbe(query)
+			m := ix.Compile(&p, e2)
+			for i, s := range cells {
+				want := oracleMatch(query, s)
+				if e := ents[i%3]; e2 != catalog.None && e == e2 {
+					want = 1.5
+				} else if e2 != catalog.None && e != catalog.None {
+					want = 0
+				}
+				if got := m.Lookup(ids[i]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("verdict(%q, %q under %d, e2 %d) beside %q = %v, want %v", query, s, ents[i%3], e2, cells, got, want)
+				}
 			}
 		}
 	})

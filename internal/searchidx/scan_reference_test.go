@@ -6,18 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/table"
 )
 
-// scanColumnReference is ScanColumn one row at a time, with the probe's
-// matching spellings in a map: no mask, no MatchSet, no shared loop.
-func scanColumnReference(base int, texts []uint32, ents []catalog.EntityID, e2 catalog.EntityID, evidence map[uint32]float64) []RowHit {
+// scanColumnReference is ScanColumn one row at a time, reading each
+// cell's entity and text through the index's accessors and matching the
+// text with the reference matcher: no mask, no MatchSet, no shared loop.
+func scanColumnReference(ix *Index, base int, ids []uint32, query string, e2 catalog.EntityID) []RowHit {
 	var out []RowHit
-	for r, id := range texts {
+	for r, id := range ids {
 		var ev float64
-		switch {
-		case e2 == catalog.None, ents[r] == catalog.None:
-			ev = evidence[id]
-		case ents[r] == e2:
+		switch e := ix.Entity(id); {
+		case e2 == catalog.None, e == catalog.None:
+			ev = oracleMatch(query, ix.Spelling(id))
+		case e == e2:
 			ev = 1.5
 		}
 		if ev > 0 {
@@ -27,62 +30,73 @@ func scanColumnReference(base int, texts []uint32, ents []catalog.EntityID, e2 c
 	return out
 }
 
-// TestScanColumnMatchesReference holds the row loop to a one-row-at-a-time
-// reference: same rows, same order, same evidence bits. Column lengths
-// run through 0–17 and 63–65 (either side of anything a loop might be
-// unrolled or masked by), the slice starts at row 0 and at a later row,
-// e2 is None, an entity in the column and one absent from it, and the
-// cells rotate through every kind the loop tells apart: annotated with
-// e2 (over a matching and a non-matching text), annotated with another
-// entity over a matching text, and unannotated over a matching text, a
-// second matching text of other evidence, a text that collides with a
-// match in the mask without being one, and a text outside the mask —
-// against a compiled set of two texts and against the empty set.
+// TestScanColumnMatchesReference holds Compile and the row loop together
+// to a one-row-at-a-time reference: same rows, same order, same evidence
+// bits. The column of a compiled segment holds every kind of cell the
+// two tell apart — the probe's spelling under two entities and under
+// none, another spelling of its text under an entity and under none, a
+// partly matching text under an entity and under none, a text that does
+// not match under an entity and under none — between two runs of as
+// many fillers as the mask has bits, so that cell IDs collide with
+// matched ones in the mask. The probe is
+// compiled with e2 None, an entity in the column and one absent from it;
+// windows of 0–17 and 63–65 rows (either side of anything a loop might
+// be unrolled or masked by) start at row 0 and at later rows.
 func TestScanColumnMatchesReference(t *testing.T) {
 	const (
+		query                   = "Director Seven"
 		inColumn, other, absent = catalog.EntityID(7), catalog.EntityID(8), catalog.EntityID(9)
-		whole, partial          = uint32(3), uint32(70)
-		collides, outside       = uint32(3 + 64), uint32(5)
 	)
 	kinds := []struct {
-		text uint32
+		cell string
 		ent  catalog.EntityID
 	}{
-		{whole, inColumn}, {outside, inColumn}, {whole, other},
-		{whole, catalog.None}, {partial, catalog.None}, {collides, catalog.None}, {outside, catalog.None},
+		{query, inColumn}, {query, other}, {query, catalog.None},
+		{"director  seven!", catalog.None}, {"director  seven!", inColumn},
+		{"Director Seven Jr", catalog.None}, {"Director Seven Jr", other},
+		{"Other Person", inColumn}, {"Other Person", catalog.None},
 	}
-	sets := []struct {
-		name     string
-		m        MatchSet
-		evidence map[uint32]float64
-	}{
-		{"empty", MatchSet{}, nil},
-		{"two texts", MatchSet{
-			mask: 1<<(whole%64) | 1<<(partial%64),
-			raws: []rawMatch{{whole, 1}, {partial, 0.6}},
-		}, map[uint32]float64{whole: 1, partial: 0.6}},
+	tab := &table.Table{ID: "t"}
+	ann := &core.Annotation{TableID: "t", ColumnTypes: []catalog.TypeID{catalog.None}}
+	addRow := func(cell string, e catalog.EntityID) {
+		tab.Cells = append(tab.Cells, []string{cell})
+		ann.CellEntities = append(ann.CellEntities, []catalog.EntityID{e})
 	}
+	for round, ent := range []catalog.EntityID{catalog.None, other} {
+		for i := range kinds {
+			k := kinds[(i+round*4)%len(kinds)]
+			addRow(k.cell, k.ent)
+		}
+		for i := range maskBits {
+			addRow(fmt.Sprint("filler ", round, " ", i), ent)
+		}
+	}
+	ix := build(t, catalog.New(), []*table.Table{tab}, []*core.Annotation{ann})
+	col := ix.Column(0, 0)
 	lengths := []int{63, 64, 65}
 	for n := 0; n <= 17; n++ {
 		lengths = append(lengths, n)
 	}
-	for _, set := range sets {
-		for _, n := range lengths {
-			for rot := range kinds {
-				texts, ents := make([]uint32, n), make([]catalog.EntityID, n)
-				for r := range texts {
-					k := kinds[(r+rot)%len(kinds)]
-					texts[r], ents[r] = k.text, k.ent
-				}
-				for _, base := range []int{0, 1024} {
-					for _, e2 := range []catalog.EntityID{catalog.None, inColumn, absent} {
-						got := ScanColumn(nil, base, texts, ents, e2, &set.m)
-						want := scanColumnReference(base, texts, ents, e2, set.evidence)
-						if err := sameHits(got, want); err != nil {
-							t.Fatalf("%s, %d rows rotated %d, base %d, e2 %d: %v\n got  %v\n want %v",
-								set.name, n, rot, base, e2, err, got, want)
-						}
-					}
+	for _, e2 := range []catalog.EntityID{catalog.None, inColumn, absent} {
+		p := NewProbe(query)
+		m := ix.Compile(&p, e2)
+		collided := false
+		for _, id := range col {
+			collided = collided || (m.mask[id%maskBits/64]>>(id%64)&1 != 0 && m.Lookup(id) == 0)
+		}
+		if !collided {
+			t.Errorf("e2 %d: no cell collides with a match in the mask", e2)
+		}
+		if want := scanColumnReference(ix, 0, col, query, e2); len(want) == 0 || sameHits(ScanColumn(nil, 0, col, &m), want) != nil {
+			t.Errorf("e2 %d: the whole column gives %d reference hits and a different scan", e2, len(want))
+		}
+		for _, lo := range []int{0, 5, 70} {
+			for _, n := range lengths {
+				ids := col[lo : lo+n]
+				got := ScanColumn(nil, lo, ids, &m)
+				want := scanColumnReference(ix, lo, ids, query, e2)
+				if err := sameHits(got, want); err != nil {
+					t.Fatalf("e2 %d, rows %d–%d: %v\n got  %v\n want %v", e2, lo, lo+n, err, got, want)
 				}
 			}
 		}

@@ -12,20 +12,23 @@
 // normalized text once (its spelling, its number of distinct tokens and
 // the spellings that normalize to it) and every distinct token once (the
 // ascending IDs of the texts that contain it). A table is then stored
-// column-major: each column is a contiguous run of raw-spelling IDs and
-// a parallel run of entity annotations (catalog.None where the cell has
-// none). Nothing per cell holds a pointer, a string or a map.
+// column-major: each column is a contiguous run of 4-byte cell IDs, each
+// naming a (spelling, entity annotation) pair: a spelling under its first
+// cell's entity (catalog.None for none) keeps the spelling's ID, and
+// under any other entity is an extra ID past the spellings — few, as a
+// spelling mostly carries one entity throughout. Nothing per cell holds
+// a pointer, a string or a map.
 //
-// A query never compares strings against cells. Its E2 probe is compiled
-// once per segment into a MatchSet — the handful of spellings it
-// matches, ascending, each with the evidence of its text: |Q∩C| / |Q∪C|
-// over distinct tokens for every text where that reaches 0.5, counted
-// off the token postings with the same integers the map-based matcher
-// used (oracle_test.go keeps that matcher as the reference); the text
-// spelled like the probe shares all of the probe's tokens and no other,
-// so it gets exactly 1. ScanColumn then walks a column slice at an
-// entity compare and a one-word bit test per row; only the few cells
-// those do not settle are looked up in the MatchSet.
+// A query never compares strings against cells. Its E2 probe and entity
+// are compiled once per segment into a MatchSet — the handful of cell
+// IDs they match, ascending: at 1.5 a cell annotated with E2, and by its
+// text a cell without an annotation (any cell when E2 is None), at
+// |Q∩C| / |Q∪C| over distinct tokens where that reaches 0.5, counted off
+// the token postings with the same integers the map-based matcher used
+// (oracle_test.go keeps it as the reference); the text spelled like the
+// probe gets exactly 1. ScanColumn then walks a column slice at one bit
+// test per row, and looks up in the MatchSet only the few cells that
+// does not settle.
 //
 // Candidate retrieval is posting lists, all in ascending table order so
 // a plan can walk them in place: oriented column pairs per relation
@@ -51,30 +54,31 @@
 //
 //   - stored: the raw dictionary (where a spelling lies in the blob and
 //     which text it normalizes to), the text dictionary (where a text
-//     lies), two parallel column-major cell arrays (raw-spelling ID,
-//     entity), per table its shape and where its strings lie, and per
-//     annotation one fixed record — its entity grid's shape and where
-//     its column types, its relations and, only when that shape is not
-//     the table's, its grid lie in three runs the segment's annotations
-//     share. Beside its cells and strings a table
-//     costs a fixed number of bytes and no heap object of its own;
+//     lies), the column-major cell IDs with each spelling's first
+//     entity and the extra (spelling, entity) pairs, per table its shape
+//     and where its strings lie, and per annotation one fixed record —
+//     its entity grid's shape and where its column types, its relations
+//     and, only when that shape is not the table's, its grid lie in
+//     three runs the segment's annotations share. Beside its cells and
+//     strings a table costs a fixed number of bytes and no heap object
+//     of its own;
 //   - derived from those, by derive, for a built segment and a loaded
-//     one alike: each text's spellings, token postings, the ID index (the
-//     local table numbers sorted by ID, which is how a segmented corpus
-//     finds a table by ID), header, context, relation and typed-pair
-//     postings;
+//     one alike: each text's cell IDs, token postings, each entity's
+//     cell IDs, the ID index (the local table numbers
+//     sorted by ID, which is how a segmented corpus finds a table by ID),
+//     header, context, relation and typed-pair postings;
 //   - materialised on demand, for the callers that want objects
 //     (snapshot.Load, compaction, tools, tests): Table and Annotation
 //     assemble a table.Table and a core.Annotation whose strings are
 //     substrings of the blob.
 //
-// Spellings and texts are numbered in order of first appearance walking
-// tables, then rows, then columns. That numbering has one author,
-// intern: BuildContext is intern then derive, and the persistent form
-// (wire.go) is a dump of what intern left — AppendSegment is intern then
-// that dump, DecodeSegment fills the same arrays from the dump and then
-// derives. So a loaded segment equals a built one field for field, a
-// query cannot tell them apart, and a restart never parses, normalizes
+// Spellings, texts and extra cell IDs are numbered in order of first
+// appearance walking tables, then rows, then columns. That numbering has
+// one author, intern: BuildContext is intern then derive, and the
+// persistent form (wire.go) is a dump of what intern left —
+// AppendSegment is intern then that dump, DecodeSegment fills the same
+// arrays from the dump and then derives. So a loaded segment equals a
+// built one field for field, a query cannot tell them apart, and a restart never parses, normalizes
 // or interns a cell. The price is that this package's layout is a file
 // format: changing what a segment stores, or the order IDs are assigned
 // in, is a new snapshot format version (internal/snapshot). Only the
@@ -144,12 +148,12 @@ type Index struct {
 	// normalizes to.
 	raws []rawSpelling
 	// The text dictionary: ID → normalized spelling, distinct-token count
-	// and the ascending IDs of the spellings that normalize to it. The
+	// and the ascending cell IDs whose spelling normalizes to it. The
 	// empty spelling (a blank or punctuation-only cell) has an ID like any
 	// other.
 	texts      []strRef
 	textTokens []uint32
-	textRaws   csr
+	textCells  csr
 	// The token dictionary: token → ID → ascending IDs of the texts
 	// containing it.
 	tokenIDs   map[string]uint32
@@ -170,12 +174,15 @@ type Index struct {
 	byID []uint32
 
 	// Column-major cells: column c of table t is the spans[t].rows
-	// entries of cellRaw and cellEnts from spans[t].off+c*spans[t].rows —
-	// the cell's spelling as the source wrote it (raws gives its text) and
-	// its entity annotation (catalog.None without one).
-	spans    []tableSpan
-	cellRaw  []uint32
-	cellEnts []catalog.EntityID
+	// entries of cells from spans[t].off+c*spans[t].rows, each a cell ID:
+	// ID s < len(raws) is spelling s (raws gives its text) under
+	// firstEnts[s], its first cell's entity; ID len(raws)+i is extras[i].
+	// byEntity, derived, lists the annotated IDs by (entity, ID).
+	spans     []tableSpan
+	cells     []uint32
+	firstEnts []catalog.EntityID
+	extras    []cellPair
+	byEntity  []uint32
 
 	resident ResidentBytes
 }
@@ -194,6 +201,25 @@ type rawSpelling struct {
 	strRef
 	text uint32
 }
+
+// cellPair is what an extra cell ID stands for: a spelling under an
+// entity other than its first cell's.
+type cellPair struct {
+	raw uint32
+	ent catalog.EntityID
+}
+
+// pair returns the spelling and the entity of cell ID id.
+func (ix *Index) pair(id uint32) cellPair {
+	if n := uint32(len(ix.raws)); id >= n {
+		return ix.extras[id-n]
+	}
+	return cellPair{id, ix.firstEnts[id]}
+}
+
+// Entity returns the entity annotation of the cells with ID id,
+// catalog.None for cells without one.
+func (ix *Index) Entity(id uint32) catalog.EntityID { return ix.pair(id).ent }
 
 // csr is a compressed sparse row run: key k's ascending IDs are
 // ids[off[k]:off[k+1]], all keys' in one array.
@@ -232,12 +258,12 @@ type tableMeta struct {
 }
 
 // annMeta is what a segment keeps of an annotation beside the entities
-// in cellEnts, a fixed record without a pointer: the zero annMeta for a
-// table without one. rows × cols is the shape of its entity grid, cols
-// also the number of its column types, annTypes[types:]; its relations
-// are annRels[rels:][:nRels]. When the grid's shape is the table's it is
-// the table's run of cellEnts; otherwise annGrid[grid:] holds it,
-// row-major (and cellEnts the part of it over the table). The
+// its cells' IDs name, a fixed record without a pointer: the zero annMeta
+// for a table without one. rows × cols is the shape of its entity grid,
+// cols also the number of its column types, annTypes[types:]; its
+// relations are annRels[rels:][:nRels]. When the grid's shape is the
+// table's the cell IDs name it; otherwise annGrid[grid:] holds it,
+// row-major (and the cell IDs the part of it over the table). The
 // annotator's diagnostics are not kept: a search reads only labels.
 type annMeta struct {
 	tableID     strRef
@@ -295,23 +321,49 @@ func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Tab
 	return ix, nil
 }
 
-// layCells sizes the cell arrays for the tables whose spans are set: no
-// spelling chosen yet and no entity in any cell.
-func (ix *Index) layCells(cells uint64) {
-	ix.cellRaw = make([]uint32, cells)
-	ix.cellEnts = make([]catalog.EntityID, cells)
-	for i := range ix.cellEnts {
-		ix.cellEnts[i] = catalog.None
+// startPairs readies the cell IDs, which hold raw-spelling IDs, to be
+// turned into (spelling, entity) IDs by cellID, and returns the extra
+// pairs' numbering, to pass to it. No spelling has a first entity yet —
+// or, when the segment has no annotation list, every spelling's is None.
+func (ix *Index) startPairs(annotated bool) map[cellPair]uint32 {
+	ix.firstEnts = make([]catalog.EntityID, 0, len(ix.raws))
+	for !annotated && len(ix.firstEnts) < len(ix.raws) {
+		ix.firstEnts = append(ix.firstEnts, catalog.None)
 	}
+	return make(map[cellPair]uint32)
+}
+
+// cellID returns the ID of a cell spelled raw and annotated with e: the
+// spelling's own when this is its first cell or e its first cell's
+// entity, else the extra ID of the pair, numbered in extra when it is
+// new. Cells must come in the order spellings are numbered in — tables,
+// then rows, then columns — so a spelling's first cell is the one whose
+// ID is the count of spellings met before it.
+func (ix *Index) cellID(raw uint32, e catalog.EntityID, extra map[cellPair]uint32) uint32 {
+	if raw == uint32(len(ix.firstEnts)) {
+		ix.firstEnts = append(ix.firstEnts, e)
+	}
+	if ix.firstEnts[raw] == e {
+		return raw
+	}
+	id, ok := extra[cellPair{raw, e}]
+	if !ok {
+		id = uint32(len(ix.raws) + len(ix.extras))
+		extra[cellPair{raw, e}] = id
+		ix.extras = append(ix.extras, cellPair{raw, e})
+	}
+	return id
 }
 
 // intern compiles everything a segment stores — the blob, both
-// dictionaries, the cell arrays, table and annotation metadata — from
+// dictionaries, the cell IDs, table and annotation metadata — from
 // tables and annotations, and derives nothing. It is the one place a
 // cell is normalized and the one author of the numbering the persistent
 // form relies on: a spelling gets the next raw ID the first time a cell,
 // walking tables, then rows, then columns, is spelled that way, and only
 // then is it normalized and its text, if new, given the next text ID.
+// The cells' extra IDs are numbered in the same walk once the
+// annotations are read.
 func intern(ctx context.Context, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
 	if anns != nil && len(anns) != len(tables) {
 		return nil, fmt.Errorf("searchidx: %d annotations for %d tables", len(anns), len(tables))
@@ -333,7 +385,7 @@ func intern(ctx context.Context, tables []*table.Table, anns []*core.Annotation)
 			return nil, fmt.Errorf("searchidx: more than %d cells in one segment (at table %d)", uint32(math.MaxUint32), ti)
 		}
 	}
-	ix.layCells(cells)
+	ix.cells = make([]uint32, cells)
 
 	var blob []byte
 	add := func(s string) strRef {
@@ -370,7 +422,7 @@ func intern(ctx context.Context, tables []*table.Table, anns []*core.Annotation)
 					}
 					ix.raws = append(ix.raws, rawSpelling{strRef: ref, text: tid})
 				}
-				ix.cellRaw[off+uint32(c*rows+r)] = id
+				ix.cells[off+uint32(c*rows+r)] = id
 			}
 		}
 	}
@@ -416,9 +468,7 @@ func intern(ctx context.Context, tables []*table.Table, anns []*core.Annotation)
 		for _, ra := range a.Relations {
 			ix.annRels = append(ix.annRels, relMeta{uint32(ra.Col1), uint32(ra.Col2), ra.Relation, ra.Forward})
 		}
-		tRows, tCols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
-		own := rows != tRows || cols != tCols
-		ents := ix.cellEnts[ix.spans[ti].off:]
+		own := rows != int(ix.spans[ti].rows) || cols != int(ix.tables[ti].cols)
 		for r, row := range a.CellEntities {
 			if len(row) != cols {
 				return nil, fmt.Errorf("searchidx: annotation %q row %d has %d cells for %d columns", a.TableID, r, len(row), cols)
@@ -431,10 +481,25 @@ func intern(ctx context.Context, tables []*table.Table, anns []*core.Annotation)
 			if own {
 				ix.annGrid = append(ix.annGrid, row...)
 			}
-			if r < tRows {
-				for c, e := range row[:min(cols, tCols)] {
-					ents[c*tRows+r] = e
+		}
+	}
+	extra := ix.startPairs(true)
+	for ti, t := range tables {
+		var grid [][]catalog.EntityID
+		if anns != nil && anns[ti] != nil {
+			grid = anns[ti].CellEntities
+		}
+		ids, rows := ix.cells[ix.spans[ti].off:], t.Rows()
+		for r, row := range t.Cells {
+			if r&(rowCheckInterval-1) == rowCheckInterval-1 && ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			for c := range row {
+				e := catalog.EntityID(catalog.None)
+				if r < len(grid) && c < len(grid[r]) {
+					e = grid[r][c]
 				}
+				ids[c*rows+r] = ix.cellID(ids[c*rows+r], e, extra)
 			}
 		}
 	}
@@ -442,14 +507,14 @@ func intern(ctx context.Context, tables []*table.Table, anns []*core.Annotation)
 		return nil, fmt.Errorf("searchidx: more than %d bytes of strings, or annotation entries, in one segment", uint32(math.MaxUint32))
 	}
 	ix.blob = string(blob)
-	ix.annTypes, ix.annRels, ix.annGrid = exact(ix.annTypes), exact(ix.annRels), exact(ix.annGrid)
+	ix.annTypes, ix.annRels, ix.annGrid, ix.extras = exact(ix.annTypes), exact(ix.annRels), exact(ix.annGrid), exact(ix.extras)
 	return ix, nil
 }
 
 // derive computes what an index holds beyond what it stores, all of it a
-// function of the two dictionaries, the tables' IDs, headers and contexts
-// and the annotations: each text's spellings and the token postings, the
-// ID index, the baseline's header and context postings, the relation and
+// function of the dictionaries, the tables' IDs, headers and contexts
+// and the annotations: each text's cell IDs and the token postings, the
+// cell IDs by entity, the ID index, the baseline's header and context postings, the relation and
 // typed-pair postings, and the subject types. It is the one place they
 // are computed, for a built segment and a loaded one alike.
 func (ix *Index) derive(ctx context.Context) error {
@@ -457,7 +522,15 @@ func (ix *Index) derive(ctx context.Context) error {
 	ix.contextPost = make(map[string][]int32)
 	ix.relPairs = make(map[catalog.RelationID][]ColumnPair)
 	ix.typedPairs = make(map[catalog.TypeID][]ColumnPair)
-	ix.textRaws = groupBy(len(ix.texts), len(ix.raws), func(i int) uint32 { return ix.raws[i].text }, func(i int) uint32 { return uint32(i) })
+	ids := len(ix.raws) + len(ix.extras)
+	ix.textCells = groupBy(len(ix.texts), ids, func(i int) uint32 { return ix.raws[ix.pair(uint32(i)).raw].text }, func(i int) uint32 { return uint32(i) })
+	for id := range uint32(ids) {
+		if ix.Entity(id) != catalog.None {
+			ix.byEntity = append(ix.byEntity, id)
+		}
+	}
+	ix.byEntity = exact(ix.byEntity)
+	slices.SortStableFunc(ix.byEntity, func(a, b uint32) int { return cmp.Compare(ix.Entity(a), ix.Entity(b)) })
 	if err := ix.deriveTokens(ctx); err != nil {
 		return err
 	}
@@ -623,7 +696,7 @@ func (ix *Index) TablesWithID(id string) []uint32 {
 // spelled it. The string is a substring of the segment's blob.
 func (ix *Index) Surface(t, row, col int) string {
 	sp := ix.spans[t]
-	return ix.str(ix.raws[ix.cellRaw[int(sp.off)+col*int(sp.rows)+row]].strRef)
+	return ix.str(ix.raws[ix.pair(ix.cells[int(sp.off)+col*int(sp.rows)+row]).raw].strRef)
 }
 
 // Table materialises table t: a new table.Table equal to the one the
@@ -638,10 +711,10 @@ func (ix *Index) Table(t int) *table.Table {
 			out.Headers[c] = ix.str(ix.headers[int(m.headers)+c])
 		}
 	}
-	raws := ix.cellRaw[ix.spans[t].off:]
+	ids := ix.cells[ix.spans[t].off:]
 	for r, row := range out.Cells {
 		for c := range row {
-			row[c] = ix.str(ix.raws[raws[c*rows+r]].strRef)
+			row[c] = ix.str(ix.raws[ix.pair(ids[c*rows+r]).raw].strRef)
 		}
 	}
 	return out
@@ -667,14 +740,14 @@ func (ix *Index) Annotation(t int) *core.Annotation {
 		}
 	}
 	own := m.rows != ix.spans[t].rows || m.cols != ix.tables[t].cols
-	rows, ents := int(ix.spans[t].rows), ix.cellEnts[ix.spans[t].off:]
+	rows, ids := int(ix.spans[t].rows), ix.cells[ix.spans[t].off:]
 	for r, row := range out.CellEntities {
 		if own {
 			copy(row, ix.annGrid[int(m.grid)+r*int(m.cols):])
 			continue
 		}
 		for c := range row {
-			row[c] = ents[c*rows+r]
+			row[c] = ix.Entity(ids[c*rows+r])
 		}
 	}
 	return out
@@ -691,13 +764,13 @@ func newGrid[T any](rows, cols int) [][]T {
 }
 
 // ResidentBytes is what a segment keeps in memory, by part, counted from
-// array lengths and element sizes: Cells the two cell arrays (and the
-// entity grids of annotations shaped unlike their table), Dictionaries
-// the raw spellings and normalized texts in the blob with the three
-// dictionaries' arrays and the token map, Postings every derived
-// posting list, Tables the rest of the blob and the per-table and
-// per-annotation metadata. A map counts as its keys and values; the buckets Go keeps
-// around them are not counted.
+// array lengths and element sizes: Cells the cell IDs, one 4-byte ID per
+// cell (and the entity grids of annotations shaped unlike their table),
+// Dictionaries the raw spellings and normalized texts in the blob with
+// the arrays of the raw, text, token and cell-ID dictionaries and the
+// token map, Postings every derived posting list, Tables the rest of the
+// blob and the per-table and per-annotation metadata. A map counts as
+// its keys and values; the buckets Go keeps around them are not counted.
 type ResidentBytes struct {
 	Cells, Dictionaries, Postings, Tables int64
 }
@@ -728,14 +801,15 @@ func (ix *Index) measure() ResidentBytes {
 	if len(ix.tables) > 0 {
 		dict = int64(ix.tables[0].id.off)
 	}
-	r.Cells = u32 * int64(len(ix.cellRaw)+len(ix.cellEnts))
+	r.Cells = u32 * int64(len(ix.cells))
 	r.Dictionaries = dict + int64(unsafe.Sizeof(rawSpelling{}))*int64(len(ix.raws)) + (ref+u32)*int64(len(ix.texts)) +
-		u32*int64(len(ix.textRaws.off)+len(ix.textRaws.ids)) + (str+u32)*int64(len(ix.tokenIDs))
+		u32*int64(len(ix.textCells.off)+len(ix.textCells.ids)) + (str+u32)*int64(len(ix.tokenIDs)) +
+		u32*int64(len(ix.firstEnts)) + int64(unsafe.Sizeof(cellPair{}))*int64(len(ix.extras))
 	r.Cells += u32 * int64(len(ix.annGrid))
 	r.Tables = int64(len(ix.blob)) - dict + int64(unsafe.Sizeof(tableMeta{}))*int64(len(ix.tables)) + ref*int64(len(ix.headers)) +
 		int64(unsafe.Sizeof(tableSpan{}))*int64(len(ix.spans)) + u32*int64(len(ix.byID)) + int64(unsafe.Sizeof(annMeta{}))*int64(len(ix.anns)) +
 		u32*int64(len(ix.annTypes)) + int64(unsafe.Sizeof(relMeta{}))*int64(len(ix.annRels))
-	r.Postings += u32 * int64(len(ix.tokenTexts.off)+len(ix.tokenTexts.ids))
+	r.Postings += u32 * int64(len(ix.tokenTexts.off)+len(ix.tokenTexts.ids)+len(ix.byEntity))
 	for tok, post := range ix.headerPost {
 		r.Postings += str + int64(len(tok)) + slice + colKey*int64(len(post))
 	}
@@ -848,17 +922,17 @@ func (cc *ContextCursor) Contains(t int32) bool {
 }
 
 // Column returns one column of an indexed table, top to bottom: each
-// cell's raw-spelling ID and its entity annotation (catalog.None if
-// absent). The slices are the index's own; callers must not mutate them.
-func (ix *Index) Column(table, col int) (raws []uint32, ents []catalog.EntityID) {
+// cell's ID, which Spelling and Entity read. The slice is the index's
+// own; callers must not mutate it.
+func (ix *Index) Column(table, col int) []uint32 {
 	rows := int(ix.spans[table].rows)
 	lo := int(ix.spans[table].off) + col*rows
-	return ix.cellRaw[lo : lo+rows : lo+rows], ix.cellEnts[lo : lo+rows : lo+rows]
+	return ix.cells[lo : lo+rows : lo+rows]
 }
 
-// Spelling returns the normalized text of a raw-spelling ID: the cell's
-// tokens joined by single spaces, empty for a cell without any.
-func (ix *Index) Spelling(raw uint32) string { return ix.str(ix.texts[ix.raws[raw].text]) }
+// Spelling returns the normalized text of the cells with ID id: their
+// tokens joined by single spaces, empty for cells without any.
+func (ix *Index) Spelling(id uint32) string { return ix.str(ix.texts[ix.raws[ix.pair(id).raw].text]) }
 
 // Probe is one query string compiled once per request: the distinct
 // tokens of its normalized spelling, in ascending order. A Probe also
@@ -869,7 +943,7 @@ type Probe struct {
 	Tokens []string
 
 	cur, next []tally
-	matches   []rawMatch
+	matches   []idMatch
 }
 
 // tally counts, for one text, how many of the probe's tokens it holds.
@@ -897,29 +971,36 @@ func (p *Probe) Reset(s string) {
 	p.matches = p.matches[:0]
 }
 
-// MatchSet is a probe compiled against one segment: the raw spellings
-// it matches, ascending by ID, each with the evidence a cell spelled so
-// contributes. The zero MatchSet matches nothing.
+// MatchSet is a probe and an E2 entity compiled against one segment:
+// the cell IDs they match, ascending, each with the evidence a cell of
+// that ID contributes. The zero MatchSet matches nothing.
 type MatchSet struct {
-	raws []rawMatch
-	// mask has bit id%64 set for every matched ID: one word that tells
-	// a row loop, for all but a few cells in 64, that a cell cannot match.
-	mask uint64
+	ids []idMatch
+	// mask has bit id%maskBits set for every matched ID: 128 bytes that
+	// tell a row loop, for all but a few cells, that a cell cannot match.
+	mask [maskBits / 64]uint64
 }
 
-type rawMatch struct {
+// maskBits is the width of a MatchSet's mask, a power of two: at 64 a
+// third of BenchmarkScanColumn's rows went on to Lookup.
+const maskBits = 1024
+
+type idMatch struct {
 	id       uint32
 	evidence float64
 }
 
-// Compile compiles p against the segment. A text matches with its
-// token-set Jaccard similarity to the probe when that reaches 0.5,
-// counted off the token postings: the text spelled like the probe holds
-// exactly the probe's distinct tokens, so its evidence is exactly 1, and
-// a probe without a spelling has no token and matches nothing. Each
-// matched text then lends its evidence to every spelling of it, and the
-// spellings are sorted for Lookup.
-func (ix *Index) Compile(p *Probe) MatchSet {
+// Compile compiles p and e2 against the segment. With e2 set, a cell
+// annotated with it matches at 1.5 — an exact entity match beats any
+// text match — one annotated otherwise matches nothing, and one without
+// an annotation matches by its text; with e2 = catalog.None every cell
+// matches by its text. A text matches with its token-set Jaccard
+// similarity to the probe when that reaches 0.5, counted off the token
+// postings: the text spelled like the probe holds exactly the probe's
+// distinct tokens, so its evidence is exactly 1, and a probe without a
+// spelling has no token and matches nothing. A matched text lends its
+// evidence to its cell IDs, which are sorted for Lookup.
+func (ix *Index) Compile(p *Probe, e2 catalog.EntityID) MatchSet {
 	// Merge the postings of the probe's tokens, counting per text how
 	// many of them list it.
 	cur, next := p.cur[:0], p.next[:0]
@@ -949,28 +1030,41 @@ func (ix *Index) Compile(p *Probe) MatchSet {
 	// moves the array, the earlier sets keep the old one.
 	var m MatchSet
 	first := len(p.matches)
+	if e2 != catalog.None {
+		lo, _ := slices.BinarySearchFunc(ix.byEntity, e2, func(id uint32, e catalog.EntityID) int { return cmp.Compare(ix.Entity(id), e) })
+		for _, id := range ix.byEntity[lo:] {
+			if ix.Entity(id) != e2 {
+				break
+			}
+			p.matches = append(p.matches, idMatch{id, 1.5})
+		}
+	}
 	for _, t := range cur {
 		union := len(p.Tokens) + int(ix.textTokens[t.text]) - int(t.shared)
 		ev := float64(t.shared) / float64(union)
 		if ev < 0.5 {
 			continue
 		}
-		for _, raw := range ix.textRaws.of(t.text) {
-			p.matches = append(p.matches, rawMatch{raw, ev})
-			m.mask |= 1 << (raw % 64)
+		for _, id := range ix.textCells.of(t.text) {
+			if e2 == catalog.None || ix.Entity(id) == catalog.None {
+				p.matches = append(p.matches, idMatch{id, ev})
+			}
 		}
 	}
-	m.raws = p.matches[first:len(p.matches):len(p.matches)]
-	slices.SortFunc(m.raws, func(a, b rawMatch) int { return cmp.Compare(a.id, b.id) })
+	m.ids = p.matches[first:len(p.matches):len(p.matches)]
+	slices.SortFunc(m.ids, func(a, b idMatch) int { return cmp.Compare(a.id, b.id) })
+	for _, t := range m.ids {
+		m.mask[t.id%maskBits/64] |= 1 << (t.id % 64)
+	}
 	return m
 }
 
-// Lookup returns the evidence a cell of the given raw spelling
-// contributes, 0 when the probe does not match it. It runs once per
-// unsettled row of a scan, so it is a plain loop: halve the few matches
-// down to a handful, then compare.
+// Lookup returns the evidence a cell of the given ID contributes, 0 when
+// the set does not match it. It runs once per unsettled row of a scan,
+// so it is a plain loop: halve the few matches down to a handful, then
+// compare.
 func (m *MatchSet) Lookup(id uint32) float64 {
-	ts := m.raws
+	ts := m.ids
 	for len(ts) > 4 {
 		if h := len(ts) / 2; ts[h].id <= id {
 			ts = ts[h:]
@@ -993,33 +1087,16 @@ type RowHit struct {
 }
 
 // ScanColumn is the query processor's row loop over one column slice,
-// raws and ents as Column returns them (or a sub-slice of both, base
-// being the row number of their first entry). It appends to dst every
-// row whose cell matches, and returns dst. With an E2 entity, a cell
-// annotated with it is evidence 1.5 — an exact entity match beats any
-// text match — a cell annotated with another entity is no evidence, and
-// an unannotated cell falls back to the text match m holds. With e2 =
-// catalog.None annotations are ignored and every cell is matched by
-// text. Per row that is an entity compare and, for the cells it does not
-// settle, a bit test against m's mask; only the survivors are looked up.
-func ScanColumn(dst []RowHit, base int, raws []uint32, ents []catalog.EntityID, e2 catalog.EntityID, m *MatchSet) []RowHit {
-	mask := m.mask
-	if e2 == catalog.None {
-		for r, id := range raws {
-			if mask>>(id%64)&1 != 0 {
-				if ev := m.Lookup(id); ev > 0 {
-					dst = append(dst, RowHit{Row: int32(base + r), Evidence: ev})
-				}
-			}
-		}
-		return dst
-	}
-	raws = raws[:len(ents)]
-	for r, e := range ents {
-		if e == e2 {
-			dst = append(dst, RowHit{Row: int32(base + r), Evidence: 1.5})
-		} else if e == catalog.None && mask>>(raws[r]%64)&1 != 0 {
-			if ev := m.Lookup(raws[r]); ev > 0 {
+// ids as Column returns them (or a sub-slice, base being the row number
+// of its first entry). It appends to dst every row whose cell m
+// matches, with its evidence, and returns dst. Per row that is a bit
+// test against m's mask; only the cells it does not settle are looked
+// up.
+func ScanColumn(dst []RowHit, base int, ids []uint32, m *MatchSet) []RowHit {
+	mask := &m.mask
+	for r, id := range ids {
+		if mask[id%maskBits/64]>>(id%64)&1 != 0 {
+			if ev := m.Lookup(id); ev > 0 {
 				dst = append(dst, RowHit{Row: int32(base + r), Evidence: ev})
 			}
 		}

@@ -77,9 +77,8 @@ func contextTables(ix *Index, q string) []int32 {
 // verdict compiles q against the segment and looks up one cell.
 func verdict(ix *Index, q string, table, row, col int) float64 {
 	p := NewProbe(q)
-	m := ix.Compile(&p)
-	raws, _ := ix.Column(table, col)
-	return m.Lookup(raws[row])
+	m := ix.Compile(&p, catalog.None)
+	return m.Lookup(ix.Column(table, col)[row])
 }
 
 func TestHeaderContextCellPostings(t *testing.T) {
@@ -141,12 +140,12 @@ func TestUnionOfPostings(t *testing.T) {
 func TestEntityAndTypeAt(t *testing.T) {
 	ix, c := buildIndex(t)
 	e1, _ := c.EntityByName("Star Voyage")
-	_, ents := ix.Column(0, 0)
-	if len(ents) != 2 || ents[0] != e1 || ents[1] != catalog.None {
-		t.Errorf("column 0 entities = %v, want [%v None]", ents, e1)
+	ids := ix.Column(0, 0)
+	if len(ids) != 2 || ix.Entity(ids[0]) != e1 || ix.Entity(ids[1]) != catalog.None {
+		t.Errorf("column 0 entities = %v %v, want [%v None]", ix.Entity(ids[0]), ix.Entity(ids[1]), e1)
 	}
-	if _, ents := ix.Column(0, 1); ents[0] != catalog.None || ents[1] != catalog.None {
-		t.Errorf("unannotated column entities = %v", ents)
+	if ids := ix.Column(0, 1); ix.Entity(ids[0]) != catalog.None || ix.Entity(ids[1]) != catalog.None {
+		t.Errorf("unannotated column entities = %v %v", ix.Entity(ids[0]), ix.Entity(ids[1]))
 	}
 	// Only column 0 is typed, so no ordered pair of typed columns exists.
 	if got := ix.SubjectTypes(); len(got) != 0 {
@@ -257,10 +256,10 @@ func TestTypedPairsEnumeratesOrderedPairs(t *testing.T) {
 
 func TestPrecomputedCells(t *testing.T) {
 	ix, c := buildRelIndex(t)
-	texts, ents := ix.Column(0, 1)
+	ids := ix.Column(0, 1)
 	// "Star  Voyage!" normalizes with collapsed whitespace and stripped
 	// punctuation at build time.
-	if got := ix.Spelling(texts[0]); got != "star voyage" {
+	if got := ix.Spelling(ids[0]); got != "star voyage" {
 		t.Errorf("Spelling = %q", got)
 	}
 	// Two distinct tokens: one shared of two is exactly the threshold.
@@ -268,8 +267,8 @@ func TestPrecomputedCells(t *testing.T) {
 		t.Errorf(`"star" against "Star  Voyage!" = %v, want 0.5`, got)
 	}
 	f1, _ := c.EntityByName("Star Voyage")
-	if ents[0] != f1 {
-		t.Errorf("entity = %v", ents[0])
+	if e := ix.Entity(ids[0]); e != f1 {
+		t.Errorf("entity = %v", e)
 	}
 }
 
@@ -283,8 +282,8 @@ func TestUnannotatedIndex(t *testing.T) {
 	}
 	tab := &table.Table{ID: "x", Cells: [][]string{{"a", "b"}}}
 	ix := build(t, c, []*table.Table{tab}, nil)
-	if _, ents := ix.Column(0, 0); ents[0] != catalog.None {
-		t.Errorf("entity without annotations = %v", ents[0])
+	if e := ix.Entity(ix.Column(0, 0)[0]); e != catalog.None {
+		t.Errorf("entity without annotations = %v", e)
 	}
 	// Annotation-derived posting lists are empty, precomputed text isn't.
 	if got := ix.SubjectTypes(); len(got) != 0 {
@@ -296,8 +295,7 @@ func TestUnannotatedIndex(t *testing.T) {
 	if got := verdict(ix, "a", 0, 0, 0); got != 1 {
 		t.Errorf(`"a" against "a" = %v, want 1`, got)
 	}
-	texts, _ := ix.Column(0, 1)
-	if got := ix.Spelling(texts[0]); got != "b" {
+	if got := ix.Spelling(ix.Column(0, 1)[0]); got != "b" {
 		t.Errorf("Spelling = %q", got)
 	}
 }
@@ -336,31 +334,30 @@ func TestColumnMajorLayout(t *testing.T) {
 	ix := build(t, c, tabs, anns)
 	for ti, tab := range tabs {
 		for col := 0; col < tab.Cols(); col++ {
-			raws, ents := ix.Column(ti, col)
-			if len(raws) != tab.Rows() || len(ents) != tab.Rows() {
-				t.Fatalf("table %d column %d: %d spellings, %d entities for %d rows", ti, col, len(raws), len(ents), tab.Rows())
+			ids := ix.Column(ti, col)
+			if len(ids) != tab.Rows() {
+				t.Fatalf("table %d column %d: %d cells for %d rows", ti, col, len(ids), tab.Rows())
 			}
-			for r := range raws {
+			for r, id := range ids {
 				if got, want := ix.Surface(ti, r, col), tab.Cell(r, col); got != want {
 					t.Errorf("table %d cell (%d,%d): surface %q, want %q", ti, r, col, got, want)
 				}
-				if got, want := ix.Spelling(raws[r]), text.Normalize(tab.Cell(r, col)); got != want {
+				if got, want := ix.Spelling(id), text.Normalize(tab.Cell(r, col)); got != want {
 					t.Errorf("table %d cell (%d,%d): spelling %q, want %q", ti, r, col, got, want)
 				}
 				want := catalog.EntityID(catalog.None)
 				if ann := anns[ti]; ann != nil && r < len(ann.CellEntities) && col < len(ann.CellEntities[r]) {
 					want = ann.CellEntities[r][col]
 				}
-				if ents[r] != want {
-					t.Errorf("table %d cell (%d,%d): entity %v, want %v", ti, r, col, ents[r], want)
+				if got := ix.Entity(id); got != want {
+					t.Errorf("table %d cell (%d,%d): entity %v, want %v", ti, r, col, got, want)
 				}
 			}
 		}
 	}
 	// Spellings of one text share its ID across tables.
-	a, _ := ix.Column(0, 0)
-	b, _ := ix.Column(1, 0)
-	if a[0] == b[2] || ix.raws[a[0]].text != ix.raws[b[2]].text {
+	a, b := ix.Column(0, 0), ix.Column(1, 0)
+	if a[0] == b[2] || ix.raws[ix.pair(a[0]).raw].text != ix.raws[ix.pair(b[2]).raw].text {
 		t.Errorf(`"A 0 0" and "a 0 0" are spellings %d and %d of texts %d and %d`, a[0], b[2], ix.raws[a[0]].text, ix.raws[b[2]].text)
 	}
 }
@@ -369,12 +366,15 @@ func TestColumnMajorLayout(t *testing.T) {
 // to count by hand: two tables — one 2×2 with headers, a context and an
 // annotation shaped like it, one 1×1 with neither — holding five cells,
 // three spellings ("Alpha", "Bob", "alpha") of two texts of one token
-// each. Every figure is a count times an element size.
+// each; "Bob" is annotated in its first cell and not in its second, so
+// the cells hold four (spelling, entity) IDs, one of them an extra and
+// one annotated. Every figure is a count times an element size.
 func TestResidentBytesArithmetic(t *testing.T) {
 	c := catalog.New()
 	film, _ := c.AddType("Film")
 	director, _ := c.AddType("Director")
 	directed, _ := c.AddRelation("directed", film, director, catalog.ManyToOne)
+	bob, _ := c.AddEntity("Bob", nil, director)
 	if err := c.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestResidentBytesArithmetic(t *testing.T) {
 		{ID: "b", Cells: [][]string{{"Alpha"}}},
 	}, []*core.Annotation{
 		{TableID: "a", ColumnTypes: []catalog.TypeID{film, director},
-			CellEntities: [][]catalog.EntityID{{catalog.None, catalog.None}, {catalog.None, catalog.None}},
+			CellEntities: [][]catalog.EntityID{{catalog.None, bob}, {catalog.None, catalog.None}},
 			Relations:    []core.RelationAnnotation{{Col1: 0, Col2: 1, Relation: directed, Forward: true}}},
 		nil,
 	})
@@ -394,17 +394,19 @@ func TestResidentBytesArithmetic(t *testing.T) {
 		pair  = int64(unsafe.Sizeof(ColumnPair{}))
 	)
 	want := ResidentBytes{
-		// Two arrays of five cells.
-		Cells: 2 * 5 * u32,
+		// One ID per cell.
+		Cells: 5 * u32,
 		// "Alpha" "alpha" "Bob" "bob" "alpha" in the blob, three raw and two
-		// text entries with a token count each, the texts' spellings as
-		// three offsets and three IDs, and two tokens mapped to IDs.
-		Dictionaries: 21 + 3*int64(unsafe.Sizeof(rawSpelling{})) + 2*(int64(unsafe.Sizeof(strRef{}))+u32) + 6*u32 + 2*(str+u32),
-		// The token lists as three offsets and two text IDs; "film" and
-		// "director" each posting one column; "films" posting one table;
-		// one relation pair, and a typed pair under each of the two subject
-		// types.
-		Postings: 5*u32 + (str + 4 + slice + 8) + (str + 8 + slice + 8) + (str + 5 + slice + u32) + 3*(u32+slice+pair) + 2*u32,
+		// text entries with a token count each, the texts' cell IDs as
+		// three offsets and four IDs, two tokens mapped to IDs, each
+		// spelling's first entity and the one extra pair, ("Bob", None).
+		Dictionaries: 21 + 3*int64(unsafe.Sizeof(rawSpelling{})) + 2*(int64(unsafe.Sizeof(strRef{}))+u32) + 7*u32 + 2*(str+u32) +
+			3*u32 + 2*u32,
+		// The token lists as three offsets and two text IDs, and the one
+		// annotated ID; "film" and "director" each posting one column;
+		// "films" posting one table; one relation pair, and a typed pair
+		// under each of the two subject types.
+		Postings: 5*u32 + u32 + (str + 4 + slice + 8) + (str + 8 + slice + 8) + (str + 5 + slice + u32) + 3*(u32+slice+pair) + 2*u32,
 		// "a" "films" "Film" "Director" "b" "" and the annotation's "a" in
 		// the blob; per table its metadata, span and ID-index entry and a
 		// fixed annotation record; two header entries, and the
@@ -415,7 +417,7 @@ func TestResidentBytesArithmetic(t *testing.T) {
 	if got := ix.ResidentBytes(); got != want {
 		t.Errorf("ResidentBytes = %+v, want %+v", got, want)
 	}
-	if a, r := unsafe.Sizeof(annMeta{}), unsafe.Sizeof(relMeta{}); a > 36 || r > 16 {
-		t.Errorf("an annotation record takes %d bytes and a relation %d, budget 36 and 16", a, r)
+	if a, r, p := unsafe.Sizeof(annMeta{}), unsafe.Sizeof(relMeta{}), unsafe.Sizeof(cellPair{}); a > 36 || r > 16 || p > 8 {
+		t.Errorf("an annotation record takes %d bytes, a relation %d and an extra cell ID %d, budget 36, 16 and 8", a, r, p)
 	}
 }

@@ -57,8 +57,9 @@ import (
 //
 // Stored, because recomputing it is what made a restart slow: the text
 // dictionary in text-ID order, every raw spelling's text ID, and the
-// cells as raw-spelling IDs. Derived on load by the code that derives it
-// at build (Index.derive): each text's spellings from the raw
+// cells as raw-spelling IDs, turned into (spelling, entity) IDs as the
+// entity grids are read. Derived on load by the code that derives it
+// at build (Index.derive): each text's cell IDs from the raw
 // dictionary, token postings from the text dictionary, header, context,
 // relation and typed-pair postings from headers, contexts and
 // annotations. A stored text is trusted to be the normalization of the
@@ -140,10 +141,10 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 	next = 0
 	for ti, m := range ix.tables {
 		rows, cols := int(ix.spans[ti].rows), int(m.cols)
-		raws := ix.cellRaw[ix.spans[ti].off:]
+		ids := ix.cells[ix.spans[ti].off:]
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
-				if id := raws[c*rows+r]; id != next {
+				if id := ix.pair(ids[c*rows+r]).raw; id != next {
 					dst = binary.AppendUvarint(dst, uint64(id)+1)
 				} else {
 					dst = append(dst, 0)
@@ -181,15 +182,16 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 	for ti := range ix.anns {
 		a := &ix.anns[ti]
 		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
-		raws, ents := ix.cellRaw[ix.spans[ti].off:], ix.cellEnts[ix.spans[ti].off:]
+		ids := ix.cells[ix.spans[ti].off:]
 		for r := 0; r < int(a.rows); r++ {
 			for c := 0; c < int(a.cols); c++ {
 				if r >= rows || c >= cols {
 					dst = appendID(dst, int32(ix.annGrid[int(a.grid)+r*int(a.cols)+c]))
 					continue
 				}
-				e := ents[c*rows+r]
-				switch label := &labels[ix.raws[raws[c*rows+r]].text]; {
+				cp := ix.pair(ids[c*rows+r])
+				e := cp.ent
+				switch label := &labels[ix.raws[cp.raw].text]; {
 				case *label == unlabeled:
 					*label = int32(e)
 					dst = appendID(dst, int32(e))
@@ -394,11 +396,11 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 	if cells > math.MaxUint32 {
 		return nil, r.Failf("%d cells", cells)
 	}
-	ix.layCells(uint64(cells))
+	ix.cells = make([]uint32, cells)
 	known := uint32(0) // spellings the cells so far have introduced
 	for ti := range ix.tables {
 		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
-		raws := ix.cellRaw[ix.spans[ti].off:]
+		raws := ix.cells[ix.spans[ti].off:]
 		for i := 0; i < rows; i++ {
 			if i&(rowCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
@@ -423,11 +425,15 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 		return nil, r.Failf("%d spellings declared, %d used", nRaws, known)
 	}
 
+	// Reading the entities turns the spelling IDs into cell IDs in place;
+	// without an annotation list every spelling's ID is its cells'.
+	extra := ix.startPairs(flags&segmentAnnotated != 0)
 	if flags&segmentAnnotated != 0 {
-		if err := r.annotations(ctx, ix); err != nil {
+		if err := r.annotations(ctx, ix, extra); err != nil {
 			return nil, err
 		}
 	}
+	ix.extras = exact(ix.extras)
 	if r.Remaining() != 0 || r.pos != r.blob {
 		r.Failf("%d bytes and %d string bytes left over", r.Remaining(), r.blob-r.pos)
 	}
@@ -438,9 +444,10 @@ func decode(ctx context.Context, data []byte) (*Index, error) {
 }
 
 // annotations reads the annotation list of the segment whose tables and
-// cells ix already holds: every annotation's fields, then every
-// annotation's grid of cell entities.
-func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
+// cells' spellings ix already holds: every annotation's fields, then
+// every annotation's grid of cell entities, turning each cell's spelling
+// ID into its cell ID (numbering extras in extra) as the walk passes it.
+func (r *segmentReader) annotations(ctx context.Context, ix *Index, extra map[cellPair]uint32) error {
 	ix.anns = make([]annMeta, len(ix.tables))
 	var cells int64
 	for ti := range ix.anns {
@@ -494,22 +501,25 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 	for ti := range ix.anns {
 		a := &ix.anns[ti]
 		rows, cols := int(ix.spans[ti].rows), int(ix.tables[ti].cols)
-		raws, ents := ix.cellRaw[ix.spans[ti].off:], ix.cellEnts[ix.spans[ti].off:]
+		ids := ix.cells[ix.spans[ti].off:]
 		own := a.rows != uint32(rows) || a.cols != uint32(cols)
-		for i := 0; i < int(a.rows); i++ {
+		// Row by row, the grid's entries, then the table's cells right of
+		// the grid: the table's cells come in the order intern numbers.
+		for i := 0; i < max(rows, int(a.rows)); i++ {
 			if i&(rowCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			for c := 0; c < int(a.cols); c++ {
+			c := 0
+			for ; i < int(a.rows) && c < int(a.cols); c++ {
 				code := r.Uvarint()
 				// Over a cell of the table whose text is labeled already, 0
 				// repeats the label and anything else is shifted by one more;
 				// the first such cell of a text sets its label.
 				var label *int32
 				if i < rows && c < cols {
-					label = &labels[ix.raws[raws[c*rows+i]].text]
+					label = &labels[ix.raws[ids[c*rows+i]].text]
 				}
 				labeled := label != nil && *label != unlabeled
 				var e catalog.EntityID
@@ -527,11 +537,14 @@ func (r *segmentReader) annotations(ctx context.Context, ix *Index) error {
 					}
 				}
 				if label != nil {
-					ents[c*rows+i] = e
+					ids[c*rows+i] = ix.cellID(ids[c*rows+i], e, extra)
 				}
 				if own {
 					ix.annGrid[int(a.grid)+i*int(a.cols)+c] = e
 				}
+			}
+			for ; i < rows && c < cols; c++ {
+				ids[c*rows+i] = ix.cellID(ids[c*rows+i], catalog.None, extra)
 			}
 		}
 	}

@@ -19,7 +19,8 @@ import (
 // the format must carry: no headers, empty and non-ASCII cells,
 // spellings that differ only in case or spacing, an annotation grid
 // smaller than its table and one larger, a backward relation, an empty
-// annotation, a table without one, diagnostics, IDs no catalog holds.
+// annotation, a table without one, diagnostics, IDs no catalog holds —
+// the least int32 among them, as a spelling's first entity too.
 func oddSegment() ([]*table.Table, []*core.Annotation) {
 	tables := []*table.Table{
 		{ID: "a", Context: "Œuvres — réalisées", Cells: [][]string{
@@ -30,7 +31,7 @@ func oddSegment() ([]*table.Table, []*core.Annotation) {
 		{ID: "b", Headers: []string{"Film", ""}, Cells: [][]string{{"Epic Saga", "Solo Auteur"}, {"EPIC SAGA", "x"}}},
 		{ID: "c", Headers: []string{"only"}, Cells: [][]string{{"\xff\xfe not utf-8"}}},
 		{ID: "", Context: "no id, no annotation", Cells: [][]string{{"Epic Saga"}}},
-		{ID: "e", Cells: [][]string{{"solo auteur", "Epic Saga"}}},
+		{ID: "e", Cells: [][]string{{"solo auteur", "Epic Saga"}, {"solo auteur", "Epic Saga"}}},
 	}
 	anns := []*core.Annotation{
 		{
@@ -47,7 +48,7 @@ func oddSegment() ([]*table.Table, []*core.Annotation) {
 		},
 		{},
 		nil,
-		{TableID: "e", ColumnTypes: []catalog.TypeID{-7, 1 << 30}, CellEntities: [][]catalog.EntityID{{0, -2147483648}}},
+		{TableID: "e", ColumnTypes: []catalog.TypeID{-7, 1 << 30}, CellEntities: [][]catalog.EntityID{{-2147483648, -2147483648}, {0, catalog.None}}},
 	}
 	return tables, anns
 }
