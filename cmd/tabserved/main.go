@@ -184,9 +184,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		defer svc.Close()
 		stats, _ := svc.CorpusStats()
+		rb, _ := svc.ResidentBytes()
 		logger.Info("snapshot loaded", "path", *load, "shard", slot, "shards", count,
 			"tables", stats.Tables, "segments", stats.Segments, "table_offset", asn.TableOffset,
 			"generation", stats.Generation, "workers", svc.Workers(),
+			"resident_bytes", rb.Cells+rb.Dictionaries+rb.Postings+rb.Tables,
 			"took", time.Since(start).Round(time.Millisecond))
 		if *shard != "" {
 			srv = dist.NewShardServer(svc, asn, slot, count, distOpts...)

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +101,13 @@ func writeSnapshot(t *testing.T, w *worldgen.World, path string) {
 // startServed launches run() on a free port and returns the base URL, a
 // cancel func triggering graceful shutdown, and the run error channel.
 func startServed(t *testing.T, args []string) (string, context.CancelFunc, chan error) {
+	base, cancel, done, _ := startServedLogging(t, args)
+	return base, cancel, done
+}
+
+// startServedLogging is startServed that also returns run's log, to be
+// read once run has returned.
+func startServedLogging(t *testing.T, args []string) (string, context.CancelFunc, chan error, *bytes.Buffer) {
 	t.Helper()
 	addrCh := make(chan net.Addr, 1)
 	listenHook = func(a net.Addr) { addrCh <- a }
@@ -112,15 +120,15 @@ func startServed(t *testing.T, args []string) (string, context.CancelFunc, chan 
 
 	select {
 	case a := <-addrCh:
-		return "http://" + a.String(), cancel, done
+		return "http://" + a.String(), cancel, done, &errBuf
 	case err := <-done:
 		cancel()
 		t.Fatalf("run exited before listening: %v (stderr: %s)", err, errBuf.String())
-		return "", cancel, done
+		return "", cancel, done, nil
 	case <-time.After(2 * time.Minute):
 		cancel()
 		t.Fatal("timed out waiting for tabserved to listen")
-		return "", cancel, done
+		return "", cancel, done, nil
 	}
 }
 
@@ -196,14 +204,15 @@ func searchPayload(t *testing.T, w *worldgen.World, pageSize int) []byte {
 
 // TestServeFromSnapshot is the end-to-end daemon test: serve a saved
 // snapshot, answer concurrent searches, map errors, then shut down
-// gracefully on context cancellation (the SIGTERM path).
+// gracefully on context cancellation (the SIGTERM path). The
+// snapshot-loaded log line states the corpus's resident bytes.
 func TestServeFromSnapshot(t *testing.T) {
 	w := testWorld(t)
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "corpus.snap")
 	writeSnapshot(t, w, snap)
 
-	base, cancel, done := startServed(t, []string{
+	base, cancel, done, logs := startServedLogging(t, []string{
 		"-load", snap, "-addr", "127.0.0.1:0", "-workers", "4",
 	})
 	defer cancel()
@@ -286,6 +295,10 @@ func TestServeFromSnapshot(t *testing.T) {
 	}
 
 	stopServed(t, cancel, done)
+	m := regexp.MustCompile(`msg="snapshot loaded" .* resident_bytes=([0-9]+) `).FindStringSubmatch(logs.String())
+	if m == nil || m[1] == "0" {
+		t.Errorf("no resident_bytes on the snapshot-loaded line:\n%s", logs)
+	}
 }
 
 // TestServeFromCatalogCorpus boots the annotate-at-startup path.
