@@ -107,7 +107,8 @@ func RequestID(ctx context.Context) string {
 
 // ContextWithRequestID attaches a request ID to ctx, for callers
 // entering the request path without going through the HTTP middleware
-// (library use of the shard client, tests).
+// (library use of the shard client, tests). Its only callers are
+// internal/dist's tests; an export_test.go serves its own package only.
 func ContextWithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey, id)
 }

@@ -80,7 +80,8 @@ func WithTimeout(d time.Duration) Option { return func(s *Server) { s.base.Timeo
 // after its context is canceled (default 10s).
 func WithDrainTimeout(d time.Duration) Option { return func(s *Server) { s.base.Drain = d } }
 
-// WithMaxBodyBytes caps request body size (default 8 MiB).
+// WithMaxBodyBytes caps request body size (default 8 MiB). It is exported
+// for internal/dist's tests; an export_test.go serves its own package only.
 func WithMaxBodyBytes(n int64) Option { return func(s *Server) { s.base.MaxBody = n } }
 
 // WithSnapshotPath enables POST /v1/snapshot: the live corpus is
