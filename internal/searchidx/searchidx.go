@@ -177,7 +177,7 @@ type Index struct {
 	// entries of cells from spans[t].off+c*spans[t].rows, each a cell ID:
 	// ID s < len(raws) is spelling s (raws gives its text) under
 	// firstEnts[s], its first cell's entity; ID len(raws)+i is extras[i].
-	// byEntity, derived, lists the annotated IDs by (entity, ID).
+	// byEntity, derived, lists the annotated IDs by (uint32(entity), ID).
 	spans     []tableSpan
 	cells     []uint32
 	firstEnts []catalog.EntityID
@@ -321,10 +321,9 @@ func BuildContext(ctx context.Context, cat *catalog.Catalog, tables []*table.Tab
 	return ix, nil
 }
 
-// startPairs readies the cell IDs, which hold raw-spelling IDs, to be
-// turned into (spelling, entity) IDs by cellID, and returns the extra
-// pairs' numbering, to pass to it. No spelling has a first entity yet —
-// or, when the segment has no annotation list, every spelling's is None.
+// startPairs readies the cell IDs, which hold spelling IDs, for cellID,
+// and returns the extra pairs' numbering to pass to it: no spelling has
+// a first entity yet, or, without an annotation list, every one is None.
 func (ix *Index) startPairs(annotated bool) map[cellPair]uint32 {
 	ix.firstEnts = make([]catalog.EntityID, 0, len(ix.raws))
 	for !annotated && len(ix.firstEnts) < len(ix.raws) {
@@ -362,8 +361,6 @@ func (ix *Index) cellID(raw uint32, e catalog.EntityID, extra map[cellPair]uint3
 // form relies on: a spelling gets the next raw ID the first time a cell,
 // walking tables, then rows, then columns, is spelled that way, and only
 // then is it normalized and its text, if new, given the next text ID.
-// The cells' extra IDs are numbered in the same walk once the
-// annotations are read.
 func intern(ctx context.Context, tables []*table.Table, anns []*core.Annotation) (*Index, error) {
 	if anns != nil && len(anns) != len(tables) {
 		return nil, fmt.Errorf("searchidx: %d annotations for %d tables", len(anns), len(tables))
@@ -514,9 +511,10 @@ func intern(ctx context.Context, tables []*table.Table, anns []*core.Annotation)
 // derive computes what an index holds beyond what it stores, all of it a
 // function of the dictionaries, the tables' IDs, headers and contexts
 // and the annotations: each text's cell IDs and the token postings, the
-// cell IDs by entity, the ID index, the baseline's header and context postings, the relation and
-// typed-pair postings, and the subject types. It is the one place they
-// are computed, for a built segment and a loaded one alike.
+// cell IDs by entity, the ID index, the baseline's header and context
+// postings, the relation and typed-pair postings, and the subject types.
+// It is the one place they are computed, for a built segment and a
+// loaded one alike.
 func (ix *Index) derive(ctx context.Context) error {
 	ix.headerPost = make(map[string][]ColKey)
 	ix.contextPost = make(map[string][]int32)
@@ -524,13 +522,17 @@ func (ix *Index) derive(ctx context.Context) error {
 	ix.typedPairs = make(map[catalog.TypeID][]ColumnPair)
 	ids := len(ix.raws) + len(ix.extras)
 	ix.textCells = groupBy(len(ix.texts), ids, func(i int) uint32 { return ix.raws[ix.pair(uint32(i)).raw].text }, func(i int) uint32 { return uint32(i) })
+	keyed := make([]uint64, 0, ids) // entity<<32 | ID: a sort without a comparison func
 	for id := range uint32(ids) {
-		if ix.Entity(id) != catalog.None {
-			ix.byEntity = append(ix.byEntity, id)
+		if e := ix.Entity(id); e != catalog.None {
+			keyed = append(keyed, uint64(uint32(e))<<32|uint64(id))
 		}
 	}
-	ix.byEntity = exact(ix.byEntity)
-	slices.SortStableFunc(ix.byEntity, func(a, b uint32) int { return cmp.Compare(ix.Entity(a), ix.Entity(b)) })
+	slices.Sort(keyed)
+	ix.byEntity = make([]uint32, len(keyed))
+	for i, k := range keyed {
+		ix.byEntity[i] = uint32(k)
+	}
 	if err := ix.deriveTokens(ctx); err != nil {
 		return err
 	}
@@ -1031,7 +1033,7 @@ func (ix *Index) Compile(p *Probe, e2 catalog.EntityID) MatchSet {
 	var m MatchSet
 	first := len(p.matches)
 	if e2 != catalog.None {
-		lo, _ := slices.BinarySearchFunc(ix.byEntity, e2, func(id uint32, e catalog.EntityID) int { return cmp.Compare(ix.Entity(id), e) })
+		lo, _ := slices.BinarySearchFunc(ix.byEntity, uint32(e2), func(id, e uint32) int { return cmp.Compare(uint32(ix.Entity(id)), e) })
 		for _, id := range ix.byEntity[lo:] {
 			if ix.Entity(id) != e2 {
 				break
@@ -1088,10 +1090,9 @@ type RowHit struct {
 
 // ScanColumn is the query processor's row loop over one column slice,
 // ids as Column returns them (or a sub-slice, base being the row number
-// of its first entry). It appends to dst every row whose cell m
-// matches, with its evidence, and returns dst. Per row that is a bit
-// test against m's mask; only the cells it does not settle are looked
-// up.
+// of its first entry): it appends to dst every row whose cell m matches,
+// with its evidence, and returns dst. Per row that is one bit test of
+// m's mask; only the cells it lets through are looked up.
 func ScanColumn(dst []RowHit, base int, ids []uint32, m *MatchSet) []RowHit {
 	mask := &m.mask
 	for r, id := range ids {

@@ -189,9 +189,8 @@ func (ix *Index) AppendTo(dst []byte) []byte {
 					dst = appendID(dst, int32(ix.annGrid[int(a.grid)+r*int(a.cols)+c]))
 					continue
 				}
-				cp := ix.pair(ids[c*rows+r])
-				e := cp.ent
-				switch label := &labels[ix.raws[cp.raw].text]; {
+				p := ix.pair(ids[c*rows+r])
+				switch e, label := p.ent, &labels[ix.raws[p.raw].text]; {
 				case *label == unlabeled:
 					*label = int32(e)
 					dst = appendID(dst, int32(e))
