@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	webtable "repro"
 	"repro/internal/benchfix"
@@ -684,6 +685,30 @@ func BenchmarkLoadServing(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(added/tables, "heap-B/table")
+}
+
+// BenchmarkLoadServingThenAnnotate restores benchfix.Serving's snapshot,
+// then annotates one fresh ingest table: that first annotating call builds
+// the annotator a load leaves unbuilt, and first-annotate-ms times it.
+func BenchmarkLoadServingThenAnnotate(b *testing.B) {
+	snap, _ := benchfix.Serving(b)
+	_, fresh := benchfix.Ingest(b, 1)
+	ctx := context.Background()
+	var first time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc, err := webtable.LoadService(ctx, bytes.NewReader(snap), webtable.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := svc.AnnotateTable(ctx, fresh[0]); err != nil {
+			b.Fatal(err)
+		}
+		first += time.Since(start)
+	}
+	b.ReportMetric(first.Seconds()*1e3/float64(b.N), "first-annotate-ms")
 }
 
 // BenchmarkLoadServingShard restores shard 0 and then shard 1 of 2 from

@@ -10,3 +10,7 @@ type CompactionPolicy = segment.CompactionPolicy
 func WithCompactionPolicy(p CompactionPolicy) ServiceOption {
 	return func(o *serviceOptions) { o.policy = p }
 }
+
+// AnnotatorBuilt reports whether svc has built its annotator yet. Call
+// it only while no annotating call is in flight.
+func AnnotatorBuilt(svc *Service) bool { return svc.ann != nil }

@@ -1051,47 +1051,62 @@ func TestTraceSpanTree(t *testing.T) {
 // TestAddTablesTraced: a traced POST /v1/tables carries, under its request
 // span, each table's annotation stages — annotate.candidates,
 // annotate.graph and annotate.bp, one of each per collectively annotated
-// table — and the segment.add that appends the batch.
+// table — and the segment.add that appends the batch. A loaded service
+// builds its annotator on its first annotating call, so the first such
+// request after a load also carries one service.annotator span, and the
+// next none.
 func TestAddTablesTraced(t *testing.T) {
-	svc, w := testService(t, 2)
-	h := New(svc, WithLogger(quietLogger())).Handler()
-	extra := extraTables(t, w, 3)
-	req := httptest.NewRequest(http.MethodPost, "/v1/tables", bytes.NewReader(addBody(t, extra, "collective")))
-	req.Header.Set("X-Request-ID", "trace-add-1")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("add status = %d: %s", rec.Code, rec.Body.String())
+	src, w := testService(t, 2)
+	var raw bytes.Buffer
+	if err := src.SaveSnapshot(context.Background(), &raw); err != nil {
+		t.Fatal(err)
 	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces/trace-add-1", nil))
-	var tr struct {
-		Root struct {
-			Name       string  `json:"name"`
-			DurationMs float64 `json:"duration_ms"`
-			Children   []struct {
+	svc, err := webtable.LoadService(context.Background(), &raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	h := New(svc, WithLogger(quietLogger())).Handler()
+	extra := extraTables(t, w, 6)
+	for i, builds := range []int{1, 0} {
+		id := fmt.Sprintf("trace-add-%d", i)
+		req := httptest.NewRequest(http.MethodPost, "/v1/tables", bytes.NewReader(addBody(t, extra[3*i:3*i+3], "collective")))
+		req.Header.Set("X-Request-ID", id)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("add status = %d: %s", rec.Code, rec.Body.String())
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces/"+id, nil))
+		var tr struct {
+			Root struct {
 				Name       string  `json:"name"`
 				DurationMs float64 `json:"duration_ms"`
-			} `json:"children"`
-		} `json:"root"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil || rec.Code != http.StatusOK {
-		t.Fatalf("GET /v1/traces/trace-add-1 = %d: %v (%s)", rec.Code, err, rec.Body.String())
-	}
-	if tr.Root.Name != "POST /v1/tables" {
-		t.Fatalf("root span = %q, want the route", tr.Root.Name)
-	}
-	stages := map[string]int{}
-	for _, c := range tr.Root.Children {
-		stages[c.Name]++
-		if c.DurationMs > tr.Root.DurationMs {
-			t.Fatalf("span %s lasts %.3fms, longer than its request (%.3fms)", c.Name, c.DurationMs, tr.Root.DurationMs)
+				Children   []struct {
+					Name       string  `json:"name"`
+					DurationMs float64 `json:"duration_ms"`
+				} `json:"children"`
+			} `json:"root"`
 		}
-	}
-	want := map[string]int{"annotate.candidates": 3, "annotate.graph": 3, "annotate.bp": 3, "segment.add": 1}
-	for name, n := range want {
-		if stages[name] != n {
-			t.Fatalf("span tree has %d %q spans, want %d; have %v", stages[name], name, n, stages)
+		if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/traces/%s = %d: %v (%s)", id, rec.Code, err, rec.Body.String())
+		}
+		if tr.Root.Name != "POST /v1/tables" {
+			t.Fatalf("root span = %q, want the route", tr.Root.Name)
+		}
+		stages := map[string]int{}
+		for _, c := range tr.Root.Children {
+			stages[c.Name]++
+			if c.DurationMs > tr.Root.DurationMs {
+				t.Fatalf("span %s lasts %.3fms, longer than its request (%.3fms)", c.Name, c.DurationMs, tr.Root.DurationMs)
+			}
+		}
+		want := map[string]int{"annotate.candidates": 3, "annotate.graph": 3, "annotate.bp": 3, "segment.add": 1, "service.annotator": builds}
+		for name, n := range want {
+			if stages[name] != n {
+				t.Fatalf("%s: span tree has %d %q spans, want %d; have %v", id, stages[name], name, n, stages)
+			}
 		}
 	}
 }

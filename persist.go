@@ -126,7 +126,7 @@ func loadSegments(rd *snapshot.Reader, lo, hi int, opts []ServiceOption) (*Servi
 	if err != nil {
 		return nil, fmt.Errorf("webtable: snapshot catalog: %w", err)
 	}
-	// The segments decode while NewService builds the lemma index: a
+	// The segments decode while newService freezes the catalog: a
 	// segment needs no catalog.
 	var ixs []*searchidx.Index
 	var derr error

@@ -19,13 +19,14 @@ import (
 )
 
 // Service is the concurrent, context-aware entry point of the annotation
-// and search pipeline. It owns a frozen catalog, the shared lemma index
-// (the dominant setup cost, built once), and a worker pool that bounds
-// how many tables are annotated simultaneously across all in-flight
-// calls. Its one annotator is built with the default weights and
-// configuration when the Service is, and never changes; a per-call
-// WithMethod only picks which of its methods runs. It owns one live
-// corpus for its whole life: empty until the first BuildIndex or
+// and search pipeline. It owns a frozen catalog, a worker pool that
+// bounds how many tables are annotated simultaneously across all
+// in-flight calls, and one annotator with the default weights and
+// configuration, which never changes; a per-call WithMethod only picks
+// which of its methods runs. The annotator and its shared lemma index
+// (the dominant setup cost) are built once, by the first call that
+// annotates, so a node that only searches never holds them. It owns one
+// live corpus for its whole life: empty until the first BuildIndex or
 // AddTables, and compacted in the background until Close. A Service is
 // safe for concurrent use.
 //
@@ -39,6 +40,10 @@ type Service struct {
 	cat     *catalog.Catalog
 	workers int
 	sem     chan struct{}
+
+	// annOnce builds ann on the first call that annotates; annotator()
+	// is its one reader.
+	annOnce sync.Once
 	ann     *core.Annotator
 
 	// store is the live segmented corpus, built with the service. It
@@ -58,8 +63,9 @@ type viewEngine struct {
 
 // NewService builds a service over a catalog. The catalog is frozen if it
 // is not already (freezing is idempotent); it must not be mutated
-// afterwards. The lemma index is built here, once, and shared by every
-// annotation the service ever runs.
+// afterwards. The annotator and its lemma index are built later, once,
+// by the first call that annotates, and shared by every annotation the
+// service ever runs.
 func NewService(cat *Catalog, opts ...ServiceOption) (*Service, error) {
 	s, cfg, err := newService(cat, opts)
 	if err != nil {
@@ -95,7 +101,6 @@ func newService(cat *Catalog, opts []ServiceOption) (*Service, segment.Config, e
 		cat:     cat,
 		workers: so.workers,
 		sem:     make(chan struct{}, so.workers),
-		ann:     core.New(cat, DefaultWeights(), core.DefaultConfig()),
 	}, segment.Config{Policy: so.policy, AutoCompact: so.autoCompact}, nil
 }
 
@@ -111,9 +116,21 @@ func (s *Service) Workers() int { return s.workers }
 func (s *Service) WorkersInUse() int { return len(s.sem) }
 
 // Annotator returns the service's annotator, for interop with the
-// training API (webtable.Train). Train changes its weights in place, so
-// train before the service annotates anything, never while it serves.
-func (s *Service) Annotator() *Annotator { return s.ann }
+// training API (webtable.Train), building it on the first call if no
+// annotation has yet. Train changes its weights in place, so train
+// before the service annotates anything, never while it serves.
+func (s *Service) Annotator() *Annotator { return s.annotator(context.TODO()) }
+
+// annotator returns the service's annotator, building it on the first
+// call as a service.annotator span under ctx's.
+func (s *Service) annotator(ctx context.Context) *core.Annotator {
+	s.annOnce.Do(func() {
+		sp := obs.Begin(ctx, "service.annotator")
+		s.ann = core.New(s.cat, DefaultWeights(), core.DefaultConfig())
+		sp.End()
+	})
+	return s.ann
+}
 
 // methodFor resolves per-call options into the method to run.
 func methodFor(o *annotateOptions) (Method, error) {
@@ -200,7 +217,7 @@ func (s *Service) AnnotateTable(ctx context.Context, t *Table, opts ...AnnotateO
 		return nil, err
 	}
 	defer s.release()
-	return annotateOne(ctx, s.ann, method, t)
+	return annotateOne(ctx, s.annotator(ctx), method, t)
 }
 
 // AnnotateCorpus annotates a corpus in parallel over the service's worker
@@ -217,9 +234,10 @@ func (s *Service) AnnotateCorpus(ctx context.Context, tables []*Table, opts ...A
 	if err != nil {
 		return nil, err
 	}
+	ann := s.annotator(ctx)
 	out := make([]*Annotation, len(tables))
 	failures, err := fanOut(ctx, s, out, func(i int) (*Annotation, error) {
-		return annotateOne(ctx, s.ann, method, tables[i])
+		return annotateOne(ctx, ann, method, tables[i])
 	}, func(i int, err error) *TableError {
 		return &TableError{Index: i, TableID: tableID(tables[i]), Err: err}
 	})

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	webtable "repro"
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/worldgen"
@@ -800,5 +801,90 @@ func TestServicePerCallOverrides(t *testing.T) {
 	}
 	if len(lca.Relations) != 0 {
 		t.Errorf("LCA produced %d relation annotations", len(lca.Relations))
+	}
+}
+
+// TestAnnotatorBuiltOnFirstUse: a service builds its annotator — lemma
+// index, candidate memo, feature extractor — on the first call that
+// annotates: creating, loading, sharding, searching, saving and counting
+// leave it unbuilt. Eight first annotations racing on one loaded service
+// build one annotator and label as core.New's does. Run under -race in CI.
+func TestAnnotatorBuiltOnFirstUse(t *testing.T) {
+	ctx := context.Background()
+	w := testWorld(t)
+	tables := corpusTables(w, 8)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(svc *webtable.Service, after string, want bool) {
+		t.Helper()
+		if webtable.AnnotatorBuilt(svc) != want {
+			t.Fatalf("after %s: annotator built = %v, want %v", after, !want, want)
+		}
+	}
+	src, err := webtable.NewService(w.Public)
+	must(err)
+	defer src.Close()
+	check(src, "NewService", false)
+	_, err = src.BuildIndex(ctx, tables)
+	must(err)
+	var raw bytes.Buffer
+	must(src.SaveSnapshot(ctx, &raw))
+	load := func() *webtable.Service {
+		svc, err := webtable.LoadService(ctx, bytes.NewReader(raw.Bytes()), webtable.WithWorkers(4))
+		must(err)
+		t.Cleanup(svc.Close)
+		check(svc, "LoadService", false)
+		return svc
+	}
+	for name, annotate := range map[string]func(*webtable.Service) error{
+		"AnnotateTable":  func(svc *webtable.Service) error { _, err := svc.AnnotateTable(ctx, tables[0]); return err },
+		"AnnotateCorpus": func(svc *webtable.Service) error { _, err := svc.AnnotateCorpus(ctx, tables[:2]); return err },
+		"AddTables":      func(svc *webtable.Service) error { _, err := svc.AddTables(ctx, corpusTables(w, 10)[8:]); return err },
+		"Annotator":      func(svc *webtable.Service) error { svc.Annotator(); return nil },
+	} {
+		svc := load()
+		must(annotate(svc))
+		check(svc, name, true)
+	}
+	shard, _, err := webtable.LoadServiceShard(ctx, bytes.NewReader(raw.Bytes()), 1, 2)
+	must(err)
+	check(shard, "LoadServiceShard", false)
+
+	svc := load()
+	q, err := svc.ResolveQuery("directed", "Film", "Director", "x")
+	must(err)
+	req := webtable.SearchRequest{Query: q, Mode: webtable.SearchTypeRel}
+	_, err = svc.Search(ctx, req)
+	must(err)
+	_, _, err = svc.SearchPartial(ctx, req, 0)
+	must(err)
+	must(svc.SaveSnapshot(ctx, io.Discard))
+	svc.CorpusStats()
+	check(svc, "Search, SearchPartial, SaveSnapshot and CorpusStats", false)
+
+	got, errs, anns := make([]*webtable.Annotation, 8), make([]error, 8), make([]*webtable.Annotator, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = svc.AnnotateTable(ctx, tables[i])
+			anns[i] = svc.Annotator()
+		}()
+	}
+	wg.Wait()
+	ref := core.New(svc.Catalog(), webtable.DefaultWeights(), core.DefaultConfig())
+	for i, tab := range tables {
+		must(errs[i])
+		want, err := ref.AnnotateCollectiveContext(ctx, tab)
+		must(err)
+		got[i].Diag, want.Diag = core.Diagnostics{}, core.Diagnostics{} // wall times
+		if anns[i] != anns[0] || !reflect.DeepEqual(got[i], want) {
+			t.Errorf("table %s: annotator %p (first goroutine's %p) annotates %+v, core.New %+v", tab.ID, anns[i], anns[0], got[i], want)
+		}
 	}
 }
